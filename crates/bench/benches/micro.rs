@@ -118,29 +118,77 @@ fn bench_zipf(c: &mut Criterion) {
     g.finish();
 }
 
+/// CC-LO's reader bookkeeping at the record sizes a hot key collects:
+/// 256 clients (one driver pool of the benchmark's `sim_write_cclo`), ids
+/// arriving in client-interleaved order, so `insert` is a mid-vector
+/// insert and `query` collapses `n / 256` ROTs per client.
 fn bench_reader_records(c: &mut Criterion) {
     use contrarian_cclo::records::{BlockRecord, ReaderEntry, ReaderSet};
     use contrarian_types::{ClientId, DcId, TxId};
+    const CLIENTS: usize = 256;
     let mut g = c.benchmark_group("reader_records");
-    for n in [16usize, 256, 1024] {
-        let mut set = ReaderSet::new();
-        for i in 0..n {
-            set.insert(ReaderEntry {
-                tx: TxId::new(ClientId::new(DcId(0), (i % 64) as u16), i as u32),
+    for n in [16usize, 256, 1024, 4096] {
+        let entries: Vec<ReaderEntry> = (0..n)
+            .map(|i| ReaderEntry {
+                tx: TxId::new(ClientId::new(DcId(0), (i % CLIENTS) as u16), i as u32),
                 read_time: i as u64,
                 read_version_ts: i as u64,
                 inserted_at: 0,
-            });
-        }
+            })
+            .collect();
+        let build = |entries: &[ReaderEntry]| {
+            let mut set = ReaderSet::new();
+            for &e in entries {
+                set.insert(e);
+            }
+            set
+        };
+        g.bench_with_input(BenchmarkId::new("insert", n), &entries, |b, entries| {
+            b.iter(|| black_box(build(black_box(entries)).len()));
+        });
+        let set = build(&entries);
         g.bench_with_input(BenchmarkId::new("query", n), &set, |b, set| {
             b.iter(|| black_box(set.query(u64::MAX, 0, u64::MAX).len()));
         });
+        // Current readers (the older half) handed over to the old readers
+        // (the newer half), as a PUT on the key does; the timed region
+        // includes cloning both halves.
+        let (cur, old) = entries.split_at(n / 2);
+        let halves = (build(cur), build(old));
+        g.bench_with_input(BenchmarkId::new("absorb", n), &halves, |b, (cur, old)| {
+            b.iter(|| {
+                let (mut cur, mut old) = (cur.clone(), old.clone());
+                old.absorb(&mut cur);
+                black_box(old.len())
+            });
+        });
+        // The periodic sweep's usual case: everything is inside the window.
+        let mut swept = set.clone();
+        g.bench_function(BenchmarkId::new("gc", n), |b| {
+            b.iter(|| black_box(swept.gc(0, u64::MAX)));
+        });
+
+        // One reply's worth of distinct ids, then four overlapping replies
+        // (the duplication the paper measures: the same ROT id returned for
+        // several dependency keys).
         let pairs = set.query(u64::MAX, 0, u64::MAX);
         g.bench_with_input(BenchmarkId::new("block_merge", n), &pairs, |b, pairs| {
+            b.iter(|| black_box(BlockRecord::seal(black_box(pairs).clone()).len()));
+        });
+        let replies: Vec<(TxId, u64)> = (0..4u64)
+            .flat_map(|r| pairs.iter().map(move |&(tx, rt)| (tx, rt + r)))
+            .collect();
+        g.bench_with_input(BenchmarkId::new("block_seal", n), &replies, |b, replies| {
+            b.iter(|| black_box(BlockRecord::seal(black_box(replies).clone()).len()));
+        });
+        // One hit and one miss, as a ROT walking a version chain does.
+        let blk = BlockRecord::seal(replies);
+        let absent = TxId::new(ClientId::new(DcId(1), 0), 0);
+        let mut i = 0;
+        g.bench_function(BenchmarkId::new("block_bound", n), |b| {
             b.iter(|| {
-                let mut blk = BlockRecord::new();
-                blk.merge_pairs(black_box(pairs));
-                black_box(blk.len())
+                i = (i + 1) % pairs.len();
+                black_box((blk.bound(pairs[i].0), blk.bound(absent)))
             });
         });
     }

@@ -66,4 +66,10 @@ pub mod stats {
     pub const CHECK_BYTES: &str = "cclo.check_bytes";
     /// Readers checks performed for replicated updates (remote DCs).
     pub const REPL_CHECKS: &str = "cclo.repl_checks";
+    /// Reader-record entries walked by the periodic GC sweeps (kept +
+    /// dropped): the resident size of the reader bookkeeping over time.
+    pub const READER_ENTRIES_SWEPT: &str = "cclo.reader_entries_swept";
+    /// ROT ids in the old-reader records sealed into installed versions
+    /// (local PUTs and replicated updates).
+    pub const BLOCK_RECORD_IDS: &str = "cclo.block_record_ids";
 }

@@ -1,8 +1,22 @@
 //! Reader records, old-reader records and per-version block records — the
 //! bookkeeping that COPS-SNOW's latency-optimal ROTs hang on.
+//!
+//! Both record types are flat vectors kept in [`TxId`] order, i.e. by
+//! `(client, seq)`. Two invariants hold everything else up:
+//!
+//! * **Sorted by `TxId`, one entry per id.** A client's ROTs sit next to
+//!   each other in issue order, so [`ReaderSet::query`] picks each client's
+//!   most recent qualifying ROT in one forward pass and its result — which
+//!   is message bytes — comes out already sorted; [`BlockRecord::bound`] is
+//!   a binary search.
+//! * **[`ReaderSet::len`] is a cost-model input.** It counts the distinct
+//!   tx ids inserted and not yet swept, expired or not: the server charges
+//!   `len() × 100 ns` of virtual CPU per queried key and
+//!   `(kept + dropped) × 100 ns` per GC sweep, so a representation that
+//!   changed what `len()` counts would change simulated latencies.
 
 use contrarian_types::TxId;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// One recorded read: which transaction read, at what logical time, and how
 /// fresh the version it read was.
@@ -17,11 +31,18 @@ pub struct ReaderEntry {
     pub inserted_at: u64,
 }
 
+impl ReaderEntry {
+    fn expired(&self, now: u64, gc_ns: u64) -> bool {
+        now.saturating_sub(self.inserted_at) > gc_ns
+    }
+}
+
 /// Readers of a key — either the *current* readers (of the head version) or
 /// the accumulated *old* readers (of superseded versions).
 #[derive(Clone, Debug, Default)]
 pub struct ReaderSet {
-    entries: HashMap<TxId, ReaderEntry>,
+    /// Sorted by `tx`, one entry per tx id.
+    entries: Vec<ReaderEntry>,
 }
 
 impl ReaderSet {
@@ -29,6 +50,8 @@ impl ReaderSet {
         Self::default()
     }
 
+    /// Distinct tx ids inserted and not yet swept (a cost-model input, see
+    /// the module docs).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -40,47 +63,68 @@ impl ReaderSet {
     /// Records a read. A ROT reads a key at most once, so a duplicate tx id
     /// simply refreshes the entry.
     pub fn insert(&mut self, e: ReaderEntry) {
-        self.entries.insert(e.tx, e);
+        if self.entries.last().is_none_or(|last| last.tx < e.tx) {
+            self.entries.push(e);
+            return;
+        }
+        match self.entries.binary_search_by_key(&e.tx, |x| x.tx) {
+            Ok(i) => self.entries[i] = e,
+            Err(i) => self.entries.insert(i, e),
+        }
     }
 
     /// Moves every entry of `other` into `self` (current readers become old
-    /// readers when the head version is superseded).
+    /// readers when the head version is superseded). For a tx id in both,
+    /// `other`'s entry wins.
     pub fn absorb(&mut self, other: &mut ReaderSet) {
-        // lint:allow(determinism): map-to-map move keyed by unique tx ids; insertion order cannot change the resulting map
-        for (tx, e) in other.entries.drain() {
-            self.entries.insert(tx, e);
+        if self.entries.is_empty() {
+            std::mem::swap(&mut self.entries, &mut other.entries);
+            return;
         }
+        let (a, b) = (std::mem::take(&mut self.entries), &mut other.entries);
+        self.entries.reserve_exact(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].tx.cmp(&b[j].tx) {
+                Ordering::Less => {
+                    self.entries.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    self.entries.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    self.entries.push(b[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        self.entries.extend_from_slice(&a[i..]);
+        self.entries.extend_from_slice(&b[j..]);
+        b.clear();
     }
 
     /// The old readers *relative to a dependency version*: transactions that
     /// read something older than `dep_ts`, still within the GC window, with
     /// at most one entry per client (its most recent ROT — clients issue one
     /// operation at a time, so older ROTs of a client can have no in-flight
-    /// reads). Returns `(tx, read_time)` pairs.
+    /// reads). Returns `(tx, read_time)` pairs sorted by tx id.
     pub fn query(&self, dep_ts: u64, now: u64, gc_ns: u64) -> Vec<(TxId, u64)> {
-        let mut per_client: HashMap<contrarian_types::ClientId, (TxId, u64)> = HashMap::new();
-        // lint:allow(determinism): order-free max-by-seq fold per client; the result is sorted before it reaches message bytes
-        for e in self.entries.values() {
-            if e.read_version_ts >= dep_ts {
-                continue; // read the dependency or newer: not old for it
+        let mut out: Vec<(TxId, u64)> = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
+            // Reading the dependency or newer is not old for it.
+            if e.read_version_ts >= dep_ts || e.expired(now, gc_ns) {
+                continue;
             }
-            if now.saturating_sub(e.inserted_at) > gc_ns {
-                continue; // expired
-            }
-            match per_client.get_mut(&e.tx.client) {
-                Some(best) => {
-                    if e.tx.seq > best.0.seq {
-                        *best = (e.tx, e.read_time);
-                    }
-                }
-                None => {
-                    per_client.insert(e.tx.client, (e.tx, e.read_time));
-                }
+            // A client's ROTs are adjacent in issue order: a later one
+            // replaces the one just emitted.
+            match out.last_mut() {
+                Some(last) if last.0.client == e.tx.client => *last = (e.tx, e.read_time),
+                _ => out.push((e.tx, e.read_time)),
             }
         }
-        // lint:allow(determinism): sorted immediately below, before the pairs reach message bytes
-        let mut out: Vec<(TxId, u64)> = per_client.into_values().collect();
-        out.sort_unstable(); // deterministic message contents
         out
     }
 
@@ -88,26 +132,33 @@ impl ReaderSet {
     /// and dropped (for CPU accounting).
     pub fn gc(&mut self, now: u64, gc_ns: u64) -> (usize, usize) {
         let before = self.entries.len();
-        self.entries
-            .retain(|_, e| now.saturating_sub(e.inserted_at) <= gc_ns);
+        self.entries.retain(|e| !e.expired(now, gc_ns));
         (self.entries.len(), before - self.entries.len())
     }
 
     pub fn contains(&self, tx: TxId) -> bool {
-        self.entries.contains_key(&tx)
+        self.entries.binary_search_by_key(&tx, |e| e.tx).is_ok()
     }
 }
 
 /// The per-version old-reader record: ROT ids that must *not* observe this
 /// version, each with the logical time bound of its stale read.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BlockRecord {
-    entries: HashMap<TxId, u64>,
+    /// Sorted by tx id, one pair per id.
+    entries: Vec<(TxId, u64)>,
 }
 
 impl BlockRecord {
-    pub fn new() -> Self {
-        Self::default()
+    /// Builds the record of a version about to install from everything its
+    /// readers check collected — local queries and peers' replies, in any
+    /// order and with duplicates. A tx named more than once keeps its
+    /// *smallest* read time (the most restrictive bound).
+    pub fn seal(mut pairs: Vec<(TxId, u64)>) -> Self {
+        pairs.sort_unstable();
+        pairs.dedup_by_key(|p| p.0);
+        pairs.shrink_to_fit();
+        BlockRecord { entries: pairs }
     }
 
     pub fn len(&self) -> usize {
@@ -118,36 +169,10 @@ impl BlockRecord {
         self.entries.is_empty()
     }
 
-    /// Merges one `(tx, read_time)` pair, keeping the *smallest* read time
-    /// (the most restrictive bound) if the tx is already present.
-    pub fn add(&mut self, tx: TxId, read_time: u64) {
-        self.entries
-            .entry(tx)
-            .and_modify(|rt| {
-                if read_time < *rt {
-                    *rt = read_time;
-                }
-            })
-            .or_insert(read_time);
-    }
-
-    pub fn merge_pairs(&mut self, pairs: &[(TxId, u64)]) {
-        for &(tx, rt) in pairs {
-            self.add(tx, rt);
-        }
-    }
-
     /// The read-time bound for `tx`, if it is blocked.
     pub fn bound(&self, tx: TxId) -> Option<u64> {
-        self.entries.get(&tx).copied()
-    }
-
-    /// All `(tx, read_time)` pairs, sorted (deterministic message bytes).
-    pub fn pairs(&self) -> Vec<(TxId, u64)> {
-        // lint:allow(determinism): sorted immediately below, before the pairs reach message bytes
-        let mut out: Vec<(TxId, u64)> = self.entries.iter().map(|(t, rt)| (*t, *rt)).collect();
-        out.sort_unstable();
-        out
+        let i = self.entries.binary_search_by_key(&tx, |p| p.0).ok()?;
+        Some(self.entries[i].1)
     }
 }
 
@@ -155,6 +180,102 @@ impl BlockRecord {
 mod tests {
     use super::*;
     use contrarian_types::{ClientId, DcId};
+    use proptest::prelude::*;
+
+    /// The map-based records this module used before it was rebuilt on flat
+    /// vectors, kept as the oracle of the differential proptests below —
+    /// and nowhere else. (The maps are `by_tx`, not `entries`: the
+    /// determinism lint tracks hash-typed names per file.)
+    mod model {
+        use super::super::ReaderEntry;
+        use contrarian_types::{ClientId, TxId};
+        use std::collections::HashMap;
+
+        #[derive(Default)]
+        pub(super) struct ReaderSet {
+            by_tx: HashMap<TxId, ReaderEntry>,
+        }
+
+        impl ReaderSet {
+            pub(super) fn len(&self) -> usize {
+                self.by_tx.len()
+            }
+
+            pub(super) fn insert(&mut self, e: ReaderEntry) {
+                self.by_tx.insert(e.tx, e);
+            }
+
+            pub(super) fn absorb(&mut self, other: &mut ReaderSet) {
+                for (tx, e) in other.by_tx.drain() {
+                    self.by_tx.insert(tx, e);
+                }
+            }
+
+            pub(super) fn query(&self, dep_ts: u64, now: u64, gc_ns: u64) -> Vec<(TxId, u64)> {
+                let mut per_client: HashMap<ClientId, (TxId, u64)> = HashMap::new();
+                for e in self.by_tx.values() {
+                    if e.read_version_ts >= dep_ts {
+                        continue; // read the dependency or newer: not old for it
+                    }
+                    if now.saturating_sub(e.inserted_at) > gc_ns {
+                        continue; // expired
+                    }
+                    match per_client.get_mut(&e.tx.client) {
+                        Some(best) => {
+                            if e.tx.seq > best.0.seq {
+                                *best = (e.tx, e.read_time);
+                            }
+                        }
+                        None => {
+                            per_client.insert(e.tx.client, (e.tx, e.read_time));
+                        }
+                    }
+                }
+                let mut out: Vec<(TxId, u64)> = per_client.into_values().collect();
+                out.sort_unstable(); // deterministic message contents
+                out
+            }
+
+            pub(super) fn gc(&mut self, now: u64, gc_ns: u64) -> (usize, usize) {
+                let before = self.by_tx.len();
+                self.by_tx
+                    .retain(|_, e| now.saturating_sub(e.inserted_at) <= gc_ns);
+                (self.by_tx.len(), before - self.by_tx.len())
+            }
+
+            pub(super) fn contains(&self, tx: TxId) -> bool {
+                self.by_tx.contains_key(&tx)
+            }
+        }
+
+        #[derive(Default)]
+        pub(super) struct BlockRecord {
+            by_tx: HashMap<TxId, u64>,
+        }
+
+        impl BlockRecord {
+            pub(super) fn len(&self) -> usize {
+                self.by_tx.len()
+            }
+
+            pub(super) fn merge_pairs(&mut self, pairs: &[(TxId, u64)]) {
+                for &(tx, read_time) in pairs {
+                    self.by_tx
+                        .entry(tx)
+                        .and_modify(|rt| {
+                            if read_time < *rt {
+                                *rt = read_time;
+                            }
+                        })
+                        .or_insert(read_time);
+                }
+            }
+
+            pub(super) fn bound(&self, tx: TxId) -> Option<u64> {
+                self.by_tx.get(&tx).copied()
+            }
+        }
+    }
 
     fn tx(c: u16, seq: u32) -> TxId {
         TxId::new(ClientId::new(DcId(0), c), seq)
@@ -166,6 +287,97 @@ mod tests {
             read_time: rt,
             read_version_ts: rvts,
             inserted_at: at,
+        }
+    }
+
+    /// Few clients and few ROTs per client, so sequences revisit tx ids,
+    /// stack several ROTs on one client and hit both absorb overlap cases.
+    const CLIENTS: u16 = 5;
+    const SEQS: u32 = 6;
+    const GC_NS: u64 = 40;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat `ReaderSet` against the map-based model under random
+        /// insert / absorb / gc / query sequences over a current and an old
+        /// set, on a clock that lets entries expire mid-sequence.
+        #[test]
+        fn reader_set_matches_map_model(
+            ops in prop::collection::vec(
+                ((0u8..8, 0..CLIENTS, 0..SEQS), (0u64..50, 0u64..20, 0u64..12)),
+                1..120,
+            ),
+        ) {
+            let (mut cur, mut old) = (ReaderSet::new(), ReaderSet::new());
+            let (mut m_cur, mut m_old) = (model::ReaderSet::default(), model::ReaderSet::default());
+            let mut now = 0u64;
+            for ((op, c, seq), (rt, rvts, dt)) in ops {
+                now += dt;
+                let e = entry(tx(c, seq), rt, rvts, now);
+                match op {
+                    0..=2 => {
+                        cur.insert(e);
+                        m_cur.insert(e);
+                    }
+                    3 => {
+                        // A blocked ROT becomes an old reader directly.
+                        old.insert(e);
+                        m_old.insert(e);
+                    }
+                    4 => {
+                        old.absorb(&mut cur);
+                        m_old.absorb(&mut m_cur);
+                    }
+                    5 => {
+                        prop_assert_eq!(cur.gc(now, GC_NS), m_cur.gc(now, GC_NS));
+                        prop_assert_eq!(old.gc(now, GC_NS), m_old.gc(now, GC_NS));
+                    }
+                    _ => {
+                        // COPS-SNOW's "all old readers", then dep-precise.
+                        for dep_ts in [u64::MAX, rvts] {
+                            prop_assert_eq!(
+                                old.query(dep_ts, now, GC_NS),
+                                m_old.query(dep_ts, now, GC_NS)
+                            );
+                            prop_assert_eq!(
+                                cur.query(dep_ts, now, GC_NS),
+                                m_cur.query(dep_ts, now, GC_NS)
+                            );
+                        }
+                    }
+                }
+                prop_assert_eq!((cur.len(), old.len()), (m_cur.len(), m_old.len()));
+                prop_assert_eq!(cur.is_empty(), m_cur.len() == 0);
+                prop_assert_eq!(old.contains(e.tx), m_old.contains(e.tx));
+                prop_assert_eq!(cur.contains(e.tx), m_cur.contains(e.tx));
+            }
+        }
+
+        /// Sealing the concatenated replies equals merging them one by one
+        /// into the map-based model: same size, same bound for every id.
+        #[test]
+        fn sealed_block_record_matches_map_model(
+            replies in prop::collection::vec(
+                prop::collection::vec((0..CLIENTS, 0..SEQS, 0u64..50), 0..12),
+                0..5,
+            ),
+        ) {
+            let mut m = model::BlockRecord::default();
+            let mut pending = Vec::new();
+            for reply in &replies {
+                let pairs: Vec<(TxId, u64)> =
+                    reply.iter().map(|&(c, seq, rt)| (tx(c, seq), rt)).collect();
+                m.merge_pairs(&pairs);
+                pending.extend(pairs);
+            }
+            let b = BlockRecord::seal(pending);
+            prop_assert_eq!(b.len(), m.len());
+            for c in 0..CLIENTS {
+                for seq in 0..SEQS {
+                    prop_assert_eq!(b.bound(tx(c, seq)), m.bound(tx(c, seq)));
+                }
+            }
         }
     }
 
@@ -230,20 +442,9 @@ mod tests {
 
     #[test]
     fn block_record_keeps_most_restrictive_bound() {
-        let mut b = BlockRecord::new();
-        b.add(tx(0, 0), 50);
-        b.add(tx(0, 0), 30);
-        b.add(tx(0, 0), 70);
+        let b = BlockRecord::seal(vec![(tx(0, 0), 50), (tx(0, 0), 30), (tx(0, 0), 70)]);
         assert_eq!(b.bound(tx(0, 0)), Some(30));
         assert_eq!(b.bound(tx(1, 0)), None);
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn merge_pairs_accumulates() {
-        let mut b = BlockRecord::new();
-        b.merge_pairs(&[(tx(0, 0), 5), (tx(1, 0), 9)]);
-        b.merge_pairs(&[(tx(2, 0), 1)]);
-        assert_eq!(b.len(), 3);
     }
 }

@@ -7,8 +7,11 @@ use contrarian_clock::LogicalClock;
 use contrarian_protocol::{timers, Parked, ProtocolServer, Timers};
 use contrarian_runtime::actor::{ActorCtx, TimerKind};
 use contrarian_storage::{MvStore, Version};
-use contrarian_types::{Addr, ClusterConfig, Key, PartitionId, TraceKind, TxId, Value, VersionId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use contrarian_types::{
+    Addr, ClientId, ClusterConfig, Key, PartitionId, TraceKind, TxId, Value, VersionId,
+};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// A PUT waiting for its readers check to complete.
 struct PendingPut {
@@ -19,17 +22,17 @@ struct PendingPut {
     /// The client's explicit dependency list, shipped along on replication
     /// so every remote DC can run its own dependency + readers check.
     deps: Vec<Dep>,
-    block: BlockRecord,
+    /// Old-reader pairs collected so far, unsorted: the local dependencies'
+    /// first, then each reply's. Sealed into the version's [`BlockRecord`]
+    /// once, at `finalize_put`.
+    block: Vec<(TxId, u64)>,
+    /// Where the replies start in `block`. Figure 6 counts the ids that
+    /// crossed the network, not the locally collected ones.
+    n_local: usize,
     awaiting: usize,
     // Figure 6 statistics.
     n_deps: u64,
     n_partitions: u64,
-    ids_cum: u64,
-    /// Distinct *clients* named by the responses (the paper's "distinct ROT
-    /// ids" — with at most one id per client per response, the distinct
-    /// count collapses to clients, matching "252 distinct at 256 clients").
-    ids_distinct: HashSet<contrarian_types::ClientId>,
-    bytes: u64,
 }
 
 /// A replicated update waiting for its combined dependency + readers check.
@@ -37,7 +40,8 @@ struct PendingRepl {
     key: Key,
     value: Value,
     vid: VersionId,
-    block: BlockRecord,
+    /// Unsorted old-reader pairs, sealed at `finalize_repl`.
+    block: Vec<(TxId, u64)>,
     awaiting: usize,
     /// Origin-install runtime timestamp carried by the Replicate message.
     birth: u64,
@@ -142,6 +146,8 @@ impl Server {
         let horizon = self.lamport.peek().saturating_sub(1_000_000);
         let dropped = self.store.gc_all(horizon.max(1), 1);
         ctx.charge((touched + dropped) as u64 * 100);
+        ctx.metrics()
+            .add(stats::READER_ENTRIES_SWEPT, touched as u64);
     }
 
     fn handle_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, from: Addr, msg: Msg) {
@@ -308,12 +314,10 @@ impl Server {
             ts,
             n_deps: deps.len() as u64,
             deps,
-            block: BlockRecord::new(),
+            block: Vec::new(),
+            n_local: 0,
             awaiting: 0,
             n_partitions: 0,
-            ids_cum: 0,
-            ids_distinct: HashSet::new(),
-            bytes: 0,
         };
 
         let now = ctx.now();
@@ -327,7 +331,7 @@ impl Server {
                     ctx.charge(set.map(|s| s.len() as u64).unwrap_or(0) * 100);
                     let pairs = set.map(|s| s.query(bound, now, window)).unwrap_or_default();
                     ctx.charge(pairs.len() as u64 * 150);
-                    pending.block.merge_pairs(&pairs);
+                    pending.block.extend(pairs);
                 }
             } else {
                 pending.awaiting += 1;
@@ -343,6 +347,8 @@ impl Server {
                 );
             }
         }
+
+        pending.n_local = pending.block.len();
 
         if pending.awaiting == 0 {
             self.finalize_put(ctx, pending);
@@ -448,20 +454,15 @@ impl Server {
         token: u64,
         entries: Vec<(TxId, u64)>,
     ) {
-        let Some(mut pending) = self.pending_puts.remove(&token) else {
+        let Entry::Occupied(mut slot) = self.pending_puts.entry(token) else {
             return;
         };
-        pending.ids_cum += entries.len() as u64;
-        pending.bytes += entries.len() as u64 * 16;
-        for &(tx, _) in &entries {
-            pending.ids_distinct.insert(tx.client);
-        }
-        pending.block.merge_pairs(&entries);
+        let pending = slot.get_mut();
+        pending.block.extend(entries);
         pending.awaiting -= 1;
         if pending.awaiting == 0 {
+            let pending = slot.remove();
             self.finalize_put(ctx, pending);
-        } else {
-            self.pending_puts.insert(token, pending);
         }
     }
 
@@ -475,13 +476,23 @@ impl Server {
             ts,
             deps,
             block,
+            n_local,
             n_deps,
             n_partitions,
-            ids_cum,
-            ids_distinct,
-            bytes,
             ..
         } = pending;
+
+        // Distinct *clients* named by the responses (the paper's "distinct
+        // ROT ids" — with at most one id per client per response, the
+        // distinct count collapses to clients, matching "252 distinct at
+        // 256 clients").
+        let replied = &block[n_local..];
+        let ids_cum = replied.len() as u64;
+        let mut ids_distinct: Vec<ClientId> = replied.iter().map(|(tx, _)| tx.client).collect();
+        ids_distinct.sort_unstable();
+        ids_distinct.dedup();
+        let block = BlockRecord::seal(block);
+        let block_ids = block.len() as u64;
 
         self.supersede_head(key);
         let vid = VersionId::new(ts, self.addr.dc);
@@ -505,7 +516,8 @@ impl Server {
         m.add(stats::CHECK_PARTITIONS, n_partitions);
         m.add(stats::CHECK_IDS_CUM, ids_cum);
         m.add(stats::CHECK_IDS_DISTINCT, ids_distinct.len() as u64);
-        m.add(stats::CHECK_BYTES, bytes);
+        m.add(stats::CHECK_BYTES, ids_cum * 16);
+        m.add(stats::BLOCK_RECORD_IDS, block_ids);
 
         if self.cfg.n_dcs > 1 {
             // Ship the update with the client's full dependency list; each
@@ -536,9 +548,7 @@ impl Server {
     fn supersede_head(&mut self, key: Key) {
         if let Some(cur) = self.readers.get_mut(&key) {
             if !cur.is_empty() {
-                let mut taken = ReaderSet::new();
-                taken.absorb(cur);
-                self.old_readers.entry(key).or_default().absorb(&mut taken);
+                self.old_readers.entry(key).or_default().absorb(cur);
             }
         }
     }
@@ -561,7 +571,7 @@ impl Server {
             key,
             value,
             vid,
-            block: BlockRecord::new(),
+            block: Vec::new(),
             awaiting: 0,
             birth,
         };
@@ -574,12 +584,9 @@ impl Server {
                 if self.deps_installed(&part_deps) {
                     for (k, dvid) in &part_deps {
                         let bound = self.dep_bound(*dvid);
-                        let pairs = self
-                            .old_readers
-                            .get(k)
-                            .map(|s| s.query(bound, now, window))
-                            .unwrap_or_default();
-                        pending.block.merge_pairs(&pairs);
+                        if let Some(set) = self.old_readers.get(k) {
+                            pending.block.extend(set.query(bound, now, window));
+                        }
                     }
                 } else {
                     // Wait for our own install path to catch up: park a
@@ -619,15 +626,15 @@ impl Server {
     }
 
     fn on_dep_reply(&mut self, ctx: &mut dyn ActorCtx<Msg>, token: u64, entries: Vec<(TxId, u64)>) {
-        let Some(mut pending) = self.pending_repls.remove(&token) else {
+        let Entry::Occupied(mut slot) = self.pending_repls.entry(token) else {
             return;
         };
-        pending.block.merge_pairs(&entries);
+        let pending = slot.get_mut();
+        pending.block.extend(entries);
         pending.awaiting -= 1;
         if pending.awaiting == 0 {
+            let pending = slot.remove();
             self.finalize_repl(ctx, pending);
-        } else {
-            self.pending_repls.insert(token, pending);
         }
     }
 
@@ -648,9 +655,12 @@ impl Server {
             let stale = ctx.now().saturating_sub(birth);
             ctx.metrics().vis_stale(stale);
         }
+        let block = BlockRecord::seal(block);
+        let m = ctx.metrics();
+        m.add(stats::REPL_CHECKS, 1);
+        m.add(stats::BLOCK_RECORD_IDS, block.len() as u64);
         self.store
             .put(key, Version::new(vid, value, block).with_birth(birth));
-        ctx.metrics().add(stats::REPL_CHECKS, 1);
         self.flush_dep_waiters(ctx);
     }
 
