@@ -118,6 +118,81 @@ fn bench_zipf(c: &mut Criterion) {
     g.finish();
 }
 
+/// The engine's calendar queue in the classic *hold* model: pop the
+/// earliest event, push one a service time or a network hop later. The
+/// parameter is the event density per 16 µs wheel bucket — the benchmark's
+/// clusters load 67 (`sim_read_contrarian`) to 300 (`sim_scale_okapi`)
+/// events per bucket — and the payload brings an entry to the ~120 bytes
+/// of the simulator's `EvKind<Msg>`. Hops of 40–48 µs (the calibrated
+/// `rx_ns` / `hop_latency_ns`) land 2–3 buckets ahead, so one iteration is
+/// a wheel push plus a pop off the loaded bucket, with a bucket load every
+/// `density` iterations.
+fn bench_calendar_queue(c: &mut Criterion) {
+    use contrarian_sim::sched::CalendarQueue;
+    const HOP_NS: u64 = 40_000;
+    const JITTER_NS: u64 = 8_192;
+    let mut g = c.benchmark_group("calendar_queue");
+    for density in [64u64, 512] {
+        let population = density * (HOP_NS + JITTER_NS / 2) / CalendarQueue::<()>::W_NS;
+        let mut q: CalendarQueue<[u64; 13]> = CalendarQueue::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut jitter = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % JITTER_NS
+        };
+        let mut seq = 0u64;
+        for _ in 0..population {
+            seq += 1;
+            q.push(jitter() * 6, seq, [seq; 13]);
+        }
+        g.bench_with_input(BenchmarkId::new("hold", density), &density, |b, _| {
+            b.iter(|| {
+                let (t, _, item) = q.pop().expect("hold keeps the population constant");
+                seq += 1;
+                q.push(t + HOP_NS + jitter(), seq, black_box(item));
+            });
+        });
+    }
+    g.finish();
+}
+
+/// The open-loop driver's session calendar, also in the hold model: one
+/// iteration is one overdue `draw` — pop the earliest arrival, draw the
+/// session's next exponential gap and push it back, draw the operation.
+/// 256 driver instances are visited round-robin, as the benchmark's
+/// cluster visits its 256 driver actors: what a draw costs is set by how
+/// much of *all* calendars stays in cache, not by one hot instance. The
+/// parameter is sessions per instance (the benchmark runs 3 906).
+fn bench_session_calendar(c: &mut Criterion) {
+    use contrarian_workload::{ClientDriver, OpenLoopDriver, WorkloadSpec, Zipf};
+    const INSTANCES: usize = 256;
+    let mut g = c.benchmark_group("session_calendar");
+    g.sample_size(10);
+    let zipf = std::sync::Arc::new(Zipf::new(1_000, 0.99));
+    for sessions in [1_024u32, 4_096, 65_536] {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let mut drivers: Vec<OpenLoopDriver> = (0..INSTANCES)
+            .map(|_| {
+                let gen = ClientDriver::new(WorkloadSpec::paper_default(), zipf.clone(), 32);
+                let mut d = OpenLoopDriver::new(gen, sessions, 1.0);
+                let _ = d.draw(0, &mut rng); // prime
+                d
+            })
+            .collect();
+        let mut i = 0usize;
+        g.bench_with_input(BenchmarkId::new("hold", sessions), &sessions, |b, _| {
+            b.iter(|| {
+                i = (i + 1) % INSTANCES;
+                // Permanently overdue: every draw is a pop and a push.
+                black_box(drivers[i].draw(u64::MAX / 2, &mut rng))
+            });
+        });
+    }
+    g.finish();
+}
+
 /// CC-LO's reader bookkeeping at the record sizes a hot key collects:
 /// 256 clients (one driver pool of the benchmark's `sim_write_cclo`), ids
 /// arriving in client-interleaved order, so `insert` is a mid-vector
@@ -430,6 +505,8 @@ criterion_group!(
     bench_vectors,
     bench_chain,
     bench_zipf,
+    bench_calendar_queue,
+    bench_session_calendar,
     bench_reader_records,
     bench_sim_scale,
     bench_checker

@@ -119,5 +119,5 @@ pub use contrarian_runtime::cost::LookaheadMatrix;
 pub use contrarian_runtime::{
     Actor, ActorCtx, CostModel, Histogram, Metrics, SimMessage, TimerKind,
 };
-pub use sched::SchedKind;
+pub use sched::{QueueStats, SchedKind};
 pub use sim::{Lookahead, Sim};

@@ -22,21 +22,34 @@
 //! * most insertions land a few service times ahead of `now` — they go into
 //!   an unsorted per-bucket `Vec` (`O(1)` push, [`CalendarQueue::W_NS`]
 //!   nanoseconds of virtual time per bucket);
-//! * only the *current* bucket needs total order — it is kept as a small
-//!   binary heap, loaded (heapified) once when time enters the bucket;
-//! * events scheduled for exactly `now` (same-tick self-delivery: worker
-//!   hand-offs, zero-cost injections) go to a small dedicated `due` heap
-//!   instead of the wheel — it holds only the current tick's stragglers,
-//!   so its heap operations touch a few entries where the current bucket's
-//!   may touch hundreds;
+//! * only the *current* bucket needs total order. When time enters a
+//!   bucket its `Vec` stays where it is as the payload store, and a side
+//!   vector of 24-byte `(t, seq, index)` keys is sorted once, descending,
+//!   so the minimum pops off the back and takes its payload by index —
+//!   the ~120-byte events themselves are never moved again (heapifying
+//!   and sifting them was a sixth of the engine's host time);
+//! * events pushed into the loaded bucket's range after it was loaded
+//!   (same-tick self-delivery: worker hand-offs, zero-cost injections;
+//!   service times shorter than the rest of the bucket) go to the one
+//!   small `late` heap — it holds only stragglers created since the load,
+//!   a handful where the bucket holds hundreds. A heap rather than a FIFO
+//!   because source-attributed keys are not monotone in push order at a
+//!   fixed `t`;
 //! * the rare far-future event (GC and heartbeat timers) overflows into a
 //!   small heap that drains into the wheel as the horizon advances.
 //!
-//! Insertion is thus `O(1)` for everything but the current tick and
-//! bucket, and pops sort only events that are about to execute. (The due
-//! lane used to be a FIFO `VecDeque`, which was correct when event keys
-//! were a single global insertion counter; source-attributed keys are not
-//! monotone in push order at a fixed `t`, so the lane is a heap now.)
+//! Insertion is thus `O(1)` for everything but the loaded bucket's
+//! stragglers, and only keys of events that are about to execute are ever
+//! sorted. Two invariants carry the design:
+//!
+//! 1. *The payload `Vec` is never reordered after load* — the sorted keys
+//!    index into it, and a popped payload leaves a `None` behind.
+//! 2. *The drained `Vec` is dropped, not recycled into its wheel slot.*
+//!    Keeping the allocations (`clear` + swap back) was measured at
+//!    30 → 78 MB RSS on the 32-partition benchmark cluster and slower than
+//!    the heap it replaced: 4 096 slots each pin their peak capacity and
+//!    the working set leaves cache, whereas a freed bucket's hot chunks
+//!    come straight back from the allocator for the next pushes.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -193,17 +206,54 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Engine self-telemetry (all zero under [`SchedKind::Heap`]).
+    pub fn stats(&self) -> QueueStats {
+        match &self.0 {
+            Inner::Heap(_) => QueueStats::default(),
+            Inner::Calendar(c) => c.stats,
+        }
+    }
+}
+
+/// What a calendar queue has done so far: plain counters bumped on paths
+/// the queue takes anyway. `bucket_events / buckets_loaded` is the mean
+/// sort size; `late_pushes` against total pushes says how much traffic
+/// bypasses the wheel; `overflow_pushes` how much lies past the horizon.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct QueueStats {
+    /// Wheel buckets loaded (sorted) so far.
+    pub buckets_loaded: u64,
+    /// Events those buckets held when loaded.
+    pub bucket_events: u64,
+    /// Pushes that landed in the loaded bucket's range (the `late` heap).
+    pub late_pushes: u64,
+    /// Pushes at or past the wheel's horizon (the overflow heap).
+    pub overflow_pushes: u64,
+}
+
+impl std::ops::AddAssign for QueueStats {
+    fn add_assign(&mut self, o: Self) {
+        self.buckets_loaded += o.buckets_loaded;
+        self.bucket_events += o.bucket_events;
+        self.late_pushes += o.late_pushes;
+        self.overflow_pushes += o.overflow_pushes;
+    }
 }
 
 /// See the module docs for the design.
 pub struct CalendarQueue<T> {
-    /// Same-tick fast path: events with `t` equal to the last popped time.
-    /// A small heap (a handful of worker hand-offs), ordered like `cur`.
-    due: BinaryHeap<Entry<T>>,
-    /// The current bucket, totally ordered.
-    cur: BinaryHeap<Entry<T>>,
+    /// Events pushed into (or, after a horizon jump, before) the loaded
+    /// bucket's range since it was loaded. A small heap.
+    late: BinaryHeap<Entry<T>>,
+    /// The loaded bucket's payloads, in push order; never reordered. A pop
+    /// takes the item and leaves `None`.
+    loaded: Vec<Entry<Option<T>>>,
+    /// `(t, seq, index into loaded)` of its unpopped events, sorted
+    /// descending: the earliest is at the back.
+    keys: Vec<(u64, u64, u32)>,
     /// Future buckets within the horizon, unsorted.
-    wheel: Vec<Vec<Entry<T>>>,
+    wheel: Vec<Vec<Entry<Option<T>>>>,
     /// Total events parked in `wheel`.
     wheel_len: usize,
     /// Events at or past the horizon.
@@ -215,6 +265,7 @@ pub struct CalendarQueue<T> {
     /// `t` of the most recent pop (0 before the first).
     last_pop_t: u64,
     len: usize,
+    stats: QueueStats,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -226,7 +277,7 @@ impl<T> Default for CalendarQueue<T> {
 impl<T> CalendarQueue<T> {
     /// Bucket width in virtual nanoseconds (power of two). ~16 µs spans a
     /// handful of service times of the calibrated cost model, keeping the
-    /// current-bucket heap small without making the wheel spin hot.
+    /// per-bucket sort small without making the wheel spin hot.
     pub const W_NS: u64 = 1 << Self::W_SHIFT;
     const W_SHIFT: u32 = 14;
     /// Ring size (power of two): horizon = `N_BUCKETS * W_NS` ≈ 67 ms.
@@ -234,8 +285,9 @@ impl<T> CalendarQueue<T> {
 
     pub fn new() -> Self {
         CalendarQueue {
-            due: BinaryHeap::new(),
-            cur: BinaryHeap::new(),
+            late: BinaryHeap::new(),
+            loaded: Vec::new(),
+            keys: Vec::new(),
             wheel: std::iter::repeat_with(Vec::new)
                 .take(Self::N_BUCKETS)
                 .collect(),
@@ -245,6 +297,7 @@ impl<T> CalendarQueue<T> {
             cur_idx: 0,
             last_pop_t: 0,
             len: 0,
+            stats: QueueStats::default(),
         }
     }
 
@@ -266,33 +319,34 @@ impl<T> CalendarQueue<T> {
     pub fn push(&mut self, t: u64, seq: u64, item: T) {
         debug_assert!(t >= self.last_pop_t, "scheduling into the past");
         self.len += 1;
-        let e = Entry { t, seq, item };
         // `t` can sit below `bucket_start` right after a horizon jump (the
-        // pop cursor lags the jump); saturating_sub folds that case into
-        // the current-bucket heap, which tolerates early times.
+        // pop cursor lags the jump); saturating_sub folds that case — and
+        // `t == last_pop_t` — into the late heap, which tolerates early
+        // times.
         let off_ns = t.saturating_sub(self.bucket_start);
-        if t == self.last_pop_t {
-            self.due.push(e);
-        } else if off_ns < Self::W_NS {
-            self.cur.push(e);
+        if off_ns < Self::W_NS {
+            self.late.push(Entry { t, seq, item });
+            self.stats.late_pushes += 1;
         } else if off_ns < Self::SPAN_NS {
             let off = (off_ns >> Self::W_SHIFT) as usize;
             let idx = (self.cur_idx + off) & (Self::N_BUCKETS - 1);
-            self.wheel[idx].push(e);
+            let item = Some(item);
+            self.wheel[idx].push(Entry { t, seq, item });
             self.wheel_len += 1;
         } else {
-            self.overflow.push(e);
+            self.overflow.push(Entry { t, seq, item });
+            self.stats.overflow_pushes += 1;
         }
     }
 
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         loop {
-            // The global minimum is the smaller of the same-tick lane's
-            // top and the current bucket's heap top (all other events sit
-            // in strictly later buckets or past the horizon).
-            let take_due = match (self.due.peek(), self.cur.peek()) {
-                (Some(d), Some(c)) => (d.t, d.seq) < (c.t, c.seq),
+            // The global minimum is the smaller of the late heap's top and
+            // the loaded bucket's last key (all other events sit in
+            // strictly later buckets or past the horizon).
+            let take_late = match (self.late.peek(), self.keys.last()) {
+                (Some(l), Some(&(t, seq, _))) => (l.t, l.seq) < (t, seq),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => {
@@ -302,14 +356,17 @@ impl<T> CalendarQueue<T> {
                     continue;
                 }
             };
-            let e = if take_due {
-                self.due.pop().expect("checked peek")
+            let (t, seq, item) = if take_late {
+                let e = self.late.pop().expect("checked peek");
+                (e.t, e.seq, e.item)
             } else {
-                self.cur.pop().expect("checked peek")
+                let (t, seq, i) = self.keys.pop().expect("checked last");
+                let item = self.loaded[i as usize].item.take();
+                (t, seq, item.expect("a key pops once"))
             };
-            self.last_pop_t = e.t;
+            self.last_pop_t = t;
             self.len -= 1;
-            return Some((e.t, e.seq, e.item));
+            return Some((t, seq, item));
         }
     }
 
@@ -317,10 +374,10 @@ impl<T> CalendarQueue<T> {
     /// current bucket is exhausted).
     pub fn peek_key(&mut self) -> Option<(u64, u64)> {
         loop {
-            let key = match (self.due.peek(), self.cur.peek()) {
-                (Some(d), Some(c)) => Some((d.t, d.seq).min((c.t, c.seq))),
-                (Some(d), None) => Some((d.t, d.seq)),
-                (None, Some(c)) => Some((c.t, c.seq)),
+            let key = match (self.late.peek(), self.keys.last()) {
+                (Some(l), Some(&(t, seq, _))) => Some((l.t, l.seq).min((t, seq))),
+                (Some(l), None) => Some((l.t, l.seq)),
+                (None, Some(&(t, seq, _))) => Some((t, seq)),
                 (None, None) => None,
             };
             if key.is_some() {
@@ -332,10 +389,12 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Rotates the wheel to the next non-empty bucket and loads it into
-    /// `cur`. Returns false when no events remain anywhere.
+    /// Rotates the wheel to the next non-empty bucket and loads it: the
+    /// bucket's `Vec` becomes the payload store (the drained one is
+    /// dropped here) and its keys are sorted. Returns false when no events
+    /// remain anywhere.
     fn advance(&mut self) -> bool {
-        debug_assert!(self.due.is_empty() && self.cur.is_empty());
+        debug_assert!(self.late.is_empty() && self.keys.is_empty());
         if self.wheel_len == 0 {
             // Wheel drained: jump the horizon straight to the overflow's
             // earliest event (far-future timers in an otherwise idle
@@ -357,9 +416,13 @@ impl<T> CalendarQueue<T> {
                 }
             }
         }
-        let bucket = std::mem::take(&mut self.wheel[self.cur_idx]);
-        self.wheel_len -= bucket.len();
-        self.cur = BinaryHeap::from(bucket);
+        self.loaded = std::mem::take(&mut self.wheel[self.cur_idx]);
+        self.wheel_len -= self.loaded.len();
+        let keys = self.loaded.iter().zip(0u32..);
+        self.keys.extend(keys.map(|(e, i)| (e.t, e.seq, i)));
+        self.keys.sort_unstable_by(|a, b| b.cmp(a));
+        self.stats.buckets_loaded += 1;
+        self.stats.bucket_events += self.loaded.len() as u64;
         true
     }
 
@@ -376,7 +439,8 @@ impl<T> CalendarQueue<T> {
             let e = self.overflow.pop().expect("peeked");
             let off = (e.t.saturating_sub(self.bucket_start) >> Self::W_SHIFT) as usize;
             let idx = (self.cur_idx + off) & (Self::N_BUCKETS - 1);
-            self.wheel[idx].push(e);
+            let (t, seq, item) = (e.t, e.seq, Some(e.item));
+            self.wheel[idx].push(Entry { t, seq, item });
             self.wheel_len += 1;
         }
     }
@@ -459,28 +523,30 @@ mod tests {
     #[test]
     fn same_tick_ties_break_by_seq_across_lanes() {
         let mut q: EventQueue<u32> = EventQueue::new(SchedKind::Calendar);
-        q.push(100, 1, 0); // lands in cur
+        let t = CalendarQueue::<u32>::W_NS * 2 + 100;
+        q.push(t, 1, 0); // wheel, then the loaded bucket's sorted keys
+        q.push(t, 4, 0);
         assert_eq!(q.pop().map(|e| e.1), Some(1));
-        // now == 100; a cur-resident event at 100 with seq 2, then due events.
-        q.push(200, 2, 0);
-        q.push(100, 3, 0); // due lane
-        q.push(100, 4, 0); // due lane
+        // now == t: same-tick pushes take the late heap and must interleave
+        // by key with what the loaded bucket still holds.
+        q.push(t, 3, 0);
+        q.push(t, 5, 0);
         assert_eq!(q.pop().map(|e| e.1), Some(3));
         assert_eq!(q.pop().map(|e| e.1), Some(4));
-        assert_eq!(q.pop().map(|e| e.1), Some(2));
+        assert_eq!(q.pop().map(|e| e.1), Some(5));
     }
 
     #[test]
-    fn due_lane_orders_out_of_order_keys() {
+    fn late_heap_orders_out_of_order_keys() {
         // Source-attributed keys are not monotone in push order: a
         // same-tick event pushed *later* may carry a *smaller* key (a
         // lower-numbered node scheduling behind a higher-numbered one).
-        // The due lane must pop by key, not insertion order.
+        // The late heap must pop by key, not insertion order.
         let mut q: EventQueue<u32> = EventQueue::new(SchedKind::Calendar);
         q.push(50, 10, 0);
         assert_eq!(q.pop().map(|e| e.1), Some(10));
-        q.push(50, 9, 0); // due lane, pushed first, larger key below
-        q.push(50, 3, 0); // due lane, pushed second, smaller key
+        q.push(50, 9, 0); // pushed first, larger key
+        q.push(50, 3, 0); // pushed second, smaller key
         assert_eq!(q.pop().map(|e| e.1), Some(3));
         assert_eq!(q.pop().map(|e| e.1), Some(9));
     }
@@ -501,14 +567,12 @@ mod tests {
         };
         let mut seq = 0;
         let mut now = 0u64;
-        for _ in 0..5_000 {
+        let mut step = |heap: &mut EventQueue<u32>, cal: &mut EventQueue<u32>, dts: [u64; 4]| {
             if rnd() % 3 != 0 {
                 seq += 1;
-                let dt = match rnd() % 4 {
+                let dt = match dts[(rnd() % 4) as usize] {
                     0 => 0,
-                    1 => rnd() % 1_000,
-                    2 => rnd() % 1_000_000,
-                    _ => rnd() % 200_000_000,
+                    span => rnd() % span,
                 };
                 // Unique key that scrambles push order within a tick.
                 let key = (rnd() % 1024) << 40 | seq;
@@ -522,8 +586,33 @@ mod tests {
                     now = t;
                 }
             }
+        };
+        // Mixed: same tick, loaded bucket, wheel, overflow.
+        for _ in 0..5_000 {
+            step(&mut heap, &mut cal, [0, 1_000, 1_000_000, 200_000_000]);
+        }
+        // Loaded bucket: nearly every push lands in the bucket being
+        // popped (the late heap beside the sorted keys) while the backlog
+        // of the first phase drains through it.
+        for _ in 0..5_000 {
+            step(&mut heap, &mut cal, [0, 100, 2_000, 16_000]);
+        }
+        let late = cal.stats().late_pushes;
+        assert!(
+            late > 3_000,
+            "loaded-bucket pushes take the late lane: {late}"
+        );
+        // Overflow only: everything lands past the horizon, so draining
+        // must migrate it back through the wheel, across several jumps.
+        let span = CalendarQueue::<u32>::SPAN_NS;
+        for _ in 0..3_000 {
+            step(&mut heap, &mut cal, [span, 2 * span, 8 * span, 64 * span]);
         }
         assert_eq!(drain(&mut heap), drain(&mut cal));
+        let stats = cal.stats();
+        assert!(stats.overflow_pushes > 1_500, "{stats:?}");
+        assert!(stats.buckets_loaded > 0 && stats.bucket_events >= stats.buckets_loaded);
+        assert_eq!(heap.stats(), QueueStats::default());
     }
 
     #[test]

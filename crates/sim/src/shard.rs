@@ -428,7 +428,10 @@ impl<A: Actor> Shard<A> {
         if slot.workers == 0 {
             // Client: infinite parallelism, fixed receive cost.
             let c = self.cost.client_rx_ns + self.cost.cpu_bytes(msg.wire_size());
-            let t = self.now + c;
+            // Saturating, like the send phase: a delivery near `u64::MAX`
+            // (a far-future timer's handler sent it) must park at the end
+            // of time, not wrap into the past.
+            let t = self.now.saturating_add(c);
             self.push_from(
                 to,
                 t,
@@ -444,7 +447,7 @@ impl<A: Actor> Shard<A> {
             if self.metrics.enabled {
                 self.metrics.busy_ns += c;
             }
-            let t = self.now + c;
+            let t = self.now.saturating_add(c);
             self.push_from(
                 to,
                 t,
@@ -478,7 +481,7 @@ impl<A: Actor> Shard<A> {
                 if self.metrics.enabled {
                     self.metrics.busy_ns += c;
                 }
-                let t = self.now + c;
+                let t = self.now.saturating_add(c);
                 self.push_from(node, t, EvKind::ServiceDone { node, from, msg });
             }
         }
@@ -618,7 +621,7 @@ impl<A: Actor> Shard<A> {
         if busy_extra == 0 {
             self.on_worker_free(node);
         } else {
-            let t = self.now + busy_extra;
+            let t = self.now.saturating_add(busy_extra);
             self.push_from(node, t, EvKind::WorkerFree { node });
         }
     }

@@ -14,7 +14,7 @@
 //! the window/lockstep drivers, and the merged views of per-shard metrics
 //! and history.
 
-use crate::sched::SchedKind;
+use crate::sched::{QueueStats, SchedKind};
 use crate::shard::{EvKind, NodeSlot, Routing, Shard};
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::cost::{CostModel, LookaheadMatrix};
@@ -195,6 +195,17 @@ impl<A: Actor> Sim<A> {
     /// Total events the engine has processed (all shards).
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.events_processed).sum()
+    }
+
+    /// Calendar-queue self-telemetry summed over all shards (all zero under
+    /// [`SchedKind::Heap`]): buckets loaded and the events they held,
+    /// late-lane pushes and overflow pushes.
+    pub fn queue_stats(&self) -> QueueStats {
+        let mut sum = QueueStats::default();
+        for s in &self.shards {
+            sum += s.queue.stats();
+        }
+        sum
     }
 
     /// Distributes the registered nodes over shards, builds the routing
@@ -931,6 +942,30 @@ mod tests {
     }
 
     #[test]
+    fn queue_stats_account_for_every_event() {
+        let run = |sched| {
+            let mut sim = Sim::with_scheduler(CostModel::calibrated(), 5, sched);
+            let server = Addr::server(DcId(0), contrarian_types::PartitionId(0));
+            let echo = |peer| Echo { pongs: 0, peer };
+            sim.add_server(server, echo(None), 1);
+            sim.add_client(Addr::client(DcId(0), 0), echo(Some(server)));
+            sim.start();
+            sim.run_to_quiescence(u64::MAX);
+            (sim.queue_stats(), sim.events_processed())
+        };
+        // Every event entered through the late heap or a loaded bucket
+        // (overflow events migrate into buckets before they run).
+        let (stats, events) = run(SchedKind::Calendar);
+        assert_eq!(stats.late_pushes + stats.bucket_events, events);
+        assert!(
+            stats.buckets_loaded > 0 && stats.late_pushes > 0,
+            "{stats:?}"
+        );
+        assert_eq!(run(SchedKind::Sharded { shards: 0 }).0, stats);
+        assert_eq!(run(SchedKind::Heap).0, QueueStats::default());
+    }
+
+    #[test]
     fn run_until_stops_at_bound() {
         let mut sim = mk();
         sim.start();
@@ -1455,6 +1490,52 @@ mod tests {
             );
         }
         assert_eq!(sim.now(), u64::MAX);
+    }
+
+    #[test]
+    fn sends_from_a_far_future_timer_saturate_on_delivery() {
+        // Regression: the send phase saturated arrivals at u64::MAX, but
+        // delivery (`on_arrive`, `on_worker_free`, `finish_worker`) still
+        // added service costs unsaturated — a debug-build overflow panic,
+        // a wrap into the past in release. The echo exchange a timer at
+        // MAX - 10 starts must run to completion at the end of time.
+        struct LateEcho {
+            pongs: u64,
+        }
+        fn server() -> Addr {
+            Addr::server(DcId(0), contrarian_types::PartitionId(0))
+        }
+        impl Actor for LateEcho {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut dyn ActorCtx<Ping>) {
+                if !ctx.self_addr().is_server() {
+                    ctx.set_timer(u64::MAX - 10, TimerKind::new(1));
+                }
+            }
+            fn on_message(&mut self, ctx: &mut dyn ActorCtx<Ping>, from: Addr, msg: Ping) {
+                if !ctx.self_addr().is_server() {
+                    self.pongs += 1;
+                }
+                if msg.0 < 9 {
+                    ctx.send(from, Ping(msg.0 + 1));
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {
+                ctx.send(server(), Ping(0));
+            }
+            fn inject(_op: Op) -> Ping {
+                Ping(0)
+            }
+        }
+        for sched in ALL_ENGINES {
+            let mut sim: Sim<LateEcho> = Sim::with_scheduler(CostModel::calibrated(), 7, sched);
+            sim.add_server(server(), LateEcho { pongs: 0 }, 1);
+            sim.add_client(Addr::client(DcId(0), 0), LateEcho { pongs: 0 });
+            sim.start();
+            sim.run_to_quiescence(u64::MAX);
+            assert_eq!(sim.actor(Addr::client(DcId(0), 0)).pongs, 5, "{sched:?}");
+            assert_eq!(sim.now(), u64::MAX, "{sched:?}");
+        }
     }
 
     /// Digest + window-round count for a two-DC mesh under an arbitrary

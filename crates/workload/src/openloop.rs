@@ -12,12 +12,30 @@
 //! rate), and arrivals fire whether or not earlier operations finished.
 //!
 //! One [`OpenLoopDriver`] multiplexes a shard of sessions onto a single
-//! driver actor. It keeps a pending-arrival calendar (a min-heap of
-//! `(due, session)` pairs, ~16 bytes per session, so a million sessions
-//! across a bounded actor pool is cheap) and answers
-//! [`draw`](OpenLoopDriver::draw) with either the next *due* operation —
-//! tagged with its scheduled arrival time — or the instant the actor
-//! should wake up next.
+//! driver actor. It keeps a pending-arrival calendar (one slot per
+//! session, 12 bytes each, so a million sessions across a bounded actor
+//! pool is cheap) and answers [`draw`](OpenLoopDriver::draw) with either
+//! the next *due* operation — tagged with its scheduled arrival time — or
+//! the instant the actor should wake up next.
+//!
+//! ## The session calendar
+//!
+//! The session set is fixed and every session has exactly one pending
+//! arrival, so the calendar is an intrusive bucket ring rather than a
+//! heap: `due[session]` and `next[session]` thread each session onto the
+//! list of the bucket `due >> shift` (taken modulo the ring), the bucket
+//! width is derived once from the shard's aggregate rate (a handful of
+//! arrivals per bucket, a ring several mean gaps long), and only the
+//! *loaded* bucket is ordered — a small vector sorted descending, minimum
+//! at the back. Loading a bucket walks its list, sorts the entries that
+//! belong to this lap and leaves those of a later lap linked; that is the
+//! whole overflow story. A rescheduled arrival that falls at or before the
+//! loaded bucket is a binary-search insert into that vector. A draw thus
+//! touches a few independent cache lines where a binary heap of the same
+//! sessions walks a dozen dependent ones (the heap was a quarter of the
+//! simulator's host time at a million sessions). Pops are strictly
+//! ascending in `(due, session)` — the order the heap produced; it
+//! survives as the test-only reference model of a differential proptest.
 //!
 //! ## Coordinated omission
 //!
@@ -33,18 +51,135 @@
 //! ## Determinism
 //!
 //! All randomness (inter-arrival gaps and the operation mix) is drawn from
-//! the calling actor's RNG stream in calendar order. Calendar keys
-//! `(due, session)` are unique, so heap pops are a total order and a fixed
-//! seed yields the identical arrival sequence on every engine — arrivals
-//! are ordinary timer events under simulation, preserving bit-identical
-//! histories across `CONTRARIAN_SCHED=heap/calendar/sharded`.
+//! the calling actor's RNG stream in calendar order, and the order of the
+//! draws is a contract: priming draws one gap per session in session
+//! order, and a due arrival draws its session's next gap *then* its
+//! operation. Calendar keys `(due, session)` are unique, so pops are a
+//! total order and a fixed seed yields the identical arrival sequence on
+//! every engine — arrivals are ordinary timer events under simulation,
+//! preserving bit-identical histories across
+//! `CONTRARIAN_SCHED=heap/calendar/sharded`
+//! (`tests/arrival_pin.rs` pins the stream itself).
 
 use crate::driver::ClientDriver;
 use crate::source::Draw;
 use rand::rngs::SmallRng;
 use rand::RngExt;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+/// List terminator of the bucket ring (never a session index: the ring
+/// holds at most `u32::MAX` sessions, numbered from 0).
+const NIL: u32 = u32::MAX;
+
+/// Target arrivals per calendar bucket: enough that loading amortizes,
+/// few enough that the loaded bucket sorts in a cache line or two.
+const ARRIVALS_PER_BUCKET: f64 = 8.0;
+
+/// Exact-order calendar of one pending arrival per session. See the
+/// module docs for the design.
+struct SessionCalendar {
+    /// Pending arrival time of every *linked* session.
+    due: Vec<u64>,
+    /// Next session on the same bucket list, or [`NIL`].
+    next: Vec<u32>,
+    /// List head per ring slot (power-of-two many).
+    head: Vec<u32>,
+    /// Bucket of a time is `t >> shift`; its ring slot is that modulo the
+    /// ring size.
+    shift: u32,
+    /// The loaded bucket (and anything rescheduled at or before it),
+    /// sorted descending: the earliest `(due, session)` is at the back.
+    /// Every session is either here or linked into a *later* bucket, so
+    /// once primed this is never empty between draws.
+    cur: Vec<(u64, u32)>,
+    /// Absolute number of the loaded bucket.
+    cur_bucket: u64,
+}
+
+impl SessionCalendar {
+    fn new(sessions: u32, mean_gap_ns: f64) -> Self {
+        let n = sessions as usize;
+        // The shard's arrivals are `mean_gap / sessions` apart on average.
+        let width_ns = ARRIVALS_PER_BUCKET * mean_gap_ns / sessions as f64;
+        SessionCalendar {
+            due: vec![0; n],
+            next: vec![0; n],
+            head: vec![NIL; n.next_power_of_two()],
+            // Saturating float cast: sub-ns widths clamp to shift 0, an
+            // astronomically slow shard to shift 63.
+            shift: (width_ns as u64).max(1).ilog2(),
+            // Roomy enough that a loaded bucket practically never regrows
+            // it: the steady state allocates nothing.
+            cur: Vec::with_capacity(4 * ARRIVALS_PER_BUCKET as usize),
+            cur_bucket: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, due: u64, session: u32) {
+        let bucket = due >> self.shift;
+        if bucket <= self.cur_bucket {
+            let at = self.cur.partition_point(|&e| e > (due, session));
+            self.cur.insert(at, (due, session));
+        } else {
+            let slot = (bucket & (self.head.len() as u64 - 1)) as usize;
+            self.due[session as usize] = due;
+            self.next[session as usize] = self.head[slot];
+            self.head[slot] = session;
+        }
+    }
+
+    /// Schedules every session's first arrival, in session order, on a
+    /// calendar anchored at `now` (no arrival is earlier).
+    fn prime(&mut self, now: u64, mut first_due: impl FnMut() -> u64) {
+        self.cur_bucket = now >> self.shift;
+        for s in 0..self.due.len() as u32 {
+            self.push(first_due(), s);
+        }
+        if self.cur.is_empty() {
+            self.load_next();
+        }
+    }
+
+    /// The earliest pending `(due, session)`.
+    #[inline]
+    fn peek(&self) -> Option<(u64, u32)> {
+        self.cur.last().copied()
+    }
+
+    /// Moves the earliest session's arrival to `due` (the pop and the push
+    /// of one draw), then makes sure the next minimum is loaded.
+    #[inline]
+    fn reschedule_min(&mut self, due: u64) {
+        let (_, session) = self.cur.pop().expect("a primed calendar is never empty");
+        self.push(due, session);
+        if self.cur.is_empty() {
+            self.load_next();
+        }
+    }
+
+    /// Advances to the next bucket holding an arrival of its own lap and
+    /// sorts it into `cur`. Requires at least one linked session.
+    fn load_next(&mut self) {
+        let mask = self.head.len() as u64 - 1;
+        while self.cur.is_empty() {
+            self.cur_bucket += 1;
+            let slot = (self.cur_bucket & mask) as usize;
+            let mut s = std::mem::replace(&mut self.head[slot], NIL);
+            while s != NIL {
+                let (due, after) = (self.due[s as usize], self.next[s as usize]);
+                if due >> self.shift == self.cur_bucket {
+                    self.cur.push((due, s));
+                } else {
+                    // A later lap of the ring: stays linked.
+                    self.next[s as usize] = self.head[slot];
+                    self.head[slot] = s;
+                }
+                s = after;
+            }
+        }
+        self.cur.sort_unstable_by(|a, b| b.cmp(a));
+    }
+}
 
 /// Poisson arrival schedule for one actor's shard of logical sessions.
 pub struct OpenLoopDriver {
@@ -52,12 +187,19 @@ pub struct OpenLoopDriver {
     sessions: u32,
     /// Mean inter-arrival gap per session, ns.
     mean_gap_ns: f64,
-    /// Min-heap of pending arrivals: `(due time, session index)`.
-    calendar: BinaryHeap<Reverse<(u64, u32)>>,
-    /// First `draw` primes the calendar (the actor's RNG only exists once
-    /// the runtime is driving it, and `now` anchors the schedule).
-    primed: bool,
+    /// Empty until the first `draw` primes it (the actor's RNG only exists
+    /// once the runtime is driving it, and `now` anchors the schedule).
+    calendar: SessionCalendar,
     scheduled: u64,
+}
+
+/// Inverse-CDF exponential sample, mean `mean_gap_ns`, clamped to ≥1 ns
+/// so a session never schedules two arrivals at the same instant.
+fn exp_gap(mean_gap_ns: f64, rng: &mut SmallRng) -> u64 {
+    let u: f64 = rng.random();
+    // `u ∈ [0,1)` so `1-u ∈ (0,1]` and the log is finite and ≤ 0.
+    let gap = -(1.0 - u).ln() * mean_gap_ns;
+    (gap.ceil() as u64).max(1)
 }
 
 impl OpenLoopDriver {
@@ -69,12 +211,12 @@ impl OpenLoopDriver {
             session_rate_ops_per_sec > 0.0 && session_rate_ops_per_sec.is_finite(),
             "per-session rate must be positive and finite"
         );
+        let mean_gap_ns = 1e9 / session_rate_ops_per_sec;
         OpenLoopDriver {
             gen,
             sessions,
-            mean_gap_ns: 1e9 / session_rate_ops_per_sec,
-            calendar: BinaryHeap::new(),
-            primed: false,
+            mean_gap_ns,
+            calendar: SessionCalendar::new(sessions, mean_gap_ns),
             scheduled: 0,
         }
     }
@@ -88,22 +230,11 @@ impl OpenLoopDriver {
         self.scheduled
     }
 
-    /// Inverse-CDF exponential sample, mean `mean_gap_ns`, clamped to ≥1 ns
-    /// so a session never schedules two arrivals at the same instant.
-    fn exp_gap(&self, rng: &mut SmallRng) -> u64 {
-        let u: f64 = rng.random();
-        // `u ∈ [0,1)` so `1-u ∈ (0,1]` and the log is finite and ≤ 0.
-        let gap = -(1.0 - u).ln() * self.mean_gap_ns;
-        (gap.ceil() as u64).max(1)
-    }
-
-    fn prime(&mut self, now: u64, rng: &mut SmallRng) {
-        self.calendar.reserve(self.sessions as usize);
-        for s in 0..self.sessions {
-            let due = now + self.exp_gap(rng);
-            self.calendar.push(Reverse((due, s)));
-        }
-        self.primed = true;
+    /// Scheduled time of the earliest pending arrival (`None` before the
+    /// first `draw` primes the calendar). A harness reads generator
+    /// lateness off it: `now - next_due` whenever that is positive.
+    pub fn next_due(&self) -> Option<u64> {
+        self.calendar.peek().map(|(due, _)| due)
     }
 
     /// The next due arrival at time `now`, or when to wake up.
@@ -112,24 +243,25 @@ impl OpenLoopDriver {
     /// immediately, oldest first, each carrying its original scheduled
     /// time as `intended`.
     pub fn draw(&mut self, now: u64, rng: &mut SmallRng) -> Draw {
-        if !self.primed {
-            self.prime(now, rng);
-        }
-        match self.calendar.peek() {
-            Some(&Reverse((due, session))) if due <= now => {
-                self.calendar.pop();
-                // The arrival process is independent of service: the next
-                // arrival is anchored at the scheduled time, not at `now`.
-                let next = due + self.exp_gap(rng);
-                self.calendar.push(Reverse((next, session)));
-                self.scheduled += 1;
-                Draw::Op {
-                    op: self.gen.next_op(rng),
-                    intended: due,
-                }
+        let (due, _) = match self.calendar.peek() {
+            Some(min) => min,
+            None => {
+                let mean_gap_ns = self.mean_gap_ns;
+                self.calendar.prime(now, || now + exp_gap(mean_gap_ns, rng));
+                self.calendar.peek().expect("primed with ≥ 1 session")
             }
-            Some(&Reverse((due, _))) => Draw::Wait { due },
-            None => Draw::Idle,
+        };
+        if due > now {
+            return Draw::Wait { due };
+        }
+        // The arrival process is independent of service: the next arrival
+        // is anchored at the scheduled time, not at `now`.
+        self.calendar
+            .reschedule_min(due + exp_gap(self.mean_gap_ns, rng));
+        self.scheduled += 1;
+        Draw::Op {
+            op: self.gen.next_op(rng),
+            intended: due,
         }
     }
 }
@@ -139,16 +271,163 @@ mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;
     use crate::zipf::Zipf;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     use std::sync::Arc;
 
-    fn driver(sessions: u32, rate: f64) -> OpenLoopDriver {
-        let gen = ClientDriver::new(
+    fn gen() -> ClientDriver {
+        ClientDriver::new(
             WorkloadSpec::paper_default().with_rot_size(2),
             Arc::new(Zipf::new(64, 0.99)),
             4,
-        );
-        OpenLoopDriver::new(gen, sessions, rate)
+        )
+    }
+
+    fn driver(sessions: u32, rate: f64) -> OpenLoopDriver {
+        OpenLoopDriver::new(gen(), sessions, rate)
+    }
+
+    /// The schedule [`OpenLoopDriver`] kept before the bucket ring — one
+    /// binary min-heap of `(due, session)` — as the reference model: same
+    /// RNG contract, same answers, plus the session of every arrival.
+    struct HeapDriver {
+        gen: ClientDriver,
+        sessions: u32,
+        mean_gap_ns: f64,
+        calendar: BinaryHeap<Reverse<(u64, u32)>>,
+    }
+
+    impl HeapDriver {
+        fn new(sessions: u32, rate: f64) -> Self {
+            HeapDriver {
+                gen: gen(),
+                sessions,
+                mean_gap_ns: 1e9 / rate,
+                calendar: BinaryHeap::new(),
+            }
+        }
+
+        fn draw(&mut self, now: u64, rng: &mut SmallRng) -> (Draw, Option<u32>) {
+            if self.calendar.is_empty() {
+                for s in 0..self.sessions {
+                    let due = now + exp_gap(self.mean_gap_ns, rng);
+                    self.calendar.push(Reverse((due, s)));
+                }
+            }
+            let &Reverse((due, session)) = self.calendar.peek().expect("primed");
+            if due > now {
+                return (Draw::Wait { due }, None);
+            }
+            self.calendar.pop();
+            let next = due + exp_gap(self.mean_gap_ns, rng);
+            self.calendar.push(Reverse((next, session)));
+            let op = self.gen.next_op(rng);
+            (Draw::Op { op, intended: due }, Some(session))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Differential test against the heap reference: whatever the
+        /// shard size, rate and `now` schedule — small steps, long stalls,
+        /// a permanently overdue caller — both produce the same
+        /// `(intended, session, op)` arrivals and the same `Wait` answers
+        /// from the same RNG stream. Rates of 1e9/s give same-instant ties
+        /// across sessions and shift 0; 1e-3/s gives shift > 40; gaps
+        /// shorter than a bucket and longer than the whole ring (several
+        /// laps) occur naturally at every size.
+        #[test]
+        fn calendar_matches_heap_reference(
+            size in (0u8..3, 2u32..48),
+            rate_exp in -3.0f64..9.0,
+            seed in 0u64..u64::MAX,
+            start in (0u8..3, 0u64..1 << 50),
+            steps in prop::collection::vec((0u8..8, 0u64..u64::MAX, 1usize..40), 1..120),
+        ) {
+            let sessions = match size {
+                (0, _) => 1,
+                (1, n) => n,
+                (_, n) => n * 64,
+            };
+            let rate = 10f64.powf(rate_exp);
+            let mut cal = OpenLoopDriver::new(gen(), sessions, rate);
+            let mut heap = HeapDriver::new(sessions, rate);
+            let (mut rng_c, mut rng_h) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            // The shard's mean inter-arrival gap: the natural step size.
+            let shard_gap = ((1e9 / rate / sessions as f64) as u64).max(1);
+            let mut now = match start {
+                (0, _) => 0,
+                (1, t) => t,
+                (_, t) => t << 10,
+            };
+            prop_assert_eq!(cal.next_due(), None);
+            let mut ops = 0u64;
+            for (kind, raw, draws) in steps {
+                now = match kind {
+                    0..=3 => now + raw % (4 * shard_gap),
+                    4 | 5 => now + raw % (64 * shard_gap),
+                    // A stall of many session gaps: everything is overdue.
+                    6 => now + raw % (40 * shard_gap).saturating_mul(sessions as u64).min(1 << 56),
+                    // The replay's shadow generator: overdue for good.
+                    _ => now.max(u64::MAX / 2),
+                };
+                for _ in 0..draws {
+                    let (want, want_session) = heap.draw(now, &mut rng_h);
+                    let got_session = cal.calendar.peek().map(|(_, s)| s);
+                    let got = cal.draw(now, &mut rng_c);
+                    match (&got, &want) {
+                        (Draw::Op { op: a, intended: ta }, Draw::Op { op: b, intended: tb }) => {
+                            prop_assert_eq!((ta, a), (tb, b));
+                            prop_assert_eq!(got_session, want_session);
+                            prop_assert!(*ta <= now);
+                            ops += 1;
+                        }
+                        (Draw::Wait { due: a }, Draw::Wait { due: b }) => {
+                            prop_assert_eq!(a, b);
+                            prop_assert_eq!(cal.next_due(), Some(*a));
+                            break;
+                        }
+                        _ => prop_assert!(false, "{:?} vs {:?}", got, want),
+                    }
+                }
+            }
+            prop_assert_eq!(cal.scheduled(), ops);
+        }
+    }
+
+    #[test]
+    fn bucket_width_follows_the_shard_rate() {
+        let shift = |sessions, rate| driver(sessions, rate).calendar.shift;
+        assert_eq!(shift(1, 1e9), 3, "8 arrivals of a 1 ns gap");
+        assert_eq!(shift(64, 1e9), 0, "sub-ns widths clamp to 1 ns buckets");
+        assert!(shift(1, 1e-3) > 40, "8e12 ns per bucket");
+        // The benchmark's shard: 3 906 sessions at 1 op/s, ~1 ms buckets.
+        assert_eq!(shift(3906, 1.0), 20);
+    }
+
+    #[test]
+    fn arrivals_several_ring_laps_out_pop_in_order() {
+        // 4 sessions, 4 slots, 2^20 ns buckets: a ring of ~4 ms. Dues up
+        // to ~1000 laps out share slots with near ones and must stay
+        // linked until their own lap comes round.
+        let mut cal = SessionCalendar::new(4, 524_288.0);
+        assert_eq!((cal.shift, cal.head.len()), (20, 4));
+        let mut dues = [5 << 30, 3, (1 << 22) + 7, 1 << 30];
+        for (s, &due) in dues.iter().enumerate() {
+            cal.push(due, s as u32);
+        }
+        for round in 0..40u64 {
+            let min = dues.iter().zip(0u32..).map(|(&d, s)| (d, s)).min();
+            assert_eq!(cal.peek(), min, "round {round}");
+            let (due, session) = min.expect("4 sessions");
+            // Alternate a hop inside the bucket with a many-lap jump.
+            let next = due + if round % 2 == 0 { 100 } else { 37 << 22 };
+            dues[session as usize] = next;
+            cal.reschedule_min(next);
+        }
     }
 
     /// Drains everything due by `now`, returning the intended times.
