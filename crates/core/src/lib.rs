@@ -23,10 +23,13 @@
 //! remote prefixes fully installed in the DC. A remote version becomes
 //! visible once `DV ≤ GSS`.
 //!
-//! This crate contains only the Contrarian state machines and messages; the
+//! This crate contains the Contrarian state machines and messages; the
 //! node dispatcher, cluster builders, stabilization plumbing and timer loop
 //! all come from [`contrarian_protocol`] (see [`Contrarian`], this backend's
-//! [`contrarian_protocol::ProtocolSpec`]).
+//! [`contrarian_protocol::ProtocolSpec`]). The server is
+//! [`server::SnapshotServer`], generic over a [`server::Flavor`] — a clock
+//! and a stable-time shape — so that Cure and Okapi are the same server
+//! with another flavor, not copies of it.
 //!
 //! [Hybrid Logical Clocks]: contrarian_clock::Hlc
 

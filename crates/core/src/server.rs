@@ -1,39 +1,154 @@
-//! The Contrarian storage server (one per partition per DC).
+//! The snapshot server: the one storage-server state machine (one per
+//! partition per DC) behind Contrarian, Cure and Okapi.
+//!
+//! The paper presents Contrarian as the Cure design with the physical clock
+//! swapped for an HLC, and Okapi is Contrarian with a scalar stable time. So
+//! there is one server, [`SnapshotServer`], and a backend states two
+//! decisions and nothing else:
+//!
+//! * **the timestamp source** — a [`ServerClock`]: [`HlcClock`] (Contrarian,
+//!   Okapi) jumps forward to any timestamp it is shown; a physical clock
+//!   (Cure) cannot, and makes the request wait instead;
+//! * **the stable-time shape** — [`Flavor::stable`]: a snapshot's remote
+//!   entries start from the GSS itself (Contrarian, Cure) or from its minimum
+//!   applied to every DC (Okapi's universal stable time).
+//!
+//! PUT, the three ROT entry points, the one-version read loop, replication,
+//! stabilization, heartbeat, GC *and their virtual costs* are written once,
+//! here: every flavor pays 10 µs per key a 1½-round coordinator reads itself
+//! and 200 ns per version a GC sweep drops (the hand-written Okapi and Cure
+//! servers this replaced had each lost one of the two charges).
+//!
+//! # Blocking: the `Err(wait_ns)` contract
+//!
+//! A [`ServerClock`] method returning `Err(wait_ns)` says "this clock cannot
+//! be pushed; ask again in `wait_ns`" and must have changed nothing. The
+//! skeleton parks the request and, when [`timers::RESUME`] fires, hands it to
+//! [`ProtocolServer::on_message`] again; the handler runs from the top and
+//! may park again. An HLC never returns `Err`, so for Contrarian and Okapi
+//! those arms compile away. The fold relies on three invariants:
+//!
+//! * a parked request is re-dispatched as the message it arrived as, every
+//!   field intact (one rewrite: a coordinator's `RotFwd` parks as a `RotRead`
+//!   from the client, which is how it is served anyway);
+//! * a physical clock's snapshot reads the clock without counting as an
+//!   issued timestamp — only PUTs advance Cure's `last_ts`;
+//! * the snapshot's local entry is *set* to the fresh timestamp `ts`. Okapi
+//!   used to *raise* it over the stable time already in the slot; the two
+//!   agree because a session's `gss[local] ≤ lts < ts` and the stable time
+//!   never passes this partition's own clock.
 
 use crate::msg::Msg;
-use contrarian_clock::{Hlc, PhysicalClockModel};
-use contrarian_protocol::{peer_replicas, timers, ProtocolServer, Stabilizer, Timers};
+use crate::spec::Contrarian;
+use contrarian_clock::{hlc, Hlc, PhysicalClockModel};
+use contrarian_protocol::{peer_replicas, timers, Parked, ProtocolServer, Stabilizer, Timers};
 use contrarian_runtime::actor::{ActorCtx, TimerKind};
 use contrarian_storage::{MvStore, Version};
-use contrarian_types::{Addr, ClusterConfig, DepVector, Key, TxId, VersionId};
+use contrarian_types::{
+    Addr, ClusterConfig, DepVector, Key, PartitionId, TraceKind, TxId, Value, VersionId,
+};
 
-/// Per-partition server state.
-///
-/// * `hlc` — the hybrid logical clock that timestamps local versions and can
-///   be *advanced* to an incoming snapshot's local entry (nonblocking ROTs);
-/// * `stab` — the shared stabilization state: the version vector, the
-///   DC-wide Global Stable Snapshot (remote versions are visible iff
-///   `DV ≤ GSS`), and the aggregation table.
-pub struct Server {
+/// A server's timestamp source. Every method takes true time `now` (ns);
+/// `Err(wait_ns)` means the clock cannot be pushed and the request must be
+/// retried after `wait_ns` (see the module docs).
+pub trait ServerClock: From<PhysicalClockModel> {
+    /// The timestamp of a new version, strictly past `floor` (the client's
+    /// causal past) and past every timestamp issued before.
+    fn stamp_put(&mut self, now: u64, floor: u64) -> Result<u64, u64>;
+
+    /// The local entry of a new snapshot, strictly past `lts` (the latest
+    /// local timestamp the session has seen).
+    fn stamp_snapshot(&mut self, now: u64, lts: u64) -> Result<u64, u64>;
+
+    /// Admits a read at local snapshot entry `ts`: afterwards no version
+    /// can be created at or below `ts`.
+    fn admit_read(&mut self, now: u64, ts: u64) -> Result<(), u64>;
+
+    /// The current reading, without creating an event (stabilization and
+    /// heartbeats: an idle partition must not hold the GSS back).
+    fn peek(&self, now: u64) -> u64;
+}
+
+/// What a backend decides: its clock and the shape of its stable time.
+pub trait Flavor {
+    type Clock: ServerClock;
+
+    /// The remote snapshot entries to start from, given the DC's GSS. The
+    /// skeleton joins the client's view in and sets the local entry.
+    fn stable(gss: &DepVector) -> DepVector;
+}
+
+/// A hybrid logical clock over a skewed physical clock: jumps forward to
+/// whatever it is shown, so it never makes a request wait.
+pub struct HlcClock {
+    hlc: Hlc,
+    phys: PhysicalClockModel,
+}
+
+impl From<PhysicalClockModel> for HlcClock {
+    fn from(phys: PhysicalClockModel) -> Self {
+        HlcClock {
+            hlc: Hlc::new(),
+            phys,
+        }
+    }
+}
+
+impl ServerClock for HlcClock {
+    fn stamp_put(&mut self, now: u64, floor: u64) -> Result<u64, u64> {
+        Ok(self.hlc.update(self.phys.now_us(now), floor))
+    }
+
+    fn stamp_snapshot(&mut self, now: u64, lts: u64) -> Result<u64, u64> {
+        Ok(self.hlc.update(self.phys.now_us(now), lts))
+    }
+
+    fn admit_read(&mut self, _now: u64, ts: u64) -> Result<(), u64> {
+        self.hlc.advance_to(ts);
+        Ok(())
+    }
+
+    fn peek(&self, now: u64) -> u64 {
+        self.hlc.peek(self.phys.now_us(now))
+    }
+}
+
+/// Contrarian: HLC timestamps, the full GSS vector as stable time.
+impl Flavor for Contrarian {
+    type Clock = HlcClock;
+
+    fn stable(gss: &DepVector) -> DepVector {
+        gss.clone()
+    }
+}
+
+/// The Contrarian storage server.
+pub type Server = SnapshotServer<Contrarian>;
+
+/// Per-partition server state: the flavor's `clock`; `stab`, the shared
+/// stabilization state (version vector, aggregation table and the DC-wide
+/// Global Stable Snapshot — remote versions are visible iff `DV ≤ GSS`); and
+/// the requests `parked` until the clock admits them, as `(sender, request)`.
+pub struct SnapshotServer<F: Flavor> {
     addr: Addr,
     cfg: ClusterConfig,
     my_dc: usize,
-    hlc: Hlc,
-    phys: PhysicalClockModel,
+    clock: F::Clock,
     store: MvStore<DepVector>,
     stab: Stabilizer,
+    parked: Parked<(Addr, Msg)>,
     timers: Timers,
 }
 
-impl Server {
+impl<F: Flavor> SnapshotServer<F> {
     pub fn new(addr: Addr, cfg: ClusterConfig, phys: PhysicalClockModel) -> Self {
-        Server {
+        SnapshotServer {
             addr,
             my_dc: addr.dc.index(),
-            hlc: Hlc::new(),
-            phys,
+            clock: phys.into(),
             store: MvStore::new(),
             stab: Stabilizer::new(addr, &cfg),
+            parked: Parked::new(),
             timers: Timers::replication_server(addr, &cfg),
             cfg,
         }
@@ -51,22 +166,33 @@ impl Server {
         self.stab.vv()
     }
 
-    fn pt(&self, ctx: &dyn ActorCtx<Msg>) -> u64 {
-        self.phys.now_us(ctx.now())
+    /// Parks `msg` (as sent by `from`) until the clock may admit it.
+    fn park(&mut self, ctx: &mut dyn ActorCtx<Msg>, wait: u64, from: Addr, msg: Msg) {
+        if ctx.tracing() {
+            ctx.trace(TraceKind::Park, 0, self.parked.len() as u64);
+        }
+        self.parked.park(ctx, wait, (from, msg));
     }
 
-    fn replicated(&self) -> bool {
-        self.cfg.n_dcs > 1
+    /// RESUME tick: re-dispatches every request whose wait is over.
+    fn resume(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
+        for (waited, (from, msg)) in self.parked.take_due_timed(ctx.now()) {
+            ctx.metrics().blocked(waited);
+            if ctx.tracing() {
+                ctx.trace(TraceKind::Unpark, 0, waited);
+            }
+            self.on_message(ctx, from, msg);
+        }
     }
 
-    /// PUT: timestamp with the HLC (strictly past the client's causal past),
-    /// build the dependency vector, install, reply, replicate.
+    /// PUT: timestamp strictly past the client's causal past, build the
+    /// dependency vector, install, reply, replicate.
     fn handle_put(
         &mut self,
         ctx: &mut dyn ActorCtx<Msg>,
         client: Addr,
         key: Key,
-        value: contrarian_types::Value,
+        value: Value,
         lts: u64,
         client_gss: DepVector,
     ) {
@@ -76,16 +202,25 @@ impl Server {
         // The version's timestamp must dominate the client's causal past:
         // both its last observed local timestamp and every remote entry
         // (DV[s] is "enforced to be higher than any other entry", §4).
-        let pt = self.pt(ctx);
-        let floor = lts.max(dv.max_entry());
-        let ts = self.hlc.update(pt, floor);
+        let now = ctx.now();
+        let ts = match self.clock.stamp_put(now, lts.max(dv.max_entry())) {
+            Ok(ts) => ts,
+            Err(wait) => {
+                let req = Msg::PutReq {
+                    key,
+                    value,
+                    lts,
+                    gss: client_gss,
+                };
+                return self.park(ctx, wait, client, req);
+            }
+        };
         dv.set(self.my_dc, ts);
         self.stab.record_local(ts);
         let vid = VersionId::new(ts, self.addr.dc);
-        let birth = ctx.now();
         self.store.put(
             key,
-            Version::new(vid, value.clone(), dv.clone()).with_birth(birth),
+            Version::new(vid, value.clone(), dv.clone()).with_birth(now),
         );
 
         ctx.send(
@@ -97,8 +232,8 @@ impl Server {
             },
         );
 
-        if self.replicated() {
-            self.stab.note_replication_sent(ctx.now());
+        if self.cfg.n_dcs > 1 {
+            self.stab.note_replication_sent(now);
             for peer in peer_replicas(self.addr, self.cfg.n_dcs) {
                 ctx.send(
                     peer,
@@ -107,7 +242,7 @@ impl Server {
                         value: value.clone(),
                         dv: dv.clone(),
                         origin: self.addr.dc,
-                        birth,
+                        birth: now,
                     },
                 );
             }
@@ -115,19 +250,19 @@ impl Server {
     }
 
     /// Computes the snapshot vector for a ROT (coordinator role): local
-    /// entry from the HLC ∨ client timestamp, remote entries from GSS ∨ the
-    /// client's GSS view.
+    /// entry from the clock ∨ client timestamp, remote entries from the
+    /// flavor's stable time ∨ the client's GSS view.
     fn snapshot_vector(
         &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
+        now: u64,
         lts: u64,
         client_gss: &DepVector,
-    ) -> DepVector {
-        let pt = self.pt(ctx);
-        let ts = self.hlc.update(pt, lts);
-        let mut sv = self.stab.gss().joined(client_gss);
+    ) -> Result<DepVector, u64> {
+        let ts = self.clock.stamp_snapshot(now, lts)?;
+        let mut sv = F::stable(self.stab.gss());
+        sv.join(client_gss);
         sv.set(self.my_dc, ts);
-        sv
+        Ok(sv)
     }
 
     /// 1½-round ROT: pick the snapshot, serve own keys, forward the rest;
@@ -139,9 +274,12 @@ impl Server {
         tx: TxId,
         keys: Vec<Key>,
         lts: u64,
-        client_gss: DepVector,
+        gss: DepVector,
     ) {
-        let sv = self.snapshot_vector(ctx, lts, &client_gss);
+        let sv = match self.snapshot_vector(ctx.now(), lts, &gss) {
+            Ok(sv) => sv,
+            Err(wait) => return self.park(ctx, wait, client, Msg::RotReq { tx, keys, lts, gss }),
+        };
         let n = self.cfg.n_partitions;
         // Group keys by partition, preserving deterministic order.
         let mut groups: std::collections::BTreeMap<u16, Vec<Key>> = Default::default();
@@ -153,7 +291,7 @@ impl Server {
             if p == self.addr.idx {
                 own = ks;
             } else {
-                let peer = Addr::server(self.addr.dc, contrarian_types::PartitionId(p));
+                let peer = Addr::server(self.addr.dc, PartitionId(p));
                 ctx.send(
                     peer,
                     Msg::RotFwd {
@@ -166,7 +304,11 @@ impl Server {
             }
         }
         if !own.is_empty() {
-            ctx.charge(ctx_read_cost(own.len()));
+            // The coordinator's own reads are not part of its rx_extra
+            // (which only covers snapshot computation), so charge them here.
+            // The snapshot's local entry is this clock's own reading: no
+            // admission needed.
+            ctx.charge(own.len() as u64 * 10_000);
             let pairs = self.read_snapshot(ctx, &own, &sv);
             ctx.send(client, Msg::RotSlice { tx, pairs, sv });
         }
@@ -179,14 +321,17 @@ impl Server {
         client: Addr,
         tx: TxId,
         lts: u64,
-        client_gss: DepVector,
+        gss: DepVector,
     ) {
-        let sv = self.snapshot_vector(ctx, lts, &client_gss);
-        ctx.send(client, Msg::RotSnap { tx, sv });
+        match self.snapshot_vector(ctx.now(), lts, &gss) {
+            Ok(sv) => ctx.send(client, Msg::RotSnap { tx, sv }),
+            Err(wait) => self.park(ctx, wait, client, Msg::RotSnapReq { tx, lts, gss }),
+        }
     }
 
     /// Serves a read under a snapshot (2-round second phase, or a 1½-round
-    /// forward). Nonblocking: the HLC jumps to the snapshot's local entry.
+    /// forward) once the clock admits the snapshot's local entry: an HLC
+    /// jumps to it, a physical clock waits until it has passed.
     fn handle_read(
         &mut self,
         ctx: &mut dyn ActorCtx<Msg>,
@@ -195,7 +340,9 @@ impl Server {
         keys: Vec<Key>,
         sv: DepVector,
     ) {
-        self.hlc.advance_to(sv[self.my_dc]);
+        if let Err(wait) = self.clock.admit_read(ctx.now(), sv[self.my_dc]) {
+            return self.park(ctx, wait, client, Msg::RotRead { tx, keys, sv });
+        }
         let pairs = self.read_snapshot(ctx, &keys, &sv);
         ctx.send(client, Msg::RotSlice { tx, pairs, sv });
     }
@@ -208,7 +355,7 @@ impl Server {
         ctx: &mut dyn ActorCtx<Msg>,
         keys: &[Key],
         sv: &DepVector,
-    ) -> Vec<(Key, Option<(VersionId, contrarian_types::Value)>)> {
+    ) -> Vec<(Key, Option<(VersionId, Value)>)> {
         let mut out = Vec::with_capacity(keys.len());
         let mut scanned_total = 0;
         for &k in keys {
@@ -236,11 +383,10 @@ impl Server {
     }
 
     /// Stabilization tick: the shared [`Stabilizer`] aggregates, joins and
-    /// broadcasts; this server contributes its HLC reading so an idle
+    /// broadcasts; this server contributes its clock reading so an idle
     /// partition does not hold the GSS back.
     fn stabilize(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        let pt = self.pt(ctx);
-        let fresh = self.hlc.peek(pt);
+        let fresh = self.clock.peek(ctx.now());
         self.stab.stabilize(
             ctx,
             &self.cfg,
@@ -254,8 +400,7 @@ impl Server {
     /// replicas how far our clock has advanced so their VVs (and hence the
     /// remote GSS entries) keep moving.
     fn heartbeat(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        let pt = self.pt(ctx);
-        let ts = self.hlc.peek(pt);
+        let ts = self.clock.peek(ctx.now());
         self.stab
             .heartbeat(ctx, &self.cfg, ts, |origin, ts| Msg::Heartbeat {
                 origin,
@@ -266,13 +411,12 @@ impl Server {
     fn gc(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
         let now_us = ctx.now() / 1000;
         let horizon_us = now_us.saturating_sub(self.cfg.version_gc_retention_us);
-        let horizon = contrarian_clock::hlc::encode(horizon_us, 0);
-        let dropped = self.store.gc_all(horizon, 1);
+        let dropped = self.store.gc_all(hlc::encode(horizon_us, 0), 1);
         ctx.charge(dropped as u64 * 200);
     }
 }
 
-impl ProtocolServer for Server {
+impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
     type Msg = Msg;
 
     fn on_start(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
@@ -329,6 +473,7 @@ impl ProtocolServer for Server {
 
     fn on_timer(&mut self, ctx: &mut dyn ActorCtx<Msg>, kind: TimerKind) {
         match kind.kind {
+            timers::RESUME => self.resume(ctx),
             timers::STABILIZE => self.stabilize(ctx),
             timers::HEARTBEAT => self.heartbeat(ctx),
             timers::GC => self.gc(ctx),
@@ -340,12 +485,6 @@ impl ProtocolServer for Server {
     fn store_heads(&self) -> Vec<(Key, VersionId)> {
         self.store.heads()
     }
-}
-
-fn ctx_read_cost(keys: usize) -> u64 {
-    // The coordinator's own reads are not part of its rx_extra (which only
-    // covers snapshot computation), so charge them here.
-    keys as u64 * 10_000
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! Cure is the baseline Contrarian improves on in Figure 4. It shares the
 //! whole vector machinery (dependency vectors, GSS stabilization,
 //! multi-master replication) and even this workspace's client implementation
-//! (`contrarian-core`'s client in 2-round mode); what differs is the server:
+//! (`contrarian-core`'s client in 2-round mode); what differs is the server's
+//! clock:
 //!
 //! * snapshot and version timestamps come from a *physical* clock, which
 //!   cannot be moved forward on demand;
@@ -16,10 +17,13 @@
 //!   clock blocks the same way;
 //! * ROTs always take 2 rounds (4 communication steps).
 //!
-//! This crate contains only the Cure server; the client, messages, node
-//! dispatcher, cluster builders, stabilization plumbing, parked-operation
-//! queue and timer loop all come from `contrarian-core` and
-//! [`contrarian_protocol`] (see [`Cure`], this backend's
+//! This crate contains no server of its own: [`Server`] is
+//! `contrarian-core`'s [`SnapshotServer`](contrarian_core::server::SnapshotServer)
+//! with Cure's flavor plugged in — [`server::PhysClock`], the clock that
+//! makes requests wait, over the same GSS-vector stable time as Contrarian.
+//! Handlers, the client, messages, the parked-request queue, stabilization
+//! and the timer loop all come from `contrarian-core` and
+//! [`contrarian_protocol`] (see [`Cure`], this backend's flavor and
 //! [`contrarian_protocol::ProtocolSpec`]).
 
 pub mod server;

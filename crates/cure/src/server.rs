@@ -1,393 +1,91 @@
-//! The Cure storage server: physical clocks, blocking reads and writes.
+//! The Cure server: the snapshot server on a physical clock, which cannot
+//! be pushed forward — so reads, snapshots and writes *wait* for it.
 
+use crate::spec::Cure;
 use contrarian_clock::{hlc, PhysicalClockModel};
-use contrarian_core::msg::Msg;
-use contrarian_protocol::{peer_replicas, timers, Parked, ProtocolServer, Stabilizer, Timers};
-use contrarian_runtime::actor::{ActorCtx, TimerKind};
-use contrarian_storage::{MvStore, Version};
-use contrarian_types::{Addr, ClusterConfig, DepVector, Key, TraceKind, TxId, Value, VersionId};
+use contrarian_core::server::{Flavor, ServerClock, SnapshotServer};
+use contrarian_types::DepVector;
 
-/// An operation parked until the local physical clock catches up.
-enum Deferred {
-    /// A snapshot request whose client timestamp is ahead of our clock.
-    Snap {
-        client: Addr,
-        tx: TxId,
-        lts: u64,
-        client_gss: DepVector,
-    },
-    /// A read whose snapshot is ahead of our clock.
-    Read {
-        client: Addr,
-        tx: TxId,
-        keys: Vec<Key>,
-        sv: DepVector,
-    },
-    /// A PUT whose causal floor is ahead of our clock.
-    Put {
-        client: Addr,
-        key: Key,
-        value: Value,
-        client_gss: DepVector,
-    },
-}
-
-pub struct Server {
-    addr: Addr,
-    cfg: ClusterConfig,
-    my_dc: usize,
+/// A skewed physical clock, read in the shared (µs, counter) timestamp space.
+pub struct PhysClock {
     phys: PhysicalClockModel,
-    /// Last issued timestamp (physical clocks are not guaranteed to tick
-    /// between two PUTs; the low counter bits disambiguate).
+    /// Last issued version timestamp (physical clocks are not guaranteed to
+    /// tick between two PUTs; the low counter bits disambiguate).
     last_ts: u64,
-    store: MvStore<DepVector>,
-    stab: Stabilizer,
-    parked: Parked<Deferred>,
-    timers: Timers,
-    /// Blocking-time diagnostics.
-    pub blocked_ops: u64,
-    pub blocked_ns_total: u64,
 }
 
-impl Server {
-    pub fn new(addr: Addr, cfg: ClusterConfig, phys: PhysicalClockModel) -> Self {
-        Server {
-            addr,
-            my_dc: addr.dc.index(),
-            phys,
-            last_ts: 0,
-            store: MvStore::new(),
-            stab: Stabilizer::new(addr, &cfg),
-            parked: Parked::new(),
-            timers: Timers::replication_server(addr, &cfg),
-            blocked_ops: 0,
-            blocked_ns_total: 0,
-            cfg,
-        }
+impl From<PhysicalClockModel> for PhysClock {
+    fn from(phys: PhysicalClockModel) -> Self {
+        PhysClock { phys, last_ts: 0 }
+    }
+}
+
+impl PhysClock {
+    fn read(&self, now: u64) -> u64 {
+        hlc::encode(self.phys.now_us(now), 0)
     }
 
-    pub fn store(&self) -> &MvStore<DepVector> {
-        &self.store
+    /// Nanoseconds until the clock reads strictly past `ts`.
+    fn wait_ns(&self, now: u64, ts: u64) -> u64 {
+        self.phys.ns_until(now, hlc::decode(ts).0).max(1)
     }
+}
 
-    pub fn gss(&self) -> &DepVector {
-        self.stab.gss()
-    }
-
-    /// The clock's current reading, encoded in the shared (µs, counter)
-    /// timestamp space.
-    fn clock_ts(&self, ctx: &dyn ActorCtx<Msg>) -> u64 {
-        hlc::encode(self.phys.now_us(ctx.now()), 0)
-    }
-
-    /// Nanoseconds until the local clock reads strictly past `ts`.
-    fn wait_ns(&self, ctx: &dyn ActorCtx<Msg>, ts: u64) -> u64 {
-        let (target_us, _) = hlc::decode(ts);
-        self.phys.ns_until(ctx.now(), target_us)
-    }
-
-    fn park(&mut self, ctx: &mut dyn ActorCtx<Msg>, wait: u64, d: Deferred) {
-        self.blocked_ops += 1;
-        self.blocked_ns_total += wait;
-        if ctx.tracing() {
-            ctx.trace(TraceKind::Park, 0, self.parked.len() as u64);
-        }
-        self.parked.park(ctx, wait, d);
-    }
-
-    /// PUT: the version timestamp is the physical clock; if the client's
-    /// causal floor is ahead of our clock, *wait* (physical clocks cannot be
-    /// pushed forward).
-    fn handle_put(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        key: Key,
-        value: Value,
-        lts: u64,
-        client_gss: DepVector,
-    ) {
-        let dv0 = self.stab.gss().joined(&client_gss);
-        let floor = lts.max(dv0.max_entry());
-        let clock = self.clock_ts(ctx);
+impl ServerClock for PhysClock {
+    /// Waits while the client's causal floor is ahead of the clock.
+    fn stamp_put(&mut self, now: u64, floor: u64) -> Result<u64, u64> {
+        let clock = self.read(now);
         if clock <= floor {
-            let wait = self.wait_ns(ctx, floor).max(1);
-            self.park(
-                ctx,
-                wait,
-                Deferred::Put {
-                    client,
-                    key,
-                    value,
-                    client_gss,
-                },
-            );
-            return;
+            return Err(self.wait_ns(now, floor));
         }
-        self.commit_put(ctx, client, key, value, client_gss);
+        self.last_ts = clock.max(self.last_ts + 1);
+        Ok(self.last_ts)
     }
 
-    fn commit_put(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        key: Key,
-        value: Value,
-        client_gss: DepVector,
-    ) {
-        let clock = self.clock_ts(ctx);
-        let ts = clock.max(self.last_ts + 1);
-        self.last_ts = ts;
-        let mut dv = self.stab.gss().joined(&client_gss);
-        dv.set(self.my_dc, ts);
-        self.stab.record_local(ts);
-        let vid = VersionId::new(ts, self.addr.dc);
-        let birth = ctx.now();
-        self.store.put(
-            key,
-            Version::new(vid, value.clone(), dv.clone()).with_birth(birth),
-        );
-        ctx.send(
-            client,
-            Msg::PutResp {
-                key,
-                vid,
-                gss: self.stab.gss().clone(),
-            },
-        );
-        if self.cfg.n_dcs > 1 {
-            self.stab.note_replication_sent(ctx.now());
-            for peer in peer_replicas(self.addr, self.cfg.n_dcs) {
-                ctx.send(
-                    peer,
-                    Msg::Replicate {
-                        key,
-                        value: value.clone(),
-                        dv: dv.clone(),
-                        origin: self.addr.dc,
-                        birth,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Snapshot request (2-round, first round): snapshot = coordinator's
-    /// physical clock; blocks while the client has seen a later local
-    /// timestamp.
-    fn handle_snap_req(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        tx: TxId,
-        lts: u64,
-        client_gss: DepVector,
-    ) {
-        let clock = self.clock_ts(ctx);
+    /// The snapshot is the coordinator's clock reading; waits while the
+    /// client has seen a later local timestamp.
+    fn stamp_snapshot(&mut self, now: u64, lts: u64) -> Result<u64, u64> {
+        let clock = self.read(now);
         if clock <= lts {
-            let wait = self.wait_ns(ctx, lts).max(1);
-            self.park(
-                ctx,
-                wait,
-                Deferred::Snap {
-                    client,
-                    tx,
-                    lts,
-                    client_gss,
-                },
-            );
-            return;
+            return Err(self.wait_ns(now, lts));
         }
-        let mut sv = self.stab.gss().joined(&client_gss);
-        sv.set(self.my_dc, clock);
-        ctx.send(client, Msg::RotSnap { tx, sv });
+        Ok(clock)
     }
 
-    /// Read under a snapshot: blocks until the local physical clock passes
-    /// the snapshot's local entry (the skew-induced wait of Section 3),
-    /// then returns the freshest version within the snapshot.
-    fn handle_read(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        tx: TxId,
-        keys: Vec<Key>,
-        sv: DepVector,
-    ) {
-        let clock = self.clock_ts(ctx);
-        if clock < sv[self.my_dc] {
-            let wait = self.wait_ns(ctx, sv[self.my_dc]).max(1);
-            self.park(
-                ctx,
-                wait,
-                Deferred::Read {
-                    client,
-                    tx,
-                    keys,
-                    sv,
-                },
-            );
-            return;
+    /// Waits until the clock reaches the snapshot's local entry (the
+    /// skew-induced wait of Section 3).
+    fn admit_read(&mut self, now: u64, ts: u64) -> Result<(), u64> {
+        if self.read(now) < ts {
+            return Err(self.wait_ns(now, ts));
         }
-        self.serve_read(ctx, client, tx, keys, sv);
+        Ok(())
     }
 
-    fn serve_read(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        tx: TxId,
-        keys: Vec<Key>,
-        sv: DepVector,
-    ) {
-        let mut pairs = Vec::with_capacity(keys.len());
-        let mut scanned = 0;
-        for &k in &keys {
-            let (v, walked) = self.store.read_visible(k, |ver| ver.meta.leq(&sv));
-            scanned += walked;
-            // Data staleness: the snapshot hides a newer stored version, so
-            // this read returns data older than what the node already holds.
-            if let Some(head) = self.store.latest(k) {
-                if head.birth > 0 && v.map(|ver| ver.vid) != Some(head.vid) {
-                    let stale = ctx.now().saturating_sub(head.birth);
-                    ctx.metrics().data_stale(stale);
-                }
-            }
-            let pair = match v {
-                Some(ver) => Some((ver.vid, ver.value.clone())),
-                None if self.cfg.prepopulated => {
-                    Some((VersionId::GENESIS, contrarian_types::genesis_value()))
-                }
-                None => None,
-            };
-            pairs.push((k, pair));
-        }
-        ctx.charge(scanned as u64 * 500);
-        ctx.send(client, Msg::RotSlice { tx, pairs, sv });
-    }
-
-    fn drain_parked(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        for (waited, d) in self.parked.take_due_timed(ctx.now()) {
-            ctx.metrics().blocked(waited);
-            if ctx.tracing() {
-                ctx.trace(TraceKind::Unpark, 0, waited);
-            }
-            match d {
-                Deferred::Snap {
-                    client,
-                    tx,
-                    lts,
-                    client_gss,
-                } => self.handle_snap_req(ctx, client, tx, lts, client_gss),
-                Deferred::Read {
-                    client,
-                    tx,
-                    keys,
-                    sv,
-                } => self.handle_read(ctx, client, tx, keys, sv),
-                Deferred::Put {
-                    client,
-                    key,
-                    value,
-                    client_gss,
-                } => self.handle_put(ctx, client, key, value, 0, client_gss),
-            }
-        }
-    }
-
-    fn stabilize(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        let fresh = self.clock_ts(ctx).max(self.last_ts);
-        self.stab.stabilize(
-            ctx,
-            &self.cfg,
-            fresh,
-            |partition, vv| Msg::VvReport { partition, vv },
-            |gss| Msg::GssBcast { gss },
-        );
-    }
-
-    fn heartbeat(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        let ts = self.clock_ts(ctx).max(self.last_ts);
-        self.stab
-            .heartbeat(ctx, &self.cfg, ts, |origin, ts| Msg::Heartbeat {
-                origin,
-                ts,
-            });
-    }
-
-    fn gc(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        let now_us = ctx.now() / 1000;
-        let horizon = hlc::encode(now_us.saturating_sub(self.cfg.version_gc_retention_us), 0);
-        self.store.gc_all(horizon, 1);
+    fn peek(&self, now: u64) -> u64 {
+        self.read(now).max(self.last_ts)
     }
 }
 
-impl ProtocolServer for Server {
-    type Msg = Msg;
+/// Cure: physical-clock timestamps, the full GSS vector as stable time.
+impl Flavor for Cure {
+    type Clock = PhysClock;
 
-    fn on_start(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        self.timers.start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, from: Addr, msg: Msg) {
-        match msg {
-            Msg::PutReq {
-                key,
-                value,
-                lts,
-                gss,
-            } => self.handle_put(ctx, from, key, value, lts, gss),
-            Msg::RotSnapReq { tx, lts, gss } => self.handle_snap_req(ctx, from, tx, lts, gss),
-            Msg::RotRead { tx, keys, sv } => self.handle_read(ctx, from, tx, keys, sv),
-            Msg::Replicate {
-                key,
-                value,
-                dv,
-                origin,
-                birth,
-            } => {
-                let ts = dv[origin.index()];
-                self.stab.record_remote(origin, ts);
-                if birth > 0 {
-                    // Visibility staleness: how long after the origin install
-                    // this replica learned of the write.
-                    let stale = ctx.now().saturating_sub(birth);
-                    ctx.metrics().vis_stale(stale);
-                }
-                self.store.put(
-                    key,
-                    Version::new(VersionId::new(ts, origin), value, dv).with_birth(birth),
-                );
-            }
-            Msg::Heartbeat { origin, ts } => self.stab.record_remote(origin, ts),
-            Msg::VvReport { partition, vv } => self.stab.on_vv_report(partition, vv),
-            Msg::GssBcast { gss } => self.stab.on_gss_bcast(&gss),
-            Msg::RotReq { .. } => unreachable!("Cure clients always run 2-round ROTs"),
-            other => unreachable!("client-bound message at Cure server: {other:?}"),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn ActorCtx<Msg>, kind: TimerKind) {
-        match kind.kind {
-            timers::RESUME => self.drain_parked(ctx),
-            timers::STABILIZE => self.stabilize(ctx),
-            timers::HEARTBEAT => self.heartbeat(ctx),
-            timers::GC => self.gc(ctx),
-            other => unreachable!("unknown Cure timer {other}"),
-        }
-        self.timers.rearm(ctx, kind.kind);
-    }
-
-    fn store_heads(&self) -> Vec<(Key, VersionId)> {
-        self.store.heads()
+    fn stable(gss: &DepVector) -> DepVector {
+        gss.clone()
     }
 }
+
+/// The Cure storage server.
+pub type Server = SnapshotServer<Cure>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{timers, Msg};
+    use contrarian_protocol::ProtocolServer;
+    use contrarian_runtime::actor::TimerKind;
     use contrarian_runtime::testkit::ScriptCtx;
-    use contrarian_types::{ClientId, DcId, PartitionId};
+    use contrarian_types::{Addr, ClientId, ClusterConfig, DcId, Key, PartitionId, TxId, Value};
 
     fn addr() -> Addr {
         Addr::server(DcId(0), PartitionId(0))
@@ -420,7 +118,7 @@ mod tests {
             },
         );
         assert!(ctx.drain_sent().is_empty(), "read must block");
-        assert_eq!(s.blocked_ops, 1);
+        assert_eq!(ctx.timers.len(), 1, "one parked read, one RESUME");
         let (wake, _) = ctx.timers[0];
         // Local clock reaches 4ms+ at true 7ms+.
         assert!(wake > 7_000_000 && wake < 7_100_000, "wake at {wake}");
@@ -452,7 +150,7 @@ mod tests {
             1,
             "no blocking when clock is ahead"
         );
-        assert_eq!(s.blocked_ops, 0);
+        assert!(ctx.timers.is_empty(), "nothing parked");
     }
 
     #[test]

@@ -23,6 +23,15 @@ pub enum Protocol {
 }
 
 impl Protocol {
+    /// Every system × ROT mode the harness can run.
+    pub const ALL: [Protocol; 5] = [
+        Protocol::Contrarian,
+        Protocol::ContrarianTwoRound,
+        Protocol::CcLo,
+        Protocol::Cure,
+        Protocol::Okapi,
+    ];
+
     pub fn label(self) -> &'static str {
         match self {
             Protocol::Contrarian => "Contrarian",
@@ -32,7 +41,43 @@ impl Protocol {
             Protocol::Okapi => "Okapi",
         }
     }
+
+    /// `base` as this system runs it: Contrarian's two variants pin their
+    /// ROT mode; the other backends' specs normalize the mode themselves.
+    pub fn cluster(self, base: &ClusterConfig) -> ClusterConfig {
+        match self {
+            Protocol::Contrarian => base.clone().with_rot_mode(RotMode::OneHalfRound),
+            Protocol::ContrarianTwoRound => base.clone().with_rot_mode(RotMode::TwoRound),
+            Protocol::CcLo | Protocol::Cure | Protocol::Okapi => base.clone(),
+        }
+    }
 }
+
+/// Evaluates `$body` with `$P` naming the [`Protocol`]'s backend spec — the
+/// one place a `Protocol` value turns into a `ProtocolSpec` type.
+macro_rules! with_protocol {
+    ($protocol:expr, |$P:ident| $body:expr) => {
+        match $protocol {
+            Protocol::Contrarian | Protocol::ContrarianTwoRound => {
+                type $P = contrarian_core::Contrarian;
+                $body
+            }
+            Protocol::CcLo => {
+                type $P = contrarian_cclo::CcLo;
+                $body
+            }
+            Protocol::Cure => {
+                type $P = contrarian_cure::Cure;
+                $body
+            }
+            Protocol::Okapi => {
+                type $P = contrarian_okapi::Okapi;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_protocol;
 
 /// Experiment scale knobs (see crate docs).
 #[derive(Clone, Debug)]
@@ -285,36 +330,16 @@ pub fn run_experiment_streamed(
         }};
     }
 
-    let cluster = match cfg.protocol {
-        Protocol::Contrarian => cfg.cluster.clone().with_rot_mode(RotMode::OneHalfRound),
-        Protocol::ContrarianTwoRound => cfg.cluster.clone().with_rot_mode(RotMode::TwoRound),
-        Protocol::CcLo | Protocol::Cure | Protocol::Okapi => cfg.cluster.clone(),
-    };
     let p = contrarian_protocol::ClusterParams {
-        cfg: cluster,
+        cfg: cfg.protocol.cluster(&cfg.cluster),
         cost: cfg.cost.clone(),
         workload: cfg.workload.clone(),
         clients_per_dc: cfg.clients_per_dc,
         seed: cfg.seed,
     };
-    match cfg.protocol {
-        Protocol::Contrarian | Protocol::ContrarianTwoRound => {
-            drive!(contrarian_protocol::build_cluster_with::<
-                contrarian_core::Contrarian,
-            >(&p, cfg.sched))
-        }
-        Protocol::CcLo => drive!(contrarian_protocol::build_cluster_with::<
-            contrarian_cclo::CcLo,
-        >(&p, cfg.sched)),
-        Protocol::Cure => drive!(contrarian_protocol::build_cluster_with::<
-            contrarian_cure::Cure,
-        >(&p, cfg.sched)),
-        Protocol::Okapi => {
-            drive!(contrarian_protocol::build_cluster_with::<
-                contrarian_okapi::Okapi,
-            >(&p, cfg.sched))
-        }
-    }
+    with_protocol!(cfg.protocol, |P| drive!(
+        contrarian_protocol::build_cluster_with::<P>(&p, cfg.sched)
+    ))
 }
 
 /// One named throughput/latency curve (one line of a figure).
@@ -489,13 +514,7 @@ mod tests {
 
     #[test]
     fn all_protocols_run() {
-        for p in [
-            Protocol::Contrarian,
-            Protocol::ContrarianTwoRound,
-            Protocol::CcLo,
-            Protocol::Cure,
-            Protocol::Okapi,
-        ] {
+        for p in Protocol::ALL {
             let r = run_experiment(&ExperimentConfig::functional(p));
             assert!(r.throughput_kops > 0.0, "{} made no progress", p.label());
         }

@@ -29,13 +29,13 @@
 //! O(history) ([`run_load_sim_checked`]).
 
 use crate::checker::{CausalChecker, CheckReport, CheckerResidency};
-use crate::experiment::Protocol;
+use crate::experiment::{with_protocol, Protocol};
 use contrarian_net::NetKind;
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::LoadReport;
 use contrarian_runtime::window::WindowSeries;
 use contrarian_sim::{Lookahead, SchedKind};
-use contrarian_types::{ClusterConfig, HistoryEvent, RotMode, TraceEvent};
+use contrarian_types::{ClusterConfig, HistoryEvent, TraceEvent};
 use contrarian_workload::OpenLoopSpec;
 use std::time::Duration;
 
@@ -93,17 +93,9 @@ impl LoadConfig {
         self.cluster.n_dcs as usize * self.spec.actors_per_dc as usize
     }
 
-    fn cluster_for_mode(&self) -> ClusterConfig {
-        match self.protocol {
-            Protocol::Contrarian => self.cluster.clone().with_rot_mode(RotMode::OneHalfRound),
-            Protocol::ContrarianTwoRound => self.cluster.clone().with_rot_mode(RotMode::TwoRound),
-            Protocol::CcLo | Protocol::Cure | Protocol::Okapi => self.cluster.clone(),
-        }
-    }
-
     fn params(&self) -> contrarian_protocol::OpenLoopParams {
         contrarian_protocol::OpenLoopParams {
-            cfg: self.cluster_for_mode(),
+            cfg: self.protocol.cluster(&self.cluster),
             cost: self.cost.clone(),
             spec: self.spec.clone(),
             seed: self.seed,
@@ -167,22 +159,9 @@ pub fn run_load_sim_streamed(
     }
 
     let p = cfg.params();
-    match cfg.protocol {
-        Protocol::Contrarian | Protocol::ContrarianTwoRound => {
-            drive!(contrarian_protocol::build_openloop_cluster_with::<
-                contrarian_core::Contrarian,
-            >(&p, cfg.sched))
-        }
-        Protocol::CcLo => drive!(contrarian_protocol::build_openloop_cluster_with::<
-            contrarian_cclo::CcLo,
-        >(&p, cfg.sched)),
-        Protocol::Cure => drive!(contrarian_protocol::build_openloop_cluster_with::<
-            contrarian_cure::Cure,
-        >(&p, cfg.sched)),
-        Protocol::Okapi => drive!(contrarian_protocol::build_openloop_cluster_with::<
-            contrarian_okapi::Okapi,
-        >(&p, cfg.sched)),
-    }
+    with_protocol!(cfg.protocol, |P| drive!(
+        contrarian_protocol::build_openloop_cluster_with::<P>(&p, cfg.sched)
+    ))
 }
 
 /// Runs one simulated open-loop load point without recording.
@@ -259,22 +238,9 @@ pub fn run_load_sim_telemetry(cfg: &LoadConfig, tracing: bool) -> LoadTelemetry 
     }
 
     let p = cfg.params();
-    match cfg.protocol {
-        Protocol::Contrarian | Protocol::ContrarianTwoRound => {
-            drive!(contrarian_protocol::build_openloop_cluster_with::<
-                contrarian_core::Contrarian,
-            >(&p, cfg.sched))
-        }
-        Protocol::CcLo => drive!(contrarian_protocol::build_openloop_cluster_with::<
-            contrarian_cclo::CcLo,
-        >(&p, cfg.sched)),
-        Protocol::Cure => drive!(contrarian_protocol::build_openloop_cluster_with::<
-            contrarian_cure::Cure,
-        >(&p, cfg.sched)),
-        Protocol::Okapi => drive!(contrarian_protocol::build_openloop_cluster_with::<
-            contrarian_okapi::Okapi,
-        >(&p, cfg.sched)),
-    }
+    with_protocol!(cfg.protocol, |P| drive!(
+        contrarian_protocol::build_openloop_cluster_with::<P>(&p, cfg.sched)
+    ))
 }
 
 /// A recorded load point that was checked as it streamed.
@@ -354,54 +320,30 @@ macro_rules! drive_wall {
 /// (wall-clock windows; `recording` off — the sink lock would sit on the
 /// measured path).
 pub fn run_load_live(cfg: &LoadConfig) -> LoadReport {
-    macro_rules! dispatch {
-        ($p:ty) => {
-            drive_wall!(
-                contrarian_protocol::build_openloop_live_cluster::<$p>(
-                    &cfg.cluster_for_mode(),
-                    &cfg.spec,
-                    cfg.seed,
-                    false,
-                ),
-                cfg
-            )
-        };
-    }
-    match cfg.protocol {
-        Protocol::Contrarian | Protocol::ContrarianTwoRound => {
-            dispatch!(contrarian_core::Contrarian)
-        }
-        Protocol::CcLo => dispatch!(contrarian_cclo::CcLo),
-        Protocol::Cure => dispatch!(contrarian_cure::Cure),
-        Protocol::Okapi => dispatch!(contrarian_okapi::Okapi),
-    }
+    with_protocol!(cfg.protocol, |P| drive_wall!(
+        contrarian_protocol::build_openloop_live_cluster::<P>(
+            &cfg.protocol.cluster(&cfg.cluster),
+            &cfg.spec,
+            cfg.seed,
+            false,
+        ),
+        cfg
+    ))
 }
 
 /// Runs one open-loop load point on the TCP runtime with the given socket
 /// engine (wall-clock windows, loopback sockets, recording off).
 pub fn run_load_net(cfg: &LoadConfig, kind: NetKind) -> LoadReport {
-    macro_rules! dispatch {
-        ($p:ty) => {
-            drive_wall!(
-                contrarian_protocol::build_openloop_net_cluster_on::<$p>(
-                    &cfg.cluster_for_mode(),
-                    &cfg.spec,
-                    cfg.seed,
-                    false,
-                    kind,
-                ),
-                cfg
-            )
-        };
-    }
-    match cfg.protocol {
-        Protocol::Contrarian | Protocol::ContrarianTwoRound => {
-            dispatch!(contrarian_core::Contrarian)
-        }
-        Protocol::CcLo => dispatch!(contrarian_cclo::CcLo),
-        Protocol::Cure => dispatch!(contrarian_cure::Cure),
-        Protocol::Okapi => dispatch!(contrarian_okapi::Okapi),
-    }
+    with_protocol!(cfg.protocol, |P| drive_wall!(
+        contrarian_protocol::build_openloop_net_cluster_on::<P>(
+            &cfg.protocol.cluster(&cfg.cluster),
+            &cfg.spec,
+            cfg.seed,
+            false,
+            kind,
+        ),
+        cfg
+    ))
 }
 
 /// One backend's offered-rate ramp, ending at (or past) its saturation

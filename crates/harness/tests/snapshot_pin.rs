@@ -12,7 +12,10 @@
 //! the quantity that moved instead of printing an opaque hash diff.
 //!
 //! The constants were captured on the three hand-written servers (PR 13's
-//! commit), before they were folded into one skeleton.
+//! commit) before they were folded into `SnapshotServer`. The fold moved
+//! exactly three of them: Cure's `busy_ns`, because Cure's GC sweep used to
+//! be free in virtual time and now pays the 200 ns per dropped version the
+//! other two always paid (the arithmetic is next to each constant).
 
 use contrarian_core::Contrarian;
 use contrarian_cure::Cure;
@@ -132,19 +135,22 @@ fn contrarian_two_round_is_pinned() {
 fn cure_is_pinned_and_parks() {
     let pins = [
         (1, Pin {
-            busy_ns: 1_419_007_438, msgs: 44_351, bytes: 2_383_933, rots: 4_054, puts: 1_909,
+            // busy_ns: 1_419_007_438 before the fold + 200 ns × 744 versions the GC dropped.
+            busy_ns: 1_419_156_238, msgs: 44_351, bytes: 2_383_933, rots: 4_054, puts: 1_909,
             rot_p99_ns: 2_359_296, rot_max_ns: 4_268_936, put_p99_ns: 1_933_312, put_max_ns: 3_399_582,
             block_ns: (4_196, 408_681), vis_ns: (0, 0),
             data_stale_ns: (350, 864_209), gss_lag: (0, 0),
         }),
         (2, Pin {
-            busy_ns: 1_850_694_476, msgs: 59_275, bytes: 3_359_210, rots: 4_133, puts: 1_862,
+            // busy_ns: 1_850_694_476 before the fold + 200 ns × 1379 versions the GC dropped.
+            busy_ns: 1_850_970_276, msgs: 59_275, bytes: 3_359_210, rots: 4_133, puts: 1_862,
             rot_p99_ns: 1_638_400, rot_max_ns: 2_550_176, put_p99_ns: 1_179_648, put_max_ns: 1_756_496,
             block_ns: (3_676, 456_560), vis_ns: (1_866, 10_159_311),
             data_stale_ns: (700, 13_102_078), gss_lag: (1_000, 790_167_552),
         }),
         (3, Pin {
-            busy_ns: 2_403_998_567, msgs: 79_461, bytes: 4_613_857, rots: 4_249, puts: 1_873,
+            // busy_ns: 2_403_998_567 before the fold + 200 ns × 2095 versions the GC dropped.
+            busy_ns: 2_404_417_567, msgs: 79_461, bytes: 4_613_857, rots: 4_249, puts: 1_873,
             rot_p99_ns: 1_605_632, rot_max_ns: 2_161_025, put_p99_ns: 1_048_576, put_max_ns: 1_762_974,
             block_ns: (4_374, 497_700), vis_ns: (3_754, 10_161_545),
             data_stale_ns: (1_004, 13_173_511), gss_lag: (1_500, 810_024_960),

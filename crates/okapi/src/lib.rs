@@ -1,10 +1,12 @@
 //! **Okapi-style backend** (after Didona, Spirovska, Zwaenepoel,
 //! *Okapi: Causally Consistent Geo-Replication Made Faster, Cheaper and
-//! More Available*, 2017) — the fourth backend, built exactly the way the
-//! ROADMAP's "~1 file" recipe promises: one server state machine plus a
-//! [`contrarian_protocol::ProtocolSpec`]; messages, client, node
-//! dispatcher, builders, stabilization plumbing and timer loop all come
-//! from `contrarian-core` and the protocol kernel.
+//! More Available*, 2017) — the fourth backend, and the recipe for a
+//! snapshot backend at its shortest: a ten-line
+//! [`Flavor`](contrarian_core::server::Flavor) plus a
+//! [`contrarian_protocol::ProtocolSpec`]. The server
+//! ([`SnapshotServer`](contrarian_core::server::SnapshotServer)),
+//! messages, client, node dispatcher, builders, stabilization plumbing and
+//! timer loop all come from `contrarian-core` and the protocol kernel.
 //!
 //! What makes the design Okapi-like, adapted to this workspace's system
 //! model:

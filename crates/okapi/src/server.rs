@@ -1,348 +1,35 @@
-//! The Okapi-style storage server (one per partition per DC).
+//! The Okapi-style server: the snapshot server on an HLC, reading at the
+//! scalar universal stable time.
 
-use contrarian_clock::{Hlc, PhysicalClockModel};
-use contrarian_core::msg::Msg;
-use contrarian_protocol::{peer_replicas, timers, ProtocolServer, Stabilizer, Timers};
-use contrarian_runtime::actor::{ActorCtx, TimerKind};
-use contrarian_storage::{MvStore, Version};
-use contrarian_types::{Addr, ClusterConfig, DepVector, Key, TxId, VersionId};
+use crate::spec::Okapi;
+use contrarian_core::server::{Flavor, HlcClock, SnapshotServer};
+use contrarian_types::DepVector;
 
-/// Per-partition server state.
-///
-/// Identical machinery to Contrarian's server (HLC, multi-version store,
-/// GSS stabilization) — the one behavioural difference is
-/// [`Server::snapshot_vector`]: remote snapshot entries come from the
-/// scalar *universal stable time* (the minimum entry of the stabilized
-/// vector) instead of the per-DC GSS entries.
-pub struct Server {
-    addr: Addr,
-    cfg: ClusterConfig,
-    my_dc: usize,
-    hlc: Hlc,
-    phys: PhysicalClockModel,
-    store: MvStore<DepVector>,
-    stab: Stabilizer,
-    timers: Timers,
-    /// ROT snapshots proposed by this server (coordinator role).
-    pub snapshots_proposed: u64,
-}
+/// Okapi: HLC timestamps (like Contrarian — nothing ever waits), and every
+/// remote snapshot entry is the *universal stable time*, the minimum of the
+/// stabilized vector: visibility is gated on the slowest DC — Okapi's
+/// freshness-for-metadata trade.
+impl Flavor for Okapi {
+    type Clock = HlcClock;
 
-impl Server {
-    pub fn new(addr: Addr, cfg: ClusterConfig, phys: PhysicalClockModel) -> Self {
-        Server {
-            addr,
-            my_dc: addr.dc.index(),
-            hlc: Hlc::new(),
-            phys,
-            store: MvStore::new(),
-            stab: Stabilizer::new(addr, &cfg),
-            timers: Timers::replication_server(addr, &cfg),
-            cfg,
-            snapshots_proposed: 0,
-        }
-    }
-
-    pub fn store(&self) -> &MvStore<DepVector> {
-        &self.store
-    }
-
-    pub fn gss(&self) -> &DepVector {
-        self.stab.gss()
-    }
-
-    /// The universal stable time: the scalar every remote snapshot entry
-    /// is set to. The minimum over the stabilized vector means visibility
-    /// is gated on the *slowest* DC — Okapi's freshness-for-metadata trade.
-    pub fn ust(&self) -> u64 {
-        self.stab.gss().min_entry()
-    }
-
-    fn pt(&self, ctx: &dyn ActorCtx<Msg>) -> u64 {
-        self.phys.now_us(ctx.now())
-    }
-
-    fn replicated(&self) -> bool {
-        self.cfg.n_dcs > 1
-    }
-
-    /// PUT: exactly Contrarian's nonblocking path — timestamp with the HLC
-    /// strictly past the client's causal past, install, reply, replicate.
-    fn handle_put(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        key: Key,
-        value: contrarian_types::Value,
-        lts: u64,
-        client_gss: DepVector,
-    ) {
-        let mut dv = self.stab.gss().joined(&client_gss);
-        let pt = self.pt(ctx);
-        let floor = lts.max(dv.max_entry());
-        let ts = self.hlc.update(pt, floor);
-        dv.set(self.my_dc, ts);
-        self.stab.record_local(ts);
-        let vid = VersionId::new(ts, self.addr.dc);
-        let birth = ctx.now();
-        self.store.put(
-            key,
-            Version::new(vid, value.clone(), dv.clone()).with_birth(birth),
-        );
-
-        ctx.send(
-            client,
-            Msg::PutResp {
-                key,
-                vid,
-                gss: self.stab.gss().clone(),
-            },
-        );
-
-        if self.replicated() {
-            self.stab.note_replication_sent(ctx.now());
-            for peer in peer_replicas(self.addr, self.cfg.n_dcs) {
-                ctx.send(
-                    peer,
-                    Msg::Replicate {
-                        key,
-                        value: value.clone(),
-                        dv: dv.clone(),
-                        origin: self.addr.dc,
-                        birth,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Computes the Okapi-style snapshot vector: every remote entry is the
-    /// universal stable time, the local entry is the HLC reading — then the
-    /// client's observed GSS is joined in so sessions stay monotone.
-    fn snapshot_vector(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        lts: u64,
-        client_gss: &DepVector,
-    ) -> DepVector {
-        let pt = self.pt(ctx);
-        let ts = self.hlc.update(pt, lts);
-        let ust = self.ust();
-        let mut sv = DepVector::from_vec(vec![ust; self.cfg.n_dcs as usize]);
-        sv.join(client_gss);
-        // Raise (not set): the local entry must dominate both the HLC
-        // reading and whatever stable time already filled the slot.
-        sv.raise(self.my_dc, ts);
-        self.snapshots_proposed += 1;
-        sv
-    }
-
-    /// 1½-round ROT (available for completeness; [`crate::Okapi`] pins the
-    /// 2-round mode): pick the snapshot, serve own keys, forward the rest.
-    fn handle_rot_req(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        tx: TxId,
-        keys: Vec<Key>,
-        lts: u64,
-        client_gss: DepVector,
-    ) {
-        let sv = self.snapshot_vector(ctx, lts, &client_gss);
-        let n = self.cfg.n_partitions;
-        let mut groups: std::collections::BTreeMap<u16, Vec<Key>> = Default::default();
-        for k in keys {
-            groups.entry(k.partition(n).0).or_default().push(k);
-        }
-        let mut own: Vec<Key> = Vec::new();
-        for (p, ks) in groups {
-            if p == self.addr.idx {
-                own = ks;
-            } else {
-                let peer = Addr::server(self.addr.dc, contrarian_types::PartitionId(p));
-                ctx.send(
-                    peer,
-                    Msg::RotFwd {
-                        tx,
-                        client,
-                        keys: ks,
-                        sv: sv.clone(),
-                    },
-                );
-            }
-        }
-        if !own.is_empty() {
-            let pairs = self.read_snapshot(ctx, &own, &sv);
-            ctx.send(client, Msg::RotSlice { tx, pairs, sv });
-        }
-    }
-
-    /// 2-round ROT, first round: just the snapshot vector.
-    fn handle_snap_req(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        tx: TxId,
-        lts: u64,
-        client_gss: DepVector,
-    ) {
-        let sv = self.snapshot_vector(ctx, lts, &client_gss);
-        ctx.send(client, Msg::RotSnap { tx, sv });
-    }
-
-    /// Serves a read under a snapshot. Nonblocking: the HLC jumps to the
-    /// snapshot's local entry (same argument as Contrarian).
-    fn handle_read(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        client: Addr,
-        tx: TxId,
-        keys: Vec<Key>,
-        sv: DepVector,
-    ) {
-        self.hlc.advance_to(sv[self.my_dc]);
-        let pairs = self.read_snapshot(ctx, &keys, &sv);
-        ctx.send(client, Msg::RotSlice { tx, pairs, sv });
-    }
-
-    /// One-version reads: for each key, the freshest version with `DV ≤ SV`.
-    fn read_snapshot(
-        &self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        keys: &[Key],
-        sv: &DepVector,
-    ) -> Vec<(Key, Option<(VersionId, contrarian_types::Value)>)> {
-        let mut out = Vec::with_capacity(keys.len());
-        let mut scanned_total = 0;
-        for &k in keys {
-            let (v, scanned) = self.store.read_visible(k, |ver| ver.meta.leq(sv));
-            scanned_total += scanned;
-            // Data staleness: the snapshot hides a newer stored version, so
-            // this read returns data older than what the node already holds.
-            if let Some(head) = self.store.latest(k) {
-                if head.birth > 0 && v.map(|ver| ver.vid) != Some(head.vid) {
-                    let stale = ctx.now().saturating_sub(head.birth);
-                    ctx.metrics().data_stale(stale);
-                }
-            }
-            let pair = match v {
-                Some(ver) => Some((ver.vid, ver.value.clone())),
-                None if self.cfg.prepopulated => {
-                    Some((VersionId::GENESIS, contrarian_types::genesis_value()))
-                }
-                None => None,
-            };
-            out.push((k, pair));
-        }
-        ctx.charge(scanned_total as u64 * 500);
-        out
-    }
-
-    fn stabilize(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        let pt = self.pt(ctx);
-        let fresh = self.hlc.peek(pt);
-        self.stab.stabilize(
-            ctx,
-            &self.cfg,
-            fresh,
-            |partition, vv| Msg::VvReport { partition, vv },
-            |gss| Msg::GssBcast { gss },
-        );
-    }
-
-    fn heartbeat(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        let pt = self.pt(ctx);
-        let ts = self.hlc.peek(pt);
-        self.stab
-            .heartbeat(ctx, &self.cfg, ts, |origin, ts| Msg::Heartbeat {
-                origin,
-                ts,
-            });
-    }
-
-    fn gc(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        let now_us = ctx.now() / 1000;
-        let horizon_us = now_us.saturating_sub(self.cfg.version_gc_retention_us);
-        let horizon = contrarian_clock::hlc::encode(horizon_us, 0);
-        let dropped = self.store.gc_all(horizon, 1);
-        ctx.charge(dropped as u64 * 200);
+    fn stable(gss: &DepVector) -> DepVector {
+        DepVector::from_vec(vec![gss.min_entry(); gss.len()])
     }
 }
 
-impl ProtocolServer for Server {
-    type Msg = Msg;
-
-    fn on_start(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        self.timers.start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, from: Addr, msg: Msg) {
-        match msg {
-            Msg::PutReq {
-                key,
-                value,
-                lts,
-                gss,
-            } => self.handle_put(ctx, from, key, value, lts, gss),
-            Msg::RotReq { tx, keys, lts, gss } => {
-                self.handle_rot_req(ctx, from, tx, keys, lts, gss)
-            }
-            Msg::RotSnapReq { tx, lts, gss } => self.handle_snap_req(ctx, from, tx, lts, gss),
-            Msg::RotRead { tx, keys, sv } => self.handle_read(ctx, from, tx, keys, sv),
-            Msg::RotFwd {
-                tx,
-                client,
-                keys,
-                sv,
-            } => self.handle_read(ctx, client, tx, keys, sv),
-            Msg::Replicate {
-                key,
-                value,
-                dv,
-                origin,
-                birth,
-            } => {
-                let ts = dv[origin.index()];
-                self.stab.record_remote(origin, ts);
-                if birth > 0 {
-                    // Visibility staleness: how long after the origin install
-                    // this replica learned of the write.
-                    let stale = ctx.now().saturating_sub(birth);
-                    ctx.metrics().vis_stale(stale);
-                }
-                self.store.put(
-                    key,
-                    Version::new(VersionId::new(ts, origin), value, dv).with_birth(birth),
-                );
-            }
-            Msg::Heartbeat { origin, ts } => self.stab.record_remote(origin, ts),
-            Msg::VvReport { partition, vv } => self.stab.on_vv_report(partition, vv),
-            Msg::GssBcast { gss } => self.stab.on_gss_bcast(&gss),
-            Msg::RotSnap { .. } | Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => {
-                unreachable!("client-bound message delivered to server")
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn ActorCtx<Msg>, kind: TimerKind) {
-        match kind.kind {
-            timers::STABILIZE => self.stabilize(ctx),
-            timers::HEARTBEAT => self.heartbeat(ctx),
-            timers::GC => self.gc(ctx),
-            other => unreachable!("unknown server timer {other}"),
-        }
-        self.timers.rearm(ctx, kind.kind);
-    }
-
-    fn store_heads(&self) -> Vec<(Key, VersionId)> {
-        self.store.heads()
-    }
-}
+/// The Okapi storage server.
+pub type Server = SnapshotServer<Okapi>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contrarian_clock::PhysicalClockModel;
+    use contrarian_core::Msg;
+    use contrarian_protocol::ProtocolServer;
     use contrarian_runtime::testkit::ScriptCtx;
-    use contrarian_types::{ClientId, DcId, PartitionId, Value};
+    use contrarian_types::{
+        Addr, ClientId, ClusterConfig, DcId, Key, PartitionId, TxId, Value, VersionId,
+    };
 
     fn server(dc: u8, p: u16, n_dcs: u8) -> Server {
         let cfg = ClusterConfig::small().with_dcs(n_dcs);
@@ -371,6 +58,16 @@ mod tests {
         }
     }
 
+    /// Delivers a GSS broadcast from the DC's aggregator.
+    fn gss_bcast(s: &mut Server, ctx: &mut ScriptCtx<Msg>, gss: Vec<u64>) {
+        let gss = DepVector::from_vec(gss);
+        s.on_message(
+            ctx,
+            Addr::server(DcId(0), PartitionId(0)),
+            Msg::GssBcast { gss },
+        );
+    }
+
     fn snap(s: &mut Server, ctx: &mut ScriptCtx<Msg>, lts: u64, cgss: DepVector) -> DepVector {
         let client = Addr::client(DcId(0), 0);
         let tx = TxId::new(ClientId::new(DcId(0), 0), 0);
@@ -387,8 +84,8 @@ mod tests {
         let mut ctx = ScriptCtx::new(Addr::server(DcId(0), PartitionId(0)));
         // Stabilized vector [_, 70, 40]: UST must be the minimum (40),
         // applied to *both* remote DCs — not the per-DC entries.
-        s.stab.on_gss_bcast(&DepVector::from_vec(vec![50, 70, 40]));
-        assert_eq!(s.ust(), 40);
+        gss_bcast(&mut s, &mut ctx, vec![50, 70, 40]);
+        assert_eq!(s.gss().min_entry(), 40);
         // A client whose session already observed local time 1<<30 drives
         // the HLC well past the stabilized entries.
         let sv = snap(&mut s, &mut ctx, 1 << 30, DepVector::zero(3));
@@ -401,7 +98,7 @@ mod tests {
     fn snapshot_joins_client_view_for_monotone_sessions() {
         let mut s = server(0, 0, 2);
         let mut ctx = ScriptCtx::new(Addr::server(DcId(0), PartitionId(0)));
-        s.stab.on_gss_bcast(&DepVector::from_vec(vec![10, 10]));
+        gss_bcast(&mut s, &mut ctx, vec![10, 10]);
         // The client has already observed remote time 90 elsewhere: the
         // snapshot must not travel backwards for this session.
         let sv = snap(&mut s, &mut ctx, 0, DepVector::from_vec(vec![0, 90]));
@@ -442,8 +139,7 @@ mod tests {
             },
         );
         // Stable time below the version: the Okapi snapshot hides it.
-        s.stab
-            .on_gss_bcast(&DepVector::from_vec(vec![ts + 5, ts - 1]));
+        gss_bcast(&mut s, &mut ctx, vec![ts + 5, ts - 1]);
         let sv = snap(&mut s, &mut ctx, 0, DepVector::zero(2));
         let client = Addr::client(DcId(0), 0);
         let tx = TxId::new(ClientId::new(DcId(0), 0), 1);
@@ -461,7 +157,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Stable time past the version everywhere: visible.
-        s.stab.on_gss_bcast(&DepVector::from_vec(vec![ts + 5, ts]));
+        gss_bcast(&mut s, &mut ctx, vec![ts + 5, ts]);
         let sv2 = snap(&mut s, &mut ctx, 0, DepVector::zero(2));
         s.on_message(
             &mut ctx,

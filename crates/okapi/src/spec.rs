@@ -73,13 +73,14 @@ mod tests {
         };
         let mut sim = build_cluster::<Okapi>(&p);
         sim.start();
+        sim.metrics_mut().enabled = true;
         sim.run_until(200_000_000);
         let addr = Addr::server(DcId(0), PartitionId(0));
         let server = sim.actor(addr).as_server().unwrap();
         assert!(
-            server.ust() > 0,
+            server.gss().min_entry() > 0,
             "stabilization must lift the scalar stable time off zero"
         );
-        assert!(server.snapshots_proposed > 0);
+        assert!(sim.metrics().rots_done > 0, "snapshots were proposed");
     }
 }

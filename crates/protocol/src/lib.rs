@@ -26,8 +26,10 @@
 //!
 //! Adding a backend means implementing the three traits plus a
 //! [`ProtocolSpec`] — roughly one file — and every builder, runtime,
-//! harness and conformance check works with it unchanged; the Okapi-style
-//! `contrarian-okapi` crate is exactly that recipe executed.
+//! harness and conformance check works with it unchanged. A backend of the
+//! snapshot family (Contrarian, Cure, Okapi) needs less still: it plugs a
+//! clock and a stable-time shape into `contrarian-core`'s one
+//! `SnapshotServer` and writes no handler at all.
 
 pub mod build;
 pub mod conformance;

@@ -83,8 +83,18 @@ fn cure_is_causally_consistent_across_seeds() {
 }
 
 #[test]
+fn okapi_is_causally_consistent_across_seeds() {
+    // 3 DCs is where the scalar stable time first differs from the GSS.
+    for seed in [1, 2, 3] {
+        for dcs in [1, 2, 3] {
+            assert_causal(&functional(Protocol::Okapi, dcs, seed + 20 * dcs as u64));
+        }
+    }
+}
+
+#[test]
 fn prepopulated_clusters_stay_causal() {
-    for protocol in [Protocol::Contrarian, Protocol::CcLo, Protocol::Cure] {
+    for protocol in Protocol::ALL {
         let mut cfg = functional(protocol, 2, 77);
         cfg.cluster.prepopulated = true;
         assert_causal(&cfg);
@@ -230,7 +240,7 @@ fn contrarian_writes_become_visible_remotely() {
 #[test]
 fn protocols_serve_equivalent_functionality() {
     let mut counts = Vec::new();
-    for protocol in [Protocol::Contrarian, Protocol::CcLo, Protocol::Cure] {
+    for protocol in Protocol::ALL {
         let mut cfg = functional(protocol, 1, 123);
         // Disable clock skew so Cure does not (correctly!) spend the whole
         // window blocked — this test is about functional equivalence, not
