@@ -104,6 +104,55 @@ fn bench_chain(c: &mut Criterion) {
     g.finish();
 }
 
+/// One partition's store over write-once keys — the uniform-key tier
+/// (`sim_scale_okapi`), where nearly every PUT materializes a key and
+/// nearly every read finds a chain of one. The parameter `n` is the number
+/// of distinct keys, and one iteration is `n` operations (divide by `n`
+/// for the cost of one): the shim sizes its samples from a single
+/// calibration call, so a per-operation body would time only the first
+/// few thousand puts of a table that is still growing. `put_distinct`
+/// fills an empty store with the first version of `n` keys (static value,
+/// 2-DC dependency vector) and drops it — table growth included, as for a
+/// partition filling up. `read_distinct` is one snapshot read of every key
+/// in an odd-stride order: a hash lookup plus the visit of the key's only
+/// version.
+fn bench_mv_store(c: &mut Criterion) {
+    use contrarian_storage::{MvStore, Version};
+    use contrarian_types::{DcId, DepVector, Key, Value, VersionId};
+    let fill = |n: u64| {
+        let mut store = MvStore::new();
+        for k in 0..n {
+            let vid = VersionId::new(k + 1, DcId(0));
+            store.put(
+                Key(k),
+                Version::new(vid, Value::from_static(b"v"), DepVector::zero(2)),
+            );
+        }
+        store
+    };
+    let mut g = c.benchmark_group("mv_store");
+    for n in [4_096u64, 65_536] {
+        g.bench_with_input(BenchmarkId::new("put_distinct", n), &n, |b, &n| {
+            b.iter(|| black_box(fill(black_box(n)).n_keys()));
+        });
+        let store = fill(n);
+        let sv = DepVector::from_vec(vec![u64::MAX; 2]);
+        let step = (2_654_435_761 % n) | 1;
+        g.bench_with_input(BenchmarkId::new("read_distinct", n), &n, |b, &n| {
+            b.iter(|| {
+                let (mut k, mut found) = (0u64, 0u64);
+                for _ in 0..n {
+                    k = (k + step) % n;
+                    let (v, scanned) = store.read_visible(Key(k), |v| v.meta.leq(&sv));
+                    found += (v.is_some() && scanned == 1) as u64;
+                }
+                black_box(found)
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_zipf(c: &mut Criterion) {
     let mut g = c.benchmark_group("zipf");
     for (n, theta) in [(1_000_000u64, 0.99), (1_000_000, 0.8), (1_000_000, 0.0)] {
@@ -504,6 +553,7 @@ criterion_group!(
     bench_hlc,
     bench_vectors,
     bench_chain,
+    bench_mv_store,
     bench_zipf,
     bench_calendar_queue,
     bench_session_calendar,

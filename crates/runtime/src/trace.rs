@@ -39,6 +39,11 @@ pub fn trace_cap_from_env() -> usize {
 /// The `next_seq` counter is persistent: it keeps incrementing across
 /// drops and drains, so event identities never repeat and a drained
 /// prefix concatenates with later drains exactly like history segments.
+///
+/// A ring owns no memory until its first event: every simulated node has
+/// one whether or not tracing is ever switched on, and a pre-sized buffer
+/// per node was 47 MB of address space (3.7 MB of it resident) on a
+/// 1 152-node cluster that never traced.
 #[derive(Debug)]
 pub struct TraceRing {
     buf: VecDeque<TraceEvent>,
@@ -50,7 +55,7 @@ pub struct TraceRing {
 impl TraceRing {
     pub fn new(cap: usize) -> Self {
         TraceRing {
-            buf: VecDeque::with_capacity(cap.min(1024)),
+            buf: VecDeque::new(),
             cap: cap.max(1),
             next_seq: 0,
             dropped: 0,
@@ -238,6 +243,14 @@ mod tests {
         // Identity survives the drain: the next push continues the count.
         r.push(9, 0, TraceKind::MsgSend, 0, 0);
         assert_eq!(r.drain()[0].seq, 5);
+    }
+
+    #[test]
+    fn ring_owns_no_buffer_until_the_first_push() {
+        let mut r = TraceRing::new(DEFAULT_TRACE_CAP);
+        assert_eq!(r.buf.capacity(), 0, "an untraced node owns no buffer");
+        r.push(0, 0, TraceKind::MsgSend, 0, 0);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -74,8 +74,9 @@ pub struct Sim<A: Actor> {
     rounds: u64,
     /// Pre-start registrations, in order; drained into shards at start.
     staging: Vec<(Addr, A, u32)>,
-    /// Registration-time index (`Addr → global id`); hot-path routing uses
-    /// `routing` once started.
+    /// Registration-time index (`Addr → global id`): duplicate detection
+    /// and pre-start `actor()` lookups. Released at the end of
+    /// [`Sim::start`] — everything routes through `routing` from then on.
     index: HashMap<Addr, usize>,
     routing: Routing,
     shards: Vec<Shard<A>>,
@@ -208,6 +209,13 @@ impl<A: Actor> Sim<A> {
         sum
     }
 
+    /// Bytes of per-link FIFO state held by all shards: the rows senders
+    /// have grown so far plus the base tables (memory telemetry; the
+    /// tier-1 memory budget reads it).
+    pub fn link_state_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.link_bytes()).sum()
+    }
+
     /// Distributes the registered nodes over shards, builds the routing
     /// geometry, then calls every node's `on_start` (in registration
     /// order).
@@ -279,7 +287,6 @@ impl<A: Actor> Sim<A> {
             self.shards[shard]
                 .nodes
                 .push(NodeSlot::new(addr, gid as u32, actor, workers, rng));
-            self.shards[shard].links.push(Vec::new());
         }
         self.la = match &self.lookahead {
             Lookahead::Scalar => LookaheadMatrix::uniform(n_shards, self.cost.cross_dc_lookahead()),
@@ -297,7 +304,10 @@ impl<A: Actor> Sim<A> {
         };
         self.min_la = self.la.min_off_diagonal();
         self.routing = Routing::build(addrs, locate, &self.cost);
-        for gid in 0..self.routing.n_nodes() {
+        for s in &mut self.shards {
+            s.size_links(&self.routing);
+        }
+        for gid in 0..self.routing.addrs.len() {
             let (s, l) = self.routing.locate(gid);
             self.shards[s].start_node(&self.routing, l);
         }
@@ -305,6 +315,9 @@ impl<A: Actor> Sim<A> {
         // merge into the target queues ahead of execution regardless of
         // their arrival time — no window invariant applies yet.
         self.exchange(None);
+        // Nothing reads the registration index once started (≈ 1 MB at
+        // 1 152 nodes).
+        self.index = HashMap::new();
     }
 
     /// Resolves the shard-group count: 1 for non-sharded engines and the
@@ -1070,6 +1083,134 @@ mod tests {
         let mut sim = mk();
         sim.start();
         sim.actor(Addr::server(DcId(0), contrarian_types::PartitionId(7)));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown addr")]
+    fn out_of_range_send_does_not_alias_into_a_neighbouring_link_block() {
+        // The send path's sibling of the test above. The client's link row
+        // is `[dc0 servers | dc1 servers]`, one entry each; partition 1 of
+        // DC 0 does not exist, and its FIFO entry would be the DC-1 block's
+        // first slot if the index were not bounded by the class stride.
+        struct Stray;
+        impl Actor for Stray {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut dyn ActorCtx<Ping>) {
+                if !ctx.self_addr().is_server() {
+                    for (dc, p) in [(0, 0), (1, 0), (0, 1)] {
+                        let to = Addr::server(DcId(dc), contrarian_types::PartitionId(p));
+                        ctx.send(to, Ping(0));
+                    }
+                }
+            }
+            fn on_message(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _from: Addr, _msg: Ping) {}
+            fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+            fn inject(_op: Op) -> Ping {
+                Ping(0)
+            }
+        }
+        let mut sim: Sim<Stray> =
+            Sim::with_scheduler(CostModel::functional(), 1, SchedKind::Calendar);
+        for dc in 0..2 {
+            sim.add_server(
+                Addr::server(DcId(dc), contrarian_types::PartitionId(0)),
+                Stray,
+                1,
+            );
+        }
+        sim.add_client(Addr::client(DcId(0), 0), Stray);
+        sim.start();
+    }
+
+    #[test]
+    fn fifo_clamp_holds_per_link_across_destination_classes() {
+        // One handler of one server sends a 64 KiB message and then a
+        // 32-byte one to a client, to a server of its own DC and to a
+        // server of the other DC. The wire time of the first (640 µs) is
+        // far above the send spacing (100 ns), so each second message would
+        // overtake its predecessor and must be clamped to one tick behind
+        // it — on its own link only: the last send goes to the *other*
+        // remote server, whose entry sits next to the clamped one in the
+        // sender's link row, and must arrive unclamped. Handler times below
+        // were captured on the `n_nodes`-wide link table this layout
+        // replaced.
+        #[derive(Clone)]
+        struct Blob {
+            tag: u32,
+            bytes: usize,
+        }
+        impl SimMessage for Blob {
+            fn wire_size(&self) -> usize {
+                self.bytes
+            }
+            fn class(&self) -> MsgClass {
+                MsgClass::Data
+            }
+        }
+        struct Fan {
+            got: Vec<(u32, u64)>,
+        }
+        fn server(dc: u8, p: u16) -> Addr {
+            Addr::server(DcId(dc), contrarian_types::PartitionId(p))
+        }
+        impl Actor for Fan {
+            type Msg = Blob;
+            fn on_start(&mut self, ctx: &mut dyn ActorCtx<Blob>) {
+                if ctx.self_addr() != server(0, 0) {
+                    return;
+                }
+                let links = [Addr::client(DcId(0), 0), server(0, 1), server(1, 1)];
+                for (i, bytes) in [64 << 10, 32].into_iter().enumerate() {
+                    for (j, to) in links.into_iter().enumerate() {
+                        let tag = (i * links.len() + j) as u32;
+                        ctx.send(to, Blob { tag, bytes });
+                    }
+                }
+                ctx.send(server(1, 0), Blob { tag: 6, bytes: 32 });
+            }
+            fn on_message(&mut self, ctx: &mut dyn ActorCtx<Blob>, _from: Addr, msg: Blob) {
+                self.got.push((msg.tag, ctx.now()));
+            }
+            fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Blob>, _kind: TimerKind) {}
+            fn inject(_op: Op) -> Blob {
+                Blob { tag: 0, bytes: 0 }
+            }
+        }
+        // Size moves the wire time only, so receive costs stay constant.
+        let cost = CostModel {
+            wire_ns_per_kb: 10_000,
+            cpu_per_kb_ns: 0,
+            ..CostModel::functional()
+        };
+        for sched in ALL_ENGINES {
+            let mut sim: Sim<Fan> = Sim::with_scheduler(cost.clone(), 3, sched);
+            for dc in 0..2 {
+                for p in 0..2 {
+                    sim.add_server(server(dc, p), Fan { got: vec![] }, 4);
+                }
+                sim.add_client(Addr::client(DcId(dc), 0), Fan { got: vec![] });
+            }
+            sim.start();
+            sim.run_to_quiescence(u64::MAX);
+            let got = |a: Addr| sim.actor(a).got.clone();
+            assert_eq!(
+                got(Addr::client(DcId(0), 0)),
+                vec![(0, 650_200), (3, 650_201)],
+                "{sched:?}"
+            );
+            assert_eq!(
+                got(server(0, 1)),
+                vec![(1, 650_300), (4, 650_301)],
+                "{sched:?}"
+            );
+            assert_eq!(
+                got(server(1, 1)),
+                vec![(2, 740_400), (5, 740_401)],
+                "{sched:?}"
+            );
+            assert_eq!(got(server(1, 0)), vec![(6, 101_112)], "{sched:?}");
+            assert!(got(server(0, 0)).is_empty() && got(Addr::client(DcId(1), 0)).is_empty());
+        }
     }
 
     #[test]

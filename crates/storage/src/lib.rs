@@ -9,6 +9,10 @@
 //! * CC-LO stores the *old-reader record* per version (the set of ROT ids
 //!   that must not observe the version).
 //!
+//! A key written once — most keys of a large data set — costs its map
+//! bucket and nothing else: a chain of one version is stored inline and
+//! only the second version moves the chain to the heap (see [`Chain`]).
+//!
 //! Superseded versions are retained for a configurable window so that
 //! slightly stale snapshot reads (and CC-LO's "most recent version before
 //! time t" rule) can still be served, then garbage collected.

@@ -1,0 +1,163 @@
+//! Memory budgets of the two layouts whose cost is per key and per link.
+//!
+//! The benchmark's `peak_rss_mb` prices these end to end, but only on the
+//! 128-server tier and only when somebody runs it; the three budgets here
+//! hold the same ground in tier-1. The heap figures come from this
+//! binary's own counting allocator (an integration test is its own
+//! binary), kept per thread because the test harness runs every `#[test]`
+//! on a thread of its own: what one test allocates never shows up in
+//! another's reading.
+
+use contrarian::okapi::Okapi;
+use contrarian::protocol::{build_cluster_with, ClusterParams};
+use contrarian::sim::cost::CostModel;
+use contrarian::sim::SchedKind;
+use contrarian::storage::{Chain, MvStore, Version};
+use contrarian::types::{ClusterConfig, DcId, DepVector, Key, Value, VersionId};
+use contrarian::workload::WorkloadSpec;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// `(allocations, live requested bytes)` of the current thread.
+    /// Const-initialized and without a destructor, so touching it inside
+    /// the allocator neither allocates nor registers anything.
+    static HEAP: Cell<(u64, i64)> = const { Cell::new((0, 0)) };
+}
+
+fn note(allocs: u64, bytes: i64) {
+    // `try_with`: the allocator outlives a dying thread's TLS.
+    let _ = HEAP.try_with(|h| {
+        let (n, live) = h.get();
+        h.set((n + allocs, live + bytes));
+    });
+}
+
+/// `(allocations, live requested bytes)` of the calling thread so far.
+fn heap() -> (u64, i64) {
+    HEAP.with(|h| h.get())
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and returns its result unchanged, so `System`'s guarantees
+// (and the caller's obligations) carry over; the counting touches one
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this method; it
+    // is passed through to `System` untouched.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(1, layout.size() as i64);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this method; it
+    // is passed through to `System` untouched.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(1, layout.size() as i64);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this method; it
+    // is passed through to `System` untouched.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this method; it
+    // is passed through to `System` untouched.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A growth is one allocation; the block's size changes in place.
+        note(1, new_size as i64 - layout.size() as i64);
+        // SAFETY: `ptr`/`layout` describe a live `System` block and the
+        // caller vouches for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn version(ts: u64) -> Version<DepVector> {
+    Version::new(
+        VersionId::new(ts, DcId(0)),
+        Value::from_static(b"v"),
+        DepVector::zero(2),
+    )
+}
+
+/// A store of write-once keys — the uniform-key tier's whole data set —
+/// costs a table bucket and a dependency vector per key and nothing else.
+/// Measured 122.2 B per key (65 536 buckets of 8 + 72 + 1 B for 50 000
+/// keys, plus the 16-byte vector); a heap-allocated chain made it 347.3 B
+/// (a 288-byte block of four version slots per key).
+#[test]
+fn distinct_key_puts_stay_within_160_bytes_per_key() {
+    const KEYS: u64 = 50_000;
+    let (_, before) = heap();
+    let mut store = MvStore::new();
+    for k in 0..KEYS {
+        store.put(Key(k), version(k + 1));
+    }
+    let per_key = (heap().1 - before) as f64 / KEYS as f64;
+    assert_eq!(store.n_versions(), KEYS as usize);
+    assert!(
+        per_key <= 160.0,
+        "{per_key:.1} live heap bytes per single-version key"
+    );
+}
+
+/// The first version of a key lives in the chain itself; the second moves
+/// both into one exact two-element vector.
+#[test]
+fn first_insert_into_a_chain_does_not_allocate() {
+    let mut chain = Chain::new();
+    let (first, second) = (version(1), version(2));
+    let (n0, live0) = heap();
+    chain.insert(first);
+    assert_eq!(heap(), (n0, live0), "one version is stored inline");
+    chain.insert(second);
+    let two = 2 * std::mem::size_of::<Version<DepVector>>() as i64;
+    assert_eq!(
+        heap(),
+        (n0 + 1, live0 + two),
+        "promotion is one exact block"
+    );
+    assert_eq!(chain.len(), 2);
+}
+
+/// Link FIFO state follows what a sender reaches: on the 2 × 64-server,
+/// 1 024-client geometry of `sim_scale_okapi` a client's row is the 64
+/// servers of its DC (512 B) and a server's at most both DCs' servers plus
+/// its DC's clients (5 120 B), against 9 216 B for every sender when rows
+/// spanned all 1 152 nodes.
+#[test]
+fn link_state_stays_within_2_kb_per_node() {
+    const CLIENTS_PER_DC: u16 = 512;
+    let cfg = ClusterConfig::small().with_dcs(2).with_partitions(64);
+    let nodes = 2 * (64 + CLIENTS_PER_DC as usize);
+    let params = ClusterParams {
+        cfg,
+        cost: CostModel::functional(),
+        workload: WorkloadSpec::paper_default(),
+        clients_per_dc: CLIENTS_PER_DC,
+        seed: 17,
+    };
+    let mut sim = build_cluster_with::<Okapi>(&params, SchedKind::Calendar);
+    sim.start();
+    sim.run_until(5_000_000);
+    let bytes = sim.link_state_bytes();
+    // Not vacuous: every client has sent into its DC by now.
+    assert!(bytes >= 2 * CLIENTS_PER_DC as usize * 64 * 8, "{bytes} B");
+    assert!(
+        bytes <= nodes * 2048,
+        "{} B of link state per node",
+        bytes / nodes
+    );
+}

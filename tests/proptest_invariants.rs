@@ -187,7 +187,19 @@ proptest! {
             if kind < 6 {
                 // Insert ts=a, origin=b (replication can interleave and
                 // redeliver, so out-of-order and duplicate ids are normal).
-                chain.insert(Version::new(VersionId::new(a, DcId(b)), Value::new(), b));
+                let vid = VersionId::new(a, DcId(b));
+                let (before, had) = (chain.len(), chain.iter_desc().any(|v| v.vid == vid));
+                chain.insert(Version::new(vid, Value::new(), b));
+                prop_assert_eq!(chain.len(), before + !had as usize);
+            } else if kind == 7 {
+                // Cut back to the head alone. A chain of one version is
+                // stored inline, so this is where it crosses 2 -> 1, and the
+                // next insert of a new id crosses 1 -> 2 again.
+                let head_before = chain.head().map(|v| v.vid);
+                let before = chain.len();
+                prop_assert_eq!(chain.gc(u64::MAX, 1), before.saturating_sub(1));
+                prop_assert_eq!(chain.len(), before.min(1));
+                prop_assert_eq!(chain.head().map(|v| v.vid), head_before);
             } else {
                 // GC at horizon a, always retaining the newest 1..=2.
                 let min_keep = 1 + (b as usize % 2);
