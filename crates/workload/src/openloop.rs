@@ -12,30 +12,49 @@
 //! rate), and arrivals fire whether or not earlier operations finished.
 //!
 //! One [`OpenLoopDriver`] multiplexes a shard of sessions onto a single
-//! driver actor. It keeps a pending-arrival calendar (one slot per
-//! session, 12 bytes each, so a million sessions across a bounded actor
-//! pool is cheap) and answers [`draw`](OpenLoopDriver::draw) with either
-//! the next *due* operation — tagged with its scheduled arrival time — or
-//! the instant the actor should wake up next.
+//! driver actor. It keeps a pending-arrival calendar (≈ 9 bytes per
+//! session, so a million sessions across a bounded actor pool is cheap)
+//! and answers [`draw`](OpenLoopDriver::draw) with either the next *due*
+//! operation — tagged with its scheduled arrival time — or the instant the
+//! actor should wake up next.
 //!
 //! ## The session calendar
 //!
 //! The session set is fixed and every session has exactly one pending
 //! arrival, so the calendar is an intrusive bucket ring rather than a
-//! heap: `due[session]` and `next[session]` thread each session onto the
-//! list of the bucket `due >> shift` (taken modulo the ring), the bucket
-//! width is derived once from the shard's aggregate rate (a handful of
-//! arrivals per bucket, a ring several mean gaps long), and only the
-//! *loaded* bucket is ordered — a small vector sorted descending, minimum
-//! at the back. Loading a bucket walks its list, sorts the entries that
-//! belong to this lap and leaves those of a later lap linked; that is the
-//! whole overflow story. A rescheduled arrival that falls at or before the
-//! loaded bucket is a binary-search insert into that vector. A draw thus
-//! touches a few independent cache lines where a binary heap of the same
-//! sessions walks a dozen dependent ones (the heap was a quarter of the
-//! simulator's host time at a million sessions). Pops are strictly
-//! ascending in `(due, session)` — the order the heap produced; it
-//! survives as the test-only reference model of a differential proptest.
+//! heap: one word per session threads it onto the list of the bucket
+//! `due >> shift` (taken modulo the ring), the bucket width is derived
+//! once from the shard's aggregate rate (≈ 32 arrivals per bucket, a ring
+//! of a quarter as many slots as sessions, so ≥ 8 mean session gaps
+//! long), and only the *loaded* bucket is ordered — a small vector sorted
+//! descending, minimum at the back. Loading a bucket walks its list, sorts
+//! the entries that belong to this lap and leaves those of a later lap
+//! linked. A rescheduled arrival that falls at or before the loaded bucket
+//! is a binary-search insert into that vector. A draw thus touches a few
+//! independent cache lines where a binary heap of the same sessions walks
+//! a dozen dependent ones (the heap was a quarter of the simulator's host
+//! time at a million sessions). Pops are strictly ascending in
+//! `(due, session)` — the order the heap produced; it survives as the
+//! test-only reference model of a differential proptest.
+//!
+//! ### Eight bytes per linked session
+//!
+//! With `k` the bit width of the session count, a session's word holds its
+//! list link in the low `k` bits (all ones ends a list) and its due time
+//! *modulo* `W = 2^(64 − k)` in the high bits; with the ring's `u32` head
+//! per four sessions that is ≈ 9 bytes per session (8 + 1; the benchmark's
+//! 3 906-session shards: 8 + 1.05). The truncation is exact because of
+//! one rule: a session is linked only when its due lies in the *window*
+//! `[start, start + W)`, `start` being the loaded bucket's first instant.
+//! Starts only grow, so at any later load each linked due still lies in
+//! `[start, start + W)` and decodes as `start + ((stored − start) mod W)`.
+//! A due past the window waits in a small `far` heap and rejoins the ring
+//! when the window reaches it (the shape of the calendar queue's overflow
+//! heap; a bucket is capped at half the window so the rejoin always lands
+//! in a bucket not yet loaded). At benchmark rates the far heap stays
+//! empty: a gap is at most 53·ln 2 ≈ 36.7 mean session gaps (the RNG's
+//! 53-bit floats), ≤ 5·10¹¹ ns on every rung, against `W` ≥ 2^52 ns. Only
+//! shards slower than about one op per `W / 37` per session use it.
 //!
 //! ## Coordinated omission
 //!
@@ -65,74 +84,102 @@ use crate::driver::ClientDriver;
 use crate::source::Draw;
 use rand::rngs::SmallRng;
 use rand::RngExt;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// List terminator of the bucket ring (never a session index: the ring
-/// holds at most `u32::MAX` sessions, numbered from 0).
-const NIL: u32 = u32::MAX;
-
-/// Target arrivals per calendar bucket: enough that loading amortizes,
-/// few enough that the loaded bucket sorts in a cache line or two.
-const ARRIVALS_PER_BUCKET: f64 = 8.0;
+/// Target arrivals per calendar bucket (the width rounds up to a power of
+/// two): enough that a ring of a quarter as many slots as sessions spans
+/// ≥ 8 mean session gaps, so few sessions wait a lap out and get re-walked,
+/// few enough that the loaded bucket sorts in a few cache lines.
+const ARRIVALS_PER_BUCKET: f64 = 32.0;
 
 /// Exact-order calendar of one pending arrival per session. See the
 /// module docs for the design.
 struct SessionCalendar {
-    /// Pending arrival time of every *linked* session.
-    due: Vec<u64>,
-    /// Next session on the same bucket list, or [`NIL`].
-    next: Vec<u32>,
-    /// List head per ring slot (power-of-two many).
+    /// Per *linked* session: its due time modulo the window `W` in the
+    /// high bits, the next session on the same bucket list (or `nil`) in
+    /// the low `link_bits`.
+    word: Vec<u64>,
+    /// List head per ring slot (power-of-two many), or `nil`.
     head: Vec<u32>,
+    /// Bits of a link: the bit width of the session count, so the
+    /// all-ones `nil` is never a session index.
+    link_bits: u32,
+    /// The list terminator, `2^link_bits − 1`.
+    nil: u32,
+    /// Sessions currently linked into the ring.
+    linked: u32,
     /// Bucket of a time is `t >> shift`; its ring slot is that modulo the
     /// ring size.
     shift: u32,
     /// The loaded bucket (and anything rescheduled at or before it),
     /// sorted descending: the earliest `(due, session)` is at the back.
-    /// Every session is either here or linked into a *later* bucket, so
-    /// once primed this is never empty between draws.
+    /// Every session is here, linked into a *later* bucket or in `far`,
+    /// so once primed this is never empty between draws.
     cur: Vec<(u64, u32)>,
     /// Absolute number of the loaded bucket.
     cur_bucket: u64,
+    /// Arrivals at or past the window, earliest first.
+    far: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl SessionCalendar {
     fn new(sessions: u32, mean_gap_ns: f64) -> Self {
         let n = sessions as usize;
+        let link_bits = u32::BITS - sessions.leading_zeros();
+        let nil = ((1u64 << link_bits) - 1) as u32;
         // The shard's arrivals are `mean_gap / sessions` apart on average.
-        let width_ns = ARRIVALS_PER_BUCKET * mean_gap_ns / sessions as f64;
+        // Saturating float cast: sub-ns widths clamp to 1 ns buckets.
+        let width_ns = (ARRIVALS_PER_BUCKET * mean_gap_ns / sessions as f64) as u64;
+        let ceil_log2 = u64::BITS - (width_ns.max(1) - 1).leading_zeros();
         SessionCalendar {
-            due: vec![0; n],
-            next: vec![0; n],
-            head: vec![NIL; n.next_power_of_two()],
-            // Saturating float cast: sub-ns widths clamp to shift 0, an
-            // astronomically slow shard to shift 63.
-            shift: (width_ns as u64).max(1).ilog2(),
-            // Roomy enough that a loaded bucket practically never regrows
-            // it: the steady state allocates nothing.
-            cur: Vec::with_capacity(4 * ARRIVALS_PER_BUCKET as usize),
+            word: vec![0; n],
+            head: vec![nil; (n / 4).max(1).next_power_of_two()],
+            link_bits,
+            nil,
+            linked: 0,
+            // At most half the window: see `load_next`.
+            shift: ceil_log2.min(63 - link_bits),
+            cur: Vec::new(),
             cur_bucket: 0,
+            far: BinaryHeap::new(),
         }
+    }
+
+    /// `W − 1`, the largest offset from the loaded bucket's start at which
+    /// a due may be linked.
+    #[inline]
+    fn window(&self) -> u64 {
+        u64::MAX >> self.link_bits
     }
 
     #[inline]
     fn push(&mut self, due: u64, session: u32) {
-        let bucket = due >> self.shift;
-        if bucket <= self.cur_bucket {
+        if due >> self.shift <= self.cur_bucket {
             let at = self.cur.partition_point(|&e| e > (due, session));
             self.cur.insert(at, (due, session));
+        } else if due - (self.cur_bucket << self.shift) <= self.window() {
+            self.link(due, session);
         } else {
-            let slot = (bucket & (self.head.len() as u64 - 1)) as usize;
-            self.due[session as usize] = due;
-            self.next[session as usize] = self.head[slot];
-            self.head[slot] = session;
+            self.far.push(Reverse((due, session)));
         }
+    }
+
+    /// Threads `session` onto the list of `due`'s bucket, which must lie
+    /// in the window and not before the loaded bucket.
+    #[inline]
+    fn link(&mut self, due: u64, session: u32) {
+        let slot = ((due >> self.shift) & (self.head.len() as u64 - 1)) as usize;
+        self.word[session as usize] = due << self.link_bits | self.head[slot] as u64;
+        self.head[slot] = session;
+        self.linked += 1;
     }
 
     /// Schedules every session's first arrival, in session order, on a
     /// calendar anchored at `now` (no arrival is earlier).
     fn prime(&mut self, now: u64, mut first_due: impl FnMut() -> u64) {
         self.cur_bucket = now >> self.shift;
-        for s in 0..self.due.len() as u32 {
+        for s in 0..self.word.len() as u32 {
             self.push(first_due(), s);
         }
         if self.cur.is_empty() {
@@ -158,20 +205,42 @@ impl SessionCalendar {
     }
 
     /// Advances to the next bucket holding an arrival of its own lap and
-    /// sorts it into `cur`. Requires at least one linked session.
+    /// sorts it into `cur`. Requires at least one session outside `cur`.
     fn load_next(&mut self) {
-        let mask = self.head.len() as u64 - 1;
+        let (mask, window, nil) = (self.head.len() as u64 - 1, self.window(), self.nil);
         while self.cur.is_empty() {
-            self.cur_bucket += 1;
+            self.cur_bucket = match self.far.peek() {
+                // Ring drained: jump straight to the far heap's earliest
+                // arrival (a shard much slower than its window).
+                Some(&Reverse((due, _))) if self.linked == 0 => due >> self.shift,
+                _ => self.cur_bucket + 1,
+            };
+            let start = self.cur_bucket << self.shift;
+            // Far arrivals the window now reaches rejoin the ring. The
+            // first time one fits, it is still ≥ W − width ≥ width past
+            // `start` (a bucket is at most half the window), so it lands in
+            // a bucket not yet loaded — unless the jump above loaded its
+            // own bucket, whose list is walked next.
+            while let Some(&Reverse((due, s))) = self.far.peek() {
+                if due - start > window {
+                    break;
+                }
+                self.far.pop();
+                self.link(due, s);
+            }
             let slot = (self.cur_bucket & mask) as usize;
-            let mut s = std::mem::replace(&mut self.head[slot], NIL);
-            while s != NIL {
-                let (due, after) = (self.due[s as usize], self.next[s as usize]);
+            let mut s = std::mem::replace(&mut self.head[slot], nil);
+            while s != nil {
+                let word = self.word[s as usize];
+                // Exact: every linked due lies in `[start, start + W)`.
+                let due = start + ((word >> self.link_bits).wrapping_sub(start) & window);
+                let after = (word & nil as u64) as u32;
                 if due >> self.shift == self.cur_bucket {
                     self.cur.push((due, s));
+                    self.linked -= 1;
                 } else {
                     // A later lap of the ring: stays linked.
-                    self.next[s as usize] = self.head[slot];
+                    self.word[s as usize] = word & !(nil as u64) | self.head[slot] as u64;
                     self.head[slot] = s;
                 }
                 s = after;
@@ -273,8 +342,6 @@ mod tests {
     use crate::zipf::Zipf;
     use proptest::prelude::*;
     use rand::SeedableRng;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     use std::sync::Arc;
 
     fn gen() -> ClientDriver {
@@ -336,13 +403,15 @@ mod tests {
         /// a permanently overdue caller — both produce the same
         /// `(intended, session, op)` arrivals and the same `Wait` answers
         /// from the same RNG stream. Rates of 1e9/s give same-instant ties
-        /// across sessions and shift 0; 1e-3/s gives shift > 40; gaps
-        /// shorter than a bucket and longer than the whole ring (several
-        /// laps) occur naturally at every size.
+        /// across sessions and shift 0; 1e-3/s gives shift > 40; below
+        /// ≈ 1e-5/s the largest shards' gaps outrun the window, so arrivals
+        /// wait in the far heap and rejoin; gaps shorter than a bucket and
+        /// longer than the whole ring (several laps) occur naturally at
+        /// every size.
         #[test]
         fn calendar_matches_heap_reference(
             size in (0u8..3, 2u32..48),
-            rate_exp in -3.0f64..9.0,
+            rate_exp in -7.0f64..9.0,
             seed in 0u64..u64::MAX,
             start in (0u8..3, 0u64..1 << 50),
             steps in prop::collection::vec((0u8..8, 0u64..u64::MAX, 1usize..40), 1..120),
@@ -373,7 +442,9 @@ mod tests {
                     6 => now + raw % (40 * shard_gap).saturating_mul(sessions as u64).min(1 << 56),
                     // The replay's shadow generator: overdue for good.
                     _ => now.max(u64::MAX / 2),
-                };
+                }
+                // Headroom for a 36.7-mean-gap draw at 1e-7/s (≤ 4e17 ns).
+                .min(u64::MAX / 4 * 3);
                 for _ in 0..draws {
                     let (want, want_session) = heap.draw(now, &mut rng_h);
                     let got_session = cal.calendar.peek().map(|(_, s)| s);
@@ -398,22 +469,30 @@ mod tests {
         }
     }
 
+    /// The ring has a quarter as many slots as sessions, so a bucket holds
+    /// ≈ 32 arrivals (rounded up to a power of two) to keep the ring ≥ 8
+    /// mean session gaps long; fewer per bucket re-walked lapped sessions
+    /// (8 per bucket measured 5–10 % more host time).
     #[test]
     fn bucket_width_follows_the_shard_rate() {
         let shift = |sessions, rate| driver(sessions, rate).calendar.shift;
-        assert_eq!(shift(1, 1e9), 3, "8 arrivals of a 1 ns gap");
+        assert_eq!(shift(1, 1e9), 5, "32 arrivals of a 1 ns gap");
         assert_eq!(shift(64, 1e9), 0, "sub-ns widths clamp to 1 ns buckets");
-        assert!(shift(1, 1e-3) > 40, "8e12 ns per bucket");
-        // The benchmark's shard: 3 906 sessions at 1 op/s, ~1 ms buckets.
-        assert_eq!(shift(3906, 1.0), 20);
+        assert!(shift(1, 1e-3) > 40, "3.2e13 ns per bucket");
+        assert_eq!(shift(1, 1e-9), 62, "a bucket is at most half the window");
+        // The benchmark's shard: 3 906 sessions at 1 op/s, ~8 ms buckets
+        // on a ring of 1 024 slots (8.6 s, 8.6 mean gaps), 12-bit links.
+        let cal = driver(3906, 1.0).calendar;
+        assert_eq!((cal.shift, cal.head.len(), cal.link_bits), (23, 1024, 12));
     }
 
     #[test]
     fn arrivals_several_ring_laps_out_pop_in_order() {
-        // 4 sessions, 4 slots, 2^20 ns buckets: a ring of ~4 ms. Dues up
-        // to ~1000 laps out share slots with near ones and must stay
-        // linked until their own lap comes round.
-        let mut cal = SessionCalendar::new(4, 524_288.0);
+        // 16 sessions give 4 slots, and 32 arrivals of a 2^15 ns shard gap
+        // give 2^20 ns buckets: a ring of ~4 ms. Four sessions are
+        // scheduled; dues up to ~1000 laps out share slots with near ones
+        // and must stay linked until their own lap comes round.
+        let mut cal = SessionCalendar::new(16, 524_288.0);
         assert_eq!((cal.shift, cal.head.len()), (20, 4));
         let mut dues = [5 << 30, 3, (1 << 22) + 7, 1 << 30];
         for (s, &due) in dues.iter().enumerate() {
@@ -427,6 +506,89 @@ mod tests {
             let next = due + if round % 2 == 0 { 100 } else { 37 << 22 };
             dues[session as usize] = next;
             cal.reschedule_min(next);
+        }
+    }
+
+    #[test]
+    fn arrivals_past_the_window_wait_far_and_rejoin_in_order() {
+        // 16 sessions: 5-bit links, a window of 2^59 ns. Every third
+        // reschedule jumps 3·2^59 ns, past the window, so the four sessions
+        // go far one by one; the fourth leaves the ring empty, and the load
+        // after it jumps straight to the earliest and takes all four back.
+        let mut cal = SessionCalendar::new(16, 524_288.0);
+        assert_eq!(cal.window(), (1 << 59) - 1);
+        let mut dues = [3, 1 << 21, (1 << 22) + 7, 7 << 22];
+        for (s, &due) in dues.iter().enumerate() {
+            cal.push(due, s as u32);
+        }
+        let mut far = Vec::new();
+        for round in 0..60u64 {
+            let min = dues.iter().zip(0u32..).map(|(&d, s)| (d, s)).min();
+            assert_eq!(cal.peek(), min, "round {round}");
+            let (due, session) = min.expect("4 sessions");
+            let next = due + if round % 3 == 2 { 3 << 59 } else { 37 << 18 };
+            dues[session as usize] = next;
+            cal.reschedule_min(next);
+            if round % 3 == 2 {
+                far.push(cal.far.len());
+            }
+        }
+        assert_eq!(far, [1, 2, 3, 0].repeat(5));
+    }
+
+    /// Shards much slower than their window: `W` = 2^52 ns ≈ 0.45 mean
+    /// gaps at 4 000 sessions of 1e-7/s and 2^47 ns ≈ 1.4 at 70 000 of
+    /// 1e-5/s, so most (a quarter) of the sessions start in the far heap.
+    /// Each of them rejoins the ring and pops, in the heap reference's
+    /// order, draw for draw.
+    #[test]
+    fn sessions_past_the_window_rejoin_and_match_the_heap_reference() {
+        for (sessions, rate) in [(4_000u32, 1e-7), (70_000, 1e-5)] {
+            let mut cal = driver(sessions, rate);
+            let mut heap = HeapDriver::new(sessions, rate);
+            let (mut rng_c, mut rng_h) = (SmallRng::seed_from_u64(11), SmallRng::seed_from_u64(11));
+            // Prime both: nothing is due at 0.
+            assert!(matches!(heap.draw(0, &mut rng_h).0, Draw::Wait { .. }));
+            assert!(matches!(cal.draw(0, &mut rng_c), Draw::Wait { .. }));
+            let mut waiting = vec![false; sessions as usize];
+            for &Reverse((_, s)) in cal.calendar.far.iter() {
+                waiting[s as usize] = true;
+            }
+            let mut left = cal.calendar.far.len();
+            assert!(left > sessions as usize / 5, "{left} start far");
+            let mean_gap = (1e9 / rate) as u64;
+            let mut now = 0;
+            while left > 0 {
+                now += mean_gap / sessions as u64 * 16;
+                assert!(now < 64 * mean_gap, "{left} never rejoined");
+                loop {
+                    let (want, want_session) = heap.draw(now, &mut rng_h);
+                    let got_session = cal.calendar.peek().map(|(_, s)| s);
+                    match (cal.draw(now, &mut rng_c), want) {
+                        (
+                            Draw::Op {
+                                op: a,
+                                intended: ta,
+                            },
+                            Draw::Op {
+                                op: b,
+                                intended: tb,
+                            },
+                        ) => {
+                            assert_eq!((ta, a, got_session), (tb, b, want_session));
+                            let s = got_session.expect("an op has a session") as usize;
+                            if std::mem::take(&mut waiting[s]) {
+                                left -= 1;
+                            }
+                        }
+                        (Draw::Wait { due: a }, Draw::Wait { due: b }) => {
+                            assert_eq!(a, b);
+                            break;
+                        }
+                        (got, want) => panic!("{got:?} vs {want:?}"),
+                    }
+                }
+            }
         }
     }
 

@@ -16,6 +16,9 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `0.5^θ`, rank 1's unnormalized weight (computed once: `sample`
+    /// needs it on every skewed draw).
+    half_pow_theta: f64,
 }
 
 impl Zipf {
@@ -29,6 +32,7 @@ impl Zipf {
                 alpha: 0.0,
                 zetan: 0.0,
                 eta: 0.0,
+                half_pow_theta: 1.0,
             };
         }
         let zetan = Self::zeta(n, theta);
@@ -41,6 +45,7 @@ impl Zipf {
             alpha,
             zetan,
             eta,
+            half_pow_theta: 0.5f64.powf(theta),
         }
     }
 
@@ -70,7 +75,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

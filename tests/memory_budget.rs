@@ -1,12 +1,12 @@
-//! Memory budgets of the two layouts whose cost is per key and per link.
+//! Memory budgets of the three layouts whose cost is per key, per link and
+//! per open-loop session.
 //!
-//! The benchmark's `peak_rss_mb` prices these end to end, but only on the
-//! 128-server tier and only when somebody runs it; the three budgets here
-//! hold the same ground in tier-1. The heap figures come from this
-//! binary's own counting allocator (an integration test is its own
-//! binary), kept per thread because the test harness runs every `#[test]`
-//! on a thread of its own: what one test allocates never shows up in
-//! another's reading.
+//! The benchmark's `peak_rss_mb` prices these end to end, but only when
+//! somebody runs it; the four budgets here hold the same ground in tier-1.
+//! The heap figures come from this binary's own counting allocator (an
+//! integration test is its own binary), kept per thread because the test
+//! harness runs every `#[test]` on a thread of its own: what one test
+//! allocates never shows up in another's reading.
 
 use contrarian::okapi::Okapi;
 use contrarian::protocol::{build_cluster_with, ClusterParams};
@@ -14,9 +14,12 @@ use contrarian::sim::cost::CostModel;
 use contrarian::sim::SchedKind;
 use contrarian::storage::{Chain, MvStore, Version};
 use contrarian::types::{ClusterConfig, DcId, DepVector, Key, Value, VersionId};
-use contrarian::workload::WorkloadSpec;
+use contrarian::workload::{ClientDriver, Draw, OpenLoopDriver, WorkloadSpec, Zipf};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// `(allocations, live requested bytes)` of the current thread.
@@ -159,5 +162,34 @@ fn link_state_stays_within_2_kb_per_node() {
         bytes <= nodes * 2048,
         "{} B of link state per node",
         bytes / nodes
+    );
+}
+
+/// An open-loop driver actor's session calendar is one word per session
+/// plus a `u32` ring head per four sessions: 9.3 B per session on a primed
+/// 100 000-session shard at the benchmark's 1 op/s (32 768 heads), against
+/// 17.2 B when each session held an 8-byte due time, a 4-byte link and a
+/// ring slot of its own. A tenth of a virtual second of draws afterwards
+/// puts the loaded bucket at its steady size.
+#[test]
+fn primed_session_calendar_stays_within_10_bytes_per_session() {
+    const SESSIONS: u32 = 100_000;
+    let zipf = Arc::new(Zipf::new(1_000, 0.99));
+    let gen = ClientDriver::new(WorkloadSpec::paper_default(), zipf, 32);
+    let mut rng = SmallRng::seed_from_u64(1);
+    let (_, before) = heap();
+    let mut driver = OpenLoopDriver::new(gen, SESSIONS, 1.0);
+    let mut ops = 0;
+    for now in (0..=100_000_000).step_by(1_000_000) {
+        while let Draw::Op { .. } = driver.draw(now, &mut rng) {
+            ops += 1;
+        }
+    }
+    let per_session = (heap().1 - before) as f64 / SESSIONS as f64;
+    // Not vacuous: ≈ 10 000 arrivals were drawn and rescheduled.
+    assert!(ops > 9_000, "{ops} arrivals");
+    assert!(
+        per_session <= 10.0,
+        "{per_session:.2} live heap bytes per session"
     );
 }
