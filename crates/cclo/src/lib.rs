@@ -39,7 +39,7 @@ pub mod spec;
 
 pub use client::Client;
 pub use msg::Msg;
-pub use records::{BlockRecord, ReaderEntry, ReaderSet};
+pub use records::{BlockRecord, ReaderEntry, ReaderSet, RotFloor};
 pub use server::Server;
 pub use spec::CcLo;
 
@@ -69,7 +69,9 @@ pub mod stats {
     /// Reader-record entries walked by the periodic GC sweeps (kept +
     /// dropped): the resident size of the reader bookkeeping over time.
     pub const READER_ENTRIES_SWEPT: &str = "cclo.reader_entries_swept";
-    /// ROT ids in the old-reader records sealed into installed versions
-    /// (local PUTs and replicated updates).
+    /// ROT ids *stored* in the old-reader records sealed into installed
+    /// versions (local PUTs and replicated updates). Sealing drops every
+    /// ROT that can no longer read, so a record stores at most one id per
+    /// client, fewer than the readers check returned (`CHECK_IDS_CUM`).
     pub const BLOCK_RECORD_IDS: &str = "cclo.block_record_ids";
 }

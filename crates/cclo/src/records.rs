@@ -2,21 +2,34 @@
 //! bookkeeping that COPS-SNOW's latency-optimal ROTs hang on.
 //!
 //! Both record types are flat vectors kept in [`TxId`] order, i.e. by
-//! `(client, seq)`. Two invariants hold everything else up:
+//! `(client, seq)`. Three invariants hold everything else up:
 //!
 //! * **Sorted by `TxId`, one entry per id.** A client's ROTs sit next to
-//!   each other in issue order, so [`ReaderSet::query`] picks each client's
-//!   most recent qualifying ROT in one forward pass and its result — which
-//!   is message bytes — comes out already sorted; [`BlockRecord::bound`] is
-//!   a binary search.
+//!   each other in issue order, so [`ReaderSet::query_into`] picks each
+//!   client's most recent qualifying ROT in one forward pass and its
+//!   result — which is message bytes — comes out already sorted;
+//!   [`BlockRecord::bound`] is a binary search.
 //! * **[`ReaderSet::len`] is a cost-model input.** It counts the distinct
 //!   tx ids inserted and not yet swept, expired or not: the server charges
 //!   `len() × 100 ns` of virtual CPU per queried key and
 //!   `(kept + dropped) × 100 ns` per GC sweep, so a representation that
 //!   changed what `len()` counts would change simulated latencies.
+//! * **A sealed record names only ROTs that can still read.** A
+//!   [`BlockRecord`] keeps, per client, only the newest tx its readers
+//!   check named, and only if that tx's `seq` is at or above the client's
+//!   [`RotFloor`] at the sealing server (the newest ROT `seq` the server
+//!   has seen from that client). This is safe because a client has one
+//!   operation in flight and numbers its ROTs in increasing order: a
+//!   server can only see `(c, s′)` after `c` issued it, and `c` issues it
+//!   only after every slice of every `(c, s < s′)` has returned. So a
+//!   pruned tx never reaches the server's version lookup again, and no
+//!   `bound` answer a live ROT can ask changes. No cost-model input reads
+//!   a sealed record's length — the readers check's Figure-6 counters are
+//!   taken from the replies before the seal — so the pruning is invisible
+//!   in virtual time.
 
-use contrarian_types::TxId;
-use std::cmp::Ordering;
+use contrarian_types::{ClientId, TxId};
+use std::cmp::{Ordering, Reverse};
 
 /// One recorded read: which transaction read, at what logical time, and how
 /// fresh the version it read was.
@@ -110,9 +123,19 @@ impl ReaderSet {
     /// read something older than `dep_ts`, still within the GC window, with
     /// at most one entry per client (its most recent ROT — clients issue one
     /// operation at a time, so older ROTs of a client can have no in-flight
-    /// reads). Returns `(tx, read_time)` pairs sorted by tx id.
-    pub fn query(&self, dep_ts: u64, now: u64, gc_ns: u64) -> Vec<(TxId, u64)> {
-        let mut out: Vec<(TxId, u64)> = Vec::with_capacity(self.entries.len());
+    /// reads). Appends the `(tx, read_time)` pairs to `out`, sorted by tx
+    /// id, leaving what `out` already held untouched; returns how many it
+    /// appended. Reserves room for the worst case up front, so a call
+    /// allocates at most once, and not at all when `out` has room.
+    pub fn query_into(
+        &self,
+        dep_ts: u64,
+        now: u64,
+        gc_ns: u64,
+        out: &mut Vec<(TxId, u64)>,
+    ) -> usize {
+        out.reserve(self.entries.len());
+        let start = out.len();
         for e in &self.entries {
             // Reading the dependency or newer is not old for it.
             if e.read_version_ts >= dep_ts || e.expired(now, gc_ns) {
@@ -120,11 +143,18 @@ impl ReaderSet {
             }
             // A client's ROTs are adjacent in issue order: a later one
             // replaces the one just emitted.
-            match out.last_mut() {
+            match out[start..].last_mut() {
                 Some(last) if last.0.client == e.tx.client => *last = (e.tx, e.read_time),
                 _ => out.push((e.tx, e.read_time)),
             }
         }
+        out.len() - start
+    }
+
+    /// [`query_into`](Self::query_into) into a fresh vector.
+    pub fn query(&self, dep_ts: u64, now: u64, gc_ns: u64) -> Vec<(TxId, u64)> {
+        let mut out = Vec::new();
+        self.query_into(dep_ts, now, gc_ns, &mut out);
         out
     }
 
@@ -141,22 +171,66 @@ impl ReaderSet {
     }
 }
 
+/// The newest ROT `seq` a server has seen from each client. A client's ROTs
+/// below its floor have finished everywhere, so a sealed [`BlockRecord`]
+/// need not name them (module docs).
+#[derive(Clone, Debug, Default)]
+pub struct RotFloor {
+    /// Indexed by `[dc][client index]`; client indices are dense, and a
+    /// client not seen yet reads as 0, which prunes nothing.
+    newest: Vec<Vec<u32>>,
+}
+
+impl RotFloor {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Notes that `tx` reached this server.
+    pub fn observe(&mut self, tx: TxId) {
+        let (dc, i) = (tx.client.dc().0 as usize, tx.client.idx() as usize);
+        if self.newest.len() <= dc {
+            self.newest.resize_with(dc + 1, Vec::new);
+        }
+        let row = &mut self.newest[dc];
+        if row.len() <= i {
+            row.resize(i + 1, 0);
+        }
+        row[i] = row[i].max(tx.seq);
+    }
+
+    /// The newest ROT `seq` seen from `client`, 0 if none.
+    pub fn of(&self, client: ClientId) -> u32 {
+        self.newest
+            .get(client.dc().0 as usize)
+            .and_then(|row| row.get(client.idx() as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+}
+
 /// The per-version old-reader record: ROT ids that must *not* observe this
-/// version, each with the logical time bound of its stale read.
+/// version, each with the logical time bound of its stale read. It stores
+/// only ROTs that can still read at the sealing server: at most one per
+/// client, none below the client's [`RotFloor`] (module docs).
 #[derive(Clone, Debug)]
 pub struct BlockRecord {
-    /// Sorted by tx id, one pair per id.
+    /// Sorted by tx id, at most one pair per client.
     entries: Vec<(TxId, u64)>,
 }
 
 impl BlockRecord {
     /// Builds the record of a version about to install from everything its
     /// readers check collected — local queries and peers' replies, in any
-    /// order and with duplicates. A tx named more than once keeps its
-    /// *smallest* read time (the most restrictive bound).
-    pub fn seal(mut pairs: Vec<(TxId, u64)>) -> Self {
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
+    /// order and with duplicates. Per client it keeps only the newest tx
+    /// named, with that tx's *smallest* read time (the most restrictive
+    /// bound), and only if the tx is at or above the client's `floor`.
+    pub fn seal(mut pairs: Vec<(TxId, u64)>, floor: &RotFloor) -> Self {
+        // Per client: its newest tx first, that tx's smallest read time
+        // first within it.
+        pairs.sort_unstable_by_key(|&(tx, rt)| (tx.client, Reverse(tx.seq), rt));
+        pairs.dedup_by_key(|p| p.0.client);
+        pairs.retain(|(tx, _)| tx.seq >= floor.of(tx.client));
         pairs.shrink_to_fit();
         BlockRecord { entries: pairs }
     }
@@ -183,9 +257,11 @@ mod tests {
     use proptest::prelude::*;
 
     /// The map-based records this module used before it was rebuilt on flat
-    /// vectors, kept as the oracle of the differential proptests below —
-    /// and nowhere else. (The maps are `by_tx`, not `entries`: the
-    /// determinism lint tracks hash-typed names per file.)
+    /// vectors — the block record still naming every id the readers check
+    /// returned, before sealing dropped the ROTs that can no longer read —
+    /// kept as the oracle of the differential proptests below and nowhere
+    /// else. (The maps are `by_tx`, not `entries`: the determinism lint
+    /// tracks hash-typed names per file.)
     mod model {
         use super::super::ReaderEntry;
         use contrarian_types::{ClientId, TxId};
@@ -254,10 +330,6 @@ mod tests {
         }
 
         impl BlockRecord {
-            pub(super) fn len(&self) -> usize {
-                self.by_tx.len()
-            }
-
             pub(super) fn merge_pairs(&mut self, pairs: &[(TxId, u64)]) {
                 for &(tx, read_time) in pairs {
                     self.by_tx
@@ -344,6 +416,13 @@ mod tests {
                                 cur.query(dep_ts, now, GC_NS),
                                 m_cur.query(dep_ts, now, GC_NS)
                             );
+                            // Appending behind a pair of a client the query
+                            // may name first leaves that pair alone.
+                            let mut out = vec![(e.tx, u64::MAX)];
+                            let n = old.query_into(dep_ts, now, GC_NS, &mut out);
+                            prop_assert_eq!(out[0], (e.tx, u64::MAX));
+                            prop_assert_eq!(out[1..].to_vec(), m_old.query(dep_ts, now, GC_NS));
+                            prop_assert_eq!(n, out.len() - 1);
                         }
                     }
                 }
@@ -354,30 +433,59 @@ mod tests {
             }
         }
 
-        /// Sealing the concatenated replies equals merging them one by one
-        /// into the map-based model: same size, same bound for every id.
+        /// Sealing the concatenated replies against merging them one by one
+        /// into the map-based full record. Each client has one ROT `live`
+        /// in flight; replies name any of its ROTs issued so far, several
+        /// `seq`s of one client in one record included; the sealing server
+        /// saw the client up to a floor at or below `live` (`None`: never).
+        /// The in-flight ROT gets the full record's bound, and the record
+        /// holds exactly each client's newest named tx when it is at or
+        /// above the floor — one entry per client at most, none below it.
         #[test]
         fn sealed_block_record_matches_map_model(
+            clients in prop::collection::vec(
+                (0..SEQS, prop::option::of(0..SEQS)),
+                CLIENTS as usize,
+            ),
             replies in prop::collection::vec(
                 prop::collection::vec((0..CLIENTS, 0..SEQS, 0u64..50), 0..12),
                 0..5,
             ),
         ) {
+            let mut floor = RotFloor::new();
+            for (c, &(live, seen)) in clients.iter().enumerate() {
+                if let Some(s) = seen {
+                    floor.observe(tx(c as u16, s.min(live)));
+                    floor.observe(tx(c as u16, 0)); // an older ROT never lowers it
+                }
+            }
             let mut m = model::BlockRecord::default();
+            let mut newest: Vec<Option<u32>> = vec![None; CLIENTS as usize];
             let mut pending = Vec::new();
             for reply in &replies {
-                let pairs: Vec<(TxId, u64)> =
-                    reply.iter().map(|&(c, seq, rt)| (tx(c, seq), rt)).collect();
+                let pairs: Vec<(TxId, u64)> = reply
+                    .iter()
+                    .map(|&(c, seq, rt)| (tx(c, seq % (clients[c as usize].0 + 1)), rt))
+                    .collect();
+                for (t, _) in &pairs {
+                    let n = &mut newest[t.client.idx() as usize];
+                    *n = (*n).max(Some(t.seq));
+                }
                 m.merge_pairs(&pairs);
                 pending.extend(pairs);
             }
-            let b = BlockRecord::seal(pending);
-            prop_assert_eq!(b.len(), m.len());
+            let b = BlockRecord::seal(pending, &floor);
             for c in 0..CLIENTS {
+                let live = tx(c, clients[c as usize].0);
+                prop_assert_eq!(b.bound(live), m.bound(live));
                 for seq in 0..SEQS {
-                    prop_assert_eq!(b.bound(tx(c, seq)), m.bound(tx(c, seq)));
+                    let t = tx(c, seq);
+                    let kept = newest[c as usize] == Some(seq) && seq >= floor.of(t.client);
+                    prop_assert_eq!(b.bound(t), if kept { m.bound(t) } else { None });
                 }
             }
+            prop_assert!(b.entries.windows(2).all(|w| w[0].0.client < w[1].0.client));
+            prop_assert!(b.entries.iter().all(|(t, _)| t.seq >= floor.of(t.client)));
         }
     }
 
@@ -442,7 +550,10 @@ mod tests {
 
     #[test]
     fn block_record_keeps_most_restrictive_bound() {
-        let b = BlockRecord::seal(vec![(tx(0, 0), 50), (tx(0, 0), 30), (tx(0, 0), 70)]);
+        let b = BlockRecord::seal(
+            vec![(tx(0, 0), 50), (tx(0, 0), 30), (tx(0, 0), 70)],
+            &RotFloor::new(),
+        );
         assert_eq!(b.bound(tx(0, 0)), Some(30));
         assert_eq!(b.bound(tx(1, 0)), None);
         assert_eq!(b.len(), 1);

@@ -1,7 +1,7 @@
 //! The CC-LO storage server: latency-optimal ROTs, expensive PUTs.
 
 use crate::msg::{Dep, Msg};
-use crate::records::{BlockRecord, ReaderEntry, ReaderSet};
+use crate::records::{BlockRecord, ReaderEntry, ReaderSet, RotFloor};
 use crate::stats;
 use contrarian_clock::LogicalClock;
 use contrarian_protocol::{timers, Parked, ProtocolServer, Timers};
@@ -64,6 +64,10 @@ pub struct Server {
     readers: HashMap<Key, ReaderSet>,
     /// Old readers of each key (readers of superseded versions).
     old_readers: HashMap<Key, ReaderSet>,
+    /// The newest ROT each client has read here, raised by every
+    /// `RotRead`: a record sealed on this server drops a client's ROTs
+    /// below it, which can never read here again (`records` module docs).
+    rot_floor: RotFloor,
     pending_puts: HashMap<u64, PendingPut>,
     pending_repls: HashMap<u64, PendingRepl>,
     /// Dependency-check queries parked until their dependencies install
@@ -85,6 +89,7 @@ impl Server {
             store: MvStore::new(),
             readers: HashMap::new(),
             old_readers: HashMap::new(),
+            rot_floor: RotFloor::new(),
             pending_puts: HashMap::new(),
             pending_repls: HashMap::new(),
             dep_waiters: Parked::new(),
@@ -218,6 +223,7 @@ impl Server {
         client_lamport: u64,
     ) {
         let read_time = self.lamport.observe(client_lamport);
+        self.rot_floor.observe(tx);
         let now = ctx.now();
         let mut pairs = Vec::with_capacity(keys.len());
         let mut scanned = 0usize;
@@ -328,10 +334,10 @@ impl Server {
                 for (k, vid) in &part_deps {
                     let bound = self.dep_bound(*vid);
                     let set = self.old_readers.get(k);
-                    ctx.charge(set.map(|s| s.len() as u64).unwrap_or(0) * 100);
-                    let pairs = set.map(|s| s.query(bound, now, window)).unwrap_or_default();
-                    ctx.charge(pairs.len() as u64 * 150);
-                    pending.block.extend(pairs);
+                    ctx.charge(set.map_or(0, |s| s.len() as u64) * 100);
+                    let found =
+                        set.map_or(0, |s| s.query_into(bound, now, window, &mut pending.block));
+                    ctx.charge(found as u64 * 150);
                 }
             } else {
                 pending.awaiting += 1;
@@ -430,7 +436,7 @@ impl Server {
         let now = ctx.now();
         let window = self.gc_window_ns();
         // Per dependency key, at most one ROT id per client (its most
-        // recent — `ReaderSet::query` applies the paper's optimization).
+        // recent — `ReaderSet::query_into` applies the paper's optimization).
         // The same ROT id can still appear for several keys: this is the
         // duplication the paper measures (≈855 cumulative vs ≈252 distinct
         // ids per check at 256 clients).
@@ -439,7 +445,7 @@ impl Server {
         for (k, vid) in deps {
             if let Some(set) = self.old_readers.get(k) {
                 scanned += set.len() as u64;
-                out.extend(set.query(self.dep_bound(*vid), now, window));
+                set.query_into(self.dep_bound(*vid), now, window, &mut out);
             }
         }
         // The full record is walked per queried key; hot keys make this the
@@ -491,7 +497,7 @@ impl Server {
         let mut ids_distinct: Vec<ClientId> = replied.iter().map(|(tx, _)| tx.client).collect();
         ids_distinct.sort_unstable();
         ids_distinct.dedup();
-        let block = BlockRecord::seal(block);
+        let block = BlockRecord::seal(block, &self.rot_floor);
         let block_ids = block.len() as u64;
 
         self.supersede_head(key);
@@ -585,7 +591,7 @@ impl Server {
                     for (k, dvid) in &part_deps {
                         let bound = self.dep_bound(*dvid);
                         if let Some(set) = self.old_readers.get(k) {
-                            pending.block.extend(set.query(bound, now, window));
+                            set.query_into(bound, now, window, &mut pending.block);
                         }
                     }
                 } else {
@@ -655,7 +661,7 @@ impl Server {
             let stale = ctx.now().saturating_sub(birth);
             ctx.metrics().vis_stale(stale);
         }
-        let block = BlockRecord::seal(block);
+        let block = BlockRecord::seal(block, &self.rot_floor);
         let m = ctx.metrics();
         m.add(stats::REPL_CHECKS, 1);
         m.add(stats::BLOCK_RECORD_IDS, block.len() as u64);
@@ -836,6 +842,65 @@ mod tests {
         // A fresh ROT sees Y1.
         let got2 = do_rot(&mut s, &mut ctx, tx(1, 0), vec![y]);
         assert_ne!(got2[0].1, Some(y0));
+    }
+
+    #[test]
+    fn sealed_record_keeps_only_the_newest_rot_of_a_client_that_read_twice() {
+        // Figure 2 with a client c that read twice: (c,3) reads A0, (c,5)
+        // reads B0 (as does d's ROT), A1 and B1 overwrite both, and Y1
+        // depends on A1, B1 and a key of partition 1.
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        let (a, b, y) = (Key(0), Key(4), Key(8)); // all on partition 0
+        do_put(&mut s, &mut ctx, a, vec![]);
+        do_put(&mut s, &mut ctx, b, vec![]);
+        let y0 = do_put(&mut s, &mut ctx, y, vec![]); // Lamport 3
+        do_rot(&mut s, &mut ctx, tx(0, 3), vec![a]);
+        do_rot(&mut s, &mut ctx, tx(0, 5), vec![b]); // read time 5
+        do_rot(&mut s, &mut ctx, tx(1, 0), vec![b]); // read time 6
+        let a1 = do_put(&mut s, &mut ctx, a, vec![]);
+        let b1 = do_put(&mut s, &mut ctx, b, vec![]);
+        s.on_message(
+            &mut ctx,
+            client(),
+            Msg::PutReq {
+                key: y,
+                value: Value::from_static(b"y1"),
+                deps: vec![(a, a1), (b, b1), (Key(1), VersionId::new(1, DcId(0)))],
+                lamport: 0,
+            },
+        );
+        let token = match ctx.drain_sent().pop() {
+            Some((_, Msg::OldReadersQuery { token, .. })) => token,
+            other => panic!("expected OldReadersQuery, got {other:?}"),
+        };
+        // The peer names both of c's ROTs again, (c,5) at an earlier read
+        // time than its read here.
+        s.on_message(
+            &mut ctx,
+            addr(1),
+            Msg::OldReadersReply {
+                token,
+                entries: vec![(tx(0, 3), 1), (tx(0, 5), 4)],
+                lamport: 0,
+            },
+        );
+        assert!(matches!(ctx.drain_to(client())[..], [Msg::PutResp { .. }]));
+        let rec = &s.store().latest(y).unwrap().meta;
+        assert_eq!(rec.bound(tx(0, 3)), None, "c's older ROT is gone");
+        assert_eq!(rec.bound(tx(0, 5)), Some(4), "smallest read time");
+        assert_eq!(rec.bound(tx(1, 0)), Some(6));
+        assert_eq!(rec.len(), 2);
+        // (c,5) must still be kept from Y1.
+        assert_eq!(do_rot(&mut s, &mut ctx, tx(0, 5), vec![y])[0].1, Some(y0));
+        // Once this server has seen (c,6), no record sealed here names c.
+        do_rot(&mut s, &mut ctx, tx(0, 6), vec![Key(12)]);
+        let z = Key(16);
+        do_put(&mut s, &mut ctx, z, vec![(b, b1)]);
+        let rec = &s.store().latest(z).unwrap().meta;
+        assert_eq!(rec.bound(tx(0, 5)), None);
+        assert_eq!(rec.bound(tx(1, 0)), Some(6), "d's ROT is still live");
+        assert_eq!(rec.len(), 1);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use contrarian_cclo::{stats, CcLo};
 use contrarian_protocol::{build_openloop_cluster, OpenLoopParams};
 use contrarian_runtime::cost::CostModel;
+use contrarian_runtime::Metrics;
 use contrarian_types::ClusterConfig;
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 
@@ -36,7 +37,7 @@ struct Pin {
     repl_checks: u64,
 }
 
-fn run(n_dcs: u8) -> Pin {
+fn measure(n_dcs: u8) -> Metrics {
     let workload = WorkloadSpec::paper_default().with_write_ratio(0.1);
     let params = OpenLoopParams {
         cfg: ClusterConfig::small().with_dcs(n_dcs),
@@ -51,7 +52,11 @@ fn run(n_dcs: u8) -> Pin {
     sim.run_until(WARMUP_NS);
     sim.metrics_mut().enabled = true;
     sim.run_until(WARMUP_NS + MEASURE_NS);
-    let m = sim.metrics();
+    sim.metrics().clone()
+}
+
+fn run(n_dcs: u8) -> Pin {
+    let m = measure(n_dcs);
     Pin {
         busy_ns: m.busy_ns,
         msgs: m.msgs,
@@ -96,4 +101,27 @@ fn two_dc_virtual_quantities_are_pinned() {
             repl_checks: 1_127,
         }
     );
+}
+
+/// Sealed records keep only ROTs that can still read (`records` module
+/// docs): at most each client's newest ROT still at or above the sealing
+/// server's floor. On these runs that is 1.7 (1 DC) and 2.2 (2 DCs) ids
+/// per record, where keeping every id the readers check returned stored
+/// 70.5 and 55.3. The check counts are the pinned ones above, so the
+/// budget is measured on the same traffic.
+#[test]
+fn sealed_block_records_stay_within_four_ids_each() {
+    for (n_dcs, checks, check_ids_cum) in [(1, 1_118, 64_449), (2, 1_124, 53_008)] {
+        let m = measure(n_dcs);
+        assert_eq!(
+            (m.counter(stats::CHECKS), m.counter(stats::CHECK_IDS_CUM)),
+            (checks, check_ids_cum)
+        );
+        let sealed = m.counter(stats::CHECKS) + m.counter(stats::REPL_CHECKS);
+        let ids = m.counter(stats::BLOCK_RECORD_IDS);
+        assert!(
+            ids <= 4 * sealed,
+            "{n_dcs} DC(s): {ids} ids stored in {sealed} sealed records"
+        );
+    }
 }
