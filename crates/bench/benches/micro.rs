@@ -207,38 +207,34 @@ fn bench_calendar_queue(c: &mut Criterion) {
     g.finish();
 }
 
-/// The open-loop driver's session calendar, also in the hold model: one
-/// iteration is one overdue `draw` — pop the earliest arrival, draw the
-/// session's next exponential gap and push it back, draw the operation.
-/// 256 driver instances are visited round-robin, as the benchmark's
-/// cluster visits its 256 driver actors: what a draw costs is set by how
-/// much of *all* calendars stays in cache, not by one hot instance. The
-/// parameter is sessions per instance (the benchmark runs 3 906).
-fn bench_session_calendar(c: &mut Criterion) {
+/// One overdue open-loop `draw`: the shard's next exponential gap, then
+/// the operation. 256 driver instances of the benchmark's 3 906 sessions
+/// are visited round-robin, as the benchmark's cluster visits its 256
+/// driver actors. A driver keeps no per-session state, so the session
+/// count is no parameter.
+fn bench_open_loop(c: &mut Criterion) {
     use contrarian_workload::{ClientDriver, OpenLoopDriver, WorkloadSpec, Zipf};
     const INSTANCES: usize = 256;
-    let mut g = c.benchmark_group("session_calendar");
+    let mut g = c.benchmark_group("open_loop");
     g.sample_size(10);
     let zipf = std::sync::Arc::new(Zipf::new(1_000, 0.99));
-    for sessions in [1_024u32, 4_096, 65_536] {
-        let mut rng = SmallRng::seed_from_u64(13);
-        let mut drivers: Vec<OpenLoopDriver> = (0..INSTANCES)
-            .map(|_| {
-                let gen = ClientDriver::new(WorkloadSpec::paper_default(), zipf.clone(), 32);
-                let mut d = OpenLoopDriver::new(gen, sessions, 1.0);
-                let _ = d.draw(0, &mut rng); // prime
-                d
-            })
-            .collect();
-        let mut i = 0usize;
-        g.bench_with_input(BenchmarkId::new("hold", sessions), &sessions, |b, _| {
-            b.iter(|| {
-                i = (i + 1) % INSTANCES;
-                // Permanently overdue: every draw is a pop and a push.
-                black_box(drivers[i].draw(u64::MAX / 2, &mut rng))
-            });
+    let mut rng = SmallRng::seed_from_u64(13);
+    let mut drivers: Vec<OpenLoopDriver> = (0..INSTANCES)
+        .map(|_| {
+            let gen = ClientDriver::new(WorkloadSpec::paper_default(), zipf.clone(), 32);
+            let mut d = OpenLoopDriver::new(gen, 3_906, 1.0);
+            let _ = d.draw(0, &mut rng); // prime
+            d
+        })
+        .collect();
+    let mut i = 0usize;
+    g.bench_function("draw", |b| {
+        b.iter(|| {
+            i = (i + 1) % INSTANCES;
+            // Permanently overdue: every draw yields an operation.
+            black_box(drivers[i].draw(u64::MAX / 2, &mut rng))
         });
-    }
+    });
     g.finish();
 }
 
@@ -560,7 +556,7 @@ criterion_group!(
     bench_mv_store,
     bench_zipf,
     bench_calendar_queue,
-    bench_session_calendar,
+    bench_open_loop,
     bench_reader_records,
     bench_sim_scale,
     bench_checker

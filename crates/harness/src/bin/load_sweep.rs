@@ -46,9 +46,9 @@ use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 use std::time::Instant;
 
 /// The session population: a million logical Poisson streams. Sessions
-/// are calendar entries (≈ 9 bytes each: an 8-byte word packing due time
-/// and list link, plus a ring head per four), not threads — the
-/// driver-actor pool stays bounded no matter the population.
+/// are neither threads nor state — each driver actor draws its shard as
+/// one merged Poisson stream — so the actor pool and its memory stay
+/// bounded no matter the population.
 const SESSIONS: u64 = 1_000_000;
 
 const BACKENDS: [Protocol; 4] = [

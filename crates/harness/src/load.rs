@@ -12,7 +12,7 @@
 //!   logical sessions ([`contrarian_workload::OpenLoopDriver`]),
 //!   multiplexed onto a bounded pool of driver actors;
 //! * the offered rate does not bend when the system slows — overdue
-//!   arrivals queue in the calendar;
+//!   arrivals queue in the driver;
 //! * latency clocks start at the *scheduled* arrival time, so driver
 //!   queueing is part of every percentile
 //!   ([`contrarian_runtime::LoadReport`]);

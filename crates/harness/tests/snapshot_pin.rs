@@ -11,11 +11,15 @@
 //! sweeps, under the calibrated cost model, at 1, 2 and 3 DCs, and names
 //! the quantity that moved instead of printing an opaque hash diff.
 //!
-//! The constants were captured on the three hand-written servers (PR 13's
-//! commit) before they were folded into `SnapshotServer`. The fold moved
-//! exactly three of them: Cure's `busy_ns`, because Cure's GC sweep used to
-//! be free in virtual time and now pays the 200 ns per dropped version the
-//! other two always paid (the arithmetic is next to each constant).
+//! The constants were first captured on the three hand-written servers
+//! before they were folded into `SnapshotServer`; the fold moved only
+//! Cure's `busy_ns`, because Cure's GC sweep used to be free in virtual
+//! time and now pays the 200 ns per dropped version the other two always
+//! paid. All of them were recaptured once since, when the open-loop driver
+//! switched from one arrival process per session to the merged Poisson
+//! stream of its shard: the arrival realization changed, equal in law, so
+//! every quantity moved as a reseed moves it (the old → new operation
+//! counts are next to each block).
 
 use contrarian_core::Contrarian;
 use contrarian_cure::Cure;
@@ -87,46 +91,58 @@ fn run<P: ProtocolSpec>(mode: RotMode, n_dcs: u8) -> Pin {
 #[test]
 #[rustfmt::skip] // one run per block, as a table
 fn contrarian_one_half_round_is_pinned() {
+    // rots 4 053 → 4 095, puts 1 909 → 1 853: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Contrarian>(RotMode::OneHalfRound, 1), Pin {
-        busy_ns: 1_353_420_070, msgs: 36_259, bytes: 2_230_841, rots: 4_053, puts: 1_909,
-        rot_p99_ns: 851_968, rot_max_ns: 1_265_189, put_p99_ns: 720_896, put_max_ns: 1_146_092,
+        busy_ns: 1_359_754_695, msgs: 36_445, bytes: 2_239_623, rots: 4_095, puts: 1_853,
+        rot_p99_ns: 950_272, rot_max_ns: 1_384_461, put_p99_ns: 802_816, put_max_ns: 1_256_296,
         block_ns: (0, 0), vis_ns: (0, 0),
-        data_stale_ns: (134, 744_052), gss_lag: (0, 0),
+        data_stale_ns: (134, 721_523), gss_lag: (0, 0),
     });
+    // rots 4 135 → 4 163, puts 1 862 → 1 852: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Contrarian>(RotMode::OneHalfRound, 2), Pin {
-        busy_ns: 1_784_566_298, msgs: 51_025, bytes: 3_136_832, rots: 4_135, puts: 1_862,
-        rot_p99_ns: 704_512, rot_max_ns: 1_159_436, put_p99_ns: 540_672, put_max_ns: 1_065_152,
-        block_ns: (0, 0), vis_ns: (1_866, 10_170_284),
-        data_stale_ns: (530, 12_746_561), gss_lag: (1_000, 790_167_552),
+        busy_ns: 1_790_996_558, msgs: 51_228, bytes: 3_145_775, rots: 4_163, puts: 1_852,
+        rot_p99_ns: 704_512, rot_max_ns: 1_051_312, put_p99_ns: 573_440, put_max_ns: 1_069_759,
+        block_ns: (0, 0), vis_ns: (1_842, 10_178_009),
+        data_stale_ns: (580, 12_939_987), gss_lag: (1_000, 789_708_800),
     });
+    // rots 4 248 → 4 193, puts 1 874 → 1 819: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Contrarian>(RotMode::OneHalfRound, 3), Pin {
-        busy_ns: 2_336_854_415, msgs: 70_983, bytes: 4_316_711, rots: 4_248, puts: 1_874,
-        rot_p99_ns: 671_744, rot_max_ns: 848_601, put_p99_ns: 524_288, put_max_ns: 898_492,
-        block_ns: (0, 0), vis_ns: (3_754, 10_177_273),
-        data_stale_ns: (827, 12_825_136), gss_lag: (1_500, 810_024_960),
+        busy_ns: 2_309_805_780, msgs: 70_433, bytes: 4_264_559, rots: 4_193, puts: 1_819,
+        rot_p99_ns: 688_128, rot_max_ns: 1_096_636, put_p99_ns: 524_288, put_max_ns: 730_643,
+        block_ns: (0, 0), vis_ns: (3_638, 10_219_352),
+        data_stale_ns: (903, 12_993_860), gss_lag: (1_500, 810_483_712),
     });
 }
 
 #[test]
 #[rustfmt::skip] // one run per block, as a table
 fn contrarian_two_round_is_pinned() {
+    // rots 4 054 → 4 097, puts 1 909 → 1 853: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Contrarian>(RotMode::TwoRound, 1), Pin {
-        busy_ns: 1_419_436_633, msgs: 44_358, bytes: 2_384_279, rots: 4_054, puts: 1_909,
-        rot_p99_ns: 1_343_488, rot_max_ns: 2_688_594, put_p99_ns: 1_048_576, put_max_ns: 2_229_743,
+        busy_ns: 1_427_830_824, msgs: 44_657, bytes: 2_396_592, rots: 4_097, puts: 1_853,
+        rot_p99_ns: 1_441_792, rot_max_ns: 2_251_493, put_p99_ns: 1_146_880, put_max_ns: 1_773_196,
         block_ns: (0, 0), vis_ns: (0, 0),
-        data_stale_ns: (280, 856_328), gss_lag: (0, 0),
+        data_stale_ns: (276, 888_095), gss_lag: (0, 0),
     });
+    // rots 4 133 → 4 161, puts 1 862 → 1 852: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Contrarian>(RotMode::TwoRound, 2), Pin {
-        busy_ns: 1_851_185_335, msgs: 59_281, bytes: 3_359_575, rots: 4_133, puts: 1_862,
-        rot_p99_ns: 1_015_808, rot_max_ns: 1_679_611, put_p99_ns: 786_432, put_max_ns: 1_357_910,
-        block_ns: (0, 0), vis_ns: (1_866, 10_159_311),
-        data_stale_ns: (637, 12_489_686), gss_lag: (1_000, 790_167_552),
+        busy_ns: 1_858_055_381, msgs: 59_546, bytes: 3_369_797, rots: 4_161, puts: 1_852,
+        rot_p99_ns: 1_032_192, rot_max_ns: 1_666_069, put_p99_ns: 835_584, put_max_ns: 1_507_887,
+        block_ns: (0, 0), vis_ns: (1_842, 10_149_575),
+        data_stale_ns: (694, 13_231_856), gss_lag: (1_000, 789_708_800),
     });
+    // rots 4 247 → 4 194, puts 1 874 → 1 819: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Contrarian>(RotMode::TwoRound, 3), Pin {
-        busy_ns: 2_404_678_994, msgs: 79_471, bytes: 4_614_113, rots: 4_247, puts: 1_874,
-        rot_p99_ns: 966_656, rot_max_ns: 1_318_029, put_p99_ns: 671_744, put_max_ns: 1_192_682,
-        block_ns: (0, 0), vis_ns: (3_754, 10_161_545),
-        data_stale_ns: (950, 12_942_515), gss_lag: (1_500, 810_024_960),
+        busy_ns: 2_376_857_718, msgs: 78_825, bytes: 4_558_541, rots: 4_194, puts: 1_819,
+        rot_p99_ns: 999_424, rot_max_ns: 1_665_848, put_p99_ns: 688_128, put_max_ns: 962_228,
+        block_ns: (0, 0), vis_ns: (3_638, 10_171_003),
+        data_stale_ns: (1_006, 13_111_305), gss_lag: (1_500, 810_483_712),
     });
 }
 
@@ -135,25 +151,28 @@ fn contrarian_two_round_is_pinned() {
 fn cure_is_pinned_and_parks() {
     let pins = [
         (1, Pin {
-            // busy_ns: 1_419_007_438 before the fold + 200 ns × 744 versions the GC dropped.
-            busy_ns: 1_419_156_238, msgs: 44_351, bytes: 2_383_933, rots: 4_054, puts: 1_909,
-            rot_p99_ns: 2_359_296, rot_max_ns: 4_268_936, put_p99_ns: 1_933_312, put_max_ns: 3_399_582,
-            block_ns: (4_196, 408_681), vis_ns: (0, 0),
-            data_stale_ns: (350, 864_209), gss_lag: (0, 0),
+            // rots 4 054 → 4 094, puts 1 909 → 1 853: the arrival realization
+            // changed (one merged stream per actor), equal in law.
+            busy_ns: 1_427_913_436, msgs: 44_662, bytes: 2_396_786, rots: 4_094, puts: 1_853,
+            rot_p99_ns: 2_424_832, rot_max_ns: 4_111_048, put_p99_ns: 1_933_312, put_max_ns: 3_090_651,
+            block_ns: (4_236, 408_503), vis_ns: (0, 0),
+            data_stale_ns: (323, 892_039), gss_lag: (0, 0),
         }),
         (2, Pin {
-            // busy_ns: 1_850_694_476 before the fold + 200 ns × 1379 versions the GC dropped.
-            busy_ns: 1_850_970_276, msgs: 59_275, bytes: 3_359_210, rots: 4_133, puts: 1_862,
-            rot_p99_ns: 1_638_400, rot_max_ns: 2_550_176, put_p99_ns: 1_179_648, put_max_ns: 1_756_496,
-            block_ns: (3_676, 456_560), vis_ns: (1_866, 10_159_311),
-            data_stale_ns: (700, 13_102_078), gss_lag: (1_000, 790_167_552),
+            // rots 4 133 → 4 163, puts 1 862 → 1 852: the arrival realization
+            // changed (one merged stream per actor), equal in law.
+            busy_ns: 1_858_392_439, msgs: 59_557, bytes: 3_370_640, rots: 4_163, puts: 1_852,
+            rot_p99_ns: 1_638_400, rot_max_ns: 2_715_964, put_p99_ns: 1_114_112, put_max_ns: 2_650_805,
+            block_ns: (3_687, 443_456), vis_ns: (1_842, 10_157_383),
+            data_stale_ns: (770, 13_242_775), gss_lag: (1_000, 790_036_480),
         }),
         (3, Pin {
-            // busy_ns: 2_403_998_567 before the fold + 200 ns × 2095 versions the GC dropped.
-            busy_ns: 2_404_417_567, msgs: 79_461, bytes: 4_613_857, rots: 4_249, puts: 1_873,
-            rot_p99_ns: 1_605_632, rot_max_ns: 2_161_025, put_p99_ns: 1_048_576, put_max_ns: 1_762_974,
-            block_ns: (4_374, 497_700), vis_ns: (3_754, 10_161_545),
-            data_stale_ns: (1_004, 13_173_511), gss_lag: (1_500, 810_024_960),
+            // rots 4 249 → 4 195, puts 1 873 → 1 819: the arrival realization
+            // changed (one merged stream per actor), equal in law.
+            busy_ns: 2_376_567_997, msgs: 78_811, bytes: 4_557_982, rots: 4_195, puts: 1_819,
+            rot_p99_ns: 1_572_864, rot_max_ns: 2_966_476, put_p99_ns: 1_048_576, put_max_ns: 2_210_407,
+            block_ns: (4_248, 497_700), vis_ns: (3_638, 10_171_003),
+            data_stale_ns: (1_069, 13_463_122), gss_lag: (1_500, 811_335_680),
         }),
     ];
     for (n_dcs, pin) in pins {
@@ -165,22 +184,28 @@ fn cure_is_pinned_and_parks() {
 #[test]
 #[rustfmt::skip] // one run per block, as a table
 fn okapi_is_pinned() {
+    // rots 4 054 → 4 097, puts 1 909 → 1 853: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Okapi>(RotMode::TwoRound, 1), Pin {
-        busy_ns: 1_419_436_633, msgs: 44_358, bytes: 2_384_279, rots: 4_054, puts: 1_909,
-        rot_p99_ns: 1_343_488, rot_max_ns: 2_688_594, put_p99_ns: 1_048_576, put_max_ns: 2_229_743,
+        busy_ns: 1_427_830_824, msgs: 44_657, bytes: 2_396_592, rots: 4_097, puts: 1_853,
+        rot_p99_ns: 1_441_792, rot_max_ns: 2_251_493, put_p99_ns: 1_146_880, put_max_ns: 1_773_196,
         block_ns: (0, 0), vis_ns: (0, 0),
-        data_stale_ns: (280, 856_328), gss_lag: (0, 0),
+        data_stale_ns: (276, 888_095), gss_lag: (0, 0),
     });
+    // rots 4 133 → 4 161, puts 1 862 → 1 852: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Okapi>(RotMode::TwoRound, 2), Pin {
-        busy_ns: 1_851_185_335, msgs: 59_281, bytes: 3_359_575, rots: 4_133, puts: 1_862,
-        rot_p99_ns: 1_015_808, rot_max_ns: 1_679_611, put_p99_ns: 786_432, put_max_ns: 1_357_910,
-        block_ns: (0, 0), vis_ns: (1_866, 10_159_311),
-        data_stale_ns: (637, 12_489_686), gss_lag: (1_000, 790_167_552),
+        busy_ns: 1_858_055_381, msgs: 59_546, bytes: 3_369_797, rots: 4_161, puts: 1_852,
+        rot_p99_ns: 1_032_192, rot_max_ns: 1_666_069, put_p99_ns: 835_584, put_max_ns: 1_507_887,
+        block_ns: (0, 0), vis_ns: (1_842, 10_149_575),
+        data_stale_ns: (694, 13_231_856), gss_lag: (1_000, 789_708_800),
     });
+    // rots 4 247 → 4 194, puts 1 874 → 1 819: the arrival realization
+    // changed (one merged stream per actor), equal in law.
     assert_eq!(run::<Okapi>(RotMode::TwoRound, 3), Pin {
-        busy_ns: 2_404_805_498, msgs: 79_471, bytes: 4_614_079, rots: 4_247, puts: 1_874,
-        rot_p99_ns: 983_040, rot_max_ns: 1_318_029, put_p99_ns: 671_744, put_max_ns: 1_192_682,
-        block_ns: (0, 0), vis_ns: (3_754, 10_161_545),
-        data_stale_ns: (1_165, 12_942_515), gss_lag: (1_500, 810_024_960),
+        busy_ns: 2_376_959_222, msgs: 78_825, bytes: 4_558_507, rots: 4_194, puts: 1_819,
+        rot_p99_ns: 999_424, rot_max_ns: 1_665_848, put_p99_ns: 688_128, put_max_ns: 962_228,
+        block_ns: (0, 0), vis_ns: (3_638, 10_171_003),
+        data_stale_ns: (1_181, 13_111_305), gss_lag: (1_500, 810_483_712),
     });
 }

@@ -27,8 +27,8 @@ pub enum OpSource {
     /// Closed-loop generation (the paper's experiments): always yields an
     /// operation, the next one the instant the previous completes.
     Closed(ClientDriver),
-    /// Open-loop generation (saturation experiments): a Poisson arrival
-    /// calendar over a shard of logical sessions.
+    /// Open-loop generation (saturation experiments): the merged Poisson
+    /// arrival stream of a shard of logical sessions.
     Open(OpenLoopDriver),
     /// An externally fed queue (interactive facade): yields whatever has
     /// been injected, if anything.

@@ -81,7 +81,9 @@ impl WorkloadSpec {
 pub struct OpenLoopSpec {
     /// The operation mix (Table 1 knobs) every session draws from.
     pub workload: WorkloadSpec,
-    /// Total logical sessions across the whole cluster.
+    /// Total logical sessions across the whole cluster. A driver actor
+    /// keeps no per-session state: only `sessions × session_rate` per
+    /// actor — its shard's aggregate rate — shapes its arrival stream.
     pub sessions: u64,
     /// Aggregate offered rate across all sessions, operations per second.
     pub offered_ops_per_sec: f64,

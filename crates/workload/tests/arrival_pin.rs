@@ -1,11 +1,14 @@
 //! Pins the open-loop arrival stream itself: the first 50 000 draws of one
 //! driver actor's session shard (the repo benchmark's shape: 3 906
 //! sessions at 1 op/s each), hashed over `(intended, op)` and every
-//! `Wait { due }` answer. The constants were captured on the commit
-//! *before* the session schedule moved off its binary heap, so a rewrite
-//! of the schedule that reorders a tie, loses an overdue arrival or
-//! consumes the RNG in a different order fails here by name rather than
-//! as an opaque golden-fingerprint diff in the harness.
+//! `Wait { due }` answer. The constants were captured after the driver
+//! switched from one arrival process per session to the merged Poisson
+//! stream of its shard, which changed the realization (equal in law) and
+//! the RNG contract: one gap to prime, then a gap and an operation per
+//! arrival. A change to the stream that loses an overdue arrival, anchors
+//! a gap at the polling instant or consumes the RNG in a different order
+//! fails here by name rather than as an opaque golden-fingerprint diff in
+//! the harness.
 
 use contrarian_types::Op;
 use contrarian_workload::{ClientDriver, Draw, OpenLoopDriver, WorkloadSpec, Zipf};
@@ -84,10 +87,10 @@ fn arrival_hash(theta: f64) -> u64 {
 
 #[test]
 fn arrivals_are_bit_identical_to_the_pinned_schedule_zipf_099() {
-    assert_eq!(arrival_hash(0.99), 10_140_496_617_570_893_609);
+    assert_eq!(arrival_hash(0.99), 17_798_837_103_018_621_614);
 }
 
 #[test]
 fn arrivals_are_bit_identical_to_the_pinned_schedule_uniform() {
-    assert_eq!(arrival_hash(0.0), 14_574_694_388_111_403_856);
+    assert_eq!(arrival_hash(0.0), 9_842_176_183_562_199_843);
 }

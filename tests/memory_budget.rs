@@ -1,5 +1,5 @@
-//! Memory budgets of the three layouts whose cost is per key, per link and
-//! per open-loop session.
+//! Memory budgets of the layouts whose cost is per key and per link, and
+//! of the open-loop driver, whose cost must not be per session.
 //!
 //! The benchmark's `peak_rss_mb` prices these end to end, but only when
 //! somebody runs it; the four budgets here hold the same ground in tier-1.
@@ -165,31 +165,30 @@ fn link_state_stays_within_2_kb_per_node() {
     );
 }
 
-/// An open-loop driver actor's session calendar is one word per session
-/// plus a `u32` ring head per four sessions: 9.3 B per session on a primed
-/// 100 000-session shard at the benchmark's 1 op/s (32 768 heads), against
-/// 17.2 B when each session held an 8-byte due time, a 4-byte link and a
-/// ring slot of its own. A tenth of a virtual second of draws afterwards
-/// puts the loaded bucket at its steady size.
+/// An open-loop driver actor draws its shard's merged Poisson stream and
+/// keeps nothing per session: primed and run for a tenth of a virtual
+/// second at the same shard rate (100 K arrivals/s), a 1 000-session and a
+/// 1 000 000-session driver hold the same live heap, at most 256 B. Even
+/// one word per session would differ by ≈ 8 MB here.
 #[test]
-fn primed_session_calendar_stays_within_10_bytes_per_session() {
-    const SESSIONS: u32 = 100_000;
-    let zipf = Arc::new(Zipf::new(1_000, 0.99));
-    let gen = ClientDriver::new(WorkloadSpec::paper_default(), zipf, 32);
-    let mut rng = SmallRng::seed_from_u64(1);
-    let (_, before) = heap();
-    let mut driver = OpenLoopDriver::new(gen, SESSIONS, 1.0);
-    let mut ops = 0;
-    for now in (0..=100_000_000).step_by(1_000_000) {
-        while let Draw::Op { .. } = driver.draw(now, &mut rng) {
-            ops += 1;
+fn open_loop_driver_heap_does_not_grow_with_its_sessions() {
+    let live_after_draws = |sessions: u32| {
+        let zipf = Arc::new(Zipf::new(1_000, 0.99));
+        let gen = ClientDriver::new(WorkloadSpec::paper_default(), zipf, 32);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let (_, before) = heap();
+        let mut driver = OpenLoopDriver::new(gen, sessions, 1e5 / sessions as f64);
+        let mut ops = 0;
+        for now in (0..=100_000_000).step_by(1_000_000) {
+            while let Draw::Op { .. } = driver.draw(now, &mut rng) {
+                ops += 1;
+            }
         }
-    }
-    let per_session = (heap().1 - before) as f64 / SESSIONS as f64;
-    // Not vacuous: ≈ 10 000 arrivals were drawn and rescheduled.
-    assert!(ops > 9_000, "{ops} arrivals");
-    assert!(
-        per_session <= 10.0,
-        "{per_session:.2} live heap bytes per session"
-    );
+        // Not vacuous: ≈ 10 000 arrivals were drawn.
+        assert!(ops > 9_000, "{sessions} sessions: {ops} arrivals");
+        heap().1 - before
+    };
+    let (few, many) = (live_after_draws(1_000), live_after_draws(1_000_000));
+    assert_eq!(few, many, "live heap bytes at 1 000 vs 1 000 000 sessions");
+    assert!(few <= 256, "{few} live heap bytes");
 }
