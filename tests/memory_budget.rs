@@ -2,23 +2,25 @@
 //! of the open-loop driver, whose cost must not be per session.
 //!
 //! The benchmark's `peak_rss_mb` prices these end to end, but only when
-//! somebody runs it; the four budgets here hold the same ground in tier-1.
+//! somebody runs it; the budgets here hold the same ground in tier-1.
 //! The heap figures come from this binary's own counting allocator (an
 //! integration test is its own binary), kept per thread because the test
 //! harness runs every `#[test]` on a thread of its own: what one test
 //! allocates never shows up in another's reading.
 
+use contrarian::cclo::{ReaderEntry, ReaderSet};
 use contrarian::okapi::Okapi;
 use contrarian::protocol::{build_cluster_with, ClusterParams};
 use contrarian::sim::cost::CostModel;
 use contrarian::sim::SchedKind;
 use contrarian::storage::{Chain, MvStore, Version};
-use contrarian::types::{ClusterConfig, DcId, DepVector, Key, Value, VersionId};
+use contrarian::types::{ClientId, ClusterConfig, DcId, DepVector, Key, TxId, Value, VersionId};
 use contrarian::workload::{ClientDriver, Draw, OpenLoopDriver, WorkloadSpec, Zipf};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 thread_local! {
@@ -191,4 +193,53 @@ fn open_loop_driver_heap_does_not_grow_with_its_sessions() {
     let (few, many) = (live_after_draws(1_000), live_after_draws(1_000_000));
     assert_eq!(few, many, "live heap bytes at 1 000 vs 1 000 000 sessions");
     assert!(few <= 256, "{few} live heap bytes");
+}
+
+fn reader(client: u16) -> ReaderEntry {
+    ReaderEntry {
+        tx: TxId::new(ClientId::new(DcId(0), client), 1),
+        read_time: 1,
+        read_version_ts: 1,
+        inserted_at: 0,
+    }
+}
+
+/// A key's first reader lives in the set itself; the second moves both
+/// into one exact two-element vector.
+#[test]
+fn first_reader_of_a_key_does_not_allocate() {
+    let mut set = ReaderSet::new();
+    let (n0, live0) = heap();
+    set.insert(reader(1));
+    assert_eq!(heap(), (n0, live0), "one reader is stored inline");
+    set.insert(reader(2));
+    let two = 2 * std::mem::size_of::<ReaderEntry>() as i64;
+    assert_eq!(
+        heap(),
+        (n0 + 1, live0 + two),
+        "promotion is one exact block"
+    );
+    assert_eq!(set.len(), 2);
+}
+
+/// Most keys a CC-LO partition tracks readers for have exactly one (3 327
+/// of 3 707 on `sim_write_cclo`'s overload rung), and such a key costs a
+/// table slot and nothing else. Measured 64.2 B per key (65 536 slots of
+/// 8 + 40 + 1 B for 50 000 keys); a set that kept its one reader in a
+/// vector made it 171.3 B (65 536 slots of 8 + 24 + 1 B plus a 128-byte
+/// block of four entry slots per key).
+#[test]
+fn single_reader_keys_stay_within_80_bytes_per_key() {
+    const KEYS: u64 = 50_000;
+    let (_, before) = heap();
+    let mut readers: HashMap<Key, ReaderSet> = HashMap::new();
+    for k in 0..KEYS {
+        readers.entry(Key(k)).or_default().insert(reader(k as u16));
+    }
+    let per_key = (heap().1 - before) as f64 / KEYS as f64;
+    assert_eq!(readers.len(), KEYS as usize);
+    assert!(
+        per_key <= 80.0,
+        "{per_key:.1} live heap bytes per single-reader key"
+    );
 }
