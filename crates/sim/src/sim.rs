@@ -274,7 +274,11 @@ impl<A: Actor> Sim<A> {
         let mut addrs = Vec::with_capacity(self.staging.len());
         let mut locate = Vec::with_capacity(self.staging.len());
         let mut shard_dcs: Vec<Vec<u8>> = vec![Vec::new(); n_shards];
-        for (gid, (addr, actor, workers)) in self.staging.drain(..).enumerate() {
+        // `take`, not `drain`: the registration buffer is freed with it
+        // (1 152 slots at 1 152 nodes).
+        for (gid, (addr, actor, workers)) in
+            std::mem::take(&mut self.staging).into_iter().enumerate()
+        {
             let shard = shard_of(addr, dc_shards, groups, &server_span, &client_span);
             let dc = addr.dc.index() as u8;
             if !shard_dcs[shard].contains(&dc) {
@@ -943,6 +947,19 @@ mod tests {
         sim.start();
         sim.run_to_quiescence(u64::MAX);
         assert!(sim.drain_trace().is_empty());
+    }
+
+    /// Once the nodes live in their shards, neither the registration
+    /// buffer nor the registration index holds a block.
+    #[test]
+    fn start_frees_the_registration_state() {
+        for sched in ALL_ENGINES {
+            let mut sim = mk_with(sched);
+            assert!(sim.staging.capacity() >= 2);
+            sim.start();
+            assert_eq!(sim.staging.capacity(), 0, "{sched:?}");
+            assert_eq!(sim.index.capacity(), 0, "{sched:?}");
+        }
     }
 
     #[test]

@@ -390,11 +390,7 @@ impl Wire for DepVector {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = u32::decode(r)? as usize;
         r.check_len(len, 8)?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(u64::decode(r)?);
-        }
-        Ok(DepVector::from_vec(v))
+        DepVector::try_from_fn(len, || u64::decode(r))
     }
 }
 

@@ -98,12 +98,14 @@ fn version(ts: u64) -> Version<DepVector> {
 }
 
 /// A store of write-once keys — the uniform-key tier's whole data set —
-/// costs a table bucket and a dependency vector per key and nothing else.
-/// Measured 122.2 B per key (65 536 buckets of 8 + 72 + 1 B for 50 000
-/// keys, plus the 16-byte vector); a heap-allocated chain made it 347.3 B
-/// (a 288-byte block of four version slots per key).
+/// costs a table bucket per key and nothing else: the version and its
+/// two-DC dependency vector live inline in the bucket's chain. Measured
+/// 106.2 B per key (65 536 buckets of 8 + 72 + 1 B for 50 000 keys);
+/// a heap-allocated vector made it 122.2 B (plus a 16-byte block per key)
+/// and a heap-allocated chain 347.3 B (a 288-byte block of four version
+/// slots per key).
 #[test]
-fn distinct_key_puts_stay_within_160_bytes_per_key() {
+fn distinct_key_puts_stay_within_112_bytes_per_key() {
     const KEYS: u64 = 50_000;
     let (_, before) = heap();
     let mut store = MvStore::new();
@@ -113,7 +115,7 @@ fn distinct_key_puts_stay_within_160_bytes_per_key() {
     let per_key = (heap().1 - before) as f64 / KEYS as f64;
     assert_eq!(store.n_versions(), KEYS as usize);
     assert!(
-        per_key <= 160.0,
+        per_key <= 112.0,
         "{per_key:.1} live heap bytes per single-version key"
     );
 }
@@ -137,6 +139,42 @@ fn first_insert_into_a_chain_does_not_allocate() {
     assert_eq!(chain.len(), 2);
 }
 
+/// A dependency vector of one or two DCs lives inline: building, copying
+/// and joining one allocates nothing. From three DCs on it is one exact
+/// boxed slice.
+#[test]
+fn dependency_vectors_of_up_to_two_dcs_do_not_allocate() {
+    for m in 1..=2 {
+        let entries: Vec<u64> = (1..=m as u64).collect();
+        let (n0, live0) = heap();
+        let a = DepVector::zero(m);
+        let b = a.clone();
+        let c = b.joined(&a);
+        assert_eq!(heap(), (n0, live0), "zero, clone and joined at {m} DCs");
+        let d = DepVector::from_vec(entries);
+        assert_eq!(heap().0, n0, "from_vec at {m} DCs");
+        assert!(c.leq(&d));
+    }
+    let (n0, live0) = heap();
+    let z = DepVector::zero(3);
+    assert_eq!(heap(), (n0 + 1, live0 + 24), "zero(3) is one exact block");
+    assert_eq!(z.len(), 3);
+}
+
+const CLIENTS_PER_DC: u16 = 512;
+
+/// The 2 × 64-server, 1 024-client geometry of `sim_scale_okapi`, with
+/// closed-loop clients.
+fn okapi_2dc_params() -> ClusterParams {
+    ClusterParams {
+        cfg: ClusterConfig::small().with_dcs(2).with_partitions(64),
+        cost: CostModel::functional(),
+        workload: WorkloadSpec::paper_default(),
+        clients_per_dc: CLIENTS_PER_DC,
+        seed: 17,
+    }
+}
+
 /// Link FIFO state follows what a sender reaches: on the 2 × 64-server,
 /// 1 024-client geometry of `sim_scale_okapi` a client's row is the 64
 /// servers of its DC (512 B) and a server's at most both DCs' servers plus
@@ -144,17 +182,8 @@ fn first_insert_into_a_chain_does_not_allocate() {
 /// spanned all 1 152 nodes.
 #[test]
 fn link_state_stays_within_2_kb_per_node() {
-    const CLIENTS_PER_DC: u16 = 512;
-    let cfg = ClusterConfig::small().with_dcs(2).with_partitions(64);
     let nodes = 2 * (64 + CLIENTS_PER_DC as usize);
-    let params = ClusterParams {
-        cfg,
-        cost: CostModel::functional(),
-        workload: WorkloadSpec::paper_default(),
-        clients_per_dc: CLIENTS_PER_DC,
-        seed: 17,
-    };
-    let mut sim = build_cluster_with::<Okapi>(&params, SchedKind::Calendar);
+    let mut sim = build_cluster_with::<Okapi>(&okapi_2dc_params(), SchedKind::Calendar);
     sim.start();
     sim.run_until(5_000_000);
     let bytes = sim.link_state_bytes();
@@ -165,6 +194,27 @@ fn link_state_stays_within_2_kb_per_node() {
         "{} B of link state per node",
         bytes / nodes
     );
+}
+
+/// Host allocations per completed operation on the same geometry, counted
+/// over one virtual millisecond after a warm-up, metrics on: 26 428
+/// operations. Measured 10.84 per operation with inline dependency vectors
+/// and 15.85 when each vector was a heap block; those vectors coming back,
+/// or one more allocation per message, crosses the ceiling.
+#[test]
+fn okapi_operations_stay_within_13_allocations_each() {
+    let mut sim = build_cluster_with::<Okapi>(&okapi_2dc_params(), SchedKind::Calendar);
+    sim.start();
+    sim.run_until(2_000_000);
+    sim.metrics_mut().enabled = true;
+    let (n0, _) = heap();
+    sim.run_until(3_000_000);
+    let allocs = heap().0 - n0;
+    let ops = sim.metrics().ops_done();
+    // Not vacuous: tens of thousands of operations completed.
+    assert!(ops > 10_000, "{ops} operations");
+    let per_op = allocs as f64 / ops as f64;
+    assert!(per_op <= 13.0, "{per_op:.2} allocations per operation");
 }
 
 /// An open-loop driver actor draws its shard's merged Poisson stream and
