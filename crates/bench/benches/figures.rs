@@ -25,7 +25,6 @@ fn mini_experiment(protocol: Protocol, dcs: u8, workload: WorkloadSpec) -> Exper
         cost: CostModel::calibrated(),
         record: false,
         sched: SchedKind::from_env(),
-        shard_groups: None,
         lookahead: Default::default(),
     }
 }

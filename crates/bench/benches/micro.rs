@@ -405,7 +405,6 @@ fn bench_sim_scale(c: &mut Criterion) {
     struct Engine {
         label: &'static str,
         sched: SchedKind,
-        groups: Option<u16>,
         lookahead: Lookahead,
     }
 
@@ -436,9 +435,6 @@ fn bench_sim_scale(c: &mut Criterion) {
                 );
             }
         }
-        if let Some(g) = e.groups {
-            sim.set_shard_groups(g);
-        }
         sim.set_lookahead(e.lookahead);
         sim.start();
         sim.run_until(HORIZON_NS);
@@ -448,7 +444,6 @@ fn bench_sim_scale(c: &mut Criterion) {
     const CALENDAR: Engine = Engine {
         label: "calendar",
         sched: SchedKind::Calendar,
-        groups: None,
         lookahead: Lookahead::Matrix,
     };
     // Tier 1: engine comparison at 4 DCs, DC-granular shards.
@@ -456,14 +451,12 @@ fn bench_sim_scale(c: &mut Criterion) {
         Engine {
             label: "heap",
             sched: SchedKind::Heap,
-            groups: None,
             lookahead: Lookahead::Matrix,
         },
         CALENDAR,
         Engine {
             label: "sharded",
-            sched: SchedKind::Sharded { shards: 0 },
-            groups: None,
+            sched: SchedKind::sharded(1),
             lookahead: Lookahead::Matrix,
         },
     ];
@@ -473,14 +466,12 @@ fn bench_sim_scale(c: &mut Criterion) {
         CALENDAR,
         Engine {
             label: "sharded_scalar",
-            sched: SchedKind::Sharded { shards: 0 },
-            groups: None,
+            sched: SchedKind::sharded(1),
             lookahead: Lookahead::Scalar,
         },
         Engine {
             label: "sharded_matrix",
-            sched: SchedKind::Sharded { shards: 0 },
-            groups: Some(4),
+            sched: SchedKind::sharded(4),
             lookahead: Lookahead::Matrix,
         },
     ];

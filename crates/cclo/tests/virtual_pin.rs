@@ -12,10 +12,12 @@
 //! before they were rebuilt on flat vectors, and recaptured once since,
 //! when the open-loop driver switched from one arrival process per session
 //! to the merged Poisson stream of its shard (the old → new check counts
-//! are next to each block).
+//! are next to each block). Every engine of [`ENGINES`] must reproduce
+//! them.
 
 use contrarian_cclo::{stats, CcLo};
-use contrarian_protocol::{build_openloop_cluster, OpenLoopParams};
+use contrarian_protocol::conformance::{SchedKind, ENGINES};
+use contrarian_protocol::{build_openloop_cluster_with, OpenLoopParams};
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::Metrics;
 use contrarian_types::ClusterConfig;
@@ -40,7 +42,7 @@ struct Pin {
     repl_checks: u64,
 }
 
-fn measure(n_dcs: u8) -> Metrics {
+fn measure(n_dcs: u8, sched: SchedKind) -> Metrics {
     let workload = WorkloadSpec::paper_default().with_write_ratio(0.1);
     let params = OpenLoopParams {
         cfg: ClusterConfig::small().with_dcs(n_dcs),
@@ -48,9 +50,11 @@ fn measure(n_dcs: u8) -> Metrics {
         spec: OpenLoopSpec::new(workload, 20_000, 12_000.0).with_actors_per_dc(16),
         seed: 7,
     };
-    // Engine from `CONTRARIAN_SCHED`: the CI matrix legs re-run this pin
-    // under every engine, which must agree to the last nanosecond.
-    let mut sim = build_openloop_cluster::<CcLo>(&params);
+    let mut sim = build_openloop_cluster_with::<CcLo>(&params, sched);
+    // Serial windows: the thread count never changes a run, and spawning
+    // threads for every hop-wide sub-DC window costs several times the
+    // serial run. The determinism tests force the parallel path.
+    sim.set_shard_threads(1);
     sim.start();
     sim.run_until(WARMUP_NS);
     sim.metrics_mut().enabled = true;
@@ -58,8 +62,8 @@ fn measure(n_dcs: u8) -> Metrics {
     sim.metrics().clone()
 }
 
-fn run(n_dcs: u8) -> Pin {
-    let m = measure(n_dcs);
+fn run(n_dcs: u8, sched: SchedKind) -> Pin {
+    let m = measure(n_dcs, sched);
     Pin {
         busy_ns: m.busy_ns,
         msgs: m.msgs,
@@ -72,12 +76,20 @@ fn run(n_dcs: u8) -> Pin {
     }
 }
 
+/// Runs `n_dcs` under every engine of [`ENGINES`]; each must reproduce
+/// `want` to the last nanosecond.
+fn assert_pinned(n_dcs: u8, want: Pin) {
+    for sched in ENGINES {
+        assert_eq!(run(n_dcs, sched), want, "{n_dcs} DC(s) on {sched:?}");
+    }
+}
+
 #[test]
 fn single_dc_virtual_quantities_are_pinned() {
     // checks 1 118 → 1 130: the arrival realization changed (one merged
     // stream per actor), equal in law.
-    assert_eq!(
-        run(1),
+    assert_pinned(
+        1,
         Pin {
             busy_ns: 1_052_822_415,
             msgs: 27_580,
@@ -87,7 +99,7 @@ fn single_dc_virtual_quantities_are_pinned() {
             check_ids_distinct: 15_386,
             check_bytes: 1_072_704,
             repl_checks: 0,
-        }
+        },
     );
 }
 
@@ -95,8 +107,8 @@ fn single_dc_virtual_quantities_are_pinned() {
 fn two_dc_virtual_quantities_are_pinned() {
     // checks 1 124 → 1 093, repl_checks 1 127 → 1 096: the arrival
     // realization changed (one merged stream per actor), equal in law.
-    assert_eq!(
-        run(2),
+    assert_pinned(
+        2,
         Pin {
             busy_ns: 1_368_045_417,
             msgs: 34_099,
@@ -106,7 +118,7 @@ fn two_dc_virtual_quantities_are_pinned() {
             check_ids_distinct: 14_577,
             check_bytes: 903_008,
             repl_checks: 1_096,
-        }
+        },
     );
 }
 
@@ -116,11 +128,12 @@ fn two_dc_virtual_quantities_are_pinned() {
 /// per record (1 850 in 1 130 and 5 340 in 2 189); on the per-session
 /// arrival realization it was 1.7 and 2.2, where keeping every id the
 /// readers check returned stored 70.5 and 55.3. The check counts are the
-/// pinned ones above, so the budget is measured on the same traffic.
+/// pinned ones above, so the budget is measured on the same traffic (the
+/// pins hold every engine to it, so the calendar run stands for all).
 #[test]
 fn sealed_block_records_stay_within_four_ids_each() {
     for (n_dcs, checks, check_ids_cum) in [(1, 1_130, 67_044), (2, 1_093, 56_438)] {
-        let m = measure(n_dcs);
+        let m = measure(n_dcs, SchedKind::Calendar);
         assert_eq!(
             (m.counter(stats::CHECKS), m.counter(stats::CHECK_IDS_CUM)),
             (checks, check_ids_cum)

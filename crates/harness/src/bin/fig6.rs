@@ -43,7 +43,6 @@ fn main() {
             cost: CostModel::calibrated(),
             record: false,
             sched: SchedKind::from_env(),
-            shard_groups: None,
             lookahead: Default::default(),
         };
         let r = run_experiment(&cfg);

@@ -17,9 +17,8 @@
 //! * **sim** — the deterministic discrete-event simulator (virtual time,
 //!   calibrated cost model; engine from `CONTRARIAN_SCHED`), all four
 //!   backends;
-//! * **net** — the TCP runtime on loopback sockets (wall-clock time,
-//!   socket engine from `CONTRARIAN_NET`, reactor by default), all four
-//!   backends.
+//! * **net** — the TCP reactor on loopback sockets (wall-clock time), all
+//!   four backends.
 //!
 //! One load point additionally re-runs recorded with the streaming causal
 //! checker attached: the history is verified end to end while periodic
@@ -35,7 +34,6 @@ use contrarian_harness::load::{
     LoadConfig, SaturationSweep,
 };
 use contrarian_harness::table;
-use contrarian_net::NetKind;
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::LoadReport;
 use contrarian_runtime::trace::{chrome_trace_json, summarize};
@@ -80,7 +78,6 @@ fn base_config(
         seed: 42,
         cost: CostModel::calibrated(),
         sched: SchedKind::from_env(),
-        shard_groups: None,
         lookahead: Default::default(),
     }
 }
@@ -277,7 +274,6 @@ fn main() {
     }
 
     // ---- TCP sweep (wall clock, loopback sockets). ----------------------
-    let kind = NetKind::from_env();
     let (net_warmup, net_measure, net_ramp) = if smoke {
         (
             300_000_000,
@@ -299,7 +295,7 @@ fn main() {
             },
         )
     };
-    eprintln!("== open-loop net sweep: {SESSIONS} sessions, loopback TCP, engine={kind:?} ==");
+    eprintln!("== open-loop net sweep: {SESSIONS} sessions, loopback TCP reactor ==");
     let mut net_rows = Vec::new();
     for protocol in BACKENDS {
         let base = base_config(protocol, ClusterConfig::small(), net_warmup, net_measure);
@@ -309,7 +305,7 @@ fn main() {
             net_ramp.start_rate,
             net_ramp.factor,
             net_ramp.max_points,
-            |cfg| run_load_net(cfg, kind),
+            run_load_net,
         );
         print_sweep("net", &sweep, &mut net_rows);
         eprintln!(

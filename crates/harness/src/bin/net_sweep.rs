@@ -107,7 +107,6 @@ fn predict_sim(
         cost: CostModel::calibrated(),
         record: false,
         sched: contrarian_sim::SchedKind::from_env(),
-        shard_groups: None,
         lookahead: Default::default(),
     });
     (r.avg_rot_ms, r.p99_rot_ms, r.avg_put_ms)
@@ -181,12 +180,9 @@ fn main() {
         rows.push(point_row("CC-LO", &net, sim_rot, sim_p99, sim_put));
     }
 
-    let engine = match contrarian_protocol::conformance::NetKind::from_env() {
-        contrarian_protocol::conformance::NetKind::Reactor => "reactor",
-        contrarian_protocol::conformance::NetKind::Threads => "threads",
-    };
-    println!("\n=== net_sweep: ROT latency over loopback TCP vs simulator prediction ===");
-    println!("    (socket engine: {engine} — select with CONTRARIAN_NET=reactor|threads)\n");
+    println!(
+        "\n=== net_sweep: ROT latency over the loopback TCP reactor vs simulator prediction ===\n"
+    );
     println!("{}", table::render(&headers, &rows));
     match table::write_csv("net_sweep.csv", &headers, &rows) {
         Ok(path) => println!("wrote {path}"),

@@ -64,7 +64,6 @@ fn main() {
         seed: 42,
         cost: CostModel::calibrated(),
         sched: SchedKind::from_env(),
-        shard_groups: None,
         lookahead: Default::default(),
     };
     eprintln!(

@@ -144,8 +144,15 @@ impl Scale {
         }
     }
 
+    /// Reads [`contrarian_runtime::env::SCALE`] (see [`Scale::parse`]).
     pub fn from_env() -> Self {
-        match contrarian_runtime::env::var(contrarian_runtime::env::SCALE).as_deref() {
+        Self::parse(contrarian_runtime::env::var(contrarian_runtime::env::SCALE).as_deref())
+    }
+
+    /// Parses a `CONTRARIAN_SCALE` value; unset or unrecognized is
+    /// [`Scale::quick`].
+    pub fn parse(value: Option<&str>) -> Self {
+        match value {
             Some("smoke") => Scale::smoke(),
             Some("paper") => Scale::paper(),
             Some("large") => Scale::large(),
@@ -174,9 +181,6 @@ pub struct ExperimentConfig {
     /// `CONTRARIAN_SCHED`; the cross-engine determinism tests pin it per
     /// run instead of racing on the process environment.
     pub sched: SchedKind,
-    /// Sub-DC shard groups per DC for the sharded engine; `None` follows
-    /// `CONTRARIAN_SHARD_GROUPS` (default 1). Never changes results.
-    pub shard_groups: Option<u16>,
     /// How the sharded engine derives its conservative bounds (default:
     /// the per-link matrix).
     pub lookahead: Lookahead,
@@ -196,7 +200,6 @@ impl ExperimentConfig {
             cost: CostModel::calibrated(),
             record: false,
             sched: SchedKind::from_env(),
-            shard_groups: None,
             lookahead: Lookahead::default(),
         }
     }
@@ -214,7 +217,6 @@ impl ExperimentConfig {
             cost: CostModel::functional(),
             record: true,
             sched: SchedKind::from_env(),
-            shard_groups: None,
             lookahead: Lookahead::default(),
         }
     }
@@ -293,9 +295,6 @@ pub fn run_experiment_streamed(
         ($sim:expr) => {{
             let mut sim = $sim;
             sim.set_recording(cfg.record);
-            if let Some(g) = cfg.shard_groups {
-                sim.set_shard_groups(g);
-            }
             sim.set_lookahead(cfg.lookahead.clone());
             sim.start();
             sim.run_until(cfg.warmup_ns);
@@ -385,7 +384,6 @@ pub fn sweep_series(
             cost: CostModel::calibrated(),
             record: false,
             sched: SchedKind::from_env(),
-            shard_groups: None,
             lookahead: Lookahead::default(),
         };
         let r = run_experiment(&cfg);
@@ -463,10 +461,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_from_env_defaults_to_quick() {
-        // (Environment is not set in tests.)
-        let s = Scale::from_env();
-        assert_eq!(s.load_points, Scale::quick().load_points);
+    fn scale_parse_defaults_to_quick() {
+        let points = |v| Scale::parse(v).load_points;
+        assert_eq!(points(None), Scale::quick().load_points);
+        assert_eq!(points(Some("bogus")), Scale::quick().load_points);
+        assert_eq!(points(Some("smoke")), Scale::smoke().load_points);
+        assert_eq!(points(Some("xlarge")), Scale::xlarge().load_points);
     }
 
     #[test]

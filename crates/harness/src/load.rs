@@ -23,14 +23,13 @@
 //!
 //! Runners exist for all three runtimes: [`run_load_sim`] (virtual time,
 //! any engine), [`run_load_live`] (threaded transport, wall clock) and
-//! [`run_load_net`] (TCP, reactor or thread-per-connection). Recorded
+//! [`run_load_net`] (TCP reactor). Recorded
 //! runs stream the history into the causal checker with periodic
 //! [`CausalChecker::gc`] passes, so checking is O(recent window), not
 //! O(history) ([`run_load_sim_checked`]).
 
 use crate::checker::{CausalChecker, CheckReport, CheckerResidency};
 use crate::experiment::{with_protocol, Protocol};
-use contrarian_net::NetKind;
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::LoadReport;
 use contrarian_runtime::window::WindowSeries;
@@ -52,9 +51,6 @@ pub struct LoadConfig {
     pub cost: CostModel,
     /// Engine mode for [`run_load_sim`]; wall-clock runners ignore it.
     pub sched: SchedKind,
-    /// Sub-DC shard groups per DC for the sharded engine; `None` follows
-    /// `CONTRARIAN_SHARD_GROUPS` (default 1). Never changes results.
-    pub shard_groups: Option<u16>,
     /// How the sharded engine derives its conservative bounds (default:
     /// the per-link matrix).
     pub lookahead: Lookahead,
@@ -76,7 +72,6 @@ impl LoadConfig {
             seed: 42,
             cost: CostModel::calibrated(),
             sched: SchedKind::from_env(),
-            shard_groups: None,
             lookahead: Lookahead::default(),
         }
     }
@@ -125,9 +120,6 @@ pub fn run_load_sim_streamed(
         ($sim:expr) => {{
             let mut sim = $sim;
             sim.set_recording(record);
-            if let Some(g) = cfg.shard_groups {
-                sim.set_shard_groups(g);
-            }
             sim.set_lookahead(cfg.lookahead.clone());
             sim.start();
             sim.run_until(cfg.warmup_ns);
@@ -190,9 +182,6 @@ pub fn run_load_sim_telemetry(cfg: &LoadConfig, tracing: bool) -> LoadTelemetry 
         ($sim:expr) => {{
             let mut sim = $sim;
             sim.set_tracing(tracing);
-            if let Some(g) = cfg.shard_groups {
-                sim.set_shard_groups(g);
-            }
             sim.set_lookahead(cfg.lookahead.clone());
             sim.start();
             sim.run_until(cfg.warmup_ns);
@@ -331,16 +320,15 @@ pub fn run_load_live(cfg: &LoadConfig) -> LoadReport {
     ))
 }
 
-/// Runs one open-loop load point on the TCP runtime with the given socket
-/// engine (wall-clock windows, loopback sockets, recording off).
-pub fn run_load_net(cfg: &LoadConfig, kind: NetKind) -> LoadReport {
+/// Runs one open-loop load point on the TCP reactor (wall-clock windows,
+/// loopback sockets, recording off).
+pub fn run_load_net(cfg: &LoadConfig) -> LoadReport {
     with_protocol!(cfg.protocol, |P| drive_wall!(
-        contrarian_protocol::build_openloop_net_cluster_on::<P>(
+        contrarian_protocol::build_openloop_net_cluster::<P>(
             &cfg.protocol.cluster(&cfg.cluster),
             &cfg.spec,
             cfg.seed,
             false,
-            kind,
         ),
         cfg
     ))

@@ -9,10 +9,8 @@
 //! multiple event loops exchanging cross-shard messages at window
 //! barriers — `CONTRARIAN_SHARD_THREADS` forces the parallel window path
 //! even on machines that report a single CPU (where the engine would
-//! otherwise fall back to serially executed windows), and
-//! `CONTRARIAN_SHARD_GROUPS` splits each DC into partition-range groups
-//! on the matrix leg (exercising the env-resolution path the CI matrix
-//! leg uses).
+//! otherwise fall back to serially executed windows), and the matrix leg
+//! splits each DC into two partition-range groups (six shards).
 
 use contrarian_harness::experiment::{run_experiment, ExperimentConfig, Protocol, RunResult};
 use contrarian_sim::{Lookahead, SchedKind};
@@ -33,27 +31,23 @@ fn fingerprint(r: &RunResult) -> (usize, u64) {
     )
 }
 
-/// One test drives all engines sequentially: the shard-thread and
-/// shard-group overrides are process-wide environment variables, so they
-/// must not race with concurrent tests (this is the only test in this
-/// binary).
+/// One test drives all engines sequentially: the shard-thread override is
+/// a process-wide environment variable, so it must not race with
+/// concurrent tests (this is the only test in this binary).
 #[test]
 fn engines_replay_identical_histories_matching_golden() {
     // Up to 6 shards (3 DCs × 2 groups) → parallel window threads, even
     // on 1-CPU CI runners.
     std::env::set_var(contrarian_runtime::env::SHARD_THREADS, "3");
-    // The matrix legs resolve their group count from the environment —
-    // the same path the CI `CONTRARIAN_SHARD_GROUPS=4` leg exercises.
-    // Group counts never change results; idx ranges just split further.
-    std::env::set_var(contrarian_runtime::env::SHARD_GROUPS, "2");
     // The engines diffed against the calendar reference run (which is run
     // once per protocol and doubles as the golden-fingerprint source):
     // heap, sharded-scalar (DC-granular uniform window), and
-    // sharded-matrix (per-link bounds, sub-DC groups via the env knob).
+    // sharded-matrix (per-link bounds, two sub-DC groups per DC). Group
+    // counts never change results; idx ranges just split further.
     let others = [
         (SchedKind::Heap, Lookahead::Matrix),
-        (SchedKind::Sharded { shards: 0 }, Lookahead::Scalar),
-        (SchedKind::Sharded { shards: 0 }, Lookahead::Matrix),
+        (SchedKind::sharded(1), Lookahead::Scalar),
+        (SchedKind::sharded(2), Lookahead::Matrix),
     ];
     // (events, FNV-1a of the Debug-formatted history) of three-DC
     // functional runs, recorded from the calendar engine.
@@ -95,7 +89,6 @@ fn engines_replay_identical_histories_matching_golden() {
         got.push((protocol, fingerprint(&calendar)));
     }
     std::env::remove_var(contrarian_runtime::env::SHARD_THREADS);
-    std::env::remove_var(contrarian_runtime::env::SHARD_GROUPS);
     // On mismatch (an *intentional* engine-semantics change), replace the
     // golden table with this printout:
     for (p, (n, h)) in &got {

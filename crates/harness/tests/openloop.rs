@@ -39,15 +39,20 @@ fn cross_dc_config(offered: f64) -> LoadConfig {
 fn open_loop_engines_replay_identical_histories() {
     let mut cfg = cross_dc_config(6_000.0);
     let mut reference = None;
-    for (sched, groups, lookahead) in [
-        (SchedKind::Calendar, None, Lookahead::Matrix),
-        (SchedKind::Heap, None, Lookahead::Matrix),
-        (SchedKind::Sharded { shards: 3 }, None, Lookahead::Scalar),
+    for (sched, lookahead) in [
+        (SchedKind::Calendar, Lookahead::Matrix),
+        (SchedKind::Heap, Lookahead::Matrix),
+        (
+            SchedKind::Sharded {
+                shards: 3,
+                groups: 1,
+            },
+            Lookahead::Scalar,
+        ),
         // Sub-DC groups under the per-link matrix: 3 DCs × 2 groups.
-        (SchedKind::Sharded { shards: 0 }, Some(2), Lookahead::Matrix),
+        (SchedKind::sharded(2), Lookahead::Matrix),
     ] {
         cfg.sched = sched;
-        cfg.shard_groups = groups;
         cfg.lookahead = lookahead.clone();
         let mut history = Vec::new();
         let report = run_load_sim_streamed(&cfg, true, &mut |ev| history.push(ev));
@@ -62,7 +67,7 @@ fn open_loop_engines_replay_identical_histories() {
             None => reference = Some(fp),
             Some(r) => assert_eq!(
                 &fp, r,
-                "{sched:?}/groups={groups:?}/{lookahead:?} diverged from the calendar engine"
+                "{sched:?}/{lookahead:?} diverged from the calendar engine"
             ),
         }
     }

@@ -133,17 +133,16 @@ fn sharded_256_partition_run_matches_calendar_and_stays_causal() {
     cfg.cluster.stabilization_interval_us = 10_000;
     cfg.cluster.heartbeat_interval_us = 5_000;
     cfg.measure_ns = 10_000_000;
-    let run = |sched: SchedKind, groups: Option<u16>| {
+    let run = |sched: SchedKind| {
         let mut c = cfg.clone();
         c.sched = sched;
-        c.shard_groups = groups;
         let mut events = Vec::new();
         run_experiment_streamed(&c, &mut |ev| events.push(ev));
         events
     };
-    let calendar = run(SchedKind::Calendar, None);
+    let calendar = run(SchedKind::Calendar);
     assert!(calendar.len() > 50, "{} events", calendar.len());
-    let sharded = run(SchedKind::Sharded { shards: 0 }, None);
+    let sharded = run(SchedKind::sharded(1));
     assert_eq!(
         format!("{calendar:?}"),
         format!("{sharded:?}"),
@@ -151,7 +150,7 @@ fn sharded_256_partition_run_matches_calendar_and_stays_causal() {
     );
     // Sub-DC shard groups — the config the saturated bench tier runs with
     // (2 DCs × 4 groups of 64 partitions each): still the same history.
-    let grouped = run(SchedKind::Sharded { shards: 0 }, Some(4));
+    let grouped = run(SchedKind::sharded(4));
     assert_eq!(
         format!("{calendar:?}"),
         format!("{grouped:?}"),

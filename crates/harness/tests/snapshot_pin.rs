@@ -19,14 +19,16 @@
 //! switched from one arrival process per session to the merged Poisson
 //! stream of its shard: the arrival realization changed, equal in law, so
 //! every quantity moved as a reseed moves it (the old → new operation
-//! counts are next to each block).
+//! counts are next to each block). Every engine of [`ENGINES`] must
+//! reproduce them.
 
 use contrarian_core::Contrarian;
 use contrarian_cure::Cure;
 use contrarian_okapi::Okapi;
-use contrarian_protocol::{build_openloop_cluster, OpenLoopParams, ProtocolSpec};
+use contrarian_protocol::{build_openloop_cluster_with, OpenLoopParams, ProtocolSpec};
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::Histogram;
+use contrarian_sim::{SchedKind, ENGINES};
 use contrarian_types::{ClusterConfig, RotMode};
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 
@@ -54,7 +56,7 @@ struct Pin {
     gss_lag: (u64, u64),
 }
 
-fn run<P: ProtocolSpec>(mode: RotMode, n_dcs: u8) -> Pin {
+fn run<P: ProtocolSpec>(mode: RotMode, n_dcs: u8, sched: SchedKind) -> Pin {
     let workload = WorkloadSpec::paper_default().with_write_ratio(0.1);
     let params = OpenLoopParams {
         cfg: ClusterConfig::small().with_dcs(n_dcs).with_rot_mode(mode),
@@ -62,9 +64,11 @@ fn run<P: ProtocolSpec>(mode: RotMode, n_dcs: u8) -> Pin {
         spec: OpenLoopSpec::new(workload, 20_000, 12_000.0).with_actors_per_dc(16),
         seed: 7,
     };
-    // Engine from `CONTRARIAN_SCHED`: the CI matrix legs re-run this pin
-    // under every engine, which must agree to the last nanosecond.
-    let mut sim = build_openloop_cluster::<P>(&params);
+    let mut sim = build_openloop_cluster_with::<P>(&params, sched);
+    // Serial windows: the thread count never changes a run, and spawning
+    // threads for every hop-wide sub-DC window costs several times the
+    // serial run. The determinism tests force the parallel path.
+    sim.set_shard_threads(1);
     sim.start();
     sim.run_until(WARMUP_NS);
     sim.metrics_mut().enabled = true;
@@ -88,12 +92,21 @@ fn run<P: ProtocolSpec>(mode: RotMode, n_dcs: u8) -> Pin {
     }
 }
 
+/// Runs `n_dcs` under every engine of [`ENGINES`]; each must reproduce
+/// `want` to the last nanosecond.
+fn assert_pinned<P: ProtocolSpec>(mode: RotMode, n_dcs: u8, want: Pin) {
+    for sched in ENGINES {
+        let got = run::<P>(mode, n_dcs, sched);
+        assert_eq!(got, want, "{} {n_dcs} DC(s) on {sched:?}", P::NAME);
+    }
+}
+
 #[test]
 #[rustfmt::skip] // one run per block, as a table
 fn contrarian_one_half_round_is_pinned() {
     // rots 4 053 → 4 095, puts 1 909 → 1 853: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Contrarian>(RotMode::OneHalfRound, 1), Pin {
+    assert_pinned::<Contrarian>(RotMode::OneHalfRound, 1, Pin {
         busy_ns: 1_359_754_695, msgs: 36_445, bytes: 2_239_623, rots: 4_095, puts: 1_853,
         rot_p99_ns: 950_272, rot_max_ns: 1_384_461, put_p99_ns: 802_816, put_max_ns: 1_256_296,
         block_ns: (0, 0), vis_ns: (0, 0),
@@ -101,7 +114,7 @@ fn contrarian_one_half_round_is_pinned() {
     });
     // rots 4 135 → 4 163, puts 1 862 → 1 852: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Contrarian>(RotMode::OneHalfRound, 2), Pin {
+    assert_pinned::<Contrarian>(RotMode::OneHalfRound, 2, Pin {
         busy_ns: 1_790_996_558, msgs: 51_228, bytes: 3_145_775, rots: 4_163, puts: 1_852,
         rot_p99_ns: 704_512, rot_max_ns: 1_051_312, put_p99_ns: 573_440, put_max_ns: 1_069_759,
         block_ns: (0, 0), vis_ns: (1_842, 10_178_009),
@@ -109,7 +122,7 @@ fn contrarian_one_half_round_is_pinned() {
     });
     // rots 4 248 → 4 193, puts 1 874 → 1 819: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Contrarian>(RotMode::OneHalfRound, 3), Pin {
+    assert_pinned::<Contrarian>(RotMode::OneHalfRound, 3, Pin {
         busy_ns: 2_309_805_780, msgs: 70_433, bytes: 4_264_559, rots: 4_193, puts: 1_819,
         rot_p99_ns: 688_128, rot_max_ns: 1_096_636, put_p99_ns: 524_288, put_max_ns: 730_643,
         block_ns: (0, 0), vis_ns: (3_638, 10_219_352),
@@ -122,7 +135,7 @@ fn contrarian_one_half_round_is_pinned() {
 fn contrarian_two_round_is_pinned() {
     // rots 4 054 → 4 097, puts 1 909 → 1 853: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Contrarian>(RotMode::TwoRound, 1), Pin {
+    assert_pinned::<Contrarian>(RotMode::TwoRound, 1, Pin {
         busy_ns: 1_427_830_824, msgs: 44_657, bytes: 2_396_592, rots: 4_097, puts: 1_853,
         rot_p99_ns: 1_441_792, rot_max_ns: 2_251_493, put_p99_ns: 1_146_880, put_max_ns: 1_773_196,
         block_ns: (0, 0), vis_ns: (0, 0),
@@ -130,7 +143,7 @@ fn contrarian_two_round_is_pinned() {
     });
     // rots 4 133 → 4 161, puts 1 862 → 1 852: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Contrarian>(RotMode::TwoRound, 2), Pin {
+    assert_pinned::<Contrarian>(RotMode::TwoRound, 2, Pin {
         busy_ns: 1_858_055_381, msgs: 59_546, bytes: 3_369_797, rots: 4_161, puts: 1_852,
         rot_p99_ns: 1_032_192, rot_max_ns: 1_666_069, put_p99_ns: 835_584, put_max_ns: 1_507_887,
         block_ns: (0, 0), vis_ns: (1_842, 10_149_575),
@@ -138,7 +151,7 @@ fn contrarian_two_round_is_pinned() {
     });
     // rots 4 247 → 4 194, puts 1 874 → 1 819: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Contrarian>(RotMode::TwoRound, 3), Pin {
+    assert_pinned::<Contrarian>(RotMode::TwoRound, 3, Pin {
         busy_ns: 2_376_857_718, msgs: 78_825, bytes: 4_558_541, rots: 4_194, puts: 1_819,
         rot_p99_ns: 999_424, rot_max_ns: 1_665_848, put_p99_ns: 688_128, put_max_ns: 962_228,
         block_ns: (0, 0), vis_ns: (3_638, 10_171_003),
@@ -177,7 +190,7 @@ fn cure_is_pinned_and_parks() {
     ];
     for (n_dcs, pin) in pins {
         assert!(pin.block_ns.0 > 0, "a Cure pin that never parks misses the blocking path");
-        assert_eq!(run::<Cure>(RotMode::TwoRound, n_dcs), pin);
+        assert_pinned::<Cure>(RotMode::TwoRound, n_dcs, pin);
     }
 }
 
@@ -186,7 +199,7 @@ fn cure_is_pinned_and_parks() {
 fn okapi_is_pinned() {
     // rots 4 054 → 4 097, puts 1 909 → 1 853: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Okapi>(RotMode::TwoRound, 1), Pin {
+    assert_pinned::<Okapi>(RotMode::TwoRound, 1, Pin {
         busy_ns: 1_427_830_824, msgs: 44_657, bytes: 2_396_592, rots: 4_097, puts: 1_853,
         rot_p99_ns: 1_441_792, rot_max_ns: 2_251_493, put_p99_ns: 1_146_880, put_max_ns: 1_773_196,
         block_ns: (0, 0), vis_ns: (0, 0),
@@ -194,7 +207,7 @@ fn okapi_is_pinned() {
     });
     // rots 4 133 → 4 161, puts 1 862 → 1 852: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Okapi>(RotMode::TwoRound, 2), Pin {
+    assert_pinned::<Okapi>(RotMode::TwoRound, 2, Pin {
         busy_ns: 1_858_055_381, msgs: 59_546, bytes: 3_369_797, rots: 4_161, puts: 1_852,
         rot_p99_ns: 1_032_192, rot_max_ns: 1_666_069, put_p99_ns: 835_584, put_max_ns: 1_507_887,
         block_ns: (0, 0), vis_ns: (1_842, 10_149_575),
@@ -202,7 +215,7 @@ fn okapi_is_pinned() {
     });
     // rots 4 247 → 4 194, puts 1 874 → 1 819: the arrival realization
     // changed (one merged stream per actor), equal in law.
-    assert_eq!(run::<Okapi>(RotMode::TwoRound, 3), Pin {
+    assert_pinned::<Okapi>(RotMode::TwoRound, 3, Pin {
         busy_ns: 2_376_959_222, msgs: 78_825, bytes: 4_558_507, rots: 4_194, puts: 1_819,
         rot_p99_ns: 999_424, rot_max_ns: 1_665_848, put_p99_ns: 688_128, put_max_ns: 962_228,
         block_ns: (0, 0), vis_ns: (3_638, 10_171_003),

@@ -31,7 +31,6 @@ fn traced_load_runs_merge_identically_across_engines() {
             seed: 42,
             cost: CostModel::calibrated(),
             sched: SchedKind::Calendar,
-            shard_groups: None,
             lookahead: Default::default(),
         };
         let reference = run_load_sim_telemetry(&cfg, true);
@@ -39,7 +38,7 @@ fn traced_load_runs_merge_identically_across_engines() {
             !reference.trace.is_empty(),
             "{protocol:?}: traced run produced no events"
         );
-        for sched in [SchedKind::Heap, SchedKind::Sharded { shards: 0 }] {
+        for sched in [SchedKind::Heap, SchedKind::sharded(1)] {
             cfg.sched = sched;
             let run = run_load_sim_telemetry(&cfg, true);
             assert_eq!(

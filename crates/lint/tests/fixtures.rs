@@ -207,26 +207,30 @@ fn bounded_channels_pass() {
 
 // --------------------------------------------------------------- env-registry
 
-/// A minimal stand-in for the real registry module, at the registry path.
-const FAKE_REGISTRY: &str = "pub const SCHED: &str = \"CONTRARIAN_SCHED\";\n";
+/// The real registry module, at the registry path.
+const REGISTRY: &str = include_str!("../../runtime/src/env.rs");
 
 #[test]
 fn unregistered_env_literal_is_caught() {
-    let diags = check(&[
-        ("crates/runtime/src/env.rs", FAKE_REGISTRY),
-        (
-            "crates/sim/src/bad.rs",
-            "fn f() { let v = std::env::var(\"CONTRARIAN_SHED\"); }\n",
-        ),
-    ]);
-    assert_eq!(rules_of(&diags), vec!["env-registry"], "{diags:?}");
-    assert!(diags[0].msg.contains("CONTRARIAN_SHED"), "{diags:?}");
+    // A typo, then the knobs retired from the registry: bringing one back
+    // without registering it fails the lint, and registering one again
+    // fails this test.
+    for name in ["SHED", "SHARD_GROUPS", "NET"] {
+        let src = format!("fn f() {{ let v = std::env::var(\"CONTRARIAN_{name}\"); }}\n");
+        let diags = check(&[
+            ("crates/runtime/src/env.rs", REGISTRY),
+            ("crates/sim/src/bad.rs", &src),
+        ]);
+        assert_eq!(rules_of(&diags), vec!["env-registry"], "{diags:?}");
+        let quoted = format!("`CONTRARIAN_{name}`");
+        assert!(diags[0].msg.contains(&quoted), "{diags:?}");
+    }
 }
 
 #[test]
 fn registered_env_literal_passes() {
     let diags = check(&[
-        ("crates/runtime/src/env.rs", FAKE_REGISTRY),
+        ("crates/runtime/src/env.rs", REGISTRY),
         (
             "crates/harness/src/ok.rs",
             "fn f() { let v = std::env::var(\"CONTRARIAN_SCHED\"); }\n",

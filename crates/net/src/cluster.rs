@@ -6,10 +6,10 @@
 //! * [`reactor`](crate::reactor) (the default): a fixed pool of event-loop
 //!   threads driving nonblocking sockets through epoll, one multiplexed
 //!   connection per peer pair;
-//! * [`threads`](crate::threads) (`CONTRARIAN_NET=threads`): the original
-//!   thread-per-connection engine — a writer thread per node, a reader
-//!   thread per accepted socket — kept as the baseline the reactor is
-//!   measured against.
+//! * [`threads`](crate::threads) ([`NetCluster::start_with`] and
+//!   [`NetKind::Threads`]): the original thread-per-connection engine — a
+//!   writer thread per node, a reader thread per accepted socket — kept as
+//!   the baseline the reactor is measured against.
 //!
 //! Both engines share a [`ClusterCore`]: the run flags and history sink
 //! ([`RunShared`]), every node's input channel, and the wire counters.
@@ -42,26 +42,6 @@ pub enum NetKind {
     Reactor,
     /// Thread-per-connection baseline.
     Threads,
-}
-
-impl NetKind {
-    /// Parses `CONTRARIAN_NET`. Unset defaults to the reactor; an unknown
-    /// value is a hard error — a silently wrong fallback would make an
-    /// engine comparison measure the reactor against itself.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None | Some("reactor") => Ok(NetKind::Reactor),
-            Some("threads") => Ok(NetKind::Threads),
-            Some(other) => Err(format!(
-                "CONTRARIAN_NET must be `reactor` or `threads` (or unset), got `{other}`"
-            )),
-        }
-    }
-
-    pub fn from_env() -> Self {
-        let value = contrarian_runtime::env::var(contrarian_runtime::env::NET);
-        Self::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// Frames/bytes/sockets actually put on the wire, updated by whichever
@@ -173,9 +153,9 @@ where
     A: Actor + Send + 'static,
     A::Msg: Wire,
 {
-    /// Starts the cluster on the engine `CONTRARIAN_NET` selects.
+    /// Starts the cluster on the reactor.
     pub fn start(nodes: Vec<(Addr, A)>, recording: bool, seed: u64) -> Self {
-        Self::start_with(nodes, recording, seed, NetKind::from_env())
+        Self::start_with(nodes, recording, seed, NetKind::Reactor)
     }
 
     /// Starts the cluster on an explicit engine (tests and the `net_perf`
@@ -323,15 +303,6 @@ pub(crate) mod tests {
     use contrarian_types::codec::{CodecError, Reader};
     use contrarian_types::{DcId, PartitionId};
     use std::time::Instant;
-
-    #[test]
-    fn net_kind_parses_and_rejects() {
-        assert_eq!(NetKind::parse(None).unwrap(), NetKind::Reactor);
-        assert_eq!(NetKind::parse(Some("reactor")).unwrap(), NetKind::Reactor);
-        assert_eq!(NetKind::parse(Some("threads")).unwrap(), NetKind::Threads);
-        let err = NetKind::parse(Some("uring")).unwrap_err();
-        assert!(err.contains("reactor") && err.contains("uring"));
-    }
 
     /// A ping-pong actor: servers echo, clients count echoes.
     pub(crate) struct Echo {

@@ -9,7 +9,8 @@
 //!
 //! ## Two engines, one facade
 //!
-//! [`NetCluster`] selects a socket engine via `CONTRARIAN_NET`:
+//! [`NetCluster::start`] runs the reactor; [`NetCluster::start_with`]
+//! takes the socket engine as a [`NetKind`]:
 //!
 //! * **`reactor`** (the default, [`reactor`] module): a fixed pool of
 //!   event-loop threads (`CONTRARIAN_NET_THREADS`, default

@@ -1,7 +1,7 @@
 //! The thread-per-connection engine: socket-per-link, writer-per-node.
 //!
 //! The original shape of this runtime, kept as the baseline the reactor
-//! (`CONTRARIAN_NET=reactor`, the default) is measured against: each node
+//! (the default) is measured against: each node
 //! gets a writer thread owning all of its outgoing connections, and every
 //! accepted connection gets a blocking reader thread. Simple and correct,
 //! but the thread count is O(nodes + links): an all-to-all cluster of `n`

@@ -233,9 +233,9 @@ pub fn build_net_cluster<P: ProtocolSpec>(
     )
 }
 
-/// [`build_net_cluster`] with the socket engine pinned instead of read
-/// from `CONTRARIAN_NET` — so a test can run the same backend on both
-/// engines side by side regardless of the environment.
+/// [`build_net_cluster`] on an explicit socket engine instead of the
+/// reactor — so a test can run the same backend on both engines side by
+/// side.
 pub fn build_net_cluster_on<P: ProtocolSpec>(
     cfg: &ClusterConfig,
     workload: &WorkloadSpec,
@@ -291,21 +291,14 @@ pub fn build_openloop_nodes<P: ProtocolSpec>(
     nodes
 }
 
-/// Convenience: builds and starts an open-loop TCP cluster on a pinned
-/// socket engine (the saturation sweeps pin the reactor explicitly).
-pub fn build_openloop_net_cluster_on<P: ProtocolSpec>(
+/// Convenience: builds and starts an open-loop TCP cluster on the reactor.
+pub fn build_openloop_net_cluster<P: ProtocolSpec>(
     cfg: &ClusterConfig,
     spec: &OpenLoopSpec,
     seed: u64,
     recording: bool,
-    kind: NetKind,
 ) -> NetCluster<ProtoNode<P>> {
-    NetCluster::start_with(
-        build_openloop_nodes::<P>(cfg, spec, seed),
-        recording,
-        seed,
-        kind,
-    )
+    NetCluster::start(build_openloop_nodes::<P>(cfg, spec, seed), recording, seed)
 }
 
 /// Convenience: builds and starts an open-loop live (in-process threaded)

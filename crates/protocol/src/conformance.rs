@@ -17,12 +17,14 @@
 //! per runtime); a new backend gets the whole battery for free.
 
 use crate::build::{
-    build_cluster, build_live_cluster, build_net_cluster_on, ClusterParams, ProtoNode, ProtocolSpec,
+    build_cluster_with, build_live_cluster, build_net_cluster_on, ClusterParams, ProtoNode,
+    ProtocolSpec,
 };
 use crate::node::ProtocolServer;
 pub use contrarian_net::NetKind;
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::Metrics;
+pub use contrarian_sim::{SchedKind, ENGINES};
 use contrarian_types::{
     Addr, ClientId, ClusterConfig, DcId, HistoryEvent, Key, PartitionId, VersionId,
 };
@@ -130,9 +132,10 @@ fn conformance_workload() -> WorkloadSpec {
         .with_write_ratio(0.2)
 }
 
-/// Runs the conformance battery on the discrete-event simulator:
-/// a replicated closed-loop cluster, stopped and drained, then session +
-/// convergence + progress checks.
+/// Runs the conformance battery on the discrete-event simulator, once per
+/// engine of [`ENGINES`]: a replicated closed-loop cluster, stopped and
+/// drained, then session + convergence + progress checks, and a history
+/// identical to the calendar engine's.
 pub fn check_sim<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutcome, String> {
     let cfg = ClusterConfig::small().with_dcs(dcs);
     let params = ClusterParams {
@@ -142,36 +145,54 @@ pub fn check_sim<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
         clients_per_dc: 3,
         seed,
     };
-    let mut sim = build_cluster::<P>(&params);
-    sim.set_recording(true);
-    sim.start();
-    sim.run_until(40_000_000);
-    sim.set_stopped(true);
-    sim.run_to_quiescence(20_000_000_000);
-
-    let history = sim.take_history();
-    if history.len() < 50 {
-        return Err(format!(
-            "{}: too little progress ({} events)",
-            P::NAME,
-            history.len()
-        ));
-    }
-    check_sessions(&history).map_err(|e| format!("{} (sim): {e}", P::NAME))?;
-
     let cfg = P::normalize(cfg);
-    let keys_compared = check_convergence(&cfg, |dc, p| {
-        sim.actor(Addr::server(dc, p))
-            .as_server()
-            .expect("server node")
-            .store_heads()
-    })
-    .map_err(|e| format!("{} (sim): {e}", P::NAME))?;
+    let label = |sched: SchedKind| format!("{} (sim, {sched:?})", P::NAME);
+    // One engine's run: the history's fingerprint and what it observed.
+    let run = |sched: SchedKind| -> Result<(String, ConformanceOutcome), String> {
+        let mut sim = build_cluster_with::<P>(&params, sched);
+        // Serial windows: the thread count never changes a history, and
+        // spawning threads for every hop-wide sub-DC window costs several
+        // times the serial run.
+        sim.set_shard_threads(1);
+        sim.set_recording(true);
+        sim.start();
+        sim.run_until(40_000_000);
+        sim.set_stopped(true);
+        sim.run_to_quiescence(20_000_000_000);
 
-    Ok(ConformanceOutcome {
-        ops: history.len(),
-        keys_compared,
-    })
+        let history = sim.take_history();
+        if history.len() < 50 {
+            return Err(format!(
+                "{}: too little progress ({} events)",
+                label(sched),
+                history.len()
+            ));
+        }
+        check_sessions(&history).map_err(|e| format!("{}: {e}", label(sched)))?;
+        let keys_compared = check_convergence(&cfg, |dc, p| {
+            sim.actor(Addr::server(dc, p))
+                .as_server()
+                .expect("server node")
+                .store_heads()
+        })
+        .map_err(|e| format!("{}: {e}", label(sched)))?;
+        let outcome = ConformanceOutcome {
+            ops: history.len(),
+            keys_compared,
+        };
+        Ok((format!("{history:?}"), outcome))
+    };
+    // The first engine is the calendar reference.
+    let (calendar, outcome) = run(ENGINES[0])?;
+    for sched in &ENGINES[1..] {
+        if run(*sched)?.0 != calendar {
+            return Err(format!(
+                "{}: history diverged from the calendar engine",
+                label(*sched)
+            ));
+        }
+    }
+    Ok(outcome)
 }
 
 /// Post-run validation shared by the wall-clock runtimes: progress,
@@ -241,13 +262,12 @@ pub fn check_live<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutc
 /// through the wire codec. Checks are identical to [`check_live`], plus a
 /// guard that frames actually crossed the sockets.
 pub fn check_net<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutcome, String> {
-    check_net_with::<P>(dcs, seed, NetKind::from_env())
+    check_net_with::<P>(dcs, seed, NetKind::Reactor)
 }
 
-/// [`check_net`] with the socket engine pinned: conformance must hold on
+/// [`check_net`] on an explicit socket engine: conformance must hold on
 /// the reactor and the thread-per-connection baseline alike, so backend
-/// test suites run this once per engine instead of trusting whatever
-/// `CONTRARIAN_NET` happens to be set to.
+/// test suites run this once per engine.
 pub fn check_net_with<P: ProtocolSpec>(
     dcs: u8,
     seed: u64,

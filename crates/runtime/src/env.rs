@@ -20,18 +20,6 @@ pub const SCHED: &str = "CONTRARIAN_SCHED";
 /// wall-clock speed.
 pub const SHARD_THREADS: &str = "CONTRARIAN_SHARD_THREADS";
 
-/// Sub-DC shard groups for the sharded simulator: each DC's partition and
-/// client ranges split into this many shards (default 1 = one shard per
-/// DC). Group count never changes results — event keys are
-/// source-attributed — only how many event loops can run in parallel.
-/// Ignored (forced to 1) under the scalar lookahead, whose window bound is
-/// only sound at DC granularity.
-pub const SHARD_GROUPS: &str = "CONTRARIAN_SHARD_GROUPS";
-
-/// TCP socket engine: `reactor` (default) or `threads`. Parsed by
-/// `contrarian_net::NetKind`.
-pub const NET: &str = "CONTRARIAN_NET";
-
 /// Reactor pool size (default: available parallelism). Parsed by the
 /// reactor's pool sizing.
 pub const NET_THREADS: &str = "CONTRARIAN_NET_THREADS";
@@ -59,11 +47,6 @@ pub const REGISTERED: &[(&str, &str)] = &[
         SHARD_THREADS,
         "sharded-engine worker threads (positive integer; default: cores)",
     ),
-    (
-        SHARD_GROUPS,
-        "sub-DC shard groups per DC (positive integer; default: 1)",
-    ),
-    (NET, "socket engine: reactor (default) | threads"),
     (
         NET_THREADS,
         "reactor pool size (positive integer; default: cores)",

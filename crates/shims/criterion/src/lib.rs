@@ -245,11 +245,10 @@ pub fn write_report() {
     let knob = |name: &str| std::env::var(name).unwrap_or_else(|_| "unset".into());
     let meta = format!(
         "{{\"group\": \"meta\", \"bench\": \"machine\", \"logical_cores\": {}, \
-         \"sched\": \"{}\", \"shard_threads\": \"{}\", \"shard_groups\": \"{}\"}}",
+         \"sched\": \"{}\", \"shard_threads\": \"{}\"}}",
         cores,
         knob("CONTRARIAN_SCHED"),
         knob("CONTRARIAN_SHARD_THREADS"),
-        knob("CONTRARIAN_SHARD_GROUPS"),
     );
     let entries: Vec<String> = std::iter::once(meta)
         .chain(kept)
@@ -340,7 +339,8 @@ mod tests {
         assert_eq!(out.matches("\"group\": \"meta\"").count(), 1);
         assert!(!out.contains("999"), "stale meta survived: {out}");
         assert!(out.contains("\"logical_cores\""));
-        assert!(out.contains("\"shard_groups\""));
+        assert!(out.contains("\"shard_threads\""));
+        assert!(!out.contains("\"shard_groups\""), "retired knob: {out}");
         assert!(out.contains("\"bench\": \"kept\""));
     }
 }

@@ -43,15 +43,15 @@
 //! * `heap` — one shard on the original global binary heap, kept as a
 //!   differential baseline;
 //! * `sharded` / `sharded:<n>` — one shard per DC (or `n` shards, DCs
-//!   assigned round-robin), optionally split further into
-//!   `CONTRARIAN_SHARD_GROUPS` partition-range groups per DC, run in
+//!   assigned round-robin), optionally split further into partition-range
+//!   groups per DC (the `groups` of [`SchedKind::Sharded`]), run in
 //!   parallel under conservative per-link windows.
 //!
 //! ### Windows and the lookahead invariant
 //!
 //! Every shard owns a *group* of nodes — a whole DC by default, or a
-//! contiguous partition/client range of one DC under
-//! `CONTRARIAN_SHARD_GROUPS`. A [`cost::LookaheadMatrix`] entry `L(i, j)`
+//! contiguous partition/client range of one DC when `groups` is above 1.
+//! A [`cost::LookaheadMatrix`] entry `L(i, j)`
 //! lower-bounds the arrival delta of any message shard `i` can send
 //! shard `j`: the minimum link latency between their DC sets (sender
 //! CPU, per-byte wire time and FIFO clamping only push arrivals later),
@@ -74,7 +74,7 @@
 //! by up to the inter-DC latency — a single scalar lookahead would gate
 //! every pair on the smallest edge in the whole topology.
 //!
-//! Set `CONTRARIAN_SHARD_GROUPS` above 1 when a run has few DCs but many
+//! Set `groups` above 1 when a run has few DCs but many
 //! partitions per DC (the saturated 256-partition tiers): it multiplies
 //! the schedulable shard count so the window rounds can occupy more
 //! cores. The scalar mode ([`sim::Lookahead::Scalar`], the uniform-matrix
@@ -102,9 +102,10 @@
 //!   (`contrarian_runtime::history`).
 //!
 //! The cross-engine determinism tests fingerprint full histories across
-//! all engine modes (and shard-group counts) against golden values, and
-//! `sim_scale` measures the engine speedups at fixed, identical
-//! workloads.
+//! all engine modes (and shard-group counts) against golden values, the
+//! virtual-identity pins and the conformance battery run every entry of
+//! [`ENGINES`], and `sim_scale` measures the engine speedups at fixed,
+//! identical workloads.
 
 pub mod sched;
 pub mod shard;
@@ -119,5 +120,5 @@ pub use contrarian_runtime::cost::LookaheadMatrix;
 pub use contrarian_runtime::{
     Actor, ActorCtx, CostModel, Histogram, Metrics, SimMessage, TimerKind,
 };
-pub use sched::{QueueStats, SchedKind};
+pub use sched::{QueueStats, SchedKind, ENGINES};
 pub use sim::{Lookahead, Sim};

@@ -64,30 +64,51 @@ pub enum SchedKind {
     /// baseline for determinism tests and the `sim_scale` bench.
     Heap,
     /// Sharded parallel engine: one event loop (and one calendar queue) per
-    /// shard group of DCs, synchronized in conservative cross-DC windows.
-    /// `shards == 0` means one shard per DC; an explicit count assigns DCs
+    /// shard, synchronized in conservative per-link windows. `shards == 0`
+    /// means one shard column per DC; an explicit count assigns DCs
     /// round-robin (`dc % shards`), and a count above the DC count leaves
-    /// the surplus shards empty. Intra-DC traffic never crosses a shard.
+    /// the surplus shards empty. `groups` then splits every column into
+    /// that many partition-range shards, so same-DC traffic crosses shards
+    /// too; [`crate::Lookahead::Scalar`] forces it to 1.
     Sharded {
-        /// Requested shard count; `0` = one per DC.
+        /// Requested shard columns; `0` = one per DC.
         shards: u16,
+        /// Partition-range groups per column (positive; 1 = DC-granular).
+        groups: u16,
     },
 }
 
+/// The in-process engine list: the calendar reference, one shard per DC,
+/// and two partition-range groups per DC, which puts even a 1-DC cluster
+/// on several shards. The virtual-identity pins and the conformance
+/// battery run every entry, and each must reproduce the calendar run
+/// exactly.
+pub const ENGINES: [SchedKind; 3] = [
+    SchedKind::Calendar,
+    SchedKind::sharded(1),
+    SchedKind::sharded(2),
+];
+
 impl SchedKind {
+    /// One shard column per DC, split into `groups` partition-range shards.
+    pub const fn sharded(groups: u16) -> Self {
+        SchedKind::Sharded { shards: 0, groups }
+    }
+
     /// Parses a `CONTRARIAN_SCHED` value. `None` (unset) defaults to
     /// [`SchedKind::Calendar`]; an unrecognized value is an error listing
     /// the valid set — silently falling back would make an engine
-    /// comparison measure the calendar queue against itself.
+    /// comparison measure the calendar queue against itself. The sharded
+    /// forms are DC-granular (one group per column).
     pub fn parse(value: Option<&str>) -> Result<Self, String> {
         match value {
             Some("heap") => Ok(SchedKind::Heap),
             Some("calendar") | None => Ok(SchedKind::Calendar),
-            Some("sharded") => Ok(SchedKind::Sharded { shards: 0 }),
+            Some("sharded") => Ok(SchedKind::sharded(1)),
             Some(other) => {
                 if let Some(n) = other.strip_prefix("sharded:") {
                     if let Ok(shards) = n.parse::<u16>() {
-                        return Ok(SchedKind::Sharded { shards });
+                        return Ok(SchedKind::Sharded { shards, groups: 1 });
                     }
                 }
                 Err(format!(
@@ -459,11 +480,14 @@ mod tests {
         );
         assert_eq!(
             SchedKind::parse(Some("sharded")).unwrap(),
-            SchedKind::Sharded { shards: 0 }
+            SchedKind::sharded(1)
         );
         assert_eq!(
             SchedKind::parse(Some("sharded:4")).unwrap(),
-            SchedKind::Sharded { shards: 4 }
+            SchedKind::Sharded {
+                shards: 4,
+                groups: 1
+            }
         );
         assert_eq!(SchedKind::parse(None).unwrap(), SchedKind::Calendar);
     }
@@ -484,7 +508,11 @@ mod tests {
     #[test]
     fn sharded_mode_runs_on_calendar_queues() {
         assert_eq!(
-            SchedKind::Sharded { shards: 3 }.queue_kind(),
+            SchedKind::Sharded {
+                shards: 3,
+                groups: 2
+            }
+            .queue_kind(),
             SchedKind::Calendar
         );
         assert_eq!(SchedKind::Heap.queue_kind(), SchedKind::Heap);

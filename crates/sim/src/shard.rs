@@ -52,8 +52,8 @@
 //!
 //! Shards synchronize with classic conservative parallel-DES lookahead,
 //! generalized to per-link bounds. Each shard owns a *group*: a DC (the
-//! default), or a partition/client range of one DC when
-//! `CONTRARIAN_SHARD_GROUPS` splits DCs further. A
+//! default), or a partition/client range of one DC when the engine's
+//! `groups` splits DCs further. A
 //! [`contrarian_runtime::cost::LookaheadMatrix`] entry `(i, j)` lower-bounds
 //! the arrival delta of any message shard `i` sends shard `j` — the
 //! minimum link latency between their DC sets (CPU, wire and FIFO terms

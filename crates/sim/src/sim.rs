@@ -60,9 +60,6 @@ pub struct Sim<A: Actor> {
     /// Worker threads for parallel windows; 0 = resolve at start
     /// (`CONTRARIAN_SHARD_THREADS`, else available parallelism).
     threads: usize,
-    /// Sub-DC shard groups per DC; 0 = resolve at start
-    /// (`CONTRARIAN_SHARD_GROUPS`, default 1).
-    groups: u16,
     /// Lookahead mode; resolved into `la` at start.
     lookahead: Lookahead,
     /// Per-link conservative bounds, metric-closed; built at start.
@@ -105,7 +102,6 @@ impl<A: Actor> Sim<A> {
             seed,
             sched,
             threads: 0,
-            groups: 0,
             lookahead: Lookahead::default(),
             la: LookaheadMatrix::uniform(0, 0),
             min_la: 0,
@@ -151,16 +147,6 @@ impl<A: Actor> Sim<A> {
         if self.started {
             self.threads = self.threads.min(self.shards.len());
         }
-    }
-
-    /// Overrides the sub-DC shard-group count (normally
-    /// `CONTRARIAN_SHARD_GROUPS`, default 1). Only meaningful for
-    /// [`SchedKind::Sharded`]; forced to 1 under [`Lookahead::Scalar`].
-    /// Group count never changes results, only available parallelism.
-    pub fn set_shard_groups(&mut self, groups: u16) {
-        assert!(!self.started, "shard groups are fixed at start");
-        assert!(groups > 0, "shard groups must be positive");
-        self.groups = groups;
     }
 
     /// Selects how the conservative per-link bounds are derived (default:
@@ -228,13 +214,17 @@ impl<A: Actor> Sim<A> {
             .map(|(a, _, _)| a.dc.index() + 1)
             .max()
             .unwrap_or(1);
-        let dc_shards = match self.sched {
-            SchedKind::Sharded { shards: 0 } => n_dcs,
-            SchedKind::Sharded { shards } => shards as usize,
-            _ => 1,
-        }
-        .max(1);
-        let groups = self.resolve_groups();
+        let (dc_shards, groups) = match self.sched {
+            SchedKind::Sharded { shards, groups } => {
+                assert!(groups > 0, "shard groups must be positive");
+                let columns = if shards == 0 { n_dcs } else { shards as usize };
+                // The scalar lookahead's global window is only sound
+                // DC-granular.
+                let scalar = matches!(self.lookahead, Lookahead::Scalar);
+                (columns, if scalar { 1 } else { groups as usize })
+            }
+            _ => (1, 1),
+        };
         let n_shards = dc_shards * groups;
         if self.threads == 0 {
             self.threads =
@@ -322,26 +312,6 @@ impl<A: Actor> Sim<A> {
         // Nothing reads the registration index once started (≈ 1 MB at
         // 1 152 nodes).
         self.index = HashMap::new();
-    }
-
-    /// Resolves the shard-group count: 1 for non-sharded engines and the
-    /// scalar lookahead (whose global window is only sound DC-granular),
-    /// else the explicit override, else `CONTRARIAN_SHARD_GROUPS`.
-    fn resolve_groups(&self) -> usize {
-        if !matches!(self.sched, SchedKind::Sharded { .. })
-            || matches!(self.lookahead, Lookahead::Scalar)
-        {
-            return 1;
-        }
-        if self.groups > 0 {
-            return self.groups as usize;
-        }
-        match contrarian_runtime::env::var(contrarian_runtime::env::SHARD_GROUPS) {
-            Some(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                panic!("CONTRARIAN_SHARD_GROUPS must be a positive integer, got `{v}`")
-            }),
-            None => 1,
-        }
     }
 
     pub fn now(&self) -> u64 {
@@ -866,11 +836,8 @@ mod tests {
         mk_with(SchedKind::Calendar)
     }
 
-    const ALL_ENGINES: [SchedKind; 3] = [
-        SchedKind::Calendar,
-        SchedKind::Heap,
-        SchedKind::Sharded { shards: 0 },
-    ];
+    const ALL_ENGINES: [SchedKind; 3] =
+        [SchedKind::Calendar, SchedKind::Heap, SchedKind::sharded(1)];
 
     #[test]
     fn ping_pong_runs_to_completion() {
@@ -936,7 +903,7 @@ mod tests {
             want.windows(2).all(|w| w[0].key() < w[1].key()),
             "canonical order"
         );
-        for sched in [SchedKind::Heap, SchedKind::Sharded { shards: 0 }] {
+        for sched in [SchedKind::Heap, SchedKind::sharded(1)] {
             assert_eq!(run(sched), want, "{sched:?}");
         }
     }
@@ -991,7 +958,7 @@ mod tests {
             stats.buckets_loaded > 0 && stats.late_pushes > 0,
             "{stats:?}"
         );
-        assert_eq!(run(SchedKind::Sharded { shards: 0 }).0, stats);
+        assert_eq!(run(SchedKind::sharded(1)).0, stats);
         assert_eq!(run(SchedKind::Heap).0, QueueStats::default());
     }
 
@@ -1381,8 +1348,11 @@ mod tests {
         let want = geo_digest(SchedKind::Calendar, CostModel::calibrated(), None);
         for sched in [
             SchedKind::Heap,
-            SchedKind::Sharded { shards: 0 },
-            SchedKind::Sharded { shards: 2 },
+            SchedKind::sharded(1),
+            SchedKind::Sharded {
+                shards: 2,
+                groups: 1,
+            },
         ] {
             assert_eq!(
                 geo_digest(sched, CostModel::calibrated(), None),
@@ -1393,11 +1363,7 @@ mod tests {
         // Forced multi-threading (the machine may report 1 CPU): the
         // parallel window path itself must replay the same run.
         assert_eq!(
-            geo_digest(
-                SchedKind::Sharded { shards: 0 },
-                CostModel::calibrated(),
-                Some(2)
-            ),
+            geo_digest(SchedKind::sharded(1), CostModel::calibrated(), Some(2)),
             want,
             "parallel windows diverged"
         );
@@ -1412,10 +1378,7 @@ mod tests {
         cost.interdc_latency_ns = 0;
         assert_eq!(cost.cross_dc_lookahead(), 0);
         let want = geo_digest(SchedKind::Calendar, cost.clone(), None);
-        assert_eq!(
-            geo_digest(SchedKind::Sharded { shards: 0 }, cost, None),
-            want
-        );
+        assert_eq!(geo_digest(SchedKind::sharded(1), cost, None), want);
     }
 
     #[test]
@@ -1424,7 +1387,10 @@ mod tests {
         // perturb the run (or deadlock the window barrier).
         let want = geo_digest(SchedKind::Calendar, CostModel::calibrated(), None);
         let mut sim = mk_geo(
-            SchedKind::Sharded { shards: 6 },
+            SchedKind::Sharded {
+                shards: 6,
+                groups: 1,
+            },
             CostModel::calibrated(),
             3,
             4,
@@ -1511,7 +1477,7 @@ mod tests {
         };
         let serial = run(SchedKind::Calendar);
         assert_eq!(serial, vec![L], "arrival lands exactly at the lookahead");
-        assert_eq!(run(SchedKind::Sharded { shards: 0 }), serial);
+        assert_eq!(run(SchedKind::sharded(1)), serial);
     }
 
     #[test]
@@ -1568,12 +1534,12 @@ mod tests {
             sim.start();
             sim
         };
-        let mut whole = build(SchedKind::Sharded { shards: 0 });
+        let mut whole = build(SchedKind::sharded(1));
         whole.run_to_quiescence(u64::MAX);
         let want = whole.take_history();
         assert!(!want.is_empty());
 
-        let mut chunked = build(SchedKind::Sharded { shards: 0 });
+        let mut chunked = build(SchedKind::sharded(1));
         let mut got = Vec::new();
         for slice in [10_000_000u64, 25_000_000, 60_000_000] {
             chunked.run_until(slice);
@@ -1630,7 +1596,7 @@ mod tests {
             }
         }
         let mut sim: Sim<FarTimer> =
-            Sim::with_scheduler(CostModel::functional(), 7, SchedKind::Sharded { shards: 0 });
+            Sim::with_scheduler(CostModel::functional(), 7, SchedKind::sharded(1));
         for dc in 0..2 {
             sim.add_server(
                 Addr::server(DcId(dc), contrarian_types::PartitionId(0)),
@@ -1725,15 +1691,15 @@ mod tests {
         // the scalar one — pinned by the round count, which is a pure
         // function of (matrix, event stream) — not merely the same result.
         let cost = CostModel::calibrated();
-        let scalar = geo_digest_with(SchedKind::Sharded { shards: 0 }, cost.clone(), |sim| {
+        let scalar = geo_digest_with(SchedKind::sharded(1), cost.clone(), |sim| {
             sim.set_lookahead(Lookahead::Scalar);
             sim.set_shard_threads(2);
         });
-        let matrix = geo_digest_with(SchedKind::Sharded { shards: 0 }, cost.clone(), |sim| {
+        let matrix = geo_digest_with(SchedKind::sharded(1), cost.clone(), |sim| {
             sim.set_lookahead(Lookahead::Matrix);
             sim.set_shard_threads(2);
         });
-        let fixed = geo_digest_with(SchedKind::Sharded { shards: 0 }, cost.clone(), |sim| {
+        let fixed = geo_digest_with(SchedKind::sharded(1), cost.clone(), |sim| {
             sim.set_lookahead(Lookahead::Fixed(LookaheadMatrix::uniform(
                 2,
                 cost.cross_dc_lookahead(),
@@ -1744,7 +1710,7 @@ mod tests {
         assert_eq!(matrix, scalar, "matrix (uniform) ≠ scalar schedule");
         assert_eq!(fixed, scalar, "explicit uniform matrix ≠ scalar schedule");
         // And the resolved matrices really are the same object.
-        let mut sim = mk_geo(SchedKind::Sharded { shards: 0 }, cost.clone(), 3, 4);
+        let mut sim = mk_geo(SchedKind::sharded(1), cost.clone(), 3, 4);
         sim.start();
         assert_eq!(
             *sim.lookahead_matrix(),
@@ -1758,26 +1724,15 @@ mod tests {
         // parallel windows) must replay the calendar run bit-identically.
         let want = geo_digest(SchedKind::Calendar, CostModel::calibrated(), None);
         for groups in [2u16, 3] {
-            let got = geo_digest_with(
-                SchedKind::Sharded { shards: 0 },
-                CostModel::calibrated(),
-                |sim| {
-                    sim.set_shard_groups(groups);
-                    sim.set_shard_threads(4);
-                },
-            );
+            let got = geo_digest_with(SchedKind::sharded(groups), CostModel::calibrated(), |sim| {
+                sim.set_shard_threads(4)
+            });
             assert_eq!((got.0, got.1, got.2), want, "groups={groups} diverged");
             assert!(got.3 > 0, "groups={groups} never formed a window");
         }
         // Geometry check: 2 DCs × 3 groups = 6 shards, and the sub-DC
         // pairs window against the intra-DC hop, not the inter-DC latency.
-        let mut sim = mk_geo(
-            SchedKind::Sharded { shards: 0 },
-            CostModel::calibrated(),
-            3,
-            4,
-        );
-        sim.set_shard_groups(3);
+        let mut sim = mk_geo(SchedKind::sharded(3), CostModel::calibrated(), 3, 4);
         sim.start();
         assert_eq!(sim.n_shards(), 6);
         let la = sim.lookahead_matrix();
@@ -1792,16 +1747,47 @@ mod tests {
         // The scalar global window is only sound at DC granularity: a
         // same-DC cross-group message arrives after just a hop, far inside
         // a window of width interdc. Groups must silently clamp to 1.
-        let mut sim = mk_geo(
-            SchedKind::Sharded { shards: 0 },
-            CostModel::calibrated(),
-            3,
-            4,
-        );
-        sim.set_shard_groups(4);
+        let mut sim = mk_geo(SchedKind::sharded(4), CostModel::calibrated(), 3, 4);
         sim.set_lookahead(Lookahead::Scalar);
         sim.start();
         assert_eq!(sim.n_shards(), 2, "scalar mode stays DC-granular");
+    }
+
+    #[test]
+    fn group_count_is_part_of_the_engine_value() {
+        // `sharded` parses DC-granular; two groups put a 1-DC cluster on
+        // two shards that replay the calendar run exactly; the scalar
+        // lookahead still collapses them to one.
+        assert_eq!(
+            SchedKind::parse(Some("sharded")).unwrap(),
+            SchedKind::sharded(1)
+        );
+        let run = |sched, lookahead| {
+            let mut sim: Sim<Mesh> = Sim::with_scheduler(CostModel::calibrated(), 5, sched);
+            for p in 0..4 {
+                let addr = Addr::server(DcId(0), contrarian_types::PartitionId(p));
+                sim.add_server(addr, Mesh::spanning(1, 4), 2);
+            }
+            for c in 0..4 {
+                sim.add_client(Addr::client(DcId(0), c), Mesh::spanning(1, 4));
+            }
+            sim.set_lookahead(lookahead);
+            sim.start();
+            let shards = sim.n_shards();
+            sim.run_to_quiescence(u64::MAX);
+            let sums: Vec<u64> = (0..4)
+                .map(|c| {
+                    let a = sim.actor(Addr::client(DcId(0), c));
+                    a.sum.wrapping_mul(1023).wrapping_add(a.echoes)
+                })
+                .collect();
+            (shards, (sim.now(), sim.events_processed(), sums))
+        };
+        let (shards, want) = run(SchedKind::Calendar, Lookahead::Matrix);
+        assert_eq!(shards, 1);
+        let grouped = run(SchedKind::sharded(2), Lookahead::Matrix);
+        assert_eq!(grouped, (2, want.clone()));
+        assert_eq!(run(SchedKind::sharded(2), Lookahead::Scalar), (1, want));
     }
 
     #[test]
@@ -1814,9 +1800,8 @@ mod tests {
         let heap = geo_digest(SchedKind::Heap, cost.clone(), None);
         assert_eq!(heap, want);
         for groups in [1u16, 2, 3] {
-            let got = geo_digest_with(SchedKind::Sharded { shards: 0 }, cost.clone(), |sim| {
-                sim.set_shard_groups(groups);
-                sim.set_shard_threads(3);
+            let got = geo_digest_with(SchedKind::sharded(groups), cost.clone(), |sim| {
+                sim.set_shard_threads(3)
             });
             assert_eq!(
                 (got.0, got.1, got.2),
@@ -1879,7 +1864,16 @@ mod tests {
         };
         let want = digest(SchedKind::Calendar, None);
         assert_eq!(digest(SchedKind::Heap, None), want);
-        assert_eq!(digest(SchedKind::Sharded { shards: 0 }, Some(3)), want);
-        assert_eq!(digest(SchedKind::Sharded { shards: 2 }, Some(2)), want);
+        assert_eq!(digest(SchedKind::sharded(1), Some(3)), want);
+        assert_eq!(
+            digest(
+                SchedKind::Sharded {
+                    shards: 2,
+                    groups: 1
+                },
+                Some(2)
+            ),
+            want
+        );
     }
 }

@@ -194,7 +194,6 @@ impl Actor for Mesh {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn digest(
     cost: &CostModel,
     dcs: u8,
@@ -202,7 +201,6 @@ fn digest(
     clients: u16,
     seed: u64,
     sched: SchedKind,
-    groups: Option<u16>,
     threads: usize,
 ) -> (u64, u64, Vec<u64>) {
     let mut sim: Sim<Mesh> = Sim::with_scheduler(cost.clone(), seed, sched);
@@ -217,9 +215,6 @@ fn digest(
         for c in 0..clients {
             sim.add_client(Addr::client(DcId(dc), c), Mesh::new(dcs, servers));
         }
-    }
-    if let Some(g) = groups {
-        sim.set_shard_groups(g);
     }
     sim.set_shard_threads(threads);
     sim.start();
@@ -259,17 +254,8 @@ proptest! {
             .filter(|&(f, t, _, _)| f != t && f < dcs && t < dcs)
             .map(|(f, t, class, v)| (f, t, if class == 0 { 0 } else { 1_000_000 + v }))
             .collect();
-        let want = digest(&cost, dcs, servers, clients, seed, SchedKind::Calendar, None, 1);
-        let got = digest(
-            &cost,
-            dcs,
-            servers,
-            clients,
-            seed,
-            SchedKind::Sharded { shards: 0 },
-            Some(groups),
-            threads,
-        );
+        let want = digest(&cost, dcs, servers, clients, seed, SchedKind::Calendar, 1);
+        let got = digest(&cost, dcs, servers, clients, seed, SchedKind::sharded(groups), threads);
         prop_assert_eq!(got, want);
     }
 }
