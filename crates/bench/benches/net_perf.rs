@@ -1,33 +1,30 @@
-//! net_perf — the two contrarian-net socket engines head to head.
+//! net_perf — the contrarian-net reactor's socket throughput and I/O
+//! footprint.
 //!
 //! Headline metric: **frames/sec/core** — wire frames moved per second,
 //! divided by the I/O threads doing the moving. The reactor drives every
 //! socket from a fixed pool (`CONTRARIAN_NET_THREADS`, default
-//! `available_parallelism`), so its divisor stays flat as the cluster
-//! grows; the thread-per-connection baseline pays a writer thread per
-//! node plus a reader thread per accepted socket, so its divisor is
-//! O(nodes + links).
+//! `available_parallelism`), so the divisor stays flat as the cluster
+//! grows.
 //!
 //! Two experiments:
 //!
-//! * `stream/<engine>` — a 2-node pair with 64 concurrent ping-pong
+//! * `stream/reactor` — a 2-node pair with 64 concurrent ping-pong
 //!   volleys in flight; one iteration is the wall time for 2000 frames to
 //!   cross the wire. This is the per-socket hot path: frame encode,
 //!   vectored write, readiness wakeup, incremental reassembly.
-//! * `all_to_all/<engine>/<n>` — n nodes each ping every other node once
-//!   and every ping is echoed (n·(n-1)·2 frames); one iteration is the
-//!   full cluster lifecycle: bind, dial, handshake, drain, shutdown. This
-//!   is the scaling story: at n=64 the baseline would need thousands of
-//!   threads for its 4032 directed links, the reactor drives them all
-//!   from the same fixed pool. (With every node dialing simultaneously
-//!   both directions of a pair race their dials, so connection reuse is
-//!   at its worst here — the thread bill, not the socket count, is what
-//!   collapses.)
+//! * `all_to_all/reactor/<n>` at n = 16 and 64 — n nodes each ping every
+//!   other node once and every ping is echoed (n·(n-1)·2 frames); one
+//!   iteration is the full cluster lifecycle: bind, dial, handshake,
+//!   drain, shutdown. This is the scaling story: at n=64 the 4032 directed
+//!   links run from the same fixed pool of I/O threads. (With every node
+//!   dialing simultaneously both directions of a pair race their dials,
+//!   so connection reuse is at its worst here.)
 //!
 //! Alongside each measurement the bench prints the observed sockets and
 //! I/O threads, and the derived frames/sec and frames/sec/core.
 
-use contrarian_net::{NetCluster, NetKind};
+use contrarian_net::NetCluster;
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_runtime::cost::{MsgClass, SimMessage};
 use contrarian_types::codec::{CodecError, Reader, Wire};
@@ -93,13 +90,6 @@ impl Actor for Pump {
     }
 }
 
-fn engine_label(kind: NetKind) -> &'static str {
-    match kind {
-        NetKind::Reactor => "reactor",
-        NetKind::Threads => "threads",
-    }
-}
-
 /// Blocks until the cluster's frame counter reaches `target` (yielding,
 /// not sleeping — the waiter shares cores with the cluster under test).
 fn wait_frames<A: Actor + Send + 'static>(
@@ -138,57 +128,54 @@ const STREAM_DEPTH: u32 = 64;
 fn bench_stream(c: &mut Criterion) {
     let mut g = c.benchmark_group("net_perf");
     g.sample_size(10).measurement_time(Duration::from_secs(8));
-    for kind in [NetKind::Reactor, NetKind::Threads] {
-        let a = Addr::server(DcId(0), PartitionId(0));
-        let b = Addr::server(DcId(0), PartitionId(1));
-        let nodes = vec![(a, Pump { fan_out: 0 }), (b, Pump { fan_out: 0 })];
-        let cluster = NetCluster::start_with(nodes, false, 7, kind);
-        let handle = cluster.handle();
-        for i in 0..STREAM_DEPTH {
-            // Spoof the sender so a's echoes go to b over the wire.
-            handle.send(b, a, Hop(u32::MAX - i));
-        }
-        // Let dials, handshakes, and the first echoes settle.
-        wait_frames(
-            &cluster,
-            STREAM_DEPTH as u64,
-            Instant::now() + Duration::from_secs(10),
-        );
-
-        let mut total_ns = 0.0f64;
-        let mut bursts = 0u64;
-        g.bench_function(BenchmarkId::new("stream", engine_label(kind)), |bch| {
-            bch.iter(|| {
-                let t0 = Instant::now();
-                let (start, _) = cluster.wire_stats();
-                wait_frames(&cluster, start + STREAM_BURST, t0 + Duration::from_secs(30));
-                total_ns += t0.elapsed().as_nanos() as f64;
-                bursts += 1;
-            })
-        });
-
-        let io = cluster.io_stats();
-        let fps = (bursts * STREAM_BURST) as f64 / (total_ns / 1e9);
-        eprintln!(
-            "net_perf/stream/{}: {:.0} frames/s, {:.0} frames/s/core ({} io threads, {} socket endpoints, {} machine cores)",
-            engine_label(kind),
-            fps,
-            fps / io.transport_threads.max(1) as f64,
-            io.transport_threads,
-            io.sockets,
-            cores(),
-        );
-        cluster.shutdown();
+    let a = Addr::server(DcId(0), PartitionId(0));
+    let b = Addr::server(DcId(0), PartitionId(1));
+    let nodes = vec![(a, Pump { fan_out: 0 }), (b, Pump { fan_out: 0 })];
+    let cluster = NetCluster::start(nodes, false, 7);
+    let handle = cluster.handle();
+    for i in 0..STREAM_DEPTH {
+        // Spoof the sender so a's echoes go to b over the wire.
+        handle.send(b, a, Hop(u32::MAX - i));
     }
+    // Let dials, handshakes, and the first echoes settle.
+    wait_frames(
+        &cluster,
+        STREAM_DEPTH as u64,
+        Instant::now() + Duration::from_secs(10),
+    );
+
+    let mut total_ns = 0.0f64;
+    let mut bursts = 0u64;
+    g.bench_function(BenchmarkId::new("stream", "reactor"), |bch| {
+        bch.iter(|| {
+            let t0 = Instant::now();
+            let (start, _) = cluster.wire_stats();
+            wait_frames(&cluster, start + STREAM_BURST, t0 + Duration::from_secs(30));
+            total_ns += t0.elapsed().as_nanos() as f64;
+            bursts += 1;
+        })
+    });
+
+    let io = cluster.io_stats();
+    let fps = (bursts * STREAM_BURST) as f64 / (total_ns / 1e9);
+    eprintln!(
+        "net_perf/stream/reactor: {:.0} frames/s, {:.0} frames/s/core ({} io threads, {} socket endpoints, {} machine cores)",
+        fps,
+        fps / io.transport_threads.max(1) as f64,
+        io.transport_threads,
+        io.sockets,
+        cores(),
+    );
+    cluster.shutdown();
     g.finish();
 }
 
 /// One full all-to-all lifecycle; returns (sockets, io threads) observed.
-fn all_to_all_once(kind: NetKind, n: u16) -> (u64, usize) {
+fn all_to_all_once(n: u16) -> (u64, usize) {
     let nodes: Vec<(Addr, Pump)> = (0..n)
         .map(|p| (Addr::server(DcId(0), PartitionId(p)), Pump { fan_out: n }))
         .collect();
-    let cluster = NetCluster::start_with(nodes, false, 11, kind);
+    let cluster = NetCluster::start(nodes, false, 11);
     let want = n as u64 * (n as u64 - 1) * 2;
     wait_frames(&cluster, want, Instant::now() + Duration::from_secs(60));
     let io = cluster.io_stats();
@@ -199,24 +186,15 @@ fn all_to_all_once(kind: NetKind, n: u16) -> (u64, usize) {
 fn bench_all_to_all(c: &mut Criterion) {
     let mut g = c.benchmark_group("net_perf");
     g.sample_size(2).measurement_time(Duration::from_secs(5));
-    // The baseline's thread bill is O(nodes + links): at 64 nodes it would
-    // spawn thousands of reader/writer threads for 4032 directed links, so
-    // it is only measured at 16. The reactor runs the full 64.
-    let legs = [
-        (NetKind::Reactor, 16u16),
-        (NetKind::Reactor, 64),
-        (NetKind::Threads, 16),
-    ];
-    for (kind, n) in legs {
+    for n in [16u16, 64] {
         let mut stats = (0u64, 0usize);
         g.bench_function(
-            BenchmarkId::new("all_to_all", format!("{}/{}", engine_label(kind), n)),
-            |bch| bch.iter(|| stats = all_to_all_once(kind, n)),
+            BenchmarkId::new("all_to_all", format!("reactor/{n}")),
+            |bch| bch.iter(|| stats = all_to_all_once(n)),
         );
         let frames = n as u64 * (n as u64 - 1) * 2;
         eprintln!(
-            "net_perf/all_to_all/{}/{}: {} frames, {} socket endpoints, {} io threads ({:.1} endpoints/io-thread)",
-            engine_label(kind),
+            "net_perf/all_to_all/reactor/{}: {} frames, {} socket endpoints, {} io threads ({:.1} endpoints/io-thread)",
             n,
             frames,
             stats.0,

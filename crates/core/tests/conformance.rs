@@ -1,6 +1,7 @@
 //! Contrarian under the shared backend conformance suite: the same
 //! convergence + causal-session checks every backend must pass, on all three
-//! runtimes: discrete-event simulator, in-process threads, and loopback TCP.
+//! runtimes: discrete-event simulator, in-process threads, and loopback TCP
+//! through the epoll reactor.
 
 use contrarian_core::Contrarian;
 use contrarian_protocol::conformance;
@@ -32,16 +33,10 @@ fn conforms_on_tcp_transport() {
     assert!(outcome.keys_compared > 0);
 }
 
+/// The TCP battery on a second seed: another workload draw and another
+/// set of socket interleavings on the same reactor.
 #[test]
 fn conforms_on_tcp_reactor_engine() {
-    let outcome =
-        conformance::check_net_with::<Contrarian>(2, 26, conformance::NetKind::Reactor).unwrap();
-    assert!(outcome.keys_compared > 0);
-}
-
-#[test]
-fn conforms_on_tcp_threads_engine() {
-    let outcome =
-        conformance::check_net_with::<Contrarian>(2, 27, conformance::NetKind::Threads).unwrap();
+    let outcome = conformance::check_net::<Contrarian>(2, 26).unwrap();
     assert!(outcome.keys_compared > 0);
 }

@@ -1,6 +1,7 @@
 //! Cure under the shared backend conformance suite: the same convergence +
 //! causal-session checks every backend must pass, on all three runtimes:
-//! discrete-event simulator, in-process threads, and loopback TCP.
+//! discrete-event simulator, in-process threads, and loopback TCP through
+//! the epoll reactor.
 
 use contrarian_cure::Cure;
 use contrarian_protocol::conformance;
@@ -32,16 +33,10 @@ fn conforms_on_tcp_transport() {
     assert!(outcome.keys_compared > 0);
 }
 
+/// The TCP battery on a second seed: another workload draw and another
+/// set of socket interleavings on the same reactor.
 #[test]
 fn conforms_on_tcp_reactor_engine() {
-    let outcome =
-        conformance::check_net_with::<Cure>(2, 46, conformance::NetKind::Reactor).unwrap();
-    assert!(outcome.keys_compared > 0);
-}
-
-#[test]
-fn conforms_on_tcp_threads_engine() {
-    let outcome =
-        conformance::check_net_with::<Cure>(2, 47, conformance::NetKind::Threads).unwrap();
+    let outcome = conformance::check_net::<Cure>(2, 46).unwrap();
     assert!(outcome.keys_compared > 0);
 }

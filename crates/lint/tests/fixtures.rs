@@ -215,7 +215,7 @@ fn unregistered_env_literal_is_caught() {
     // A typo, then the knobs retired from the registry: bringing one back
     // without registering it fails the lint, and registering one again
     // fails this test.
-    for name in ["SHED", "SHARD_GROUPS", "NET"] {
+    for name in ["SHED", "SHARD_GROUPS", "NET", "NET_POLLER"] {
         let src = format!("fn f() {{ let v = std::env::var(\"CONTRARIAN_{name}\"); }}\n");
         let diags = check(&[
             ("crates/runtime/src/env.rs", REGISTRY),

@@ -12,9 +12,10 @@
 //!   [`StaticBook::load`] parses it, each process binds the listeners for
 //!   the nodes it hosts and connects out to everything else.
 //!
-//! The config format is one node per line, `<addr> <ip:port>`, using the
+//! The config format is one node per line, `<addr> <ipv4:port>`, using the
 //! same rendering [`Addr`]'s `Display` produces (`dc0/p3` for partition
-//! servers, `dc1/c2` for client sessions). `#` starts a comment.
+//! servers, `dc1/c2` for client sessions). `#` starts a comment. Endpoints
+//! are IPv4 only: the reactor dials IPv4 peers and nothing else.
 
 use contrarian_types::{Addr, DcId};
 use std::collections::HashMap;
@@ -50,10 +51,11 @@ impl StaticBook {
         self.map.is_empty()
     }
 
-    /// Parses the config-file format: one `<addr> <ip:port>` pair per
+    /// Parses the config-file format: one `<addr> <ipv4:port>` pair per
     /// line, blank lines and `#` comments ignored. Duplicate node entries
     /// are an error — two listeners for one node is a broken deployment,
-    /// not a tie to break silently.
+    /// not a tie to break silently — and so is an IPv6 endpoint, which the
+    /// reactor could never dial.
     pub fn parse(text: &str) -> Result<StaticBook, String> {
         let mut map = HashMap::new();
         for (lineno, raw) in text.lines().enumerate() {
@@ -65,7 +67,7 @@ impl StaticBook {
             let (Some(node), Some(endpoint), None) = (parts.next(), parts.next(), parts.next())
             else {
                 return Err(format!(
-                    "line {}: expected `<addr> <ip:port>`, got `{line}`",
+                    "line {}: expected `<addr> <ipv4:port>`, got `{line}`",
                     lineno + 1
                 ));
             };
@@ -74,6 +76,12 @@ impl StaticBook {
             let at: SocketAddr = endpoint
                 .parse()
                 .map_err(|e| format!("line {}: bad endpoint `{endpoint}`: {e}", lineno + 1))?;
+            if !at.is_ipv4() {
+                return Err(format!(
+                    "line {}: endpoint `{endpoint}` is not IPv4 (the reactor dials IPv4 peers only)",
+                    lineno + 1
+                ));
+            }
             if map.insert(addr, at).is_some() {
                 return Err(format!("line {}: duplicate entry for {addr}", lineno + 1));
             }
@@ -163,8 +171,30 @@ mod tests {
             ("dc0/q0 127.0.0.1:1", "bad node kind"),
             ("dc0/p0 127.0.0.1:notaport", "bad port"),
             ("dc0/p0 127.0.0.1:1\ndc0/p0 127.0.0.1:2", "duplicate"),
+            ("dc0/p0 [::1]:4000", "IPv6 endpoint"),
         ] {
-            assert!(StaticBook::parse(bad).is_err(), "{why}: `{bad}`");
+            let err = StaticBook::parse(bad).expect_err(why);
+            assert!(err.starts_with("line "), "{why}: `{err}` names no line");
         }
+    }
+
+    /// Comments and blank lines still count toward the reported line.
+    #[test]
+    fn errors_name_the_offending_line_of_the_file() {
+        let err = StaticBook::parse(
+            "# layout\n\
+             \n\
+             dc0/p0 127.0.0.1:4000\n\
+             dc0/p1 [::1]:4001\n",
+        )
+        .unwrap_err();
+        assert!(err.starts_with("line 4: "), "{err}");
+        assert!(err.contains("[::1]:4001"), "{err}");
+    }
+
+    #[test]
+    fn load_reports_the_path_it_cannot_read() {
+        let err = StaticBook::load("no/such/dir/cluster.book").unwrap_err();
+        assert!(err.starts_with("read no/such/dir/cluster.book: "), "{err}");
     }
 }

@@ -1,53 +1,38 @@
-//! The TCP cluster facade: one API, two engines.
+//! The TCP cluster: node threads on the shared live event loop, every
+//! socket on the reactor pool.
 //!
-//! [`NetCluster`] is what the builders and the harness talk to. Behind it
-//! sit two interchangeable socket engines:
-//!
-//! * [`reactor`](crate::reactor) (the default): a fixed pool of event-loop
-//!   threads driving nonblocking sockets through epoll, one multiplexed
-//!   connection per peer pair;
-//! * [`threads`](crate::threads) ([`NetCluster::start_with`] and
-//!   [`NetKind::Threads`]): the original thread-per-connection engine — a
-//!   writer thread per node, a reader thread per accepted socket — kept as
-//!   the baseline the reactor is measured against.
-//!
-//! Both engines share a [`ClusterCore`]: the run flags and history sink
+//! [`NetCluster`] is what the builders and the harness talk to. Starting
+//! one binds a loopback listener per node (assembling the loopback
+//! [`StaticBook`]), spawns the [`reactor`](crate::reactor) pool, then one
+//! thread per node running
+//! [`contrarian_runtime::node_loop::run_node`]. The node threads and the
+//! reactors share a `ClusterCore`: the run flags and history sink
 //! ([`RunShared`]), every node's input channel, and the wire counters.
-//! Node state machines run on their own threads via
-//! [`contrarian_runtime::node_loop::run_node`] either way — the engine
-//! choice only changes how an encoded frame crosses the process.
 
-use crate::reactor::ReactorCluster;
-use crate::threads::ThreadsCluster;
+use crate::addrbook::StaticBook;
+use crate::reactor::{pool_size, spawn_reactors, stop_reactors, NetInner, ReactorOutbound};
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::metrics::Metrics;
-use contrarian_runtime::node_loop::{Input, RunShared};
+use contrarian_runtime::node_loop::{node_seed, run_node, Input, RunShared};
 use contrarian_runtime::Runtime;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent, Op};
 use crossbeam::channel::{bounded, Sender};
 use std::collections::HashMap;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Capacity of each node's input channel (frames). Bounded so a stalled
 /// node exerts backpressure instead of ballooning memory.
-pub(crate) const CHANNEL_CAP: usize = 64 * 1024;
+const CHANNEL_CAP: usize = 64 * 1024;
 
-/// Which socket engine drives the cluster.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NetKind {
-    /// Event-driven reactor pool (the default).
-    Reactor,
-    /// Thread-per-connection baseline.
-    Threads,
-}
-
-/// Frames/bytes/sockets actually put on the wire, updated by whichever
-/// threads do the socket writes. Relaxed atomics off the latency path.
-/// Hello handshake frames are *not* counted — the totals mean protocol
-/// traffic, comparable across engines.
+/// Frames/bytes/sockets actually put on the wire, updated by the reactor
+/// threads that do the socket writes. Relaxed atomics off the latency
+/// path. Hello handshake frames are *not* counted — the totals mean
+/// protocol traffic.
 #[derive(Default)]
 pub struct WireStats {
     frames: AtomicU64,
@@ -65,7 +50,7 @@ impl WireStats {
     }
 
     /// Records one socket endpoint coming up (a completed connect or an
-    /// accept) — the engines' footprint metric.
+    /// accept) — the cluster's footprint metric.
     pub fn on_socket(&self) {
         self.sockets.fetch_add(1, Ordering::Relaxed);
     }
@@ -82,42 +67,34 @@ impl WireStats {
     }
 }
 
-/// State both engines share: run flags + history, the inbox of every node
-/// (reader side delivers into it, injection bypasses the sockets through
-/// it), and the wire counters.
+/// State the node threads and the reactors share: run flags + history,
+/// the inbox of every node (reactors deliver into it, injection bypasses
+/// the sockets through it), and the wire counters.
 pub(crate) struct ClusterCore<M> {
     pub(crate) run: RunShared,
     pub(crate) inbox: HashMap<Addr, Sender<Input<M>>>,
     pub(crate) wire: WireStats,
 }
 
-/// I/O footprint of the running engine, for the `net_perf` comparison:
-/// how many OS threads and socket endpoints it takes to move the frames.
+/// I/O footprint of the running cluster, reported by `net_perf` and the
+/// benchmark's TCP rungs: the OS threads and socket endpoints it takes to
+/// move the frames.
 #[derive(Clone, Copy, Debug)]
 pub struct NetIoStats {
-    /// Threads dedicated to socket I/O (node threads excluded).
+    /// Reactor threads, i.e. threads dedicated to socket I/O (node
+    /// threads excluded). Fixed at start by `CONTRARIAN_NET_THREADS`.
     pub transport_threads: usize,
-    /// Socket endpoints established so far (connects + accepts).
+    /// Socket endpoints established so far (connects + accepts). One
+    /// connection per peer pair, so a chatty pair costs two.
     pub sockets: u64,
 }
 
-/// Re-raises a panic from a joined I/O thread on the shutting-down thread.
-pub(crate) fn resume_panic<T>(r: std::thread::Result<T>) {
-    if let Err(payload) = r {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-enum Engine<A: Actor> {
-    Threads(ThreadsCluster<A>),
-    Reactor(ReactorCluster<A>),
-}
-
 /// A running TCP cluster: every node an OS thread, every message crossing
-/// a loopback socket through whichever engine [`NetKind`] selected.
+/// a loopback socket driven by the reactor pool.
 pub struct NetCluster<A: Actor> {
-    core: Arc<ClusterCore<A::Msg>>,
-    engine: Engine<A>,
+    net: Arc<NetInner<A::Msg>>,
+    node_threads: Vec<JoinHandle<(A, Metrics)>>,
+    reactor_threads: Vec<JoinHandle<()>>,
     addrs: Vec<Addr>,
 }
 
@@ -153,45 +130,53 @@ where
     A: Actor + Send + 'static,
     A::Msg: Wire,
 {
-    /// Starts the cluster on the reactor.
+    /// Binds one loopback listener per node, spawns the reactor pool
+    /// (listeners dealt round-robin across it), then the node threads.
     pub fn start(nodes: Vec<(Addr, A)>, recording: bool, seed: u64) -> Self {
-        Self::start_with(nodes, recording, seed, NetKind::Reactor)
-    }
-
-    /// Starts the cluster on an explicit engine (tests and the `net_perf`
-    /// bench compare both in one process).
-    pub fn start_with(nodes: Vec<(Addr, A)>, recording: bool, seed: u64, kind: NetKind) -> Self {
+        let pool = pool_size();
         let mut inbox = HashMap::new();
-        let mut rxs = Vec::new();
-        for (addr, _) in &nodes {
+        let mut rxs = Vec::with_capacity(nodes.len());
+        let mut book = StaticBook::default();
+        let mut listeners_per: Vec<Vec<(Addr, TcpListener)>> =
+            (0..pool).map(|_| Vec::new()).collect();
+        for (i, (addr, _)) in nodes.iter().enumerate() {
             let (tx, rx) = bounded::<Input<A::Msg>>(CHANNEL_CAP);
             inbox.insert(*addr, tx);
-            rxs.push((*addr, rx));
+            rxs.push(rx);
+            let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+            l.set_nonblocking(true).expect("listener nonblocking");
+            book.insert(*addr, l.local_addr().expect("listener has local addr"));
+            listeners_per[i % pool].push((*addr, l));
         }
         let core = Arc::new(ClusterCore {
             run: RunShared::new(recording),
             inbox,
             wire: WireStats::default(),
         });
+        let (net, reactor_threads) = spawn_reactors(core, Arc::new(book), listeners_per);
+
         let addrs: Vec<Addr> = nodes.iter().map(|(a, _)| *a).collect();
-        let engine = match kind {
-            NetKind::Threads => {
-                Engine::Threads(ThreadsCluster::start(core.clone(), nodes, rxs, seed))
-            }
-            NetKind::Reactor => {
-                Engine::Reactor(ReactorCluster::start(core.clone(), nodes, rxs, seed))
-            }
-        };
+        let node_threads = nodes
+            .into_iter()
+            .zip(rxs)
+            .map(|((addr, actor), rx)| {
+                let out = ReactorOutbound::new(addr, net.clone());
+                let core = net.core.clone();
+                let seed = node_seed(seed, addr);
+                std::thread::spawn(move || run_node(addr, actor, rx, out, &core.run, seed))
+            })
+            .collect();
         NetCluster {
-            core,
-            engine,
+            net,
+            node_threads,
+            reactor_threads,
             addrs,
         }
     }
 
     pub fn handle(&self) -> NetHandle<A::Msg> {
         NetHandle {
-            core: self.core.clone(),
+            core: self.net.core.clone(),
         }
     }
 
@@ -201,14 +186,14 @@ where
 
     /// Wall-clock nanoseconds since the cluster started.
     pub fn now(&self) -> u64 {
-        self.core.run.now()
+        self.net.core.run.now()
     }
 
     /// Sends an operation to a client node. External injection bypasses the
     /// sockets (it is not cluster traffic), exactly as on the other
     /// runtimes.
     pub fn inject_op(&self, client: Addr, op: Op) {
-        if let Some(tx) = self.core.inbox.get(&client) {
+        if let Some(tx) = self.net.core.inbox.get(&client) {
             let _ = tx.send(Input::Msg {
                 from: client,
                 msg: A::inject(op),
@@ -218,12 +203,12 @@ where
 
     /// Turns measurement on or off (sampled by every node thread).
     pub fn set_measuring(&self, on: bool) {
-        self.core.run.measuring.store(on, Ordering::SeqCst);
+        self.net.core.run.measuring.store(on, Ordering::SeqCst);
     }
 
     /// Signals closed-loop clients to stop issuing new operations.
     pub fn stop_issuing(&self) {
-        self.core.run.stopped.store(true, Ordering::SeqCst);
+        self.net.core.run.stopped.store(true, Ordering::SeqCst);
     }
 
     /// Drains the history recorded since the last drain, releasing it
@@ -231,37 +216,50 @@ where
     /// [`contrarian_runtime::HistorySink::drain`]). Lets a streaming
     /// consumer check long runs without the sink holding the whole log.
     pub fn drain_history(&self) -> Vec<HistoryEvent> {
-        self.core.run.history.drain()
+        self.net.core.run.history.drain()
     }
 
     /// `(frames, bytes)` successfully written to sockets so far (hello
     /// handshakes excluded).
     pub fn wire_stats(&self) -> (u64, u64) {
-        self.core.wire.frames_bytes()
+        self.net.core.wire.frames_bytes()
     }
 
-    /// The engine's current I/O footprint.
+    /// The cluster's current I/O footprint.
     pub fn io_stats(&self) -> NetIoStats {
-        match &self.engine {
-            Engine::Threads(t) => t.io_stats(),
-            Engine::Reactor(r) => r.io_stats(),
+        NetIoStats {
+            transport_threads: self.reactor_threads.len(),
+            sockets: self.net.core.wire.sockets(),
         }
     }
 
-    /// Stops every node, tears down the sockets, and returns the final
-    /// actors, merged metrics and history. Socket-level totals are folded
-    /// into the metrics as `net.frames_sent` / `net.bytes_sent`.
+    /// Stops every node, drains and tears down the sockets, and returns the
+    /// final actors, merged metrics and history. Socket-level totals are
+    /// folded into the metrics as `net.frames_sent` / `net.bytes_sent`.
     pub fn shutdown(self) -> (Vec<(Addr, A)>, Metrics, Vec<HistoryEvent>) {
-        let (actors, mut metrics) = match self.engine {
-            Engine::Threads(t) => t.shutdown(),
-            Engine::Reactor(r) => r.shutdown(),
-        };
-        let (frames, bytes) = self.core.wire.frames_bytes();
+        let core = &self.net.core;
+        // 1. Stop the state machines (reactors still live, so in-flight
+        // output keeps draining while nodes wind down).
+        core.run.stopped.store(true, Ordering::SeqCst);
+        for tx in core.inbox.values() {
+            let _ = tx.send(Input::Stop);
+        }
+        let mut actors = Vec::new();
+        let mut metrics = Metrics::new();
+        for (t, addr) in self.node_threads.into_iter().zip(self.addrs) {
+            let (actor, local) = t.join().expect("node thread panicked");
+            metrics.absorb(&local);
+            actors.push((addr, actor));
+        }
+        // 2. Drain what remains on the wire and stop the reactors; one that
+        // panicked mid-run fails the shutdown here.
+        stop_reactors(&self.net, self.reactor_threads);
+        let (frames, bytes) = core.wire.frames_bytes();
         metrics.enabled = true;
         metrics.add("net.frames_sent", frames);
         metrics.add("net.bytes_sent", bytes);
         metrics.enabled = false;
-        let history = self.core.run.history.take();
+        let history = core.run.history.take();
         (actors, metrics, history)
     }
 }
@@ -279,6 +277,7 @@ where
         // Same contract as the other runtimes: an unknown destination is a
         // driver bug, not a droppable message.
         let tx = self
+            .net
             .core
             .inbox
             .get(&to)
@@ -358,7 +357,8 @@ pub(crate) mod tests {
         }
     }
 
-    fn ping_pong_on(kind: NetKind) {
+    #[test]
+    fn ping_pong_over_real_sockets_reactor() {
         let server = Addr::server(DcId(0), PartitionId(0));
         let client = Addr::client(DcId(0), 0);
         let nodes = vec![
@@ -377,7 +377,7 @@ pub(crate) mod tests {
                 },
             ),
         ];
-        let cluster = NetCluster::start_with(nodes, false, 1, kind);
+        let cluster = NetCluster::start(nodes, false, 1);
         // 100 round trips over loopback finish in well under a second.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -398,22 +398,13 @@ pub(crate) mod tests {
         assert!(metrics.counter("net.bytes_sent") > 0);
     }
 
-    #[test]
-    fn ping_pong_over_real_sockets_threads() {
-        ping_pong_on(NetKind::Threads);
-    }
-
-    #[test]
-    fn ping_pong_over_real_sockets_reactor() {
-        ping_pong_on(NetKind::Reactor);
-    }
-
     /// The ping-pong exchange has a known wire footprint: pings 0..=99,
     /// one frame each — 4-byte length prefix, 4-byte sender `Addr`,
-    /// 4-byte `u32` payload. Both engines must report exactly that, and
+    /// 4-byte `u32` payload. The counters must report exactly that, and
     /// the totals must survive the shutdown drain (folded into
     /// `net.frames_sent`/`net.bytes_sent`).
-    fn exact_wire_counters_on(kind: NetKind) {
+    #[test]
+    fn exact_wire_counters_reactor() {
         let server = Addr::server(DcId(0), PartitionId(0));
         let client = Addr::client(DcId(0), 0);
         let nodes = vec![
@@ -432,7 +423,7 @@ pub(crate) mod tests {
                 },
             ),
         ];
-        let cluster = NetCluster::start_with(nodes, false, 7, kind);
+        let cluster = NetCluster::start(nodes, false, 7);
         let deadline = Instant::now() + Duration::from_secs(10);
         while cluster.wire_stats().0 < 100 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -447,16 +438,6 @@ pub(crate) mod tests {
         let (_, metrics, _) = cluster.shutdown();
         assert_eq!(metrics.counter("net.frames_sent"), 100);
         assert_eq!(metrics.counter("net.bytes_sent"), 1200);
-    }
-
-    #[test]
-    fn exact_wire_counters_threads() {
-        exact_wire_counters_on(NetKind::Threads);
-    }
-
-    #[test]
-    fn exact_wire_counters_reactor() {
-        exact_wire_counters_on(NetKind::Reactor);
     }
 
     /// Client bursts 200 pings at start; server records receive order.
@@ -481,13 +462,14 @@ pub(crate) mod tests {
         }
     }
 
-    fn fifo_on(kind: NetKind) {
+    #[test]
+    fn fifo_is_preserved_per_link_reactor() {
         let server = Addr::server(DcId(0), PartitionId(0));
         let nodes = vec![
             (server, Burst { got: vec![] }),
             (Addr::client(DcId(0), 0), Burst { got: vec![] }),
         ];
-        let cluster = NetCluster::start_with(nodes, false, 2, kind);
+        let cluster = NetCluster::start(nodes, false, 2);
         let deadline = Instant::now() + Duration::from_secs(10);
         while cluster.wire_stats().0 < 200 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -499,16 +481,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fifo_is_preserved_per_link_threads() {
-        fifo_on(NetKind::Threads);
-    }
-
-    #[test]
-    fn fifo_is_preserved_per_link_reactor() {
-        fifo_on(NetKind::Reactor);
-    }
-
-    fn injection_on(kind: NetKind) {
+    fn injection_reaches_clients_reactor() {
         let server = Addr::server(DcId(0), PartitionId(0));
         let client = Addr::client(DcId(0), 0);
         let nodes = vec![
@@ -527,7 +500,7 @@ pub(crate) mod tests {
                 },
             ),
         ];
-        let mut cluster = NetCluster::start_with(nodes, false, 3, kind);
+        let mut cluster = NetCluster::start(nodes, false, 3);
         Runtime::send(&mut cluster, client, client, Ping(500));
         std::thread::sleep(Duration::from_millis(100));
         let (actors, ..) = cluster.shutdown();
@@ -535,13 +508,33 @@ pub(crate) mod tests {
         assert_eq!(pongs, 1, "injected ping counted, no further round trips");
     }
 
+    /// Sockets are dialed lazily: a cluster nobody talks in opens none,
+    /// writes nothing, and hands its actors back in start order.
     #[test]
-    fn injection_reaches_clients_threads() {
-        injection_on(NetKind::Threads);
-    }
-
-    #[test]
-    fn injection_reaches_clients_reactor() {
-        injection_on(NetKind::Reactor);
+    fn idle_cluster_opens_no_sockets_and_shuts_down_clean() {
+        let nodes: Vec<(Addr, Echo)> = (0..3)
+            .map(|p| {
+                (
+                    Addr::server(DcId(0), PartitionId(p)),
+                    Echo {
+                        pongs: 0,
+                        peer: None,
+                    },
+                )
+            })
+            .collect();
+        let order: Vec<Addr> = nodes.iter().map(|(a, _)| *a).collect();
+        let cluster = NetCluster::start(nodes, false, 4);
+        assert_eq!(cluster.addrs(), &order[..]);
+        std::thread::sleep(Duration::from_millis(50));
+        let io = cluster.io_stats();
+        assert_eq!(io.transport_threads, pool_size());
+        assert_eq!(io.sockets, 0);
+        assert_eq!(cluster.wire_stats(), (0, 0));
+        let (actors, metrics, history) = cluster.shutdown();
+        let back: Vec<Addr> = actors.iter().map(|(a, _)| *a).collect();
+        assert_eq!(back, order);
+        assert_eq!(metrics.counter("net.frames_sent"), 0);
+        assert!(history.is_empty());
     }
 }

@@ -7,36 +7,28 @@
 //! [`contrarian_runtime::Actor`] state machines with messages actually
 //! crossing sockets.
 //!
-//! ## Two engines, one facade
+//! ## The reactor
 //!
-//! [`NetCluster::start`] runs the reactor; [`NetCluster::start_with`]
-//! takes the socket engine as a [`NetKind`]:
+//! [`NetCluster::start`] binds a loopback listener per node and runs every
+//! socket on the [`reactor`] pool: a fixed set of event-loop threads
+//! (`CONTRARIAN_NET_THREADS`, default `available_parallelism`) driving
+//! nonblocking sockets through hand-rolled epoll bindings ([`sys`]). One
+//! multiplexed TCP connection per *peer pair* — frames already carry
+//! `(from, msg)`, so both directions share a socket, with a
+//! [`conn::Hello`] handshake telling the acceptor who called. Outbound
+//! frames queue on bounded per-connection rings (backpressure blocks the
+//! producing node, never an unbounded queue) and leave in vectored writes;
+//! inbound bytes reassemble incrementally via
+//! [`contrarian_runtime::FrameAssembler`]. Dial backoff is scheduled on
+//! reactor timers instead of slept.
 //!
-//! * **`reactor`** (the default, [`reactor`] module): a fixed pool of
-//!   event-loop threads (`CONTRARIAN_NET_THREADS`, default
-//!   `available_parallelism`) drives every socket nonblocking through
-//!   hand-rolled epoll bindings ([`sys`]; `CONTRARIAN_NET_POLLER=poll`
-//!   selects the `poll(2)` fallback). One multiplexed TCP connection per
-//!   *peer pair* — frames already carry `(from, msg)`, so both directions
-//!   share a socket, with a [`conn::Hello`] handshake telling the
-//!   acceptor who called. Outbound frames queue on bounded per-connection
-//!   rings (backpressure blocks the producing node, never an unbounded
-//!   queue) and leave in vectored writes; inbound bytes reassemble
-//!   incrementally via [`contrarian_runtime::FrameAssembler`]. Dial
-//!   backoff is scheduled on reactor timers instead of slept.
-//! * **`threads`** ([`threads`] module): the original engine — one writer
-//!   thread per node, one reader thread per accepted socket, one socket
-//!   per directed link. Kept as the baseline; its O(nodes + links) thread
-//!   bill is what the reactor exists to retire.
-//!
-//! Node state machines are identical under both: each node is an OS
-//! thread on the live event loop shared with `contrarian-transport`
-//! ([`contrarian_runtime::node_loop`]), and everything it sends is framed
-//! with the runtime's length-prefixed framing and encoded with the
-//! hand-rolled wire codec ([`contrarian_types::codec`]) — no serde, the
-//! workspace builds offline. Nagle is disabled everywhere
-//! (`TCP_NODELAY`): a latency study cannot sit behind a 40 ms coalescing
-//! timer.
+//! Each node is an OS thread on the live event loop shared with
+//! `contrarian-transport` ([`contrarian_runtime::node_loop`]), and
+//! everything it sends is framed with the runtime's length-prefixed
+//! framing and encoded with the hand-rolled wire codec
+//! ([`contrarian_types::codec`]) — no serde, the workspace builds offline.
+//! Nagle is disabled everywhere (`TCP_NODELAY`): a latency study cannot
+//! sit behind a 40 ms coalescing timer.
 //!
 //! ## Deployment knowledge
 //!
@@ -51,21 +43,20 @@
 //! [`contrarian_types::Wire`], the generic cluster builders in
 //! `contrarian-protocol` stand up any backend on it unchanged, and the
 //! shared conformance suite (convergence + causal-session checks) runs the
-//! same battery over 127.0.0.1 as over channels and the simulator — on
-//! either engine (`check_net_with`).
+//! same battery over 127.0.0.1 as over channels and the simulator
+//! (`check_net`).
 //!
 //! What this runtime is *for*: demonstrating that the paper's latency
 //! argument survives contact with a real network stack. The harness's
 //! `net_sweep` binary measures Contrarian vs CC-LO ROT latency over
-//! loopback sockets, and `contrarian-bench`'s `net_perf` compares the two
-//! engines on frames/sec/core and I/O footprint.
+//! loopback sockets, and `contrarian-bench`'s `net_perf` measures the
+//! reactor's frames/sec/core and I/O footprint.
 
 pub mod addrbook;
 pub mod cluster;
 pub mod conn;
 pub mod reactor;
 pub mod sys;
-pub mod threads;
 
 pub use addrbook::{parse_addr, AddressBook, StaticBook};
-pub use cluster::{NetCluster, NetHandle, NetIoStats, NetKind};
+pub use cluster::{NetCluster, NetHandle, NetIoStats};

@@ -1,12 +1,11 @@
-//! The event-driven reactor engine: a fixed pool of event-loop threads
-//! driving every socket in the cluster.
+//! The event-driven reactor: a fixed pool of event-loop threads driving
+//! every socket in the cluster.
 //!
-//! Where the `threads` engine spends one OS thread per node for writes and
-//! one per accepted socket for reads (O(nodes + links) threads), this
-//! engine runs `CONTRARIAN_NET_THREADS` reactor threads (default: the
-//! machine's `available_parallelism`) and multiplexes *all* sockets over
-//! them through the readiness [`Poller`](crate::sys::Poller). Node state
-//! machines keep their own threads, untouched — only the I/O army is gone.
+//! `CONTRARIAN_NET_THREADS` reactor threads (default: the machine's
+//! `available_parallelism`) multiplex *all* sockets through the readiness
+//! [`Poller`], so the I/O thread count is fixed however many nodes and
+//! links the cluster has. Node state machines keep their own threads; a
+//! reactor only moves encoded frames.
 //!
 //! ## Connections
 //!
@@ -35,22 +34,21 @@
 //!
 //! ## Reconnects
 //!
-//! A refused dial is retried on the reactor's timer wheel with the same
-//! exponential schedule the `threads` engine sleeps through (2 ms doubling
-//! to 250 ms, ten attempts) — but scheduled, so one unreachable peer never
-//! stalls the other connections sharing the reactor.
+//! A refused dial is retried on the reactor's timer heap on an exponential
+//! schedule (2 ms doubling to 250 ms, ten attempts: ≈ ¾ s in all, enough
+//! to ride out listener backlogs hammered during a large cluster's
+//! bring-up). The retry is scheduled, never slept, so one unreachable peer
+//! never stalls the other connections sharing the reactor.
 
-use crate::addrbook::{AddressBook, StaticBook};
-use crate::cluster::{resume_panic, ClusterCore, NetIoStats};
+use crate::addrbook::AddressBook;
+use crate::cluster::ClusterCore;
 use crate::conn::{decode_hello, hello_frame, OutRing};
-use crate::sys::{self, Event, Poller, PollerKind};
-use contrarian_runtime::actor::Actor;
+use crate::sys::{self, Event, Poller};
 use contrarian_runtime::frame::{encode_frame, FrameAssembler};
-use contrarian_runtime::metrics::Metrics;
-use contrarian_runtime::node_loop::{node_seed, run_node, Input, Outbound};
+use contrarian_runtime::node_loop::{Input, Outbound};
 use contrarian_types::codec::{from_bytes, Wire};
 use contrarian_types::Addr;
-use crossbeam::channel::{Receiver, TrySendError};
+use crossbeam::channel::TrySendError;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Read as _, Write as _};
@@ -66,8 +64,8 @@ use std::time::{Duration, Instant};
 /// sentinel in [`ConnShared::slot`] (a real slot token never reaches it).
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Dial attempts before a peer is declared unreachable (same budget as the
-/// `threads` engine's `connect_with_backoff`).
+/// Dial attempts before a peer is declared unreachable (≈ ¾ s of
+/// [`backoff_delay`] in all).
 const MAX_DIAL_ATTEMPTS: u32 = 10;
 
 /// How long a full node inbox parks a frame before the retry.
@@ -77,8 +75,7 @@ const PARK_RETRY: Duration = Duration::from_millis(1);
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Backoff delay after the `attempts`-th consecutive dial failure:
-/// 2 ms doubling, capped at 250 ms — the schedule the `threads` engine
-/// sleeps through, here scheduled on the reactor's timer heap.
+/// 2 ms doubling, capped at 250 ms, scheduled on the reactor's timer heap.
 fn backoff_delay(attempts: u32) -> Duration {
     Duration::from_millis((2u64 << attempts.saturating_sub(1).min(16)).min(250))
 }
@@ -120,7 +117,7 @@ enum Inject {
 }
 
 /// The cross-thread face of one reactor: its inject queue and wake pipe.
-pub(crate) struct ReactorShared {
+struct ReactorShared {
     injects: Mutex<Vec<Inject>>,
     wake_tx: UnixStream,
     /// Coalesces wake bytes: set by the first producer after the reactor
@@ -171,9 +168,9 @@ pub(crate) struct NetInner<M> {
     /// every directed link sticks to one socket (FIFO); closed entries are
     /// replaced on the next use.
     routes: Mutex<HashMap<(Addr, Addr), Arc<ConnShared>>>,
-    pub(crate) reactors: Vec<Arc<ReactorShared>>,
+    reactors: Vec<Arc<ReactorShared>>,
     next_reactor: AtomicUsize,
-    pub(crate) io_stop: AtomicBool,
+    io_stop: AtomicBool,
 }
 
 impl<M> NetInner<M> {
@@ -244,15 +241,26 @@ impl<M> NetInner<M> {
     }
 }
 
-/// The [`Outbound`] of this engine: encode on the sending node's thread,
+/// The [`Outbound`] of every node: encode on the sending node's thread,
 /// push onto the pair's ring, wake the owning reactor. Routes are cached
 /// per node thread; a closed connection invalidates the cache entry and
 /// the second attempt dials fresh.
-struct ReactorOutbound<M> {
+pub(crate) struct ReactorOutbound<M> {
     me: Addr,
     net: Arc<NetInner<M>>,
     cache: HashMap<Addr, Arc<ConnShared>>,
     buf: Vec<u8>,
+}
+
+impl<M> ReactorOutbound<M> {
+    pub(crate) fn new(me: Addr, net: Arc<NetInner<M>>) -> Self {
+        ReactorOutbound {
+            me,
+            net,
+            cache: HashMap::new(),
+            buf: Vec::new(),
+        }
+    }
 }
 
 impl<M: Wire + Send + 'static> Outbound<M> for ReactorOutbound<M> {
@@ -277,8 +285,7 @@ impl<M: Wire + Send + 'static> Outbound<M> for ReactorOutbound<M> {
                 }
                 Err(f) => {
                     // The link died under us: invalidate and retry once
-                    // over a fresh dial (mirrors the threads engine's
-                    // drop-and-reconnect on write error).
+                    // over a fresh dial.
                     frame = f;
                     self.cache.remove(&to);
                     self.net.drop_route((self.me, to), &conn);
@@ -370,7 +377,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             net,
             shared,
             wake_rx,
-            poller: Poller::new(PollerKind::from_env()).expect("create poller"),
+            poller: Poller::new().expect("create poller"),
             slots: Vec::new(),
             free: Vec::new(),
             timers: BinaryHeap::new(),
@@ -702,7 +709,6 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     self.establish(token, conn)
                 } else {
                     conn.state = ConnState::Connecting;
-                    self.poller.set_write_interest(fd, true);
                     Ok(true)
                 }
             }
@@ -759,12 +765,8 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             conn.hello_debit = 0;
         }
         self.net.core.wire.on_frames(out.frames, out.bytes);
-        let fd = stream.as_raw_fd();
         if out.would_block {
             conn.can_write = false;
-            self.poller.set_write_interest(fd, true);
-        } else {
-            self.poller.set_write_interest(fd, false);
         }
         Ok(())
     }
@@ -848,8 +850,8 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     }
 }
 
-/// Spawns the reactor pool. Exposed within the crate so tests can drive a
-/// bare reactor without node threads.
+/// Spawns the reactor pool, one thread per listener group. Tests drive a
+/// bare pool this way, without node threads.
 pub(crate) fn spawn_reactors<M: Wire + Send + 'static>(
     core: Arc<ClusterCore<M>>,
     book: Arc<dyn AddressBook>,
@@ -891,111 +893,31 @@ pub(crate) fn spawn_reactors<M: Wire + Send + 'static>(
     (net, threads)
 }
 
-/// The reactor engine, running: node threads on the shared live event
-/// loop, all socket I/O on the reactor pool.
-pub struct ReactorCluster<A: Actor> {
-    core: Arc<ClusterCore<A::Msg>>,
-    net: Arc<NetInner<A::Msg>>,
-    node_threads: Vec<JoinHandle<(A, Metrics)>>,
-    reactor_threads: Vec<JoinHandle<()>>,
-    addrs: Vec<Addr>,
-}
-
-impl<A> ReactorCluster<A>
-where
-    A: Actor + Send + 'static,
-    A::Msg: Wire,
-{
-    /// Binds one loopback listener per node (assembling the loopback
-    /// [`StaticBook`]), spawns the reactor pool, then the node threads.
-    pub(crate) fn start(
-        core: Arc<ClusterCore<A::Msg>>,
-        nodes: Vec<(Addr, A)>,
-        rxs: Vec<(Addr, Receiver<Input<A::Msg>>)>,
-        seed: u64,
-    ) -> Self {
-        let pool = pool_size();
-        let mut book = StaticBook::default();
-        let mut listeners_per: Vec<Vec<(Addr, TcpListener)>> =
-            (0..pool).map(|_| Vec::new()).collect();
-        for (i, (addr, _)) in nodes.iter().enumerate() {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-            l.set_nonblocking(true).expect("listener nonblocking");
-            book.insert(*addr, l.local_addr().expect("listener has local addr"));
-            listeners_per[i % pool].push((*addr, l));
-        }
-        let (net, reactor_threads) = spawn_reactors(core.clone(), Arc::new(book), listeners_per);
-
-        let mut node_threads = Vec::new();
-        let mut addrs = Vec::new();
-        for ((addr, actor), (_, rx)) in nodes.into_iter().zip(rxs) {
-            addrs.push(addr);
-            let core = core.clone();
-            let net = net.clone();
-            let seed = node_seed(seed, addr);
-            node_threads.push(std::thread::spawn(move || {
-                let out = ReactorOutbound {
-                    me: addr,
-                    net,
-                    cache: HashMap::new(),
-                    buf: Vec::new(),
-                };
-                run_node(addr, actor, rx, out, &core.run, seed)
-            }));
-        }
-        ReactorCluster {
-            core,
-            net,
-            node_threads,
-            reactor_threads,
-            addrs,
-        }
+/// Tells every reactor to drain what remains and exit, then joins them. A
+/// reactor that panicked mid-run (corrupt frame, unreachable peer)
+/// re-raises its panic here, on the stopping thread.
+pub(crate) fn stop_reactors<M>(net: &NetInner<M>, threads: Vec<JoinHandle<()>>) {
+    net.io_stop.store(true, Ordering::SeqCst);
+    for r in &net.reactors {
+        r.inject(Inject::Shutdown);
     }
-
-    pub(crate) fn io_stats(&self) -> NetIoStats {
-        NetIoStats {
-            transport_threads: self.reactor_threads.len(),
-            sockets: self.core.wire.sockets(),
+    for t in threads {
+        if let Err(payload) = t.join() {
+            std::panic::resume_unwind(payload);
         }
-    }
-
-    /// Stops every node, drains and tears down the sockets; returns the
-    /// final actors and their merged metrics.
-    pub(crate) fn shutdown(self) -> (Vec<(Addr, A)>, Metrics) {
-        // 1. Stop the state machines (reactors still live, so in-flight
-        // output keeps draining while nodes wind down).
-        self.core.run.stopped.store(true, Ordering::SeqCst);
-        for tx in self.core.inbox.values() {
-            let _ = tx.send(Input::Stop);
-        }
-        let mut actors = Vec::new();
-        let mut metrics = Metrics::new();
-        for (t, addr) in self.node_threads.into_iter().zip(self.addrs.iter()) {
-            let (actor, local) = t.join().expect("node thread panicked");
-            metrics.absorb(&local);
-            actors.push((*addr, actor));
-        }
-        // 2. Tell the reactors to drain what remains and exit. A reactor
-        // that panicked mid-run (corrupt frame, unreachable peer) fails
-        // the shutdown here.
-        self.net.io_stop.store(true, Ordering::SeqCst);
-        for r in &self.net.reactors {
-            r.inject(Inject::Shutdown);
-        }
-        for t in self.reactor_threads {
-            resume_panic(t.join());
-        }
-        (actors, metrics)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addrbook::StaticBook;
     use crate::cluster::tests::Ping;
-    use crate::cluster::{NetCluster, NetKind};
+    use crate::cluster::NetCluster;
+    use contrarian_runtime::frame::MAX_FRAME;
     use contrarian_runtime::node_loop::RunShared;
     use contrarian_types::{DcId, PartitionId};
+    use crossbeam::channel::{bounded, Sender};
 
     #[test]
     fn pool_parse_defaults_and_rejects() {
@@ -1038,7 +960,7 @@ mod tests {
                 },
             ),
         ];
-        let cluster = NetCluster::start_with(nodes, false, 11, NetKind::Reactor);
+        let cluster = NetCluster::start(nodes, false, 11);
         let deadline = Instant::now() + Duration::from_secs(10);
         while cluster.wire_stats().0 < 100 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -1098,13 +1020,9 @@ mod tests {
         let mut book = StaticBook::default();
         book.insert(dead, dead_at);
         book.insert(live, live_at);
-        let core: Arc<ClusterCore<Ping>> = Arc::new(ClusterCore {
-            run: RunShared::new(false),
-            inbox: HashMap::new(),
-            wire: Default::default(),
-        });
         // One reactor, no listeners of its own: it only dials out.
-        let (net, threads) = spawn_reactors(core, Arc::new(book), vec![Vec::new()]);
+        let (net, threads) =
+            spawn_reactors(bare_core(HashMap::new()), Arc::new(book), vec![Vec::new()]);
 
         let frame = |msg: &Ping| {
             let mut payload = Vec::new();
@@ -1134,8 +1052,7 @@ mod tests {
 
         // Now bring the dead listener up; the scheduled redial reaches it.
         // (The port can be lost to another process between the probe and
-        // here — in that case the redial coverage is forfeited, same
-        // caveat as the threads engine's late-listener test.)
+        // here — in that case the redial coverage is forfeited.)
         if let Ok(dl) = TcpListener::bind(dead_at) {
             let (mut s, _) = dl.accept().expect("redial reached the late listener");
             let payloads = read_payloads(&mut s, 2);
@@ -1146,12 +1063,111 @@ mod tests {
             );
         }
 
-        net.io_stop.store(true, Ordering::SeqCst);
-        for r in &net.reactors {
-            r.inject(Inject::Shutdown);
+        stop_reactors(&net, threads);
+    }
+
+    /// Shared state for a bare reactor pool: no node threads, only the
+    /// given inboxes.
+    fn bare_core(inbox: HashMap<Addr, Sender<Input<Ping>>>) -> Arc<ClusterCore<Ping>> {
+        Arc::new(ClusterCore {
+            run: RunShared::new(false),
+            inbox,
+            wire: Default::default(),
+        })
+    }
+
+    /// Waits (up to 10 s) for every reactor to stop on its own, joins them,
+    /// and returns the panic message they stopped with.
+    fn panic_message(net: &NetInner<Ping>, threads: Vec<JoinHandle<()>>) -> String {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !threads.iter().all(|t| t.is_finished()) {
+            assert!(Instant::now() < deadline, "the reactor kept running");
+            std::thread::sleep(Duration::from_millis(5));
         }
-        for t in threads {
-            resume_panic(t.join());
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stop_reactors(net, threads)))
+                .expect_err("the reactor stopped by panicking");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
         }
+    }
+
+    /// A peer that never comes up is given up on after
+    /// `MAX_DIAL_ATTEMPTS` dials spaced by the full backoff schedule: the
+    /// link's ring closes so no producer stays blocked on it, its route is
+    /// dropped, and the reactor stops naming the link and the attempts.
+    #[test]
+    fn unreachable_peer_is_given_up_after_the_last_dial_attempt() {
+        let me = Addr::client(DcId(0), 0);
+        let dead = Addr::server(DcId(0), PartitionId(0));
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dead_at = l.local_addr().unwrap();
+        drop(l);
+        let mut book = StaticBook::default();
+        book.insert(dead, dead_at);
+        let (net, threads) =
+            spawn_reactors(bare_core(HashMap::new()), Arc::new(book), vec![Vec::new()]);
+        let started = Instant::now();
+        let conn = net.route(me, dead);
+        let msg = panic_message(&net, threads);
+        assert!(
+            msg.contains(&format!("connect {me} -> {dead}"))
+                && msg.contains(&format!("after {MAX_DIAL_ATTEMPTS} attempts")),
+            "{msg}"
+        );
+        let backoff: Duration = (1..MAX_DIAL_ATTEMPTS).map(backoff_delay).sum();
+        assert!(
+            started.elapsed() >= backoff,
+            "gave up before the {backoff:?} backoff schedule ran out"
+        );
+        assert!(conn.ring.is_closed(), "a blocked producer must be released");
+        assert!(
+            net.routes.lock().unwrap().is_empty(),
+            "the dead route must be dropped"
+        );
+    }
+
+    /// Starts one bare reactor listening for a server node, dials it from
+    /// the test side, sends a valid hello followed by `tail`, closes the
+    /// socket, and returns the message the reactor stopped with.
+    fn reactor_panic_after_hello(tail: &[u8]) -> String {
+        let node = Addr::server(DcId(0), PartitionId(0));
+        let (tx, _rx) = bounded(16);
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.set_nonblocking(true).unwrap();
+        let at = l.local_addr().unwrap();
+        let (net, threads) = spawn_reactors(
+            bare_core(HashMap::from([(node, tx)])),
+            Arc::new(StaticBook::default()),
+            vec![vec![(node, l)]],
+        );
+        let mut s = TcpStream::connect(at).unwrap();
+        s.write_all(&hello_frame(Addr::client(DcId(0), 0), node))
+            .unwrap();
+        s.write_all(tail).unwrap();
+        drop(s);
+        panic_message(&net, threads)
+    }
+
+    /// A peer that closes mid-frame mid-run is a truncated stream: the
+    /// partial frame is never delivered and the reactor stops loudly.
+    #[test]
+    fn eof_mid_frame_on_a_live_link_stops_the_reactor() {
+        let frame = encode_frame(b"partial payload");
+        let msg = reactor_panic_after_hello(&frame[..frame.len() - 3]);
+        assert!(msg.contains("truncated frame"), "{msg}");
+    }
+
+    /// An inbound length prefix above `MAX_FRAME` is rejected as it
+    /// arrives, without waiting for (or allocating) the payload.
+    #[test]
+    fn oversize_inbound_prefix_stops_the_reactor() {
+        let msg = reactor_panic_after_hello(&((MAX_FRAME + 1) as u32).to_le_bytes());
+        assert!(msg.contains("frame error"), "{msg}");
+        assert!(msg.contains(&format!("{}", MAX_FRAME + 1)), "{msg}");
     }
 }

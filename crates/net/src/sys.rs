@@ -2,23 +2,19 @@
 //!
 //! The workspace builds fully offline, so there is no `mio`/`tokio`/`libc`
 //! crate to lean on; this module declares the handful of `extern "C"`
-//! symbols the reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_wait`,
-//! `poll`, and a nonblocking-connect quartet (`socket`/`connect`/
-//! `getsockopt`/`setsockopt`) — against the libc every Rust binary on
-//! Linux already links.
+//! symbols the reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_wait`
+//! and a nonblocking-connect quartet (`socket`/`connect`/`getsockopt`/
+//! `setsockopt`) — against the libc every Rust binary on Linux already
+//! links.
 //!
-//! Two readiness backends hide behind one [`Poller`]:
-//!
-//! * **epoll** (the default): each fd is registered once with
-//!   `EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP`. Edge-triggered means no
-//!   `epoll_ctl` on the hot path — the reactor tracks writability itself
-//!   (an `EPOLLOUT` edge arms it, a short write disarms it) and drains
-//!   reads to `WouldBlock`, so readiness costs one `epoll_wait` per batch
-//!   regardless of connection count.
-//! * **poll(2)** (fallback, `CONTRARIAN_NET_POLLER=poll`): a level-
-//!   triggered emulation over the registered fd table. `POLLOUT` interest
-//!   is toggled per fd ([`Poller::set_write_interest`]) because asking for
-//!   level-triggered writability with nothing to write would busy-spin.
+//! Readiness comes from one edge-triggered epoll instance per reactor,
+//! wrapped by [`Poller`]: each fd is registered once with
+//! `EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP`. Edge-triggered means no
+//! `epoll_ctl` on the hot path — the reactor tracks writability itself
+//! (an `EPOLLOUT` edge arms it, a short write disarms it) and drains reads
+//! to `WouldBlock`, so readiness costs one `epoll_wait` per batch
+//! regardless of connection count. [`Poller`] is the seam around the
+//! readiness syscalls: another backend (io_uring) would slot in there.
 //!
 //! Everything else socket-shaped goes through `std` (`TcpStream` wraps the
 //! raw fd once a nonblocking connect is in flight).
@@ -41,14 +37,6 @@ struct EpollEvent {
     data: u64,
 }
 
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: c_int,
-    events: i16,
-    revents: i16,
-}
-
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
@@ -58,11 +46,6 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
-
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
 
 const AF_INET: c_int = 2;
 const SOCK_STREAM: c_int = 1;
@@ -86,7 +69,6 @@ extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn connect(fd: c_int, addr: *const SockaddrIn, len: u32) -> c_int;
@@ -165,115 +147,45 @@ pub struct Event {
     pub error: bool,
 }
 
-/// Which readiness backend to drive the reactor with.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PollerKind {
-    Epoll,
-    Poll,
-}
-
-impl PollerKind {
-    /// Parses `CONTRARIAN_NET_POLLER`. Unset defaults to epoll; an
-    /// unknown value is a hard error (a silently wrong fallback would make
-    /// a poller comparison measure epoll against itself).
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None | Some("epoll") => Ok(PollerKind::Epoll),
-            Some("poll") => Ok(PollerKind::Poll),
-            Some(other) => Err(format!(
-                "CONTRARIAN_NET_POLLER must be `epoll` or `poll` (or unset), got `{other}`"
-            )),
-        }
-    }
-
-    pub fn from_env() -> Self {
-        let value = contrarian_runtime::env::var(contrarian_runtime::env::NET_POLLER);
-        Self::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// The reactor's readiness source: epoll behind one fd, or the poll(2)
-/// emulation over a registered-fd table.
-pub struct Poller(Inner);
-
-enum Inner {
-    Epoll {
-        epfd: RawFd,
-        /// Reused event buffer for `epoll_wait`.
-        buf: Vec<EpollEvent>,
-    },
-    Poll {
-        /// `(fd, token, write_interest)` — rebuilt into a `pollfd` array
-        /// each wait. Readiness interest is level-triggered, so `POLLOUT`
-        /// is only requested while the reactor has pending output.
-        fds: Vec<(RawFd, u64, bool)>,
-        buf: Vec<PollFd>,
-    },
+/// The reactor's readiness source: one epoll instance, every fd armed
+/// edge-triggered.
+pub struct Poller {
+    epfd: RawFd,
+    /// Reused event buffer for `epoll_wait`.
+    buf: Vec<EpollEvent>,
 }
 
 impl Poller {
-    pub fn new(kind: PollerKind) -> io::Result<Poller> {
-        match kind {
-            PollerKind::Epoll => {
-                // SAFETY: epoll_create1(2) takes no pointers; `cvt` maps a
-                // negative return to an error before the fd is used.
-                let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-                Ok(Poller(Inner::Epoll {
-                    epfd,
-                    buf: vec![EpollEvent { events: 0, data: 0 }; 256],
-                }))
-            }
-            PollerKind::Poll => Ok(Poller(Inner::Poll {
-                fds: Vec::new(),
-                buf: Vec::new(),
-            })),
-        }
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: epoll_create1(2) takes no pointers; `cvt` maps a negative
+        // return to an error before the fd is used.
+        let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        Ok(Poller {
+            epfd,
+            buf: vec![EpollEvent { events: 0, data: 0 }; 256],
+        })
     }
 
-    /// Registers an fd under a token. Epoll arms everything edge-triggered
-    /// in one shot; the poll table starts with read interest only.
+    /// Registers an fd under a token, armed edge-triggered for reads,
+    /// writes and peer hangup in one shot.
     pub fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        match &mut self.0 {
-            Inner::Epoll { epfd, .. } => {
-                let mut ev = EpollEvent {
-                    events: EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP,
-                    data: token,
-                };
-                // SAFETY: `ev` outlives the call; the kernel copies the
-                // event struct and keeps no pointer to it.
-                cvt(unsafe { epoll_ctl(*epfd, EPOLL_CTL_ADD, fd, &mut ev) })?;
-                Ok(())
-            }
-            Inner::Poll { fds, .. } => {
-                fds.push((fd, token, false));
-                Ok(())
-            }
-        }
+        let mut ev = EpollEvent {
+            events: EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP,
+            data: token,
+        };
+        // SAFETY: `ev` outlives the call; the kernel copies the event
+        // struct and keeps no pointer to it.
+        cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) })?;
+        Ok(())
     }
 
     /// Removes an fd. Call *before* closing it.
     pub fn deregister(&mut self, fd: RawFd) {
-        match &mut self.0 {
-            Inner::Epoll { epfd, .. } => {
-                let mut ev = EpollEvent { events: 0, data: 0 };
-                // SAFETY: `ev` outlives the call (pre-2.6.9 kernels insist
-                // on a non-null pointer even for DEL). Failure is
-                // unrecoverable in-kind and ignored; closing the fd drops
-                // the registration anyway.
-                let _ = unsafe { epoll_ctl(*epfd, EPOLL_CTL_DEL, fd, &mut ev) };
-            }
-            Inner::Poll { fds, .. } => fds.retain(|(f, ..)| *f != fd),
-        }
-    }
-
-    /// Sets level-triggered write interest (poll backend only; epoll is
-    /// edge-triggered and needs no per-transition syscall).
-    pub fn set_write_interest(&mut self, fd: RawFd, on: bool) {
-        if let Inner::Poll { fds, .. } = &mut self.0 {
-            if let Some(entry) = fds.iter_mut().find(|(f, ..)| *f == fd) {
-                entry.2 = on;
-            }
-        }
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: `ev` outlives the call (pre-2.6.9 kernels insist on a
+        // non-null pointer even for DEL). Failure is unrecoverable in-kind
+        // and ignored; closing the fd drops the registration anyway.
+        let _ = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
     }
 
     /// Waits for readiness, appending to `out`. A `None` timeout blocks
@@ -293,79 +205,47 @@ impl Poller {
                 ms.min(i32::MAX as u128) as c_int
             }
         };
-        match &mut self.0 {
-            Inner::Epoll { epfd, buf } => {
-                let n = loop {
-                    // SAFETY: `buf` is a live Vec and the passed capacity
-                    // is its exact length, so the kernel writes in bounds.
-                    let r = unsafe {
-                        epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms)
-                    };
-                    match cvt(r) {
-                        Ok(n) => break n as usize,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(e),
-                    }
-                };
-                for ev in &buf[..n] {
-                    let bits = ev.events;
-                    out.push(Event {
-                        token: ev.data,
-                        readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                        writable: bits & EPOLLOUT != 0,
-                        error: bits & (EPOLLERR | EPOLLHUP) != 0,
-                    });
-                }
-                if n == buf.len() {
-                    // Saturated batch: grow so a dense cluster does not
-                    // need multiple waits per loop.
-                    buf.resize(buf.len() * 2, EpollEvent { events: 0, data: 0 });
-                }
-                Ok(())
+        let n = loop {
+            // SAFETY: `buf` is a live Vec and the passed capacity is its
+            // exact length, so the kernel writes in bounds.
+            let r = unsafe {
+                epoll_wait(
+                    self.epfd,
+                    self.buf.as_mut_ptr(),
+                    self.buf.len() as c_int,
+                    timeout_ms,
+                )
+            };
+            match cvt(r) {
+                Ok(n) => break n as usize,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             }
-            Inner::Poll { fds, buf } => {
-                buf.clear();
-                buf.extend(fds.iter().map(|&(fd, _, w)| PollFd {
-                    fd,
-                    events: POLLIN | if w { POLLOUT } else { 0 },
-                    revents: 0,
-                }));
-                let n = loop {
-                    // SAFETY: `buf` is a live Vec and `nfds` is its exact
-                    // length, so the kernel writes revents in bounds.
-                    let r = unsafe { poll(buf.as_mut_ptr(), buf.len() as u64, timeout_ms) };
-                    match cvt(r) {
-                        Ok(n) => break n as usize,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(e),
-                    }
-                };
-                if n > 0 {
-                    for (pfd, &(_, token, _)) in buf.iter().zip(fds.iter()) {
-                        let bits = pfd.revents;
-                        if bits != 0 {
-                            out.push(Event {
-                                token,
-                                readable: bits & (POLLIN | POLLHUP) != 0,
-                                writable: bits & POLLOUT != 0,
-                                error: bits & (POLLERR | POLLHUP) != 0,
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            }
+        };
+        for ev in &self.buf[..n] {
+            let bits = ev.events;
+            out.push(Event {
+                token: ev.data,
+                readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                writable: bits & EPOLLOUT != 0,
+                error: bits & (EPOLLERR | EPOLLHUP) != 0,
+            });
         }
+        if n == self.buf.len() {
+            // Saturated batch: grow so a dense cluster does not need
+            // multiple waits per loop.
+            self.buf
+                .resize(self.buf.len() * 2, EpollEvent { events: 0, data: 0 });
+        }
+        Ok(())
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Inner::Epoll { epfd, .. } = &self.0 {
-            // SAFETY: the Poller exclusively owns `epfd` (never exposed),
-            // so this close is the only one and the fd is still valid.
-            unsafe { close(*epfd) };
-        }
+        // SAFETY: the Poller exclusively owns `epfd` (never exposed), so
+        // this close is the only one and the fd is still valid.
+        unsafe { close(self.epfd) };
     }
 }
 
@@ -376,103 +256,175 @@ mod tests {
     use std::net::TcpListener;
     use std::os::fd::AsRawFd;
 
-    fn pollers() -> Vec<Poller> {
-        vec![
-            Poller::new(PollerKind::Epoll).expect("epoll_create1"),
-            Poller::new(PollerKind::Poll).expect("poll table"),
-        ]
+    #[test]
+    fn poller_reports_readability() {
+        let mut poller = Poller::new().expect("epoll_create1");
+        let (mut a, mut b) = registered_pair(&mut poller, 7);
+        a.write_all(b"x").unwrap();
+        a.flush().unwrap();
+        await_readable(&mut poller, 7);
+        let mut byte = [0u8; 1];
+        b.read_exact(&mut byte).unwrap();
+        assert_eq!(&byte, b"x");
     }
 
-    #[test]
-    fn poller_kind_parses_and_rejects() {
-        assert_eq!(PollerKind::parse(None).unwrap(), PollerKind::Epoll);
-        assert_eq!(PollerKind::parse(Some("epoll")).unwrap(), PollerKind::Epoll);
-        assert_eq!(PollerKind::parse(Some("poll")).unwrap(), PollerKind::Poll);
-        let err = PollerKind::parse(Some("kqueue")).unwrap_err();
-        assert!(err.contains("epoll") && err.contains("kqueue"));
+    /// A connected loopback pair, the far end nonblocking and registered
+    /// under `token`.
+    fn registered_pair(poller: &mut Poller, token: u64) -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (b, _) = listener.accept().unwrap();
+        b.set_nonblocking(true).unwrap();
+        poller.register(b.as_raw_fd(), token).unwrap();
+        (a, b)
     }
 
-    #[test]
-    fn both_pollers_report_readability() {
-        for mut poller in pollers() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let peer = listener.local_addr().unwrap();
-            let mut a = TcpStream::connect(peer).unwrap();
-            let (mut b, _) = listener.accept().unwrap();
-            b.set_nonblocking(true).unwrap();
-            poller.register(b.as_raw_fd(), 7).unwrap();
-
-            a.write_all(b"x").unwrap();
-            a.flush().unwrap();
-            let mut events = Vec::new();
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while !events.iter().any(|e: &Event| e.token == 7 && e.readable) {
-                assert!(std::time::Instant::now() < deadline, "no readable event");
-                poller
-                    .wait(&mut events, Some(Duration::from_millis(100)))
-                    .unwrap();
-            }
-            let mut byte = [0u8; 1];
-            b.read_exact(&mut byte).unwrap();
-            assert_eq!(&byte, b"x");
+    /// Waits until `token` reports readable, or fails after 5 s.
+    fn await_readable(poller: &mut Poller, token: u64) {
+        let mut events = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !events
+            .iter()
+            .any(|e: &Event| e.token == token && e.readable)
+        {
+            assert!(std::time::Instant::now() < deadline, "no readable event");
+            poller
+                .wait(&mut events, Some(Duration::from_millis(100)))
+                .unwrap();
         }
+    }
+
+    /// Events for `token` over one quiet 50 ms wait.
+    fn events_within_50ms(poller: &mut Poller, token: u64) -> Vec<Event> {
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
+        events.retain(|e| e.token == token);
+        events
+    }
+
+    /// The reactor drains every read to `WouldBlock` because readiness is
+    /// edge-triggered: unread data is reported once, and again only when
+    /// more arrives.
+    #[test]
+    fn unread_data_is_reported_once_per_arrival() {
+        let mut poller = Poller::new().unwrap();
+        let (mut a, mut b) = registered_pair(&mut poller, 7);
+        a.write_all(b"x").unwrap();
+        await_readable(&mut poller, 7);
+        let again = events_within_50ms(&mut poller, 7);
+        assert!(
+            again.is_empty(),
+            "edge re-reported without new data: {again:?}"
+        );
+        a.write_all(b"y").unwrap();
+        await_readable(&mut poller, 7);
+        let mut two = [0u8; 2];
+        b.read_exact(&mut two).unwrap();
+        assert_eq!(&two, b"xy");
+    }
+
+    #[test]
+    fn deregistered_fd_reports_nothing() {
+        let mut poller = Poller::new().unwrap();
+        let (mut a, b) = registered_pair(&mut poller, 9);
+        poller.deregister(b.as_raw_fd());
+        a.write_all(b"x").unwrap();
+        let seen = events_within_50ms(&mut poller, 9);
+        assert!(seen.is_empty(), "deregistered fd still reported: {seen:?}");
+    }
+
+    #[test]
+    fn wait_with_nothing_ready_blocks_for_the_timeout() {
+        let mut poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty());
+        assert!(start.elapsed() >= Duration::from_millis(20));
+    }
+
+    /// A sub-millisecond deadline rounds up to one millisecond rather than
+    /// down to a zero-timeout spin.
+    #[test]
+    fn sub_millisecond_timeout_sleeps_instead_of_spinning() {
+        let mut poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        poller
+            .wait(&mut events, Some(Duration::from_micros(100)))
+            .unwrap();
+        assert!(events.is_empty());
+        assert!(start.elapsed() >= Duration::from_millis(1));
+    }
+
+    #[test]
+    fn nonblocking_connect_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (stream, _) = connect_nonblocking(listener.local_addr().unwrap()).unwrap();
+        assert!(stream.nodelay().unwrap(), "Nagle must be off on every dial");
+    }
+
+    #[test]
+    fn nonblocking_connect_rejects_ipv6_peers() {
+        let err = connect_nonblocking("[::1]:4000".parse().unwrap()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
     }
 
     #[test]
     fn nonblocking_connect_reaches_a_listener_and_reports_refusal() {
-        for kind in [PollerKind::Epoll, PollerKind::Poll] {
-            let mut poller = Poller::new(kind).unwrap();
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let peer = listener.local_addr().unwrap();
-            let (stream, done) = connect_nonblocking(peer).unwrap();
-            let fd = stream.as_raw_fd();
-            if !done {
-                poller.register(fd, 1).unwrap();
-                poller.set_write_interest(fd, true);
-                let mut events = Vec::new();
-                let deadline = std::time::Instant::now() + Duration::from_secs(5);
-                while !events
-                    .iter()
-                    .any(|e: &Event| e.token == 1 && (e.writable || e.error))
-                {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "connect never resolved"
-                    );
-                    poller
-                        .wait(&mut events, Some(Duration::from_millis(100)))
-                        .unwrap();
-                }
+        let mut poller = Poller::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = listener.local_addr().unwrap();
+        let (stream, done) = connect_nonblocking(peer).unwrap();
+        let fd = stream.as_raw_fd();
+        if !done {
+            poller.register(fd, 1).unwrap();
+            let mut events = Vec::new();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !events
+                .iter()
+                .any(|e: &Event| e.token == 1 && (e.writable || e.error))
+            {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "connect never resolved"
+                );
+                poller
+                    .wait(&mut events, Some(Duration::from_millis(100)))
+                    .unwrap();
             }
-            take_socket_error(fd).expect("connect to a live listener succeeds");
+        }
+        take_socket_error(fd).expect("connect to a live listener succeeds");
 
-            // A port with no listener must resolve to an error, not hang.
-            drop(listener);
-            let (stream, done) = connect_nonblocking(peer).unwrap();
-            let fd = stream.as_raw_fd();
-            if !done {
-                let mut p2 = Poller::new(kind).unwrap();
-                p2.register(fd, 2).unwrap();
-                p2.set_write_interest(fd, true);
-                let mut events = Vec::new();
-                let deadline = std::time::Instant::now() + Duration::from_secs(5);
-                while !events
-                    .iter()
-                    .any(|e: &Event| e.token == 2 && (e.writable || e.error))
-                {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "refusal never resolved"
-                    );
-                    p2.wait(&mut events, Some(Duration::from_millis(100)))
-                        .unwrap();
-                }
-                assert!(take_socket_error(fd).is_err(), "refusal must surface");
-            } else {
-                // Immediate success against a dead port would be a bug, but
-                // loopback sometimes yields immediate ECONNREFUSED instead
-                // of EINPROGRESS — covered by the connect() error path.
+        // A port with no listener must resolve to an error, not hang.
+        drop(listener);
+        let (stream, done) = connect_nonblocking(peer).unwrap();
+        let fd = stream.as_raw_fd();
+        if !done {
+            let mut p2 = Poller::new().unwrap();
+            p2.register(fd, 2).unwrap();
+            let mut events = Vec::new();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !events
+                .iter()
+                .any(|e: &Event| e.token == 2 && (e.writable || e.error))
+            {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "refusal never resolved"
+                );
+                p2.wait(&mut events, Some(Duration::from_millis(100)))
+                    .unwrap();
             }
+            assert!(take_socket_error(fd).is_err(), "refusal must surface");
+        } else {
+            // Immediate success against a dead port would be a bug, but
+            // loopback sometimes yields immediate ECONNREFUSED instead of
+            // EINPROGRESS — covered by the connect() error path.
         }
     }
 }

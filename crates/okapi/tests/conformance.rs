@@ -1,7 +1,8 @@
 //! The Okapi-style backend under the shared conformance suite: the same
 //! convergence + causal-session checks every backend must pass, on all
 //! three runtimes: discrete-event simulator, in-process threads, and
-//! loopback TCP. This file is the payoff of the "~1 file backend" recipe —
+//! loopback TCP through the epoll reactor. This file is the payoff of the
+//! "~1 file backend" recipe —
 //! nothing here knows anything Okapi-specific.
 
 use contrarian_okapi::Okapi;
@@ -34,16 +35,10 @@ fn conforms_on_tcp_transport() {
     assert!(outcome.keys_compared > 0);
 }
 
+/// The TCP battery on a second seed: another workload draw and another
+/// set of socket interleavings on the same reactor.
 #[test]
 fn conforms_on_tcp_reactor_engine() {
-    let outcome =
-        conformance::check_net_with::<Okapi>(2, 56, conformance::NetKind::Reactor).unwrap();
-    assert!(outcome.keys_compared > 0);
-}
-
-#[test]
-fn conforms_on_tcp_threads_engine() {
-    let outcome =
-        conformance::check_net_with::<Okapi>(2, 57, conformance::NetKind::Threads).unwrap();
+    let outcome = conformance::check_net::<Okapi>(2, 56).unwrap();
     assert!(outcome.keys_compared > 0);
 }

@@ -7,7 +7,7 @@
 //! transport.
 
 use crate::node::{Node, ProtocolClient, ProtocolMsg, ProtocolServer};
-use contrarian_net::{NetCluster, NetKind};
+use contrarian_net::NetCluster;
 use contrarian_runtime::cost::CostModel;
 use contrarian_sim::sim::Sim;
 use contrarian_transport::LiveCluster;
@@ -230,25 +230,6 @@ pub fn build_net_cluster<P: ProtocolSpec>(
         build_live_nodes::<P>(cfg, workload, clients_per_dc, seed),
         recording,
         seed,
-    )
-}
-
-/// [`build_net_cluster`] on an explicit socket engine instead of the
-/// reactor — so a test can run the same backend on both engines side by
-/// side.
-pub fn build_net_cluster_on<P: ProtocolSpec>(
-    cfg: &ClusterConfig,
-    workload: &WorkloadSpec,
-    clients_per_dc: u16,
-    seed: u64,
-    recording: bool,
-    kind: NetKind,
-) -> NetCluster<ProtoNode<P>> {
-    NetCluster::start_with(
-        build_live_nodes::<P>(cfg, workload, clients_per_dc, seed),
-        recording,
-        seed,
-        kind,
     )
 }
 

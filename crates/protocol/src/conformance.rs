@@ -2,7 +2,9 @@
 //!
 //! Every backend must provide the same functional guarantees regardless of
 //! how it pays for them; this module runs the *same* checks against any
-//! [`ProtocolSpec`] on both runtimes:
+//! [`ProtocolSpec`] on every runtime — the simulator ([`check_sim`], once
+//! per engine of [`ENGINES`]), the in-process transport ([`check_live`])
+//! and loopback TCP on the reactor ([`check_net`]):
 //!
 //! * **causal-session checks** on the recorded history — read-your-writes
 //!   and per-key monotonic reads within each client session (the full
@@ -17,11 +19,10 @@
 //! per runtime); a new backend gets the whole battery for free.
 
 use crate::build::{
-    build_cluster_with, build_live_cluster, build_net_cluster_on, ClusterParams, ProtoNode,
+    build_cluster_with, build_live_cluster, build_net_cluster, ClusterParams, ProtoNode,
     ProtocolSpec,
 };
 use crate::node::ProtocolServer;
-pub use contrarian_net::NetKind;
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::Metrics;
 pub use contrarian_sim::{SchedKind, ENGINES};
@@ -259,27 +260,16 @@ pub fn check_live<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutc
 
 /// Runs the conformance battery on the TCP runtime: the same node list as
 /// the in-process transport, but every message crosses a loopback socket
-/// through the wire codec. Checks are identical to [`check_live`], plus a
-/// guard that frames actually crossed the sockets.
+/// on the epoll reactor through the wire codec. Checks are identical to
+/// [`check_live`], plus a guard that frames actually crossed the sockets.
 pub fn check_net<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutcome, String> {
-    check_net_with::<P>(dcs, seed, NetKind::Reactor)
-}
-
-/// [`check_net`] on an explicit socket engine: conformance must hold on
-/// the reactor and the thread-per-connection baseline alike, so backend
-/// test suites run this once per engine.
-pub fn check_net_with<P: ProtocolSpec>(
-    dcs: u8,
-    seed: u64,
-    kind: NetKind,
-) -> Result<ConformanceOutcome, String> {
     // Real sockets want the wall-clock tuning: no simulated skew, and
     // millisecond-scale control-plane periods (the sub-millisecond test
     // defaults are simulator-tuned — over TCP every tick is a frame plus
     // thread wakeups per server).
     let cfg = ClusterConfig::small().with_dcs(dcs).for_wall_clock();
     let wl = conformance_workload();
-    let cluster = build_net_cluster_on::<P>(&cfg, &wl, 3, seed, true, kind);
+    let cluster = build_net_cluster::<P>(&cfg, &wl, 3, seed, true);
     cluster.set_measuring(true);
     std::thread::sleep(std::time::Duration::from_millis(250));
     cluster.stop_issuing();

@@ -40,9 +40,9 @@ pub mod timers;
 
 pub use build::{
     build_cluster, build_cluster_with, build_interactive_cluster, build_live_cluster,
-    build_live_nodes, build_net_cluster, build_net_cluster_on, build_openloop_cluster,
-    build_openloop_cluster_with, build_openloop_live_cluster, build_openloop_net_cluster,
-    build_openloop_nodes, ClusterParams, OpenLoopParams, ProtoNode, ProtocolSpec,
+    build_live_nodes, build_net_cluster, build_openloop_cluster, build_openloop_cluster_with,
+    build_openloop_live_cluster, build_openloop_net_cluster, build_openloop_nodes, ClusterParams,
+    OpenLoopParams, ProtoNode, ProtocolSpec,
 };
 pub use node::{Node, ProtocolClient, ProtocolMsg, ProtocolServer};
 pub use parked::Parked;

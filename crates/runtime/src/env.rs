@@ -24,10 +24,6 @@ pub const SHARD_THREADS: &str = "CONTRARIAN_SHARD_THREADS";
 /// reactor's pool sizing.
 pub const NET_THREADS: &str = "CONTRARIAN_NET_THREADS";
 
-/// Reactor readiness backend: `epoll` (default) or `poll`. Parsed by
-/// `contrarian_net`'s `PollerKind`.
-pub const NET_POLLER: &str = "CONTRARIAN_NET_POLLER";
-
 /// Experiment scale for harness bins and benches: `smoke`, `quick`
 /// (default), `paper`, `large`, `xlarge`.
 pub const SCALE: &str = "CONTRARIAN_SCALE";
@@ -50,10 +46,6 @@ pub const REGISTERED: &[(&str, &str)] = &[
     (
         NET_THREADS,
         "reactor pool size (positive integer; default: cores)",
-    ),
-    (
-        NET_POLLER,
-        "reactor readiness backend: epoll (default) | poll",
     ),
     (
         SCALE,

@@ -3,15 +3,15 @@
 //! A TCP stream is a byte pipe; the runtime layer turns it into a message
 //! pipe with the simplest robust framing there is: a 4-byte little-endian
 //! payload length followed by the payload (one [`contrarian_types::codec`]
-//! encoding of `(from, msg)` in `contrarian-net`'s case). The functions are
-//! generic over `io::Read`/`io::Write`, so the same code frames sockets in
-//! the TCP runtime and in-memory buffers in tests.
+//! encoding of `(from, msg)` in `contrarian-net`'s case). The sender
+//! queues whole frames built by [`encode_frame`]; the receiver reads a
+//! nonblocking socket in whatever chunks the kernel hands back and feeds
+//! them to a [`FrameAssembler`], which yields each frame once it closes.
 //!
 //! Corrupt input is *rejected*, never trusted: a length prefix above
-//! [`MAX_FRAME`] errors out before any allocation, and a stream ending
-//! mid-frame is distinguished from one ending cleanly between frames.
-
-use std::io::{self, Read, Write};
+//! [`MAX_FRAME`] errors out before any allocation, and the assembler tells
+//! a stream that ended mid-frame from one that ended cleanly between
+//! frames.
 
 /// Upper bound on one frame's payload. Generously above any real protocol
 /// message (the largest are ROT slices carrying a few KiB of values) while
@@ -19,13 +19,9 @@ use std::io::{self, Read, Write};
 /// allocation.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// How reading one frame can fail.
+/// How reassembling a frame can fail.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The underlying stream failed.
-    Io(io::Error),
-    /// The stream ended inside a frame (peer died mid-message).
-    TruncatedFrame,
     /// The length prefix exceeds [`MAX_FRAME`] — a corrupt or hostile
     /// stream, rejected before allocating.
     Oversize(usize),
@@ -34,8 +30,6 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameError::Io(e) => write!(f, "frame i/o error: {e}"),
-            FrameError::TruncatedFrame => write!(f, "stream ended mid-frame"),
             FrameError::Oversize(n) => write!(f, "frame length {n} exceeds {MAX_FRAME}"),
         }
     }
@@ -43,54 +37,8 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
-
-/// Writes one frame: `u32` little-endian payload length, then the payload.
-/// The caller decides when to flush (batching is the writer thread's job).
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
-}
-
-/// Reads one frame's payload. Returns `Ok(None)` on a clean end of stream
-/// (the peer closed between frames — the normal shutdown path), an error on
-/// a mid-frame end or an oversize length.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut len_buf = [0u8; 4];
-    // A clean EOF before any length byte means the peer is done.
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..]).map_err(eof_is_truncation)?,
-        Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {
-            return read_frame(r);
-        }
-        Err(e) => return Err(FrameError::Io(e)),
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversize(len));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(eof_is_truncation)?;
-    Ok(Some(payload))
-}
-
-fn eof_is_truncation(e: io::Error) -> FrameError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        FrameError::TruncatedFrame
-    } else {
-        FrameError::Io(e)
-    }
-}
-
-/// Encodes one frame into a fresh buffer: the same bytes [`write_frame`]
-/// would produce, for transports that queue encoded frames instead of
-/// writing them to a stream immediately.
+/// Encodes one frame into a fresh buffer: `u32` little-endian payload
+/// length, then the payload.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_FRAME);
     let mut out = Vec::with_capacity(4 + payload.len());
@@ -103,15 +51,14 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 ///
 /// A nonblocking socket hands back whatever bytes happen to be in the
 /// kernel buffer — possibly half a length prefix, possibly ten frames and
-/// a tail. [`read_frame`] cannot be used there (it blocks for the rest of
-/// a frame); this accumulator takes byte chunks as they arrive
+/// a tail. This accumulator takes byte chunks as they arrive
 /// ([`FrameAssembler::extend`]) and yields complete frames
 /// ([`FrameAssembler::next_frame`]) as soon as they close.
 ///
-/// The same corruption rules as [`read_frame`] apply: a length prefix
-/// above [`MAX_FRAME`] is rejected before any payload-sized allocation,
-/// and [`FrameAssembler::is_mid_frame`] lets the caller distinguish a
-/// clean EOF (stream ended on a frame boundary) from a truncating one.
+/// A length prefix above [`MAX_FRAME`] is rejected before any
+/// payload-sized allocation, and [`FrameAssembler::is_mid_frame`] lets the
+/// caller distinguish a clean EOF (stream ended on a frame boundary) from
+/// a truncating one.
 #[derive(Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
@@ -157,7 +104,7 @@ impl FrameAssembler {
 
     /// True when the stream has ended inside a frame: some bytes of a
     /// length prefix or payload arrived but the frame never closed. An EOF
-    /// in this state is a [`FrameError::TruncatedFrame`].
+    /// in this state truncated a frame.
     pub fn is_mid_frame(&self) -> bool {
         self.pos < self.buf.len()
     }
@@ -171,67 +118,108 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     #[test]
     fn frames_round_trip_in_sequence() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"first").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, &[7u8; 1000]).unwrap();
-        let mut r = Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"first");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), vec![7u8; 1000]);
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&encode_frame(b"first"));
+        wire.extend_from_slice(&encode_frame(b""));
+        wire.extend_from_slice(&encode_frame(&[7u8; 1000]));
+        let mut asm = FrameAssembler::new();
+        asm.extend(&wire);
+        assert_eq!(asm.next_frame().unwrap().unwrap(), b"first");
+        assert_eq!(asm.next_frame().unwrap().unwrap(), b"");
+        assert_eq!(asm.next_frame().unwrap().unwrap(), vec![7u8; 1000]);
+        assert!(asm.next_frame().unwrap().is_none());
+        assert!(!asm.is_mid_frame(), "clean EOF");
     }
 
     #[test]
     fn eof_mid_length_prefix_is_truncation() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"payload").unwrap();
-        let mut r = Cursor::new(&buf[..2]);
-        assert!(matches!(
-            read_frame(&mut r),
-            Err(FrameError::TruncatedFrame)
-        ));
+        let wire = encode_frame(b"payload");
+        let mut asm = FrameAssembler::new();
+        asm.extend(&wire[..2]);
+        assert!(asm.next_frame().unwrap().is_none());
+        assert!(asm.is_mid_frame());
+        assert_eq!(asm.pending_bytes(), 2);
     }
 
     #[test]
     fn eof_mid_payload_is_truncation() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"payload").unwrap();
-        let mut r = Cursor::new(&buf[..buf.len() - 3]);
-        assert!(matches!(
-            read_frame(&mut r),
-            Err(FrameError::TruncatedFrame)
-        ));
+        let wire = encode_frame(b"payload");
+        let mut asm = FrameAssembler::new();
+        asm.extend(&wire[..wire.len() - 3]);
+        assert!(asm.next_frame().unwrap().is_none());
+        assert!(asm.is_mid_frame());
+        assert_eq!(asm.pending_bytes(), wire.len() - 3);
     }
 
     #[test]
     fn oversize_length_is_rejected_before_allocation() {
-        let mut buf = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
-        buf.extend_from_slice(&[0; 16]);
-        let mut r = Cursor::new(buf);
-        match read_frame(&mut r) {
+        let mut wire = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0; 16]);
+        let mut asm = FrameAssembler::new();
+        asm.extend(&wire);
+        match asm.next_frame() {
             Err(FrameError::Oversize(n)) => assert_eq!(n, MAX_FRAME + 1),
             other => panic!("unexpected {other:?}"),
         }
+        assert!(
+            asm.buf.capacity() < MAX_FRAME,
+            "no payload-sized buffer was reserved"
+        );
+        // The bad prefix stays unconsumed: every later poll rejects again.
+        assert!(matches!(asm.next_frame(), Err(FrameError::Oversize(_))));
+        assert_eq!(asm.pending_bytes(), wire.len());
     }
 
     #[test]
-    fn encode_frame_matches_write_frame() {
-        let mut streamed = Vec::new();
-        write_frame(&mut streamed, b"payload").unwrap();
-        assert_eq!(encode_frame(b"payload"), streamed);
+    fn encode_frame_is_le_length_then_payload() {
+        assert_eq!(encode_frame(b"payload"), b"\x07\0\0\0payload");
+        assert_eq!(encode_frame(b""), [0u8; 4]);
+        let big = encode_frame(&[1u8; 0x0102]);
+        assert_eq!(&big[..4], &[0x02, 0x01, 0, 0]);
+        assert_eq!(big.len(), 4 + 0x0102);
+    }
+
+    #[test]
+    fn length_prefix_of_exactly_max_frame_is_accepted() {
+        let mut asm = FrameAssembler::new();
+        asm.extend(&(MAX_FRAME as u32).to_le_bytes());
+        assert!(
+            asm.next_frame().unwrap().is_none(),
+            "MAX_FRAME itself is in bounds: wait for the payload"
+        );
+        assert!(asm.is_mid_frame());
+    }
+
+    #[test]
+    fn pending_bytes_counts_only_the_unconsumed_tail() {
+        let first = encode_frame(b"abc");
+        let second = encode_frame(b"defgh");
+        let mut asm = FrameAssembler::new();
+        assert_eq!(asm.pending_bytes(), 0);
+        asm.extend(&first);
+        asm.extend(&second[..6]);
+        assert_eq!(asm.pending_bytes(), first.len() + 6);
+        assert_eq!(asm.next_frame().unwrap().unwrap(), b"abc");
+        assert_eq!(
+            asm.pending_bytes(),
+            6,
+            "the popped frame is no longer pending"
+        );
+        assert!(asm.next_frame().unwrap().is_none());
+        asm.extend(&second[6..]);
+        assert_eq!(asm.next_frame().unwrap().unwrap(), b"defgh");
+        assert_eq!(asm.pending_bytes(), 0);
     }
 
     #[test]
     fn assembler_yields_frames_across_arbitrary_chunking() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, b"first").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        write_frame(&mut wire, &[9u8; 300]).unwrap();
+        wire.extend_from_slice(&encode_frame(b"first"));
+        wire.extend_from_slice(&encode_frame(b""));
+        wire.extend_from_slice(&encode_frame(&[9u8; 300]));
         // Feed in 7-byte chunks: every frame boundary lands mid-chunk or
         // mid-prefix at some point.
         let mut asm = FrameAssembler::new();
@@ -248,8 +236,7 @@ mod tests {
 
     #[test]
     fn assembler_reports_mid_frame_state_for_truncation() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"payload").unwrap();
+        let wire = encode_frame(b"payload");
         let mut asm = FrameAssembler::new();
         asm.extend(&wire[..2]); // half a length prefix
         assert!(asm.next_frame().unwrap().is_none());
@@ -274,8 +261,7 @@ mod tests {
         // Push enough consumed frames to trigger compaction, always with a
         // partial frame in the tail, and verify nothing is lost.
         let mut asm = FrameAssembler::new();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[3u8; 900]).unwrap();
+        let wire = encode_frame(&[3u8; 900]);
         for round in 0..20 {
             asm.extend(&wire);
             // Leave a partial prefix dangling between rounds.
@@ -310,7 +296,7 @@ mod dribble_proptests {
         ) {
             let mut wire = Vec::new();
             for f in &frames {
-                write_frame(&mut wire, f).unwrap();
+                wire.extend_from_slice(&encode_frame(f));
             }
             let mut asm = FrameAssembler::new();
             let mut got = Vec::new();
@@ -335,7 +321,7 @@ mod dribble_proptests {
         ) {
             let mut wire = Vec::new();
             for f in &frames {
-                write_frame(&mut wire, f).unwrap();
+                wire.extend_from_slice(&encode_frame(f));
             }
             // Cut strictly inside some frame (not on a boundary).
             let boundaries: Vec<usize> = {

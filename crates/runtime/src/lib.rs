@@ -61,7 +61,7 @@ pub mod window;
 
 pub use actor::{Actor, ActorCtx, TimerKind};
 pub use cost::{CostModel, MsgClass, SimMessage};
-pub use frame::{encode_frame, read_frame, write_frame, FrameAssembler, FrameError, MAX_FRAME};
+pub use frame::{encode_frame, FrameAssembler, FrameError, MAX_FRAME};
 pub use history::{merge_shard_histories, HistorySink, TaggedEvent};
 pub use metrics::{Histogram, LoadReport, Metrics};
 pub use node_loop::{node_seed, run_node, Input, Outbound, RunShared};

@@ -31,8 +31,8 @@ pub enum Input<M> {
 /// How a live runtime moves one message from a node to a destination.
 ///
 /// `LiveCluster` pushes onto the destination's input channel;
-/// `NetCluster` encodes the message and hands it to the per-connection
-/// writer thread for that link.
+/// `NetCluster` encodes the message and pushes the frame onto the
+/// connection's bounded ring, which a reactor thread drains to the socket.
 pub trait Outbound<M> {
     fn deliver(&mut self, from: Addr, to: Addr, msg: M);
 }
