@@ -16,24 +16,28 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use contrarian_harness::check_causal;
-use contrarian_harness::experiment::{run_experiment, ExperimentConfig, Protocol};
+use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunSpec};
 use contrarian_harness::oracle::check_causal_oracle;
 use contrarian_runtime::cost::CostModel;
 use contrarian_types::{ClusterConfig, HistoryEvent};
+use contrarian_workload::WorkloadSpec;
 
 /// A functional run at `partitions` partitions, mirroring the tier-1 scale
 /// test's cluster shape (sparse store, production timer cadence).
 fn history_at(partitions: u16) -> Vec<HistoryEvent> {
-    let mut cfg = ExperimentConfig::functional(Protocol::Contrarian);
+    let mut cfg = RunSpec::functional(Protocol::Contrarian);
     cfg.cluster = ClusterConfig::large();
     cfg.cluster.n_partitions = partitions;
     cfg.cluster.keys_per_partition = 1_000;
     cfg.cluster.stabilization_interval_us = 10_000;
     cfg.cluster.heartbeat_interval_us = 5_000;
-    cfg.clients_per_dc = 16;
+    cfg.clients = Clients::Closed {
+        workload: WorkloadSpec::paper_default().with_rot_size(2),
+        per_dc: 16,
+    };
     cfg.measure_ns = 15_000_000;
     cfg.cost = CostModel::functional();
-    run_experiment(&cfg).history
+    run_recorded(&cfg).history
 }
 
 fn bench_checker_scale(c: &mut Criterion) {

@@ -5,31 +5,32 @@
 //! timed) on every `cargo bench`.
 
 use contrarian_bench::{bench_cluster, bench_scale};
-use contrarian_harness::experiment::{run_experiment, ExperimentConfig, Protocol};
+use contrarian_harness::experiment::{run_experiment, Clients, Protocol, RunSpec};
 use contrarian_harness::theory;
-use contrarian_runtime::cost::CostModel;
-use contrarian_sim::SchedKind;
 use contrarian_workload::WorkloadSpec;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn mini_experiment(protocol: Protocol, dcs: u8, workload: WorkloadSpec) -> ExperimentConfig {
+fn mini_experiment(protocol: Protocol, dcs: u8, workload: WorkloadSpec) -> RunSpec {
+    mini_experiment_with(protocol, dcs, workload, bench_scale().load_points[0])
+}
+
+fn mini_experiment_with(
+    protocol: Protocol,
+    dcs: u8,
+    workload: WorkloadSpec,
+    per_dc: u16,
+) -> RunSpec {
     let scale = bench_scale();
-    ExperimentConfig {
-        protocol,
+    RunSpec {
         cluster: bench_cluster().with_dcs(dcs),
-        workload,
-        clients_per_dc: scale.load_points[0],
+        clients: Clients::Closed { workload, per_dc },
         warmup_ns: scale.warmup_ns,
         measure_ns: scale.measure_ns,
-        seed: 42,
-        cost: CostModel::calibrated(),
-        record: false,
-        sched: SchedKind::from_env(),
-        lookahead: Default::default(),
+        ..RunSpec::paper_default(protocol)
     }
 }
 
-fn run(cfg: &ExperimentConfig) -> f64 {
+fn run(cfg: &RunSpec) -> f64 {
     let r = run_experiment(cfg);
     assert!(r.throughput_kops > 0.0);
     r.throughput_kops
@@ -81,8 +82,12 @@ fn bench_fig6(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(2));
-    let mut cfg = mini_experiment(Protocol::CcLo, 1, WorkloadSpec::paper_default());
-    cfg.clients_per_dc = bench_scale().fig6_points[0];
+    let cfg = mini_experiment_with(
+        Protocol::CcLo,
+        1,
+        WorkloadSpec::paper_default(),
+        bench_scale().fig6_points[0],
+    );
     g.bench_function("readers_check_stats", |b| {
         b.iter(|| {
             let r = run_experiment(&cfg);

@@ -19,25 +19,22 @@
 //!   recording on and the streaming causal checker + periodic gc
 //!   attached; the delta over `point/contrarian` is the price of
 //!   verifying a history at rate.
-//! * `telemetry_{off,traced}/contrarian` — the load point through the
-//!   telemetry runner (windowed snapshots) with tracing disabled and
-//!   enabled. `telemetry_off` vs `point` bounds the cost of the
-//!   always-present `ctx.tracing()` flag checks plus windowing (must
-//!   stay within noise, <2%); `telemetry_traced` adds the per-event
-//!   ring pushes and drains.
+//! * `telemetry_traced/contrarian` — the load point with the deterministic
+//!   tracer on. Every run snapshots its per-slice metrics windows, so
+//!   `point/contrarian` already carries the windowing and the
+//!   always-present `ctx.tracing()` flag checks; this row adds the
+//!   per-event ring pushes and drains.
 //!
 //! Offered rates are virtual-time rates; one iteration's wall time is
 //! dominated by simulator event count, so mean ns/iter tracks events
 //! processed, not latency quality.
 
-use contrarian_harness::experiment::Protocol;
-use contrarian_harness::load::{
-    run_load_sim, run_load_sim_checked, run_load_sim_telemetry, LoadConfig,
-};
+use contrarian_harness::experiment::{run_sim, Observe, Protocol, RunSpec};
+use contrarian_harness::load::{run_load_sim, run_load_sim_checked};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn cfg(protocol: Protocol, offered: f64) -> LoadConfig {
-    let mut c = LoadConfig::functional(protocol, offered);
+fn cfg(protocol: Protocol, offered: f64) -> RunSpec {
+    let mut c = RunSpec::functional_open(protocol, offered);
     c.warmup_ns = 50_000_000;
     c.measure_ns = 150_000_000;
     c
@@ -81,17 +78,20 @@ fn bench_points(c: &mut Criterion) {
             r.events
         });
     });
-    for (name, tracing) in [("telemetry_off", false), ("telemetry_traced", true)] {
-        g.bench_function(format!("{name}/contrarian").as_str(), |b| {
-            let conf = cfg(Protocol::Contrarian, 6_000.0);
-            b.iter(|| {
-                let t = run_load_sim_telemetry(&conf, tracing);
-                assert!(t.report.completed_ops > 0);
-                assert_eq!(t.trace.is_empty(), !tracing);
-                t.report.completed_ops
-            });
+    g.bench_function("telemetry_traced/contrarian", |b| {
+        let conf = cfg(Protocol::Contrarian, 6_000.0);
+        b.iter(|| {
+            let run = run_sim(
+                &conf,
+                Observe {
+                    trace: true,
+                    ..Observe::default()
+                },
+            );
+            assert!(!run.trace.is_empty());
+            run.metrics.ops_done()
         });
-    }
+    });
     g.finish();
 }
 

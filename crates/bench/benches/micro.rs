@@ -523,12 +523,12 @@ fn bench_sim_scale(c: &mut Criterion) {
 
 fn bench_checker(c: &mut Criterion) {
     // End-to-end functional run + causal check of the full history.
-    use contrarian_harness::experiment::{run_experiment, ExperimentConfig, Protocol};
+    use contrarian_harness::experiment::{run_recorded, Protocol, RunSpec};
     let mut g = c.benchmark_group("checker");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(2));
-    let history = run_experiment(&ExperimentConfig::functional(Protocol::Contrarian)).history;
+    let history = run_recorded(&RunSpec::functional(Protocol::Contrarian)).history;
     g.bench_function("check_causal", |b| {
         b.iter(|| {
             let r = contrarian_harness::check_causal(black_box(&history));

@@ -31,7 +31,7 @@ impl ProtocolSpec for CcLo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contrarian_protocol::{build_cluster, ClusterParams};
+    use contrarian_protocol::{build_cluster, Clients, ClusterParams, SchedKind};
     use contrarian_runtime::cost::CostModel;
     use contrarian_types::{DcId, PartitionId};
     use contrarian_workload::WorkloadSpec;
@@ -41,11 +41,13 @@ mod tests {
         let p = ClusterParams {
             cfg: ClusterConfig::small(),
             cost: CostModel::functional(),
-            workload: WorkloadSpec::paper_default().with_rot_size(2),
-            clients_per_dc: 4,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default().with_rot_size(2),
+                per_dc: 4,
+            },
             seed: 11,
         };
-        let mut sim = build_cluster::<CcLo>(&p);
+        let mut sim = build_cluster::<CcLo>(&p, SchedKind::from_env());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(50_000_000);
@@ -60,11 +62,13 @@ mod tests {
         let p = ClusterParams {
             cfg: ClusterConfig::small().with_dcs(2),
             cost: CostModel::functional(),
-            workload: WorkloadSpec::paper_default().with_rot_size(2),
-            clients_per_dc: 2,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default().with_rot_size(2),
+                per_dc: 2,
+            },
             seed: 13,
         };
-        let mut sim = build_cluster::<CcLo>(&p);
+        let mut sim = build_cluster::<CcLo>(&p, SchedKind::from_env());
         sim.start();
         sim.run_until(30_000_000);
         sim.set_stopped(true);

@@ -17,7 +17,7 @@
 
 use contrarian_cclo::{stats, CcLo};
 use contrarian_protocol::conformance::{SchedKind, ENGINES};
-use contrarian_protocol::{build_openloop_cluster_with, OpenLoopParams};
+use contrarian_protocol::{build_cluster, Clients, ClusterParams};
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::Metrics;
 use contrarian_types::ClusterConfig;
@@ -44,13 +44,15 @@ struct Pin {
 
 fn measure(n_dcs: u8, sched: SchedKind) -> Metrics {
     let workload = WorkloadSpec::paper_default().with_write_ratio(0.1);
-    let params = OpenLoopParams {
+    let params = ClusterParams {
         cfg: ClusterConfig::small().with_dcs(n_dcs),
         cost: CostModel::calibrated(),
-        spec: OpenLoopSpec::new(workload, 20_000, 12_000.0).with_actors_per_dc(16),
+        clients: Clients::Open(
+            OpenLoopSpec::new(workload, 20_000, 12_000.0).with_actors_per_dc(16),
+        ),
         seed: 7,
     };
-    let mut sim = build_openloop_cluster_with::<CcLo>(&params, sched);
+    let mut sim = build_cluster::<CcLo>(&params, sched);
     // Serial windows: the thread count never changes a run, and spawning
     // threads for every hop-wide sub-DC window costs several times the
     // serial run. The determinism tests force the parallel path.

@@ -34,7 +34,7 @@ impl ProtocolSpec for Contrarian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contrarian_protocol::{build_cluster, ClusterParams};
+    use contrarian_protocol::{build_cluster, Clients, ClusterParams, SchedKind};
     use contrarian_runtime::cost::CostModel;
     use contrarian_types::Op;
     use contrarian_workload::WorkloadSpec;
@@ -44,11 +44,13 @@ mod tests {
         let p = ClusterParams {
             cfg: ClusterConfig::small().with_dcs(2),
             cost: CostModel::functional(),
-            workload: WorkloadSpec::paper_default().with_rot_size(2),
-            clients_per_dc: 3,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default().with_rot_size(2),
+                per_dc: 3,
+            },
             seed: 1,
         };
-        let sim = build_cluster::<Contrarian>(&p);
+        let sim = build_cluster::<Contrarian>(&p, SchedKind::from_env());
         // 2 DCs × 4 partitions + 2 DCs × 3 clients.
         assert_eq!(sim.addrs().len(), 8 + 6);
     }
@@ -58,11 +60,13 @@ mod tests {
         let p = ClusterParams {
             cfg: ClusterConfig::small(),
             cost: CostModel::functional(),
-            workload: WorkloadSpec::paper_default().with_rot_size(2),
-            clients_per_dc: 4,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default().with_rot_size(2),
+                per_dc: 4,
+            },
             seed: 7,
         };
-        let mut sim = build_cluster::<Contrarian>(&p);
+        let mut sim = build_cluster::<Contrarian>(&p, SchedKind::from_env());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(50_000_000); // 50 virtual ms

@@ -4,7 +4,7 @@
 
 use contrarian_core::msg::Msg;
 use contrarian_core::{Client, Contrarian, Node};
-use contrarian_protocol::{build_cluster, ClusterParams, ProtocolClient};
+use contrarian_protocol::{build_cluster, Clients, ClusterParams, ProtocolClient, SchedKind};
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::testkit::ScriptCtx;
 use contrarian_types::{Addr, ClusterConfig, DcId, Key, Op, RotMode};
@@ -68,11 +68,13 @@ fn adaptive_cluster_serves_mixed_modes_consistently() {
     let params = ClusterParams {
         cfg,
         cost: CostModel::functional(),
-        workload: WorkloadSpec::paper_default().with_rot_size(4), // all large
-        clients_per_dc: 4,
+        clients: Clients::Closed {
+            workload: WorkloadSpec::paper_default().with_rot_size(4), // all large
+            per_dc: 4,
+        },
         seed: 3,
     };
-    let mut sim = build_cluster::<Contrarian>(&params);
+    let mut sim = build_cluster::<Contrarian>(&params, SchedKind::from_env());
     sim.set_recording(true);
     sim.start();
     sim.metrics_mut().enabled = true;
@@ -86,7 +88,8 @@ fn adaptive_cluster_serves_mixed_modes_consistently() {
 fn adaptive_node_variant_round_trips_ops() {
     let mut cfg = ClusterConfig::small();
     cfg.rot_mode = RotMode::Adaptive { two_round_at: 2 };
-    let mut sim = contrarian_sim::sim::Sim::new(CostModel::functional(), 8);
+    let mut sim =
+        contrarian_sim::sim::Sim::with_scheduler(CostModel::functional(), 8, SchedKind::from_env());
     for p in 0..cfg.n_partitions {
         let addr = Addr::server(DcId(0), contrarian_types::PartitionId(p));
         sim.add_server(

@@ -3,15 +3,18 @@
 //! `conformance.rs`; this test also pins the wire-level counters.)
 
 use contrarian_core::Contrarian;
-use contrarian_protocol::build_net_cluster;
+use contrarian_protocol::{build_nodes, Clients, NetCluster};
 use contrarian_types::ClusterConfig;
 use contrarian_workload::WorkloadSpec;
 
 #[test]
 fn contrarian_over_tcp_makes_progress() {
     let cfg = ClusterConfig::small().with_dcs(2).for_wall_clock();
-    let wl = WorkloadSpec::paper_default().with_rot_size(2);
-    let cluster = build_net_cluster::<Contrarian>(&cfg, &wl, 2, 77, true);
+    let clients = Clients::Closed {
+        workload: WorkloadSpec::paper_default().with_rot_size(2),
+        per_dc: 2,
+    };
+    let cluster = NetCluster::start(build_nodes::<Contrarian>(&cfg, &clients, 77), true, 77);
     cluster.set_measuring(true);
     std::thread::sleep(std::time::Duration::from_millis(300));
     cluster.stop_issuing();

@@ -39,7 +39,7 @@ impl ProtocolSpec for Cure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contrarian_protocol::{build_cluster, ClusterParams};
+    use contrarian_protocol::{build_cluster, Clients, ClusterParams, SchedKind};
     use contrarian_runtime::cost::CostModel;
     use contrarian_workload::WorkloadSpec;
 
@@ -48,11 +48,13 @@ mod tests {
         let p = ClusterParams {
             cfg: ClusterConfig::small(),
             cost: CostModel::functional(),
-            workload: WorkloadSpec::paper_default().with_rot_size(2),
-            clients_per_dc: 4,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default().with_rot_size(2),
+                per_dc: 4,
+            },
             seed: 5,
         };
-        let mut sim = build_cluster::<Cure>(&p);
+        let mut sim = build_cluster::<Cure>(&p, SchedKind::from_env());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(50_000_000);
@@ -69,13 +71,15 @@ mod tests {
         let p = ClusterParams {
             cfg,
             cost: CostModel::functional(),
-            workload: WorkloadSpec::paper_default()
-                .with_rot_size(2)
-                .with_write_ratio(0.2),
-            clients_per_dc: 4,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default()
+                    .with_rot_size(2)
+                    .with_write_ratio(0.2),
+                per_dc: 4,
+            },
             seed: 6,
         };
-        let mut sim = build_cluster::<Cure>(&p);
+        let mut sim = build_cluster::<Cure>(&p, SchedKind::from_env());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(200_000_000);

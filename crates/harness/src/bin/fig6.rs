@@ -7,11 +7,8 @@
 //! is ≈855 ids (≈71 per contacted node, ≈7 KB) — communication linear in
 //! the number of clients, matching Theorem 1.
 
-use contrarian_harness::experiment::{run_experiment, ExperimentConfig, Protocol, Scale};
+use contrarian_harness::experiment::{run_experiment, Clients, Protocol, RunSpec, Scale};
 use contrarian_harness::table;
-use contrarian_runtime::cost::CostModel;
-use contrarian_sim::SchedKind;
-use contrarian_types::ClusterConfig;
 use contrarian_workload::WorkloadSpec;
 
 fn main() {
@@ -30,22 +27,17 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for &clients in &scale.fig6_points {
-        let cfg = ExperimentConfig {
-            protocol: Protocol::CcLo,
-            cluster: ClusterConfig::paper_default(),
-            workload: WorkloadSpec::paper_default(),
-            clients_per_dc: clients,
+        let r = run_experiment(&RunSpec {
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default(),
+                per_dc: clients,
+            },
             // Reader records take a full 500 ms GC window to reach steady
             // state; keep warmup and measurement beyond it.
             warmup_ns: scale.warmup_ns.max(700_000_000),
             measure_ns: scale.measure_ns.max(1_500_000_000),
-            seed: 42,
-            cost: CostModel::calibrated(),
-            record: false,
-            sched: SchedKind::from_env(),
-            lookahead: Default::default(),
-        };
-        let r = run_experiment(&cfg);
+            ..RunSpec::paper_default(Protocol::CcLo)
+        });
         let checks = r.counter(contrarian_cclo::stats::CHECKS).max(1);
         let keys = r.counter(contrarian_cclo::stats::CHECK_KEYS) as f64 / checks as f64;
         let parts = r.counter(contrarian_cclo::stats::CHECK_PARTITIONS) as f64 / checks as f64;

@@ -28,13 +28,11 @@
 //! `CONTRARIAN_SCALE=smoke` shrinks windows and ramp lengths for CI.
 //! Results land in `results/load_sweep_{sim,net}.csv`.
 
-use contrarian_harness::experiment::Protocol;
+use contrarian_harness::experiment::{run_sim, Clients, Observe, Protocol, RunSpec};
 use contrarian_harness::load::{
-    run_load_net, run_load_sim, run_load_sim_checked, run_load_sim_telemetry, sweep_to_saturation,
-    LoadConfig, SaturationSweep,
+    run_load_net, run_load_sim, run_load_sim_checked, sweep_to_saturation, SaturationSweep,
 };
 use contrarian_harness::table;
-use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::LoadReport;
 use contrarian_runtime::trace::{chrome_trace_json, summarize};
 use contrarian_runtime::window::MetricsWindow;
@@ -68,17 +66,17 @@ fn base_config(
     cluster: ClusterConfig,
     warmup_ns: u64,
     measure_ns: u64,
-) -> LoadConfig {
-    LoadConfig {
-        protocol,
+) -> RunSpec {
+    RunSpec {
         cluster,
-        spec: OpenLoopSpec::new(WorkloadSpec::paper_default(), SESSIONS, 1.0),
+        clients: Clients::Open(OpenLoopSpec::new(
+            WorkloadSpec::paper_default(),
+            SESSIONS,
+            1.0,
+        )),
         warmup_ns,
         measure_ns,
-        seed: 42,
-        cost: CostModel::calibrated(),
-        sched: SchedKind::from_env(),
-        lookahead: Default::default(),
+        ..RunSpec::functional_open(protocol, 1.0)
     }
 }
 
@@ -205,14 +203,13 @@ fn main() {
     }
 
     // ---- Checked point: history verified at rate, bounded residency. ----
-    let mut checked_cfg = base_config(
+    let checked_cfg = base_config(
         Protocol::Contrarian,
         ClusterConfig::small(),
         sim_warmup,
         sim_measure,
     )
     .with_offered(sim_ramp.start_rate);
-    checked_cfg.spec.sessions = SESSIONS;
     let checked = run_load_sim_checked(&checked_cfg);
     eprintln!(
         "== checked point: {} events, causal={}, peak residency {} live versions ({} reclaimed) ==",
@@ -244,25 +241,32 @@ fn main() {
         // Trace one backend's run: enough for a Chrome-trace artifact
         // without quadrupling the JSON size.
         let trace_this = matches!(protocol, Protocol::Contrarian);
-        let t = run_load_sim_telemetry(&cfg, trace_this);
+        let run = run_sim(
+            &cfg,
+            Observe {
+                trace: trace_this,
+                ..Observe::default()
+            },
+        );
+        let report = cfg.load_report(&run.metrics);
         eprintln!(
             "  [telemetry] {:<13} op p50={:>8.3}ms p99={:>9.3}ms | vis p50={:>8.3}ms p99={:>9.3}ms | util={:.2}",
             protocol.label(),
-            t.report.p50_ms,
-            t.report.p99_ms,
-            t.report.vis_p50_ms,
-            t.report.vis_p99_ms,
-            t.report.utilization,
+            report.p50_ms,
+            report.p99_ms,
+            report.vis_p50_ms,
+            report.vis_p99_ms,
+            report.utilization,
         );
-        for row in t.windows.csv_rows() {
+        for row in run.windows.csv_rows() {
             let mut r = Vec::with_capacity(row.len() + 1);
             r.push(protocol.label().to_string());
             r.extend(row);
             win_rows.push(r);
         }
         if trace_this {
-            eprint!("{}", summarize(&t.trace));
-            match table::write_text("trace_contrarian.json", &chrome_trace_json(&t.trace)) {
+            eprint!("{}", summarize(&run.trace));
+            match table::write_text("trace_contrarian.json", &chrome_trace_json(&run.trace)) {
                 Ok(path) => eprintln!("  wrote {path} (load in chrome://tracing or Perfetto)"),
                 Err(e) => eprintln!("  trace write failed: {e}"),
             }

@@ -16,119 +16,25 @@
 //! Contrarian's 1½ rounds at low load on reads, while CC-LO pays on PUTs
 //! (readers checks). `CONTRARIAN_SCALE=smoke` shrinks the grid for CI.
 
-use contrarian_harness::experiment::{run_experiment, ExperimentConfig, Protocol};
+use contrarian_harness::experiment::{run_experiment, Clients, Protocol, RunResult, RunSpec};
+use contrarian_harness::load::{run_net, NetSample};
 use contrarian_harness::table;
-use contrarian_protocol::{build_net_cluster, ProtocolSpec};
-use contrarian_runtime::cost::CostModel;
-use contrarian_types::{ClusterConfig, RotMode};
+use contrarian_types::ClusterConfig;
 use contrarian_workload::WorkloadSpec;
-use std::time::Duration;
-
-/// One measured point on the TCP runtime.
-struct NetPoint {
-    clients: u16,
-    tput_kops: f64,
-    rot_avg_ms: f64,
-    rot_p99_ms: f64,
-    put_avg_ms: f64,
-}
 
 /// Sub-windows the measure interval is sampled in for the io-rate series.
 const IO_SLICES: u32 = 4;
-
-/// Runs one backend on loopback TCP for a wall-clock window, sampling the
-/// socket-level [`WireStats`](contrarian_net) counters at sub-window
-/// boundaries into `io_rows` (backend, clients, t_ms, frames/s, bytes/s,
-/// sockets) — the reactor's io activity *over time*, not just a total.
-#[allow(clippy::too_many_arguments)]
-fn run_net<P: ProtocolSpec>(
-    backend: &str,
-    cfg: &ClusterConfig,
-    wl: &WorkloadSpec,
-    clients: u16,
-    warmup: Duration,
-    measure: Duration,
-    seed: u64,
-    io_rows: &mut Vec<Vec<String>>,
-) -> NetPoint {
-    // recording=false: the history sink's cluster-wide lock would sit on
-    // the measured latency path (the sim prediction runs with record:false
-    // for the same reason).
-    let cluster = build_net_cluster::<P>(cfg, wl, clients, seed, false);
-    std::thread::sleep(warmup);
-    cluster.set_measuring(true);
-    let t0 = std::time::Instant::now();
-    let (mut prev_frames, mut prev_bytes) = cluster.wire_stats();
-    let mut prev_t = t0;
-    for _ in 0..IO_SLICES {
-        std::thread::sleep(measure / IO_SLICES);
-        let now = std::time::Instant::now();
-        let (frames, bytes) = cluster.wire_stats();
-        let dt = now.duration_since(prev_t).as_secs_f64();
-        io_rows.push(vec![
-            backend.to_string(),
-            clients.to_string(),
-            format!("{:.0}", t0.elapsed().as_secs_f64() * 1e3),
-            format!("{:.0}", (frames - prev_frames) as f64 / dt),
-            format!("{:.0}", (bytes - prev_bytes) as f64 / dt),
-            cluster.io_stats().sockets.to_string(),
-        ]);
-        (prev_frames, prev_bytes, prev_t) = (frames, bytes, now);
-    }
-    cluster.set_measuring(false);
-    cluster.stop_issuing();
-    std::thread::sleep(Duration::from_millis(150));
-    let (_, metrics, _) = cluster.shutdown();
-    NetPoint {
-        clients,
-        tput_kops: metrics.ops_done() as f64 / measure.as_secs_f64() / 1e3,
-        rot_avg_ms: metrics.rot_latency.mean() / 1e6,
-        rot_p99_ms: metrics.rot_latency.percentile(99.0) as f64 / 1e6,
-        put_avg_ms: metrics.put_latency.mean() / 1e6,
-    }
-}
-
-/// The simulator's prediction for the identical cluster and workload.
-fn predict_sim(
-    protocol: Protocol,
-    cluster: &ClusterConfig,
-    wl: &WorkloadSpec,
-    clients: u16,
-    seed: u64,
-) -> (f64, f64, f64) {
-    let r = run_experiment(&ExperimentConfig {
-        protocol,
-        cluster: cluster.clone(),
-        workload: wl.clone(),
-        clients_per_dc: clients,
-        warmup_ns: 100_000_000,
-        measure_ns: 400_000_000,
-        seed,
-        cost: CostModel::calibrated(),
-        record: false,
-        sched: contrarian_sim::SchedKind::from_env(),
-        lookahead: Default::default(),
-    });
-    (r.avg_rot_ms, r.p99_rot_ms, r.avg_put_ms)
-}
 
 fn main() {
     let smoke = matches!(
         contrarian_runtime::env::var(contrarian_runtime::env::SCALE).as_deref(),
         Some("smoke")
     );
-    let (warmup, measure, load_points): (Duration, Duration, Vec<u16>) = if smoke {
-        (
-            Duration::from_millis(150),
-            Duration::from_millis(400),
-            vec![1, 4],
-        )
+    // Wall-clock warmup and measured window, ns, and client counts per DC.
+    let (warmup_ns, measure_ns, load_points): (u64, u64, Vec<u16>) = if smoke {
+        (150_000_000, 400_000_000, vec![1, 4])
     } else {
-        (
-            Duration::from_millis(300),
-            Duration::from_millis(800),
-            vec![1, 4, 16],
-        )
+        (300_000_000, 800_000_000, vec![1, 4, 16])
     };
 
     // One DC (ROT latency is an intra-DC path; replication is async), the
@@ -151,33 +57,44 @@ fn main() {
     let mut io_rows: Vec<Vec<String>> = Vec::new();
 
     for &clients in &load_points {
-        let contrarian_cfg = cfg.clone().with_rot_mode(RotMode::OneHalfRound);
-        let net = run_net::<contrarian_core::Contrarian>(
-            "Contrarian",
-            &contrarian_cfg,
-            &wl,
-            clients,
-            warmup,
-            measure,
-            42,
-            &mut io_rows,
-        );
-        let (sim_rot, sim_p99, sim_put) =
-            predict_sim(Protocol::Contrarian, &contrarian_cfg, &wl, clients, 42);
-        rows.push(point_row("Contrarian", &net, sim_rot, sim_p99, sim_put));
-
-        let net = run_net::<contrarian_cclo::CcLo>(
-            "CC-LO",
-            &cfg,
-            &wl,
-            clients,
-            warmup,
-            measure,
-            43,
-            &mut io_rows,
-        );
-        let (sim_rot, sim_p99, sim_put) = predict_sim(Protocol::CcLo, &cfg, &wl, clients, 43);
-        rows.push(point_row("CC-LO", &net, sim_rot, sim_p99, sim_put));
+        for (protocol, seed) in [(Protocol::Contrarian, 42), (Protocol::CcLo, 43)] {
+            let spec = RunSpec {
+                cluster: cfg.clone(),
+                clients: Clients::Closed {
+                    workload: wl.clone(),
+                    per_dc: clients,
+                },
+                warmup_ns,
+                measure_ns,
+                seed,
+                ..RunSpec::paper_default(protocol)
+            };
+            // The socket-level counters at sub-window boundaries: the
+            // reactor's io activity *over time*, not just a total.
+            let mut prev: Option<NetSample> = None;
+            let metrics = run_net(&spec, IO_SLICES, &mut |s| {
+                if let Some(p) = prev {
+                    let dt = (s.elapsed - p.elapsed).as_secs_f64();
+                    io_rows.push(vec![
+                        protocol.label().to_string(),
+                        clients.to_string(),
+                        format!("{:.0}", s.elapsed.as_secs_f64() * 1e3),
+                        format!("{:.0}", (s.frames - p.frames) as f64 / dt),
+                        format!("{:.0}", (s.bytes - p.bytes) as f64 / dt),
+                        s.sockets.to_string(),
+                    ]);
+                }
+                prev = Some(s);
+            });
+            // The simulator's prediction for the identical cluster and
+            // workload.
+            let sim = run_experiment(&RunSpec {
+                warmup_ns: 100_000_000,
+                measure_ns: 400_000_000,
+                ..spec.clone()
+            });
+            rows.push(point_row(&spec.run_result(&metrics), &sim));
+        }
     }
 
     println!(
@@ -202,26 +119,21 @@ fn main() {
     );
 }
 
-fn point_row(
-    backend: &str,
-    net: &NetPoint,
-    sim_rot: f64,
-    sim_p99: f64,
-    sim_put: f64,
-) -> Vec<String> {
+fn point_row(net: &RunResult, sim: &RunResult) -> Vec<String> {
+    let backend = net.protocol.label();
     println!(
         "  [{backend}] clients={:<3} net: tput={:7.1} Kops/s rot avg={:.3} ms p99={:.3} ms | sim: rot avg={:.3} ms",
-        net.clients, net.tput_kops, net.rot_avg_ms, net.rot_p99_ms, sim_rot
+        net.clients_per_dc, net.throughput_kops, net.avg_rot_ms, net.p99_rot_ms, sim.avg_rot_ms
     );
     vec![
         backend.to_string(),
-        net.clients.to_string(),
-        table::f1(net.tput_kops),
-        table::f3(net.rot_avg_ms),
-        table::f3(net.rot_p99_ms),
-        table::f3(net.put_avg_ms),
-        table::f3(sim_rot),
-        table::f3(sim_p99),
-        table::f3(sim_put),
+        net.clients_per_dc.to_string(),
+        table::f1(net.throughput_kops),
+        table::f3(net.avg_rot_ms),
+        table::f3(net.p99_rot_ms),
+        table::f3(net.avg_put_ms),
+        table::f3(sim.avg_rot_ms),
+        table::f3(sim.p99_rot_ms),
+        table::f3(sim.avg_put_ms),
     ]
 }

@@ -15,13 +15,10 @@
 //! `chrome://tracing` or Perfetto; span rows are nodes, `X` events are
 //! client operations, instants are sends/delivers/parks/GSS advances.
 
-use contrarian_harness::experiment::Protocol;
-use contrarian_harness::load::{run_load_sim_telemetry, LoadConfig};
+use contrarian_harness::experiment::{run_sim, Clients, Observe, Protocol, RunSpec};
 use contrarian_harness::table;
-use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::trace::{chrome_trace_json, summarize};
 use contrarian_runtime::window::MetricsWindow;
-use contrarian_sim::SchedKind;
 use contrarian_types::ClusterConfig;
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 
@@ -55,38 +52,39 @@ fn main() {
 
     // 2 DCs so replication exists: remote installs feed the visibility-
     // staleness gauge, and GSS advances cross the inter-DC links.
-    let cfg = LoadConfig {
-        protocol,
+    let spec = RunSpec {
         cluster: ClusterConfig::small().with_dcs(2),
-        spec: OpenLoopSpec::new(WorkloadSpec::paper_default(), 1_000_000, rate),
-        warmup_ns: 50_000_000,
-        measure_ns: 200_000_000,
-        seed: 42,
-        cost: CostModel::calibrated(),
-        sched: SchedKind::from_env(),
-        lookahead: Default::default(),
+        clients: Clients::Open(OpenLoopSpec::new(
+            WorkloadSpec::paper_default(),
+            1_000_000,
+            rate,
+        )),
+        ..RunSpec::functional_open(protocol, rate)
     };
     eprintln!(
         "== trace_view: {} at {rate:.0} ops/s, engine={:?} ==",
         protocol.label(),
-        cfg.sched
+        spec.sched
     );
-    let t = run_load_sim_telemetry(&cfg, true);
+    let run = run_sim(
+        &spec,
+        Observe {
+            trace: true,
+            ..Observe::default()
+        },
+    );
+    let report = spec.load_report(&run.metrics);
 
-    print!("{}", summarize(&t.trace));
+    print!("{}", summarize(&run.trace));
     println!(
         "op latency p50={:.3}ms p99={:.3}ms | vis staleness p50={:.3}ms p99={:.3}ms | util={:.2}",
-        t.report.p50_ms,
-        t.report.p99_ms,
-        t.report.vis_p50_ms,
-        t.report.vis_p99_ms,
-        t.report.utilization,
+        report.p50_ms, report.p99_ms, report.vis_p50_ms, report.vis_p99_ms, report.utilization,
     );
     println!(
         "{}",
-        table::render(&MetricsWindow::CSV_HEADERS, &t.windows.csv_rows())
+        table::render(&MetricsWindow::CSV_HEADERS, &run.windows.csv_rows())
     );
-    match table::write_text("trace_view.json", &chrome_trace_json(&t.trace)) {
+    match table::write_text("trace_view.json", &chrome_trace_json(&run.trace)) {
         Ok(path) => println!("wrote {path} (load in chrome://tracing or Perfetto)"),
         Err(e) => {
             eprintln!("trace write failed: {e}");

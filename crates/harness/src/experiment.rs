@@ -1,10 +1,16 @@
-//! Running one measured experiment (one protocol, one cluster, one load).
+//! Running one measured experiment (one protocol, one cluster, one load):
+//! the [`RunSpec`] every simulated run is described by, and [`run_sim`],
+//! the one loop that drives it.
 
+pub use contrarian_protocol::Clients;
+use contrarian_protocol::{build_cluster, ClusterParams, ProtoNode, ProtocolSpec};
 use contrarian_runtime::cost::CostModel;
-use contrarian_runtime::metrics::Metrics;
+use contrarian_runtime::metrics::{LoadReport, Metrics};
+use contrarian_runtime::window::WindowSeries;
+use contrarian_sim::sim::Sim;
 use contrarian_sim::{Lookahead, SchedKind};
-use contrarian_types::{ClusterConfig, HistoryEvent, RotMode};
-use contrarian_workload::WorkloadSpec;
+use contrarian_types::{ClusterConfig, HistoryEvent, RotMode, TraceEvent};
+use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 use std::collections::BTreeMap;
 
 /// Which of the four systems to run (Contrarian in either ROT mode).
@@ -162,67 +168,142 @@ impl Scale {
     }
 }
 
-/// Full description of one run.
+/// Full description of one simulated run: which system, on which cluster,
+/// driven by which clients, for how long. The closed-loop figure runs and
+/// the open-loop load points are both a `RunSpec`; only `clients` differs.
 #[derive(Clone, Debug)]
-pub struct ExperimentConfig {
+pub struct RunSpec {
     pub protocol: Protocol,
     pub cluster: ClusterConfig,
-    pub workload: WorkloadSpec,
-    pub clients_per_dc: u16,
+    /// Closed-loop clients or open-loop driver actors.
+    pub clients: Clients,
     pub warmup_ns: u64,
     pub measure_ns: u64,
     pub seed: u64,
     pub cost: CostModel,
-    /// Record history for the causal checker. Use
-    /// [`run_experiment_streamed`] to consume it incrementally instead of
-    /// keeping every operation in memory.
-    pub record: bool,
-    /// Engine mode (heap / calendar / sharded). Defaults follow
+    /// Engine mode (heap / calendar / sharded). The constructors follow
     /// `CONTRARIAN_SCHED`; the cross-engine determinism tests pin it per
-    /// run instead of racing on the process environment.
+    /// run instead of racing on the process environment. Wall-clock runs
+    /// ignore it.
     pub sched: SchedKind,
     /// How the sharded engine derives its conservative bounds (default:
     /// the per-link matrix).
     pub lookahead: Lookahead,
 }
 
-impl ExperimentConfig {
+impl RunSpec {
     /// The paper's default workload on the paper's default platform.
     pub fn paper_default(protocol: Protocol) -> Self {
-        ExperimentConfig {
+        RunSpec {
             protocol,
             cluster: ClusterConfig::paper_default(),
-            workload: WorkloadSpec::paper_default(),
-            clients_per_dc: 64,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default(),
+                per_dc: 64,
+            },
             warmup_ns: 200_000_000,
             measure_ns: 600_000_000,
             seed: 42,
             cost: CostModel::calibrated(),
-            record: false,
             sched: SchedKind::from_env(),
             lookahead: Lookahead::default(),
         }
     }
 
-    /// A tiny functional configuration for checker-driven tests.
+    /// A tiny closed-loop configuration for checker-driven tests.
     pub fn functional(protocol: Protocol) -> Self {
-        ExperimentConfig {
+        RunSpec {
             protocol,
             cluster: ClusterConfig::small(),
-            workload: WorkloadSpec::paper_default().with_rot_size(2),
-            clients_per_dc: 4,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default().with_rot_size(2),
+                per_dc: 4,
+            },
             warmup_ns: 0,
             measure_ns: 30_000_000,
             seed: 7,
             cost: CostModel::functional(),
-            record: true,
             sched: SchedKind::from_env(),
             lookahead: Lookahead::default(),
         }
     }
+
+    /// A small-cluster open-loop point for CI smoke and functional tests:
+    /// 100 K sessions offering `offered_ops_per_sec` in all.
+    pub fn functional_open(protocol: Protocol, offered_ops_per_sec: f64) -> Self {
+        RunSpec {
+            clients: Clients::Open(OpenLoopSpec::new(
+                WorkloadSpec::paper_default(),
+                100_000,
+                offered_ops_per_sec,
+            )),
+            warmup_ns: 50_000_000,
+            measure_ns: 200_000_000,
+            seed: 42,
+            cost: CostModel::calibrated(),
+            ..Self::functional(protocol)
+        }
+    }
+
+    /// The same open-loop point at a different offered rate (sweep step).
+    pub fn with_offered(&self, offered_ops_per_sec: f64) -> Self {
+        let mut spec = self.clone();
+        match &mut spec.clients {
+            Clients::Open(open) => *open = open.clone().with_offered(offered_ops_per_sec),
+            other => panic!("an offered rate needs open-loop clients, not {other:?}"),
+        }
+        spec
+    }
+
+    /// The open-loop offered rate; closed-loop clients offer none (0).
+    pub fn offered_ops_per_sec(&self) -> f64 {
+        match &self.clients {
+            Clients::Open(open) => open.offered_ops_per_sec,
+            _ => 0.0,
+        }
+    }
+
+    /// Client sessions across the cluster — the checker's session count.
+    pub fn total_clients(&self) -> usize {
+        let (dcs, per_dc) = self.clients.layout(self.cluster.n_dcs);
+        usize::from(dcs) * usize::from(per_dc)
+    }
+
+    /// The cluster this spec stands up, with the protocol's ROT mode set.
+    pub(crate) fn cluster_params(&self) -> ClusterParams {
+        ClusterParams {
+            cfg: self.protocol.cluster(&self.cluster),
+            cost: self.cost.clone(),
+            clients: self.clients.clone(),
+            seed: self.seed,
+        }
+    }
+
+    /// The closed-loop summary of a run's metrics.
+    pub fn run_result(&self, m: &Metrics) -> RunResult {
+        let secs = self.measure_ns as f64 / 1e9;
+        RunResult {
+            protocol: self.protocol,
+            clients_per_dc: self.clients.layout(self.cluster.n_dcs).1,
+            throughput_kops: m.ops_done() as f64 / secs / 1e3,
+            avg_rot_ms: m.rot_latency.mean() / 1e6,
+            p99_rot_ms: m.rot_latency.percentile(99.0) as f64 / 1e6,
+            avg_put_ms: m.put_latency.mean() / 1e6,
+            p99_put_ms: m.put_latency.percentile(99.0) as f64 / 1e6,
+            counters: m.counters.clone(),
+            history: Vec::new(),
+        }
+    }
+
+    /// The open-loop summary of a run's metrics, with utilization per
+    /// server.
+    pub fn load_report(&self, m: &Metrics) -> LoadReport {
+        LoadReport::from_metrics(m, self.offered_ops_per_sec(), self.measure_ns)
+            .normalize_utilization(self.cluster.n_servers())
+    }
 }
 
-/// The measured outcome of one run.
+/// The measured outcome of one closed-loop run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
     pub protocol: Protocol,
@@ -233,112 +314,127 @@ pub struct RunResult {
     pub avg_put_ms: f64,
     pub p99_put_ms: f64,
     pub counters: BTreeMap<&'static str, u64>,
+    /// The recorded history ([`run_recorded`]); empty otherwise.
     pub history: Vec<HistoryEvent>,
 }
 
 impl RunResult {
-    fn from_metrics(
-        protocol: Protocol,
-        clients_per_dc: u16,
-        m: &Metrics,
-        measure_ns: u64,
-        history: Vec<HistoryEvent>,
-    ) -> Self {
-        let secs = measure_ns as f64 / 1e9;
-        RunResult {
-            protocol,
-            clients_per_dc,
-            throughput_kops: m.ops_done() as f64 / secs / 1e3,
-            avg_rot_ms: m.rot_latency.mean() / 1e6,
-            p99_rot_ms: m.rot_latency.percentile(99.0) as f64 / 1e6,
-            avg_put_ms: m.put_latency.mean() / 1e6,
-            p99_put_ms: m.put_latency.percentile(99.0) as f64 / 1e6,
-            counters: m.counters.clone(),
-            history,
-        }
-    }
-
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 }
 
-/// Runs one experiment to completion: warmup, measurement window, result
-/// extraction. Fully deterministic given the seed. The full recorded
-/// history rides home in the result; long recorded runs should prefer
-/// [`run_experiment_streamed`].
-pub fn run_experiment(cfg: &ExperimentConfig) -> RunResult {
-    let mut history = Vec::new();
-    let mut r = run_experiment_streamed(cfg, &mut |ev| history.push(ev));
-    r.history = history;
-    r
+/// How many slices the measured window is run in. History and trace are
+/// drained, and a metrics window closed, at every slice boundary, so the
+/// engine's buffers hold at most ~1/8 of the measured window's events.
+pub(crate) const STREAM_SLICES: u64 = 8;
+
+/// What a caller observes of a simulated run besides its metrics.
+#[derive(Default)]
+pub struct Observe<'a> {
+    /// Receives every recorded history event as run phases complete;
+    /// `None` leaves recording off. Drains happen at run barriers, so the
+    /// events form exactly the canonical full history, in order — pipe
+    /// them straight into [`crate::CausalChecker::feed`].
+    pub history: Option<&'a mut dyn FnMut(HistoryEvent)>,
+    /// Turns the deterministic tracer on; the measured interval's trace
+    /// lands in [`SimRun::trace`].
+    pub trace: bool,
 }
 
-/// How many slices the measured window is drained in when streaming: the
-/// engine's history buffers hold at most ~1/8 of the measured window's
-/// events at any point.
-const STREAM_SLICES: u64 = 8;
+/// What one simulated run measured.
+#[derive(Debug)]
+pub struct SimRun {
+    /// The measured window's metrics: summarize them with
+    /// [`RunSpec::run_result`] or [`RunSpec::load_report`].
+    pub metrics: Metrics,
+    /// One [`contrarian_runtime::window::MetricsWindow`] per slice of the
+    /// measured window.
+    pub windows: WindowSeries,
+    /// Canonical `(t, node, seq)`-ordered trace of the measured interval,
+    /// identical across engines; empty unless [`Observe::trace`].
+    pub trace: Vec<TraceEvent>,
+}
 
-/// Runs one experiment, handing recorded history events to `sink` as run
-/// phases complete instead of buffering them all (`history` in the
-/// returned result stays empty). The measured window is drained in
-/// [`STREAM_SLICES`] slices; drains happen at run barriers, so the events
-/// delivered to the sink form exactly the canonical full history, in
-/// order — pipe them straight into [`crate::CausalChecker::feed`]. Slicing
-/// does not perturb the run: engines process the same events in the same
-/// order whatever the run_until boundaries.
-pub fn run_experiment_streamed(
-    cfg: &ExperimentConfig,
-    sink: &mut dyn FnMut(HistoryEvent),
-) -> RunResult {
-    macro_rules! drive {
-        ($sim:expr) => {{
-            let mut sim = $sim;
-            sim.set_recording(cfg.record);
-            sim.set_lookahead(cfg.lookahead.clone());
-            sim.start();
-            sim.run_until(cfg.warmup_ns);
+/// Runs one simulation: warmup, the measured window in [`STREAM_SLICES`]
+/// slices, then stop and quiesce so in-flight operations finish and a
+/// recorded history is complete. Fully deterministic given the spec; the
+/// engines are bit-identical, so `spec.sched` only changes wall time, and
+/// slicing does not perturb the run either: engines process the same
+/// events in the same order whatever the `run_until` boundaries.
+pub fn run_sim(spec: &RunSpec, observe: Observe<'_>) -> SimRun {
+    with_protocol!(spec.protocol, |P| drive::<P>(spec, observe))
+}
+
+fn drive<P: ProtocolSpec>(spec: &RunSpec, mut observe: Observe<'_>) -> SimRun {
+    let mut sim = build_cluster::<P>(&spec.cluster_params(), spec.sched);
+    sim.set_recording(observe.history.is_some());
+    sim.set_tracing(observe.trace);
+    sim.set_lookahead(spec.lookahead.clone());
+    sim.start();
+    let mut trace = Vec::new();
+    // Hands the history drained so far to the sink and keeps the trace of
+    // the measured interval (warmup events are not part of it).
+    let mut drain = |sim: &mut Sim<ProtoNode<P>>, measured: bool| {
+        if let Some(sink) = observe.history.as_mut() {
             for ev in sim.drain_history() {
                 sink(ev);
             }
-            sim.metrics_mut().enabled = true;
-            let end = cfg.warmup_ns + cfg.measure_ns;
-            let slice = (cfg.measure_ns / STREAM_SLICES).max(1);
-            let mut t = cfg.warmup_ns;
-            while t < end {
-                t = (t + slice).min(end);
-                sim.run_until(t);
-                for ev in sim.drain_history() {
-                    sink(ev);
-                }
+        }
+        if observe.trace {
+            let events = sim.drain_trace();
+            if measured {
+                trace.extend(events);
             }
-            sim.metrics_mut().enabled = false;
-            // Let in-flight operations finish so histories are complete.
-            sim.set_stopped(true);
-            sim.run_to_quiescence(end + 5_000_000_000);
-            for ev in sim.drain_history() {
-                sink(ev);
-            }
-            RunResult::from_metrics(
-                cfg.protocol,
-                cfg.clients_per_dc,
-                sim.metrics(),
-                cfg.measure_ns,
-                Vec::new(),
-            )
-        }};
-    }
-
-    let p = contrarian_protocol::ClusterParams {
-        cfg: cfg.protocol.cluster(&cfg.cluster),
-        cost: cfg.cost.clone(),
-        workload: cfg.workload.clone(),
-        clients_per_dc: cfg.clients_per_dc,
-        seed: cfg.seed,
+        }
     };
-    with_protocol!(cfg.protocol, |P| drive!(
-        contrarian_protocol::build_cluster_with::<P>(&p, cfg.sched)
-    ))
+    sim.run_until(spec.warmup_ns);
+    drain(&mut sim, false);
+    sim.metrics_mut().enabled = true;
+    let mut windows = WindowSeries::new();
+    windows.origin(sim.metrics(), spec.warmup_ns);
+    let end = spec.warmup_ns + spec.measure_ns;
+    let slice = (spec.measure_ns / STREAM_SLICES).max(1);
+    let mut t = spec.warmup_ns;
+    while t < end {
+        t = (t + slice).min(end);
+        sim.run_until(t);
+        windows.snap(sim.metrics(), t);
+        drain(&mut sim, true);
+    }
+    sim.metrics_mut().enabled = false;
+    // Stop the clients and let in-flight operations finish.
+    sim.set_stopped(true);
+    sim.run_to_quiescence(end + 5_000_000_000);
+    drain(&mut sim, true);
+    SimRun {
+        metrics: std::mem::take(sim.metrics_mut()),
+        windows,
+        trace,
+    }
+}
+
+/// Runs one closed-loop experiment without recording (see [`run_sim`]).
+pub fn run_experiment(spec: &RunSpec) -> RunResult {
+    spec.run_result(&run_sim(spec, Observe::default()).metrics)
+}
+
+/// [`run_experiment`] with recording on: the full history rides home in
+/// the result. Long recorded runs should stream it through
+/// [`Observe::history`] instead.
+pub fn run_recorded(spec: &RunSpec) -> RunResult {
+    let mut history = Vec::new();
+    let run = run_sim(
+        spec,
+        Observe {
+            history: Some(&mut |ev| history.push(ev)),
+            trace: false,
+        },
+    );
+    RunResult {
+        history,
+        ..spec.run_result(&run.metrics)
+    }
 }
 
 /// One named throughput/latency curve (one line of a figure).
@@ -373,20 +469,18 @@ pub fn sweep_series(
 ) -> Series {
     let mut points = Vec::with_capacity(scale.load_points.len());
     for &clients in &scale.load_points {
-        let cfg = ExperimentConfig {
-            protocol,
+        let spec = RunSpec {
             cluster: cluster.clone(),
-            workload: workload.clone(),
-            clients_per_dc: clients,
+            clients: Clients::Closed {
+                workload: workload.clone(),
+                per_dc: clients,
+            },
             warmup_ns: scale.warmup_ns,
             measure_ns: scale.measure_ns,
             seed,
-            cost: CostModel::calibrated(),
-            record: false,
-            sched: SchedKind::from_env(),
-            lookahead: Lookahead::default(),
+            ..RunSpec::paper_default(protocol)
         };
-        let r = run_experiment(&cfg);
+        let r = run_experiment(&spec);
         eprintln!(
             "  [{name}] clients/DC={clients:<4} tput={:8.1} Kops/s  rot avg={:.3} ms p99={:.3} ms  put avg={:.3} ms",
             r.throughput_kops, r.avg_rot_ms, r.p99_rot_ms, r.avg_put_ms
@@ -471,8 +565,7 @@ mod tests {
 
     #[test]
     fn functional_run_produces_history_and_metrics() {
-        let cfg = ExperimentConfig::functional(Protocol::Contrarian);
-        let r = run_experiment(&cfg);
+        let r = run_recorded(&RunSpec::functional(Protocol::Contrarian));
         assert!(r.throughput_kops > 0.0);
         assert!(!r.history.is_empty());
         assert!(r.avg_rot_ms > 0.0);
@@ -480,19 +573,19 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let cfg = ExperimentConfig::functional(Protocol::CcLo);
-        let a = run_experiment(&cfg);
-        let b = run_experiment(&cfg);
+        let spec = RunSpec::functional(Protocol::CcLo);
+        let a = run_recorded(&spec);
+        let b = run_recorded(&spec);
         assert_eq!(a.throughput_kops, b.throughput_kops);
         assert_eq!(a.history.len(), b.history.len());
     }
 
     #[test]
     fn different_seeds_differ() {
-        let mut cfg = ExperimentConfig::functional(Protocol::Contrarian);
-        let a = run_experiment(&cfg);
-        cfg.seed = 8;
-        let b = run_experiment(&cfg);
+        let mut spec = RunSpec::functional(Protocol::Contrarian);
+        let a = run_recorded(&spec);
+        spec.seed = 8;
+        let b = run_recorded(&spec);
         // Same scale, but not bit-identical histories.
         assert_ne!(a.history.len(), 0);
         assert!(a.history.len() != b.history.len() || a.throughput_kops != b.throughput_kops);
@@ -500,22 +593,44 @@ mod tests {
 
     #[test]
     fn streamed_run_delivers_the_buffered_history() {
-        // Slice-drained streaming must hand the sink exactly the events a
-        // buffered run returns, in the same order, with identical metrics.
-        let cfg = ExperimentConfig::functional(Protocol::Contrarian);
-        let buffered = run_experiment(&cfg);
+        // The sink receives, slice by slice, exactly the history an
+        // unsliced run leaves buffered in the engine, in the same order,
+        // and neither recording nor the sink moves a metric.
+        let spec = RunSpec::functional(Protocol::Contrarian);
         let mut streamed = Vec::new();
-        let r = run_experiment_streamed(&cfg, &mut |ev| streamed.push(ev));
-        assert!(r.history.is_empty(), "streamed result must not buffer");
-        assert_eq!(r.throughput_kops, buffered.throughput_kops);
-        assert_eq!(streamed.len(), buffered.history.len());
-        assert_eq!(format!("{streamed:?}"), format!("{:?}", buffered.history));
+        let run = run_sim(
+            &spec,
+            Observe {
+                history: Some(&mut |ev| streamed.push(ev)),
+                trace: false,
+            },
+        );
+        let mut sim =
+            build_cluster::<contrarian_core::Contrarian>(&spec.cluster_params(), spec.sched);
+        sim.set_recording(true);
+        sim.start();
+        let end = spec.warmup_ns + spec.measure_ns;
+        sim.run_until(end);
+        sim.set_stopped(true);
+        sim.run_to_quiescence(end + 5_000_000_000);
+        let buffered = sim.take_history();
+        assert!(!buffered.is_empty());
+        assert_eq!(format!("{streamed:?}"), format!("{buffered:?}"));
+        let unrecorded = run_experiment(&spec);
+        assert!(
+            unrecorded.history.is_empty(),
+            "unrecorded runs keep no history"
+        );
+        assert_eq!(
+            spec.run_result(&run.metrics).throughput_kops,
+            unrecorded.throughput_kops
+        );
     }
 
     #[test]
     fn all_protocols_run() {
         for p in Protocol::ALL {
-            let r = run_experiment(&ExperimentConfig::functional(p));
+            let r = run_experiment(&RunSpec::functional(p));
             assert!(r.throughput_kops > 0.0, "{} made no progress", p.label());
         }
     }

@@ -6,6 +6,18 @@
 //! `table1`, `table2`, `value_size`, `theory`, `all`); each prints the
 //! series the paper reports and writes CSVs under `results/`.
 //!
+//! # Running a cluster
+//!
+//! Every simulated run — a figure's closed-loop point, an open-loop load
+//! point, a traced run — is one [`RunSpec`] driven by one loop,
+//! [`run_sim`]: warmup, the measured window in slices, stop, quiesce. The
+//! caller observes it through [`Observe`] (a history sink, tracing) and
+//! gets back its metrics and per-slice windows ([`SimRun`]);
+//! [`RunResult`] and [`contrarian_runtime::LoadReport`] are two summaries
+//! of those metrics ([`run_experiment`], [`run_recorded`],
+//! [`run_load_sim`], [`run_load_sim_checked`]). [`run_net`] runs the same
+//! spec over TCP on the wall clock.
+//!
 //! Experiment scale is controlled by the `CONTRARIAN_SCALE` environment
 //! variable: `smoke` (seconds, for CI), `quick` (the default, a few
 //! minutes), `paper` (longest, closest to the paper's methodology).
@@ -50,10 +62,10 @@ pub mod theory;
 
 pub use checker::{check_causal, CausalChecker, CheckReport, CheckerResidency};
 pub use experiment::{
-    run_experiment, run_experiment_streamed, sweep_series, ExperimentConfig, Protocol, RunResult,
-    Scale, Series,
+    run_experiment, run_recorded, run_sim, sweep_series, Clients, Observe, Protocol, RunResult,
+    RunSpec, Scale, Series, SimRun,
 };
 pub use load::{
-    run_load_live, run_load_net, run_load_sim, run_load_sim_checked, sweep_to_saturation,
-    CheckedLoad, LoadConfig, SaturationSweep,
+    run_load_net, run_load_sim, run_load_sim_checked, run_net, sweep_to_saturation, CheckedLoad,
+    NetSample, SaturationSweep,
 };

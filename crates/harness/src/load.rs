@@ -21,215 +21,24 @@
 //!   offered rate; [`sweep_to_saturation`] ramps the offered rate until it
 //!   finds that knee.
 //!
-//! Runners exist for all three runtimes: [`run_load_sim`] (virtual time,
-//! any engine), [`run_load_live`] (threaded transport, wall clock) and
-//! [`run_load_net`] (TCP reactor). Recorded
-//! runs stream the history into the causal checker with periodic
-//! [`CausalChecker::gc`] passes, so checking is O(recent window), not
-//! O(history) ([`run_load_sim_checked`]).
+//! A load point is a [`RunSpec`] with open-loop clients. It runs on the
+//! simulator through the one run loop, [`crate::experiment::run_sim`]
+//! ([`run_load_sim`] summarizes it), or over TCP on the reactor through
+//! the one wall-clock loop, [`run_net`] ([`run_load_net`]). Recorded runs stream the history into
+//! the causal checker with periodic [`CausalChecker::gc`] passes, so
+//! checking is O(recent window), not O(history)
+//! ([`run_load_sim_checked`]).
 
 use crate::checker::{CausalChecker, CheckReport, CheckerResidency};
-use crate::experiment::{with_protocol, Protocol};
-use contrarian_runtime::cost::CostModel;
-use contrarian_runtime::metrics::LoadReport;
-use contrarian_runtime::window::WindowSeries;
-use contrarian_sim::{Lookahead, SchedKind};
-use contrarian_types::{ClusterConfig, HistoryEvent, TraceEvent};
-use contrarian_workload::OpenLoopSpec;
-use std::time::Duration;
-
-/// Full description of one open-loop load point.
-#[derive(Clone, Debug)]
-pub struct LoadConfig {
-    pub protocol: Protocol,
-    pub cluster: ClusterConfig,
-    /// Session population, offered rate and driver-actor pool.
-    pub spec: OpenLoopSpec,
-    pub warmup_ns: u64,
-    pub measure_ns: u64,
-    pub seed: u64,
-    pub cost: CostModel,
-    /// Engine mode for [`run_load_sim`]; wall-clock runners ignore it.
-    pub sched: SchedKind,
-    /// How the sharded engine derives its conservative bounds (default:
-    /// the per-link matrix).
-    pub lookahead: Lookahead,
-}
-
-impl LoadConfig {
-    /// A small-cluster configuration for CI smoke and functional tests.
-    pub fn functional(protocol: Protocol, offered_ops_per_sec: f64) -> Self {
-        LoadConfig {
-            protocol,
-            cluster: ClusterConfig::small(),
-            spec: OpenLoopSpec::new(
-                contrarian_workload::WorkloadSpec::paper_default(),
-                100_000,
-                offered_ops_per_sec,
-            ),
-            warmup_ns: 50_000_000,
-            measure_ns: 200_000_000,
-            seed: 42,
-            cost: CostModel::calibrated(),
-            sched: SchedKind::from_env(),
-            lookahead: Lookahead::default(),
-        }
-    }
-
-    /// Same point at a different offered rate (sweep step).
-    pub fn with_offered(&self, offered_ops_per_sec: f64) -> Self {
-        let mut cfg = self.clone();
-        cfg.spec = cfg.spec.with_offered(offered_ops_per_sec);
-        cfg
-    }
-
-    /// Total driver actors — the checker's session count.
-    pub fn total_actors(&self) -> usize {
-        self.cluster.n_dcs as usize * self.spec.actors_per_dc as usize
-    }
-
-    fn params(&self) -> contrarian_protocol::OpenLoopParams {
-        contrarian_protocol::OpenLoopParams {
-            cfg: self.protocol.cluster(&self.cluster),
-            cost: self.cost.clone(),
-            spec: self.spec.clone(),
-            seed: self.seed,
-        }
-    }
-
-    /// Server nodes in the cluster (per-node utilization divisor).
-    pub fn n_servers(&self) -> usize {
-        self.cluster.n_servers()
-    }
-}
-
-/// How many slices the measured window is drained in when streaming (same
-/// rationale as the closed-loop harness: bounded history buffers).
-const STREAM_SLICES: u64 = 8;
-
-/// Runs one simulated open-loop load point, streaming recorded history to
-/// `sink` (pass `record: false`-style `None` by using [`run_load_sim`]).
-/// Deterministic given seed and engine; the engines are bit-identical, so
-/// `sched` only changes wall time, never the report.
-pub fn run_load_sim_streamed(
-    cfg: &LoadConfig,
-    record: bool,
-    sink: &mut dyn FnMut(HistoryEvent),
-) -> LoadReport {
-    macro_rules! drive {
-        ($sim:expr) => {{
-            let mut sim = $sim;
-            sim.set_recording(record);
-            sim.set_lookahead(cfg.lookahead.clone());
-            sim.start();
-            sim.run_until(cfg.warmup_ns);
-            for ev in sim.drain_history() {
-                sink(ev);
-            }
-            sim.metrics_mut().enabled = true;
-            let end = cfg.warmup_ns + cfg.measure_ns;
-            let slice = (cfg.measure_ns / STREAM_SLICES).max(1);
-            let mut t = cfg.warmup_ns;
-            while t < end {
-                t = (t + slice).min(end);
-                sim.run_until(t);
-                for ev in sim.drain_history() {
-                    sink(ev);
-                }
-            }
-            sim.metrics_mut().enabled = false;
-            // Stop the arrival schedule and let in-flight work finish so
-            // recorded histories are complete.
-            sim.set_stopped(true);
-            sim.run_to_quiescence(end + 5_000_000_000);
-            for ev in sim.drain_history() {
-                sink(ev);
-            }
-            LoadReport::from_metrics(sim.metrics(), cfg.spec.offered_ops_per_sec, cfg.measure_ns)
-                .normalize_utilization(cfg.n_servers())
-        }};
-    }
-
-    let p = cfg.params();
-    with_protocol!(cfg.protocol, |P| drive!(
-        contrarian_protocol::build_openloop_cluster_with::<P>(&p, cfg.sched)
-    ))
-}
+use crate::experiment::{run_sim, with_protocol, Observe, Protocol, RunSpec};
+use contrarian_net::NetCluster;
+use contrarian_protocol::{build_nodes, ProtocolSpec};
+use contrarian_runtime::metrics::{LoadReport, Metrics};
+use std::time::{Duration, Instant};
 
 /// Runs one simulated open-loop load point without recording.
-pub fn run_load_sim(cfg: &LoadConfig) -> LoadReport {
-    run_load_sim_streamed(cfg, false, &mut |_| {})
-}
-
-/// One load point with its per-window time series and (optionally) the
-/// merged deterministic trace attached.
-#[derive(Debug)]
-pub struct LoadTelemetry {
-    pub report: LoadReport,
-    /// One [`contrarian_runtime::window::MetricsWindow`] per stream slice
-    /// of the measured interval.
-    pub windows: WindowSeries,
-    /// Canonical `(t, node, seq)`-ordered trace of the measured interval
-    /// (empty unless `tracing` was requested). Identical across engines.
-    pub trace: Vec<TraceEvent>,
-}
-
-/// Runs one simulated open-loop load point with the time-series snapshotter
-/// armed at every stream-slice boundary, and — when `tracing` — the
-/// deterministic tracer enabled for the measured interval.
-pub fn run_load_sim_telemetry(cfg: &LoadConfig, tracing: bool) -> LoadTelemetry {
-    macro_rules! drive {
-        ($sim:expr) => {{
-            let mut sim = $sim;
-            sim.set_tracing(tracing);
-            sim.set_lookahead(cfg.lookahead.clone());
-            sim.start();
-            sim.run_until(cfg.warmup_ns);
-            if tracing {
-                // Warmup events are not part of the telemetry.
-                sim.drain_trace();
-            }
-            sim.metrics_mut().enabled = true;
-            let mut windows = WindowSeries::new();
-            windows.origin(sim.metrics(), cfg.warmup_ns);
-            let mut trace: Vec<TraceEvent> = Vec::new();
-            let end = cfg.warmup_ns + cfg.measure_ns;
-            let slice = (cfg.measure_ns / STREAM_SLICES).max(1);
-            let mut t = cfg.warmup_ns;
-            while t < end {
-                t = (t + slice).min(end);
-                sim.run_until(t);
-                windows.snap(sim.metrics(), t);
-                if tracing {
-                    // Per-slice drains keep ring drops low; drains at fixed
-                    // virtual times concatenate canonically (like history).
-                    trace.extend(sim.drain_trace());
-                }
-            }
-            sim.metrics_mut().enabled = false;
-            sim.set_stopped(true);
-            sim.run_to_quiescence(end + 5_000_000_000);
-            if tracing {
-                trace.extend(sim.drain_trace());
-            }
-            let report = LoadReport::from_metrics(
-                sim.metrics(),
-                cfg.spec.offered_ops_per_sec,
-                cfg.measure_ns,
-            )
-            .normalize_utilization(cfg.n_servers());
-            LoadTelemetry {
-                report,
-                windows,
-                trace,
-            }
-        }};
-    }
-
-    let p = cfg.params();
-    with_protocol!(cfg.protocol, |P| drive!(
-        contrarian_protocol::build_openloop_cluster_with::<P>(&p, cfg.sched)
-    ))
+pub fn run_load_sim(spec: &RunSpec) -> LoadReport {
+    spec.load_report(&run_sim(spec, Observe::default()).metrics)
 }
 
 /// A recorded load point that was checked as it streamed.
@@ -250,37 +59,41 @@ pub struct CheckedLoad {
 const GC_EVERY_EVENTS: usize = 100_000;
 
 /// Runs one recorded simulated load point with the streaming causal
-/// checker attached: every event is fed, and a [`CausalChecker::gc`] pass
-/// runs every [`GC_EVERY_EVENTS`] events (guarded on the full driver-actor
-/// population having appeared), so the history is verified end to end with
-/// resident state bounded by the recent window.
-pub fn run_load_sim_checked(cfg: &LoadConfig) -> CheckedLoad {
+/// checker as its history sink: every event is fed, and a
+/// [`CausalChecker::gc`] pass runs every [`GC_EVERY_EVENTS`] events
+/// (guarded on the full driver-actor population having appeared), so the
+/// history is verified end to end with resident state bounded by the
+/// recent window.
+pub fn run_load_sim_checked(spec: &RunSpec) -> CheckedLoad {
     let mut ck = CausalChecker::new();
-    let min_sessions = cfg.total_actors();
+    let min_sessions = spec.total_clients();
     let mut events = 0usize;
-    let mut since_gc = 0usize;
     let mut peak = CheckerResidency::default();
-    let report = run_load_sim_streamed(cfg, true, &mut |ev| {
-        ck.feed(&ev);
-        events += 1;
-        since_gc += 1;
-        if since_gc >= GC_EVERY_EVENTS {
-            since_gc = 0;
-            let before = ck.residency();
-            peak.live_versions = peak.live_versions.max(before.live_versions);
-            peak.meta_slots = peak.meta_slots.max(before.meta_slots);
-            peak.write_recs = peak.write_recs.max(before.write_recs);
-            ck.gc(min_sessions);
-        }
-    });
-    let before = ck.residency();
-    peak.live_versions = peak.live_versions.max(before.live_versions);
-    peak.meta_slots = peak.meta_slots.max(before.meta_slots);
-    peak.write_recs = peak.write_recs.max(before.write_recs);
-    let final_residency = ck.gc(min_sessions);
+    // Raises `peak` to what the checker holds, then reclaims.
+    let gc = |ck: &mut CausalChecker, peak: &mut CheckerResidency| {
+        let r = ck.residency();
+        peak.live_versions = peak.live_versions.max(r.live_versions);
+        peak.meta_slots = peak.meta_slots.max(r.meta_slots);
+        peak.write_recs = peak.write_recs.max(r.write_recs);
+        ck.gc(min_sessions)
+    };
+    let run = run_sim(
+        spec,
+        Observe {
+            history: Some(&mut |ev| {
+                ck.feed(&ev);
+                events += 1;
+                if events.is_multiple_of(GC_EVERY_EVENTS) {
+                    gc(&mut ck, &mut peak);
+                }
+            }),
+            trace: false,
+        },
+    );
+    let final_residency = gc(&mut ck, &mut peak);
     peak.reclaimed_total = final_residency.reclaimed_total;
     CheckedLoad {
-        report,
+        report: spec.load_report(&run.metrics),
         check: ck.report(),
         peak_residency: peak,
         final_residency,
@@ -288,50 +101,61 @@ pub fn run_load_sim_checked(cfg: &LoadConfig) -> CheckedLoad {
     }
 }
 
-/// Drives one wall-clock cluster through warmup / measure / drain windows
-/// and summarizes the metrics. Shared by the live and net runners.
-macro_rules! drive_wall {
-    ($cluster:expr, $cfg:expr) => {{
-        let cluster = $cluster;
-        std::thread::sleep(Duration::from_nanos($cfg.warmup_ns));
-        cluster.set_measuring(true);
-        std::thread::sleep(Duration::from_nanos($cfg.measure_ns));
-        cluster.set_measuring(false);
-        cluster.stop_issuing();
-        // Grace window for in-flight operations (unmeasured).
-        std::thread::sleep(Duration::from_millis(150));
-        let (_, metrics, _) = cluster.shutdown();
-        LoadReport::from_metrics(&metrics, $cfg.spec.offered_ops_per_sec, $cfg.measure_ns)
-    }};
+/// The socket counters of a TCP run at one point of its measured window.
+#[derive(Clone, Copy, Debug)]
+pub struct NetSample {
+    /// Wall time since the measured window opened.
+    pub elapsed: Duration,
+    /// Frames and bytes written to sockets since the cluster started.
+    pub frames: u64,
+    pub bytes: u64,
+    /// Socket endpoints established so far.
+    pub sockets: u64,
 }
 
-/// Runs one open-loop load point on the threaded live transport
-/// (wall-clock windows; `recording` off — the sink lock would sit on the
-/// measured path).
-pub fn run_load_live(cfg: &LoadConfig) -> LoadReport {
-    with_protocol!(cfg.protocol, |P| drive_wall!(
-        contrarian_protocol::build_openloop_live_cluster::<P>(
-            &cfg.protocol.cluster(&cfg.cluster),
-            &cfg.spec,
-            cfg.seed,
-            false,
-        ),
-        cfg
-    ))
+/// Runs `spec` on the TCP reactor over loopback sockets: a wall-clock
+/// warmup, the measured window in `slices` equal sleeps, then an unmeasured
+/// 150 ms grace for in-flight operations. `sample` sees the socket counters
+/// when the window opens and after every slice. Recording stays off: the
+/// history sink's lock would sit on the measured path. Returns the merged
+/// metrics of the window.
+pub fn run_net(spec: &RunSpec, slices: u32, sample: &mut dyn FnMut(NetSample)) -> Metrics {
+    with_protocol!(spec.protocol, |P| drive_net::<P>(spec, slices, sample))
 }
 
-/// Runs one open-loop load point on the TCP reactor (wall-clock windows,
-/// loopback sockets, recording off).
-pub fn run_load_net(cfg: &LoadConfig) -> LoadReport {
-    with_protocol!(cfg.protocol, |P| drive_wall!(
-        contrarian_protocol::build_openloop_net_cluster::<P>(
-            &cfg.protocol.cluster(&cfg.cluster),
-            &cfg.spec,
-            cfg.seed,
-            false,
-        ),
-        cfg
-    ))
+fn drive_net<P: ProtocolSpec>(
+    spec: &RunSpec,
+    slices: u32,
+    sample: &mut dyn FnMut(NetSample),
+) -> Metrics {
+    let p = spec.cluster_params();
+    let cluster = NetCluster::start(build_nodes::<P>(&p.cfg, &p.clients, p.seed), false, p.seed);
+    std::thread::sleep(Duration::from_nanos(spec.warmup_ns));
+    cluster.set_measuring(true);
+    let t0 = Instant::now();
+    let mut take_sample = || {
+        let (frames, bytes) = cluster.wire_stats();
+        sample(NetSample {
+            elapsed: t0.elapsed(),
+            frames,
+            bytes,
+            sockets: cluster.io_stats().sockets,
+        });
+    };
+    take_sample();
+    for _ in 0..slices {
+        std::thread::sleep(Duration::from_nanos(spec.measure_ns) / slices);
+        take_sample();
+    }
+    cluster.set_measuring(false);
+    cluster.stop_issuing();
+    std::thread::sleep(Duration::from_millis(150));
+    cluster.shutdown().1
+}
+
+/// Runs one open-loop load point on the TCP reactor (see [`run_net`]).
+pub fn run_load_net(spec: &RunSpec) -> LoadReport {
+    spec.load_report(&run_net(spec, 1, &mut |_| {}))
 }
 
 /// One backend's offered-rate ramp, ending at (or past) its saturation
@@ -357,14 +181,14 @@ impl SaturationSweep {
 
 /// Ramps the offered rate geometrically (`start_rate`, then `× factor`)
 /// until a point saturates or `max_points` is hit, running each point with
-/// `run` — pass a closure over [`run_load_sim`], [`run_load_net`], … so
-/// one sweep driver serves every runtime.
+/// `run` — pass [`run_load_sim`] or [`run_load_net`], so one sweep driver
+/// serves both runtimes.
 pub fn sweep_to_saturation(
-    base: &LoadConfig,
+    base: &RunSpec,
     start_rate: f64,
     factor: f64,
     max_points: usize,
-    mut run: impl FnMut(&LoadConfig) -> LoadReport,
+    mut run: impl FnMut(&RunSpec) -> LoadReport,
 ) -> SaturationSweep {
     assert!(start_rate > 0.0 && factor > 1.0 && max_points > 0);
     let mut points = Vec::new();
@@ -387,11 +211,11 @@ pub fn sweep_to_saturation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::STREAM_SLICES;
 
     #[test]
     fn functional_sim_point_reports_goodput() {
-        let cfg = LoadConfig::functional(Protocol::Contrarian, 5_000.0);
-        let r = run_load_sim(&cfg);
+        let r = run_load_sim(&RunSpec::functional_open(Protocol::Contrarian, 5_000.0));
         assert!(r.completed_ops > 0);
         assert!(r.achieved_ops_per_sec > 0.0);
         assert!(!r.saturated, "5 Kops/s must be far below capacity: {r:?}");
@@ -400,60 +224,70 @@ mod tests {
 
     #[test]
     fn sim_load_point_is_deterministic() {
-        let cfg = LoadConfig::functional(Protocol::CcLo, 4_000.0);
-        let a = run_load_sim(&cfg);
-        let b = run_load_sim(&cfg);
+        let spec = RunSpec::functional_open(Protocol::CcLo, 4_000.0);
+        let a = run_load_sim(&spec);
+        let b = run_load_sim(&spec);
         assert_eq!(a.completed_ops, b.completed_ops);
         assert_eq!(a.p99_ms, b.p99_ms);
     }
 
     #[test]
     fn telemetry_point_produces_windows_and_trace() {
-        let cfg = LoadConfig::functional(Protocol::Contrarian, 5_000.0);
-        let t = run_load_sim_telemetry(&cfg, true);
-        assert_eq!(t.windows.windows().len(), STREAM_SLICES as usize);
-        assert!(t.report.completed_ops > 0);
-        let windowed_ops: u64 = t
+        let spec = RunSpec::functional_open(Protocol::Contrarian, 5_000.0);
+        let run = run_sim(
+            &spec,
+            Observe {
+                trace: true,
+                ..Observe::default()
+            },
+        );
+        let report = spec.load_report(&run.metrics);
+        assert_eq!(run.windows.windows().len(), STREAM_SLICES as usize);
+        assert!(report.completed_ops > 0);
+        let windowed_ops: u64 = run
             .windows
             .windows()
             .iter()
             .map(|w| w.rots_done + w.puts_done)
             .sum();
         assert_eq!(
-            windowed_ops, t.report.completed_ops,
+            windowed_ops, report.completed_ops,
             "window deltas partition the measured completions"
         );
-        assert!(!t.trace.is_empty());
+        assert!(!run.trace.is_empty());
         assert!(
-            t.trace.windows(2).all(|w| w[0].key() < w[1].key()),
+            run.trace.windows(2).all(|w| w[0].key() < w[1].key()),
             "canonical trace order"
         );
         assert!(
-            t.report.utilization > 0.0 && t.report.utilization < 1.0,
+            report.utilization > 0.0 && report.utilization < 1.0,
             "per-server utilization at 5 Kops/s: {}",
-            t.report.utilization
+            report.utilization
         );
     }
 
     #[test]
     fn telemetry_without_tracing_keeps_trace_empty() {
-        let cfg = LoadConfig::functional(Protocol::Cure, 3_000.0);
-        let t = run_load_sim_telemetry(&cfg, false);
-        assert!(t.trace.is_empty());
-        assert_eq!(t.windows.windows().len(), STREAM_SLICES as usize);
+        let run = run_sim(
+            &RunSpec::functional_open(Protocol::Cure, 3_000.0),
+            Observe::default(),
+        );
+        assert!(run.trace.is_empty());
+        assert_eq!(run.windows.windows().len(), STREAM_SLICES as usize);
     }
 
     #[test]
     fn sweep_stops_at_first_saturated_point() {
         // Base rate is a placeholder: the sweep sets each point's rate.
-        let base = LoadConfig::functional(Protocol::Contrarian, 1.0);
+        let base = RunSpec::functional_open(Protocol::Contrarian, 1.0);
         let mut rates = Vec::new();
-        let sweep = sweep_to_saturation(&base, 1_000.0, 2.0, 10, |cfg| {
-            rates.push(cfg.spec.offered_ops_per_sec);
+        let sweep = sweep_to_saturation(&base, 1_000.0, 2.0, 10, |spec| {
+            let offered = spec.offered_ops_per_sec();
+            rates.push(offered);
             // Fake runner: capacity 3.5k ops/s.
-            let achieved = cfg.spec.offered_ops_per_sec.min(3_500.0);
+            let achieved = offered.min(3_500.0);
             LoadReport {
-                offered_ops_per_sec: cfg.spec.offered_ops_per_sec,
+                offered_ops_per_sec: offered,
                 achieved_ops_per_sec: achieved,
                 completed_ops: achieved as u64,
                 mean_ms: 1.0,
@@ -465,8 +299,7 @@ mod tests {
                 vis_p50_ms: 0.0,
                 vis_p99_ms: 0.0,
                 saturated: achieved
-                    < contrarian_runtime::metrics::SATURATION_GOODPUT_FRACTION
-                        * cfg.spec.offered_ops_per_sec,
+                    < contrarian_runtime::metrics::SATURATION_GOODPUT_FRACTION * offered,
             }
         });
         assert_eq!(rates, vec![1_000.0, 2_000.0, 4_000.0]);

@@ -7,30 +7,30 @@
 //! divergences — concurrent cross-DC re-reads and phantom causal sources,
 //! see `contrarian_harness::oracle` — cannot occur in recorded runs.)
 
-use contrarian_harness::experiment::{run_experiment, ExperimentConfig, Protocol};
+use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunSpec};
 use contrarian_harness::oracle::check_causal_oracle;
 use contrarian_harness::{check_causal, CheckReport};
 use contrarian_runtime::cost::CostModel;
 use contrarian_types::{ClusterConfig, HistoryEvent, VersionId};
+use contrarian_workload::WorkloadSpec;
 use proptest::prelude::*;
 
-fn functional_cfg(
-    protocol: Protocol,
-    seed: u64,
-    dcs: u8,
-    clients: u16,
-    w: f64,
-) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::functional(protocol);
-    cfg.cluster = ClusterConfig::small().with_dcs(dcs);
-    cfg.clients_per_dc = clients;
-    cfg.workload = cfg.workload.with_write_ratio(w);
-    cfg.seed = seed;
-    // Short window: every case pays for a full debug-profile simulator run
-    // AND an oracle pass whose cost grows with versions × keys.
-    cfg.measure_ns = 8_000_000;
-    cfg.cost = CostModel::functional();
-    cfg
+fn functional_cfg(protocol: Protocol, seed: u64, dcs: u8, clients: u16, w: f64) -> RunSpec {
+    RunSpec {
+        cluster: ClusterConfig::small().with_dcs(dcs),
+        clients: Clients::Closed {
+            workload: WorkloadSpec::paper_default()
+                .with_rot_size(2)
+                .with_write_ratio(w),
+            per_dc: clients,
+        },
+        seed,
+        // Short window: every case pays for a full debug-profile simulator
+        // run AND an oracle pass whose cost grows with versions × keys.
+        measure_ns: 8_000_000,
+        cost: CostModel::functional(),
+        ..RunSpec::functional(protocol)
+    }
 }
 
 fn assert_agree(fast: &CheckReport, slow: &CheckReport) -> Result<(), TestCaseError> {
@@ -59,7 +59,7 @@ proptest! {
         clients in 2u16..6,
         w in 0.05f64..0.5,
     ) {
-        let r = run_experiment(&functional_cfg(Protocol::Contrarian, seed, dcs, clients, w));
+        let r = run_recorded(&functional_cfg(Protocol::Contrarian, seed, dcs, clients, w));
         prop_assume!(!r.history.is_empty());
         assert_agree(&check_causal(&r.history), &check_causal_oracle(&r.history))?;
     }
@@ -72,7 +72,7 @@ proptest! {
         clients in 2u16..6,
         w in 0.05f64..0.5,
     ) {
-        let r = run_experiment(&functional_cfg(Protocol::CcLo, seed, dcs, clients, w));
+        let r = run_recorded(&functional_cfg(Protocol::CcLo, seed, dcs, clients, w));
         prop_assume!(!r.history.is_empty());
         assert_agree(&check_causal(&r.history), &check_causal_oracle(&r.history))?;
     }
@@ -81,7 +81,7 @@ proptest! {
     /// wrote must be rejected by BOTH implementations.
     #[test]
     fn injected_staleness_rejected_by_both(seed in 0u64..300) {
-        let r = run_experiment(&functional_cfg(Protocol::Contrarian, seed, 2, 3, 0.4));
+        let r = run_recorded(&functional_cfg(Protocol::Contrarian, seed, 2, 3, 0.4));
         prop_assume!(check_causal(&r.history).ok());
         let mut history = r.history.clone();
         let mut injected = false;
@@ -117,7 +117,7 @@ proptest! {
 /// expensive tail.
 #[test]
 fn contrarian_three_dc_verdicts_agree() {
-    let r = run_experiment(&functional_cfg(Protocol::Contrarian, 9, 3, 4, 0.3));
+    let r = run_recorded(&functional_cfg(Protocol::Contrarian, 9, 3, 4, 0.3));
     let fast = check_causal(&r.history);
     let slow = check_causal_oracle(&r.history);
     assert!(fast.ok(), "{:?}", fast.violations.first());
@@ -137,7 +137,7 @@ fn all_backends_verdicts_agree() {
         Protocol::Cure,
         Protocol::Okapi,
     ] {
-        let r = run_experiment(&functional_cfg(protocol, 11, 2, 4, 0.2));
+        let r = run_recorded(&functional_cfg(protocol, 11, 2, 4, 0.2));
         let fast = check_causal(&r.history);
         let slow = check_causal_oracle(&r.history);
         assert_eq!(
@@ -166,7 +166,7 @@ fn prepopulated_genesis_reads_agree() {
     for protocol in [Protocol::Contrarian, Protocol::CcLo] {
         let mut cfg = functional_cfg(protocol, 77, 2, 4, 0.3);
         cfg.cluster.prepopulated = true;
-        let r = run_experiment(&cfg);
+        let r = run_recorded(&cfg);
         let fast = check_causal(&r.history);
         let slow = check_causal_oracle(&r.history);
         assert!(

@@ -12,7 +12,7 @@
 //! otherwise fall back to serially executed windows), and the matrix leg
 //! splits each DC into two partition-range groups (six shards).
 
-use contrarian_harness::experiment::{run_experiment, ExperimentConfig, Protocol, RunResult};
+use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunResult, RunSpec};
 use contrarian_sim::{Lookahead, SchedKind};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -60,17 +60,19 @@ fn engines_replay_identical_histories_matching_golden() {
     ];
     let mut got = Vec::new();
     for (protocol, _, _) in golden {
-        let mut cfg = ExperimentConfig::functional(protocol);
+        let mut cfg = RunSpec::functional(protocol);
         // Cross-DC replication: every PUT crosses the shard boundaries.
         cfg.cluster = cfg.cluster.with_dcs(3);
-        cfg.clients_per_dc = 3;
+        if let Clients::Closed { per_dc, .. } = &mut cfg.clients {
+            *per_dc = 3;
+        }
 
         cfg.sched = SchedKind::Calendar;
-        let calendar = run_experiment(&cfg);
+        let calendar = run_recorded(&cfg);
         for (sched, lookahead) in others.clone() {
             cfg.sched = sched;
             cfg.lookahead = lookahead.clone();
-            let run = run_experiment(&cfg);
+            let run = run_recorded(&cfg);
             assert_eq!(
                 fingerprint(&run),
                 fingerprint(&calendar),

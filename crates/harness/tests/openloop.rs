@@ -3,12 +3,11 @@
 //! and bounded checker residency on recorded open-loop histories.
 
 use contrarian_harness::checker::{CausalChecker, CheckerResidency};
-use contrarian_harness::experiment::Protocol;
-use contrarian_harness::load::{
-    run_load_sim, run_load_sim_checked, run_load_sim_streamed, LoadConfig,
-};
+use contrarian_harness::experiment::{run_sim, Clients, Observe, Protocol, RunSpec};
+use contrarian_harness::load::{run_load_sim, run_load_sim_checked};
 use contrarian_sim::{Lookahead, SchedKind};
-use contrarian_workload::{ClientDriver, Draw, OpenLoopDriver, WorkloadSpec, Zipf};
+use contrarian_types::HistoryEvent;
+use contrarian_workload::{ClientDriver, Draw, OpenLoopDriver, OpenLoopSpec, WorkloadSpec, Zipf};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -25,12 +24,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A three-DC open-loop point small enough for tier-1 but big enough that
 /// the sharded engine has real cross-DC traffic.
-fn cross_dc_config(offered: f64) -> LoadConfig {
-    let mut cfg = LoadConfig::functional(Protocol::Contrarian, offered);
-    cfg.cluster = cfg.cluster.with_dcs(3);
-    cfg.spec.actors_per_dc = 3;
-    cfg.spec.sessions = 30_000;
-    cfg
+fn cross_dc_config(offered: f64) -> RunSpec {
+    let spec = RunSpec::functional_open(Protocol::Contrarian, offered);
+    RunSpec {
+        cluster: spec.cluster.clone().with_dcs(3),
+        clients: Clients::Open(
+            OpenLoopSpec::new(WorkloadSpec::paper_default(), 30_000, offered).with_actors_per_dc(3),
+        ),
+        ..spec
+    }
+}
+
+/// Runs `spec` recorded, handing every history event to `sink`.
+fn run_recorded_into(
+    spec: &RunSpec,
+    sink: &mut dyn FnMut(HistoryEvent),
+) -> contrarian_runtime::LoadReport {
+    let run = run_sim(
+        spec,
+        Observe {
+            history: Some(sink),
+            trace: false,
+        },
+    );
+    spec.load_report(&run.metrics)
 }
 
 /// Same seed ⇒ byte-identical open-loop history and identical load report
@@ -55,7 +72,7 @@ fn open_loop_engines_replay_identical_histories() {
         cfg.sched = sched;
         cfg.lookahead = lookahead.clone();
         let mut history = Vec::new();
-        let report = run_load_sim_streamed(&cfg, true, &mut |ev| history.push(ev));
+        let report = run_recorded_into(&cfg, &mut |ev| history.push(ev));
         let fp = (
             history.len(),
             fnv1a(format!("{history:?}").as_bytes()),
@@ -125,12 +142,12 @@ fn checked_open_loop_run_is_causal_with_bounded_residency() {
     // Manual streaming with a tight gc cadence so the bound is exercised
     // many times within a tier-1 run.
     let mut ck = CausalChecker::new();
-    let min_sessions = cfg.total_actors();
+    let min_sessions = cfg.total_clients();
     let mut versions_total = 0usize;
     let mut since = 0usize;
     let mut peak = CheckerResidency::default();
-    run_load_sim_streamed(&cfg, true, &mut |ev| {
-        if matches!(ev, contrarian_types::HistoryEvent::PutDone { .. }) {
+    run_recorded_into(&cfg, &mut |ev| {
+        if matches!(ev, HistoryEvent::PutDone { .. }) {
             versions_total += 1;
         }
         ck.feed(&ev);
@@ -174,7 +191,7 @@ fn all_backends_run_open_loop() {
         Protocol::Cure,
         Protocol::Okapi,
     ] {
-        let r = run_load_sim(&LoadConfig::functional(protocol, 3_000.0));
+        let r = run_load_sim(&RunSpec::functional_open(protocol, 3_000.0));
         assert!(
             r.completed_ops > 0,
             "{} made no progress: {r:?}",

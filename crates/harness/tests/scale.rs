@@ -9,11 +9,12 @@
 //! the measured window).
 
 use contrarian_harness::experiment::{
-    run_experiment, run_experiment_streamed, ExperimentConfig, Protocol, Scale,
+    run_recorded, run_sim, Clients, Observe, Protocol, RunSpec, Scale,
 };
 use contrarian_harness::CausalChecker;
 use contrarian_runtime::cost::CostModel;
-use contrarian_types::ClusterConfig;
+use contrarian_types::{ClusterConfig, HistoryEvent};
+use contrarian_workload::WorkloadSpec;
 use std::time::Instant;
 
 /// Checking a 128-partition history must stay a rounding error next to
@@ -21,8 +22,8 @@ use std::time::Instant;
 /// orders of magnitude under the old checker's cost.
 const CHECK_BUDGET_MS: u128 = 2_000;
 
-fn large_functional(protocol: Protocol, clients: u16) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::functional(protocol);
+fn large_functional(protocol: Protocol, clients: u16) -> RunSpec {
+    let mut cfg = RunSpec::functional(protocol);
     cfg.cluster = ClusterConfig::large();
     // Keep the store sparse in tests: lazily materialized keys mean the
     // partition count, not the key count, is what's being exercised.
@@ -32,19 +33,35 @@ fn large_functional(protocol: Protocol, clients: u16) -> ExperimentConfig {
     // test's wall time without exercising anything new.
     cfg.cluster.stabilization_interval_us = 10_000;
     cfg.cluster.heartbeat_interval_us = 5_000;
-    cfg.clients_per_dc = clients;
+    cfg.clients = Clients::Closed {
+        workload: WorkloadSpec::paper_default().with_rot_size(2),
+        per_dc: clients,
+    };
     cfg.cost = CostModel::functional();
     cfg
+}
+
+/// Runs `spec`, handing its history to `sink` slice by slice; returns
+/// throughput in ops/s.
+fn run_streamed(spec: &RunSpec, sink: &mut dyn FnMut(HistoryEvent)) -> f64 {
+    let run = run_sim(
+        spec,
+        Observe {
+            history: Some(sink),
+            trace: false,
+        },
+    );
+    spec.run_result(&run.metrics).throughput_kops
 }
 
 /// Runs the experiment with the history streamed into the checker —
 /// events are fed as run slices complete, never buffered whole — and
 /// asserts the verdict plus the CI wall-time budget on the checking work.
-fn run_streaming_checked(label: &str, cfg: &ExperimentConfig) -> (u64, usize) {
+fn run_streaming_checked(label: &str, cfg: &RunSpec) -> (u64, usize) {
     let mut checker = CausalChecker::new();
     let mut events = 0usize;
     let mut check_nanos = 0u128;
-    let r = run_experiment_streamed(cfg, &mut |ev| {
+    let tput = run_streamed(cfg, &mut |ev| {
         events += 1;
         let t0 = Instant::now();
         checker.feed(&ev);
@@ -60,7 +77,7 @@ fn run_streaming_checked(label: &str, cfg: &ExperimentConfig) -> (u64, usize) {
         check_ms < CHECK_BUDGET_MS,
         "{label}: checking {events} events took {check_ms} ms (budget {CHECK_BUDGET_MS} ms)"
     );
-    ((r.throughput_kops * 1e6) as u64, events)
+    ((tput * 1e6) as u64, events)
 }
 
 #[test]
@@ -71,7 +88,7 @@ fn contrarian_128_partitions_run_is_deterministic_and_causal() {
     // dodge the checker anymore.
     assert_eq!(
         cfg.measure_ns,
-        ExperimentConfig::functional(Protocol::Contrarian).measure_ns
+        RunSpec::functional(Protocol::Contrarian).measure_ns
     );
     let (tput_a, events_a) = run_streaming_checked("contrarian-128", &cfg);
     assert!(
@@ -81,7 +98,7 @@ fn contrarian_128_partitions_run_is_deterministic_and_causal() {
 
     // And the streamed run is the run: a buffered re-run produces the
     // same history length and throughput.
-    let b = run_experiment(&cfg);
+    let b = run_recorded(&cfg);
     assert_eq!(events_a, b.history.len(), "non-deterministic");
     assert_eq!(tput_a, (b.throughput_kops * 1e6) as u64);
 }
@@ -137,7 +154,7 @@ fn sharded_256_partition_run_matches_calendar_and_stays_causal() {
         let mut c = cfg.clone();
         c.sched = sched;
         let mut events = Vec::new();
-        run_experiment_streamed(&c, &mut |ev| events.push(ev));
+        run_streamed(&c, &mut |ev| events.push(ev));
         events
     };
     let calendar = run(SchedKind::Calendar);

@@ -25,7 +25,7 @@
 use contrarian_core::Contrarian;
 use contrarian_cure::Cure;
 use contrarian_okapi::Okapi;
-use contrarian_protocol::{build_openloop_cluster_with, OpenLoopParams, ProtocolSpec};
+use contrarian_protocol::{build_cluster, Clients, ClusterParams, ProtocolSpec};
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::Histogram;
 use contrarian_sim::{SchedKind, ENGINES};
@@ -58,13 +58,15 @@ struct Pin {
 
 fn run<P: ProtocolSpec>(mode: RotMode, n_dcs: u8, sched: SchedKind) -> Pin {
     let workload = WorkloadSpec::paper_default().with_write_ratio(0.1);
-    let params = OpenLoopParams {
+    let params = ClusterParams {
         cfg: ClusterConfig::small().with_dcs(n_dcs).with_rot_mode(mode),
         cost: CostModel::calibrated(),
-        spec: OpenLoopSpec::new(workload, 20_000, 12_000.0).with_actors_per_dc(16),
+        clients: Clients::Open(
+            OpenLoopSpec::new(workload, 20_000, 12_000.0).with_actors_per_dc(16),
+        ),
         seed: 7,
     };
-    let mut sim = build_openloop_cluster_with::<P>(&params, sched);
+    let mut sim = build_cluster::<P>(&params, sched);
     // Serial windows: the thread count never changes a run, and spawning
     // threads for every hop-wide sub-DC window costs several times the
     // serial run. The determinism tests force the parallel path.

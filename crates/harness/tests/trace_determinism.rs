@@ -5,9 +5,7 @@
 //! a deterministic artifact of (backend, rate, seed), not of the engine
 //! that happened to produce it.
 
-use contrarian_harness::experiment::Protocol;
-use contrarian_harness::load::{run_load_sim_telemetry, LoadConfig};
-use contrarian_runtime::cost::CostModel;
+use contrarian_harness::experiment::{run_sim, Clients, Observe, Protocol, RunSpec};
 use contrarian_sim::SchedKind;
 use contrarian_types::ClusterConfig;
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
@@ -20,33 +18,47 @@ fn traced_load_runs_merge_identically_across_engines() {
     // Two shards → two window threads, even on 1-CPU CI runners.
     std::env::set_var(contrarian_runtime::env::SHARD_THREADS, "2");
     for protocol in [Protocol::Contrarian, Protocol::CcLo] {
-        let mut cfg = LoadConfig {
-            protocol,
+        let mut cfg = RunSpec {
             // 2 DCs: replication crosses the shard boundary, so sharded
             // conservative windows genuinely reorder execution batches.
             cluster: ClusterConfig::small().with_dcs(2),
-            spec: OpenLoopSpec::new(WorkloadSpec::paper_default(), 10_000, 3_000.0),
+            clients: Clients::Open(OpenLoopSpec::new(
+                WorkloadSpec::paper_default(),
+                10_000,
+                3_000.0,
+            )),
             warmup_ns: 20_000_000,
             measure_ns: 60_000_000,
-            seed: 42,
-            cost: CostModel::calibrated(),
             sched: SchedKind::Calendar,
-            lookahead: Default::default(),
+            ..RunSpec::functional_open(protocol, 3_000.0)
         };
-        let reference = run_load_sim_telemetry(&cfg, true);
+        let reference = run_sim(
+            &cfg,
+            Observe {
+                trace: true,
+                ..Observe::default()
+            },
+        );
         assert!(
             !reference.trace.is_empty(),
             "{protocol:?}: traced run produced no events"
         );
         for sched in [SchedKind::Heap, SchedKind::sharded(1)] {
             cfg.sched = sched;
-            let run = run_load_sim_telemetry(&cfg, true);
+            let run = run_sim(
+                &cfg,
+                Observe {
+                    trace: true,
+                    ..Observe::default()
+                },
+            );
             assert_eq!(
                 run.trace, reference.trace,
                 "{protocol:?}: {sched:?} trace diverged from the calendar engine"
             );
             assert_eq!(
-                run.report.completed_ops, reference.report.completed_ops,
+                run.metrics.ops_done(),
+                reference.metrics.ops_done(),
                 "{protocol:?}: {sched:?} completed-op count diverged"
             );
         }

@@ -14,7 +14,6 @@ use crate::reactor::{pool_size, spawn_reactors, stop_reactors, NetInner, Reactor
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_loop::{node_seed, run_node, Input, RunShared};
-use contrarian_runtime::Runtime;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent, Op};
 use crossbeam::channel::{bounded, Sender};
@@ -184,21 +183,21 @@ where
         &self.addrs
     }
 
-    /// Wall-clock nanoseconds since the cluster started.
-    pub fn now(&self) -> u64 {
-        self.net.core.run.now()
-    }
-
     /// Sends an operation to a client node. External injection bypasses the
     /// sockets (it is not cluster traffic), exactly as on the other
-    /// runtimes.
+    /// runtimes, and an address that is not in the cluster panics as it
+    /// does there.
     pub fn inject_op(&self, client: Addr, op: Op) {
-        if let Some(tx) = self.net.core.inbox.get(&client) {
-            let _ = tx.send(Input::Msg {
-                from: client,
-                msg: A::inject(op),
-            });
-        }
+        let tx = self
+            .net
+            .core
+            .inbox
+            .get(&client)
+            .unwrap_or_else(|| panic!("unknown addr {client}"));
+        let _ = tx.send(Input::Msg {
+            from: client,
+            msg: A::inject(op),
+        });
     }
 
     /// Turns measurement on or off (sampled by every node thread).
@@ -261,36 +260,6 @@ where
         metrics.enabled = false;
         let history = core.run.history.take();
         (actors, metrics, history)
-    }
-}
-
-impl<A> Runtime<A> for NetCluster<A>
-where
-    A: Actor + Send + 'static,
-    A::Msg: Wire,
-{
-    fn now(&self) -> u64 {
-        NetCluster::now(self)
-    }
-
-    fn send(&mut self, from: Addr, to: Addr, msg: A::Msg) {
-        // Same contract as the other runtimes: an unknown destination is a
-        // driver bug, not a droppable message.
-        let tx = self
-            .net
-            .core
-            .inbox
-            .get(&to)
-            .unwrap_or_else(|| panic!("unknown addr {to}"));
-        let _ = tx.send(Input::Msg { from, msg });
-    }
-
-    fn stop_issuing(&mut self) {
-        NetCluster::stop_issuing(self);
-    }
-
-    fn addrs(&self) -> Vec<Addr> {
-        self.addrs.clone()
     }
 }
 
@@ -500,12 +469,33 @@ pub(crate) mod tests {
                 },
             ),
         ];
-        let mut cluster = NetCluster::start(nodes, false, 3);
-        Runtime::send(&mut cluster, client, client, Ping(500));
+        let cluster = NetCluster::start(nodes, false, 3);
+        cluster.handle().send(client, client, Ping(500));
         std::thread::sleep(Duration::from_millis(100));
         let (actors, ..) = cluster.shutdown();
         let pongs = actors.iter().find(|(a, _)| *a == client).unwrap().1.pongs;
         assert_eq!(pongs, 1, "injected ping counted, no further round trips");
+    }
+
+    /// An operation injected at an address that is not in the cluster is a
+    /// driver bug: it panics, as on the simulator, instead of vanishing.
+    #[test]
+    #[should_panic(expected = "unknown addr")]
+    fn injecting_at_an_unknown_address_panics() {
+        let server = Addr::server(DcId(0), PartitionId(0));
+        let idle = Echo {
+            pongs: 0,
+            peer: None,
+        };
+        let cluster = NetCluster::start(vec![(server, idle)], false, 5);
+        let stray = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster.inject_op(Addr::client(DcId(0), 999), Op::Rot(Vec::new()))
+        }));
+        // Tear the reactors down before re-raising, so none outlives the test.
+        cluster.shutdown();
+        if let Err(panic) = stray {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     /// Sockets are dialed lazily: a cluster nobody talks in opens none,

@@ -40,7 +40,7 @@ impl ProtocolSpec for Okapi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contrarian_protocol::{build_cluster, ClusterParams};
+    use contrarian_protocol::{build_cluster, Clients, ClusterParams, SchedKind};
     use contrarian_runtime::cost::CostModel;
     use contrarian_types::{DcId, PartitionId};
     use contrarian_workload::WorkloadSpec;
@@ -50,11 +50,13 @@ mod tests {
         let p = ClusterParams {
             cfg: ClusterConfig::small().with_dcs(2),
             cost: CostModel::functional(),
-            workload: WorkloadSpec::paper_default().with_rot_size(2),
-            clients_per_dc: 4,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default().with_rot_size(2),
+                per_dc: 4,
+            },
             seed: 21,
         };
-        let mut sim = build_cluster::<Okapi>(&p);
+        let mut sim = build_cluster::<Okapi>(&p, SchedKind::from_env());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(80_000_000);
@@ -67,11 +69,13 @@ mod tests {
         let p = ClusterParams {
             cfg: ClusterConfig::small().with_dcs(2),
             cost: CostModel::functional(),
-            workload: WorkloadSpec::paper_default().with_rot_size(2),
-            clients_per_dc: 4,
+            clients: Clients::Closed {
+                workload: WorkloadSpec::paper_default().with_rot_size(2),
+                per_dc: 4,
+            },
             seed: 22,
         };
-        let mut sim = build_cluster::<Okapi>(&p);
+        let mut sim = build_cluster::<Okapi>(&p, SchedKind::from_env());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(200_000_000);

@@ -1,16 +1,15 @@
-//! The generic cluster builders.
+//! The generic cluster builder.
 //!
 //! One [`ProtocolSpec`] per backend replaces the three per-protocol
 //! `build.rs` files the workspace used to carry: the spec says how to make
-//! one server and one client, and the builders here assemble full clusters
-//! for the simulator (closed-loop or interactive) and the live threaded
-//! transport.
+//! one server and one client, and [`build_nodes`] assembles the node list
+//! every runtime consumes — [`build_cluster`] registers it with the
+//! simulator, `LiveCluster::start` and `NetCluster::start` take it as is.
 
 use crate::node::{Node, ProtocolClient, ProtocolMsg, ProtocolServer};
-use contrarian_net::NetCluster;
 use contrarian_runtime::cost::CostModel;
 use contrarian_sim::sim::Sim;
-use contrarian_transport::LiveCluster;
+use contrarian_sim::SchedKind;
 use contrarian_types::{Addr, ClusterConfig, DcId, PartitionId};
 use contrarian_workload::{
     ClientDriver, OpSource, OpenLoopDriver, OpenLoopSpec, WorkloadSpec, Zipf,
@@ -46,54 +45,107 @@ pub trait ProtocolSpec {
 /// The node type a spec's cluster is made of.
 pub type ProtoNode<P> = Node<<P as ProtocolSpec>::Server, <P as ProtocolSpec>::Client>;
 
-/// Everything needed to stand up one simulated cluster.
-pub struct ClusterParams {
-    pub cfg: ClusterConfig,
-    pub cost: CostModel,
-    pub workload: WorkloadSpec,
-    pub clients_per_dc: u16,
-    pub seed: u64,
+/// The client side of a cluster: which operation source each client node
+/// draws from, and how many there are.
+#[derive(Clone, Debug)]
+pub enum Clients {
+    /// `per_dc` closed-loop clients per DC, each issuing its next operation
+    /// the instant the previous one completes (the paper's experiments).
+    Closed { workload: WorkloadSpec, per_dc: u16 },
+    /// `actors_per_dc` open-loop driver actors per DC, each owning its
+    /// shard of the logical-session population.
+    Open(OpenLoopSpec),
+    /// One client in DC 0 that issues only injected operations (the
+    /// embedded store facade).
+    Queue,
 }
 
-fn init_rng(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed ^ 0x5EED_0FF5)
-}
-
-fn add_servers<P: ProtocolSpec>(sim: &mut Sim<ProtoNode<P>>, cfg: &ClusterConfig, seed: u64) {
-    let mut rng = init_rng(seed);
-    for dc in 0..cfg.n_dcs {
-        for part in 0..cfg.n_partitions {
-            let addr = Addr::server(DcId(dc), PartitionId(part));
-            let server = P::server(addr, cfg, &mut rng);
-            sim.add_server(addr, Node::Server(server), cfg.workers_per_server as u32);
+impl Clients {
+    /// `(DCs with clients, clients in each)` in a cluster of `n_dcs` DCs.
+    pub fn layout(&self, n_dcs: u8) -> (u8, u16) {
+        match self {
+            Clients::Closed { per_dc, .. } => (n_dcs, *per_dc),
+            Clients::Open(spec) => (n_dcs, spec.actors_per_dc),
+            Clients::Queue => (1, 1),
         }
     }
 }
 
-/// Builds a full simulated cluster with closed-loop clients. The caller
-/// decides when to `start()` and how long to run. The engine mode comes
-/// from `CONTRARIAN_SCHED`; use [`build_cluster_with`] to pin it.
-pub fn build_cluster<P: ProtocolSpec>(p: &ClusterParams) -> Sim<ProtoNode<P>> {
-    build_cluster_with::<P>(p, contrarian_sim::SchedKind::from_env())
+/// Everything needed to stand up one cluster.
+pub struct ClusterParams {
+    pub cfg: ClusterConfig,
+    pub cost: CostModel,
+    pub clients: Clients,
+    pub seed: u64,
 }
 
-/// [`build_cluster`] with an explicit engine mode — what the cross-engine
-/// determinism tests use to compare heap/calendar/sharded runs of one
-/// configuration without racing on the process environment.
-pub fn build_cluster_with<P: ProtocolSpec>(
-    p: &ClusterParams,
-    sched: contrarian_sim::SchedKind,
-) -> Sim<ProtoNode<P>> {
-    let cfg = P::normalize(p.cfg.clone());
-    let mut sim = Sim::with_scheduler(p.cost.clone(), p.seed, sched);
-    add_servers::<P>(&mut sim, &cfg, p.seed);
-    let zipf = Arc::new(Zipf::new(cfg.keys_per_partition, p.workload.zipf_theta));
+/// Builds the node list of a cluster: every partition server DC-major by
+/// partition, drawn from one init stream seeded by `seed`, then the client
+/// nodes DC-major by index. The order is part of the contract: the
+/// simulator keys events by registration index, so the same list in the
+/// same order gives the same run on every runtime.
+pub fn build_nodes<P: ProtocolSpec>(
+    cfg: &ClusterConfig,
+    clients: &Clients,
+    seed: u64,
+) -> Vec<(Addr, ProtoNode<P>)> {
+    let cfg = P::normalize(cfg.clone());
+    let (client_dcs, per_dc) = clients.layout(cfg.n_dcs);
+    let total = usize::from(client_dcs) * usize::from(per_dc);
+    let mut nodes = Vec::with_capacity(cfg.n_servers() + total);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED_0FF5);
     for dc in 0..cfg.n_dcs {
-        for c in 0..p.clients_per_dc {
+        for part in 0..cfg.n_partitions {
+            let addr = Addr::server(DcId(dc), PartitionId(part));
+            nodes.push((addr, Node::Server(P::server(addr, &cfg, &mut rng))));
+        }
+    }
+    // One key distribution shared by every load-generating client.
+    let workload = match clients {
+        Clients::Closed { workload, .. } => Some(workload),
+        Clients::Open(spec) => Some(&spec.workload),
+        Clients::Queue => None,
+    };
+    let zipf = workload.map(|w| (w, Arc::new(Zipf::new(cfg.keys_per_partition, w.zipf_theta))));
+    let generator = || {
+        let (w, zipf) = zipf
+            .as_ref()
+            .expect("load-generating clients have a workload");
+        ClientDriver::new((*w).clone(), zipf.clone(), cfg.n_partitions)
+    };
+    for dc in 0..client_dcs {
+        for c in 0..per_dc {
             let addr = Addr::client(DcId(dc), c);
-            let driver = ClientDriver::new(p.workload.clone(), zipf.clone(), cfg.n_partitions);
-            let client = P::client(addr, &cfg, OpSource::closed(driver));
-            sim.add_client(addr, Node::Client(client));
+            let source = match clients {
+                Clients::Closed { .. } => OpSource::closed(generator()),
+                Clients::Open(spec) => {
+                    let shard = usize::from(dc) * usize::from(per_dc) + usize::from(c);
+                    let sessions = spec.sessions_for(shard, total);
+                    OpSource::open(OpenLoopDriver::new(
+                        generator(),
+                        u32::try_from(sessions).expect("sessions per actor must fit u32"),
+                        spec.session_rate(),
+                    ))
+                }
+                Clients::Queue => OpSource::queue().0,
+            };
+            nodes.push((addr, Node::Client(P::client(addr, &cfg, source))));
+        }
+    }
+    nodes
+}
+
+/// Builds a simulated cluster from [`build_nodes`]' list, servers at
+/// `cfg.workers_per_server` workers. The caller decides when to `start()`
+/// and how long to run; callers that follow `CONTRARIAN_SCHED` pass
+/// [`SchedKind::from_env`].
+pub fn build_cluster<P: ProtocolSpec>(p: &ClusterParams, sched: SchedKind) -> Sim<ProtoNode<P>> {
+    let mut sim = Sim::with_scheduler(p.cost.clone(), p.seed, sched);
+    let workers = p.cfg.workers_per_server as u32;
+    for (addr, node) in build_nodes::<P>(&p.cfg, &p.clients, p.seed) {
+        match node {
+            Node::Server(_) => sim.add_server(addr, node, workers),
+            Node::Client(_) => sim.add_client(addr, node),
         }
     }
     sim
@@ -110,185 +162,44 @@ pub struct OpenLoopParams {
     pub seed: u64,
 }
 
-/// Builds a full simulated cluster with open-loop driver actors. Engine
-/// mode from `CONTRARIAN_SCHED`; [`build_openloop_cluster_with`] pins it.
+/// [`build_cluster`] with open-loop driver actors, engine mode from
+/// `CONTRARIAN_SCHED`.
 pub fn build_openloop_cluster<P: ProtocolSpec>(p: &OpenLoopParams) -> Sim<ProtoNode<P>> {
-    build_openloop_cluster_with::<P>(p, contrarian_sim::SchedKind::from_env())
-}
-
-/// [`build_openloop_cluster`] with an explicit engine mode.
-pub fn build_openloop_cluster_with<P: ProtocolSpec>(
-    p: &OpenLoopParams,
-    sched: contrarian_sim::SchedKind,
-) -> Sim<ProtoNode<P>> {
-    let cfg = P::normalize(p.cfg.clone());
-    let mut sim = Sim::with_scheduler(p.cost.clone(), p.seed, sched);
-    add_servers::<P>(&mut sim, &cfg, p.seed);
-    let zipf = Arc::new(Zipf::new(
-        cfg.keys_per_partition,
-        p.spec.workload.zipf_theta,
-    ));
-    let total = cfg.n_dcs as usize * p.spec.actors_per_dc as usize;
-    let mut shard = 0;
-    for dc in 0..cfg.n_dcs {
-        for c in 0..p.spec.actors_per_dc {
-            let addr = Addr::client(DcId(dc), c);
-            let sessions = p.spec.sessions_for(shard, total);
-            shard += 1;
-            let gen = ClientDriver::new(p.spec.workload.clone(), zipf.clone(), cfg.n_partitions);
-            let source = OpSource::open(OpenLoopDriver::new(
-                gen,
-                u32::try_from(sessions).expect("sessions per actor must fit u32"),
-                p.spec.session_rate(),
-            ));
-            sim.add_client(addr, Node::Client(P::client(addr, &cfg, source)));
-        }
-    }
-    sim
-}
-
-/// Builds a single-client interactive simulated cluster (the embedded store
-/// facade): recording on, already started.
-pub fn build_interactive_cluster<P: ProtocolSpec>(
-    cfg: &ClusterConfig,
-    seed: u64,
-) -> (Sim<ProtoNode<P>>, Addr) {
-    let cfg = P::normalize(cfg.clone());
-    let mut sim = Sim::new(CostModel::functional(), seed);
-    add_servers::<P>(&mut sim, &cfg, seed);
-    let client_addr = Addr::client(DcId(0), 0);
-    let (source, _handle) = OpSource::queue();
-    sim.add_client(
-        client_addr,
-        Node::Client(P::client(client_addr, &cfg, source)),
-    );
-    sim.set_recording(true);
-    sim.start();
-    (sim, client_addr)
-}
-
-/// Builds the node list of a live (threaded) cluster: every partition
-/// server plus `clients_per_dc` closed-loop clients per DC. Feed the result
-/// to [`LiveCluster::start`].
-pub fn build_live_nodes<P: ProtocolSpec>(
-    cfg: &ClusterConfig,
-    workload: &WorkloadSpec,
-    clients_per_dc: u16,
-    seed: u64,
-) -> Vec<(Addr, ProtoNode<P>)> {
-    let cfg = P::normalize(cfg.clone());
-    let mut rng = init_rng(seed);
-    let zipf = Arc::new(Zipf::new(cfg.keys_per_partition, workload.zipf_theta));
-    let mut nodes: Vec<(Addr, ProtoNode<P>)> = Vec::new();
-    for dc in 0..cfg.n_dcs {
-        for part in 0..cfg.n_partitions {
-            let addr = Addr::server(DcId(dc), PartitionId(part));
-            nodes.push((addr, Node::Server(P::server(addr, &cfg, &mut rng))));
-        }
-    }
-    for dc in 0..cfg.n_dcs {
-        for c in 0..clients_per_dc {
-            let addr = Addr::client(DcId(dc), c);
-            let driver = ClientDriver::new(workload.clone(), zipf.clone(), cfg.n_partitions);
-            nodes.push((
-                addr,
-                Node::Client(P::client(addr, &cfg, OpSource::closed(driver))),
-            ));
-        }
-    }
-    nodes
-}
-
-/// Convenience: builds and starts a recording live cluster.
-pub fn build_live_cluster<P: ProtocolSpec>(
-    cfg: &ClusterConfig,
-    workload: &WorkloadSpec,
-    clients_per_dc: u16,
-    seed: u64,
-) -> LiveCluster<ProtoNode<P>> {
-    LiveCluster::start(
-        build_live_nodes::<P>(cfg, workload, clients_per_dc, seed),
-        true,
-        seed,
+    build_cluster::<P>(
+        &ClusterParams {
+            cfg: p.cfg.clone(),
+            cost: p.cost.clone(),
+            clients: Clients::Open(p.spec.clone()),
+            seed: p.seed,
+        },
+        SchedKind::from_env(),
     )
 }
 
-/// Convenience: builds and starts a TCP cluster — the same node list as
-/// the in-process transport, but every link a loopback socket and every
-/// message through the wire codec. Any [`ProtocolSpec`] works:
-/// `ProtocolMsg` already requires the codec. `recording` turns on the
-/// history sink (leave it off for latency measurements: every append
-/// takes a cluster-wide lock).
-pub fn build_net_cluster<P: ProtocolSpec>(
-    cfg: &ClusterConfig,
-    workload: &WorkloadSpec,
-    clients_per_dc: u16,
-    seed: u64,
-    recording: bool,
-) -> NetCluster<ProtoNode<P>> {
-    NetCluster::start(
-        build_live_nodes::<P>(cfg, workload, clients_per_dc, seed),
-        recording,
-        seed,
-    )
-}
-
-/// Builds the node list of a live/TCP cluster with open-loop driver actors
-/// instead of closed-loop clients: every partition server plus
-/// `spec.actors_per_dc` drivers per DC, each owning its shard of the
-/// logical-session population. Feed the result to [`LiveCluster::start`]
-/// or [`NetCluster::start`].
+/// [`build_nodes`] with open-loop driver actors.
 pub fn build_openloop_nodes<P: ProtocolSpec>(
     cfg: &ClusterConfig,
     spec: &OpenLoopSpec,
     seed: u64,
 ) -> Vec<(Addr, ProtoNode<P>)> {
-    let cfg = P::normalize(cfg.clone());
-    let mut rng = init_rng(seed);
-    let zipf = Arc::new(Zipf::new(cfg.keys_per_partition, spec.workload.zipf_theta));
-    let mut nodes: Vec<(Addr, ProtoNode<P>)> = Vec::new();
-    for dc in 0..cfg.n_dcs {
-        for part in 0..cfg.n_partitions {
-            let addr = Addr::server(DcId(dc), PartitionId(part));
-            nodes.push((addr, Node::Server(P::server(addr, &cfg, &mut rng))));
-        }
-    }
-    let total = cfg.n_dcs as usize * spec.actors_per_dc as usize;
-    let mut shard = 0;
-    for dc in 0..cfg.n_dcs {
-        for c in 0..spec.actors_per_dc {
-            let addr = Addr::client(DcId(dc), c);
-            let sessions = spec.sessions_for(shard, total);
-            shard += 1;
-            let gen = ClientDriver::new(spec.workload.clone(), zipf.clone(), cfg.n_partitions);
-            let source = OpSource::open(OpenLoopDriver::new(
-                gen,
-                u32::try_from(sessions).expect("sessions per actor must fit u32"),
-                spec.session_rate(),
-            ));
-            nodes.push((addr, Node::Client(P::client(addr, &cfg, source))));
-        }
-    }
-    nodes
+    build_nodes::<P>(cfg, &Clients::Open(spec.clone()), seed)
 }
 
-/// Convenience: builds and starts an open-loop TCP cluster on the reactor.
-pub fn build_openloop_net_cluster<P: ProtocolSpec>(
+/// Builds a single-client interactive simulated cluster (the embedded store
+/// facade): functional cost model, engine mode from `CONTRARIAN_SCHED`,
+/// recording on, already started.
+pub fn build_interactive_cluster<P: ProtocolSpec>(
     cfg: &ClusterConfig,
-    spec: &OpenLoopSpec,
     seed: u64,
-    recording: bool,
-) -> NetCluster<ProtoNode<P>> {
-    NetCluster::start(build_openloop_nodes::<P>(cfg, spec, seed), recording, seed)
-}
-
-/// Convenience: builds and starts an open-loop live (in-process threaded)
-/// cluster.
-pub fn build_openloop_live_cluster<P: ProtocolSpec>(
-    cfg: &ClusterConfig,
-    spec: &OpenLoopSpec,
-    seed: u64,
-    recording: bool,
-) -> LiveCluster<ProtoNode<P>> {
-    LiveCluster::start(build_openloop_nodes::<P>(cfg, spec, seed), recording, seed)
+) -> (Sim<ProtoNode<P>>, Addr) {
+    let p = ClusterParams {
+        cfg: cfg.clone(),
+        cost: CostModel::functional(),
+        clients: Clients::Queue,
+        seed,
+    };
+    let mut sim = build_cluster::<P>(&p, SchedKind::from_env());
+    sim.set_recording(true);
+    sim.start();
+    (sim, Addr::client(DcId(0), 0))
 }

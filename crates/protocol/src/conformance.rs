@@ -18,14 +18,13 @@
 //! Protocol crates run this suite from their integration tests (one line
 //! per runtime); a new backend gets the whole battery for free.
 
-use crate::build::{
-    build_cluster_with, build_live_cluster, build_net_cluster, ClusterParams, ProtoNode,
-    ProtocolSpec,
-};
+use crate::build::{build_cluster, build_nodes, Clients, ClusterParams, ProtoNode, ProtocolSpec};
 use crate::node::ProtocolServer;
+use contrarian_net::NetCluster;
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::Metrics;
 pub use contrarian_sim::{SchedKind, ENGINES};
+use contrarian_transport::LiveCluster;
 use contrarian_types::{
     Addr, ClientId, ClusterConfig, DcId, HistoryEvent, Key, PartitionId, VersionId,
 };
@@ -127,10 +126,14 @@ fn check_convergence(
     Ok(compared)
 }
 
-fn conformance_workload() -> WorkloadSpec {
-    WorkloadSpec::paper_default()
-        .with_rot_size(2)
-        .with_write_ratio(0.2)
+/// The battery's client side: three closed-loop clients per DC.
+fn conformance_clients() -> Clients {
+    Clients::Closed {
+        workload: WorkloadSpec::paper_default()
+            .with_rot_size(2)
+            .with_write_ratio(0.2),
+        per_dc: 3,
+    }
 }
 
 /// Runs the conformance battery on the discrete-event simulator, once per
@@ -142,15 +145,14 @@ pub fn check_sim<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
     let params = ClusterParams {
         cfg: cfg.clone(),
         cost: CostModel::functional(),
-        workload: conformance_workload(),
-        clients_per_dc: 3,
+        clients: conformance_clients(),
         seed,
     };
     let cfg = P::normalize(cfg);
     let label = |sched: SchedKind| format!("{} (sim, {sched:?})", P::NAME);
     // One engine's run: the history's fingerprint and what it observed.
     let run = |sched: SchedKind| -> Result<(String, ConformanceOutcome), String> {
-        let mut sim = build_cluster_with::<P>(&params, sched);
+        let mut sim = build_cluster::<P>(&params, sched);
         // Serial windows: the thread count never changes a history, and
         // spawning threads for every hop-wide sub-DC window costs several
         // times the serial run.
@@ -244,8 +246,11 @@ pub fn check_live<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutc
     // Simulated clock skew is meaningless under the wall clock; disable it
     // so physical-clock backends don't spend the whole run parked.
     cfg.clock_skew_us = 0;
-    let wl = conformance_workload();
-    let cluster = build_live_cluster::<P>(&cfg, &wl, 3, seed);
+    let cluster = LiveCluster::start(
+        build_nodes::<P>(&cfg, &conformance_clients(), seed),
+        true,
+        seed,
+    );
     // Measure from the start: exercises the per-thread metrics sinks that
     // are merged when the node threads join.
     cluster.set_measuring(true);
@@ -268,8 +273,11 @@ pub fn check_net<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
     // defaults are simulator-tuned — over TCP every tick is a frame plus
     // thread wakeups per server).
     let cfg = ClusterConfig::small().with_dcs(dcs).for_wall_clock();
-    let wl = conformance_workload();
-    let cluster = build_net_cluster::<P>(&cfg, &wl, 3, seed, true);
+    let cluster = NetCluster::start(
+        build_nodes::<P>(&cfg, &conformance_clients(), seed),
+        true,
+        seed,
+    );
     cluster.set_measuring(true);
     std::thread::sleep(std::time::Duration::from_millis(250));
     cluster.stop_issuing();

@@ -10,8 +10,7 @@
 //!                         │                    TimerKind, SimMessage + cost
 //!                         │                    model, Metrics, history
 //!                         │                    recording, frame layer, the
-//!                         │                    shared live node loop,
-//!                         │                    Runtime trait)
+//!                         │                    shared live node loop)
 //!         ┌───────────────┼───────────────┐
 //!  contrarian-sim  contrarian-transport  contrarian-net
 //!  (discrete-event (thread-per-node      (thread-per-node
@@ -37,10 +36,14 @@
 //!   sockets, every message through the wire codec and the [`frame`]
 //!   layer this crate provides.
 //!
-//! All implement the cluster-facing [`Runtime`] trait (external
-//! `send` / `inject_op` / `now` / `stop_issuing` semantics); during a
-//! handler the node-facing capabilities (`send`, `set_timer`, `now`,
-//! metrics, history) come from the [`ActorCtx`].
+//! During a handler the node-facing capabilities (`send`, `set_timer`,
+//! `now`, metrics, history) come from the [`ActorCtx`]. The cluster-facing
+//! side is each runtime's own inherent API (`Sim`, `LiveCluster`,
+//! `NetCluster`): all three take the same node list from the protocol
+//! kernel's builder and offer `inject_op`, which panics on an address that
+//! is not in the cluster, and `addrs` in registration order. How time
+//! advances is the one thing they do not share: the simulator is stepped,
+//! the live clusters free-run.
 //!
 //! This crate exists so that the runtimes are *siblings*: no live
 //! transport depends on the simulator (nor vice versa), which keeps the
@@ -54,7 +57,6 @@ pub mod frame;
 pub mod history;
 pub mod metrics;
 pub mod node_loop;
-pub mod runtime;
 pub mod testkit;
 pub mod trace;
 pub mod window;
@@ -65,7 +67,6 @@ pub use frame::{encode_frame, FrameAssembler, FrameError, MAX_FRAME};
 pub use history::{merge_shard_histories, HistorySink, TaggedEvent};
 pub use metrics::{Histogram, LoadReport, Metrics};
 pub use node_loop::{node_seed, run_node, Input, Outbound, RunShared};
-pub use runtime::Runtime;
 pub use testkit::ScriptCtx;
 pub use trace::{chrome_trace_json, merge_traces, summarize, trace_cap_from_env, TraceRing};
 pub use window::{MetricsWindow, WindowSeries};

@@ -36,7 +36,7 @@
 //! its nodes' calendar queue, backlog slab, and the FIFO state of the
 //! links originating at its nodes. Three engine modes share the one
 //! event-processing code path ([`sched::SchedKind`], selectable with
-//! `CONTRARIAN_SCHED` or [`Sim::with_scheduler`]):
+//! `CONTRARIAN_SCHED` through [`SchedKind::from_env`]):
 //!
 //! * `calendar` (default) — one shard, the hierarchical calendar queue of
 //!   [`sched`];

@@ -22,7 +22,6 @@ use contrarian_runtime::history::merge_shard_histories;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_loop::node_seed;
 use contrarian_runtime::trace::merge_traces;
-use contrarian_runtime::Runtime;
 use contrarian_types::{Addr, HistoryEvent, NodeKind, Op, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -88,13 +87,8 @@ pub struct Sim<A: Actor> {
 }
 
 impl<A: Actor> Sim<A> {
-    /// A simulator with the engine selected by `CONTRARIAN_SCHED`
-    /// (single calendar-queue loop unless overridden).
-    pub fn new(cost: CostModel, seed: u64) -> Self {
-        Self::with_scheduler(cost, seed, SchedKind::from_env())
-    }
-
-    /// A simulator with an explicit engine choice.
+    /// A simulator on the given engine; callers that follow
+    /// `CONTRARIAN_SCHED` pass [`SchedKind::from_env`].
     pub fn with_scheduler(cost: CostModel, seed: u64, sched: SchedKind) -> Self {
         Sim {
             now: 0,
@@ -740,24 +734,6 @@ fn window_end(horizon: u64, bound: u64) -> u64 {
     horizon.min(bound.saturating_add(1))
 }
 
-impl<A: Actor> Runtime<A> for Sim<A> {
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn send(&mut self, from: Addr, to: Addr, msg: A::Msg) {
-        self.external_send(from, to, msg);
-    }
-
-    fn stop_issuing(&mut self) {
-        self.set_stopped(true);
-    }
-
-    fn addrs(&self) -> Vec<Addr> {
-        Sim::addrs(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1046,17 +1022,16 @@ mod tests {
     }
 
     #[test]
-    fn runtime_trait_injects_and_stops() {
-        use contrarian_runtime::Runtime;
+    fn external_send_injects_and_stops() {
         let mut sim = mk();
         sim.start();
         let client = Addr::client(DcId(0), 0);
-        Runtime::send(&mut sim, client, client, Ping(100));
+        sim.external_send(client, client, Ping(100));
         sim.run_to_quiescence(u64::MAX);
         // The injected Ping(100) is past the pong limit: counted, no reply.
         assert_eq!(sim.actor(client).pongs, 6);
-        Runtime::stop_issuing(&mut sim);
-        assert_eq!(Runtime::<Echo>::addrs(&sim).len(), 2);
+        sim.set_stopped(true);
+        assert_eq!(sim.addrs().len(), 2);
     }
 
     #[test]

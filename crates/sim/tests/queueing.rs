@@ -6,6 +6,7 @@
 use contrarian_sim::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_sim::cost::{CostModel, MsgClass, SimMessage};
 use contrarian_sim::sim::Sim;
+use contrarian_sim::SchedKind;
 use contrarian_types::{Addr, DcId, Op, PartitionId};
 
 #[derive(Clone)]
@@ -81,7 +82,7 @@ fn run_open_loop(interval_ns: u64, workers: u32, n: u64) -> Vec<u64> {
     cost.cpu_per_kb_ns = 0;
     cost.wire_ns_per_kb = 0;
     cost.hop_latency_ns = 1_000;
-    let mut sim: Sim<OpenLoop> = Sim::new(cost, 1);
+    let mut sim: Sim<OpenLoop> = Sim::with_scheduler(cost, 1, SchedKind::from_env());
     let server = Addr::server(DcId(0), PartitionId(0));
     sim.add_server(
         server,

@@ -3,7 +3,6 @@
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_loop::{node_seed, run_node, Input, Outbound, RunShared};
-use contrarian_runtime::Runtime;
 use contrarian_types::{Addr, HistoryEvent, Op};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::HashMap;
@@ -116,19 +115,19 @@ impl<A: Actor + Send + 'static> LiveCluster<A> {
         &self.addrs
     }
 
-    /// Wall-clock nanoseconds since the cluster started.
-    pub fn now(&self) -> u64 {
-        self.shared.run.now()
-    }
-
-    /// Sends an operation to a client node.
+    /// Sends an operation to a client node. An address that is not in the
+    /// cluster is a driver bug, not a droppable message: it panics, as on
+    /// the simulator.
     pub fn inject_op(&self, client: Addr, op: Op) {
-        if let Some(tx) = self.shared.routes.get(&client) {
-            let _ = tx.send(Input::Msg {
-                from: client,
-                msg: A::inject(op),
-            });
-        }
+        let tx = self
+            .shared
+            .routes
+            .get(&client)
+            .unwrap_or_else(|| panic!("unknown addr {client}"));
+        let _ = tx.send(Input::Msg {
+            from: client,
+            msg: A::inject(op),
+        });
     }
 
     /// Turns measurement on or off (the live analogue of flipping
@@ -170,27 +169,50 @@ impl<A: Actor + Send + 'static> LiveCluster<A> {
     }
 }
 
-impl<A: Actor + Send + 'static> Runtime<A> for LiveCluster<A> {
-    fn now(&self) -> u64 {
-        LiveCluster::now(self)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use contrarian_runtime::actor::{ActorCtx, TimerKind};
+    use contrarian_runtime::cost::{MsgClass, SimMessage};
+    use contrarian_types::DcId;
+
+    struct Nop;
+
+    impl SimMessage for Nop {
+        fn wire_size(&self) -> usize {
+            0
+        }
+        fn class(&self) -> MsgClass {
+            MsgClass::Data
+        }
     }
 
-    fn send(&mut self, from: Addr, to: Addr, msg: A::Msg) {
-        // Same contract as the simulator's Runtime impl: an unknown
-        // destination is a driver bug, not a droppable message.
-        let tx = self
-            .shared
-            .routes
-            .get(&to)
-            .unwrap_or_else(|| panic!("unknown addr {to}"));
-        let _ = tx.send(Input::Msg { from, msg });
+    struct Idle;
+
+    impl Actor for Idle {
+        type Msg = Nop;
+        fn on_start(&mut self, _ctx: &mut dyn ActorCtx<Nop>) {}
+        fn on_message(&mut self, _ctx: &mut dyn ActorCtx<Nop>, _from: Addr, _msg: Nop) {}
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Nop>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Nop {
+            Nop
+        }
     }
 
-    fn stop_issuing(&mut self) {
-        LiveCluster::stop_issuing(self);
-    }
-
-    fn addrs(&self) -> Vec<Addr> {
-        self.addrs.clone()
+    /// An operation injected at an address that is not in the cluster is a
+    /// driver bug: it panics, as on the simulator, instead of vanishing.
+    #[test]
+    #[should_panic(expected = "unknown addr")]
+    fn injecting_at_an_unknown_address_panics() {
+        let client = Addr::client(DcId(0), 0);
+        let cluster = LiveCluster::start(vec![(client, Idle)], false, 1);
+        let stray = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster.inject_op(Addr::client(DcId(0), 999), Op::Rot(Vec::new()))
+        }));
+        // Stop the node thread before re-raising, so none outlives the test.
+        cluster.shutdown();
+        if let Err(panic) = stray {
+            std::panic::resume_unwind(panic);
+        }
     }
 }

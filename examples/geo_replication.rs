@@ -11,7 +11,7 @@
 //! * remote visibility lag — how far each DC's GSS trails behind.
 
 use contrarian::core_protocol::Contrarian;
-use contrarian::protocol::{build_cluster, ClusterParams};
+use contrarian::protocol::{build_cluster, Clients, ClusterParams, SchedKind};
 use contrarian::sim::cost::CostModel;
 use contrarian::types::{Addr, ClusterConfig, DcId, PartitionId};
 use contrarian::workload::WorkloadSpec;
@@ -21,13 +21,15 @@ fn main() {
     let params = ClusterParams {
         cfg: cfg.clone(),
         cost: CostModel::functional(),
-        workload: WorkloadSpec::paper_default()
-            .with_rot_size(2)
-            .with_write_ratio(0.2),
-        clients_per_dc: 4,
+        clients: Clients::Closed {
+            workload: WorkloadSpec::paper_default()
+                .with_rot_size(2)
+                .with_write_ratio(0.2),
+            per_dc: 4,
+        },
         seed: 2026,
     };
-    let mut sim = build_cluster::<Contrarian>(&params);
+    let mut sim = build_cluster::<Contrarian>(&params, SchedKind::from_env());
     sim.start();
     sim.metrics_mut().enabled = true;
 

@@ -10,10 +10,8 @@
 //! only at trivial load; as load grows, the readers check's write-side cost
 //! congests the servers and CC-LO loses on *read* latency too.
 
-use contrarian::harness::experiment::{run_experiment, ExperimentConfig, Protocol};
+use contrarian::harness::experiment::{run_experiment, Clients, Protocol, RunSpec};
 use contrarian::harness::table;
-use contrarian::sim::cost::CostModel;
-use contrarian::sim::SchedKind;
 use contrarian::types::ClusterConfig;
 use contrarian::workload::WorkloadSpec;
 
@@ -24,20 +22,17 @@ fn main() {
     let mut rows = Vec::new();
     for protocol in [Protocol::Contrarian, Protocol::CcLo] {
         for clients in [8u16, 32, 64, 96] {
-            let cfg = ExperimentConfig {
-                protocol,
+            let r = run_experiment(&RunSpec {
                 cluster: cluster.clone(),
-                workload: WorkloadSpec::paper_default(),
-                clients_per_dc: clients,
+                clients: Clients::Closed {
+                    workload: WorkloadSpec::paper_default(),
+                    per_dc: clients,
+                },
                 warmup_ns: 100_000_000,
                 measure_ns: 300_000_000,
                 seed: 1,
-                cost: CostModel::calibrated(),
-                record: false,
-                sched: SchedKind::from_env(),
-                lookahead: Default::default(),
-            };
-            let r = run_experiment(&cfg);
+                ..RunSpec::paper_default(protocol)
+            });
             rows.push(vec![
                 protocol.label().to_string(),
                 clients.to_string(),

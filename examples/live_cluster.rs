@@ -10,7 +10,7 @@
 
 use contrarian::core_protocol::Contrarian;
 use contrarian::harness::check_causal;
-use contrarian::protocol::build_live_nodes;
+use contrarian::protocol::{build_nodes, Clients};
 use contrarian::transport::LiveCluster;
 use contrarian::types::ClusterConfig;
 use contrarian::workload::WorkloadSpec;
@@ -19,8 +19,11 @@ use std::time::Duration;
 fn main() {
     let mut cfg = ClusterConfig::small();
     cfg.clock_skew_us = 0; // wall-clock runs don't simulate NTP skew
-    let workload = WorkloadSpec::paper_default().with_rot_size(2);
-    let nodes = build_live_nodes::<Contrarian>(&cfg, &workload, 6, 7);
+    let clients = Clients::Closed {
+        workload: WorkloadSpec::paper_default().with_rot_size(2),
+        per_dc: 6,
+    };
+    let nodes = build_nodes::<Contrarian>(&cfg, &clients, 7);
 
     println!(
         "starting {} threads (4 servers + 6 closed-loop clients)…",

@@ -24,8 +24,8 @@
 //! The backends share one **protocol-runtime kernel**, [`protocol`]
 //! (`contrarian-protocol`): the `ProtocolServer`/`ProtocolClient` trait
 //! pair, the generic `Node` actor, the GSS `Stabilizer`, the periodic
-//! `Timers` registry, the `Parked` deferred-request queue, the generic
-//! cluster builders, and a conformance suite that runs identical
+//! `Timers` registry, the `Parked` deferred-request queue, the one generic
+//! cluster builder, and a conformance suite that runs identical
 //! convergence + session checks against every backend. A protocol crate
 //! contains *only* its state machines and message/metadata types; adding a
 //! fourth backend is roughly one file (implement the traits plus a
@@ -88,7 +88,7 @@
 //! kernel's generic builder:
 //!
 //! ```
-//! use contrarian::protocol::{build_cluster, ClusterParams};
+//! use contrarian::protocol::{build_cluster, Clients, ClusterParams, SchedKind};
 //! use contrarian::core_protocol::Contrarian;
 //! use contrarian::sim::cost::CostModel;
 //! use contrarian::types::ClusterConfig;
@@ -97,11 +97,13 @@
 //! let params = ClusterParams {
 //!     cfg: ClusterConfig::small(),
 //!     cost: CostModel::functional(),
-//!     workload: WorkloadSpec::paper_default().with_rot_size(2),
-//!     clients_per_dc: 4,
+//!     clients: Clients::Closed {
+//!         workload: WorkloadSpec::paper_default().with_rot_size(2),
+//!         per_dc: 4,
+//!     },
 //!     seed: 42,
 //! };
-//! let mut sim = build_cluster::<Contrarian>(&params);
+//! let mut sim = build_cluster::<Contrarian>(&params, SchedKind::from_env());
 //! sim.start();
 //! sim.run_until(10_000_000); // 10 virtual milliseconds
 //! ```

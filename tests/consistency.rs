@@ -2,21 +2,21 @@
 //! consistency, session guarantees, convergence and eventual visibility.
 
 use contrarian::harness::check_causal;
-use contrarian::harness::experiment::{run_experiment, ExperimentConfig, Protocol};
-use contrarian::protocol::{build_cluster, ClusterParams};
+use contrarian::harness::experiment::{run_recorded, Protocol, RunSpec};
+use contrarian::protocol::{build_cluster, Clients, ClusterParams, SchedKind};
 use contrarian::sim::cost::CostModel;
 use contrarian::types::{Addr, ClusterConfig, DcId, PartitionId};
 use contrarian::workload::WorkloadSpec;
 
-fn functional(protocol: Protocol, dcs: u8, seed: u64) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::functional(protocol);
+fn functional(protocol: Protocol, dcs: u8, seed: u64) -> RunSpec {
+    let mut cfg = RunSpec::functional(protocol);
     cfg.cluster = ClusterConfig::small().with_dcs(dcs);
     cfg.seed = seed;
     cfg
 }
 
-fn assert_causal(cfg: &ExperimentConfig) {
-    let r = run_experiment(cfg);
+fn assert_causal(cfg: &RunSpec) {
+    let r = run_recorded(cfg);
     assert!(
         r.history.len() > 100,
         "{}: too little history",
@@ -120,7 +120,7 @@ fn all_to_all_stabilization_stays_causal() {
 /// replicated run.
 #[test]
 fn streaming_checker_matches_batch_on_live_history() {
-    let r = run_experiment(&functional(Protocol::Contrarian, 2, 21));
+    let r = run_recorded(&functional(Protocol::Contrarian, 2, 21));
     assert!(r.history.len() > 100, "too little history");
     let mut ck = contrarian::harness::CausalChecker::new();
     for ev in &r.history {
@@ -140,13 +140,16 @@ fn contrarian_replicas_converge() {
     let params = ClusterParams {
         cfg: ClusterConfig::small().with_dcs(3),
         cost: CostModel::functional(),
-        workload: WorkloadSpec::paper_default()
-            .with_rot_size(2)
-            .with_write_ratio(0.3),
-        clients_per_dc: 3,
+        clients: Clients::Closed {
+            workload: WorkloadSpec::paper_default()
+                .with_rot_size(2)
+                .with_write_ratio(0.3),
+            per_dc: 3,
+        },
         seed: 99,
     };
-    let mut sim = build_cluster::<contrarian::core_protocol::Contrarian>(&params);
+    let mut sim =
+        build_cluster::<contrarian::core_protocol::Contrarian>(&params, SchedKind::from_env());
     sim.start();
     sim.run_until(50_000_000);
     sim.set_stopped(true);
@@ -177,7 +180,11 @@ fn contrarian_writes_become_visible_remotely() {
     let cfg = ClusterConfig::small().with_dcs(2);
     // Interactive-ish: build a cluster whose clients idle (queue sources),
     // inject a PUT in DC0, then poll a ROT in DC1.
-    let mut sim = contrarian::sim::sim::Sim::new(CostModel::functional(), 5);
+    let mut sim = contrarian::sim::sim::Sim::with_scheduler(
+        CostModel::functional(),
+        5,
+        SchedKind::from_env(),
+    );
     for dc in 0..2u8 {
         for p in 0..cfg.n_partitions {
             let addr = Addr::server(DcId(dc), PartitionId(p));
@@ -246,7 +253,7 @@ fn protocols_serve_equivalent_functionality() {
         // window blocked — this test is about functional equivalence, not
         // the performance differences the paper measures.
         cfg.cluster.clock_skew_us = 0;
-        let r = run_experiment(&cfg);
+        let r = run_recorded(&cfg);
         assert!(check_causal(&r.history).ok());
         counts.push(r.history.len() as f64);
     }

@@ -4,23 +4,26 @@
 
 use contrarian::clock::PhysicalClockModel;
 use contrarian::harness::check_causal;
-use contrarian::protocol::build_live_nodes;
+use contrarian::protocol::{build_nodes, Clients};
 use contrarian::transport::LiveCluster;
 use contrarian::types::{Addr, ClusterConfig, DcId, Key, Op, PartitionId};
 use contrarian::workload::{OpSource, WorkloadSpec};
 use std::time::Duration;
 
-fn small_workload() -> (ClusterConfig, WorkloadSpec) {
+fn small_workload() -> (ClusterConfig, Clients) {
     (
         ClusterConfig::small(),
-        WorkloadSpec::paper_default().with_rot_size(2),
+        Clients::Closed {
+            workload: WorkloadSpec::paper_default().with_rot_size(2),
+            per_dc: 4,
+        },
     )
 }
 
 #[test]
 fn live_contrarian_cluster_is_causally_consistent() {
-    let (cfg, wl) = small_workload();
-    let nodes = build_live_nodes::<contrarian::core_protocol::Contrarian>(&cfg, &wl, 4, 11);
+    let (cfg, clients) = small_workload();
+    let nodes = build_nodes::<contrarian::core_protocol::Contrarian>(&cfg, &clients, 11);
     let cluster = LiveCluster::start(nodes, true, 11);
     std::thread::sleep(Duration::from_millis(300));
     cluster.stop_issuing();
@@ -37,8 +40,8 @@ fn live_contrarian_cluster_is_causally_consistent() {
 
 #[test]
 fn live_cclo_cluster_is_causally_consistent() {
-    let (cfg, wl) = small_workload();
-    let nodes = build_live_nodes::<contrarian::cclo::CcLo>(&cfg, &wl, 4, 13);
+    let (cfg, clients) = small_workload();
+    let nodes = build_nodes::<contrarian::cclo::CcLo>(&cfg, &clients, 13);
     let cluster = LiveCluster::start(nodes, true, 13);
     std::thread::sleep(Duration::from_millis(300));
     cluster.stop_issuing();

@@ -10,7 +10,7 @@
 
 use contrarian::cclo::{ReaderEntry, ReaderSet};
 use contrarian::okapi::Okapi;
-use contrarian::protocol::{build_cluster_with, ClusterParams};
+use contrarian::protocol::{build_cluster, Clients, ClusterParams};
 use contrarian::sim::cost::CostModel;
 use contrarian::sim::SchedKind;
 use contrarian::storage::{Chain, MvStore, Version};
@@ -169,8 +169,10 @@ fn okapi_2dc_params() -> ClusterParams {
     ClusterParams {
         cfg: ClusterConfig::small().with_dcs(2).with_partitions(64),
         cost: CostModel::functional(),
-        workload: WorkloadSpec::paper_default(),
-        clients_per_dc: CLIENTS_PER_DC,
+        clients: Clients::Closed {
+            workload: WorkloadSpec::paper_default(),
+            per_dc: CLIENTS_PER_DC,
+        },
         seed: 17,
     }
 }
@@ -183,7 +185,7 @@ fn okapi_2dc_params() -> ClusterParams {
 #[test]
 fn link_state_stays_within_2_kb_per_node() {
     let nodes = 2 * (64 + CLIENTS_PER_DC as usize);
-    let mut sim = build_cluster_with::<Okapi>(&okapi_2dc_params(), SchedKind::Calendar);
+    let mut sim = build_cluster::<Okapi>(&okapi_2dc_params(), SchedKind::Calendar);
     sim.start();
     sim.run_until(5_000_000);
     let bytes = sim.link_state_bytes();
@@ -203,7 +205,7 @@ fn link_state_stays_within_2_kb_per_node() {
 /// or one more allocation per message, crosses the ceiling.
 #[test]
 fn okapi_operations_stay_within_13_allocations_each() {
-    let mut sim = build_cluster_with::<Okapi>(&okapi_2dc_params(), SchedKind::Calendar);
+    let mut sim = build_cluster::<Okapi>(&okapi_2dc_params(), SchedKind::Calendar);
     sim.start();
     sim.run_until(2_000_000);
     sim.metrics_mut().enabled = true;

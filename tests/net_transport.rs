@@ -4,23 +4,27 @@
 //! with the same checker used for simulated runs.
 
 use contrarian::harness::check_causal;
-use contrarian::protocol::build_net_cluster;
+use contrarian::net::NetCluster;
+use contrarian::protocol::{build_nodes, Clients};
 use contrarian::types::{ClusterConfig, HistoryEvent, Key, Op};
 use contrarian::workload::WorkloadSpec;
 use std::time::Duration;
 
-fn net_config() -> (ClusterConfig, WorkloadSpec) {
+fn net_config() -> (ClusterConfig, Clients) {
     (
         ClusterConfig::small().for_wall_clock(),
-        WorkloadSpec::paper_default().with_rot_size(2),
+        Clients::Closed {
+            workload: WorkloadSpec::paper_default().with_rot_size(2),
+            per_dc: 4,
+        },
     )
 }
 
 #[test]
 fn tcp_contrarian_cluster_is_causally_consistent() {
-    let (cfg, wl) = net_config();
-    let cluster =
-        build_net_cluster::<contrarian::core_protocol::Contrarian>(&cfg, &wl, 4, 111, true);
+    let (cfg, clients) = net_config();
+    let nodes = build_nodes::<contrarian::core_protocol::Contrarian>(&cfg, &clients, 111);
+    let cluster = NetCluster::start(nodes, true, 111);
     std::thread::sleep(Duration::from_millis(300));
     cluster.stop_issuing();
     std::thread::sleep(Duration::from_millis(100));
@@ -37,8 +41,9 @@ fn tcp_contrarian_cluster_is_causally_consistent() {
 
 #[test]
 fn tcp_okapi_cluster_is_causally_consistent() {
-    let (cfg, wl) = net_config();
-    let cluster = build_net_cluster::<contrarian::okapi::Okapi>(&cfg, &wl, 4, 113, true);
+    let (cfg, clients) = net_config();
+    let nodes = build_nodes::<contrarian::okapi::Okapi>(&cfg, &clients, 113);
+    let cluster = NetCluster::start(nodes, true, 113);
     std::thread::sleep(Duration::from_millis(300));
     cluster.stop_issuing();
     std::thread::sleep(Duration::from_millis(100));
@@ -51,7 +56,6 @@ fn tcp_okapi_cluster_is_causally_consistent() {
 #[test]
 fn tcp_interactive_injection_round_trips() {
     use contrarian::clock::PhysicalClockModel;
-    use contrarian::net::NetCluster;
     use contrarian::types::{Addr, DcId, PartitionId};
     use contrarian::workload::OpSource;
 

@@ -5,26 +5,26 @@
 
 use contrarian::clock::Hlc;
 use contrarian::harness::check_causal;
-use contrarian::harness::experiment::{run_experiment, ExperimentConfig, Protocol};
+use contrarian::harness::experiment::{run_recorded, Clients, Protocol, RunSpec};
 use contrarian::sim::cost::CostModel;
 use contrarian::types::{ClusterConfig, DepVector, HistoryEvent, Key, VersionId};
+use contrarian::workload::WorkloadSpec;
 use proptest::prelude::*;
 
-fn functional_cfg(
-    protocol: Protocol,
-    seed: u64,
-    dcs: u8,
-    clients: u16,
-    w: f64,
-) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::functional(protocol);
-    cfg.cluster = ClusterConfig::small().with_dcs(dcs);
-    cfg.clients_per_dc = clients;
-    cfg.workload = cfg.workload.with_write_ratio(w);
-    cfg.seed = seed;
-    cfg.measure_ns = 15_000_000;
-    cfg.cost = CostModel::functional();
-    cfg
+fn functional_cfg(protocol: Protocol, seed: u64, dcs: u8, clients: u16, w: f64) -> RunSpec {
+    RunSpec {
+        cluster: ClusterConfig::small().with_dcs(dcs),
+        clients: Clients::Closed {
+            workload: WorkloadSpec::paper_default()
+                .with_rot_size(2)
+                .with_write_ratio(w),
+            per_dc: clients,
+        },
+        seed,
+        measure_ns: 15_000_000,
+        cost: CostModel::functional(),
+        ..RunSpec::functional(protocol)
+    }
 }
 
 proptest! {
@@ -38,7 +38,7 @@ proptest! {
         clients in 2u16..6,
         w in 0.05f64..0.5,
     ) {
-        let r = run_experiment(&functional_cfg(Protocol::Contrarian, seed, dcs, clients, w));
+        let r = run_recorded(&functional_cfg(Protocol::Contrarian, seed, dcs, clients, w));
         let report = check_causal(&r.history);
         prop_assert!(report.ok(), "{:?}", report.violations.first());
     }
@@ -51,7 +51,7 @@ proptest! {
         clients in 2u16..6,
         w in 0.05f64..0.5,
     ) {
-        let r = run_experiment(&functional_cfg(Protocol::CcLo, seed, dcs, clients, w));
+        let r = run_recorded(&functional_cfg(Protocol::CcLo, seed, dcs, clients, w));
         let report = check_causal(&r.history);
         prop_assert!(report.ok(), "{:?}", report.violations.first());
     }
@@ -103,7 +103,7 @@ proptest! {
     /// a guaranteed read-your-writes violation.
     #[test]
     fn checker_catches_injected_staleness(seed in 0u64..300) {
-        let r = run_experiment(&functional_cfg(Protocol::Contrarian, seed, 1, 4, 0.4));
+        let r = run_recorded(&functional_cfg(Protocol::Contrarian, seed, 1, 4, 0.4));
         prop_assume!(check_causal(&r.history).ok());
         let mut history = r.history.clone();
         // Find a PUT followed (in the same client's session) by a ROT that
@@ -247,8 +247,8 @@ proptest! {
 #[test]
 fn simulation_is_reproducible() {
     let cfg = functional_cfg(Protocol::Contrarian, 42, 1, 4, 0.2);
-    let a = run_experiment(&cfg);
-    let b = run_experiment(&cfg);
+    let a = run_recorded(&cfg);
+    let b = run_recorded(&cfg);
     assert_eq!(a.history.len(), b.history.len());
     assert_eq!(a.throughput_kops, b.throughput_kops);
 }
