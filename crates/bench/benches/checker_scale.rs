@@ -37,7 +37,7 @@ fn history_at(partitions: u16) -> Vec<HistoryEvent> {
     };
     cfg.measure_ns = 15_000_000;
     cfg.cost = CostModel::functional();
-    run_recorded(&cfg).history
+    run_recorded(&cfg).1
 }
 
 fn bench_checker_scale(c: &mut Criterion) {

@@ -1,14 +1,18 @@
 //! One Criterion group per paper table/figure: each bench runs a
 //! scaled-down, deterministic instance of the corresponding experiment end
 //! to end. Full-size regeneration lives in the `contrarian-harness`
-//! binaries; these benches keep every experiment's machinery exercised (and
+//! binary's scenarios; these benches keep every experiment's machinery exercised (and
 //! timed) on every `cargo bench`.
 
 use contrarian_bench::{bench_cluster, bench_scale};
-use contrarian_harness::experiment::{run_experiment, Clients, Protocol, RunSpec};
+use contrarian_harness::experiment::{Clients, Protocol, RunSpec};
 use contrarian_harness::theory;
 use contrarian_workload::WorkloadSpec;
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
+};
+use std::fmt::Display;
+use std::time::Duration;
 
 fn mini_experiment(protocol: Protocol, dcs: u8, workload: WorkloadSpec) -> RunSpec {
     mini_experiment_with(protocol, dcs, workload, bench_scale().load_points[0])
@@ -30,18 +34,24 @@ fn mini_experiment_with(
     }
 }
 
+/// A figure group with the shared sampling settings.
+fn group<'a>(c: &'a mut Criterion, name: &str) -> BenchmarkGroup<'a> {
+    let mut g = c.benchmark_group(name);
+    g.sample_size(10);
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(2));
+    g
+}
+
 fn run(cfg: &RunSpec) -> f64 {
-    let r = run_experiment(cfg);
-    assert!(r.throughput_kops > 0.0);
-    r.throughput_kops
+    let tput = contrarian_harness::run(cfg).throughput_kops();
+    assert!(tput > 0.0);
+    tput
 }
 
 /// Figure 4: Contrarian 1½-round vs 2-round vs Cure (2 DCs).
 fn bench_fig4(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig4");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
+    let mut g = group(c, "fig4");
     let wl = WorkloadSpec::paper_default();
     for p in [
         Protocol::Contrarian,
@@ -58,10 +68,7 @@ fn bench_fig4(c: &mut Criterion) {
 
 /// Figure 5: Contrarian vs CC-LO, 1 and 2 DCs.
 fn bench_fig5(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig5");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
+    let mut g = group(c, "fig5");
     let wl = WorkloadSpec::paper_default();
     for dcs in [1u8, 2] {
         for p in [Protocol::Contrarian, Protocol::CcLo] {
@@ -78,10 +85,7 @@ fn bench_fig5(c: &mut Criterion) {
 
 /// Figure 6: readers-check statistics collection (CC-LO).
 fn bench_fig6(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig6");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
+    let mut g = group(c, "fig6");
     let cfg = mini_experiment_with(
         Protocol::CcLo,
         1,
@@ -90,7 +94,7 @@ fn bench_fig6(c: &mut Criterion) {
     );
     g.bench_function("readers_check_stats", |b| {
         b.iter(|| {
-            let r = run_experiment(&cfg);
+            let r = contrarian_harness::run(&cfg);
             assert!(r.counter(contrarian_cclo::stats::CHECKS) > 0);
             black_box(r.counter(contrarian_cclo::stats::CHECK_IDS_CUM))
         })
@@ -98,80 +102,51 @@ fn bench_fig6(c: &mut Criterion) {
     g.finish();
 }
 
-/// Figure 7: write-intensity sweep.
+/// Figures 7–9 and Section 5.8: Contrarian vs CC-LO on one DC at two
+/// values of one workload parameter, one row `{protocol}_{tag}{value}` each.
+fn bench_grid<V: Copy + Display>(
+    c: &mut Criterion,
+    name: &str,
+    tag: &str,
+    values: [V; 2],
+    workload: impl Fn(V) -> WorkloadSpec,
+) {
+    let mut g = group(c, name);
+    for v in values {
+        for p in [Protocol::Contrarian, Protocol::CcLo] {
+            let cfg = mini_experiment(p, 1, workload(v));
+            g.bench_with_input(
+                BenchmarkId::from_parameter(format!("{}_{tag}{v}", p.label())),
+                &cfg,
+                |b, cfg| b.iter(|| black_box(run(cfg))),
+            );
+        }
+    }
+    g.finish();
+}
+
 fn bench_fig7(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig7");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    for w in [0.01f64, 0.1] {
-        for p in [Protocol::Contrarian, Protocol::CcLo] {
-            let cfg = mini_experiment(p, 1, WorkloadSpec::paper_default().with_write_ratio(w));
-            g.bench_with_input(
-                BenchmarkId::from_parameter(format!("{}_w{}", p.label(), w)),
-                &cfg,
-                |b, cfg| b.iter(|| black_box(run(cfg))),
-            );
-        }
-    }
-    g.finish();
+    bench_grid(c, "fig7", "w", [0.01, 0.1], |w| {
+        WorkloadSpec::paper_default().with_write_ratio(w)
+    });
 }
 
-/// Figure 8: skew sweep.
 fn bench_fig8(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig8");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    for z in [0.0f64, 0.99] {
-        for p in [Protocol::Contrarian, Protocol::CcLo] {
-            let cfg = mini_experiment(p, 1, WorkloadSpec::paper_default().with_zipf(z));
-            g.bench_with_input(
-                BenchmarkId::from_parameter(format!("{}_z{}", p.label(), z)),
-                &cfg,
-                |b, cfg| b.iter(|| black_box(run(cfg))),
-            );
-        }
-    }
-    g.finish();
+    bench_grid(c, "fig8", "z", [0.0, 0.99], |z| {
+        WorkloadSpec::paper_default().with_zipf(z)
+    });
 }
 
-/// Figure 9: ROT-size sweep.
 fn bench_fig9(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig9");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    for rot_size in [4u16, 8] {
-        for p in [Protocol::Contrarian, Protocol::CcLo] {
-            let cfg = mini_experiment(p, 1, WorkloadSpec::paper_default().with_rot_size(rot_size));
-            g.bench_with_input(
-                BenchmarkId::from_parameter(format!("{}_p{}", p.label(), rot_size)),
-                &cfg,
-                |b, cfg| b.iter(|| black_box(run(cfg))),
-            );
-        }
-    }
-    g.finish();
+    bench_grid(c, "fig9", "p", [4, 8], |p| {
+        WorkloadSpec::paper_default().with_rot_size(p)
+    });
 }
 
-/// Section 5.8: value-size sweep.
 fn bench_value_size(c: &mut Criterion) {
-    let mut g = c.benchmark_group("value_size");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    for bsize in [8usize, 2048] {
-        for p in [Protocol::Contrarian, Protocol::CcLo] {
-            let cfg = mini_experiment(p, 1, WorkloadSpec::paper_default().with_value_size(bsize));
-            g.bench_with_input(
-                BenchmarkId::from_parameter(format!("{}_b{}", p.label(), bsize)),
-                &cfg,
-                |b, cfg| b.iter(|| black_box(run(cfg))),
-            );
-        }
-    }
-    g.finish();
+    bench_grid(c, "value_size", "b", [8, 2048], |b| {
+        WorkloadSpec::paper_default().with_value_size(b)
+    });
 }
 
 /// Table 2 rendering (trivial, but keeps the artifact exercised).
@@ -183,10 +158,7 @@ fn bench_table2(c: &mut Criterion) {
 
 /// Section 6: the theory harness (scenario + small distinguishability run).
 fn bench_theory(c: &mut Criterion) {
-    let mut g = c.benchmark_group("theory");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
+    let mut g = group(c, "theory");
     g.bench_function("cclo_scenario", |b| {
         b.iter(|| {
             let res = theory::run_cclo_scenario(black_box(&[0, 1, 2, 3]));
@@ -207,10 +179,7 @@ fn bench_theory(c: &mut Criterion) {
 /// Ablation: the dep-precise old-readers refinement (DESIGN.md §9) vs the
 /// faithful general definition.
 fn bench_ablation_dep_precise(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_dep_precise");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
+    let mut g = group(c, "ablation_dep_precise");
     for precise in [false, true] {
         let mut cfg = mini_experiment(Protocol::CcLo, 1, WorkloadSpec::paper_default());
         cfg.cluster.cclo_dep_precise_old_readers = precise;
@@ -228,10 +197,7 @@ fn bench_ablation_dep_precise(c: &mut Criterion) {
 /// workload where the fan-out cost dominates.
 fn bench_ablation_adaptive(c: &mut Criterion) {
     use contrarian_types::RotMode;
-    let mut g = c.benchmark_group("ablation_adaptive_rot_mode");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
+    let mut g = group(c, "ablation_adaptive_rot_mode");
     let wl = WorkloadSpec::paper_default().with_rot_size(8);
     for (label, mode) in [
         ("one_half", RotMode::OneHalfRound),
@@ -250,10 +216,7 @@ fn bench_ablation_adaptive(c: &mut Criterion) {
 /// Ablation: stabilization topology (star vs all-to-all).
 fn bench_ablation_stabilization(c: &mut Criterion) {
     use contrarian_types::StabilizationTopology;
-    let mut g = c.benchmark_group("ablation_stabilization");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
+    let mut g = group(c, "ablation_stabilization");
     for topo in [StabilizationTopology::Star, StabilizationTopology::AllToAll] {
         let mut cfg = mini_experiment(Protocol::Contrarian, 2, WorkloadSpec::paper_default());
         cfg.cluster.stab_topology = topo;

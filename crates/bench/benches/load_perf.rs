@@ -29,8 +29,8 @@
 //! dominated by simulator event count, so mean ns/iter tracks events
 //! processed, not latency quality.
 
-use contrarian_harness::experiment::{run_sim, Observe, Protocol, RunSpec};
-use contrarian_harness::load::{run_load_sim, run_load_sim_checked};
+use contrarian_harness::experiment::{run, run_sim, Observe, Protocol, RunSpec};
+use contrarian_harness::load::run_load_sim_checked;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn cfg(protocol: Protocol, offered: f64) -> RunSpec {
@@ -55,7 +55,7 @@ fn bench_points(c: &mut Criterion) {
             |b, &p| {
                 let conf = cfg(p, 6_000.0);
                 b.iter(|| {
-                    let r = run_load_sim(&conf);
+                    let r = run(&conf);
                     assert!(r.completed_ops > 0);
                     r.completed_ops
                 });
@@ -65,7 +65,7 @@ fn bench_points(c: &mut Criterion) {
     g.bench_function("overload/contrarian", |b| {
         let conf = cfg(Protocol::Contrarian, 200_000.0);
         b.iter(|| {
-            let r = run_load_sim(&conf);
+            let r = run(&conf);
             assert!(r.saturated, "200 Kops/s must saturate the small cluster");
             r.completed_ops
         });

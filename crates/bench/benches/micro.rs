@@ -528,7 +528,7 @@ fn bench_checker(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(2));
-    let history = run_recorded(&RunSpec::functional(Protocol::Contrarian)).history;
+    let history = run_recorded(&RunSpec::functional(Protocol::Contrarian)).1;
     g.bench_function("check_causal", |b| {
         b.iter(|| {
             let r = contrarian_harness::check_causal(black_box(&history));

@@ -11,8 +11,8 @@
 //!   protocol execution cost of regenerating the result).
 //!
 //! The full-size experiments (the actual figures) are regenerated by the
-//! `contrarian-harness` binaries (`fig4` … `fig9`, `value_size`, `theory`),
-//! not by Criterion.
+//! `contrarian-harness` binary's scenarios (`fig4` … `fig9`, `value_size`,
+//! `theory`), not by Criterion.
 
 /// Shared scaled-down experiment configuration used by the `figures` bench.
 pub fn bench_scale() -> contrarian_harness::experiment::Scale {

@@ -1,17 +1,19 @@
 //! Running one measured experiment (one protocol, one cluster, one load):
-//! the [`RunSpec`] every simulated run is described by, and [`run_sim`],
-//! the one loop that drives it.
+//! the [`RunSpec`] every run is described by, [`run_sim`], the one loop
+//! that drives it on the simulator, the [`Report`] that summarizes any run,
+//! and [`sweep`], the one driver that repeats a run along an axis.
 
 pub use contrarian_protocol::Clients;
 use contrarian_protocol::{build_cluster, ClusterParams, ProtoNode, ProtocolSpec};
 use contrarian_runtime::cost::CostModel;
-use contrarian_runtime::metrics::{LoadReport, Metrics};
+use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::window::WindowSeries;
 use contrarian_sim::sim::Sim;
 use contrarian_sim::{Lookahead, SchedKind};
 use contrarian_types::{ClusterConfig, HistoryEvent, RotMode, TraceEvent};
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Which of the four systems to run (Contrarian in either ROT mode).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -150,21 +152,33 @@ impl Scale {
         }
     }
 
-    /// Reads [`contrarian_runtime::env::SCALE`] (see [`Scale::parse`]).
-    pub fn from_env() -> Self {
-        Self::parse(contrarian_runtime::env::var(contrarian_runtime::env::SCALE).as_deref())
+    /// The values `CONTRARIAN_SCALE` accepts.
+    pub const NAMES: [&'static str; 5] = ["smoke", "quick", "paper", "large", "xlarge"];
+
+    /// Checks a `CONTRARIAN_SCALE` value; an unknown one is an error that
+    /// names every valid value.
+    pub fn check(value: &str) -> Result<&'static str, String> {
+        Self::NAMES
+            .into_iter()
+            .find(|name| *name == value)
+            .ok_or_else(|| {
+                format!(
+                    "CONTRARIAN_SCALE must be one of {} (or unset), got `{value}`",
+                    Self::NAMES.join(", ")
+                )
+            })
     }
 
-    /// Parses a `CONTRARIAN_SCALE` value; unset or unrecognized is
-    /// [`Scale::quick`].
-    pub fn parse(value: Option<&str>) -> Self {
-        match value {
-            Some("smoke") => Scale::smoke(),
-            Some("paper") => Scale::paper(),
-            Some("large") => Scale::large(),
-            Some("xlarge") => Scale::xlarge(),
+    /// Parses a `CONTRARIAN_SCALE` value: unset is [`Scale::quick`], an
+    /// unknown value is an error (see [`Scale::check`]).
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        Ok(match Self::check(value.unwrap_or("quick"))? {
+            "smoke" => Scale::smoke(),
+            "paper" => Scale::paper(),
+            "large" => Scale::large(),
+            "xlarge" => Scale::xlarge(),
             _ => Scale::quick(),
-        }
+        })
     }
 }
 
@@ -194,11 +208,21 @@ pub struct RunSpec {
 impl RunSpec {
     /// The paper's default workload on the paper's default platform.
     pub fn paper_default(protocol: Protocol) -> Self {
+        Self::closed(
+            protocol,
+            ClusterConfig::paper_default(),
+            WorkloadSpec::paper_default(),
+        )
+    }
+
+    /// The paper's run defaults on `cluster`, with 64 closed-loop clients
+    /// per DC issuing `workload` (a load curve sets the count per point).
+    pub fn closed(protocol: Protocol, cluster: ClusterConfig, workload: WorkloadSpec) -> Self {
         RunSpec {
             protocol,
-            cluster: ClusterConfig::paper_default(),
+            cluster,
             clients: Clients::Closed {
-                workload: WorkloadSpec::paper_default(),
+                workload,
                 per_dc: 64,
             },
             warmup_ns: 200_000_000,
@@ -255,6 +279,16 @@ impl RunSpec {
         spec
     }
 
+    /// The same closed-loop spec with `per_dc` clients per DC (sweep step).
+    pub fn with_clients_per_dc(&self, per_dc: u16) -> Self {
+        let mut spec = self.clone();
+        match &mut spec.clients {
+            Clients::Closed { per_dc: n, .. } => *n = per_dc,
+            other => panic!("a client count needs closed-loop clients, not {other:?}"),
+        }
+        spec
+    }
+
     /// The open-loop offered rate; closed-loop clients offer none (0).
     pub fn offered_ops_per_sec(&self) -> f64 {
         match &self.clients {
@@ -279,48 +313,130 @@ impl RunSpec {
         }
     }
 
-    /// The closed-loop summary of a run's metrics.
-    pub fn run_result(&self, m: &Metrics) -> RunResult {
-        let secs = self.measure_ns as f64 / 1e9;
-        RunResult {
+    /// Summarizes the measured window's metrics of a run of this spec.
+    ///
+    /// Degenerate inputs are explicit, not accidental: a zero window
+    /// yields no goodput, no utilization and `saturated = false` (there
+    /// was no window to fall behind in), and closed-loop clients, which
+    /// offer no rate, never saturate.
+    pub fn report(&self, m: &Metrics) -> Report {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        let mut all = m.rot_latency.clone();
+        all.merge(&m.put_latency);
+        let window_ns = self.measure_ns as f64;
+        let secs = window_ns / 1e9;
+        let achieved = if secs > 0.0 {
+            m.ops_done() as f64 / secs
+        } else {
+            0.0
+        };
+        // Aggregate busy time per second of window: "busy cores".
+        let busy_cores = if secs > 0.0 {
+            m.busy_ns as f64 / window_ns
+        } else {
+            0.0
+        };
+        let offered = self.offered_ops_per_sec();
+        Report {
             protocol: self.protocol,
             clients_per_dc: self.clients.layout(self.cluster.n_dcs).1,
-            throughput_kops: m.ops_done() as f64 / secs / 1e3,
+            offered_ops_per_sec: offered,
+            achieved_ops_per_sec: achieved,
+            completed_ops: m.ops_done(),
             avg_rot_ms: m.rot_latency.mean() / 1e6,
-            p99_rot_ms: m.rot_latency.percentile(99.0) as f64 / 1e6,
+            p99_rot_ms: ms(m.rot_latency.percentile(99.0)),
             avg_put_ms: m.put_latency.mean() / 1e6,
-            p99_put_ms: m.put_latency.percentile(99.0) as f64 / 1e6,
+            p99_put_ms: ms(m.put_latency.percentile(99.0)),
+            mean_ms: all.mean() / 1e6,
+            p50_ms: ms(all.percentile(50.0)),
+            p99_ms: ms(all.percentile(99.0)),
+            p999_ms: ms(all.percentile(99.9)),
+            max_ms: ms(all.max()),
+            utilization: busy_cores / self.cluster.n_servers().max(1) as f64,
+            vis_p50_ms: ms(m.vis_staleness.percentile(50.0)),
+            vis_p99_ms: ms(m.vis_staleness.percentile(99.0)),
+            saturated: secs > 0.0
+                && offered > 0.0
+                && achieved < Report::SATURATION_GOODPUT_FRACTION * offered,
             counters: m.counters.clone(),
-            history: Vec::new(),
         }
-    }
-
-    /// The open-loop summary of a run's metrics, with utilization per
-    /// server.
-    pub fn load_report(&self, m: &Metrics) -> LoadReport {
-        LoadReport::from_metrics(m, self.offered_ops_per_sec(), self.measure_ns)
-            .normalize_utilization(self.cluster.n_servers())
     }
 }
 
-/// The measured outcome of one closed-loop run.
+/// The summary of one measured run — closed- or open-loop, simulated or
+/// over TCP ([`RunSpec::report`]). Latencies are in ms. The all-ops
+/// distribution folds ROTs and PUTs together: under an open-loop driver
+/// both queue behind the same arrival calendar, and their clocks start at
+/// the *scheduled* arrival, so driver queueing is part of every percentile.
 #[derive(Clone, Debug)]
-pub struct RunResult {
+pub struct Report {
     pub protocol: Protocol,
     pub clients_per_dc: u16,
-    pub throughput_kops: f64,
+    /// What the open-loop schedule asked for; 0 for closed-loop clients.
+    pub offered_ops_per_sec: f64,
+    /// Completions per second of measured window (goodput).
+    pub achieved_ops_per_sec: f64,
+    pub completed_ops: u64,
     pub avg_rot_ms: f64,
     pub p99_rot_ms: f64,
     pub avg_put_ms: f64,
     pub p99_put_ms: f64,
+    pub mean_ms: f64,
+    pub p50_ms: f64,
+    pub p99_ms: f64,
+    pub p999_ms: f64,
+    pub max_ms: f64,
+    /// Server busy time per second of window, averaged over the servers.
+    pub utilization: f64,
+    /// Visibility staleness of remote installs (now − origin-write time),
+    /// median / 99th. Zero when the run recorded none (single DC).
+    pub vis_p50_ms: f64,
+    pub vis_p99_ms: f64,
+    /// Goodput fell below [`Report::SATURATION_GOODPUT_FRACTION`] of the
+    /// offered rate: the backend can't keep up and the arrival backlog
+    /// grows without bound.
+    pub saturated: bool,
     pub counters: BTreeMap<&'static str, u64>,
-    /// The recorded history ([`run_recorded`]); empty otherwise.
-    pub history: Vec<HistoryEvent>,
 }
 
-impl RunResult {
+impl Report {
+    /// Goodput below this fraction of the offered rate marks a run
+    /// saturated.
+    pub const SATURATION_GOODPUT_FRACTION: f64 = 0.95;
+
+    /// Goodput in thousands of ops/s, the figures' throughput axis.
+    pub fn throughput_kops(&self) -> f64 {
+        self.achieved_ops_per_sec / 1e3
+    }
+
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
+    }
+}
+
+/// One log line per run, the same for every scenario and runtime.
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:<13} clients/DC={:<4} offered={:>9.0}/s achieved={:>9.0}/s | ROT avg={:.3} p99={:.3} \
+             | PUT avg={:.3} | op p50={:.3} p99={:.3} p999={:.3} | vis p50={:.3} p99={:.3} ms \
+             | util={:.2}{}",
+            self.protocol.label(),
+            self.clients_per_dc,
+            self.offered_ops_per_sec,
+            self.achieved_ops_per_sec,
+            self.avg_rot_ms,
+            self.p99_rot_ms,
+            self.avg_put_ms,
+            self.p50_ms,
+            self.p99_ms,
+            self.p999_ms,
+            self.vis_p50_ms,
+            self.vis_p99_ms,
+            self.utilization,
+            if self.saturated { "  SATURATED" } else { "" }
+        )
     }
 }
 
@@ -346,7 +462,7 @@ pub struct Observe<'a> {
 #[derive(Debug)]
 pub struct SimRun {
     /// The measured window's metrics: summarize them with
-    /// [`RunSpec::run_result`] or [`RunSpec::load_report`].
+    /// [`RunSpec::report`].
     pub metrics: Metrics,
     /// One [`contrarian_runtime::window::MetricsWindow`] per slice of the
     /// measured window.
@@ -414,15 +530,15 @@ fn drive<P: ProtocolSpec>(spec: &RunSpec, mut observe: Observe<'_>) -> SimRun {
     }
 }
 
-/// Runs one closed-loop experiment without recording (see [`run_sim`]).
-pub fn run_experiment(spec: &RunSpec) -> RunResult {
-    spec.run_result(&run_sim(spec, Observe::default()).metrics)
+/// Runs `spec` on the simulator without recording (see [`run_sim`]).
+pub fn run(spec: &RunSpec) -> Report {
+    spec.report(&run_sim(spec, Observe::default()).metrics)
 }
 
-/// [`run_experiment`] with recording on: the full history rides home in
-/// the result. Long recorded runs should stream it through
+/// [`run`] with recording on: the full history comes back beside the
+/// report. Long recorded runs should stream it through
 /// [`Observe::history`] instead.
-pub fn run_recorded(spec: &RunSpec) -> RunResult {
+pub fn run_recorded(spec: &RunSpec) -> (Report, Vec<HistoryEvent>) {
     let mut history = Vec::new();
     let run = run_sim(
         spec,
@@ -431,24 +547,22 @@ pub fn run_recorded(spec: &RunSpec) -> RunResult {
             trace: false,
         },
     );
-    RunResult {
-        history,
-        ..spec.run_result(&run.metrics)
-    }
+    (spec.report(&run.metrics), history)
 }
 
-/// One named throughput/latency curve (one line of a figure).
+/// One named curve of reports: one line of a figure, or one backend's
+/// offered-rate ramp.
 #[derive(Clone, Debug)]
 pub struct Series {
     pub name: String,
-    pub points: Vec<RunResult>,
+    pub points: Vec<Report>,
 }
 
 impl Series {
     pub fn peak_throughput(&self) -> f64 {
         self.points
             .iter()
-            .map(|r| r.throughput_kops)
+            .map(Report::throughput_kops)
             .fold(0.0, f64::max)
     }
 
@@ -456,98 +570,79 @@ impl Series {
     pub fn low_load_rot_ms(&self) -> f64 {
         self.points.first().map(|r| r.avg_rot_ms).unwrap_or(0.0)
     }
-}
 
-/// Runs a load sweep (one run per client count) for one protocol.
-pub fn sweep_series(
-    name: &str,
-    protocol: Protocol,
-    cluster: ClusterConfig,
-    workload: WorkloadSpec,
-    scale: &Scale,
-    seed: u64,
-) -> Series {
-    let mut points = Vec::with_capacity(scale.load_points.len());
-    for &clients in &scale.load_points {
-        let spec = RunSpec {
-            cluster: cluster.clone(),
-            clients: Clients::Closed {
-                workload: workload.clone(),
-                per_dc: clients,
-            },
-            warmup_ns: scale.warmup_ns,
-            measure_ns: scale.measure_ns,
-            seed,
-            ..RunSpec::paper_default(protocol)
-        };
-        let r = run_experiment(&spec);
-        eprintln!(
-            "  [{name}] clients/DC={clients:<4} tput={:8.1} Kops/s  rot avg={:.3} ms p99={:.3} ms  put avg={:.3} ms",
-            r.throughput_kops, r.avg_rot_ms, r.p99_rot_ms, r.avg_put_ms
-        );
-        points.push(r);
+    /// The saturation knee: the last point the backend kept up with.
+    /// `None` when even the first point saturated.
+    pub fn knee(&self) -> Option<&Report> {
+        self.points.iter().rev().find(|p| !p.saturated)
     }
-    Series {
-        name: name.to_string(),
-        points,
+
+    /// Did the ramp actually cross into saturation?
+    pub fn saturated(&self) -> bool {
+        self.points.last().is_some_and(|p| p.saturated)
     }
 }
 
-/// A named (protocol, cluster, workload) combination to sweep — one line
-/// of a figure.
-#[derive(Clone)]
-pub struct SweepSpec {
-    pub name: String,
-    pub protocol: Protocol,
-    pub cluster: ClusterConfig,
-    pub workload: WorkloadSpec,
-}
-
-impl SweepSpec {
-    pub fn new(
-        name: impl Into<String>,
-        protocol: Protocol,
-        cluster: ClusterConfig,
-        workload: WorkloadSpec,
-    ) -> Self {
-        SweepSpec {
-            name: name.into(),
-            protocol,
-            cluster,
-            workload,
+/// Runs `points` in order with `run`, stopping after the first report
+/// `until` accepts. This is the one sweep driver: a figure curve is a
+/// client-count axis that never stops early ([`load_curve`]), a saturation
+/// ramp an offered-rate axis with `until = |r| r.saturated`. `run` picks
+/// the runtime: [`run`] for the simulator, a [`crate::run_net`] call for
+/// TCP.
+pub fn sweep(
+    points: impl IntoIterator<Item = RunSpec>,
+    mut run: impl FnMut(&RunSpec) -> Report,
+    mut until: impl FnMut(&Report) -> bool,
+) -> Vec<Report> {
+    let mut reports = Vec::new();
+    for spec in points {
+        let report = run(&spec);
+        let stop = until(&report);
+        reports.push(report);
+        if stop {
+            break;
         }
     }
+    reports
 }
 
-/// Runs one load sweep per spec — the boilerplate every figure binary used
-/// to repeat, folded onto [`sweep_series`].
-pub fn sweep_grid(
-    specs: impl IntoIterator<Item = SweepSpec>,
-    scale: &Scale,
-    seed: u64,
-) -> Vec<Series> {
-    specs
-        .into_iter()
-        .map(|s| sweep_series(&s.name, s.protocol, s.cluster, s.workload, scale, seed))
-        .collect()
+/// A closed-loop load curve on the simulator: `base` at every client count
+/// of `scale`, in `scale`'s warmup and measured windows.
+pub fn load_curve(name: String, base: &RunSpec, scale: &Scale) -> Series {
+    let points = scale.load_points.iter().map(|&per_dc| RunSpec {
+        warmup_ns: scale.warmup_ns,
+        measure_ns: scale.measure_ns,
+        ..base.with_clients_per_dc(per_dc)
+    });
+    let points = sweep(
+        points,
+        |spec| {
+            let r = run(spec);
+            eprintln!("  [{name}] {r}");
+            r
+        },
+        |_| false,
+    );
+    Series { name, points }
 }
 
-/// The commonest grid: the Contrarian-vs-CC-LO pair for every value of one
-/// workload parameter (the write-intensity, skew, ROT-size and value-size
-/// sweeps of Figures 7–9 and Section 5.8).
-pub fn contrarian_vs_cclo_over<V: Copy>(
+/// The Contrarian-vs-CC-LO grid of Figures 5, 7–9 and Section 5.8: for
+/// every value of one parameter, a Contrarian then a CC-LO load curve of
+/// `spec(protocol, value)`, named `"{protocol} {label(value)}"`.
+pub fn contrarian_vs_cclo<V: Copy>(
     values: &[V],
-    cluster: &ClusterConfig,
-    label: impl Fn(Protocol, V) -> String,
-    workload: impl Fn(V) -> WorkloadSpec,
-) -> Vec<SweepSpec> {
-    values
-        .iter()
-        .flat_map(|&v| {
-            [Protocol::Contrarian, Protocol::CcLo]
-                .map(|p| SweepSpec::new(label(p, v), p, cluster.clone(), workload(v)))
-        })
-        .collect()
+    scale: &Scale,
+    label: impl Fn(V) -> String,
+    spec: impl Fn(Protocol, V) -> RunSpec,
+) -> Vec<Series> {
+    let mut series = Vec::with_capacity(2 * values.len());
+    for &v in values {
+        for p in [Protocol::Contrarian, Protocol::CcLo] {
+            let name = format!("{} {}", p.label(), label(v));
+            series.push(load_curve(name, &spec(p, v), scale));
+        }
+    }
+    series
 }
 
 #[cfg(test)]
@@ -556,39 +651,48 @@ mod tests {
 
     #[test]
     fn scale_parse_defaults_to_quick() {
-        let points = |v| Scale::parse(v).load_points;
+        let points = |v| Scale::parse(v).unwrap().load_points;
         assert_eq!(points(None), Scale::quick().load_points);
-        assert_eq!(points(Some("bogus")), Scale::quick().load_points);
         assert_eq!(points(Some("smoke")), Scale::smoke().load_points);
         assert_eq!(points(Some("xlarge")), Scale::xlarge().load_points);
     }
 
     #[test]
+    fn scale_parse_rejects_a_typo_naming_every_value() {
+        let err = Scale::parse(Some("smok")).unwrap_err();
+        assert!(err.contains("`smok`"), "{err}");
+        for name in Scale::NAMES {
+            assert!(err.contains(name), "{err} lacks {name}");
+            assert!(Scale::parse(Some(name)).is_ok());
+        }
+    }
+
+    #[test]
     fn functional_run_produces_history_and_metrics() {
-        let r = run_recorded(&RunSpec::functional(Protocol::Contrarian));
-        assert!(r.throughput_kops > 0.0);
-        assert!(!r.history.is_empty());
+        let (r, history) = run_recorded(&RunSpec::functional(Protocol::Contrarian));
+        assert!(r.throughput_kops() > 0.0);
+        assert!(!history.is_empty());
         assert!(r.avg_rot_ms > 0.0);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let spec = RunSpec::functional(Protocol::CcLo);
-        let a = run_recorded(&spec);
-        let b = run_recorded(&spec);
-        assert_eq!(a.throughput_kops, b.throughput_kops);
-        assert_eq!(a.history.len(), b.history.len());
+        let (a, ha) = run_recorded(&spec);
+        let (b, hb) = run_recorded(&spec);
+        assert_eq!(a.throughput_kops(), b.throughput_kops());
+        assert_eq!(ha.len(), hb.len());
     }
 
     #[test]
     fn different_seeds_differ() {
         let mut spec = RunSpec::functional(Protocol::Contrarian);
-        let a = run_recorded(&spec);
+        let (a, ha) = run_recorded(&spec);
         spec.seed = 8;
-        let b = run_recorded(&spec);
+        let (b, hb) = run_recorded(&spec);
         // Same scale, but not bit-identical histories.
-        assert_ne!(a.history.len(), 0);
-        assert!(a.history.len() != b.history.len() || a.throughput_kops != b.throughput_kops);
+        assert_ne!(ha.len(), 0);
+        assert!(ha.len() != hb.len() || a.throughput_kops() != b.throughput_kops());
     }
 
     #[test]
@@ -598,7 +702,7 @@ mod tests {
         // and neither recording nor the sink moves a metric.
         let spec = RunSpec::functional(Protocol::Contrarian);
         let mut streamed = Vec::new();
-        let run = run_sim(
+        let recorded = run_sim(
             &spec,
             Observe {
                 history: Some(&mut |ev| streamed.push(ev)),
@@ -616,22 +720,148 @@ mod tests {
         let buffered = sim.take_history();
         assert!(!buffered.is_empty());
         assert_eq!(format!("{streamed:?}"), format!("{buffered:?}"));
-        let unrecorded = run_experiment(&spec);
-        assert!(
-            unrecorded.history.is_empty(),
-            "unrecorded runs keep no history"
-        );
         assert_eq!(
-            spec.run_result(&run.metrics).throughput_kops,
-            unrecorded.throughput_kops
+            spec.report(&recorded.metrics).throughput_kops(),
+            run(&spec).throughput_kops()
         );
     }
 
     #[test]
     fn all_protocols_run() {
         for p in Protocol::ALL {
-            let r = run_experiment(&RunSpec::functional(p));
-            assert!(r.throughput_kops > 0.0, "{} made no progress", p.label());
+            let r = run(&RunSpec::functional(p));
+            assert!(r.throughput_kops() > 0.0, "{} made no progress", p.label());
         }
+    }
+
+    /// An open-loop spec offering `offered` ops/s over a 1 s window.
+    fn one_second(offered: f64) -> RunSpec {
+        RunSpec {
+            measure_ns: 1_000_000_000,
+            ..RunSpec::functional_open(Protocol::Contrarian, offered)
+        }
+    }
+
+    fn enabled() -> Metrics {
+        Metrics {
+            enabled: true,
+            ..Metrics::new()
+        }
+    }
+
+    #[test]
+    fn load_report_flags_saturation_from_goodput() {
+        let mut m = enabled();
+        for _ in 0..1000 {
+            m.rot_done(2_000_000);
+        }
+        // 1000 completions over 1 s against 1000 offered: keeping up.
+        let ok = one_second(1000.0).report(&m);
+        assert!(!ok.saturated);
+        assert_eq!(ok.completed_ops, 1000);
+        assert!((ok.achieved_ops_per_sec - 1000.0).abs() < 1e-9);
+        assert!((ok.throughput_kops() - 1.0).abs() < 1e-12);
+        assert!(ok.p50_ms > 1.8 && ok.p50_ms < 2.2);
+        // The same completions against 4000 offered: saturated.
+        assert!(one_second(4000.0).report(&m).saturated);
+    }
+
+    #[test]
+    fn load_report_zero_window_is_explicitly_unsaturated() {
+        let mut m = enabled();
+        m.rot_done(1_000_000);
+        let spec = RunSpec {
+            measure_ns: 0,
+            ..one_second(1000.0)
+        };
+        let r = spec.report(&m);
+        assert_eq!(r.achieved_ops_per_sec, 0.0);
+        assert!(!r.saturated, "no window means nothing fell behind");
+        assert_eq!(r.utilization, 0.0);
+        // Closed-loop clients offer no rate, so they can't saturate either.
+        let closed = RunSpec {
+            measure_ns: 1_000_000_000,
+            ..RunSpec::functional(Protocol::Contrarian)
+        };
+        let r2 = closed.report(&m);
+        assert_eq!(r2.offered_ops_per_sec, 0.0);
+        assert!(!r2.saturated);
+    }
+
+    #[test]
+    fn load_report_surfaces_utilization_and_staleness() {
+        let mut m = enabled();
+        m.rot_done(1_000_000);
+        m.busy_ns = 500_000_000;
+        m.vis_stale(2_000_000);
+        m.vis_stale(2_000_000);
+        let spec = one_second(10.0);
+        let r = spec.report(&m);
+        // Busy half the window in all, spread over every server.
+        let per_server = 0.5 / spec.cluster.n_servers() as f64;
+        assert!((r.utilization - per_server).abs() < 1e-12, "{r:?}");
+        assert!(r.vis_p50_ms > 1.8 && r.vis_p50_ms < 2.1);
+    }
+
+    #[test]
+    fn load_report_combines_rot_and_put_latencies() {
+        let mut m = enabled();
+        m.rot_done(1_000_000);
+        m.put_done(9_000_000);
+        let r = one_second(10.0).report(&m);
+        assert_eq!(r.completed_ops, 2);
+        assert!(r.max_ms > 8.0, "PUT latency must be in the fold");
+        assert!(r.mean_ms > 4.0 && r.mean_ms < 6.0);
+        assert!(r.avg_rot_ms < 1.1 && r.avg_put_ms > 8.0, "and apart: {r:?}");
+    }
+
+    #[test]
+    fn series_peak_and_low_load_are_extracted() {
+        let point = |tput_kops: f64, rot_ms: f64| Report {
+            achieved_ops_per_sec: tput_kops * 1e3,
+            avg_rot_ms: rot_ms,
+            ..RunSpec::functional(Protocol::Contrarian).report(&Metrics::new())
+        };
+        let s = Series {
+            name: "test".into(),
+            points: vec![point(50.0, 0.3), point(200.0, 0.5), point(180.0, 1.2)],
+        };
+        assert_eq!(s.peak_throughput(), 200.0);
+        assert_eq!(s.low_load_rot_ms(), 0.3);
+        assert!(
+            !s.saturated() && s.knee().is_some(),
+            "closed loops never saturate"
+        );
+    }
+
+    #[test]
+    fn sweep_stops_at_first_saturated_point() {
+        // Base rate is a placeholder: the ramp sets each point's rate.
+        let base = one_second(1.0);
+        let ramp = std::iter::successors(Some(1_000.0), |r| Some(r * 2.0))
+            .take(10)
+            .map(|rate| base.with_offered(rate));
+        let mut rates = Vec::new();
+        let points = sweep(
+            ramp,
+            |spec| {
+                rates.push(spec.offered_ops_per_sec());
+                // Fake runner: capacity 3.5 K ops/s.
+                let done = spec.offered_ops_per_sec().min(3_500.0) as u64;
+                spec.report(&Metrics {
+                    rots_done: done,
+                    ..Metrics::new()
+                })
+            },
+            |r| r.saturated,
+        );
+        assert_eq!(rates, vec![1_000.0, 2_000.0, 4_000.0]);
+        let series = Series {
+            name: "ramp".into(),
+            points,
+        };
+        assert!(series.saturated());
+        let knee = series.knee().expect("2 K point was unsaturated");
+        assert_eq!(knee.offered_ops_per_sec, 2_000.0);
     }
 }

@@ -2,9 +2,9 @@
 //! tables and figures, plus the causal-consistency checker and the
 //! Section-6 theory harness.
 //!
-//! One binary per experiment lives in `src/bin/` (`fig4` … `fig9`,
-//! `table1`, `table2`, `value_size`, `theory`, `all`); each prints the
-//! series the paper reports and writes CSVs under `results/`.
+//! One binary, `contrarian-harness`, runs them: its subcommands are the
+//! rows of [`scenarios::SCENARIOS`], each printing the series the paper
+//! reports and writing CSVs under `results/`.
 //!
 //! # Running a cluster
 //!
@@ -12,15 +12,17 @@
 //! point, a traced run — is one [`RunSpec`] driven by one loop,
 //! [`run_sim`]: warmup, the measured window in slices, stop, quiesce. The
 //! caller observes it through [`Observe`] (a history sink, tracing) and
-//! gets back its metrics and per-slice windows ([`SimRun`]);
-//! [`RunResult`] and [`contrarian_runtime::LoadReport`] are two summaries
-//! of those metrics ([`run_experiment`], [`run_recorded`],
-//! [`run_load_sim`], [`run_load_sim_checked`]). [`run_net`] runs the same
-//! spec over TCP on the wall clock.
+//! gets back its metrics and per-slice windows ([`SimRun`]). One
+//! [`Report`] summarizes any run ([`RunSpec::report`]); [`run`],
+//! [`run_recorded`] and [`run_load_sim_checked`] return one for the
+//! simulator, [`run_net`] for the same spec over TCP on the wall clock.
+//! One [`sweep`] repeats a run along an axis — client counts for a figure
+//! curve, offered rates up to the saturation knee — into a [`Series`].
 //!
 //! Experiment scale is controlled by the `CONTRARIAN_SCALE` environment
 //! variable: `smoke` (seconds, for CI), `quick` (the default, a few
-//! minutes), `paper` (longest, closest to the paper's methodology).
+//! minutes), `paper` (longest, closest to the paper's methodology), and
+//! the partition tiers `large` and `xlarge`; any other value is an error.
 //!
 //! # Checking histories
 //!
@@ -53,19 +55,16 @@
 
 pub mod checker;
 pub mod experiment;
-pub mod figures;
 pub mod load;
 pub mod oracle;
+pub mod scenarios;
 pub mod table;
 pub mod table2;
 pub mod theory;
 
 pub use checker::{check_causal, CausalChecker, CheckReport, CheckerResidency};
 pub use experiment::{
-    run_experiment, run_recorded, run_sim, sweep_series, Clients, Observe, Protocol, RunResult,
-    RunSpec, Scale, Series, SimRun,
+    run, run_recorded, run_sim, sweep, Clients, Observe, Protocol, Report, RunSpec, Scale, Series,
+    SimRun,
 };
-pub use load::{
-    run_load_net, run_load_sim, run_load_sim_checked, run_net, sweep_to_saturation, CheckedLoad,
-    NetSample, SaturationSweep,
-};
+pub use load::{run_load_sim_checked, run_net, CheckedLoad, NetSample};

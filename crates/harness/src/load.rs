@@ -1,50 +1,35 @@
-//! Open-loop saturation experiments: throughput-vs-latency sweeps driven
-//! by the million-session Poisson arrival schedule.
+//! Open-loop load points: throughput against coordinated-omission-safe
+//! latency, driven by the million-session Poisson arrival schedule.
 //!
-//! The figure experiments ([`crate::experiment`]) are *closed-loop*: a
-//! fixed client pool where each client waits for its previous operation —
-//! under overload the pool slows down and, by construction, never shows
-//! the queueing delay a real user population would suffer (coordinated
-//! omission). This module is the *open-loop* counterpart the paper's
-//! latency argument actually calls for:
+//! The figure experiments are *closed-loop*: a client waits for its
+//! previous operation, so under overload the pool slows down and never
+//! shows the queueing a real user population would suffer (coordinated
+//! omission). Here arrivals follow a deterministic Poisson schedule over
+//! millions of logical sessions multiplexed onto a bounded driver-actor
+//! pool ([`contrarian_workload::OpenLoopDriver`]); the offered rate does
+//! not bend when the system slows, and latency clocks start at the
+//! *scheduled* arrival, so driver queueing is part of every percentile of
+//! the [`Report`]. A point is *saturated* when goodput falls below
+//! [`Report::SATURATION_GOODPUT_FRACTION`] of the offered rate, and a
+//! [`crate::sweep`] up a geometric offered-rate axis with
+//! `until = |r| r.saturated` finds the knee ([`crate::Series::knee`]).
 //!
-//! * arrivals follow a deterministic Poisson schedule over millions of
-//!   logical sessions ([`contrarian_workload::OpenLoopDriver`]),
-//!   multiplexed onto a bounded pool of driver actors;
-//! * the offered rate does not bend when the system slows — overdue
-//!   arrivals queue in the driver;
-//! * latency clocks start at the *scheduled* arrival time, so driver
-//!   queueing is part of every percentile
-//!   ([`contrarian_runtime::LoadReport`]);
-//! * a load point is *saturated* when goodput falls below
-//!   [`contrarian_runtime::metrics::SATURATION_GOODPUT_FRACTION`] of the
-//!   offered rate; [`sweep_to_saturation`] ramps the offered rate until it
-//!   finds that knee.
-//!
-//! A load point is a [`RunSpec`] with open-loop clients. It runs on the
-//! simulator through the one run loop, [`crate::experiment::run_sim`]
-//! ([`run_load_sim`] summarizes it), or over TCP on the reactor through
-//! the one wall-clock loop, [`run_net`] ([`run_load_net`]). Recorded runs stream the history into
-//! the causal checker with periodic [`CausalChecker::gc`] passes, so
-//! checking is O(recent window), not O(history)
-//! ([`run_load_sim_checked`]).
+//! A load point is a [`RunSpec`] with open-loop clients, run on the
+//! simulator ([`crate::run`]) or over TCP on the reactor ([`run_net`]).
+//! [`run_load_sim_checked`] streams its history into the causal checker
+//! with periodic [`CausalChecker::gc`] passes, so checking is O(recent
+//! window), not O(history).
 
 use crate::checker::{CausalChecker, CheckReport, CheckerResidency};
-use crate::experiment::{run_sim, with_protocol, Observe, Protocol, RunSpec};
+use crate::experiment::{run_sim, with_protocol, Observe, Protocol, Report, RunSpec};
 use contrarian_net::NetCluster;
 use contrarian_protocol::{build_nodes, ProtocolSpec};
-use contrarian_runtime::metrics::{LoadReport, Metrics};
 use std::time::{Duration, Instant};
-
-/// Runs one simulated open-loop load point without recording.
-pub fn run_load_sim(spec: &RunSpec) -> LoadReport {
-    spec.load_report(&run_sim(spec, Observe::default()).metrics)
-}
 
 /// A recorded load point that was checked as it streamed.
 #[derive(Debug)]
 pub struct CheckedLoad {
-    pub report: LoadReport,
+    pub report: Report,
     pub check: CheckReport,
     /// Largest resident checker state seen at any gc boundary — the bound
     /// the gc actually achieved.
@@ -93,7 +78,7 @@ pub fn run_load_sim_checked(spec: &RunSpec) -> CheckedLoad {
     let final_residency = gc(&mut ck, &mut peak);
     peak.reclaimed_total = final_residency.reclaimed_total;
     CheckedLoad {
-        report: spec.load_report(&run.metrics),
+        report: spec.report(&run.metrics),
         check: ck.report(),
         peak_residency: peak,
         final_residency,
@@ -117,9 +102,9 @@ pub struct NetSample {
 /// warmup, the measured window in `slices` equal sleeps, then an unmeasured
 /// 150 ms grace for in-flight operations. `sample` sees the socket counters
 /// when the window opens and after every slice. Recording stays off: the
-/// history sink's lock would sit on the measured path. Returns the merged
-/// metrics of the window.
-pub fn run_net(spec: &RunSpec, slices: u32, sample: &mut dyn FnMut(NetSample)) -> Metrics {
+/// history sink's lock would sit on the measured path. Returns the report
+/// of the window's merged metrics.
+pub fn run_net(spec: &RunSpec, slices: u32, sample: &mut dyn FnMut(NetSample)) -> Report {
     with_protocol!(spec.protocol, |P| drive_net::<P>(spec, slices, sample))
 }
 
@@ -127,7 +112,7 @@ fn drive_net<P: ProtocolSpec>(
     spec: &RunSpec,
     slices: u32,
     sample: &mut dyn FnMut(NetSample),
-) -> Metrics {
+) -> Report {
     let p = spec.cluster_params();
     let cluster = NetCluster::start(build_nodes::<P>(&p.cfg, &p.clients, p.seed), false, p.seed);
     std::thread::sleep(Duration::from_nanos(spec.warmup_ns));
@@ -150,72 +135,17 @@ fn drive_net<P: ProtocolSpec>(
     cluster.set_measuring(false);
     cluster.stop_issuing();
     std::thread::sleep(Duration::from_millis(150));
-    cluster.shutdown().1
-}
-
-/// Runs one open-loop load point on the TCP reactor (see [`run_net`]).
-pub fn run_load_net(spec: &RunSpec) -> LoadReport {
-    spec.load_report(&run_net(spec, 1, &mut |_| {}))
-}
-
-/// One backend's offered-rate ramp, ending at (or past) its saturation
-/// knee.
-#[derive(Debug)]
-pub struct SaturationSweep {
-    pub protocol: Protocol,
-    pub points: Vec<LoadReport>,
-}
-
-impl SaturationSweep {
-    /// The saturation knee: the last load point the backend kept up with.
-    /// `None` when even the first point saturated.
-    pub fn knee(&self) -> Option<&LoadReport> {
-        self.points.iter().rev().find(|p| !p.saturated)
-    }
-
-    /// Did the ramp actually cross into saturation?
-    pub fn saturated(&self) -> bool {
-        self.points.last().is_some_and(|p| p.saturated)
-    }
-}
-
-/// Ramps the offered rate geometrically (`start_rate`, then `× factor`)
-/// until a point saturates or `max_points` is hit, running each point with
-/// `run` — pass [`run_load_sim`] or [`run_load_net`], so one sweep driver
-/// serves both runtimes.
-pub fn sweep_to_saturation(
-    base: &RunSpec,
-    start_rate: f64,
-    factor: f64,
-    max_points: usize,
-    mut run: impl FnMut(&RunSpec) -> LoadReport,
-) -> SaturationSweep {
-    assert!(start_rate > 0.0 && factor > 1.0 && max_points > 0);
-    let mut points = Vec::new();
-    let mut rate = start_rate;
-    for _ in 0..max_points {
-        let report = run(&base.with_offered(rate));
-        let stop = report.saturated;
-        points.push(report);
-        if stop {
-            break;
-        }
-        rate *= factor;
-    }
-    SaturationSweep {
-        protocol: base.protocol,
-        points,
-    }
+    spec.report(&cluster.shutdown().1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::STREAM_SLICES;
+    use crate::experiment::{run, STREAM_SLICES};
 
     #[test]
     fn functional_sim_point_reports_goodput() {
-        let r = run_load_sim(&RunSpec::functional_open(Protocol::Contrarian, 5_000.0));
+        let r = run(&RunSpec::functional_open(Protocol::Contrarian, 5_000.0));
         assert!(r.completed_ops > 0);
         assert!(r.achieved_ops_per_sec > 0.0);
         assert!(!r.saturated, "5 Kops/s must be far below capacity: {r:?}");
@@ -225,8 +155,8 @@ mod tests {
     #[test]
     fn sim_load_point_is_deterministic() {
         let spec = RunSpec::functional_open(Protocol::CcLo, 4_000.0);
-        let a = run_load_sim(&spec);
-        let b = run_load_sim(&spec);
+        let a = run(&spec);
+        let b = run(&spec);
         assert_eq!(a.completed_ops, b.completed_ops);
         assert_eq!(a.p99_ms, b.p99_ms);
     }
@@ -241,7 +171,7 @@ mod tests {
                 ..Observe::default()
             },
         );
-        let report = spec.load_report(&run.metrics);
+        let report = spec.report(&run.metrics);
         assert_eq!(run.windows.windows().len(), STREAM_SLICES as usize);
         assert!(report.completed_ops > 0);
         let windowed_ops: u64 = run
@@ -274,37 +204,5 @@ mod tests {
         );
         assert!(run.trace.is_empty());
         assert_eq!(run.windows.windows().len(), STREAM_SLICES as usize);
-    }
-
-    #[test]
-    fn sweep_stops_at_first_saturated_point() {
-        // Base rate is a placeholder: the sweep sets each point's rate.
-        let base = RunSpec::functional_open(Protocol::Contrarian, 1.0);
-        let mut rates = Vec::new();
-        let sweep = sweep_to_saturation(&base, 1_000.0, 2.0, 10, |spec| {
-            let offered = spec.offered_ops_per_sec();
-            rates.push(offered);
-            // Fake runner: capacity 3.5k ops/s.
-            let achieved = offered.min(3_500.0);
-            LoadReport {
-                offered_ops_per_sec: offered,
-                achieved_ops_per_sec: achieved,
-                completed_ops: achieved as u64,
-                mean_ms: 1.0,
-                p50_ms: 1.0,
-                p99_ms: 2.0,
-                p999_ms: 3.0,
-                max_ms: 4.0,
-                utilization: 0.0,
-                vis_p50_ms: 0.0,
-                vis_p99_ms: 0.0,
-                saturated: achieved
-                    < contrarian_runtime::metrics::SATURATION_GOODPUT_FRACTION * offered,
-            }
-        });
-        assert_eq!(rates, vec![1_000.0, 2_000.0, 4_000.0]);
-        assert!(sweep.saturated());
-        let knee = sweep.knee().expect("2k point was unsaturated");
-        assert_eq!(knee.offered_ops_per_sec, 2_000.0);
     }
 }

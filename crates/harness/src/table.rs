@@ -1,8 +1,4 @@
-//! Plain-text table rendering and CSV output for the experiment binaries.
-
-use std::fs;
-use std::io::Write;
-use std::path::Path;
+//! Plain-text table rendering and CSV output for the experiment scenarios.
 
 /// Renders an aligned text table.
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -37,28 +33,20 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes a CSV file under `results/`, creating the directory if needed.
-/// Returns the path written.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<String> {
-    let dir = Path::new("results");
-    fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    let mut f = fs::File::create(&path)?;
-    writeln!(f, "{}", headers.join(","))?;
-    for row in rows {
-        writeln!(f, "{}", row.join(","))?;
-    }
-    Ok(path.display().to_string())
+/// The column names of a CSV header line.
+pub fn columns(header_line: &str) -> Vec<&str> {
+    header_line.split(',').collect()
 }
 
-/// Writes a text artifact (JSON trace, report) under `results/`, creating
-/// the directory if needed. Returns the path written.
-pub fn write_text(name: &str, content: &str) -> std::io::Result<String> {
-    let dir = Path::new("results");
-    fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    fs::write(&path, content)?;
-    Ok(path.display().to_string())
+/// Renders a CSV document: a header line, then one line per row.
+pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = headers.join(",");
+    out.push('\n');
+    for row in rows {
+        out.push_str(&row.join(","));
+        out.push('\n');
+    }
+    out
 }
 
 /// Formats a float with 3 decimals.
@@ -89,6 +77,12 @@ mod tests {
         // All rows same width.
         assert_eq!(lines[0].len(), lines[2].len());
         assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    fn csv_is_one_line_per_row() {
+        let rows = [vec!["1".into(), "x".into()], vec!["2".into(), "y".into()]];
+        assert_eq!(csv(&["n", "s"], &rows), "n,s\n1,x\n2,y\n");
     }
 
     #[test]

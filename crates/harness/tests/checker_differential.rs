@@ -59,9 +59,9 @@ proptest! {
         clients in 2u16..6,
         w in 0.05f64..0.5,
     ) {
-        let r = run_recorded(&functional_cfg(Protocol::Contrarian, seed, dcs, clients, w));
-        prop_assume!(!r.history.is_empty());
-        assert_agree(&check_causal(&r.history), &check_causal_oracle(&r.history))?;
+        let (_, history) = run_recorded(&functional_cfg(Protocol::Contrarian, seed, dcs, clients, w));
+        prop_assume!(!history.is_empty());
+        assert_agree(&check_causal(&history), &check_causal_oracle(&history))?;
     }
 
     /// Same for CC-LO, whose readers check exercises different plumbing.
@@ -72,18 +72,18 @@ proptest! {
         clients in 2u16..6,
         w in 0.05f64..0.5,
     ) {
-        let r = run_recorded(&functional_cfg(Protocol::CcLo, seed, dcs, clients, w));
-        prop_assume!(!r.history.is_empty());
-        assert_agree(&check_causal(&r.history), &check_causal_oracle(&r.history))?;
+        let (_, history) = run_recorded(&functional_cfg(Protocol::CcLo, seed, dcs, clients, w));
+        prop_assume!(!history.is_empty());
+        assert_agree(&check_causal(&history), &check_causal_oracle(&history))?;
     }
 
     /// Corrupted histories: downgrading a read of a key the client itself
     /// wrote must be rejected by BOTH implementations.
     #[test]
     fn injected_staleness_rejected_by_both(seed in 0u64..300) {
-        let r = run_recorded(&functional_cfg(Protocol::Contrarian, seed, 2, 3, 0.4));
-        prop_assume!(check_causal(&r.history).ok());
-        let mut history = r.history.clone();
+        let (_, history) = run_recorded(&functional_cfg(Protocol::Contrarian, seed, 2, 3, 0.4));
+        prop_assume!(check_causal(&history).ok());
+        let mut history = history.clone();
         let mut injected = false;
         'outer: for j in 0..history.len() {
             let HistoryEvent::PutDone { client, key, vid, .. } = history[j].clone() else {
@@ -117,9 +117,9 @@ proptest! {
 /// expensive tail.
 #[test]
 fn contrarian_three_dc_verdicts_agree() {
-    let r = run_recorded(&functional_cfg(Protocol::Contrarian, 9, 3, 4, 0.3));
-    let fast = check_causal(&r.history);
-    let slow = check_causal_oracle(&r.history);
+    let (_, history) = run_recorded(&functional_cfg(Protocol::Contrarian, 9, 3, 4, 0.3));
+    let fast = check_causal(&history);
+    let slow = check_causal_oracle(&history);
     assert!(fast.ok(), "{:?}", fast.violations.first());
     assert_eq!(fast.ok(), slow.ok());
     assert_eq!(fast.rots_checked, slow.rots_checked);
@@ -137,9 +137,9 @@ fn all_backends_verdicts_agree() {
         Protocol::Cure,
         Protocol::Okapi,
     ] {
-        let r = run_recorded(&functional_cfg(protocol, 11, 2, 4, 0.2));
-        let fast = check_causal(&r.history);
-        let slow = check_causal_oracle(&r.history);
+        let (_, history) = run_recorded(&functional_cfg(protocol, 11, 2, 4, 0.2));
+        let fast = check_causal(&history);
+        let slow = check_causal_oracle(&history);
         assert_eq!(
             fast.ok(),
             slow.ok(),
@@ -166,9 +166,9 @@ fn prepopulated_genesis_reads_agree() {
     for protocol in [Protocol::Contrarian, Protocol::CcLo] {
         let mut cfg = functional_cfg(protocol, 77, 2, 4, 0.3);
         cfg.cluster.prepopulated = true;
-        let r = run_recorded(&cfg);
-        let fast = check_causal(&r.history);
-        let slow = check_causal_oracle(&r.history);
+        let (_, history) = run_recorded(&cfg);
+        let fast = check_causal(&history);
+        let slow = check_causal_oracle(&history);
         assert!(
             fast.ok(),
             "{}: {:?}",

@@ -12,8 +12,9 @@
 //! otherwise fall back to serially executed windows), and the matrix leg
 //! splits each DC into two partition-range groups (six shards).
 
-use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunResult, RunSpec};
+use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunSpec};
 use contrarian_sim::{Lookahead, SchedKind};
+use contrarian_types::HistoryEvent;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -24,11 +25,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn fingerprint(r: &RunResult) -> (usize, u64) {
-    (
-        r.history.len(),
-        fnv1a(format!("{:?}", r.history).as_bytes()),
-    )
+fn fingerprint(history: &[HistoryEvent]) -> (usize, u64) {
+    (history.len(), fnv1a(format!("{history:?}").as_bytes()))
 }
 
 /// One test drives all engines sequentially: the shard-thread override is
@@ -68,19 +66,20 @@ fn engines_replay_identical_histories_matching_golden() {
         }
 
         cfg.sched = SchedKind::Calendar;
-        let calendar = run_recorded(&cfg);
+        let (calendar, calendar_history) = run_recorded(&cfg);
         for (sched, lookahead) in others.clone() {
             cfg.sched = sched;
             cfg.lookahead = lookahead.clone();
-            let run = run_recorded(&cfg);
+            let (run, history) = run_recorded(&cfg);
             assert_eq!(
-                fingerprint(&run),
-                fingerprint(&calendar),
+                fingerprint(&history),
+                fingerprint(&calendar_history),
                 "{protocol:?}: {sched:?}/{lookahead:?} diverged from the calendar engine"
             );
             // Metrics are derived from the same events; spot-check scalars.
             assert_eq!(
-                run.throughput_kops, calendar.throughput_kops,
+                run.throughput_kops(),
+                calendar.throughput_kops(),
                 "{sched:?}/{lookahead:?}"
             );
             assert_eq!(run.avg_rot_ms, calendar.avg_rot_ms, "{sched:?}");
@@ -88,7 +87,7 @@ fn engines_replay_identical_histories_matching_golden() {
             assert_eq!(run.avg_put_ms, calendar.avg_put_ms, "{sched:?}");
             assert_eq!(run.counters, calendar.counters, "{sched:?}");
         }
-        got.push((protocol, fingerprint(&calendar)));
+        got.push((protocol, fingerprint(&calendar_history)));
     }
     std::env::remove_var(contrarian_runtime::env::SHARD_THREADS);
     // On mismatch (an *intentional* engine-semantics change), replace the

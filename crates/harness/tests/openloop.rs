@@ -3,8 +3,8 @@
 //! and bounded checker residency on recorded open-loop histories.
 
 use contrarian_harness::checker::{CausalChecker, CheckerResidency};
-use contrarian_harness::experiment::{run_sim, Clients, Observe, Protocol, RunSpec};
-use contrarian_harness::load::{run_load_sim, run_load_sim_checked};
+use contrarian_harness::experiment::{run, run_sim, Clients, Observe, Protocol, Report, RunSpec};
+use contrarian_harness::load::run_load_sim_checked;
 use contrarian_sim::{Lookahead, SchedKind};
 use contrarian_types::HistoryEvent;
 use contrarian_workload::{ClientDriver, Draw, OpenLoopDriver, OpenLoopSpec, WorkloadSpec, Zipf};
@@ -36,10 +36,7 @@ fn cross_dc_config(offered: f64) -> RunSpec {
 }
 
 /// Runs `spec` recorded, handing every history event to `sink`.
-fn run_recorded_into(
-    spec: &RunSpec,
-    sink: &mut dyn FnMut(HistoryEvent),
-) -> contrarian_runtime::LoadReport {
+fn run_recorded_into(spec: &RunSpec, sink: &mut dyn FnMut(HistoryEvent)) -> Report {
     let run = run_sim(
         spec,
         Observe {
@@ -47,7 +44,7 @@ fn run_recorded_into(
             trace: false,
         },
     );
-    spec.load_report(&run.metrics)
+    spec.report(&run.metrics)
 }
 
 /// Same seed ⇒ byte-identical open-loop history and identical load report
@@ -105,11 +102,11 @@ fn overload_latency_includes_queueing_delay() {
     // shortfall (expected ops ≫ the 5% saturation margin).
     let mut low_cfg = cross_dc_config(2_000.0);
     low_cfg.measure_ns = 1_500_000_000;
-    let low = run_load_sim(&low_cfg);
+    let low = run(&low_cfg);
     assert!(!low.saturated, "2 Kops/s must not saturate: {low:?}");
 
     // Far above capacity: arrivals keep coming, the calendar backs up.
-    let over = run_load_sim(&cross_dc_config(200_000.0));
+    let over = run(&cross_dc_config(200_000.0));
     assert!(over.saturated, "200 Kops/s must saturate: {over:?}");
     assert!(
         over.achieved_ops_per_sec < 0.95 * over.offered_ops_per_sec,
@@ -191,7 +188,7 @@ fn all_backends_run_open_loop() {
         Protocol::Cure,
         Protocol::Okapi,
     ] {
-        let r = run_load_sim(&RunSpec::functional_open(protocol, 3_000.0));
+        let r = run(&RunSpec::functional_open(protocol, 3_000.0));
         assert!(
             r.completed_ops > 0,
             "{} made no progress: {r:?}",

@@ -51,7 +51,7 @@ fn run_streamed(spec: &RunSpec, sink: &mut dyn FnMut(HistoryEvent)) -> f64 {
             trace: false,
         },
     );
-    spec.run_result(&run.metrics).throughput_kops
+    spec.report(&run.metrics).throughput_kops()
 }
 
 /// Runs the experiment with the history streamed into the checker —
@@ -98,9 +98,9 @@ fn contrarian_128_partitions_run_is_deterministic_and_causal() {
 
     // And the streamed run is the run: a buffered re-run produces the
     // same history length and throughput.
-    let b = run_recorded(&cfg);
-    assert_eq!(events_a, b.history.len(), "non-deterministic");
-    assert_eq!(tput_a, (b.throughput_kops * 1e6) as u64);
+    let (b, history) = run_recorded(&cfg);
+    assert_eq!(events_a, history.len(), "non-deterministic");
+    assert_eq!(tput_a, (b.throughput_kops() * 1e6) as u64);
 }
 
 #[test]

@@ -24,12 +24,14 @@ pub const SHARD_THREADS: &str = "CONTRARIAN_SHARD_THREADS";
 /// reactor's pool sizing.
 pub const NET_THREADS: &str = "CONTRARIAN_NET_THREADS";
 
-/// Experiment scale for harness bins and benches: `smoke`, `quick`
-/// (default), `paper`, `large`, `xlarge`.
+/// Experiment scale for the harness scenarios and benches: `smoke`,
+/// `quick` (default), `paper`, `large`, `xlarge`; any other value is an
+/// error. Parsed by `contrarian_harness::Scale`.
 pub const SCALE: &str = "CONTRARIAN_SCALE";
 
 /// Per-node trace-ring capacity in events (default 65536, zero clamps
-/// to 1).
+/// to 1; anything but an integer panics). Parsed by
+/// `crate::trace::parse_trace_cap`.
 pub const TRACE_CAP: &str = "CONTRARIAN_TRACE_CAP";
 
 /// Every registered knob, with a short contract — the machine-readable

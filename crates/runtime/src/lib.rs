@@ -65,7 +65,7 @@ pub use actor::{Actor, ActorCtx, TimerKind};
 pub use cost::{CostModel, MsgClass, SimMessage};
 pub use frame::{encode_frame, FrameAssembler, FrameError, MAX_FRAME};
 pub use history::{merge_shard_histories, HistorySink, TaggedEvent};
-pub use metrics::{Histogram, LoadReport, Metrics};
+pub use metrics::{Histogram, Metrics};
 pub use node_loop::{node_seed, run_node, Input, Outbound, RunShared};
 pub use testkit::ScriptCtx;
 pub use trace::{chrome_trace_json, merge_traces, summarize, trace_cap_from_env, TraceRing};

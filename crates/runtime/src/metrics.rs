@@ -192,89 +192,6 @@ impl Histogram {
     }
 }
 
-/// Goodput below this fraction of the offered rate marks a run saturated.
-pub const SATURATION_GOODPUT_FRACTION: f64 = 0.95;
-
-/// The outcome of one open-loop load point: offered vs. achieved rate and
-/// the combined (ROT + PUT) latency distribution, measured from scheduled
-/// arrival times so queueing delay in a saturated driver is included.
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// What the Poisson schedule asked for, ops/s.
-    pub offered_ops_per_sec: f64,
-    /// Completions per second over the measurement window (goodput).
-    pub achieved_ops_per_sec: f64,
-    pub completed_ops: u64,
-    pub mean_ms: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub p999_ms: f64,
-    pub max_ms: f64,
-    /// Goodput fell below [`SATURATION_GOODPUT_FRACTION`] of offered: the
-    /// backend can't keep up and the arrival backlog grows without bound.
-    pub saturated: bool,
-    /// Aggregate server busy time per second of window — "busy cores".
-    /// Divide by the server count for per-node utilization (the load
-    /// drivers do, via [`LoadReport::normalize_utilization`]).
-    pub utilization: f64,
-    /// Visibility staleness of remote installs (now − origin-write time),
-    /// median / 99th, ms. Zero when the run recorded none (single DC).
-    pub vis_p50_ms: f64,
-    pub vis_p99_ms: f64,
-}
-
-impl LoadReport {
-    /// Summarizes a measurement window of `window_ns` against the offered
-    /// rate. ROT and PUT latencies are folded into one distribution: under
-    /// an open-loop driver both queue behind the same arrival calendar.
-    ///
-    /// Degenerate inputs are explicit, not accidental: a zero `window_ns`
-    /// yields `achieved = 0` **and** `saturated = false` (there was no
-    /// window to fall behind in), and a non-positive
-    /// `offered_ops_per_sec` never flags saturation (0 achieved of 0
-    /// offered is keeping up, not collapse).
-    pub fn from_metrics(m: &Metrics, offered_ops_per_sec: f64, window_ns: u64) -> Self {
-        let mut all = m.rot_latency.clone();
-        all.merge(&m.put_latency);
-        let secs = window_ns as f64 / 1e9;
-        let achieved = if secs > 0.0 {
-            m.ops_done() as f64 / secs
-        } else {
-            0.0
-        };
-        let saturated = window_ns > 0
-            && offered_ops_per_sec > 0.0
-            && achieved < SATURATION_GOODPUT_FRACTION * offered_ops_per_sec;
-        LoadReport {
-            offered_ops_per_sec,
-            achieved_ops_per_sec: achieved,
-            completed_ops: m.ops_done(),
-            mean_ms: all.mean() / 1e6,
-            p50_ms: all.percentile(50.0) as f64 / 1e6,
-            p99_ms: all.percentile(99.0) as f64 / 1e6,
-            p999_ms: all.percentile(99.9) as f64 / 1e6,
-            max_ms: all.max() as f64 / 1e6,
-            saturated,
-            utilization: if secs > 0.0 {
-                m.busy_ns as f64 / window_ns as f64
-            } else {
-                0.0
-            },
-            vis_p50_ms: m.vis_staleness.percentile(50.0) as f64 / 1e6,
-            vis_p99_ms: m.vis_staleness.percentile(99.0) as f64 / 1e6,
-        }
-    }
-
-    /// Converts the aggregate busy-cores reading into mean per-node
-    /// utilization given the number of server nodes that contributed.
-    pub fn normalize_utilization(mut self, n_servers: usize) -> Self {
-        if n_servers > 0 {
-            self.utilization /= n_servers as f64;
-        }
-        self
-    }
-}
-
 /// Run-wide measurement state. `enabled` is flipped on after warmup.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
@@ -537,24 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn load_report_flags_saturation_from_goodput() {
-        let mut m = Metrics::new();
-        m.enabled = true;
-        for _ in 0..1000 {
-            m.rot_done(2_000_000);
-        }
-        // 1000 completions over 1 s against 1000 offered: keeping up.
-        let ok = LoadReport::from_metrics(&m, 1000.0, 1_000_000_000);
-        assert!(!ok.saturated);
-        assert_eq!(ok.completed_ops, 1000);
-        assert!((ok.achieved_ops_per_sec - 1000.0).abs() < 1e-9);
-        assert!(ok.p50_ms > 1.8 && ok.p50_ms < 2.2);
-        // The same completions against 4000 offered: saturated.
-        let sat = LoadReport::from_metrics(&m, 4000.0, 1_000_000_000);
-        assert!(sat.saturated);
-    }
-
-    #[test]
     fn percentile_edges_clamp_and_pin_max() {
         let mut h = Histogram::new();
         for v in [10u64, 100, 1_000_003] {
@@ -591,35 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn load_report_zero_window_is_explicitly_unsaturated() {
-        let mut m = Metrics::new();
-        m.enabled = true;
-        m.rot_done(1_000_000);
-        let r = LoadReport::from_metrics(&m, 1000.0, 0);
-        assert_eq!(r.achieved_ops_per_sec, 0.0);
-        assert!(!r.saturated, "no window means nothing fell behind");
-        assert_eq!(r.utilization, 0.0);
-        // Zero offered rate can't saturate either.
-        let r2 = LoadReport::from_metrics(&m, 0.0, 1_000_000_000);
-        assert!(!r2.saturated);
-    }
-
-    #[test]
-    fn load_report_surfaces_utilization_and_staleness() {
-        let mut m = Metrics::new();
-        m.enabled = true;
-        m.rot_done(1_000_000);
-        m.busy_ns = 500_000_000;
-        m.vis_stale(2_000_000);
-        m.vis_stale(2_000_000);
-        let r = LoadReport::from_metrics(&m, 10.0, 1_000_000_000);
-        assert!((r.utilization - 0.5).abs() < 1e-9, "busy half the window");
-        assert!(r.vis_p50_ms > 1.8 && r.vis_p50_ms < 2.1);
-        let per_node = r.normalize_utilization(5);
-        assert!((per_node.utilization - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
     fn gauges_respect_enabled_and_absorb() {
         let mut m = Metrics::new();
         m.vis_stale(10);
@@ -639,17 +509,5 @@ mod tests {
         assert_eq!(total.gss_lag.count(), 1);
         assert_eq!(total.block_ns.count(), 1);
         assert_eq!(total.block_ns.max(), 40);
-    }
-
-    #[test]
-    fn load_report_combines_rot_and_put_latencies() {
-        let mut m = Metrics::new();
-        m.enabled = true;
-        m.rot_done(1_000_000);
-        m.put_done(9_000_000);
-        let r = LoadReport::from_metrics(&m, 10.0, 1_000_000_000);
-        assert_eq!(r.completed_ops, 2);
-        assert!(r.max_ms > 8.0, "PUT latency must be in the fold");
-        assert!(r.mean_ms > 4.0 && r.mean_ms < 6.0);
     }
 }

@@ -10,7 +10,7 @@
 //! only at trivial load; as load grows, the readers check's write-side cost
 //! congests the servers and CC-LO loses on *read* latency too.
 
-use contrarian::harness::experiment::{run_experiment, Clients, Protocol, RunSpec};
+use contrarian::harness::experiment::{run, sweep, Protocol, RunSpec};
 use contrarian::harness::table;
 use contrarian::types::ClusterConfig;
 use contrarian::workload::WorkloadSpec;
@@ -21,22 +21,18 @@ fn main() {
 
     let mut rows = Vec::new();
     for protocol in [Protocol::Contrarian, Protocol::CcLo] {
-        for clients in [8u16, 32, 64, 96] {
-            let r = run_experiment(&RunSpec {
-                cluster: cluster.clone(),
-                clients: Clients::Closed {
-                    workload: WorkloadSpec::paper_default(),
-                    per_dc: clients,
-                },
-                warmup_ns: 100_000_000,
-                measure_ns: 300_000_000,
-                seed: 1,
-                ..RunSpec::paper_default(protocol)
-            });
+        let base = RunSpec {
+            warmup_ns: 100_000_000,
+            measure_ns: 300_000_000,
+            seed: 1,
+            ..RunSpec::closed(protocol, cluster.clone(), WorkloadSpec::paper_default())
+        };
+        let points = [8u16, 32, 64, 96].map(|n| base.with_clients_per_dc(n));
+        for r in sweep(points, run, |_| false) {
             rows.push(vec![
                 protocol.label().to_string(),
-                clients.to_string(),
-                table::f1(r.throughput_kops),
+                r.clients_per_dc.to_string(),
+                table::f1(r.throughput_kops()),
                 table::f3(r.avg_rot_ms),
                 table::f3(r.p99_rot_ms),
                 table::f3(r.avg_put_ms),

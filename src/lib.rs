@@ -64,7 +64,7 @@
 //! minimal in-repo shims under `crates/shims/`; swap the
 //! `[workspace.dependencies]` path entries for registry versions to use the
 //! real crates. `cargo build --release && cargo test -q` builds and tests
-//! every crate; `cargo run -p contrarian-harness --bin all` regenerates the
+//! every crate; `cargo run -p contrarian-harness -- all` regenerates the
 //! paper's tables and figures (`CONTRARIAN_SCALE=smoke|quick|paper`).
 //!
 //! ## Quickstart

@@ -16,13 +16,13 @@ fn functional(protocol: Protocol, dcs: u8, seed: u64) -> RunSpec {
 }
 
 fn assert_causal(cfg: &RunSpec) {
-    let r = run_recorded(cfg);
+    let (_, history) = run_recorded(cfg);
     assert!(
-        r.history.len() > 100,
+        history.len() > 100,
         "{}: too little history",
         cfg.protocol.label()
     );
-    let report = check_causal(&r.history);
+    let report = check_causal(&history);
     assert!(
         report.ok(),
         "{} seed {}: {} violations, first: {}",
@@ -120,14 +120,14 @@ fn all_to_all_stabilization_stays_causal() {
 /// replicated run.
 #[test]
 fn streaming_checker_matches_batch_on_live_history() {
-    let r = run_recorded(&functional(Protocol::Contrarian, 2, 21));
-    assert!(r.history.len() > 100, "too little history");
+    let (_, history) = run_recorded(&functional(Protocol::Contrarian, 2, 21));
+    assert!(history.len() > 100, "too little history");
     let mut ck = contrarian::harness::CausalChecker::new();
-    for ev in &r.history {
+    for ev in &history {
         ck.feed(ev);
     }
     let streamed = ck.report();
-    let batch = check_causal(&r.history);
+    let batch = check_causal(&history);
     assert!(streamed.ok(), "{:?}", streamed.violations.first());
     assert_eq!(streamed.rots_checked, batch.rots_checked);
     assert_eq!(streamed.versions, batch.versions);
@@ -253,9 +253,9 @@ fn protocols_serve_equivalent_functionality() {
         // window blocked — this test is about functional equivalence, not
         // the performance differences the paper measures.
         cfg.cluster.clock_skew_us = 0;
-        let r = run_recorded(&cfg);
-        assert!(check_causal(&r.history).ok());
-        counts.push(r.history.len() as f64);
+        let (_, history) = run_recorded(&cfg);
+        assert!(check_causal(&history).ok());
+        counts.push(history.len() as f64);
     }
     let max = counts.iter().cloned().fold(0.0, f64::max);
     let min = counts.iter().cloned().fold(f64::MAX, f64::min);

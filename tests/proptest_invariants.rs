@@ -38,8 +38,8 @@ proptest! {
         clients in 2u16..6,
         w in 0.05f64..0.5,
     ) {
-        let r = run_recorded(&functional_cfg(Protocol::Contrarian, seed, dcs, clients, w));
-        let report = check_causal(&r.history);
+        let (_, history) = run_recorded(&functional_cfg(Protocol::Contrarian, seed, dcs, clients, w));
+        let report = check_causal(&history);
         prop_assert!(report.ok(), "{:?}", report.violations.first());
     }
 
@@ -51,8 +51,8 @@ proptest! {
         clients in 2u16..6,
         w in 0.05f64..0.5,
     ) {
-        let r = run_recorded(&functional_cfg(Protocol::CcLo, seed, dcs, clients, w));
-        let report = check_causal(&r.history);
+        let (_, history) = run_recorded(&functional_cfg(Protocol::CcLo, seed, dcs, clients, w));
+        let report = check_causal(&history);
         prop_assert!(report.ok(), "{:?}", report.violations.first());
     }
 
@@ -103,9 +103,9 @@ proptest! {
     /// a guaranteed read-your-writes violation.
     #[test]
     fn checker_catches_injected_staleness(seed in 0u64..300) {
-        let r = run_recorded(&functional_cfg(Protocol::Contrarian, seed, 1, 4, 0.4));
-        prop_assume!(check_causal(&r.history).ok());
-        let mut history = r.history.clone();
+        let (_, history) = run_recorded(&functional_cfg(Protocol::Contrarian, seed, 1, 4, 0.4));
+        prop_assume!(check_causal(&history).ok());
+        let mut history = history.clone();
         // Find a PUT followed (in the same client's session) by a ROT that
         // read the written key; downgrade that read to the genesis version.
         let mut injected = false;
@@ -247,10 +247,10 @@ proptest! {
 #[test]
 fn simulation_is_reproducible() {
     let cfg = functional_cfg(Protocol::Contrarian, 42, 1, 4, 0.2);
-    let a = run_recorded(&cfg);
-    let b = run_recorded(&cfg);
-    assert_eq!(a.history.len(), b.history.len());
-    assert_eq!(a.throughput_kops, b.throughput_kops);
+    let (a, ha) = run_recorded(&cfg);
+    let (b, hb) = run_recorded(&cfg);
+    assert_eq!(ha.len(), hb.len());
+    assert_eq!(a.throughput_kops(), b.throughput_kops());
 }
 
 /// The injected-bug test's sibling: reordering a client's session events
