@@ -322,14 +322,12 @@ fn bench_reader_records(c: &mut Criterion) {
 /// Engine throughput over a synthetic geo-replicated echo flood: trivial
 /// handlers, calibrated network latencies, thousands of in-flight
 /// messages spread over a ~10 ms inter-DC span — the event population
-/// shape of a real protocol run. Two tiers:
+/// shape of a real protocol run. Every engine of
+/// [`contrarian_sim::ENGINES`] — `calendar` and `sharded` (one shard per
+/// DC, windows ≈ the inter-DC latency) — runs two tiers:
 ///
-/// * 8/32/128 partitions × 4 DCs — heap baseline vs calendar vs sharded
-///   (one DC-granular shard group each, windows ≈ the inter-DC latency);
-/// * 256 partitions × 2 DCs — the saturated tier the sub-DC groups exist
-///   for: `calendar` vs `sharded_scalar` (2 DC-granular shards) vs
-///   `sharded_matrix` (4 partition-range groups per DC, 8 schedulable
-///   shards under the per-link lookahead matrix).
+/// * 8/32/128 partitions × 4 DCs;
+/// * 256 partitions × 2 DCs, the saturated tier (rows `*_2dc`).
 ///
 /// All engines process the *same* events — asserted before the bench —
 /// so ns/iter ratios are engine speedups; events ÷ ns/iter is engine
@@ -340,8 +338,8 @@ fn bench_reader_records(c: &mut Criterion) {
 fn bench_sim_scale(c: &mut Criterion) {
     use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
     use contrarian_runtime::cost::{CostModel, MsgClass, SimMessage};
-    use contrarian_sim::sched::SchedKind;
-    use contrarian_sim::sim::{Lookahead, Sim};
+    use contrarian_sim::sched::{SchedKind, ENGINES};
+    use contrarian_sim::sim::Sim;
     use contrarian_types::{Addr, DcId, Op, PartitionId};
 
     const HORIZON_NS: u64 = 25_000_000; // 25 virtual ms ≈ 2½ inter-DC RTTs
@@ -401,15 +399,8 @@ fn bench_sim_scale(c: &mut Criterion) {
         }
     }
 
-    #[derive(Clone)]
-    struct Engine {
-        label: &'static str,
-        sched: SchedKind,
-        lookahead: Lookahead,
-    }
-
-    let run = |dcs: u8, partitions: u16, e: Engine| -> (u64, u64) {
-        let mut sim: Sim<Flood> = Sim::with_scheduler(CostModel::calibrated(), 7, e.sched);
+    let run = |dcs: u8, partitions: u16, sched: SchedKind| -> (u64, u64) {
+        let mut sim: Sim<Flood> = Sim::with_scheduler(CostModel::calibrated(), 7, sched);
         for dc in 0..dcs {
             for p in 0..partitions {
                 sim.add_server(
@@ -435,64 +426,29 @@ fn bench_sim_scale(c: &mut Criterion) {
                 );
             }
         }
-        sim.set_lookahead(e.lookahead);
         sim.start();
         sim.run_until(HORIZON_NS);
         (sim.events_processed(), sim.now())
     };
-
-    const CALENDAR: Engine = Engine {
-        label: "calendar",
-        sched: SchedKind::Calendar,
-        lookahead: Lookahead::Matrix,
+    let label = |sched: SchedKind| match sched {
+        SchedKind::Calendar => "calendar",
+        SchedKind::Sharded => "sharded",
     };
-    // Tier 1: engine comparison at 4 DCs, DC-granular shards.
-    let wide = [
-        Engine {
-            label: "heap",
-            sched: SchedKind::Heap,
-            lookahead: Lookahead::Matrix,
-        },
-        CALENDAR,
-        Engine {
-            label: "sharded",
-            sched: SchedKind::sharded(1),
-            lookahead: Lookahead::Matrix,
-        },
-    ];
-    // Tier 2: the saturated 256-partition, 2-DC tier — scalar (uniform
-    // window, 2 shards) vs matrix with 4 sub-DC groups (8 shards).
-    let deep = [
-        CALENDAR,
-        Engine {
-            label: "sharded_scalar",
-            sched: SchedKind::sharded(1),
-            lookahead: Lookahead::Scalar,
-        },
-        Engine {
-            label: "sharded_matrix",
-            sched: SchedKind::sharded(4),
-            lookahead: Lookahead::Matrix,
-        },
-    ];
 
     // The comparison is only meaningful if every engine does identical
     // work: assert the processed-event counts match before timing. The
     // calendar run *is* the reference, so only the others re-run.
-    let tiers: [(u8, &[u16], &[Engine]); 2] = [(4, &[8, 32, 128], &wide), (2, &[256], &deep)];
-    for (dcs, sizes, engines) in tiers {
+    let tiers: [(u8, &[u16]); 2] = [(4, &[8, 32, 128]), (2, &[256])];
+    for (dcs, sizes) in tiers {
         for &partitions in sizes {
-            let want = run(dcs, partitions, CALENDAR);
+            let want = run(dcs, partitions, SchedKind::Calendar);
             assert!(want.0 > 0, "flood made no progress");
-            for e in engines {
-                if e.sched == SchedKind::Calendar {
-                    continue;
-                }
+            for &sched in &ENGINES[1..] {
                 assert_eq!(
-                    run(dcs, partitions, e.clone()),
+                    run(dcs, partitions, sched),
                     want,
                     "{} diverged at N={partitions}",
-                    e.label
+                    label(sched)
                 );
             }
         }
@@ -502,18 +458,18 @@ fn bench_sim_scale(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.measurement_time(std::time::Duration::from_secs(2));
-    for (dcs, sizes, engines) in tiers {
+    for (dcs, sizes) in tiers {
         for &partitions in sizes {
-            for e in engines {
+            for sched in ENGINES {
                 // The 4-DC tier keeps its historical row names; re-keying
-                // the 2-DC calendar row avoids a duplicate BenchmarkId.
+                // the 2-DC rows avoids a duplicate BenchmarkId.
                 let label = if dcs == 4 {
-                    e.label.to_string()
+                    label(sched).to_string()
                 } else {
-                    format!("{}_2dc", e.label)
+                    format!("{}_2dc", label(sched))
                 };
                 g.bench_with_input(BenchmarkId::new(label, partitions), &partitions, |b, &p| {
-                    b.iter(|| black_box(run(dcs, p, e.clone())))
+                    b.iter(|| black_box(run(dcs, p, sched)))
                 });
             }
         }

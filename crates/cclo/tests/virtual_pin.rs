@@ -53,9 +53,8 @@ fn measure(n_dcs: u8, sched: SchedKind) -> Metrics {
         seed: 7,
     };
     let mut sim = build_cluster::<CcLo>(&params, sched);
-    // Serial windows: the thread count never changes a run, and spawning
-    // threads for every hop-wide sub-DC window costs several times the
-    // serial run. The determinism tests force the parallel path.
+    // Serial windows: the thread count never changes a run, and the
+    // determinism tests force the parallel path.
     sim.set_shard_threads(1);
     sim.start();
     sim.run_until(WARMUP_NS);

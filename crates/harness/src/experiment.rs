@@ -9,7 +9,7 @@ use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::window::WindowSeries;
 use contrarian_sim::sim::Sim;
-use contrarian_sim::{Lookahead, SchedKind};
+use contrarian_sim::SchedKind;
 use contrarian_types::{ClusterConfig, HistoryEvent, RotMode, TraceEvent};
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 use std::collections::BTreeMap;
@@ -195,14 +195,11 @@ pub struct RunSpec {
     pub measure_ns: u64,
     pub seed: u64,
     pub cost: CostModel,
-    /// Engine mode (heap / calendar / sharded). The constructors follow
+    /// Engine (calendar / sharded). The constructors follow
     /// `CONTRARIAN_SCHED`; the cross-engine determinism tests pin it per
     /// run instead of racing on the process environment. Wall-clock runs
     /// ignore it.
     pub sched: SchedKind,
-    /// How the sharded engine derives its conservative bounds (default:
-    /// the per-link matrix).
-    pub lookahead: Lookahead,
 }
 
 impl RunSpec {
@@ -230,7 +227,6 @@ impl RunSpec {
             seed: 42,
             cost: CostModel::calibrated(),
             sched: SchedKind::from_env(),
-            lookahead: Lookahead::default(),
         }
     }
 
@@ -248,7 +244,6 @@ impl RunSpec {
             seed: 7,
             cost: CostModel::functional(),
             sched: SchedKind::from_env(),
-            lookahead: Lookahead::default(),
         }
     }
 
@@ -486,7 +481,6 @@ fn drive<P: ProtocolSpec>(spec: &RunSpec, mut observe: Observe<'_>) -> SimRun {
     let mut sim = build_cluster::<P>(&spec.cluster_params(), spec.sched);
     sim.set_recording(observe.history.is_some());
     sim.set_tracing(observe.trace);
-    sim.set_lookahead(spec.lookahead.clone());
     sim.start();
     let mut trace = Vec::new();
     // Hands the history drained so far to the sink and keeps the trace of

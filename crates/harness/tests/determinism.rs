@@ -1,19 +1,17 @@
-//! Cross-engine determinism, four ways: the binary-heap baseline, the
-//! calendar-queue engine, the sharded engine under the scalar (uniform)
-//! lookahead, and the sharded engine under the per-link matrix with
-//! sub-DC shard groups must replay the exact same run. Same seed ⇒
-//! byte-identical history and metrics under any engine, and all must
-//! match golden fingerprints recorded from the calendar engine.
+//! Cross-engine determinism: the calendar engine and the sharded engine
+//! (one event loop per DC, under the per-link lookahead matrix) must
+//! replay the exact same run. Same seed ⇒ byte-identical history and
+//! metrics under either engine, and both must match golden fingerprints
+//! recorded from the calendar engine.
 //!
 //! The clusters here span three DCs, so the sharded engine genuinely runs
-//! multiple event loops exchanging cross-shard messages at window
-//! barriers — `CONTRARIAN_SHARD_THREADS` forces the parallel window path
-//! even on machines that report a single CPU (where the engine would
-//! otherwise fall back to serially executed windows), and the matrix leg
-//! splits each DC into two partition-range groups (six shards).
+//! three event loops exchanging cross-shard messages at window barriers —
+//! `CONTRARIAN_SHARD_THREADS` forces the parallel window path even on
+//! machines that report a single CPU (where the engine would otherwise
+//! fall back to serially executed windows).
 
 use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunSpec};
-use contrarian_sim::{Lookahead, SchedKind};
+use contrarian_sim::SchedKind;
 use contrarian_types::HistoryEvent;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -29,24 +27,14 @@ fn fingerprint(history: &[HistoryEvent]) -> (usize, u64) {
     (history.len(), fnv1a(format!("{history:?}").as_bytes()))
 }
 
-/// One test drives all engines sequentially: the shard-thread override is
+/// One test drives both engines sequentially: the shard-thread override is
 /// a process-wide environment variable, so it must not race with
 /// concurrent tests (this is the only test in this binary).
 #[test]
 fn engines_replay_identical_histories_matching_golden() {
-    // Up to 6 shards (3 DCs × 2 groups) → parallel window threads, even
-    // on 1-CPU CI runners.
+    // 3 shards (one per DC) → parallel window threads, even on 1-CPU CI
+    // runners.
     std::env::set_var(contrarian_runtime::env::SHARD_THREADS, "3");
-    // The engines diffed against the calendar reference run (which is run
-    // once per protocol and doubles as the golden-fingerprint source):
-    // heap, sharded-scalar (DC-granular uniform window), and
-    // sharded-matrix (per-link bounds, two sub-DC groups per DC). Group
-    // counts never change results; idx ranges just split further.
-    let others = [
-        (SchedKind::Heap, Lookahead::Matrix),
-        (SchedKind::sharded(1), Lookahead::Scalar),
-        (SchedKind::sharded(2), Lookahead::Matrix),
-    ];
     // (events, FNV-1a of the Debug-formatted history) of three-DC
     // functional runs, recorded from the calendar engine.
     let golden = [
@@ -65,28 +53,23 @@ fn engines_replay_identical_histories_matching_golden() {
             *per_dc = 3;
         }
 
+        // The calendar run is the reference and the golden-fingerprint
+        // source.
         cfg.sched = SchedKind::Calendar;
         let (calendar, calendar_history) = run_recorded(&cfg);
-        for (sched, lookahead) in others.clone() {
-            cfg.sched = sched;
-            cfg.lookahead = lookahead.clone();
-            let (run, history) = run_recorded(&cfg);
-            assert_eq!(
-                fingerprint(&history),
-                fingerprint(&calendar_history),
-                "{protocol:?}: {sched:?}/{lookahead:?} diverged from the calendar engine"
-            );
-            // Metrics are derived from the same events; spot-check scalars.
-            assert_eq!(
-                run.throughput_kops(),
-                calendar.throughput_kops(),
-                "{sched:?}/{lookahead:?}"
-            );
-            assert_eq!(run.avg_rot_ms, calendar.avg_rot_ms, "{sched:?}");
-            assert_eq!(run.p99_rot_ms, calendar.p99_rot_ms, "{sched:?}");
-            assert_eq!(run.avg_put_ms, calendar.avg_put_ms, "{sched:?}");
-            assert_eq!(run.counters, calendar.counters, "{sched:?}");
-        }
+        cfg.sched = SchedKind::Sharded;
+        let (run, history) = run_recorded(&cfg);
+        assert_eq!(
+            fingerprint(&history),
+            fingerprint(&calendar_history),
+            "{protocol:?}: the sharded engine diverged from the calendar engine"
+        );
+        // Metrics are derived from the same events; spot-check scalars.
+        assert_eq!(run.throughput_kops(), calendar.throughput_kops());
+        assert_eq!(run.avg_rot_ms, calendar.avg_rot_ms);
+        assert_eq!(run.p99_rot_ms, calendar.p99_rot_ms);
+        assert_eq!(run.avg_put_ms, calendar.avg_put_ms);
+        assert_eq!(run.counters, calendar.counters);
         got.push((protocol, fingerprint(&calendar_history)));
     }
     std::env::remove_var(contrarian_runtime::env::SHARD_THREADS);

@@ -5,7 +5,7 @@
 use contrarian_harness::checker::{CausalChecker, CheckerResidency};
 use contrarian_harness::experiment::{run, run_sim, Clients, Observe, Protocol, Report, RunSpec};
 use contrarian_harness::load::run_load_sim_checked;
-use contrarian_sim::{Lookahead, SchedKind};
+use contrarian_sim::ENGINES;
 use contrarian_types::HistoryEvent;
 use contrarian_workload::{ClientDriver, Draw, OpenLoopDriver, OpenLoopSpec, WorkloadSpec, Zipf};
 use proptest::prelude::*;
@@ -48,26 +48,13 @@ fn run_recorded_into(spec: &RunSpec, sink: &mut dyn FnMut(HistoryEvent)) -> Repo
 }
 
 /// Same seed ⇒ byte-identical open-loop history and identical load report
-/// on every engine: the Poisson calendar must not leak engine order.
+/// on both engines: the Poisson calendar must not leak engine order.
 #[test]
 fn open_loop_engines_replay_identical_histories() {
     let mut cfg = cross_dc_config(6_000.0);
     let mut reference = None;
-    for (sched, lookahead) in [
-        (SchedKind::Calendar, Lookahead::Matrix),
-        (SchedKind::Heap, Lookahead::Matrix),
-        (
-            SchedKind::Sharded {
-                shards: 3,
-                groups: 1,
-            },
-            Lookahead::Scalar,
-        ),
-        // Sub-DC groups under the per-link matrix: 3 DCs × 2 groups.
-        (SchedKind::sharded(2), Lookahead::Matrix),
-    ] {
+    for sched in ENGINES {
         cfg.sched = sched;
-        cfg.lookahead = lookahead.clone();
         let mut history = Vec::new();
         let report = run_recorded_into(&cfg, &mut |ev| history.push(ev));
         let fp = (
@@ -79,10 +66,7 @@ fn open_loop_engines_replay_identical_histories() {
         );
         match &reference {
             None => reference = Some(fp),
-            Some(r) => assert_eq!(
-                &fp, r,
-                "{sched:?}/{lookahead:?} diverged from the calendar engine"
-            ),
+            Some(r) => assert_eq!(&fp, r, "{sched:?} diverged from the calendar engine"),
         }
     }
     let (events, _, completed, _, _) = reference.unwrap();

@@ -67,9 +67,8 @@ fn run<P: ProtocolSpec>(mode: RotMode, n_dcs: u8, sched: SchedKind) -> Pin {
         seed: 7,
     };
     let mut sim = build_cluster::<P>(&params, sched);
-    // Serial windows: the thread count never changes a run, and spawning
-    // threads for every hop-wide sub-DC window costs several times the
-    // serial run. The determinism tests force the parallel path.
+    // Serial windows: the thread count never changes a run, and the
+    // determinism tests force the parallel path.
     sim.set_shard_threads(1);
     sim.start();
     sim.run_until(WARMUP_NS);

@@ -1,7 +1,7 @@
 //! Traces merge like histories: the per-node trace rings carry `(t, node,
 //! seq)` identities whose `seq` counters advance only while that node's
 //! events execute, so the merged event stream must be bit-identical under
-//! the heap, calendar, and sharded engines — the exported Chrome trace is
+//! the calendar and sharded engines — the exported Chrome trace is
 //! a deterministic artifact of (backend, rate, seed), not of the engine
 //! that happened to produce it.
 
@@ -10,7 +10,7 @@ use contrarian_sim::SchedKind;
 use contrarian_types::ClusterConfig;
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 
-/// One test drives all engines sequentially: the shard-thread override is
+/// One test drives both engines sequentially: the shard-thread override is
 /// a process-wide environment variable, so it must not race with
 /// concurrent tests (this is the only test in this binary).
 #[test]
@@ -43,25 +43,23 @@ fn traced_load_runs_merge_identically_across_engines() {
             !reference.trace.is_empty(),
             "{protocol:?}: traced run produced no events"
         );
-        for sched in [SchedKind::Heap, SchedKind::sharded(1)] {
-            cfg.sched = sched;
-            let run = run_sim(
-                &cfg,
-                Observe {
-                    trace: true,
-                    ..Observe::default()
-                },
-            );
-            assert_eq!(
-                run.trace, reference.trace,
-                "{protocol:?}: {sched:?} trace diverged from the calendar engine"
-            );
-            assert_eq!(
-                run.metrics.ops_done(),
-                reference.metrics.ops_done(),
-                "{protocol:?}: {sched:?} completed-op count diverged"
-            );
-        }
+        cfg.sched = SchedKind::Sharded;
+        let run = run_sim(
+            &cfg,
+            Observe {
+                trace: true,
+                ..Observe::default()
+            },
+        );
+        assert_eq!(
+            run.trace, reference.trace,
+            "{protocol:?}: the sharded trace diverged from the calendar engine"
+        );
+        assert_eq!(
+            run.metrics.ops_done(),
+            reference.metrics.ops_done(),
+            "{protocol:?}: the sharded completed-op count diverged"
+        );
     }
     std::env::remove_var(contrarian_runtime::env::SHARD_THREADS);
 }

@@ -3,7 +3,7 @@
 //! The workspace splits into two worlds. *Deterministic* crates are the
 //! ones whose behavior must be a pure function of `(config, seed)` — the
 //! protocol kernel, the backends, the simulator, storage, and the shared
-//! types/runtime substrate. Heap, calendar, and sharded runs are
+//! types/runtime substrate. Calendar and sharded runs are
 //! bit-identical only because nothing in these crates reads the wall
 //! clock, the OS entropy pool, or iterates a randomized hash table into
 //! an order that can leak into a history. *OS-facing* crates (the socket

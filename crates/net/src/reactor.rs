@@ -80,25 +80,10 @@ fn backoff_delay(attempts: u32) -> Duration {
     Duration::from_millis((2u64 << attempts.saturating_sub(1).min(16)).min(250))
 }
 
-/// Parses `CONTRARIAN_NET_THREADS`: the reactor pool size. Unset defaults
-/// to `available_parallelism`; a non-positive or non-numeric value is a
-/// hard error.
-fn parse_pool(value: Option<&str>) -> Result<usize, String> {
-    match value {
-        None => Ok(std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)),
-        Some(v) => {
-            v.parse::<usize>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                format!("CONTRARIAN_NET_THREADS must be a positive integer, got `{v}`")
-            })
-        }
-    }
-}
-
+/// The reactor pool size: `CONTRARIAN_NET_THREADS`, default the machine's
+/// available parallelism.
 pub(crate) fn pool_size() -> usize {
-    let value = contrarian_runtime::env::var(contrarian_runtime::env::NET_THREADS);
-    parse_pool(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    contrarian_runtime::env::threads(contrarian_runtime::env::NET_THREADS)
 }
 
 /// Work handed to a reactor thread from outside (node threads, shutdown).
@@ -918,14 +903,6 @@ mod tests {
     use contrarian_runtime::node_loop::RunShared;
     use contrarian_types::{DcId, PartitionId};
     use crossbeam::channel::{bounded, Sender};
-
-    #[test]
-    fn pool_parse_defaults_and_rejects() {
-        assert!(parse_pool(None).unwrap() >= 1);
-        assert_eq!(parse_pool(Some("3")).unwrap(), 3);
-        assert!(parse_pool(Some("0")).is_err());
-        assert!(parse_pool(Some("many")).is_err());
-    }
 
     #[test]
     fn backoff_schedule_doubles_and_caps() {

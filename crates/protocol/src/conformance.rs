@@ -154,8 +154,7 @@ pub fn check_sim<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
     let run = |sched: SchedKind| -> Result<(String, ConformanceOutcome), String> {
         let mut sim = build_cluster::<P>(&params, sched);
         // Serial windows: the thread count never changes a history, and
-        // spawning threads for every hop-wide sub-DC window costs several
-        // times the serial run.
+        // the determinism tests force the parallel path.
         sim.set_shard_threads(1);
         sim.set_recording(true);
         sim.start();

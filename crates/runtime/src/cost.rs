@@ -134,46 +134,17 @@ impl CostModel {
             .unwrap_or(self.interdc_latency_ns)
     }
 
-    /// Scalar conservative lookahead for parallel per-DC simulation: a
-    /// lower bound on how far in the future *any* cross-DC message sent
-    /// "now" can arrive. Every term of the arrival time beyond the one-way
-    /// inter-DC latency — sender CPU, wire time per byte, per-link FIFO
-    /// clamping — only pushes delivery later, so the smallest cross-DC
-    /// latency alone is a safe window width: events separated by less than
-    /// this and executing in different DCs cannot influence each other. A
-    /// zero lookahead (degenerate cost models) means cross-DC shards must
-    /// fall back to lockstep execution. [`Self::lookahead_matrix`] is the
-    /// per-link generalization: a scalar minimum collapses every pair's
-    /// bound toward the fastest link in the whole topology.
-    #[inline]
-    pub fn cross_dc_lookahead(&self) -> u64 {
-        self.interdc_overrides
-            .iter()
-            .filter(|&&(f, t, _)| f != t)
-            .map(|&(_, _, ns)| ns)
-            .fold(self.interdc_latency_ns, u64::min)
-    }
-
-    /// Derives the per-link lookahead matrix for shard groups whose DC
-    /// memberships are `group_dcs[g]`: entry `(i, j)` is the minimum
-    /// [`Self::link_latency`] over every (sender DC of group `i`, receiver
-    /// DC of group `j`) pair — a lower bound on the arrival delta of any
-    /// message group `i` sends group `j`, for the same reason the scalar
-    /// lookahead is one. Groups sharing a DC get the intra-DC hop. Entries
-    /// touching an empty group are `u64::MAX` (no node can ever send over
-    /// them). The result is metric-closed ([`LookaheadMatrix::close`]), so
-    /// it stays a valid bound for influence relayed through intermediate
-    /// groups across multiple window rounds.
-    pub fn lookahead_matrix(&self, group_dcs: &[Vec<u8>]) -> LookaheadMatrix {
-        let mut m = LookaheadMatrix::from_fn(group_dcs.len(), |i, j| {
-            let mut min = u64::MAX;
-            for &a in &group_dcs[i] {
-                for &b in &group_dcs[j] {
-                    min = min.min(self.link_latency(a, b));
-                }
-            }
-            min
-        });
+    /// The per-link lookahead matrix of a cluster of `n_dcs` DCs, one
+    /// simulator shard each: entry `(i, j)` is [`Self::link_latency`]`(i,
+    /// j)`, a lower bound on the arrival delta of any message DC `i` sends
+    /// DC `j` — every other term of an arrival time (sender CPU, wire time
+    /// per byte, per-link FIFO clamping) only pushes delivery later. The
+    /// result is metric-closed ([`LookaheadMatrix::close`]), so it stays a
+    /// valid bound for influence relayed through intermediate DCs across
+    /// multiple window rounds. A zero entry (degenerate cost models) means
+    /// that pair has no usable window and the engine runs in lockstep.
+    pub fn lookahead_matrix(&self, n_dcs: usize) -> LookaheadMatrix {
+        let mut m = LookaheadMatrix::from_fn(n_dcs, |i, j| self.link_latency(i as u8, j as u8));
         m.close();
         m
     }
@@ -194,24 +165,18 @@ impl CostModel {
 /// one window round only inspects the other shards' *current* clocks, so a
 /// cheap two-hop relay through `k` must never undercut the direct bound.
 /// [`LookaheadMatrix::close`] enforces this; [`CostModel::lookahead_matrix`]
-/// returns closed matrices.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// returns closed matrices. The default is the empty matrix of a simulator
+/// that has not started.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LookaheadMatrix {
     n: usize,
     min_ns: Vec<u64>,
 }
 
 impl LookaheadMatrix {
-    /// The scalar engine as a matrix: every off-diagonal bound is the one
-    /// global `lookahead_ns`. (Already metric-closed: any two-hop path
-    /// costs `2 × lookahead_ns` ≥ the direct entry.)
-    pub fn uniform(n: usize, lookahead_ns: u64) -> Self {
-        Self::from_fn(n, |_, _| lookahead_ns)
-    }
-
     /// Builds from an entry function; the diagonal is forced to zero. The
     /// result is *not* closed — call [`Self::close`] before driving an
-    /// engine with it (the simulator closes fixed matrices itself).
+    /// engine with it.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> u64) -> Self {
         let mut min_ns = vec![0u64; n * n];
         for i in 0..n {
@@ -288,8 +253,8 @@ impl LookaheadMatrix {
     ///   after a round trip. Without this term a shard far ahead of the
     ///   pack would over-run the replies its own sends provoke (the
     ///   classic self-influence hazard of per-link conservative bounds;
-    ///   a global scalar window avoids it only because every shard shares
-    ///   one bound).
+    ///   a global scalar window would avoid it only because every shard
+    ///   shares one bound).
     pub fn horizon(&self, to: usize, next_t: &[u64]) -> u64 {
         debug_assert_eq!(next_t.len(), self.n);
         let own = next_t[to];
@@ -380,16 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_is_the_interdc_latency() {
-        // The window width of the sharded engine: must never exceed the
-        // earliest possible cross-DC arrival. All other arrival-time terms
-        // (tx CPU, wire bytes, FIFO clamp) are non-negative.
-        let m = CostModel::calibrated();
-        assert_eq!(m.cross_dc_lookahead(), m.interdc_latency_ns);
-        assert!(m.cross_dc_lookahead() > 0);
-    }
-
-    #[test]
     fn link_latency_resolves_hop_override_then_uniform() {
         let mut m = CostModel::calibrated();
         m.interdc_overrides = vec![(0, 1, 2_000_000), (1, 0, 3_000_000)];
@@ -397,33 +352,38 @@ mod tests {
         assert_eq!(m.link_latency(0, 1), 2_000_000);
         assert_eq!(m.link_latency(1, 0), 3_000_000, "overrides are directional");
         assert_eq!(m.link_latency(0, 2), m.interdc_latency_ns);
-        // The scalar lookahead must shrink to the fastest overridden link:
-        // it bounds *any* cross-DC arrival.
-        assert_eq!(m.cross_dc_lookahead(), 2_000_000);
     }
 
     #[test]
-    fn lookahead_matrix_minimizes_over_group_dc_pairs() {
+    fn lookahead_is_the_interdc_latency() {
+        // The window width of the sharded engine: must never exceed the
+        // earliest possible cross-DC arrival. All other arrival-time terms
+        // (tx CPU, wire bytes, FIFO clamp) are non-negative.
+        let m = CostModel::calibrated();
+        let la = m.lookahead_matrix(2);
+        assert_eq!(la.n(), 2);
+        assert_eq!(la.get(0, 1), m.interdc_latency_ns);
+        assert_eq!(la.get(1, 0), m.interdc_latency_ns);
+        assert!(la.min_off_diagonal() > 0);
+    }
+
+    #[test]
+    fn lookahead_matrix_is_the_closed_per_dc_latency_table() {
+        // Directional overrides, one of them slower than the relay path
+        // 0 → 1 → 2 (2 ms + 10 ms), which closure caps it at.
         let mut m = CostModel::calibrated();
-        m.interdc_overrides = vec![(0, 1, 2_000_000)];
-        // Groups: two sub-DC groups of DC0, one group of DC1, one empty.
-        let groups = vec![vec![0u8], vec![0], vec![1], vec![]];
-        let la = m.lookahead_matrix(&groups);
-        assert_eq!(la.n(), 4);
+        m.interdc_overrides = vec![(0, 1, 2_000_000), (0, 2, 100_000_000)];
+        let la = m.lookahead_matrix(3);
         assert_eq!(la.get(0, 0), 0, "diagonal is never consulted");
+        assert_eq!(la.get(0, 1), 2_000_000);
         assert_eq!(
-            la.get(0, 1),
-            m.hop_latency_ns,
-            "same-DC groups bound at the hop"
-        );
-        assert_eq!(la.get(0, 2), 2_000_000);
-        assert_eq!(
-            la.get(2, 0),
+            la.get(1, 0),
             m.interdc_latency_ns,
             "reverse direction is not overridden"
         );
-        assert_eq!(la.get(0, 3), u64::MAX, "empty groups are unreachable");
-        assert_eq!(la.min_off_diagonal(), m.hop_latency_ns);
+        assert_eq!(la.get(0, 2), 2_000_000 + m.interdc_latency_ns);
+        assert_eq!(la.min_off_diagonal(), 2_000_000);
+        assert_eq!(m.lookahead_matrix(1).min_off_diagonal(), u64::MAX);
     }
 
     #[test]
@@ -472,8 +432,7 @@ mod tests {
         assert_eq!(la.horizon(0, &[0, u64::MAX, u64::MAX]), 20);
         // A genuinely idle shard has an unbounded horizon.
         assert_eq!(la.horizon(0, &[u64::MAX; 3]), u64::MAX);
-        assert_eq!(LookaheadMatrix::uniform(1, 10).min_off_diagonal(), u64::MAX);
-        assert_eq!(LookaheadMatrix::uniform(4, 10).min_off_diagonal(), 10);
+        assert_eq!(la.min_off_diagonal(), 10);
     }
 
     #[test]

@@ -11,17 +11,17 @@
 //! The full table, with value grammars, is documented in the top-level
 //! README ("Environment knobs").
 
-/// Simulator event-loop engine: `heap`, `calendar` (default), `sharded`,
-/// or `sharded:<count>`. Parsed by `contrarian_sim::SchedKind`.
+/// Simulator event-loop engine: `calendar` (default) or `sharded` (one
+/// event loop per DC). Parsed by `contrarian_sim::SchedKind`.
 pub const SCHED: &str = "CONTRARIAN_SCHED";
 
 /// Worker threads for the sharded simulator's window barriers (default:
 /// available parallelism). Thread count never changes results — only
-/// wall-clock speed.
+/// wall-clock speed. Parsed by [`parse_threads`].
 pub const SHARD_THREADS: &str = "CONTRARIAN_SHARD_THREADS";
 
-/// Reactor pool size (default: available parallelism). Parsed by the
-/// reactor's pool sizing.
+/// Reactor pool size (default: available parallelism). Parsed by
+/// [`parse_threads`].
 pub const NET_THREADS: &str = "CONTRARIAN_NET_THREADS";
 
 /// Experiment scale for the harness scenarios and benches: `smoke`,
@@ -37,10 +37,7 @@ pub const TRACE_CAP: &str = "CONTRARIAN_TRACE_CAP";
 /// Every registered knob, with a short contract — the machine-readable
 /// side of the README table.
 pub const REGISTERED: &[(&str, &str)] = &[
-    (
-        SCHED,
-        "simulator engine: heap | calendar (default) | sharded[:<count>]",
-    ),
+    (SCHED, "simulator engine: calendar (default) | sharded"),
     (
         SHARD_THREADS,
         "sharded-engine worker threads (positive integer; default: cores)",
@@ -70,6 +67,27 @@ pub fn var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
+/// Parses a thread-count knob ([`SHARD_THREADS`], [`NET_THREADS`]): unset
+/// is the machine's available parallelism, anything but a positive integer
+/// is an error naming the knob and the value.
+pub fn parse_threads(name: &str, value: Option<&str>) -> Result<usize, String> {
+    match value {
+        // lint:allow(determinism): pool-size default only; a thread count changes wall-clock speed, never a produced history
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n: &usize| n > 0)
+            .ok_or_else(|| format!("{name} must be a positive integer, got `{v}`")),
+    }
+}
+
+/// Reads a thread-count knob; a malformed value is a hard error (see
+/// [`parse_threads`]).
+pub fn threads(name: &str) -> usize {
+    parse_threads(name, var(name).as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +111,17 @@ mod tests {
             var(TRACE_CAP).as_deref(),
             std::env::var(TRACE_CAP).ok().as_deref()
         );
+    }
+
+    #[test]
+    fn thread_counts_default_to_the_machine_and_reject_non_positive_values() {
+        assert!(parse_threads(SHARD_THREADS, None).unwrap() >= 1);
+        assert_eq!(parse_threads(NET_THREADS, Some("3")), Ok(3));
+        for bad in ["0", "x"] {
+            let err = parse_threads(SHARD_THREADS, Some(bad)).unwrap_err();
+            assert!(err.contains(SHARD_THREADS), "{err}");
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Tracing mirrors history recording: every node owns a fixed-capacity
 //! [`TraceRing`] that its context fills while the tracing flag is set,
 //! and a run's rings merge into one stream ordered by the canonical
-//! `(t, node, seq)` key — so the heap, calendar, and sharded simulator
-//! engines all produce byte-identical traces for the same run, drops
+//! `(t, node, seq)` key — so the calendar and sharded simulator engines
+//! both produce byte-identical traces for the same run, drops
 //! included (the ring keeps the *newest* events and counts what it shed;
 //! because capacity and the per-node `seq` counter are engine
 //! independent, so is the set of surviving events).

@@ -1,5 +1,5 @@
 //! A deterministic discrete-event cluster simulator with a queueing cost
-//! model — sharded: one event loop per DC group, synchronized in
+//! model — optionally sharded: one event loop per DC, synchronized in
 //! conservative cross-DC windows.
 //!
 //! ## Why a simulator
@@ -32,32 +32,25 @@
 //!
 //! ## The engine
 //!
-//! [`Sim`] is a set of [`shard`]s — per-DC-group event loops, each owning
-//! its nodes' calendar queue, backlog slab, and the FIFO state of the
-//! links originating at its nodes. Three engine modes share the one
-//! event-processing code path ([`sched::SchedKind`], selectable with
-//! `CONTRARIAN_SCHED` through [`SchedKind::from_env`]):
+//! [`Sim`] is a set of [`shard`]s — event loops, each owning its nodes'
+//! calendar queue, backlog slab, and the FIFO state of the links
+//! originating at its nodes. Two engines share the one event-processing
+//! code path ([`sched::SchedKind`], selectable with `CONTRARIAN_SCHED`
+//! through [`SchedKind::from_env`]):
 //!
 //! * `calendar` (default) — one shard, the hierarchical calendar queue of
 //!   [`sched`];
-//! * `heap` — one shard on the original global binary heap, kept as a
-//!   differential baseline;
-//! * `sharded` / `sharded:<n>` — one shard per DC (or `n` shards, DCs
-//!   assigned round-robin), optionally split further into partition-range
-//!   groups per DC (the `groups` of [`SchedKind::Sharded`]), run in
-//!   parallel under conservative per-link windows.
+//! * `sharded` — one shard per DC, run in parallel under conservative
+//!   per-link windows.
 //!
 //! ### Windows and the lookahead invariant
 //!
-//! Every shard owns a *group* of nodes — a whole DC by default, or a
-//! contiguous partition/client range of one DC when `groups` is above 1.
-//! A [`cost::LookaheadMatrix`] entry `L(i, j)`
-//! lower-bounds the arrival delta of any message shard `i` can send
-//! shard `j`: the minimum link latency between their DC sets (sender
-//! CPU, per-byte wire time and FIFO clamping only push arrivals later),
-//! metric-closed (Floyd–Warshall, min-plus) so a relay through a cheap
-//! intermediate link never undercuts a direct entry. Each round the
-//! driver computes shard `j`'s *horizon*
+//! A [`cost::LookaheadMatrix`] entry `L(i, j)` lower-bounds the arrival
+//! delta of any message shard `i` can send shard `j`: the link latency
+//! from DC `i` to DC `j` (sender CPU, per-byte wire time and FIFO clamping
+//! only push arrivals later), metric-closed (Floyd–Warshall, min-plus) so
+//! a relay through a cheap intermediate link never undercuts a direct
+//! entry. Each round the driver computes shard `j`'s *horizon*
 //!
 //! ```text
 //! min over i≠j of   next_t[i] + L(i, j)            (incoming chains)
@@ -69,27 +62,18 @@
 //! `j`. Events strictly before the horizon run concurrently; shards
 //! synchronize at the barrier, where parked cross-shard messages are
 //! exchanged (the engine asserts none lands inside its destination's
-//! just-run window). Pairwise bounds mean two groups of the same DC
-//! window against the intra-DC hop while racing a transcontinental peer
-//! by up to the inter-DC latency — a single scalar lookahead would gate
-//! every pair on the smallest edge in the whole topology.
-//!
-//! Set `groups` above 1 when a run has few DCs but many
-//! partitions per DC (the saturated 256-partition tiers): it multiplies
-//! the schedulable shard count so the window rounds can occupy more
-//! cores. The scalar mode ([`sim::Lookahead::Scalar`], the uniform-matrix
-//! special case over [`CostModel::cross_dc_lookahead`]) keeps shards
-//! DC-granular — a same-DC cross-group message arrives after only a hop,
-//! inside any window sized by the inter-DC latency — so group counts are
-//! forced to 1 there. A zero minimum off-diagonal entry (free links)
-//! means no usable window exists at all, and the engine degenerates to
-//! lockstep execution — one globally minimal event at a time, sequential,
-//! still exact.
+//! just-run window). Pairwise bounds let two DCs joined by a fast link
+//! window against it while a transcontinental peer races ahead by up to
+//! its own latency — a single scalar lookahead would gate every pair on
+//! the smallest edge in the whole topology. A zero off-diagonal entry
+//! (free links) means no usable window exists at all, and the engine
+//! degenerates to lockstep execution — one globally minimal event at a
+//! time, sequential, still exact.
 //!
 //! ### Why determinism holds
 //!
-//! Runs are bit-identical across all three modes (and any shard or thread
-//! count) because nothing order-dependent is shared between shards:
+//! Runs are bit-identical across both engines (and any thread count)
+//! because nothing order-dependent is shared between shards:
 //!
 //! * events are totally ordered by `(t, source-attributed key)` — the tie
 //!   break is a per-*node* counter plus the node id, not a global
@@ -102,10 +86,9 @@
 //!   (`contrarian_runtime::history`).
 //!
 //! The cross-engine determinism tests fingerprint full histories across
-//! all engine modes (and shard-group counts) against golden values, the
-//! virtual-identity pins and the conformance battery run every entry of
-//! [`ENGINES`], and `sim_scale` measures the engine speedups at fixed,
-//! identical workloads.
+//! both engines against golden values, the virtual-identity pins and the
+//! conformance battery run every entry of [`ENGINES`], and `sim_scale`
+//! measures the engines at fixed, identical workloads.
 
 pub mod sched;
 pub mod shard;
@@ -121,4 +104,4 @@ pub use contrarian_runtime::{
     Actor, ActorCtx, CostModel, Histogram, Metrics, SimMessage, TimerKind,
 };
 pub use sched::{QueueStats, SchedKind, ENGINES};
-pub use sim::{Lookahead, Sim};
+pub use sim::Sim;

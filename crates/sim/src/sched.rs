@@ -1,14 +1,15 @@
-//! Event schedulers: the calendar queue that makes 100+-partition sweeps
-//! tractable, the binary-heap baseline it replaced, and the scheduler-mode
-//! selector that also picks the sharded parallel engine.
+//! The simulator's event queue — the calendar queue that makes
+//! 100+-partition sweeps tractable — and the engine selector, which picks
+//! one event loop or one per DC.
 //!
-//! All engine modes implement the *same total order* — events leave
-//! strictly by `(t, key)`, where `key` is the deterministic
-//! source-attributed event key the simulator computes (see
-//! [`crate::shard`]) — so a run is bit-identical under any of them. That
-//! equivalence is load-bearing: the cross-engine determinism tests diff
-//! full histories across schedulers, and the `sim_scale` bench measures
-//! the speedup at a fixed, identical workload.
+//! Both engines implement the *same total order* — events leave strictly
+//! by `(t, key)`, where `key` is the deterministic source-attributed event
+//! key the simulator computes (see [`crate::shard`]) — so a run is
+//! bit-identical under either. That equivalence is load-bearing: the
+//! cross-engine determinism tests diff full histories across engines, and
+//! the `sim_scale` bench measures them at a fixed, identical workload. The
+//! binary heap the calendar queue replaced survives only as the reference
+//! its differential tests pop against.
 //!
 //! ## The calendar queue
 //!
@@ -54,68 +55,34 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Which engine mode a [`crate::Sim`] uses.
+/// Which engine a [`crate::Sim`] runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedKind {
-    /// Hierarchical calendar queue, single event loop (the default).
+    /// One event loop on one calendar queue (the default).
     #[default]
     Calendar,
-    /// One global binary heap — the original engine, kept as a differential
-    /// baseline for determinism tests and the `sim_scale` bench.
-    Heap,
-    /// Sharded parallel engine: one event loop (and one calendar queue) per
-    /// shard, synchronized in conservative per-link windows. `shards == 0`
-    /// means one shard column per DC; an explicit count assigns DCs
-    /// round-robin (`dc % shards`), and a count above the DC count leaves
-    /// the surplus shards empty. `groups` then splits every column into
-    /// that many partition-range shards, so same-DC traffic crosses shards
-    /// too; [`crate::Lookahead::Scalar`] forces it to 1.
-    Sharded {
-        /// Requested shard columns; `0` = one per DC.
-        shards: u16,
-        /// Partition-range groups per column (positive; 1 = DC-granular).
-        groups: u16,
-    },
+    /// One event loop and one calendar queue per DC, run in parallel under
+    /// conservative per-link windows.
+    Sharded,
 }
 
-/// The in-process engine list: the calendar reference, one shard per DC,
-/// and two partition-range groups per DC, which puts even a 1-DC cluster
-/// on several shards. The virtual-identity pins and the conformance
-/// battery run every entry, and each must reproduce the calendar run
-/// exactly.
-pub const ENGINES: [SchedKind; 3] = [
-    SchedKind::Calendar,
-    SchedKind::sharded(1),
-    SchedKind::sharded(2),
-];
+/// The in-process engine list: the calendar reference and one shard per
+/// DC. The virtual-identity pins and the conformance battery run every
+/// entry, and each must reproduce the calendar run exactly.
+pub const ENGINES: [SchedKind; 2] = [SchedKind::Calendar, SchedKind::Sharded];
 
 impl SchedKind {
-    /// One shard column per DC, split into `groups` partition-range shards.
-    pub const fn sharded(groups: u16) -> Self {
-        SchedKind::Sharded { shards: 0, groups }
-    }
-
     /// Parses a `CONTRARIAN_SCHED` value. `None` (unset) defaults to
-    /// [`SchedKind::Calendar`]; an unrecognized value is an error listing
-    /// the valid set — silently falling back would make an engine
-    /// comparison measure the calendar queue against itself. The sharded
-    /// forms are DC-granular (one group per column).
+    /// [`SchedKind::Calendar`]; any other value is an error listing the
+    /// valid set — silently falling back would make an engine comparison
+    /// measure the calendar queue against itself.
     pub fn parse(value: Option<&str>) -> Result<Self, String> {
         match value {
-            Some("heap") => Ok(SchedKind::Heap),
             Some("calendar") | None => Ok(SchedKind::Calendar),
-            Some("sharded") => Ok(SchedKind::sharded(1)),
-            Some(other) => {
-                if let Some(n) = other.strip_prefix("sharded:") {
-                    if let Ok(shards) = n.parse::<u16>() {
-                        return Ok(SchedKind::Sharded { shards, groups: 1 });
-                    }
-                }
-                Err(format!(
-                    "CONTRARIAN_SCHED must be one of `heap`, `calendar`, `sharded`, \
-                     `sharded:<count>` (or unset), got `{other}`"
-                ))
-            }
+            Some("sharded") => Ok(SchedKind::Sharded),
+            Some(other) => Err(format!(
+                "CONTRARIAN_SCHED must be `calendar` (the default) or `sharded`, got `{other}`"
+            )),
         }
     }
 
@@ -124,15 +91,6 @@ impl SchedKind {
     pub fn from_env() -> Self {
         let value = contrarian_runtime::env::var(contrarian_runtime::env::SCHED);
         Self::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The per-shard event-queue flavour this mode runs on: the sharded
-    /// engine gives every shard its own calendar queue.
-    pub(crate) fn queue_kind(self) -> SchedKind {
-        match self {
-            SchedKind::Heap => SchedKind::Heap,
-            SchedKind::Calendar | SchedKind::Sharded { .. } => SchedKind::Calendar,
-        }
     }
 }
 
@@ -157,83 +115,6 @@ impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we need earliest-first.
         (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
-/// The event queue behind one [`crate::Sim`] event loop: one of the two
-/// scheduler implementations, with identical `(t, seq)` pop order.
-pub struct EventQueue<T>(Inner<T>);
-
-enum Inner<T> {
-    Heap(BinaryHeap<Entry<T>>),
-    Calendar(CalendarQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    pub fn new(kind: SchedKind) -> Self {
-        EventQueue(match kind.queue_kind() {
-            SchedKind::Heap => Inner::Heap(BinaryHeap::new()),
-            _ => Inner::Calendar(CalendarQueue::new()),
-        })
-    }
-
-    /// Inserts an event. `t` must be ≥ the `t` of the last pop, and
-    /// `(t, seq)` must be unique across all pushes (the simulator's
-    /// source-attributed event keys are).
-    #[inline]
-    pub fn push(&mut self, t: u64, seq: u64, item: T) {
-        match &mut self.0 {
-            Inner::Heap(h) => h.push(Entry { t, seq, item }),
-            Inner::Calendar(c) => c.push(t, seq, item),
-        }
-    }
-
-    /// Removes and returns the earliest `(t, seq)` event.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        match &mut self.0 {
-            Inner::Heap(h) => h.pop().map(|e| (e.t, e.seq, e.item)),
-            Inner::Calendar(c) => c.pop(),
-        }
-    }
-
-    /// Timestamp of the earliest pending event. Takes `&mut self` because
-    /// the calendar queue may rotate its wheel to find it — observationally
-    /// pure.
-    #[inline]
-    pub fn peek_t(&mut self) -> Option<u64> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// `(t, seq)` key of the earliest pending event (same rotation caveat
-    /// as [`EventQueue::peek_t`]). The sharded engine uses the full key to
-    /// pick the globally minimal event across shard queues in lockstep
-    /// mode.
-    #[inline]
-    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
-        match &mut self.0 {
-            Inner::Heap(h) => h.peek().map(|e| (e.t, e.seq)),
-            Inner::Calendar(c) => c.peek_key(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            Inner::Heap(h) => h.len(),
-            Inner::Calendar(c) => c.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Engine self-telemetry (all zero under [`SchedKind::Heap`]).
-    pub fn stats(&self) -> QueueStats {
-        match &self.0 {
-            Inner::Heap(_) => QueueStats::default(),
-            Inner::Calendar(c) => c.stats,
-        }
     }
 }
 
@@ -391,8 +272,21 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// `(t, seq)` of the earliest pending event (rotates the wheel if the
-    /// current bucket is exhausted).
+    /// Engine self-telemetry: what the queue has done so far.
+    pub fn stats(&self) -> QueueStats {
+        self.stats
+    }
+
+    /// Timestamp of the earliest pending event (see [`Self::peek_key`]).
+    #[inline]
+    pub fn peek_t(&mut self) -> Option<u64> {
+        self.peek_key().map(|(t, _)| t)
+    }
+
+    /// `(t, seq)` of the earliest pending event. Takes `&mut self` because
+    /// it rotates the wheel if the current bucket is exhausted —
+    /// observationally pure. The sharded engine uses the full key to pick
+    /// the globally minimal event across shard queues in lockstep mode.
     pub fn peek_key(&mut self) -> Option<(u64, u64)> {
         loop {
             let key = match (self.late.peek(), self.keys.last()) {
@@ -470,24 +364,17 @@ impl<T> CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     #[test]
     fn sched_kind_parses_valid_values_and_default() {
-        assert_eq!(SchedKind::parse(Some("heap")).unwrap(), SchedKind::Heap);
         assert_eq!(
             SchedKind::parse(Some("calendar")).unwrap(),
             SchedKind::Calendar
         );
         assert_eq!(
             SchedKind::parse(Some("sharded")).unwrap(),
-            SchedKind::sharded(1)
-        );
-        assert_eq!(
-            SchedKind::parse(Some("sharded:4")).unwrap(),
-            SchedKind::Sharded {
-                shards: 4,
-                groups: 1
-            }
+            SchedKind::Sharded
         );
         assert_eq!(SchedKind::parse(None).unwrap(), SchedKind::Calendar);
     }
@@ -495,30 +382,17 @@ mod tests {
     #[test]
     fn sched_kind_rejects_unknown_values_listing_the_valid_set() {
         // A typo must be a hard error, not a silent calendar fallback (an
-        // engine comparison would measure calendar vs itself).
-        for bogus in ["Heap", "heapq", "wheel", "", "sharded:", "sharded:x"] {
+        // engine comparison would measure calendar vs itself), and so must
+        // the removed forms: the heap engine and explicit shard counts.
+        for bogus in ["heap", "sharded:2", "sharded:", "Calendar", "wheel", ""] {
             let err = SchedKind::parse(Some(bogus)).unwrap_err();
-            assert!(err.contains("`heap`"), "{err}");
             assert!(err.contains("`calendar`"), "{err}");
             assert!(err.contains("`sharded`"), "{err}");
-            assert!(err.contains(bogus), "{err}");
+            assert!(err.contains(&format!("`{bogus}`")), "{err}");
         }
     }
 
-    #[test]
-    fn sharded_mode_runs_on_calendar_queues() {
-        assert_eq!(
-            SchedKind::Sharded {
-                shards: 3,
-                groups: 2
-            }
-            .queue_kind(),
-            SchedKind::Calendar
-        );
-        assert_eq!(SchedKind::Heap.queue_kind(), SchedKind::Heap);
-    }
-
-    fn drain<T>(q: &mut EventQueue<T>) -> Vec<(u64, u64)> {
+    fn drain<T>(q: &mut CalendarQueue<T>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some((t, seq, _)) = q.pop() {
             out.push((t, seq));
@@ -528,7 +402,7 @@ mod tests {
 
     #[test]
     fn calendar_pops_in_t_seq_order() {
-        let mut q: EventQueue<u32> = EventQueue::new(SchedKind::Calendar);
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
         // Same tick, far future, next bucket, current bucket.
         q.push(0, 1, 0);
         q.push(500_000_000, 2, 0); // overflow (beyond 67 ms horizon)
@@ -550,7 +424,7 @@ mod tests {
 
     #[test]
     fn same_tick_ties_break_by_seq_across_lanes() {
-        let mut q: EventQueue<u32> = EventQueue::new(SchedKind::Calendar);
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
         let t = CalendarQueue::<u32>::W_NS * 2 + 100;
         q.push(t, 1, 0); // wheel, then the loaded bucket's sorted keys
         q.push(t, 4, 0);
@@ -570,7 +444,7 @@ mod tests {
         // same-tick event pushed *later* may carry a *smaller* key (a
         // lower-numbered node scheduling behind a higher-numbered one).
         // The late heap must pop by key, not insertion order.
-        let mut q: EventQueue<u32> = EventQueue::new(SchedKind::Calendar);
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
         q.push(50, 10, 0);
         assert_eq!(q.pop().map(|e| e.1), Some(10));
         q.push(50, 9, 0); // pushed first, larger key
@@ -581,8 +455,10 @@ mod tests {
 
     #[test]
     fn heap_and_calendar_agree_on_a_dense_schedule() {
-        let mut heap: EventQueue<u32> = EventQueue::new(SchedKind::Heap);
-        let mut cal: EventQueue<u32> = EventQueue::new(SchedKind::Calendar);
+        // The reference: one global binary min-heap of `(t, seq)`, the
+        // engine the calendar queue replaced.
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
         // Deterministic pseudo-random interleaving of pushes and pops,
         // with keys drawn pseudo-randomly (unique, but *not* monotone in
         // push order — the shape source-attributed keys have).
@@ -595,7 +471,9 @@ mod tests {
         };
         let mut seq = 0;
         let mut now = 0u64;
-        let mut step = |heap: &mut EventQueue<u32>, cal: &mut EventQueue<u32>, dts: [u64; 4]| {
+        let mut step = |heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                        cal: &mut CalendarQueue<u32>,
+                        dts: [u64; 4]| {
             if rnd() % 3 != 0 {
                 seq += 1;
                 let dt = match dts[(rnd() % 4) as usize] {
@@ -604,10 +482,10 @@ mod tests {
                 };
                 // Unique key that scrambles push order within a tick.
                 let key = (rnd() % 1024) << 40 | seq;
-                heap.push(now + dt, key, 0);
+                heap.push(Reverse((now + dt, key)));
                 cal.push(now + dt, key, 0);
             } else {
-                let a = heap.pop().map(|e| (e.0, e.1));
+                let a = heap.pop().map(|Reverse(e)| e);
                 let b = cal.pop().map(|e| (e.0, e.1));
                 assert_eq!(a, b);
                 if let Some((t, _)) = a {
@@ -636,16 +514,17 @@ mod tests {
         for _ in 0..3_000 {
             step(&mut heap, &mut cal, [span, 2 * span, 8 * span, 64 * span]);
         }
-        assert_eq!(drain(&mut heap), drain(&mut cal));
+        let reference: Vec<(u64, u64)> =
+            std::iter::from_fn(|| heap.pop().map(|Reverse(e)| e)).collect();
+        assert_eq!(reference, drain(&mut cal));
         let stats = cal.stats();
         assert!(stats.overflow_pushes > 1_500, "{stats:?}");
         assert!(stats.buckets_loaded > 0 && stats.bucket_events >= stats.buckets_loaded);
-        assert_eq!(heap.stats(), QueueStats::default());
     }
 
     #[test]
     fn peek_matches_next_pop() {
-        let mut q: EventQueue<u32> = EventQueue::new(SchedKind::Calendar);
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
         q.push(70_000_000, 1, 0);
         assert_eq!(q.peek_t(), Some(70_000_000));
         assert_eq!(q.peek_key(), Some((70_000_000, 1)));
@@ -655,8 +534,54 @@ mod tests {
     }
 
     #[test]
+    fn stats_count_each_lane_a_push_takes() {
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        assert_eq!(q.stats(), QueueStats::default());
+        q.push(100, 1, 0); // inside the current bucket: late lane
+        q.push(CalendarQueue::<u32>::W_NS * 3, 2, 0); // wheel
+        q.push(500_000_000, 3, 0); // past the horizon: overflow
+        let after_push = q.stats();
+        assert_eq!((after_push.late_pushes, after_push.overflow_pushes), (1, 1));
+        assert_eq!(after_push.buckets_loaded, 0, "pushes load no bucket");
+        assert_eq!(drain(&mut q).len(), 3);
+        // The wheel event's bucket, then the overflow event migrated into
+        // the bucket the horizon jump lands on.
+        let want = QueueStats {
+            buckets_loaded: 2,
+            bucket_events: 2,
+            late_pushes: 1,
+            overflow_pushes: 1,
+        };
+        assert_eq!(q.stats(), want);
+    }
+
+    #[test]
+    fn peek_is_observationally_pure_across_a_wheel_rotation() {
+        // Peeking a later bucket rotates the wheel past earlier, empty
+        // buckets. An event pushed behind the new cursor afterwards must
+        // still pop first, exactly as if the peek had not happened.
+        let w = CalendarQueue::<u32>::W_NS;
+        let mut peeked: CalendarQueue<u32> = CalendarQueue::new();
+        let mut plain: CalendarQueue<u32> = CalendarQueue::new();
+        for q in [&mut peeked, &mut plain] {
+            q.push(w * 5, 2, 0);
+            q.push(w * 9, 4, 0);
+        }
+        assert_eq!(peeked.peek_t(), Some(w * 5));
+        for q in [&mut peeked, &mut plain] {
+            q.push(w + 7, 1, 0);
+            q.push(w * 5, 3, 0);
+        }
+        assert_eq!(peeked.len(), 4);
+        let want = vec![(w + 7, 1), (w * 5, 2), (w * 5, 3), (w * 9, 4)];
+        assert_eq!(drain(&mut plain), want);
+        assert_eq!(drain(&mut peeked), want);
+        assert!(peeked.is_empty() && peeked.peek_t().is_none());
+    }
+
+    #[test]
     fn idle_cluster_jumps_to_far_timers() {
-        let mut q: EventQueue<u32> = EventQueue::new(SchedKind::Calendar);
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
         // Two sparse GC-style timers, hours of virtual time apart.
         q.push(3_600_000_000_000, 1, 0);
         q.push(7_200_000_000_000, 2, 0);

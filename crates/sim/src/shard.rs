@@ -1,10 +1,11 @@
 //! The per-shard execution core of the sharded simulator.
 //!
-//! A [`crate::Sim`] is a set of [`Shard`]s. Each shard owns a disjoint
-//! group of DCs: their nodes, the calendar queue of their pending events,
-//! their backlog slab, and the FIFO state of every link *originating* at
-//! their nodes. The single-threaded engines are the one-shard special case
-//! — there is exactly one event-processing code path, which is what makes
+//! A [`crate::Sim`] is a set of [`Shard`]s. Each shard owns its nodes —
+//! every node under the calendar engine, one DC's under the sharded one —
+//! the calendar queue of their pending events, their backlog slab, and the
+//! FIFO state of every link *originating* at their nodes. The
+//! single-threaded engine is the one-shard special case — there is exactly
+//! one event-processing code path, which is what makes
 //! "sharded is bit-identical to single-threaded" a structural property
 //! instead of a parallel-maintenance burden.
 //!
@@ -51,14 +52,11 @@
 //! ## Conservative windows
 //!
 //! Shards synchronize with classic conservative parallel-DES lookahead,
-//! generalized to per-link bounds. Each shard owns a *group*: a DC (the
-//! default), or a partition/client range of one DC when the engine's
-//! `groups` splits DCs further. A
+//! generalized to per-link bounds. Each shard owns one DC. A
 //! [`contrarian_runtime::cost::LookaheadMatrix`] entry `(i, j)` lower-bounds
-//! the arrival delta of any message shard `i` sends shard `j` — the
-//! minimum link latency between their DC sets (CPU, wire and FIFO terms
-//! only push arrivals later), metric-closed so relayed influence is
-//! covered too. Each round, shard `j` runs every event strictly before its
+//! the arrival delta of any message shard `i` sends shard `j` — the link
+//! latency from DC `i` to DC `j` (CPU, wire and FIFO terms only push
+//! arrivals later), metric-closed so relayed influence is covered too. Each round, shard `j` runs every event strictly before its
 //! *horizon* — the minimum over peers `i` of the incoming chain
 //! `next_t_i + L(i, j)` *and* the bounce-back
 //! `next_t_j + L(j, i) + L(i, j)` (replies provoked by `j`'s own pending
@@ -67,15 +65,13 @@
 //! barrier the
 //! outboxes are exchanged — the engine asserts that nothing lands inside
 //! its destination's just-run window — and the next round recomputes
-//! horizons from the new per-shard clocks. The scalar engine is the
-//! uniform-matrix special case (one global window at the global minimum);
-//! a zero minimum off-diagonal entry (degenerate cost models with free
-//! links between co-located groups) means some pair has no usable window,
-//! and the engine falls back to lockstep: one globally minimal event at a
+//! horizons from the new per-shard clocks. A zero minimum off-diagonal
+//! entry (degenerate cost models with free links between DCs) means some
+//! pair has no usable window, and the engine falls back to lockstep: one globally minimal event at a
 //! time, exchanging after every step — plain sequential simulation with
 //! extra steps.
 
-use crate::sched::{EventQueue, SchedKind};
+use crate::sched::CalendarQueue;
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::history::TaggedEvent;
@@ -316,11 +312,11 @@ pub(crate) struct CrossShardMsg<M> {
     pub(crate) msg: M,
 }
 
-/// One event loop of the engine: a DC group's nodes, queue, and link state.
+/// One event loop of the engine: its nodes, queue, and link state.
 pub(crate) struct Shard<A: Actor> {
     pub(crate) id: usize,
     pub(crate) now: u64,
-    pub(crate) queue: EventQueue<EvKind<A::Msg>>,
+    pub(crate) queue: CalendarQueue<EvKind<A::Msg>>,
     pub(crate) nodes: Vec<NodeSlot<A>>,
     /// FIFO enforcement: last scheduled arrival per (local sender,
     /// receiver) link. One flat row per local sender, made of one block per
@@ -352,11 +348,11 @@ pub(crate) struct Shard<A: Actor> {
 }
 
 impl<A: Actor> Shard<A> {
-    pub(crate) fn new(id: usize, queue_kind: SchedKind, cost: CostModel) -> Self {
+    pub(crate) fn new(id: usize, cost: CostModel) -> Self {
         Shard {
             id,
             now: 0,
-            queue: EventQueue::new(queue_kind),
+            queue: CalendarQueue::new(),
             nodes: Vec::new(),
             links: Vec::new(),
             link_base: Vec::new(),

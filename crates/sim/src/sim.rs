@@ -4,11 +4,10 @@
 //! routing, per-link FIFO tables, inline per-node backlog queues, reusable
 //! handler scratch buffers, the calendar-queue scheduler of
 //! [`crate::sched`]), then as a *sharded* engine: one event loop per DC
-//! group ([`crate::shard`]), synchronized in conservative cross-DC
-//! windows. Event ordering is the source-attributed `(time, key)` total
-//! order described in the shard module — identical under the heap
-//! baseline, the single calendar loop, and any shard count, which the
-//! three-way golden determinism tests pin down.
+//! ([`crate::shard`]), synchronized in conservative cross-DC windows.
+//! Event ordering is the source-attributed `(time, key)` total order
+//! described in the shard module — identical under the single calendar
+//! loop and one loop per DC, which the golden determinism tests pin down.
 //!
 //! [`Sim`] itself is the cluster facade: registration, routing geometry,
 //! the window/lockstep drivers, and the merged views of per-shard metrics
@@ -27,28 +26,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
-/// How the sharded engine derives its conservative per-link lower bounds.
-#[derive(Clone, Debug, PartialEq, Default)]
-pub enum Lookahead {
-    /// One global window of width [`CostModel::cross_dc_lookahead`] — the
-    /// uniform-matrix special case. Sound only at DC granularity (a
-    /// same-DC cross-shard message can arrive after just a hop), so shard
-    /// groups are forced to 1.
-    Scalar,
-    /// Per-link minimum-latency matrix derived from the cost model at
-    /// start ([`CostModel::lookahead_matrix`]). The default: pairwise
-    /// bounds let fast intra-DC links between sub-DC groups coexist with
-    /// slow transcontinental edges instead of collapsing every window to
-    /// the global minimum latency.
-    #[default]
-    Matrix,
-    /// An explicit matrix (tests, what-if topologies). Its dimension must
-    /// equal the shard count at [`Sim::start`]; it is metric-closed there.
-    /// Entries must genuinely lower-bound the cost model's link latencies,
-    /// or the window-invariant assertion fires at the first violation.
-    Fixed(LookaheadMatrix),
-}
-
 /// The deterministic cluster simulator. Generic over the protocol's
 /// [`Actor`] type; one `Sim` runs one protocol on one cluster.
 pub struct Sim<A: Actor> {
@@ -59,9 +36,8 @@ pub struct Sim<A: Actor> {
     /// Worker threads for parallel windows; 0 = resolve at start
     /// (`CONTRARIAN_SHARD_THREADS`, else available parallelism).
     threads: usize,
-    /// Lookahead mode; resolved into `la` at start.
-    lookahead: Lookahead,
-    /// Per-link conservative bounds, metric-closed; built at start.
+    /// Per-link conservative bounds, metric-closed
+    /// ([`CostModel::lookahead_matrix`]); built at start.
     la: LookaheadMatrix,
     /// Cached `la.min_off_diagonal()`: 0 ⇒ no usable window, lockstep.
     min_la: u64,
@@ -96,8 +72,7 @@ impl<A: Actor> Sim<A> {
             seed,
             sched,
             threads: 0,
-            lookahead: Lookahead::default(),
-            la: LookaheadMatrix::uniform(0, 0),
+            la: LookaheadMatrix::default(),
             min_la: 0,
             rounds: 0,
             staging: Vec::new(),
@@ -143,13 +118,6 @@ impl<A: Actor> Sim<A> {
         }
     }
 
-    /// Selects how the conservative per-link bounds are derived (default:
-    /// [`Lookahead::Matrix`]).
-    pub fn set_lookahead(&mut self, lookahead: Lookahead) {
-        assert!(!self.started, "lookahead mode is fixed at start");
-        self.lookahead = lookahead;
-    }
-
     /// The resolved (metric-closed) lookahead matrix driving the windows.
     pub fn lookahead_matrix(&self) -> &LookaheadMatrix {
         assert!(self.started, "the matrix is resolved at start");
@@ -157,9 +125,9 @@ impl<A: Actor> Sim<A> {
     }
 
     /// Conservative window rounds driven so far (0 on the single-shard and
-    /// lockstep paths). Identical matrices and event streams produce
-    /// identical round counts — the window schedule is a pure function of
-    /// both — which is what lets tests pin "uniform matrix ≡ scalar".
+    /// lockstep paths). The window schedule is a pure function of the
+    /// matrix and the event stream, so identical runs drive identical
+    /// round counts.
     pub fn window_rounds(&self) -> u64 {
         self.rounds
     }
@@ -178,9 +146,8 @@ impl<A: Actor> Sim<A> {
         self.shards.iter().map(|s| s.events_processed).sum()
     }
 
-    /// Calendar-queue self-telemetry summed over all shards (all zero under
-    /// [`SchedKind::Heap`]): buckets loaded and the events they held,
-    /// late-lane pushes and overflow pushes.
+    /// Calendar-queue self-telemetry summed over all shards: buckets loaded
+    /// and the events they held, late-lane pushes and overflow pushes.
     pub fn queue_stats(&self) -> QueueStats {
         let mut sum = QueueStats::default();
         for s in &self.shards {
@@ -208,35 +175,19 @@ impl<A: Actor> Sim<A> {
             .map(|(a, _, _)| a.dc.index() + 1)
             .max()
             .unwrap_or(1);
-        let (dc_shards, groups) = match self.sched {
-            SchedKind::Sharded { shards, groups } => {
-                assert!(groups > 0, "shard groups must be positive");
-                let columns = if shards == 0 { n_dcs } else { shards as usize };
-                // The scalar lookahead's global window is only sound
-                // DC-granular.
-                let scalar = matches!(self.lookahead, Lookahead::Scalar);
-                (columns, if scalar { 1 } else { groups as usize })
-            }
-            _ => (1, 1),
-        };
-        let n_shards = dc_shards * groups;
+        // A node's shard is its DC under the sharded engine, the one shard
+        // otherwise: a function of the address alone, never of machine
+        // parallelism, so placement cannot perturb determinism.
+        let per_dc = self.sched == SchedKind::Sharded;
+        let n_shards = if per_dc { n_dcs } else { 1 };
         if self.threads == 0 {
-            self.threads =
-                match contrarian_runtime::env::var(contrarian_runtime::env::SHARD_THREADS) {
-                    Some(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                        panic!("CONTRARIAN_SHARD_THREADS must be a positive integer, got `{v}`")
-                    }),
-                    // lint:allow(determinism): worker-count default only; thread count changes wall-clock speed, never the produced history
-                    None => std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                };
+            self.threads = contrarian_runtime::env::threads(contrarian_runtime::env::SHARD_THREADS);
         }
         self.threads = self.threads.min(n_shards);
 
         self.shards = (0..n_shards)
             .map(|i| {
-                let mut s = Shard::new(i, self.sched.queue_kind(), self.cost.clone());
+                let mut s = Shard::new(i, self.cost.clone());
                 s.recording = self.recording;
                 s.tracing = self.tracing;
                 s.stopped = self.stopped;
@@ -244,30 +195,14 @@ impl<A: Actor> Sim<A> {
                 s
             })
             .collect();
-        // Per-(DC, kind) index spans, so partition-range groups split each
-        // DC's servers and clients into `groups` contiguous idx ranges.
-        let mut server_span = vec![0u32; n_dcs];
-        let mut client_span = vec![0u32; n_dcs];
-        for (a, _, _) in &self.staging {
-            let span = match a.kind {
-                NodeKind::Server => &mut server_span[a.dc.index()],
-                NodeKind::Client => &mut client_span[a.dc.index()],
-            };
-            *span = (*span).max(a.idx as u32 + 1);
-        }
         let mut addrs = Vec::with_capacity(self.staging.len());
         let mut locate = Vec::with_capacity(self.staging.len());
-        let mut shard_dcs: Vec<Vec<u8>> = vec![Vec::new(); n_shards];
         // `take`, not `drain`: the registration buffer is freed with it
         // (1 152 slots at 1 152 nodes).
         for (gid, (addr, actor, workers)) in
             std::mem::take(&mut self.staging).into_iter().enumerate()
         {
-            let shard = shard_of(addr, dc_shards, groups, &server_span, &client_span);
-            let dc = addr.dc.index() as u8;
-            if !shard_dcs[shard].contains(&dc) {
-                shard_dcs[shard].push(dc);
-            }
+            let shard = if per_dc { addr.dc.index() } else { 0 };
             let local = self.shards[shard].nodes.len();
             addrs.push(addr);
             locate.push((shard as u32, local as u32));
@@ -276,20 +211,7 @@ impl<A: Actor> Sim<A> {
                 .nodes
                 .push(NodeSlot::new(addr, gid as u32, actor, workers, rng));
         }
-        self.la = match &self.lookahead {
-            Lookahead::Scalar => LookaheadMatrix::uniform(n_shards, self.cost.cross_dc_lookahead()),
-            Lookahead::Matrix => self.cost.lookahead_matrix(&shard_dcs),
-            Lookahead::Fixed(m) => {
-                assert_eq!(
-                    m.n(),
-                    n_shards,
-                    "fixed lookahead matrix dimension must equal the shard count"
-                );
-                let mut m = m.clone();
-                m.close();
-                m
-            }
-        };
+        self.la = self.cost.lookahead_matrix(n_shards);
         self.min_la = self.la.min_off_diagonal();
         self.routing = Routing::build(addrs, locate, &self.cost);
         for s in &mut self.shards {
@@ -594,10 +516,10 @@ impl<A: Actor> Sim<A> {
     /// (bound-clamped) horizon, in parallel when more than one shard has
     /// work and more than one thread is available. Cross-shard messages are exchanged at
     /// the barrier; the next round recomputes horizons from the advanced
-    /// clocks. Pairwise bounds mean two sub-DC groups of the same DC
-    /// window against the intra-DC hop while racing a transcontinental
-    /// peer by up to the inter-DC latency — a scalar lookahead would gate
-    /// every pair on the single smallest edge in the whole topology.
+    /// clocks. Pairwise bounds let two DCs joined by a fast link window
+    /// against it while a transcontinental peer races ahead by up to its
+    /// own latency — a scalar lookahead would gate every pair on the
+    /// single smallest edge in the whole topology.
     ///
     /// Progress: the shard holding the global minimum `m` has horizon
     /// ≥ `m + min_off_diagonal` > `m`, so it always clears at least its
@@ -690,35 +612,6 @@ impl<A: Actor> Sim<A> {
     }
 }
 
-/// Shard assignment: DC → shard column (round-robin over `dc_shards`, as
-/// before), then the node's index splits into `groups` contiguous ranges
-/// of its DC's server/client span — partition-range groups, so co-accessed
-/// neighbouring partitions tend to share a shard. Pure arithmetic on
-/// registration-time data: shard placement is a function of the address
-/// alone, never of machine parallelism, so it cannot perturb determinism.
-fn shard_of(
-    addr: contrarian_types::Addr,
-    dc_shards: usize,
-    groups: usize,
-    server_span: &[u32],
-    client_span: &[u32],
-) -> usize {
-    let dc = addr.dc.index();
-    let col = dc % dc_shards;
-    if groups == 1 {
-        return col;
-    }
-    let span = match addr.kind {
-        NodeKind::Server => server_span[dc],
-        NodeKind::Client => client_span[dc],
-    }
-    .max(1) as u64;
-    // idx < span by construction, so g < groups; min() guards hypothetical
-    // sparse registrations anyway.
-    let g = (addr.idx as u64 * groups as u64 / span) as usize;
-    col * groups + g.min(groups - 1)
-}
-
 /// Clamps a shard's conservative horizon to the run bound — the one
 /// audited place window ends are formed. The window is half-open
 /// `[next_t, end)` while the bound is *inclusive* (`run_bounded` must
@@ -739,7 +632,7 @@ mod tests {
     use super::*;
     use contrarian_runtime::actor::{ActorCtx, TimerKind};
     use contrarian_runtime::cost::{MsgClass, SimMessage};
-    use contrarian_types::DcId;
+    use contrarian_types::{DcId, PartitionId};
 
     /// A ping-pong actor: servers echo, the client counts echoes.
     struct Echo {
@@ -812,12 +705,9 @@ mod tests {
         mk_with(SchedKind::Calendar)
     }
 
-    const ALL_ENGINES: [SchedKind; 3] =
-        [SchedKind::Calendar, SchedKind::Heap, SchedKind::sharded(1)];
-
     #[test]
     fn ping_pong_runs_to_completion() {
-        for sched in ALL_ENGINES {
+        for sched in crate::ENGINES {
             let mut sim = mk_with(sched);
             sim.start();
             sim.run_to_quiescence(u64::MAX);
@@ -856,7 +746,7 @@ mod tests {
             sim.now()
         };
         assert_eq!(run(42, SchedKind::Calendar), run(42, SchedKind::Calendar));
-        for sched in ALL_ENGINES {
+        for sched in crate::ENGINES {
             assert_eq!(run(42, SchedKind::Calendar), run(42, sched), "{sched:?}");
         }
     }
@@ -879,9 +769,7 @@ mod tests {
             want.windows(2).all(|w| w[0].key() < w[1].key()),
             "canonical order"
         );
-        for sched in [SchedKind::Heap, SchedKind::sharded(1)] {
-            assert_eq!(run(sched), want, "{sched:?}");
-        }
+        assert_eq!(run(SchedKind::Sharded), want);
     }
 
     #[test]
@@ -896,7 +784,7 @@ mod tests {
     /// buffer nor the registration index holds a block.
     #[test]
     fn start_frees_the_registration_state() {
-        for sched in ALL_ENGINES {
+        for sched in crate::ENGINES {
             let mut sim = mk_with(sched);
             assert!(sim.staging.capacity() >= 2);
             sim.start();
@@ -934,8 +822,7 @@ mod tests {
             stats.buckets_loaded > 0 && stats.late_pushes > 0,
             "{stats:?}"
         );
-        assert_eq!(run(SchedKind::sharded(1)).0, stats);
-        assert_eq!(run(SchedKind::Heap).0, QueueStats::default());
+        assert_eq!(run(SchedKind::Sharded).0, stats);
     }
 
     #[test]
@@ -1010,7 +897,7 @@ mod tests {
                 Ping(0)
             }
         }
-        for sched in ALL_ENGINES {
+        for sched in crate::ENGINES {
             let mut sim: Sim<Burst> = Sim::with_scheduler(CostModel::functional(), 9, sched);
             let server = Addr::server(DcId(0), contrarian_types::PartitionId(0));
             sim.add_server(server, Burst { got: vec![] }, 4);
@@ -1141,7 +1028,7 @@ mod tests {
             cpu_per_kb_ns: 0,
             ..CostModel::functional()
         };
-        for sched in ALL_ENGINES {
+        for sched in crate::ENGINES {
             let mut sim: Sim<Fan> = Sim::with_scheduler(cost.clone(), 3, sched);
             for dc in 0..2 {
                 for p in 0..2 {
@@ -1235,7 +1122,8 @@ mod tests {
     }
 
     struct Mesh {
-        dcs: u8,
+        /// The DCs whose servers this node round-robins over.
+        dcs: Vec<u8>,
         servers: u16,
         next: u32,
         echoes: u64,
@@ -1247,6 +1135,9 @@ mod tests {
             Self::spanning(2, servers)
         }
         fn spanning(dcs: u8, servers: u16) -> Self {
+            Self::over((0..dcs).collect(), servers)
+        }
+        fn over(dcs: Vec<u8>, servers: u16) -> Self {
             Mesh {
                 dcs,
                 servers,
@@ -1258,9 +1149,9 @@ mod tests {
         fn target(&mut self) -> Addr {
             let t = self.next;
             self.next += 1;
-            let all = self.dcs as u32 * self.servers as u32;
+            let all = self.dcs.len() as u32 * self.servers as u32;
             Addr::server(
-                DcId((t % all / self.servers as u32) as u8),
+                DcId(self.dcs[(t % all / self.servers as u32) as usize]),
                 contrarian_types::PartitionId((t % self.servers as u32) as u16),
             )
         }
@@ -1321,27 +1212,156 @@ mod tests {
     #[test]
     fn sharded_geo_run_matches_single_threaded_engines() {
         let want = geo_digest(SchedKind::Calendar, CostModel::calibrated(), None);
-        for sched in [
-            SchedKind::Heap,
-            SchedKind::sharded(1),
-            SchedKind::Sharded {
-                shards: 2,
-                groups: 1,
-            },
-        ] {
-            assert_eq!(
-                geo_digest(sched, CostModel::calibrated(), None),
-                want,
-                "{sched:?} diverged from the calendar engine"
-            );
-        }
+        assert_eq!(
+            geo_digest(SchedKind::Sharded, CostModel::calibrated(), None),
+            want,
+            "sharded engine diverged from the calendar engine"
+        );
         // Forced multi-threading (the machine may report 1 CPU): the
         // parallel window path itself must replay the same run.
         assert_eq!(
-            geo_digest(SchedKind::sharded(1), CostModel::calibrated(), Some(2)),
+            geo_digest(SchedKind::Sharded, CostModel::calibrated(), Some(2)),
             want,
             "parallel windows diverged"
         );
+    }
+
+    #[test]
+    fn a_nodes_shard_is_its_dc() {
+        // Placement is a function of the address alone: under the sharded
+        // engine shard `i` holds exactly DC `i`'s nodes in registration
+        // order; the calendar engine holds every node in its one shard.
+        // Routing must locate each registration id at its slot.
+        let servers = |dc| (0..3).map(move |p| Addr::server(DcId(dc), PartitionId(p)));
+        let clients = |dc| (0..4).map(move |c| Addr::client(DcId(dc), c));
+        for sched in crate::ENGINES {
+            let mut sim = mk_geo(sched, CostModel::calibrated(), 3, 4);
+            sim.start();
+            let placed: Vec<Vec<Addr>> = sim
+                .shards
+                .iter()
+                .map(|s| s.nodes.iter().map(|n| n.addr).collect())
+                .collect();
+            let want: Vec<Vec<Addr>> = match sched {
+                SchedKind::Calendar => vec![servers(0)
+                    .chain(servers(1))
+                    .chain(clients(0))
+                    .chain(clients(1))
+                    .collect()],
+                SchedKind::Sharded => (0..2)
+                    .map(|dc| servers(dc).chain(clients(dc)).collect())
+                    .collect(),
+            };
+            assert_eq!(placed, want, "{sched:?}");
+            for (gid, &addr) in sim.routing.addrs.iter().enumerate() {
+                let (s, l) = sim.routing.locate(gid);
+                let slot = &sim.shards[s].nodes[l];
+                assert_eq!((slot.addr, slot.global_id), (addr, gid as u32), "{sched:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_windows_follow_the_cost_models_per_dc_matrix() {
+        // The engine value alone fixes the geometry: the calendar engine
+        // runs one shard with no window, the sharded one a shard per DC
+        // driven by `lookahead_matrix(n_dcs)` of the run's cost model.
+        let mut cost = CostModel::calibrated();
+        cost.interdc_overrides = vec![(0, 1, 7_000_000)];
+        let run = |sched| {
+            let mut sim = mk_geo(sched, cost.clone(), 2, 2);
+            sim.start();
+            let geometry = (sim.n_shards(), sim.lookahead_matrix().clone());
+            sim.run_to_quiescence(u64::MAX);
+            (geometry, sim.window_rounds())
+        };
+        let ((shards, la), rounds) = run(SchedKind::Calendar);
+        assert_eq!((shards, rounds), (1, 0));
+        assert_eq!(la, cost.lookahead_matrix(1));
+        let ((shards, la), rounds) = run(SchedKind::Sharded);
+        assert_eq!(shards, 2);
+        assert_eq!(la, cost.lookahead_matrix(2));
+        assert_eq!(la.get(0, 1), 7_000_000);
+        assert!(rounds > 0, "cross-DC traffic runs in windows");
+    }
+
+    #[test]
+    fn single_dc_sharded_run_is_one_shard_replaying_calendar() {
+        // One DC gives the sharded engine one shard: no peer, no window
+        // rounds, and exactly the calendar run.
+        let run = |sched| {
+            let mut sim: Sim<Mesh> = Sim::with_scheduler(CostModel::calibrated(), 5, sched);
+            for p in 0..4 {
+                sim.add_server(
+                    Addr::server(DcId(0), PartitionId(p)),
+                    Mesh::spanning(1, 4),
+                    2,
+                );
+            }
+            for c in 0..4 {
+                sim.add_client(Addr::client(DcId(0), c), Mesh::spanning(1, 4));
+            }
+            sim.start();
+            assert_eq!(sim.n_shards(), 1, "{sched:?}");
+            assert_eq!(sim.lookahead_matrix().min_off_diagonal(), u64::MAX);
+            sim.run_to_quiescence(u64::MAX);
+            assert_eq!(sim.window_rounds(), 0, "{sched:?}");
+            let sums: Vec<u64> = (0..4)
+                .map(|c| {
+                    let a = sim.actor(Addr::client(DcId(0), c));
+                    a.sum.wrapping_mul(1023).wrapping_add(a.echoes)
+                })
+                .collect();
+            (sim.now(), sim.events_processed(), sums)
+        };
+        assert_eq!(run(SchedKind::Sharded), run(SchedKind::Calendar));
+    }
+
+    #[test]
+    fn surplus_shards_stay_empty_and_harmless() {
+        // DCs 0 and 2 only: the sharded engine still gives DC 1 a shard,
+        // which owns no nodes. It must not perturb the run (or deadlock
+        // the window barrier).
+        let digest = |sched, threads: Option<usize>| {
+            let mut sim: Sim<Mesh> = Sim::with_scheduler(CostModel::calibrated(), 17, sched);
+            for dc in [0, 2] {
+                for p in 0..2 {
+                    let addr = Addr::server(DcId(dc), PartitionId(p));
+                    sim.add_server(addr, Mesh::over(vec![0, 2], 2), 2);
+                }
+                for c in 0..3 {
+                    sim.add_client(Addr::client(DcId(dc), c), Mesh::over(vec![0, 2], 2));
+                }
+            }
+            if let Some(t) = threads {
+                sim.set_shard_threads(t);
+            }
+            sim.start();
+            let empty: Vec<usize> = (0..sim.n_shards())
+                .filter(|&s| sim.shards[s].nodes.is_empty())
+                .collect();
+            sim.run_until(40_000_000);
+            sim.run_to_quiescence(u64::MAX);
+            let mut sums = Vec::new();
+            for dc in [0, 2] {
+                for c in 0..3 {
+                    let a = sim.actor(Addr::client(DcId(dc), c));
+                    sums.push(a.sum.wrapping_mul(1023).wrapping_add(a.echoes));
+                }
+            }
+            let rounds = sim.window_rounds();
+            (
+                (sim.n_shards(), empty),
+                (sim.now(), sim.events_processed(), sums),
+                rounds,
+            )
+        };
+        let (geometry, want, _) = digest(SchedKind::Calendar, None);
+        assert_eq!(geometry, (1, vec![]));
+        let (geometry, got, rounds) = digest(SchedKind::Sharded, Some(3));
+        assert_eq!(geometry, (3, vec![1]), "DC 1's shard is empty");
+        assert_eq!(got, want);
+        assert!(rounds > 0, "the run went through the window barrier");
     }
 
     #[test]
@@ -1351,37 +1371,9 @@ mod tests {
         // and still match the single-threaded run exactly.
         let mut cost = CostModel::functional();
         cost.interdc_latency_ns = 0;
-        assert_eq!(cost.cross_dc_lookahead(), 0);
+        assert_eq!(cost.lookahead_matrix(2).min_off_diagonal(), 0);
         let want = geo_digest(SchedKind::Calendar, cost.clone(), None);
-        assert_eq!(geo_digest(SchedKind::sharded(1), cost, None), want);
-    }
-
-    #[test]
-    fn surplus_shards_stay_empty_and_harmless() {
-        // More shards than DCs: shards 2..6 own no nodes. They must not
-        // perturb the run (or deadlock the window barrier).
-        let want = geo_digest(SchedKind::Calendar, CostModel::calibrated(), None);
-        let mut sim = mk_geo(
-            SchedKind::Sharded {
-                shards: 6,
-                groups: 1,
-            },
-            CostModel::calibrated(),
-            3,
-            4,
-        );
-        sim.start();
-        assert_eq!(sim.n_shards(), 6);
-        sim.run_until(40_000_000);
-        sim.run_to_quiescence(u64::MAX);
-        let mut sums = Vec::new();
-        for dc in 0..2 {
-            for c in 0..4 {
-                let a = sim.actor(Addr::client(DcId(dc), c));
-                sums.push(a.sum.wrapping_mul(1023).wrapping_add(a.echoes));
-            }
-        }
-        assert_eq!((sim.now(), sim.events_processed(), sums), want);
+        assert_eq!(geo_digest(SchedKind::Sharded, cost, None), want);
     }
 
     #[test]
@@ -1452,7 +1444,7 @@ mod tests {
         };
         let serial = run(SchedKind::Calendar);
         assert_eq!(serial, vec![L], "arrival lands exactly at the lookahead");
-        assert_eq!(run(SchedKind::sharded(1)), serial);
+        assert_eq!(run(SchedKind::Sharded), serial);
     }
 
     #[test]
@@ -1509,12 +1501,12 @@ mod tests {
             sim.start();
             sim
         };
-        let mut whole = build(SchedKind::sharded(1));
+        let mut whole = build(SchedKind::Sharded);
         whole.run_to_quiescence(u64::MAX);
         let want = whole.take_history();
         assert!(!want.is_empty());
 
-        let mut chunked = build(SchedKind::sharded(1));
+        let mut chunked = build(SchedKind::Sharded);
         let mut got = Vec::new();
         for slice in [10_000_000u64, 25_000_000, 60_000_000] {
             chunked.run_until(slice);
@@ -1525,7 +1517,7 @@ mod tests {
         assert_eq!(format!("{want:?}"), format!("{got:?}"));
     }
 
-    // ---- per-link matrix, sub-DC groups, window-bound arithmetic ----
+    // ---- per-link matrix and window-bound arithmetic ----
 
     #[test]
     fn window_end_clamps_with_saturating_semantics() {
@@ -1571,7 +1563,7 @@ mod tests {
             }
         }
         let mut sim: Sim<FarTimer> =
-            Sim::with_scheduler(CostModel::functional(), 7, SchedKind::sharded(1));
+            Sim::with_scheduler(CostModel::functional(), 7, SchedKind::Sharded);
         for dc in 0..2 {
             sim.add_server(
                 Addr::server(DcId(dc), contrarian_types::PartitionId(0)),
@@ -1626,7 +1618,7 @@ mod tests {
                 Ping(0)
             }
         }
-        for sched in ALL_ENGINES {
+        for sched in crate::ENGINES {
             let mut sim: Sim<LateEcho> = Sim::with_scheduler(CostModel::calibrated(), 7, sched);
             sim.add_server(server(), LateEcho { pongs: 0 }, 1);
             sim.add_client(Addr::client(DcId(0), 0), LateEcho { pongs: 0 });
@@ -1637,153 +1629,18 @@ mod tests {
         }
     }
 
-    /// Digest + window-round count for a two-DC mesh under an arbitrary
-    /// configuration hook.
-    fn geo_digest_with(
-        sched: SchedKind,
-        cost: CostModel,
-        config: impl FnOnce(&mut Sim<Mesh>),
-    ) -> (u64, u64, Vec<u64>, u64) {
-        let mut sim = mk_geo(sched, cost, 3, 4);
-        config(&mut sim);
-        sim.start();
-        sim.run_until(40_000_000);
-        sim.run_to_quiescence(u64::MAX);
-        let mut sums = Vec::new();
-        for dc in 0..2 {
-            for c in 0..4 {
-                let a = sim.actor(Addr::client(DcId(dc), c));
-                sums.push(a.sum.wrapping_mul(1023).wrapping_add(a.echoes));
-            }
-        }
-        (sim.now(), sim.events_processed(), sums, sim.window_rounds())
-    }
-
-    #[test]
-    fn uniform_matrix_reproduces_scalar_window_schedule() {
-        // On a homogeneous topology the per-link matrix *is* uniform, so
-        // the matrix engine must drive the exact same window schedule as
-        // the scalar one — pinned by the round count, which is a pure
-        // function of (matrix, event stream) — not merely the same result.
-        let cost = CostModel::calibrated();
-        let scalar = geo_digest_with(SchedKind::sharded(1), cost.clone(), |sim| {
-            sim.set_lookahead(Lookahead::Scalar);
-            sim.set_shard_threads(2);
-        });
-        let matrix = geo_digest_with(SchedKind::sharded(1), cost.clone(), |sim| {
-            sim.set_lookahead(Lookahead::Matrix);
-            sim.set_shard_threads(2);
-        });
-        let fixed = geo_digest_with(SchedKind::sharded(1), cost.clone(), |sim| {
-            sim.set_lookahead(Lookahead::Fixed(LookaheadMatrix::uniform(
-                2,
-                cost.cross_dc_lookahead(),
-            )));
-            sim.set_shard_threads(2);
-        });
-        assert!(scalar.3 > 0, "parallel windows actually ran");
-        assert_eq!(matrix, scalar, "matrix (uniform) ≠ scalar schedule");
-        assert_eq!(fixed, scalar, "explicit uniform matrix ≠ scalar schedule");
-        // And the resolved matrices really are the same object.
-        let mut sim = mk_geo(SchedKind::sharded(1), cost.clone(), 3, 4);
-        sim.start();
-        assert_eq!(
-            *sim.lookahead_matrix(),
-            LookaheadMatrix::uniform(2, cost.cross_dc_lookahead())
-        );
-    }
-
-    #[test]
-    fn sub_dc_groups_match_serial_engines() {
-        // Splitting each DC into 3 partition-range groups (6 shards, forced
-        // parallel windows) must replay the calendar run bit-identically.
-        let want = geo_digest(SchedKind::Calendar, CostModel::calibrated(), None);
-        for groups in [2u16, 3] {
-            let got = geo_digest_with(SchedKind::sharded(groups), CostModel::calibrated(), |sim| {
-                sim.set_shard_threads(4)
-            });
-            assert_eq!((got.0, got.1, got.2), want, "groups={groups} diverged");
-            assert!(got.3 > 0, "groups={groups} never formed a window");
-        }
-        // Geometry check: 2 DCs × 3 groups = 6 shards, and the sub-DC
-        // pairs window against the intra-DC hop, not the inter-DC latency.
-        let mut sim = mk_geo(SchedKind::sharded(3), CostModel::calibrated(), 3, 4);
-        sim.start();
-        assert_eq!(sim.n_shards(), 6);
-        let la = sim.lookahead_matrix();
-        let cost = CostModel::calibrated();
-        assert_eq!(la.get(0, 1), cost.hop_latency_ns, "same-DC groups: hop");
-        assert_eq!(la.get(0, 3), cost.interdc_latency_ns, "cross-DC: inter-DC");
-        assert_eq!(la.min_off_diagonal(), cost.hop_latency_ns);
-    }
-
-    #[test]
-    fn scalar_lookahead_forces_single_group_per_dc() {
-        // The scalar global window is only sound at DC granularity: a
-        // same-DC cross-group message arrives after just a hop, far inside
-        // a window of width interdc. Groups must silently clamp to 1.
-        let mut sim = mk_geo(SchedKind::sharded(4), CostModel::calibrated(), 3, 4);
-        sim.set_lookahead(Lookahead::Scalar);
-        sim.start();
-        assert_eq!(sim.n_shards(), 2, "scalar mode stays DC-granular");
-    }
-
-    #[test]
-    fn group_count_is_part_of_the_engine_value() {
-        // `sharded` parses DC-granular; two groups put a 1-DC cluster on
-        // two shards that replay the calendar run exactly; the scalar
-        // lookahead still collapses them to one.
-        assert_eq!(
-            SchedKind::parse(Some("sharded")).unwrap(),
-            SchedKind::sharded(1)
-        );
-        let run = |sched, lookahead| {
-            let mut sim: Sim<Mesh> = Sim::with_scheduler(CostModel::calibrated(), 5, sched);
-            for p in 0..4 {
-                let addr = Addr::server(DcId(0), contrarian_types::PartitionId(p));
-                sim.add_server(addr, Mesh::spanning(1, 4), 2);
-            }
-            for c in 0..4 {
-                sim.add_client(Addr::client(DcId(0), c), Mesh::spanning(1, 4));
-            }
-            sim.set_lookahead(lookahead);
-            sim.start();
-            let shards = sim.n_shards();
-            sim.run_to_quiescence(u64::MAX);
-            let sums: Vec<u64> = (0..4)
-                .map(|c| {
-                    let a = sim.actor(Addr::client(DcId(0), c));
-                    a.sum.wrapping_mul(1023).wrapping_add(a.echoes)
-                })
-                .collect();
-            (shards, (sim.now(), sim.events_processed(), sums))
-        };
-        let (shards, want) = run(SchedKind::Calendar, Lookahead::Matrix);
-        assert_eq!(shards, 1);
-        let grouped = run(SchedKind::sharded(2), Lookahead::Matrix);
-        assert_eq!(grouped, (2, want.clone()));
-        assert_eq!(run(SchedKind::sharded(2), Lookahead::Scalar), (1, want));
-    }
-
     #[test]
     fn asymmetric_overrides_match_serial_engines() {
         // Directional link overrides (A→B slow, B→A fast): the matrix is
-        // asymmetric, every engine and group count must still agree.
+        // asymmetric, and both engines must still agree.
         let mut cost = CostModel::calibrated();
         cost.interdc_overrides = vec![(0, 1, 40_000_000), (1, 0, 3_000_000)];
         let want = geo_digest(SchedKind::Calendar, cost.clone(), None);
-        let heap = geo_digest(SchedKind::Heap, cost.clone(), None);
-        assert_eq!(heap, want);
-        for groups in [1u16, 2, 3] {
-            let got = geo_digest_with(SchedKind::sharded(groups), cost.clone(), |sim| {
-                sim.set_shard_threads(3)
-            });
-            assert_eq!(
-                (got.0, got.1, got.2),
-                want,
-                "asymmetric matrix, groups={groups}"
-            );
-        }
+        assert_eq!(
+            geo_digest(SchedKind::Sharded, cost, Some(2)),
+            want,
+            "asymmetric matrix"
+        );
     }
 
     #[test]
@@ -1838,17 +1695,6 @@ mod tests {
             (sim.now(), sim.events_processed(), sums)
         };
         let want = digest(SchedKind::Calendar, None);
-        assert_eq!(digest(SchedKind::Heap, None), want);
-        assert_eq!(digest(SchedKind::sharded(1), Some(3)), want);
-        assert_eq!(
-            digest(
-                SchedKind::Sharded {
-                    shards: 2,
-                    groups: 1
-                },
-                Some(2)
-            ),
-            want
-        );
+        assert_eq!(digest(SchedKind::Sharded, Some(3)), want);
     }
 }

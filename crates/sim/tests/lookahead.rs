@@ -12,7 +12,7 @@
 //!    through the destination's own sends — can arrive before the
 //!    destination's horizon;
 //! 3. the full engine agrees bit-for-bit with the serial calendar run on
-//!    random heterogeneous topologies, group counts, and thread counts.
+//!    random heterogeneous topologies and thread counts.
 
 use contrarian_sim::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_sim::cost::{CostModel, LookaheadMatrix, MsgClass, SimMessage};
@@ -234,17 +234,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random heterogeneous topology (directional overrides, possibly
-    /// zero-latency links), random shard-group and thread counts: the
-    /// parallel matrix engine must replay the serial calendar run
-    /// bit-identically. Zero-latency links collapse the matrix minimum to
-    /// 0 and exercise the lockstep fallback inside the same property.
+    /// zero-latency links) and thread count: the parallel per-DC engine
+    /// must replay the serial calendar run bit-identically. Zero-latency
+    /// links collapse the matrix minimum to 0 and exercise the lockstep
+    /// fallback inside the same property.
     #[test]
     fn sharded_matrix_engine_matches_calendar_on_random_topologies(
         dcs in 2u8..4,
         servers in 1u16..3,
         clients in 1u16..3,
         seed in 0u64..500,
-        groups in 1u16..4,
         threads in 1usize..4,
         raw_overrides in prop::collection::vec((0u8..4, 0u8..4, 0u8..5, 0u64..30_000_000), 0..5),
     ) {
@@ -255,7 +254,7 @@ proptest! {
             .map(|(f, t, class, v)| (f, t, if class == 0 { 0 } else { 1_000_000 + v }))
             .collect();
         let want = digest(&cost, dcs, servers, clients, seed, SchedKind::Calendar, 1);
-        let got = digest(&cost, dcs, servers, clients, seed, SchedKind::sharded(groups), threads);
+        let got = digest(&cost, dcs, servers, clients, seed, SchedKind::Sharded, threads);
         prop_assert_eq!(got, want);
     }
 }

@@ -1,30 +1,32 @@
 //! Property tests of the calendar-queue scheduler: whatever the schedule
-//! shape, it must pop in exactly the global `(t, seq)` order the heap
-//! baseline defines, and the simulator built on it must preserve per-link
-//! FIFO delivery.
+//! shape, it must pop in exactly the global `(t, seq)` order a binary heap
+//! defines, and the simulator built on it must preserve per-link FIFO
+//! delivery.
 
 use contrarian_sim::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_sim::cost::{CostModel, MsgClass, SimMessage};
-use contrarian_sim::sched::{EventQueue, SchedKind};
+use contrarian_sim::sched::{CalendarQueue, SchedKind};
 use contrarian_sim::sim::Sim;
 use contrarian_types::{Addr, DcId, Op, PartitionId};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Differential test against the heap reference: arbitrary interleaved
-    /// pushes (zero-delay, intra-bucket, cross-bucket, and far-overflow
-    /// deltas) and pops yield identical `(t, seq)` streams, which also
-    /// proves the global ordering invariant (the heap is trivially
-    /// ordered).
+    /// Differential test against a binary min-heap, the engine the
+    /// calendar queue replaced: arbitrary interleaved pushes (zero-delay,
+    /// intra-bucket, cross-bucket, and far-overflow deltas) and pops yield
+    /// identical `(t, seq)` streams, which also proves the global ordering
+    /// invariant (the heap is trivially ordered).
     #[test]
     fn calendar_matches_heap_reference(
         ops in prop::collection::vec((0u8..4, 0u64..u64::MAX), 1..400),
         pop_every in 1usize..6,
     ) {
-        let mut cal: EventQueue<()> = EventQueue::new(SchedKind::Calendar);
-        let mut heap: EventQueue<()> = EventQueue::new(SchedKind::Heap);
+        let mut cal: CalendarQueue<()> = CalendarQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut seq = 0u64;
         for (i, (class, raw)) in ops.iter().enumerate() {
@@ -36,10 +38,10 @@ proptest! {
                 _ => raw % 500_000_000,      // likely overflow
             };
             cal.push(now + dt, seq, ());
-            heap.push(now + dt, seq, ());
+            heap.push(Reverse((now + dt, seq)));
             if i % pop_every == 0 {
                 let a = cal.pop().map(|(t, s, _)| (t, s));
-                let b = heap.pop().map(|(t, s, _)| (t, s));
+                let b = heap.pop().map(|Reverse(e)| e);
                 prop_assert_eq!(a, b);
                 if let Some((t, _)) = a {
                     prop_assert!(t >= now, "time went backwards");
@@ -50,7 +52,7 @@ proptest! {
         let mut last = (now, 0u64);
         loop {
             let a = cal.pop().map(|(t, s, _)| (t, s));
-            let b = heap.pop().map(|(t, s, _)| (t, s));
+            let b = heap.pop().map(|Reverse(e)| e);
             prop_assert_eq!(a, b);
             match a {
                 Some(pair) => {

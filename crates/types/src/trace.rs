@@ -3,7 +3,7 @@
 //! A [`TraceEvent`] is the tracing analogue of a tagged history record:
 //! it carries the virtual/wall timestamp the runtime already maintains
 //! plus a `(node, seq)` identity assigned by the emitting node, so traces
-//! collected by different simulator engines (heap, calendar, sharded)
+//! collected by different simulator engines (calendar, sharded)
 //! merge into the *same* byte sequence the way histories do — sorting by
 //! `(t, node, seq)` is a total order no engine interleaving can perturb.
 //!

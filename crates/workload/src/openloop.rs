@@ -53,7 +53,7 @@
 //! the actor polls. A fixed seed thus yields the identical arrival
 //! sequence on every engine — arrivals are ordinary timer events under
 //! simulation, preserving bit-identical histories across
-//! `CONTRARIAN_SCHED=heap/calendar/sharded`
+//! `CONTRARIAN_SCHED=calendar/sharded`
 //! (`tests/arrival_pin.rs` pins the stream itself).
 
 use crate::driver::ClientDriver;
