@@ -1,7 +1,7 @@
 //! Cure under the shared backend conformance suite: the same convergence +
-//! causal-session checks every backend must pass, on all three runtimes:
-//! discrete-event simulator, in-process threads, and loopback TCP through
-//! the epoll reactor.
+//! causal-session checks every backend must pass, on both runtimes: the
+//! discrete-event simulator (every engine) and loopback TCP through the
+//! epoll reactor.
 
 use contrarian_cure::Cure;
 use contrarian_protocol::conformance;
@@ -20,11 +20,6 @@ fn conforms_on_simulator_replicated() {
             "convergence check must compare keys"
         );
     }
-}
-
-#[test]
-fn conforms_on_live_transport() {
-    conformance::check_live::<Cure>(2, 44).unwrap();
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! Golden-fingerprint tests catch a determinism leak only *after* it
 //! ships and only on replayed inputs; this crate rejects the constructs
 //! that cause such leaks at build time, together with the other
-//! machine-checkable invariants the stack's measurements rest on. Five
-//! rule families, each scoped by the per-crate [`policy`] table:
+//! machine-checkable invariants the stack's measurements rest on. Six
+//! rule families, the first five scoped by the per-crate [`policy`] table:
 //!
 //! * **`determinism`** — deterministic crates must not read wall clocks
 //!   (`Instant`, `SystemTime`), OS entropy (`thread_rng`), machine shape
@@ -19,10 +19,13 @@
 //!   backpressure must be structural.
 //! * **`env-registry`** — every `CONTRARIAN_*` string literal refers to a
 //!   name registered in `contrarian_runtime::env`.
+//! * **`dead-dependency`** — every `[dependencies]` / `[dev-dependencies]`
+//!   key of a member manifest is named by some source of its package.
 //!
 //! Escape hatch: `// lint:allow(<rule>): <justification>` on the
 //! offending line or the line above suppresses one rule there; the
-//! justification is mandatory and checked.
+//! justification is mandatory and checked. A dead dependency has no
+//! escape hatch: the fix is always to delete the line.
 //!
 //! Everything is built on a hand-rolled [`scan`] lexer (offline policy:
 //! no `syn`/`proc-macro2`), so the rules are heuristic line checks, not
@@ -34,6 +37,7 @@ pub mod rules;
 pub mod scan;
 
 use policy::Policy;
+use rules::deps::Manifest;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -44,6 +48,7 @@ pub const RULES: &[&str] = &[
     "unsafe-hygiene",
     "bounded-queues",
     "env-registry",
+    "dead-dependency",
 ];
 
 /// One violation, anchored to a file and 1-based line.
@@ -176,30 +181,43 @@ fn parse_allows(file: &SourceFile, diags: &mut Vec<Diagnostic>) -> Vec<Allow> {
 /// The set of files to check, with the policy that scopes the rules.
 pub struct Workspace {
     pub files: Vec<SourceFile>,
+    /// The member manifests: the root package's and every
+    /// `crates/**/Cargo.toml` (never `benchmark/`, a workspace of its own).
+    pub manifests: Vec<Manifest>,
     pub policy: Policy,
 }
 
 impl Workspace {
     /// Builds a workspace from in-memory `(repo-relative path, source)`
-    /// pairs — the fixture tests' entry point.
+    /// pairs — the fixture tests' entry point. A path ending in
+    /// `Cargo.toml` is a manifest, anything else a Rust source.
     pub fn from_sources(policy: Policy, sources: Vec<(String, String)>) -> Workspace {
-        let mut files: Vec<SourceFile> = sources
-            .into_iter()
-            .map(|(rel, src)| SourceFile::new(rel, &src))
-            .collect();
+        let mut files = Vec::new();
+        let mut manifests = Vec::new();
+        for (rel, text) in sources {
+            if rel.ends_with("Cargo.toml") {
+                manifests.push(Manifest { rel, text });
+            } else {
+                files.push(SourceFile::new(rel, &text));
+            }
+        }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Workspace { files, policy }
+        Workspace {
+            files,
+            manifests,
+            policy,
+        }
     }
 
     /// Loads every `.rs` file under `root` (skipping `target/` and
-    /// `.git/`), in sorted order for deterministic output.
+    /// `.git/`) and the member manifests, in sorted order for
+    /// deterministic output.
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut paths: Vec<PathBuf> = Vec::new();
         walk(root, &mut paths)?;
         paths.sort();
-        let mut files = Vec::with_capacity(paths.len());
+        let mut sources = Vec::with_capacity(paths.len());
         for path in paths {
-            let source = std::fs::read_to_string(&path)?;
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
@@ -207,12 +225,13 @@ impl Workspace {
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            files.push(SourceFile::new(rel, &source));
+            let member = rel == "Cargo.toml" || rel.starts_with("crates/");
+            if rel.ends_with("Cargo.toml") && !member {
+                continue;
+            }
+            sources.push((rel, std::fs::read_to_string(&path)?));
         }
-        Ok(Workspace {
-            files,
-            policy: Policy::workspace(),
-        })
+        Ok(Workspace::from_sources(Policy::workspace(), sources))
     }
 
     /// Runs every rule over every file and returns the surviving
@@ -239,6 +258,7 @@ impl Workspace {
             out.extend(raw);
             out.extend(meta);
         }
+        rules::deps::check(&self.manifests, &self.files, &mut out);
         out.sort();
         out
     }
@@ -255,7 +275,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
                 continue;
             }
             walk(&path, out)?;
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             out.push(path);
         }
     }

@@ -41,9 +41,10 @@ fn main() -> ExitCode {
     }
     if diags.is_empty() {
         println!(
-            "contrarian-lint: {} files clean (determinism, wire-codec, unsafe-hygiene, \
-             bounded-queues, env-registry)",
-            ws.files.len()
+            "contrarian-lint: {} files and {} manifests clean ({})",
+            ws.files.len(),
+            ws.manifests.len(),
+            contrarian_lint::RULES.join(", ")
         );
         ExitCode::SUCCESS
     } else {

@@ -6,14 +6,14 @@
 //! types/runtime substrate. Calendar and sharded runs are
 //! bit-identical only because nothing in these crates reads the wall
 //! clock, the OS entropy pool, or iterates a randomized hash table into
-//! an order that can leak into a history. *OS-facing* crates (the socket
-//! engines, the live transport, the harness, benches) exist to touch the
+//! an order that can leak into a history. *OS-facing* crates (the TCP
+//! runtime, the harness, benches) exist to touch the
 //! real world and are exempt from the determinism rule — but not from
 //! unsafe hygiene, wire-codec, bounded queues, or the env registry.
 //!
-//! A handful of files inside deterministic crates are explicitly
-//! OS-facing (the live-cluster halves of the runtime and the conformance
-//! battery); they are listed as overrides rather than moved, because the
+//! Two files inside deterministic crates are explicitly OS-facing (the
+//! runtime's waitable history sink and the conformance battery's TCP
+//! half); they are listed as overrides rather than moved, because the
 //! crate split is about dependency layering, not about this rule.
 
 /// How the determinism rule treats a file.
@@ -52,12 +52,11 @@ impl Policy {
                 "cclo", "cure", "okapi",
             ],
             os_facing_files: vec![
-                // The conformance battery's live/net halves sleep wall-clock
-                // time waiting for real sockets to drain.
+                // The conformance battery's TCP half sleeps wall-clock time
+                // waiting for real sockets to drain.
                 "crates/protocol/src/conformance.rs",
-                // The shared live-transport node loop and the Condvar-backed
-                // history sink run on OS threads against real deadlines.
-                "crates/runtime/src/node_loop.rs",
+                // The Condvar-backed history sink's waiters run on OS
+                // threads against real deadlines.
                 "crates/runtime/src/history.rs",
             ],
             registry_file: "crates/runtime/src/env.rs".to_string(),

@@ -184,7 +184,7 @@ fn safety_comment_satisfies_hygiene() {
 #[test]
 fn unbounded_channels_are_caught() {
     let diags = check(&[(
-        "crates/transport/src/bad.rs",
+        "crates/net/src/bad.rs",
         "fn f() {\n\
          \x20   let (tx, rx) = crossbeam::channel::unbounded();\n\
          \x20   let (tx2, rx2) = std::sync::mpsc::channel();\n\
@@ -196,7 +196,7 @@ fn unbounded_channels_are_caught() {
 #[test]
 fn bounded_channels_pass() {
     let diags = check(&[(
-        "crates/transport/src/ok.rs",
+        "crates/net/src/ok.rs",
         "fn f() {\n\
          \x20   let (tx, rx) = crossbeam::channel::bounded(1024);\n\
          \x20   let (tx2, rx2) = std::sync::mpsc::sync_channel(64);\n\
@@ -237,6 +237,61 @@ fn registered_env_literal_passes() {
         ),
     ]);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+// ------------------------------------------------------------ dead-dependency
+
+const NET_MANIFEST: &str = "[package]\n\
+     name = \"contrarian-net\"\n\
+     \n\
+     [dependencies]\n\
+     contrarian-types.workspace = true\n\
+     crossbeam.workspace = true\n\
+     parking_lot.workspace = true\n\
+     \n\
+     [dev-dependencies]\n\
+     proptest.workspace = true\n";
+
+#[test]
+fn dependencies_named_by_the_package_pass() {
+    let diags = check(&[
+        ("crates/net/Cargo.toml", NET_MANIFEST),
+        (
+            "crates/net/src/lib.rs",
+            "use contrarian_types::Addr;\n\
+             pub use parking_lot as locks;\n\
+             fn f() { let (tx, rx) = crossbeam::channel::bounded::<u8>(1); }\n",
+        ),
+        // A dev-dependency may be named by an integration test only.
+        ("crates/net/tests/props.rs", "use proptest::prelude::*;\n"),
+    ]);
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn a_dependency_no_source_of_the_package_names_is_caught() {
+    let diags = check(&[
+        ("crates/net/Cargo.toml", NET_MANIFEST),
+        (
+            "crates/net/src/lib.rs",
+            "use contrarian_types::Addr;\n\
+             // parking_lot::Mutex is gone; a comment does not count.\n\
+             fn f() { let s = \"parking_lot::Mutex\"; }\n\
+             fn g() { let (tx, rx) = crossbeam::channel::bounded::<u8>(1); }\n",
+        ),
+        // Another package naming it does not count either.
+        ("crates/workload/src/lib.rs", "use parking_lot::Mutex;\n"),
+    ]);
+    assert_eq!(rules_of(&diags), vec!["dead-dependency"; 2], "{diags:?}");
+    assert_eq!(
+        diags
+            .iter()
+            .map(|d| (d.file.as_str(), d.line))
+            .collect::<Vec<_>>(),
+        vec![("crates/net/Cargo.toml", 7), ("crates/net/Cargo.toml", 10)]
+    );
+    assert!(diags[0].msg.contains("`parking_lot`"), "{diags:?}");
+    assert!(diags[1].msg.contains("`proptest`"), "{diags:?}");
 }
 
 // ----------------------------------------------------------------- lint:allow

@@ -18,6 +18,18 @@ fn workspace_lints_clean() {
         "suspiciously few files ({}) — is the walk rooted correctly?",
         ws.files.len()
     );
+    // The dead-dependency rule reads the root and every member manifest;
+    // none loaded would pass it vacuously.
+    assert!(
+        ws.manifests.iter().any(|m| m.rel == "Cargo.toml")
+            && ws.manifests.len() > 10
+            && ws
+                .manifests
+                .iter()
+                .all(|m| !m.rel.starts_with("benchmark/")),
+        "unexpected manifest set: {:?}",
+        ws.manifests.iter().map(|m| &m.rel).collect::<Vec<_>>()
+    );
     let diags = ws.check();
     assert!(
         diags.is_empty(),

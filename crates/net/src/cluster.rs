@@ -1,19 +1,20 @@
-//! The TCP cluster: node threads on the shared live event loop, every
-//! socket on the reactor pool.
+//! The TCP cluster: node threads on the live event loop, every socket on
+//! the reactor pool.
 //!
 //! [`NetCluster`] is what the builders and the harness talk to. Starting
 //! one binds a loopback listener per node (assembling the loopback
 //! [`StaticBook`]), spawns the [`reactor`](crate::reactor) pool, then one
-//! thread per node running
-//! [`contrarian_runtime::node_loop::run_node`]. The node threads and the
-//! reactors share a `ClusterCore`: the run flags and history sink
-//! ([`RunShared`]), every node's input channel, and the wire counters.
+//! thread per node running the [`node_loop`](crate::node_loop). The node
+//! threads and the reactors share a `ClusterCore`: the run flags and
+//! history sink ([`RunShared`]), every node's input channel, and the wire
+//! counters.
 
 use crate::addrbook::StaticBook;
+use crate::node_loop::{run_node, Input, RunShared};
 use crate::reactor::{pool_size, spawn_reactors, stop_reactors, NetInner, ReactorOutbound};
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::metrics::Metrics;
-use contrarian_runtime::node_loop::{node_seed, run_node, Input, RunShared};
+use contrarian_runtime::node_seed;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent, Op};
 use crossbeam::channel::{bounded, Sender};
@@ -103,10 +104,16 @@ pub struct NetHandle<M> {
 }
 
 impl<M: Send + 'static> NetHandle<M> {
+    /// Puts `msg` straight into `to`'s inbox, bypassing the sockets. An
+    /// address that is not in the cluster is a driver bug: it panics, as
+    /// [`NetCluster::inject_op`] does.
     pub fn send(&self, from: Addr, to: Addr, msg: M) {
-        if let Some(tx) = self.core.inbox.get(&to) {
-            let _ = tx.send(Input::Msg { from, msg });
-        }
+        let tx = self
+            .core
+            .inbox
+            .get(&to)
+            .unwrap_or_else(|| panic!("unknown addr {to}"));
+        let _ = tx.send(Input::Msg { from, msg });
     }
 
     /// Blocks until some history event satisfies `pred` (see
@@ -477,25 +484,41 @@ pub(crate) mod tests {
         assert_eq!(pongs, 1, "injected ping counted, no further round trips");
     }
 
-    /// An operation injected at an address that is not in the cluster is a
-    /// driver bug: it panics, as on the simulator, instead of vanishing.
-    #[test]
-    #[should_panic(expected = "unknown addr")]
-    fn injecting_at_an_unknown_address_panics() {
+    /// Runs `stray` against a one-server idle cluster, tears the reactors
+    /// down, then re-raises any panic, so no thread outlives the test.
+    fn on_idle_cluster(stray: impl FnOnce(&NetCluster<Echo>)) {
         let server = Addr::server(DcId(0), PartitionId(0));
         let idle = Echo {
             pongs: 0,
             peer: None,
         };
         let cluster = NetCluster::start(vec![(server, idle)], false, 5);
-        let stray = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cluster.inject_op(Addr::client(DcId(0), 999), Op::Rot(Vec::new()))
-        }));
-        // Tear the reactors down before re-raising, so none outlives the test.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stray(&cluster)));
         cluster.shutdown();
-        if let Err(panic) = stray {
+        if let Err(panic) = outcome {
             std::panic::resume_unwind(panic);
         }
+    }
+
+    /// An operation injected at an address that is not in the cluster is a
+    /// driver bug: it panics, as on the simulator, instead of vanishing.
+    #[test]
+    #[should_panic(expected = "unknown addr")]
+    fn injecting_at_an_unknown_address_panics() {
+        on_idle_cluster(|cluster| {
+            cluster.inject_op(Addr::client(DcId(0), 999), Op::Rot(Vec::new()))
+        });
+    }
+
+    /// A handle's message to an address that is not in the cluster panics
+    /// the same way, instead of being dropped.
+    #[test]
+    #[should_panic(expected = "unknown addr")]
+    fn sending_to_an_unknown_address_panics() {
+        on_idle_cluster(|cluster| {
+            let stray = Addr::client(DcId(0), 999);
+            cluster.handle().send(stray, stray, Ping(0))
+        });
     }
 
     /// Sockets are dialed lazily: a cluster nobody talks in opens none,

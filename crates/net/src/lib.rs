@@ -1,11 +1,10 @@
 //! **contrarian-net** — the TCP-backed live runtime.
 //!
-//! The third runtime sibling. The discrete-event simulator
+//! The second runtime sibling. The discrete-event simulator
 //! (`contrarian-sim`) executes the protocol state machines under a cost
-//! model in virtual time; the in-process transport (`contrarian-transport`)
-//! runs them on threads with channels as links; this crate runs the *same*
-//! [`contrarian_runtime::Actor`] state machines with messages actually
-//! crossing sockets.
+//! model in virtual time; this crate runs the *same*
+//! [`contrarian_runtime::Actor`] state machines on threads with messages
+//! actually crossing sockets.
 //!
 //! ## The reactor
 //!
@@ -22,8 +21,8 @@
 //! [`contrarian_runtime::FrameAssembler`]. Dial backoff is scheduled on
 //! reactor timers instead of slept.
 //!
-//! Each node is an OS thread on the live event loop shared with
-//! `contrarian-transport` ([`contrarian_runtime::node_loop`]), and
+//! Each node is an OS thread on this crate's live event loop
+//! (`node_loop.rs`), and
 //! everything it sends is framed with the runtime's length-prefixed
 //! framing and encoded with the hand-rolled wire codec
 //! ([`contrarian_types::codec`]) — no serde, the workspace builds offline.
@@ -43,8 +42,7 @@
 //! [`contrarian_types::Wire`], the generic cluster builders in
 //! `contrarian-protocol` stand up any backend on it unchanged, and the
 //! shared conformance suite (convergence + causal-session checks) runs the
-//! same battery over 127.0.0.1 as over channels and the simulator
-//! (`check_net`).
+//! same battery over 127.0.0.1 as on the simulator (`check_net`).
 //!
 //! What this runtime is *for*: demonstrating that the paper's latency
 //! argument survives contact with a real network stack. The harness's
@@ -55,6 +53,7 @@
 pub mod addrbook;
 pub mod cluster;
 pub mod conn;
+mod node_loop;
 pub mod reactor;
 pub mod sys;
 

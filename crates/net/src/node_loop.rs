@@ -1,19 +1,20 @@
-//! The per-node event loop shared by every live (wall-clock) runtime.
+//! The per-node event loop of the live runtime.
 //!
-//! `contrarian-transport`'s `LiveCluster` (in-process channels) and
-//! `contrarian-net`'s `NetCluster` (TCP sockets) differ only in how a sent
-//! message reaches its destination.
-//! Everything else — the input channel, the timer deadline queue, the
-//! per-thread metrics sink, the `ActorCtx` the state machine sees — is this
-//! module. A runtime provides an [`Outbound`] (how to move one message) and
-//! a [`RunShared`] (the cluster-wide flags and history sink) and gets the
-//! whole loop.
+//! Every node of a [`NetCluster`](crate::NetCluster) is an OS thread
+//! running [`run_node`]: it drains the node's input channel, fires due
+//! timers off a deadline queue, accumulates a thread-local metrics sink,
+//! and hands the state machine a [`LiveCtx`] as its `ActorCtx`. What the
+//! node sends leaves through its [`ReactorOutbound`]: encoded on this
+//! thread, pushed onto the connection's bounded ring, written to the
+//! socket by a reactor thread.
 
-use crate::actor::{Actor, ActorCtx, TimerKind};
-use crate::history::HistorySink;
-use crate::metrics::Metrics;
+use crate::reactor::ReactorOutbound;
+use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
+use contrarian_runtime::history::HistorySink;
+use contrarian_runtime::metrics::Metrics;
+use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent};
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BinaryHeap;
@@ -21,23 +22,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// One item on a node's input channel.
-pub enum Input<M> {
+pub(crate) enum Input<M> {
     /// A delivered message.
     Msg { from: Addr, msg: M },
     /// Orderly shutdown of the node thread.
     Stop,
 }
 
-/// How a live runtime moves one message from a node to a destination.
-///
-/// `LiveCluster` pushes onto the destination's input channel;
-/// `NetCluster` encodes the message and pushes the frame onto the
-/// connection's bounded ring, which a reactor thread drains to the socket.
-pub trait Outbound<M> {
-    fn deliver(&mut self, from: Addr, to: Addr, msg: M);
-}
-
-/// Cluster-wide run state every live runtime shares: the clock origin, the
+/// Cluster-wide run state the node threads share: the clock origin, the
 /// stop/measure flags, and the waitable history sink.
 ///
 /// Metrics are *not* here: every node thread accumulates its own
@@ -45,16 +37,16 @@ pub trait Outbound<M> {
 /// hot path takes no lock. History is only ever touched when `recording`
 /// is set (functional runs), through a [`HistorySink`] whose condition
 /// variable lets waiters sleep instead of poll.
-pub struct RunShared {
-    pub start: Instant,
-    pub stopped: AtomicBool,
-    pub measuring: AtomicBool,
-    pub history: HistorySink,
-    pub recording: bool,
+pub(crate) struct RunShared {
+    pub(crate) start: Instant,
+    pub(crate) stopped: AtomicBool,
+    pub(crate) measuring: AtomicBool,
+    pub(crate) history: HistorySink,
+    pub(crate) recording: bool,
 }
 
 impl RunShared {
-    pub fn new(recording: bool) -> Self {
+    pub(crate) fn new(recording: bool) -> Self {
         RunShared {
             start: Instant::now(),
             stopped: AtomicBool::new(false),
@@ -65,7 +57,7 @@ impl RunShared {
     }
 
     /// Wall-clock nanoseconds since the run started.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
 }
@@ -79,14 +71,18 @@ enum Event<M> {
 /// The per-node event loop: drains the input channel and fires due timers
 /// until a [`Input::Stop`] arrives (or every sender disconnects). Returns
 /// the actor and the thread-local metrics sink.
-pub fn run_node<A: Actor>(
+pub(crate) fn run_node<A>(
     addr: Addr,
     mut actor: A,
     rx: Receiver<Input<A::Msg>>,
-    mut out: impl Outbound<A::Msg>,
+    mut out: ReactorOutbound<A::Msg>,
     shared: &RunShared,
     seed: u64,
-) -> (A, Metrics) {
+) -> (A, Metrics)
+where
+    A: Actor,
+    A::Msg: Wire + Send + 'static,
+{
     let mut rng = SmallRng::seed_from_u64(seed);
     // Timer queue: (deadline, seq, kind, arg); BinaryHeap is a max-heap so
     // store reversed deadlines.
@@ -101,7 +97,7 @@ pub fn run_node<A: Actor>(
                 timers: &mut BinaryHeap<std::cmp::Reverse<(Instant, u64, u16, u64)>>,
                 timer_seq: &mut u64,
                 metrics: &mut Metrics,
-                out: &mut dyn FnMut(Addr, A::Msg),
+                out: &mut ReactorOutbound<A::Msg>,
                 ev: Event<A::Msg>| {
         metrics.enabled = shared.measuring.load(Ordering::Relaxed);
         let mut ctx = LiveCtx {
@@ -123,7 +119,7 @@ pub fn run_node<A: Actor>(
             ..
         } = ctx;
         for (to, msg) in sent {
-            out(to, msg);
+            out.deliver(to, msg);
         }
         for (delay_ns, kind) in new_timers {
             *timer_seq += 1;
@@ -140,7 +136,7 @@ pub fn run_node<A: Actor>(
                 &mut timers,
                 &mut timer_seq,
                 &mut metrics,
-                &mut |to, msg| out.deliver(addr, to, msg),
+                &mut out,
                 $ev,
             )
         };
@@ -166,8 +162,8 @@ pub fn run_node<A: Actor>(
         match rx.recv_timeout(wait.min(Duration::from_millis(5))) {
             Ok(Input::Msg { from, msg }) => dispatch!(Event::Msg { from, msg }),
             Ok(Input::Stop) => break,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     (actor, metrics)
@@ -226,13 +222,4 @@ impl<'a, M> ActorCtx<M> for LiveCtx<'a, M> {
     fn stopped(&self) -> bool {
         self.shared.stopped.load(Ordering::SeqCst)
     }
-}
-
-/// Derives a per-node RNG seed from the cluster seed and the address.
-/// Shared by the live runtimes so they draw identical workload streams
-/// for the same cluster seed.
-pub fn node_seed(seed: u64, addr: Addr) -> u64 {
-    seed ^ (addr.dc.0 as u64) << 32
-        ^ (addr.idx as u64) << 8
-        ^ matches!(addr.kind, contrarian_types::NodeKind::Client) as u64
 }

@@ -43,9 +43,9 @@
 use crate::addrbook::AddressBook;
 use crate::cluster::ClusterCore;
 use crate::conn::{decode_hello, hello_frame, OutRing};
+use crate::node_loop::Input;
 use crate::sys::{self, Event, Poller};
 use contrarian_runtime::frame::{encode_frame, FrameAssembler};
-use contrarian_runtime::node_loop::{Input, Outbound};
 use contrarian_types::codec::{from_bytes, Wire};
 use contrarian_types::Addr;
 use crossbeam::channel::TrySendError;
@@ -226,7 +226,7 @@ impl<M> NetInner<M> {
     }
 }
 
-/// The [`Outbound`] of every node: encode on the sending node's thread,
+/// How every node sends: encode on the sending node's thread,
 /// push onto the pair's ring, wake the owning reactor. Routes are cached
 /// per node thread; a closed connection invalidates the cache entry and
 /// the second attempt dials fresh.
@@ -237,7 +237,7 @@ pub(crate) struct ReactorOutbound<M> {
     buf: Vec<u8>,
 }
 
-impl<M> ReactorOutbound<M> {
+impl<M: Wire + Send + 'static> ReactorOutbound<M> {
     pub(crate) fn new(me: Addr, net: Arc<NetInner<M>>) -> Self {
         ReactorOutbound {
             me,
@@ -246,10 +246,9 @@ impl<M> ReactorOutbound<M> {
             buf: Vec::new(),
         }
     }
-}
 
-impl<M: Wire + Send + 'static> Outbound<M> for ReactorOutbound<M> {
-    fn deliver(&mut self, _from: Addr, to: Addr, msg: M) {
+    /// Sends `msg` from this node to `to`.
+    pub(crate) fn deliver(&mut self, to: Addr, msg: M) {
         self.buf.clear();
         self.me.encode(&mut self.buf);
         msg.encode(&mut self.buf);
@@ -899,8 +898,8 @@ mod tests {
     use crate::addrbook::StaticBook;
     use crate::cluster::tests::Ping;
     use crate::cluster::NetCluster;
+    use crate::node_loop::RunShared;
     use contrarian_runtime::frame::MAX_FRAME;
-    use contrarian_runtime::node_loop::RunShared;
     use contrarian_types::{DcId, PartitionId};
     use crossbeam::channel::{bounded, Sender};
 

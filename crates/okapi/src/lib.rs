@@ -33,9 +33,9 @@
 //! client's causal past (same HLC argument as Contrarian).
 //!
 //! Because the backend is just another [`ProtocolSpec`], the generic
-//! builders stand it up on all three runtimes — discrete-event simulator,
-//! in-process threads, and real TCP sockets (`contrarian-net`) — and the
-//! shared conformance suite runs unchanged.
+//! builders stand it up on both runtimes — the discrete-event simulator
+//! and real TCP sockets (`contrarian-net`) — and the shared conformance
+//! suite runs unchanged.
 
 pub mod server;
 pub mod spec;

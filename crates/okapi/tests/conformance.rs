@@ -1,7 +1,7 @@
 //! The Okapi-style backend under the shared conformance suite: the same
-//! convergence + causal-session checks every backend must pass, on all
-//! three runtimes: discrete-event simulator, in-process threads, and
-//! loopback TCP through the epoll reactor. This file is the payoff of the
+//! convergence + causal-session checks every backend must pass, on both
+//! runtimes: the discrete-event simulator (every engine) and loopback TCP
+//! through the epoll reactor. This file is the payoff of the
 //! "~1 file backend" recipe —
 //! nothing here knows anything Okapi-specific.
 
@@ -22,11 +22,6 @@ fn conforms_on_simulator_replicated() {
             "convergence check must compare keys"
         );
     }
-}
-
-#[test]
-fn conforms_on_live_transport() {
-    conformance::check_live::<Okapi>(2, 54).unwrap();
 }
 
 #[test]

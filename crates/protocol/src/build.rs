@@ -4,7 +4,7 @@
 //! `build.rs` files the workspace used to carry: the spec says how to make
 //! one server and one client, and [`build_nodes`] assembles the node list
 //! every runtime consumes — [`build_cluster`] registers it with the
-//! simulator, `LiveCluster::start` and `NetCluster::start` take it as is.
+//! simulator, `NetCluster::start` takes it as is.
 
 use crate::node::{Node, ProtocolClient, ProtocolMsg, ProtocolServer};
 use contrarian_runtime::cost::CostModel;

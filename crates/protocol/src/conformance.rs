@@ -2,9 +2,9 @@
 //!
 //! Every backend must provide the same functional guarantees regardless of
 //! how it pays for them; this module runs the *same* checks against any
-//! [`ProtocolSpec`] on every runtime — the simulator ([`check_sim`], once
-//! per engine of [`ENGINES`]), the in-process transport ([`check_live`])
-//! and loopback TCP on the reactor ([`check_net`]):
+//! [`ProtocolSpec`] on both runtimes — the simulator ([`check_sim`], once
+//! per engine of [`ENGINES`]) and loopback TCP on the reactor
+//! ([`check_net`]):
 //!
 //! * **causal-session checks** on the recorded history — read-your-writes
 //!   and per-key monotonic reads within each client session (the full
@@ -18,13 +18,11 @@
 //! Protocol crates run this suite from their integration tests (one line
 //! per runtime); a new backend gets the whole battery for free.
 
-use crate::build::{build_cluster, build_nodes, Clients, ClusterParams, ProtoNode, ProtocolSpec};
+use crate::build::{build_cluster, build_nodes, Clients, ClusterParams, ProtocolSpec};
 use crate::node::ProtocolServer;
 use contrarian_net::NetCluster;
 use contrarian_runtime::cost::CostModel;
-use contrarian_runtime::metrics::Metrics;
 pub use contrarian_sim::{SchedKind, ENGINES};
-use contrarian_transport::LiveCluster;
 use contrarian_types::{
     Addr, ClientId, ClusterConfig, DcId, HistoryEvent, Key, PartitionId, VersionId,
 };
@@ -197,55 +195,18 @@ pub fn check_sim<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
     Ok(outcome)
 }
 
-/// Post-run validation shared by the wall-clock runtimes: progress,
-/// metrics, session guarantees, convergence. `runtime` labels error
-/// messages ("live", "net").
-fn check_live_outcome<P: ProtocolSpec>(
-    runtime: &str,
-    cfg: ClusterConfig,
-    actors: &[(Addr, ProtoNode<P>)],
-    metrics: &Metrics,
-    history: &[HistoryEvent],
-) -> Result<ConformanceOutcome, String> {
-    if history.len() < 50 {
-        return Err(format!(
-            "{} ({runtime}): too little progress ({} events)",
-            P::NAME,
-            history.len()
-        ));
-    }
-    if metrics.ops_done() == 0 {
-        return Err(format!(
-            "{} ({runtime}): per-thread metrics recorded no operations",
-            P::NAME
-        ));
-    }
-    check_sessions(history).map_err(|e| format!("{} ({runtime}): {e}", P::NAME))?;
-
-    let cfg = P::normalize(cfg);
-    let servers: HashMap<Addr, &<P as ProtocolSpec>::Server> = actors
-        .iter()
-        .filter_map(|(addr, node)| node.as_server().map(|s| (*addr, s)))
-        .collect();
-    let keys_compared =
-        check_convergence(&cfg, |dc, p| servers[&Addr::server(dc, p)].store_heads())
-            .map_err(|e| format!("{} ({runtime}): {e}", P::NAME))?;
-
-    Ok(ConformanceOutcome {
-        ops: history.len(),
-        keys_compared,
-    })
-}
-
-/// Runs the conformance battery on the live threaded transport: real
-/// concurrency, wall-clock timers, then the same checks on the shut-down
-/// cluster.
-pub fn check_live<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutcome, String> {
-    let mut cfg = ClusterConfig::small().with_dcs(dcs);
-    // Simulated clock skew is meaningless under the wall clock; disable it
-    // so physical-clock backends don't spend the whole run parked.
-    cfg.clock_skew_us = 0;
-    let cluster = LiveCluster::start(
+/// Runs the conformance battery on the TCP runtime: real concurrency and
+/// wall-clock timers, every message crossing a loopback socket on the
+/// epoll reactor through the wire codec. The shut-down cluster must show
+/// frames on the wire, progress, per-thread metrics, session guarantees
+/// and convergence.
+pub fn check_net<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutcome, String> {
+    // Real sockets want the wall-clock tuning: no simulated skew, and
+    // millisecond-scale control-plane periods (the sub-millisecond test
+    // defaults are simulator-tuned — over TCP every tick is a frame plus
+    // thread wakeups per server).
+    let cfg = ClusterConfig::small().with_dcs(dcs).for_wall_clock();
+    let cluster = NetCluster::start(
         build_nodes::<P>(&cfg, &conformance_clients(), seed),
         true,
         seed,
@@ -259,39 +220,37 @@ pub fn check_live<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutc
     // drain before the threads are stopped.
     std::thread::sleep(std::time::Duration::from_millis(300));
     let (actors, metrics, history) = cluster.shutdown();
-    check_live_outcome::<P>("live", cfg, &actors, &metrics, &history)
-}
 
-/// Runs the conformance battery on the TCP runtime: the same node list as
-/// the in-process transport, but every message crosses a loopback socket
-/// on the epoll reactor through the wire codec. Checks are identical to
-/// [`check_live`], plus a guard that frames actually crossed the sockets.
-pub fn check_net<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutcome, String> {
-    // Real sockets want the wall-clock tuning: no simulated skew, and
-    // millisecond-scale control-plane periods (the sub-millisecond test
-    // defaults are simulator-tuned — over TCP every tick is a frame plus
-    // thread wakeups per server).
-    let cfg = ClusterConfig::small().with_dcs(dcs).for_wall_clock();
-    let cluster = NetCluster::start(
-        build_nodes::<P>(&cfg, &conformance_clients(), seed),
-        true,
-        seed,
-    );
-    cluster.set_measuring(true);
-    std::thread::sleep(std::time::Duration::from_millis(250));
-    cluster.stop_issuing();
-    // Grace for in-flight operations, replication, and dependency checks to
-    // drain before the threads are stopped.
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    let (actors, metrics, history) = cluster.shutdown();
-
+    let fail = |e: String| format!("{} (net): {e}", P::NAME);
     if metrics.counter("net.frames_sent") == 0 {
-        return Err(format!(
-            "{}: no frames crossed the sockets — the run cannot have exercised the transport",
-            P::NAME
+        return Err(fail(
+            "no frames crossed the sockets — the run cannot have exercised the transport".into(),
         ));
     }
-    check_live_outcome::<P>("net", cfg, &actors, &metrics, &history)
+    if history.len() < 50 {
+        return Err(fail(format!(
+            "too little progress ({} events)",
+            history.len()
+        )));
+    }
+    if metrics.ops_done() == 0 {
+        return Err(fail("per-thread metrics recorded no operations".into()));
+    }
+    check_sessions(&history).map_err(fail)?;
+
+    let cfg = P::normalize(cfg);
+    let servers: HashMap<Addr, &<P as ProtocolSpec>::Server> = actors
+        .iter()
+        .filter_map(|(addr, node)| node.as_server().map(|s| (*addr, s)))
+        .collect();
+    let keys_compared =
+        check_convergence(&cfg, |dc, p| servers[&Addr::server(dc, p)].store_heads())
+            .map_err(fail)?;
+
+    Ok(ConformanceOutcome {
+        ops: history.len(),
+        keys_compared,
+    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //!
 //! * [`ProtocolServer`] / [`ProtocolClient`] — the trait pair a backend
 //!   implements; [`Node`] is the one generic server-or-client actor that
-//!   every runtime (simulator, live transport) drives.
+//!   every runtime (simulator, TCP) drives.
 //! * [`Stabilizer`] — the GSS machinery shared by vector-clock protocols:
 //!   partition version-vector aggregation, entrywise-minimum join,
 //!   broadcast, heartbeat bookkeeping.
@@ -19,12 +19,12 @@
 //! * [`build_nodes`] — the one generic cluster builder, driven by a
 //!   [`ProtocolSpec`] and a [`Clients`] kind: the node list every runtime
 //!   consumes. [`build_cluster`] registers it with the simulator,
-//!   `LiveCluster::start` / `NetCluster::start` take it as is, and
+//!   `NetCluster::start` takes it as is, and
 //!   [`build_interactive_cluster`] starts the facade's one-client cluster.
 //! * [`conformance`] — the shared conformance suite: the *same* convergence
-//!   and causal-session checks, run against any backend on all three
-//!   runtimes: the discrete-event simulator, the live threaded transport,
-//!   and the TCP runtime (`contrarian-net`, loopback sockets + wire codec).
+//!   and causal-session checks, run against any backend on both
+//!   runtimes: the discrete-event simulator (once per engine) and the TCP
+//!   runtime (`contrarian-net`, loopback sockets + wire codec).
 //!
 //! Adding a backend means implementing the three traits plus a
 //! [`ProtocolSpec`] — roughly one file — and the builder, every runtime,
@@ -49,7 +49,6 @@ pub use build::{
 // crate can drive its cluster without depending on each of them.
 pub use contrarian_net::NetCluster;
 pub use contrarian_sim::SchedKind;
-pub use contrarian_transport::LiveCluster;
 pub use node::{Node, ProtocolClient, ProtocolMsg, ProtocolServer};
 pub use parked::Parked;
 pub use stabilizer::{peer_replicas, Stabilizer};

@@ -11,8 +11,7 @@ use contrarian_types::{Addr, Key, Op, VersionId, Wire};
 /// encoding ([`Wire`], which the TCP runtime `contrarian-net` frames onto
 /// real sockets), the runtime needs one constructor: how to wrap an
 /// externally injected operation so it can be delivered to a client node
-/// (the interactive facade and the live transports' `inject_op` all use
-/// it).
+/// (the interactive facade and every runtime's `inject_op` use it).
 pub trait ProtocolMsg: SimMessage + Wire + Send + 'static {
     /// Wraps an injected [`Op`] into a client-bound message.
     fn inject(op: Op) -> Self;
@@ -43,8 +42,8 @@ pub trait ProtocolMsg: SimMessage + Wire + Send + 'static {
 ///
 /// The server must be deterministic given the `ActorCtx` inputs: the same
 /// messages and timers in the same order must produce the same outputs.
-/// Both runtimes (discrete-event simulator, live threaded transport) rely
-/// on nothing more than this trait.
+/// Both runtimes (discrete-event simulator, TCP) rely on nothing more than
+/// this trait.
 pub trait ProtocolServer {
     type Msg: ProtocolMsg;
 

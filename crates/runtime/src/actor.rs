@@ -2,8 +2,8 @@
 //!
 //! Protocol nodes (servers and clients) are deterministic state machines
 //! implementing [`Actor`]; the runtime — either the discrete-event
-//! simulator (`contrarian-sim`) or the live threaded transport
-//! (`contrarian-transport`) — delivers messages and timer ticks through an
+//! simulator (`contrarian-sim`) or the live TCP runtime
+//! (`contrarian-net`) — delivers messages and timer ticks through an
 //! [`ActorCtx`], and the node responds by sending messages and arming
 //! timers. Protocol code never knows which runtime is driving it.
 
@@ -33,7 +33,7 @@ impl TimerKind {
 /// Capabilities the runtime offers a node while it handles an event.
 pub trait ActorCtx<M> {
     /// Current time in nanoseconds since the start of the run (virtual time
-    /// under simulation, wall-clock time under the live transport).
+    /// under simulation, wall-clock time under the TCP runtime).
     fn now(&self) -> u64;
 
     /// Address of the node handling the event.

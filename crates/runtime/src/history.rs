@@ -1,6 +1,6 @@
 //! A shared, waitable history sink.
 //!
-//! The live transport records [`HistoryEvent`]s from many node threads and
+//! The TCP runtime records [`HistoryEvent`]s from many node threads and
 //! external observers (the facade, conformance tests) block until a
 //! matching event appears. [`HistorySink`] pairs the event log with a
 //! condition variable so waiters sleep until an append actually happens

@@ -2,7 +2,7 @@
 //! in offline environments.
 //!
 //! Provides `crossbeam::channel::{bounded, Sender, Receiver}` backed by
-//! `std::sync::mpsc::sync_channel`. The properties the live transport
+//! `std::sync::mpsc::sync_channel`. The properties the TCP runtime
 //! relies on hold: per-channel FIFO ordering, bounded capacity with
 //! blocking sends, cloneable senders, and `recv_timeout`.
 //!

@@ -25,8 +25,8 @@
 //! machines from `contrarian-core`/`-cclo`/`-cure`/`-okapi`, exchanging
 //! real messages with real bookkeeping (reader records, dependency
 //! vectors, garbage collection). Only CPU time and the network are
-//! modeled. The same state machines also run on the live runtimes
-//! (`contrarian-transport`, `contrarian-net`); all drive the [`Actor`]
+//! modeled. The same state machines also run on the live TCP runtime
+//! (`contrarian-net`); both drive the [`Actor`]
 //! interface owned by `contrarian-runtime`, of which this crate re-exports
 //! the commonly used pieces.
 //!
@@ -80,7 +80,7 @@
 //!   insertion counter, so it is a function of each node's own execution
 //!   sequence (see [`shard`] for the induction);
 //! * every node draws randomness from its own seeded stream (the same
-//!   `node_seed` derivation the live runtimes use);
+//!   `node_seed` derivation the TCP runtime uses);
 //! * metrics merge commutatively, and history records carry canonical
 //!   `(t, node, per-node-seq)` tags merged shard-independently
 //!   (`contrarian_runtime::history`).

@@ -271,7 +271,7 @@ pub(crate) struct NodeSlot<A> {
     /// Messages that arrived while all workers were busy, FIFO.
     queue: VecDeque<(Addr, u64)>, // (from, backlog slot)
     /// This node's deterministic randomness stream (same derivation as the
-    /// live runtimes: `contrarian_runtime::node_seed`).
+    /// TCP runtime: `contrarian_runtime::node_seed`).
     rng: SmallRng,
     /// Events created so far by this node — the low bits of its keys.
     push_seq: u64,

@@ -19,7 +19,7 @@ use contrarian_runtime::actor::Actor;
 use contrarian_runtime::cost::{CostModel, LookaheadMatrix};
 use contrarian_runtime::history::merge_shard_histories;
 use contrarian_runtime::metrics::Metrics;
-use contrarian_runtime::node_loop::node_seed;
+use contrarian_runtime::node_seed;
 use contrarian_runtime::trace::merge_traces;
 use contrarian_types::{Addr, HistoryEvent, NodeKind, Op, TraceEvent};
 use rand::rngs::SmallRng;

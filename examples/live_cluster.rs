@@ -1,5 +1,6 @@
 //! The same protocol state machines on real threads: a Contrarian cluster
-//! where every server and client is an OS thread and links are channels.
+//! where every server and client is an OS thread and every message crosses
+//! a loopback TCP socket.
 //!
 //! ```bash
 //! cargo run --release --example live_cluster
@@ -10,15 +11,16 @@
 
 use contrarian::core_protocol::Contrarian;
 use contrarian::harness::check_causal;
+use contrarian::net::NetCluster;
 use contrarian::protocol::{build_nodes, Clients};
-use contrarian::transport::LiveCluster;
 use contrarian::types::ClusterConfig;
 use contrarian::workload::WorkloadSpec;
 use std::time::Duration;
 
 fn main() {
-    let mut cfg = ClusterConfig::small();
-    cfg.clock_skew_us = 0; // wall-clock runs don't simulate NTP skew
+    // Wall-clock tuning: no simulated NTP skew, millisecond control-plane
+    // periods.
+    let cfg = ClusterConfig::small().for_wall_clock();
     let clients = Clients::Closed {
         workload: WorkloadSpec::paper_default().with_rot_size(2),
         per_dc: 6,
@@ -29,13 +31,17 @@ fn main() {
         "starting {} threads (4 servers + 6 closed-loop clients)…",
         nodes.len()
     );
-    let cluster = LiveCluster::start(nodes, /*recording=*/ true, 7);
+    let cluster = NetCluster::start(nodes, /*recording=*/ true, 7);
     std::thread::sleep(Duration::from_millis(400));
     cluster.stop_issuing();
     std::thread::sleep(Duration::from_millis(100));
-    let (_actors, _metrics, history) = cluster.shutdown();
+    let (_actors, metrics, history) = cluster.shutdown();
 
-    println!("completed {} operations on real threads", history.len());
+    println!(
+        "completed {} operations on real threads ({} frames over loopback TCP)",
+        history.len(),
+        metrics.counter("net.frames_sent")
+    );
     let report = check_causal(&history);
     println!(
         "causal checker: {} ROTs checked, {} violations",

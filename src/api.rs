@@ -5,7 +5,7 @@
 //! `put`/`rot` calls. It exists so that examples and downstream users can
 //! exercise the protocol through a plain key-value API without touching the
 //! simulator directly. For a real multi-threaded deployment of the same
-//! state machines see [`contrarian_transport`].
+//! state machines over TCP see [`contrarian_net`].
 
 use contrarian_core::{Contrarian, Node};
 use contrarian_protocol::build_interactive_cluster;

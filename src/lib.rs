@@ -32,19 +32,17 @@
 //! `ProtocolSpec`).
 //!
 //! Underneath sit the building blocks, layered strictly as
-//! `types → runtime → {sim, transport} → protocol → backends`:
+//! `types → runtime → {sim, net} → protocol → backends`:
 //! [`types`] (ids, keys, vectors, config, wire sizes), [`clock`] (HLC /
 //! Lamport / simulated physical clocks), [`storage`] (multi-version
 //! chains), [`workload`] (zipfian closed-loop generation), [`runtime`]
 //! (the execution substrate both runtimes share: `Actor`/`ActorCtx`, the
 //! cost model, metrics, history recording), [`sim`] (the deterministic
 //! discrete-event cluster simulator with a calendar-queue scheduler sized
-//! for 128-partition sweeps), [`transport`] (the live multi-threaded
-//! in-process deployment of the same state machines — a sibling of the
-//! simulator, not a dependent), and [`net`] (the TCP runtime: the same
-//! state machines again, but nodes on threads, links as real loopback
-//! sockets with Nagle disabled, and every message through the hand-rolled
-//! wire codec in [`types::codec`]). [`harness`] regenerates every figure
+//! for 128-partition sweeps), and [`net`] (the live TCP runtime: the
+//! same state machines on threads, links as real loopback sockets with
+//! Nagle disabled, and every message through the hand-rolled wire codec
+//! in [`types::codec`] — a sibling of the simulator, not a dependent). [`harness`] regenerates every figure
 //! and table of the paper plus a beyond-the-paper 8→128-partition scaling
 //! sweep (`scale_sweep`) and a real-socket latency comparison
 //! (`net_sweep`); `contrarian-bench` holds the Criterion benchmarks
@@ -52,10 +50,9 @@
 //! trajectory).
 //!
 //! Protocols are deterministic state machines driven by the simulator —
-//! used to regenerate the paper's results — or by the live transports
-//! (in-process channels or TCP sockets) for real concurrent execution;
-//! all three speak the same `ActorCtx` interface, so protocol code never
-//! knows which runtime is driving it.
+//! used to regenerate the paper's results — or by the TCP runtime for
+//! real concurrent execution; both speak the same `ActorCtx` interface,
+//! so protocol code never knows which runtime is driving it.
 //!
 //! ## Building
 //!
@@ -119,7 +116,6 @@ pub use contrarian_protocol as protocol;
 pub use contrarian_runtime as runtime;
 pub use contrarian_sim as sim;
 pub use contrarian_storage as storage;
-pub use contrarian_transport as transport;
 pub use contrarian_types as types;
 pub use contrarian_workload as workload;
 

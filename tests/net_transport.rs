@@ -1,7 +1,7 @@
-//! The TCP runtime runs the same state machines as the simulator and the
-//! in-process transport; these tests push real bytes through loopback
-//! sockets and re-check causal consistency on the resulting histories
-//! with the same checker used for simulated runs.
+//! The TCP runtime runs the same state machines as the simulator; these
+//! tests push real bytes through loopback sockets and re-check causal
+//! consistency on the resulting histories with the same checker used for
+//! simulated runs.
 
 use contrarian::harness::check_causal;
 use contrarian::net::NetCluster;
@@ -35,6 +35,20 @@ fn tcp_contrarian_cluster_is_causally_consistent() {
         history.len()
     );
     assert!(metrics.counter("net.frames_sent") > 0);
+    let report = check_causal(&history);
+    assert!(report.ok(), "{:?}", report.violations.first());
+}
+
+#[test]
+fn tcp_cclo_cluster_is_causally_consistent() {
+    let (cfg, clients) = net_config();
+    let nodes = build_nodes::<contrarian::cclo::CcLo>(&cfg, &clients, 112);
+    let cluster = NetCluster::start(nodes, true, 112);
+    std::thread::sleep(Duration::from_millis(300));
+    cluster.stop_issuing();
+    std::thread::sleep(Duration::from_millis(100));
+    let (_, _, history) = cluster.shutdown();
+    assert!(history.len() > 50);
     let report = check_causal(&history);
     assert!(report.ok(), "{:?}", report.violations.first());
 }
