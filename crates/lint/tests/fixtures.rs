@@ -294,6 +294,35 @@ fn a_dependency_no_source_of_the_package_names_is_caught() {
     assert!(diags[1].msg.contains("`proptest`"), "{diags:?}");
 }
 
+#[test]
+fn the_root_package_counts_only_its_own_sources() {
+    let root_manifest = "[package]\n\
+         name = \"contrarian\"\n\
+         \n\
+         [dependencies]\n\
+         contrarian-net.workspace = true\n\
+         bytes.workspace = true\n";
+    let diags = check(&[
+        ("Cargo.toml", root_manifest),
+        // An example is a target of the root package: it names the dep.
+        (
+            "examples/live_cluster.rs",
+            "use contrarian_net::NetCluster;\n",
+        ),
+        // A member crate under crates/ is not part of the root package.
+        ("crates/net/src/lib.rs", "pub use bytes::Bytes;\n"),
+    ]);
+    assert_eq!(
+        diags
+            .iter()
+            .map(|d| (d.rule, d.file.as_str(), d.line))
+            .collect::<Vec<_>>(),
+        vec![("dead-dependency", "Cargo.toml", 6)],
+        "{diags:?}"
+    );
+    assert!(diags[0].msg.contains("`bytes`"), "{diags:?}");
+}
+
 // ----------------------------------------------------------------- lint:allow
 
 #[test]

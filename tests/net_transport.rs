@@ -53,6 +53,22 @@ fn tcp_cclo_cluster_is_causally_consistent() {
     assert!(report.ok(), "{:?}", report.violations.first());
 }
 
+/// Cure parks a read until the server's clock catches up; over TCP that
+/// clock and the timer that resumes the read both run on wall time.
+#[test]
+fn tcp_cure_cluster_is_causally_consistent() {
+    let (cfg, clients) = net_config();
+    let nodes = build_nodes::<contrarian::cure::Cure>(&cfg, &clients, 114);
+    let cluster = NetCluster::start(nodes, true, 114);
+    std::thread::sleep(Duration::from_millis(300));
+    cluster.stop_issuing();
+    std::thread::sleep(Duration::from_millis(100));
+    let (_, _, history) = cluster.shutdown();
+    assert!(history.len() > 50);
+    let report = check_causal(&history);
+    assert!(report.ok(), "{:?}", report.violations.first());
+}
+
 #[test]
 fn tcp_okapi_cluster_is_causally_consistent() {
     let (cfg, clients) = net_config();
