@@ -9,7 +9,7 @@ use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::window::WindowSeries;
 use contrarian_sim::sim::Sim;
-use contrarian_sim::SchedKind;
+use contrarian_sim::{SchedKind, WindowStats};
 use contrarian_types::{ClusterConfig, HistoryEvent, RotMode, TraceEvent};
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 use std::collections::BTreeMap;
@@ -195,7 +195,7 @@ pub struct RunSpec {
     pub measure_ns: u64,
     pub seed: u64,
     pub cost: CostModel,
-    /// Engine (calendar / sharded). The constructors follow
+    /// Engine (sharded by default / calendar). The constructors follow
     /// `CONTRARIAN_SCHED`; the cross-engine determinism tests pin it per
     /// run instead of racing on the process environment. Wall-clock runs
     /// ignore it.
@@ -465,6 +465,9 @@ pub struct SimRun {
     /// Canonical `(t, node, seq)`-ordered trace of the measured interval,
     /// identical across engines; empty unless [`Observe::trace`].
     pub trace: Vec<TraceEvent>,
+    /// The engine's per-shard telemetry over the whole run (see
+    /// [`contrarian_sim::Sim::window_stats`]).
+    pub window_stats: Vec<WindowStats>,
 }
 
 /// Runs one simulation: warmup, the measured window in [`STREAM_SLICES`]
@@ -521,6 +524,7 @@ fn drive<P: ProtocolSpec>(spec: &RunSpec, mut observe: Observe<'_>) -> SimRun {
         metrics: std::mem::take(sim.metrics_mut()),
         windows,
         trace,
+        window_stats: sim.window_stats(),
     }
 }
 
@@ -603,6 +607,16 @@ pub fn sweep(
 /// A closed-loop load curve on the simulator: `base` at every client count
 /// of `scale`, in `scale`'s warmup and measured windows.
 pub fn load_curve(name: String, base: &RunSpec, scale: &Scale) -> Series {
+    load_curve_with(name, base, scale, run)
+}
+
+/// [`load_curve`] with its points run by `run`.
+pub fn load_curve_with(
+    name: String,
+    base: &RunSpec,
+    scale: &Scale,
+    mut run: impl FnMut(&RunSpec) -> Report,
+) -> Series {
     let points = scale.load_points.iter().map(|&per_dc| RunSpec {
         warmup_ns: scale.warmup_ns,
         measure_ns: scale.measure_ns,

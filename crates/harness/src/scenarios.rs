@@ -6,14 +6,14 @@
 //! once per invocation: an unknown value is an error, not a silent `quick`.
 
 use crate::experiment::{
-    contrarian_vs_cclo, load_curve, run, run_sim, sweep, Clients, Observe, Protocol, Report,
-    RunSpec, Scale, Series,
+    contrarian_vs_cclo, load_curve, load_curve_with, run, run_sim, sweep, Clients, Observe,
+    Protocol, Report, RunSpec, Scale, Series,
 };
 use crate::load::{run_load_sim_checked, run_net, NetSample};
 use crate::{table, table2, theory};
 use contrarian_runtime::trace::{chrome_trace_json, summarize};
 use contrarian_runtime::window::MetricsWindow;
-use contrarian_sim::SchedKind;
+use contrarian_sim::{SchedKind, WindowStats};
 use contrarian_types::ClusterConfig;
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 use std::io;
@@ -624,16 +624,30 @@ fn scale_sweep(ctx: &Ctx) -> io::Result<()> {
     }
     // The 256-partition tier: its own cluster shape (two DCs) and scale —
     // at 512 servers a full load curve would blow the CI budget without
-    // saying anything new.
+    // saying anything new. Its two DCs run as two shards under the default
+    // engine, so each point also prints what each shard did (stderr only:
+    // the host times differ from run to run, and the CSV must not).
     let cluster = ClusterConfig::xlarge();
     let t0 = Instant::now();
-    let label = |parts| format!("N={parts}x{}dc", cluster.n_dcs);
-    series.extend(contrarian_vs_cclo(
-        &[cluster.n_partitions],
-        &Scale::xlarge(),
-        label,
-        |p, _| RunSpec::closed(p, cluster.clone(), WorkloadSpec::paper_default()),
-    ));
+    for p in [Protocol::Contrarian, Protocol::CcLo] {
+        let name = format!(
+            "{} N={}x{}dc",
+            p.label(),
+            cluster.n_partitions,
+            cluster.n_dcs
+        );
+        let base = RunSpec::closed(p, cluster.clone(), WorkloadSpec::paper_default());
+        series.push(load_curve_with(
+            name.clone(),
+            &base,
+            &Scale::xlarge(),
+            |spec| {
+                let run = run_sim(spec, Observe::default());
+                eprintln!("  [{name}] engine: {}", engine_line(&run.window_stats));
+                spec.report(&run.metrics)
+            },
+        ));
+    }
     let secs = t0.elapsed().as_secs_f64();
     eprintln!("  [scale_sweep] N=256 (2 DCs): swept in {secs:.1}s");
     // The figure's summary lists every series' peak: the scaling curve.
@@ -642,6 +656,23 @@ fn scale_sweep(ctx: &Ctx) -> io::Result<()> {
         "partition-count scaling, 8 → 256 partitions (beyond the paper)",
         &series,
     )
+}
+
+/// One line of per-shard engine telemetry: rounds, events, cross-shard
+/// messages, and busy / barrier-wait host time.
+fn engine_line(stats: &[WindowStats]) -> String {
+    let shard = |(i, s): (usize, &WindowStats)| {
+        format!(
+            "shard {i}: {} rounds, {} events, {} cross-shard msgs, busy {:.3} s, barrier wait {:.3} s",
+            s.rounds,
+            s.events,
+            s.cross_msgs,
+            s.busy_ns as f64 / 1e9,
+            s.wait_ns as f64 / 1e9
+        )
+    };
+    let shards: Vec<String> = stats.iter().enumerate().map(shard).collect();
+    shards.join(" | ")
 }
 
 /// The session population of the open-loop scenarios: a million logical

@@ -11,8 +11,9 @@
 //! The full table, with value grammars, is documented in the top-level
 //! README ("Environment knobs").
 
-/// Simulator event-loop engine: `calendar` (default) or `sharded` (one
-/// event loop per DC). Parsed by `contrarian_sim::SchedKind`.
+/// Simulator event-loop engine: `sharded` (default; one event loop per DC)
+/// or `calendar` (one loop, the serial reference). Parsed by
+/// `contrarian_sim::SchedKind`.
 pub const SCHED: &str = "CONTRARIAN_SCHED";
 
 /// Worker threads for the sharded simulator's window barriers (default:
@@ -37,7 +38,7 @@ pub const TRACE_CAP: &str = "CONTRARIAN_TRACE_CAP";
 /// Every registered knob, with a short contract — the machine-readable
 /// side of the README table.
 pub const REGISTERED: &[(&str, &str)] = &[
-    (SCHED, "simulator engine: calendar (default) | sharded"),
+    (SCHED, "simulator engine: sharded (default) | calendar"),
     (
         SHARD_THREADS,
         "sharded-engine worker threads (positive integer; default: cores)",

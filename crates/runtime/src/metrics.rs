@@ -295,6 +295,27 @@ impl Metrics {
         self.rots_done + self.puts_done
     }
 
+    /// Zeroes every histogram and counter in place, keeping `enabled`, the
+    /// allocations and the counter names.
+    pub fn clear(&mut self) {
+        for h in [
+            &mut self.rot_latency,
+            &mut self.put_latency,
+            &mut self.vis_staleness,
+            &mut self.data_staleness,
+            &mut self.gss_lag,
+            &mut self.block_ns,
+        ] {
+            h.clear();
+        }
+        self.rots_done = 0;
+        self.puts_done = 0;
+        self.msgs = 0;
+        self.bytes = 0;
+        self.busy_ns = 0;
+        self.counters.values_mut().for_each(|v| *v = 0);
+    }
+
     /// Folds another metrics object into this one (used by the live
     /// transport, where every handler writes into a local scratch that is
     /// merged under a lock afterwards).
@@ -319,6 +340,29 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clear_zeroes_the_totals_but_keeps_the_flag_and_names() {
+        let mut m = Metrics::new();
+        m.enabled = true;
+        m.rot_done(1_000);
+        m.put_done(2_000);
+        m.vis_stale(3);
+        m.add("checks", 4);
+        m.msgs = 5;
+        m.clear();
+        assert!(m.enabled);
+        assert_eq!((m.ops_done(), m.msgs, m.rot_latency.count()), (0, 0, 0));
+        assert_eq!(m.vis_staleness.count(), 0);
+        assert_eq!(m.counters.get("checks"), Some(&0));
+        // Folding a cleared copy into totals changes nothing.
+        let mut totals = Metrics::new();
+        totals.enabled = true;
+        totals.rot_done(7);
+        totals.absorb(&m);
+        assert_eq!((totals.rots_done, totals.rot_latency.max()), (1, 7));
+        assert_eq!(totals.rot_latency.min(), 7);
+    }
 
     #[test]
     fn bucket_round_trip_low_values() {

@@ -1,5 +1,5 @@
 //! A deterministic discrete-event cluster simulator with a queueing cost
-//! model — optionally sharded: one event loop per DC, synchronized in
+//! model — sharded by default: one event loop per DC, synchronized in
 //! conservative cross-DC windows.
 //!
 //! ## Why a simulator
@@ -38,10 +38,14 @@
 //! code path ([`sched::SchedKind`], selectable with `CONTRARIAN_SCHED`
 //! through [`SchedKind::from_env`]):
 //!
-//! * `calendar` (default) — one shard, the hierarchical calendar queue of
-//!   [`sched`];
-//! * `sharded` — one shard per DC, run in parallel under conservative
-//!   per-link windows.
+//! * `sharded` (default) — one shard per DC, run in parallel under
+//!   conservative per-link windows; a one-DC cluster is one shard on the
+//!   plain single-loop path;
+//! * `calendar` — one shard, the hierarchical calendar queue of
+//!   [`sched`]: the serial reference the engine tests replay against.
+//!
+//! [`Sim::window_stats`] reports what each shard did: window rounds,
+//! events, cross-shard messages, and its busy and barrier-wait host time.
 //!
 //! ### Windows and the lookahead invariant
 //!
@@ -59,13 +63,15 @@
 //!
 //! — the earliest instant *any* pending event anywhere, including `j`'s
 //! own (whose sends can provoke replies), could still get a message to
-//! `j`. Events strictly before the horizon run concurrently; shards
-//! synchronize at the barrier, where parked cross-shard messages are
-//! exchanged (the engine asserts none lands inside its destination's
-//! just-run window). Pairwise bounds let two DCs joined by a fast link
-//! window against it while a transcontinental peer races ahead by up to
-//! its own latency — a single scalar lookahead would gate every pair on
-//! the smallest edge in the whole topology. A zero off-diagonal entry
+//! `j`. Events strictly before the horizon run concurrently, the caller
+//! running one shard and a scoped thread each other busy one; a shard
+//! takes in what its peers send while it runs, through a bounded inbox,
+//! and shards synchronize at the barrier, where whatever is still in
+//! flight is delivered (the engine asserts none lands inside its
+//! destination's just-run window). Pairwise bounds let two DCs joined by
+//! a fast link window against it while a transcontinental peer races
+//! ahead by up to its own latency — a single scalar lookahead would gate
+//! every pair on the smallest edge in the whole topology. A zero off-diagonal entry
 //! (free links) means no usable window exists at all, and the engine
 //! degenerates to lockstep execution — one globally minimal event at a
 //! time, sequential, still exact.
@@ -104,4 +110,5 @@ pub use contrarian_runtime::{
     Actor, ActorCtx, CostModel, Histogram, Metrics, SimMessage, TimerKind,
 };
 pub use sched::{QueueStats, SchedKind, ENGINES};
+pub use shard::WindowStats;
 pub use sim::Sim;

@@ -58,30 +58,33 @@ use std::collections::BinaryHeap;
 /// Which engine a [`crate::Sim`] runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedKind {
-    /// One event loop on one calendar queue (the default).
-    #[default]
+    /// One event loop on one calendar queue: the serial reference every
+    /// engine test replays against.
     Calendar,
     /// One event loop and one calendar queue per DC, run in parallel under
-    /// conservative per-link windows.
+    /// conservative per-link windows (the default). A one-DC cluster is one
+    /// shard on the same single-loop path as [`SchedKind::Calendar`].
+    #[default]
     Sharded,
 }
 
-/// The in-process engine list: the calendar reference and one shard per
-/// DC. The virtual-identity pins and the conformance battery run every
-/// entry, and each must reproduce the calendar run exactly.
+/// The in-process engine list: the serial calendar reference and the
+/// default, one shard per DC. The virtual-identity pins and the
+/// conformance battery run every entry, and each must reproduce the
+/// calendar run exactly.
 pub const ENGINES: [SchedKind; 2] = [SchedKind::Calendar, SchedKind::Sharded];
 
 impl SchedKind {
     /// Parses a `CONTRARIAN_SCHED` value. `None` (unset) defaults to
-    /// [`SchedKind::Calendar`]; any other value is an error listing the
+    /// [`SchedKind::Sharded`]; any other value is an error listing the
     /// valid set — silently falling back would make an engine comparison
-    /// measure the calendar queue against itself.
+    /// measure one engine against itself.
     pub fn parse(value: Option<&str>) -> Result<Self, String> {
         match value {
-            Some("calendar") | None => Ok(SchedKind::Calendar),
-            Some("sharded") => Ok(SchedKind::Sharded),
+            Some("sharded") | None => Ok(SchedKind::Sharded),
+            Some("calendar") => Ok(SchedKind::Calendar),
             Some(other) => Err(format!(
-                "CONTRARIAN_SCHED must be `calendar` (the default) or `sharded`, got `{other}`"
+                "CONTRARIAN_SCHED must be `sharded` (the default) or `calendar`, got `{other}`"
             )),
         }
     }
@@ -182,8 +185,12 @@ impl<T> CalendarQueue<T> {
     /// per-bucket sort small without making the wheel spin hot.
     pub const W_NS: u64 = 1 << Self::W_SHIFT;
     const W_SHIFT: u32 = 14;
-    /// Ring size (power of two): horizon = `N_BUCKETS * W_NS` ≈ 67 ms.
-    const N_BUCKETS: usize = 4096;
+    /// Ring size (power of two): horizon = `N_BUCKETS * W_NS` ≈ 33 ms,
+    /// three inter-DC hops of the calibrated cost model. The benchmark
+    /// workloads push exactly the same events past it as past a 67 ms
+    /// horizon (their far-future GC timers), and each queue's ring headers
+    /// take 48 KB instead of 96 KB.
+    const N_BUCKETS: usize = 2048;
 
     pub fn new() -> Self {
         CalendarQueue {
@@ -376,18 +383,20 @@ mod tests {
             SchedKind::parse(Some("sharded")).unwrap(),
             SchedKind::Sharded
         );
-        assert_eq!(SchedKind::parse(None).unwrap(), SchedKind::Calendar);
+        assert_eq!(SchedKind::parse(None).unwrap(), SchedKind::Sharded);
+        assert_eq!(SchedKind::default(), SchedKind::Sharded);
     }
 
     #[test]
     fn sched_kind_rejects_unknown_values_listing_the_valid_set() {
-        // A typo must be a hard error, not a silent calendar fallback (an
-        // engine comparison would measure calendar vs itself), and so must
-        // the removed forms: the heap engine and explicit shard counts.
+        // A typo must be a hard error, not a silent fallback to the default
+        // (an engine comparison would measure one engine against itself),
+        // and so must the removed forms: the heap engine and explicit shard
+        // counts.
         for bogus in ["heap", "sharded:2", "sharded:", "Calendar", "wheel", ""] {
             let err = SchedKind::parse(Some(bogus)).unwrap_err();
+            assert!(err.contains("`sharded` (the default)"), "{err}");
             assert!(err.contains("`calendar`"), "{err}");
-            assert!(err.contains("`sharded`"), "{err}");
             assert!(err.contains(&format!("`{bogus}`")), "{err}");
         }
     }
@@ -405,7 +414,7 @@ mod tests {
         let mut q: CalendarQueue<u32> = CalendarQueue::new();
         // Same tick, far future, next bucket, current bucket.
         q.push(0, 1, 0);
-        q.push(500_000_000, 2, 0); // overflow (beyond 67 ms horizon)
+        q.push(500_000_000, 2, 0); // overflow (beyond the 33 ms horizon)
         q.push(CalendarQueue::<u32>::W_NS * 3, 3, 0);
         q.push(100, 4, 0);
         q.push(0, 5, 0);

@@ -61,15 +61,21 @@
 //! `next_t_i + L(i, j)` *and* the bounce-back
 //! `next_t_j + L(j, i) + L(i, j)` (replies provoked by `j`'s own pending
 //! sends) — without communication: no message can reach `j` inside that
-//! range, whichever shard's pending work it originates from. At the
-//! barrier the
-//! outboxes are exchanged — the engine asserts that nothing lands inside
-//! its destination's just-run window — and the next round recomputes
-//! horizons from the new per-shard clocks. A zero minimum off-diagonal
-//! entry (degenerate cost models with free links between DCs) means some
-//! pair has no usable window, and the engine falls back to lockstep: one globally minimal event at a
-//! time, exchanging after every step — plain sequential simulation with
-//! extra steps.
+//! range, whichever shard's pending work it originates from. The same
+//! bound lets a shard take what its peers send *while* its window runs:
+//! cross-shard messages travel in batches through the destination's
+//! bounded inbox — posted when full, and at the end of the sender's
+//! window — and every few dozen events a running shard moves what it was
+//! posted into its own queue: it lands at or past the window's end, so
+//! nothing reorders, and the queue's buckets are allocated by the thread
+//! that uses them. A batch that does not fit waits in the sender's outbox.
+//! At the barrier all of it is delivered — the engine asserts that nothing
+//! lands inside its destination's just-run window — and the next round
+//! recomputes horizons from the new per-shard clocks. A zero minimum off-diagonal entry (degenerate cost models with
+//! free links between DCs) means some pair has no usable window, and the
+//! engine falls back to lockstep: one globally minimal event at a time,
+//! exchanging after every step — plain sequential simulation with extra
+//! steps.
 
 use crate::sched::CalendarQueue;
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
@@ -81,6 +87,34 @@ use contrarian_runtime::SimMessage;
 use contrarian_types::{Addr, HistoryEvent, NodeKind, TraceEvent, TraceKind};
 use rand::rngs::SmallRng;
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+
+/// Most cross-shard messages one batch carries: a batch is one channel
+/// operation, so traffic that mostly crosses DCs does not pay one per
+/// message.
+const BATCH: usize = 64;
+
+/// Batches a shard's inbox holds before senders park the rest in their
+/// outboxes.
+const INBOX_BATCHES: usize = 16;
+
+/// Emptied batches a shard keeps for reuse. Two shards trading batches
+/// keep a handful in circulation; more than this are freed.
+const SPARE_BATCHES: usize = 4;
+
+/// Events between a running shard's looks at its inbox: a few
+/// microseconds of host time.
+const INBOX_POLL: u64 = 64;
+
+type Batch<M> = Vec<CrossShardMsg<M>>;
+
+/// What a shard sends one peer.
+struct Mail<M> {
+    /// Messages for the peer since the last post.
+    batch: Batch<M>,
+    /// Into the peer's inbox.
+    tx: SyncSender<Batch<M>>,
+}
 
 /// Bits of an event key holding the per-source counter; the source node id
 /// occupies the bits above. 2^20 nodes and 2^44 events per node both sit
@@ -299,20 +333,46 @@ impl<A> NodeSlot<A> {
     }
 }
 
-/// A message crossing a shard boundary, parked in the sender's outbox
-/// until the next window barrier. Carries its precomputed arrival key so
-/// the receiving shard inserts it exactly where a single-threaded engine
-/// would have.
+/// A message crossing a shard boundary, on its way through the receiver's
+/// inbox or parked in the sender's outbox until the next window barrier.
+/// Carries its precomputed arrival key so the receiving shard inserts it
+/// exactly where a single-threaded engine would have.
 pub(crate) struct CrossShardMsg<M> {
     pub(crate) t: u64,
     pub(crate) key: u64,
-    pub(crate) shard: usize,
-    pub(crate) to_local: usize,
+    /// Global id of the receiver, resolved to its shard and slot on
+    /// delivery (two `usize`s here would add 16 B to every message).
+    pub(crate) to: u32,
     pub(crate) from: Addr,
     pub(crate) msg: M,
 }
 
+/// One shard's view of the engine's work so far, read through
+/// [`crate::Sim::window_stats`]. `rounds`, `events` and `cross_msgs` are
+/// a function of the run alone — equal under any thread count — while
+/// `busy_ns` and `wait_ns` are host wall-clock readings.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct WindowStats {
+    /// Conservative window rounds in which this shard had events to run.
+    pub rounds: u64,
+    /// Events this shard processed, on every path (windows, lockstep and
+    /// the single-loop path alike).
+    pub events: u64,
+    /// Messages this shard sent to other shards.
+    pub cross_msgs: u64,
+    /// Host nanoseconds this shard spent running its windows.
+    pub busy_ns: u64,
+    /// Host nanoseconds of window rounds this shard spent not running:
+    /// the rounds' wall time minus `busy_ns`.
+    pub wait_ns: u64,
+}
+
 /// One event loop of the engine: its nodes, queue, and link state.
+///
+/// Aligned to two cache lines so that shards running on different threads
+/// never write to one line: `now`, `events_processed` and the queue's
+/// cursors change on every event.
+#[repr(align(128))]
 pub(crate) struct Shard<A: Actor> {
     pub(crate) id: usize,
     pub(crate) now: u64,
@@ -336,12 +396,25 @@ pub(crate) struct Shard<A: Actor> {
     /// Reusable handler scratch (outbox + timer buffers).
     scratch_out: Vec<(Addr, A::Msg)>,
     scratch_timers: Vec<(u64, TimerKind)>,
-    /// Cross-shard sends of the current window, drained at the barrier.
-    pub(crate) outbox: Vec<CrossShardMsg<A::Msg>>,
+    /// Batches a peer's inbox had no room for, delivered at the barrier.
+    pub(crate) outbox: Vec<Batch<A::Msg>>,
+    /// `mail[j]` is for shard `j`; `None` for this shard itself (and
+    /// everywhere in a one-shard engine).
+    mail: Vec<Option<Mail<A::Msg>>>,
+    /// What other shards send this one, taken into its queue while its
+    /// window runs (see [`Shard::take_inbox`]) and at the barrier.
+    inbox: Option<Receiver<Batch<A::Msg>>>,
+    /// Delivered batches, emptied, that this shard fills next. Batches
+    /// circulate instead of being freed by the receiving thread: a block
+    /// freed into another thread's malloc arena takes that arena's lock
+    /// while its owner allocates.
+    spare: Vec<Batch<A::Msg>>,
     pub(crate) cost: CostModel,
     pub(crate) metrics: Metrics,
     pub(crate) history: Vec<TaggedEvent>,
     pub(crate) events_processed: u64,
+    /// Window telemetry; `events` and `wait_ns` are filled in on read.
+    pub(crate) window: WindowStats,
     pub(crate) recording: bool,
     pub(crate) tracing: bool,
     pub(crate) stopped: bool,
@@ -361,13 +434,94 @@ impl<A: Actor> Shard<A> {
             scratch_out: Vec::new(),
             scratch_timers: Vec::new(),
             outbox: Vec::new(),
+            mail: Vec::new(),
+            inbox: None,
+            spare: Vec::new(),
             cost,
             metrics: Metrics::new(),
             history: Vec::new(),
             events_processed: 0,
+            window: WindowStats::default(),
             recording: false,
             tracing: false,
             stopped: false,
+        }
+    }
+
+    /// Gives every shard an inbox and every other shard mail into it.
+    pub(crate) fn connect(shards: &mut [Shard<A>]) {
+        let n = shards.len();
+        for s in shards.iter_mut() {
+            s.mail = (0..n).map(|_| None).collect();
+        }
+        for j in 0..n {
+            let (tx, rx) = sync_channel(INBOX_BATCHES);
+            shards[j].inbox = Some(rx);
+            for (i, s) in shards.iter_mut().enumerate() {
+                if i != j {
+                    let tx = tx.clone();
+                    s.mail[j] = Some(Mail {
+                        batch: Vec::new(),
+                        tx,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Sends shard `j` the batch gathered for it, into its inbox or, when
+    /// that is full, this shard's outbox.
+    fn post(&mut self, j: usize) {
+        let mail = self.mail[j].as_mut().expect("a peer shard");
+        let batch = std::mem::take(&mut mail.batch);
+        match mail.tx.try_send(batch) {
+            Ok(()) => {}
+            Err(TrySendError::Full(batch)) => self.outbox.push(batch),
+            Err(TrySendError::Disconnected(_)) => unreachable!("peers outlive sends"),
+        }
+    }
+
+    /// Posts every non-empty batch.
+    pub(crate) fn post_all(&mut self) {
+        for j in 0..self.mail.len() {
+            if self.mail[j].as_ref().is_some_and(|m| !m.batch.is_empty()) {
+                self.post(j);
+            }
+        }
+    }
+
+    /// Moves what other shards have posted this one so far into its queue
+    /// (see [`Shard::deliver`]).
+    pub(crate) fn take_inbox(&mut self, routing: &Routing, end_excl: u64) {
+        while let Some(batch) = self.inbox.as_ref().and_then(|rx| rx.try_recv().ok()) {
+            self.deliver(routing, batch, end_excl);
+        }
+    }
+
+    /// Queues a batch of messages for this shard. Each arrives at or past
+    /// `end_excl`, the end of this shard's current window — the
+    /// conservative-window invariant, checked here — so taking one in
+    /// while the window runs cannot reorder anything.
+    pub(crate) fn deliver(&mut self, routing: &Routing, mut batch: Batch<A::Msg>, end_excl: u64) {
+        for m in batch.drain(..) {
+            assert!(
+                m.t >= end_excl,
+                "conservative window violated: cross-shard message for t={} \
+                 inside shard {}'s window ending at {end_excl}",
+                m.t,
+                self.id
+            );
+            let (_, to) = routing.locate(m.to as usize);
+            let from = m.from;
+            let arrive = EvKind::Arrive {
+                to,
+                from,
+                msg: m.msg,
+            };
+            self.queue.push(m.t, m.key, arrive);
+        }
+        if self.spare.len() < SPARE_BATCHES {
+            self.spare.push(batch);
         }
     }
 
@@ -429,15 +583,25 @@ impl<A: Actor> Shard<A> {
         self.with_ctx(routing, node, 0, |actor, ctx| actor.on_start(ctx));
     }
 
-    /// Processes every pending event with `t < end_excl`. Cross-shard
-    /// sends accumulate in the outbox; everything else is handled locally.
+    /// Processes every pending event with `t < end_excl`, one window
+    /// round's work, taking in what peers have posted it every
+    /// [`INBOX_POLL`] events; a batch is posted when full, and what is
+    /// left when the window ends.
     pub(crate) fn run_window(&mut self, routing: &Routing, end_excl: u64) {
+        // lint:allow(determinism): window telemetry only; the reading never reaches an event, history or trace
+        let t0 = std::time::Instant::now();
         while let Some(t) = self.queue.peek_t() {
             if t >= end_excl {
                 break;
             }
             self.step_one(routing);
+            if self.events_processed.is_multiple_of(INBOX_POLL) {
+                self.take_inbox(routing, end_excl);
+            }
         }
+        self.post_all();
+        self.window.rounds += 1;
+        self.window.busy_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Pops and processes exactly one event. Returns its time.
@@ -649,15 +813,25 @@ impl<A: Actor> Shard<A> {
             } else {
                 // Cross-shard: the link latency is at least the lookahead
                 // matrix's `(self, to_shard)` entry, so the arrival lies at
-                // or beyond the destination's window end.
-                self.outbox.push(CrossShardMsg {
+                // or beyond the destination's window end, and the
+                // destination may take it before its window is over.
+                let m = CrossShardMsg {
                     t: arrive,
                     key,
-                    shard: to_shard,
-                    to_local,
+                    to: to_global as u32,
                     from: addr,
                     msg,
-                });
+                };
+                self.window.cross_msgs += 1;
+                let mail = self.mail[to_shard].as_mut().expect("a peer shard");
+                if mail.batch.capacity() == 0 {
+                    let spare = self.spare.pop();
+                    mail.batch = spare.unwrap_or_else(|| Vec::with_capacity(BATCH));
+                }
+                mail.batch.push(m);
+                if mail.batch.len() == BATCH {
+                    self.post(to_shard);
+                }
             }
         }
         for (delay, kind) in timers.drain(..) {

@@ -14,7 +14,7 @@
 //! and history.
 
 use crate::sched::{QueueStats, SchedKind};
-use crate::shard::{EvKind, NodeSlot, Routing, Shard};
+use crate::shard::{EvKind, NodeSlot, Routing, Shard, WindowStats};
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::cost::{CostModel, LookaheadMatrix};
 use contrarian_runtime::history::merge_shard_histories;
@@ -44,6 +44,9 @@ pub struct Sim<A: Actor> {
     /// Conservative window rounds driven so far (scheduling telemetry;
     /// engine-comparison tests pin schedules with it).
     rounds: u64,
+    /// Host wall time of those rounds, barrier to barrier (the exchange
+    /// excluded): what [`WindowStats::wait_ns`] is measured against.
+    window_wall_ns: u64,
     /// Pre-start registrations, in order; drained into shards at start.
     staging: Vec<(Addr, A, u32)>,
     /// Registration-time index (`Addr → global id`): duplicate detection
@@ -52,9 +55,8 @@ pub struct Sim<A: Actor> {
     index: HashMap<Addr, usize>,
     routing: Routing,
     shards: Vec<Shard<A>>,
-    /// Merged view of the per-shard metrics; `enabled` lives here and is
-    /// pushed down to the shards when a run begins.
-    master: Metrics,
+    /// Some shard other than shard 0 may hold metrics not yet folded into
+    /// shard 0's (see [`Sim::metrics`]).
     metrics_dirty: bool,
     recording: bool,
     tracing: bool,
@@ -75,11 +77,11 @@ impl<A: Actor> Sim<A> {
             la: LookaheadMatrix::default(),
             min_la: 0,
             rounds: 0,
+            window_wall_ns: 0,
             staging: Vec::new(),
             index: HashMap::new(),
             routing: Routing::empty(),
             shards: Vec::new(),
-            master: Metrics::new(),
             metrics_dirty: false,
             recording: false,
             tracing: false,
@@ -132,7 +134,23 @@ impl<A: Actor> Sim<A> {
         self.rounds
     }
 
-    /// Number of shards (1 unless running [`SchedKind::Sharded`]).
+    /// Per-shard window telemetry, in shard order (one entry per DC under
+    /// [`SchedKind::Sharded`], one under [`SchedKind::Calendar`]; empty
+    /// before [`Sim::start`]). The `events` fields sum to
+    /// [`Sim::events_processed`]; see [`WindowStats`] for which fields
+    /// repeat across thread counts.
+    pub fn window_stats(&self) -> Vec<WindowStats> {
+        self.shards
+            .iter()
+            .map(|s| WindowStats {
+                events: s.events_processed,
+                wait_ns: self.window_wall_ns.saturating_sub(s.window.busy_ns),
+                ..s.window
+            })
+            .collect()
+    }
+
+    /// Number of shards: one per DC under [`SchedKind::Sharded`], else 1.
     pub fn n_shards(&self) -> usize {
         if self.started {
             self.shards.len()
@@ -185,13 +203,21 @@ impl<A: Actor> Sim<A> {
         }
         self.threads = self.threads.min(n_shards);
 
+        let shard_of = |addr: Addr| if per_dc { addr.dc.index() } else { 0 };
+        // Node slots are ~500 B: sized exactly, a shard holds none spare
+        // (doubling from empty left 896 of them, 444 KB, on the 2 × 64-server
+        // Okapi cluster under either engine).
+        let mut sizes = vec![0; n_shards];
+        for (addr, _, _) in &self.staging {
+            sizes[shard_of(*addr)] += 1;
+        }
         self.shards = (0..n_shards)
             .map(|i| {
                 let mut s = Shard::new(i, self.cost.clone());
+                s.nodes.reserve_exact(sizes[i]);
                 s.recording = self.recording;
                 s.tracing = self.tracing;
                 s.stopped = self.stopped;
-                s.metrics.enabled = self.master.enabled;
                 s
             })
             .collect();
@@ -202,7 +228,7 @@ impl<A: Actor> Sim<A> {
         for (gid, (addr, actor, workers)) in
             std::mem::take(&mut self.staging).into_iter().enumerate()
         {
-            let shard = if per_dc { addr.dc.index() } else { 0 };
+            let shard = shard_of(addr);
             let local = self.shards[shard].nodes.len();
             addrs.push(addr);
             locate.push((shard as u32, local as u32));
@@ -210,6 +236,9 @@ impl<A: Actor> Sim<A> {
             self.shards[shard]
                 .nodes
                 .push(NodeSlot::new(addr, gid as u32, actor, workers, rng));
+        }
+        if n_shards > 1 {
+            Shard::connect(&mut self.shards);
         }
         self.la = self.cost.lookahead_matrix(n_shards);
         self.min_la = self.la.min_off_diagonal();
@@ -234,35 +263,38 @@ impl<A: Actor> Sim<A> {
         self.now
     }
 
-    /// Merged view of the per-shard metrics. Mutations other than the
-    /// `enabled` flag are not propagated back to the shards (the flag is,
-    /// at the start of every run call).
+    /// The run's metrics, all shards merged. Shard 0's own copy is the
+    /// merged one: the others are folded into it and cleared here, so a
+    /// sharded run holds one set of totals, not one per shard plus a merged
+    /// copy. Edits through [`Sim::metrics_mut`] therefore stick, and the
+    /// `enabled` flag set there reaches every shard when the next run call
+    /// begins. Kept by the shards, so only available once started.
     pub fn metrics(&mut self) -> &Metrics {
-        self.refresh_metrics();
-        &self.master
+        self.metrics_mut()
     }
 
     pub fn metrics_mut(&mut self) -> &mut Metrics {
-        self.refresh_metrics();
-        &mut self.master
-    }
-
-    fn refresh_metrics(&mut self) {
-        if !self.metrics_dirty {
-            return;
+        assert!(
+            self.started,
+            "metrics are kept by the shards, built at start"
+        );
+        let (first, rest) = self
+            .shards
+            .split_first_mut()
+            .expect("a started Sim has a shard");
+        if self.metrics_dirty {
+            for s in rest {
+                first.metrics.absorb(&s.metrics);
+                s.metrics.clear();
+            }
+            self.metrics_dirty = false;
         }
-        let mut m = Metrics::new();
-        m.enabled = self.master.enabled;
-        for s in &self.shards {
-            m.absorb(&s.metrics);
-        }
-        self.master = m;
-        self.metrics_dirty = false;
+        &mut first.metrics
     }
 
     /// Pushes the externally toggled flags down to the shards.
     fn sync_flags(&mut self) {
-        let enabled = self.master.enabled;
+        let enabled = self.shards[0].metrics.enabled;
         for s in &mut self.shards {
             s.metrics.enabled = enabled;
             s.recording = self.recording;
@@ -423,8 +455,9 @@ impl<A: Actor> Sim<A> {
             return false;
         };
         let routing = &self.routing;
+        let sent = self.shards[i].window.cross_msgs;
         self.shards[i].step_one(routing);
-        if !self.shards[i].outbox.is_empty() {
+        if self.shards[i].window.cross_msgs != sent {
             self.exchange(None);
         }
         self.now = self.now.max(t);
@@ -440,36 +473,27 @@ impl<A: Actor> Sim<A> {
             .min()
     }
 
-    /// Delivers every parked cross-shard message into its target queue.
-    /// With `ends` (the per-shard window bounds of a conservative round),
+    /// Delivers every cross-shard message still in flight — gathered,
+    /// in an inbox or parked in an outbox — into its target queue. With
+    /// `ends` (the per-shard window bounds of a conservative round),
     /// asserts the window invariant: nothing sent during a round may land
     /// inside its *destination's* just-run window.
     fn exchange(&mut self, ends: Option<&[u64]>) {
+        let end = |j: usize| ends.map_or(0, |e| e[j]);
+        for s in &mut self.shards {
+            s.post_all();
+        }
+        for (j, s) in self.shards.iter_mut().enumerate() {
+            s.take_inbox(&self.routing, end(j));
+        }
         for i in 0..self.shards.len() {
-            if self.shards[i].outbox.is_empty() {
-                continue;
-            }
             let mut outbox = std::mem::take(&mut self.shards[i].outbox);
-            for m in outbox.drain(..) {
-                assert!(
-                    ends.is_none_or(|e| m.t >= e[m.shard]),
-                    "conservative window violated: cross-shard message for t={} \
-                     inside destination shard {}'s window ending at {}",
-                    m.t,
-                    m.shard,
-                    ends.map_or(0, |e| e[m.shard])
-                );
-                self.shards[m.shard].queue.push(
-                    m.t,
-                    m.key,
-                    EvKind::Arrive {
-                        to: m.to_local,
-                        from: m.from,
-                        msg: m.msg,
-                    },
-                );
+            for batch in outbox.drain(..) {
+                // A batch has one destination: the peer it was gathered for.
+                let Some(first) = batch.first() else { continue };
+                let (j, _) = self.routing.locate(first.to as usize);
+                self.shards[j].deliver(&self.routing, batch, end(j));
             }
-            // Hand the allocation back for the next window.
             self.shards[i].outbox = outbox;
         }
     }
@@ -514,12 +538,14 @@ impl<A: Actor> Sim<A> {
     /// L(i, j)` and the bounce-back `next_t[j] + L(j, i) + L(i, j)` (see
     /// [`LookaheadMatrix::horizon`]) — and runs each shard up to its own
     /// (bound-clamped) horizon, in parallel when more than one shard has
-    /// work and more than one thread is available. Cross-shard messages are exchanged at
-    /// the barrier; the next round recomputes horizons from the advanced
-    /// clocks. Pairwise bounds let two DCs joined by a fast link window
-    /// against it while a transcontinental peer races ahead by up to its
-    /// own latency — a scalar lookahead would gate every pair on the
-    /// single smallest edge in the whole topology.
+    /// work and more than one thread is available: the caller runs the
+    /// first busy shard itself and a scoped thread each of the others.
+    /// Cross-shard messages still in flight are delivered at the barrier;
+    /// the next round recomputes horizons from the advanced clocks.
+    /// Pairwise bounds let two DCs joined by a fast link window against it
+    /// while a transcontinental peer races ahead by up to its own latency —
+    /// a scalar lookahead would gate every pair on the single smallest
+    /// edge in the whole topology.
     ///
     /// Progress: the shard holding the global minimum `m` has horizon
     /// ≥ `m + min_off_diagonal` > `m`, so it always clears at least its
@@ -566,18 +592,36 @@ impl<A: Actor> Sim<A> {
             }
             self.rounds += 1;
             let routing = &self.routing;
+            let busy = self
+                .shards
+                .iter_mut()
+                .zip(&ends)
+                .filter(|(s, &end)| next_t[s.id] < end);
+            // lint:allow(determinism): window telemetry only; the reading never reaches an event, history or trace
+            let t0 = std::time::Instant::now();
             if threads <= 1 || active <= 1 {
-                for (s, &end) in self.shards.iter_mut().zip(&ends) {
+                for (s, &end) in busy {
                     s.run_window(routing, end);
                 }
             } else {
-                let ends = &ends;
                 std::thread::scope(|scope| {
-                    for (i, s) in self.shards.iter_mut().enumerate() {
-                        scope.spawn(move || s.run_window(routing, ends[i]));
+                    let mut busy = busy;
+                    let (first, &first_end) = busy.next().expect("two busy shards");
+                    let others: Vec<_> = busy
+                        .map(|(s, &end)| scope.spawn(move || s.run_window(routing, end)))
+                        .collect();
+                    first.run_window(routing, first_end);
+                    for handle in others {
+                        // Re-raise a handler's panic with its own payload;
+                        // the scope alone would replace it with a generic
+                        // "a scoped thread panicked".
+                        if let Err(panic) = handle.join() {
+                            std::panic::resume_unwind(panic);
+                        }
                     }
                 });
             }
+            self.window_wall_ns += t0.elapsed().as_nanos() as u64;
             self.exchange(Some(&ends));
         }
         self.now = self
@@ -1217,6 +1261,15 @@ mod tests {
             want,
             "sharded engine diverged from the calendar engine"
         );
+        // The default engine gives two DCs two shards, and the same run.
+        let mut sim = mk_geo(SchedKind::default(), CostModel::calibrated(), 3, 4);
+        sim.start();
+        assert_eq!(sim.n_shards(), 2);
+        assert_eq!(
+            geo_digest(SchedKind::default(), CostModel::calibrated(), None),
+            want,
+            "the default engine diverged from the calendar engine"
+        );
         // Forced multi-threading (the machine may report 1 CPU): the
         // parallel window path itself must replay the same run.
         assert_eq!(
@@ -1314,7 +1367,108 @@ mod tests {
                 .collect();
             (sim.now(), sim.events_processed(), sums)
         };
-        assert_eq!(run(SchedKind::Sharded), run(SchedKind::Calendar));
+        let want = run(SchedKind::Calendar);
+        assert_eq!(run(SchedKind::Sharded), want);
+        assert_eq!(run(SchedKind::default()), want);
+    }
+
+    #[test]
+    fn window_stats_repeat_across_thread_counts_and_count_every_event() {
+        // Rounds, events and cross-shard messages per shard are a function
+        // of the run, whatever the thread count; the host-time fields are
+        // not compared.
+        let run = |threads| {
+            let mut sim = mk_geo(SchedKind::Sharded, CostModel::calibrated(), 3, 4);
+            sim.set_shard_threads(threads);
+            sim.start();
+            sim.run_until(40_000_000);
+            sim.run_to_quiescence(u64::MAX);
+            let stats = sim.window_stats();
+            let events: u64 = stats.iter().map(|s| s.events).sum();
+            assert_eq!(events, sim.events_processed(), "{threads} threads");
+            let rounds = sim.window_rounds();
+            assert!(stats.iter().all(|s| s.rounds <= rounds), "{stats:?}");
+            stats
+                .iter()
+                .map(|s| (s.rounds, s.events, s.cross_msgs))
+                .collect::<Vec<_>>()
+        };
+        let serial = run(1);
+        assert_eq!(serial.len(), 2, "one shard per DC");
+        assert!(
+            serial.iter().all(|&(r, e, x)| r > 0 && e > 0 && x > 0),
+            "both shards ran windows and crossed DCs: {serial:?}"
+        );
+        assert_eq!(run(2), serial);
+        // One loop: every event on the one shard, no rounds, no exchange.
+        let mut sim = mk_geo(SchedKind::Calendar, CostModel::calibrated(), 3, 4);
+        sim.start();
+        sim.run_to_quiescence(u64::MAX);
+        let stats = sim.window_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(
+            (stats[0].rounds, stats[0].events, stats[0].cross_msgs),
+            (0, sim.events_processed(), 0)
+        );
+    }
+
+    #[test]
+    fn a_handler_panic_on_a_worker_shard_surfaces_from_run_until() {
+        // DC 1's server fails on its 20th message. Mesh traffic keeps both
+        // shards busy in every round, so with two threads DC 1 runs on the
+        // spawned thread while the caller runs DC 0: the panic must reach
+        // the caller with the handler's own message — not hang the
+        // barrier, not be swallowed, not be replaced by the scope's generic
+        // one — and the message records that it came from the worker.
+        thread_local!(static CALLER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+        struct Faulty {
+            inner: Mesh,
+            served: u32,
+        }
+        impl Actor for Faulty {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut dyn ActorCtx<Ping>) {
+                self.inner.on_start(ctx);
+            }
+            fn on_message(&mut self, ctx: &mut dyn ActorCtx<Ping>, from: Addr, msg: Ping) {
+                if ctx.self_addr() == Addr::server(DcId(1), PartitionId(0)) {
+                    self.served += 1;
+                    if self.served == 20 {
+                        let on_caller = CALLER.with(|c| c.get());
+                        panic!("DC 1 server failed (on the caller's thread: {on_caller})");
+                    }
+                }
+                self.inner.on_message(ctx, from, msg);
+            }
+            fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+            fn inject(_op: Op) -> Ping {
+                Ping(0)
+            }
+        }
+        let faulty = || Faulty {
+            inner: Mesh::new(2),
+            served: 0,
+        };
+        let mut sim: Sim<Faulty> =
+            Sim::with_scheduler(CostModel::calibrated(), 3, SchedKind::Sharded);
+        for dc in 0..2 {
+            for p in 0..2 {
+                sim.add_server(Addr::server(DcId(dc), PartitionId(p)), faulty(), 2);
+            }
+            for c in 0..4 {
+                sim.add_client(Addr::client(DcId(dc), c), faulty());
+            }
+        }
+        sim.set_shard_threads(2);
+        sim.start();
+        CALLER.with(|c| c.set(true));
+        let run = std::panic::AssertUnwindSafe(|| sim.run_until(1_000_000_000));
+        let payload = std::panic::catch_unwind(run).expect_err("the handler panicked");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| format!("a non-string payload: {payload:?}"));
+        assert_eq!(msg, "DC 1 server failed (on the caller's thread: false)");
     }
 
     #[test]
