@@ -1,23 +1,19 @@
 //! Checker throughput at cluster scale: the frontier-compressed streaming
-//! checker vs the map-based oracle it replaced, on functional histories of
-//! 8, 32 and 128 partitions.
+//! checker on functional histories of 8, 32 and 128 partitions.
 //!
-//! The oracle materializes per-version causal pasts as per-key maps, so
-//! its cost grows with `versions × distinct keys` — at 128 partitions it
-//! is the piece that used to keep tier-1 from checking full histories.
-//! The frontier checker must beat it by ≥10× events/sec on the
-//! 128-partition history (tracked in `BENCH_pr4.json`); in practice the
-//! gap is orders of magnitude.
+//! The map-based oracle it replaced (now test-only,
+//! `crates/harness/tests/oracle/mod.rs`) materializes per-version causal
+//! pasts as per-key maps, so its cost grows with `versions × distinct
+//! keys`. The frontier checker beat it by ≥ 10× events/sec on the
+//! 128-partition history; `BENCH_pr4.json` holds that comparison.
 //!
-//! The measurement window is kept shorter than the tier-1 scale tests so
-//! the *oracle* finishes a sample in CI-tolerable time; the partition
-//! count (i.e. the distinct-key spread that hurts the oracle) is the same.
+//! The measurement window is shorter than the tier-1 scale tests; the
+//! partition count (the distinct-key spread) is the same.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use contrarian_harness::check_causal;
 use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunSpec};
-use contrarian_harness::oracle::check_causal_oracle;
 use contrarian_runtime::cost::CostModel;
 use contrarian_types::{ClusterConfig, HistoryEvent};
 use contrarian_workload::WorkloadSpec;
@@ -62,13 +58,6 @@ fn bench_checker_scale(c: &mut Criterion) {
                 })
             },
         );
-        g.bench_with_input(BenchmarkId::new("map", partitions), &history, |b, h| {
-            b.iter(|| {
-                let r = check_causal_oracle(black_box(h));
-                assert!(r.ok());
-                black_box(r.rots_checked)
-            })
-        });
     }
     g.finish();
 }

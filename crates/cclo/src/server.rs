@@ -11,6 +11,12 @@ use contrarian_types::{Addr, ClusterConfig, Key, PartitionId, TraceKind, TxId, V
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
+/// The read-version bound of every readers-check answer. COPS-SNOW returns
+/// *all* old readers of a key — anyone who read a superseded version, "an
+/// old reader of x in general" (the paper's footnote 3) — not only those
+/// old relative to the checked dependency version.
+const ALL_OLD_READERS: u64 = u64::MAX;
+
 /// A PUT waiting for its readers check to complete.
 struct PendingPut {
     client: Addr,
@@ -112,18 +118,6 @@ impl Server {
 
     fn gc_window_ns(&self) -> u64 {
         self.cfg.old_reader_gc_us * 1000
-    }
-
-    /// The read-version bound a readers-check response applies. COPS-SNOW
-    /// returns *all* old readers of a key; the dep-precise ablation narrows
-    /// the set to readers old relative to the checked dependency version
-    /// (see `ClusterConfig::cclo_dep_precise_old_readers`).
-    fn dep_bound(&self, dep: VersionId) -> u64 {
-        if self.cfg.cclo_dep_precise_old_readers {
-            dep.ts
-        } else {
-            u64::MAX
-        }
     }
 
     fn gc(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
@@ -332,12 +326,12 @@ impl Server {
         for (p, part_deps) in groups {
             if p == self.addr.partition() {
                 // Local dependencies: collect old readers directly.
-                for (k, vid) in &part_deps {
-                    let bound = self.dep_bound(*vid);
+                for (k, _) in &part_deps {
                     let set = self.old_readers.get(k);
                     ctx.charge(set.map_or(0, |s| s.len() as u64) * 100);
-                    let found =
-                        set.map_or(0, |s| s.query_into(bound, now, window, &mut pending.block));
+                    let found = set.map_or(0, |s| {
+                        s.query_into(ALL_OLD_READERS, now, window, &mut pending.block)
+                    });
                     ctx.charge(found as u64 * 150);
                 }
             } else {
@@ -443,10 +437,10 @@ impl Server {
         // ids per check at 256 clients).
         let mut out = Vec::new();
         let mut scanned = 0u64;
-        for (k, vid) in deps {
+        for (k, _) in deps {
             if let Some(set) = self.old_readers.get(k) {
                 scanned += set.len() as u64;
-                set.query_into(self.dep_bound(*vid), now, window, &mut out);
+                set.query_into(ALL_OLD_READERS, now, window, &mut out);
             }
         }
         // The full record is walked per queried key; hot keys make this the
@@ -590,10 +584,9 @@ impl Server {
         for (p, part_deps) in groups {
             if p == self.addr.partition() {
                 if self.deps_installed(&part_deps) {
-                    for (k, dvid) in &part_deps {
-                        let bound = self.dep_bound(*dvid);
+                    for (k, _) in &part_deps {
                         if let Some(set) = self.old_readers.get(k) {
-                            set.query_into(bound, now, window, &mut pending.block);
+                            set.query_into(ALL_OLD_READERS, now, window, &mut pending.block);
                         }
                     }
                 } else {
@@ -980,6 +973,77 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// X0 and X1 written, T reads X1, X2 overwrites it: T is an old reader
+    /// of x although it read the very version a later write depends on.
+    fn old_reader_of_the_dependency(s: &mut Server, ctx: &mut ScriptCtx<Msg>) -> (TxId, VersionId) {
+        let x = Key(0);
+        do_put(s, ctx, x, vec![]);
+        let x1 = do_put(s, ctx, x, vec![]);
+        let t = tx(2, 0);
+        assert_eq!(do_rot(s, ctx, t, vec![x])[0].1, Some(x1));
+        do_put(s, ctx, x, vec![]);
+        (t, x1)
+    }
+
+    #[test]
+    fn readers_check_answers_with_all_old_readers_not_only_those_before_the_dependency() {
+        // Footnote 3: the answer names every old reader of the key, so T's
+        // read of X1 itself is in it when the checked dependency is X1.
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        let (t, x1) = old_reader_of_the_dependency(&mut s, &mut ctx);
+        s.on_message(
+            &mut ctx,
+            addr(1),
+            Msg::OldReadersQuery {
+                token: 7,
+                deps: vec![(Key(0), x1)],
+                lamport: 0,
+            },
+        );
+        match ctx.drain_to(addr(1)).pop() {
+            Some(Msg::OldReadersReply { entries, .. }) => {
+                assert!(entries.iter().any(|(id, _)| *id == t), "{entries:?}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn local_readers_check_blocks_every_old_reader_of_a_dependency() {
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        let (t, x1) = old_reader_of_the_dependency(&mut s, &mut ctx);
+        let y = Key(4); // same partition
+        do_put(&mut s, &mut ctx, y, vec![(Key(0), x1)]);
+        let rec = &s.store().latest(y).unwrap().meta;
+        assert!(rec.bound(t).is_some(), "T must be kept from Y");
+    }
+
+    #[test]
+    fn replicated_readers_check_blocks_every_old_reader_of_a_dependency() {
+        let mut s = Server::new(addr(0), ClusterConfig::small().with_dcs(2));
+        let mut ctx = ScriptCtx::new(addr(0));
+        let (t, x1) = old_reader_of_the_dependency(&mut s, &mut ctx);
+        let y = Key(4); // same partition: the check runs locally
+        let y1 = VersionId::new(100, DcId(1));
+        s.on_message(
+            &mut ctx,
+            Addr::server(DcId(1), PartitionId(0)),
+            Msg::Replicate {
+                key: y,
+                value: Value::from_static(b"y1"),
+                vid: y1,
+                deps: vec![(Key(0), x1)],
+                lamport: 100,
+                birth: 0,
+            },
+        );
+        let head = s.store().latest(y).unwrap();
+        assert_eq!(head.vid, y1, "the dependency is installed here");
+        assert!(head.meta.bound(t).is_some(), "T must be kept from Y1");
     }
 
     #[test]

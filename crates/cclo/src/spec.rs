@@ -47,7 +47,7 @@ mod tests {
             },
             seed: 11,
         };
-        let mut sim = build_cluster::<CcLo>(&p, SchedKind::from_env());
+        let mut sim = build_cluster::<CcLo>(&p, SchedKind::default());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(50_000_000);
@@ -68,7 +68,7 @@ mod tests {
             },
             seed: 13,
         };
-        let mut sim = build_cluster::<CcLo>(&p, SchedKind::from_env());
+        let mut sim = build_cluster::<CcLo>(&p, SchedKind::default());
         sim.start();
         sim.run_until(30_000_000);
         sim.set_stopped(true);

@@ -53,9 +53,9 @@ fn measure(n_dcs: u8, sched: SchedKind) -> Metrics {
         seed: 7,
     };
     let mut sim = build_cluster::<CcLo>(&params, sched);
-    // Serial windows: the thread count never changes a run, and the
-    // determinism tests force the parallel path.
-    sim.set_shard_threads(1);
+    // Serial windows: the window path never changes a run, and the sim
+    // crate's engine tests force the parallel one.
+    sim.set_parallel(false);
     sim.start();
     sim.run_until(WARMUP_NS);
     sim.metrics_mut().enabled = true;

@@ -50,7 +50,7 @@ mod tests {
             },
             seed: 1,
         };
-        let sim = build_cluster::<Contrarian>(&p, SchedKind::from_env());
+        let sim = build_cluster::<Contrarian>(&p, SchedKind::default());
         // 2 DCs × 4 partitions + 2 DCs × 3 clients.
         assert_eq!(sim.addrs().len(), 8 + 6);
     }
@@ -66,7 +66,7 @@ mod tests {
             },
             seed: 7,
         };
-        let mut sim = build_cluster::<Contrarian>(&p, SchedKind::from_env());
+        let mut sim = build_cluster::<Contrarian>(&p, SchedKind::default());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(50_000_000); // 50 virtual ms

@@ -74,7 +74,7 @@ fn adaptive_cluster_serves_mixed_modes_consistently() {
         },
         seed: 3,
     };
-    let mut sim = build_cluster::<Contrarian>(&params, SchedKind::from_env());
+    let mut sim = build_cluster::<Contrarian>(&params, SchedKind::default());
     sim.set_recording(true);
     sim.start();
     sim.metrics_mut().enabled = true;
@@ -89,7 +89,7 @@ fn adaptive_node_variant_round_trips_ops() {
     let mut cfg = ClusterConfig::small();
     cfg.rot_mode = RotMode::Adaptive { two_round_at: 2 };
     let mut sim =
-        contrarian_sim::sim::Sim::with_scheduler(CostModel::functional(), 8, SchedKind::from_env());
+        contrarian_sim::sim::Sim::with_scheduler(CostModel::functional(), 8, SchedKind::default());
     for p in 0..cfg.n_partitions {
         let addr = Addr::server(DcId(0), contrarian_types::PartitionId(p));
         sim.add_server(

@@ -54,7 +54,7 @@ mod tests {
             },
             seed: 5,
         };
-        let mut sim = build_cluster::<Cure>(&p, SchedKind::from_env());
+        let mut sim = build_cluster::<Cure>(&p, SchedKind::default());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(50_000_000);
@@ -79,7 +79,7 @@ mod tests {
             },
             seed: 6,
         };
-        let mut sim = build_cluster::<Cure>(&p, SchedKind::from_env());
+        let mut sim = build_cluster::<Cure>(&p, SchedKind::default());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(200_000_000);

@@ -11,9 +11,10 @@
 //! Ground-truth causality is reconstructed from client sessions: a version
 //! causally depends on everything its writer had observed (read or
 //! written) when the PUT was issued, closed transitively. The original
-//! checker (kept as [`crate::oracle`]) materialized each version's causal
-//! past as a per-key max-version map, which grows with the distinct keys a
-//! wide cluster touches — ~41 s on a 12k-event 128-partition history.
+//! checker (kept as a test-only oracle, `tests/oracle/mod.rs`) materialized
+//! each version's causal past as a per-key max-version map, which grows
+//! with the distinct keys a wide cluster touches — ~41 s on a 12k-event
+//! 128-partition history.
 //!
 //! This checker compresses pasts into *per-writer-session frontiers*:
 //!

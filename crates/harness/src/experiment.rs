@@ -195,10 +195,10 @@ pub struct RunSpec {
     pub measure_ns: u64,
     pub seed: u64,
     pub cost: CostModel,
-    /// Engine (sharded by default / calendar). The constructors follow
-    /// `CONTRARIAN_SCHED`; the cross-engine determinism tests pin it per
-    /// run instead of racing on the process environment. Wall-clock runs
-    /// ignore it.
+    /// Engine: the constructors take the default (sharded); it is the
+    /// tests' engine selector — the cross-engine determinism tests set
+    /// each of `contrarian_sim::ENGINES` per run. Wall-clock runs ignore
+    /// it.
     pub sched: SchedKind,
 }
 
@@ -226,7 +226,7 @@ impl RunSpec {
             measure_ns: 600_000_000,
             seed: 42,
             cost: CostModel::calibrated(),
-            sched: SchedKind::from_env(),
+            sched: SchedKind::default(),
         }
     }
 
@@ -243,7 +243,7 @@ impl RunSpec {
             measure_ns: 30_000_000,
             seed: 7,
             cost: CostModel::functional(),
-            sched: SchedKind::from_env(),
+            sched: SchedKind::default(),
         }
     }
 

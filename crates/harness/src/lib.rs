@@ -49,14 +49,13 @@
 //! high-water vectors instead of per-key past maps — see [`checker`] for
 //! the representation), which is what lets tier-1 check *full*
 //! 128-partition histories in well under a second. The original map-based
-//! implementation survives as [`oracle::check_causal_oracle`], the
-//! differential second opinion: `tests/checker_differential.rs` asserts
-//! both agree on randomized multi-DC runs of every backend.
+//! implementation survives in the test tree (`tests/oracle/mod.rs`) as
+//! the differential second opinion: `tests/checker_differential.rs`
+//! asserts both agree on randomized multi-DC runs of every backend.
 
 pub mod checker;
 pub mod experiment;
 pub mod load;
-pub mod oracle;
 pub mod scenarios;
 pub mod table;
 pub mod table2;

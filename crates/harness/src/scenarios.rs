@@ -13,7 +13,7 @@ use crate::load::{run_load_sim_checked, run_net, NetSample};
 use crate::{table, table2, theory};
 use contrarian_runtime::trace::{chrome_trace_json, summarize};
 use contrarian_runtime::window::MetricsWindow;
-use contrarian_sim::{SchedKind, WindowStats};
+use contrarian_sim::WindowStats;
 use contrarian_types::ClusterConfig;
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 use std::io;
@@ -791,9 +791,8 @@ fn load_sweep(ctx: &Ctx) -> io::Result<()> {
         )
     };
     eprintln!(
-        "== open-loop sim sweep: {SESSIONS} sessions, {} partitions, engine={:?} ==",
-        sim_cluster.n_partitions,
-        SchedKind::from_env()
+        "== open-loop sim sweep: {SESSIONS} sessions, {} partitions ==",
+        sim_cluster.n_partitions
     );
     let sim_rows = saturation_ramps("sim", &sim_cluster, sim_windows, &sim_rates, run);
     ctx.csv("load_sweep_sim.csv", &headers, &sim_rows)?;

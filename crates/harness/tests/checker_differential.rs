@@ -5,14 +5,16 @@
 //! implementations must return the same verdict and the same counts; on
 //! hand-corrupted histories they must both reject. (The known, documented
 //! divergences — concurrent cross-DC re-reads and phantom causal sources,
-//! see `contrarian_harness::oracle` — cannot occur in recorded runs.)
+//! see `oracle/mod.rs` — cannot occur in recorded runs.)
+
+mod oracle;
 
 use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunSpec};
-use contrarian_harness::oracle::check_causal_oracle;
 use contrarian_harness::{check_causal, CheckReport};
 use contrarian_runtime::cost::CostModel;
 use contrarian_types::{ClusterConfig, HistoryEvent, VersionId};
 use contrarian_workload::WorkloadSpec;
+use oracle::check_causal_oracle;
 use proptest::prelude::*;
 
 fn functional_cfg(protocol: Protocol, seed: u64, dcs: u8, clients: u16, w: f64) -> RunSpec {

@@ -5,10 +5,9 @@
 //! recorded from the calendar engine.
 //!
 //! The clusters here span three DCs, so the sharded engine genuinely runs
-//! three event loops exchanging cross-shard messages at window barriers —
-//! `CONTRARIAN_SHARD_THREADS` forces the parallel window path even on
-//! machines that report a single CPU (where the engine would otherwise
-//! fall back to serially executed windows).
+//! three event loops exchanging cross-shard messages at window barriers,
+//! in parallel on any machine with a second core. The sim crate's engine
+//! tests force the parallel window path on a single-core machine too.
 
 use contrarian_harness::experiment::{run_recorded, Clients, Protocol, RunSpec};
 use contrarian_sim::SchedKind;
@@ -27,14 +26,8 @@ fn fingerprint(history: &[HistoryEvent]) -> (usize, u64) {
     (history.len(), fnv1a(format!("{history:?}").as_bytes()))
 }
 
-/// One test drives both engines sequentially: the shard-thread override is
-/// a process-wide environment variable, so it must not race with
-/// concurrent tests (this is the only test in this binary).
 #[test]
 fn engines_replay_identical_histories_matching_golden() {
-    // 3 shards (one per DC) → parallel window threads, even on 1-CPU CI
-    // runners.
-    std::env::set_var(contrarian_runtime::env::SHARD_THREADS, "3");
     // (events, FNV-1a of the Debug-formatted history) of three-DC
     // functional runs, recorded from the calendar engine.
     let golden = [
@@ -72,7 +65,6 @@ fn engines_replay_identical_histories_matching_golden() {
         assert_eq!(run.counters, calendar.counters);
         got.push((protocol, fingerprint(&calendar_history)));
     }
-    std::env::remove_var(contrarian_runtime::env::SHARD_THREADS);
     // On mismatch (an *intentional* engine-semantics change), replace the
     // golden table with this printout:
     for (p, (n, h)) in &got {

@@ -1,29 +1,30 @@
-//! The original map-based causal checker, kept as a differential oracle.
+//! The original map-based causal checker, kept as a test-only differential
+//! oracle.
 //!
 //! This is the two-pass implementation the frontier-compressed
-//! [`crate::checker`] replaced: it materializes, for every version, its
+//! [`contrarian_harness::checker`] replaced: it materializes, for every version, its
 //! entire causal past as a per-key max-version map (`Rc<HashMap<Key,
 //! VersionId>>`). That representation is simple to audit — the snapshot
 //! check is a direct transcription of Section 2.2 — but its cost grows
 //! with `versions × distinct keys` and it took ~41 s on a 12k-event
 //! 128-partition history, which is why tier-1 used to dodge it.
 //!
-//! It stays in-tree for two jobs:
+//! It stays in the test tree for two jobs:
 //!
-//! - **Differential testing**: `tests/checker_differential.rs` and the
-//!   `checker_scale` bench assert that the streaming checker and this
-//!   oracle agree on real protocol histories of every backend.
+//! - **Differential testing**: `tests/checker_differential.rs` asserts
+//!   that the streaming checker and this oracle agree on real protocol
+//!   histories of every backend.
 //! - **Auditability**: when the fast checker flags a history, this module
 //!   is the independent second opinion.
 //!
-//! Known, intended divergences from [`crate::checker`] (both only
+//! Known, intended divergences from [`contrarian_harness::checker`] (both only
 //! observable on hand-corrupted histories, never on histories produced by
 //! the recorded runtimes):
 //!
 //! - The session check here compares versions with the total LWW order, so
 //!   it also flags a client that re-reads a *concurrent* (causally
 //!   unrelated) cross-DC version — see the monotonic-reads notes in
-//!   [`crate::checker`].
+//!   [`contrarian_harness::checker`].
 //! - A *phantom* version (read but never written in the history) acts as a
 //!   causal source here (its coordinate enters past maps); the streaming
 //!   checker gives phantoms no causal past.
@@ -32,7 +33,7 @@ use contrarian_types::{HistoryEvent, Key, VersionId};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::checker::CheckReport;
+use contrarian_harness::CheckReport;
 
 type Node = (Key, VersionId);
 
@@ -105,9 +106,9 @@ fn raise(m: &mut HashMap<Key, VersionId>, k: Key, v: VersionId) {
 }
 
 /// Checks a recorded history with the map-based algorithm. Same contract
-/// as [`crate::check_causal`]; see the module docs for the two intended
+/// as [`contrarian_harness::check_causal`]; see the module docs for the two intended
 /// divergences on corrupted histories.
-pub fn check_causal_oracle(history: &[HistoryEvent]) -> CheckReport {
+pub(crate) fn check_causal_oracle(history: &[HistoryEvent]) -> CheckReport {
     let mut report = CheckReport::default();
     let mut graph = Graph::new();
     // Per-client observed frontier: key → max version observed.

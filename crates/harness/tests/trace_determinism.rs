@@ -10,14 +10,16 @@ use contrarian_sim::SchedKind;
 use contrarian_types::ClusterConfig;
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
 
-/// One test drives both engines sequentially: the shard-thread override is
-/// a process-wide environment variable, so it must not race with
-/// concurrent tests (this is the only test in this binary).
+/// The four backends of the 2-DC telemetry rows in `load_sweep`, each run
+/// under both engines with tracing on.
 #[test]
 fn traced_load_runs_merge_identically_across_engines() {
-    // Two shards → two window threads, even on 1-CPU CI runners.
-    std::env::set_var(contrarian_runtime::env::SHARD_THREADS, "2");
-    for protocol in [Protocol::Contrarian, Protocol::CcLo] {
+    for protocol in [
+        Protocol::Contrarian,
+        Protocol::CcLo,
+        Protocol::Cure,
+        Protocol::Okapi,
+    ] {
         let mut cfg = RunSpec {
             // 2 DCs: replication crosses the shard boundary, so sharded
             // conservative windows genuinely reorder execution batches.
@@ -61,5 +63,4 @@ fn traced_load_runs_merge_identically_across_engines() {
             "{protocol:?}: the sharded completed-op count diverged"
         );
     }
-    std::env::remove_var(contrarian_runtime::env::SHARD_THREADS);
 }

@@ -92,12 +92,12 @@ mod tests {
             vec![
                 (
                     "crates/runtime/src/env.rs".to_string(),
-                    "pub const SCHED: &str = \"CONTRARIAN_SCHED\";\n".to_string(),
+                    "pub const SCALE: &str = \"CONTRARIAN_SCALE\";\n".to_string(),
                 ),
                 (
                     "crates/sim/src/a.rs".to_string(),
-                    "let v = std::env::var(\"CONTRARIAN_SCHED\");\n\
-                     panic!(\"CONTRARIAN_SCHED must be set\");\n\
+                    "let v = std::env::var(\"CONTRARIAN_SCALE\");\n\
+                     panic!(\"CONTRARIAN_SCALE must be set\");\n\
                      let w = std::env::var(\"CONTRARIAN_SHED\");\n"
                         .to_string(),
                 ),

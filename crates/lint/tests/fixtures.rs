@@ -215,7 +215,14 @@ fn unregistered_env_literal_is_caught() {
     // A typo, then the knobs retired from the registry: bringing one back
     // without registering it fails the lint, and registering one again
     // fails this test.
-    for name in ["SHED", "SHARD_GROUPS", "NET", "NET_POLLER"] {
+    for name in [
+        "SHED",
+        "SHARD_GROUPS",
+        "NET",
+        "NET_POLLER",
+        "SCHED",
+        "SHARD_THREADS",
+    ] {
         let src = format!("fn f() {{ let v = std::env::var(\"CONTRARIAN_{name}\"); }}\n");
         let diags = check(&[
             ("crates/runtime/src/env.rs", REGISTRY),
@@ -233,7 +240,7 @@ fn registered_env_literal_passes() {
         ("crates/runtime/src/env.rs", REGISTRY),
         (
             "crates/harness/src/ok.rs",
-            "fn f() { let v = std::env::var(\"CONTRARIAN_SCHED\"); }\n",
+            "fn f() { let v = std::env::var(\"CONTRARIAN_SCALE\"); }\n",
         ),
     ]);
     assert!(diags.is_empty(), "{diags:?}");

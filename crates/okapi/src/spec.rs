@@ -56,7 +56,7 @@ mod tests {
             },
             seed: 21,
         };
-        let mut sim = build_cluster::<Okapi>(&p, SchedKind::from_env());
+        let mut sim = build_cluster::<Okapi>(&p, SchedKind::default());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(80_000_000);
@@ -75,7 +75,7 @@ mod tests {
             },
             seed: 22,
         };
-        let mut sim = build_cluster::<Okapi>(&p, SchedKind::from_env());
+        let mut sim = build_cluster::<Okapi>(&p, SchedKind::default());
         sim.start();
         sim.metrics_mut().enabled = true;
         sim.run_until(200_000_000);

@@ -137,8 +137,8 @@ pub fn build_nodes<P: ProtocolSpec>(
 
 /// Builds a simulated cluster from [`build_nodes`]' list, servers at
 /// `cfg.workers_per_server` workers. The caller decides when to `start()`
-/// and how long to run; callers that follow `CONTRARIAN_SCHED` pass
-/// [`SchedKind::from_env`].
+/// and how long to run. A run passes [`SchedKind::default()`]; a test that
+/// compares engines passes each of `contrarian_sim::ENGINES`.
 pub fn build_cluster<P: ProtocolSpec>(p: &ClusterParams, sched: SchedKind) -> Sim<ProtoNode<P>> {
     let mut sim = Sim::with_scheduler(p.cost.clone(), p.seed, sched);
     let workers = p.cfg.workers_per_server as u32;
@@ -162,8 +162,7 @@ pub struct OpenLoopParams {
     pub seed: u64,
 }
 
-/// [`build_cluster`] with open-loop driver actors, engine mode from
-/// `CONTRARIAN_SCHED`.
+/// [`build_cluster`] with open-loop driver actors, on the default engine.
 pub fn build_openloop_cluster<P: ProtocolSpec>(p: &OpenLoopParams) -> Sim<ProtoNode<P>> {
     build_cluster::<P>(
         &ClusterParams {
@@ -172,7 +171,7 @@ pub fn build_openloop_cluster<P: ProtocolSpec>(p: &OpenLoopParams) -> Sim<ProtoN
             clients: Clients::Open(p.spec.clone()),
             seed: p.seed,
         },
-        SchedKind::from_env(),
+        SchedKind::default(),
     )
 }
 
@@ -186,8 +185,8 @@ pub fn build_openloop_nodes<P: ProtocolSpec>(
 }
 
 /// Builds a single-client interactive simulated cluster (the embedded store
-/// facade): functional cost model, engine mode from `CONTRARIAN_SCHED`,
-/// recording on, already started.
+/// facade): functional cost model, the default engine, recording on,
+/// already started.
 pub fn build_interactive_cluster<P: ProtocolSpec>(
     cfg: &ClusterConfig,
     seed: u64,
@@ -198,7 +197,7 @@ pub fn build_interactive_cluster<P: ProtocolSpec>(
         clients: Clients::Queue,
         seed,
     };
-    let mut sim = build_cluster::<P>(&p, SchedKind::from_env());
+    let mut sim = build_cluster::<P>(&p, SchedKind::default());
     sim.set_recording(true);
     sim.start();
     (sim, Addr::client(DcId(0), 0))

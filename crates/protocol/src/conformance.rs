@@ -151,9 +151,9 @@ pub fn check_sim<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
     // One engine's run: the history's fingerprint and what it observed.
     let run = |sched: SchedKind| -> Result<(String, ConformanceOutcome), String> {
         let mut sim = build_cluster::<P>(&params, sched);
-        // Serial windows: the thread count never changes a history, and
-        // the determinism tests force the parallel path.
-        sim.set_shard_threads(1);
+        // Serial windows: the window path never changes a history, and
+        // the sim crate's engine tests force the parallel one.
+        sim.set_parallel(false);
         sim.set_recording(true);
         sim.start();
         sim.run_until(40_000_000);

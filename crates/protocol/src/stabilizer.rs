@@ -15,9 +15,7 @@
 //! types share the logic.
 
 use contrarian_runtime::actor::ActorCtx;
-use contrarian_types::{
-    Addr, ClusterConfig, DcId, DepVector, PartitionId, StabilizationTopology, TraceKind,
-};
+use contrarian_types::{Addr, ClusterConfig, DcId, DepVector, PartitionId, TraceKind};
 
 /// Per-server stabilization state: version vector, GSS, and (on the
 /// aggregator) the table of reported partition vectors.
@@ -29,8 +27,7 @@ pub struct Stabilizer {
     pub vv: DepVector,
     /// The DC-wide Global Stable Snapshot (monotone).
     pub gss: DepVector,
-    /// Last vector reported by each partition (aggregator role under
-    /// `Star`; every server under `AllToAll`).
+    /// Last vector reported by each partition (read by the aggregator).
     vv_table: Vec<DepVector>,
     /// True time of the last replication send (suppresses heartbeats).
     last_replicate_ns: u64,
@@ -58,7 +55,7 @@ impl Stabilizer {
         &self.vv
     }
 
-    /// Partition 0 aggregates under the `Star` topology.
+    /// Partition 0 of each DC aggregates.
     pub fn is_aggregator(&self) -> bool {
         self.addr.idx == 0
     }
@@ -110,36 +107,20 @@ impl Stabilizer {
         mk_bcast: impl Fn(DepVector) -> M,
     ) {
         self.vv.raise(self.my_dc, fresh_local_ts);
-        match cfg.stab_topology {
-            StabilizationTopology::Star => {
-                if self.is_aggregator() {
-                    self.vv_table[0] = self.vv.clone();
-                    let min = self.compute_min();
-                    self.gss.join(&min);
-                    self.note_gss_advance(ctx, fresh_local_ts);
-                    for p in 1..cfg.n_partitions {
-                        let peer = Addr::server(self.addr.dc, PartitionId(p));
-                        ctx.send(peer, mk_bcast(self.gss.clone()));
-                    }
-                } else {
-                    ctx.send(
-                        self.aggregator_addr(),
-                        mk_report(self.addr.partition(), self.vv.clone()),
-                    );
-                }
+        if self.is_aggregator() {
+            self.vv_table[0] = self.vv.clone();
+            let min = self.compute_min();
+            self.gss.join(&min);
+            self.note_gss_advance(ctx, fresh_local_ts);
+            for p in 1..cfg.n_partitions {
+                let peer = Addr::server(self.addr.dc, PartitionId(p));
+                ctx.send(peer, mk_bcast(self.gss.clone()));
             }
-            StabilizationTopology::AllToAll => {
-                self.vv_table[self.addr.idx as usize] = self.vv.clone();
-                for p in 0..cfg.n_partitions {
-                    if p != self.addr.idx {
-                        let peer = Addr::server(self.addr.dc, PartitionId(p));
-                        ctx.send(peer, mk_report(self.addr.partition(), self.vv.clone()));
-                    }
-                }
-                let min = self.compute_min();
-                self.gss.join(&min);
-                self.note_gss_advance(ctx, fresh_local_ts);
-            }
+        } else {
+            ctx.send(
+                self.aggregator_addr(),
+                mk_report(self.addr.partition(), self.vv.clone()),
+            );
         }
     }
 
@@ -247,16 +228,18 @@ mod tests {
     }
 
     #[test]
-    fn all_to_all_everyone_reports_and_self_joins() {
-        let mut c = cfg();
-        c.stab_topology = StabilizationTopology::AllToAll;
+    fn star_follower_gss_moves_only_on_the_aggregators_broadcast() {
+        // Reports reaching a follower never advance its GSS by themselves:
+        // partition 0 alone computes the minimum.
         let addr = Addr::server(DcId(0), PartitionId(1));
-        let mut s = Stabilizer::new(addr, &c);
+        let mut s = Stabilizer::new(addr, &cfg());
         let mut ctx: ScriptCtx<M> = ScriptCtx::new(addr);
         s.on_vv_report(PartitionId(0), DepVector::from_vec(vec![5, 5]));
         s.on_vv_report(PartitionId(2), DepVector::from_vec(vec![9, 9]));
-        s.stabilize(&mut ctx, &c, 6, M::Report, M::Bcast);
-        assert_eq!(ctx.drain_sent().len(), 2, "reports to both peers");
+        s.stabilize(&mut ctx, &cfg(), 6, M::Report, M::Bcast);
+        assert_eq!(ctx.drain_sent().len(), 1, "one report, to partition 0");
+        assert_eq!(s.gss().as_slice(), &[0, 0]);
+        s.on_gss_bcast(&DepVector::from_vec(vec![5, 0]));
         assert_eq!(s.gss().as_slice(), &[5, 0]);
     }
 

@@ -5,21 +5,11 @@
 //! allowed to introduce a `CONTRARIAN_` string literal: `contrarian-lint`'s
 //! `env-registry` rule checks that every such literal elsewhere (call
 //! sites, tests, panic messages) starts with a name registered below, so
-//! a typo'd knob (`CONTRARIAN_SHED=heap`) is a build failure instead of a
-//! silent fallback that compares an engine against itself.
+//! a typo'd knob (`CONTRARIAN_SCALLE=smoke`) is a build failure instead of
+//! a silent fallback to the default.
 //!
 //! The full table, with value grammars, is documented in the top-level
 //! README ("Environment knobs").
-
-/// Simulator event-loop engine: `sharded` (default; one event loop per DC)
-/// or `calendar` (one loop, the serial reference). Parsed by
-/// `contrarian_sim::SchedKind`.
-pub const SCHED: &str = "CONTRARIAN_SCHED";
-
-/// Worker threads for the sharded simulator's window barriers (default:
-/// available parallelism). Thread count never changes results — only
-/// wall-clock speed. Parsed by [`parse_threads`].
-pub const SHARD_THREADS: &str = "CONTRARIAN_SHARD_THREADS";
 
 /// Reactor pool size (default: available parallelism). Parsed by
 /// [`parse_threads`].
@@ -38,11 +28,6 @@ pub const TRACE_CAP: &str = "CONTRARIAN_TRACE_CAP";
 /// Every registered knob, with a short contract — the machine-readable
 /// side of the README table.
 pub const REGISTERED: &[(&str, &str)] = &[
-    (SCHED, "simulator engine: sharded (default) | calendar"),
-    (
-        SHARD_THREADS,
-        "sharded-engine worker threads (positive integer; default: cores)",
-    ),
     (
         NET_THREADS,
         "reactor pool size (positive integer; default: cores)",
@@ -68,9 +53,9 @@ pub fn var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// Parses a thread-count knob ([`SHARD_THREADS`], [`NET_THREADS`]): unset
-/// is the machine's available parallelism, anything but a positive integer
-/// is an error naming the knob and the value.
+/// Parses a thread-count knob ([`NET_THREADS`]): unset is the machine's
+/// available parallelism, anything but a positive integer is an error
+/// naming the knob and the value.
 pub fn parse_threads(name: &str, value: Option<&str>) -> Result<usize, String> {
     match value {
         // lint:allow(determinism): pool-size default only; a thread count changes wall-clock speed, never a produced history
@@ -106,6 +91,12 @@ mod tests {
     }
 
     #[test]
+    fn registry_holds_exactly_the_three_knobs() {
+        let names: Vec<&str> = REGISTERED.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, [NET_THREADS, SCALE, TRACE_CAP]);
+    }
+
+    #[test]
     fn var_reads_registered_names() {
         // Unset in the test environment: must be None, not a panic.
         assert_eq!(
@@ -116,11 +107,11 @@ mod tests {
 
     #[test]
     fn thread_counts_default_to_the_machine_and_reject_non_positive_values() {
-        assert!(parse_threads(SHARD_THREADS, None).unwrap() >= 1);
+        assert!(parse_threads(NET_THREADS, None).unwrap() >= 1);
         assert_eq!(parse_threads(NET_THREADS, Some("3")), Ok(3));
         for bad in ["0", "x"] {
-            let err = parse_threads(SHARD_THREADS, Some(bad)).unwrap_err();
-            assert!(err.contains(SHARD_THREADS), "{err}");
+            let err = parse_threads(NET_THREADS, Some(bad)).unwrap_err();
+            assert!(err.contains(NET_THREADS), "{err}");
             assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
     }

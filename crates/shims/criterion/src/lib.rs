@@ -214,8 +214,8 @@ impl Bencher {
 /// truncating it: entries whose `(group, bench)` this process re-measured
 /// are replaced, everything else (results from the other bench targets) is
 /// preserved. A single `"meta"` entry recording the machine (logical cores
-/// — parallel-engine numbers are meaningless without it) and the engine
-/// environment knobs is refreshed on every write.
+/// — parallel-engine numbers are meaningless without it) is refreshed on
+/// every write.
 pub fn write_report() {
     let results = RESULTS.lock().unwrap();
     let Ok(path) = std::env::var("CRITERION_JSON") else {
@@ -242,14 +242,8 @@ pub fn write_report() {
         }
     }
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let knob = |name: &str| std::env::var(name).unwrap_or_else(|_| "unset".into());
-    let meta = format!(
-        "{{\"group\": \"meta\", \"bench\": \"machine\", \"logical_cores\": {}, \
-         \"sched\": \"{}\", \"shard_threads\": \"{}\"}}",
-        cores,
-        knob("CONTRARIAN_SCHED"),
-        knob("CONTRARIAN_SHARD_THREADS"),
-    );
+    let meta =
+        format!("{{\"group\": \"meta\", \"bench\": \"machine\", \"logical_cores\": {cores}}}");
     let entries: Vec<String> = std::iter::once(meta)
         .chain(kept)
         .chain(results.iter().map(|r| {
@@ -339,8 +333,12 @@ mod tests {
         assert_eq!(out.matches("\"group\": \"meta\"").count(), 1);
         assert!(!out.contains("999"), "stale meta survived: {out}");
         assert!(out.contains("\"logical_cores\""));
-        assert!(out.contains("\"shard_threads\""));
-        assert!(!out.contains("\"shard_groups\""), "retired knob: {out}");
+        for retired in ["shard_groups", "shard_threads", "sched"] {
+            assert!(
+                !out.contains(&format!("\"{retired}\"")),
+                "retired knob: {out}"
+            );
+        }
         assert!(out.contains("\"bench\": \"kept\""));
     }
 }

@@ -35,8 +35,8 @@
 //! [`Sim`] is a set of [`shard`]s — event loops, each owning its nodes'
 //! calendar queue, backlog slab, and the FIFO state of the links
 //! originating at its nodes. Two engines share the one event-processing
-//! code path ([`sched::SchedKind`], selectable with `CONTRARIAN_SCHED`
-//! through [`SchedKind::from_env`]):
+//! code path ([`sched::SchedKind`]; every run takes the default, and the
+//! engine tests select each of [`ENGINES`] in-process):
 //!
 //! * `sharded` (default) — one shard per DC, run in parallel under
 //!   conservative per-link windows; a one-DC cluster is one shard on the
@@ -78,7 +78,7 @@
 //!
 //! ### Why determinism holds
 //!
-//! Runs are bit-identical across both engines (and any thread count)
+//! Runs are bit-identical across both engines (serial or parallel windows)
 //! because nothing order-dependent is shared between shards:
 //!
 //! * events are totally ordered by `(t, source-attributed key)` — the tie

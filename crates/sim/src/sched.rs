@@ -55,7 +55,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Which engine a [`crate::Sim`] runs.
+/// Which engine a [`crate::Sim`] runs. Every run takes the default; the
+/// tests that compare engines iterate [`ENGINES`] in-process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedKind {
     /// One event loop on one calendar queue: the serial reference every
@@ -73,29 +74,6 @@ pub enum SchedKind {
 /// conformance battery run every entry, and each must reproduce the
 /// calendar run exactly.
 pub const ENGINES: [SchedKind; 2] = [SchedKind::Calendar, SchedKind::Sharded];
-
-impl SchedKind {
-    /// Parses a `CONTRARIAN_SCHED` value. `None` (unset) defaults to
-    /// [`SchedKind::Sharded`]; any other value is an error listing the
-    /// valid set — silently falling back would make an engine comparison
-    /// measure one engine against itself.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            Some("sharded") | None => Ok(SchedKind::Sharded),
-            Some("calendar") => Ok(SchedKind::Calendar),
-            Some(other) => Err(format!(
-                "CONTRARIAN_SCHED must be `sharded` (the default) or `calendar`, got `{other}`"
-            )),
-        }
-    }
-
-    /// Reads [`contrarian_runtime::env::SCHED`] from the environment; an
-    /// unrecognized value is a hard error (see [`SchedKind::parse`]).
-    pub fn from_env() -> Self {
-        let value = contrarian_runtime::env::var(contrarian_runtime::env::SCHED);
-        Self::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
 
 struct Entry<T> {
     t: u64,
@@ -374,31 +352,9 @@ mod tests {
     use std::cmp::Reverse;
 
     #[test]
-    fn sched_kind_parses_valid_values_and_default() {
-        assert_eq!(
-            SchedKind::parse(Some("calendar")).unwrap(),
-            SchedKind::Calendar
-        );
-        assert_eq!(
-            SchedKind::parse(Some("sharded")).unwrap(),
-            SchedKind::Sharded
-        );
-        assert_eq!(SchedKind::parse(None).unwrap(), SchedKind::Sharded);
+    fn every_run_defaults_to_sharded_and_engines_lead_with_the_reference() {
         assert_eq!(SchedKind::default(), SchedKind::Sharded);
-    }
-
-    #[test]
-    fn sched_kind_rejects_unknown_values_listing_the_valid_set() {
-        // A typo must be a hard error, not a silent fallback to the default
-        // (an engine comparison would measure one engine against itself),
-        // and so must the removed forms: the heap engine and explicit shard
-        // counts.
-        for bogus in ["heap", "sharded:2", "sharded:", "Calendar", "wheel", ""] {
-            let err = SchedKind::parse(Some(bogus)).unwrap_err();
-            assert!(err.contains("`sharded` (the default)"), "{err}");
-            assert!(err.contains("`calendar`"), "{err}");
-            assert!(err.contains(&format!("`{bogus}`")), "{err}");
-        }
+        assert_eq!(ENGINES, [SchedKind::Calendar, SchedKind::Sharded]);
     }
 
     fn drain<T>(q: &mut CalendarQueue<T>) -> Vec<(u64, u64)> {

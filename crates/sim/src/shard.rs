@@ -349,8 +349,8 @@ pub(crate) struct CrossShardMsg<M> {
 
 /// One shard's view of the engine's work so far, read through
 /// [`crate::Sim::window_stats`]. `rounds`, `events` and `cross_msgs` are
-/// a function of the run alone — equal under any thread count — while
-/// `busy_ns` and `wait_ns` are host wall-clock readings.
+/// a function of the run alone — equal with serial or parallel windows —
+/// while `busy_ns` and `wait_ns` are host wall-clock readings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WindowStats {
     /// Conservative window rounds in which this shard had events to run.

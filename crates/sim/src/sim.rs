@@ -33,9 +33,11 @@ pub struct Sim<A: Actor> {
     cost: CostModel,
     seed: u64,
     sched: SchedKind,
-    /// Worker threads for parallel windows; 0 = resolve at start
-    /// (`CONTRARIAN_SHARD_THREADS`, else available parallelism).
-    threads: usize,
+    /// Whether a window runs its busy shards on threads. `None` until
+    /// [`Sim::start`] measures the machine (more than one core ⇒ parallel)
+    /// or a test forces a path with [`Sim::set_parallel`]. Either path
+    /// produces the same run; only wall-clock speed differs.
+    parallel: Option<bool>,
     /// Per-link conservative bounds, metric-closed
     /// ([`CostModel::lookahead_matrix`]); built at start.
     la: LookaheadMatrix,
@@ -65,15 +67,15 @@ pub struct Sim<A: Actor> {
 }
 
 impl<A: Actor> Sim<A> {
-    /// A simulator on the given engine; callers that follow
-    /// `CONTRARIAN_SCHED` pass [`SchedKind::from_env`].
+    /// A simulator on the given engine: [`SchedKind::default()`] for a run,
+    /// an entry of [`crate::ENGINES`] for a test that compares engines.
     pub fn with_scheduler(cost: CostModel, seed: u64, sched: SchedKind) -> Self {
         Sim {
             now: 0,
             cost,
             seed,
             sched,
-            threads: 0,
+            parallel: None,
             la: LookaheadMatrix::default(),
             min_la: 0,
             rounds: 0,
@@ -110,14 +112,12 @@ impl<A: Actor> Sim<A> {
         self.staging.push((addr, actor, workers));
     }
 
-    /// Overrides the parallel-window thread count (tests; normally derived
-    /// from `CONTRARIAN_SHARD_THREADS` or the machine's parallelism at
-    /// [`Sim::start`]). Capped at the shard count.
-    pub fn set_shard_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        if self.started {
-            self.threads = self.threads.min(self.shards.len());
-        }
+    /// Forces the window path (tests): `true` runs every busy shard of a
+    /// window on its own thread even on a one-core machine, `false` runs
+    /// them one after another. Without it [`Sim::start`] picks parallel
+    /// when the machine has more than one core.
+    pub fn set_parallel(&mut self, parallel: bool) {
+        self.parallel = Some(parallel);
     }
 
     /// The resolved (metric-closed) lookahead matrix driving the windows.
@@ -138,7 +138,7 @@ impl<A: Actor> Sim<A> {
     /// [`SchedKind::Sharded`], one under [`SchedKind::Calendar`]; empty
     /// before [`Sim::start`]). The `events` fields sum to
     /// [`Sim::events_processed`]; see [`WindowStats`] for which fields
-    /// repeat across thread counts.
+    /// repeat across serial and parallel windows.
     pub fn window_stats(&self) -> Vec<WindowStats> {
         self.shards
             .iter()
@@ -198,10 +198,10 @@ impl<A: Actor> Sim<A> {
         // parallelism, so placement cannot perturb determinism.
         let per_dc = self.sched == SchedKind::Sharded;
         let n_shards = if per_dc { n_dcs } else { 1 };
-        if self.threads == 0 {
-            self.threads = contrarian_runtime::env::threads(contrarian_runtime::env::SHARD_THREADS);
-        }
-        self.threads = self.threads.min(n_shards);
+        self.parallel.get_or_insert_with(|| {
+            // lint:allow(determinism): picks threaded or serial windows only; both produce the same history
+            std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+        });
 
         let shard_of = |addr: Addr| if per_dc { addr.dc.index() } else { 0 };
         // Node slots are ~500 B: sized exactly, a shard holds none spare
@@ -538,7 +538,7 @@ impl<A: Actor> Sim<A> {
     /// L(i, j)` and the bounce-back `next_t[j] + L(j, i) + L(i, j)` (see
     /// [`LookaheadMatrix::horizon`]) — and runs each shard up to its own
     /// (bound-clamped) horizon, in parallel when more than one shard has
-    /// work and more than one thread is available: the caller runs the
+    /// work and the machine has a second core: the caller runs the
     /// first busy shard itself and a scoped thread each of the others.
     /// Cross-shard messages still in flight are delivered at the barrier;
     /// the next round recomputes horizons from the advanced clocks.
@@ -556,7 +556,7 @@ impl<A: Actor> Sim<A> {
     where
         A: Send,
     {
-        let threads = self.threads;
+        let parallel = self.parallel == Some(true);
         let n = self.shards.len();
         let mut next_t = vec![u64::MAX; n];
         let mut ends = vec![0u64; n];
@@ -599,7 +599,7 @@ impl<A: Actor> Sim<A> {
                 .filter(|(s, &end)| next_t[s.id] < end);
             // lint:allow(determinism): window telemetry only; the reading never reaches an event, history or trace
             let t0 = std::time::Instant::now();
-            if threads <= 1 || active <= 1 {
+            if !parallel || active <= 1 {
                 for (s, &end) in busy {
                     s.run_window(routing, end);
                 }
@@ -1234,11 +1234,11 @@ mod tests {
     fn geo_digest(
         sched: SchedKind,
         cost: CostModel,
-        threads: Option<usize>,
+        parallel: Option<bool>,
     ) -> (u64, u64, Vec<u64>) {
         let mut sim = mk_geo(sched, cost, 3, 4);
-        if let Some(t) = threads {
-            sim.set_shard_threads(t);
+        if let Some(p) = parallel {
+            sim.set_parallel(p);
         }
         sim.start();
         sim.run_until(40_000_000);
@@ -1270,10 +1270,10 @@ mod tests {
             want,
             "the default engine diverged from the calendar engine"
         );
-        // Forced multi-threading (the machine may report 1 CPU): the
-        // parallel window path itself must replay the same run.
+        // Forced parallel windows (the machine may report 1 CPU): the
+        // threaded window path itself must replay the same run.
         assert_eq!(
-            geo_digest(SchedKind::Sharded, CostModel::calibrated(), Some(2)),
+            geo_digest(SchedKind::Sharded, CostModel::calibrated(), Some(true)),
             want,
             "parallel windows diverged"
         );
@@ -1373,19 +1373,19 @@ mod tests {
     }
 
     #[test]
-    fn window_stats_repeat_across_thread_counts_and_count_every_event() {
+    fn window_stats_repeat_across_window_paths_and_count_every_event() {
         // Rounds, events and cross-shard messages per shard are a function
-        // of the run, whatever the thread count; the host-time fields are
-        // not compared.
-        let run = |threads| {
+        // of the run, serial or parallel; the host-time fields are not
+        // compared.
+        let run = |parallel| {
             let mut sim = mk_geo(SchedKind::Sharded, CostModel::calibrated(), 3, 4);
-            sim.set_shard_threads(threads);
+            sim.set_parallel(parallel);
             sim.start();
             sim.run_until(40_000_000);
             sim.run_to_quiescence(u64::MAX);
             let stats = sim.window_stats();
             let events: u64 = stats.iter().map(|s| s.events).sum();
-            assert_eq!(events, sim.events_processed(), "{threads} threads");
+            assert_eq!(events, sim.events_processed(), "parallel: {parallel}");
             let rounds = sim.window_rounds();
             assert!(stats.iter().all(|s| s.rounds <= rounds), "{stats:?}");
             stats
@@ -1393,13 +1393,13 @@ mod tests {
                 .map(|s| (s.rounds, s.events, s.cross_msgs))
                 .collect::<Vec<_>>()
         };
-        let serial = run(1);
+        let serial = run(false);
         assert_eq!(serial.len(), 2, "one shard per DC");
         assert!(
             serial.iter().all(|&(r, e, x)| r > 0 && e > 0 && x > 0),
             "both shards ran windows and crossed DCs: {serial:?}"
         );
-        assert_eq!(run(2), serial);
+        assert_eq!(run(true), serial);
         // One loop: every event on the one shard, no rounds, no exchange.
         let mut sim = mk_geo(SchedKind::Calendar, CostModel::calibrated(), 3, 4);
         sim.start();
@@ -1459,7 +1459,7 @@ mod tests {
                 sim.add_client(Addr::client(DcId(dc), c), faulty());
             }
         }
-        sim.set_shard_threads(2);
+        sim.set_parallel(true);
         sim.start();
         CALLER.with(|c| c.set(true));
         let run = std::panic::AssertUnwindSafe(|| sim.run_until(1_000_000_000));
@@ -1476,7 +1476,7 @@ mod tests {
         // DCs 0 and 2 only: the sharded engine still gives DC 1 a shard,
         // which owns no nodes. It must not perturb the run (or deadlock
         // the window barrier).
-        let digest = |sched, threads: Option<usize>| {
+        let digest = |sched, parallel: Option<bool>| {
             let mut sim: Sim<Mesh> = Sim::with_scheduler(CostModel::calibrated(), 17, sched);
             for dc in [0, 2] {
                 for p in 0..2 {
@@ -1487,8 +1487,8 @@ mod tests {
                     sim.add_client(Addr::client(DcId(dc), c), Mesh::over(vec![0, 2], 2));
                 }
             }
-            if let Some(t) = threads {
-                sim.set_shard_threads(t);
+            if let Some(p) = parallel {
+                sim.set_parallel(p);
             }
             sim.start();
             let empty: Vec<usize> = (0..sim.n_shards())
@@ -1512,7 +1512,7 @@ mod tests {
         };
         let (geometry, want, _) = digest(SchedKind::Calendar, None);
         assert_eq!(geometry, (1, vec![]));
-        let (geometry, got, rounds) = digest(SchedKind::Sharded, Some(3));
+        let (geometry, got, rounds) = digest(SchedKind::Sharded, Some(true));
         assert_eq!(geometry, (3, vec![1]), "DC 1's shard is empty");
         assert_eq!(got, want);
         assert!(rounds > 0, "the run went through the window barrier");
@@ -1791,7 +1791,7 @@ mod tests {
         cost.interdc_overrides = vec![(0, 1, 40_000_000), (1, 0, 3_000_000)];
         let want = geo_digest(SchedKind::Calendar, cost.clone(), None);
         assert_eq!(
-            geo_digest(SchedKind::Sharded, cost, Some(2)),
+            geo_digest(SchedKind::Sharded, cost, Some(true)),
             want,
             "asymmetric matrix"
         );
@@ -1814,7 +1814,7 @@ mod tests {
             (1, 2, 7_000_000),
             (2, 1, 7_000_000),
         ];
-        let digest = |sched, threads: Option<usize>| {
+        let digest = |sched, parallel: Option<bool>| {
             let mut sim: Sim<Mesh> = Sim::with_scheduler(cost.clone(), 13, sched);
             for dc in 0..3 {
                 for p in 0..2 {
@@ -1828,8 +1828,8 @@ mod tests {
                     sim.add_client(Addr::client(DcId(dc), c), Mesh::spanning(3, 2));
                 }
             }
-            if let Some(t) = threads {
-                sim.set_shard_threads(t);
+            if let Some(p) = parallel {
+                sim.set_parallel(p);
             }
             sim.start();
             if sim.n_shards() == 3 {
@@ -1849,6 +1849,6 @@ mod tests {
             (sim.now(), sim.events_processed(), sums)
         };
         let want = digest(SchedKind::Calendar, None);
-        assert_eq!(digest(SchedKind::Sharded, Some(3)), want);
+        assert_eq!(digest(SchedKind::Sharded, Some(true)), want);
     }
 }

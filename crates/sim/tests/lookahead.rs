@@ -12,7 +12,7 @@
 //!    through the destination's own sends — can arrive before the
 //!    destination's horizon;
 //! 3. the full engine agrees bit-for-bit with the serial calendar run on
-//!    random heterogeneous topologies and thread counts.
+//!    random heterogeneous topologies, with serial and parallel windows.
 
 use contrarian_sim::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_sim::cost::{CostModel, LookaheadMatrix, MsgClass, SimMessage};
@@ -201,7 +201,7 @@ fn digest(
     clients: u16,
     seed: u64,
     sched: SchedKind,
-    threads: usize,
+    parallel: bool,
 ) -> (u64, u64, Vec<u64>) {
     let mut sim: Sim<Mesh> = Sim::with_scheduler(cost.clone(), seed, sched);
     for dc in 0..dcs {
@@ -216,7 +216,7 @@ fn digest(
             sim.add_client(Addr::client(DcId(dc), c), Mesh::new(dcs, servers));
         }
     }
-    sim.set_shard_threads(threads);
+    sim.set_parallel(parallel);
     sim.start();
     sim.run_until(30_000_000);
     sim.run_to_quiescence(u64::MAX);
@@ -234,17 +234,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random heterogeneous topology (directional overrides, possibly
-    /// zero-latency links) and thread count: the parallel per-DC engine
-    /// must replay the serial calendar run bit-identically. Zero-latency
-    /// links collapse the matrix minimum to 0 and exercise the lockstep
-    /// fallback inside the same property.
+    /// zero-latency links) and window path: the per-DC engine, with serial
+    /// or parallel windows, must replay the serial calendar run
+    /// bit-identically. Zero-latency links collapse the matrix minimum to 0
+    /// and exercise the lockstep fallback inside the same property.
     #[test]
     fn sharded_matrix_engine_matches_calendar_on_random_topologies(
         dcs in 2u8..4,
         servers in 1u16..3,
         clients in 1u16..3,
         seed in 0u64..500,
-        threads in 1usize..4,
+        window_path in 0u8..2,
         raw_overrides in prop::collection::vec((0u8..4, 0u8..4, 0u8..5, 0u64..30_000_000), 0..5),
     ) {
         let mut cost = CostModel::functional();
@@ -253,8 +253,9 @@ proptest! {
             .filter(|&(f, t, _, _)| f != t && f < dcs && t < dcs)
             .map(|(f, t, class, v)| (f, t, if class == 0 { 0 } else { 1_000_000 + v }))
             .collect();
-        let want = digest(&cost, dcs, servers, clients, seed, SchedKind::Calendar, 1);
-        let got = digest(&cost, dcs, servers, clients, seed, SchedKind::Sharded, threads);
+        let want = digest(&cost, dcs, servers, clients, seed, SchedKind::Calendar, false);
+        let parallel = window_path == 1;
+        let got = digest(&cost, dcs, servers, clients, seed, SchedKind::Sharded, parallel);
         prop_assert_eq!(got, want);
     }
 }

@@ -38,17 +38,6 @@ impl RotMode {
     }
 }
 
-/// Topology of the intra-DC stabilization protocol that aggregates version
-/// vectors into the Global Stable Snapshot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StabilizationTopology {
-    /// Partition 0 of each DC aggregates and broadcasts (2·N messages per
-    /// round) — the default, analogous to GentleRain's tree aggregation.
-    Star,
-    /// Every partition broadcasts to every other (N² messages per round).
-    AllToAll,
-}
-
 /// Static description of the cluster and of protocol tuning knobs.
 ///
 /// Defaults mirror the paper's platform (Section 5.2): 32 partitions, 1M
@@ -80,20 +69,11 @@ pub struct ClusterConfig {
     pub clock_skew_us: u64,
     /// Contrarian ROT mode.
     pub rot_mode: RotMode,
-    /// Stabilization aggregation topology.
-    pub stab_topology: StabilizationTopology,
     /// Whether the data set is preloaded: the paper's platform stores 1M
     /// keys per partition *before* the run, so reads never return ⊥. When
     /// set, reads of never-written keys serve the shared genesis version
     /// (timestamp 0, no dependencies) instead of ⊥.
     pub prepopulated: bool,
-    /// CC-LO ablation. COPS-SNOW answers a readers check with *all* old
-    /// readers of a key (anyone who read a superseded version — the paper's
-    /// footnote 3 calls this "an old reader of x in general"). Setting this
-    /// flag refines the response to readers that are old *relative to the
-    /// dependency version being checked*, a strictly smaller set. Default
-    /// `false` (faithful to CC-LO).
-    pub cclo_dep_precise_old_readers: bool,
 }
 
 impl ClusterConfig {
@@ -110,9 +90,7 @@ impl ClusterConfig {
             version_gc_retention_us: 1_000_000,
             clock_skew_us: 1_000,
             rot_mode: RotMode::OneHalfRound,
-            stab_topology: StabilizationTopology::Star,
             prepopulated: true,
-            cclo_dep_precise_old_readers: false,
         }
     }
 
@@ -153,9 +131,7 @@ impl ClusterConfig {
             version_gc_retention_us: 200_000,
             clock_skew_us: 500,
             rot_mode: RotMode::OneHalfRound,
-            stab_topology: StabilizationTopology::Star,
             prepopulated: false,
-            cclo_dep_precise_old_readers: false,
         }
     }
 

@@ -25,7 +25,7 @@ pub mod version;
 pub mod wire;
 
 pub use codec::{CodecError, Wire};
-pub use config::{ClusterConfig, RotMode, StabilizationTopology};
+pub use config::{ClusterConfig, RotMode};
 pub use error::{Error, Result};
 pub use history::HistoryEvent;
 pub use ids::{Addr, ClientId, DcId, NodeKind, PartitionId, TxId};

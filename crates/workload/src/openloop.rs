@@ -52,9 +52,8 @@
 //! `now`, so the arrival sequence depends on the seed alone, not on when
 //! the actor polls. A fixed seed thus yields the identical arrival
 //! sequence on every engine — arrivals are ordinary timer events under
-//! simulation, preserving bit-identical histories across
-//! `CONTRARIAN_SCHED=calendar/sharded`
-//! (`tests/arrival_pin.rs` pins the stream itself).
+//! simulation, preserving bit-identical histories across the calendar and
+//! sharded engines (`tests/arrival_pin.rs` pins the stream itself).
 
 use crate::driver::ClientDriver;
 use crate::source::Draw;

@@ -29,7 +29,7 @@ fn main() {
         },
         seed: 2026,
     };
-    let mut sim = build_cluster::<Contrarian>(&params, SchedKind::from_env());
+    let mut sim = build_cluster::<Contrarian>(&params, SchedKind::default());
     sim.start();
     sim.metrics_mut().enabled = true;
 

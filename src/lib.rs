@@ -100,7 +100,7 @@
 //!     },
 //!     seed: 42,
 //! };
-//! let mut sim = build_cluster::<Contrarian>(&params, SchedKind::from_env());
+//! let mut sim = build_cluster::<Contrarian>(&params, SchedKind::default());
 //! sim.start();
 //! sim.run_until(10_000_000); // 10 virtual milliseconds
 //! ```

@@ -101,20 +101,6 @@ fn prepopulated_clusters_stay_causal() {
     }
 }
 
-#[test]
-fn dep_precise_ablation_stays_causal() {
-    let mut cfg = functional(Protocol::CcLo, 2, 31);
-    cfg.cluster.cclo_dep_precise_old_readers = true;
-    assert_causal(&cfg);
-}
-
-#[test]
-fn all_to_all_stabilization_stays_causal() {
-    let mut cfg = functional(Protocol::Contrarian, 2, 13);
-    cfg.cluster.stab_topology = contrarian::types::StabilizationTopology::AllToAll;
-    assert_causal(&cfg);
-}
-
 /// The streaming checker (fed event by event, as a live monitor riding a
 /// `HistorySink` would be) agrees with the batch entry point on a real
 /// replicated run.
@@ -149,7 +135,7 @@ fn contrarian_replicas_converge() {
         seed: 99,
     };
     let mut sim =
-        build_cluster::<contrarian::core_protocol::Contrarian>(&params, SchedKind::from_env());
+        build_cluster::<contrarian::core_protocol::Contrarian>(&params, SchedKind::default());
     sim.start();
     sim.run_until(50_000_000);
     sim.set_stopped(true);
@@ -180,11 +166,8 @@ fn contrarian_writes_become_visible_remotely() {
     let cfg = ClusterConfig::small().with_dcs(2);
     // Interactive-ish: build a cluster whose clients idle (queue sources),
     // inject a PUT in DC0, then poll a ROT in DC1.
-    let mut sim = contrarian::sim::sim::Sim::with_scheduler(
-        CostModel::functional(),
-        5,
-        SchedKind::from_env(),
-    );
+    let mut sim =
+        contrarian::sim::sim::Sim::with_scheduler(CostModel::functional(), 5, SchedKind::default());
     for dc in 0..2u8 {
         for p in 0..cfg.n_partitions {
             let addr = Addr::server(DcId(dc), PartitionId(p));
