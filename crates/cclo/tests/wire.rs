@@ -151,3 +151,106 @@ fn unknown_variant_tags_are_rejected() {
         }
     }
 }
+
+/// Lowercase hex of an encoding, for the golden literals below.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// One fixed value of every variant, in declaration order, and its exact
+/// encoding: the tag byte, then the fields in declaration order. The TCP
+/// runtime's format is these bytes, so a reordered variant or field fails
+/// here instead of on a live cluster.
+#[test]
+fn every_variant_encodes_to_its_golden_bytes() {
+    let tx = TxId::new(ClientId::new(DcId(1), 2), 3);
+    let keys = vec![Key(4)];
+    let value = Value::from_static(b"v");
+    let vid = VersionId::new(6, DcId(1));
+    let deps: Vec<Dep> = vec![(Key(8), vid)];
+    let entries = vec![(tx, 6)];
+    let golden: [(Msg, &str); N_VARIANTS as usize] = [
+        (
+            Msg::RotRead {
+                tx,
+                keys: keys.clone(),
+                lamport: 7,
+            },
+            "0002000100030000000100000004000000000000000700000000000000",
+        ),
+        (
+            Msg::RotSlice {
+                tx,
+                pairs: vec![(Key(4), Some((vid, value.clone()))), (Key(8), None)],
+                lamport: 7,
+            },
+            "0102000100030000000200000004000000000000000106000000000000000101000000760800000000000000000700000000000000",
+        ),
+        (
+            Msg::PutReq {
+                key: Key(4),
+                value: value.clone(),
+                deps: deps.clone(),
+                lamport: 7,
+            },
+            "02040000000000000001000000760100000008000000000000000600000000000000010700000000000000",
+        ),
+        (
+            Msg::PutResp {
+                key: Key(4),
+                vid,
+                lamport: 7,
+            },
+            "0304000000000000000600000000000000010700000000000000",
+        ),
+        (
+            Msg::OldReadersQuery {
+                token: 9,
+                deps: deps.clone(),
+                lamport: 7,
+            },
+            "0409000000000000000100000008000000000000000600000000000000010700000000000000",
+        ),
+        (
+            Msg::OldReadersReply {
+                token: 9,
+                entries: entries.clone(),
+                lamport: 7,
+            },
+            "05090000000000000001000000020001000300000006000000000000000700000000000000",
+        ),
+        (
+            Msg::Replicate {
+                key: Key(4),
+                value,
+                vid,
+                deps: deps.clone(),
+                lamport: 7,
+                birth: 9,
+            },
+            "060400000000000000010000007606000000000000000101000000080000000000000006000000000000000107000000000000000900000000000000",
+        ),
+        (
+            Msg::DepCheckQuery {
+                token: 9,
+                deps,
+                lamport: 7,
+            },
+            "0709000000000000000100000008000000000000000600000000000000010700000000000000",
+        ),
+        (
+            Msg::DepCheckReply {
+                token: 9,
+                entries,
+                lamport: 7,
+            },
+            "08090000000000000001000000020001000300000006000000000000000700000000000000",
+        ),
+        (Msg::Inject(Op::Rot(keys)), "0900010000000400000000000000"),
+    ];
+    for (msg, want) in golden {
+        let bytes = to_bytes(&msg);
+        assert_eq!(hex(&bytes), want, "{msg:?}");
+        assert_eq!(from_bytes::<Msg>(&bytes).unwrap(), msg);
+    }
+}

@@ -185,3 +185,114 @@ fn corrupt_length_prefixes_are_rejected() {
         Err(CodecError::BadLength { .. })
     ));
 }
+
+/// Lowercase hex of an encoding, for the golden literals below.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// One fixed value of every variant, in declaration order, and its exact
+/// encoding: the tag byte, then the fields in declaration order. The TCP
+/// runtime's format is these bytes, so a reordered variant or field fails
+/// here instead of on a live cluster.
+#[test]
+fn every_variant_encodes_to_its_golden_bytes() {
+    let tx = TxId::new(ClientId::new(DcId(1), 2), 3);
+    let keys = vec![Key(4)];
+    let dv = DepVector::from_vec(vec![5]);
+    let value = Value::from_static(b"v");
+    let vid = VersionId::new(6, DcId(1));
+    let golden: [(Msg, &str); N_VARIANTS as usize] = [
+        (
+            Msg::RotReq {
+                tx,
+                keys: keys.clone(),
+                lts: 7,
+                gss: dv.clone(),
+            },
+            "0002000100030000000100000004000000000000000700000000000000010000000500000000000000",
+        ),
+        (
+            Msg::RotSnapReq {
+                tx,
+                lts: 7,
+                gss: dv.clone(),
+            },
+            "0102000100030000000700000000000000010000000500000000000000",
+        ),
+        (Msg::RotSnap { tx, sv: dv.clone() }, "020200010003000000010000000500000000000000"),
+        (
+            Msg::RotRead {
+                tx,
+                keys: keys.clone(),
+                sv: dv.clone(),
+            },
+            "030200010003000000010000000400000000000000010000000500000000000000",
+        ),
+        (
+            Msg::RotFwd {
+                tx,
+                client: Addr::client(DcId(1), 2),
+                keys: keys.clone(),
+                sv: dv.clone(),
+            },
+            "04020001000300000001010200010000000400000000000000010000000500000000000000",
+        ),
+        (
+            Msg::RotSlice {
+                tx,
+                pairs: vec![(Key(4), Some((vid, value.clone()))), (Key(8), None)],
+                sv: dv.clone(),
+            },
+            "050200010003000000020000000400000000000000010600000000000000010100000076080000000000000000010000000500000000000000",
+        ),
+        (
+            Msg::PutReq {
+                key: Key(4),
+                value: value.clone(),
+                lts: 7,
+                gss: dv.clone(),
+            },
+            "06040000000000000001000000760700000000000000010000000500000000000000",
+        ),
+        (
+            Msg::PutResp {
+                key: Key(4),
+                vid,
+                gss: dv.clone(),
+            },
+            "070400000000000000060000000000000001010000000500000000000000",
+        ),
+        (
+            Msg::Replicate {
+                key: Key(4),
+                value: value.clone(),
+                dv: dv.clone(),
+                origin: DcId(1),
+                birth: 9,
+            },
+            "0804000000000000000100000076010000000500000000000000010900000000000000",
+        ),
+        (
+            Msg::Heartbeat {
+                origin: DcId(1),
+                ts: 7,
+            },
+            "09010700000000000000",
+        ),
+        (
+            Msg::VvReport {
+                partition: PartitionId(2),
+                vv: dv.clone(),
+            },
+            "0a0200010000000500000000000000",
+        ),
+        (Msg::GssBcast { gss: dv }, "0b010000000500000000000000"),
+        (Msg::Inject(Op::Put(Key(4), value)), "0c0104000000000000000100000076"),
+    ];
+    for (msg, want) in golden {
+        let bytes = to_bytes(&msg);
+        assert_eq!(hex(&bytes), want, "{msg:?}");
+        assert_eq!(from_bytes::<Msg>(&bytes).unwrap(), msg);
+    }
+}

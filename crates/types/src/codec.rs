@@ -529,6 +529,26 @@ mod tests {
         ));
     }
 
+    /// Every variant of `Op` and both `NodeKind`s inside an `Addr`, with
+    /// their exact encodings: the tag byte, then the fields in declaration
+    /// order. A reordered variant or field fails here.
+    #[test]
+    fn enum_encodings_match_their_golden_bytes() {
+        fn hex<T: Wire>(v: &T) -> String {
+            to_bytes(v).iter().map(|b| format!("{b:02x}")).collect()
+        }
+        assert_eq!(
+            hex(&Op::Rot(vec![Key(4), Key(5)])),
+            "000200000004000000000000000500000000000000"
+        );
+        assert_eq!(
+            hex(&Op::Put(Key(4), Value::from_static(b"v"))),
+            "0104000000000000000100000076"
+        );
+        assert_eq!(hex(&Addr::server(DcId(1), PartitionId(2))), "01000200");
+        assert_eq!(hex(&Addr::client(DcId(1), 2)), "01010200");
+    }
+
     #[test]
     fn errors_display_diagnostics() {
         let e = CodecError::BadTag {
