@@ -2,7 +2,6 @@
 
 use contrarian_protocol::ProtocolMsg;
 use contrarian_runtime::cost::{CostModel, MsgClass, SimMessage};
-use contrarian_types::codec::{CodecError, Reader, Wire};
 use contrarian_types::wire;
 use contrarian_types::{Key, Op, TxId, Value, VersionId};
 
@@ -10,74 +9,76 @@ use contrarian_types::{Key, Op, TxId, Value, VersionId};
 /// version X of key x" metadata, carried by PUTs and replication.
 pub type Dep = (Key, VersionId);
 
-/// All messages exchanged by CC-LO nodes.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Msg {
-    /// Client → partition: the one and only ROT round.
-    RotRead {
-        tx: TxId,
-        keys: Vec<Key>,
-        lamport: u64,
-    },
-    /// Partition → client.
-    RotSlice {
-        tx: TxId,
-        pairs: Vec<(Key, Option<(VersionId, Value)>)>,
-        lamport: u64,
-    },
-    /// Client → partition: PUT with its explicit dependency list (every
-    /// version read since the client's previous PUT, plus that PUT).
-    PutReq {
-        key: Key,
-        value: Value,
-        deps: Vec<Dep>,
-        lamport: u64,
-    },
-    /// Partition → client: sent only after the readers check completed and
-    /// the version became visible.
-    PutResp {
-        key: Key,
-        vid: VersionId,
-        lamport: u64,
-    },
-    /// Readers check: PUT partition → dependency partition.
-    OldReadersQuery {
-        token: u64,
-        deps: Vec<Dep>,
-        lamport: u64,
-    },
-    /// The old readers of those keys: at most one ROT id per client.
-    OldReadersReply {
-        token: u64,
-        entries: Vec<(TxId, u64)>,
-        lamport: u64,
-    },
-    /// Origin partition → replica partition (async, FIFO), dependencies
-    /// attached for the remote dependency + readers check.
-    Replicate {
-        key: Key,
-        value: Value,
-        vid: VersionId,
-        deps: Vec<Dep>,
-        lamport: u64,
-        /// Runtime timestamp of the origin install, so the replica can
-        /// measure visibility staleness (zero when unknown).
-        birth: u64,
-    },
-    /// Combined dependency check + readers check (remote DC): answered only
-    /// once every dependency in `deps` is installed at the queried partition.
-    DepCheckQuery {
-        token: u64,
-        deps: Vec<Dep>,
-        lamport: u64,
-    },
-    DepCheckReply {
-        token: u64,
-        entries: Vec<(TxId, u64)>,
-        lamport: u64,
-    },
-    /// Externally injected operation.
-    Inject(Op),
+contrarian_types::wire_enum! {
+    /// All messages exchanged by CC-LO nodes.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum Msg {
+        /// Client → partition: the one and only ROT round.
+        RotRead {
+            tx: TxId,
+            keys: Vec<Key>,
+            lamport: u64,
+        },
+        /// Partition → client.
+        RotSlice {
+            tx: TxId,
+            pairs: Vec<(Key, Option<(VersionId, Value)>)>,
+            lamport: u64,
+        },
+        /// Client → partition: PUT with its explicit dependency list (every
+        /// version read since the client's previous PUT, plus that PUT).
+        PutReq {
+            key: Key,
+            value: Value,
+            deps: Vec<Dep>,
+            lamport: u64,
+        },
+        /// Partition → client: sent only after the readers check completed and
+        /// the version became visible.
+        PutResp {
+            key: Key,
+            vid: VersionId,
+            lamport: u64,
+        },
+        /// Readers check: PUT partition → dependency partition.
+        OldReadersQuery {
+            token: u64,
+            deps: Vec<Dep>,
+            lamport: u64,
+        },
+        /// The old readers of those keys: at most one ROT id per client.
+        OldReadersReply {
+            token: u64,
+            entries: Vec<(TxId, u64)>,
+            lamport: u64,
+        },
+        /// Origin partition → replica partition (async, FIFO), dependencies
+        /// attached for the remote dependency + readers check.
+        Replicate {
+            key: Key,
+            value: Value,
+            vid: VersionId,
+            deps: Vec<Dep>,
+            lamport: u64,
+            /// Runtime timestamp of the origin install, so the replica can
+            /// measure visibility staleness (zero when unknown).
+            birth: u64,
+        },
+        /// Combined dependency check + readers check (remote DC): answered only
+        /// once every dependency in `deps` is installed at the queried partition.
+        DepCheckQuery {
+            token: u64,
+            deps: Vec<Dep>,
+            lamport: u64,
+        },
+        DepCheckReply {
+            token: u64,
+            entries: Vec<(TxId, u64)>,
+            lamport: u64,
+        },
+        /// Externally injected operation.
+        Inject(op: Op),
+    }
 }
 
 fn deps_bytes(deps: &[Dep]) -> usize {
@@ -156,167 +157,6 @@ impl SimMessage for Msg {
 impl ProtocolMsg for Msg {
     fn inject(op: Op) -> Msg {
         Msg::Inject(op)
-    }
-}
-
-/// The byte-level encoding used by the TCP runtime (`contrarian-net`): one
-/// tag byte per variant, then the fields in declaration order via the
-/// shared [`contrarian_types::codec`] primitives.
-impl Wire for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::RotRead { tx, keys, lamport } => {
-                out.push(0);
-                tx.encode(out);
-                keys.encode(out);
-                lamport.encode(out);
-            }
-            Msg::RotSlice { tx, pairs, lamport } => {
-                out.push(1);
-                tx.encode(out);
-                pairs.encode(out);
-                lamport.encode(out);
-            }
-            Msg::PutReq {
-                key,
-                value,
-                deps,
-                lamport,
-            } => {
-                out.push(2);
-                key.encode(out);
-                value.encode(out);
-                deps.encode(out);
-                lamport.encode(out);
-            }
-            Msg::PutResp { key, vid, lamport } => {
-                out.push(3);
-                key.encode(out);
-                vid.encode(out);
-                lamport.encode(out);
-            }
-            Msg::OldReadersQuery {
-                token,
-                deps,
-                lamport,
-            } => {
-                out.push(4);
-                token.encode(out);
-                deps.encode(out);
-                lamport.encode(out);
-            }
-            Msg::OldReadersReply {
-                token,
-                entries,
-                lamport,
-            } => {
-                out.push(5);
-                token.encode(out);
-                entries.encode(out);
-                lamport.encode(out);
-            }
-            Msg::Replicate {
-                key,
-                value,
-                vid,
-                deps,
-                lamport,
-                birth,
-            } => {
-                out.push(6);
-                key.encode(out);
-                value.encode(out);
-                vid.encode(out);
-                deps.encode(out);
-                lamport.encode(out);
-                birth.encode(out);
-            }
-            Msg::DepCheckQuery {
-                token,
-                deps,
-                lamport,
-            } => {
-                out.push(7);
-                token.encode(out);
-                deps.encode(out);
-                lamport.encode(out);
-            }
-            Msg::DepCheckReply {
-                token,
-                entries,
-                lamport,
-            } => {
-                out.push(8);
-                token.encode(out);
-                entries.encode(out);
-                lamport.encode(out);
-            }
-            Msg::Inject(op) => {
-                out.push(9);
-                op.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take(1)?[0] {
-            0 => Msg::RotRead {
-                tx: TxId::decode(r)?,
-                keys: Vec::decode(r)?,
-                lamport: u64::decode(r)?,
-            },
-            1 => Msg::RotSlice {
-                tx: TxId::decode(r)?,
-                pairs: Vec::decode(r)?,
-                lamport: u64::decode(r)?,
-            },
-            2 => Msg::PutReq {
-                key: Key::decode(r)?,
-                value: Value::decode(r)?,
-                deps: Vec::decode(r)?,
-                lamport: u64::decode(r)?,
-            },
-            3 => Msg::PutResp {
-                key: Key::decode(r)?,
-                vid: VersionId::decode(r)?,
-                lamport: u64::decode(r)?,
-            },
-            4 => Msg::OldReadersQuery {
-                token: u64::decode(r)?,
-                deps: Vec::decode(r)?,
-                lamport: u64::decode(r)?,
-            },
-            5 => Msg::OldReadersReply {
-                token: u64::decode(r)?,
-                entries: Vec::decode(r)?,
-                lamport: u64::decode(r)?,
-            },
-            6 => Msg::Replicate {
-                key: Key::decode(r)?,
-                value: Value::decode(r)?,
-                vid: VersionId::decode(r)?,
-                deps: Vec::decode(r)?,
-                lamport: u64::decode(r)?,
-                birth: u64::decode(r)?,
-            },
-            7 => Msg::DepCheckQuery {
-                token: u64::decode(r)?,
-                deps: Vec::decode(r)?,
-                lamport: u64::decode(r)?,
-            },
-            8 => Msg::DepCheckReply {
-                token: u64::decode(r)?,
-                entries: Vec::decode(r)?,
-                lamport: u64::decode(r)?,
-            },
-            9 => Msg::Inject(Op::decode(r)?),
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "contrarian_cclo::Msg",
-                    tag,
-                })
-            }
-        })
     }
 }
 

@@ -2,78 +2,81 @@
 
 use contrarian_protocol::ProtocolMsg;
 use contrarian_runtime::cost::{CostModel, MsgClass, SimMessage};
-use contrarian_types::codec::{CodecError, Reader, Wire};
 use contrarian_types::wire;
 use contrarian_types::{Addr, DcId, DepVector, Key, Op, PartitionId, TxId, Value, VersionId};
 
-/// All messages exchanged by Contrarian nodes.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Msg {
-    /// Client → coordinator, 1½-round mode: the whole ROT in one request.
-    RotReq {
-        tx: TxId,
-        keys: Vec<Key>,
-        lts: u64,
-        gss: DepVector,
-    },
-    /// Client → coordinator, 2-round mode: ask for a snapshot vector.
-    RotSnapReq { tx: TxId, lts: u64, gss: DepVector },
-    /// Coordinator → client, 2-round mode: the snapshot vector.
-    RotSnap { tx: TxId, sv: DepVector },
-    /// Client → partition, 2-round mode: read under the snapshot.
-    RotRead {
-        tx: TxId,
-        keys: Vec<Key>,
-        sv: DepVector,
-    },
-    /// Coordinator → partition, 1½-round mode: forwarded read; the partition
-    /// answers the *client* directly (the extra half round saved).
-    RotFwd {
-        tx: TxId,
-        client: Addr,
-        keys: Vec<Key>,
-        sv: DepVector,
-    },
-    /// Partition → client: the versions of this partition's share of keys.
-    RotSlice {
-        tx: TxId,
-        pairs: Vec<(Key, Option<(VersionId, Value)>)>,
-        sv: DepVector,
-    },
-    /// Client → partition.
-    PutReq {
-        key: Key,
-        value: Value,
-        lts: u64,
-        gss: DepVector,
-    },
-    /// Partition → client.
-    PutResp {
-        key: Key,
-        vid: VersionId,
-        gss: DepVector,
-    },
-    /// Origin partition → replica partition (asynchronous, FIFO).
-    Replicate {
-        key: Key,
-        value: Value,
-        dv: DepVector,
-        origin: DcId,
-        /// Runtime timestamp of the origin install, so the replica can
-        /// measure visibility staleness (zero when unknown).
-        birth: u64,
-    },
-    /// Idle replication heartbeat: advances the replica's version vector.
-    Heartbeat { origin: DcId, ts: u64 },
-    /// Partition → aggregator (stabilization).
-    VvReport {
-        partition: PartitionId,
-        vv: DepVector,
-    },
-    /// Aggregator → partitions: the new GSS.
-    GssBcast { gss: DepVector },
-    /// Externally injected operation (interactive facade).
-    Inject(Op),
+contrarian_types::wire_enum! {
+    /// All messages exchanged by Contrarian nodes. Cure and the Okapi-style
+    /// backend reuse this type, so its `wire_enum!` codec carries three of
+    /// the four backends over TCP.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum Msg {
+        /// Client → coordinator, 1½-round mode: the whole ROT in one request.
+        RotReq {
+            tx: TxId,
+            keys: Vec<Key>,
+            lts: u64,
+            gss: DepVector,
+        },
+        /// Client → coordinator, 2-round mode: ask for a snapshot vector.
+        RotSnapReq { tx: TxId, lts: u64, gss: DepVector },
+        /// Coordinator → client, 2-round mode: the snapshot vector.
+        RotSnap { tx: TxId, sv: DepVector },
+        /// Client → partition, 2-round mode: read under the snapshot.
+        RotRead {
+            tx: TxId,
+            keys: Vec<Key>,
+            sv: DepVector,
+        },
+        /// Coordinator → partition, 1½-round mode: forwarded read; the partition
+        /// answers the *client* directly (the extra half round saved).
+        RotFwd {
+            tx: TxId,
+            client: Addr,
+            keys: Vec<Key>,
+            sv: DepVector,
+        },
+        /// Partition → client: the versions of this partition's share of keys.
+        RotSlice {
+            tx: TxId,
+            pairs: Vec<(Key, Option<(VersionId, Value)>)>,
+            sv: DepVector,
+        },
+        /// Client → partition.
+        PutReq {
+            key: Key,
+            value: Value,
+            lts: u64,
+            gss: DepVector,
+        },
+        /// Partition → client.
+        PutResp {
+            key: Key,
+            vid: VersionId,
+            gss: DepVector,
+        },
+        /// Origin partition → replica partition (asynchronous, FIFO).
+        Replicate {
+            key: Key,
+            value: Value,
+            dv: DepVector,
+            origin: DcId,
+            /// Runtime timestamp of the origin install, so the replica can
+            /// measure visibility staleness (zero when unknown).
+            birth: u64,
+        },
+        /// Idle replication heartbeat: advances the replica's version vector.
+        Heartbeat { origin: DcId, ts: u64 },
+        /// Partition → aggregator (stabilization).
+        VvReport {
+            partition: PartitionId,
+            vv: DepVector,
+        },
+        /// Aggregator → partitions: the new GSS.
+        GssBcast { gss: DepVector },
+        /// Externally injected operation (interactive facade).
+        Inject(op: Op),
+    }
 }
 
 fn vec_bytes(v: &DepVector) -> usize {
@@ -150,182 +153,6 @@ impl SimMessage for Msg {
 impl ProtocolMsg for Msg {
     fn inject(op: Op) -> Msg {
         Msg::Inject(op)
-    }
-}
-
-/// The byte-level encoding used by the TCP runtime (`contrarian-net`): one
-/// tag byte per variant, then the fields in declaration order via the
-/// shared [`contrarian_types::codec`] primitives. Cure and the Okapi-style
-/// backend reuse this message type, so this one impl covers three of the
-/// four backends.
-impl Wire for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::RotReq { tx, keys, lts, gss } => {
-                out.push(0);
-                tx.encode(out);
-                keys.encode(out);
-                lts.encode(out);
-                gss.encode(out);
-            }
-            Msg::RotSnapReq { tx, lts, gss } => {
-                out.push(1);
-                tx.encode(out);
-                lts.encode(out);
-                gss.encode(out);
-            }
-            Msg::RotSnap { tx, sv } => {
-                out.push(2);
-                tx.encode(out);
-                sv.encode(out);
-            }
-            Msg::RotRead { tx, keys, sv } => {
-                out.push(3);
-                tx.encode(out);
-                keys.encode(out);
-                sv.encode(out);
-            }
-            Msg::RotFwd {
-                tx,
-                client,
-                keys,
-                sv,
-            } => {
-                out.push(4);
-                tx.encode(out);
-                client.encode(out);
-                keys.encode(out);
-                sv.encode(out);
-            }
-            Msg::RotSlice { tx, pairs, sv } => {
-                out.push(5);
-                tx.encode(out);
-                pairs.encode(out);
-                sv.encode(out);
-            }
-            Msg::PutReq {
-                key,
-                value,
-                lts,
-                gss,
-            } => {
-                out.push(6);
-                key.encode(out);
-                value.encode(out);
-                lts.encode(out);
-                gss.encode(out);
-            }
-            Msg::PutResp { key, vid, gss } => {
-                out.push(7);
-                key.encode(out);
-                vid.encode(out);
-                gss.encode(out);
-            }
-            Msg::Replicate {
-                key,
-                value,
-                dv,
-                origin,
-                birth,
-            } => {
-                out.push(8);
-                key.encode(out);
-                value.encode(out);
-                dv.encode(out);
-                origin.encode(out);
-                birth.encode(out);
-            }
-            Msg::Heartbeat { origin, ts } => {
-                out.push(9);
-                origin.encode(out);
-                ts.encode(out);
-            }
-            Msg::VvReport { partition, vv } => {
-                out.push(10);
-                partition.encode(out);
-                vv.encode(out);
-            }
-            Msg::GssBcast { gss } => {
-                out.push(11);
-                gss.encode(out);
-            }
-            Msg::Inject(op) => {
-                out.push(12);
-                op.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take(1)?[0] {
-            0 => Msg::RotReq {
-                tx: TxId::decode(r)?,
-                keys: Vec::decode(r)?,
-                lts: u64::decode(r)?,
-                gss: DepVector::decode(r)?,
-            },
-            1 => Msg::RotSnapReq {
-                tx: TxId::decode(r)?,
-                lts: u64::decode(r)?,
-                gss: DepVector::decode(r)?,
-            },
-            2 => Msg::RotSnap {
-                tx: TxId::decode(r)?,
-                sv: DepVector::decode(r)?,
-            },
-            3 => Msg::RotRead {
-                tx: TxId::decode(r)?,
-                keys: Vec::decode(r)?,
-                sv: DepVector::decode(r)?,
-            },
-            4 => Msg::RotFwd {
-                tx: TxId::decode(r)?,
-                client: Addr::decode(r)?,
-                keys: Vec::decode(r)?,
-                sv: DepVector::decode(r)?,
-            },
-            5 => Msg::RotSlice {
-                tx: TxId::decode(r)?,
-                pairs: Vec::decode(r)?,
-                sv: DepVector::decode(r)?,
-            },
-            6 => Msg::PutReq {
-                key: Key::decode(r)?,
-                value: Value::decode(r)?,
-                lts: u64::decode(r)?,
-                gss: DepVector::decode(r)?,
-            },
-            7 => Msg::PutResp {
-                key: Key::decode(r)?,
-                vid: VersionId::decode(r)?,
-                gss: DepVector::decode(r)?,
-            },
-            8 => Msg::Replicate {
-                key: Key::decode(r)?,
-                value: Value::decode(r)?,
-                dv: DepVector::decode(r)?,
-                origin: DcId::decode(r)?,
-                birth: u64::decode(r)?,
-            },
-            9 => Msg::Heartbeat {
-                origin: DcId::decode(r)?,
-                ts: u64::decode(r)?,
-            },
-            10 => Msg::VvReport {
-                partition: PartitionId::decode(r)?,
-                vv: DepVector::decode(r)?,
-            },
-            11 => Msg::GssBcast {
-                gss: DepVector::decode(r)?,
-            },
-            12 => Msg::Inject(Op::decode(r)?),
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "contrarian_core::Msg",
-                    tag,
-                })
-            }
-        })
     }
 }
 

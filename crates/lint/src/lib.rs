@@ -10,9 +10,9 @@
 //!   (`Instant`, `SystemTime`), OS entropy (`thread_rng`), machine shape
 //!   (`available_parallelism`), sleep, or iterate `HashMap`/`HashSet` in
 //!   hash order.
-//! * **`wire-codec`** — every `impl Wire for` an enum must cover all
-//!   variants in both `encode` and `decode`, with dense, unique,
-//!   drift-free variant tags.
+//! * **`wire-codec`** — no hand-written `impl Wire for` an enum declared
+//!   in the same crate: wire enums are declared with `wire_enum!`, whose
+//!   tags are declaration order, so encode and decode cannot drift.
 //! * **`unsafe-hygiene`** — every `unsafe` block/fn/impl carries a
 //!   `// SAFETY:` comment.
 //! * **`bounded-queues`** — unbounded channel constructors are forbidden;

@@ -2,13 +2,21 @@
 //!
 //! The TCP transport (`contrarian-net`) moves protocol messages across real
 //! sockets, so every message type needs a byte-level encoding. The paper's
-//! implementation uses protobuf; this workspace builds fully offline (no
-//! serde, no prost), so the codec is written by hand: a [`Wire`] trait with
-//! `encode`/`decode`, fixed-width little-endian integers, `u32`
-//! length-prefixed sequences, and one tag byte per enum variant.
+//! implementation uses protobuf, where each message is declared once in a
+//! schema and both directions are generated from it; this workspace builds
+//! fully offline (no serde, no prost), so the codec is hand-rolled: a
+//! [`Wire`] trait with `encode`/`decode`, fixed-width little-endian
+//! integers, `u32` length-prefixed sequences, and one tag byte per enum
+//! variant.
 //!
 //! Design rules:
 //!
+//! * **Declared once** — every enum that crosses the wire is declared
+//!   through [`wire_enum!`](crate::wire_enum), which derives both
+//!   directions from the declaration: a variant's tag is its index in
+//!   declaration order and its fields follow in declaration order. The
+//!   declaration order is the format, so reordering a variant or field is a
+//!   format change (golden-bytes tests pin each enum's encoding).
 //! * **Self-contained values** — decoding never needs out-of-band schema
 //!   state; a [`Reader`] over the payload bytes is enough.
 //! * **Total decoding** — every decode failure is a typed [`CodecError`],
@@ -29,7 +37,6 @@
 
 use crate::ids::{Addr, ClientId, DcId, NodeKind, PartitionId, TxId};
 use crate::key::Key;
-use crate::op::Op;
 use crate::vector::DepVector;
 use crate::version::VersionId;
 use crate::Value;
@@ -160,6 +167,98 @@ pub fn from_bytes<T: Wire>(buf: &[u8]) -> Result<T, CodecError> {
         });
     }
     Ok(v)
+}
+
+/// Declares an enum and derives its [`Wire`] impl from the declaration.
+///
+/// A variant's tag byte is its index in declaration order, and its fields
+/// follow the tag in declaration order; any other tag byte decodes to
+/// [`CodecError::BadTag`] naming the enum. Struct, tuple and unit variants
+/// are accepted, with attributes and doc comments on the enum, its variants
+/// and the fields of struct variants. A tuple variant names its fields for
+/// the macro only: `Put(key: Key, value: Value)` declares `Put(Key, Value)`.
+///
+/// The declaration order is the wire format: reordering variants or
+/// fields changes the bytes, and only a variant appended at the end keeps
+/// every existing encoding.
+///
+/// ```
+/// contrarian_types::wire_enum! {
+///     #[derive(Debug, PartialEq)]
+///     pub enum Shape {
+///         Dot,
+///         Line(len: u32),
+///         Rect { w: u16, h: u16 },
+///     }
+/// }
+/// use contrarian_types::codec::{from_bytes, to_bytes};
+/// assert_eq!(to_bytes(&Shape::Line(7)), [1, 7, 0, 0, 0]);
+/// assert_eq!(from_bytes::<Shape>(&[2, 3, 0, 4, 0]), Ok(Shape::Rect { w: 3, h: 4 }));
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $var:ident
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)? })?
+                $(( $($tfield:ident: $tty:ty),* $(,)? ))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $var
+                $({ $($(#[$fmeta])* $field: $fty),* })?
+                $(( $($tty),* ))?
+            ),*
+        }
+
+        const _: () = {
+            // Each variant's tag is its index in declaration order.
+            #[repr(u8)]
+            enum Tag {
+                $($var),*
+            }
+
+            impl $crate::codec::Wire for $name {
+                fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                    match self {
+                        $($name::$var $({ $($field),* })? $(( $($tfield),* ))? => {
+                            out.push(Tag::$var as u8);
+                            $($(<$fty as $crate::codec::Wire>::encode($field, out);)*)?
+                            $($(<$tty as $crate::codec::Wire>::encode($tfield, out);)*)?
+                        })*
+                    }
+                }
+
+                // The match arms are the variants' tags as `u8` consts, so
+                // the decoder compiles to one jump table.
+                #[allow(non_upper_case_globals)]
+                fn decode(
+                    r: &mut $crate::codec::Reader<'_>,
+                ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                    $(const $var: u8 = Tag::$var as u8;)*
+                    ::std::result::Result::Ok(match r.take(1)?[0] {
+                        $($var => $name::$var
+                            $({ $($field: <$fty as $crate::codec::Wire>::decode(r)?),* })?
+                            $(( $(<$tty as $crate::codec::Wire>::decode(r)?),* ))?,
+                        )*
+                        tag => {
+                            return ::std::result::Result::Err($crate::codec::CodecError::BadTag {
+                                what: stringify!($name),
+                                tag,
+                            })
+                        }
+                    })
+                }
+            }
+        };
+    };
 }
 
 // ---- primitives ----
@@ -350,27 +449,13 @@ impl Wire for Addr {
 
     fn encode(&self, out: &mut Vec<u8>) {
         self.dc.encode(out);
-        out.push(match self.kind {
-            NodeKind::Server => 0,
-            NodeKind::Client => 1,
-        });
+        self.kind.encode(out);
         self.idx.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let dc = DcId::decode(r)?;
-        let kind = match r.take(1)?[0] {
-            0 => NodeKind::Server,
-            1 => NodeKind::Client,
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "NodeKind",
-                    tag,
-                })
-            }
-        };
         Ok(Addr {
-            dc,
-            kind,
+            dc: DcId::decode(r)?,
+            kind: NodeKind::decode(r)?,
             idx: u16::decode(r)?,
         })
     }
@@ -394,32 +479,10 @@ impl Wire for DepVector {
     }
 }
 
-impl Wire for Op {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Op::Rot(keys) => {
-                out.push(0);
-                keys.encode(out);
-            }
-            Op::Put(key, value) => {
-                out.push(1);
-                key.encode(out);
-                value.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take(1)?[0] {
-            0 => Ok(Op::Rot(Vec::decode(r)?)),
-            1 => Ok(Op::Put(Key::decode(r)?, Value::decode(r)?)),
-            tag => Err(CodecError::BadTag { what: "Op", tag }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::Op;
 
     fn round_trip<T: Wire + PartialEq + fmt::Debug>(v: T) {
         let bytes = to_bytes(&v);
@@ -547,6 +610,80 @@ mod tests {
         );
         assert_eq!(hex(&Addr::server(DcId(1), PartitionId(2))), "01000200");
         assert_eq!(hex(&Addr::client(DcId(1), 2)), "01010200");
+    }
+
+    crate::wire_enum! {
+        /// Every variant shape `wire_enum!` accepts.
+        #[derive(Clone, PartialEq, Eq, Debug)]
+        enum Sample {
+            /// A unit variant.
+            Unit,
+            /// A tuple variant.
+            Pair(a: u8, b: Option<u64>),
+            /// A struct variant.
+            Named {
+                /// A documented field.
+                key: Key,
+                vals: Vec<u16>,
+            },
+            Empty {},
+            Last(flag: bool),
+        }
+    }
+
+    /// One value of every `Sample` variant, in declaration order.
+    fn samples() -> Vec<Sample> {
+        vec![
+            Sample::Unit,
+            Sample::Pair(7, Some(u64::MAX)),
+            Sample::Named {
+                key: Key(9),
+                vals: vec![1, 2, 3],
+            },
+            Sample::Empty {},
+            Sample::Last(true),
+        ]
+    }
+
+    #[test]
+    fn wire_enum_tags_are_declaration_indices() {
+        for (i, v) in samples().iter().enumerate() {
+            assert_eq!(to_bytes(v)[0], i as u8, "{v:?}");
+        }
+        assert_eq!(<Sample as Wire>::MIN_WIRE_SIZE, 1);
+    }
+
+    #[test]
+    fn wire_enum_variants_round_trip() {
+        for v in samples() {
+            round_trip(v);
+        }
+    }
+
+    #[test]
+    fn wire_enum_rejects_every_tag_past_the_last_variant() {
+        for tag in samples().len() as u8..=u8::MAX {
+            assert_eq!(
+                from_bytes::<Sample>(&[tag]),
+                Err(CodecError::BadTag {
+                    what: "Sample",
+                    tag
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn wire_enum_rejects_every_strict_prefix() {
+        for v in samples() {
+            let bytes = to_bytes(&v);
+            for cut in 0..bytes.len() {
+                assert!(
+                    from_bytes::<Sample>(&bytes[..cut]).is_err(),
+                    "{v:?} cut {cut}"
+                );
+            }
+        }
     }
 
     #[test]

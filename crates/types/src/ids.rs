@@ -91,11 +91,13 @@ impl fmt::Display for TxId {
     }
 }
 
-/// Whether a node is a storage server (one per partition per DC) or a client.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub enum NodeKind {
-    Server,
-    Client,
+crate::wire_enum! {
+    /// Whether a node is a storage server (one per partition per DC) or a client.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+    pub enum NodeKind {
+        Server,
+        Client,
+    }
 }
 
 /// The address of a node in the cluster: `(dc, kind, index)`.

@@ -3,17 +3,19 @@
 use crate::key::Key;
 use crate::Value;
 
-/// An operation a client can issue.
-///
-/// The paper's API also includes single-key `GET`; as in the paper
-/// ("we focus on PUT and ROT operations") a GET is expressed as a ROT over
-/// one key.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Op {
-    /// Read a causally consistent snapshot of the given keys.
-    Rot(Vec<Key>),
-    /// Create a new version of `key` with the given value.
-    Put(Key, Value),
+crate::wire_enum! {
+    /// An operation a client can issue.
+    ///
+    /// The paper's API also includes single-key `GET`; as in the paper
+    /// ("we focus on PUT and ROT operations") a GET is expressed as a ROT over
+    /// one key.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum Op {
+        /// Read a causally consistent snapshot of the given keys.
+        Rot(keys: Vec<Key>),
+        /// Create a new version of `key` with the given value.
+        Put(key: Key, value: Value),
+    }
 }
 
 impl Op {
