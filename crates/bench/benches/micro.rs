@@ -247,9 +247,10 @@ fn bench_reader_records(c: &mut Criterion) {
     use contrarian_types::{ClientId, DcId, TxId};
     const CLIENTS: usize = 256;
     // A sealing server that has seen none of these ROTs: the floor keeps
-    // every client's newest id, so the block rows time the sort, the
-    // per-client collapse and one floor lookup per client.
-    let floor = RotFloor::new();
+    // every client's newest id, so the block rows time the one-pass seal's
+    // per-client collapse, its distinct count over all pairs (as for a PUT
+    // whose dependencies are all remote) and the emission of every client.
+    let mut floor = RotFloor::new();
     let mut g = c.benchmark_group("reader_records");
     for n in [16usize, 256, 1024, 4096] {
         let entries: Vec<ReaderEntry> = (0..n)
@@ -297,16 +298,16 @@ fn bench_reader_records(c: &mut Criterion) {
         // several dependency keys).
         let pairs = set.query(u64::MAX, 0, u64::MAX);
         g.bench_with_input(BenchmarkId::new("block_merge", n), &pairs, |b, pairs| {
-            b.iter(|| black_box(BlockRecord::seal(black_box(pairs).clone(), &floor).len()));
+            b.iter(|| black_box(BlockRecord::seal(black_box(pairs), 0, &mut floor).0.len()));
         });
         let replies: Vec<(TxId, u64)> = (0..4u64)
             .flat_map(|r| pairs.iter().map(move |&(tx, rt)| (tx, rt + r)))
             .collect();
         g.bench_with_input(BenchmarkId::new("block_seal", n), &replies, |b, replies| {
-            b.iter(|| black_box(BlockRecord::seal(black_box(replies).clone(), &floor).len()));
+            b.iter(|| black_box(BlockRecord::seal(black_box(replies), 0, &mut floor).0.len()));
         });
         // One hit and one miss, as a ROT walking a version chain does.
-        let blk = BlockRecord::seal(replies, &floor);
+        let (blk, _) = BlockRecord::seal(&replies, 0, &mut floor);
         let absent = TxId::new(ClientId::new(DcId(1), 0), 0);
         let mut i = 0;
         g.bench_function(BenchmarkId::new("block_bound", n), |b| {

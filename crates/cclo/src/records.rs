@@ -26,8 +26,27 @@
 //!   pruned tx never reaches the server's version lookup again, and no
 //!   `bound` answer a live ROT can ask changes. No cost-model input reads
 //!   a sealed record's length — the readers check's Figure-6 counters are
-//!   taken from the replies before the seal — so the pruning is invisible
-//!   in virtual time.
+//!   taken from the replies, not from the record — so the pruning is
+//!   invisible in virtual time. The record's vector holds exactly its
+//!   entries, with no spare capacity: records live as long as their
+//!   versions.
+//!
+//! **Sealing: one pass, no sort.** Each server has one per-client table,
+//! [`RotFloor`], indexed `[dc][client index]` and as long as the largest
+//! index it has seen. A slot holds the client's floor and the seal's
+//! scratch: a generation stamp with the newest `seq` met and that tx's
+//! smallest read time, and a second stamp for the distinct count.
+//! [`BlockRecord::seal`] takes a fresh stamp, so a slot stamped by an
+//! earlier seal reads as empty and nothing is cleared between seals (a
+//! wrapped counter clears every stamp once). It folds each pair into its
+//! client's slot and sets the client's bit in a touched bitmap. For the
+//! replied pairs it also counts the clients not yet counted under the
+//! stamp, which is Figure 6's distinct-ids counter. Then it walks the set
+//! bits in `ClientId` order, clearing them, and writes the clients at or
+//! above their floor into one vector sized by a running count. No sort:
+//! a PUT on `sim_write_cclo` seals ≈ 220 pairs, and sorting them (once
+//! for the record, once for the distinct count) took ≈ 12 µs of host time
+//! per PUT. The sort-based seal is kept as the test oracle.
 //!
 //! **Layout: a single reader lives inline.** A [`ReaderSet`] holds one
 //! entry in place, in the map slot, and moves to a vector only at its
@@ -43,8 +62,10 @@
 //! (`ReaderSet` is 40 B, size pinned by a test), and the run peaks at
 //! ≈ 33 MB instead of ≈ 47 MB. `len()` counts the same entries either way.
 
-use contrarian_types::{ClientId, TxId};
-use std::cmp::{Ordering, Reverse};
+use contrarian_types::{ClientId, DcId, TxId};
+use std::cmp::Ordering;
+#[cfg(test)]
+use std::cmp::Reverse;
 
 /// One recorded read: which transaction read, at what logical time, and how
 /// fresh the version it read was.
@@ -262,14 +283,41 @@ impl ReaderSet {
     }
 }
 
-/// The newest ROT `seq` a server has seen from each client. A client's ROTs
-/// below its floor have finished everywhere, so a sealed [`BlockRecord`]
-/// need not name them (module docs).
+/// A server's one per-client table, indexed `[dc][client index]`. Each
+/// slot holds the newest ROT `seq` the server has seen from that client —
+/// its *floor*: the client's ROTs below it have finished everywhere, so a
+/// sealed [`BlockRecord`] need not name them (module docs) — and the
+/// scratch state [`BlockRecord::seal`] keeps per client while it seals.
+/// A row is as long as the largest client index the server has seen in
+/// that DC, not 65 536.
 #[derive(Clone, Debug, Default)]
 pub struct RotFloor {
-    /// Indexed by `[dc][client index]`; client indices are dense, and a
-    /// client not seen yet reads as 0, which prunes nothing.
-    newest: Vec<Vec<u32>>,
+    rows: Vec<Row>,
+    /// Stamp of the seal in progress: a slot stamped with any other value
+    /// holds nothing of it. 0 is never a live stamp.
+    gen: u32,
+}
+
+#[derive(Clone, Debug, Default)]
+struct Row {
+    slots: Vec<Slot>,
+    /// One bit per slot the seal in progress has touched.
+    touched: Vec<u64>,
+}
+
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    /// The newest ROT `seq` seen from the client, 0 if none (prunes
+    /// nothing).
+    floor: u32,
+    /// The seal that wrote `seq` and `read_time`.
+    gen: u32,
+    /// The seal that counted this client among the replied pairs.
+    counted: u32,
+    /// The newest `seq` the seal has met for this client, and that tx's
+    /// smallest read time.
+    seq: u32,
+    read_time: u64,
 }
 
 impl RotFloor {
@@ -277,33 +325,68 @@ impl RotFloor {
         Self::default()
     }
 
+    /// The row and index of `client`'s slot, growing the row to reach it.
+    #[inline]
+    fn slot(&mut self, client: ClientId) -> (&mut Row, usize) {
+        let (dc, i) = (client.dc().0 as usize, client.idx() as usize);
+        if self.rows.get(dc).is_none_or(|row| row.slots.len() <= i) {
+            self.grow(dc, i);
+        }
+        (&mut self.rows[dc], i)
+    }
+
+    #[cold]
+    fn grow(&mut self, dc: usize, i: usize) {
+        if self.rows.len() <= dc {
+            self.rows.resize_with(dc + 1, Row::default);
+        }
+        let row = &mut self.rows[dc];
+        if row.slots.len() <= i {
+            row.slots.resize(i + 1, Slot::default());
+            row.touched.resize(i / 64 + 1, 0);
+        }
+    }
+
     /// Notes that `tx` reached this server.
     pub fn observe(&mut self, tx: TxId) {
-        let (dc, i) = (tx.client.dc().0 as usize, tx.client.idx() as usize);
-        if self.newest.len() <= dc {
-            self.newest.resize_with(dc + 1, Vec::new);
-        }
-        let row = &mut self.newest[dc];
-        if row.len() <= i {
-            row.resize(i + 1, 0);
-        }
-        row[i] = row[i].max(tx.seq);
+        let (row, i) = self.slot(tx.client);
+        let floor = &mut row.slots[i].floor;
+        *floor = (*floor).max(tx.seq);
     }
 
     /// The newest ROT `seq` seen from `client`, 0 if none.
     pub fn of(&self, client: ClientId) -> u32 {
-        self.newest
+        self.rows
             .get(client.dc().0 as usize)
-            .and_then(|row| row.get(client.idx() as usize))
-            .copied()
-            .unwrap_or(0)
+            .and_then(|row| row.slots.get(client.idx() as usize))
+            .map_or(0, |s| s.floor)
+    }
+
+    /// Slots held over all DCs: one per client index up to the largest
+    /// seen in each DC.
+    pub fn slots(&self) -> usize {
+        self.rows.iter().map(|r| r.slots.len()).sum()
+    }
+
+    /// A fresh seal stamp. When the counter wraps, every slot's stamps are
+    /// cleared, so none can pass for the new seal's.
+    fn next_gen(&mut self) -> u32 {
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            for s in self.rows.iter_mut().flat_map(|r| r.slots.iter_mut()) {
+                (s.gen, s.counted) = (0, 0);
+            }
+            self.gen = 1;
+        }
+        self.gen
     }
 }
 
 /// The per-version old-reader record: ROT ids that must *not* observe this
 /// version, each with the logical time bound of its stale read. It stores
 /// only ROTs that can still read at the sealing server: at most one per
-/// client, none below the client's [`RotFloor`] (module docs).
+/// client, none below the client's [`RotFloor`] (module docs). Its vector
+/// is exactly as long as its contents.
 #[derive(Clone, Debug)]
 pub struct BlockRecord {
     /// Sorted by tx id, at most one pair per client.
@@ -315,8 +398,55 @@ impl BlockRecord {
     /// readers check collected — local queries and peers' replies, in any
     /// order and with duplicates. Per client it keeps only the newest tx
     /// named, with that tx's *smallest* read time (the most restrictive
-    /// bound), and only if the tx is at or above the client's `floor`.
-    pub fn seal(mut pairs: Vec<(TxId, u64)>, floor: &RotFloor) -> Self {
+    /// bound), and only if the tx is at or above the client's floor in
+    /// `table`. Also returns how many distinct clients `pairs[replied..]`
+    /// names (Figure 6's distinct ids). One pass over `pairs` and one over
+    /// the touched bits; no sort (module docs).
+    pub fn seal(pairs: &[(TxId, u64)], replied: usize, table: &mut RotFloor) -> (Self, usize) {
+        let gen = table.next_gen();
+        let (mut kept, mut distinct) = (0, 0);
+        for (n, &(tx, rt)) in pairs.iter().enumerate() {
+            let (row, i) = table.slot(tx.client);
+            let s = &mut row.slots[i];
+            if s.gen != gen {
+                (s.gen, s.seq, s.read_time) = (gen, tx.seq, rt);
+                row.touched[i / 64] |= 1 << (i % 64);
+                kept += usize::from(tx.seq >= s.floor);
+            } else if tx.seq > s.seq {
+                kept += usize::from(s.seq < s.floor && tx.seq >= s.floor);
+                (s.seq, s.read_time) = (tx.seq, rt);
+            } else if tx.seq == s.seq {
+                s.read_time = s.read_time.min(rt);
+            }
+            if n >= replied && s.counted != gen {
+                s.counted = gen;
+                distinct += 1;
+            }
+        }
+        // Rows in DC order, bits in index order: `ClientId` order.
+        let mut entries = Vec::with_capacity(kept);
+        for (dc, row) in table.rows.iter_mut().enumerate() {
+            for (w, word) in row.touched.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let s = &row.slots[i];
+                    if s.seq >= s.floor {
+                        let client = ClientId::new(DcId(dc as u8), i as u16);
+                        entries.push((TxId::new(client, s.seq), s.read_time));
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(entries.len(), kept);
+        (BlockRecord { entries }, distinct)
+    }
+
+    /// The sort-based seal the one-pass [`seal`](Self::seal) replaced, kept
+    /// as its test oracle.
+    #[cfg(test)]
+    fn seal_sorted(mut pairs: Vec<(TxId, u64)>, floor: &RotFloor) -> Self {
         // Per client: its newest tx first, that tx's smallest read time
         // first within it.
         pairs.sort_unstable_by_key(|&(tx, rt)| (tx.client, Reverse(tx.seq), rt));
@@ -583,7 +713,7 @@ mod tests {
                 m.merge_pairs(&pairs);
                 pending.extend(pairs);
             }
-            let b = BlockRecord::seal(pending, &floor);
+            let (b, _) = BlockRecord::seal(&pending, pending.len(), &mut floor);
             for c in 0..CLIENTS {
                 let live = tx(c, clients[c as usize].0);
                 prop_assert_eq!(b.bound(live), m.bound(live));
@@ -595,6 +725,66 @@ mod tests {
             }
             prop_assert!(b.entries.windows(2).all(|w| w[0].0.client < w[1].0.client));
             prop_assert!(b.entries.iter().all(|(t, _)| t.seq >= floor.of(t.client)));
+        }
+
+        /// The one-pass seal against the sort-based oracle, over a
+        /// sequence of seals on one table so stamps of earlier seals are
+        /// live in its slots: 1–3 DCs, sparse client indices (0 and 65 535
+        /// among them), several `seq`s and read times per client, floors
+        /// anywhere (above every named `seq` included), raised between
+        /// seals, and any split between local and replied pairs. The
+        /// record equals the oracle's entry for entry with no spare
+        /// capacity, and the distinct count equals sort + `chunk_by` on
+        /// the replied suffix.
+        #[test]
+        fn one_pass_seal_matches_sorting_oracle(
+            n_dcs in 1u8..=3,
+            pool in prop::collection::vec((0u8..3, 0u8..4, 0u16..=u16::MAX), 1..8),
+            seals in prop::collection::vec(
+                (
+                    prop::collection::vec((0usize..8, 0..SEQS + 2), 0..4),
+                    prop::collection::vec((0usize..8, 0..SEQS, 0u64..50), 0..24),
+                    0usize..25,
+                ),
+                1..5,
+            ),
+        ) {
+            // Index kinds: 0, 65 535, small and dense, anywhere.
+            let clients: Vec<ClientId> = pool
+                .iter()
+                .map(|&(dc, kind, i)| {
+                    let i = [0, u16::MAX, i % 8, i][kind as usize];
+                    ClientId::new(DcId(dc % n_dcs), i)
+                })
+                .collect();
+            let client = |c: usize| clients[c % clients.len()];
+            let mut table = RotFloor::new();
+            for (observed, named, split) in seals {
+                for (c, seq) in observed {
+                    table.observe(TxId::new(client(c), seq));
+                }
+                let pairs: Vec<(TxId, u64)> = named
+                    .iter()
+                    .map(|&(c, seq, rt)| (TxId::new(client(c), seq), rt))
+                    .collect();
+                let replied = split % (pairs.len() + 1);
+                let want = BlockRecord::seal_sorted(pairs.clone(), &table);
+                let mut suffix = pairs[replied..].to_vec();
+                suffix.sort_unstable_by_key(|(tx, _)| tx.client);
+                let want_distinct = suffix.chunk_by(|a, b| a.0.client == b.0.client).count();
+                let (got, distinct) = BlockRecord::seal(&pairs, replied, &mut table);
+                prop_assert_eq!(&got.entries, &want.entries);
+                prop_assert_eq!(got.entries.capacity(), got.len());
+                prop_assert_eq!(distinct, want_distinct);
+            }
+            // Sized by the largest index seen per DC, never more.
+            let rows: usize = (0..n_dcs)
+                .filter_map(|dc| {
+                    let in_dc = clients.iter().filter(|c| c.dc() == DcId(dc));
+                    in_dc.map(|c| c.idx() as usize + 1).max()
+                })
+                .sum();
+            prop_assert!(table.slots() <= rows);
         }
     }
 
@@ -722,12 +912,39 @@ mod tests {
 
     #[test]
     fn block_record_keeps_most_restrictive_bound() {
-        let b = BlockRecord::seal(
-            vec![(tx(0, 0), 50), (tx(0, 0), 30), (tx(0, 0), 70)],
-            &RotFloor::new(),
+        let (b, _) = BlockRecord::seal(
+            &[(tx(0, 0), 50), (tx(0, 0), 30), (tx(0, 0), 70)],
+            3,
+            &mut RotFloor::new(),
         );
         assert_eq!(b.bound(tx(0, 0)), Some(30));
         assert_eq!(b.bound(tx(1, 0)), None);
         assert_eq!(b.len(), 1);
+    }
+
+    /// The seal stamp wraps after 2³² − 1 seals. The wrap clears every
+    /// slot's stamps: a slot last written by seal 1 must not pass for
+    /// the first seal after the wrap (which reuses stamp 1), or a client
+    /// it names would keep the old seal's `seq` and never reach the record.
+    #[test]
+    fn seal_stamp_wrap_clears_old_stamps() {
+        let mut table = RotFloor::new();
+        let (b, n) = BlockRecord::seal(&[(tx(2, 5), 10), (tx(2, 5), 3)], 0, &mut table);
+        assert_eq!((b.entries.as_slice(), n), (&[(tx(2, 5), 3)][..], 1));
+        assert_eq!(table.gen, 1);
+        table.gen = u32::MAX - 1;
+        let (b, _) = BlockRecord::seal(&[(tx(0, 1), 4)], 1, &mut table);
+        assert_eq!(b.entries, vec![(tx(0, 1), 4)]);
+        assert_eq!(table.gen, u32::MAX);
+        for gen in [1, 2] {
+            let pairs = [(tx(2, 3), 7), (tx(0, 0), 9)];
+            let (b, n) = BlockRecord::seal(&pairs, 0, &mut table);
+            assert_eq!(table.gen, gen);
+            assert_eq!(
+                b.entries,
+                BlockRecord::seal_sorted(pairs.to_vec(), &table).entries
+            );
+            assert_eq!((b.len(), n), (2, 2));
+        }
     }
 }

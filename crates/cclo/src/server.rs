@@ -39,6 +39,16 @@ struct PendingPut {
     n_partitions: u64,
 }
 
+/// Adds a reply's old-reader pairs to a pending block. The first reply's
+/// vector becomes the block when nothing was collected before it.
+fn append_reply(block: &mut Vec<(TxId, u64)>, entries: Vec<(TxId, u64)>) {
+    if block.is_empty() {
+        *block = entries;
+    } else {
+        block.extend(entries);
+    }
+}
+
 /// A replicated update waiting for its combined dependency + readers check.
 struct PendingRepl {
     key: Key,
@@ -68,9 +78,10 @@ pub struct Server {
     readers: HashMap<Key, ReaderSet>,
     /// Old readers of each key (readers of superseded versions).
     old_readers: HashMap<Key, ReaderSet>,
-    /// The newest ROT each client has read here, raised by every
-    /// `RotRead`: a record sealed on this server drops a client's ROTs
-    /// below it, which can never read here again (`records` module docs).
+    /// The server's per-client table: the newest ROT each client has read
+    /// here, raised by every `RotRead` — a record sealed on this server
+    /// drops a client's ROTs below it, which can never read here again —
+    /// and the seal's per-client scratch (`records` module docs).
     rot_floor: RotFloor,
     pending_puts: HashMap<u64, PendingPut>,
     pending_repls: HashMap<u64, PendingRepl>,
@@ -104,6 +115,11 @@ impl Server {
 
     pub fn store(&self) -> &MvStore<BlockRecord> {
         &self.store
+    }
+
+    /// The per-client table (diagnostics).
+    pub fn rot_floor(&self) -> &RotFloor {
+        &self.rot_floor
     }
 
     /// Reader-record sizes (diagnostics).
@@ -435,17 +451,16 @@ impl Server {
         // The same ROT id can still appear for several keys: this is the
         // duplication the paper measures (≈855 cumulative vs ≈252 distinct
         // ids per check at 256 clients).
-        let mut out = Vec::new();
-        let mut scanned = 0u64;
-        for (k, _) in deps {
-            if let Some(set) = self.old_readers.get(k) {
-                scanned += set.len() as u64;
-                set.query_into(ALL_OLD_READERS, now, window, &mut out);
-            }
+        // One block of the worst case up front, so no query regrows it.
+        let sets = || deps.iter().filter_map(|(k, _)| self.old_readers.get(k));
+        let scanned: usize = sets().map(ReaderSet::len).sum();
+        let mut out = Vec::with_capacity(scanned);
+        for set in sets() {
+            set.query_into(ALL_OLD_READERS, now, window, &mut out);
         }
         // The full record is walked per queried key; hot keys make this the
         // readers check's dominant (and bursty) CPU cost.
-        ctx.charge(scanned * 100 + out.len() as u64 * 150);
+        ctx.charge(scanned as u64 * 100 + out.len() as u64 * 150);
         out
     }
 
@@ -459,7 +474,7 @@ impl Server {
             return;
         };
         let pending = slot.get_mut();
-        pending.block.extend(entries);
+        append_reply(&mut pending.block, entries);
         pending.awaiting -= 1;
         if pending.awaiting == 0 {
             let pending = slot.remove();
@@ -476,7 +491,7 @@ impl Server {
             value,
             ts,
             deps,
-            mut block,
+            block,
             n_local,
             n_deps,
             n_partitions,
@@ -486,14 +501,9 @@ impl Server {
         // Distinct *clients* named by the responses (the paper's "distinct
         // ROT ids" — with at most one id per client per response, the
         // distinct count collapses to clients, matching "252 distinct at
-        // 256 clients").
-        // Sorting the replies by client in place is free to do: the seal
-        // re-sorts the whole block anyway.
-        let replied = &mut block[n_local..];
-        let ids_cum = replied.len() as u64;
-        replied.sort_unstable_by_key(|(tx, _)| tx.client);
-        let ids_distinct = replied.chunk_by(|a, b| a.0.client == b.0.client).count();
-        let block = BlockRecord::seal(block, &self.rot_floor);
+        // 256 clients"), counted by the seal's own pass.
+        let ids_cum = (block.len() - n_local) as u64;
+        let (block, ids_distinct) = BlockRecord::seal(&block, n_local, &mut self.rot_floor);
         let block_ids = block.len() as u64;
 
         self.supersede_head(key);
@@ -631,7 +641,7 @@ impl Server {
             return;
         };
         let pending = slot.get_mut();
-        pending.block.extend(entries);
+        append_reply(&mut pending.block, entries);
         pending.awaiting -= 1;
         if pending.awaiting == 0 {
             let pending = slot.remove();
@@ -656,7 +666,7 @@ impl Server {
             let stale = ctx.now().saturating_sub(birth);
             ctx.metrics().vis_stale(stale);
         }
-        let block = BlockRecord::seal(block, &self.rot_floor);
+        let (block, _) = BlockRecord::seal(&block, block.len(), &mut self.rot_floor);
         let m = ctx.metrics();
         m.add(stats::REPL_CHECKS, 1);
         m.add(stats::BLOCK_RECORD_IDS, block.len() as u64);
