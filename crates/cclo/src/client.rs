@@ -1,18 +1,13 @@
-//! The CC-LO client: COPS-style explicit dependency tracking.
+//! The CC-LO client session: COPS-style explicit dependency tracking.
 
-use crate::msg::{Dep, Msg};
-use contrarian_protocol::timers::{self, stagger_client_start};
-use contrarian_protocol::ProtocolClient;
-use contrarian_runtime::actor::{ActorCtx, TimerKind};
-use contrarian_runtime::trace::op_class;
-use contrarian_types::{
-    Addr, ClientId, ClusterConfig, HistoryEvent, Key, Op, PartitionId, TraceKind, TxId, Value,
-    VersionId,
-};
-use contrarian_workload::{Draw, OpSource};
-use std::collections::{BTreeMap, VecDeque};
+use crate::msg::Msg;
+use contrarian_protocol::client::by_partition;
+use contrarian_protocol::{Inbound, ReadPair, Session};
+use contrarian_runtime::actor::ActorCtx;
+use contrarian_types::{Addr, ClusterConfig, DcId, Key, PartitionId, TxId, Value, VersionId};
+use std::collections::BTreeMap;
 
-/// Per-client session state.
+/// CC-LO's session metadata: a Lamport clock and the dependency list.
 ///
 /// `deps` is the COPS dependency list: one entry per key read since the
 /// client's previous PUT, plus that PUT itself. After a PUT completes, the
@@ -20,281 +15,109 @@ use std::collections::{BTreeMap, VecDeque};
 /// covered them), so the list collapses to the single new version — this is
 /// why the paper's default workload yields ~20 dependency keys per PUT
 /// (~4.75 ROTs × 4 keys + 1).
-pub struct Client {
-    addr: Addr,
-    id: ClientId,
-    cfg: ClusterConfig,
-    source: OpSource,
-    backlog: VecDeque<Op>,
+pub struct DepSession {
+    dc: DcId,
+    n_partitions: u16,
     lamport: u64,
     // BTreeMap so the dependency list serializes in key order without a
     // sort — message bytes must be engine-independent.
     deps: BTreeMap<Key, VersionId>,
-    next_tx: u32,
-    next_put: u32,
-    pending: Option<Pending>,
-    last_put_key: Key,
 }
 
-enum Pending {
-    Rot {
-        tx: TxId,
-        t0: u64,
-        expect: usize,
-        pairs: Vec<(Key, Option<(VersionId, Value)>)>,
-    },
-    Put {
-        seq: u32,
-        t0: u64,
-    },
-}
+impl Session for DepSession {
+    type Msg = Msg;
+    /// A Lamport clock.
+    type Meta = u64;
 
-impl Client {
-    pub fn new(addr: Addr, cfg: ClusterConfig, source: OpSource) -> Self {
-        Client {
-            addr,
-            id: addr.client_id(),
-            cfg,
-            source,
-            backlog: VecDeque::new(),
+    fn new(addr: Addr, cfg: &ClusterConfig) -> Self {
+        DepSession {
+            dc: addr.dc,
+            n_partitions: cfg.n_partitions,
             lamport: 0,
             deps: BTreeMap::new(),
-            next_tx: 0,
-            next_put: 0,
-            pending: None,
-            last_put_key: Key(0),
         }
     }
 
-    /// Current dependency-list size (diagnostics: this is what drives the
-    /// readers-check fan-out).
-    pub fn deps_len(&self) -> usize {
-        self.deps.len()
-    }
-
-    fn issue_next(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        if let Some(op) = self.backlog.pop_front() {
-            let now = ctx.now();
-            return self.issue_op(ctx, op, now);
-        }
-        if self.source.is_load_generating() && ctx.stopped() {
-            return;
-        }
-        let now = ctx.now();
-        match self.source.draw(now, ctx.rng()) {
-            // `intended` is the scheduled arrival time — latency measured
-            // from it includes driver queueing delay (see
-            // `contrarian_workload::openloop`).
-            Draw::Op { op, intended } => self.issue_op(ctx, op, intended),
-            Draw::Wait { due } => {
-                ctx.set_timer(due - now, TimerKind::new(timers::CLIENT_START));
-            }
-            Draw::Idle => {}
+    fn inbound(msg: Msg) -> Inbound<u64> {
+        match msg {
+            Msg::Inject(op) => Inbound::Inject(op),
+            Msg::RotSlice { tx, pairs, lamport } => Inbound::Slice(tx, pairs, lamport),
+            Msg::PutResp { key, vid, lamport } => Inbound::PutAck(key, vid, lamport),
+            other => unreachable!("server-bound message at client: {other:?}"),
         }
     }
 
-    fn issue_op(&mut self, ctx: &mut dyn ActorCtx<Msg>, op: Op, t0: u64) {
-        match op {
-            Op::Put(key, value) => self.issue_put(ctx, key, value, t0),
-            Op::Rot(keys) => self.issue_rot(ctx, keys, t0),
-        }
-    }
-
-    /// One round: a read request straight to every involved partition.
-    fn issue_rot(&mut self, ctx: &mut dyn ActorCtx<Msg>, keys: Vec<Key>, t0: u64) {
-        let tx = TxId::new(self.id, self.next_tx);
-        if ctx.tracing() {
-            ctx.trace(TraceKind::OpBegin, op_class::ROT, self.next_tx as u64);
-        }
-        self.next_tx += 1;
-        let n = self.cfg.n_partitions;
-        let mut groups: BTreeMap<u16, Vec<Key>> = BTreeMap::new();
-        for k in &keys {
-            groups.entry(k.partition(n).0).or_default().push(*k);
-        }
-        self.pending = Some(Pending::Rot {
-            tx,
-            t0,
-            expect: groups.len(),
-            pairs: Vec::with_capacity(keys.len()),
-        });
-        for (p, ks) in groups {
-            let target = Addr::server(self.addr.dc, PartitionId(p));
-            ctx.send(
-                target,
-                Msg::RotRead {
-                    tx,
-                    keys: ks,
-                    lamport: self.lamport,
-                },
-            );
-        }
-    }
-
-    fn issue_put(&mut self, ctx: &mut dyn ActorCtx<Msg>, key: Key, value: Value, t0: u64) {
-        let seq = self.next_put;
-        self.next_put += 1;
-        if ctx.tracing() {
-            ctx.trace(TraceKind::OpBegin, op_class::PUT, seq as u64);
-        }
-        let target = Addr::server(self.addr.dc, key.partition(self.cfg.n_partitions));
-        // Explicit dependencies: everything read since the last PUT, in key
-        // order (BTreeMap iteration) for deterministic bytes.
-        let deps: Vec<Dep> = self.deps.iter().map(|(k, v)| (*k, *v)).collect();
-        self.pending = Some(Pending::Put { seq, t0 });
-        self.last_put_key = key;
+    /// Ships everything read since the last PUT, in key order.
+    fn send_put(&mut self, ctx: &mut dyn ActorCtx<Msg>, key: Key, value: Value) {
+        let to = Addr::server(self.dc, key.partition(self.n_partitions));
+        let deps = self.deps.iter().map(|(k, v)| (*k, *v)).collect();
+        let lamport = self.lamport;
         ctx.send(
-            target,
+            to,
             Msg::PutReq {
                 key,
                 value,
                 deps,
-                lamport: self.lamport,
+                lamport,
             },
         );
     }
 
-    fn on_slice(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        tx: TxId,
-        mut new_pairs: Vec<(Key, Option<(VersionId, Value)>)>,
-        lamport: u64,
-    ) {
-        let Some(Pending::Rot {
-            tx: want,
-            t0,
-            expect,
-            mut pairs,
-        }) = self.pending.take()
-        else {
-            return;
-        };
-        if want != tx {
-            return;
+    /// One round: a read request straight to every involved partition.
+    fn send_rot(&mut self, ctx: &mut dyn ActorCtx<Msg>, tx: TxId, keys: Vec<Key>) -> usize {
+        let groups = by_partition(&keys, self.n_partitions);
+        let (expect, lamport) = (groups.len(), self.lamport);
+        for (p, keys) in groups {
+            ctx.send(
+                Addr::server(self.dc, PartitionId(p)),
+                Msg::RotRead { tx, keys, lamport },
+            );
         }
-        self.lamport = self.lamport.max(lamport);
-        pairs.append(&mut new_pairs);
-        let expect = expect - 1;
-        if expect > 0 {
-            self.pending = Some(Pending::Rot {
-                tx,
-                t0,
-                expect,
-                pairs,
-            });
-            return;
-        }
-        // The ROT observed these versions: they become dependencies of the
-        // client's next PUT.
-        for (k, v) in &pairs {
-            if let Some((vid, _)) = v {
-                match self.deps.get_mut(k) {
-                    Some(cur) => {
-                        if *vid > *cur {
-                            *cur = *vid;
-                        }
-                    }
-                    None => {
-                        self.deps.insert(*k, *vid);
-                    }
-                }
-            }
-        }
-        let latency = ctx.now() - t0;
-        ctx.metrics().rot_done(latency);
-        if ctx.tracing() {
-            ctx.trace(TraceKind::OpEnd, op_class::ROT, t0);
-        }
-        if ctx.recording() {
-            let values = pairs
-                .iter()
-                .map(|(_, v)| v.as_ref().map(|(_, b)| b.clone()))
-                .collect();
-            ctx.record(HistoryEvent::RotDone {
-                client: self.id,
-                tx,
-                t_start: t0,
-                t_end: ctx.now(),
-                pairs: pairs
-                    .iter()
-                    .map(|(k, v)| (*k, v.as_ref().map(|(vid, _)| *vid)))
-                    .collect(),
-                values,
-            });
-        }
-        self.pending = None;
-        self.issue_next(ctx);
+        expect
     }
 
-    fn on_put_resp(&mut self, ctx: &mut dyn ActorCtx<Msg>, key: Key, vid: VersionId, lamport: u64) {
-        let Some(Pending::Put { seq, t0 }) = self.pending.take() else {
-            return;
-        };
+    /// Every slice advances the clock; a completed ROT's versions become
+    /// dependencies of the next PUT.
+    fn absorb_slice(&mut self, lamport: u64, done: Option<&[ReadPair]>) {
         self.lamport = self.lamport.max(lamport);
-        // The new version subsumes every dependency it was checked against.
+        for (k, v) in done.unwrap_or_default() {
+            if let Some((vid, _)) = v {
+                let cur = self.deps.entry(*k).or_insert(*vid);
+                *cur = (*cur).max(*vid);
+            }
+        }
+    }
+
+    /// The new version subsumes every dependency it was checked against.
+    fn absorb_put(&mut self, key: Key, vid: VersionId, lamport: u64) {
+        self.lamport = self.lamport.max(lamport);
         self.deps.clear();
         self.deps.insert(key, vid);
-        let latency = ctx.now() - t0;
-        ctx.metrics().put_done(latency);
-        if ctx.tracing() {
-            ctx.trace(TraceKind::OpEnd, op_class::PUT, t0);
-        }
-        if ctx.recording() {
-            ctx.record(HistoryEvent::PutDone {
-                client: self.id,
-                seq,
-                t_start: t0,
-                t_end: ctx.now(),
-                key: self.last_put_key,
-                vid,
-            });
-        }
-        self.pending = None;
-        self.issue_next(ctx);
-    }
-}
-
-impl ProtocolClient for Client {
-    type Msg = Msg;
-
-    fn on_start(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        stagger_client_start(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn ActorCtx<Msg>, kind: TimerKind) {
-        debug_assert_eq!(kind.kind, timers::CLIENT_START);
-        if self.pending.is_none() {
-            self.issue_next(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, _from: Addr, msg: Msg) {
-        match msg {
-            Msg::Inject(op) => {
-                self.backlog.push_back(op);
-                if self.pending.is_none() {
-                    self.issue_next(ctx);
-                }
-            }
-            Msg::RotSlice { tx, pairs, lamport } => self.on_slice(ctx, tx, pairs, lamport),
-            Msg::PutResp { key, vid, lamport } => self.on_put_resp(ctx, key, vid, lamport),
-            other => unreachable!("server-bound message at client: {other:?}"),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Dep;
+    use crate::Client;
     use contrarian_runtime::testkit::ScriptCtx;
-    use contrarian_types::DcId;
+    use contrarian_types::Op;
 
     fn client() -> (Client, ScriptCtx<Msg>) {
         let cfg = ClusterConfig::small();
         let addr = Addr::client(DcId(0), 0);
-        let (source, _q) = OpSource::queue();
-        (Client::new(addr, cfg, source), ScriptCtx::new(addr))
+        (Client::new(addr, &cfg, None), ScriptCtx::new(addr))
+    }
+
+    /// The dependencies and clock the next PUT carries.
+    fn next_put(c: &mut Client, ctx: &mut ScriptCtx<Msg>) -> (Vec<Dep>, u64) {
+        let me = ctx.addr;
+        c.on_message(ctx, me, Msg::Inject(Op::Put(Key(9), Value::new())));
+        match ctx.drain_sent().pop() {
+            Some((_, Msg::PutReq { deps, lamport, .. })) => (deps, lamport),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     fn slice(tx: TxId, key: Key, ts: u64, lamport: u64) -> Msg {
@@ -331,11 +154,10 @@ mod tests {
         let a = ctx.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
         ctx.drain_sent();
-        let tx0 = TxId::new(c.id, 0);
+        let tx0 = TxId::new(a.client_id(), 0);
         let s0 = Addr::server(DcId(0), PartitionId(0));
         c.on_message(&mut ctx, s0, slice(tx0, Key(0), 10, 1));
         c.on_message(&mut ctx, s0, slice(tx0, Key(1), 11, 2));
-        assert_eq!(c.deps_len(), 2);
         // The following PUT ships both dependencies.
         c.on_message(
             &mut ctx,
@@ -358,7 +180,7 @@ mod tests {
         let a = ctx.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
         ctx.drain_sent();
-        let tx0 = TxId::new(c.id, 0);
+        let tx0 = TxId::new(a.client_id(), 0);
         let s0 = Addr::server(DcId(0), PartitionId(0));
         c.on_message(&mut ctx, s0, slice(tx0, Key(0), 10, 1));
         c.on_message(&mut ctx, s0, slice(tx0, Key(1), 11, 2));
@@ -377,7 +199,12 @@ mod tests {
                 lamport: 30,
             },
         );
-        assert_eq!(c.deps_len(), 1, "deps collapse to the PUT itself");
+        let (deps, _) = next_put(&mut c, &mut ctx);
+        assert_eq!(
+            deps,
+            vec![(Key(2), VersionId::new(30, DcId(0)))],
+            "deps collapse to the PUT itself"
+        );
     }
 
     #[test]
@@ -386,7 +213,7 @@ mod tests {
         let a = ctx.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         ctx.drain_sent();
-        let tx0 = TxId::new(c.id, 0);
+        let tx0 = TxId::new(a.client_id(), 0);
         c.on_message(
             &mut ctx,
             Addr::server(DcId(0), PartitionId(0)),
@@ -396,7 +223,7 @@ mod tests {
                 lamport: 1,
             },
         );
-        assert_eq!(c.deps_len(), 0);
+        assert!(next_put(&mut c, &mut ctx).0.is_empty());
     }
 
     #[test]
@@ -406,16 +233,34 @@ mod tests {
         let s0 = Addr::server(DcId(0), PartitionId(0));
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         ctx.drain_sent();
-        c.on_message(&mut ctx, s0, slice(TxId::new(c.id, 0), Key(0), 10, 1));
+        c.on_message(
+            &mut ctx,
+            s0,
+            slice(TxId::new(a.client_id(), 0), Key(0), 10, 1),
+        );
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         ctx.drain_sent();
-        c.on_message(&mut ctx, s0, slice(TxId::new(c.id, 1), Key(0), 25, 2));
-        assert_eq!(c.deps_len(), 1);
-        // And the following PUT carries ts 25.
-        c.on_message(&mut ctx, a, Msg::Inject(Op::Put(Key(1), Value::new())));
-        match &ctx.drain_sent()[0].1 {
-            Msg::PutReq { deps, .. } => assert_eq!(deps[0].1.ts, 25),
-            other => panic!("unexpected {other:?}"),
-        }
+        c.on_message(
+            &mut ctx,
+            s0,
+            slice(TxId::new(a.client_id(), 1), Key(0), 25, 2),
+        );
+        // The following PUT carries one dependency, at ts 25.
+        let (deps, _) = next_put(&mut c, &mut ctx);
+        assert_eq!(deps.len(), 1);
+        assert_eq!(deps[0].1.ts, 25);
+    }
+
+    #[test]
+    fn every_slice_advances_the_lamport_clock() {
+        let (mut c, mut ctx) = client();
+        let a = ctx.addr;
+        c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
+        ctx.drain_sent();
+        let tx0 = TxId::new(a.client_id(), 0);
+        let s0 = Addr::server(DcId(0), PartitionId(0));
+        c.on_message(&mut ctx, s0, slice(tx0, Key(0), 10, 5));
+        c.on_message(&mut ctx, s0, slice(tx0, Key(1), 11, 2));
+        assert_eq!(next_put(&mut c, &mut ctx).1, 5);
     }
 }

@@ -26,10 +26,10 @@
 //! and a readers-check response carries at most one ROT id per client (its
 //! most recent — safe because clients issue one operation at a time).
 //!
-//! This crate contains only the CC-LO state machines, messages and reader
-//! records; the node dispatcher, cluster builders and timer loop come from
-//! [`contrarian_protocol`] (see [`CcLo`], this backend's
-//! [`contrarian_protocol::ProtocolSpec`]).
+//! This crate contains only the CC-LO server, client session, messages and
+//! reader records; the client operation loop, node dispatcher, cluster
+//! builders and timer loop come from [`contrarian_protocol`] (see
+//! [`CcLo`], this backend's [`contrarian_protocol::ProtocolSpec`]).
 
 pub mod client;
 pub mod msg;
@@ -37,7 +37,7 @@ pub mod records;
 pub mod server;
 pub mod spec;
 
-pub use client::Client;
+pub use client::DepSession;
 pub use msg::Msg;
 pub use records::{BlockRecord, ReaderEntry, ReaderSet, RotFloor};
 pub use server::Server;
@@ -46,8 +46,12 @@ pub use spec::CcLo;
 /// Shared timer kinds (re-exported from the protocol kernel).
 pub use contrarian_protocol::timers;
 
+/// A CC-LO client: the generic operation loop over this backend's
+/// session.
+pub type Client = contrarian_protocol::Client<DepSession>;
+
 /// One CC-LO node (the generic kernel actor instantiated with this
-/// backend's server and client).
+/// backend's server and client session).
 pub type Node = contrarian_protocol::Node<Server, Client>;
 
 /// Metrics counter names (readers-check statistics, Figure 6).

@@ -109,7 +109,7 @@ impl Server {
             pending_repls: HashMap::new(),
             dep_waiters: Parked::new(),
             next_token: 0,
-            timers: Timers::new().with_periodic(timers::GC, sweep_ns),
+            timers: Timers::default().with_periodic(timers::GC, sweep_ns),
         }
     }
 

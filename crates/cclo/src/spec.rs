@@ -1,11 +1,10 @@
 //! CC-LO's [`ProtocolSpec`]: how the generic builders assemble a CC-LO
 //! cluster.
 
-use crate::client::Client;
+use crate::client::DepSession;
 use crate::server::Server;
 use contrarian_protocol::ProtocolSpec;
 use contrarian_types::{Addr, ClusterConfig};
-use contrarian_workload::OpSource;
 use rand::rngs::SmallRng;
 
 /// The CC-LO (COPS-SNOW) backend.
@@ -14,17 +13,13 @@ pub struct CcLo;
 impl ProtocolSpec for CcLo {
     type Msg = crate::msg::Msg;
     type Server = Server;
-    type Client = Client;
+    type Session = DepSession;
 
     const NAME: &'static str = "cc-lo";
 
     fn server(addr: Addr, cfg: &ClusterConfig, _rng: &mut SmallRng) -> Server {
         // Lamport clocks: no physical-clock model to draw.
         Server::new(addr, cfg.clone())
-    }
-
-    fn client(addr: Addr, cfg: &ClusterConfig, source: OpSource) -> Client {
-        Client::new(addr, cfg.clone(), source)
     }
 }
 

@@ -1,345 +1,145 @@
-//! The Contrarian client: closed-loop or interactive session.
+//! The Contrarian client session, reused by Cure and Okapi: the highest
+//! *local* timestamp observed (`lts`) and the highest GSS observed,
+//! piggybacked on every request so the client observes monotonically
+//! increasing snapshots (Figure 3 caption).
 
 use crate::msg::Msg;
-use contrarian_protocol::timers::{self, stagger_client_start};
-use contrarian_protocol::ProtocolClient;
-use contrarian_runtime::actor::{ActorCtx, TimerKind};
-use contrarian_runtime::trace::op_class;
+use contrarian_protocol::client::by_partition;
+use contrarian_protocol::{Inbound, ReadPair, Session};
+use contrarian_runtime::actor::ActorCtx;
 use contrarian_types::{
-    Addr, ClientId, ClusterConfig, DepVector, HistoryEvent, Key, Op, PartitionId, RotMode,
-    TraceKind, TxId, Value, VersionId,
+    Addr, ClusterConfig, DcId, DepVector, Key, PartitionId, RotMode, TxId, Value, VersionId,
 };
-use contrarian_workload::{Draw, OpSource};
 use rand::RngExt;
-use std::collections::{BTreeMap, VecDeque};
 
-/// Per-client session state: the highest *local* timestamp observed (`lts`)
-/// and the highest GSS observed (`gss`), piggybacked on every request so the
-/// client observes monotonically increasing snapshots (Figure 3 caption).
-pub struct Client {
-    addr: Addr,
-    id: ClientId,
-    cfg: ClusterConfig,
-    source: OpSource,
-    backlog: VecDeque<Op>,
+/// The snapshot family's session metadata.
+pub struct SnapshotSession {
+    dc: DcId,
+    n_partitions: u16,
+    rot_mode: RotMode,
     lts: u64,
     gss: DepVector,
-    next_tx: u32,
-    next_put: u32,
-    pending: Option<Pending>,
-    /// Key of the PUT in flight (for history recording).
-    last_put_key: Key,
+    /// The keys of a 2-round ROT waiting for its snapshot.
+    snap_keys: Vec<Key>,
 }
 
-enum Pending {
-    /// Waiting for the snapshot vector (2-round mode, first round).
-    Snap { tx: TxId, t0: u64, keys: Vec<Key> },
-    /// Waiting for slices.
-    Rot {
-        tx: TxId,
-        t0: u64,
-        expect: usize,
-        pairs: Vec<(Key, Option<(VersionId, Value)>)>,
-    },
-    /// Waiting for a PUT acknowledgment.
-    Put { seq: u32, t0: u64 },
-}
+impl Session for SnapshotSession {
+    type Msg = Msg;
+    /// A snapshot or GSS vector.
+    type Meta = DepVector;
 
-impl Client {
-    pub fn new(addr: Addr, cfg: ClusterConfig, source: OpSource) -> Self {
-        let m = cfg.n_dcs as usize;
-        Client {
-            addr,
-            id: addr.client_id(),
-            cfg,
-            source,
-            backlog: VecDeque::new(),
+    fn new(addr: Addr, cfg: &ClusterConfig) -> Self {
+        SnapshotSession {
+            dc: addr.dc,
+            n_partitions: cfg.n_partitions,
+            rot_mode: cfg.rot_mode,
             lts: 0,
-            gss: DepVector::zero(m),
-            next_tx: 0,
-            next_put: 0,
-            pending: None,
-            last_put_key: Key(0),
+            gss: DepVector::zero(cfg.n_dcs as usize),
+            snap_keys: Vec::new(),
         }
     }
 
-    fn issue_next(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        debug_assert!(self.pending.is_none());
-        // Injected backlogs always drain; load-generating sources go quiet
-        // when the harness says so.
-        if let Some(op) = self.backlog.pop_front() {
-            let now = ctx.now();
-            return self.issue_op(ctx, op, now);
-        }
-        if self.source.is_load_generating() && ctx.stopped() {
-            return;
-        }
-        let now = ctx.now();
-        match self.source.draw(now, ctx.rng()) {
-            // `intended` is the scheduled arrival time; measuring latency
-            // from it keeps driver queueing delay in the histograms
-            // (coordinated omission). Closed-loop draws arrive "now".
-            Draw::Op { op, intended } => self.issue_op(ctx, op, intended),
-            Draw::Wait { due } => {
-                ctx.set_timer(due - now, TimerKind::new(timers::CLIENT_START));
-            }
-            Draw::Idle => {} // an Inject will wake us up
+    fn inbound(msg: Msg) -> Inbound<DepVector> {
+        match msg {
+            Msg::Inject(op) => Inbound::Inject(op),
+            Msg::RotSnap { tx, sv } => Inbound::Snapshot(tx, sv),
+            Msg::RotSlice { tx, pairs, sv } => Inbound::Slice(tx, pairs, sv),
+            Msg::PutResp { key, vid, gss } => Inbound::PutAck(key, vid, gss),
+            other => unreachable!("server-bound message at client: {other:?}"),
         }
     }
 
-    fn issue_op(&mut self, ctx: &mut dyn ActorCtx<Msg>, op: Op, t0: u64) {
-        match op {
-            Op::Put(key, value) => self.issue_put(ctx, key, value, t0),
-            Op::Rot(keys) => self.issue_rot(ctx, keys, t0),
-        }
-    }
-
-    fn issue_put(&mut self, ctx: &mut dyn ActorCtx<Msg>, key: Key, value: Value, t0: u64) {
-        let seq = self.next_put;
-        self.next_put += 1;
-        if ctx.tracing() {
-            ctx.trace(TraceKind::OpBegin, op_class::PUT, seq as u64);
-        }
-        let target = Addr::server(self.addr.dc, key.partition(self.cfg.n_partitions));
-        self.pending = Some(Pending::Put { seq, t0 });
+    fn send_put(&mut self, ctx: &mut dyn ActorCtx<Msg>, key: Key, value: Value) {
+        let to = Addr::server(self.dc, key.partition(self.n_partitions));
+        let (lts, gss) = (self.lts, self.gss.clone());
         ctx.send(
-            target,
+            to,
             Msg::PutReq {
                 key,
                 value,
-                lts: self.lts,
-                gss: self.gss.clone(),
+                lts,
+                gss,
             },
         );
-        // Remember the key for history recording.
-        self.last_put_key = key;
     }
 
-    fn issue_rot(&mut self, ctx: &mut dyn ActorCtx<Msg>, keys: Vec<Key>, t0: u64) {
-        let tx = TxId::new(self.id, self.next_tx);
-        if ctx.tracing() {
-            ctx.trace(TraceKind::OpBegin, op_class::ROT, self.next_tx as u64);
-        }
-        self.next_tx += 1;
-        let parts = self.partitions_of(&keys);
+    fn send_rot(&mut self, ctx: &mut dyn ActorCtx<Msg>, tx: TxId, keys: Vec<Key>) -> usize {
+        let mut parts: Vec<PartitionId> = keys
+            .iter()
+            .map(|k| k.partition(self.n_partitions))
+            .collect();
+        parts.sort_unstable();
+        parts.dedup();
         // Any involved partition can coordinate; pick one at random.
-        let coord_p = parts[ctx.rng().random_range(0..parts.len())];
-        let coord = Addr::server(self.addr.dc, coord_p);
-        match self.cfg.rot_mode.for_rot(parts.len()) {
+        let coord = Addr::server(self.dc, parts[ctx.rng().random_range(0..parts.len())]);
+        let (lts, gss) = (self.lts, self.gss.clone());
+        match self.rot_mode.for_rot(parts.len()) {
             RotMode::OneHalfRound => {
-                self.pending = Some(Pending::Rot {
-                    tx,
-                    t0,
-                    expect: parts.len(),
-                    pairs: Vec::with_capacity(keys.len()),
-                });
-                ctx.send(
-                    coord,
-                    Msg::RotReq {
-                        tx,
-                        keys,
-                        lts: self.lts,
-                        gss: self.gss.clone(),
-                    },
-                );
+                ctx.send(coord, Msg::RotReq { tx, keys, lts, gss });
+                parts.len()
             }
             RotMode::TwoRound => {
-                self.pending = Some(Pending::Snap { tx, t0, keys });
-                ctx.send(
-                    coord,
-                    Msg::RotSnapReq {
-                        tx,
-                        lts: self.lts,
-                        gss: self.gss.clone(),
-                    },
-                );
+                ctx.send(coord, Msg::RotSnapReq { tx, lts, gss });
+                self.snap_keys = keys;
+                0
             }
             RotMode::Adaptive { .. } => unreachable!("for_rot resolves Adaptive"),
         }
     }
 
-    fn on_snap(&mut self, ctx: &mut dyn ActorCtx<Msg>, tx: TxId, sv: DepVector) {
-        let Some(Pending::Snap { tx: want, t0, keys }) = self.pending.take() else {
-            return; // stale
-        };
-        if want != tx {
-            return;
-        }
-        let n = self.cfg.n_partitions;
-        let mut groups: BTreeMap<u16, Vec<Key>> = BTreeMap::new();
-        for k in &keys {
-            groups.entry(k.partition(n).0).or_default().push(*k);
-        }
+    /// The client fans the reads out itself (Figure 3b).
+    fn send_reads(&mut self, ctx: &mut dyn ActorCtx<Msg>, tx: TxId, sv: DepVector) -> usize {
+        let groups = by_partition(&std::mem::take(&mut self.snap_keys), self.n_partitions);
         let expect = groups.len();
-        for (p, ks) in groups {
-            let target = Addr::server(self.addr.dc, PartitionId(p));
+        for (p, keys) in groups {
+            let sv = sv.clone();
             ctx.send(
-                target,
-                Msg::RotRead {
-                    tx,
-                    keys: ks,
-                    sv: sv.clone(),
-                },
+                Addr::server(self.dc, PartitionId(p)),
+                Msg::RotRead { tx, keys, sv },
             );
         }
-        self.pending = Some(Pending::Rot {
-            tx,
-            t0,
-            expect,
-            pairs: Vec::with_capacity(keys.len()),
-        });
-        let _ = sv;
+        expect
     }
 
-    fn on_slice(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        tx: TxId,
-        mut new_pairs: Vec<(Key, Option<(VersionId, Value)>)>,
-        slice_sv: DepVector,
-    ) {
-        let Some(Pending::Rot {
-            tx: want,
-            t0,
-            expect,
-            mut pairs,
-        }) = self.pending.take()
-        else {
-            return;
-        };
-        if want != tx {
-            return;
+    /// A completed ROT absorbs its last slice's snapshot.
+    fn absorb_slice(&mut self, sv: DepVector, done: Option<&[ReadPair]>) {
+        if done.is_some() {
+            self.lts = self.lts.max(sv[self.dc.index()]);
+            self.gss.join(&sv);
         }
-        pairs.append(&mut new_pairs);
-        let expect = expect - 1;
-        if expect > 0 {
-            self.pending = Some(Pending::Rot {
-                tx,
-                t0,
-                expect,
-                pairs,
-            });
-            return;
-        }
-        // ROT complete: absorb the snapshot (monotonic sessions).
-        self.lts = self.lts.max(slice_sv[self.addr.dc.index()]);
-        self.gss.join(&slice_sv);
-        let latency = ctx.now() - t0;
-        ctx.metrics().rot_done(latency);
-        if ctx.tracing() {
-            ctx.trace(TraceKind::OpEnd, op_class::ROT, t0);
-        }
-        if ctx.recording() {
-            let values = pairs
-                .iter()
-                .map(|(_, v)| v.as_ref().map(|(_, b)| b.clone()))
-                .collect();
-            ctx.record(HistoryEvent::RotDone {
-                client: self.id,
-                tx,
-                t_start: t0,
-                t_end: ctx.now(),
-                pairs: pairs
-                    .iter()
-                    .map(|(k, v)| (*k, v.as_ref().map(|(vid, _)| *vid)))
-                    .collect(),
-                values,
-            });
-        }
-        self.pending = None;
-        self.issue_next(ctx);
     }
 
-    fn on_put_resp(&mut self, ctx: &mut dyn ActorCtx<Msg>, vid: VersionId, gss: DepVector) {
-        let Some(Pending::Put { seq, t0 }) = self.pending.take() else {
-            return;
-        };
+    fn absorb_put(&mut self, _key: Key, vid: VersionId, gss: DepVector) {
         self.lts = self.lts.max(vid.ts);
         self.gss.join(&gss);
-        let latency = ctx.now() - t0;
-        ctx.metrics().put_done(latency);
-        if ctx.tracing() {
-            ctx.trace(TraceKind::OpEnd, op_class::PUT, t0);
-        }
-        if ctx.recording() {
-            ctx.record(HistoryEvent::PutDone {
-                client: self.id,
-                seq,
-                t_start: t0,
-                t_end: ctx.now(),
-                key: self.last_put_key,
-                vid,
-            });
-        }
-        self.pending = None;
-        self.issue_next(ctx);
-    }
-
-    fn partitions_of(&self, keys: &[Key]) -> Vec<PartitionId> {
-        let n = self.cfg.n_partitions;
-        let mut parts: Vec<PartitionId> = keys.iter().map(|k| k.partition(n)).collect();
-        parts.sort_unstable();
-        parts.dedup();
-        parts
-    }
-
-    /// Observed session timestamp (test access).
-    pub fn lts(&self) -> u64 {
-        self.lts
-    }
-
-    /// Observed GSS (test access).
-    pub fn gss(&self) -> &DepVector {
-        &self.gss
-    }
-}
-
-impl ProtocolClient for Client {
-    type Msg = Msg;
-
-    fn on_start(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        // Stagger client start-up a little to avoid a synchronized burst.
-        stagger_client_start(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn ActorCtx<Msg>, kind: TimerKind) {
-        debug_assert_eq!(kind.kind, timers::CLIENT_START);
-        // An injected op may already be in flight before the start timer
-        // fires (interactive clusters).
-        if self.pending.is_none() {
-            self.issue_next(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, _from: Addr, msg: Msg) {
-        match msg {
-            Msg::Inject(op) => {
-                self.backlog.push_back(op);
-                if self.pending.is_none() {
-                    self.issue_next(ctx);
-                }
-            }
-            Msg::RotSnap { tx, sv } => self.on_snap(ctx, tx, sv),
-            Msg::RotSlice { tx, pairs, sv } => self.on_slice(ctx, tx, pairs, sv),
-            Msg::PutResp { vid, gss, .. } => self.on_put_resp(ctx, vid, gss),
-            other => unreachable!("server-bound message at client: {other:?}"),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Client;
+    use contrarian_protocol::timers::CLIENT_START;
+    use contrarian_runtime::actor::TimerKind;
     use contrarian_runtime::testkit::ScriptCtx;
-    use contrarian_types::DcId;
-    use contrarian_workload::{ClientDriver, WorkloadSpec, Zipf};
+    use contrarian_types::{HistoryEvent, Op};
+    use contrarian_workload::{ClientDriver, OpSource, WorkloadSpec, Zipf};
     use std::sync::Arc;
 
     fn client(mode: RotMode) -> (Client, ScriptCtx<Msg>) {
         let cfg = ClusterConfig::small().with_rot_mode(mode);
         let addr = Addr::client(DcId(0), 0);
-        let (source, _q) = OpSource::queue();
-        (Client::new(addr, cfg, source), ScriptCtx::new(addr))
+        (Client::new(addr, &cfg, None), ScriptCtx::new(addr))
+    }
+
+    /// The `lts` the next PUT carries.
+    fn next_put_lts(c: &mut Client, ctx: &mut ScriptCtx<Msg>) -> u64 {
+        let me = ctx.addr;
+        c.on_message(ctx, me, Msg::Inject(Op::Put(Key(9), Value::new())));
+        match ctx.drain_sent().pop() {
+            Some((_, Msg::PutReq { lts, .. })) => lts,
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     fn slice_for(tx: TxId, key: Key, ts: u64, sv_local: u64) -> Msg {
@@ -404,26 +204,47 @@ mod tests {
         ctx.metrics.enabled = true;
         let a = ctx.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
-        let tx = TxId::new(c.id, 0);
+        let tx = TxId::new(a.client_id(), 0);
         let from = Addr::server(DcId(0), PartitionId(0));
         c.on_message(&mut ctx, from, slice_for(tx, Key(0), 10, 99));
         assert_eq!(ctx.metrics.rots_done, 0, "still waiting for partition 1");
         c.on_message(&mut ctx, from, slice_for(tx, Key(1), 11, 99));
         assert_eq!(ctx.metrics.rots_done, 1);
-        assert_eq!(c.lts(), 99, "session lts absorbed the snapshot");
         assert_eq!(ctx.history.len(), 1);
         match &ctx.history[0] {
             HistoryEvent::RotDone { pairs, .. } => assert_eq!(pairs.len(), 2),
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(
+            next_put_lts(&mut c, &mut ctx),
+            99,
+            "lts absorbed the snapshot"
+        );
+    }
+
+    #[test]
+    fn a_rot_absorbs_its_last_slice_snapshot_at_completion() {
+        let (mut c, mut ctx) = client(RotMode::OneHalfRound);
+        let a = ctx.addr;
+        c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
+        let tx = TxId::new(a.client_id(), 0);
+        let from = Addr::server(DcId(0), PartitionId(0));
+        c.on_message(&mut ctx, from, slice_for(tx, Key(0), 10, 99));
+        c.on_message(&mut ctx, from, slice_for(tx, Key(1), 11, 50));
+        assert_eq!(next_put_lts(&mut c, &mut ctx), 50);
     }
 
     #[test]
     fn put_carries_session_and_updates_it() {
         let (mut c, mut ctx) = client(RotMode::OneHalfRound);
         ctx.metrics.enabled = true;
-        c.lts = 55;
         let a = ctx.addr;
+        // A ROT under a snapshot at 55 raises the session first.
+        c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
+        let from = Addr::server(DcId(0), PartitionId(0));
+        let tx = TxId::new(a.client_id(), 0);
+        c.on_message(&mut ctx, from, slice_for(tx, Key(0), 10, 55));
+        ctx.drain_sent();
         c.on_message(
             &mut ctx,
             a,
@@ -445,8 +266,8 @@ mod tests {
                 gss: DepVector::zero(1),
             },
         );
-        assert_eq!(c.lts(), 200);
         assert_eq!(ctx.metrics.puts_done, 1);
+        assert_eq!(next_put_lts(&mut c, &mut ctx), 200);
     }
 
     #[test]
@@ -458,9 +279,9 @@ mod tests {
             Arc::new(Zipf::new(64, 0.99)),
             cfg.n_partitions,
         );
-        let mut c = Client::new(addr, cfg, OpSource::closed(driver));
+        let mut c = Client::new(addr, &cfg, Some(OpSource::Closed(driver)));
         let mut ctx = ScriptCtx::new(addr);
-        c.on_timer(&mut ctx, TimerKind::new(timers::CLIENT_START));
+        c.on_timer(&mut ctx, TimerKind::new(CLIENT_START));
         let first = ctx.drain_sent();
         assert!(!first.is_empty(), "closed loop issues immediately");
     }
@@ -474,10 +295,10 @@ mod tests {
             Arc::new(Zipf::new(64, 0.99)),
             cfg.n_partitions,
         );
-        let mut c = Client::new(addr, cfg, OpSource::closed(driver));
+        let mut c = Client::new(addr, &cfg, Some(OpSource::Closed(driver)));
         let mut ctx = ScriptCtx::new(addr);
         ctx.stopped = true;
-        c.on_timer(&mut ctx, TimerKind::new(timers::CLIENT_START));
+        c.on_timer(&mut ctx, TimerKind::new(CLIENT_START));
         assert!(ctx.drain_sent().is_empty());
     }
 
@@ -487,7 +308,7 @@ mod tests {
         let a = ctx.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         ctx.drain_sent();
-        let tx0 = TxId::new(c.id, 0);
+        let tx0 = TxId::new(a.client_id(), 0);
         let from = Addr::server(DcId(0), PartitionId(0));
         c.on_message(&mut ctx, from, slice_for(tx0, Key(0), 10, 100));
         // Next ROT must carry lts = 100.

@@ -23,9 +23,10 @@
 //! remote prefixes fully installed in the DC. A remote version becomes
 //! visible once `DV ≤ GSS`.
 //!
-//! This crate contains the Contrarian state machines and messages; the
-//! node dispatcher, cluster builders, stabilization plumbing and timer loop
-//! all come from [`contrarian_protocol`] (see [`Contrarian`], this backend's
+//! This crate contains the Contrarian server, client session and messages;
+//! the client operation loop, node dispatcher, cluster builders,
+//! stabilization plumbing and timer loop all come from
+//! [`contrarian_protocol`] (see [`Contrarian`], this backend's
 //! [`contrarian_protocol::ProtocolSpec`]). The server is
 //! [`server::SnapshotServer`], generic over a [`server::Flavor`] — a clock
 //! and a stable-time shape — so that Cure and Okapi are the same server
@@ -38,7 +39,7 @@ pub mod msg;
 pub mod server;
 pub mod spec;
 
-pub use client::Client;
+pub use client::SnapshotSession;
 pub use msg::Msg;
 pub use server::Server;
 pub use spec::Contrarian;
@@ -46,6 +47,10 @@ pub use spec::Contrarian;
 /// Shared timer kinds (re-exported from the protocol kernel).
 pub use contrarian_protocol::timers;
 
+/// A Contrarian client: the generic operation loop over this backend's
+/// session.
+pub type Client = contrarian_protocol::Client<SnapshotSession>;
+
 /// One Contrarian node (the generic kernel actor instantiated with this
-/// backend's server and client).
+/// backend's server and client session).
 pub type Node = contrarian_protocol::Node<Server, Client>;

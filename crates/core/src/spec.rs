@@ -1,12 +1,11 @@
 //! Contrarian's [`ProtocolSpec`]: how the generic builders assemble a
 //! Contrarian cluster.
 
-use crate::client::Client;
+use crate::client::SnapshotSession;
 use crate::server::Server;
 use contrarian_clock::PhysicalClockModel;
 use contrarian_protocol::ProtocolSpec;
 use contrarian_types::{Addr, ClusterConfig};
-use contrarian_workload::OpSource;
 use rand::rngs::SmallRng;
 
 /// The Contrarian backend.
@@ -15,7 +14,7 @@ pub struct Contrarian;
 impl ProtocolSpec for Contrarian {
     type Msg = crate::msg::Msg;
     type Server = Server;
-    type Client = Client;
+    type Session = SnapshotSession;
 
     const NAME: &'static str = "contrarian";
 
@@ -24,10 +23,6 @@ impl ProtocolSpec for Contrarian {
         // HLC absorbs them (freshness, never correctness).
         let phys = PhysicalClockModel::random(rng, cfg.clock_skew_us);
         Server::new(addr, cfg.clone(), phys)
-    }
-
-    fn client(addr: Addr, cfg: &ClusterConfig, source: OpSource) -> Client {
-        Client::new(addr, cfg.clone(), source)
     }
 }
 

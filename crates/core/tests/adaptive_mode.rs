@@ -4,11 +4,11 @@
 
 use contrarian_core::msg::Msg;
 use contrarian_core::{Client, Contrarian, Node};
-use contrarian_protocol::{build_cluster, Clients, ClusterParams, ProtocolClient, SchedKind};
+use contrarian_protocol::{build_cluster, Clients, ClusterParams, SchedKind};
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::testkit::ScriptCtx;
 use contrarian_types::{Addr, ClusterConfig, DcId, Key, Op, RotMode};
-use contrarian_workload::{OpSource, WorkloadSpec};
+use contrarian_workload::WorkloadSpec;
 
 fn adaptive_client(threshold: u16) -> (Client, ScriptCtx<Msg>) {
     let mut cfg = ClusterConfig::small().with_partitions(4);
@@ -16,8 +16,7 @@ fn adaptive_client(threshold: u16) -> (Client, ScriptCtx<Msg>) {
         two_round_at: threshold,
     };
     let addr = Addr::client(DcId(0), 0);
-    let (source, _q) = OpSource::queue();
-    (Client::new(addr, cfg, source), ScriptCtx::new(addr))
+    (Client::new(addr, &cfg, None), ScriptCtx::new(addr))
 }
 
 #[test]
@@ -103,8 +102,7 @@ fn adaptive_node_variant_round_trips_ops() {
         );
     }
     let client = Addr::client(DcId(0), 0);
-    let (source, _q) = OpSource::queue();
-    sim.add_client(client, Node::Client(Client::new(client, cfg, source)));
+    sim.add_client(client, Node::Client(Client::new(client, &cfg, None)));
     sim.set_recording(true);
     sim.start();
 

@@ -36,8 +36,9 @@ pub use spec::Cure;
 /// in one code base); only the server-side behaviour differs.
 pub use contrarian_core::msg::Msg;
 
-/// Cure reuses Contrarian's client, pinned to 2-round ROTs by [`Cure`].
-pub use contrarian_core::client::Client;
+/// Cure reuses Contrarian's client session, pinned to 2-round ROTs by
+/// [`Cure`].
+pub use contrarian_core::{Client, SnapshotSession};
 
 /// Shared timer kinds (re-exported from the protocol kernel).
 pub use contrarian_protocol::timers;

@@ -3,10 +3,9 @@
 
 use crate::server::Server;
 use contrarian_clock::PhysicalClockModel;
-use contrarian_core::client::Client;
+use contrarian_core::SnapshotSession;
 use contrarian_protocol::ProtocolSpec;
 use contrarian_types::{Addr, ClusterConfig, RotMode};
-use contrarian_workload::OpSource;
 use rand::rngs::SmallRng;
 
 /// The Cure backend.
@@ -15,7 +14,7 @@ pub struct Cure;
 impl ProtocolSpec for Cure {
     type Msg = crate::Msg;
     type Server = Server;
-    type Client = Client;
+    type Session = SnapshotSession;
 
     const NAME: &'static str = "cure";
 
@@ -29,10 +28,6 @@ impl ProtocolSpec for Cure {
         // the skew Cure blocks on.
         let phys = PhysicalClockModel::random(rng, cfg.clock_skew_us);
         Server::new(addr, cfg.clone(), phys)
-    }
-
-    fn client(addr: Addr, cfg: &ClusterConfig, source: OpSource) -> Client {
-        Client::new(addr, cfg.clone(), source)
     }
 }
 

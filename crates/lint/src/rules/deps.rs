@@ -10,6 +10,10 @@
 //! Comments and string literals do not count. A package's sources are the `.rs` files under
 //! its `src/`, `tests/`, `examples/` and `benches/` directories, plus
 //! `build.rs`: cargo's own target layout.
+//!
+//! One level up, every key of the root manifest's
+//! `[workspace.dependencies]` must be declared by some loaded manifest, so
+//! a deleted crate does not linger in the root table.
 
 use crate::{scan, Diagnostic, SourceFile};
 
@@ -29,12 +33,17 @@ pub struct Manifest {
 
 /// The dependency keys a manifest declares, with 1-based line numbers.
 pub fn dependency_keys(text: &str) -> Vec<(usize, String)> {
+    table_keys(text, TABLES)
+}
+
+/// The keys under any of `tables` in a manifest, with 1-based line numbers.
+fn table_keys(text: &str, tables: &[&str]) -> Vec<(usize, String)> {
     let mut keys = Vec::new();
     let mut in_table = false;
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if let Some(header) = line.strip_prefix('[') {
-            in_table = TABLES.contains(&header.trim_end_matches(']').trim());
+            in_table = tables.contains(&header.trim_end_matches(']').trim());
             continue;
         }
         if !in_table {
@@ -95,6 +104,25 @@ pub fn check(manifests: &[Manifest], files: &[SourceFile], out: &mut Vec<Diagnos
             }
         }
     }
+    let declared: Vec<String> = manifests
+        .iter()
+        .flat_map(|m| dependency_keys(&m.text))
+        .map(|(_, key)| key)
+        .collect();
+    for root in manifests.iter().filter(|m| m.rel == "Cargo.toml") {
+        for (line, key) in table_keys(&root.text, &["workspace.dependencies"]) {
+            if !declared.contains(&key) {
+                out.push(Diagnostic {
+                    file: root.rel.clone(),
+                    line,
+                    rule: RULE,
+                    msg: format!(
+                        "workspace dependency `{key}` is declared by no manifest — remove it"
+                    ),
+                });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -111,6 +139,16 @@ mod tests {
         );
         let names: Vec<(usize, &str)> = keys.iter().map(|(l, k)| (*l, k.as_str())).collect();
         assert_eq!(names, vec![(5, "a-b"), (6, "rand"), (9, "proptest")]);
+    }
+
+    #[test]
+    fn workspace_keys_come_from_the_workspace_table_only() {
+        let text = "[workspace]\nmembers = [\"a\"]\n\n[workspace.dependencies]\n\
+                    a = { path = \"crates/a\" }\nb.path = \"crates/b\"\n\n\
+                    [dependencies]\nc.workspace = true\n";
+        let keys = table_keys(text, &["workspace.dependencies"]);
+        let names: Vec<(usize, &str)> = keys.iter().map(|(l, k)| (*l, k.as_str())).collect();
+        assert_eq!(names, vec![(5, "a"), (6, "b")]);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! per-connection rings, the node inboxes, the driver pools — so that
 //! overload turns into backpressure instead of silent memory growth and
 //! coordinated-omission-style latency lies. An unbounded constructor
-//! anywhere re-opens that hole. The crossbeam shim deliberately exports
-//! only `bounded`; this rule keeps `std::sync::mpsc::channel()` (and a
-//! future shim growing `unbounded`) out too.
+//! anywhere re-opens that hole. The node inboxes are
+//! `std::sync::mpsc::sync_channel`s; this rule keeps
+//! `std::sync::mpsc::channel()` and any `unbounded` constructor out.
 
 use crate::{Diagnostic, SourceFile};
 
@@ -54,8 +54,8 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     line: idx + 1,
                     rule: RULE,
                     msg: format!(
-                        "{what} — use a bounded queue (`crossbeam::channel::bounded`, \
-                         `mpsc::sync_channel`) so overload becomes backpressure"
+                        "{what} — use a bounded queue (`mpsc::sync_channel`) so \
+                         overload becomes backpressure"
                     ),
                 });
             }

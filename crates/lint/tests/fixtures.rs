@@ -336,6 +336,42 @@ fn the_root_package_counts_only_its_own_sources() {
     assert!(diags[0].msg.contains("`bytes`"), "{diags:?}");
 }
 
+#[test]
+fn a_workspace_dependency_no_manifest_declares_is_caught() {
+    let root_manifest = "[workspace]\n\
+         members = [\"crates/net\"]\n\
+         \n\
+         [workspace.dependencies]\n\
+         contrarian-net = { path = \"crates/net\" }\n\
+         contrarian-bench = { path = \"crates/bench\" }\n\
+         rand = { package = \"rand-shim\", path = \"crates/shims/rand\" }\n\
+         \n\
+         [package]\n\
+         name = \"contrarian\"\n\
+         \n\
+         [dependencies]\n\
+         contrarian-net.workspace = true\n";
+    let diags = check(&[
+        ("Cargo.toml", root_manifest),
+        ("src/lib.rs", "pub use contrarian_net as net;\n"),
+        // A member's declaration keeps the root's entry alive.
+        (
+            "crates/net/Cargo.toml",
+            "[package]\nname = \"contrarian-net\"\n\n[dependencies]\nrand.workspace = true\n",
+        ),
+        ("crates/net/src/lib.rs", "use rand::Rng;\n"),
+    ]);
+    assert_eq!(
+        diags
+            .iter()
+            .map(|d| (d.rule, d.file.as_str(), d.line))
+            .collect::<Vec<_>>(),
+        vec![("dead-dependency", "Cargo.toml", 6)],
+        "{diags:?}"
+    );
+    assert!(diags[0].msg.contains("`contrarian-bench`"), "{diags:?}");
+}
+
 // ----------------------------------------------------------------- lint:allow
 
 #[test]

@@ -17,10 +17,10 @@ use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_seed;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent, Op};
-use crossbeam::channel::{bounded, Sender};
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -72,7 +72,7 @@ impl WireStats {
 /// the sockets through it), and the wire counters.
 pub(crate) struct ClusterCore<M> {
     pub(crate) run: RunShared,
-    pub(crate) inbox: HashMap<Addr, Sender<Input<M>>>,
+    pub(crate) inbox: HashMap<Addr, SyncSender<Input<M>>>,
     pub(crate) wire: WireStats,
 }
 
@@ -146,7 +146,7 @@ where
         let mut listeners_per: Vec<Vec<(Addr, TcpListener)>> =
             (0..pool).map(|_| Vec::new()).collect();
         for (i, (addr, _)) in nodes.iter().enumerate() {
-            let (tx, rx) = bounded::<Input<A::Msg>>(CHANNEL_CAP);
+            let (tx, rx) = sync_channel::<Input<A::Msg>>(CHANNEL_CAP);
             inbox.insert(*addr, tx);
             rxs.push(rx);
             let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");

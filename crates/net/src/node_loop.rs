@@ -14,11 +14,11 @@ use contrarian_runtime::history::HistorySink;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// One item on a node's input channel.

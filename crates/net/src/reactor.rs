@@ -48,7 +48,6 @@ use crate::sys::{self, Event, Poller};
 use contrarian_runtime::frame::{encode_frame, FrameAssembler};
 use contrarian_types::codec::{from_bytes, Wire};
 use contrarian_types::Addr;
-use crossbeam::channel::TrySendError;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Read as _, Write as _};
@@ -56,6 +55,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::TrySendError;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -901,7 +901,7 @@ mod tests {
     use crate::node_loop::RunShared;
     use contrarian_runtime::frame::MAX_FRAME;
     use contrarian_types::{DcId, PartitionId};
-    use crossbeam::channel::{bounded, Sender};
+    use std::sync::mpsc::{sync_channel, SyncSender};
 
     #[test]
     fn backoff_schedule_doubles_and_caps() {
@@ -1044,7 +1044,7 @@ mod tests {
 
     /// Shared state for a bare reactor pool: no node threads, only the
     /// given inboxes.
-    fn bare_core(inbox: HashMap<Addr, Sender<Input<Ping>>>) -> Arc<ClusterCore<Ping>> {
+    fn bare_core(inbox: HashMap<Addr, SyncSender<Input<Ping>>>) -> Arc<ClusterCore<Ping>> {
         Arc::new(ClusterCore {
             run: RunShared::new(false),
             inbox,
@@ -1112,7 +1112,7 @@ mod tests {
     /// socket, and returns the message the reactor stopped with.
     fn reactor_panic_after_hello(tail: &[u8]) -> String {
         let node = Addr::server(DcId(0), PartitionId(0));
-        let (tx, _rx) = bounded(16);
+        let (tx, _rx) = sync_channel(16);
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         l.set_nonblocking(true).unwrap();
         let at = l.local_addr().unwrap();

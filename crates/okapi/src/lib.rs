@@ -47,8 +47,9 @@ pub use spec::Okapi;
 /// *contents* differ, not the message shapes.
 pub use contrarian_core::msg::Msg;
 
-/// Okapi reuses Contrarian's client, pinned to 2-round ROTs by [`Okapi`].
-pub use contrarian_core::client::Client;
+/// Okapi reuses Contrarian's client session, pinned to 2-round ROTs by
+/// [`Okapi`].
+pub use contrarian_core::{Client, SnapshotSession};
 
 /// Shared timer kinds (re-exported from the protocol kernel).
 pub use contrarian_protocol::timers;

@@ -3,10 +3,9 @@
 
 use crate::server::Server;
 use contrarian_clock::PhysicalClockModel;
-use contrarian_core::client::Client;
+use contrarian_core::SnapshotSession;
 use contrarian_protocol::ProtocolSpec;
 use contrarian_types::{Addr, ClusterConfig, RotMode};
-use contrarian_workload::OpSource;
 use rand::rngs::SmallRng;
 
 /// The Okapi-style backend.
@@ -15,7 +14,7 @@ pub struct Okapi;
 impl ProtocolSpec for Okapi {
     type Msg = crate::Msg;
     type Server = Server;
-    type Client = Client;
+    type Session = SnapshotSession;
 
     const NAME: &'static str = "okapi";
 
@@ -30,10 +29,6 @@ impl ProtocolSpec for Okapi {
         // same skew tolerance as Contrarian, unlike Cure.
         let phys = PhysicalClockModel::random(rng, cfg.clock_skew_us);
         Server::new(addr, cfg.clone(), phys)
-    }
-
-    fn client(addr: Addr, cfg: &ClusterConfig, source: OpSource) -> Client {
-        Client::new(addr, cfg.clone(), source)
     }
 }
 

@@ -2,11 +2,12 @@
 //!
 //! One [`ProtocolSpec`] per backend replaces the three per-protocol
 //! `build.rs` files the workspace used to carry: the spec says how to make
-//! one server and one client, and [`build_nodes`] assembles the node list
-//! every runtime consumes — [`build_cluster`] registers it with the
-//! simulator, `NetCluster::start` takes it as is.
+//! one server and which client session to run, and [`build_nodes`]
+//! assembles the node list every runtime consumes — [`build_cluster`]
+//! registers it with the simulator, `NetCluster::start` takes it as is.
 
-use crate::node::{Node, ProtocolClient, ProtocolMsg, ProtocolServer};
+use crate::client::{Client, Session};
+use crate::node::{Node, ProtocolMsg, ProtocolServer};
 use contrarian_runtime::cost::CostModel;
 use contrarian_sim::sim::Sim;
 use contrarian_sim::SchedKind;
@@ -22,7 +23,7 @@ use std::sync::Arc;
 pub trait ProtocolSpec {
     type Msg: ProtocolMsg;
     type Server: ProtocolServer<Msg = Self::Msg> + Send + 'static;
-    type Client: ProtocolClient<Msg = Self::Msg> + Send + 'static;
+    type Session: Session<Msg = Self::Msg>;
 
     /// Human-readable backend name (conformance reports, logs).
     const NAME: &'static str;
@@ -37,13 +38,10 @@ pub trait ProtocolSpec {
     /// init stream (physical-clock offsets etc.); unused by logical-clock
     /// backends.
     fn server(addr: Addr, cfg: &ClusterConfig, rng: &mut SmallRng) -> Self::Server;
-
-    /// Builds one client session over the given operation source.
-    fn client(addr: Addr, cfg: &ClusterConfig, source: OpSource) -> Self::Client;
 }
 
 /// The node type a spec's cluster is made of.
-pub type ProtoNode<P> = Node<<P as ProtocolSpec>::Server, <P as ProtocolSpec>::Client>;
+pub type ProtoNode<P> = Node<<P as ProtocolSpec>::Server, Client<<P as ProtocolSpec>::Session>>;
 
 /// The client side of a cluster: which operation source each client node
 /// draws from, and how many there are.
@@ -117,19 +115,19 @@ pub fn build_nodes<P: ProtocolSpec>(
         for c in 0..per_dc {
             let addr = Addr::client(DcId(dc), c);
             let source = match clients {
-                Clients::Closed { .. } => OpSource::closed(generator()),
+                Clients::Closed { .. } => Some(OpSource::Closed(generator())),
                 Clients::Open(spec) => {
                     let shard = usize::from(dc) * usize::from(per_dc) + usize::from(c);
                     let sessions = spec.sessions_for(shard, total);
-                    OpSource::open(OpenLoopDriver::new(
+                    Some(OpSource::Open(OpenLoopDriver::new(
                         generator(),
                         u32::try_from(sessions).expect("sessions per actor must fit u32"),
                         spec.session_rate(),
-                    ))
+                    )))
                 }
-                Clients::Queue => OpSource::queue().0,
+                Clients::Queue => None,
             };
-            nodes.push((addr, Node::Client(P::client(addr, &cfg, source))));
+            nodes.push((addr, Node::Client(Client::new(addr, &cfg, source))));
         }
     }
     nodes

@@ -6,9 +6,12 @@
 //! handling, so that a protocol crate contains **only** its state machines
 //! and message/metadata types:
 //!
-//! * [`ProtocolServer`] / [`ProtocolClient`] — the trait pair a backend
-//!   implements; [`Node`] is the one generic server-or-client actor that
-//!   every runtime (simulator, TCP) drives.
+//! * [`ProtocolServer`] / [`Session`] — what a backend implements: its
+//!   server state machine, and its client-session metadata (what a request
+//!   carries and a reply returns, the one thing the paper's Table 2 says
+//!   the clients differ in). [`Client`] is the one operation loop every
+//!   backend's sessions run in, and [`Node`] the one generic
+//!   server-or-client actor that every runtime (simulator, TCP) drives.
 //! * [`Stabilizer`] — the GSS machinery shared by vector-clock protocols:
 //!   partition version-vector aggregation, entrywise-minimum join,
 //!   broadcast, heartbeat bookkeeping.
@@ -26,15 +29,16 @@
 //!   runtimes: the discrete-event simulator (once per engine) and the TCP
 //!   runtime (`contrarian-net`, loopback sockets + wire codec).
 //!
-//! Adding a backend means implementing the three traits plus a
-//! [`ProtocolSpec`] — roughly one file — and the builder, every runtime,
-//! the harness's run loop and the conformance checks work with it
-//! unchanged. A backend of the
-//! snapshot family (Contrarian, Cure, Okapi) needs less still: it plugs a
-//! clock and a stable-time shape into `contrarian-core`'s one
-//! `SnapshotServer` and writes no handler at all.
+//! Adding a backend means implementing [`ProtocolMsg`], [`ProtocolServer`]
+//! and [`Session`] plus a [`ProtocolSpec`] — roughly one file — and the
+//! client loop, the builder, every runtime, the harness's run loop and the
+//! conformance checks work with it unchanged. A backend of the snapshot
+//! family (Contrarian, Cure, Okapi) needs less still: it plugs a clock and
+//! a stable-time shape into `contrarian-core`'s one `SnapshotServer`,
+//! reuses its `SnapshotSession`, and writes no handler at all.
 
 pub mod build;
+pub mod client;
 pub mod conformance;
 pub mod node;
 pub mod parked;
@@ -47,9 +51,10 @@ pub use build::{
 };
 // The runtimes a `build_nodes` list starts on, re-exported so a backend
 // crate can drive its cluster without depending on each of them.
+pub use client::{Client, Inbound, ReadPair, Session};
 pub use contrarian_net::NetCluster;
 pub use contrarian_sim::SchedKind;
-pub use node::{Node, ProtocolClient, ProtocolMsg, ProtocolServer};
+pub use node::{Node, ProtocolMsg, ProtocolServer};
 pub use parked::Parked;
 pub use stabilizer::{peer_replicas, Stabilizer};
 pub use timers::Timers;

@@ -1,6 +1,7 @@
 //! The backend interface: what a protocol crate implements, and the one
 //! generic [`Node`] actor that runs it.
 
+use crate::client::{Client, Session};
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_runtime::cost::SimMessage;
 use contrarian_types::{Addr, Key, Op, VersionId, Wire};
@@ -43,7 +44,8 @@ pub trait ProtocolMsg: SimMessage + Wire + Send + 'static {
 /// The server must be deterministic given the `ActorCtx` inputs: the same
 /// messages and timers in the same order must produce the same outputs.
 /// Both runtimes (discrete-event simulator, TCP) rely on nothing more than
-/// this trait.
+/// this trait. The client side is a [`Session`]: the generic [`Client`]
+/// loop owns everything but the session's metadata.
 pub trait ProtocolServer {
     type Msg: ProtocolMsg;
 
@@ -63,26 +65,9 @@ pub trait ProtocolServer {
     fn store_heads(&self) -> Vec<(Key, VersionId)>;
 }
 
-/// A protocol's client-session state machine.
-///
-/// Clients own the session guarantees (monotone snapshots, dependency
-/// tracking) and the operation loop: issue the next operation when idle,
-/// absorb completions, record history events for the checkers.
-pub trait ProtocolClient {
-    type Msg: ProtocolMsg;
-
-    fn on_start(&mut self, ctx: &mut dyn ActorCtx<Self::Msg>);
-
-    fn on_message(&mut self, ctx: &mut dyn ActorCtx<Self::Msg>, from: Addr, msg: Self::Msg);
-
-    fn on_timer(&mut self, ctx: &mut dyn ActorCtx<Self::Msg>, kind: TimerKind);
-}
-
-/// One protocol node — a server or a client behind one [`Actor`] type.
-///
-/// This single generic enum replaces the per-protocol `Node` dispatchers
-/// the crates used to hand-roll; `Node<S, C>` works for any backend whose
-/// server and client speak the same message type.
+/// One protocol node — a server `S` or a client `C` behind one [`Actor`]
+/// type. It is an actor when `C` is the generic [`Client`] over a
+/// [`Session`] that speaks the server's message type.
 pub enum Node<S, C> {
     Server(S),
     Client(C),
@@ -95,26 +80,12 @@ impl<S, C> Node<S, C> {
             Node::Client(_) => None,
         }
     }
-
-    pub fn as_client(&self) -> Option<&C> {
-        match self {
-            Node::Client(c) => Some(c),
-            Node::Server(_) => None,
-        }
-    }
-
-    pub fn as_server_mut(&mut self) -> Option<&mut S> {
-        match self {
-            Node::Server(s) => Some(s),
-            Node::Client(_) => None,
-        }
-    }
 }
 
-impl<S, C> Actor for Node<S, C>
+impl<S, X> Actor for Node<S, Client<X>>
 where
     S: ProtocolServer,
-    C: ProtocolClient<Msg = S::Msg>,
+    X: Session<Msg = S::Msg>,
 {
     type Msg = S::Msg;
 

@@ -8,7 +8,6 @@
 
 use contrarian_runtime::actor::{ActorCtx, TimerKind};
 use contrarian_types::{Addr, ClusterConfig};
-use rand::RngExt;
 
 /// Periodic stabilization (GSS computation).
 pub const STABILIZE: u16 = 1;
@@ -37,12 +36,6 @@ pub struct Timers {
 }
 
 impl Timers {
-    pub fn new() -> Self {
-        Timers {
-            periodic: Vec::new(),
-        }
-    }
-
     /// Registers `kind` to fire every `interval_ns`, first after
     /// `interval_ns`.
     pub fn with_periodic(self, kind: u16, interval_ns: u64) -> Self {
@@ -69,7 +62,7 @@ impl Timers {
     /// cluster avoids lock-step message storms), replication heartbeat, and
     /// version GC. Single-DC clusters only run GC.
     pub fn replication_server(addr: Addr, cfg: &ClusterConfig) -> Self {
-        let mut t = Timers::new();
+        let mut t = Timers::default();
         if cfg.n_dcs > 1 {
             let jitter = (addr.idx as u64 * 37_129) % cfg.stabilization_interval_us;
             t = t
@@ -102,13 +95,6 @@ impl Timers {
         }
         true
     }
-}
-
-/// Arms the staggered [`CLIENT_START`] timer every protocol client uses to
-/// avoid a synchronized start-up burst.
-pub fn stagger_client_start<M>(ctx: &mut dyn ActorCtx<M>) {
-    let jitter = ctx.rng().random_range(0..200_000u64);
-    ctx.set_timer(jitter, TimerKind::new(CLIENT_START));
 }
 
 #[cfg(test)]

@@ -159,10 +159,6 @@ impl WindowSeries {
         &self.windows
     }
 
-    pub fn into_windows(self) -> Vec<MetricsWindow> {
-        self.windows
-    }
-
     /// The whole series as CSV rows (headers in
     /// [`MetricsWindow::CSV_HEADERS`]).
     pub fn csv_rows(&self) -> Vec<Vec<String>> {

@@ -394,15 +394,6 @@ impl<A: Actor> Sim<A> {
         }
     }
 
-    pub fn actor_mut(&mut self, addr: Addr) -> &mut A {
-        let (s, i) = self.locate(addr);
-        if s == usize::MAX {
-            &mut self.staging[i].1
-        } else {
-            &mut self.shards[s].nodes[i].actor
-        }
-    }
-
     /// All registered addresses, in registration order.
     pub fn addrs(&self) -> Vec<Addr> {
         if self.started {

@@ -41,10 +41,6 @@ impl<M> MvStore<M> {
         self.map.get(&key)
     }
 
-    pub fn chain_mut(&mut self, key: Key) -> Option<&mut Chain<M>> {
-        self.map.get_mut(&key)
-    }
-
     /// The newest version of `key`, if any.
     pub fn latest(&self, key: Key) -> Option<&Version<M>> {
         self.map.get(&key).and_then(|c| c.head())

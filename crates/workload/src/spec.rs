@@ -116,12 +116,6 @@ impl OpenLoopSpec {
         self
     }
 
-    pub fn with_sessions(mut self, sessions: u64) -> Self {
-        assert!(sessions > 0);
-        self.sessions = sessions;
-        self
-    }
-
     /// Per-session Poisson rate: the aggregate rate split evenly.
     pub fn session_rate(&self) -> f64 {
         self.offered_ops_per_sec / self.sessions as f64

@@ -22,14 +22,15 @@
 //! ## Crate layout
 //!
 //! The backends share one **protocol-runtime kernel**, [`protocol`]
-//! (`contrarian-protocol`): the `ProtocolServer`/`ProtocolClient` trait
-//! pair, the generic `Node` actor, the GSS `Stabilizer`, the periodic
-//! `Timers` registry, the `Parked` deferred-request queue, the one generic
-//! cluster builder, and a conformance suite that runs identical
-//! convergence + session checks against every backend. A protocol crate
-//! contains *only* its state machines and message/metadata types; adding a
-//! fourth backend is roughly one file (implement the traits plus a
-//! `ProtocolSpec`).
+//! (`contrarian-protocol`): the `ProtocolServer` and client `Session`
+//! traits, the one client operation loop `Client`, the generic `Node`
+//! actor, the GSS `Stabilizer`, the periodic `Timers` registry, the
+//! `Parked` deferred-request queue, the one generic cluster builder, and a
+//! conformance suite that runs identical convergence + session checks
+//! against every backend. A protocol crate contains *only* its server
+//! state machine, its client-session metadata and its message types;
+//! adding a fourth backend is roughly one file (implement the traits plus
+//! a `ProtocolSpec`).
 //!
 //! Underneath sit the building blocks, layered strictly as
 //! `types → runtime → {sim, net} → protocol → backends`:
@@ -57,7 +58,7 @@
 //! ## Building
 //!
 //! The workspace builds fully offline: external dependencies (`rand`,
-//! `bytes`, `crossbeam`, `parking_lot`, `proptest`, `criterion`) resolve to
+//! `bytes`, `proptest`, `criterion`) resolve to
 //! minimal in-repo shims under `crates/shims/`; swap the
 //! `[workspace.dependencies]` path entries for registry versions to use the
 //! real crates. `cargo build --release && cargo test -q` builds and tests

@@ -184,13 +184,10 @@ fn contrarian_writes_become_visible_remotely() {
     }
     for dc in 0..2u8 {
         let addr = Addr::client(DcId(dc), 0);
-        let (source, _q) = contrarian::workload::OpSource::queue();
         sim.add_client(
             addr,
             contrarian::core_protocol::Node::Client(contrarian::core_protocol::Client::new(
-                addr,
-                cfg.clone(),
-                source,
+                addr, &cfg, None,
             )),
         );
     }

@@ -87,7 +87,6 @@ fn tcp_okapi_cluster_is_causally_consistent() {
 fn tcp_interactive_injection_round_trips() {
     use contrarian::clock::PhysicalClockModel;
     use contrarian::types::{Addr, DcId, PartitionId};
-    use contrarian::workload::OpSource;
 
     let (cfg, _) = net_config();
     let mut nodes = Vec::new();
@@ -103,13 +102,10 @@ fn tcp_interactive_injection_round_trips() {
         ));
     }
     let client = Addr::client(DcId(0), 0);
-    let (source, _q) = OpSource::queue();
     nodes.push((
         client,
         contrarian::core_protocol::Node::Client(contrarian::core_protocol::Client::new(
-            client,
-            cfg.clone(),
-            source,
+            client, &cfg, None,
         )),
     ));
 
