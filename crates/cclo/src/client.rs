@@ -94,6 +94,10 @@ impl Session for DepSession {
         self.deps.clear();
         self.deps.insert(key, vid);
     }
+
+    fn heap_bytes(&self) -> usize {
+        contrarian_types::heap::btree_bytes::<Key, VersionId>(self.deps.len())
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use contrarian_protocol::ProtocolMsg;
 use contrarian_runtime::cost::{CostModel, MsgClass, SimMessage};
-use contrarian_types::wire;
+use contrarian_types::{heap, wire};
 use contrarian_types::{Key, Op, TxId, Value, VersionId};
 
 /// A dependency: the paper's COPS-style explicit "version Y depends on
@@ -91,6 +91,22 @@ fn entries_bytes(entries: &[(TxId, u64)]) -> usize {
 }
 
 impl SimMessage for Msg {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Msg::RotRead { keys, .. } => heap::vec_bytes(keys),
+            Msg::RotSlice { pairs, .. } => heap::vec_bytes(pairs),
+            Msg::PutReq { deps, .. }
+            | Msg::OldReadersQuery { deps, .. }
+            | Msg::Replicate { deps, .. }
+            | Msg::DepCheckQuery { deps, .. } => heap::vec_bytes(deps),
+            Msg::OldReadersReply { entries, .. } | Msg::DepCheckReply { entries, .. } => {
+                heap::vec_bytes(entries)
+            }
+            Msg::PutResp { .. } => 0,
+            Msg::Inject(op) => op.heap_bytes(),
+        }
+    }
+
     fn wire_size(&self) -> usize {
         wire::MSG_HEADER
             + match self {

@@ -62,7 +62,7 @@
 //! (`ReaderSet` is 40 B, size pinned by a test), and the run peaks at
 //! ≈ 33 MB instead of ≈ 47 MB. `len()` counts the same entries either way.
 
-use contrarian_types::{ClientId, DcId, TxId};
+use contrarian_types::{heap, ClientId, DcId, TxId};
 use std::cmp::Ordering;
 #[cfg(test)]
 use std::cmp::Reverse;
@@ -265,6 +265,14 @@ impl ReaderSet {
         self.entries().binary_search_by_key(&tx, |e| e.tx).is_ok()
     }
 
+    /// Heap bytes: the vector of a set of two or more, 0 inline or empty.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::One(_) => 0,
+            Repr::Many(v) => heap::vec_bytes(v),
+        }
+    }
+
     /// Panics unless the entries are strictly `TxId`-ascending, a vector
     /// holds no exactly-one set, and an empty set owns no allocation.
     #[cfg(test)]
@@ -368,6 +376,16 @@ impl RotFloor {
         self.rows.iter().map(|r| r.slots.len()).sum()
     }
 
+    /// Heap bytes of the rows: slots and touched bits.
+    pub fn heap_bytes(&self) -> usize {
+        heap::vec_bytes(&self.rows)
+            + self
+                .rows
+                .iter()
+                .map(|r| heap::vec_bytes(&r.slots) + heap::vec_bytes(&r.touched))
+                .sum::<usize>()
+    }
+
     /// A fresh seal stamp. When the counter wraps, every slot's stamps are
     /// cleared, so none can pass for the new seal's.
     fn next_gen(&mut self) -> u32 {
@@ -462,6 +480,11 @@ impl BlockRecord {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Heap bytes: the exact vector.
+    pub fn heap_bytes(&self) -> usize {
+        heap::vec_bytes(&self.entries)
     }
 
     /// The read-time bound for `tx`, if it is blocked.

@@ -7,7 +7,9 @@ use contrarian_clock::LogicalClock;
 use contrarian_protocol::{timers, Parked, ProtocolServer, Timers};
 use contrarian_runtime::actor::{ActorCtx, TimerKind};
 use contrarian_storage::{MvStore, Version};
-use contrarian_types::{Addr, ClusterConfig, Key, PartitionId, TraceKind, TxId, Value, VersionId};
+use contrarian_types::{
+    heap, Addr, ClusterConfig, HeapCensus, Key, PartitionId, TraceKind, TxId, Value, VersionId,
+};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
@@ -120,16 +122,6 @@ impl Server {
     /// The per-client table (diagnostics).
     pub fn rot_floor(&self) -> &RotFloor {
         &self.rot_floor
-    }
-
-    /// Reader-record sizes (diagnostics).
-    pub fn record_sizes(&self) -> (usize, usize) {
-        (
-            // lint:allow(determinism): commutative size sums for diagnostics
-            self.readers.values().map(|r| r.len()).sum(),
-            // lint:allow(determinism): commutative size sums for diagnostics
-            self.old_readers.values().map(|r| r.len()).sum(),
-        )
     }
 
     fn gc_window_ns(&self) -> u64 {
@@ -736,6 +728,55 @@ impl ProtocolServer for Server {
     fn store_heads(&self) -> Vec<(Key, VersionId)> {
         self.store.heads()
     }
+
+    /// The store, the two reader maps (items: reader entries), the sealed
+    /// records in the versions (items: versions), the readers checks in
+    /// progress, the per-client table and the timer table.
+    fn heap_census(&self, census: &mut HeapCensus) {
+        let (chains, records) = self.store.heap_bytes(BlockRecord::heap_bytes);
+        let versions = self.store.n_versions();
+        census.add("store", chains, versions);
+        census.add("sealed records", records, versions);
+        for (owner, map) in [
+            ("current readers", &self.readers),
+            ("old readers", &self.old_readers),
+        ] {
+            let (mut bytes, mut entries) = (heap::map_bytes(map), 0);
+            // lint:allow(determinism): commutative sums for a heap census
+            for set in map.values() {
+                bytes += set.heap_bytes();
+                entries += set.len();
+            }
+            census.add(owner, bytes, entries);
+        }
+        // lint:allow(determinism): commutative sums for a heap census
+        let puts: usize = self
+            .pending_puts
+            .values()
+            .map(|p| heap::vec_bytes(&p.block) + heap::vec_bytes(&p.deps))
+            .sum();
+        // lint:allow(determinism): commutative sums for a heap census
+        let repls: usize = self
+            .pending_repls
+            .values()
+            .map(|p| heap::vec_bytes(&p.block))
+            .sum();
+        census.add(
+            "pending checks",
+            heap::map_bytes(&self.pending_puts)
+                + puts
+                + heap::map_bytes(&self.pending_repls)
+                + repls
+                + self.dep_waiters.heap_bytes(|w| heap::vec_bytes(&w.deps)),
+            self.pending_puts.len() + self.pending_repls.len() + self.dep_waiters.len(),
+        );
+        census.add(
+            "rot floor",
+            self.rot_floor.heap_bytes(),
+            self.rot_floor.slots(),
+        );
+        census.add("timers", self.timers.heap_bytes(), 0);
+    }
 }
 
 #[cfg(test)]
@@ -754,6 +795,17 @@ mod tests {
 
     fn tx(c: u16, seq: u32) -> TxId {
         TxId::new(ClientId::new(DcId(0), c), seq)
+    }
+
+    /// `(current, old)` reader entries, read off the server's census rows.
+    fn reader_entries(s: &Server) -> (usize, usize) {
+        let mut census = HeapCensus::new();
+        census.set_class("server");
+        s.heap_census(&mut census);
+        (
+            census.items("server", "current readers"),
+            census.items("server", "old readers"),
+        )
     }
 
     fn client() -> Addr {
@@ -816,10 +868,10 @@ mod tests {
         let mut ctx = ScriptCtx::new(addr(0));
         do_put(&mut s, &mut ctx, Key(0), vec![]);
         do_rot(&mut s, &mut ctx, tx(0, 0), vec![Key(0)]);
-        let (cur, old) = s.record_sizes();
+        let (cur, old) = reader_entries(&s);
         assert_eq!((cur, old), (1, 0));
         do_put(&mut s, &mut ctx, Key(0), vec![]);
-        let (cur, old) = s.record_sizes();
+        let (cur, old) = reader_entries(&s);
         assert_eq!((cur, old), (0, 1), "reader must migrate to old readers");
     }
 
@@ -1122,11 +1174,11 @@ mod tests {
         let mut ctx = ScriptCtx::new(addr(0));
         do_put(&mut s, &mut ctx, Key(0), vec![]);
         do_rot(&mut s, &mut ctx, tx(0, 0), vec![Key(0)]);
-        assert_eq!(s.record_sizes().0, 1);
+        assert_eq!(reader_entries(&s).0, 1);
         // Far beyond the 500ms (scaled in small config) window.
         ctx.now = 10_000_000_000;
         s.on_timer(&mut ctx, TimerKind::new(timers::GC));
-        assert_eq!(s.record_sizes(), (0, 0));
+        assert_eq!(reader_entries(&s), (0, 0));
     }
 
     #[test]
@@ -1135,10 +1187,10 @@ mod tests {
         let mut ctx = ScriptCtx::new(addr(0));
         let got = do_rot(&mut s, &mut ctx, tx(0, 0), vec![Key(0)]);
         assert_eq!(got[0].1, None);
-        assert_eq!(s.record_sizes().0, 1, "⊥ readers must be tracked too");
+        assert_eq!(reader_entries(&s).0, 1, "⊥ readers must be tracked too");
         // When the first version is written, the ⊥ reader becomes old.
         do_put(&mut s, &mut ctx, Key(0), vec![]);
-        assert_eq!(s.record_sizes(), (0, 1));
+        assert_eq!(reader_entries(&s), (0, 1));
     }
 
     #[test]

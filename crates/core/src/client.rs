@@ -113,6 +113,10 @@ impl Session for SnapshotSession {
         self.lts = self.lts.max(vid.ts);
         self.gss.join(&gss);
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.gss.heap_bytes() + contrarian_types::heap::vec_bytes(&self.snap_keys)
+    }
 }
 
 #[cfg(test)]

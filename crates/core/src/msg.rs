@@ -2,7 +2,7 @@
 
 use contrarian_protocol::ProtocolMsg;
 use contrarian_runtime::cost::{CostModel, MsgClass, SimMessage};
-use contrarian_types::wire;
+use contrarian_types::{heap, wire};
 use contrarian_types::{Addr, DcId, DepVector, Key, Op, PartitionId, TxId, Value, VersionId};
 
 contrarian_types::wire_enum! {
@@ -84,6 +84,24 @@ fn vec_bytes(v: &DepVector) -> usize {
 }
 
 impl SimMessage for Msg {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Msg::RotReq { keys, gss, .. } => heap::vec_bytes(keys) + gss.heap_bytes(),
+            Msg::RotSnapReq { gss, .. } => gss.heap_bytes(),
+            Msg::RotSnap { sv, .. } => sv.heap_bytes(),
+            Msg::RotRead { keys, sv, .. } | Msg::RotFwd { keys, sv, .. } => {
+                heap::vec_bytes(keys) + sv.heap_bytes()
+            }
+            Msg::RotSlice { pairs, sv, .. } => heap::vec_bytes(pairs) + sv.heap_bytes(),
+            Msg::PutReq { gss, .. } | Msg::PutResp { gss, .. } => gss.heap_bytes(),
+            Msg::Replicate { dv, .. } => dv.heap_bytes(),
+            Msg::Heartbeat { .. } => 0,
+            Msg::VvReport { vv, .. } => vv.heap_bytes(),
+            Msg::GssBcast { gss } => gss.heap_bytes(),
+            Msg::Inject(op) => op.heap_bytes(),
+        }
+    }
+
     fn wire_size(&self) -> usize {
         wire::MSG_HEADER
             + match self {

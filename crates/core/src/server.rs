@@ -43,9 +43,10 @@ use crate::spec::Contrarian;
 use contrarian_clock::{hlc, Hlc, PhysicalClockModel};
 use contrarian_protocol::{peer_replicas, timers, Parked, ProtocolServer, Stabilizer, Timers};
 use contrarian_runtime::actor::{ActorCtx, TimerKind};
+use contrarian_runtime::SimMessage;
 use contrarian_storage::{MvStore, Version};
 use contrarian_types::{
-    Addr, ClusterConfig, DepVector, Key, PartitionId, TraceKind, TxId, Value, VersionId,
+    Addr, ClusterConfig, DepVector, HeapCensus, Key, PartitionId, TraceKind, TxId, Value, VersionId,
 };
 
 /// A server's timestamp source. Every method takes true time `now` (ns);
@@ -484,6 +485,20 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
 
     fn store_heads(&self) -> Vec<(Key, VersionId)> {
         self.store.heads()
+    }
+
+    /// The store with its versions' dependency vectors, the stabilizer's
+    /// vectors, the parked requests and the timer table.
+    fn heap_census(&self, census: &mut HeapCensus) {
+        let (chains, vectors) = self.store.heap_bytes(DepVector::heap_bytes);
+        census.add("store", chains + vectors, self.store.n_versions());
+        census.add("stabilizer", self.stab.heap_bytes(), 0);
+        census.add(
+            "parked requests",
+            self.parked.heap_bytes(|(_, m)| m.heap_bytes()),
+            self.parked.len(),
+        );
+        census.add("timers", self.timers.heap_bytes(), 0);
     }
 }
 

@@ -53,6 +53,7 @@
 //! the differential second opinion: `tests/checker_differential.rs`
 //! asserts both agree on randomized multi-DC runs of every backend.
 
+pub mod census;
 pub mod checker;
 pub mod experiment;
 pub mod load;

@@ -5,6 +5,7 @@
 //! fails the invocation and names the path. `CONTRARIAN_SCALE` is checked
 //! once per invocation: an unknown value is an error, not a silent `quick`.
 
+use crate::census::GEOMETRIES;
 use crate::experiment::{
     contrarian_vs_cclo, load_curve, load_curve_with, run, run_sim, sweep, Clients, Observe,
     Protocol, Report, RunSpec, Scale, Series,
@@ -124,6 +125,7 @@ scenarios! {
     load_sweep: "open-loop saturation knees, simulator and TCP, plus telemetry",
     net_sweep: "ROT latency over loopback TCP vs the simulator's prediction",
     trace_view: "[backend] [rate]: one traced open-loop point as Chrome-trace JSON",
+    heap_census: "[seed]: heap bytes by owner at the end of each benchmark workload's over rung",
 }
 
 /// The paper scenarios `all` runs, in order: the rows above `all`.
@@ -1006,6 +1008,68 @@ fn trace_view(ctx: &Ctx) -> io::Result<()> {
     ctx.write("trace_view.json", &chrome_trace_json(&run.trace))
 }
 
+/// Heap census: the repo benchmark's four simulator workloads, each run to
+/// the end of its `over` rung on the default engine, and what every owner
+/// holds there, per node class (`census::GEOMETRIES`). Argument: `[seed]`,
+/// default 1. At `CONTRARIAN_SCALE=smoke` the warm-up and window are cut
+/// to a quarter. Writes `heap_census.csv`. Capacities of hash tables may
+/// move between runs of one seed: std's hasher is seeded per process, and
+/// where a table grows depends on where its deletions land.
+fn heap_census(ctx: &Ctx) -> io::Result<()> {
+    let seed = match ctx.args.first() {
+        None => 1,
+        Some(s) => s
+            .parse::<u64>()
+            .map_err(|_| invalid(format!("seed must be an integer, got {s:?}")))?,
+    };
+    let shrink = if ctx.scale == Some("smoke") { 4 } else { 1 };
+    let headers = ["workload", "class", "owner", "MB", "share %", "items"];
+    let mut rows = Vec::new();
+    let mut csv = Vec::new();
+    for g in &GEOMETRIES {
+        let t0 = Instant::now();
+        let census = g.census(seed, shrink);
+        let total = census.total();
+        eprintln!(
+            "== heap_census: {} (seed {seed}, {:.1} s) ==",
+            g.name,
+            t0.elapsed().as_secs_f64()
+        );
+        let mb = |b: usize| format!("{:.2}", b as f64 / 1e6);
+        for r in census.rows() {
+            rows.push(vec![
+                g.name.to_string(),
+                r.class.to_string(),
+                r.owner.to_string(),
+                mb(r.bytes),
+                table::f1(100.0 * r.bytes as f64 / total.max(1) as f64),
+                r.items.to_string(),
+            ]);
+            csv.push(vec![
+                g.name.to_string(),
+                r.class.to_string(),
+                r.owner.to_string(),
+                r.bytes.to_string(),
+                r.items.to_string(),
+            ]);
+        }
+        rows.push(vec![
+            g.name.to_string(),
+            "all".into(),
+            "total".into(),
+            mb(total),
+            "100.0".into(),
+            String::new(),
+        ]);
+    }
+    println!("{}", table::render(&headers, &rows));
+    ctx.csv(
+        "heap_census.csv",
+        &["workload", "class", "owner", "bytes", "items"],
+        &csv,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1024,7 +1088,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_names_are_unique_and_todays_fifteen_programs() {
+    fn scenario_names_are_unique_and_todays_sixteen_programs() {
         let mut names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
         names.sort_unstable();
         let before = names.len();
@@ -1038,6 +1102,7 @@ mod tests {
             "fig7",
             "fig8",
             "fig9",
+            "heap_census",
             "load_sweep",
             "net_sweep",
             "scale_sweep",

@@ -16,7 +16,8 @@ use crate::timers::CLIENT_START;
 use contrarian_runtime::actor::{ActorCtx, TimerKind};
 use contrarian_runtime::trace::op_class;
 use contrarian_types::{
-    Addr, ClientId, ClusterConfig, HistoryEvent, Key, Op, TraceKind, TxId, Value, VersionId,
+    heap, Addr, ClientId, ClusterConfig, HeapCensus, HistoryEvent, Key, Op, TraceKind, TxId, Value,
+    VersionId,
 };
 use contrarian_workload::{Draw, OpSource};
 use rand::RngExt;
@@ -69,6 +70,11 @@ pub trait Session: Send + 'static {
     fn absorb_slice(&mut self, meta: Self::Meta, done: Option<&[ReadPair]>);
 
     fn absorb_put(&mut self, key: Key, vid: VersionId, meta: Self::Meta);
+
+    /// Heap bytes of the session's metadata (a heap census).
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// `keys` grouped by partition, in partition order: one read per entry.
@@ -121,6 +127,28 @@ impl<S: Session> Client<S> {
             next_put: 0,
             pending: None,
         }
+    }
+
+    /// Adds the client's heap to `census`: its session's metadata, the
+    /// operation in flight with the injected backlog, and its driver.
+    pub fn heap_census(&self, census: &mut HeapCensus) {
+        census.add("session", self.session.heap_bytes(), 1);
+        let pending = match &self.pending {
+            Some(Pending::Rot { pairs, .. }) => heap::vec_bytes(pairs),
+            Some(Pending::Put { .. }) | None => 0,
+        };
+        census.add(
+            "operations",
+            heap::deque_bytes(&self.backlog)
+                + self.backlog.iter().map(Op::heap_bytes).sum::<usize>()
+                + pending,
+            self.backlog.len() + usize::from(self.pending.is_some()),
+        );
+        census.add(
+            "driver",
+            self.source.as_ref().map_or(0, OpSource::heap_bytes),
+            usize::from(self.source.is_some()),
+        );
     }
 
     /// Staggers the start so the clients do not burst in lock-step.

@@ -4,7 +4,7 @@
 use crate::client::{Client, Session};
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_runtime::cost::SimMessage;
-use contrarian_types::{Addr, Key, Op, VersionId, Wire};
+use contrarian_types::{Addr, HeapCensus, Key, Op, VersionId, Wire};
 
 /// A protocol's wire message type.
 ///
@@ -63,6 +63,10 @@ pub trait ProtocolServer {
     /// order. Used by the shared conformance suite to compare replicas
     /// after quiescence.
     fn store_heads(&self) -> Vec<(Key, VersionId)>;
+
+    /// Adds the server's heap to `census`, one row per owner (see
+    /// [`Actor::heap_census`]).
+    fn heap_census(&self, _census: &mut HeapCensus) {}
 }
 
 /// One protocol node — a server `S` or a client `C` behind one [`Actor`]
@@ -112,5 +116,12 @@ where
 
     fn inject(op: Op) -> Self::Msg {
         <S::Msg as ProtocolMsg>::inject(op)
+    }
+
+    fn heap_census(&self, census: &mut HeapCensus) {
+        match self {
+            Node::Server(s) => s.heap_census(census),
+            Node::Client(c) => c.heap_census(census),
+        }
     }
 }

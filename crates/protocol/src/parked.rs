@@ -56,6 +56,13 @@ impl<T> Parked<T> {
         self.q.is_empty()
     }
 
+    /// Heap bytes: the queue's block plus what `item` says each parked
+    /// item holds on the heap.
+    pub fn heap_bytes(&self, item: impl Fn(&T) -> usize) -> usize {
+        contrarian_types::heap::deque_bytes(&self.q)
+            + self.q.iter().map(|e| item(&e.item)).sum::<usize>()
+    }
+
     /// Parks `item` for `delay_ns`, arming the shared RESUME timer. The
     /// server's timer dispatch calls [`Parked::take_due`] on RESUME.
     pub fn park<M>(&mut self, ctx: &mut dyn ActorCtx<M>, delay_ns: u64, item: T) {

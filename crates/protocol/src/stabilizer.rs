@@ -34,6 +34,18 @@ pub struct Stabilizer {
 }
 
 impl Stabilizer {
+    /// Heap bytes: both vectors and the aggregator's per-partition table.
+    pub fn heap_bytes(&self) -> usize {
+        self.vv.heap_bytes()
+            + self.gss.heap_bytes()
+            + contrarian_types::heap::vec_bytes(&self.vv_table)
+            + self
+                .vv_table
+                .iter()
+                .map(DepVector::heap_bytes)
+                .sum::<usize>()
+    }
+
     pub fn new(addr: Addr, cfg: &ClusterConfig) -> Self {
         let m = cfg.n_dcs as usize;
         let n = cfg.n_partitions as usize;

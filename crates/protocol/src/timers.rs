@@ -36,6 +36,11 @@ pub struct Timers {
 }
 
 impl Timers {
+    /// Heap bytes: the registered periodic kinds.
+    pub fn heap_bytes(&self) -> usize {
+        contrarian_types::heap::vec_bytes(&self.periodic)
+    }
+
     /// Registers `kind` to fire every `interval_ns`, first after
     /// `interval_ns`.
     pub fn with_periodic(self, kind: u16, interval_ns: u64) -> Self {

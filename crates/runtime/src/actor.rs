@@ -9,7 +9,7 @@
 
 use crate::cost::SimMessage;
 use crate::metrics::Metrics;
-use contrarian_types::{Addr, HistoryEvent, Op, TraceKind};
+use contrarian_types::{Addr, HeapCensus, HistoryEvent, Op, TraceKind};
 use rand::rngs::SmallRng;
 
 /// A timer tag: `kind` identifies the purpose (protocol-defined constants),
@@ -96,6 +96,11 @@ pub trait Actor: Sized {
     /// Wraps an externally injected operation into a protocol message
     /// (delivered to a client node; used by the interactive facade).
     fn inject(op: Op) -> Self::Msg;
+
+    /// Adds what this node holds on the heap to `census`, one row per
+    /// owner (see [`HeapCensus`]). Runs only when a census is taken; a
+    /// node that reports nothing adds no rows.
+    fn heap_census(&self, _census: &mut HeapCensus) {}
 }
 
 #[cfg(test)]

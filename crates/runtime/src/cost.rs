@@ -174,6 +174,11 @@ pub struct LookaheadMatrix {
 }
 
 impl LookaheadMatrix {
+    /// Heap bytes of the matrix.
+    pub fn heap_bytes(&self) -> usize {
+        contrarian_types::heap::vec_bytes(&self.min_ns)
+    }
+
     /// Builds from an entry function; the diagonal is forced to zero. The
     /// result is *not* closed — call [`Self::close`] before driving an
     /// engine with it.
@@ -284,6 +289,13 @@ pub enum MsgClass {
 pub trait SimMessage {
     /// Estimated serialized size in bytes (drives wire + marshalling costs).
     fn wire_size(&self) -> usize;
+
+    /// Heap bytes the message owns beyond its inline size (a heap census
+    /// of the events and backlogs holding it; shared value blocks are
+    /// their writer's).
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 
     /// Data or control path.
     fn class(&self) -> MsgClass;

@@ -57,6 +57,11 @@ impl Histogram {
         }
     }
 
+    /// Heap bytes: the bucket vector.
+    pub fn heap_bytes(&self) -> usize {
+        contrarian_types::heap::vec_bytes(&self.buckets)
+    }
+
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
@@ -230,6 +235,22 @@ impl Metrics {
             enabled: false,
             ..Default::default()
         }
+    }
+
+    /// Heap bytes: the six histograms and the counter map.
+    pub fn heap_bytes(&self) -> usize {
+        [
+            &self.rot_latency,
+            &self.put_latency,
+            &self.vis_staleness,
+            &self.data_staleness,
+            &self.gss_lag,
+            &self.block_ns,
+        ]
+        .iter()
+        .map(|h| h.heap_bytes())
+        .sum::<usize>()
+            + contrarian_types::heap::btree_bytes::<&str, u64>(self.counters.len())
     }
 
     #[inline]

@@ -73,6 +73,11 @@ impl TraceRing {
         }
     }
 
+    /// Heap bytes: the ring's block (none until tracing first pushes).
+    pub fn heap_bytes(&self) -> usize {
+        contrarian_types::heap::deque_bytes(&self.buf)
+    }
+
     /// Appends one event, assigning the node-local `seq`. Oldest events
     /// are shed when the ring is full.
     pub fn push(&mut self, t: u64, node: u32, kind: TraceKind, a: u64, b: u64) {

@@ -159,6 +159,27 @@ impl WindowSeries {
         &self.windows
     }
 
+    /// Heap bytes: the kept origin's metrics, the window vector and each
+    /// window's six histograms.
+    pub fn heap_bytes(&self) -> usize {
+        let window = |w: &MetricsWindow| {
+            [
+                &w.rot_latency,
+                &w.put_latency,
+                &w.vis_staleness,
+                &w.data_staleness,
+                &w.gss_lag,
+                &w.block_ns,
+            ]
+            .iter()
+            .map(|h| h.heap_bytes())
+            .sum::<usize>()
+        };
+        self.prev.as_ref().map_or(0, |(m, _)| m.heap_bytes())
+            + contrarian_types::heap::vec_bytes(&self.windows)
+            + self.windows.iter().map(window).sum::<usize>()
+    }
+
     /// The whole series as CSV rows (headers in
     /// [`MetricsWindow::CSV_HEADERS`]).
     pub fn csv_rows(&self) -> Vec<Vec<String>> {

@@ -54,6 +54,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::mem::size_of;
 
 /// Which engine a [`crate::Sim`] runs. Every run takes the default; the
 /// tests that compare engines iterate [`ENGINES`] in-process.
@@ -190,6 +191,30 @@ impl<T> CalendarQueue<T> {
 
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Heap bytes: the ring's bucket headers, every bucket's block, the
+    /// loaded bucket with its sorted keys, both heaps, and what `item`
+    /// says each queued event holds on the heap.
+    pub fn heap_bytes(&self, item: impl Fn(&T) -> usize) -> usize {
+        let entry = size_of::<Entry<Option<T>>>();
+        let heaps = (self.late.capacity() + self.overflow.capacity()) * size_of::<Entry<T>>();
+        let blocks = self.wheel.capacity() * size_of::<Vec<Entry<Option<T>>>>()
+            + self.wheel.iter().map(Vec::capacity).sum::<usize>() * entry
+            + self.loaded.capacity() * entry
+            + self.keys.capacity() * size_of::<(u64, u64, u32)>();
+        let payloads = self
+            .late
+            .iter()
+            .chain(&self.overflow)
+            .map(|e| item(&e.item));
+        let queued = self.wheel.iter().chain([&self.loaded]).flatten();
+        heaps
+            + blocks
+            + payloads.sum::<usize>()
+            + queued
+                .filter_map(|e| e.item.as_ref().map(&item))
+                .sum::<usize>()
     }
 
     pub fn is_empty(&self) -> bool {

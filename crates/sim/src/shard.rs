@@ -84,7 +84,7 @@ use contrarian_runtime::history::TaggedEvent;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::trace::{trace_cap_from_env, TraceRing};
 use contrarian_runtime::SimMessage;
-use contrarian_types::{Addr, HistoryEvent, NodeKind, TraceEvent, TraceKind};
+use contrarian_types::{heap, Addr, HeapCensus, HistoryEvent, NodeKind, TraceEvent, TraceKind};
 use rand::rngs::SmallRng;
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -269,6 +269,15 @@ impl Routing {
         to: contrarian_types::DcId,
     ) -> u64 {
         self.dc_lat[from.index() * self.n_dcs + to.index()]
+    }
+
+    /// Heap bytes of the tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        heap::vec_bytes(&self.table.servers)
+            + heap::vec_bytes(&self.table.clients)
+            + heap::vec_bytes(&self.locate)
+            + heap::vec_bytes(&self.addrs)
+            + heap::vec_bytes(&self.dc_lat)
     }
 
     /// Destination classes of the link table (`dc × {server, client}`).
@@ -532,10 +541,97 @@ impl<A: Actor> Shard<A> {
         self.link_base = vec![RouteTable::ABSENT; self.nodes.len() * routing.link_classes()];
     }
 
-    /// Bytes of FIFO link state this shard holds (rows plus base table).
-    pub(crate) fn link_bytes(&self) -> usize {
-        let rows: usize = self.links.iter().map(|r| r.capacity()).sum();
-        rows * std::mem::size_of::<u64>() + self.link_base.capacity() * std::mem::size_of::<u32>()
+    /// Adds this shard's heap to `census`: the engine's rows, then every
+    /// node's own under its class (`server` or `client`).
+    pub(crate) fn heap_census(&self, census: &mut HeapCensus) {
+        let msg = |m: &A::Msg| m.heap_bytes();
+        census.set_class("engine");
+        census.add(
+            "nodes",
+            heap::vec_bytes(&self.nodes) + heap::vec_bytes(&self.links),
+            self.nodes.len(),
+        );
+        let event = |ev: &EvKind<A::Msg>| match ev {
+            EvKind::Arrive { msg: m, .. } | EvKind::ServiceDone { msg: m, .. } => msg(m),
+            EvKind::WorkerFree { .. } | EvKind::Timer { .. } => 0,
+        };
+        census.add(
+            "calendar queue",
+            self.queue.heap_bytes(event),
+            self.queue.len(),
+        );
+        let queued: usize = self.nodes.iter().map(|n| n.queue.len()).sum();
+        census.add(
+            "backlogs",
+            heap::vec_bytes(&self.backlog)
+                + self.backlog.iter().flatten().map(msg).sum::<usize>()
+                + heap::vec_bytes(&self.backlog_free)
+                + self
+                    .nodes
+                    .iter()
+                    .map(|n| heap::deque_bytes(&n.queue))
+                    .sum::<usize>(),
+            queued,
+        );
+        // Row blocks plus the base table; the per-node row headers are in
+        // `nodes`.
+        let rows: usize = self.links.iter().map(heap::vec_bytes).sum();
+        let entries: usize = self.links.iter().map(Vec::len).sum();
+        census.add(
+            "link state",
+            rows + heap::vec_bytes(&self.link_base),
+            entries,
+        );
+        let batch =
+            |b: &Batch<A::Msg>| heap::vec_bytes(b) + b.iter().map(|m| msg(&m.msg)).sum::<usize>();
+        let batches = self
+            .outbox
+            .iter()
+            .chain(&self.spare)
+            .chain(self.mail.iter().flatten().map(|m| &m.batch));
+        // An inbox is a bounded channel of `INBOX_BATCHES` slots, each a
+        // batch header and a stamp; its own batches are in flight only
+        // while a window runs, and were delivered before any census.
+        let inbox = self.inbox.as_ref().map_or(0, |_| {
+            INBOX_BATCHES * (std::mem::size_of::<Batch<A::Msg>>() + 8)
+        });
+        census.add(
+            "cross-shard mail",
+            heap::vec_bytes(&self.outbox)
+                + heap::vec_bytes(&self.spare)
+                + heap::vec_bytes(&self.mail)
+                + batches.map(batch).sum::<usize>()
+                + inbox,
+            self.outbox.len(),
+        );
+        census.add(
+            "scratch",
+            heap::vec_bytes(&self.scratch_out) + heap::vec_bytes(&self.scratch_timers),
+            0,
+        );
+        census.add(
+            "trace rings",
+            self.nodes.iter().map(|n| n.trace.heap_bytes()).sum(),
+            self.nodes.iter().map(|n| n.trace.len()).sum(),
+        );
+        census.add("metrics", self.metrics.heap_bytes(), 1);
+        census.add(
+            "history",
+            heap::vec_bytes(&self.history)
+                + self
+                    .history
+                    .iter()
+                    .map(|e| e.ev.heap_bytes())
+                    .sum::<usize>(),
+            self.history.len(),
+        );
+        for n in &self.nodes {
+            census.set_class(match n.addr.kind {
+                NodeKind::Server => "server",
+                NodeKind::Client => "client",
+            });
+            n.actor.heap_census(census);
+        }
     }
 
     /// The FIFO entry of the link `node → to`; `to` must be routable

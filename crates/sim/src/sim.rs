@@ -21,7 +21,7 @@ use contrarian_runtime::history::merge_shard_histories;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_seed;
 use contrarian_runtime::trace::merge_traces;
-use contrarian_types::{Addr, HistoryEvent, NodeKind, Op, TraceEvent};
+use contrarian_types::{heap, Addr, HeapCensus, HistoryEvent, NodeKind, Op, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -174,11 +174,25 @@ impl<A: Actor> Sim<A> {
         sum
     }
 
-    /// Bytes of per-link FIFO state held by all shards: the rows senders
-    /// have grown so far plus the base tables (memory telemetry; the
-    /// tier-1 memory budget reads it).
-    pub fn link_state_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.link_bytes()).sum()
+    /// What the cluster holds on the heap, by node class and owner: the
+    /// engine's rows (`engine`: routing, node slots, calendar queues,
+    /// backlogs, link state, cross-shard mail, trace rings, metrics,
+    /// history), summed over shards, then every node's own rows under
+    /// `server` or `client`. Computed on demand from the owners' block
+    /// sizes; a run that never asks pays nothing. Only once started.
+    pub fn heap_census(&self) -> HeapCensus {
+        assert!(self.started, "the nodes live in the shards, built at start");
+        let mut census = HeapCensus::new();
+        census.set_class("engine");
+        census.add(
+            "routing",
+            self.routing.heap_bytes() + self.la.heap_bytes() + heap::vec_bytes(&self.shards),
+            self.routing.addrs.len(),
+        );
+        for s in &self.shards {
+            s.heap_census(&mut census);
+        }
+        census
     }
 
     /// Distributes the registered nodes over shards, builds the routing

@@ -164,6 +164,14 @@ impl<M> Chain<M> {
         self.newest_visible(|v| v.vid.ts < ts_bound)
     }
 
+    /// Heap bytes of the chain's vector: 0 for an empty or inline chain.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Many(vs) => contrarian_types::heap::vec_bytes(vs),
+            Repr::Empty | Repr::One(_) => 0,
+        }
+    }
+
     /// Drops versions with `vid.ts < horizon_ts`, always retaining at least
     /// the newest `min_keep` versions. Returns the number dropped.
     pub fn gc(&mut self, horizon_ts: u64, min_keep: usize) -> usize {

@@ -1,7 +1,7 @@
 //! The per-partition multi-version store.
 
 use crate::chain::{Chain, Version};
-use contrarian_types::{Key, VersionId};
+use contrarian_types::{heap, Key, VersionId};
 use std::collections::HashMap;
 
 /// A partition's share of the data set: key → version chain.
@@ -77,6 +77,25 @@ impl<M> MvStore<M> {
     /// Total number of live versions.
     pub fn n_versions(&self) -> usize {
         self.n_versions
+    }
+
+    /// Heap bytes as `(table and chains, metadata)`: the key table with
+    /// its inline chains, every multi-version chain's vector, and what
+    /// `meta` says each version's metadata holds on the heap. Values are
+    /// shared blocks their writer owns, and are not counted.
+    pub fn heap_bytes(&self, meta: impl Fn(&M) -> usize) -> (usize, usize) {
+        let mut chains = heap::map_bytes(&self.map);
+        let mut metas = 0;
+        // lint:allow(determinism): commutative byte sums for a heap census
+        for chain in self.map.values() {
+            chains += chain.heap_bytes();
+            metas += chain
+                .versions()
+                .iter()
+                .map(|v| meta(&v.meta))
+                .sum::<usize>();
+        }
+        (chains, metas)
     }
 
     /// Iterates over all (key, chain) pairs in arbitrary order — callers

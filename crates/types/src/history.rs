@@ -40,6 +40,17 @@ pub enum HistoryEvent {
 }
 
 impl HistoryEvent {
+    /// Heap bytes: a ROT's read pairs and values (the value blocks are
+    /// their writers').
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            HistoryEvent::RotDone { pairs, values, .. } => {
+                crate::heap::vec_bytes(pairs) + crate::heap::vec_bytes(values)
+            }
+            HistoryEvent::PutDone { .. } => 0,
+        }
+    }
+
     pub fn client(&self) -> ClientId {
         match self {
             HistoryEvent::RotDone { client, .. } => *client,

@@ -14,6 +14,7 @@
 pub mod codec;
 pub mod config;
 pub mod error;
+pub mod heap;
 pub mod history;
 pub mod ids;
 pub mod intern;
@@ -27,6 +28,7 @@ pub mod wire;
 pub use codec::{CodecError, Wire};
 pub use config::{ClusterConfig, RotMode};
 pub use error::{Error, Result};
+pub use heap::HeapCensus;
 pub use history::HistoryEvent;
 pub use ids::{Addr, ClientId, DcId, NodeKind, PartitionId, TxId};
 pub use intern::Interner;

@@ -23,6 +23,14 @@ impl Op {
         matches!(self, Op::Put(..))
     }
 
+    /// Heap bytes: a ROT's key vector (a PUT's value is its writer's).
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Op::Rot(keys) => crate::heap::vec_bytes(keys),
+            Op::Put(..) => 0,
+        }
+    }
+
     /// Number of individual reads this operation counts as in the w/r ratio
     /// (`w = #PUT / (#PUT + #READ)`, a ROT of k keys counting as k reads).
     pub fn read_count(&self) -> usize {

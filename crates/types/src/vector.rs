@@ -103,6 +103,14 @@ impl DepVector {
         self.len() == 0
     }
 
+    /// Heap bytes: 0 inline, the exact block from three DCs on.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Repr::Inline(..) => 0,
+            Repr::Heap(b) => std::mem::size_of_val::<[u64]>(b),
+        }
+    }
+
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         self.as_slice()[i]

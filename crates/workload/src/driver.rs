@@ -58,6 +58,14 @@ impl ClientDriver {
         &self.spec
     }
 
+    /// Heap bytes: the value block every PUT of this driver shares (its
+    /// reference counts and bytes) and the partition scratch. The Zipf
+    /// table is shared by every driver of the cluster and not counted.
+    pub fn heap_bytes(&self) -> usize {
+        (16 + self.value.len()).next_multiple_of(8)
+            + contrarian_types::heap::vec_bytes(&self.scratch)
+    }
+
     /// Draws the next operation.
     pub fn next_op(&mut self, rng: &mut SmallRng) -> Op {
         if rng.random::<f64>() < self.put_prob {

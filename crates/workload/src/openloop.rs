@@ -104,6 +104,11 @@ impl OpenLoopDriver {
         self.sessions
     }
 
+    /// Heap bytes: its generator's. It keeps nothing per session.
+    pub fn heap_bytes(&self) -> usize {
+        self.gen.heap_bytes()
+    }
+
     /// Total arrivals scheduled so far (the primed first arrival excluded).
     pub fn scheduled(&self) -> u64 {
         self.scheduled

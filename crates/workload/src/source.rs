@@ -43,6 +43,14 @@ impl OpSource {
             OpSource::Open(d) => d.draw(now, rng),
         }
     }
+
+    /// Heap bytes of the operation generator.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            OpSource::Closed(d) => d.heap_bytes(),
+            OpSource::Open(d) => d.heap_bytes(),
+        }
+    }
 }
 
 #[cfg(test)]
