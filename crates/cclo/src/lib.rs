@@ -39,7 +39,7 @@ pub mod spec;
 
 pub use client::DepSession;
 pub use msg::Msg;
-pub use records::{BlockRecord, ReaderEntry, ReaderSet, RotFloor};
+pub use records::{BlockRecord, CurrentReader, Reader, ReaderEntry, ReaderSet, RotFloor};
 pub use server::Server;
 pub use spec::CcLo;
 

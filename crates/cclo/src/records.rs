@@ -58,17 +58,38 @@
 //! keys with current readers and 3 327 of them had exactly one. With a
 //! vector per set each of those paid a 4-slot, 128 B block: 15 616 slots
 //! for 4 757 entries, ≈ 795 KB a partition and ≈ 25 MB over 32, about
-//! half the run's heap. Inline, such a key costs its 48 B map slot
-//! (`ReaderSet` is 40 B, size pinned by a test), and the run peaks at
-//! ≈ 33 MB instead of ≈ 47 MB. `len()` counts the same entries either way.
+//! half the run's heap. Inline, such a key costs its map slot, and the
+//! run peaked at ≈ 33 MB instead of ≈ 47 MB. `len()` counts the same
+//! entries either way.
+//!
+//! **Layout: a current reader stores no version.** One sorted-set
+//! implementation serves two entry types. An old reader is a 32 B
+//! [`ReaderEntry`]: the version it read may be any superseded one, and
+//! [`ReaderSet::query_into`] can filter on it. A current reader is a
+//! 24 B [`CurrentReader`] without `read_version_ts`, because what it read
+//! is always the key's head (or ⊥ / genesis, timestamp 0): every install
+//! supersedes the current readers first, so all of them were recorded
+//! since the last install, and a non-blocked read returns the head (the
+//! server asserts this at insert in debug builds). The head's timestamp
+//! is written into each entry when [`ReaderSet::absorb`] moves them to
+//! the old readers — also when the install is a replicated version older
+//! than the head, which leaves the head as it was. Old-reader sets,
+//! readers-check answers and every cost-model input stay exactly what
+//! they were with a version per entry (a proptest holds the two against
+//! each other). Sizes, pinned by tests: an old-readers set is 40 B in a
+//! 48 B map slot, a current-readers set 32 B in a 40 B slot. The current
+//! readers are the largest row of `sim_write_cclo`'s heap census: at the
+//! end of its `over` rung (seed 1) 173 137 entries took 14.93 MB with a
+//! version each and take 12.31 MB without.
 
 use contrarian_types::{heap, ClientId, DcId, TxId};
 use std::cmp::Ordering;
 #[cfg(test)]
 use std::cmp::Reverse;
 
-/// One recorded read: which transaction read, at what logical time, and how
-/// fresh the version it read was.
+/// One recorded read of a superseded version — an *old* reader: which
+/// transaction read, at what logical time, and how fresh the version it
+/// read was.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReaderEntry {
     pub tx: TxId,
@@ -80,39 +101,98 @@ pub struct ReaderEntry {
     pub inserted_at: u64,
 }
 
-impl ReaderEntry {
-    fn expired(&self, now: u64, gc_ns: u64) -> bool {
-        now.saturating_sub(self.inserted_at) > gc_ns
+/// One recorded read of a key's head version (or of ⊥ or genesis) — a
+/// *current* reader. It stores no version: what it read is the head, whose
+/// timestamp [`ReaderSet::absorb`] writes in when the head is superseded
+/// (module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CurrentReader {
+    pub tx: TxId,
+    /// Logical (Lamport) time of the read at this partition.
+    pub read_time: u64,
+    /// True time of insertion, for the 500 ms garbage collection.
+    pub inserted_at: u64,
+}
+
+impl CurrentReader {
+    /// The old-reader entry of this read once the version it read, stamped
+    /// `read_version_ts`, is superseded.
+    fn superseded(self, read_version_ts: u64) -> ReaderEntry {
+        ReaderEntry {
+            tx: self.tx,
+            read_time: self.read_time,
+            read_version_ts,
+            inserted_at: self.inserted_at,
+        }
     }
 }
 
-/// Readers of a key — either the *current* readers (of the head version) or
-/// the accumulated *old* readers (of superseded versions). Sorted by `tx`,
-/// one entry per tx id. A single reader lives inline, a second promotes
-/// both into an exact two-slot vector, and an empty set owns no allocation
-/// (module docs).
-#[derive(Clone, Debug, Default)]
-pub struct ReaderSet {
-    repr: Repr,
+/// What a [`ReaderSet`] keeps of a read: at least the reading transaction
+/// and when the read was recorded.
+pub trait Reader: Copy {
+    fn tx(&self) -> TxId;
+    fn inserted_at(&self) -> u64;
+
+    fn expired(&self, now: u64, gc_ns: u64) -> bool {
+        now.saturating_sub(self.inserted_at()) > gc_ns
+    }
+}
+
+impl Reader for ReaderEntry {
+    fn tx(&self) -> TxId {
+        self.tx
+    }
+
+    fn inserted_at(&self) -> u64 {
+        self.inserted_at
+    }
+}
+
+impl Reader for CurrentReader {
+    fn tx(&self) -> TxId {
+        self.tx
+    }
+
+    fn inserted_at(&self) -> u64 {
+        self.inserted_at
+    }
+}
+
+/// Readers of a key — the *old* readers (of superseded versions, with the
+/// default [`ReaderEntry`]) or the *current* readers (of the head version,
+/// as [`CurrentReader`]s). Sorted by `tx`, one entry per tx id. A single
+/// reader lives inline, a second promotes both into an exact two-slot
+/// vector, and an empty set owns no allocation (module docs).
+#[derive(Clone, Debug)]
+pub struct ReaderSet<E = ReaderEntry> {
+    repr: Repr<E>,
+}
+
+impl<E> Default for ReaderSet<E> {
+    fn default() -> Self {
+        ReaderSet {
+            repr: Repr::default(),
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
-enum Repr {
-    One(ReaderEntry),
+enum Repr<E> {
+    One(E),
     /// Zero entries (unallocated) or two or more.
-    Many(Vec<ReaderEntry>),
+    Many(Vec<E>),
 }
 
-impl Default for Repr {
+impl<E> Default for Repr<E> {
     fn default() -> Self {
         Repr::Many(Vec::new())
     }
 }
 
-impl Repr {
+impl<E: Copy> Repr<E> {
     /// The representation of `v`, which is sorted: one entry moves inline
     /// and frees the vector, none frees it too.
-    fn of(v: Vec<ReaderEntry>) -> Self {
+    fn of(v: Vec<E>) -> Self {
         match v.as_slice() {
             [] => Repr::default(),
             [e] => Repr::One(*e),
@@ -121,13 +201,13 @@ impl Repr {
     }
 }
 
-impl ReaderSet {
+impl<E: Reader> ReaderSet<E> {
     pub fn new() -> Self {
         Self::default()
     }
 
     /// The entries, in `TxId` order.
-    fn entries(&self) -> &[ReaderEntry] {
+    fn entries(&self) -> &[E] {
         match &self.repr {
             Repr::One(e) => std::slice::from_ref(e),
             Repr::Many(v) => v,
@@ -146,11 +226,11 @@ impl ReaderSet {
 
     /// Records a read. A ROT reads a key at most once, so a duplicate tx id
     /// simply refreshes the entry.
-    pub fn insert(&mut self, e: ReaderEntry) {
+    pub fn insert(&mut self, e: E) {
         match &mut self.repr {
             Repr::One(old) => {
                 let old = *old;
-                self.repr = match old.tx.cmp(&e.tx) {
+                self.repr = match old.tx().cmp(&e.tx()) {
                     Ordering::Less => Repr::Many(vec![old, e]),
                     Ordering::Equal => Repr::One(e),
                     Ordering::Greater => Repr::Many(vec![e, old]),
@@ -158,11 +238,11 @@ impl ReaderSet {
             }
             Repr::Many(v) if v.is_empty() => self.repr = Repr::One(e),
             Repr::Many(v) => {
-                if v.last().is_none_or(|last| last.tx < e.tx) {
+                if v.last().is_none_or(|last| last.tx() < e.tx()) {
                     v.push(e);
                     return;
                 }
-                match v.binary_search_by_key(&e.tx, |x| x.tx) {
+                match v.binary_search_by_key(&e.tx(), |x| x.tx()) {
                     Ok(i) => v[i] = e,
                     Err(i) => v.insert(i, e),
                 }
@@ -170,38 +250,99 @@ impl ReaderSet {
         }
     }
 
-    /// Moves every entry of `other` into `self` (current readers become old
-    /// readers when the head version is superseded), leaving `other` empty
-    /// and unallocated. For a tx id in both, `other`'s entry wins.
-    pub fn absorb(&mut self, other: &mut ReaderSet) {
+    /// Moves every entry of `other` into `self`, each turned into an `E`
+    /// by `into`, leaving `other` empty and unallocated. For a tx id in
+    /// both, `other`'s entry wins.
+    fn absorb_with<F: Reader>(&mut self, other: &mut ReaderSet<F>, into: impl Fn(F) -> E) {
+        let other = std::mem::take(other);
         if self.is_empty() {
-            std::mem::swap(&mut self.repr, &mut other.repr);
+            // Entry by entry: an inline reader stays inline, a vector is
+            // rewritten into one exact block of the wider entries.
+            self.repr = match other.repr {
+                Repr::One(e) => Repr::One(into(e)),
+                Repr::Many(v) => Repr::Many(v.into_iter().map(into).collect()),
+            };
             return;
         }
-        let other = std::mem::take(other);
         let (a, b) = (self.entries(), other.entries());
         let mut merged = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
-            match a[i].tx.cmp(&b[j].tx) {
+            match a[i].tx().cmp(&b[j].tx()) {
                 Ordering::Less => {
                     merged.push(a[i]);
                     i += 1;
                 }
                 Ordering::Greater => {
-                    merged.push(b[j]);
+                    merged.push(into(b[j]));
                     j += 1;
                 }
                 Ordering::Equal => {
-                    merged.push(b[j]);
+                    merged.push(into(b[j]));
                     i += 1;
                     j += 1;
                 }
             }
         }
         merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
+        merged.extend(b[j..].iter().map(|&e| into(e)));
         self.repr = Repr::of(merged);
+    }
+
+    /// Drops entries older than the GC window. Returns how many were kept
+    /// and dropped (for CPU accounting).
+    pub fn gc(&mut self, now: u64, gc_ns: u64) -> (usize, usize) {
+        let before = self.len();
+        match &mut self.repr {
+            Repr::One(e) if e.expired(now, gc_ns) => self.repr = Repr::default(),
+            Repr::One(_) => {}
+            Repr::Many(v) => {
+                v.retain(|e| !e.expired(now, gc_ns));
+                if v.len() < 2 {
+                    self.repr = Repr::of(std::mem::take(v));
+                }
+            }
+        }
+        (self.len(), before - self.len())
+    }
+
+    pub fn contains(&self, tx: TxId) -> bool {
+        self.entries().binary_search_by_key(&tx, |e| e.tx()).is_ok()
+    }
+
+    /// Heap bytes: the vector of a set of two or more, 0 inline or empty.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::One(_) => 0,
+            Repr::Many(v) => heap::vec_bytes(v),
+        }
+    }
+
+    /// Panics unless the entries are strictly `TxId`-ascending, a vector
+    /// holds no exactly-one set, and an empty set owns no allocation.
+    #[cfg(test)]
+    fn assert_invariants(&self) {
+        assert!(
+            self.entries().windows(2).all(|w| w[0].tx() < w[1].tx()),
+            "reader set must be strictly ascending by tx"
+        );
+        if let Repr::Many(v) = &self.repr {
+            assert_ne!(v.len(), 1, "a single reader must live inline");
+            assert!(
+                !v.is_empty() || v.capacity() == 0,
+                "an empty reader set must not own a block"
+            );
+        }
+    }
+}
+
+impl ReaderSet<ReaderEntry> {
+    /// Moves the current readers of a head version stamped
+    /// `read_version_ts` (0 for ⊥ or genesis) into these old readers as
+    /// the head is superseded, leaving `current` empty and unallocated.
+    /// For a tx id in both, the current reader wins.
+    pub fn absorb(&mut self, current: &mut ReaderSet<CurrentReader>, read_version_ts: u64) {
+        self.absorb_with(current, |r| r.superseded(read_version_ts));
     }
 
     /// The old readers *relative to a dependency version*: transactions that
@@ -242,52 +383,6 @@ impl ReaderSet {
         let mut out = Vec::new();
         self.query_into(dep_ts, now, gc_ns, &mut out);
         out
-    }
-
-    /// Drops entries older than the GC window. Returns how many were kept
-    /// and dropped (for CPU accounting).
-    pub fn gc(&mut self, now: u64, gc_ns: u64) -> (usize, usize) {
-        let before = self.len();
-        match &mut self.repr {
-            Repr::One(e) if e.expired(now, gc_ns) => self.repr = Repr::default(),
-            Repr::One(_) => {}
-            Repr::Many(v) => {
-                v.retain(|e| !e.expired(now, gc_ns));
-                if v.len() < 2 {
-                    self.repr = Repr::of(std::mem::take(v));
-                }
-            }
-        }
-        (self.len(), before - self.len())
-    }
-
-    pub fn contains(&self, tx: TxId) -> bool {
-        self.entries().binary_search_by_key(&tx, |e| e.tx).is_ok()
-    }
-
-    /// Heap bytes: the vector of a set of two or more, 0 inline or empty.
-    pub fn heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::One(_) => 0,
-            Repr::Many(v) => heap::vec_bytes(v),
-        }
-    }
-
-    /// Panics unless the entries are strictly `TxId`-ascending, a vector
-    /// holds no exactly-one set, and an empty set owns no allocation.
-    #[cfg(test)]
-    fn assert_invariants(&self) {
-        assert!(
-            self.entries().windows(2).all(|w| w[0].tx < w[1].tx),
-            "reader set must be strictly ascending by tx"
-        );
-        if let Repr::Many(v) = &self.repr {
-            assert_ne!(v.len(), 1, "a single reader must live inline");
-            assert!(
-                !v.is_empty() || v.capacity() == 0,
-                "an empty reader set must not own a block"
-            );
-        }
     }
 }
 
@@ -606,6 +701,14 @@ mod tests {
         }
     }
 
+    fn current(t: TxId, rt: u64, at: u64) -> CurrentReader {
+        CurrentReader {
+            tx: t,
+            read_time: rt,
+            inserted_at: at,
+        }
+    }
+
     /// Few clients and few ROTs per client, so sequences revisit tx ids,
     /// stack several ROTs on one client and hit both absorb overlap cases.
     const CLIENTS: u16 = 5;
@@ -647,7 +750,7 @@ mod tests {
                         m_old.insert(e);
                     }
                     4 => {
-                        old.absorb(&mut cur);
+                        old.absorb_with(&mut cur, |e| e);
                         m_old.absorb(&mut m_cur);
                     }
                     5 => {
@@ -655,7 +758,7 @@ mod tests {
                         prop_assert_eq!(old.gc(now, GC_NS), m_old.gc(now, GC_NS));
                     }
                     6 => {
-                        cur.absorb(&mut old);
+                        cur.absorb_with(&mut old, |e| e);
                         m_cur.absorb(&mut m_old);
                     }
                     7 => {
@@ -692,6 +795,66 @@ mod tests {
                 prop_assert_eq!(cur.is_empty(), m_cur.len() == 0);
                 prop_assert_eq!(old.contains(e.tx), m_old.contains(e.tx));
                 prop_assert_eq!(cur.contains(e.tx), m_cur.contains(e.tx));
+            }
+        }
+
+        /// Current readers that store no version, against the per-entry
+        /// representation they replaced — a `ReaderSet<ReaderEntry>` whose
+        /// every entry carries the head's timestamp from the moment it is
+        /// read — over one key's life: reads of the head, blocked reads of
+        /// older versions, installs that supersede the current readers
+        /// (newer than the head, or interleaved below it, which leaves the
+        /// head as it was) and GC sweeps. The old-reader sets, their
+        /// queries and every sweep's `(kept, dropped)` are identical.
+        #[test]
+        fn versionless_current_readers_match_the_per_entry_oracle(
+            ops in prop::collection::vec(
+                ((0u8..8, 0..CLIENTS, 0..SEQS), (0u64..50, 0u64..12)),
+                1..160,
+            ),
+        ) {
+            let (mut cur, mut old) = (ReaderSet::<CurrentReader>::new(), ReaderSet::new());
+            let (mut o_cur, mut o_old) = (ReaderSet::<ReaderEntry>::new(), ReaderSet::new());
+            // The head's timestamp (0: ⊥) and the newest one issued.
+            let (mut head, mut newest, mut now) = (0u64, 0u64, 0u64);
+            for ((op, c, seq), (rt, dt)) in ops {
+                now += dt;
+                let t = tx(c, seq);
+                match op {
+                    0..=2 => {
+                        cur.insert(current(t, rt, now));
+                        o_cur.insert(entry(t, rt, head, now));
+                    }
+                    3 => {
+                        // A blocked ROT reads something older than the head.
+                        let e = entry(t, rt, head.saturating_sub(1 + rt % 3), now);
+                        old.insert(e);
+                        o_old.insert(e);
+                    }
+                    4 | 5 => {
+                        old.absorb(&mut cur, head);
+                        o_old.absorb_with(&mut o_cur, |e| e);
+                        newest += 1;
+                        if op == 4 {
+                            head = newest;
+                        }
+                    }
+                    _ => {
+                        prop_assert_eq!(cur.gc(now, GC_NS), o_cur.gc(now, GC_NS));
+                        prop_assert_eq!(old.gc(now, GC_NS), o_old.gc(now, GC_NS));
+                    }
+                }
+                cur.assert_invariants();
+                old.assert_invariants();
+                prop_assert_eq!(old.entries(), o_old.entries());
+                prop_assert_eq!(cur.len(), o_cur.len());
+                prop_assert!(cur.entries().iter().map(|e| e.tx).eq(o_cur.entries().iter().map(|e| e.tx)));
+                for dep_ts in [u64::MAX, head, head + 1, rt] {
+                    prop_assert_eq!(
+                        old.query(dep_ts, now, GC_NS),
+                        o_old.query(dep_ts, now, GC_NS)
+                    );
+                }
             }
         }
 
@@ -844,23 +1007,32 @@ mod tests {
     fn absorb_keeps_inline_entries_on_either_side() {
         let (mut old, mut cur) = (ReaderSet::new(), ReaderSet::new());
         old.insert(entry(tx(2, 0), 1, 0, 0));
-        cur.insert(entry(tx(1, 0), 2, 0, 0));
-        old.absorb(&mut cur);
+        cur.insert(current(tx(1, 0), 2, 0));
+        old.absorb(&mut cur, 7);
         assert_eq!(old.len(), 2);
         assert!(old.contains(tx(1, 0)) && old.contains(tx(2, 0)));
         assert!(matches!(&cur.repr, Repr::Many(v) if v.capacity() == 0));
-        // Into an empty set the entry moves as it is, still inline.
-        cur.insert(entry(tx(4, 0), 3, 0, 0));
+        // Into an empty set the entry moves stamped, still inline.
+        cur.insert(current(tx(4, 0), 3, 0));
         let mut fresh = ReaderSet::new();
-        fresh.absorb(&mut cur);
-        assert!(matches!(fresh.repr, Repr::One(e) if e.tx == tx(4, 0)));
+        fresh.absorb(&mut cur, 7);
+        assert!(matches!(fresh.repr, Repr::One(e) if e == entry(tx(4, 0), 3, 7, 0)));
         // Two inline entries of one tx merge to one, still inline.
-        cur.insert(entry(tx(4, 0), 9, 0, 0));
-        fresh.absorb(&mut cur);
-        assert!(matches!(fresh.repr, Repr::One(e) if e.read_time == 9));
-        for s in [&old, &cur, &fresh] {
+        cur.insert(current(tx(4, 0), 9, 0));
+        fresh.absorb(&mut cur, 8);
+        assert!(matches!(fresh.repr, Repr::One(e) if (e.read_time, e.read_version_ts) == (9, 8)));
+        // A vector into an empty set becomes one exact block of old
+        // readers, every entry stamped.
+        cur.insert(current(tx(5, 0), 1, 0));
+        cur.insert(current(tx(6, 0), 2, 0));
+        let mut empty = ReaderSet::new();
+        empty.absorb(&mut cur, 3);
+        assert!(matches!(&empty.repr, Repr::Many(v)
+            if v.capacity() == 2 && v.iter().all(|e| e.read_version_ts == 3)));
+        for s in [&old, &fresh, &empty] {
             s.assert_invariants();
         }
+        cur.assert_invariants();
     }
 
     /// Every key with readers pays one `ReaderSet` in its map slot, so its
@@ -874,16 +1046,28 @@ mod tests {
         assert_eq!(size_of::<ReaderSet>(), 40);
     }
 
+    /// A current reader stores no version: 24 B, and its set 32 B with
+    /// the tag — the map slot of every key with current readers, the
+    /// largest row of CC-LO's heap census.
+    #[test]
+    fn current_reader_set_is_a_24_byte_entry_plus_a_tag() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<CurrentReader>(), 24);
+        assert_eq!(size_of::<ReaderSet<CurrentReader>>(), 32);
+    }
+
     #[test]
     fn absorb_moves_entries() {
         let mut cur = ReaderSet::new();
         let mut old = ReaderSet::new();
-        cur.insert(entry(tx(0, 0), 5, 1, 0));
-        cur.insert(entry(tx(1, 0), 6, 1, 0));
-        old.absorb(&mut cur);
+        cur.insert(current(tx(0, 0), 5, 0));
+        cur.insert(current(tx(1, 0), 6, 0));
+        old.absorb(&mut cur, 1);
         assert!(cur.is_empty());
         assert_eq!(old.len(), 2);
         assert!(old.contains(tx(0, 0)));
+        assert_eq!(old.query(2, 0, 1), vec![(tx(0, 0), 5), (tx(1, 0), 6)]);
+        assert!(old.query(1, 0, 1).is_empty(), "both read the version at 1");
     }
 
     #[test]

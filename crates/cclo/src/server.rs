@@ -1,7 +1,7 @@
 //! The CC-LO storage server: latency-optimal ROTs, expensive PUTs.
 
 use crate::msg::{Dep, Msg};
-use crate::records::{BlockRecord, ReaderEntry, ReaderSet, RotFloor};
+use crate::records::{BlockRecord, CurrentReader, Reader, ReaderEntry, ReaderSet, RotFloor};
 use crate::stats;
 use contrarian_clock::LogicalClock;
 use contrarian_protocol::{timers, Parked, ProtocolServer, Timers};
@@ -63,6 +63,22 @@ struct PendingRepl {
     birth: u64,
 }
 
+/// The timestamp of `key`'s head version, 0 for ⊥ (genesis is 0 too).
+fn head_ts(store: &MvStore<BlockRecord>, key: Key) -> u64 {
+    store.latest(key).map_or(0, |h| h.vid.ts)
+}
+
+/// `(heap bytes, entries)` of a readers map.
+fn readers_heap<E: Reader>(map: &HashMap<Key, ReaderSet<E>>) -> (usize, usize) {
+    let (mut bytes, mut entries) = (heap::map_bytes(map), 0);
+    // lint:allow(determinism): commutative sums for a heap census
+    for set in map.values() {
+        bytes += set.heap_bytes();
+        entries += set.len();
+    }
+    (bytes, entries)
+}
+
 /// A dependency-check query that cannot be answered yet because some
 /// dependency has not been installed locally.
 struct DepWaiter {
@@ -76,8 +92,10 @@ pub struct Server {
     cfg: ClusterConfig,
     lamport: LogicalClock,
     store: MvStore<BlockRecord>,
-    /// Current readers of each key's head version (or of ⊥).
-    readers: HashMap<Key, ReaderSet>,
+    /// Current readers of each key's head version (or of ⊥). Each read
+    /// the head, so none stores a version: `supersede_head` stamps them
+    /// with the head's timestamp as they become old readers.
+    readers: HashMap<Key, ReaderSet<CurrentReader>>,
     /// Old readers of each key (readers of superseded versions).
     old_readers: HashMap<Key, ReaderSet>,
     /// The server's per-client table: the newest ROT each client has read
@@ -249,18 +267,30 @@ impl Server {
                 ver = Some((VersionId::GENESIS, contrarian_types::genesis_value()));
             }
             let read_version_ts = ver.as_ref().map(|(vid, _)| vid.ts).unwrap_or(0);
-            let entry = ReaderEntry {
-                tx,
-                read_time,
-                read_version_ts,
-                inserted_at: now,
-            };
             if blocked {
                 // Reading a superseded version makes this ROT an old reader
                 // of the key immediately.
-                self.old_readers.entry(key).or_default().insert(entry);
+                self.old_readers
+                    .entry(key)
+                    .or_default()
+                    .insert(ReaderEntry {
+                        tx,
+                        read_time,
+                        read_version_ts,
+                        inserted_at: now,
+                    });
             } else {
-                self.readers.entry(key).or_default().insert(entry);
+                // What `supersede_head` will stamp this reader with.
+                debug_assert_eq!(
+                    read_version_ts,
+                    head_ts(&self.store, key),
+                    "{tx} read {key:?}"
+                );
+                self.readers.entry(key).or_default().insert(CurrentReader {
+                    tx,
+                    read_time,
+                    inserted_at: now,
+                });
             }
             pairs.push((key, ver));
         }
@@ -549,10 +579,19 @@ impl Server {
         self.flush_dep_waiters(ctx);
     }
 
+    /// Turns `key`'s current readers into old readers of its head, stamped
+    /// with the head's timestamp. Runs before every install, even of a
+    /// replicated version older than the head: what the current readers
+    /// read is always the head, because they were all recorded since the
+    /// last install.
     fn supersede_head(&mut self, key: Key) {
         if let Some(cur) = self.readers.get_mut(&key) {
             if !cur.is_empty() {
-                self.old_readers.entry(key).or_default().absorb(cur);
+                let head_ts = head_ts(&self.store, key);
+                self.old_readers
+                    .entry(key)
+                    .or_default()
+                    .absorb(cur, head_ts);
             }
         }
     }
@@ -737,18 +776,10 @@ impl ProtocolServer for Server {
         let versions = self.store.n_versions();
         census.add("store", chains, versions);
         census.add("sealed records", records, versions);
-        for (owner, map) in [
-            ("current readers", &self.readers),
-            ("old readers", &self.old_readers),
-        ] {
-            let (mut bytes, mut entries) = (heap::map_bytes(map), 0);
-            // lint:allow(determinism): commutative sums for a heap census
-            for set in map.values() {
-                bytes += set.heap_bytes();
-                entries += set.len();
-            }
-            census.add(owner, bytes, entries);
-        }
+        let (bytes, entries) = readers_heap(&self.readers);
+        census.add("current readers", bytes, entries);
+        let (bytes, entries) = readers_heap(&self.old_readers);
+        census.add("old readers", bytes, entries);
         // lint:allow(determinism): commutative sums for a heap census
         let puts: usize = self
             .pending_puts
@@ -1106,6 +1137,49 @@ mod tests {
         let head = s.store().latest(y).unwrap();
         assert_eq!(head.vid, y1, "the dependency is installed here");
         assert!(head.meta.bound(t).is_some(), "T must be kept from Y1");
+    }
+
+    /// A replicated version older than the head (an interleaved install)
+    /// supersedes the current readers like any install, and stamps them
+    /// with the head they read, not with the arriving version: a readers
+    /// check against a dependency between the two finds none of them.
+    #[test]
+    fn interleaved_install_stamps_current_readers_with_the_head() {
+        let mut s = Server::new(addr(0), ClusterConfig::small().with_dcs(2));
+        let mut ctx = ScriptCtx::new(addr(0));
+        let x = Key(0);
+        for _ in 0..3 {
+            do_put(&mut s, &mut ctx, Key(4), vec![]);
+        }
+        let head = do_put(&mut s, &mut ctx, x, vec![]);
+        let t = tx(3, 0);
+        assert_eq!(do_rot(&mut s, &mut ctx, t, vec![x]), vec![(x, Some(head))]);
+        let older = VersionId::new(head.ts - 2, DcId(1));
+        s.on_message(
+            &mut ctx,
+            Addr::server(DcId(1), PartitionId(0)),
+            Msg::Replicate {
+                key: x,
+                value: Value::from_static(b"x-older"),
+                vid: older,
+                deps: vec![],
+                lamport: older.ts,
+                birth: 0,
+            },
+        );
+        assert_eq!(s.store().latest(x).unwrap().vid, head, "the head stays");
+        assert_eq!(s.store().chain(x).unwrap().len(), 2);
+        assert_eq!(reader_entries(&s), (0, 1), "superseded by the install");
+        let window = s.gc_window_ns();
+        let old = &s.old_readers[&x];
+        assert!(old.query(older.ts + 1, 0, window).is_empty());
+        assert!(old.query(head.ts, 0, window).is_empty());
+        let named: Vec<TxId> = old
+            .query(head.ts + 1, 0, window)
+            .iter()
+            .map(|p| p.0)
+            .collect();
+        assert_eq!(named, [t]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! harness runs every `#[test]` on a thread of its own: what one test
 //! allocates never shows up in another's reading.
 
-use contrarian::cclo::{CcLo, ReaderEntry, ReaderSet};
+use contrarian::cclo::{CcLo, CurrentReader, ReaderEntry, ReaderSet};
 use contrarian::core_protocol::Contrarian;
 use contrarian::cure::Cure;
 use contrarian::okapi::Okapi;
@@ -333,7 +333,8 @@ fn first_reader_of_a_key_does_not_allocate() {
 /// table slot and nothing else. Measured 64.2 B per key (65 536 slots of
 /// 8 + 40 + 1 B for 50 000 keys); a set that kept its one reader in a
 /// vector made it 171.3 B (65 536 slots of 8 + 24 + 1 B plus a 128-byte
-/// block of four entry slots per key).
+/// block of four entry slots per key). That is the old readers' map, whose
+/// entries keep the version they read; the current readers' is below.
 #[test]
 fn single_reader_keys_stay_within_80_bytes_per_key() {
     const KEYS: u64 = 50_000;
@@ -347,6 +348,32 @@ fn single_reader_keys_stay_within_80_bytes_per_key() {
     assert!(
         per_key <= 80.0,
         "{per_key:.1} live heap bytes per single-reader key"
+    );
+}
+
+/// A key's current readers all read its head, so they store no version:
+/// a single-reader key costs a 40 B table slot. Measured 53.7 B per key
+/// (65 536 slots of 8 + 32 + 1 B for 50 000 keys), against 64.2 B when
+/// every current reader kept the version it read (the 40 B set above).
+/// The current readers are the largest row of `sim_write_cclo`'s heap
+/// census.
+#[test]
+fn current_reader_keys_stay_within_60_bytes_per_key() {
+    const KEYS: u64 = 50_000;
+    let (_, before) = heap();
+    let mut readers: HashMap<Key, ReaderSet<CurrentReader>> = HashMap::new();
+    for k in 0..KEYS {
+        readers.entry(Key(k)).or_default().insert(CurrentReader {
+            tx: TxId::new(ClientId::new(DcId(0), k as u16), 1),
+            read_time: 1,
+            inserted_at: 0,
+        });
+    }
+    let per_key = (heap().1 - before) as f64 / KEYS as f64;
+    assert_eq!(readers.len(), KEYS as usize);
+    assert!(
+        per_key <= 60.0,
+        "{per_key:.1} live heap bytes per current-reader key"
     );
 }
 
