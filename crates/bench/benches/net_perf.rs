@@ -3,7 +3,7 @@
 //!
 //! Headline metric: **frames/sec/core** — wire frames moved per second,
 //! divided by the I/O threads doing the moving. The reactor drives every
-//! socket from a fixed pool (`CONTRARIAN_NET_THREADS`, default
+//! socket from a fixed pool (one thread per core,
 //! `available_parallelism`), so the divisor stays flat as the cluster
 //! grows.
 //!

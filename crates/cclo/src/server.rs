@@ -421,7 +421,7 @@ impl Server {
             if ctx.tracing() {
                 ctx.trace(TraceKind::Park, 1, self.dep_waiters.len() as u64);
             }
-            self.dep_waiters.park_until_ready_at(
+            self.dep_waiters.park_until_ready(
                 ctx.now(),
                 DepWaiter {
                     reply_to: from,
@@ -637,7 +637,7 @@ impl Server {
                     if ctx.tracing() {
                         ctx.trace(TraceKind::Park, 1, self.dep_waiters.len() as u64);
                     }
-                    self.dep_waiters.park_until_ready_at(
+                    self.dep_waiters.park_until_ready(
                         now,
                         DepWaiter {
                             reply_to: self.addr,
@@ -712,7 +712,7 @@ impl Server {
         // handlers below may park new waiters (and recurse through
         // `finalize_repl`), which land in the restored queue.
         let mut q = std::mem::take(&mut self.dep_waiters);
-        let ready = q.take_ready_timed(ctx.now(), |w| self.deps_installed(&w.deps));
+        let ready = q.take_ready(ctx.now(), |w| self.deps_installed(&w.deps));
         self.dep_waiters = q;
         for (waited, w) in ready {
             ctx.metrics().blocked(waited);

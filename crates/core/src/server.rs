@@ -177,7 +177,7 @@ impl<F: Flavor> SnapshotServer<F> {
 
     /// RESUME tick: re-dispatches every request whose wait is over.
     fn resume(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
-        for (waited, (from, msg)) in self.parked.take_due_timed(ctx.now()) {
+        for (waited, (from, msg)) in self.parked.take_due(ctx.now()) {
             ctx.metrics().blocked(waited);
             if ctx.tracing() {
                 ctx.trace(TraceKind::Unpark, 0, waited);

@@ -725,7 +725,7 @@ mod tests {
         sim.run_until(end);
         sim.set_stopped(true);
         sim.run_to_quiescence(end + 5_000_000_000);
-        let buffered = sim.take_history();
+        let buffered = sim.drain_history();
         assert!(!buffered.is_empty());
         assert_eq!(format!("{streamed:?}"), format!("{buffered:?}"));
         assert_eq!(

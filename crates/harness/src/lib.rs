@@ -37,8 +37,8 @@
 //! - [`check_causal`] takes a finished history slice — the one-liner used
 //!   by tests: `assert!(check_causal(&run.history).ok())`.
 //! - [`CausalChecker`] is the streaming form: [`CausalChecker::feed`]
-//!   events as they arrive (e.g. straight off a
-//!   [`contrarian_runtime::HistorySink`]) and call
+//!   events as they arrive (e.g. each segment of `Sim::drain_history` or
+//!   `NetCluster::drain_history`) and call
 //!   [`CausalChecker::report`] once at the end. For open-ended streams
 //!   (the saturation driver checks millions of operations), periodic
 //!   [`CausalChecker::gc`] calls reclaim versions below the all-session

@@ -963,7 +963,7 @@ fn net_sweep(ctx: &Ctx) -> io::Result<()> {
 /// Chrome-trace `trace_view.json` (`chrome://tracing` or Perfetto; rows are
 /// nodes) plus a text summary. Arguments: `[backend] [offered_ops_per_sec]`,
 /// default `contrarian 5000`. The trace is the same on every engine: a
-/// deterministic artifact of (backend, rate, seed, `CONTRARIAN_TRACE_CAP`).
+/// deterministic artifact of (backend, rate, seed).
 fn trace_view(ctx: &Ctx) -> io::Result<()> {
     let protocol = match ctx.args.first().map(|s| s.to_ascii_lowercase()).as_deref() {
         None | Some("contrarian") => Protocol::Contrarian,

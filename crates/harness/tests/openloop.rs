@@ -225,7 +225,6 @@ proptest! {
                     now = due;
                     continue;
                 }
-                Draw::Idle => prop_assert!(false, "populated driver went idle"),
             }
             now += step;
         }

@@ -11,10 +11,10 @@
 //! real world and are exempt from the determinism rule — but not from
 //! unsafe hygiene, wire-codec, bounded queues, or the env registry.
 //!
-//! Two files inside deterministic crates are explicitly OS-facing (the
-//! runtime's waitable history sink and the conformance battery's TCP
-//! half); they are listed as overrides rather than moved, because the
-//! crate split is about dependency layering, not about this rule.
+//! One file inside a deterministic crate is explicitly OS-facing (the
+//! conformance battery's TCP half); it is listed as an override rather
+//! than moved, because the crate split is about dependency layering, not
+//! about this rule.
 
 /// How the determinism rule treats a file.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -55,9 +55,6 @@ impl Policy {
                 // The conformance battery's TCP half sleeps wall-clock time
                 // waiting for real sockets to drain.
                 "crates/protocol/src/conformance.rs",
-                // The Condvar-backed history sink's waiters run on OS
-                // threads against real deadlines.
-                "crates/runtime/src/history.rs",
             ],
             registry_file: "crates/runtime/src/env.rs".to_string(),
             // The lint's own sources and fixtures embed `CONTRARIAN_*`

@@ -228,6 +228,8 @@ fn unregistered_env_literal_is_caught() {
         "NET_POLLER",
         "SCHED",
         "SHARD_THREADS",
+        "NET_THREADS",
+        "TRACE_CAP",
     ] {
         let src = format!("fn f() {{ let v = std::env::var(\"CONTRARIAN_{name}\"); }}\n");
         let diags = check(&[

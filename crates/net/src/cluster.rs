@@ -2,14 +2,13 @@
 //! the reactor pool.
 //!
 //! [`NetCluster`] is what the builders and the harness talk to. Starting
-//! one binds a loopback listener per node (assembling the loopback
-//! [`StaticBook`]), spawns the [`reactor`](crate::reactor) pool, then one
+//! one binds a loopback listener per node (recording where each listens),
+//! spawns the [`reactor`](crate::reactor) pool, then one
 //! thread per node running the [`node_loop`](crate::node_loop). The node
 //! threads and the reactors share a `ClusterCore`: the run flags and
-//! history sink ([`RunShared`]), every node's input channel, and the wire
+//! history log ([`RunShared`]), every node's input channel, and the wire
 //! counters.
 
-use crate::addrbook::StaticBook;
 use crate::node_loop::{run_node, Input, RunShared};
 use crate::reactor::{pool_size, spawn_reactors, stop_reactors, NetInner, ReactorOutbound};
 use contrarian_runtime::actor::Actor;
@@ -23,7 +22,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Capacity of each node's input channel (frames). Bounded so a stalled
 /// node exerts backpressure instead of ballooning memory.
@@ -82,7 +80,7 @@ pub(crate) struct ClusterCore<M> {
 #[derive(Clone, Copy, Debug)]
 pub struct NetIoStats {
     /// Reactor threads, i.e. threads dedicated to socket I/O (node
-    /// threads excluded). Fixed at start by `CONTRARIAN_NET_THREADS`.
+    /// threads excluded): one per core, fixed at start.
     pub transport_threads: usize,
     /// Socket endpoints established so far (connects + accepts). One
     /// connection per peer pair, so a chatty pair costs two.
@@ -115,20 +113,6 @@ impl<M: Send + 'static> NetHandle<M> {
             .unwrap_or_else(|| panic!("unknown addr {to}"));
         let _ = tx.send(Input::Msg { from, msg });
     }
-
-    /// Blocks until some history event satisfies `pred` (see
-    /// [`contrarian_runtime::HistorySink::wait_for`]).
-    pub fn wait_for_history<F>(
-        &self,
-        cursor: &mut usize,
-        timeout: Duration,
-        pred: F,
-    ) -> Option<HistoryEvent>
-    where
-        F: FnMut(&HistoryEvent) -> bool,
-    {
-        self.core.run.history.wait_for(cursor, timeout, pred)
-    }
 }
 
 impl<A> NetCluster<A>
@@ -142,7 +126,7 @@ where
         let pool = pool_size();
         let mut inbox = HashMap::new();
         let mut rxs = Vec::with_capacity(nodes.len());
-        let mut book = StaticBook::default();
+        let mut endpoints = HashMap::new();
         let mut listeners_per: Vec<Vec<(Addr, TcpListener)>> =
             (0..pool).map(|_| Vec::new()).collect();
         for (i, (addr, _)) in nodes.iter().enumerate() {
@@ -151,7 +135,7 @@ where
             rxs.push(rx);
             let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
             l.set_nonblocking(true).expect("listener nonblocking");
-            book.insert(*addr, l.local_addr().expect("listener has local addr"));
+            endpoints.insert(*addr, l.local_addr().expect("listener has local addr"));
             listeners_per[i % pool].push((*addr, l));
         }
         let core = Arc::new(ClusterCore {
@@ -159,7 +143,7 @@ where
             inbox,
             wire: WireStats::default(),
         });
-        let (net, reactor_threads) = spawn_reactors(core, Arc::new(book), listeners_per);
+        let (net, reactor_threads) = spawn_reactors(core, endpoints, listeners_per);
 
         let addrs: Vec<Addr> = nodes.iter().map(|(a, _)| *a).collect();
         let node_threads = nodes
@@ -218,11 +202,10 @@ where
     }
 
     /// Drains the history recorded since the last drain, releasing it
-    /// from the shared sink (see
-    /// [`contrarian_runtime::HistorySink::drain`]). Lets a streaming
-    /// consumer check long runs without the sink holding the whole log.
+    /// from the shared log. Lets a streaming consumer check long runs
+    /// without the cluster holding the whole log.
     pub fn drain_history(&self) -> Vec<HistoryEvent> {
-        self.net.core.run.history.drain()
+        self.net.core.run.take_history()
     }
 
     /// `(frames, bytes)` successfully written to sockets so far (hello
@@ -265,7 +248,7 @@ where
         metrics.add("net.frames_sent", frames);
         metrics.add("net.bytes_sent", bytes);
         metrics.enabled = false;
-        let history = core.run.history.take();
+        let history = core.run.take_history();
         (actors, metrics, history)
     }
 }
@@ -277,7 +260,7 @@ pub(crate) mod tests {
     use contrarian_runtime::cost::{MsgClass, SimMessage};
     use contrarian_types::codec::{CodecError, Reader};
     use contrarian_types::{DcId, PartitionId};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// A ping-pong actor: servers echo, clients count echoes.
     pub(crate) struct Echo {

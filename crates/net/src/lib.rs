@@ -9,8 +9,8 @@
 //! ## The reactor
 //!
 //! [`NetCluster::start`] binds a loopback listener per node and runs every
-//! socket on the [`reactor`] pool: a fixed set of event-loop threads
-//! (`CONTRARIAN_NET_THREADS`, default `available_parallelism`) driving
+//! socket on the [`reactor`] pool: one event-loop thread per core
+//! (`available_parallelism`) driving
 //! nonblocking sockets through hand-rolled epoll bindings ([`sys`]). One
 //! multiplexed TCP connection per *peer pair* — frames already carry
 //! `(from, msg)`, so both directions share a socket, with a
@@ -32,11 +32,9 @@
 //! ## Deployment knowledge
 //!
 //! The only thing the transport must know about the world is where each
-//! node listens, externalized behind the [`AddressBook`] trait. The
-//! in-process clusters assemble a loopback [`StaticBook`] from ephemeral
-//! ports; a multi-process deployment (the ROADMAP's geo direction) loads
-//! the same book from a one-line-per-node config file
-//! ([`StaticBook::load`]).
+//! node listens: an `Addr → SocketAddr` map that [`NetCluster::start`]
+//! fills from the ephemeral ports its loopback listeners were handed. The
+//! cluster runs in one process; there is no config-file deployment.
 //!
 //! Because the runtime only needs [`contrarian_runtime::Actor`] +
 //! [`contrarian_types::Wire`], the generic cluster builders in
@@ -50,12 +48,10 @@
 //! loopback sockets, and `contrarian-bench`'s `net_perf` measures the
 //! reactor's frames/sec/core and I/O footprint.
 
-pub mod addrbook;
 pub mod cluster;
 pub mod conn;
 mod node_loop;
 pub mod reactor;
 pub mod sys;
 
-pub use addrbook::{parse_addr, AddressBook, StaticBook};
 pub use cluster::{NetCluster, NetHandle, NetIoStats};

@@ -10,7 +10,6 @@
 
 use crate::reactor::ReactorOutbound;
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
-use contrarian_runtime::history::HistorySink;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent};
@@ -19,6 +18,7 @@ use rand::SeedableRng;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One item on a node's input channel.
@@ -30,18 +30,17 @@ pub(crate) enum Input<M> {
 }
 
 /// Cluster-wide run state the node threads share: the clock origin, the
-/// stop/measure flags, and the waitable history sink.
+/// stop/measure flags, and the history log.
 ///
 /// Metrics are *not* here: every node thread accumulates its own
 /// [`Metrics`] and hands it back when the thread joins — the measurement
 /// hot path takes no lock. History is only ever touched when `recording`
-/// is set (functional runs), through a [`HistorySink`] whose condition
-/// variable lets waiters sleep instead of poll.
+/// is set (functional runs).
 pub(crate) struct RunShared {
     pub(crate) start: Instant,
     pub(crate) stopped: AtomicBool,
     pub(crate) measuring: AtomicBool,
-    pub(crate) history: HistorySink,
+    history: Mutex<Vec<HistoryEvent>>,
     pub(crate) recording: bool,
 }
 
@@ -51,9 +50,22 @@ impl RunShared {
             start: Instant::now(),
             stopped: AtomicBool::new(false),
             measuring: AtomicBool::new(false),
-            history: HistorySink::new(),
+            history: Mutex::new(Vec::new()),
             recording,
         }
+    }
+
+    /// The history log. Every update is one push or one take, so a log
+    /// whose lock a panicking node poisoned is still whole.
+    fn history(&self) -> std::sync::MutexGuard<'_, Vec<HistoryEvent>> {
+        self.history
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Takes every event recorded since the last take.
+    pub(crate) fn take_history(&self) -> Vec<HistoryEvent> {
+        std::mem::take(&mut *self.history())
     }
 
     /// Wall-clock nanoseconds since the run started.
@@ -211,7 +223,7 @@ impl<'a, M> ActorCtx<M> for LiveCtx<'a, M> {
 
     fn record(&mut self, ev: HistoryEvent) {
         if self.shared.recording {
-            self.shared.history.append(ev);
+            self.shared.history().push(ev);
         }
     }
 

@@ -1,8 +1,8 @@
 //! The event-driven reactor: a fixed pool of event-loop threads driving
 //! every socket in the cluster.
 //!
-//! `CONTRARIAN_NET_THREADS` reactor threads (default: the machine's
-//! `available_parallelism`) multiplex *all* sockets through the readiness
+//! One reactor thread per core (`available_parallelism`) multiplexes
+//! *all* sockets through the readiness
 //! [`Poller`], so the I/O thread count is fixed however many nodes and
 //! links the cluster has. Node state machines keep their own threads; a
 //! reactor only moves encoded frames.
@@ -40,7 +40,6 @@
 //! bring-up). The retry is scheduled, never slept, so one unreachable peer
 //! never stalls the other connections sharing the reactor.
 
-use crate::addrbook::AddressBook;
 use crate::cluster::ClusterCore;
 use crate::conn::{decode_hello, hello_frame, OutRing};
 use crate::node_loop::Input;
@@ -80,10 +79,9 @@ fn backoff_delay(attempts: u32) -> Duration {
     Duration::from_millis((2u64 << attempts.saturating_sub(1).min(16)).min(250))
 }
 
-/// The reactor pool size: `CONTRARIAN_NET_THREADS`, default the machine's
-/// available parallelism.
+/// The reactor pool size: the machine's available parallelism.
 pub(crate) fn pool_size() -> usize {
-    contrarian_runtime::env::threads(contrarian_runtime::env::NET_THREADS)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Work handed to a reactor thread from outside (node threads, shutdown).
@@ -145,10 +143,11 @@ impl ConnShared {
     }
 }
 
-/// Engine-wide state: the address book, the route map, and the reactors.
+/// Engine-wide state: where each node listens, the route map, and the
+/// reactors.
 pub(crate) struct NetInner<M> {
     pub(crate) core: Arc<ClusterCore<M>>,
-    book: Arc<dyn AddressBook>,
+    endpoints: HashMap<Addr, SocketAddr>,
     /// `(local node, remote node) → connection`. First insertion wins, so
     /// every directed link sticks to one socket (FIFO); closed entries are
     /// replaced on the next use.
@@ -168,10 +167,10 @@ impl<M> NetInner<M> {
                 return c.clone();
             }
         }
-        let peer = self
-            .book
-            .lookup(to)
-            .unwrap_or_else(|| panic!("no endpoint for {to} in the address book"));
+        let peer = *self
+            .endpoints
+            .get(&to)
+            .unwrap_or_else(|| panic!("no endpoint for {to}"));
         let rid = self.next_reactor.fetch_add(1, Ordering::Relaxed) % self.reactors.len();
         let conn = Arc::new(ConnShared {
             ring: OutRing::default(),
@@ -838,7 +837,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
 /// bare pool this way, without node threads.
 pub(crate) fn spawn_reactors<M: Wire + Send + 'static>(
     core: Arc<ClusterCore<M>>,
-    book: Arc<dyn AddressBook>,
+    endpoints: HashMap<Addr, SocketAddr>,
     listeners_per: Vec<Vec<(Addr, TcpListener)>>,
 ) -> (Arc<NetInner<M>>, Vec<JoinHandle<()>>) {
     let pool = listeners_per.len();
@@ -857,7 +856,7 @@ pub(crate) fn spawn_reactors<M: Wire + Send + 'static>(
     }
     let net = Arc::new(NetInner {
         core,
-        book,
+        endpoints,
         routes: Mutex::new(HashMap::new()),
         reactors,
         next_reactor: AtomicUsize::new(0),
@@ -895,7 +894,6 @@ pub(crate) fn stop_reactors<M>(net: &NetInner<M>, threads: Vec<JoinHandle<()>>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addrbook::StaticBook;
     use crate::cluster::tests::Ping;
     use crate::cluster::NetCluster;
     use crate::node_loop::RunShared;
@@ -993,12 +991,9 @@ mod tests {
         let live_l = TcpListener::bind("127.0.0.1:0").unwrap();
         let live_at = live_l.local_addr().unwrap();
 
-        let mut book = StaticBook::default();
-        book.insert(dead, dead_at);
-        book.insert(live, live_at);
+        let endpoints = HashMap::from([(dead, dead_at), (live, live_at)]);
         // One reactor, no listeners of its own: it only dials out.
-        let (net, threads) =
-            spawn_reactors(bare_core(HashMap::new()), Arc::new(book), vec![Vec::new()]);
+        let (net, threads) = spawn_reactors(bare_core(HashMap::new()), endpoints, vec![Vec::new()]);
 
         let frame = |msg: &Ping| {
             let mut payload = Vec::new();
@@ -1083,10 +1078,8 @@ mod tests {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let dead_at = l.local_addr().unwrap();
         drop(l);
-        let mut book = StaticBook::default();
-        book.insert(dead, dead_at);
-        let (net, threads) =
-            spawn_reactors(bare_core(HashMap::new()), Arc::new(book), vec![Vec::new()]);
+        let endpoints = HashMap::from([(dead, dead_at)]);
+        let (net, threads) = spawn_reactors(bare_core(HashMap::new()), endpoints, vec![Vec::new()]);
         let started = Instant::now();
         let conn = net.route(me, dead);
         let msg = panic_message(&net, threads);
@@ -1118,7 +1111,7 @@ mod tests {
         let at = l.local_addr().unwrap();
         let (net, threads) = spawn_reactors(
             bare_core(HashMap::from([(node, tx)])),
-            Arc::new(StaticBook::default()),
+            HashMap::new(),
             vec![vec![(node, l)]],
         );
         let mut s = TcpStream::connect(at).unwrap();

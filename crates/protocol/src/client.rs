@@ -200,7 +200,6 @@ impl<S: Session> Client<S> {
             // (coordinated omission). Closed-loop draws arrive "now".
             Draw::Op { op, intended } => self.issue(ctx, op, intended),
             Draw::Wait { due } => ctx.set_timer(due - now, TimerKind::new(CLIENT_START)),
-            Draw::Idle => {}
         }
     }
 

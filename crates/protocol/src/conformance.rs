@@ -160,7 +160,7 @@ pub fn check_sim<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
         sim.set_stopped(true);
         sim.run_to_quiescence(20_000_000_000);
 
-        let history = sim.take_history();
+        let history = sim.drain_history();
         if history.len() < 50 {
             return Err(format!(
                 "{}: too little progress ({} events)",

@@ -14,11 +14,9 @@
 //! Released items are handed back to the caller, which re-runs its normal
 //! handler (and may park again if still not serviceable).
 //!
-//! Every entry remembers *when* it was parked, so the `_timed` release
-//! variants can report how long each item sat blocked — the per-op
-//! blocking-time gauge the telemetry layer records. Entries parked through
-//! the legacy untimed entry points carry `since = 0` and report a wait of
-//! zero rather than a bogus from-the-epoch duration.
+//! Every entry remembers *when* it was parked, so each release reports
+//! how long each item sat blocked — the per-op blocking-time gauge the
+//! telemetry layer records.
 
 use crate::timers;
 use contrarian_runtime::actor::{ActorCtx, TimerKind};
@@ -32,7 +30,7 @@ pub struct Parked<T> {
 
 struct Entry<T> {
     wake: u64,
-    /// When the item was parked (0 = unknown: wait not measured).
+    /// When the item was parked.
     since: u64,
     item: T,
 }
@@ -75,20 +73,9 @@ impl<T> Parked<T> {
         ctx.set_timer(delay_ns, TimerKind::new(timers::RESUME));
     }
 
-    /// Parks `item` with no wake time: only [`Parked::take_ready`] can
-    /// release it. The wait is not measured (`since = 0`); use
-    /// [`Parked::park_until_ready_at`] when blocking time matters.
-    pub fn park_until_ready(&mut self, item: T) {
-        self.q.push_back(Entry {
-            wake: u64::MAX,
-            since: 0,
-            item,
-        });
-    }
-
-    /// Like [`Parked::park_until_ready`], but stamps the park time so the
-    /// `_timed` release variants can report how long the item waited.
-    pub fn park_until_ready_at(&mut self, now: u64, item: T) {
+    /// Parks `item` at time `now` with no wake time: only
+    /// [`Parked::take_ready`] can release it.
+    pub fn park_until_ready(&mut self, now: u64, item: T) {
         self.q.push_back(Entry {
             wake: u64::MAX,
             since: now,
@@ -97,70 +84,29 @@ impl<T> Parked<T> {
     }
 
     /// Removes and returns every item whose wake time has passed, in park
-    /// order.
-    pub fn take_due(&mut self, now: u64) -> Vec<T> {
-        self.take_due_timed(now)
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect()
+    /// order, each with its time spent parked (ns).
+    pub fn take_due(&mut self, now: u64) -> Vec<(u64, T)> {
+        self.take(now, |e| e.wake <= now)
     }
 
-    /// [`Parked::take_due`] plus each item's time spent parked (ns; zero
-    /// when the park was untimed).
-    pub fn take_due_timed(&mut self, now: u64) -> Vec<(u64, T)> {
-        let mut due = Vec::new();
+    /// Removes and returns every item matching `pred`, in park order, each
+    /// with its time spent parked until `now` (ns).
+    pub fn take_ready(&mut self, now: u64, mut pred: impl FnMut(&T) -> bool) -> Vec<(u64, T)> {
+        self.take(now, |e| pred(&e.item))
+    }
+
+    fn take(&mut self, now: u64, mut release: impl FnMut(&Entry<T>) -> bool) -> Vec<(u64, T)> {
+        let mut out = Vec::new();
         let mut keep = VecDeque::with_capacity(self.q.len());
         for e in self.q.drain(..) {
-            if e.wake <= now {
-                due.push((waited(e.since, now), e.item));
+            if release(&e) {
+                out.push((now.saturating_sub(e.since), e.item));
             } else {
                 keep.push_back(e);
             }
         }
         self.q = keep;
-        due
-    }
-
-    /// Removes and returns every item matching `pred`, in park order.
-    pub fn take_ready(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        self.take_ready_timed(u64::MAX, |t| pred(t))
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect()
-    }
-
-    /// [`Parked::take_ready`] plus each item's time spent parked, measured
-    /// against `now` (ns; zero for untimed parks — and zero when `now` is
-    /// the `u64::MAX` sentinel the untimed wrapper passes).
-    pub fn take_ready_timed(
-        &mut self,
-        now: u64,
-        mut pred: impl FnMut(&T) -> bool,
-    ) -> Vec<(u64, T)> {
-        let mut ready = Vec::new();
-        let mut keep = VecDeque::with_capacity(self.q.len());
-        for e in self.q.drain(..) {
-            if pred(&e.item) {
-                let w = if now == u64::MAX {
-                    0
-                } else {
-                    waited(e.since, now)
-                };
-                ready.push((w, e.item));
-            } else {
-                keep.push_back(e);
-            }
-        }
-        self.q = keep;
-        ready
-    }
-}
-
-fn waited(since: u64, now: u64) -> u64 {
-    if since == 0 {
-        0
-    } else {
-        now.saturating_sub(since)
+        out
     }
 }
 
@@ -180,20 +126,20 @@ mod tests {
         p.park(&mut ctx, 500, "late");
         assert_eq!(ctx.timers.len(), 2, "each park arms RESUME");
         assert_eq!(ctx.timers[0].1.kind, timers::RESUME);
-        assert_eq!(p.take_due(149), Vec::<&str>::new());
-        assert_eq!(p.take_due(150), vec!["early"]);
+        assert_eq!(p.take_due(149), Vec::new());
+        assert_eq!(p.take_due(150), vec![(50, "early")]);
         assert_eq!(p.len(), 1);
-        assert_eq!(p.take_due(u64::MAX - 1), vec!["late"]);
+        assert_eq!(p.take_due(u64::MAX - 1), vec![(u64::MAX - 101, "late")]);
     }
 
     #[test]
     fn condition_based_release() {
         let mut p: Parked<u32> = Parked::new();
-        p.park_until_ready(1);
-        p.park_until_ready(2);
-        p.park_until_ready(3);
-        assert_eq!(p.take_due(u64::MAX - 1), Vec::<u32>::new(), "no wake time");
-        assert_eq!(p.take_ready(|x| x % 2 == 1), vec![1, 3]);
+        p.park_until_ready(10, 1);
+        p.park_until_ready(20, 2);
+        p.park_until_ready(30, 3);
+        assert_eq!(p.take_due(u64::MAX - 1), Vec::new(), "no wake time");
+        assert_eq!(p.take_ready(40, |x| x % 2 == 1), vec![(30, 1), (10, 3)]);
         assert_eq!(p.len(), 1);
     }
 
@@ -204,21 +150,24 @@ mod tests {
         let mut p: Parked<&'static str> = Parked::new();
         ctx.now = 1_000;
         p.park(&mut ctx, 500, "timer");
-        let due = p.take_due_timed(2_000);
+        let due = p.take_due(2_000);
         assert_eq!(due, vec![(1_000, "timer")], "waited now - park time");
 
-        p.park_until_ready_at(3_000, "dep");
-        p.park_until_ready("untimed"); // wait reads as zero
-        let mut rel = p.take_ready_timed(3_750, |_| true);
-        rel.sort_by_key(|(w, _)| *w);
-        assert_eq!(rel[0].0, 0, "untimed park reports zero wait");
-        assert_eq!(rel[1], (750, "dep"));
+        p.park_until_ready(3_000, "dep");
+        assert_eq!(p.take_ready(3_750, |_| true), vec![(750, "dep")]);
     }
 
+    /// Virtual time starts at 0, so a park at t = 0 is a real park whose
+    /// wait must be measured like any other.
     #[test]
-    fn untimed_wrappers_stay_compatible() {
-        let mut p: Parked<u32> = Parked::new();
-        p.park_until_ready_at(500, 7);
-        assert_eq!(p.take_ready(|_| true), vec![7], "untimed take still works");
+    fn a_park_at_time_zero_reports_its_full_wait() {
+        let addr = Addr::server(DcId(0), PartitionId(0));
+        let mut ctx: ScriptCtx<u32> = ScriptCtx::new(addr);
+        let mut p: Parked<&'static str> = Parked::new();
+        p.park_until_ready(0, "dep");
+        assert_eq!(p.take_ready(750, |_| true), vec![(750, "dep")]);
+        ctx.now = 0;
+        p.park(&mut ctx, 500, "timer");
+        assert_eq!(p.take_due(750), vec![(750, "timer")]);
     }
 }

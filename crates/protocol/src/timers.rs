@@ -19,8 +19,6 @@ pub const GC: u16 = 3;
 pub const CLIENT_START: u16 = 4;
 /// Wake-up for parked (deferred) operations.
 pub const RESUME: u16 = 5;
-/// First kind value protocols may use for private timers.
-pub const PROTOCOL_BASE: u16 = 16;
 
 struct Periodic {
     kind: u16,

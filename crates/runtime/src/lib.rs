@@ -60,10 +60,10 @@ pub mod window;
 pub use actor::{Actor, ActorCtx, TimerKind};
 pub use cost::{CostModel, MsgClass, SimMessage};
 pub use frame::{encode_frame, FrameAssembler, FrameError, MAX_FRAME};
-pub use history::{merge_shard_histories, HistorySink, TaggedEvent};
+pub use history::{merge_shard_histories, TaggedEvent};
 pub use metrics::{Histogram, Metrics};
 pub use testkit::ScriptCtx;
-pub use trace::{chrome_trace_json, merge_traces, summarize, trace_cap_from_env, TraceRing};
+pub use trace::{chrome_trace_json, merge_traces, summarize, TraceRing};
 pub use window::{MetricsWindow, WindowSeries};
 
 /// Derives a per-node RNG seed from the cluster seed and the address.

@@ -126,25 +126,6 @@ impl Histogram {
         self.max
     }
 
-    /// Records `v` with HdrHistogram-style coordinated-omission
-    /// compensation: when a closed-loop measurement loop targets one
-    /// sample every `expected_interval_ns` but a single response took `v`
-    /// instead, the samples the stall suppressed are backfilled at
-    /// `v - i·interval`. Use on closed-loop histograms; the open-loop
-    /// driver doesn't need it because its latency clocks start at the
-    /// scheduled arrival time (`contrarian_workload::openloop`).
-    pub fn record_corrected(&mut self, v: u64, expected_interval_ns: u64) {
-        self.record(v);
-        if expected_interval_ns == 0 {
-            return;
-        }
-        let mut rem = v;
-        while rem > expected_interval_ns {
-            rem -= expected_interval_ns;
-            self.record(rem);
-        }
-    }
-
     pub fn clear(&mut self) {
         self.buckets.iter_mut().for_each(|b| *b = 0);
         self.count = 0;
@@ -468,54 +449,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.min(), 0);
-    }
-
-    #[test]
-    fn corrected_recording_backfills_suppressed_samples() {
-        let mut h = Histogram::new();
-        // One 10-interval stall: the single observed sample should expand
-        // into ~10 samples stepping down by the expected interval.
-        h.record_corrected(1000, 100);
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.max(), 1000);
-        // 1000, 900, ..., 100 — min is one interval.
-        assert_eq!(h.min(), 100);
-    }
-
-    #[test]
-    fn corrected_recording_without_interval_is_plain() {
-        let mut h = Histogram::new();
-        h.record_corrected(1000, 0);
-        h.record_corrected(50, 100);
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn synthetic_stall_inflates_p999_only_under_correction() {
-        // A measurement loop targeting one sample per ms that runs for
-        // ~10k fast (0.1 ms) operations, then stalls once for 2 s. The
-        // uncorrected histogram hides the stall from p999; the corrected
-        // one must surface it.
-        let interval = 1_000_000u64; // 1 ms
-        let mut plain = Histogram::new();
-        let mut corrected = Histogram::new();
-        for _ in 0..10_000 {
-            plain.record(100_000);
-            corrected.record_corrected(100_000, interval);
-        }
-        let stall = 2_000_000_000u64; // 2 s
-        plain.record(stall);
-        corrected.record_corrected(stall, interval);
-        let p999_plain = plain.percentile(99.9);
-        let p999_corrected = corrected.percentile(99.9);
-        assert!(
-            p999_plain < 1_000_000,
-            "uncorrected p999 ({p999_plain}) coordinates with the omission"
-        );
-        assert!(
-            p999_corrected > 100_000_000,
-            "corrected p999 ({p999_corrected}) must include queueing delay"
-        );
     }
 
     #[test]

@@ -20,30 +20,8 @@ use std::fmt::Write as _;
 
 pub use contrarian_types::trace::op_class;
 
-/// Default per-node ring capacity (events). Override with
-/// `CONTRARIAN_TRACE_CAP`.
-pub const DEFAULT_TRACE_CAP: usize = 1 << 16;
-
-/// Parses a `CONTRARIAN_TRACE_CAP` value: unset is [`DEFAULT_TRACE_CAP`],
-/// zero is clamped to 1 (a zero-capacity ring would make every trace
-/// empty while still paying the bookkeeping), and anything but a
-/// non-negative integer is an error.
-pub fn parse_trace_cap(value: Option<&str>) -> Result<usize, String> {
-    match value {
-        None => Ok(DEFAULT_TRACE_CAP),
-        Some(v) => v
-            .parse::<usize>()
-            .map(|n| n.max(1))
-            .map_err(|_| format!("CONTRARIAN_TRACE_CAP must be a non-negative integer, got `{v}`")),
-    }
-}
-
-/// Reads [`crate::env::TRACE_CAP`] (see [`parse_trace_cap`]); a malformed
-/// value panics.
-pub fn trace_cap_from_env() -> usize {
-    let value = crate::env::var(crate::env::TRACE_CAP);
-    parse_trace_cap(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
+/// Per-node ring capacity (events).
+pub const TRACE_CAP: usize = 1 << 16;
 
 /// A fixed-capacity ring of trace events for one node.
 ///
@@ -263,7 +241,7 @@ mod tests {
 
     #[test]
     fn ring_owns_no_buffer_until_the_first_push() {
-        let mut r = TraceRing::new(DEFAULT_TRACE_CAP);
+        let mut r = TraceRing::new(TRACE_CAP);
         assert_eq!(r.buf.capacity(), 0, "an untraced node owns no buffer");
         r.push(0, 0, TraceKind::MsgSend, 0, 0);
         assert_eq!(r.len(), 1);
@@ -313,23 +291,5 @@ mod tests {
         assert!(s.contains("3 events"));
         assert!(s.contains("op_end       1"));
         assert!(s.contains("p50=2.000 ms"));
-    }
-
-    #[test]
-    fn env_cap_default_and_clamp() {
-        assert_eq!(DEFAULT_TRACE_CAP, 65536);
-        assert!(trace_cap_from_env() >= 1);
-    }
-
-    #[test]
-    fn trace_cap_parse_defaults_clamps_and_rejects() {
-        assert_eq!(parse_trace_cap(None), Ok(DEFAULT_TRACE_CAP));
-        assert_eq!(parse_trace_cap(Some("0")), Ok(1));
-        assert_eq!(parse_trace_cap(Some("64")), Ok(64));
-        let err = parse_trace_cap(Some("64k")).unwrap_err();
-        assert!(
-            err.contains("CONTRARIAN_TRACE_CAP") && err.contains("`64k`"),
-            "{err}"
-        );
     }
 }

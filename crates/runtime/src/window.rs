@@ -7,10 +7,9 @@
 //! [`WindowSeries`] helper owns the previous snapshot and accumulates
 //! windows as the harness calls [`WindowSeries::snap`] at its natural
 //! barriers (the load drivers' run slices, a wall-clock sampling loop);
-//! the result exports as CSV rows (for `results/`) or a JSON array.
+//! the result exports as CSV rows (for `results/`).
 
 use crate::metrics::{Histogram, Metrics};
-use std::fmt::Write as _;
 
 /// One window's worth of measurement: `[t_start_ns, t_end_ns)` deltas.
 #[derive(Clone, Debug)]
@@ -185,31 +184,6 @@ impl WindowSeries {
     pub fn csv_rows(&self) -> Vec<Vec<String>> {
         self.windows.iter().map(|w| w.csv_row()).collect()
     }
-
-    /// The whole series as a JSON array of per-window objects using the
-    /// CSV column names as keys.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n{");
-            for (j, (k, v)) in MetricsWindow::CSV_HEADERS
-                .iter()
-                .zip(w.csv_row().iter())
-                .enumerate()
-            {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":{v}");
-            }
-            out.push('}');
-        }
-        out.push_str("\n]\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_shapes_agree() {
+    fn csv_rows_match_the_headers() {
         let mut m = Metrics::new();
         m.enabled = true;
         let mut s = WindowSeries::new();
@@ -267,9 +241,5 @@ mod tests {
         let rows = s.csv_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].len(), MetricsWindow::CSV_HEADERS.len());
-        let json = s.to_json();
-        assert!(json.contains("\"achieved_ops_s\":1"));
-        assert!(json.contains("\"vis_p50_ms\":"));
-        assert_eq!(json.matches('{').count(), 1);
     }
 }

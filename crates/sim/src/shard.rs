@@ -82,7 +82,7 @@ use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::history::TaggedEvent;
 use contrarian_runtime::metrics::Metrics;
-use contrarian_runtime::trace::{trace_cap_from_env, TraceRing};
+use contrarian_runtime::trace::{TraceRing, TRACE_CAP};
 use contrarian_runtime::SimMessage;
 use contrarian_types::{heap, Addr, HeapCensus, HistoryEvent, NodeKind, TraceEvent, TraceKind};
 use rand::rngs::SmallRng;
@@ -337,7 +337,7 @@ impl<A> NodeSlot<A> {
             rng,
             push_seq: 0,
             record_seq: 0,
-            trace: TraceRing::new(trace_cap_from_env()),
+            trace: TraceRing::new(TRACE_CAP),
         }
     }
 }

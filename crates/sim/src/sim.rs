@@ -318,15 +318,10 @@ impl<A: Actor> Sim<A> {
     }
 
     /// Snapshot of the history recorded so far, in canonical order (see
-    /// `contrarian_runtime::history`). Clones; use [`Sim::take_history`] or
-    /// [`Sim::drain_history`] to consume.
+    /// `contrarian_runtime::history`). Clones; use [`Sim::drain_history`]
+    /// to consume.
     pub fn history(&self) -> Vec<HistoryEvent> {
         merge_shard_histories(self.shards.iter().map(|s| s.history.clone()))
-    }
-
-    /// Takes the whole recorded history, merged into canonical order.
-    pub fn take_history(&mut self) -> Vec<HistoryEvent> {
-        self.drain_history()
     }
 
     /// Drains the events recorded since the last drain, merged into
@@ -1607,7 +1602,7 @@ mod tests {
     }
 
     #[test]
-    fn drained_history_concatenation_equals_take_history() {
+    fn drained_history_concatenation_equals_one_drain() {
         use contrarian_types::{ClientId, Key, VersionId};
         // A recording actor: clients tag a PutDone per echo. Draining at
         // run boundaries then concatenating must equal the one-shot
@@ -1662,7 +1657,7 @@ mod tests {
         };
         let mut whole = build(SchedKind::Sharded);
         whole.run_to_quiescence(u64::MAX);
-        let want = whole.take_history();
+        let want = whole.drain_history();
         assert!(!want.is_empty());
 
         let mut chunked = build(SchedKind::Sharded);

@@ -14,8 +14,6 @@ pub const TS: usize = 8;
 /// Serialized size of a ROT (transaction) id — the paper uses 8 bytes per
 /// ROT id when estimating readers-check traffic (~7 KB for 855 ids).
 pub const TX_ID: usize = 8;
-/// Serialized size of a client id.
-pub const CLIENT_ID: usize = 4;
 /// Serialized size of one dependency-vector entry.
 pub const VEC_ENTRY: usize = 8;
 /// Serialized size of a version id (timestamp + origin DC).

@@ -38,9 +38,7 @@
 //! actor (or the backend behind it) falls behind, overdue arrivals drain
 //! back-to-back and each one's measured latency includes the full time it
 //! spent queued in the driver — the saturation signal coordinated-omission
-//! -blind drivers silently discard. See
-//! `contrarian_runtime::metrics::Histogram::record_corrected` for the
-//! complementary correction applied to closed-loop histograms.
+//! -blind drivers silently discard.
 //!
 //! ## Determinism
 //!

@@ -15,9 +15,6 @@ pub enum Draw {
     Op { op: Op, intended: u64 },
     /// Nothing due yet: arm a wake-up timer for `due`.
     Wait { due: u64 },
-    /// Nothing to issue. No source returns this; `arrival_pin` and the
-    /// open-loop tests still match on it.
-    Idle,
 }
 
 /// Where a load-generating client gets its next operation from. (The

@@ -78,7 +78,6 @@ fn arrival_hash(theta: f64) -> u64 {
                     h.u64(due);
                     break;
                 }
-                Draw::Idle => panic!("an open-loop driver is never idle"),
             }
         }
     }

@@ -101,9 +101,9 @@ fn prepopulated_clusters_stay_causal() {
     }
 }
 
-/// The streaming checker (fed event by event, as a live monitor riding a
-/// `HistorySink` would be) agrees with the batch entry point on a real
-/// replicated run.
+/// The streaming checker (fed event by event, as a live monitor draining a
+/// running cluster's history would be) agrees with the batch entry point
+/// on a real replicated run.
 #[test]
 fn streaming_checker_matches_batch_on_live_history() {
     let (_, history) = run_recorded(&functional(Protocol::Contrarian, 2, 21));

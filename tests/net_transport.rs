@@ -8,7 +8,7 @@ use contrarian::net::NetCluster;
 use contrarian::protocol::{build_nodes, Clients};
 use contrarian::types::{ClusterConfig, HistoryEvent, Key, Op};
 use contrarian::workload::WorkloadSpec;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn net_config() -> (ClusterConfig, Clients) {
     (
@@ -110,19 +110,13 @@ fn tcp_interactive_injection_round_trips() {
     ));
 
     let cluster = NetCluster::start(nodes, true, 17);
-    let handle = cluster.handle();
-    let mut cursor = 0;
 
     cluster.inject_op(client, Op::Put(Key(2), "sockets".into()));
-    let put = handle.wait_for_history(&mut cursor, Duration::from_secs(5), |ev| {
-        matches!(ev, HistoryEvent::PutDone { .. })
-    });
+    let put = poll_history(&cluster, |ev| matches!(ev, HistoryEvent::PutDone { .. }));
     assert!(put.is_some(), "PUT did not complete over TCP");
 
     cluster.inject_op(client, Op::Rot(vec![Key(2)]));
-    let rot = handle.wait_for_history(&mut cursor, Duration::from_secs(5), |ev| {
-        matches!(ev, HistoryEvent::RotDone { .. })
-    });
+    let rot = poll_history(&cluster, |ev| matches!(ev, HistoryEvent::RotDone { .. }));
     match rot {
         Some(HistoryEvent::RotDone { values, .. }) => {
             assert_eq!(values[0].as_deref(), Some(&b"sockets"[..]));
@@ -130,4 +124,24 @@ fn tcp_interactive_injection_round_trips() {
         other => panic!("ROT did not complete over TCP: {other:?}"),
     }
     cluster.shutdown();
+}
+
+/// Polls the cluster's history for an event matching `pred`, for up to
+/// 5 s. Drained events that do not match are dropped.
+fn poll_history<A>(
+    cluster: &NetCluster<A>,
+    pred: impl Fn(&HistoryEvent) -> bool,
+) -> Option<HistoryEvent>
+where
+    A: contrarian::runtime::Actor + Send + 'static,
+    A::Msg: contrarian::types::Wire,
+{
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < deadline {
+        if let Some(ev) = cluster.drain_history().into_iter().find(&pred) {
+            return Some(ev);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    None
 }
