@@ -675,6 +675,22 @@ mod tests {
         }
     }
 
+    /// The env registry's contract for `CONTRARIAN_SCALE` names exactly
+    /// the values the parser accepts.
+    #[test]
+    fn the_registry_contract_names_every_scale() {
+        let env = contrarian_runtime::env::SCALE;
+        let (_, contract) = contrarian_runtime::env::REGISTERED
+            .iter()
+            .find(|(name, _)| *name == env)
+            .expect("CONTRARIAN_SCALE is registered");
+        let words: Vec<&str> = contract
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .filter(|w| Scale::check(w).is_ok())
+            .collect();
+        assert_eq!(words, Scale::NAMES, "{contract}");
+    }
+
     #[test]
     fn functional_run_produces_history_and_metrics() {
         let (r, history) = run_recorded(&RunSpec::functional(Protocol::Contrarian));

@@ -4,7 +4,7 @@
 //! scanner or a rule loosens detection, a fixture here goes red before a
 //! real regression slips into the workspace.
 
-use contrarian_lint::policy::Policy;
+use contrarian_lint::policy::{FileClass, Policy};
 use contrarian_lint::{Diagnostic, Workspace};
 
 /// Runs the real workspace policy over in-memory fixture files.
@@ -84,6 +84,35 @@ fn determinism_ignores_os_facing_files_tests_and_cfg_test_modules() {
         ),
     ]);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+/// The history module is plain deterministic code: the rule covers it,
+/// the real file passes it, and a wall-clock read there is caught.
+#[test]
+fn the_history_module_is_under_the_determinism_rule() {
+    const HISTORY: &str = "crates/runtime/src/history.rs";
+    assert_eq!(
+        Policy::workspace().classify(HISTORY),
+        FileClass::Deterministic
+    );
+    let real = check(&[(HISTORY, include_str!("../../runtime/src/history.rs"))]);
+    assert!(real.is_empty(), "{real:?}");
+    let diags = check(&[(
+        HISTORY,
+        "fn f() -> std::time::Instant { std::time::Instant::now() }\n",
+    )]);
+    assert_eq!(rules_of(&diags), vec!["determinism"], "{diags:?}");
+}
+
+/// The TCP runtime sizes its reactor pool from the machine; the same
+/// read in the deterministic tracer would make traces host-dependent.
+#[test]
+fn only_os_facing_code_may_read_the_core_count() {
+    let src = "fn n() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n";
+    let reactor = check(&[("crates/net/src/reactor.rs", src)]);
+    assert!(reactor.is_empty(), "{reactor:?}");
+    let tracer = check(&[("crates/runtime/src/trace.rs", src)]);
+    assert_eq!(rules_of(&tracer), vec!["determinism"], "{tracer:?}");
 }
 
 // ----------------------------------------------------------------- wire-codec

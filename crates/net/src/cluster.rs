@@ -533,4 +533,109 @@ pub(crate) mod tests {
         assert_eq!(metrics.counter("net.frames_sent"), 0);
         assert!(history.is_empty());
     }
+
+    /// Every node gets its own loopback listener, and the reactors know
+    /// each one's address before the first dial.
+    #[test]
+    fn every_node_listens_on_its_own_loopback_port() {
+        let nodes: Vec<(Addr, Echo)> = (0..3)
+            .map(|p| {
+                (
+                    Addr::server(DcId(0), PartitionId(p)),
+                    Echo {
+                        pongs: 0,
+                        peer: None,
+                    },
+                )
+            })
+            .collect();
+        let cluster = NetCluster::start(nodes, false, 6);
+        let endpoints = &cluster.net.endpoints;
+        assert_eq!(endpoints.len(), 3);
+        let mut ports: Vec<u16> = cluster
+            .addrs()
+            .iter()
+            .map(|a| {
+                let at = endpoints[a];
+                assert!(at.ip().is_loopback(), "{a} listens on {at}");
+                at.port()
+            })
+            .collect();
+        ports.sort_unstable();
+        ports.dedup();
+        assert_eq!(ports.len(), 3, "one port per node");
+        cluster.shutdown();
+    }
+
+    /// Records one PUT per message it receives, tagged with the ping's
+    /// number, and counts what it saw.
+    struct Recorder {
+        seen: u32,
+    }
+
+    impl Actor for Recorder {
+        type Msg = Ping;
+        fn on_start(&mut self, _ctx: &mut dyn ActorCtx<Ping>) {}
+        fn on_message(&mut self, ctx: &mut dyn ActorCtx<Ping>, _from: Addr, msg: Ping) {
+            self.seen += 1;
+            ctx.record(HistoryEvent::PutDone {
+                client: contrarian_types::ClientId::new(DcId(0), 0),
+                seq: msg.0,
+                t_start: 0,
+                t_end: 0,
+                key: contrarian_types::Key(1),
+                vid: contrarian_types::VersionId::new(1, DcId(0)),
+            });
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Ping {
+            Ping(0)
+        }
+    }
+
+    fn seqs(history: &[HistoryEvent]) -> Vec<u32> {
+        history
+            .iter()
+            .map(|e| match e {
+                HistoryEvent::PutDone { seq, .. } => *seq,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    /// What a drain hands out is gone from the log: shutdown returns only
+    /// what was recorded after it.
+    #[test]
+    fn drained_history_is_not_handed_out_again_at_shutdown() {
+        let client = Addr::client(DcId(0), 0);
+        let cluster = NetCluster::start(vec![(client, Recorder { seen: 0 })], true, 8);
+        let handle = cluster.handle();
+        handle.send(client, client, Ping(1));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut drained = Vec::new();
+        while drained.is_empty() && Instant::now() < deadline {
+            drained = cluster.drain_history();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(seqs(&drained), [1]);
+        handle.send(client, client, Ping(2));
+        handle.send(client, client, Ping(3));
+        let (actors, _, history) = cluster.shutdown();
+        assert_eq!(actors[0].1.seen, 3);
+        assert_eq!(seqs(&history), [2, 3]);
+    }
+
+    /// A cluster started without recording keeps no history, though its
+    /// nodes record as they would in a functional run.
+    #[test]
+    fn a_cluster_that_does_not_record_keeps_no_history() {
+        let client = Addr::client(DcId(0), 0);
+        let cluster = NetCluster::start(vec![(client, Recorder { seen: 0 })], false, 9);
+        cluster.handle().send(client, client, Ping(1));
+        cluster.handle().send(client, client, Ping(2));
+        assert!(cluster.drain_history().is_empty());
+        let (actors, _, history) = cluster.shutdown();
+        assert_eq!(actors[0].1.seen, 2, "both messages were handled");
+        assert!(history.is_empty());
+    }
 }

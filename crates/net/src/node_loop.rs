@@ -235,3 +235,79 @@ impl<'a, M> ActorCtx<M> for LiveCtx<'a, M> {
         self.shared.stopped.load(Ordering::SeqCst)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use contrarian_types::{ClientId, DcId, Key, VersionId};
+
+    fn put(seq: u32) -> HistoryEvent {
+        HistoryEvent::PutDone {
+            client: ClientId::new(DcId(0), 0),
+            seq,
+            t_start: 0,
+            t_end: 1,
+            key: Key(1),
+            vid: VersionId::new(seq as u64 + 1, DcId(0)),
+        }
+    }
+
+    fn seq_of(ev: &HistoryEvent) -> u32 {
+        match ev {
+            HistoryEvent::PutDone { seq, .. } => *seq,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Takes racing appends from several node threads hand out every
+    /// event exactly once, and each thread's events in its own order.
+    #[test]
+    fn takes_racing_appends_hand_out_each_event_once() {
+        const THREADS: u32 = 4;
+        const PER_THREAD: u32 = 500;
+        let shared = RunShared::new(true);
+        let mut taken = Vec::new();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let shared = &shared;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        shared.history().push(put(t * PER_THREAD + i));
+                    }
+                });
+            }
+            while taken.len() < (THREADS * PER_THREAD) as usize {
+                taken.extend(shared.take_history());
+                std::thread::yield_now();
+            }
+        });
+        assert!(shared.take_history().is_empty());
+        let seqs: Vec<u32> = taken.iter().map(seq_of).collect();
+        for t in 0..THREADS {
+            let own: Vec<u32> = seqs
+                .iter()
+                .copied()
+                .filter(|s| s / PER_THREAD == t)
+                .collect();
+            let want: Vec<u32> = (t * PER_THREAD..(t + 1) * PER_THREAD).collect();
+            assert_eq!(own, want, "thread {t}");
+        }
+    }
+
+    /// A node that panics while appending poisons the lock; the events
+    /// already in the log are still handed out, and appends go on.
+    #[test]
+    fn a_poisoned_log_still_hands_out_its_events() {
+        let shared = RunShared::new(true);
+        shared.history().push(put(1));
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = shared.history.lock().unwrap();
+            panic!("node handler failed");
+        }));
+        assert!(poisoner.is_err());
+        assert!(shared.history.is_poisoned());
+        shared.history().push(put(2));
+        let seqs: Vec<u32> = shared.take_history().iter().map(seq_of).collect();
+        assert_eq!(seqs, [1, 2]);
+    }
+}

@@ -147,7 +147,7 @@ impl ConnShared {
 /// reactors.
 pub(crate) struct NetInner<M> {
     pub(crate) core: Arc<ClusterCore<M>>,
-    endpoints: HashMap<Addr, SocketAddr>,
+    pub(crate) endpoints: HashMap<Addr, SocketAddr>,
     /// `(local node, remote node) → connection`. First insertion wins, so
     /// every directed link sticks to one socket (FIFO); closed entries are
     /// replaced on the next use.
@@ -1064,6 +1064,23 @@ mod tests {
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .unwrap_or_default(),
+        }
+    }
+
+    /// Routing to a node no listener was recorded for is a wiring bug: it
+    /// panics, naming the node, instead of dialing somewhere.
+    #[test]
+    #[should_panic(expected = "no endpoint for")]
+    fn routing_to_a_node_without_an_endpoint_panics() {
+        let me = Addr::client(DcId(0), 0);
+        let stray = Addr::server(DcId(0), PartitionId(9));
+        let (net, threads) =
+            spawn_reactors(bare_core(HashMap::new()), HashMap::new(), vec![Vec::new()]);
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(net.route(me, stray))));
+        stop_reactors(&net, threads);
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
         }
     }
 

@@ -170,4 +170,48 @@ mod tests {
         p.park(&mut ctx, 500, "timer");
         assert_eq!(p.take_due(750), vec![(750, "timer")]);
     }
+
+    /// A release takes only what is due and leaves the rest queued in
+    /// park order, whatever order their wake times fall in.
+    #[test]
+    fn take_due_leaves_later_wakes_queued_in_park_order() {
+        let addr = Addr::server(DcId(0), PartitionId(0));
+        let mut ctx: ScriptCtx<u32> = ScriptCtx::new(addr);
+        let mut p: Parked<&'static str> = Parked::new();
+        ctx.now = 0;
+        p.park(&mut ctx, 300, "third");
+        p.park(&mut ctx, 100, "first");
+        p.park(&mut ctx, 200, "second");
+        p.park(&mut ctx, 100, "first-too");
+        assert_eq!(p.take_due(100), vec![(100, "first"), (100, "first-too")]);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.take_due(300), vec![(300, "third"), (300, "second")]);
+        assert!(p.is_empty());
+    }
+
+    /// An item a predicate passes over keeps its own park time: its wait,
+    /// when it is finally released, runs from when it was parked.
+    #[test]
+    fn items_left_behind_keep_their_park_time() {
+        let mut p: Parked<u32> = Parked::new();
+        p.park_until_ready(100, 1);
+        p.park_until_ready(200, 2);
+        assert_eq!(p.take_ready(300, |x| *x == 2), vec![(100, 2)]);
+        assert_eq!(p.take_ready(300, |_| false), Vec::new());
+        assert_eq!(p.take_ready(1_000, |_| true), vec![(900, 1)]);
+        assert!(p.is_empty());
+    }
+
+    /// The heap census counts each parked item's own heap, through the
+    /// caller's measure, on top of the queue's block.
+    #[test]
+    fn heap_bytes_adds_each_parked_items_heap() {
+        let mut p: Parked<Vec<u8>> = Parked::new();
+        assert_eq!(p.heap_bytes(|v| v.capacity()), 0, "no block before a park");
+        p.park_until_ready(0, Vec::with_capacity(1_000));
+        p.park_until_ready(0, Vec::with_capacity(24));
+        let queue_only = p.heap_bytes(|_| 0);
+        assert!(queue_only > 0);
+        assert_eq!(p.heap_bytes(|v| v.capacity()), queue_only + 1_024);
+    }
 }

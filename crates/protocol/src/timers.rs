@@ -146,4 +146,14 @@ mod tests {
         assert!(t.rearm(&mut ctx, GC), "registered even when stopped");
         assert_eq!(ctx.timers.len(), 1, "but not re-armed");
     }
+
+    /// Every server's timer dispatch matches on these kinds: two equal
+    /// ones would send one timer to the other's handler.
+    #[test]
+    fn timer_kinds_are_distinct() {
+        let mut kinds = vec![STABILIZE, HEARTBEAT, GC, CLIENT_START, RESUME];
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 5);
+    }
 }

@@ -113,6 +113,39 @@ mod tests {
         );
     }
 
+    fn seqs(events: &[HistoryEvent]) -> Vec<u32> {
+        events
+            .iter()
+            .map(|e| match e {
+                HistoryEvent::PutDone { seq, .. } => *seq,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Records of one node at one virtual time keep the node's own record
+    /// order, even when its shard stream lists them out of order.
+    #[test]
+    fn a_nodes_records_at_one_time_keep_their_counter_order() {
+        let merged = merge_shard_histories([
+            vec![tagged(7, 3, 2), tagged(7, 3, 0)],
+            vec![tagged(7, 3, 1)],
+        ]);
+        assert_eq!(seqs(&merged), [0, 1, 2]);
+    }
+
+    /// At equal virtual time, records of different nodes order by node id
+    /// whatever their counters say.
+    #[test]
+    fn equal_times_break_ties_by_node_id() {
+        let merged = merge_shard_histories([
+            vec![tagged(4, 2, 0)],
+            vec![tagged(4, 0, 9), tagged(3, 5, 8)],
+            vec![tagged(4, 1, 5)],
+        ]);
+        assert_eq!(seqs(&merged), [8, 9, 5, 0]);
+    }
+
     #[test]
     fn merge_of_empty_streams_is_empty() {
         assert!(merge_shard_histories(Vec::<Vec<TaggedEvent>>::new()).is_empty());

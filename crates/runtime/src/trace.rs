@@ -247,6 +247,34 @@ mod tests {
         assert_eq!(r.len(), 1);
     }
 
+    /// Every node's ring holds `TRACE_CAP` events: the overflow is shed
+    /// oldest first, and the drop count survives a drain.
+    #[test]
+    fn a_node_ring_holds_trace_cap_events_and_sheds_the_rest() {
+        let mut r = TraceRing::new(TRACE_CAP);
+        for i in 0..TRACE_CAP as u64 + 10 {
+            r.push(i, 0, TraceKind::MsgSend, 0, 0);
+        }
+        assert_eq!(r.len(), TRACE_CAP);
+        assert_eq!(r.dropped(), 10);
+        let got = r.drain();
+        assert_eq!(got.first().map(|e| e.seq), Some(10));
+        assert_eq!(got.last().map(|e| e.seq), Some(TRACE_CAP as u64 + 9));
+        assert!(r.is_empty());
+        assert_eq!(r.dropped(), 10, "drops are counted over the ring's life");
+    }
+
+    #[test]
+    fn a_zero_capacity_ring_keeps_the_newest_event() {
+        let mut r = TraceRing::new(0);
+        for i in 0..3 {
+            r.push(i, 0, TraceKind::MsgSend, 0, 0);
+        }
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.drain()[0].seq, 2);
+    }
+
     #[test]
     fn merge_is_order_independent() {
         let a = vec![

@@ -229,6 +229,22 @@ mod tests {
         assert_eq!(s.windows().len(), 1);
     }
 
+    /// A snap that does not move past the open window's start closes no
+    /// window (it would be empty or run backwards) but restarts the
+    /// window there.
+    #[test]
+    fn a_snap_that_does_not_advance_time_emits_no_window() {
+        let m = Metrics::new();
+        let mut s = WindowSeries::new();
+        s.origin(&m, 10);
+        s.snap(&m, 10);
+        s.snap(&m, 5);
+        assert!(s.windows().is_empty());
+        s.snap(&m, 20);
+        let w = &s.windows()[0];
+        assert_eq!((w.t_start_ns, w.t_end_ns), (5, 20));
+    }
+
     #[test]
     fn csv_rows_match_the_headers() {
         let mut m = Metrics::new();

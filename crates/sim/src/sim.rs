@@ -1601,66 +1601,70 @@ mod tests {
         assert_eq!(run(SchedKind::Sharded), serial);
     }
 
+    /// A recording actor: clients tag a PutDone per echo.
+    struct Rec {
+        inner: Mesh,
+    }
+
+    impl Actor for Rec {
+        type Msg = Ping;
+        fn on_start(&mut self, ctx: &mut dyn ActorCtx<Ping>) {
+            self.inner.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut dyn ActorCtx<Ping>, from: Addr, msg: Ping) {
+            use contrarian_types::{ClientId, Key, VersionId};
+            let me = ctx.self_addr();
+            if !me.is_server() {
+                ctx.record(HistoryEvent::PutDone {
+                    client: ClientId::new(me.dc, me.idx),
+                    seq: msg.0,
+                    t_start: ctx.now(),
+                    t_end: ctx.now(),
+                    key: Key(msg.0 as u64),
+                    vid: VersionId::new(ctx.now(), me.dc),
+                });
+            }
+            self.inner.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Ping {
+            Ping(0)
+        }
+    }
+
+    /// A started, recording two-DC mesh of [`Rec`] actors.
+    fn recording_mesh(sched: SchedKind) -> Sim<Rec> {
+        let mut sim: Sim<Rec> = Sim::with_scheduler(CostModel::calibrated(), 4, sched);
+        for dc in 0..2 {
+            sim.add_server(
+                Addr::server(DcId(dc), contrarian_types::PartitionId(0)),
+                Rec {
+                    inner: Mesh::new(1),
+                },
+                2,
+            );
+            sim.add_client(
+                Addr::client(DcId(dc), 0),
+                Rec {
+                    inner: Mesh::new(1),
+                },
+            );
+        }
+        sim.set_recording(true);
+        sim.start();
+        sim
+    }
+
     #[test]
     fn drained_history_concatenation_equals_one_drain() {
-        use contrarian_types::{ClientId, Key, VersionId};
-        // A recording actor: clients tag a PutDone per echo. Draining at
-        // run boundaries then concatenating must equal the one-shot
-        // history of an identical run.
-        struct Rec {
-            inner: Mesh,
-        }
-        impl Actor for Rec {
-            type Msg = Ping;
-            fn on_start(&mut self, ctx: &mut dyn ActorCtx<Ping>) {
-                self.inner.on_start(ctx);
-            }
-            fn on_message(&mut self, ctx: &mut dyn ActorCtx<Ping>, from: Addr, msg: Ping) {
-                let me = ctx.self_addr();
-                if !me.is_server() {
-                    ctx.record(HistoryEvent::PutDone {
-                        client: ClientId::new(me.dc, me.idx),
-                        seq: msg.0,
-                        t_start: ctx.now(),
-                        t_end: ctx.now(),
-                        key: Key(msg.0 as u64),
-                        vid: VersionId::new(ctx.now(), me.dc),
-                    });
-                }
-                self.inner.on_message(ctx, from, msg);
-            }
-            fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
-            fn inject(_op: Op) -> Ping {
-                Ping(0)
-            }
-        }
-        let build = |sched| {
-            let mut sim: Sim<Rec> = Sim::with_scheduler(CostModel::calibrated(), 4, sched);
-            for dc in 0..2 {
-                sim.add_server(
-                    Addr::server(DcId(dc), contrarian_types::PartitionId(0)),
-                    Rec {
-                        inner: Mesh::new(1),
-                    },
-                    2,
-                );
-                sim.add_client(
-                    Addr::client(DcId(dc), 0),
-                    Rec {
-                        inner: Mesh::new(1),
-                    },
-                );
-            }
-            sim.set_recording(true);
-            sim.start();
-            sim
-        };
-        let mut whole = build(SchedKind::Sharded);
+        // Draining at run boundaries then concatenating must equal the
+        // one-shot history of an identical run.
+        let mut whole = recording_mesh(SchedKind::Sharded);
         whole.run_to_quiescence(u64::MAX);
         let want = whole.drain_history();
         assert!(!want.is_empty());
 
-        let mut chunked = build(SchedKind::Sharded);
+        let mut chunked = recording_mesh(SchedKind::Sharded);
         let mut got = Vec::new();
         for slice in [10_000_000u64, 25_000_000, 60_000_000] {
             chunked.run_until(slice);
@@ -1669,6 +1673,23 @@ mod tests {
         chunked.run_to_quiescence(u64::MAX);
         got.extend(chunked.drain_history());
         assert_eq!(format!("{want:?}"), format!("{got:?}"));
+    }
+
+    /// `history` is a snapshot of exactly what the next drain returns,
+    /// and a drain leaves nothing behind for either.
+    #[test]
+    fn a_drain_returns_the_snapshot_and_leaves_nothing() {
+        for sched in crate::ENGINES {
+            let mut sim = recording_mesh(sched);
+            sim.run_until(25_000_000);
+            let snapshot = sim.history();
+            assert!(!snapshot.is_empty(), "{sched:?}");
+            assert_eq!(format!("{snapshot:?}"), format!("{:?}", sim.history()));
+            let drained = sim.drain_history();
+            assert_eq!(format!("{snapshot:?}"), format!("{drained:?}"), "{sched:?}");
+            assert!(sim.history().is_empty(), "{sched:?}");
+            assert!(sim.drain_history().is_empty(), "{sched:?}");
+        }
     }
 
     // ---- per-link matrix and window-bound arithmetic ----

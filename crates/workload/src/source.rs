@@ -92,4 +92,21 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
     }
+
+    /// A draw that comes late still issues the arrival at its scheduled
+    /// time, so latency measured from `intended` counts the delay.
+    #[test]
+    fn a_late_open_draw_keeps_the_scheduled_arrival_time() {
+        let mut s = OpSource::Open(OpenLoopDriver::new(driver(), 4, 1000.0));
+        let mut rng = SmallRng::seed_from_u64(2);
+        let due = match s.draw(0, &mut rng) {
+            Draw::Wait { due } => due,
+            other => panic!("unexpected {other:?}"),
+        };
+        let late = due + 10_000_000_000;
+        match s.draw(late, &mut rng) {
+            Draw::Op { intended, .. } => assert_eq!(intended, due),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
 }
