@@ -243,7 +243,9 @@ fn bench_open_loop(c: &mut Criterion) {
 /// arriving in client-interleaved order, so `insert` is a mid-vector
 /// insert and `query` collapses `n / 256` ROTs per client.
 fn bench_reader_records(c: &mut Criterion) {
-    use contrarian_cclo::records::{BlockRecord, CurrentReader, ReaderEntry, ReaderSet, RotFloor};
+    use contrarian_cclo::records::{
+        BlockRecord, CurrentReader, ReaderEntry, ReaderSet, RotFloor, Stamp,
+    };
     use contrarian_types::{ClientId, DcId, TxId};
     const CLIENTS: usize = 256;
     // A sealing server that has seen none of these ROTs: the floor keeps
@@ -277,21 +279,23 @@ fn bench_reader_records(c: &mut Criterion) {
         });
         // Current readers (the older half) handed over to the old readers
         // (the newer half), as a PUT on the key does; the timed region
-        // includes cloning both halves.
+        // includes cloning both halves. The stamps count from the zero
+        // epoch.
         let (cur, old) = entries.split_at(n / 2);
+        let epoch = Stamp::default();
         let mut current = ReaderSet::new();
         for e in cur {
-            current.insert(CurrentReader {
-                tx: e.tx,
-                read_time: e.read_time,
-                inserted_at: e.inserted_at,
-            });
+            let at = Stamp {
+                ticks: e.read_time,
+                ns: e.inserted_at,
+            };
+            current.insert(CurrentReader::new(e.tx, at, epoch).expect("a small stamp"));
         }
         let halves = (current, build(old));
         g.bench_with_input(BenchmarkId::new("absorb", n), &halves, |b, (cur, old)| {
             b.iter(|| {
                 let (mut cur, mut old) = (cur.clone(), old.clone());
-                old.absorb(&mut cur, n as u64);
+                old.absorb(&mut cur, n as u64, epoch);
                 black_box(old.len())
             });
         });

@@ -39,7 +39,9 @@ pub mod spec;
 
 pub use client::DepSession;
 pub use msg::Msg;
-pub use records::{BlockRecord, CurrentReader, Reader, ReaderEntry, ReaderSet, RotFloor};
+pub use records::{
+    BlockRecord, CurrentReader, CurrentReaders, Reader, ReaderEntry, ReaderSet, RotFloor, Stamp,
+};
 pub use server::Server;
 pub use spec::CcLo;
 

@@ -66,26 +66,57 @@
 //! implementation serves two entry types. An old reader is a 32 B
 //! [`ReaderEntry`]: the version it read may be any superseded one, and
 //! [`ReaderSet::query_into`] can filter on it. A current reader is a
-//! 24 B [`CurrentReader`] without `read_version_ts`, because what it read
+//! 16 B [`CurrentReader`] without `read_version_ts`, because what it read
 //! is always the key's head (or ⊥ / genesis, timestamp 0): every install
 //! supersedes the current readers first, so all of them were recorded
 //! since the last install, and a non-blocked read returns the head (the
 //! server asserts this at insert in debug builds). The head's timestamp
 //! is written into each entry when [`ReaderSet::absorb`] moves them to
 //! the old readers — also when the install is a replicated version older
-//! than the head, which leaves the head as it was. Old-reader sets,
-//! readers-check answers and every cost-model input stay exactly what
-//! they were with a version per entry (a proptest holds the two against
-//! each other). Sizes, pinned by tests: an old-readers set is 40 B in a
-//! 48 B map slot, a current-readers set 32 B in a 40 B slot. The current
-//! readers are the largest row of `sim_write_cclo`'s heap census: at the
-//! end of its `over` rung (seed 1) 173 137 entries took 14.93 MB with a
-//! version each and take 12.31 MB without.
+//! than the head, which leaves the head as it was.
+//!
+//! **Layout: a current reader's stamps are 32-bit offsets.** Its read
+//! time (Lamport ticks) and insertion time (runtime ns) are `u32` offsets
+//! from two epochs, one [`Stamp`] that a server's [`CurrentReaders`] keeps
+//! for all its keys. They are widened back to `u64` wherever they leave
+//! the set: into an old reader at [`ReaderSet::absorb`], and into the
+//! expiry test of a sweep. The encoding is exact by construction, not
+//! while a run is short:
+//!
+//! * every sweep ([`CurrentReaders::gc`], which the server runs every
+//!   quarter window) re-bases both epochs to the oldest stamps it keeps
+//!   and rewrites every offset. So between sweeps the ns offsets stay
+//!   below the window plus a quarter (625 ms of the 2³² − 1 ns ≈ 4.29 s
+//!   an offset holds, at the 500 ms window), and the tick offsets below
+//!   the ticks the server's Lamport clock advances in that time;
+//! * an insert whose offset would be negative or past 2³² − 1 re-bases
+//!   first, over every current reader and the new stamps;
+//! * a span that no epoch can represent — more than 2³² − 1 ticks or ns
+//!   between the oldest and the newest stamp — panics and names the
+//!   limit. Nothing wraps.
+//!
+//! Old-reader sets, readers-check answers and every cost-model input stay
+//! exactly what they were with a version and `u64` stamps per entry (a
+//! proptest holds the two against each other, with stamps straddling
+//! multiples of 2³² and a re-base at every sweep). Sizes, pinned by
+//! tests: an old-readers set is 40 B in a 48 B map slot. A
+//! current-readers set is 24 B in a 32 B slot: its 16 B inline entry fits
+//! beside the vector's capacity niche, so the set needs no tag of its
+//! own. The current readers are the largest row of `sim_write_cclo`'s
+//! heap census: at the end of its `over` rung (seed 1) 173 137 entries
+//! took 14.93 MB with a version each, 12.31 MB without, and 9.70 MB with
+//! 32-bit stamps.
 
-use contrarian_types::{heap, ClientId, DcId, TxId};
+use contrarian_types::{heap, ClientId, DcId, Key, TxId};
 use std::cmp::Ordering;
 #[cfg(test)]
 use std::cmp::Reverse;
+use std::collections::HashMap;
+
+/// Whether a read recorded at `inserted_at` is older than the GC window.
+fn expired(inserted_at: u64, now: u64, gc_ns: u64) -> bool {
+    now.saturating_sub(inserted_at) > gc_ns
+}
 
 /// One recorded read of a superseded version — an *old* reader: which
 /// transaction read, at what logical time, and how fresh the version it
@@ -101,50 +132,80 @@ pub struct ReaderEntry {
     pub inserted_at: u64,
 }
 
+impl ReaderEntry {
+    fn expired(&self, now: u64, gc_ns: u64) -> bool {
+        expired(self.inserted_at, now, gc_ns)
+    }
+}
+
+/// A read's two clocks — its logical (Lamport) time at this partition and
+/// its true time of insertion, for the 500 ms garbage collection — or the
+/// two epochs a [`CurrentReaders`] counts its readers' clocks from.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Stamp {
+    pub ticks: u64,
+    pub ns: u64,
+}
+
+/// `stamp − epoch`, if it is neither negative nor wider than 32 bits.
+fn offset(stamp: u64, epoch: u64) -> Option<u32> {
+    u32::try_from(stamp.checked_sub(epoch)?).ok()
+}
+
 /// One recorded read of a key's head version (or of ⊥ or genesis) — a
 /// *current* reader. It stores no version: what it read is the head, whose
-/// timestamp [`ReaderSet::absorb`] writes in when the head is superseded
+/// timestamp [`ReaderSet::absorb`] writes in when the head is superseded.
+/// Its [`Stamp`] is two 32-bit offsets from an epoch the owner keeps
 /// (module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CurrentReader {
-    pub tx: TxId,
-    /// Logical (Lamport) time of the read at this partition.
-    pub read_time: u64,
-    /// True time of insertion, for the 500 ms garbage collection.
-    pub inserted_at: u64,
+    tx: TxId,
+    /// Read time − the epoch's ticks.
+    ticks: u32,
+    /// Insertion time − the epoch's ns.
+    ns: u32,
 }
 
 impl CurrentReader {
-    /// The old-reader entry of this read once the version it read, stamped
-    /// `read_version_ts`, is superseded.
-    fn superseded(self, read_version_ts: u64) -> ReaderEntry {
+    /// `tx`'s read at `at`, counted from `epoch`; `None` if either offset
+    /// is negative or does not fit in 32 bits.
+    pub fn new(tx: TxId, at: Stamp, epoch: Stamp) -> Option<Self> {
+        Some(CurrentReader {
+            tx,
+            ticks: offset(at.ticks, epoch.ticks)?,
+            ns: offset(at.ns, epoch.ns)?,
+        })
+    }
+
+    /// The read's stamp, widened against the `epoch` it counts from.
+    fn at(self, epoch: Stamp) -> Stamp {
+        Stamp {
+            ticks: epoch.ticks + u64::from(self.ticks),
+            ns: epoch.ns + u64::from(self.ns),
+        }
+    }
+
+    /// The old-reader entry of this read, counted from `epoch`, once the
+    /// version it read, stamped `read_version_ts`, is superseded.
+    fn superseded(self, epoch: Stamp, read_version_ts: u64) -> ReaderEntry {
+        let at = self.at(epoch);
         ReaderEntry {
             tx: self.tx,
-            read_time: self.read_time,
+            read_time: at.ticks,
             read_version_ts,
-            inserted_at: self.inserted_at,
+            inserted_at: at.ns,
         }
     }
 }
 
-/// What a [`ReaderSet`] keeps of a read: at least the reading transaction
-/// and when the read was recorded.
+/// What a [`ReaderSet`] keeps of a read: at least the reading transaction.
 pub trait Reader: Copy {
     fn tx(&self) -> TxId;
-    fn inserted_at(&self) -> u64;
-
-    fn expired(&self, now: u64, gc_ns: u64) -> bool {
-        now.saturating_sub(self.inserted_at()) > gc_ns
-    }
 }
 
 impl Reader for ReaderEntry {
     fn tx(&self) -> TxId {
         self.tx
-    }
-
-    fn inserted_at(&self) -> u64 {
-        self.inserted_at
     }
 }
 
@@ -152,10 +213,164 @@ impl Reader for CurrentReader {
     fn tx(&self) -> TxId {
         self.tx
     }
+}
 
-    fn inserted_at(&self) -> u64 {
-        self.inserted_at
+/// The oldest and the newest stamps of a group of current readers, each
+/// clock on its own: what their epoch must represent.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    lo: Stamp,
+    hi: Stamp,
+}
+
+impl Span {
+    const EMPTY: Span = Span {
+        lo: Stamp {
+            ticks: u64::MAX,
+            ns: u64::MAX,
+        },
+        hi: Stamp { ticks: 0, ns: 0 },
+    };
+
+    fn cover(&mut self, at: Stamp) {
+        self.lo.ticks = self.lo.ticks.min(at.ticks);
+        self.lo.ns = self.lo.ns.min(at.ns);
+        self.hi.ticks = self.hi.ticks.max(at.ticks);
+        self.hi.ns = self.hi.ns.max(at.ns);
     }
+
+    /// The epoch that represents every stamp of the span, its oldest
+    /// stamps; `None` if it covers none. Panics if the span is wider than
+    /// an offset holds.
+    fn epoch(self) -> Option<Stamp> {
+        if self.lo.ticks > self.hi.ticks {
+            return None;
+        }
+        let (ticks, ns) = (self.hi.ticks - self.lo.ticks, self.hi.ns - self.lo.ns);
+        assert!(
+            ticks <= u64::from(u32::MAX) && ns <= u64::from(u32::MAX),
+            "current readers span {ticks} Lamport ticks and {ns} ns: a 32-bit offset \
+             holds at most {} of each (at most ≈ 4.29 s, and the GC window plus a \
+             quarter must stay inside it)",
+            u32::MAX
+        );
+        Some(self.lo)
+    }
+}
+
+/// A server's current readers: each key's [`ReaderSet`] of
+/// [`CurrentReader`]s, and the epoch all their 32-bit offsets count from.
+/// Every sweep re-bases the epoch to the oldest stamps it keeps, an insert
+/// it cannot represent re-bases first, and a span no epoch can represent
+/// panics (module docs).
+#[derive(Clone, Debug, Default)]
+pub struct CurrentReaders {
+    sets: HashMap<Key, ReaderSet<CurrentReader>>,
+    epoch: Stamp,
+}
+
+impl CurrentReaders {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records `tx`'s read of `key`'s head at `at`.
+    pub fn insert(&mut self, key: Key, tx: TxId, at: Stamp) {
+        let r = match CurrentReader::new(tx, at, self.epoch) {
+            Some(r) => r,
+            None => self.rebase_for(tx, at),
+        };
+        self.sets.entry(key).or_default().insert(r);
+    }
+
+    /// Re-bases the epoch to the oldest stamps of every current reader and
+    /// `at`, and returns `tx`'s read at `at` counted from it.
+    #[cold]
+    fn rebase_for(&mut self, tx: TxId, at: Stamp) -> CurrentReader {
+        let mut span = Span::EMPTY;
+        span.cover(at);
+        // lint:allow(determinism): min/max fold, order-free
+        for set in self.sets.values() {
+            for r in set.entries() {
+                span.cover(r.at(self.epoch));
+            }
+        }
+        self.rebase(span.epoch().expect("the span covers `at`"));
+        CurrentReader::new(tx, at, self.epoch).expect("the re-based epoch covers `at`")
+    }
+
+    /// Rewrites every offset to count from `to`, which must represent
+    /// every stamp.
+    fn rebase(&mut self, to: Stamp) {
+        let from = std::mem::replace(&mut self.epoch, to);
+        if from == to {
+            return;
+        }
+        // lint:allow(determinism): per-entry rewrite, order-free
+        for set in self.sets.values_mut() {
+            for r in set.entries_mut() {
+                *r = CurrentReader::new(r.tx, r.at(from), to).expect("the epoch covers the span");
+            }
+        }
+    }
+
+    /// Whether `key` has current readers.
+    pub fn has(&self, key: Key) -> bool {
+        self.sets.get(&key).is_some_and(|s| !s.is_empty())
+    }
+
+    /// Moves `key`'s current readers, if it has any, into its old readers
+    /// `old` as the head they read, stamped `read_version_ts`, is
+    /// superseded (see [`ReaderSet::absorb`]).
+    pub fn supersede(&mut self, key: Key, old: &mut ReaderSet, read_version_ts: u64) {
+        if let Some(cur) = self.sets.get_mut(&key).filter(|s| !s.is_empty()) {
+            old.absorb(cur, read_version_ts, self.epoch);
+        }
+    }
+
+    /// Drops the readers older than the GC window and the keys left with
+    /// none, then re-bases the epoch to the oldest stamps kept. Returns
+    /// how many readers were kept and dropped (for CPU accounting).
+    pub fn gc(&mut self, now: u64, gc_ns: u64) -> (usize, usize) {
+        let (epoch, mut span) = (self.epoch, Span::EMPTY);
+        let (mut kept, mut dropped) = (0, 0);
+        // lint:allow(determinism): per-entry GC; counts and span fold commutatively
+        for set in self.sets.values_mut() {
+            let (k, d) = set.sweep(|r| {
+                let at = r.at(epoch);
+                let keep = !expired(at.ns, now, gc_ns);
+                if keep {
+                    span.cover(at);
+                }
+                keep
+            });
+            kept += k;
+            dropped += d;
+        }
+        // lint:allow(determinism): per-entry emptiness predicate, order-free
+        self.sets.retain(|_, s| !s.is_empty());
+        if let Some(to) = span.epoch() {
+            self.rebase(to);
+        }
+        (kept, dropped)
+    }
+
+    /// `(heap bytes, readers)`: the map's table and every set's vector.
+    pub fn heap(&self) -> (usize, usize) {
+        readers_heap(&self.sets)
+    }
+}
+
+/// `(heap bytes, entries)` of a readers map: its table and every set's
+/// vector.
+pub(crate) fn readers_heap<E: Reader>(map: &HashMap<Key, ReaderSet<E>>) -> (usize, usize) {
+    let (mut bytes, mut entries) = (heap::map_bytes(map), 0);
+    // lint:allow(determinism): commutative sums for a heap census
+    for set in map.values() {
+        bytes += set.heap_bytes();
+        entries += set.len();
+    }
+    (bytes, entries)
 }
 
 /// Readers of a key — the *old* readers (of superseded versions, with the
@@ -210,6 +425,13 @@ impl<E: Reader> ReaderSet<E> {
     fn entries(&self) -> &[E] {
         match &self.repr {
             Repr::One(e) => std::slice::from_ref(e),
+            Repr::Many(v) => v,
+        }
+    }
+
+    fn entries_mut(&mut self) -> &mut [E] {
+        match &mut self.repr {
+            Repr::One(e) => std::slice::from_mut(e),
             Repr::Many(v) => v,
         }
     }
@@ -289,15 +511,15 @@ impl<E: Reader> ReaderSet<E> {
         self.repr = Repr::of(merged);
     }
 
-    /// Drops entries older than the GC window. Returns how many were kept
-    /// and dropped (for CPU accounting).
-    pub fn gc(&mut self, now: u64, gc_ns: u64) -> (usize, usize) {
+    /// Keeps the entries `keep` accepts, in order. Returns how many were
+    /// kept and dropped.
+    fn sweep(&mut self, mut keep: impl FnMut(&E) -> bool) -> (usize, usize) {
         let before = self.len();
         match &mut self.repr {
-            Repr::One(e) if e.expired(now, gc_ns) => self.repr = Repr::default(),
+            Repr::One(e) if !keep(e) => self.repr = Repr::default(),
             Repr::One(_) => {}
             Repr::Many(v) => {
-                v.retain(|e| !e.expired(now, gc_ns));
+                v.retain(|e| keep(e));
                 if v.len() < 2 {
                     self.repr = Repr::of(std::mem::take(v));
                 }
@@ -338,11 +560,23 @@ impl<E: Reader> ReaderSet<E> {
 
 impl ReaderSet<ReaderEntry> {
     /// Moves the current readers of a head version stamped
-    /// `read_version_ts` (0 for ⊥ or genesis) into these old readers as
-    /// the head is superseded, leaving `current` empty and unallocated.
-    /// For a tx id in both, the current reader wins.
-    pub fn absorb(&mut self, current: &mut ReaderSet<CurrentReader>, read_version_ts: u64) {
-        self.absorb_with(current, |r| r.superseded(read_version_ts));
+    /// `read_version_ts` (0 for ⊥ or genesis), counted from `epoch`, into
+    /// these old readers as the head is superseded, leaving `current`
+    /// empty and unallocated. For a tx id in both, the current reader
+    /// wins.
+    pub fn absorb(
+        &mut self,
+        current: &mut ReaderSet<CurrentReader>,
+        read_version_ts: u64,
+        epoch: Stamp,
+    ) {
+        self.absorb_with(current, |r| r.superseded(epoch, read_version_ts));
+    }
+
+    /// Drops entries older than the GC window. Returns how many were kept
+    /// and dropped (for CPU accounting).
+    pub fn gc(&mut self, now: u64, gc_ns: u64) -> (usize, usize) {
+        self.sweep(|e| !e.expired(now, gc_ns))
     }
 
     /// The old readers *relative to a dependency version*: transactions that
@@ -701,11 +935,35 @@ mod tests {
         }
     }
 
+    /// `t`'s current reader at read time `rt` and insertion time `at`,
+    /// counted from the zero epoch.
     fn current(t: TxId, rt: u64, at: u64) -> CurrentReader {
-        CurrentReader {
-            tx: t,
-            read_time: rt,
-            inserted_at: at,
+        CurrentReader::new(t, Stamp { ticks: rt, ns: at }, Stamp::default()).unwrap()
+    }
+
+    fn stamp(ticks: u64, ns: u64) -> Stamp {
+        Stamp { ticks, ns }
+    }
+
+    /// `(tx, widened stamp)` of every current reader of `key`, in tx order.
+    fn widened(cur: &CurrentReaders, key: Key) -> Vec<(TxId, Stamp)> {
+        cur.sets.get(&key).map_or(Vec::new(), |s| {
+            s.entries()
+                .iter()
+                .map(|r| (r.tx, r.at(cur.epoch)))
+                .collect()
+        })
+    }
+
+    /// Panics unless every set keeps its representation invariants and
+    /// every reader, widened against the epoch, encodes back to itself.
+    fn assert_epoch_covers(cur: &CurrentReaders) {
+        for set in cur.sets.values() {
+            set.assert_invariants();
+            for r in set.entries() {
+                let at = r.at(cur.epoch);
+                assert_eq!(CurrentReader::new(r.tx, at, cur.epoch), Some(*r));
+            }
         }
     }
 
@@ -714,31 +972,43 @@ mod tests {
     const CLIENTS: u16 = 5;
     const SEQS: u32 = 6;
     const GC_NS: u64 = 40;
+    /// The most a 32-bit offset holds.
+    const SPAN: u64 = u32::MAX as u64;
+
+    /// Clock origins just below the `(a, b)`-th multiples of 2³², so a
+    /// sequence's stamps cross them: read times by up to 50 ticks, the
+    /// clock by up to 300 ns.
+    fn origins((a, b): (u64, u64)) -> (u64, u64) {
+        ((a << 32) - 25, (b << 32) - 300)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The flat `ReaderSet` against the map-based model under random
         /// insert / absorb / gc / query sequences over a current and an old
-        /// set, on a clock that lets entries expire mid-sequence. Sets stay
+        /// set, on a clock that lets entries expire mid-sequence and, like
+        /// the read times, starts just below a multiple of 2³². Sets stay
         /// small, so they keep crossing 0 → 1 → 2 → 1 → 0 entries through
         /// inserts, sweeps and absorbs in both directions (an inline entry on
         /// either side), and a refresh re-inserts the last tx id, inline or
         /// not. The representation invariants are checked after every step.
         #[test]
         fn reader_set_matches_map_model(
+            multiples in (1u64..4, 1u64..4),
             ops in prop::collection::vec(
                 ((0u8..10, 0..CLIENTS, 0..SEQS), (0u64..50, 0u64..20, 0u64..12)),
                 1..120,
             ),
         ) {
+            let (ticks0, ns0) = origins(multiples);
             let (mut cur, mut old) = (ReaderSet::new(), ReaderSet::new());
             let (mut m_cur, mut m_old) = (model::ReaderSet::default(), model::ReaderSet::default());
-            let mut now = 0u64;
+            let mut now = ns0;
             let mut last = tx(0, 0);
             for ((op, c, seq), (rt, rvts, dt)) in ops {
                 now += dt;
-                let mut e = entry(tx(c, seq), rt, rvts, now);
+                let mut e = entry(tx(c, seq), ticks0 + rt, rvts, now);
                 match op {
                     0..=2 => {
                         cur.insert(e);
@@ -798,62 +1068,103 @@ mod tests {
             }
         }
 
-        /// Current readers that store no version, against the per-entry
-        /// representation they replaced — a `ReaderSet<ReaderEntry>` whose
-        /// every entry carries the head's timestamp from the moment it is
-        /// read — over one key's life: reads of the head, blocked reads of
-        /// older versions, installs that supersede the current readers
-        /// (newer than the head, or interleaved below it, which leaves the
-        /// head as it was) and GC sweeps. The old-reader sets, their
-        /// queries and every sweep's `(kept, dropped)` are identical.
+        /// Current readers that store no version and keep their clocks as
+        /// 32-bit offsets from a re-based epoch, against the per-entry
+        /// representation they replaced — a `ReaderSet<ReaderEntry>` per
+        /// key whose every entry carries the head's timestamp and both
+        /// clocks in `u64` from the moment it is read — over two keys'
+        /// lives: reads of the head, blocked reads of older versions,
+        /// installs that supersede the current readers (newer than the
+        /// head, or interleaved below it, which leaves the head as it was),
+        /// GC sweeps, each of which re-bases, and clock jumps. Both clocks
+        /// start just below a multiple of 2³² and cross it. Read times go
+        /// back and forth, so a read can land below the epoch. A jump puts
+        /// the clock exactly 2³² − 1 ns past the oldest current reader (or
+        /// 2³² ns on when there is none), so a read there re-bases whenever
+        /// that reader is newer than the epoch; the clock never runs
+        /// further ahead of the oldest reader than that, as the server's
+        /// quarter-window sweeps ensure. The old-reader sets, their
+        /// queries, every sweep's `(kept, dropped)`, and every current
+        /// reader's id and widened stamps are identical, and a sweep leaves
+        /// the epoch at the oldest stamps it kept.
         #[test]
         fn versionless_current_readers_match_the_per_entry_oracle(
+            multiples in (1u64..4, 1u64..4),
             ops in prop::collection::vec(
-                ((0u8..8, 0..CLIENTS, 0..SEQS), (0u64..50, 0u64..12)),
+                ((0u8..9, 0..CLIENTS, 0..SEQS), (0u64..50, 0u64..12, 0u64..2)),
                 1..160,
             ),
         ) {
-            let (mut cur, mut old) = (ReaderSet::<CurrentReader>::new(), ReaderSet::new());
-            let (mut o_cur, mut o_old) = (ReaderSet::<ReaderEntry>::new(), ReaderSet::new());
-            // The head's timestamp (0: ⊥) and the newest one issued.
-            let (mut head, mut newest, mut now) = (0u64, 0u64, 0u64);
-            for ((op, c, seq), (rt, dt)) in ops {
-                now += dt;
-                let t = tx(c, seq);
+            let (ticks0, ns0) = origins(multiples);
+            let mut cur = CurrentReaders::new();
+            let mut old = [ReaderSet::new(), ReaderSet::new()];
+            let mut o_cur = [ReaderSet::<ReaderEntry>::new(), ReaderSet::new()];
+            let mut o_old = [ReaderSet::new(), ReaderSet::new()];
+            // Per key, the head's timestamp (0: ⊥); the newest one issued.
+            let (mut head, mut newest, mut now) = ([0u64; 2], 0u64, ns0);
+            let oldest = |o_cur: &[ReaderSet<ReaderEntry>; 2]| {
+                let all = || o_cur.iter().flat_map(|s| s.entries());
+                Some(stamp(all().map(|e| e.read_time).min()?, all().map(|e| e.inserted_at).min()?))
+            };
+            for ((op, c, seq), (rt, dt, k)) in ops {
+                let limit = oldest(&o_cur).map_or(u64::MAX, |o| o.ns + SPAN);
+                now = (now + dt).min(limit);
+                let (t, rt, key, k) = (tx(c, seq), ticks0 + rt, Key(k), k as usize);
                 match op {
                     0..=2 => {
-                        cur.insert(current(t, rt, now));
-                        o_cur.insert(entry(t, rt, head, now));
+                        cur.insert(key, t, stamp(rt, now));
+                        o_cur[k].insert(entry(t, rt, head[k], now));
                     }
                     3 => {
                         // A blocked ROT reads something older than the head.
-                        let e = entry(t, rt, head.saturating_sub(1 + rt % 3), now);
-                        old.insert(e);
-                        o_old.insert(e);
+                        let e = entry(t, rt, head[k].saturating_sub(1 + rt % 3), now);
+                        old[k].insert(e);
+                        o_old[k].insert(e);
                     }
                     4 | 5 => {
-                        old.absorb(&mut cur, head);
-                        o_old.absorb_with(&mut o_cur, |e| e);
+                        if cur.has(key) {
+                            cur.supersede(key, &mut old[k], head[k]);
+                        }
+                        o_old[k].absorb_with(&mut o_cur[k], |e| e);
                         newest += 1;
                         if op == 4 {
-                            head = newest;
+                            head[k] = newest;
                         }
                     }
-                    _ => {
-                        prop_assert_eq!(cur.gc(now, GC_NS), o_cur.gc(now, GC_NS));
-                        prop_assert_eq!(old.gc(now, GC_NS), o_old.gc(now, GC_NS));
+                    6 | 7 => {
+                        let (mut kept, mut dropped) = (0, 0);
+                        for (o, oo) in o_cur.iter_mut().zip(&mut o_old) {
+                            let (k, d) = o.gc(now, GC_NS);
+                            (kept, dropped) = (kept + k, dropped + d);
+                            oo.gc(now, GC_NS);
+                        }
+                        prop_assert_eq!(cur.gc(now, GC_NS), (kept, dropped));
+                        for o in &mut old {
+                            o.gc(now, GC_NS);
+                        }
+                        if let Some(o) = oldest(&o_cur) {
+                            prop_assert_eq!(cur.epoch, o);
+                        }
                     }
+                    _ => now = oldest(&o_cur).map_or(now + SPAN + 1, |o| o.ns + SPAN),
                 }
-                cur.assert_invariants();
-                old.assert_invariants();
-                prop_assert_eq!(old.entries(), o_old.entries());
-                prop_assert_eq!(cur.len(), o_cur.len());
-                prop_assert!(cur.entries().iter().map(|e| e.tx).eq(o_cur.entries().iter().map(|e| e.tx)));
-                for dep_ts in [u64::MAX, head, head + 1, rt] {
-                    prop_assert_eq!(
-                        old.query(dep_ts, now, GC_NS),
-                        o_old.query(dep_ts, now, GC_NS)
-                    );
+                assert_epoch_covers(&cur);
+                for k in 0..2 {
+                    old[k].assert_invariants();
+                    prop_assert_eq!(old[k].entries(), o_old[k].entries());
+                    let want: Vec<(TxId, Stamp)> = o_cur[k]
+                        .entries()
+                        .iter()
+                        .map(|e| (e.tx, stamp(e.read_time, e.inserted_at)))
+                        .collect();
+                    prop_assert_eq!(widened(&cur, Key(k as u64)), want);
+                    prop_assert_eq!(cur.has(Key(k as u64)), !o_cur[k].is_empty());
+                    for dep_ts in [u64::MAX, head[k], head[k] + 1, rt] {
+                        prop_assert_eq!(
+                            old[k].query(dep_ts, now, GC_NS),
+                            o_old[k].query(dep_ts, now, GC_NS)
+                        );
+                    }
                 }
             }
         }
@@ -1008,25 +1319,25 @@ mod tests {
         let (mut old, mut cur) = (ReaderSet::new(), ReaderSet::new());
         old.insert(entry(tx(2, 0), 1, 0, 0));
         cur.insert(current(tx(1, 0), 2, 0));
-        old.absorb(&mut cur, 7);
+        old.absorb(&mut cur, 7, Stamp::default());
         assert_eq!(old.len(), 2);
         assert!(old.contains(tx(1, 0)) && old.contains(tx(2, 0)));
         assert!(matches!(&cur.repr, Repr::Many(v) if v.capacity() == 0));
         // Into an empty set the entry moves stamped, still inline.
         cur.insert(current(tx(4, 0), 3, 0));
         let mut fresh = ReaderSet::new();
-        fresh.absorb(&mut cur, 7);
+        fresh.absorb(&mut cur, 7, Stamp::default());
         assert!(matches!(fresh.repr, Repr::One(e) if e == entry(tx(4, 0), 3, 7, 0)));
         // Two inline entries of one tx merge to one, still inline.
         cur.insert(current(tx(4, 0), 9, 0));
-        fresh.absorb(&mut cur, 8);
+        fresh.absorb(&mut cur, 8, Stamp::default());
         assert!(matches!(fresh.repr, Repr::One(e) if (e.read_time, e.read_version_ts) == (9, 8)));
         // A vector into an empty set becomes one exact block of old
         // readers, every entry stamped.
         cur.insert(current(tx(5, 0), 1, 0));
         cur.insert(current(tx(6, 0), 2, 0));
         let mut empty = ReaderSet::new();
-        empty.absorb(&mut cur, 3);
+        empty.absorb(&mut cur, 3, Stamp::default());
         assert!(matches!(&empty.repr, Repr::Many(v)
             if v.capacity() == 2 && v.iter().all(|e| e.read_version_ts == 3)));
         for s in [&old, &fresh, &empty] {
@@ -1046,14 +1357,115 @@ mod tests {
         assert_eq!(size_of::<ReaderSet>(), 40);
     }
 
-    /// A current reader stores no version: 24 B, and its set 32 B with
-    /// the tag — the map slot of every key with current readers, the
-    /// largest row of CC-LO's heap census.
+    /// A current reader stores no version and two 32-bit offsets: 16 B.
+    /// Its set is 24 B, the vector alone — the inline entry fits beside
+    /// the vector's capacity niche, so there is no tag — and a key's map
+    /// slot 32 B. That slot is the largest row of CC-LO's heap census.
     #[test]
-    fn current_reader_set_is_a_24_byte_entry_plus_a_tag() {
+    fn current_reader_set_is_a_16_byte_entry_in_a_32_byte_slot() {
         use std::mem::size_of;
-        assert_eq!(size_of::<CurrentReader>(), 24);
-        assert_eq!(size_of::<ReaderSet<CurrentReader>>(), 32);
+        assert_eq!(size_of::<CurrentReader>(), 16);
+        assert_eq!(size_of::<ReaderSet<CurrentReader>>(), 24);
+        assert_eq!(size_of::<(Key, ReaderSet<CurrentReader>)>(), 32);
+    }
+
+    /// Readers stamped just below a multiple of 2³² — in ticks and in ns
+    /// — and read again just after it, then superseded after it: each
+    /// old reader carries its exact `u64` stamps. Low 32 bits alone would
+    /// put the later reads 2³² before the earlier ones.
+    #[test]
+    fn readers_stamped_across_a_multiple_of_2_32_widen_exactly() {
+        let m = 5u64 << 32;
+        let mut cur = CurrentReaders::new();
+        let key = Key(3);
+        cur.insert(key, tx(0, 0), stamp(m - 1, m - 2));
+        assert_eq!(cur.epoch, stamp(m - 1, m - 2), "the first read re-bases");
+        cur.insert(key, tx(1, 0), stamp(m, m));
+        cur.insert(key, tx(2, 0), stamp(m + 1, m + 3));
+        let mut old = ReaderSet::new();
+        cur.supersede(key, &mut old, 9);
+        assert_eq!(
+            old.entries(),
+            [
+                entry(tx(0, 0), m - 1, 9, m - 2),
+                entry(tx(1, 0), m, 9, m),
+                entry(tx(2, 0), m + 1, 9, m + 3),
+            ]
+        );
+        assert!(!cur.has(key));
+    }
+
+    /// A reader inserted 2 ns below a multiple of 2³² survives a sweep at
+    /// exactly one window past it and is dropped at one window plus 1 ns,
+    /// both sweeps after the multiple; an old reader it became expires at
+    /// the same instant.
+    #[test]
+    fn expiry_across_a_multiple_of_2_32_is_exact() {
+        const WINDOW: u64 = 500_000_000;
+        let at = (1u64 << 32) - 2;
+        let mut cur = CurrentReaders::new();
+        cur.insert(Key(0), tx(0, 0), stamp(7, at));
+        cur.insert(Key(1), tx(1, 0), stamp(7, at));
+        assert_eq!(cur.gc(at + WINDOW, WINDOW), (2, 0));
+        assert_eq!(cur.epoch, stamp(7, at));
+        let mut old = ReaderSet::new();
+        cur.supersede(Key(1), &mut old, 1);
+        assert_eq!(old.query(u64::MAX, at + WINDOW, WINDOW), [(tx(1, 0), 7)]);
+        assert!(old.query(u64::MAX, at + WINDOW + 1, WINDOW).is_empty());
+        assert_eq!(cur.gc(at + WINDOW + 1, WINDOW), (0, 1));
+        assert!(cur.sets.is_empty(), "no key is left");
+    }
+
+    /// A sweep re-bases the epoch to the oldest stamps it keeps; an insert
+    /// the epoch cannot represent re-bases first — up, when the oldest
+    /// reader has gone and the new stamp lies exactly 2³² − 1 past the
+    /// oldest left, and down, for a read time below the epoch — and every
+    /// live reader keeps its stamps.
+    #[test]
+    fn an_insert_out_of_reach_re_bases_first() {
+        let t0 = stamp(1_000, 3 << 32);
+        let mut cur = CurrentReaders::new();
+        cur.insert(Key(0), tx(0, 0), t0);
+        cur.insert(Key(1), tx(1, 0), stamp(t0.ticks + 4, t0.ns + 10));
+        cur.gc(t0.ns + 10, 40);
+        assert_eq!(cur.epoch, t0);
+        // The oldest reader goes; the epoch stays behind.
+        cur.supersede(Key(0), &mut ReaderSet::new(), 0);
+        assert_eq!(cur.epoch, t0);
+        let far = stamp(t0.ticks + 6, t0.ns + 10 + SPAN);
+        assert_eq!(CurrentReader::new(tx(2, 0), far, cur.epoch), None);
+        cur.insert(Key(1), tx(2, 0), far);
+        assert_eq!(cur.epoch, stamp(t0.ticks + 4, t0.ns + 10));
+        assert_eq!(
+            widened(&cur, Key(1)),
+            [(tx(1, 0), stamp(t0.ticks + 4, t0.ns + 10)), (tx(2, 0), far)]
+        );
+        // A read time below the epoch moves it down.
+        cur.insert(Key(2), tx(3, 0), stamp(t0.ticks, far.ns));
+        assert_eq!(cur.epoch, stamp(t0.ticks, t0.ns + 10));
+        assert_eq!(widened(&cur, Key(2)), [(tx(3, 0), stamp(t0.ticks, far.ns))]);
+        assert_eq!(widened(&cur, Key(1))[1], (tx(2, 0), far));
+        assert_epoch_covers(&cur);
+    }
+
+    /// Stamps more than 2³² − 1 ns apart cannot share an epoch: the
+    /// insert panics, naming the limit, rather than wrap.
+    #[test]
+    #[should_panic(expected = "a 32-bit offset holds at most 4294967295 of each")]
+    fn a_span_past_32_bits_panics() {
+        let mut cur = CurrentReaders::new();
+        cur.insert(Key(0), tx(0, 0), stamp(1, 1 << 40));
+        cur.insert(Key(1), tx(1, 0), stamp(1, (1 << 40) + SPAN + 1));
+    }
+
+    /// The same for ticks: a Lamport clock 2³² ticks past the oldest
+    /// current reader.
+    #[test]
+    #[should_panic(expected = "current readers span 4294967296 Lamport ticks and 0 ns")]
+    fn a_tick_span_past_32_bits_panics() {
+        let mut cur = CurrentReaders::new();
+        cur.insert(Key(0), tx(0, 0), stamp(7, 0));
+        cur.insert(Key(0), tx(1, 0), stamp(7 + SPAN + 1, 0));
     }
 
     #[test]
@@ -1062,7 +1474,7 @@ mod tests {
         let mut old = ReaderSet::new();
         cur.insert(current(tx(0, 0), 5, 0));
         cur.insert(current(tx(1, 0), 6, 0));
-        old.absorb(&mut cur, 1);
+        old.absorb(&mut cur, 1, Stamp::default());
         assert!(cur.is_empty());
         assert_eq!(old.len(), 2);
         assert!(old.contains(tx(0, 0)));

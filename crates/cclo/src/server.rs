@@ -1,7 +1,9 @@
 //! The CC-LO storage server: latency-optimal ROTs, expensive PUTs.
 
 use crate::msg::{Dep, Msg};
-use crate::records::{BlockRecord, CurrentReader, Reader, ReaderEntry, ReaderSet, RotFloor};
+use crate::records::{
+    readers_heap, BlockRecord, CurrentReaders, ReaderEntry, ReaderSet, RotFloor, Stamp,
+};
 use crate::stats;
 use contrarian_clock::LogicalClock;
 use contrarian_protocol::{timers, Parked, ProtocolServer, Timers};
@@ -68,17 +70,6 @@ fn head_ts(store: &MvStore<BlockRecord>, key: Key) -> u64 {
     store.latest(key).map_or(0, |h| h.vid.ts)
 }
 
-/// `(heap bytes, entries)` of a readers map.
-fn readers_heap<E: Reader>(map: &HashMap<Key, ReaderSet<E>>) -> (usize, usize) {
-    let (mut bytes, mut entries) = (heap::map_bytes(map), 0);
-    // lint:allow(determinism): commutative sums for a heap census
-    for set in map.values() {
-        bytes += set.heap_bytes();
-        entries += set.len();
-    }
-    (bytes, entries)
-}
-
 /// A dependency-check query that cannot be answered yet because some
 /// dependency has not been installed locally.
 struct DepWaiter {
@@ -94,8 +85,10 @@ pub struct Server {
     store: MvStore<BlockRecord>,
     /// Current readers of each key's head version (or of ⊥). Each read
     /// the head, so none stores a version: `supersede_head` stamps them
-    /// with the head's timestamp as they become old readers.
-    readers: HashMap<Key, ReaderSet<CurrentReader>>,
+    /// with the head's timestamp as they become old readers. Their clocks
+    /// are 32-bit offsets from this server's epoch, which every GC sweep
+    /// re-bases (`records` module docs).
+    readers: CurrentReaders,
     /// Old readers of each key (readers of superseded versions).
     old_readers: HashMap<Key, ReaderSet>,
     /// The server's per-client table: the newest ROT each client has read
@@ -122,7 +115,7 @@ impl Server {
             cfg,
             lamport: LogicalClock::new(),
             store: MvStore::new(),
-            readers: HashMap::new(),
+            readers: CurrentReaders::new(),
             old_readers: HashMap::new(),
             rot_floor: RotFloor::new(),
             pending_puts: HashMap::new(),
@@ -149,14 +142,8 @@ impl Server {
     fn gc(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
         let now = ctx.now();
         let window = self.gc_window_ns();
-        let mut touched = 0usize;
-        // lint:allow(determinism): per-entry GC; kept/dropped fold commutatively
-        for set in self.readers.values_mut() {
-            let (kept, dropped) = set.gc(now, window);
-            touched += kept + dropped;
-        }
-        // lint:allow(determinism): per-entry emptiness predicate, order-free
-        self.readers.retain(|_, s| !s.is_empty());
+        let (kept, dropped) = self.readers.gc(now, window);
+        let mut touched = kept + dropped;
         // lint:allow(determinism): per-entry GC; kept/dropped fold commutatively
         for set in self.old_readers.values_mut() {
             let (kept, dropped) = set.gc(now, window);
@@ -286,11 +273,11 @@ impl Server {
                     head_ts(&self.store, key),
                     "{tx} read {key:?}"
                 );
-                self.readers.entry(key).or_default().insert(CurrentReader {
-                    tx,
-                    read_time,
-                    inserted_at: now,
-                });
+                let at = Stamp {
+                    ticks: read_time,
+                    ns: now,
+                };
+                self.readers.insert(key, tx, at);
             }
             pairs.push((key, ver));
         }
@@ -585,14 +572,10 @@ impl Server {
     /// read is always the head, because they were all recorded since the
     /// last install.
     fn supersede_head(&mut self, key: Key) {
-        if let Some(cur) = self.readers.get_mut(&key) {
-            if !cur.is_empty() {
-                let head_ts = head_ts(&self.store, key);
-                self.old_readers
-                    .entry(key)
-                    .or_default()
-                    .absorb(cur, head_ts);
-            }
+        if self.readers.has(key) {
+            let head_ts = head_ts(&self.store, key);
+            let old = self.old_readers.entry(key).or_default();
+            self.readers.supersede(key, old, head_ts);
         }
     }
 
@@ -776,7 +759,7 @@ impl ProtocolServer for Server {
         let versions = self.store.n_versions();
         census.add("store", chains, versions);
         census.add("sealed records", records, versions);
-        let (bytes, entries) = readers_heap(&self.readers);
+        let (bytes, entries) = self.readers.heap();
         census.add("current readers", bytes, entries);
         let (bytes, entries) = readers_heap(&self.old_readers);
         census.add("old readers", bytes, entries);
@@ -1253,6 +1236,37 @@ mod tests {
         ctx.now = 10_000_000_000;
         s.on_timer(&mut ctx, TimerKind::new(timers::GC));
         assert_eq!(reader_entries(&s), (0, 0));
+    }
+
+    /// A ROT read just below a multiple of 2³² — in Lamport ticks and in
+    /// ns — and a PUT that supersedes it just after: the readers check
+    /// names it with its exact read time, and it expires exactly one
+    /// window after its insertion.
+    #[test]
+    fn a_reader_across_a_multiple_of_2_32_keeps_its_exact_stamps() {
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        let m = 1u64 << 32;
+        ctx.now = m - 1;
+        s.on_message(
+            &mut ctx,
+            client(),
+            Msg::RotRead {
+                tx: tx(0, 0),
+                keys: vec![Key(0)],
+                lamport: m - 3,
+            },
+        );
+        ctx.drain_to(client());
+        ctx.now = m + 1;
+        do_put(&mut s, &mut ctx, Key(0), vec![]);
+        let window = s.gc_window_ns();
+        let old = &s.old_readers[&Key(0)];
+        assert_eq!(
+            old.query(u64::MAX, m - 1 + window, window),
+            [(tx(0, 0), m - 2)]
+        );
+        assert!(old.query(u64::MAX, m + window, window).is_empty());
     }
 
     #[test]

@@ -96,11 +96,11 @@ impl Histogram {
 
     /// Approximate `p`-th percentile.
     ///
-    /// `p` is clamped into `(0, 100]`: a non-positive (or NaN) `p` means
-    /// the smallest meaningful quantile — the lowest occupied bucket's
-    /// bound — and anything ≥ 100 behaves like exactly 100, which returns
-    /// the *exact* recorded maximum rather than a bucket bound (bucket
-    /// lows understate the tail by up to ~3%). Everything strictly
+    /// `p` is clamped into `(0, 100]`: a non-positive `p` means the
+    /// smallest meaningful quantile — the lowest occupied bucket's bound —
+    /// and anything ≥ 100, or a NaN `p`, behaves like exactly 100, which
+    /// returns the *exact* recorded maximum rather than a bucket bound
+    /// (bucket lows understate the tail by up to ~3%). Everything strictly
     /// between resolves to the lower bound of the bucket holding the
     /// `ceil(p% · count)`-th sample.
     pub fn percentile(&self, p: f64) -> u64 {
