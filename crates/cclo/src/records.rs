@@ -90,15 +90,24 @@
 //!   an offset holds, at the 500 ms window), and the tick offsets below
 //!   the ticks the server's Lamport clock advances in that time;
 //! * an insert whose offset would be negative or past 2³² − 1 re-bases
-//!   first, over every current reader and the new stamps;
-//! * a span that no epoch can represent — more than 2³² − 1 ticks or ns
-//!   between the oldest and the newest stamp — panics and names the
-//!   limit. Nothing wraps.
+//!   first, over every current reader and the new stamps. If no epoch can
+//!   represent them all — a wall clock that stalled past its sweeps, as a
+//!   live (TCP) server's can — the readers that have expired by the
+//!   insert are left out and clamped to a stamp that has expired too.
+//!   Nothing but their expiry is ever observed: a sweep drops them, and
+//!   once superseded an old-reader query skips them. The GC window must
+//!   be below 2³² − 1 ns ([`CurrentReaders::new`] checks), so the live
+//!   readers and the clamped stamp always fit;
+//! * a span of live readers that no epoch can represent — more than
+//!   2³² − 1 ticks between the oldest and the newest read time — panics
+//!   and names the limit. Nothing wraps.
 //!
 //! Old-reader sets, readers-check answers and every cost-model input stay
 //! exactly what they were with a version and `u64` stamps per entry (a
 //! proptest holds the two against each other, with stamps straddling
-//! multiples of 2³² and a re-base at every sweep). Sizes, pinned by
+//! multiples of 2³² and a re-base at every sweep; a second one lets the
+//! clock run past an offset's reach, where expired readers are held only
+//! to being expired). Sizes, pinned by
 //! tests: an old-readers set is 40 B in a 48 B map slot. A
 //! current-readers set is 24 B in a 32 B slot: its 16 B inline entry fits
 //! beside the vector's capacity niche, so the set needs no tag of its
@@ -239,6 +248,20 @@ impl Span {
         self.hi.ns = self.hi.ns.max(at.ns);
     }
 
+    /// Ticks and ns between the oldest and the newest stamps (0 if empty).
+    fn width(self) -> (u64, u64) {
+        (
+            self.hi.ticks.saturating_sub(self.lo.ticks),
+            self.hi.ns.saturating_sub(self.lo.ns),
+        )
+    }
+
+    /// Whether one epoch can represent every stamp of the span.
+    fn fits(self) -> bool {
+        let (ticks, ns) = self.width();
+        ticks <= u64::from(u32::MAX) && ns <= u64::from(u32::MAX)
+    }
+
     /// The epoch that represents every stamp of the span, its oldest
     /// stamps; `None` if it covers none. Panics if the span is wider than
     /// an offset holds.
@@ -246,12 +269,11 @@ impl Span {
         if self.lo.ticks > self.hi.ticks {
             return None;
         }
-        let (ticks, ns) = (self.hi.ticks - self.lo.ticks, self.hi.ns - self.lo.ns);
+        let (ticks, ns) = self.width();
         assert!(
-            ticks <= u64::from(u32::MAX) && ns <= u64::from(u32::MAX),
+            self.fits(),
             "current readers span {ticks} Lamport ticks and {ns} ns: a 32-bit offset \
-             holds at most {} of each (at most ≈ 4.29 s, and the GC window plus a \
-             quarter must stay inside it)",
+             holds at most {} of each",
             u32::MAX
         );
         Some(self.lo)
@@ -259,22 +281,36 @@ impl Span {
 }
 
 /// A server's current readers: each key's [`ReaderSet`] of
-/// [`CurrentReader`]s, and the epoch all their 32-bit offsets count from.
-/// Every sweep re-bases the epoch to the oldest stamps it keeps, an insert
-/// it cannot represent re-bases first, and a span no epoch can represent
+/// [`CurrentReader`]s, the epoch all their 32-bit offsets count from, and
+/// the GC window. Every sweep re-bases the epoch to the oldest stamps it
+/// keeps, an insert it cannot represent re-bases first — clamping expired
+/// readers if it must — and a span of live readers no epoch can represent
 /// panics (module docs).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CurrentReaders {
     sets: HashMap<Key, ReaderSet<CurrentReader>>,
     epoch: Stamp,
+    gc_ns: u64,
 }
 
 impl CurrentReaders {
-    pub fn new() -> Self {
-        Self::default()
+    /// No readers, for a GC window of `gc_ns`. Panics unless a 32-bit ns
+    /// offset holds the window and 1 ns more (module docs).
+    pub fn new(gc_ns: u64) -> Self {
+        assert!(
+            gc_ns < u64::from(u32::MAX),
+            "a GC window of {gc_ns} ns does not fit a 32-bit offset: at most {} ns",
+            u32::MAX - 1
+        );
+        CurrentReaders {
+            sets: HashMap::new(),
+            epoch: Stamp::default(),
+            gc_ns,
+        }
     }
 
-    /// Records `tx`'s read of `key`'s head at `at`.
+    /// Records `tx`'s read of `key`'s head at `at`, whose ns is the
+    /// current time.
     pub fn insert(&mut self, key: Key, tx: TxId, at: Stamp) {
         let r = match CurrentReader::new(tx, at, self.epoch) {
             Some(r) => r,
@@ -283,33 +319,69 @@ impl CurrentReaders {
         self.sets.entry(key).or_default().insert(r);
     }
 
-    /// Re-bases the epoch to the oldest stamps of every current reader and
-    /// `at`, and returns `tx`'s read at `at` counted from it.
+    /// Re-bases the epoch so that it represents `at` and every current
+    /// reader, and returns `tx`'s read at `at` counted from it. If no
+    /// epoch can, the readers expired by `at.ns` are left out of the span
+    /// and clamped: only their expiry is ever observed (by a sweep, and by
+    /// an old-reader query or sweep once superseded), and the clamped stamp
+    /// is expired too.
     #[cold]
     fn rebase_for(&mut self, tx: TxId, at: Stamp) -> CurrentReader {
-        let mut span = Span::EMPTY;
-        span.cover(at);
+        let (now, gc_ns) = (at.ns, self.gc_ns);
+        let (mut all, mut live) = (Span::EMPTY, Span::EMPTY);
+        all.cover(at);
+        live.cover(at);
+        let mut any_expired = false;
         // lint:allow(determinism): min/max fold, order-free
         for set in self.sets.values() {
             for r in set.entries() {
-                span.cover(r.at(self.epoch));
+                let s = r.at(self.epoch);
+                all.cover(s);
+                if expired(s.ns, now, gc_ns) {
+                    any_expired = true;
+                } else {
+                    live.cover(s);
+                }
             }
         }
-        self.rebase(span.epoch().expect("the span covers `at`"));
+        let mut span = all;
+        if !all.fits() {
+            span = live;
+            if any_expired {
+                // The newest insertion time already expired at `now`, so
+                // expired for good: `now` never goes back. It is within
+                // the window and 1 ns of every live stamp.
+                span.lo.ns = span.lo.ns.min(now - gc_ns - 1);
+            }
+        }
+        self.rebase(span.epoch().expect("the span covers `at`"), now);
         CurrentReader::new(tx, at, self.epoch).expect("the re-based epoch covers `at`")
     }
 
-    /// Rewrites every offset to count from `to`, which must represent
-    /// every stamp.
-    fn rebase(&mut self, to: Stamp) {
+    /// Rewrites every offset to count from `to`. A reader `to` cannot
+    /// represent must be expired at `now`, and so must `to`'s ns: it is
+    /// clamped to `to` itself.
+    fn rebase(&mut self, to: Stamp, now: u64) {
         let from = std::mem::replace(&mut self.epoch, to);
         if from == to {
             return;
         }
+        let gc_ns = self.gc_ns;
         // lint:allow(determinism): per-entry rewrite, order-free
         for set in self.sets.values_mut() {
             for r in set.entries_mut() {
-                *r = CurrentReader::new(r.tx, r.at(from), to).expect("the epoch covers the span");
+                let at = r.at(from);
+                *r = CurrentReader::new(r.tx, at, to).unwrap_or_else(|| {
+                    assert!(
+                        expired(at.ns, now, gc_ns) && expired(to.ns, now, gc_ns),
+                        "only an expired reader is clamped to an expired epoch"
+                    );
+                    CurrentReader {
+                        tx: r.tx,
+                        ticks: 0,
+                        ns: 0,
+                    }
+                });
             }
         }
     }
@@ -331,8 +403,8 @@ impl CurrentReaders {
     /// Drops the readers older than the GC window and the keys left with
     /// none, then re-bases the epoch to the oldest stamps kept. Returns
     /// how many readers were kept and dropped (for CPU accounting).
-    pub fn gc(&mut self, now: u64, gc_ns: u64) -> (usize, usize) {
-        let (epoch, mut span) = (self.epoch, Span::EMPTY);
+    pub fn gc(&mut self, now: u64) -> (usize, usize) {
+        let (epoch, gc_ns, mut span) = (self.epoch, self.gc_ns, Span::EMPTY);
         let (mut kept, mut dropped) = (0, 0);
         // lint:allow(determinism): per-entry GC; counts and span fold commutatively
         for set in self.sets.values_mut() {
@@ -350,7 +422,7 @@ impl CurrentReaders {
         // lint:allow(determinism): per-entry emptiness predicate, order-free
         self.sets.retain(|_, s| !s.is_empty());
         if let Some(to) = span.epoch() {
-            self.rebase(to);
+            self.rebase(to, now);
         }
         (kept, dropped)
     }
@@ -982,33 +1054,169 @@ mod tests {
         ((a << 32) - 25, (b << 32) - 300)
     }
 
+    type OracleOp = ((u8, u16, u32), (u64, u64, u64));
+
+    fn oracle_ops() -> impl Strategy<Value = Vec<OracleOp>> {
+        prop::collection::vec(
+            ((0u8..9, 0..CLIENTS, 0..SEQS), (0u64..50, 0u64..12, 0u64..2)),
+            1..160,
+        )
+    }
+
+    /// Runs `ops` on a [`CurrentReaders`] and on the per-entry
+    /// representation it replaced — a `ReaderSet<ReaderEntry>` per key
+    /// whose every entry carries the head's timestamp and both clocks in
+    /// `u64` from the moment it is read — over two keys' lives: reads of
+    /// the head, blocked reads of older versions, installs that supersede
+    /// the current readers (newer than the head, or interleaved below it,
+    /// which leaves the head as it was), GC sweeps, each of which
+    /// re-bases, and clock jumps. Both clocks start just below a multiple
+    /// of 2³² and cross it. Read times go back and forth, so a read can
+    /// land below the epoch. A jump puts the clock exactly 2³² − 1 ns past
+    /// the oldest current reader (or 2³² ns on when there is none), so a
+    /// read there re-bases whenever that reader is newer than the epoch;
+    /// unless `far`, the clock never runs further ahead of the oldest
+    /// reader than that. With `far`, a jump goes up to 11 ns further (the
+    /// clock never goes back) and the clock is not held back, so reads
+    /// re-base past the reach and clamp expired readers.
+    ///
+    /// The old-reader sets' queries and every sweep's `(kept, dropped)`
+    /// are identical, and a sweep leaves the epoch at the oldest stamps
+    /// it kept. Every current and old reader's id, version and stamps are
+    /// identical too, except that with `far` an expired reader's stamps
+    /// are only held to being expired: nothing else of it is observed.
+    fn check_against_oracle(
+        multiples: (u64, u64),
+        ops: Vec<OracleOp>,
+        far: bool,
+    ) -> TestCaseResult {
+        let (ticks0, ns0) = origins(multiples);
+        let mut cur = CurrentReaders::new(GC_NS);
+        let mut old = [ReaderSet::new(), ReaderSet::new()];
+        let mut o_cur = [ReaderSet::<ReaderEntry>::new(), ReaderSet::new()];
+        let mut o_old = [ReaderSet::new(), ReaderSet::new()];
+        // Per key, the head's timestamp (0: ⊥); the newest one issued.
+        let (mut head, mut newest, mut now) = ([0u64; 2], 0u64, ns0);
+        let oldest = |o_cur: &[ReaderSet<ReaderEntry>; 2]| {
+            let all = || o_cur.iter().flat_map(|s| s.entries());
+            Some(stamp(
+                all().map(|e| e.read_time).min()?,
+                all().map(|e| e.inserted_at).min()?,
+            ))
+        };
+        // What is observed of a reader stamped `at` at `now`: with `far`,
+        // only that an expired one is expired.
+        let seen = |at: Stamp, now: u64| (!far || !expired(at.ns, now, GC_NS)).then_some(at);
+        let seen_old = |set: &ReaderSet, now: u64| -> Vec<_> {
+            set.entries()
+                .iter()
+                .map(|e| {
+                    (
+                        e.tx,
+                        e.read_version_ts,
+                        seen(stamp(e.read_time, e.inserted_at), now),
+                    )
+                })
+                .collect()
+        };
+        for ((op, c, seq), (drawn, dt, k)) in ops {
+            now += dt;
+            if !far {
+                now = now.min(oldest(&o_cur).map_or(u64::MAX, |o| o.ns + SPAN));
+            }
+            let (t, rt, key, k) = (tx(c, seq), ticks0 + drawn, Key(k), k as usize);
+            match op {
+                0..=2 => {
+                    cur.insert(key, t, stamp(rt, now));
+                    o_cur[k].insert(entry(t, rt, head[k], now));
+                }
+                3 => {
+                    // A blocked ROT reads something older than the head.
+                    let e = entry(t, rt, head[k].saturating_sub(1 + rt % 3), now);
+                    old[k].insert(e);
+                    o_old[k].insert(e);
+                }
+                4 | 5 => {
+                    if cur.has(key) {
+                        cur.supersede(key, &mut old[k], head[k]);
+                    }
+                    o_old[k].absorb_with(&mut o_cur[k], |e| e);
+                    newest += 1;
+                    if op == 4 {
+                        head[k] = newest;
+                    }
+                }
+                6 | 7 => {
+                    let (mut kept, mut dropped) = (0, 0);
+                    for (o, oo) in o_cur.iter_mut().zip(&mut o_old) {
+                        let (k, d) = o.gc(now, GC_NS);
+                        (kept, dropped) = (kept + k, dropped + d);
+                        oo.gc(now, GC_NS);
+                    }
+                    prop_assert_eq!(cur.gc(now), (kept, dropped));
+                    for o in &mut old {
+                        o.gc(now, GC_NS);
+                    }
+                    if let Some(o) = oldest(&o_cur) {
+                        prop_assert_eq!(cur.epoch, o);
+                    }
+                }
+                _ => {
+                    let reach = oldest(&o_cur).map_or(now + SPAN + 1, |o| o.ns + SPAN);
+                    now = if far { now.max(reach + dt) } else { reach };
+                }
+            }
+            assert_epoch_covers(&cur);
+            for k in 0..2 {
+                old[k].assert_invariants();
+                prop_assert_eq!(seen_old(&old[k], now), seen_old(&o_old[k], now));
+                let got: Vec<_> = widened(&cur, Key(k as u64))
+                    .into_iter()
+                    .map(|(t, at)| (t, seen(at, now)))
+                    .collect();
+                let want: Vec<_> = o_cur[k]
+                    .entries()
+                    .iter()
+                    .map(|e| (e.tx, seen(stamp(e.read_time, e.inserted_at), now)))
+                    .collect();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(cur.has(Key(k as u64)), !o_cur[k].is_empty());
+                // The drawn number, unshifted, lands among the versions.
+                for dep_ts in [u64::MAX, head[k], head[k] + 1, drawn] {
+                    prop_assert_eq!(
+                        old[k].query(dep_ts, now, GC_NS),
+                        o_old[k].query(dep_ts, now, GC_NS)
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The flat `ReaderSet` against the map-based model under random
         /// insert / absorb / gc / query sequences over a current and an old
-        /// set, on a clock that lets entries expire mid-sequence and, like
-        /// the read times, starts just below a multiple of 2³². Sets stay
+        /// set, on a clock that lets entries expire mid-sequence. Sets stay
         /// small, so they keep crossing 0 → 1 → 2 → 1 → 0 entries through
         /// inserts, sweeps and absorbs in both directions (an inline entry on
         /// either side), and a refresh re-inserts the last tx id, inline or
         /// not. The representation invariants are checked after every step.
         #[test]
         fn reader_set_matches_map_model(
-            multiples in (1u64..4, 1u64..4),
             ops in prop::collection::vec(
                 ((0u8..10, 0..CLIENTS, 0..SEQS), (0u64..50, 0u64..20, 0u64..12)),
                 1..120,
             ),
         ) {
-            let (ticks0, ns0) = origins(multiples);
             let (mut cur, mut old) = (ReaderSet::new(), ReaderSet::new());
             let (mut m_cur, mut m_old) = (model::ReaderSet::default(), model::ReaderSet::default());
-            let mut now = ns0;
+            let mut now = 0u64;
             let mut last = tx(0, 0);
             for ((op, c, seq), (rt, rvts, dt)) in ops {
                 now += dt;
-                let mut e = entry(tx(c, seq), ticks0 + rt, rvts, now);
+                let mut e = entry(tx(c, seq), rt, rvts, now);
                 match op {
                     0..=2 => {
                         cur.insert(e);
@@ -1070,103 +1278,28 @@ mod tests {
 
         /// Current readers that store no version and keep their clocks as
         /// 32-bit offsets from a re-based epoch, against the per-entry
-        /// representation they replaced — a `ReaderSet<ReaderEntry>` per
-        /// key whose every entry carries the head's timestamp and both
-        /// clocks in `u64` from the moment it is read — over two keys'
-        /// lives: reads of the head, blocked reads of older versions,
-        /// installs that supersede the current readers (newer than the
-        /// head, or interleaved below it, which leaves the head as it was),
-        /// GC sweeps, each of which re-bases, and clock jumps. Both clocks
-        /// start just below a multiple of 2³² and cross it. Read times go
-        /// back and forth, so a read can land below the epoch. A jump puts
-        /// the clock exactly 2³² − 1 ns past the oldest current reader (or
-        /// 2³² ns on when there is none), so a read there re-bases whenever
-        /// that reader is newer than the epoch; the clock never runs
-        /// further ahead of the oldest reader than that, as the server's
-        /// quarter-window sweeps ensure. The old-reader sets, their
-        /// queries, every sweep's `(kept, dropped)`, and every current
-        /// reader's id and widened stamps are identical, and a sweep leaves
-        /// the epoch at the oldest stamps it kept.
+        /// representation they replaced (see [`check_against_oracle`]),
+        /// with the clock never further ahead of the oldest current reader
+        /// than an offset reaches, as the server's quarter-window sweeps
+        /// ensure on a clock that does not stall. Every stamp is exact.
         #[test]
         fn versionless_current_readers_match_the_per_entry_oracle(
             multiples in (1u64..4, 1u64..4),
-            ops in prop::collection::vec(
-                ((0u8..9, 0..CLIENTS, 0..SEQS), (0u64..50, 0u64..12, 0u64..2)),
-                1..160,
-            ),
+            ops in oracle_ops(),
         ) {
-            let (ticks0, ns0) = origins(multiples);
-            let mut cur = CurrentReaders::new();
-            let mut old = [ReaderSet::new(), ReaderSet::new()];
-            let mut o_cur = [ReaderSet::<ReaderEntry>::new(), ReaderSet::new()];
-            let mut o_old = [ReaderSet::new(), ReaderSet::new()];
-            // Per key, the head's timestamp (0: ⊥); the newest one issued.
-            let (mut head, mut newest, mut now) = ([0u64; 2], 0u64, ns0);
-            let oldest = |o_cur: &[ReaderSet<ReaderEntry>; 2]| {
-                let all = || o_cur.iter().flat_map(|s| s.entries());
-                Some(stamp(all().map(|e| e.read_time).min()?, all().map(|e| e.inserted_at).min()?))
-            };
-            for ((op, c, seq), (rt, dt, k)) in ops {
-                let limit = oldest(&o_cur).map_or(u64::MAX, |o| o.ns + SPAN);
-                now = (now + dt).min(limit);
-                let (t, rt, key, k) = (tx(c, seq), ticks0 + rt, Key(k), k as usize);
-                match op {
-                    0..=2 => {
-                        cur.insert(key, t, stamp(rt, now));
-                        o_cur[k].insert(entry(t, rt, head[k], now));
-                    }
-                    3 => {
-                        // A blocked ROT reads something older than the head.
-                        let e = entry(t, rt, head[k].saturating_sub(1 + rt % 3), now);
-                        old[k].insert(e);
-                        o_old[k].insert(e);
-                    }
-                    4 | 5 => {
-                        if cur.has(key) {
-                            cur.supersede(key, &mut old[k], head[k]);
-                        }
-                        o_old[k].absorb_with(&mut o_cur[k], |e| e);
-                        newest += 1;
-                        if op == 4 {
-                            head[k] = newest;
-                        }
-                    }
-                    6 | 7 => {
-                        let (mut kept, mut dropped) = (0, 0);
-                        for (o, oo) in o_cur.iter_mut().zip(&mut o_old) {
-                            let (k, d) = o.gc(now, GC_NS);
-                            (kept, dropped) = (kept + k, dropped + d);
-                            oo.gc(now, GC_NS);
-                        }
-                        prop_assert_eq!(cur.gc(now, GC_NS), (kept, dropped));
-                        for o in &mut old {
-                            o.gc(now, GC_NS);
-                        }
-                        if let Some(o) = oldest(&o_cur) {
-                            prop_assert_eq!(cur.epoch, o);
-                        }
-                    }
-                    _ => now = oldest(&o_cur).map_or(now + SPAN + 1, |o| o.ns + SPAN),
-                }
-                assert_epoch_covers(&cur);
-                for k in 0..2 {
-                    old[k].assert_invariants();
-                    prop_assert_eq!(old[k].entries(), o_old[k].entries());
-                    let want: Vec<(TxId, Stamp)> = o_cur[k]
-                        .entries()
-                        .iter()
-                        .map(|e| (e.tx, stamp(e.read_time, e.inserted_at)))
-                        .collect();
-                    prop_assert_eq!(widened(&cur, Key(k as u64)), want);
-                    prop_assert_eq!(cur.has(Key(k as u64)), !o_cur[k].is_empty());
-                    for dep_ts in [u64::MAX, head[k], head[k] + 1, rt] {
-                        prop_assert_eq!(
-                            old[k].query(dep_ts, now, GC_NS),
-                            o_old[k].query(dep_ts, now, GC_NS)
-                        );
-                    }
-                }
-            }
+            check_against_oracle(multiples, ops, false)?;
+        }
+
+        /// The same with a clock that jumps past the reach of an offset, as
+        /// a stalled wall clock does: the reads there re-base, clamping the
+        /// readers that have expired, and nothing panics. Live readers keep
+        /// exact stamps, and every expired one stays expired.
+        #[test]
+        fn current_readers_past_an_offset_s_reach_match_the_oracle_where_observed(
+            multiples in (1u64..4, 1u64..4),
+            ops in oracle_ops(),
+        ) {
+            check_against_oracle(multiples, ops, true)?;
         }
 
         /// Sealing the concatenated replies against merging them one by one
@@ -1376,7 +1509,7 @@ mod tests {
     #[test]
     fn readers_stamped_across_a_multiple_of_2_32_widen_exactly() {
         let m = 5u64 << 32;
-        let mut cur = CurrentReaders::new();
+        let mut cur = CurrentReaders::new(GC_NS);
         let key = Key(3);
         cur.insert(key, tx(0, 0), stamp(m - 1, m - 2));
         assert_eq!(cur.epoch, stamp(m - 1, m - 2), "the first read re-bases");
@@ -1403,16 +1536,16 @@ mod tests {
     fn expiry_across_a_multiple_of_2_32_is_exact() {
         const WINDOW: u64 = 500_000_000;
         let at = (1u64 << 32) - 2;
-        let mut cur = CurrentReaders::new();
+        let mut cur = CurrentReaders::new(WINDOW);
         cur.insert(Key(0), tx(0, 0), stamp(7, at));
         cur.insert(Key(1), tx(1, 0), stamp(7, at));
-        assert_eq!(cur.gc(at + WINDOW, WINDOW), (2, 0));
+        assert_eq!(cur.gc(at + WINDOW), (2, 0));
         assert_eq!(cur.epoch, stamp(7, at));
         let mut old = ReaderSet::new();
         cur.supersede(Key(1), &mut old, 1);
         assert_eq!(old.query(u64::MAX, at + WINDOW, WINDOW), [(tx(1, 0), 7)]);
         assert!(old.query(u64::MAX, at + WINDOW + 1, WINDOW).is_empty());
-        assert_eq!(cur.gc(at + WINDOW + 1, WINDOW), (0, 1));
+        assert_eq!(cur.gc(at + WINDOW + 1), (0, 1));
         assert!(cur.sets.is_empty(), "no key is left");
     }
 
@@ -1424,10 +1557,10 @@ mod tests {
     #[test]
     fn an_insert_out_of_reach_re_bases_first() {
         let t0 = stamp(1_000, 3 << 32);
-        let mut cur = CurrentReaders::new();
+        let mut cur = CurrentReaders::new(GC_NS);
         cur.insert(Key(0), tx(0, 0), t0);
         cur.insert(Key(1), tx(1, 0), stamp(t0.ticks + 4, t0.ns + 10));
-        cur.gc(t0.ns + 10, 40);
+        cur.gc(t0.ns + 10);
         assert_eq!(cur.epoch, t0);
         // The oldest reader goes; the epoch stays behind.
         cur.supersede(Key(0), &mut ReaderSet::new(), 0);
@@ -1448,22 +1581,58 @@ mod tests {
         assert_epoch_covers(&cur);
     }
 
-    /// Stamps more than 2³² − 1 ns apart cannot share an epoch: the
-    /// insert panics, naming the limit, rather than wrap.
+    /// A read more than 2³² ns after an unswept reader — a wall clock that
+    /// stalled past its sweeps — cannot share an epoch with it. That
+    /// reader has expired, so the insert re-bases without it and clamps
+    /// it to a stamp that is expired too: it still counts in the next
+    /// sweep, which drops it, and never answers a query once superseded.
+    /// A live reader next to it and the new read keep exact stamps.
     #[test]
-    #[should_panic(expected = "a 32-bit offset holds at most 4294967295 of each")]
-    fn a_span_past_32_bits_panics() {
-        let mut cur = CurrentReaders::new();
-        cur.insert(Key(0), tx(0, 0), stamp(1, 1 << 40));
-        cur.insert(Key(1), tx(1, 0), stamp(1, (1 << 40) + SPAN + 1));
+    fn a_read_2_32_ns_after_an_unswept_reader_clamps_it() {
+        const WINDOW: u64 = 500_000_000;
+        let mut cur = CurrentReaders::new(WINDOW);
+        let stale = stamp(7, 1 << 40);
+        cur.insert(Key(0), tx(0, 0), stale);
+        cur.insert(Key(1), tx(1, 0), stale);
+        let now = stale.ns + SPAN + 5;
+        let live = stamp(9, now - WINDOW);
+        cur.insert(Key(1), tx(2, 0), live);
+        let late = stamp(12, now);
+        assert_eq!(CurrentReader::new(tx(3, 0), late, cur.epoch), None);
+        cur.insert(Key(0), tx(3, 0), late);
+        assert_epoch_covers(&cur);
+        let clamped = stamp(9, now - WINDOW - 1);
+        assert_eq!(cur.epoch, clamped);
+        assert_eq!(
+            widened(&cur, Key(0)),
+            [(tx(0, 0), clamped), (tx(3, 0), late)]
+        );
+        assert_eq!(
+            widened(&cur, Key(1)),
+            [(tx(1, 0), clamped), (tx(2, 0), live)]
+        );
+        let mut old = ReaderSet::new();
+        cur.supersede(Key(1), &mut old, 4);
+        assert_eq!(old.query(u64::MAX, now, WINDOW), [(tx(2, 0), 9)]);
+        assert_eq!(old.gc(now, WINDOW), (1, 1));
+        assert_eq!(cur.gc(now), (1, 1));
+        assert_eq!(cur.epoch, late);
     }
 
-    /// The same for ticks: a Lamport clock 2³² ticks past the oldest
-    /// current reader.
+    /// A window a 32-bit ns offset cannot hold, with 1 ns to spare,
+    /// fails at construction.
+    #[test]
+    #[should_panic(expected = "does not fit a 32-bit offset: at most 4294967294 ns")]
+    fn a_gc_window_past_32_bits_panics() {
+        CurrentReaders::new(SPAN);
+    }
+
+    /// Live readers 2³² Lamport ticks apart cannot share an epoch: the
+    /// insert panics, naming the limit, rather than wrap.
     #[test]
     #[should_panic(expected = "current readers span 4294967296 Lamport ticks and 0 ns")]
     fn a_tick_span_past_32_bits_panics() {
-        let mut cur = CurrentReaders::new();
+        let mut cur = CurrentReaders::new(GC_NS);
         cur.insert(Key(0), tx(0, 0), stamp(7, 0));
         cur.insert(Key(0), tx(1, 0), stamp(7 + SPAN + 1, 0));
     }

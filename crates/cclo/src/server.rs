@@ -109,13 +109,23 @@ impl Server {
     pub fn new(addr: Addr, cfg: ClusterConfig) -> Self {
         // Sweep reader records well inside the GC window so stale ids
         // neither linger in memory nor get shipped around.
-        let sweep_ns = (cfg.old_reader_gc_us * 1000) / 4;
+        let window = cfg.old_reader_gc_us * 1000;
+        let sweep_ns = window / 4;
+        // Between sweeps a current reader's ns offset reaches the window
+        // plus a quarter (`records` module docs).
+        assert!(
+            window + sweep_ns <= u64::from(u32::MAX),
+            "old_reader_gc_us = {}: the GC window plus a quarter must fit a 32-bit \
+             ns offset, so the window is at most {} us",
+            cfg.old_reader_gc_us,
+            u64::from(u32::MAX) * 4 / 5 / 1000
+        );
         Server {
             addr,
             cfg,
             lamport: LogicalClock::new(),
             store: MvStore::new(),
-            readers: CurrentReaders::new(),
+            readers: CurrentReaders::new(window),
             old_readers: HashMap::new(),
             rot_floor: RotFloor::new(),
             pending_puts: HashMap::new(),
@@ -142,7 +152,7 @@ impl Server {
     fn gc(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
         let now = ctx.now();
         let window = self.gc_window_ns();
-        let (kept, dropped) = self.readers.gc(now, window);
+        let (kept, dropped) = self.readers.gc(now);
         let mut touched = kept + dropped;
         // lint:allow(determinism): per-entry GC; kept/dropped fold commutatively
         for set in self.old_readers.values_mut() {
@@ -811,6 +821,19 @@ mod tests {
         TxId::new(ClientId::new(DcId(0), c), seq)
     }
 
+    /// The longest GC window whose ns offsets, plus a quarter window
+    /// between sweeps, fit 32 bits builds; 1 us more fails at
+    /// construction, not partway through a run.
+    #[test]
+    #[should_panic(expected = "old_reader_gc_us = 3435974: the GC window plus a quarter")]
+    fn a_gc_window_past_32_bit_offsets_fails_at_construction() {
+        let mut cfg = ClusterConfig::small();
+        cfg.old_reader_gc_us = 3_435_973;
+        Server::new(addr(0), cfg.clone());
+        cfg.old_reader_gc_us += 1;
+        Server::new(addr(0), cfg);
+    }
+
     /// `(current, old)` reader entries, read off the server's census rows.
     fn reader_entries(s: &Server) -> (usize, usize) {
         let mut census = HeapCensus::new();
@@ -874,6 +897,25 @@ mod tests {
         let v1 = do_put(&mut s, &mut ctx, Key(0), vec![]);
         let got = do_rot(&mut s, &mut ctx, tx(0, 0), vec![Key(0)]);
         assert_eq!(got[0].1, Some(v1));
+    }
+
+    /// A ROT handled 2³³ ns after an unswept one — a wall clock that
+    /// stalled, its overdue sweep still to run — is served, and the
+    /// stalled reader, expired, names no ROT in the next readers check.
+    #[test]
+    fn a_rot_after_a_stall_past_32_bit_offsets_is_served() {
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        let v1 = do_put(&mut s, &mut ctx, Key(0), vec![]);
+        do_rot(&mut s, &mut ctx, tx(0, 0), vec![Key(0)]);
+        ctx.now = 1 << 33;
+        let got = do_rot(&mut s, &mut ctx, tx(1, 0), vec![Key(0)]);
+        assert_eq!(got[0].1, Some(v1));
+        assert_eq!(reader_entries(&s), (2, 0));
+        do_put(&mut s, &mut ctx, Key(0), vec![]);
+        let window = s.gc_window_ns();
+        let named = s.old_readers[&Key(0)].query(u64::MAX, ctx.now, window);
+        assert_eq!(named, [(tx(1, 0), 3)]);
     }
 
     #[test]

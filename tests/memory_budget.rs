@@ -362,7 +362,7 @@ fn single_reader_keys_stay_within_80_bytes_per_key() {
 fn current_reader_keys_stay_within_45_bytes_per_key() {
     const KEYS: u64 = 50_000;
     let (_, before) = heap();
-    let mut readers = CurrentReaders::new();
+    let mut readers = CurrentReaders::new(500_000_000);
     for k in 0..KEYS {
         let tx = TxId::new(ClientId::new(DcId(0), k as u16), 1);
         readers.insert(Key(k), tx, Stamp { ticks: 1, ns: 0 });
