@@ -149,6 +149,19 @@ fn bench_mv_store(c: &mut Criterion) {
                 black_box(found)
             });
         });
+        // A uniform draw over a key space far larger than what was
+        // written (Okapi's 32 M keys) almost always misses.
+        g.bench_with_input(BenchmarkId::new("read_absent", n), &n, |b, &n| {
+            b.iter(|| {
+                let (mut k, mut found) = (0u64, 0u64);
+                for _ in 0..n {
+                    k = (k + step) % n;
+                    let (v, _) = store.read_visible(Key(n + k), |v| v.meta.leq(&sv));
+                    found += v.is_some() as u64;
+                }
+                black_box(found)
+            });
+        });
     }
     g.finish();
 }

@@ -225,9 +225,9 @@ impl Server {
                 self.lamport.observe(lamport);
                 self.on_dep_reply(ctx, token, entries)
             }
-            Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => {
-                unreachable!("client-bound message delivered to server")
-            }
+            // A client-bound message: any peer of a live cluster can send
+            // one, so it is counted and dropped rather than trusted.
+            Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => ctx.metrics().rejected(),
         }
     }
 
@@ -761,14 +761,17 @@ impl ProtocolServer for Server {
         self.store.heads()
     }
 
-    /// The store, the two reader maps (items: reader entries), the sealed
+    /// The store (index, slab and multi-version chains; items: keys, keys
+    /// and versions), the two reader maps (items: reader entries), the sealed
     /// records in the versions (items: versions), the readers checks in
     /// progress, the per-client table and the timer table.
     fn heap_census(&self, census: &mut HeapCensus) {
-        let (chains, records) = self.store.heap_bytes(BlockRecord::heap_bytes);
-        let versions = self.store.n_versions();
-        census.add("store", chains, versions);
-        census.add("sealed records", records, versions);
+        let store = self.store.heap_bytes(BlockRecord::heap_bytes);
+        let (keys, versions) = (self.store.n_keys(), self.store.n_versions());
+        census.add("store: index", store.index, keys);
+        census.add("store: slab", store.slab, keys);
+        census.add("store: chains", store.chains, versions);
+        census.add("sealed records", store.meta, versions);
         let (bytes, entries) = self.readers.heap();
         census.add("current readers", bytes, entries);
         let (bytes, entries) = readers_heap(&self.old_readers);
@@ -819,6 +822,26 @@ mod tests {
 
     fn tx(c: u16, seq: u32) -> TxId {
         TxId::new(ClientId::new(DcId(0), c), seq)
+    }
+
+    /// A client-bound message delivered to a server is dropped and
+    /// counted; the server stays usable.
+    #[test]
+    fn a_client_bound_message_is_counted_and_dropped() {
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        s.on_message(
+            &mut ctx,
+            addr(1),
+            Msg::RotSlice {
+                tx: tx(1, 0),
+                pairs: vec![(Key(0), None)],
+                lamport: 0,
+            },
+        );
+        assert_eq!(ctx.metrics.rejected_msgs, 1);
+        assert!(ctx.drain_sent().is_empty());
+        assert_eq!(s.store().n_keys(), 0);
     }
 
     /// The longest GC window whose ns offsets, plus a quarter window

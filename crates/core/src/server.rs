@@ -466,8 +466,10 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
             Msg::Heartbeat { origin, ts } => self.stab.record_remote(origin, ts),
             Msg::VvReport { partition, vv } => self.stab.on_vv_report(partition, vv),
             Msg::GssBcast { gss } => self.stab.on_gss_bcast(&gss),
+            // A client-bound message: any peer of a live cluster can send
+            // one, so it is counted and dropped rather than trusted.
             Msg::RotSnap { .. } | Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => {
-                unreachable!("client-bound message delivered to server")
+                ctx.metrics().rejected()
             }
         }
     }
@@ -487,11 +489,19 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
         self.store.heads()
     }
 
-    /// The store with its versions' dependency vectors, the stabilizer's
+    /// The store (its index, its slab, and its multi-version chains with
+    /// the versions' dependency vectors; items: keys, keys and versions),
+    /// the stabilizer's
     /// vectors, the parked requests and the timer table.
     fn heap_census(&self, census: &mut HeapCensus) {
-        let (chains, vectors) = self.store.heap_bytes(DepVector::heap_bytes);
-        census.add("store", chains + vectors, self.store.n_versions());
+        let store = self.store.heap_bytes(DepVector::heap_bytes);
+        census.add("store: index", store.index, self.store.n_keys());
+        census.add("store: slab", store.slab, self.store.n_keys());
+        census.add(
+            "store: chains",
+            store.chains + store.meta,
+            self.store.n_versions(),
+        );
         census.add("stabilizer", self.stab.heap_bytes(), 0);
         census.add(
             "parked requests",
@@ -543,6 +553,28 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A client-bound message delivered to a server is dropped and
+    /// counted; the server stays usable.
+    #[test]
+    fn a_client_bound_message_is_counted_and_dropped() {
+        let mut s = server(0, 0, 1);
+        let mut ctx = ScriptCtx::new(Addr::server(DcId(0), PartitionId(0)));
+        s.on_message(
+            &mut ctx,
+            Addr::server(DcId(0), PartitionId(1)),
+            Msg::PutResp {
+                key: Key(0),
+                vid: VersionId::new(1, DcId(0)),
+                gss: DepVector::zero(1),
+            },
+        );
+        assert_eq!(ctx.metrics.rejected_msgs, 1);
+        assert!(ctx.drain_sent().is_empty());
+        assert!(s.store().latest(Key(0)).is_none());
+        put(&mut s, &mut ctx, Key(0), 1, 1);
+        assert_eq!(ctx.metrics.rejected_msgs, 1);
     }
 
     #[test]

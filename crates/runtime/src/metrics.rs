@@ -191,6 +191,9 @@ pub struct Metrics {
     /// Messages delivered / bytes moved while enabled.
     pub msgs: u64,
     pub bytes: u64,
+    /// Messages a handler refused (a client-bound message delivered to a
+    /// server), counted whether or not measurement is enabled.
+    pub rejected_msgs: u64,
     /// Aggregate server busy time, ns (utilization diagnostics).
     pub busy_ns: u64,
     /// Visibility staleness: at every remote install, now − the write's
@@ -239,6 +242,12 @@ impl Metrics {
         if self.enabled {
             *self.counters.entry(name).or_insert(0) += delta;
         }
+    }
+
+    /// Counts one refused message.
+    #[inline]
+    pub fn rejected(&mut self) {
+        self.rejected_msgs += 1;
     }
 
     #[inline]
@@ -314,6 +323,7 @@ impl Metrics {
         self.puts_done = 0;
         self.msgs = 0;
         self.bytes = 0;
+        self.rejected_msgs = 0;
         self.busy_ns = 0;
         self.counters.values_mut().for_each(|v| *v = 0);
     }
@@ -328,6 +338,7 @@ impl Metrics {
         self.puts_done += other.puts_done;
         self.msgs += other.msgs;
         self.bytes += other.bytes;
+        self.rejected_msgs += other.rejected_msgs;
         self.busy_ns += other.busy_ns;
         self.vis_staleness.merge(&other.vis_staleness);
         self.data_staleness.merge(&other.data_staleness);

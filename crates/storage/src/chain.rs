@@ -59,10 +59,10 @@ impl<M> Version<M> {
 /// differential proptest below holds the two against each other). The
 /// enum tag rides in a niche of `Version`, so a chain is exactly as large
 /// as the one version it can hold — pinned by a test, because it is the
-/// size of every `MvStore` bucket. That wider bucket (80 B with the key,
-/// against 32 B) is the price: a table small enough to sit in cache fills
-/// ≈ 14 % slower per new key, a large one ≈ 35 % faster
-/// (`mv_store/put_distinct/{4096,65536}`).
+/// size of every slot of the [`MvStore`](crate::MvStore) slab. The store's
+/// key index holds only a `u32` slot number per key, so the 72-byte
+/// chain is paid once per written key and not per hash bucket (see the
+/// store's module docs).
 #[derive(Clone, Debug)]
 pub struct Chain<M> {
     repr: Repr<M>,
@@ -391,7 +391,7 @@ mod tests {
         c.assert_invariants();
     }
 
-    /// The chain is the value type of every `MvStore` bucket: it must stay
+    /// The chain is every slot of the `MvStore` slab: it must stay
     /// exactly as large as the one version it holds inline (the enum tag
     /// rides in a niche of `Version`). A field that breaks the niche, or
     /// any growth of `Version`, shows up here instead of as resident set.
