@@ -116,7 +116,7 @@ mod tests {
 
     /// The dependencies and clock the next PUT carries.
     fn next_put(c: &mut Client, ctx: &mut ScriptCtx<Msg>) -> (Vec<Dep>, u64) {
-        let me = ctx.addr;
+        let me = ctx.node.addr;
         c.on_message(ctx, me, Msg::Inject(Op::Put(Key(9), Value::new())));
         match ctx.drain_sent().pop() {
             Some((_, Msg::PutReq { deps, lamport, .. })) => (deps, lamport),
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn rot_goes_directly_to_every_partition_in_one_round() {
         let (mut c, mut ctx) = client();
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(
             &mut ctx,
             a,
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn reads_accumulate_dependencies_and_put_carries_them() {
         let (mut c, mut ctx) = client();
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
         ctx.drain_sent();
         let tx0 = TxId::new(a.client_id(), 0);
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn put_completion_collapses_dependency_list() {
         let (mut c, mut ctx) = client();
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
         ctx.drain_sent();
         let tx0 = TxId::new(a.client_id(), 0);
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn bottom_reads_add_no_dependency() {
         let (mut c, mut ctx) = client();
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         ctx.drain_sent();
         let tx0 = TxId::new(a.client_id(), 0);
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn dependency_keeps_newest_version_per_key() {
         let (mut c, mut ctx) = client();
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         let s0 = Addr::server(DcId(0), PartitionId(0));
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         ctx.drain_sent();
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn every_slice_advances_the_lamport_clock() {
         let (mut c, mut ctx) = client();
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
         ctx.drain_sent();
         let tx0 = TxId::new(a.client_id(), 0);

@@ -839,7 +839,7 @@ mod tests {
                 lamport: 0,
             },
         );
-        assert_eq!(ctx.metrics.rejected_msgs, 1);
+        assert_eq!(ctx.sink.metrics.rejected_msgs, 1);
         assert!(ctx.drain_sent().is_empty());
         assert_eq!(s.store().n_keys(), 0);
     }
@@ -1350,7 +1350,7 @@ mod tests {
     fn figure6_stats_are_accounted() {
         let mut s = server(0);
         let mut ctx = ScriptCtx::new(addr(0));
-        ctx.metrics.enabled = true;
+        ctx.sink.metrics.enabled = true;
         s.on_message(
             &mut ctx,
             client(),
@@ -1378,9 +1378,9 @@ mod tests {
                 );
             }
         }
-        assert_eq!(ctx.metrics.counter(stats::CHECKS), 1);
-        assert_eq!(ctx.metrics.counter(stats::CHECK_PARTITIONS), 2);
-        assert_eq!(ctx.metrics.counter(stats::CHECK_IDS_CUM), 4);
-        assert_eq!(ctx.metrics.counter(stats::CHECK_IDS_DISTINCT), 2);
+        assert_eq!(ctx.sink.metrics.counter(stats::CHECKS), 1);
+        assert_eq!(ctx.sink.metrics.counter(stats::CHECK_PARTITIONS), 2);
+        assert_eq!(ctx.sink.metrics.counter(stats::CHECK_IDS_CUM), 4);
+        assert_eq!(ctx.sink.metrics.counter(stats::CHECK_IDS_DISTINCT), 2);
     }
 }

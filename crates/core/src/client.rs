@@ -138,7 +138,7 @@ mod tests {
 
     /// The `lts` the next PUT carries.
     fn next_put_lts(c: &mut Client, ctx: &mut ScriptCtx<Msg>) -> u64 {
-        let me = ctx.addr;
+        let me = ctx.node.addr;
         c.on_message(ctx, me, Msg::Inject(Op::Put(Key(9), Value::new())));
         match ctx.drain_sent().pop() {
             Some((_, Msg::PutReq { lts, .. })) => lts,
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn one_half_round_sends_single_request_to_coordinator() {
         let (mut c, mut ctx) = client(RotMode::OneHalfRound);
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(
             &mut ctx,
             a,
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn two_round_snap_then_reads() {
         let (mut c, mut ctx) = client(RotMode::TwoRound);
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
         let sent = ctx.drain_sent();
         let tx = match &sent[0].1 {
@@ -205,17 +205,20 @@ mod tests {
     #[test]
     fn rot_completes_after_all_slices_and_session_advances() {
         let (mut c, mut ctx) = client(RotMode::OneHalfRound);
-        ctx.metrics.enabled = true;
-        let a = ctx.addr;
+        ctx.sink.metrics.enabled = true;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
         let tx = TxId::new(a.client_id(), 0);
         let from = Addr::server(DcId(0), PartitionId(0));
         c.on_message(&mut ctx, from, slice_for(tx, Key(0), 10, 99));
-        assert_eq!(ctx.metrics.rots_done, 0, "still waiting for partition 1");
+        assert_eq!(
+            ctx.sink.metrics.rots_done, 0,
+            "still waiting for partition 1"
+        );
         c.on_message(&mut ctx, from, slice_for(tx, Key(1), 11, 99));
-        assert_eq!(ctx.metrics.rots_done, 1);
-        assert_eq!(ctx.history.len(), 1);
-        match &ctx.history[0] {
+        assert_eq!(ctx.sink.metrics.rots_done, 1);
+        assert_eq!(ctx.sink.history.len(), 1);
+        match &ctx.sink.history[0].ev {
             HistoryEvent::RotDone { pairs, .. } => assert_eq!(pairs.len(), 2),
             other => panic!("unexpected {other:?}"),
         }
@@ -229,7 +232,7 @@ mod tests {
     #[test]
     fn a_rot_absorbs_its_last_slice_snapshot_at_completion() {
         let (mut c, mut ctx) = client(RotMode::OneHalfRound);
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
         let tx = TxId::new(a.client_id(), 0);
         let from = Addr::server(DcId(0), PartitionId(0));
@@ -241,8 +244,8 @@ mod tests {
     #[test]
     fn put_carries_session_and_updates_it() {
         let (mut c, mut ctx) = client(RotMode::OneHalfRound);
-        ctx.metrics.enabled = true;
-        let a = ctx.addr;
+        ctx.sink.metrics.enabled = true;
+        let a = ctx.node.addr;
         // A ROT under a snapshot at 55 raises the session first.
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         let from = Addr::server(DcId(0), PartitionId(0));
@@ -270,7 +273,7 @@ mod tests {
                 gss: DepVector::zero(1),
             },
         );
-        assert_eq!(ctx.metrics.puts_done, 1);
+        assert_eq!(ctx.sink.metrics.puts_done, 1);
         assert_eq!(next_put_lts(&mut c, &mut ctx), 200);
     }
 
@@ -301,7 +304,7 @@ mod tests {
         );
         let mut c = Client::new(addr, &cfg, Some(OpSource::Closed(driver)));
         let mut ctx = ScriptCtx::new(addr);
-        ctx.stopped = true;
+        ctx.sink.stopped = true;
         c.on_timer(&mut ctx, TimerKind::new(CLIENT_START));
         assert!(ctx.drain_sent().is_empty());
     }
@@ -309,14 +312,14 @@ mod tests {
     #[test]
     fn monotonic_snapshots_across_rots() {
         let (mut c, mut ctx) = client(RotMode::OneHalfRound);
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         ctx.drain_sent();
         let tx0 = TxId::new(a.client_id(), 0);
         let from = Addr::server(DcId(0), PartitionId(0));
         c.on_message(&mut ctx, from, slice_for(tx0, Key(0), 10, 100));
         // Next ROT must carry lts = 100.
-        let a = ctx.addr;
+        let a = ctx.node.addr;
         c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0)])));
         let sent = ctx.drain_sent();
         let req = sent.iter().find_map(|(_, m)| match m {

@@ -570,11 +570,11 @@ mod tests {
                 gss: DepVector::zero(1),
             },
         );
-        assert_eq!(ctx.metrics.rejected_msgs, 1);
+        assert_eq!(ctx.sink.metrics.rejected_msgs, 1);
         assert!(ctx.drain_sent().is_empty());
         assert!(s.store().latest(Key(0)).is_none());
         put(&mut s, &mut ctx, Key(0), 1, 1);
-        assert_eq!(ctx.metrics.rejected_msgs, 1);
+        assert_eq!(ctx.sink.metrics.rejected_msgs, 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn for_rot_resolves_threshold() {
 #[test]
 fn small_rot_takes_one_and_a_half_rounds() {
     let (mut c, mut ctx) = adaptive_client(3);
-    let a = ctx.addr;
+    let a = ctx.node.addr;
     c.on_message(&mut ctx, a, Msg::Inject(Op::Rot(vec![Key(0), Key(1)])));
     let sent = ctx.drain_sent();
     assert_eq!(sent.len(), 1);
@@ -46,7 +46,7 @@ fn small_rot_takes_one_and_a_half_rounds() {
 #[test]
 fn large_rot_takes_two_rounds() {
     let (mut c, mut ctx) = adaptive_client(3);
-    let a = ctx.addr;
+    let a = ctx.node.addr;
     c.on_message(
         &mut ctx,
         a,

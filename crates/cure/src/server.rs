@@ -118,8 +118,8 @@ mod tests {
             },
         );
         assert!(ctx.drain_sent().is_empty(), "read must block");
-        assert_eq!(ctx.timers.len(), 1, "one parked read, one RESUME");
-        let (wake, _) = ctx.timers[0];
+        assert_eq!(ctx.sink.timers.len(), 1, "one parked read, one RESUME");
+        let (wake, _) = ctx.sink.timers[0];
         // Local clock reaches 4ms+ at true 7ms+.
         assert!(wake > 7_000_000 && wake < 7_100_000, "wake at {wake}");
         // Fire the resume: the read completes.
@@ -150,7 +150,7 @@ mod tests {
             1,
             "no blocking when clock is ahead"
         );
-        assert!(ctx.timers.is_empty(), "nothing parked");
+        assert!(ctx.sink.timers.is_empty(), "nothing parked");
     }
 
     #[test]

@@ -520,8 +520,9 @@ fn drive<P: ProtocolSpec>(spec: &RunSpec, mut observe: Observe<'_>) -> SimRun {
     sim.set_stopped(true);
     sim.run_to_quiescence(end + 5_000_000_000);
     drain(&mut sim, true);
+    let metrics = std::mem::take(&mut *sim.metrics_mut());
     SimRun {
-        metrics: std::mem::take(sim.metrics_mut()),
+        metrics,
         windows,
         trace,
         window_stats: sim.window_stats(),

@@ -86,22 +86,35 @@ fn determinism_ignores_os_facing_files_tests_and_cfg_test_modules() {
     assert!(diags.is_empty(), "{diags:?}");
 }
 
-/// The history module is plain deterministic code: the rule covers it,
-/// the real file passes it, and a wall-clock read there is caught.
+/// The history module and the node step every runtime runs are plain
+/// deterministic code: the rule covers them, the real files pass it, and
+/// a wall-clock read there is caught.
 #[test]
 fn the_history_module_is_under_the_determinism_rule() {
-    const HISTORY: &str = "crates/runtime/src/history.rs";
-    assert_eq!(
-        Policy::workspace().classify(HISTORY),
-        FileClass::Deterministic
-    );
-    let real = check(&[(HISTORY, include_str!("../../runtime/src/history.rs"))]);
-    assert!(real.is_empty(), "{real:?}");
-    let diags = check(&[(
-        HISTORY,
-        "fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-    )]);
-    assert_eq!(rules_of(&diags), vec!["determinism"], "{diags:?}");
+    let modules = [
+        (
+            "crates/runtime/src/history.rs",
+            include_str!("../../runtime/src/history.rs"),
+        ),
+        (
+            "crates/runtime/src/step.rs",
+            include_str!("../../runtime/src/step.rs"),
+        ),
+    ];
+    for (path, real) in modules {
+        assert_eq!(
+            Policy::workspace().classify(path),
+            FileClass::Deterministic,
+            "{path}"
+        );
+        let real = check(&[(path, real)]);
+        assert!(real.is_empty(), "{path}: {real:?}");
+        let diags = check(&[(
+            path,
+            "fn f() -> std::time::Instant { std::time::Instant::now() }\n",
+        )]);
+        assert_eq!(rules_of(&diags), vec!["determinism"], "{path}: {diags:?}");
+    }
 }
 
 /// The TCP runtime sizes its reactor pool from the machine; the same

@@ -14,6 +14,7 @@ use crate::reactor::{pool_size, spawn_reactors, stop_reactors, NetInner, Reactor
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_seed;
+use contrarian_runtime::step::NodeState;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent, Op};
 use std::collections::HashMap;
@@ -149,11 +150,12 @@ where
         let node_threads = nodes
             .into_iter()
             .zip(rxs)
-            .map(|((addr, actor), rx)| {
+            .enumerate()
+            .map(|(gid, ((addr, actor), rx))| {
                 let out = ReactorOutbound::new(addr, net.clone());
                 let core = net.core.clone();
-                let seed = node_seed(seed, addr);
-                std::thread::spawn(move || run_node(addr, actor, rx, out, &core.run, seed))
+                let node = NodeState::new(addr, gid as u32, node_seed(seed, addr));
+                std::thread::spawn(move || run_node(node, actor, rx, out, &core.run))
             })
             .collect();
         NetCluster {
@@ -623,6 +625,79 @@ pub(crate) mod tests {
         let (actors, _, history) = cluster.shutdown();
         assert_eq!(actors[0].1.seen, 3);
         assert_eq!(seqs(&history), [2, 3]);
+    }
+
+    /// Records two PUTs per message it receives, stamped with the
+    /// handler's time and its node's index and numbered by the node's
+    /// own running count: the fields of the history's canonical key.
+    struct Tagger {
+        n: u32,
+    }
+
+    impl Actor for Tagger {
+        type Msg = Ping;
+        fn on_start(&mut self, _ctx: &mut dyn ActorCtx<Ping>) {}
+        fn on_message(&mut self, ctx: &mut dyn ActorCtx<Ping>, _from: Addr, _msg: Ping) {
+            for _ in 0..2 {
+                let now = ctx.now();
+                ctx.record(HistoryEvent::PutDone {
+                    client: contrarian_types::ClientId::new(DcId(0), ctx.self_addr().idx),
+                    seq: self.n,
+                    t_start: now,
+                    t_end: now,
+                    key: contrarian_types::Key(1),
+                    vid: contrarian_types::VersionId::new(1, DcId(0)),
+                });
+                self.n += 1;
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Ping {
+            Ping(0)
+        }
+    }
+
+    /// A recorded TCP run's history is tagged `(t, node, seq)` like the
+    /// simulator's: every drain comes out in canonical order, each node's
+    /// records keep their counter order across drains, and the drains
+    /// plus shutdown hand out every record exactly once.
+    #[test]
+    fn recorded_history_drains_in_canonical_order() {
+        const NODES: u16 = 3;
+        const MSGS: u32 = 200;
+        let addr = |i: u16| Addr::client(DcId(0), i);
+        let nodes = (0..NODES).map(|i| (addr(i), Tagger { n: 0 })).collect();
+        let cluster = NetCluster::start(nodes, true, 10);
+        let handle = cluster.handle();
+        let mut drains = Vec::new();
+        for m in 0..MSGS {
+            for i in 0..NODES {
+                handle.send(addr(i), addr(i), Ping(m));
+            }
+            if m % 20 == 19 {
+                drains.push(cluster.drain_history());
+            }
+        }
+        let (_, _, rest) = cluster.shutdown();
+        drains.push(rest);
+        // Registration order is index order, so the index is the node id.
+        let key = |e: &HistoryEvent| match e {
+            HistoryEvent::PutDone {
+                client, seq, t_end, ..
+            } => (*t_end, client.idx(), *seq),
+            other => panic!("unexpected {other:?}"),
+        };
+        for (d, drain) in drains.iter().enumerate() {
+            let keys: Vec<_> = drain.iter().map(key).collect();
+            assert!(keys.is_sorted(), "drain {d} is out of canonical order");
+        }
+        let all: Vec<_> = drains.iter().flatten().map(key).collect();
+        for i in 0..NODES {
+            let own: Vec<u32> = all.iter().filter(|k| k.1 == i).map(|k| k.2).collect();
+            let want: Vec<u32> = (0..2 * MSGS).collect();
+            assert_eq!(own, want, "node {i}: each record once, in counter order");
+        }
+        assert_eq!(all.len(), (2 * MSGS * NODES as u32) as usize);
     }
 
     /// A cluster started without recording keeps no history, though its

@@ -1,25 +1,35 @@
 //! The per-node event loop of the live runtime.
 //!
 //! Every node of a [`NetCluster`](crate::NetCluster) is an OS thread
-//! running [`run_node`]: it drains the node's input channel, fires due
-//! timers off a deadline queue, accumulates a thread-local metrics sink,
-//! and hands the state machine a [`LiveCtx`] as its `ActorCtx`. What the
-//! node sends leaves through its [`ReactorOutbound`]: encoded on this
-//! thread, pushed onto the connection's bounded ring, written to the
-//! socket by a reactor thread.
+//! running [`run_node`]. The thread owns the node's
+//! [`NodeState`] and one [`Sink`], and runs each handler as the same
+//! [`Step`] the simulator runs, at the wall-clock `now` it reads before
+//! the handler. What this runtime keeps of its own is *when* a step runs
+//! — the next due timer off the thread's deadline heap, else the next
+//! message on its input channel — and *how* the sends a step leaves in
+//! the sink travel: through the node's [`ReactorOutbound`], encoded on
+//! this thread, pushed onto the connection's bounded ring, written to the
+//! socket by a reactor thread. The step's `(t, node, seq)`-tagged records
+//! are flushed to the cluster's log once per handler and come out of it
+//! merged into canonical order, as the simulator's shards' do.
 
 use crate::reactor::ReactorOutbound;
-use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
+use contrarian_runtime::actor::{Actor, TimerKind};
+use contrarian_runtime::history::{merge_shard_histories, TaggedEvent};
 use contrarian_runtime::metrics::Metrics;
+use contrarian_runtime::step::{NodeState, Sink, Step};
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Longest a node thread waits for input before it looks at its timers
+/// again.
+const POLL: Duration = Duration::from_millis(5);
 
 /// One item on a node's input channel.
 pub(crate) enum Input<M> {
@@ -35,12 +45,12 @@ pub(crate) enum Input<M> {
 /// Metrics are *not* here: every node thread accumulates its own
 /// [`Metrics`] and hands it back when the thread joins — the measurement
 /// hot path takes no lock. History is only ever touched when `recording`
-/// is set (functional runs).
+/// is set (functional runs), once per handler that recorded.
 pub(crate) struct RunShared {
     pub(crate) start: Instant,
     pub(crate) stopped: AtomicBool,
     pub(crate) measuring: AtomicBool,
-    history: Mutex<Vec<HistoryEvent>>,
+    history: Mutex<Vec<TaggedEvent>>,
     pub(crate) recording: bool,
 }
 
@@ -55,17 +65,26 @@ impl RunShared {
         }
     }
 
-    /// The history log. Every update is one push or one take, so a log
+    /// The history log. Every update is one append or one take, so a log
     /// whose lock a panicking node poisoned is still whole.
-    fn history(&self) -> std::sync::MutexGuard<'_, Vec<HistoryEvent>> {
+    fn history(&self) -> std::sync::MutexGuard<'_, Vec<TaggedEvent>> {
         self.history
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Takes every event recorded since the last take.
+    /// Moves one handler's records into the log, leaving `records` empty.
+    fn flush_history(&self, records: &mut Vec<TaggedEvent>) {
+        if !records.is_empty() {
+            self.history().append(records);
+        }
+    }
+
+    /// Takes every event recorded since the last take, in canonical
+    /// `(t, node, seq)` order.
     pub(crate) fn take_history(&self) -> Vec<HistoryEvent> {
-        std::mem::take(&mut *self.history())
+        let taken = std::mem::take(&mut *self.history());
+        merge_shard_histories([taken])
     }
 
     /// Wall-clock nanoseconds since the run started.
@@ -80,160 +99,69 @@ enum Event<M> {
     Timer(TimerKind),
 }
 
-/// The per-node event loop: drains the input channel and fires due timers
-/// until a [`Input::Stop`] arrives (or every sender disconnects). Returns
-/// the actor and the thread-local metrics sink.
+/// The per-node event loop: runs `on_start`, then one step per due timer
+/// or input until a [`Input::Stop`] arrives (or every sender
+/// disconnects). Returns the actor and the thread's metrics.
 pub(crate) fn run_node<A>(
-    addr: Addr,
+    node: NodeState,
     mut actor: A,
     rx: Receiver<Input<A::Msg>>,
     mut out: ReactorOutbound<A::Msg>,
     shared: &RunShared,
-    seed: u64,
 ) -> (A, Metrics)
 where
     A: Actor,
     A::Msg: Wire + Send + 'static,
 {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // Timer queue: (deadline, seq, kind, arg); BinaryHeap is a max-heap so
-    // store reversed deadlines.
-    let mut timers: BinaryHeap<std::cmp::Reverse<(Instant, u64, u16, u64)>> = BinaryHeap::new();
-    let mut timer_seq = 0u64;
-    // The thread-local metrics sink: all handler effects accumulate here and
-    // the whole thing is handed back on join — no shared lock on this path.
-    let mut metrics = Metrics::new();
-
-    let fire = |actor: &mut A,
-                rng: &mut SmallRng,
-                timers: &mut BinaryHeap<std::cmp::Reverse<(Instant, u64, u16, u64)>>,
-                timer_seq: &mut u64,
-                metrics: &mut Metrics,
-                out: &mut ReactorOutbound<A::Msg>,
-                ev: Event<A::Msg>| {
-        metrics.enabled = shared.measuring.load(Ordering::Relaxed);
-        let mut ctx = LiveCtx {
-            addr,
-            shared,
-            rng,
-            out: Vec::new(),
-            new_timers: Vec::new(),
-            metrics,
-        };
-        match ev {
-            Event::Start => actor.on_start(&mut ctx),
-            Event::Msg { from, msg } => actor.on_message(&mut ctx, from, msg),
-            Event::Timer(kind) => actor.on_timer(&mut ctx, kind),
-        }
-        let LiveCtx {
-            out: sent,
-            new_timers,
-            ..
-        } = ctx;
-        for (to, msg) in sent {
-            out.deliver(to, msg);
-        }
-        for (delay_ns, kind) in new_timers {
-            *timer_seq += 1;
-            let deadline = Instant::now() + Duration::from_nanos(delay_ns);
-            timers.push(std::cmp::Reverse((deadline, *timer_seq, kind.kind, kind.a)));
-        }
+    let mut step = Step {
+        now: 0,
+        node,
+        sink: Sink::default(),
     };
-
-    macro_rules! dispatch {
-        ($ev:expr) => {
-            fire(
-                &mut actor,
-                &mut rng,
-                &mut timers,
-                &mut timer_seq,
-                &mut metrics,
-                &mut out,
-                $ev,
-            )
-        };
-    }
-
-    dispatch!(Event::Start);
-
+    step.sink.recording = shared.recording;
+    // Armed timers, earliest deadline first, ties in arming order:
+    // `(deadline, armed, kind, arg)`.
+    let mut timers: BinaryHeap<Reverse<(u64, u64, u16, u64)>> = BinaryHeap::new();
+    let mut armed = 0u64;
+    let mut next = Some(Event::Start);
     loop {
-        // Fire due timers.
-        let now = Instant::now();
-        while let Some(std::cmp::Reverse((deadline, _, kind, a))) = timers.peek().copied() {
-            if deadline > now {
-                break;
+        if let Some(ev) = next.take() {
+            step.now = shared.now();
+            step.sink.stopped = shared.stopped.load(Ordering::SeqCst);
+            step.sink.metrics.enabled = shared.measuring.load(Ordering::Relaxed);
+            match ev {
+                Event::Start => actor.on_start(&mut step),
+                Event::Msg { from, msg } => actor.on_message(&mut step, from, msg),
+                Event::Timer(kind) => actor.on_timer(&mut step, kind),
             }
-            timers.pop();
-            dispatch!(Event::Timer(TimerKind::with_arg(kind, a)));
+            for (to, msg) in step.sink.sent.drain(..) {
+                out.deliver(to, msg);
+            }
+            for (at, kind) in step.sink.timers.drain(..) {
+                armed += 1;
+                timers.push(Reverse((at, armed, kind.kind, kind.a)));
+            }
+            shared.flush_history(&mut step.sink.history);
         }
-        // Wait for the next input or timer deadline.
-        let wait = timers
-            .peek()
-            .map(|std::cmp::Reverse((d, ..))| d.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(5));
-        match rx.recv_timeout(wait.min(Duration::from_millis(5))) {
-            Ok(Input::Msg { from, msg }) => dispatch!(Event::Msg { from, msg }),
-            Ok(Input::Stop) => break,
+        // A due timer runs before any input; otherwise wait for input
+        // until the next deadline.
+        let now = shared.now();
+        let wait = match timers.peek() {
+            Some(&Reverse((at, _, kind, a))) if at <= now => {
+                timers.pop();
+                next = Some(Event::Timer(TimerKind::with_arg(kind, a)));
+                continue;
+            }
+            Some(&Reverse((at, ..))) => Duration::from_nanos(at - now).min(POLL),
+            None => POLL,
+        };
+        match rx.recv_timeout(wait) {
+            Ok(Input::Msg { from, msg }) => next = Some(Event::Msg { from, msg }),
+            Ok(Input::Stop) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    (actor, metrics)
-}
-
-struct LiveCtx<'a, M> {
-    addr: Addr,
-    shared: &'a RunShared,
-    rng: &'a mut SmallRng,
-    out: Vec<(Addr, M)>,
-    new_timers: Vec<(u64, TimerKind)>,
-    /// The node thread's metrics sink (merged into the cluster total when
-    /// the thread joins).
-    metrics: &'a mut Metrics,
-}
-
-impl<'a, M> ActorCtx<M> for LiveCtx<'a, M> {
-    fn now(&self) -> u64 {
-        self.shared.now()
-    }
-
-    fn self_addr(&self) -> Addr {
-        self.addr
-    }
-
-    fn send(&mut self, to: Addr, msg: M) {
-        self.out.push((to, msg));
-    }
-
-    fn set_timer(&mut self, delay_ns: u64, kind: TimerKind) {
-        self.new_timers.push((delay_ns, kind));
-    }
-
-    fn charge(&mut self, _ns: u64) {
-        // Real time: CPU is charged by actually spending it.
-    }
-
-    fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-
-    fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
-    }
-
-    fn record(&mut self, ev: HistoryEvent) {
-        if self.shared.recording {
-            self.shared.history().push(ev);
-        }
-    }
-
-    fn recording(&self) -> bool {
-        self.shared.recording
-    }
-
-    fn stopped(&self) -> bool {
-        self.shared.stopped.load(Ordering::SeqCst)
-    }
+    (actor, step.sink.metrics)
 }
 
 #[cfg(test)]
@@ -252,6 +180,16 @@ mod tests {
         }
     }
 
+    /// One record of node `node`, its `seq`-th, at time `seq`.
+    fn tagged(node: u32, seq: u32) -> TaggedEvent {
+        TaggedEvent {
+            t: seq as u64,
+            node,
+            seq: seq as u64,
+            ev: put(node * 1_000 + seq),
+        }
+    }
+
     fn seq_of(ev: &HistoryEvent) -> u32 {
         match ev {
             HistoryEvent::PutDone { seq, .. } => *seq,
@@ -259,7 +197,7 @@ mod tests {
         }
     }
 
-    /// Takes racing appends from several node threads hand out every
+    /// Takes racing flushes from several node threads hand out every
     /// event exactly once, and each thread's events in its own order.
     #[test]
     fn takes_racing_appends_hand_out_each_event_once() {
@@ -271,8 +209,11 @@ mod tests {
             for t in 0..THREADS {
                 let shared = &shared;
                 s.spawn(move || {
+                    let mut records = Vec::new();
                     for i in 0..PER_THREAD {
-                        shared.history().push(put(t * PER_THREAD + i));
+                        records.push(tagged(t, i));
+                        shared.flush_history(&mut records);
+                        assert!(records.is_empty());
                     }
                 });
             }
@@ -284,12 +225,8 @@ mod tests {
         assert!(shared.take_history().is_empty());
         let seqs: Vec<u32> = taken.iter().map(seq_of).collect();
         for t in 0..THREADS {
-            let own: Vec<u32> = seqs
-                .iter()
-                .copied()
-                .filter(|s| s / PER_THREAD == t)
-                .collect();
-            let want: Vec<u32> = (t * PER_THREAD..(t + 1) * PER_THREAD).collect();
+            let own: Vec<u32> = seqs.iter().copied().filter(|s| s / 1_000 == t).collect();
+            let want: Vec<u32> = (t * 1_000..t * 1_000 + PER_THREAD).collect();
             assert_eq!(own, want, "thread {t}");
         }
     }
@@ -299,14 +236,14 @@ mod tests {
     #[test]
     fn a_poisoned_log_still_hands_out_its_events() {
         let shared = RunShared::new(true);
-        shared.history().push(put(1));
+        shared.history().push(tagged(0, 1));
         let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = shared.history.lock().unwrap();
             panic!("node handler failed");
         }));
         assert!(poisoner.is_err());
         assert!(shared.history.is_poisoned());
-        shared.history().push(put(2));
+        shared.history().push(tagged(0, 2));
         let seqs: Vec<u32> = shared.take_history().iter().map(seq_of).collect();
         assert_eq!(seqs, [1, 2]);
     }

@@ -331,6 +331,7 @@ impl<S: Session> Client<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contrarian_runtime::history::TaggedEvent;
     use contrarian_runtime::testkit::ScriptCtx;
     use contrarian_types::{DcId, PartitionId};
     use contrarian_workload::{ClientDriver, OpenLoopDriver, WorkloadSpec, Zipf};
@@ -422,7 +423,7 @@ mod tests {
     fn client(source: Option<OpSource>) -> (Client<ToySession>, ScriptCtx<Toy>) {
         let addr = Addr::client(DcId(0), 0);
         let mut ctx = ScriptCtx::new(addr);
-        ctx.metrics.enabled = true;
+        ctx.sink.metrics.enabled = true;
         (Client::new(addr, &ClusterConfig::small(), source), ctx)
     }
 
@@ -470,7 +471,7 @@ mod tests {
 
     /// The keys of the PUT requests sent and not yet answered.
     fn puts_sent(ctx: &ScriptCtx<Toy>) -> Vec<Key> {
-        let puts = ctx.sent.iter().filter_map(|(_, m)| match m {
+        let puts = ctx.sink.sent.iter().filter_map(|(_, m)| match m {
             Toy::Put { key } => Some(*key),
             _ => None,
         });
@@ -483,9 +484,9 @@ mod tests {
         for fire_in_flight in [true, false] {
             let (mut c, mut ctx) = client(None);
             c.on_start(&mut ctx);
-            assert_eq!(ctx.timers.len(), 1);
-            assert_eq!(ctx.timers[0].1.kind, CLIENT_START);
-            let me = ctx.addr;
+            assert_eq!(ctx.sink.timers.len(), 1);
+            assert_eq!(ctx.sink.timers[0].1.kind, CLIENT_START);
+            let me = ctx.node.addr;
             c.on_message(&mut ctx, me, Toy::Inject(Op::Put(Key(1), Value::new())));
             if fire_in_flight {
                 c.on_timer(&mut ctx, TimerKind::new(CLIENT_START));
@@ -494,9 +495,9 @@ mod tests {
             if !fire_in_flight {
                 c.on_timer(&mut ctx, TimerKind::new(CLIENT_START));
             }
-            assert!(ctx.sent.is_empty(), "nothing issued after the PUT");
-            assert_eq!(ctx.metrics.puts_done, 1);
-            assert_eq!(ctx.history.len(), 1);
+            assert!(ctx.sink.sent.is_empty(), "nothing issued after the PUT");
+            assert_eq!(ctx.sink.metrics.puts_done, 1);
+            assert_eq!(ctx.sink.history.len(), 1);
             assert_eq!(c.session.puts, vec![(Key(1), 0)]);
         }
     }
@@ -505,19 +506,19 @@ mod tests {
     fn a_stopped_load_source_goes_quiet_but_the_backlog_drains() {
         let (mut c, mut ctx) = client(Some(OpSource::Closed(generator())));
         c.on_timer(&mut ctx, TimerKind::new(CLIENT_START));
-        assert!(!ctx.sent.is_empty(), "the closed loop issues at start");
-        let me = ctx.addr;
+        assert!(!ctx.sink.sent.is_empty(), "the closed loop issues at start");
+        let me = ctx.node.addr;
         for k in [10, 11] {
             c.on_message(&mut ctx, me, Toy::Inject(Op::Put(Key(k), Value::new())));
         }
-        ctx.stopped = true;
+        ctx.sink.stopped = true;
         answer(&mut c, &mut ctx);
         assert_eq!(puts_sent(&ctx), vec![Key(10)]);
         answer(&mut c, &mut ctx);
         assert_eq!(puts_sent(&ctx), vec![Key(11)]);
         answer(&mut c, &mut ctx);
-        assert!(ctx.sent.is_empty(), "the stopped source draws nothing");
-        assert_eq!(ctx.metrics.ops_done(), 3);
+        assert!(ctx.sink.sent.is_empty(), "the stopped source draws nothing");
+        assert_eq!(ctx.sink.metrics.ops_done(), 3);
     }
 
     #[test]
@@ -526,9 +527,9 @@ mod tests {
         let (mut c, mut ctx) = client(Some(source));
         ctx.now = 1_000;
         c.on_timer(&mut ctx, TimerKind::new(CLIENT_START));
-        assert!(ctx.sent.is_empty(), "nothing is due yet");
-        assert_eq!(ctx.timers.len(), 1);
-        let (due, kind) = ctx.timers[0];
+        assert!(ctx.sink.sent.is_empty(), "nothing is due yet");
+        assert_eq!(ctx.sink.timers.len(), 1);
+        let (due, kind) = ctx.sink.timers[0];
         assert_eq!(kind.kind, CLIENT_START);
         assert!(due > 1_000, "armed at due - now, so it fires at due");
         // A late wake-up issues the op; its latency counts from `due`.
@@ -536,18 +537,18 @@ mod tests {
         c.on_timer(&mut ctx, TimerKind::new(CLIENT_START));
         ctx.now = due + 8_000;
         answer(&mut c, &mut ctx);
-        let m = &ctx.metrics;
+        let m = &ctx.sink.metrics;
         assert_eq!(m.ops_done(), 1);
         assert_eq!(m.rot_latency.max().max(m.put_latency.max()), 8_000);
         let (HistoryEvent::RotDone { t_start, t_end, .. }
-        | HistoryEvent::PutDone { t_start, t_end, .. }) = &ctx.history[0];
+        | HistoryEvent::PutDone { t_start, t_end, .. }) = &ctx.sink.history[0].ev;
         assert_eq!((*t_start, *t_end), (due, due + 8_000));
     }
 
     #[test]
     fn rot_done_pairs_are_the_slices_in_arrival_order() {
         let (mut c, mut ctx) = client(None);
-        let me = ctx.addr;
+        let me = ctx.node.addr;
         // Four partitions: keys 1 and 5 share partition 1.
         let keys = vec![Key(0), Key(1), Key(2), Key(5)];
         c.on_message(&mut ctx, me, Toy::Inject(Op::Rot(keys)));
@@ -564,8 +565,11 @@ mod tests {
         }
         assert_eq!(c.session.slices, vec![(1, false), (2, false), (3, true)]);
         let want = vec![Key(2), Key(0), Key(1), Key(5)];
-        match &ctx.history[..] {
-            [HistoryEvent::RotDone { pairs, values, .. }] => {
+        match &ctx.sink.history[..] {
+            [TaggedEvent {
+                ev: HistoryEvent::RotDone { pairs, values, .. },
+                ..
+            }] => {
                 let got: Vec<Key> = pairs.iter().map(|(k, _)| *k).collect();
                 assert_eq!(got, want);
                 assert!(pairs.iter().all(|(k, v)| *v == Some(vid(k.0))));
@@ -578,7 +582,7 @@ mod tests {
     #[test]
     fn a_reply_that_matches_no_in_flight_op_leaves_it_pending() {
         let (mut c, mut ctx) = client(None);
-        let me = ctx.addr;
+        let me = ctx.node.addr;
         c.on_message(&mut ctx, me, Toy::Inject(Op::Rot(vec![Key(0)])));
         let (from, req) = ctx.drain_sent().remove(0);
         let other = TxId::new(me.client_id(), 9);
@@ -617,7 +621,7 @@ mod tests {
         assert!(c.session.slices.is_empty() && c.session.puts.is_empty());
         // The ROT in flight is still pending and completes normally.
         c.on_message(&mut ctx, from, reply_to(req));
-        assert_eq!(ctx.metrics.rots_done, 1);
-        assert_eq!(ctx.history.len(), 1);
+        assert_eq!(ctx.sink.metrics.rots_done, 1);
+        assert_eq!(ctx.sink.history.len(), 1);
     }
 }

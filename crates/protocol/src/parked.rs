@@ -124,8 +124,8 @@ mod tests {
         ctx.now = 100;
         p.park(&mut ctx, 50, "early");
         p.park(&mut ctx, 500, "late");
-        assert_eq!(ctx.timers.len(), 2, "each park arms RESUME");
-        assert_eq!(ctx.timers[0].1.kind, timers::RESUME);
+        assert_eq!(ctx.sink.timers.len(), 2, "each park arms RESUME");
+        assert_eq!(ctx.sink.timers[0].1.kind, timers::RESUME);
         assert_eq!(p.take_due(149), Vec::new());
         assert_eq!(p.take_due(150), vec![(50, "early")]);
         assert_eq!(p.len(), 1);

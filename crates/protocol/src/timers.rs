@@ -116,10 +116,10 @@ mod tests {
         let t = Timers::replication_server(addr(), &cfg);
         let mut ctx: ScriptCtx<u32> = ScriptCtx::new(addr());
         t.start(&mut ctx);
-        let kinds: Vec<u16> = ctx.timers.iter().map(|(_, k)| k.kind).collect();
+        let kinds: Vec<u16> = ctx.sink.timers.iter().map(|(_, k)| k.kind).collect();
         assert_eq!(kinds, vec![STABILIZE, HEARTBEAT, GC]);
         // Partition 1 staggers its first stabilization.
-        assert!(ctx.timers[0].0 > cfg.stabilization_interval_us * 1000);
+        assert!(ctx.sink.timers[0].0 > cfg.stabilization_interval_us * 1000);
     }
 
     #[test]
@@ -127,8 +127,8 @@ mod tests {
         let t = Timers::replication_server(addr(), &ClusterConfig::small());
         let mut ctx: ScriptCtx<u32> = ScriptCtx::new(addr());
         t.start(&mut ctx);
-        assert_eq!(ctx.timers.len(), 1);
-        assert_eq!(ctx.timers[0].1.kind, GC);
+        assert_eq!(ctx.sink.timers.len(), 1);
+        assert_eq!(ctx.sink.timers[0].1.kind, GC);
     }
 
     #[test]
@@ -137,14 +137,14 @@ mod tests {
         let t = Timers::replication_server(addr(), &cfg);
         let mut ctx: ScriptCtx<u32> = ScriptCtx::new(addr());
         assert!(t.rearm(&mut ctx, STABILIZE));
-        assert_eq!(ctx.timers.len(), 1);
+        assert_eq!(ctx.sink.timers.len(), 1);
         assert!(
             !t.rearm(&mut ctx, RESUME),
             "RESUME is one-shot, not periodic"
         );
-        ctx.stopped = true;
+        ctx.sink.stopped = true;
         assert!(t.rearm(&mut ctx, GC), "registered even when stopped");
-        assert_eq!(ctx.timers.len(), 1, "but not re-armed");
+        assert_eq!(ctx.sink.timers.len(), 1, "but not re-armed");
     }
 
     /// Every server's timer dispatch matches on these kinds: two equal

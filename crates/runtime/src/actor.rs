@@ -6,6 +6,12 @@
 //! (`contrarian-net`) — delivers messages and timer ticks through an
 //! [`ActorCtx`], and the node responds by sending messages and arming
 //! timers. Protocol code never knows which runtime is driving it.
+//!
+//! Both runtimes, and the scripted tests, hand the node the same
+//! implementation of that trait, [`crate::Step`]: the node's state and a
+//! sink of its effects at the `now` the runtime supplies. A runtime only
+//! decides when a step runs and how the sends it leaves behind travel
+//! (see [`crate::step`]).
 
 use crate::cost::SimMessage;
 use crate::metrics::Metrics;

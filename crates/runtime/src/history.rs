@@ -1,13 +1,15 @@
 //! Sharded history recording.
 //!
-//! Each simulator shard (or the single-threaded engine, which is the
-//! one-shard special case) appends [`TaggedEvent`]s to a plain local `Vec`
-//! with no locking, and [`merge_shard_histories`] folds the per-shard
+//! Every record a node makes goes through the one node step
+//! ([`crate::Step`]), which tags it and appends it to its sink's plain
+//! `Vec` with no locking: a simulator shard's (the single-threaded engine
+//! is the one-shard special case), or a TCP node thread's, flushed to the
+//! cluster's log once per handler. [`merge_shard_histories`] folds the
 //! streams into one canonical global sequence afterwards. It lives here,
 //! in the runtime layer, because history recording is part of the
-//! substrate contract every runtime offers ([`crate::ActorCtx::record`]);
-//! the TCP runtime, which has no virtual time to key on, appends to one
-//! shared log in arrival order instead.
+//! substrate contract every runtime offers ([`crate::ActorCtx::record`]).
+//! Under the TCP runtime the key's time is the wall-clock `now` of the
+//! recording handler.
 //!
 //! ## The canonical history order
 //!

@@ -7,9 +7,10 @@
 //!                  contrarian-types           (ids, keys, vectors, config,
 //!                         │                    wire codec)
 //!                  contrarian-runtime         (this crate: Actor/ActorCtx,
-//!                         │                    TimerKind, SimMessage + cost
-//!                         │                    model, Metrics, history
-//!                         │                    recording, frame layer)
+//!                         │                    the one node Step, TimerKind,
+//!                         │                    SimMessage + cost model,
+//!                         │                    Metrics, history recording,
+//!                         │                    frame layer)
 //!                ┌────────┴────────┐
 //!         contrarian-sim     contrarian-net
 //!         (discrete-event    (thread-per-node
@@ -34,13 +35,26 @@
 //!   the [`frame`] layer this crate provides.
 //!
 //! During a handler the node-facing capabilities (`send`, `set_timer`,
-//! `now`, metrics, history) come from the [`ActorCtx`]. The cluster-facing
-//! side is each runtime's own inherent API (`Sim`, `NetCluster`): both
-//! take the same node list from the protocol kernel's builder, seed each
-//! node's RNG with [`node_seed`], and offer `inject_op`, which panics on
-//! an address that is not in the cluster, and `addrs` in registration
-//! order. How time advances is the one thing they do not share: the
-//! simulator is stepped, the TCP cluster free-runs.
+//! `now`, metrics, history, trace) come from one [`Step`], the only
+//! [`ActorCtx`] implementation of the workspace's crates: a node's
+//! [`NodeState`] (address, global id, RNG, record counter, trace ring) and
+//! a [`Sink`] (metrics, `(t, node, seq)`-tagged history, run flags, the
+//! handler's sends, timers and charge), at the `now` its runtime hands
+//! it. Every runtime runs that same step; what each keeps of its own is
+//! *when* a step runs — the simulator's calendar queue, a TCP node
+//! thread's timer heap and input channel, a test's hand ([`ScriptCtx`],
+//! the owned step) — and *how* the sends a step leaves in its sink travel
+//! — the cost model's departure spacing and per-link FIFO clamp, or the
+//! reactor's connection rings. (The repo benchmark's replay driver,
+//! `benchmark/src/replay.rs`, still implements the trait on its own
+//! `Ctx`; it is the one second implementation left.) The
+//! cluster-facing side is each runtime's own inherent API (`Sim`,
+//! `NetCluster`): both take the same node list from the protocol kernel's
+//! builder, seed each node's RNG with [`node_seed`], and offer
+//! `inject_op`, which panics on an address that is not in the cluster,
+//! and `addrs` in registration order. How time advances is the one thing
+//! they do not share: the simulator is stepped, the TCP cluster
+//! free-runs.
 //!
 //! This crate exists so that the runtimes are *siblings*: the TCP runtime
 //! does not depend on the simulator (nor vice versa), which keeps the
@@ -53,6 +67,7 @@ pub mod env;
 pub mod frame;
 pub mod history;
 pub mod metrics;
+pub mod step;
 pub mod testkit;
 pub mod trace;
 pub mod window;
@@ -62,6 +77,7 @@ pub use cost::{CostModel, MsgClass, SimMessage};
 pub use frame::{encode_frame, FrameAssembler, FrameError, MAX_FRAME};
 pub use history::{merge_shard_histories, TaggedEvent};
 pub use metrics::{Histogram, Metrics};
+pub use step::{NodeState, Sink, Step};
 pub use testkit::ScriptCtx;
 pub use trace::{chrome_trace_json, merge_traces, summarize, TraceRing};
 pub use window::{MetricsWindow, WindowSeries};

@@ -1,149 +1,64 @@
 //! A scripted driver for protocol state machines.
 //!
-//! [`ScriptCtx`] implements [`ActorCtx`] with fully manual control: tests
+//! [`ScriptCtx`] is the owned [`Step`] with fully manual control: tests
 //! (and the Section-6 theory harness) invoke handlers directly and decide
 //! when — and in which adversarial order — each produced message is
 //! delivered. This is how the paper's execution constructions (Figures 1, 2
 //! and 10) are replayed deterministically.
 
-use crate::actor::{ActorCtx, TimerKind};
-use crate::metrics::Metrics;
-use contrarian_types::{Addr, HistoryEvent, TraceEvent, TraceKind};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use crate::step::{NodeState, Sink, Step};
+use contrarian_types::Addr;
 
-/// A hand-driven actor context capturing all outputs.
-pub struct ScriptCtx<M> {
-    pub now: u64,
-    pub addr: Addr,
-    /// Messages the handler sent, in order.
-    pub sent: Vec<(Addr, M)>,
-    /// Timers the handler armed: (fire_at, kind).
-    pub timers: Vec<(u64, TimerKind)>,
-    pub charged: u64,
-    pub rng: SmallRng,
-    pub metrics: Metrics,
-    pub history: Vec<HistoryEvent>,
-    pub recording: bool,
-    pub stopped: bool,
-    /// Trace events the handler emitted (captured when `tracing` is on;
-    /// `node` is always 0 and `seq` counts captures in order).
-    pub traces: Vec<TraceEvent>,
-    pub tracing: bool,
-}
+/// A hand-driven step that owns its node state and sink, so every output
+/// stays in `sink` for the test to inspect.
+pub type ScriptCtx<M> = Step<NodeState, Sink<M>>;
 
 impl<M> ScriptCtx<M> {
+    /// A recording context at time 0 for `addr`, RNG seeded with 0.
     pub fn new(addr: Addr) -> Self {
-        ScriptCtx {
+        Step {
             now: 0,
-            addr,
-            sent: Vec::new(),
-            timers: Vec::new(),
-            charged: 0,
-            rng: SmallRng::seed_from_u64(0),
-            metrics: Metrics::new(),
-            history: Vec::new(),
-            recording: true,
-            stopped: false,
-            traces: Vec::new(),
-            tracing: false,
+            node: NodeState::new(addr, 0, 0),
+            sink: Sink {
+                recording: true,
+                ..Sink::default()
+            },
         }
     }
 
     /// Takes every message sent so far, clearing the buffer.
     pub fn drain_sent(&mut self) -> Vec<(Addr, M)> {
-        std::mem::take(&mut self.sent)
+        std::mem::take(&mut self.sink.sent)
     }
 
     /// Takes the messages destined to `to`.
     pub fn drain_to(&mut self, to: Addr) -> Vec<M> {
         let mut out = Vec::new();
         let mut keep = Vec::new();
-        for (dst, m) in self.sent.drain(..) {
+        for (dst, m) in self.sink.sent.drain(..) {
             if dst == to {
                 out.push(m);
             } else {
                 keep.push((dst, m));
             }
         }
-        self.sent = keep;
+        self.sink.sent = keep;
         out
     }
 
     /// Re-points the context at another node (the usual pattern is one
     /// `ScriptCtx` shared by a handful of hand-driven nodes).
     pub fn at(&mut self, addr: Addr, now: u64) -> &mut Self {
-        self.addr = addr;
+        self.node.addr = addr;
         self.now = now;
         self
-    }
-}
-
-impl<M> ActorCtx<M> for ScriptCtx<M> {
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn self_addr(&self) -> Addr {
-        self.addr
-    }
-
-    fn send(&mut self, to: Addr, msg: M) {
-        self.sent.push((to, msg));
-    }
-
-    fn set_timer(&mut self, delay_ns: u64, kind: TimerKind) {
-        self.timers.push((self.now + delay_ns, kind));
-    }
-
-    fn charge(&mut self, ns: u64) {
-        self.charged += ns;
-    }
-
-    fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
-    fn metrics(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    fn record(&mut self, ev: HistoryEvent) {
-        if self.recording {
-            self.history.push(ev);
-        }
-    }
-
-    fn recording(&self) -> bool {
-        self.recording
-    }
-
-    fn stopped(&self) -> bool {
-        self.stopped
-    }
-
-    fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    fn trace(&mut self, kind: TraceKind, a: u64, b: u64) {
-        if self.tracing {
-            let seq = self.traces.len() as u64;
-            self.traces.push(TraceEvent {
-                t: self.now,
-                node: 0,
-                seq,
-                kind,
-                a,
-                b,
-            });
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{ActorCtx, TimerKind};
     use contrarian_types::DcId;
 
     #[test]
@@ -164,6 +79,6 @@ mod tests {
         let mut ctx: ScriptCtx<u32> = ScriptCtx::new(a);
         ctx.now = 100;
         ctx.set_timer(50, TimerKind::new(1));
-        assert_eq!(ctx.timers[0].0, 150);
+        assert_eq!(ctx.sink.timers[0].0, 150);
     }
 }

@@ -111,4 +111,4 @@ pub use contrarian_runtime::{
 };
 pub use sched::{QueueStats, SchedKind, ENGINES};
 pub use shard::WindowStats;
-pub use sim::Sim;
+pub use sim::{MetricsMut, Sim};

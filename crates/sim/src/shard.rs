@@ -80,12 +80,9 @@
 use crate::sched::CalendarQueue;
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
 use contrarian_runtime::cost::CostModel;
-use contrarian_runtime::history::TaggedEvent;
-use contrarian_runtime::metrics::Metrics;
-use contrarian_runtime::trace::{TraceRing, TRACE_CAP};
+use contrarian_runtime::step::{NodeState, Sink, Step};
 use contrarian_runtime::SimMessage;
-use contrarian_types::{heap, Addr, HeapCensus, HistoryEvent, NodeKind, TraceEvent, TraceKind};
-use rand::rngs::SmallRng;
+use contrarian_types::{heap, Addr, HeapCensus, NodeKind, TraceEvent, TraceKind};
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
@@ -302,10 +299,10 @@ impl Routing {
 }
 
 pub(crate) struct NodeSlot<A> {
-    pub(crate) addr: Addr,
-    /// Registration-order id, stable across engines — the high bits of
-    /// every event key this node creates.
-    pub(crate) global_id: u32,
+    /// What every runtime keeps per node; its registration-order
+    /// `global_id` is also the high bits of every event key this node
+    /// creates.
+    pub(crate) state: NodeState,
     pub(crate) actor: A,
     /// Worker threads; clients are "infinite" (no queueing — client machines
     /// are not the bottleneck).
@@ -313,31 +310,19 @@ pub(crate) struct NodeSlot<A> {
     busy: u32,
     /// Messages that arrived while all workers were busy, FIFO.
     queue: VecDeque<(Addr, u64)>, // (from, backlog slot)
-    /// This node's deterministic randomness stream (same derivation as the
-    /// TCP runtime: `contrarian_runtime::node_seed`).
-    rng: SmallRng,
     /// Events created so far by this node — the low bits of its keys.
     push_seq: u64,
-    /// History records created so far by this node (canonical-order tag).
-    record_seq: u64,
-    /// This node's trace ring (engine- and shard-count-independent: its
-    /// `seq` counter advances only while this node's events execute).
-    pub(crate) trace: TraceRing,
 }
 
 impl<A> NodeSlot<A> {
-    pub(crate) fn new(addr: Addr, global_id: u32, actor: A, workers: u32, rng: SmallRng) -> Self {
+    pub(crate) fn new(state: NodeState, actor: A, workers: u32) -> Self {
         NodeSlot {
-            addr,
-            global_id,
+            state,
             actor,
             workers,
             busy: 0,
             queue: VecDeque::new(),
-            rng,
             push_seq: 0,
-            record_seq: 0,
-            trace: TraceRing::new(TRACE_CAP),
         }
     }
 }
@@ -402,9 +387,6 @@ pub(crate) struct Shard<A: Actor> {
     /// Backlogged messages awaiting a worker (slab, free-list reuse).
     pub(crate) backlog: Vec<Option<A::Msg>>,
     pub(crate) backlog_free: Vec<u64>,
-    /// Reusable handler scratch (outbox + timer buffers).
-    scratch_out: Vec<(Addr, A::Msg)>,
-    scratch_timers: Vec<(u64, TimerKind)>,
     /// Batches a peer's inbox had no room for, delivered at the barrier.
     pub(crate) outbox: Vec<Batch<A::Msg>>,
     /// `mail[j]` is for shard `j`; `None` for this shard itself (and
@@ -419,14 +401,13 @@ pub(crate) struct Shard<A: Actor> {
     /// while its owner allocates.
     spare: Vec<Batch<A::Msg>>,
     pub(crate) cost: CostModel,
-    pub(crate) metrics: Metrics,
-    pub(crate) history: Vec<TaggedEvent>,
+    /// What every handler of this shard's nodes writes into: metrics,
+    /// history, the run flags, and the send and timer buffers the shard
+    /// empties after each handler (reused: no per-event allocation).
+    pub(crate) sink: Sink<A::Msg>,
     pub(crate) events_processed: u64,
     /// Window telemetry; `events` and `wait_ns` are filled in on read.
     pub(crate) window: WindowStats,
-    pub(crate) recording: bool,
-    pub(crate) tracing: bool,
-    pub(crate) stopped: bool,
 }
 
 impl<A: Actor> Shard<A> {
@@ -440,20 +421,14 @@ impl<A: Actor> Shard<A> {
             link_base: Vec::new(),
             backlog: Vec::new(),
             backlog_free: Vec::new(),
-            scratch_out: Vec::new(),
-            scratch_timers: Vec::new(),
             outbox: Vec::new(),
             mail: Vec::new(),
             inbox: None,
             spare: Vec::new(),
             cost,
-            metrics: Metrics::new(),
-            history: Vec::new(),
+            sink: Sink::default(),
             events_processed: 0,
             window: WindowStats::default(),
-            recording: false,
-            tracing: false,
-            stopped: false,
         }
     }
 
@@ -604,29 +579,30 @@ impl<A: Actor> Shard<A> {
                 + inbox,
             self.outbox.len(),
         );
+        let sink = &self.sink;
         census.add(
             "scratch",
-            heap::vec_bytes(&self.scratch_out) + heap::vec_bytes(&self.scratch_timers),
+            heap::vec_bytes(&sink.sent) + heap::vec_bytes(&sink.timers),
             0,
         );
         census.add(
             "trace rings",
-            self.nodes.iter().map(|n| n.trace.heap_bytes()).sum(),
-            self.nodes.iter().map(|n| n.trace.len()).sum(),
+            self.nodes.iter().map(|n| n.state.trace.heap_bytes()).sum(),
+            self.nodes.iter().map(|n| n.state.trace.len()).sum(),
         );
-        census.add("metrics", self.metrics.heap_bytes(), 1);
+        census.add("metrics", sink.metrics.heap_bytes(), 1);
         census.add(
             "history",
-            heap::vec_bytes(&self.history)
-                + self
+            heap::vec_bytes(&sink.history)
+                + sink
                     .history
                     .iter()
                     .map(|e| e.ev.heap_bytes())
                     .sum::<usize>(),
-            self.history.len(),
+            sink.history.len(),
         );
         for n in &self.nodes {
-            census.set_class(match n.addr.kind {
+            census.set_class(match n.state.addr.kind {
                 NodeKind::Server => "server",
                 NodeKind::Client => "client",
             });
@@ -656,14 +632,17 @@ impl<A: Actor> Shard<A> {
     /// Takes every node's buffered trace events (one batch per node;
     /// identity counters keep running).
     pub(crate) fn drain_trace(&mut self) -> Vec<Vec<TraceEvent>> {
-        self.nodes.iter_mut().map(|n| n.trace.drain()).collect()
+        self.nodes
+            .iter_mut()
+            .map(|n| n.state.trace.drain())
+            .collect()
     }
 
     /// Allocates the next event key for a local node.
     #[inline]
     pub(crate) fn alloc_key(&mut self, node: usize) -> u64 {
         let slot = &mut self.nodes[node];
-        let key = event_key(slot.global_id, slot.push_seq);
+        let key = event_key(slot.state.global_id, slot.push_seq);
         slot.push_seq += 1;
         key
     }
@@ -734,15 +713,15 @@ impl<A: Actor> Shard<A> {
     }
 
     fn on_arrive(&mut self, routing: &Routing, to: usize, from: Addr, msg: A::Msg) {
-        if self.metrics.enabled {
-            self.metrics.msgs += 1;
-            self.metrics.bytes += msg.wire_size() as u64;
+        if self.sink.metrics.enabled {
+            self.sink.metrics.msgs += 1;
+            self.sink.metrics.bytes += msg.wire_size() as u64;
         }
-        if self.tracing {
+        if self.sink.tracing {
             let src = routing.global(from) as u64;
-            let slot = &mut self.nodes[to];
-            let gid = slot.global_id;
-            slot.trace.push(
+            let node = &mut self.nodes[to].state;
+            let gid = node.global_id;
+            node.trace.push(
                 self.now,
                 gid,
                 TraceKind::MsgDeliver,
@@ -770,8 +749,8 @@ impl<A: Actor> Shard<A> {
         } else if slot.busy < slot.workers {
             self.nodes[to].busy += 1;
             let c = msg.rx_cost(&self.cost);
-            if self.metrics.enabled {
-                self.metrics.busy_ns += c;
+            if self.sink.metrics.enabled {
+                self.sink.metrics.busy_ns += c;
             }
             let t = self.now.saturating_add(c);
             self.push_from(
@@ -804,8 +783,8 @@ impl<A: Actor> Shard<A> {
                 self.nodes[node].busy += 1;
                 let msg = self.take_backlog(slot_id);
                 let c = msg.rx_cost(&self.cost);
-                if self.metrics.enabled {
-                    self.metrics.busy_ns += c;
+                if self.sink.metrics.enabled {
+                    self.sink.metrics.busy_ns += c;
                 }
                 let t = self.now.saturating_add(c);
                 self.push_from(node, t, EvKind::ServiceDone { node, from, msg });
@@ -821,42 +800,31 @@ impl<A: Actor> Shard<A> {
         });
     }
 
-    /// Runs a handler inside a context, then applies its outbox/timer
-    /// effects. Returns the handler's total send-phase CPU so the caller can
-    /// keep the worker busy for it.
+    /// Runs a handler as one [`Step`] on the node's state and this
+    /// shard's sink, then applies the sends and timers it left there.
+    /// Returns the handler's total send-phase CPU so the caller can keep
+    /// the worker busy for it.
     fn with_ctx<F>(&mut self, routing: &Routing, node: usize, base_charge: u64, f: F) -> u64
     where
         F: FnOnce(&mut A, &mut dyn ActorCtx<A::Msg>),
     {
-        // The outbox/timer buffers are owned by the shard and reused across
-        // handlers: no per-event allocation.
-        let mut out = std::mem::take(&mut self.scratch_out);
-        let mut timers = std::mem::take(&mut self.scratch_timers);
-        debug_assert!(out.is_empty() && timers.is_empty());
-        let (addr, gid, is_server, charge) = {
-            // Disjoint field borrows: the actor and its rng live in the
-            // node slot, the ctx additionally borrows the shard's metrics
-            // and history.
-            let slot = &mut self.nodes[node];
-            let mut ctx = SimCtx {
+        debug_assert!(self.sink.sent.is_empty() && self.sink.timers.is_empty());
+        self.sink.charge = base_charge;
+        let slot = &mut self.nodes[node];
+        f(
+            &mut slot.actor,
+            &mut Step {
                 now: self.now,
-                addr: slot.addr,
-                node_id: slot.global_id,
-                out: &mut out,
-                timers: &mut timers,
-                charge: base_charge,
-                rng: &mut slot.rng,
-                record_seq: &mut slot.record_seq,
-                metrics: &mut self.metrics,
-                history: &mut self.history,
-                recording: self.recording,
-                tracing: self.tracing,
-                trace_ring: &mut slot.trace,
-                stopped: self.stopped,
-            };
-            f(&mut slot.actor, &mut ctx);
-            (slot.addr, slot.global_id, slot.workers > 0, ctx.charge)
-        };
+                node: &mut slot.state,
+                sink: &mut self.sink,
+            },
+        );
+        let (addr, gid, is_server) = (slot.state.addr, slot.state.global_id, slot.workers > 0);
+        let charge = self.sink.charge;
+        // Taken for the send phase, which needs the rest of the shard, and
+        // put back empty: the buffers' capacity is reused across handlers.
+        let mut out = std::mem::take(&mut self.sink.sent);
+        let mut timers = std::mem::take(&mut self.sink.timers);
 
         // Send phase: messages depart back-to-back after the handler, each
         // paying its tx cost on the sender's CPU.
@@ -871,8 +839,8 @@ impl<A: Actor> Shard<A> {
                 self.cost.client_tx_ns + self.cost.cpu_bytes(msg.wire_size())
             };
             depart = depart.saturating_add(tx);
-            if is_server && self.metrics.enabled {
-                self.metrics.busy_ns += tx;
+            if is_server && self.sink.metrics.enabled {
+                self.sink.metrics.busy_ns += tx;
             }
             let to_global = routing.global(to);
             let latency = routing.link_latency(addr.dc, to.dc);
@@ -885,8 +853,8 @@ impl<A: Actor> Shard<A> {
                 arrive = link.saturating_add(1);
             }
             *link = arrive;
-            if self.tracing {
-                self.nodes[node].trace.push(
+            if self.sink.tracing {
+                self.nodes[node].state.trace.push(
                     self.now,
                     gid,
                     TraceKind::MsgSend,
@@ -930,16 +898,15 @@ impl<A: Actor> Shard<A> {
                 }
             }
         }
-        for (delay, kind) in timers.drain(..) {
-            // Saturating: a `u64::MAX` delay means "effectively never" and
-            // must park at the end of time, not wrap into the past.
-            let t = self.now.saturating_add(delay);
+        // Deadlines come saturated from the step: a `u64::MAX` delay
+        // parks at the end of time.
+        for (t, kind) in timers.drain(..) {
             self.push_from(node, t, EvKind::Timer { node, kind });
         }
-        self.scratch_out = out;
-        self.scratch_timers = timers;
-        if self.metrics.enabled && is_server {
-            self.metrics.busy_ns += charge.saturating_sub(base_charge);
+        self.sink.sent = out;
+        self.sink.timers = timers;
+        if self.sink.metrics.enabled && is_server {
+            self.sink.metrics.busy_ns += charge.saturating_sub(base_charge);
         }
         depart - self.now
     }
@@ -954,83 +921,6 @@ impl<A: Actor> Shard<A> {
             let t = self.now.saturating_add(busy_extra);
             self.push_from(node, t, EvKind::WorkerFree { node });
         }
-    }
-}
-
-struct SimCtx<'a, M> {
-    now: u64,
-    addr: Addr,
-    node_id: u32,
-    out: &'a mut Vec<(Addr, M)>,
-    timers: &'a mut Vec<(u64, TimerKind)>,
-    charge: u64,
-    rng: &'a mut SmallRng,
-    record_seq: &'a mut u64,
-    metrics: &'a mut Metrics,
-    history: &'a mut Vec<TaggedEvent>,
-    recording: bool,
-    tracing: bool,
-    trace_ring: &'a mut TraceRing,
-    stopped: bool,
-}
-
-impl<'a, M> ActorCtx<M> for SimCtx<'a, M> {
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn self_addr(&self) -> Addr {
-        self.addr
-    }
-
-    fn send(&mut self, to: Addr, msg: M) {
-        self.out.push((to, msg));
-    }
-
-    fn set_timer(&mut self, delay_ns: u64, kind: TimerKind) {
-        self.timers.push((delay_ns, kind));
-    }
-
-    fn charge(&mut self, ns: u64) {
-        self.charge += ns;
-    }
-
-    fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-
-    fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
-    }
-
-    fn record(&mut self, ev: HistoryEvent) {
-        if self.recording {
-            self.history.push(TaggedEvent {
-                t: self.now,
-                node: self.node_id,
-                seq: *self.record_seq,
-                ev,
-            });
-            *self.record_seq += 1;
-        }
-    }
-
-    fn recording(&self) -> bool {
-        self.recording
-    }
-
-    fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    fn trace(&mut self, kind: TraceKind, a: u64, b: u64) {
-        if self.tracing {
-            self.trace_ring.push(self.now, self.node_id, kind, a, b);
-        }
-    }
-
-    fn stopped(&self) -> bool {
-        self.stopped
     }
 }
 

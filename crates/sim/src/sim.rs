@@ -20,11 +20,11 @@ use contrarian_runtime::cost::{CostModel, LookaheadMatrix};
 use contrarian_runtime::history::merge_shard_histories;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_seed;
+use contrarian_runtime::step::NodeState;
 use contrarian_runtime::trace::merge_traces;
 use contrarian_types::{heap, Addr, HeapCensus, HistoryEvent, NodeKind, Op, TraceEvent};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
 /// The deterministic cluster simulator. Generic over the protocol's
 /// [`Actor`] type; one `Sim` runs one protocol on one cluster.
@@ -60,6 +60,8 @@ pub struct Sim<A: Actor> {
     /// Some shard other than shard 0 may hold metrics not yet folded into
     /// shard 0's (see [`Sim::metrics`]).
     metrics_dirty: bool,
+    /// The run flags, for the shards built at start; once started, every
+    /// setter also writes them into each shard's sink.
     recording: bool,
     tracing: bool,
     stopped: bool,
@@ -229,9 +231,9 @@ impl<A: Actor> Sim<A> {
             .map(|i| {
                 let mut s = Shard::new(i, self.cost.clone());
                 s.nodes.reserve_exact(sizes[i]);
-                s.recording = self.recording;
-                s.tracing = self.tracing;
-                s.stopped = self.stopped;
+                s.sink.recording = self.recording;
+                s.sink.tracing = self.tracing;
+                s.sink.stopped = self.stopped;
                 s
             })
             .collect();
@@ -246,10 +248,10 @@ impl<A: Actor> Sim<A> {
             let local = self.shards[shard].nodes.len();
             addrs.push(addr);
             locate.push((shard as u32, local as u32));
-            let rng = SmallRng::seed_from_u64(node_seed(self.seed, addr));
+            let state = NodeState::new(addr, gid as u32, node_seed(self.seed, addr));
             self.shards[shard]
                 .nodes
-                .push(NodeSlot::new(addr, gid as u32, actor, workers, rng));
+                .push(NodeSlot::new(state, actor, workers));
         }
         if n_shards > 1 {
             Shard::connect(&mut self.shards);
@@ -280,14 +282,23 @@ impl<A: Actor> Sim<A> {
     /// The run's metrics, all shards merged. Shard 0's own copy is the
     /// merged one: the others are folded into it and cleared here, so a
     /// sharded run holds one set of totals, not one per shard plus a merged
-    /// copy. Edits through [`Sim::metrics_mut`] therefore stick, and the
-    /// `enabled` flag set there reaches every shard when the next run call
-    /// begins. Kept by the shards, so only available once started.
+    /// copy. Kept by the shards, so only available once started.
     pub fn metrics(&mut self) -> &Metrics {
-        self.metrics_mut()
+        self.merge_metrics();
+        &self.shards[0].sink.metrics
     }
 
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
+    /// The merged metrics for editing (see [`Sim::metrics`]): edits stick,
+    /// and the `enabled` flag set through the guard reaches every shard
+    /// when it drops.
+    pub fn metrics_mut(&mut self) -> MetricsMut<'_, A> {
+        self.merge_metrics();
+        MetricsMut {
+            shards: &mut self.shards,
+        }
+    }
+
+    fn merge_metrics(&mut self) {
         assert!(
             self.started,
             "metrics are kept by the shards, built at start"
@@ -298,22 +309,10 @@ impl<A: Actor> Sim<A> {
             .expect("a started Sim has a shard");
         if self.metrics_dirty {
             for s in rest {
-                first.metrics.absorb(&s.metrics);
-                s.metrics.clear();
+                first.sink.metrics.absorb(&s.sink.metrics);
+                s.sink.metrics.clear();
             }
             self.metrics_dirty = false;
-        }
-        &mut first.metrics
-    }
-
-    /// Pushes the externally toggled flags down to the shards.
-    fn sync_flags(&mut self) {
-        let enabled = self.shards[0].metrics.enabled;
-        for s in &mut self.shards {
-            s.metrics.enabled = enabled;
-            s.recording = self.recording;
-            s.tracing = self.tracing;
-            s.stopped = self.stopped;
         }
     }
 
@@ -321,7 +320,7 @@ impl<A: Actor> Sim<A> {
     /// `contrarian_runtime::history`). Clones; use [`Sim::drain_history`]
     /// to consume.
     pub fn history(&self) -> Vec<HistoryEvent> {
-        merge_shard_histories(self.shards.iter().map(|s| s.history.clone()))
+        merge_shard_histories(self.shards.iter().map(|s| s.sink.history.clone()))
     }
 
     /// Drains the events recorded since the last drain, merged into
@@ -334,14 +333,14 @@ impl<A: Actor> Sim<A> {
         merge_shard_histories(
             self.shards
                 .iter_mut()
-                .map(|s| std::mem::take(&mut s.history)),
+                .map(|s| std::mem::take(&mut s.sink.history)),
         )
     }
 
     pub fn set_recording(&mut self, on: bool) {
         self.recording = on;
         for s in &mut self.shards {
-            s.recording = on;
+            s.sink.recording = on;
         }
     }
 
@@ -350,7 +349,7 @@ impl<A: Actor> Sim<A> {
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         for s in &mut self.shards {
-            s.tracing = on;
+            s.sink.tracing = on;
         }
     }
 
@@ -370,7 +369,7 @@ impl<A: Actor> Sim<A> {
     pub fn set_stopped(&mut self, stopped: bool) {
         self.stopped = stopped;
         for s in &mut self.shards {
-            s.stopped = stopped;
+            s.sink.stopped = stopped;
         }
     }
 
@@ -435,7 +434,6 @@ impl<A: Actor> Sim<A> {
     /// all shards. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
         assert!(self.started, "Sim::start must be called before stepping");
-        self.sync_flags();
         self.lockstep_step()
     }
 
@@ -504,7 +502,6 @@ impl<A: Actor> Sim<A> {
         A: Send,
     {
         assert!(self.started, "Sim::start must be called before running");
-        self.sync_flags();
         if self.shards.len() == 1 {
             // Single event loop: the classic engine, no barriers at all.
             let routing = &self.routing;
@@ -652,6 +649,36 @@ impl<A: Actor> Sim<A> {
         // *first* event past the bound; keep that observable behaviour.
         if self.now <= max_t {
             self.lockstep_step();
+        }
+    }
+}
+
+/// [`Sim::metrics_mut`]'s guard: derefs to the merged metrics and, when
+/// it drops, copies their `enabled` flag to every other shard's sink.
+pub struct MetricsMut<'a, A: Actor> {
+    shards: &'a mut [Shard<A>],
+}
+
+impl<A: Actor> Deref for MetricsMut<'_, A> {
+    type Target = Metrics;
+
+    fn deref(&self) -> &Metrics {
+        &self.shards[0].sink.metrics
+    }
+}
+
+impl<A: Actor> DerefMut for MetricsMut<'_, A> {
+    fn deref_mut(&mut self) -> &mut Metrics {
+        &mut self.shards[0].sink.metrics
+    }
+}
+
+impl<A: Actor> Drop for MetricsMut<'_, A> {
+    fn drop(&mut self) {
+        if let Some((first, rest)) = self.shards.split_first_mut() {
+            for s in rest {
+                s.sink.metrics.enabled = first.sink.metrics.enabled;
+            }
         }
     }
 }
@@ -1293,7 +1320,7 @@ mod tests {
             let placed: Vec<Vec<Addr>> = sim
                 .shards
                 .iter()
-                .map(|s| s.nodes.iter().map(|n| n.addr).collect())
+                .map(|s| s.nodes.iter().map(|n| n.state.addr).collect())
                 .collect();
             let want: Vec<Vec<Addr>> = match sched {
                 SchedKind::Calendar => vec![servers(0)
@@ -1309,7 +1336,11 @@ mod tests {
             for (gid, &addr) in sim.routing.addrs.iter().enumerate() {
                 let (s, l) = sim.routing.locate(gid);
                 let slot = &sim.shards[s].nodes[l];
-                assert_eq!((slot.addr, slot.global_id), (addr, gid as u32), "{sched:?}");
+                assert_eq!(
+                    (slot.state.addr, slot.state.global_id),
+                    (addr, gid as u32),
+                    "{sched:?}"
+                );
             }
         }
     }
@@ -1690,6 +1721,28 @@ mod tests {
             assert!(sim.history().is_empty(), "{sched:?}");
             assert!(sim.drain_history().is_empty(), "{sched:?}");
         }
+    }
+
+    /// Measurement switched through `metrics_mut` reaches every shard:
+    /// both engines count the same messages while it is on, and none once
+    /// it is off again.
+    #[test]
+    fn measuring_set_through_metrics_mut_reaches_every_shard() {
+        let counted = |sched| {
+            let mut sim = recording_mesh(sched);
+            sim.metrics_mut().enabled = true;
+            sim.run_until(25_000_000);
+            sim.metrics_mut().enabled = false;
+            let on = sim.metrics().msgs;
+            let t = sim.now();
+            sim.run_to_quiescence(u64::MAX);
+            assert!(sim.now() > t, "{sched:?}: the run goes on after 25 ms");
+            (on, sim.metrics().msgs)
+        };
+        let (on, after) = counted(SchedKind::Calendar);
+        assert!(on > 0);
+        assert_eq!(after, on, "nothing is counted once off");
+        assert_eq!(counted(SchedKind::Sharded), (on, on));
     }
 
     // ---- per-link matrix and window-bound arithmetic ----
