@@ -2,10 +2,9 @@
 //! footprint.
 //!
 //! Headline metric: **frames/sec/core** — wire frames moved per second,
-//! divided by the I/O threads doing the moving. The reactor drives every
-//! socket from a fixed pool (one thread per core,
-//! `available_parallelism`), so the divisor stays flat as the cluster
-//! grows.
+//! divided by the I/O threads doing the moving. The reactor pool (one
+//! thread per core, `available_parallelism`) hosts every node and drives
+//! every socket, so the divisor stays flat as the cluster grows.
 //!
 //! Two experiments:
 //!
@@ -21,8 +20,10 @@
 //!   dialing simultaneously both directions of a pair race their dials,
 //!   so connection reuse is at its worst here.)
 //!
-//! Alongside each measurement the bench prints the observed sockets and
-//! I/O threads, and the derived frames/sec and frames/sec/core.
+//! Alongside each measurement the bench prints the observed sockets, I/O
+//! threads and the process's OS threads while the cluster runs (from
+//! `/proc/self/status`: the reactors plus this process's own), and the
+//! derived frames/sec and frames/sec/core.
 
 use contrarian_net::NetCluster;
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
@@ -113,6 +114,19 @@ where
     }
 }
 
+/// The process's OS threads now (`Threads:` in `/proc/self/status`; 0
+/// where there is no procfs).
+fn os_threads() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("Threads:"))
+                .and_then(|n| n.trim().parse().ok())
+        })
+        .unwrap_or(0)
+}
+
 fn cores() -> f64 {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -159,10 +173,11 @@ fn bench_stream(c: &mut Criterion) {
     let io = cluster.io_stats();
     let fps = (bursts * STREAM_BURST) as f64 / (total_ns / 1e9);
     eprintln!(
-        "net_perf/stream/reactor: {:.0} frames/s, {:.0} frames/s/core ({} io threads, {} socket endpoints, {} machine cores)",
+        "net_perf/stream/reactor: {:.0} frames/s, {:.0} frames/s/core ({} io threads, {} os threads, {} socket endpoints, {} machine cores)",
         fps,
         fps / io.transport_threads.max(1) as f64,
         io.transport_threads,
+        os_threads(),
         io.sockets,
         cores(),
     );
@@ -170,8 +185,9 @@ fn bench_stream(c: &mut Criterion) {
     g.finish();
 }
 
-/// One full all-to-all lifecycle; returns (sockets, io threads) observed.
-fn all_to_all_once(n: u16) -> (u64, usize) {
+/// One full all-to-all lifecycle; returns the sockets, io threads and OS
+/// threads observed while the cluster ran.
+fn all_to_all_once(n: u16) -> (u64, usize, u64) {
     let nodes: Vec<(Addr, Pump)> = (0..n)
         .map(|p| (Addr::server(DcId(0), PartitionId(p)), Pump { fan_out: n }))
         .collect();
@@ -179,26 +195,28 @@ fn all_to_all_once(n: u16) -> (u64, usize) {
     let want = n as u64 * (n as u64 - 1) * 2;
     wait_frames(&cluster, want, Instant::now() + Duration::from_secs(60));
     let io = cluster.io_stats();
+    let threads = os_threads();
     cluster.shutdown();
-    (io.sockets, io.transport_threads)
+    (io.sockets, io.transport_threads, threads)
 }
 
 fn bench_all_to_all(c: &mut Criterion) {
     let mut g = c.benchmark_group("net_perf");
     g.sample_size(2).measurement_time(Duration::from_secs(5));
     for n in [16u16, 64] {
-        let mut stats = (0u64, 0usize);
+        let mut stats = (0u64, 0usize, 0u64);
         g.bench_function(
             BenchmarkId::new("all_to_all", format!("reactor/{n}")),
             |bch| bch.iter(|| stats = all_to_all_once(n)),
         );
         let frames = n as u64 * (n as u64 - 1) * 2;
         eprintln!(
-            "net_perf/all_to_all/reactor/{}: {} frames, {} socket endpoints, {} io threads ({:.1} endpoints/io-thread)",
+            "net_perf/all_to_all/reactor/{}: {} frames, {} socket endpoints, {} io threads, {} os threads ({:.1} endpoints/io-thread)",
             n,
             frames,
             stats.0,
             stats.1,
+            stats.2,
             stats.0 as f64 / stats.1.max(1) as f64,
         );
     }

@@ -1012,9 +1012,11 @@ fn trace_view(ctx: &Ctx) -> io::Result<()> {
 /// the end of its `over` rung on the default engine, and what every owner
 /// holds there, per node class (`census::GEOMETRIES`). Argument: `[seed]`,
 /// default 1. At `CONTRARIAN_SCALE=smoke` the warm-up and window are cut
-/// to a quarter. Writes `heap_census.csv`. Capacities of hash tables may
-/// move between runs of one seed: std's hasher is seeded per process, and
-/// where a table grows depends on where its deletions land.
+/// to a quarter. Writes `heap_census.csv`. The `engine` rows repeat
+/// from run to run of one seed, threads or not: every run call ends with
+/// no spare cross-shard batches and no outbox capacity. Capacities of
+/// hash tables may move between runs: std's hasher is seeded per
+/// process, and where a table grows depends on where its deletions land.
 fn heap_census(ctx: &Ctx) -> io::Result<()> {
     let seed = match ctx.args.first() {
         None => 1,

@@ -1,10 +1,11 @@
 //! Rule `bounded-queues`: no unbounded channel constructors, anywhere.
 //!
 //! Every queue in the stack is bounded by design — the reactor's
-//! per-connection rings, the node inboxes, the driver pools — so that
-//! overload turns into backpressure instead of silent memory growth and
+//! per-connection rings (a full one pauses its node), the simulator's
+//! cross-shard inboxes, the driver pools — so that overload turns into
+//! backpressure instead of silent memory growth and
 //! coordinated-omission-style latency lies. An unbounded constructor
-//! anywhere re-opens that hole. The node inboxes are
+//! anywhere re-opens that hole. The cross-shard inboxes are
 //! `std::sync::mpsc::sync_channel`s; this rule keeps
 //! `std::sync::mpsc::channel()` and any `unbounded` constructor out.
 

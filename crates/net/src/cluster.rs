@@ -1,32 +1,28 @@
-//! The TCP cluster: node threads on the live event loop, every socket on
-//! the reactor pool.
+//! The TCP cluster: every node hosted on the reactor pool, every message
+//! crossing a loopback socket.
 //!
 //! [`NetCluster`] is what the builders and the harness talk to. Starting
-//! one binds a loopback listener per node (recording where each listens),
-//! spawns the [`reactor`](crate::reactor) pool, then one
-//! thread per node running the [`node_loop`](crate::node_loop). The node
-//! threads and the reactors share a `ClusterCore`: the run flags and
-//! history log ([`RunShared`]), every node's input channel, and the wire
-//! counters.
+//! one binds a loopback listener per node (recording where each listens)
+//! and deals the nodes round-robin across the [`reactor`](crate::reactor)
+//! pool; each reactor runs its nodes' handlers and drives their sockets.
+//! What crosses threads is only what the driver hands in and reads out:
+//! each reactor's inject queue (messages from outside, shutdown), the run
+//! flags and history log ([`RunShared`]), and the wire counters.
 
-use crate::node_loop::{run_node, Input, RunShared};
-use crate::reactor::{pool_size, spawn_reactors, stop_reactors, NetInner, ReactorOutbound};
+use crate::reactor::{pool_size, spawn_reactor, Hosted, Inject, Mailbox};
 use contrarian_runtime::actor::Actor;
+use contrarian_runtime::history::{merge_shard_histories, TaggedEvent};
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_seed;
 use contrarian_runtime::step::NodeState;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent, Op};
 use std::collections::HashMap;
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-/// Capacity of each node's input channel (frames). Bounded so a stalled
-/// node exerts backpressure instead of ballooning memory.
-const CHANNEL_CAP: usize = 64 * 1024;
+use std::time::Instant;
 
 /// Frames/bytes/sockets actually put on the wire, updated by the reactor
 /// threads that do the socket writes. Relaxed atomics off the latency
@@ -66,13 +62,82 @@ impl WireStats {
     }
 }
 
-/// State the node threads and the reactors share: run flags + history,
-/// the inbox of every node (reactors deliver into it, injection bypasses
-/// the sockets through it), and the wire counters.
+/// Cluster-wide run state: the clock origin, the stop/measure flags, and
+/// the history log.
+///
+/// Metrics are *not* here: every reactor accumulates its nodes' own
+/// [`Metrics`] and hands them back when its thread joins — the
+/// measurement hot path takes no lock. History is only ever touched when
+/// `recording` is set (functional runs), once per handler that recorded.
+pub(crate) struct RunShared {
+    pub(crate) start: Instant,
+    pub(crate) stopped: AtomicBool,
+    pub(crate) measuring: AtomicBool,
+    history: Mutex<Vec<TaggedEvent>>,
+    pub(crate) recording: bool,
+}
+
+impl RunShared {
+    pub(crate) fn new(recording: bool) -> Self {
+        RunShared {
+            start: Instant::now(),
+            stopped: AtomicBool::new(false),
+            measuring: AtomicBool::new(false),
+            history: Mutex::new(Vec::new()),
+            recording,
+        }
+    }
+
+    /// The history log. Every update is one append or one take, so a log
+    /// whose lock a panicking thread poisoned is still whole.
+    fn history(&self) -> std::sync::MutexGuard<'_, Vec<TaggedEvent>> {
+        self.history
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Moves one handler's records into the log, leaving `records` empty.
+    pub(crate) fn flush_history(&self, records: &mut Vec<TaggedEvent>) {
+        if !records.is_empty() {
+            self.history().append(records);
+        }
+    }
+
+    /// Takes every event recorded since the last take, in canonical
+    /// `(t, node, seq)` order.
+    pub(crate) fn take_history(&self) -> Vec<HistoryEvent> {
+        let taken = std::mem::take(&mut *self.history());
+        merge_shard_histories([taken])
+    }
+
+    /// Wall-clock nanoseconds since the run started.
+    pub(crate) fn now(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+}
+
+/// State the reactors and the driver share: run flags + history, the wire
+/// counters, where every node listens and which reactor hosts it, and
+/// each reactor's inject queue.
 pub(crate) struct ClusterCore<M> {
     pub(crate) run: RunShared,
-    pub(crate) inbox: HashMap<Addr, SyncSender<Input<M>>>,
     pub(crate) wire: WireStats,
+    pub(crate) endpoints: HashMap<Addr, SocketAddr>,
+    /// Node → `(reactor, index among that reactor's nodes)`.
+    home: HashMap<Addr, (usize, usize)>,
+    pub(crate) reactors: Vec<Mailbox<M>>,
+}
+
+impl<M> ClusterCore<M> {
+    /// Hands `msg` to `to`'s reactor, bypassing the sockets. An address
+    /// that is not in the cluster is a driver bug: it panics.
+    fn deliver(&self, from: Addr, to: Addr, msg: M) {
+        let &(r, node) = self
+            .home
+            .get(&to)
+            .unwrap_or_else(|| panic!("unknown addr {to}"));
+        self.reactors[r].push(Inject::Deliver { node, from, msg });
+    }
 }
 
 /// I/O footprint of the running cluster, reported by `net_perf` and the
@@ -80,20 +145,19 @@ pub(crate) struct ClusterCore<M> {
 /// move the frames.
 #[derive(Clone, Copy, Debug)]
 pub struct NetIoStats {
-    /// Reactor threads, i.e. threads dedicated to socket I/O (node
-    /// threads excluded): one per core, fixed at start.
+    /// Reactor threads, i.e. every thread the cluster runs (nodes and
+    /// socket I/O alike): one per core, fixed at start.
     pub transport_threads: usize,
     /// Socket endpoints established so far (connects + accepts). One
     /// connection per peer pair, so a chatty pair costs two.
     pub sockets: u64,
 }
 
-/// A running TCP cluster: every node an OS thread, every message crossing
-/// a loopback socket driven by the reactor pool.
+/// A running TCP cluster: every node hosted on the reactor pool, every
+/// message crossing a loopback socket.
 pub struct NetCluster<A: Actor> {
-    net: Arc<NetInner<A::Msg>>,
-    node_threads: Vec<JoinHandle<(A, Metrics)>>,
-    reactor_threads: Vec<JoinHandle<()>>,
+    pub(crate) core: Arc<ClusterCore<A::Msg>>,
+    pub(crate) reactors: Vec<JoinHandle<(Vec<A>, Metrics)>>,
     addrs: Vec<Addr>,
 }
 
@@ -103,16 +167,11 @@ pub struct NetHandle<M> {
 }
 
 impl<M: Send + 'static> NetHandle<M> {
-    /// Puts `msg` straight into `to`'s inbox, bypassing the sockets. An
-    /// address that is not in the cluster is a driver bug: it panics, as
+    /// Hands `msg` straight to `to`, bypassing the sockets. An address
+    /// that is not in the cluster is a driver bug: it panics, as
     /// [`NetCluster::inject_op`] does.
     pub fn send(&self, from: Addr, to: Addr, msg: M) {
-        let tx = self
-            .core
-            .inbox
-            .get(&to)
-            .unwrap_or_else(|| panic!("unknown addr {to}"));
-        let _ = tx.send(Input::Msg { from, msg });
+        self.core.deliver(from, to, msg);
     }
 }
 
@@ -121,54 +180,66 @@ where
     A: Actor + Send + 'static,
     A::Msg: Wire,
 {
-    /// Binds one loopback listener per node, spawns the reactor pool
-    /// (listeners dealt round-robin across it), then the node threads.
+    /// Binds one loopback listener per node and starts the reactor pool,
+    /// the nodes dealt round-robin across it.
     pub fn start(nodes: Vec<(Addr, A)>, recording: bool, seed: u64) -> Self {
-        let pool = pool_size();
-        let mut inbox = HashMap::new();
-        let mut rxs = Vec::with_capacity(nodes.len());
-        let mut endpoints = HashMap::new();
-        let mut listeners_per: Vec<Vec<(Addr, TcpListener)>> =
-            (0..pool).map(|_| Vec::new()).collect();
-        for (i, (addr, _)) in nodes.iter().enumerate() {
-            let (tx, rx) = sync_channel::<Input<A::Msg>>(CHANNEL_CAP);
-            inbox.insert(*addr, tx);
-            rxs.push(rx);
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-            l.set_nonblocking(true).expect("listener nonblocking");
-            endpoints.insert(*addr, l.local_addr().expect("listener has local addr"));
-            listeners_per[i % pool].push((*addr, l));
+        Self::launch(nodes, recording, seed, pool_size(), HashMap::new())
+    }
+
+    /// [`NetCluster::start`] on `pool` reactors, with `endpoints` naming
+    /// where peers outside the cluster listen.
+    pub(crate) fn launch(
+        nodes: Vec<(Addr, A)>,
+        recording: bool,
+        seed: u64,
+        pool: usize,
+        mut endpoints: HashMap<Addr, SocketAddr>,
+    ) -> Self {
+        let mut hosted: Vec<Vec<Hosted<A>>> = (0..pool).map(|_| Vec::new()).collect();
+        let mut home = HashMap::new();
+        let mut addrs = Vec::with_capacity(nodes.len());
+        for (gid, (addr, actor)) in nodes.into_iter().enumerate() {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+            listener
+                .set_nonblocking(true)
+                .expect("listener nonblocking");
+            endpoints.insert(
+                addr,
+                listener.local_addr().expect("listener has local addr"),
+            );
+            let r = gid % pool;
+            home.insert(addr, (r, hosted[r].len()));
+            hosted[r].push(Hosted {
+                state: NodeState::new(addr, gid as u32, node_seed(seed, addr)),
+                actor,
+                listener,
+            });
+            addrs.push(addr);
         }
+        let (mailboxes, wake_rxs): (Vec<_>, Vec<_>) = (0..pool).map(|_| Mailbox::new()).unzip();
         let core = Arc::new(ClusterCore {
             run: RunShared::new(recording),
-            inbox,
             wire: WireStats::default(),
+            endpoints,
+            home,
+            reactors: mailboxes,
         });
-        let (net, reactor_threads) = spawn_reactors(core, endpoints, listeners_per);
-
-        let addrs: Vec<Addr> = nodes.iter().map(|(a, _)| *a).collect();
-        let node_threads = nodes
+        let reactors = hosted
             .into_iter()
-            .zip(rxs)
+            .zip(wake_rxs)
             .enumerate()
-            .map(|(gid, ((addr, actor), rx))| {
-                let out = ReactorOutbound::new(addr, net.clone());
-                let core = net.core.clone();
-                let node = NodeState::new(addr, gid as u32, node_seed(seed, addr));
-                std::thread::spawn(move || run_node(node, actor, rx, out, &core.run))
-            })
+            .map(|(id, (nodes, wake_rx))| spawn_reactor(core.clone(), id, wake_rx, nodes))
             .collect();
         NetCluster {
-            net,
-            node_threads,
-            reactor_threads,
+            core,
+            reactors,
             addrs,
         }
     }
 
     pub fn handle(&self) -> NetHandle<A::Msg> {
         NetHandle {
-            core: self.net.core.clone(),
+            core: self.core.clone(),
         }
     }
 
@@ -181,70 +252,78 @@ where
     /// runtimes, and an address that is not in the cluster panics as it
     /// does there.
     pub fn inject_op(&self, client: Addr, op: Op) {
-        let tx = self
-            .net
-            .core
-            .inbox
-            .get(&client)
-            .unwrap_or_else(|| panic!("unknown addr {client}"));
-        let _ = tx.send(Input::Msg {
-            from: client,
-            msg: A::inject(op),
-        });
+        self.core.deliver(client, client, A::inject(op));
     }
 
-    /// Turns measurement on or off (sampled by every node thread).
+    /// Turns measurement on or off (sampled before every handler).
     pub fn set_measuring(&self, on: bool) {
-        self.net.core.run.measuring.store(on, Ordering::SeqCst);
+        self.core.run.measuring.store(on, Ordering::SeqCst);
     }
 
     /// Signals closed-loop clients to stop issuing new operations.
     pub fn stop_issuing(&self) {
-        self.net.core.run.stopped.store(true, Ordering::SeqCst);
+        self.core.run.stopped.store(true, Ordering::SeqCst);
     }
 
     /// Drains the history recorded since the last drain, releasing it
     /// from the shared log. Lets a streaming consumer check long runs
     /// without the cluster holding the whole log.
     pub fn drain_history(&self) -> Vec<HistoryEvent> {
-        self.net.core.run.take_history()
+        self.core.run.take_history()
     }
 
     /// `(frames, bytes)` successfully written to sockets so far (hello
     /// handshakes excluded).
     pub fn wire_stats(&self) -> (u64, u64) {
-        self.net.core.wire.frames_bytes()
+        self.core.wire.frames_bytes()
     }
 
     /// The cluster's current I/O footprint.
     pub fn io_stats(&self) -> NetIoStats {
         NetIoStats {
-            transport_threads: self.reactor_threads.len(),
-            sockets: self.net.core.wire.sockets(),
+            transport_threads: self.reactors.len(),
+            sockets: self.core.wire.sockets(),
         }
     }
 
     /// Stops every node, drains and tears down the sockets, and returns the
-    /// final actors, merged metrics and history. Socket-level totals are
-    /// folded into the metrics as `net.frames_sent` / `net.bytes_sent`.
+    /// final actors (in start order), merged metrics and history.
+    /// Socket-level totals are folded into the metrics as
+    /// `net.frames_sent` / `net.bytes_sent`. A reactor that panicked — a
+    /// handler's panic, a corrupt frame, an unreachable peer — re-raises
+    /// its own panic here, once every reactor has stopped.
     pub fn shutdown(self) -> (Vec<(Addr, A)>, Metrics, Vec<HistoryEvent>) {
-        let core = &self.net.core;
-        // 1. Stop the state machines (reactors still live, so in-flight
-        // output keeps draining while nodes wind down).
+        let core = &self.core;
         core.run.stopped.store(true, Ordering::SeqCst);
-        for tx in core.inbox.values() {
-            let _ = tx.send(Input::Stop);
+        for mailbox in &core.reactors {
+            mailbox.push(Inject::Shutdown);
         }
-        let mut actors = Vec::new();
         let mut metrics = Metrics::new();
-        for (t, addr) in self.node_threads.into_iter().zip(self.addrs) {
-            let (actor, local) = t.join().expect("node thread panicked");
-            metrics.absorb(&local);
-            actors.push((addr, actor));
+        let mut panic = None;
+        let mut hosted = Vec::with_capacity(self.reactors.len());
+        for t in self.reactors {
+            match t.join() {
+                Ok((actors, local)) => {
+                    metrics.absorb(&local);
+                    hosted.push(actors.into_iter());
+                }
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                    hosted.push(Vec::new().into_iter());
+                }
+            }
         }
-        // 2. Drain what remains on the wire and stop the reactors; one that
-        // panicked mid-run fails the shutdown here.
-        stop_reactors(&self.net, self.reactor_threads);
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        let actors = self
+            .addrs
+            .into_iter()
+            .map(|addr| {
+                let actor = hosted[core.home[&addr].0].next();
+                (addr, actor.expect("every reactor returns its nodes"))
+            })
+            .collect();
         let (frames, bytes) = core.wire.frames_bytes();
         metrics.enabled = true;
         metrics.add("net.frames_sent", frames);
@@ -261,8 +340,8 @@ pub(crate) mod tests {
     use contrarian_runtime::actor::{ActorCtx, TimerKind};
     use contrarian_runtime::cost::{MsgClass, SimMessage};
     use contrarian_types::codec::{CodecError, Reader};
-    use contrarian_types::{DcId, PartitionId};
-    use std::time::{Duration, Instant};
+    use contrarian_types::{ClientId, DcId, Key, PartitionId, VersionId};
+    use std::time::Duration;
 
     /// A ping-pong actor: servers echo, clients count echoes.
     pub(crate) struct Echo {
@@ -552,7 +631,7 @@ pub(crate) mod tests {
             })
             .collect();
         let cluster = NetCluster::start(nodes, false, 6);
-        let endpoints = &cluster.net.endpoints;
+        let endpoints = &cluster.core.endpoints;
         assert_eq!(endpoints.len(), 3);
         let mut ports: Vec<u16> = cluster
             .addrs()
@@ -712,5 +791,216 @@ pub(crate) mod tests {
         let (actors, _, history) = cluster.shutdown();
         assert_eq!(actors[0].1.seen, 2, "both messages were handled");
         assert!(history.is_empty());
+    }
+
+    /// A handler's panic stops its reactor, and `shutdown` re-raises it
+    /// with the handler's own message.
+    #[test]
+    fn a_handlers_panic_keeps_its_message() {
+        struct Boom;
+        impl Actor for Boom {
+            type Msg = Ping;
+            fn on_start(&mut self, _ctx: &mut dyn ActorCtx<Ping>) {}
+            fn on_message(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _from: Addr, msg: Ping) {
+                panic!("boom {}", msg.0);
+            }
+            fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+            fn inject(_op: Op) -> Ping {
+                Ping(0)
+            }
+        }
+        let client = Addr::client(DcId(0), 0);
+        let cluster = NetCluster::start(vec![(client, Boom)], false, 12);
+        cluster.handle().send(client, client, Ping(7));
+        let msg = shutdown_panic(cluster);
+        assert!(msg.contains("boom 7"), "{msg}");
+    }
+
+    /// Shuts `cluster` down expecting a reactor's panic, and returns its
+    /// message.
+    pub(crate) fn shutdown_panic<A: Actor + Send + 'static>(cluster: NetCluster<A>) -> String
+    where
+        A::Msg: Wire,
+    {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cluster.shutdown()));
+        let Err(payload) = outcome else {
+            panic!("shutdown returned: no reactor panicked");
+        };
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// A message of ~100 B on the wire: ballast.
+    #[derive(Clone)]
+    struct Chunk(Vec<u8>);
+
+    impl SimMessage for Chunk {
+        fn wire_size(&self) -> usize {
+            self.0.len()
+        }
+        fn class(&self) -> MsgClass {
+            MsgClass::Data
+        }
+    }
+
+    impl Wire for Chunk {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Chunk(Vec::decode(r)?))
+        }
+    }
+
+    /// Answers every message with two: a flood that outgrows any buffer.
+    struct Flood {
+        seen: u64,
+        peer: Option<Addr>,
+    }
+
+    impl Actor for Flood {
+        type Msg = Chunk;
+        fn on_start(&mut self, ctx: &mut dyn ActorCtx<Chunk>) {
+            if let Some(peer) = self.peer {
+                ctx.send(peer, Chunk(vec![0; 84]));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut dyn ActorCtx<Chunk>, from: Addr, msg: Chunk) {
+            self.seen += 1;
+            ctx.send(from, msg.clone());
+            ctx.send(from, msg);
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Chunk>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Chunk {
+            Chunk(Vec::new())
+        }
+    }
+
+    /// Two nodes that answer every frame with two fill each other's rings
+    /// until both are paused and progress stops. Nothing blocks, so
+    /// shutdown still drains the rings and hands both actors back.
+    #[test]
+    fn a_flooded_pair_stalls_and_still_shuts_down() {
+        let a = Addr::server(DcId(0), PartitionId(0));
+        let b = Addr::server(DcId(0), PartitionId(1));
+        let nodes = vec![
+            (
+                a,
+                Flood {
+                    seen: 0,
+                    peer: Some(b),
+                },
+            ),
+            (
+                b,
+                Flood {
+                    seen: 0,
+                    peer: None,
+                },
+            ),
+        ];
+        let cluster = NetCluster::start(nodes, false, 13);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut last = (0, 0);
+        loop {
+            std::thread::sleep(Duration::from_millis(200));
+            let now = cluster.wire_stats();
+            if now == last && now.0 > 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the flood never stalled: {now:?}"
+            );
+            last = now;
+        }
+        let t0 = Instant::now();
+        let (actors, ..) = cluster.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+        assert_eq!(actors.len(), 2);
+        assert!(actors.iter().all(|(_, f)| f.seen > 0));
+    }
+    fn put(seq: u32) -> HistoryEvent {
+        HistoryEvent::PutDone {
+            client: ClientId::new(DcId(0), 0),
+            seq,
+            t_start: 0,
+            t_end: 1,
+            key: Key(1),
+            vid: VersionId::new(seq as u64 + 1, DcId(0)),
+        }
+    }
+
+    /// One record of node `node`, its `seq`-th, at time `seq`.
+    fn tagged(node: u32, seq: u32) -> TaggedEvent {
+        TaggedEvent {
+            t: seq as u64,
+            node,
+            seq: seq as u64,
+            ev: put(node * 1_000 + seq),
+        }
+    }
+
+    fn seq_of(ev: &HistoryEvent) -> u32 {
+        match ev {
+            HistoryEvent::PutDone { seq, .. } => *seq,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Takes racing flushes from several reactor threads hand out every
+    /// event exactly once, and each thread's events in its own order.
+    #[test]
+    fn takes_racing_appends_hand_out_each_event_once() {
+        const THREADS: u32 = 4;
+        const PER_THREAD: u32 = 500;
+        let shared = RunShared::new(true);
+        let mut taken = Vec::new();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let shared = &shared;
+                s.spawn(move || {
+                    let mut records = Vec::new();
+                    for i in 0..PER_THREAD {
+                        records.push(tagged(t, i));
+                        shared.flush_history(&mut records);
+                        assert!(records.is_empty());
+                    }
+                });
+            }
+            while taken.len() < (THREADS * PER_THREAD) as usize {
+                taken.extend(shared.take_history());
+                std::thread::yield_now();
+            }
+        });
+        assert!(shared.take_history().is_empty());
+        let seqs: Vec<u32> = taken.iter().map(seq_of).collect();
+        for t in 0..THREADS {
+            let own: Vec<u32> = seqs.iter().copied().filter(|s| s / 1_000 == t).collect();
+            let want: Vec<u32> = (t * 1_000..t * 1_000 + PER_THREAD).collect();
+            assert_eq!(own, want, "thread {t}");
+        }
+    }
+
+    /// A thread that panics while appending poisons the lock; the events
+    /// already in the log are still handed out, and appends go on.
+    #[test]
+    fn a_poisoned_log_still_hands_out_its_events() {
+        let shared = RunShared::new(true);
+        shared.history().push(tagged(0, 1));
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = shared.history.lock().unwrap();
+            panic!("node handler failed");
+        }));
+        assert!(poisoner.is_err());
+        assert!(shared.history.is_poisoned());
+        shared.history().push(tagged(0, 2));
+        let seqs: Vec<u32> = shared.take_history().iter().map(seq_of).collect();
+        assert_eq!(seqs, [1, 2]);
     }
 }

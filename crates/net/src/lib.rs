@@ -3,27 +3,29 @@
 //! The second runtime sibling. The discrete-event simulator
 //! (`contrarian-sim`) executes the protocol state machines under a cost
 //! model in virtual time; this crate runs the *same*
-//! [`contrarian_runtime::Actor`] state machines on threads with messages
-//! actually crossing sockets.
+//! [`contrarian_runtime::Actor`] state machines in wall-clock time, with
+//! messages actually crossing sockets.
 //!
 //! ## The reactor
 //!
-//! [`NetCluster::start`] binds a loopback listener per node and runs every
-//! socket on the [`reactor`] pool: one event-loop thread per core
-//! (`available_parallelism`) driving
-//! nonblocking sockets through hand-rolled epoll bindings ([`sys`]). One
-//! multiplexed TCP connection per *peer pair* — frames already carry
-//! `(from, msg)`, so both directions share a socket, with a
-//! [`conn::Hello`] handshake telling the acceptor who called. Outbound
-//! frames queue on bounded per-connection rings (backpressure blocks the
-//! producing node, never an unbounded queue) and leave in vectored writes;
-//! inbound bytes reassemble incrementally via
-//! [`contrarian_runtime::FrameAssembler`]. Dial backoff is scheduled on
-//! reactor timers instead of slept.
+//! [`NetCluster::start`] binds a loopback listener per node and deals the
+//! nodes round-robin across the [`reactor`] pool: one event-loop thread
+//! per core (`available_parallelism`), and no other thread. A reactor
+//! hosts its nodes — it runs each handler as the simulator's
+//! [`contrarian_runtime::Step`] the moment a frame, an injected message
+//! or a timer is due — and drives their nonblocking sockets through
+//! hand-rolled epoll bindings ([`sys`]). One multiplexed TCP connection
+//! per *peer pair* — frames already carry `(from, msg)`, so both
+//! directions share a socket, with a [`conn::Hello`] handshake telling
+//! the acceptor who called. A node dials and accepts on its own reactor,
+//! so no queue sits between a socket and its node. Outbound frames queue
+//! on bounded per-connection rings (a ring over budget pauses its node,
+//! never an unbounded queue, never a blocked thread) and leave in
+//! vectored writes; inbound bytes reassemble incrementally via
+//! [`contrarian_runtime::FrameAssembler`]. Dial backoff and node timers
+//! are scheduled on the reactor's timer heap instead of slept.
 //!
-//! Each node is an OS thread on this crate's live event loop
-//! (`node_loop.rs`), and
-//! everything it sends is framed with the runtime's length-prefixed
+//! Everything a node sends is framed with the runtime's length-prefixed
 //! framing and encoded with the hand-rolled wire codec
 //! ([`contrarian_types::codec`]) — no serde, the workspace builds offline.
 //! Nagle is disabled everywhere (`TCP_NODELAY`): a latency study cannot
@@ -50,7 +52,6 @@
 
 pub mod cluster;
 pub mod conn;
-mod node_loop;
 pub mod reactor;
 pub mod sys;
 

@@ -1,11 +1,15 @@
-//! The event-driven reactor: a fixed pool of event-loop threads driving
-//! every socket in the cluster.
+//! The event-driven reactor: a fixed pool of event-loop threads that host
+//! the cluster's nodes and drive every socket.
 //!
-//! One reactor thread per core (`available_parallelism`) multiplexes
-//! *all* sockets through the readiness
-//! [`Poller`], so the I/O thread count is fixed however many nodes and
-//! links the cluster has. Node state machines keep their own threads; a
-//! reactor only moves encoded frames.
+//! One reactor thread per core (`available_parallelism`) multiplexes the
+//! sockets of the nodes it hosts through the readiness [`Poller`], so the
+//! thread count is fixed however many nodes and links the cluster has.
+//! Each node lives on the reactor that owns its listener: the reactor
+//! keeps the node's [`NodeState`] and actor, runs every handler as the
+//! simulator's [`Step`] at the wall-clock `now` it reads before the
+//! handler, and keeps the node's timers on its own timer heap, keyed in
+//! nanoseconds since the run started. Its nodes share one [`Sink`], as a
+//! simulator shard's nodes do.
 //!
 //! ## Connections
 //!
@@ -13,24 +17,32 @@
 //! already carry `(from, msg)`, so demultiplexing inbound traffic is free,
 //! and the acceptor learns who is on the other end from the
 //! [`Hello`](crate::conn::Hello) frame that opens every dialed connection.
-//! When node B first replies to node A, the route map finds the accepted
-//! connection A dialed and reuses it (first insertion wins, which pins
-//! each directed link to exactly one socket and preserves per-link FIFO).
-//! A simultaneous-dial race can briefly produce two sockets for a pair;
-//! each side then keeps writing on its own dial, which is correct, merely
-//! not minimal.
+//! A node dials from its own reactor and accepts on it, so both ends of
+//! every one of its sockets are local, and so is the route map that pins
+//! each directed link to one socket (first insertion wins, which keeps
+//! per-link FIFO): when node B first replies to node A, the map finds the
+//! accepted connection A dialed and reuses it. A simultaneous-dial race
+//! can briefly produce two sockets for a pair; each side then keeps
+//! writing on its own dial, which is correct, merely not minimal.
 //!
 //! ## Data flow
 //!
-//! A node thread encodes its message, pushes the frame onto the
-//! connection's bounded [`OutRing`] (blocking there is the backpressure
-//! story — no unbounded queues anywhere), and wakes the owning reactor
-//! through its inject queue + wake pipe. The reactor drains rings with
-//! vectored writes, tracks writability edge-triggered, and reassembles
-//! inbound frames incrementally with
-//! [`FrameAssembler`](contrarian_runtime::FrameAssembler), delivering them
-//! into node inboxes with `try_send` — a full inbox parks the frame and
-//! pauses reading that socket (TCP backpressure), never the reactor.
+//! A readable edge reads the socket into a
+//! [`FrameAssembler`](contrarian_runtime::FrameAssembler), and each whole
+//! frame runs the owning node's step on the spot. The step's sends are
+//! encoded and pushed onto the rings of that node's connections, and
+//! every ring that took frames is written out with vectored writes
+//! before the reactor next waits; writability is tracked edge-triggered.
+//! A link that dies drops out of the route map, so the next send over it
+//! dials fresh.
+//!
+//! ## Backpressure
+//!
+//! Nothing blocks. A step that leaves one of its node's rings at or above
+//! [`RING_HIGH`] pauses the node: it runs no input and fires no timer
+//! (injected messages and due timers wait in order), and its sockets stop
+//! being read, so TCP pushes back on its peers. It resumes once every one
+//! of its rings is below half.
 //!
 //! ## Reconnects
 //!
@@ -39,39 +51,46 @@
 //! to ride out listener backlogs hammered during a large cluster's
 //! bring-up). The retry is scheduled, never slept, so one unreachable peer
 //! never stalls the other connections sharing the reactor.
+//!
+//! ## Shutdown
+//!
+//! On [`Inject::Shutdown`] a reactor stops dispatching: inbound frames are
+//! read and discarded, so every peer's rings drain, and its own rings are
+//! written out until empty (or [`DRAIN_GRACE`] runs out). The thread then
+//! returns its nodes' actors and metrics.
 
 use crate::cluster::ClusterCore;
-use crate::conn::{decode_hello, hello_frame, OutRing};
-use crate::node_loop::Input;
-use crate::sys::{self, Event, Poller};
+use crate::conn::{decode_hello, hello_frame, OutRing, RING_HIGH};
+use crate::sys::{self, Poller};
+use contrarian_runtime::actor::{Actor, TimerKind};
 use contrarian_runtime::frame::{encode_frame, FrameAssembler};
+use contrarian_runtime::metrics::Metrics;
+use contrarian_runtime::step::{NodeState, Sink, Step};
 use contrarian_types::codec::{from_bytes, Wire};
 use contrarian_types::Addr;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{hash_map, BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::TrySendError;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Token of the wake pipe on every reactor; also the "no slot yet"
-/// sentinel in [`ConnShared::slot`] (a real slot token never reaches it).
+/// Token of the wake pipe on every reactor (a slot token never reaches it).
 const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Dial attempts before a peer is declared unreachable (≈ ¾ s of
 /// [`backoff_delay`] in all).
 const MAX_DIAL_ATTEMPTS: u32 = 10;
 
-/// How long a full node inbox parks a frame before the retry.
-const PARK_RETRY: Duration = Duration::from_millis(1);
-
 /// How long shutdown waits for outbound rings to drain.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// Longest a reactor waits with no timer due.
+const IDLE_WAIT: Duration = Duration::from_millis(100);
 
 /// Backoff delay after the `attempts`-th consecutive dial failure:
 /// 2 ms doubling, capped at 250 ms, scheduled on the reactor's timer heap.
@@ -84,302 +103,212 @@ pub(crate) fn pool_size() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Work handed to a reactor thread from outside (node threads, shutdown).
-enum Inject {
-    /// Dial a new outbound connection and own it from now on.
-    NewConn {
-        conn: Arc<ConnShared>,
-        from: Addr,
-        to: Addr,
-        peer: SocketAddr,
-    },
-    /// The connection's ring has data.
-    Flush(Arc<ConnShared>),
-    /// Drain what remains and exit.
+/// Work handed to a reactor from outside the cluster.
+pub(crate) enum Inject<M> {
+    /// A message for node `node` of this reactor.
+    Deliver { node: usize, from: Addr, msg: M },
+    /// Stop dispatching, drain the rings, return the nodes.
     Shutdown,
 }
 
 /// The cross-thread face of one reactor: its inject queue and wake pipe.
-struct ReactorShared {
-    injects: Mutex<Vec<Inject>>,
+pub(crate) struct Mailbox<M> {
+    injects: Mutex<Vec<Inject<M>>>,
     wake_tx: UnixStream,
-    /// Coalesces wake bytes: set by the first producer after the reactor
+    /// Coalesces wake bytes: set by the first sender after the reactor
     /// last drained the pipe.
     wake_armed: AtomicBool,
 }
 
-impl ReactorShared {
-    fn inject(&self, inj: Inject) {
+impl<M> Mailbox<M> {
+    /// A mailbox and the read end of its wake pipe.
+    pub(crate) fn new() -> (Self, UnixStream) {
+        let (tx, rx) = UnixStream::pair().expect("wake pipe");
+        tx.set_nonblocking(true).expect("wake tx nonblocking");
+        rx.set_nonblocking(true).expect("wake rx nonblocking");
+        let mailbox = Mailbox {
+            injects: Mutex::new(Vec::new()),
+            wake_tx: tx,
+            wake_armed: AtomicBool::new(false),
+        };
+        (mailbox, rx)
+    }
+
+    pub(crate) fn push(&self, inj: Inject<M>) {
         self.injects
             .lock()
             .expect("inject queue poisoned")
             .push(inj);
-        self.wake();
-    }
-
-    fn wake(&self) {
         if !self.wake_armed.swap(true, Ordering::SeqCst) {
             let _ = (&self.wake_tx).write(&[1]);
         }
     }
 }
 
-/// The cross-thread half of one connection: producers push frames into the
-/// ring; the owning reactor drains it.
-pub(crate) struct ConnShared {
-    pub(crate) ring: OutRing,
-    reactor: Arc<ReactorShared>,
-    /// Slot token on the owning reactor, [`WAKE_TOKEN`] until assigned.
-    slot: AtomicU64,
+/// A node as [`spawn_reactor`] takes it: its state, its actor and the
+/// listener its peers dial.
+pub(crate) struct Hosted<A> {
+    pub(crate) state: NodeState,
+    pub(crate) actor: A,
+    pub(crate) listener: TcpListener,
 }
 
-impl ConnShared {
-    /// Tells the owning reactor the ring has data. The dirty flag
-    /// coalesces a burst of sends into one inject.
-    pub(crate) fn flush(self: &Arc<Self>) {
-        if !self.ring.dirty.swap(true, Ordering::SeqCst) {
-            self.reactor.inject(Inject::Flush(self.clone()));
-        }
-    }
+/// What a node's step runs for.
+enum Work<M> {
+    Start,
+    Msg { from: Addr, msg: M },
+    Timer(TimerKind),
 }
 
-/// Engine-wide state: where each node listens, the route map, and the
-/// reactors.
-pub(crate) struct NetInner<M> {
-    pub(crate) core: Arc<ClusterCore<M>>,
-    pub(crate) endpoints: HashMap<Addr, SocketAddr>,
-    /// `(local node, remote node) → connection`. First insertion wins, so
-    /// every directed link sticks to one socket (FIFO); closed entries are
-    /// replaced on the next use.
-    routes: Mutex<HashMap<(Addr, Addr), Arc<ConnShared>>>,
-    reactors: Vec<Arc<ReactorShared>>,
-    next_reactor: AtomicUsize,
-    io_stop: AtomicBool,
+struct Node<A: Actor> {
+    state: NodeState,
+    actor: A,
+    /// One of this node's rings reached [`RING_HIGH`]: it runs nothing
+    /// until all of them are below half.
+    paused: bool,
+    /// Injected messages and due timers that arrived while paused, in
+    /// arrival order.
+    held: VecDeque<Work<A::Msg>>,
 }
 
-impl<M> NetInner<M> {
-    /// The connection node `me` sends to `to` over, dialing one (round-
-    /// robin across reactors) if none is live.
-    pub(crate) fn route(&self, me: Addr, to: Addr) -> Arc<ConnShared> {
-        let mut routes = self.routes.lock().expect("route map poisoned");
-        if let Some(c) = routes.get(&(me, to)) {
-            if !c.ring.is_closed() {
-                return c.clone();
-            }
-        }
-        let peer = *self
-            .endpoints
-            .get(&to)
-            .unwrap_or_else(|| panic!("no endpoint for {to}"));
-        let rid = self.next_reactor.fetch_add(1, Ordering::Relaxed) % self.reactors.len();
-        let conn = Arc::new(ConnShared {
-            ring: OutRing::default(),
-            reactor: self.reactors[rid].clone(),
-            slot: AtomicU64::new(WAKE_TOKEN),
-        });
-        conn.ring.push_front_unchecked(hello_frame(me, to));
-        routes.insert((me, to), conn.clone());
-        // Injected while the route lock is held so the reactor sees the
-        // NewConn before any Flush another thread could send after finding
-        // this route in the map.
-        conn.reactor.inject(Inject::NewConn {
-            conn: conn.clone(),
-            from: me,
-            to,
-            peer,
-        });
-        conn
-    }
-
-    /// Routes replies from `owner` back to `peer` over an accepted
-    /// connection, unless a live route already exists (first wins).
-    /// Returns whether this connection now owns the route.
-    fn adopt_route(&self, owner: Addr, peer: Addr, conn: &Arc<ConnShared>) -> bool {
-        let mut routes = self.routes.lock().expect("route map poisoned");
-        match routes.entry((owner, peer)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if e.get().ring.is_closed() {
-                    e.insert(conn.clone());
-                    true
-                } else {
-                    false
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(conn.clone());
-                true
-            }
-        }
-    }
-
-    /// Removes a route, but only if it still points at this connection.
-    fn drop_route(&self, key: (Addr, Addr), conn: &Arc<ConnShared>) {
-        let mut routes = self.routes.lock().expect("route map poisoned");
-        if routes.get(&key).is_some_and(|c| Arc::ptr_eq(c, conn)) {
-            routes.remove(&key);
-        }
-    }
-
-    fn quiet(&self) -> bool {
-        self.io_stop.load(Ordering::SeqCst) || self.core.run.stopped.load(Ordering::SeqCst)
-    }
-}
-
-/// How every node sends: encode on the sending node's thread,
-/// push onto the pair's ring, wake the owning reactor. Routes are cached
-/// per node thread; a closed connection invalidates the cache entry and
-/// the second attempt dials fresh.
-pub(crate) struct ReactorOutbound<M> {
-    me: Addr,
-    net: Arc<NetInner<M>>,
-    cache: HashMap<Addr, Arc<ConnShared>>,
-    buf: Vec<u8>,
-}
-
-impl<M: Wire + Send + 'static> ReactorOutbound<M> {
-    pub(crate) fn new(me: Addr, net: Arc<NetInner<M>>) -> Self {
-        ReactorOutbound {
-            me,
-            net,
-            cache: HashMap::new(),
-            buf: Vec::new(),
-        }
-    }
-
-    /// Sends `msg` from this node to `to`.
-    pub(crate) fn deliver(&mut self, to: Addr, msg: M) {
-        self.buf.clear();
-        self.me.encode(&mut self.buf);
-        msg.encode(&mut self.buf);
-        let mut frame = encode_frame(&self.buf);
-        for _ in 0..2 {
-            let conn = match self.cache.get(&to) {
-                Some(c) if !c.ring.is_closed() => c.clone(),
-                _ => {
-                    let c = self.net.route(self.me, to);
-                    self.cache.insert(to, c.clone());
-                    c
-                }
-            };
-            match conn.ring.push(frame) {
-                Ok(()) => {
-                    conn.flush();
-                    return;
-                }
-                Err(f) => {
-                    // The link died under us: invalidate and retry once
-                    // over a fresh dial.
-                    frame = f;
-                    self.cache.remove(&to);
-                    self.net.drop_route((self.me, to), &conn);
-                }
-            }
-        }
-        if !self.net.quiet() {
-            eprintln!("net: dropping frame {} -> {to}: link closed", self.me);
-        }
-    }
-}
-
-struct Dial {
-    from: Addr,
-    to: Addr,
-    peer: SocketAddr,
-    attempts: u32,
+/// A timer-heap entry.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Alarm {
+    /// The next dial attempt of the connection behind the token.
+    Dial(u64),
+    /// A node's timer: `(node, kind, arg)`.
+    Node(usize, u16, u64),
 }
 
 enum ConnState {
     /// Nonblocking connect in flight; waiting for writability.
     Connecting,
-    /// Dial refused; waiting for the backoff timer.
+    /// Waiting for the (first or next) dial attempt on the timer heap.
     Backoff,
     Established,
 }
 
-/// Reactor-local per-connection state.
-struct Conn<M> {
-    shared: Arc<ConnShared>,
+/// One end of a connection.
+struct Conn {
+    /// The local node this end belongs to: its sends leave here, and what
+    /// arrives is for it.
+    owner: usize,
+    /// The node at the other end (`None` on an accepted connection until
+    /// its hello arrives).
+    peer: Option<Addr>,
     stream: Option<TcpStream>,
     state: ConnState,
+    ring: OutRing,
     assembler: FrameAssembler,
     /// Armed by a writability edge, disarmed by a short write.
     can_write: bool,
     /// Armed by a readability edge, disarmed by `WouldBlock`.
     readable: bool,
-    /// A decoded frame the owner's full inbox bounced; retried on a timer
-    /// while reading this socket stays paused.
-    parked: Option<Input<M>>,
-    /// The local node inbound frames belong to (`None` on an accepted
-    /// connection until its hello arrives).
-    owner: Option<Addr>,
-    /// Route-map entry this connection owns, removed when it dies.
-    route_key: Option<(Addr, Addr)>,
-    /// Dial/redial info (outbound connections only).
-    dial: Option<Dial>,
+    /// The route map's `(owner, peer)` entry is this connection.
+    routed: bool,
+    /// Where this end dials and how often it has failed (dialed ends).
+    dial: Option<(SocketAddr, u32)>,
     /// Wire-stat bytes to not count once the hello frame drains.
     hello_debit: u64,
 }
 
-enum EntryKind<M> {
-    Listener { addr: Addr, listener: TcpListener },
-    Conn(Conn<M>),
+enum Entry {
+    Listener { node: usize, listener: TcpListener },
+    Conn(Conn),
 }
 
-struct Slot<M> {
+struct Slot {
     gen: u32,
-    entry: Option<EntryKind<M>>,
+    entry: Option<Entry>,
 }
 
 fn token_of(gen: u32, idx: usize) -> u64 {
     ((gen as u64) << 32) | idx as u64
 }
 
-/// One reactor thread's world: poller, slab, timers, inject queue.
-struct Reactor<M: Wire + Send + 'static> {
-    net: Arc<NetInner<M>>,
-    shared: Arc<ReactorShared>,
+/// One reactor thread's world: its nodes, their sink, the poller, the
+/// slab of listeners and connections, the route map and the timer heap.
+struct Reactor<A: Actor> {
+    core: Arc<ClusterCore<A::Msg>>,
+    /// This reactor's index in `core.reactors`.
+    id: usize,
     wake_rx: UnixStream,
     poller: Poller,
-    slots: Vec<Slot<M>>,
+    nodes: Vec<Node<A>>,
+    sink: Sink<A::Msg>,
+    slots: Vec<Slot>,
     free: Vec<usize>,
-    /// `(deadline, token)` — dial backoffs and park retries.
-    timers: BinaryHeap<Reverse<(Instant, u64)>>,
+    /// `(local node, remote node) → connection token`.
+    routes: HashMap<(usize, Addr), u64>,
+    /// `(deadline ns, arming order, alarm)`, earliest first.
+    timers: BinaryHeap<Reverse<(u64, u64, Alarm)>>,
+    armed: u64,
+    /// Connections whose ring went from empty to holding frames since
+    /// the last [`Reactor::settle`].
+    unflushed: Vec<u64>,
+    /// Paused nodes a drained or closed ring may have freed.
+    unpause: Vec<usize>,
     read_buf: Box<[u8]>,
-    shutting_down: bool,
+    encode_buf: Vec<u8>,
+    /// Set by [`Inject::Shutdown`]: when draining gives up.
     drain_deadline: Option<Instant>,
 }
 
-impl<M: Wire + Send + 'static> Reactor<M> {
+impl<A> Reactor<A>
+where
+    A: Actor,
+    A::Msg: Wire,
+{
     fn new(
-        net: Arc<NetInner<M>>,
-        shared: Arc<ReactorShared>,
+        core: Arc<ClusterCore<A::Msg>>,
+        id: usize,
         wake_rx: UnixStream,
-        listeners: Vec<(Addr, TcpListener)>,
-    ) -> Reactor<M> {
+        hosted: Vec<Hosted<A>>,
+    ) -> Self {
+        let sink = Sink {
+            recording: core.run.recording,
+            ..Sink::default()
+        };
         let mut r = Reactor {
-            net,
-            shared,
+            core,
+            id,
             wake_rx,
             poller: Poller::new().expect("create poller"),
+            nodes: Vec::with_capacity(hosted.len()),
+            sink,
             slots: Vec::new(),
             free: Vec::new(),
+            routes: HashMap::new(),
             timers: BinaryHeap::new(),
+            armed: 0,
+            unflushed: Vec::new(),
+            unpause: Vec::new(),
             read_buf: vec![0u8; 64 * 1024].into_boxed_slice(),
-            shutting_down: false,
+            encode_buf: Vec::new(),
             drain_deadline: None,
         };
         r.poller
             .register(r.wake_rx.as_raw_fd(), WAKE_TOKEN)
             .expect("register wake pipe");
-        for (addr, listener) in listeners {
-            let fd = listener.as_raw_fd();
-            let token = r.alloc(EntryKind::Listener { addr, listener });
+        for h in hosted {
+            let fd = h.listener.as_raw_fd();
+            let node = r.nodes.len();
+            r.nodes.push(Node {
+                state: h.state,
+                actor: h.actor,
+                paused: false,
+                held: VecDeque::new(),
+            });
+            let token = r.alloc(Entry::Listener {
+                node,
+                listener: h.listener,
+            });
             r.poller.register(fd, token).expect("register listener");
         }
         r
     }
 
-    fn alloc(&mut self, entry: EntryKind<M>) -> u64 {
+    fn alloc(&mut self, entry: Entry) -> u64 {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot {
                 gen: 0,
@@ -392,7 +321,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     }
 
     /// Resolves a token to its slot index, rejecting stale generations
-    /// (a timer or inject for a connection that already died).
+    /// (a timer or edge for a connection that already died).
     fn resolve(&self, token: u64) -> Option<usize> {
         let idx = (token & 0xffff_ffff) as usize;
         let gen = (token >> 32) as u32;
@@ -400,50 +329,221 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             .then_some(idx)
     }
 
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
+    fn quiet(&self) -> bool {
+        self.drain_deadline.is_some() || self.core.run.stopped.load(Ordering::SeqCst)
+    }
+
+    fn run(mut self) -> (Vec<A>, Metrics) {
+        for n in 0..self.nodes.len() {
+            self.offer(n, Work::Start);
+        }
+        let mut events = Vec::new();
         loop {
-            // Fire due timers.
-            let now = Instant::now();
-            while let Some(&Reverse((when, token))) = self.timers.peek() {
-                if when > now {
-                    break;
-                }
-                self.timers.pop();
-                self.handle_timer(token);
-            }
-            if self.shutting_down {
-                let expired = self.drain_deadline.is_some_and(|d| Instant::now() >= d);
-                if expired || !self.pending_output() {
+            self.fire_timers();
+            self.settle();
+            if let Some(deadline) = self.drain_deadline {
+                if Instant::now() >= deadline || !self.pending_output() {
                     break;
                 }
             }
-            let mut timeout = if self.shutting_down {
+            let mut timeout = if self.drain_deadline.is_some() {
                 Duration::from_millis(10)
             } else {
-                Duration::from_millis(100)
+                IDLE_WAIT
             };
-            if let Some(&Reverse((when, _))) = self.timers.peek() {
-                timeout = timeout.min(when.saturating_duration_since(Instant::now()));
+            if let Some(Reverse((at, ..))) = self.timers.peek() {
+                let left = at.saturating_sub(self.core.run.now());
+                timeout = timeout.min(Duration::from_nanos(left));
             }
             events.clear();
             self.poller
                 .wait(&mut events, Some(timeout))
                 .expect("poller wait");
-            for ev in events.drain(..) {
+            // Sockets first: a frame already in a socket when `shutdown`
+            // was called is still dispatched.
+            let mut woke = false;
+            for &ev in &events {
                 if ev.token == WAKE_TOKEN {
-                    self.drain_wake();
-                    self.handle_injects();
+                    woke = true;
                 } else {
                     self.handle_event(ev);
                 }
             }
-        }
-        // Teardown: release any producer still blocked on a ring.
-        for slot in &self.slots {
-            if let Some(EntryKind::Conn(c)) = &slot.entry {
-                c.shared.ring.close();
+            if woke {
+                self.drain_wake();
+                self.handle_injects();
             }
+        }
+        let actors = self.nodes.into_iter().map(|n| n.actor).collect();
+        (actors, self.sink.metrics)
+    }
+
+    /// Runs node `n`'s step for `work` now, or holds the work while the
+    /// node is paused. Once shutdown began nothing is dispatched.
+    fn offer(&mut self, n: usize, work: Work<A::Msg>) {
+        if self.drain_deadline.is_some() {
+            return;
+        }
+        let node = &mut self.nodes[n];
+        if node.paused {
+            node.held.push_back(work);
+        } else {
+            self.step(n, work);
+        }
+    }
+
+    /// One handler of node `n`, then what it left in the sink: sends onto
+    /// the rings, timers onto the heap, records into the history log.
+    fn step(&mut self, n: usize, work: Work<A::Msg>) {
+        let run = &self.core.run;
+        let node = &mut self.nodes[n];
+        self.sink.stopped = run.stopped.load(Ordering::SeqCst);
+        self.sink.metrics.enabled = run.measuring.load(Ordering::Relaxed);
+        let mut step = Step {
+            now: run.now(),
+            node: &mut node.state,
+            sink: &mut self.sink,
+        };
+        match work {
+            Work::Start => node.actor.on_start(&mut step),
+            Work::Msg { from, msg } => node.actor.on_message(&mut step, from, msg),
+            Work::Timer(kind) => node.actor.on_timer(&mut step, kind),
+        }
+        let mut sent = std::mem::take(&mut self.sink.sent);
+        for (to, msg) in sent.drain(..) {
+            self.send(n, to, &msg);
+        }
+        self.sink.sent = sent;
+        for (at, kind) in self.sink.timers.drain(..) {
+            self.armed += 1;
+            let alarm = Alarm::Node(n, kind.kind, kind.a);
+            self.timers.push(Reverse((at, self.armed, alarm)));
+        }
+        self.core.run.flush_history(&mut self.sink.history);
+    }
+
+    /// Encodes `msg` from node `n` and queues it on the connection to
+    /// `to`, opening one if none is live. A ring this leaves at
+    /// [`RING_HIGH`] pauses the node.
+    fn send(&mut self, n: usize, to: Addr, msg: &A::Msg) {
+        self.encode_buf.clear();
+        self.nodes[n].state.addr.encode(&mut self.encode_buf);
+        msg.encode(&mut self.encode_buf);
+        let frame = encode_frame(&self.encode_buf);
+        let token = match self.routes.get(&(n, to)) {
+            Some(&token) => token,
+            None => self.open(n, to),
+        };
+        let idx = self.resolve(token).expect("routes hold live connections");
+        let Some(Entry::Conn(c)) = &mut self.slots[idx].entry else {
+            unreachable!("routes hold connections")
+        };
+        if c.ring.is_empty() {
+            self.unflushed.push(token);
+        }
+        c.ring.push(frame);
+        if c.ring.bytes() >= RING_HIGH {
+            self.nodes[n].paused = true;
+        }
+    }
+
+    /// A fresh connection from node `n` to `to`, its hello queued and its
+    /// first dial due at once. Routes `(n, to)` over it.
+    fn open(&mut self, n: usize, to: Addr) -> u64 {
+        let at = *self
+            .core
+            .endpoints
+            .get(&to)
+            .unwrap_or_else(|| panic!("no endpoint for {to}"));
+        let mut ring = OutRing::default();
+        ring.push(hello_frame(self.nodes[n].state.addr, to));
+        let hello_debit = ring.bytes() as u64;
+        let token = self.alloc(Entry::Conn(Conn {
+            owner: n,
+            peer: Some(to),
+            stream: None,
+            state: ConnState::Backoff,
+            ring,
+            assembler: FrameAssembler::new(),
+            can_write: false,
+            readable: false,
+            routed: true,
+            dial: Some((at, 0)),
+            hello_debit,
+        }));
+        self.routes.insert((n, to), token);
+        self.schedule(Duration::ZERO, Alarm::Dial(token));
+        token
+    }
+
+    fn schedule(&mut self, delay: Duration, alarm: Alarm) {
+        let at = self.core.run.now() + delay.as_nanos() as u64;
+        self.armed += 1;
+        self.timers.push(Reverse((at, self.armed, alarm)));
+    }
+
+    /// Fires every timer due by now: dial attempts, and node timers (held
+    /// while their node is paused).
+    fn fire_timers(&mut self) {
+        let now = self.core.run.now();
+        while self
+            .timers
+            .peek()
+            .is_some_and(|Reverse((at, ..))| *at <= now)
+        {
+            let Reverse((_, _, alarm)) = self.timers.pop().expect("peeked");
+            match alarm {
+                Alarm::Dial(token) => self.service(token, Self::dial),
+                Alarm::Node(n, kind, a) => self.offer(n, Work::Timer(TimerKind::with_arg(kind, a))),
+            }
+        }
+    }
+
+    /// Writes out every ring that took frames, and resumes every paused
+    /// node whose rings all fell below half — which may queue more.
+    fn settle(&mut self) {
+        loop {
+            while let Some(token) = self.unflushed.pop() {
+                self.service(token, |r, _, c| r.drain_ring(c).map(|()| true));
+            }
+            let Some(n) = self.unpause.pop() else {
+                return;
+            };
+            if self.nodes[n].paused && self.rings_below_half(n) {
+                self.resume(n);
+            }
+        }
+    }
+
+    fn rings_below_half(&self, n: usize) -> bool {
+        self.slots.iter().all(|s| match &s.entry {
+            Some(Entry::Conn(c)) if c.owner == n => c.ring.bytes() < RING_HIGH / 2,
+            _ => true,
+        })
+    }
+
+    /// Tokens of the connections whose owner passes `owned`.
+    fn conns(&self, owned: impl Fn(usize) -> bool) -> Vec<u64> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| matches!(&s.entry, Some(Entry::Conn(c)) if owned(c.owner)))
+            .map(|(idx, s)| token_of(s.gen, idx))
+            .collect()
+    }
+
+    /// Unpauses node `n`: what it held runs first, in order, then its
+    /// sockets are read again — until it pauses anew.
+    fn resume(&mut self, n: usize) {
+        self.nodes[n].paused = false;
+        while !self.nodes[n].paused {
+            let Some(work) = self.nodes[n].held.pop_front() else {
+                break;
+            };
+            self.step(n, work);
+        }
+        for token in self.conns(|owner| owner == n) {
+            self.pump(token);
         }
     }
 
@@ -453,11 +553,8 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         self.slots.iter().any(|s| {
             matches!(
                 &s.entry,
-                Some(EntryKind::Conn(c))
-                    if matches!(c.state, ConnState::Established)
-                        && c.stream.is_some()
-                        && !c.shared.ring.is_closed()
-                        && !c.shared.ring.is_empty()
+                Some(Entry::Conn(c))
+                    if matches!(c.state, ConnState::Established) && !c.ring.is_empty()
             )
         })
     }
@@ -474,166 +571,146 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             }
         }
         // Order matters: disarm *after* draining and *before* taking the
-        // inject queue, so a producer that enqueues after our take either
+        // inject queue, so a sender that enqueues after our take either
         // sees the armed flag cleared (and writes a fresh wake byte) or
         // its inject is already in the batch we take.
-        self.shared.wake_armed.store(false, Ordering::SeqCst);
+        self.core.reactors[self.id]
+            .wake_armed
+            .store(false, Ordering::SeqCst);
     }
 
     fn handle_injects(&mut self) {
         loop {
-            let batch =
-                std::mem::take(&mut *self.shared.injects.lock().expect("inject queue poisoned"));
+            let batch = std::mem::take(
+                &mut *self.core.reactors[self.id]
+                    .injects
+                    .lock()
+                    .expect("inject queue poisoned"),
+            );
             if batch.is_empty() {
                 return;
             }
             for inj in batch {
                 match inj {
-                    Inject::NewConn {
-                        conn,
-                        from,
-                        to,
-                        peer,
-                    } => {
-                        let hello_debit = hello_frame(from, to).len() as u64;
-                        let token = self.alloc(EntryKind::Conn(Conn {
-                            shared: conn.clone(),
-                            stream: None,
-                            state: ConnState::Backoff,
-                            assembler: FrameAssembler::new(),
-                            can_write: false,
-                            readable: false,
-                            parked: None,
-                            owner: Some(from),
-                            route_key: Some((from, to)),
-                            dial: Some(Dial {
-                                from,
-                                to,
-                                peer,
-                                attempts: 0,
-                            }),
-                            hello_debit,
-                        }));
-                        conn.slot.store(token, Ordering::SeqCst);
-                        self.service(token, |r, token, c| r.dial(token, c));
+                    Inject::Deliver { node, from, msg } => {
+                        self.offer(node, Work::Msg { from, msg })
                     }
-                    Inject::Flush(cs) => {
-                        // Cleared before draining: frames pushed after the
-                        // drain re-arm it and inject a fresh flush.
-                        cs.ring.dirty.store(false, Ordering::SeqCst);
-                        let token = cs.slot.load(Ordering::SeqCst);
-                        if token != WAKE_TOKEN {
-                            self.service(token, |r, _, c| r.drain_ring(c).map(|_| true));
-                        }
-                    }
-                    Inject::Shutdown => {
-                        self.shutting_down = true;
-                        self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
-                    }
+                    Inject::Shutdown => self.begin_shutdown(),
                 }
             }
+        }
+    }
+
+    /// Stops dispatching — what paused nodes held is dropped, so no
+    /// later resume runs it — and reads what they left unread, so the
+    /// peers' rings drain.
+    fn begin_shutdown(&mut self) {
+        self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
+        for node in &mut self.nodes {
+            node.held.clear();
+        }
+        for token in self.conns(|_| true) {
+            self.pump(token);
         }
     }
 
     /// Runs `f` on the connection behind `token` (taking it out of the
     /// slab for the duration), then keeps or buries it by the outcome.
+    /// `f` never runs a step.
     fn service(
         &mut self,
         token: u64,
-        f: impl FnOnce(&mut Self, u64, &mut Conn<M>) -> io::Result<bool>,
+        f: impl FnOnce(&mut Self, u64, &mut Conn) -> io::Result<bool>,
     ) {
         let Some(idx) = self.resolve(token) else {
             return;
         };
-        let Some(EntryKind::Conn(mut conn)) = self.slots[idx].entry.take() else {
+        let Some(Entry::Conn(mut conn)) = self.slots[idx].entry.take() else {
             return;
         };
-        match f(self, token, &mut conn) {
-            Ok(true) => self.slots[idx].entry = Some(EntryKind::Conn(conn)),
-            Ok(false) => self.kill(idx, conn, None),
-            Err(e) => self.kill(idx, conn, Some(e)),
+        let outcome = f(self, token, &mut conn);
+        self.slots[idx].entry = Some(Entry::Conn(conn));
+        match outcome {
+            Ok(true) => {}
+            Ok(false) => self.kill(idx, None),
+            Err(e) => self.kill(idx, Some(e)),
         }
     }
 
-    fn kill(&mut self, idx: usize, conn: Conn<M>, err: Option<io::Error>) {
-        if let Some(e) = &err {
-            if !self.net.quiet() {
-                let label = match (&conn.dial, conn.owner) {
-                    (Some(d), _) => format!("{} -> {}", d.from, d.to),
-                    (None, Some(o)) => format!("into {o}"),
-                    (None, None) => "accepted (pre-hello)".to_string(),
-                };
-                eprintln!("net: link {label} died mid-run: {e}");
+    fn kill(&mut self, idx: usize, err: Option<io::Error>) {
+        let Some(Entry::Conn(conn)) = self.slots[idx].entry.take() else {
+            return;
+        };
+        let owner = conn.owner;
+        if let Some(e) = err.filter(|_| !self.quiet()) {
+            let me = self.nodes[owner].state.addr;
+            match conn.peer {
+                Some(peer) => eprintln!("net: link {me} -> {peer} died mid-run: {e}"),
+                None => eprintln!("net: link into {me} died before its hello: {e}"),
             }
         }
-        conn.shared.ring.close();
-        if let Some(key) = conn.route_key {
-            self.net.drop_route(key, &conn.shared);
+        if conn.routed {
+            self.routes
+                .remove(&(owner, conn.peer.expect("a routed link has a peer")));
         }
         if let Some(s) = &conn.stream {
             self.poller.deregister(s.as_raw_fd());
         }
         self.slots[idx].gen = self.slots[idx].gen.wrapping_add(1);
-        self.slots[idx].entry = None;
         self.free.push(idx);
+        if self.nodes[owner].paused {
+            self.unpause.push(owner);
+        }
     }
 
-    fn handle_timer(&mut self, token: u64) {
-        self.service(token, |r, token, c| match c.state {
-            ConnState::Backoff => r.dial(token, c),
-            _ => r.service_read(token, c),
-        });
-    }
-
-    fn handle_event(&mut self, ev: Event) {
+    fn handle_event(&mut self, ev: sys::Event) {
         let Some(idx) = self.resolve(ev.token) else {
             return;
         };
-        // Listeners are handled in place (accepting allocates new slots,
-        // so the listener entry is taken out for the duration).
-        if matches!(self.slots[idx].entry, Some(EntryKind::Listener { .. })) {
-            let Some(EntryKind::Listener { addr, listener }) = self.slots[idx].entry.take() else {
-                unreachable!()
-            };
+        if matches!(self.slots[idx].entry, Some(Entry::Listener { .. })) {
             if ev.readable || ev.error {
-                self.accept_all(addr, &listener);
+                self.accept_all(idx);
             }
-            self.slots[idx].entry = Some(EntryKind::Listener { addr, listener });
             return;
         }
-        self.service(ev.token, |r, token, c| r.conn_event(token, ev, c));
+        self.service(ev.token, |r, token, c| r.conn_io(token, ev, c));
+        self.pump(ev.token);
     }
 
-    fn conn_event(&mut self, token: u64, ev: Event, conn: &mut Conn<M>) -> io::Result<bool> {
-        if matches!(conn.state, ConnState::Connecting) && (ev.writable || ev.error) {
-            let fd = conn
+    /// A socket edge: completes a connect, writes the ring if writable,
+    /// and notes readability for [`Reactor::pump`].
+    fn conn_io(&mut self, token: u64, ev: sys::Event, c: &mut Conn) -> io::Result<bool> {
+        if matches!(c.state, ConnState::Connecting) && (ev.writable || ev.error) {
+            let fd = c
                 .stream
                 .as_ref()
                 .expect("connecting has a stream")
                 .as_raw_fd();
-            match sys::take_socket_error(fd) {
-                Ok(()) => return self.establish(token, conn),
-                Err(e) => {
-                    self.poller.deregister(fd);
-                    conn.stream = None;
-                    return self.dial_failed(token, conn, e);
-                }
+            if let Err(e) = sys::take_socket_error(fd) {
+                self.poller.deregister(fd);
+                c.stream = None;
+                return self.dial_failed(token, c, e);
             }
+            self.establish(c)?;
         }
-        if matches!(conn.state, ConnState::Established) {
+        if matches!(c.state, ConnState::Established) {
             if ev.writable {
-                conn.can_write = true;
-                self.drain_ring(conn)?;
+                c.can_write = true;
+                self.drain_ring(c)?;
             }
             if ev.readable || ev.error {
-                conn.readable = true;
-                return self.service_read(token, conn);
+                c.readable = true;
             }
         }
         Ok(true)
     }
 
-    fn accept_all(&mut self, addr: Addr, listener: &TcpListener) {
+    /// Accepts every pending dial on the listener in slot `idx` (taken
+    /// out of the slab meanwhile: accepting allocates slots).
+    fn accept_all(&mut self, idx: usize) {
+        let Some(Entry::Listener { node, listener }) = self.slots[idx].entry.take() else {
+            unreachable!("a listener slot")
+        };
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -641,265 +718,224 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     stream
                         .set_nodelay(true)
                         .expect("TCP_NODELAY must be settable");
-                    self.net.core.wire.on_socket();
-                    let shared = Arc::new(ConnShared {
-                        ring: OutRing::default(),
-                        reactor: self.shared.clone(),
-                        slot: AtomicU64::new(WAKE_TOKEN),
-                    });
+                    self.core.wire.on_socket();
                     let fd = stream.as_raw_fd();
-                    let token = self.alloc(EntryKind::Conn(Conn {
-                        shared: shared.clone(),
+                    let token = self.alloc(Entry::Conn(Conn {
+                        owner: node,
+                        peer: None, // learned from the hello
                         stream: Some(stream),
                         state: ConnState::Established,
+                        ring: OutRing::default(),
                         assembler: FrameAssembler::new(),
                         can_write: true,
                         readable: true,
-                        parked: None,
-                        owner: None, // learned from the hello
-                        route_key: None,
+                        routed: false,
                         dial: None,
                         hello_debit: 0,
                     }));
-                    shared.slot.store(token, Ordering::SeqCst);
+                    // Registering reports what the socket already holds.
                     if let Err(e) = self.poller.register(fd, token) {
-                        panic!("register accepted socket on {addr}: {e}");
+                        panic!("register accepted socket on {}: {e}", self.addr(node));
                     }
-                    // The socket may already hold the hello (registration
-                    // delivers the initial edge, but serve it now anyway).
-                    self.service(token, |r, token, c| r.service_read(token, c));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    if self.net.io_stop.load(Ordering::SeqCst) {
+                    if self.drain_deadline.is_some() {
                         break;
                     }
-                    panic!("accept on {addr}: {e}");
+                    panic!("accept on {}: {e}", self.addr(node));
                 }
             }
         }
+        self.slots[idx].entry = Some(Entry::Listener { node, listener });
     }
 
-    fn dial(&mut self, token: u64, conn: &mut Conn<M>) -> io::Result<bool> {
-        let peer = conn.dial.as_ref().expect("dial info").peer;
-        match sys::connect_nonblocking(peer) {
+    fn addr(&self, n: usize) -> Addr {
+        self.nodes[n].state.addr
+    }
+
+    fn dial(&mut self, token: u64, c: &mut Conn) -> io::Result<bool> {
+        let (at, _) = c.dial.expect("a dialed link");
+        match sys::connect_nonblocking(at) {
             Ok((stream, done)) => {
-                let fd = stream.as_raw_fd();
-                self.poller.register(fd, token)?;
-                conn.stream = Some(stream);
+                self.poller.register(stream.as_raw_fd(), token)?;
+                c.stream = Some(stream);
                 if done {
-                    self.establish(token, conn)
+                    self.establish(c)?;
                 } else {
-                    conn.state = ConnState::Connecting;
-                    Ok(true)
+                    c.state = ConnState::Connecting;
                 }
+                Ok(true)
             }
-            Err(e) => self.dial_failed(token, conn, e),
+            Err(e) => self.dial_failed(token, c, e),
         }
     }
 
-    fn dial_failed(&mut self, token: u64, conn: &mut Conn<M>, err: io::Error) -> io::Result<bool> {
-        if self.net.io_stop.load(Ordering::SeqCst) {
+    fn dial_failed(&mut self, token: u64, c: &mut Conn, err: io::Error) -> io::Result<bool> {
+        if self.drain_deadline.is_some() {
             return Ok(false);
         }
-        let d = conn.dial.as_mut().expect("dial info");
-        d.attempts += 1;
-        if d.attempts >= MAX_DIAL_ATTEMPTS {
-            conn.shared.ring.close();
-            if let Some(key) = conn.route_key {
-                self.net.drop_route(key, &conn.shared);
-            }
+        let (at, attempts) = c.dial.as_mut().expect("a dialed link");
+        *attempts += 1;
+        if *attempts >= MAX_DIAL_ATTEMPTS {
             panic!(
-                "connect {} -> {} ({}): {err} (after {} attempts)",
-                d.from, d.to, d.peer, d.attempts
+                "connect {} -> {} ({at}): {err} (after {attempts} attempts)",
+                self.addr(c.owner),
+                c.peer.expect("a dialed link has a peer"),
             );
         }
-        conn.state = ConnState::Backoff;
-        self.timers
-            .push(Reverse((Instant::now() + backoff_delay(d.attempts), token)));
+        let delay = backoff_delay(*attempts);
+        c.state = ConnState::Backoff;
+        self.schedule(delay, Alarm::Dial(token));
         Ok(true)
     }
 
-    fn establish(&mut self, token: u64, conn: &mut Conn<M>) -> io::Result<bool> {
-        conn.state = ConnState::Established;
-        conn.can_write = true;
-        conn.readable = true;
-        self.net.core.wire.on_socket();
-        self.drain_ring(conn)?;
-        self.service_read(token, conn)
+    fn establish(&mut self, c: &mut Conn) -> io::Result<()> {
+        c.state = ConnState::Established;
+        c.can_write = true;
+        c.readable = true;
+        self.core.wire.on_socket();
+        self.drain_ring(c)
     }
 
-    /// Writes as much of the ring as the socket accepts, vectored, and
-    /// books the wire stats (minus the hello handshake).
-    fn drain_ring(&mut self, conn: &mut Conn<M>) -> io::Result<()> {
-        if !matches!(conn.state, ConnState::Established) || !conn.can_write {
+    /// Writes as much of the ring as the socket accepts, vectored, books
+    /// the wire stats (minus the hello handshake), and notes the owner
+    /// for a resume check if it is paused and this ring fell below half.
+    fn drain_ring(&mut self, c: &mut Conn) -> io::Result<()> {
+        if !matches!(c.state, ConnState::Established) || !c.can_write {
             return Ok(());
         }
-        let Some(stream) = conn.stream.as_mut() else {
+        let Some(stream) = c.stream.as_mut() else {
             return Ok(());
         };
-        let mut out = conn.shared.ring.drain_to(stream)?;
-        if out.frames > 0 && conn.hello_debit > 0 {
+        let mut out = c.ring.drain_to(stream)?;
+        if out.frames > 0 && c.hello_debit > 0 {
             // The hello is always the first frame out; once a full frame
             // has drained it is gone.
             out.frames -= 1;
-            out.bytes = out.bytes.saturating_sub(conn.hello_debit);
-            conn.hello_debit = 0;
+            out.bytes = out.bytes.saturating_sub(c.hello_debit);
+            c.hello_debit = 0;
         }
-        self.net.core.wire.on_frames(out.frames, out.bytes);
+        self.core.wire.on_frames(out.frames, out.bytes);
         if out.would_block {
-            conn.can_write = false;
+            c.can_write = false;
+        }
+        if self.nodes[c.owner].paused && c.ring.bytes() < RING_HIGH / 2 {
+            self.unpause.push(c.owner);
         }
         Ok(())
     }
 
-    /// Delivers the parked frame if any, drains the assembler, and reads
-    /// the socket until `WouldBlock` — pausing (not failing) whenever the
-    /// owner's inbox is full. `Ok(false)` means clean EOF.
-    fn service_read(&mut self, token: u64, conn: &mut Conn<M>) -> io::Result<bool> {
+    /// Runs the owner's step on every whole frame that `token`'s socket
+    /// holds, reading it until it would block, the owner pauses or the
+    /// link ends. After shutdown began, frames are read and discarded.
+    fn pump(&mut self, token: u64) {
         loop {
-            if let Some(input) = conn.parked.take() {
-                let owner = conn.owner.expect("parked frame has an owner");
-                match self.net.core.inbox[&owner].try_send(input) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(input)) => {
-                        conn.parked = Some(input);
-                        self.timers
-                            .push(Reverse((Instant::now() + PARK_RETRY, token)));
-                        return Ok(true);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {} // node stopped
+            let Some(idx) = self.resolve(token) else {
+                return;
+            };
+            let Some(Entry::Conn(c)) = &mut self.slots[idx].entry else {
+                return;
+            };
+            let owner = c.owner;
+            let dispatching = self.drain_deadline.is_none();
+            if dispatching && self.nodes[owner].paused {
+                return;
+            }
+            match c.assembler.next_frame() {
+                Ok(Some(payload)) => {
+                    self.on_frame(idx, token, payload);
+                    continue;
                 }
+                Ok(None) => {}
+                Err(e) => panic!("frame error on link into {}: {e}", self.addr(owner)),
             }
-            // Drain complete frames out of the assembler.
-            loop {
-                let payload = match conn.assembler.next_frame() {
-                    Ok(Some(p)) => p,
-                    Ok(None) => break,
-                    Err(e) => panic!("frame error on link into {:?}: {e}", conn.owner),
-                };
-                self.on_frame(conn, payload);
-                if conn.parked.is_some() {
-                    self.timers
-                        .push(Reverse((Instant::now() + PARK_RETRY, token)));
-                    return Ok(true);
-                }
+            if !c.readable {
+                return;
             }
-            if !conn.readable {
-                return Ok(true);
-            }
-            let stream = conn.stream.as_mut().expect("established has a stream");
+            let stream = c.stream.as_mut().expect("established has a stream");
             match stream.read(&mut self.read_buf) {
                 Ok(0) => {
-                    if conn.assembler.is_mid_frame() && !self.net.quiet() {
+                    if c.assembler.is_mid_frame() && !self.quiet() {
                         panic!(
-                            "truncated frame on link into {:?}: EOF mid-frame",
-                            conn.owner
+                            "truncated frame on link into {}: EOF mid-frame",
+                            self.addr(owner)
                         );
                     }
-                    return Ok(false); // clean EOF: peer closed the link
+                    // Clean EOF: the peer closed the link.
+                    return self.kill(idx, None);
                 }
-                Ok(n) => conn.assembler.extend(&self.read_buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.readable = false,
+                Ok(n) => c.assembler.extend(&self.read_buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => c.readable = false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(e) => return self.kill(idx, Some(e)),
             }
         }
     }
 
     /// One reassembled inbound frame: the hello (on an accepted
     /// connection's first frame) or a `(from, msg)` for the owner.
-    fn on_frame(&mut self, conn: &mut Conn<M>, payload: Vec<u8>) {
-        let Some(owner) = conn.owner else {
+    fn on_frame(&mut self, idx: usize, token: u64, payload: Vec<u8>) {
+        let Some(Entry::Conn(c)) = &mut self.slots[idx].entry else {
+            unreachable!("a live connection")
+        };
+        let owner = c.owner;
+        if c.peer.is_none() {
             let h = decode_hello(&payload)
                 .unwrap_or_else(|e| panic!("bad hello on accepted connection: {e}"));
-            if !self.net.core.inbox.contains_key(&h.to) {
-                panic!("hello addressed to unknown node {}", h.to);
+            let me = self.nodes[owner].state.addr;
+            if h.to != me {
+                panic!("hello addressed to {} arrived at {me}'s listener", h.to);
             }
-            conn.owner = Some(h.to);
-            if self.net.adopt_route(h.to, h.from, &conn.shared) {
-                conn.route_key = Some((h.to, h.from));
+            c.peer = Some(h.from);
+            // Replies reuse the accepted socket unless a link to the
+            // caller is already live (first wins).
+            if let hash_map::Entry::Vacant(v) = self.routes.entry((owner, h.from)) {
+                v.insert(token);
+                c.routed = true;
             }
             return;
-        };
-        let (from, msg) = from_bytes::<(Addr, M)>(&payload)
-            .unwrap_or_else(|e| panic!("corrupt frame for {owner}: {e}"));
-        match self.net.core.inbox[&owner].try_send(Input::Msg { from, msg }) {
-            Ok(()) => {}
-            Err(TrySendError::Full(input)) => conn.parked = Some(input),
-            Err(TrySendError::Disconnected(_)) => {} // node stopped
         }
+        if self.drain_deadline.is_some() {
+            return;
+        }
+        let (from, msg) = from_bytes::<(Addr, A::Msg)>(&payload)
+            .unwrap_or_else(|e| panic!("corrupt frame for {}: {e}", self.addr(owner)));
+        self.step(owner, Work::Msg { from, msg });
     }
 }
 
-/// Spawns the reactor pool, one thread per listener group. Tests drive a
-/// bare pool this way, without node threads.
-pub(crate) fn spawn_reactors<M: Wire + Send + 'static>(
-    core: Arc<ClusterCore<M>>,
-    endpoints: HashMap<Addr, SocketAddr>,
-    listeners_per: Vec<Vec<(Addr, TcpListener)>>,
-) -> (Arc<NetInner<M>>, Vec<JoinHandle<()>>) {
-    let pool = listeners_per.len();
-    let mut reactors = Vec::with_capacity(pool);
-    let mut wake_rxs = Vec::with_capacity(pool);
-    for _ in 0..pool {
-        let (tx, rx) = UnixStream::pair().expect("wake pipe");
-        tx.set_nonblocking(true).expect("wake tx nonblocking");
-        rx.set_nonblocking(true).expect("wake rx nonblocking");
-        reactors.push(Arc::new(ReactorShared {
-            injects: Mutex::new(Vec::new()),
-            wake_tx: tx,
-            wake_armed: AtomicBool::new(false),
-        }));
-        wake_rxs.push(rx);
-    }
-    let net = Arc::new(NetInner {
-        core,
-        endpoints,
-        routes: Mutex::new(HashMap::new()),
-        reactors,
-        next_reactor: AtomicUsize::new(0),
-        io_stop: AtomicBool::new(false),
-    });
-    let mut threads = Vec::with_capacity(pool);
-    for (rid, (wake_rx, listeners)) in wake_rxs.into_iter().zip(listeners_per).enumerate() {
-        let net = net.clone();
-        let shared = net.reactors[rid].clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("cnet-reactor-{rid}"))
-                .spawn(move || Reactor::new(net, shared, wake_rx, listeners).run())
-                .expect("spawn reactor thread"),
-        );
-    }
-    (net, threads)
-}
-
-/// Tells every reactor to drain what remains and exit, then joins them. A
-/// reactor that panicked mid-run (corrupt frame, unreachable peer)
-/// re-raises its panic here, on the stopping thread.
-pub(crate) fn stop_reactors<M>(net: &NetInner<M>, threads: Vec<JoinHandle<()>>) {
-    net.io_stop.store(true, Ordering::SeqCst);
-    for r in &net.reactors {
-        r.inject(Inject::Shutdown);
-    }
-    for t in threads {
-        if let Err(payload) = t.join() {
-            std::panic::resume_unwind(payload);
-        }
-    }
+/// Spawns reactor `id` hosting `nodes`. Its thread returns their actors,
+/// in the order given, and the metrics their handlers gathered; a
+/// handler's or the reactor's own panic is the thread's panic payload.
+pub(crate) fn spawn_reactor<A>(
+    core: Arc<ClusterCore<A::Msg>>,
+    id: usize,
+    wake_rx: UnixStream,
+    nodes: Vec<Hosted<A>>,
+) -> JoinHandle<(Vec<A>, Metrics)>
+where
+    A: Actor + Send + 'static,
+    A::Msg: Wire,
+{
+    std::thread::Builder::new()
+        .name(format!("cnet-reactor-{id}"))
+        .spawn(move || Reactor::new(core, id, wake_rx, nodes).run())
+        .expect("spawn reactor thread")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::tests::Ping;
+    use crate::cluster::tests::{shutdown_panic, Echo, Ping};
     use crate::cluster::NetCluster;
-    use crate::node_loop::RunShared;
+    use crate::conn::decode_hello;
+    use contrarian_runtime::actor::ActorCtx;
+    use contrarian_runtime::cost::{MsgClass, SimMessage};
     use contrarian_runtime::frame::MAX_FRAME;
-    use contrarian_types::{DcId, PartitionId};
-    use std::sync::mpsc::{sync_channel, SyncSender};
+    use contrarian_types::codec::{CodecError, Reader};
+    use contrarian_types::{DcId, HistoryEvent, Op, PartitionId};
 
     #[test]
     fn backoff_schedule_doubles_and_caps() {
@@ -915,7 +951,6 @@ mod tests {
     /// the reply path reuses the accepted connection via its hello.
     #[test]
     fn peer_pair_shares_one_multiplexed_socket() {
-        use crate::cluster::tests::Echo;
         let server = Addr::server(DcId(0), PartitionId(0));
         let client = Addr::client(DcId(0), 0);
         let nodes = vec![
@@ -976,6 +1011,67 @@ mod tests {
         got
     }
 
+    /// Accepts one connection on a test-side listener within 10 s.
+    fn accept_within_10s(l: &TcpListener) -> TcpStream {
+        l.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match l.accept() {
+                Ok((s, _)) => {
+                    s.set_nonblocking(false).unwrap();
+                    return s;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "no dial arrived");
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        }
+    }
+
+    /// A loopback port nothing listens on (bound, then freed).
+    fn dead_port() -> SocketAddr {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap()
+    }
+
+    /// Sends each of `sends` on start, in order; then forwards every
+    /// message it receives to `fwd` and records one PUT per message.
+    struct Relay {
+        sends: Vec<(Addr, Ping)>,
+        fwd: Option<Addr>,
+    }
+
+    impl Actor for Relay {
+        type Msg = Ping;
+        fn on_start(&mut self, ctx: &mut dyn ActorCtx<Ping>) {
+            for (to, msg) in self.sends.drain(..) {
+                ctx.send(to, msg);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut dyn ActorCtx<Ping>, _from: Addr, msg: Ping) {
+            if let Some(to) = self.fwd {
+                ctx.send(to, msg);
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Ping {
+            Ping(0)
+        }
+    }
+
+    /// A one-reactor cluster of one relay at `me`, with `peers` listening
+    /// outside it.
+    fn relay(
+        me: Addr,
+        sends: Vec<(Addr, Ping)>,
+        fwd: Option<Addr>,
+        peers: HashMap<Addr, SocketAddr>,
+    ) -> NetCluster<Relay> {
+        NetCluster::launch(vec![(me, Relay { sends, fwd })], false, 1, 1, peers)
+    }
+
     /// A dead peer must back off on the reactor's timers — while it does,
     /// other connections on the same (single) reactor keep flowing, and
     /// once the listener appears the queued frames arrive.
@@ -984,37 +1080,20 @@ mod tests {
         let me = Addr::client(DcId(0), 0);
         let dead = Addr::server(DcId(0), PartitionId(0));
         let live = Addr::server(DcId(0), PartitionId(1));
-        // Reserve a port for `dead`, then free it.
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dead_at = l.local_addr().unwrap();
-        drop(l);
+        let dead_at = dead_port();
         let live_l = TcpListener::bind("127.0.0.1:0").unwrap();
         let live_at = live_l.local_addr().unwrap();
-
-        let endpoints = HashMap::from([(dead, dead_at), (live, live_at)]);
-        // One reactor, no listeners of its own: it only dials out.
-        let (net, threads) = spawn_reactors(bare_core(HashMap::new()), endpoints, vec![Vec::new()]);
-
-        let frame = |msg: &Ping| {
-            let mut payload = Vec::new();
-            me.encode(&mut payload);
-            msg.encode(&mut payload);
-            encode_frame(&payload)
-        };
-        // Queue to the dead peer first: with the old sleeping backoff this
-        // would stall the transport ~¾ s; the reactor schedules it instead.
-        let c_dead = net.route(me, dead);
-        c_dead.ring.push(frame(&Ping(7))).unwrap();
-        c_dead.flush();
-        let c_live = net.route(me, live);
-        c_live.ring.push(frame(&Ping(1))).unwrap();
-        c_live.flush();
+        // Send to the dead peer first: with a sleeping backoff this would
+        // stall the reactor ~¾ s; the reactor schedules it instead.
+        let cluster = relay(
+            me,
+            vec![(dead, Ping(7)), (live, Ping(1))],
+            None,
+            HashMap::from([(dead, dead_at), (live, live_at)]),
+        );
 
         // The live link delivers while the dead one is backing off.
-        live_l
-            .set_nonblocking(false)
-            .expect("blocking accept for the test side");
-        let (mut s, _) = live_l.accept().expect("live link accepted");
+        let mut s = accept_within_10s(&live_l);
         let payloads = read_payloads(&mut s, 2);
         let hello = decode_hello(&payloads[0]).expect("first frame is the hello");
         assert_eq!((hello.from, hello.to), (me, live));
@@ -1025,7 +1104,7 @@ mod tests {
         // (The port can be lost to another process between the probe and
         // here — in that case the redial coverage is forfeited.)
         if let Ok(dl) = TcpListener::bind(dead_at) {
-            let (mut s, _) = dl.accept().expect("redial reached the late listener");
+            let mut s = accept_within_10s(&dl);
             let payloads = read_payloads(&mut s, 2);
             assert_eq!(
                 from_bytes::<(Addr, Ping)>(&payloads[1]).unwrap(),
@@ -1033,73 +1112,43 @@ mod tests {
                 "frames queued during backoff arrive after the reconnect"
             );
         }
-
-        stop_reactors(&net, threads);
+        cluster.shutdown();
     }
 
-    /// Shared state for a bare reactor pool: no node threads, only the
-    /// given inboxes.
-    fn bare_core(inbox: HashMap<Addr, SyncSender<Input<Ping>>>) -> Arc<ClusterCore<Ping>> {
-        Arc::new(ClusterCore {
-            run: RunShared::new(false),
-            inbox,
-            wire: Default::default(),
-        })
-    }
-
-    /// Waits (up to 10 s) for every reactor to stop on its own, joins them,
-    /// and returns the panic message they stopped with.
-    fn panic_message(net: &NetInner<Ping>, threads: Vec<JoinHandle<()>>) -> String {
+    /// Waits (up to 10 s) for a reactor to stop on its own, then returns
+    /// the panic message `shutdown` re-raises for it.
+    fn panic_message<A: Actor + Send + 'static>(cluster: NetCluster<A>) -> String
+    where
+        A::Msg: Wire,
+    {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !threads.iter().all(|t| t.is_finished()) {
+        while !cluster.reactors.iter().any(|t| t.is_finished()) {
             assert!(Instant::now() < deadline, "the reactor kept running");
             std::thread::sleep(Duration::from_millis(5));
         }
-        let payload =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stop_reactors(net, threads)))
-                .expect_err("the reactor stopped by panicking");
-        match payload.downcast::<String>() {
-            Ok(msg) => *msg,
-            Err(payload) => payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .unwrap_or_default(),
-        }
+        shutdown_panic(cluster)
     }
 
-    /// Routing to a node no listener was recorded for is a wiring bug: it
+    /// Sending to a node no listener was recorded for is a wiring bug: it
     /// panics, naming the node, instead of dialing somewhere.
     #[test]
     #[should_panic(expected = "no endpoint for")]
     fn routing_to_a_node_without_an_endpoint_panics() {
         let me = Addr::client(DcId(0), 0);
         let stray = Addr::server(DcId(0), PartitionId(9));
-        let (net, threads) =
-            spawn_reactors(bare_core(HashMap::new()), HashMap::new(), vec![Vec::new()]);
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(net.route(me, stray))));
-        stop_reactors(&net, threads);
-        if let Err(panic) = outcome {
-            std::panic::resume_unwind(panic);
-        }
+        relay(me, vec![(stray, Ping(0))], None, HashMap::new()).shutdown();
     }
 
     /// A peer that never comes up is given up on after
     /// `MAX_DIAL_ATTEMPTS` dials spaced by the full backoff schedule: the
-    /// link's ring closes so no producer stays blocked on it, its route is
-    /// dropped, and the reactor stops naming the link and the attempts.
+    /// reactor stops, naming the link and the attempts.
     #[test]
     fn unreachable_peer_is_given_up_after_the_last_dial_attempt() {
         let me = Addr::client(DcId(0), 0);
         let dead = Addr::server(DcId(0), PartitionId(0));
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dead_at = l.local_addr().unwrap();
-        drop(l);
-        let endpoints = HashMap::from([(dead, dead_at)]);
-        let (net, threads) = spawn_reactors(bare_core(HashMap::new()), endpoints, vec![Vec::new()]);
         let started = Instant::now();
-        let conn = net.route(me, dead);
-        let msg = panic_message(&net, threads);
+        let peers = HashMap::from([(dead, dead_port())]);
+        let msg = panic_message(relay(me, vec![(dead, Ping(0))], None, peers));
         assert!(
             msg.contains(&format!("connect {me} -> {dead}"))
                 && msg.contains(&format!("after {MAX_DIAL_ATTEMPTS} attempts")),
@@ -1110,33 +1159,20 @@ mod tests {
             started.elapsed() >= backoff,
             "gave up before the {backoff:?} backoff schedule ran out"
         );
-        assert!(conn.ring.is_closed(), "a blocked producer must be released");
-        assert!(
-            net.routes.lock().unwrap().is_empty(),
-            "the dead route must be dropped"
-        );
     }
 
-    /// Starts one bare reactor listening for a server node, dials it from
-    /// the test side, sends a valid hello followed by `tail`, closes the
+    /// Starts one reactor hosting an idle server node, dials it from the
+    /// test side, sends a valid hello followed by `tail`, closes the
     /// socket, and returns the message the reactor stopped with.
     fn reactor_panic_after_hello(tail: &[u8]) -> String {
         let node = Addr::server(DcId(0), PartitionId(0));
-        let (tx, _rx) = sync_channel(16);
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.set_nonblocking(true).unwrap();
-        let at = l.local_addr().unwrap();
-        let (net, threads) = spawn_reactors(
-            bare_core(HashMap::from([(node, tx)])),
-            HashMap::new(),
-            vec![vec![(node, l)]],
-        );
-        let mut s = TcpStream::connect(at).unwrap();
+        let cluster = relay(node, Vec::new(), None, HashMap::new());
+        let mut s = TcpStream::connect(cluster.core.endpoints[&node]).unwrap();
         s.write_all(&hello_frame(Addr::client(DcId(0), 0), node))
             .unwrap();
         s.write_all(tail).unwrap();
         drop(s);
-        panic_message(&net, threads)
+        panic_message(cluster)
     }
 
     /// A peer that closes mid-frame mid-run is a truncated stream: the
@@ -1155,5 +1191,131 @@ mod tests {
         let msg = reactor_panic_after_hello(&((MAX_FRAME + 1) as u32).to_le_bytes());
         assert!(msg.contains("frame error"), "{msg}");
         assert!(msg.contains(&format!("{}", MAX_FRAME + 1)), "{msg}");
+    }
+
+    /// A frame sent over a link whose peer hung up goes out over a fresh
+    /// dial: the dead link left the route map.
+    #[test]
+    fn a_frame_over_a_dead_link_goes_out_over_a_fresh_dial() {
+        let me = Addr::client(DcId(0), 0);
+        let peer = Addr::server(DcId(0), PartitionId(0));
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = HashMap::from([(peer, l.local_addr().unwrap())]);
+        let cluster = relay(me, Vec::new(), Some(peer), peers);
+        let handle = cluster.handle();
+        for (round, ping) in [Ping(1), Ping(2)].into_iter().enumerate() {
+            handle.send(me, me, ping.clone());
+            let mut s = accept_within_10s(&l);
+            let payloads = read_payloads(&mut s, 2);
+            let hello = decode_hello(&payloads[0]).expect("each link opens with a hello");
+            assert_eq!((hello.from, hello.to), (me, peer), "link {round}");
+            assert_eq!(
+                from_bytes::<(Addr, Ping)>(&payloads[1]).unwrap(),
+                (me, ping)
+            );
+            // Hang up, and give the reactor time to see the EOF.
+            drop(s);
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        assert_eq!(cluster.io_stats().sockets, 2, "one dial per link");
+        cluster.shutdown();
+    }
+
+    /// A quarter-MiB message, recorded by number where it is handled.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Blob(u32, Vec<u8>);
+
+    const BLOB: usize = 256 << 10;
+
+    impl SimMessage for Blob {
+        fn wire_size(&self) -> usize {
+            self.1.len()
+        }
+        fn class(&self) -> MsgClass {
+            MsgClass::Data
+        }
+    }
+
+    impl Wire for Blob {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+            self.1.encode(out);
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Blob(u32::decode(r)?, Vec::decode(r)?))
+        }
+    }
+
+    /// Forwards every blob it is handed to `to`, recording each.
+    struct Spray {
+        to: Addr,
+    }
+
+    impl Actor for Spray {
+        type Msg = Blob;
+        fn on_start(&mut self, _ctx: &mut dyn ActorCtx<Blob>) {}
+        fn on_message(&mut self, ctx: &mut dyn ActorCtx<Blob>, _from: Addr, msg: Blob) {
+            ctx.record(HistoryEvent::PutDone {
+                client: contrarian_types::ClientId::new(DcId(0), 0),
+                seq: msg.0,
+                t_start: 0,
+                t_end: 0,
+                key: contrarian_types::Key(1),
+                vid: contrarian_types::VersionId::new(1, DcId(0)),
+            });
+            ctx.send(self.to, msg);
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Blob>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Blob {
+            Blob(0, Vec::new())
+        }
+    }
+
+    /// A node whose ring to a peer that does not read reaches `RING_HIGH`
+    /// is paused: the messages handed to it after that wait, unhandled,
+    /// until the peer drains the ring; then it handles the rest, in order.
+    #[test]
+    fn a_node_paused_on_a_full_ring_runs_no_input_until_it_drains() {
+        const SENT: u32 = 64; // 16 MiB: past the ring and the socket buffers
+        let me = Addr::client(DcId(0), 0);
+        let peer = Addr::server(DcId(0), PartitionId(0));
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = HashMap::from([(peer, l.local_addr().unwrap())]);
+        let cluster = NetCluster::launch(vec![(me, Spray { to: peer })], true, 1, 1, peers);
+        let handle = cluster.handle();
+        for i in 0..SENT {
+            handle.send(me, me, Blob(i, vec![i as u8; BLOB]));
+        }
+        // Count the handled messages until none is added for 200 ms.
+        let mut handled = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            std::thread::sleep(Duration::from_millis(200));
+            let more = cluster.drain_history().len();
+            if more == 0 && handled > 0 {
+                break;
+            }
+            handled += more;
+            assert!(Instant::now() < deadline, "the node never paused");
+        }
+        assert!(
+            handled < SENT as usize && handled * BLOB >= RING_HIGH,
+            "paused after {handled} of {SENT} quarter-MiB messages"
+        );
+
+        // The peer reads everything; the node resumes and sends the rest.
+        let mut s = accept_within_10s(&l);
+        let payloads = read_payloads(&mut s, SENT as usize + 1);
+        assert_eq!(decode_hello(&payloads[0]).unwrap().from, me);
+        for (i, p) in payloads[1..].iter().enumerate() {
+            let (_, Blob(n, bytes)) = from_bytes::<(Addr, Blob)>(p).unwrap();
+            assert_eq!((n, bytes.len(), bytes[0]), (i as u32, BLOB, i as u8));
+        }
+        while handled < SENT as usize {
+            assert!(Instant::now() < deadline + Duration::from_secs(10));
+            handled += cluster.drain_history().len();
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        cluster.shutdown();
     }
 }

@@ -3,6 +3,7 @@
 //! The workspace builds fully offline, so there is no `mio`/`tokio`/`libc`
 //! crate to lean on; this module declares the handful of `extern "C"`
 //! symbols the reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_wait`
+//! (plus `epoll_pwait2` through `syscall`, for waits to the nanosecond)
 //! and a nonblocking-connect quartet (`socket`/`connect`/`getsockopt`/
 //! `setsockopt`) — against the libc every Rust binary on Linux already
 //! links.
@@ -19,6 +20,7 @@
 //! Everything else socket-shaped goes through `std` (`TcpStream` wraps the
 //! raw fd once a nonblocking connect is in flight).
 
+use std::ffi::c_long;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{FromRawFd, RawFd};
@@ -56,6 +58,18 @@ const SO_ERROR: c_int = 4;
 const IPPROTO_TCP: c_int = 6;
 const TCP_NODELAY: c_int = 1;
 const EINPROGRESS: i32 = 115;
+const ENOSYS: i32 = 38;
+const EPERM: i32 = 1;
+/// `epoll_pwait2` (Linux 5.11): one number on every architecture.
+const SYS_EPOLL_PWAIT2: c_long = 441;
+
+/// The kernel's 64-bit `timespec`, which `epoll_pwait2` takes on every
+/// architecture.
+#[repr(C)]
+struct KernelTimespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
 
 #[repr(C)]
 struct SockaddrIn {
@@ -74,6 +88,7 @@ extern "C" {
     fn connect(fd: c_int, addr: *const SockaddrIn, len: u32) -> c_int;
     fn getsockopt(fd: c_int, level: c_int, name: c_int, val: *mut c_int, len: *mut u32) -> c_int;
     fn setsockopt(fd: c_int, level: c_int, name: c_int, val: *const c_int, len: u32) -> c_int;
+    fn syscall(num: c_long, ...) -> c_long;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -153,6 +168,8 @@ pub struct Poller {
     epfd: RawFd,
     /// Reused event buffer for `epoll_wait`.
     buf: Vec<EpollEvent>,
+    /// The kernel has `epoll_pwait2`; cleared by the first `ENOSYS`.
+    precise: bool,
 }
 
 impl Poller {
@@ -163,6 +180,7 @@ impl Poller {
         Ok(Poller {
             epfd,
             buf: vec![EpollEvent { events: 0, data: 0 }; 256],
+            precise: true,
         })
     }
 
@@ -190,35 +208,56 @@ impl Poller {
 
     /// Waits for readiness, appending to `out`. A `None` timeout blocks
     /// indefinitely (the reactor always passes one, for timer deadlines).
+    /// The timeout is kept to the nanosecond (`epoll_pwait2`) — node
+    /// timers pace open-loop arrivals whose latency counts from the
+    /// intended time — and rounded up to a millisecond where the kernel
+    /// lacks or refuses `epoll_pwait2` (before 5.11, or a seccomp filter).
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let timeout_ms: c_int = match timeout {
-            None => -1,
-            // Round up so a sub-millisecond deadline sleeps ~1 ms instead
-            // of spinning at timeout 0.
-            Some(d) => {
-                let whole = d.as_millis();
-                let ms = if Duration::from_millis(whole as u64) < d {
-                    whole + 1
-                } else {
-                    whole
-                };
-                ms.min(i32::MAX as u128) as c_int
-            }
-        };
         let n = loop {
-            // SAFETY: `buf` is a live Vec and the passed capacity is its
-            // exact length, so the kernel writes in bounds.
-            let r = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as c_int,
-                    timeout_ms,
-                )
+            let len = self.buf.len() as c_int;
+            let r = match timeout {
+                Some(d) if self.precise => {
+                    let ts = KernelTimespec {
+                        tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
+                        tv_nsec: d.subsec_nanos() as i64,
+                    };
+                    // SAFETY: `buf` is a live Vec and the passed capacity
+                    // is its exact length, so the kernel writes in bounds;
+                    // `ts` outlives the call; a null sigmask leaves the
+                    // signal mask alone. Every argument is passed as a
+                    // full register (c_long or pointer), as `syscall`
+                    // expects of its variadic arguments.
+                    unsafe {
+                        syscall(
+                            SYS_EPOLL_PWAIT2,
+                            self.epfd as c_long,
+                            self.buf.as_mut_ptr(),
+                            len as c_long,
+                            &ts as *const KernelTimespec,
+                            std::ptr::null::<u8>(),
+                            8 as c_long,
+                        ) as c_int
+                    }
+                }
+                _ => {
+                    // SAFETY: as above, for `epoll_wait`.
+                    unsafe {
+                        epoll_wait(
+                            self.epfd,
+                            self.buf.as_mut_ptr(),
+                            len,
+                            timeout.map_or(-1, millis_rounded_up),
+                        )
+                    }
+                }
             };
             match cvt(r) {
                 Ok(n) => break n as usize,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // Kernels before 5.11 lack it; a seccomp filter may refuse it.
+                Err(e) if matches!(e.raw_os_error(), Some(ENOSYS | EPERM)) && self.precise => {
+                    self.precise = false;
+                }
                 Err(e) => return Err(e),
             }
         };
@@ -239,6 +278,18 @@ impl Poller {
         }
         Ok(())
     }
+}
+
+/// `d` in whole milliseconds, rounded up so a sub-millisecond deadline
+/// sleeps ~1 ms instead of spinning at timeout 0.
+fn millis_rounded_up(d: Duration) -> c_int {
+    let whole = d.as_millis();
+    let ms = if Duration::from_millis(whole as u64) < d {
+        whole + 1
+    } else {
+        whole
+    };
+    ms.min(i32::MAX as u128) as c_int
 }
 
 impl Drop for Poller {
@@ -347,8 +398,8 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
-    /// A sub-millisecond deadline rounds up to one millisecond rather than
-    /// down to a zero-timeout spin.
+    /// A sub-millisecond deadline is slept, not spun at timeout 0: to the
+    /// nanosecond with `epoll_pwait2`, rounded up to a millisecond without.
     #[test]
     fn sub_millisecond_timeout_sleeps_instead_of_spinning() {
         let mut poller = Poller::new().unwrap();
@@ -358,7 +409,16 @@ mod tests {
             .wait(&mut events, Some(Duration::from_micros(100)))
             .unwrap();
         assert!(events.is_empty());
-        assert!(start.elapsed() >= Duration::from_millis(1));
+        assert!(start.elapsed() >= Duration::from_micros(100));
+    }
+
+    /// The millisecond fallback rounds up, never down to a spin.
+    #[test]
+    fn millisecond_fallback_rounds_up() {
+        assert_eq!(millis_rounded_up(Duration::from_micros(100)), 1);
+        assert_eq!(millis_rounded_up(Duration::from_millis(3)), 3);
+        assert_eq!(millis_rounded_up(Duration::from_micros(3_001)), 4);
+        assert_eq!(millis_rounded_up(Duration::ZERO), 0);
     }
 
     #[test]

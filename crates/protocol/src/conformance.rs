@@ -211,13 +211,13 @@ pub fn check_net<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
         true,
         seed,
     );
-    // Measure from the start: exercises the per-thread metrics sinks that
-    // are merged when the node threads join.
+    // Measure from the start: exercises the per-reactor metrics sinks
+    // that are merged when the reactor threads join.
     cluster.set_measuring(true);
     std::thread::sleep(std::time::Duration::from_millis(250));
     cluster.stop_issuing();
     // Grace for in-flight operations, replication, and dependency checks to
-    // drain before the threads are stopped.
+    // drain before the nodes are stopped.
     std::thread::sleep(std::time::Duration::from_millis(300));
     let (actors, metrics, history) = cluster.shutdown();
 

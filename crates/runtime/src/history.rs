@@ -3,7 +3,7 @@
 //! Every record a node makes goes through the one node step
 //! ([`crate::Step`]), which tags it and appends it to its sink's plain
 //! `Vec` with no locking: a simulator shard's (the single-threaded engine
-//! is the one-shard special case), or a TCP node thread's, flushed to the
+//! is the one-shard special case), or a TCP reactor's, flushed to the
 //! cluster's log once per handler. [`merge_shard_histories`] folds the
 //! streams into one canonical global sequence afterwards. It lives here,
 //! in the runtime layer, because history recording is part of the

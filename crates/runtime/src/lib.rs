@@ -13,9 +13,9 @@
 //!                         │                    frame layer)
 //!                ┌────────┴────────┐
 //!         contrarian-sim     contrarian-net
-//!         (discrete-event    (thread-per-node
-//!          engine,            live cluster over
-//!          virtual time)      TCP sockets)
+//!         (discrete-event    (live cluster over
+//!          engine,            TCP sockets, nodes
+//!          virtual time)      on epoll reactors)
 //!                └────────┬────────┘
 //!                  contrarian-protocol        (Node, Stabilizer, Timers,
 //!                         │                    builders, conformance)
@@ -30,9 +30,10 @@
 //!
 //! * `contrarian-sim` — the deterministic discrete-event simulator with a
 //!   queueing cost model (virtual time);
-//! * `contrarian-net` — a live thread-per-node deployment over real TCP
-//!   sockets (wall-clock time), every message through the wire codec and
-//!   the [`frame`] layer this crate provides.
+//! * `contrarian-net` — a live deployment over real TCP sockets
+//!   (wall-clock time): a fixed pool of epoll reactor threads hosts the
+//!   nodes and drives their sockets, every message through the wire codec
+//!   and the [`frame`] layer this crate provides.
 //!
 //! During a handler the node-facing capabilities (`send`, `set_timer`,
 //! `now`, metrics, history, trace) come from one [`Step`], the only
@@ -41,10 +42,10 @@
 //! a [`Sink`] (metrics, `(t, node, seq)`-tagged history, run flags, the
 //! handler's sends, timers and charge), at the `now` its runtime hands
 //! it. Every runtime runs that same step; what each keeps of its own is
-//! *when* a step runs — the simulator's calendar queue, a TCP node
-//! thread's timer heap and input channel, a test's hand ([`ScriptCtx`],
-//! the owned step) — and *how* the sends a step leaves in its sink travel
-//! — the cost model's departure spacing and per-link FIFO clamp, or the
+//! *when* a step runs — the simulator's calendar queue, a TCP reactor's
+//! socket edges and timer heap, a test's hand ([`ScriptCtx`], the owned
+//! step) — and *how* the sends a step leaves in its sink travel — the
+//! cost model's departure spacing and per-link FIFO clamp, or the
 //! reactor's connection rings. (The repo benchmark's replay driver,
 //! `benchmark/src/replay.rs`, still implements the trait on its own
 //! `Ctx`; it is the one second implementation left.) The

@@ -5,13 +5,14 @@
 //!
 //! * [`NodeState`] — what one node carries from handler to handler: its
 //!   address, global id, RNG, history record counter and trace ring. The
-//!   simulator keeps one per node slot, the TCP runtime one per node
-//!   thread, a scripted test one for the nodes it drives by hand.
+//!   simulator keeps one per node slot, a TCP reactor one per node it
+//!   hosts, a scripted test one for the nodes it drives by hand.
 //! * [`Sink`] — where a handler's effects go: metrics, `(t, node, seq)`
 //!   tagged history, the sends and timers it produced, the CPU it
 //!   charged, and the run's `recording`/`tracing`/`stopped` flags. The
 //!   simulator keeps one per shard (every node of the shard writes into
-//!   it), the TCP runtime one per node thread.
+//!   it), the TCP runtime one per reactor thread, shared the same way by
+//!   the nodes it hosts.
 //! * [`Step`] — one handler's view of both at `now`, which its runtime
 //!   hands it. It owns or borrows each part (`N: BorrowMut<NodeState>`,
 //!   `S: BorrowMut<Sink<M>>`), so the simulator lends a slot's state and
@@ -19,7 +20,7 @@
 //!   another layer of dynamic dispatch.
 //!
 //! What stays with each runtime is *when* a step runs (the calendar
-//! queue, the node thread's input channel and timer heap, a test's hand)
+//! queue, the reactor's socket edges and timer heap, a test's hand)
 //! and *how* the sends and timers it leaves in the sink travel (the
 //! simulator's cost model and FIFO clamp, the reactor's rings).
 

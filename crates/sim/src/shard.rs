@@ -509,6 +509,18 @@ impl<A: Actor> Shard<A> {
         }
     }
 
+    /// Frees the spare batches and the emptied outbox's block. How many
+    /// of them a threaded run leaves depends on thread timing, so a run
+    /// call ends with none, and the heap the next census reads is a
+    /// function of the run alone. Called once per run call, outside the
+    /// window loop: the next run call re-allocates the few batches it
+    /// circulates.
+    pub(crate) fn release_mail(&mut self) {
+        debug_assert!(self.outbox.is_empty(), "outboxes empty at the barrier");
+        self.spare = Vec::new();
+        self.outbox = Vec::new();
+    }
+
     /// Sizes the (still empty) link table for this shard's nodes; called
     /// once at start, after the last node was added.
     pub(crate) fn size_links(&mut self, routing: &Routing) {

@@ -635,6 +635,15 @@ impl<A: Actor> Sim<A> {
         if self.now < t {
             self.now = t;
         }
+        self.release_mail();
+    }
+
+    /// Ends a run call with no spare batches or outbox capacity on any
+    /// shard (see [`Shard::release_mail`]).
+    fn release_mail(&mut self) {
+        for s in &mut self.shards {
+            s.release_mail();
+        }
     }
 
     /// Runs until the event queue drains or `max_t` is hit (whichever is
@@ -650,6 +659,7 @@ impl<A: Actor> Sim<A> {
         if self.now <= max_t {
             self.lockstep_step();
         }
+        self.release_mail();
     }
 }
 
@@ -1441,6 +1451,33 @@ mod tests {
             (stats[0].rounds, stats[0].events, stats[0].cross_msgs),
             (0, sim.events_processed(), 0)
         );
+    }
+
+    /// The engine's census rows repeat from run to run of one threaded
+    /// 2-DC cluster: a run call leaves no spare batches and no outbox
+    /// capacity, whose amount would depend on how the threads met.
+    #[test]
+    fn engine_census_rows_repeat_across_threaded_runs() {
+        let rows = || {
+            let mut sim = mk_geo(SchedKind::Sharded, CostModel::calibrated(), 4, 64);
+            sim.set_parallel(true);
+            sim.start();
+            for ms in 1..=40 {
+                sim.run_until(ms * 1_000_000);
+            }
+            let census = sim.heap_census();
+            assert!(census.items("engine", "nodes") > 0);
+            census
+                .rows()
+                .iter()
+                .filter(|r| r.class == "engine")
+                .map(|r| (r.owner, r.bytes, r.items))
+                .collect::<Vec<_>>()
+        };
+        let first = rows();
+        for _ in 0..5 {
+            assert_eq!(rows(), first);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The same protocol state machines on real threads: a Contrarian cluster
-//! where every server and client is an OS thread and every message crosses
-//! a loopback TCP socket.
+//! The same protocol state machines in wall-clock time: a Contrarian
+//! cluster whose servers and clients run on the TCP runtime's reactor
+//! threads (one per core), every message crossing a loopback TCP socket.
 //!
 //! ```bash
 //! cargo run --release --example live_cluster
@@ -28,7 +28,7 @@ fn main() {
     let nodes = build_nodes::<Contrarian>(&cfg, &clients, 7);
 
     println!(
-        "starting {} threads (4 servers + 6 closed-loop clients)…",
+        "starting {} nodes (4 servers + 6 closed-loop clients) on the reactor pool…",
         nodes.len()
     );
     let cluster = NetCluster::start(nodes, /*recording=*/ true, 7);
@@ -38,7 +38,7 @@ fn main() {
     let (_actors, metrics, history) = cluster.shutdown();
 
     println!(
-        "completed {} operations on real threads ({} frames over loopback TCP)",
+        "completed {} operations in wall-clock time ({} frames over loopback TCP)",
         history.len(),
         metrics.counter("net.frames_sent")
     );
