@@ -46,7 +46,8 @@ use contrarian_runtime::actor::{ActorCtx, TimerKind};
 use contrarian_runtime::SimMessage;
 use contrarian_storage::{MvStore, Version};
 use contrarian_types::{
-    Addr, ClusterConfig, DepVector, HeapCensus, Key, PartitionId, TraceKind, TxId, Value, VersionId,
+    Addr, ClusterConfig, DcId, DepVector, HeapCensus, Key, PartitionId, TraceKind, TxId, Value,
+    VersionId,
 };
 
 /// A server's timestamp source. Every method takes true time `now` (ns);
@@ -424,32 +425,42 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
         self.timers.start(ctx);
     }
 
+    /// Every vector a message carries must hold one entry per DC, every DC
+    /// it names as an origin must be another of this cluster's, and a
+    /// reporting partition must exist: anything else is counted and
+    /// dropped with the client-bound messages.
     fn on_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, from: Addr, msg: Msg) {
+        let dcs = self.cfg.n_dcs as usize;
+        let remote = |dc: DcId| dc.index() < dcs && dc.index() != self.my_dc;
         match msg {
             Msg::PutReq {
                 key,
                 value,
                 lts,
                 gss,
-            } => self.handle_put(ctx, from, key, value, lts, gss),
-            Msg::RotReq { tx, keys, lts, gss } => {
+            } if gss.len() == dcs => self.handle_put(ctx, from, key, value, lts, gss),
+            Msg::RotReq { tx, keys, lts, gss } if gss.len() == dcs => {
                 self.handle_rot_req(ctx, from, tx, keys, lts, gss)
             }
-            Msg::RotSnapReq { tx, lts, gss } => self.handle_snap_req(ctx, from, tx, lts, gss),
-            Msg::RotRead { tx, keys, sv } => self.handle_read(ctx, from, tx, keys, sv),
+            Msg::RotSnapReq { tx, lts, gss } if gss.len() == dcs => {
+                self.handle_snap_req(ctx, from, tx, lts, gss)
+            }
+            Msg::RotRead { tx, keys, sv } if sv.len() == dcs => {
+                self.handle_read(ctx, from, tx, keys, sv)
+            }
             Msg::RotFwd {
                 tx,
                 client,
                 keys,
                 sv,
-            } => self.handle_read(ctx, client, tx, keys, sv),
+            } if sv.len() == dcs => self.handle_read(ctx, client, tx, keys, sv),
             Msg::Replicate {
                 key,
                 value,
                 dv,
                 origin,
                 birth,
-            } => {
+            } if dv.len() == dcs && remote(origin) => {
                 let ts = dv[origin.index()];
                 self.stab.record_remote(origin, ts);
                 if birth > 0 {
@@ -463,14 +474,17 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
                     Version::new(VersionId::new(ts, origin), value, dv).with_birth(birth),
                 );
             }
-            Msg::Heartbeat { origin, ts } => self.stab.record_remote(origin, ts),
-            Msg::VvReport { partition, vv } => self.stab.on_vv_report(partition, vv),
-            Msg::GssBcast { gss } => self.stab.on_gss_bcast(&gss),
-            // A client-bound message: any peer of a live cluster can send
-            // one, so it is counted and dropped rather than trusted.
-            Msg::RotSnap { .. } | Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => {
-                ctx.metrics().rejected()
+            Msg::Heartbeat { origin, ts } if remote(origin) => self.stab.record_remote(origin, ts),
+            Msg::VvReport { partition, vv }
+                if vv.len() == dcs && partition.0 < self.cfg.n_partitions =>
+            {
+                self.stab.on_vv_report(partition, vv)
             }
+            Msg::GssBcast { gss } if gss.len() == dcs => self.stab.on_gss_bcast(&gss),
+            // A client-bound message, or one shaped for another cluster:
+            // any peer of a live cluster can send one, so it is counted and
+            // dropped rather than trusted.
+            _ => ctx.metrics().rejected(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! The heap census of the repo benchmark's four simulator workloads: each
 //! geometry run to the end of its `over` rung, the point where the
-//! benchmark's `peak_rss_mb` is read, then [`Sim::heap_census`] taken.
+//! benchmark's `peak_rss_mb` is read, then [`contrarian_sim::Sim::heap_census`] taken.
 //!
 //! The geometries copy `benchmark/src/workloads.rs` (that workspace is not
 //! a dependency of this one); a change there must be copied here.

@@ -10,7 +10,8 @@
 //! not bend when the system slows, and latency clocks start at the
 //! *scheduled* arrival, so driver queueing is part of every percentile of
 //! the [`Report`]. A point is *saturated* when goodput falls below
-//! [`Report::SATURATION_GOODPUT_FRACTION`] of the offered rate, and a
+//! [`Report::SATURATION_GOODPUT_FRACTION`] of the offered rate by more
+//! than the spread of the window's Poisson arrival count, and a
 //! [`crate::sweep`] up a geometric offered-rate axis with
 //! `until = |r| r.saturated` finds the knee ([`crate::Series::knee`]).
 //!
@@ -45,7 +46,7 @@ const GC_EVERY_EVENTS: usize = 100_000;
 
 /// Runs one recorded simulated load point with the streaming causal
 /// checker as its history sink: every event is fed, and a
-/// [`CausalChecker::gc`] pass runs every [`GC_EVERY_EVENTS`] events
+/// [`CausalChecker::gc`] pass runs every `GC_EVERY_EVENTS` events
 /// (guarded on the full driver-actor population having appeared), so the
 /// history is verified end to end with resident state bounded by the
 /// recent window.
@@ -204,5 +205,76 @@ mod tests {
         );
         assert!(run.trace.is_empty());
         assert_eq!(run.windows.windows().len(), STREAM_SLICES as usize);
+    }
+
+    /// CC-LO over TCP at the smoke sweep's first point (800 ops/s, seed
+    /// 42): its driver actors draw 509 arrivals in the 0.7 s window, 2.2
+    /// standard deviations under the 560 offered, because its session
+    /// draws no random number per operation and the snapshot sessions
+    /// draw a coordinator. Every operation must still complete: every
+    /// driver actor keeps completing operations to the end of the run,
+    /// none holds one in flight or backlogged at shutdown, and the point
+    /// does not read as saturated.
+    #[test]
+    fn every_cclo_operation_offered_over_tcp_completes() {
+        use contrarian_runtime::Actor;
+        use contrarian_types::{ClusterConfig, HeapCensus, HistoryEvent};
+        use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
+        use std::collections::BTreeMap;
+
+        let open = OpenLoopSpec::new(WorkloadSpec::paper_default(), 1_000_000, 800.0);
+        let spec = RunSpec {
+            cluster: ClusterConfig::small(),
+            clients: crate::experiment::Clients::Open(open),
+            warmup_ns: 300_000_000,
+            measure_ns: 700_000_000,
+            ..RunSpec::functional_open(Protocol::CcLo, 800.0)
+        };
+        let p = spec.cluster_params();
+        let nodes = build_nodes::<contrarian_cclo::CcLo>(&p.cfg, &p.clients, p.seed);
+        let cluster = NetCluster::start(nodes, true, p.seed);
+        std::thread::sleep(Duration::from_nanos(spec.warmup_ns));
+        cluster.set_measuring(true);
+        std::thread::sleep(Duration::from_nanos(spec.measure_ns));
+        cluster.set_measuring(false);
+        cluster.stop_issuing();
+        std::thread::sleep(Duration::from_millis(300));
+        let (actors, metrics, history) = cluster.shutdown();
+
+        let report = spec.report(&metrics);
+        assert!(!report.saturated, "{report}");
+        let mut last_end: BTreeMap<_, u64> = BTreeMap::new();
+        for ev in &history {
+            let (client, t_end) = match ev {
+                HistoryEvent::RotDone { client, t_end, .. }
+                | HistoryEvent::PutDone { client, t_end, .. } => (*client, *t_end),
+            };
+            let last = last_end.entry(client).or_default();
+            *last = (*last).max(t_end);
+        }
+        let clients: Vec<_> = actors.iter().filter(|(a, _)| !a.is_server()).collect();
+        assert_eq!(
+            last_end.len(),
+            clients.len(),
+            "every driver actor completed operations"
+        );
+        for (client, &t) in &last_end {
+            // 100 arrivals a second each: a working actor completes one in
+            // the last 200 ms before issuing stops, at ~1 s.
+            assert!(
+                t > 800_000_000,
+                "{client:?} last completed an operation at {t} ns"
+            );
+        }
+        for (addr, node) in clients {
+            let mut census = HeapCensus::new();
+            census.set_class("client");
+            node.heap_census(&mut census);
+            assert_eq!(
+                census.items("client", "operations"),
+                0,
+                "{addr} holds an operation"
+            );
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Cross-engine determinism: the calendar engine and the sharded engine
-//! (one event loop per DC, under the per-link lookahead matrix) must
+//! (one event loop per DC, windowed on the inter-DC latency) must
 //! replay the exact same run. Same seed ⇒ byte-identical history and
 //! metrics under either engine, and both must match golden fingerprints
 //! recorded from the calendar engine.

@@ -7,7 +7,7 @@
 //! pool; each reactor runs its nodes' handlers and drives their sockets.
 //! What crosses threads is only what the driver hands in and reads out:
 //! each reactor's inject queue (messages from outside, shutdown), the run
-//! flags and history log ([`RunShared`]), and the wire counters.
+//! flags and history log (`RunShared`), and the wire counters.
 
 use crate::reactor::{pool_size, spawn_reactor, Hosted, Inject, Mailbox};
 use contrarian_runtime::actor::Actor;

@@ -28,7 +28,7 @@
 //! ## Data flow
 //!
 //! A readable edge reads the socket into a
-//! [`FrameAssembler`](contrarian_runtime::FrameAssembler), and each whole
+//! [`FrameAssembler`], and each whole
 //! frame runs the owning node's step on the spot. The step's sends are
 //! encoded and pushed onto the rings of that node's connections, and
 //! every ring that took frames is written out with vectored writes
@@ -54,9 +54,9 @@
 //!
 //! ## Shutdown
 //!
-//! On [`Inject::Shutdown`] a reactor stops dispatching: inbound frames are
+//! On `Inject::Shutdown` a reactor stops dispatching: inbound frames are
 //! read and discarded, so every peer's rings drain, and its own rings are
-//! written out until empty (or [`DRAIN_GRACE`] runs out). The thread then
+//! written out until empty (or `DRAIN_GRACE` runs out). The thread then
 //! returns its nodes' actors and metrics.
 
 use crate::cluster::ClusterCore;

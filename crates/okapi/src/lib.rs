@@ -24,7 +24,7 @@
 //!   for the *slowest* DC), which is exactly the freshness-for-metadata
 //!   trade the paper's taxonomy predicts;
 //! * **2-round ROTs**: the client fetches the snapshot, then reads under
-//!   it ([`Okapi::normalize`] pins
+//!   it ([`normalize`](contrarian_protocol::ProtocolSpec::normalize) pins
 //!   [`contrarian_types::RotMode::TwoRound`]).
 //!
 //! Session guarantees still hold: the snapshot joins the client's observed
@@ -32,7 +32,7 @@
 //! read-your-writes follows from the PUT path timestamping past the
 //! client's causal past (same HLC argument as Contrarian).
 //!
-//! Because the backend is just another [`ProtocolSpec`], the generic
+//! Because the backend is just another [`contrarian_protocol::ProtocolSpec`], the generic
 //! builders stand it up on both runtimes — the discrete-event simulator
 //! and real TCP sockets (`contrarian-net`) — and the shared conformance
 //! suite runs unchanged.

@@ -138,7 +138,7 @@ pub fn build_nodes<P: ProtocolSpec>(
 /// and how long to run. A run passes [`SchedKind::default()`]; a test that
 /// compares engines passes each of `contrarian_sim::ENGINES`.
 pub fn build_cluster<P: ProtocolSpec>(p: &ClusterParams, sched: SchedKind) -> Sim<ProtoNode<P>> {
-    let mut sim = Sim::with_scheduler(p.cost.clone(), p.seed, sched);
+    let mut sim = Sim::with_scheduler(p.cost, p.seed, sched);
     let workers = p.cfg.workers_per_server as u32;
     for (addr, node) in build_nodes::<P>(&p.cfg, &p.clients, p.seed) {
         match node {
@@ -165,7 +165,7 @@ pub fn build_openloop_cluster<P: ProtocolSpec>(p: &OpenLoopParams) -> Sim<ProtoN
     build_cluster::<P>(
         &ClusterParams {
             cfg: p.cfg.clone(),
-            cost: p.cost.clone(),
+            cost: p.cost,
             clients: Clients::Open(p.spec.clone()),
             seed: p.seed,
         },

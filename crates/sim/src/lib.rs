@@ -39,42 +39,38 @@
 //! engine tests select each of [`ENGINES`] in-process):
 //!
 //! * `sharded` (default) — one shard per DC, run in parallel under
-//!   conservative per-link windows; a one-DC cluster is one shard on the
-//!   plain single-loop path;
+//!   conservative windows; a one-DC cluster is one shard on the plain
+//!   single-loop path;
 //! * `calendar` — one shard, the hierarchical calendar queue of
 //!   [`sched`]: the serial reference the engine tests replay against.
 //!
 //! [`Sim::window_stats`] reports what each shard did: window rounds,
 //! events, cross-shard messages, and its busy and barrier-wait host time.
 //!
-//! ### Windows and the lookahead invariant
+//! ### Windows on one bound
 //!
-//! A [`cost::LookaheadMatrix`] entry `L(i, j)` lower-bounds the arrival
-//! delta of any message shard `i` can send shard `j`: the link latency
-//! from DC `i` to DC `j` (sender CPU, per-byte wire time and FIFO clamping
-//! only push arrivals later), metric-closed (Floyd–Warshall, min-plus) so
-//! a relay through a cheap intermediate link never undercuts a direct
-//! entry. Each round the driver computes shard `j`'s *horizon*
+//! The classic conservative window: the inter-DC latency `L`
+//! ([`cost::CostModel::interdc_latency_ns`]) lower-bounds the arrival
+//! delta of any message one shard can send another (sender CPU, per-byte
+//! wire time and FIFO clamping only push arrivals later). Each round the
+//! driver computes shard `j`'s *horizon* ([`sim::horizon`])
 //!
 //! ```text
-//! min over i≠j of   next_t[i] + L(i, j)            (incoming chains)
-//!                   next_t[j] + L(j, i) + L(i, j)  (bounce-backs)
+//! min(  min over i≠j of next_t[i] + L,    (incoming chains)
+//!       next_t[j] + 2L  )                 (bounce-backs)
 //! ```
 //!
 //! — the earliest instant *any* pending event anywhere, including `j`'s
 //! own (whose sends can provoke replies), could still get a message to
-//! `j`. Events strictly before the horizon run concurrently, the caller
-//! running one shard and a scoped thread each other busy one; a shard
-//! takes in what its peers send while it runs, through a bounded inbox,
-//! and shards synchronize at the barrier, where whatever is still in
-//! flight is delivered (the engine asserts none lands inside its
-//! destination's just-run window). Pairwise bounds let two DCs joined by
-//! a fast link window against it while a transcontinental peer races
-//! ahead by up to its own latency — a single scalar lookahead would gate
-//! every pair on the smallest edge in the whole topology. A zero off-diagonal entry
-//! (free links) means no usable window exists at all, and the engine
-//! degenerates to lockstep execution — one globally minimal event at a
-//! time, sequential, still exact.
+//! `j`; a relay through further DCs only adds hops of at least `L`. Events
+//! strictly before the horizon run concurrently, the caller running one
+//! shard and a scoped thread each other busy one; a shard takes in what
+//! its peers send while it runs, through a bounded inbox, and shards
+//! synchronize at the barrier, where whatever is still in flight is
+//! delivered (the engine asserts none lands inside its destination's
+//! just-run window). With `L = 0` (free links) no window opens, and the
+//! driver runs one globally minimal event at a time — sequential, still
+//! exact.
 //!
 //! ### Why determinism holds
 //!
@@ -105,7 +101,6 @@ pub mod sim;
 // keep working for downstream users.
 pub use contrarian_runtime::{actor, cost, metrics, testkit};
 
-pub use contrarian_runtime::cost::LookaheadMatrix;
 pub use contrarian_runtime::{
     Actor, ActorCtx, CostModel, Histogram, Metrics, SimMessage, TimerKind,
 };

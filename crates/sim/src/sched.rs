@@ -64,8 +64,9 @@ pub enum SchedKind {
     /// engine test replays against.
     Calendar,
     /// One event loop and one calendar queue per DC, run in parallel under
-    /// conservative per-link windows (the default). A one-DC cluster is one
-    /// shard on the same single-loop path as [`SchedKind::Calendar`].
+    /// conservative windows cut on the one inter-DC latency (the default).
+    /// A one-DC cluster is one shard on the same single-loop path as
+    /// [`SchedKind::Calendar`].
     #[default]
     Sharded,
 }

@@ -1,6 +1,6 @@
 //! The per-shard execution core of the sharded simulator.
 //!
-//! A [`crate::Sim`] is a set of [`Shard`]s. Each shard owns its nodes —
+//! A [`crate::Sim`] is a set of `Shard`s. Each shard owns its nodes —
 //! every node under the calendar engine, one DC's under the sharded one —
 //! the calendar queue of their pending events, their backlog slab, and the
 //! FIFO state of every link *originating* at their nodes. The
@@ -51,31 +51,28 @@
 //!
 //! ## Conservative windows
 //!
-//! Shards synchronize with classic conservative parallel-DES lookahead,
-//! generalized to per-link bounds. Each shard owns one DC. A
-//! [`contrarian_runtime::cost::LookaheadMatrix`] entry `(i, j)` lower-bounds
-//! the arrival delta of any message shard `i` sends shard `j` — the link
-//! latency from DC `i` to DC `j` (CPU, wire and FIFO terms only push
-//! arrivals later), metric-closed so relayed influence is covered too. Each round, shard `j` runs every event strictly before its
-//! *horizon* — the minimum over peers `i` of the incoming chain
-//! `next_t_i + L(i, j)` *and* the bounce-back
-//! `next_t_j + L(j, i) + L(i, j)` (replies provoked by `j`'s own pending
-//! sends) — without communication: no message can reach `j` inside that
-//! range, whichever shard's pending work it originates from. The same
-//! bound lets a shard take what its peers send *while* its window runs:
-//! cross-shard messages travel in batches through the destination's
-//! bounded inbox — posted when full, and at the end of the sender's
-//! window — and every few dozen events a running shard moves what it was
-//! posted into its own queue: it lands at or past the window's end, so
-//! nothing reorders, and the queue's buckets are allocated by the thread
-//! that uses them. A batch that does not fit waits in the sender's outbox.
-//! At the barrier all of it is delivered — the engine asserts that nothing
-//! lands inside its destination's just-run window — and the next round
-//! recomputes horizons from the new per-shard clocks. A zero minimum off-diagonal entry (degenerate cost models with
-//! free links between DCs) means some pair has no usable window, and the
-//! engine falls back to lockstep: one globally minimal event at a time,
-//! exchanging after every step — plain sequential simulation with extra
-//! steps.
+//! Shards synchronize with classic conservative parallel-DES lookahead on
+//! one bound. Each shard owns one DC, and the inter-DC latency `L`
+//! lower-bounds the arrival delta of any message one shard sends another
+//! (CPU, wire and FIFO terms only push arrivals later). Each round, shard
+//! `j` runs every event strictly before its *horizon* — the smaller of
+//! the incoming chain `min over i≠j of next_t_i + L` and the bounce-back
+//! `next_t_j + 2L` (replies provoked by `j`'s own pending sends) — without
+//! communication: no message can reach `j` inside that range, whichever
+//! shard's pending work it originates from. The same bound lets a shard
+//! take what its peers send *while* its window runs: cross-shard messages
+//! travel in batches through the destination's bounded inbox — posted
+//! when full, and at the end of the sender's window — and every few dozen
+//! events a running shard moves what it was posted into its own queue: it
+//! lands at or past the window's end, so nothing reorders, and the
+//! queue's buckets are allocated by the thread that uses them. A batch
+//! that does not fit waits in the sender's outbox. At the barrier all of
+//! it is delivered — the engine asserts that nothing lands inside its
+//! destination's just-run window — and the next round recomputes horizons
+//! from the new per-shard clocks. With `L = 0` (free links between DCs) no
+//! window opens, and the driver runs one globally minimal event at a
+//! time, exchanging after every step — plain sequential simulation with
+//! extra steps.
 
 use crate::sched::CalendarQueue;
 use contrarian_runtime::actor::{Actor, ActorCtx, TimerKind};
@@ -210,17 +207,13 @@ impl RouteTable {
 }
 
 /// Shared, read-only cluster geometry every shard routes through: the
-/// address table, the global-id → (shard, local-slot) map, and the flat
-/// DC-pair latency table the hot send path reads instead of re-resolving
-/// `CostModel::link_latency` (overrides are a linear scan) per message.
+/// address table and the global-id → (shard, local-slot) map.
 pub(crate) struct Routing {
     table: RouteTable,
     /// `global id → (shard, local index)`.
     locate: Vec<(u32, u32)>,
     /// `global id → address`, registration order.
     pub(crate) addrs: Vec<Addr>,
-    /// `dc_lat[from * n_dcs + to]` = one-way latency, hop on the diagonal.
-    dc_lat: Vec<u64>,
     n_dcs: usize,
 }
 
@@ -235,37 +228,19 @@ impl Routing {
             },
             locate: Vec::new(),
             addrs: Vec::new(),
-            dc_lat: Vec::new(),
             n_dcs: 0,
         }
     }
 
-    pub(crate) fn build(addrs: Vec<Addr>, locate: Vec<(u32, u32)>, cost: &CostModel) -> Self {
+    pub(crate) fn build(addrs: Vec<Addr>, locate: Vec<(u32, u32)>) -> Self {
         let table = RouteTable::build(addrs.iter().copied());
         let n_dcs = addrs.iter().map(|a| a.dc.index() + 1).max().unwrap_or(0);
-        let mut dc_lat = vec![0u64; n_dcs * n_dcs];
-        for from in 0..n_dcs {
-            for to in 0..n_dcs {
-                dc_lat[from * n_dcs + to] = cost.link_latency(from as u8, to as u8);
-            }
-        }
         Routing {
             table,
             locate,
             addrs,
-            dc_lat,
             n_dcs,
         }
-    }
-
-    /// One-way network latency between two (registered) DCs.
-    #[inline]
-    pub(crate) fn link_latency(
-        &self,
-        from: contrarian_types::DcId,
-        to: contrarian_types::DcId,
-    ) -> u64 {
-        self.dc_lat[from.index() * self.n_dcs + to.index()]
     }
 
     /// Heap bytes of the tables.
@@ -274,7 +249,6 @@ impl Routing {
             + heap::vec_bytes(&self.table.clients)
             + heap::vec_bytes(&self.locate)
             + heap::vec_bytes(&self.addrs)
-            + heap::vec_bytes(&self.dc_lat)
     }
 
     /// Destination classes of the link table (`dc × {server, client}`).
@@ -855,7 +829,7 @@ impl<A: Actor> Shard<A> {
                 self.sink.metrics.busy_ns += tx;
             }
             let to_global = routing.global(to);
-            let latency = routing.link_latency(addr.dc, to.dc);
+            let latency = self.cost.link_latency(addr.dc.0, to.dc.0);
             let mut arrive = depart
                 .saturating_add(latency)
                 .saturating_add(self.cost.wire_bytes(msg.wire_size()));
@@ -887,10 +861,10 @@ impl<A: Actor> Shard<A> {
                     },
                 );
             } else {
-                // Cross-shard: the link latency is at least the lookahead
-                // matrix's `(self, to_shard)` entry, so the arrival lies at
-                // or beyond the destination's window end, and the
-                // destination may take it before its window is over.
+                // Cross-shard: the link latency is the inter-DC bound the
+                // windows are cut on, so the arrival lies at or beyond the
+                // destination's window end, and the destination may take
+                // it before its window is over.
                 let m = CrossShardMsg {
                     t: arrive,
                     key,

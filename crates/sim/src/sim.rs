@@ -10,13 +10,13 @@
 //! loop and one loop per DC, which the golden determinism tests pin down.
 //!
 //! [`Sim`] itself is the cluster facade: registration, routing geometry,
-//! the window/lockstep drivers, and the merged views of per-shard metrics
-//! and history.
+//! the single-loop and window drivers, and the merged views of per-shard
+//! metrics and history.
 
 use crate::sched::{QueueStats, SchedKind};
 use crate::shard::{EvKind, NodeSlot, Routing, Shard, WindowStats};
 use contrarian_runtime::actor::Actor;
-use contrarian_runtime::cost::{CostModel, LookaheadMatrix};
+use contrarian_runtime::cost::CostModel;
 use contrarian_runtime::history::merge_shard_histories;
 use contrarian_runtime::metrics::Metrics;
 use contrarian_runtime::node_seed;
@@ -38,11 +38,6 @@ pub struct Sim<A: Actor> {
     /// or a test forces a path with [`Sim::set_parallel`]. Either path
     /// produces the same run; only wall-clock speed differs.
     parallel: Option<bool>,
-    /// Per-link conservative bounds, metric-closed
-    /// ([`CostModel::lookahead_matrix`]); built at start.
-    la: LookaheadMatrix,
-    /// Cached `la.min_off_diagonal()`: 0 ⇒ no usable window, lockstep.
-    min_la: u64,
     /// Conservative window rounds driven so far (scheduling telemetry;
     /// engine-comparison tests pin schedules with it).
     rounds: u64,
@@ -78,8 +73,6 @@ impl<A: Actor> Sim<A> {
             seed,
             sched,
             parallel: None,
-            la: LookaheadMatrix::default(),
-            min_la: 0,
             rounds: 0,
             window_wall_ns: 0,
             staging: Vec::new(),
@@ -122,16 +115,10 @@ impl<A: Actor> Sim<A> {
         self.parallel = Some(parallel);
     }
 
-    /// The resolved (metric-closed) lookahead matrix driving the windows.
-    pub fn lookahead_matrix(&self) -> &LookaheadMatrix {
-        assert!(self.started, "the matrix is resolved at start");
-        &self.la
-    }
-
-    /// Conservative window rounds driven so far (0 on the single-shard and
-    /// lockstep paths). The window schedule is a pure function of the
-    /// matrix and the event stream, so identical runs drive identical
-    /// round counts.
+    /// Conservative window rounds driven so far (0 on the single-shard path
+    /// and when no window can open). The window schedule is a pure function
+    /// of the inter-DC latency and the event stream, so identical runs
+    /// drive identical round counts.
     pub fn window_rounds(&self) -> u64 {
         self.rounds
     }
@@ -188,7 +175,7 @@ impl<A: Actor> Sim<A> {
         census.set_class("engine");
         census.add(
             "routing",
-            self.routing.heap_bytes() + self.la.heap_bytes() + heap::vec_bytes(&self.shards),
+            self.routing.heap_bytes() + heap::vec_bytes(&self.shards),
             self.routing.addrs.len(),
         );
         for s in &self.shards {
@@ -229,7 +216,7 @@ impl<A: Actor> Sim<A> {
         }
         self.shards = (0..n_shards)
             .map(|i| {
-                let mut s = Shard::new(i, self.cost.clone());
+                let mut s = Shard::new(i, self.cost);
                 s.nodes.reserve_exact(sizes[i]);
                 s.sink.recording = self.recording;
                 s.sink.tracing = self.tracing;
@@ -256,9 +243,7 @@ impl<A: Actor> Sim<A> {
         if n_shards > 1 {
             Shard::connect(&mut self.shards);
         }
-        self.la = self.cost.lookahead_matrix(n_shards);
-        self.min_la = self.la.min_off_diagonal();
-        self.routing = Routing::build(addrs, locate, &self.cost);
+        self.routing = Routing::build(addrs, locate);
         for s in &mut self.shards {
             s.size_links(&self.routing);
         }
@@ -439,7 +424,8 @@ impl<A: Actor> Sim<A> {
 
     /// `(t, key)`-minimal single step across shards, exchanging cross-shard
     /// messages immediately. This is plain sequential simulation and the
-    /// fallback whenever windows cannot be formed (zero lookahead).
+    /// window driver's fallback whenever no window can open (zero
+    /// inter-DC latency, or horizons saturated at `u64::MAX`).
     fn lockstep_step(&mut self) -> bool {
         let mut best: Option<(u64, u64, usize)> = None;
         for (i, s) in self.shards.iter_mut().enumerate() {
@@ -461,14 +447,6 @@ impl<A: Actor> Sim<A> {
         self.now = self.now.max(t);
         self.metrics_dirty = true;
         true
-    }
-
-    /// Earliest pending event time across all shards.
-    fn min_next_t(&mut self) -> Option<u64> {
-        self.shards
-            .iter_mut()
-            .filter_map(|s| s.queue.peek_t())
-            .min()
     }
 
     /// Delivers every cross-shard message still in flight — gathered,
@@ -513,16 +491,6 @@ impl<A: Actor> Sim<A> {
                 s.step_one(routing);
             }
             self.now = self.now.max(s.now);
-        } else if self.min_la == 0 {
-            // Some pair of populated shards has a zero bound (free links
-            // between them): no conservative window exists; run the shards
-            // in lockstep (sequential, still bit-identical).
-            while let Some(m) = self.min_next_t() {
-                if m > bound {
-                    break;
-                }
-                self.lockstep_step();
-            }
         } else {
             self.run_windows(bound);
         }
@@ -530,30 +498,27 @@ impl<A: Actor> Sim<A> {
     }
 
     /// The conservative-window driver. Each round computes every shard's
-    /// *horizon* — the earliest instant any pending work could still get a
-    /// message to it: `min over i≠j` of the incoming chain `next_t[i] +
-    /// L(i, j)` and the bounce-back `next_t[j] + L(j, i) + L(i, j)` (see
-    /// [`LookaheadMatrix::horizon`]) — and runs each shard up to its own
-    /// (bound-clamped) horizon, in parallel when more than one shard has
-    /// work and the machine has a second core: the caller runs the
-    /// first busy shard itself and a scoped thread each of the others.
-    /// Cross-shard messages still in flight are delivered at the barrier;
-    /// the next round recomputes horizons from the advanced clocks.
-    /// Pairwise bounds let two DCs joined by a fast link window against it
-    /// while a transcontinental peer races ahead by up to its own latency —
-    /// a scalar lookahead would gate every pair on the single smallest
-    /// edge in the whole topology.
+    /// [`horizon`] — the earliest instant any pending work could still get
+    /// a message to it — and runs each shard up to its own (bound-clamped)
+    /// horizon, in parallel when more than one shard has work and the
+    /// machine has a second core: the caller runs the first busy shard
+    /// itself and a scoped thread each of the others. Cross-shard messages
+    /// still in flight are delivered at the barrier; the next round
+    /// recomputes horizons from the advanced clocks.
     ///
-    /// Progress: the shard holding the global minimum `m` has horizon
-    /// ≥ `m + min_off_diagonal` > `m`, so it always clears at least its
-    /// minimal event — except when horizons saturate near `u64::MAX`,
-    /// where one lockstep event is driven instead so the loop can never
-    /// spin without progress (the degenerate-window regression).
+    /// Progress: with a nonzero inter-DC latency `L` the shard holding the
+    /// global minimum `m` has horizon ≥ `m + L` > `m`, so it always clears
+    /// at least its minimal event. No window opens when `L` is zero (every
+    /// horizon is `m`) or when horizons saturate near `u64::MAX`; the
+    /// driver then runs one lockstep event instead, so the loop never
+    /// spins without progress and a zero-latency run is plain sequential
+    /// simulation.
     fn run_windows(&mut self, bound: u64)
     where
         A: Send,
     {
         let parallel = self.parallel == Some(true);
+        let lookahead = self.cost.interdc_latency_ns;
         let n = self.shards.len();
         let mut next_t = vec![u64::MAX; n];
         let mut ends = vec![0u64; n];
@@ -575,15 +540,15 @@ impl<A: Actor> Sim<A> {
             }
             let mut active = 0usize;
             for (i, end) in ends.iter_mut().enumerate() {
-                *end = window_end(self.la.horizon(i, &next_t), bound);
+                *end = window_end(horizon(&next_t, i, lookahead), bound);
                 if next_t[i] < *end {
                     active += 1;
                 }
             }
             if active == 0 {
-                // Every window clamped empty: only possible with horizons
-                // and events saturated at u64::MAX. Lockstep one event so
-                // the driver still terminates.
+                // Every window clamped empty: a zero inter-DC latency, or
+                // horizons and events saturated at u64::MAX. Lockstep one
+                // event so the driver still makes progress.
                 self.lockstep_step();
                 continue;
             }
@@ -691,6 +656,34 @@ impl<A: Actor> Drop for MetricsMut<'_, A> {
             }
         }
     }
+}
+
+/// Shard `to`'s conservative horizon under the one inter-DC bound
+/// `lookahead`, given each shard's earliest pending event time (`u64::MAX`
+/// = idle): the earliest instant any message could still arrive at it.
+/// Events of shard `to` strictly before it are safe to run without further
+/// communication. Two terms:
+///
+/// * `next_t[i] + L` for every peer `i` — a chain starting at `i`'s
+///   earliest pending event; a relay through further shards only adds
+///   hops of at least `L` each;
+/// * `next_t[to] + 2L` — the *bounce-back*: `to`'s own pending work can
+///   send to a peer whose reply lands back at `to` after a round trip.
+///   Without it a shard far ahead of the pack would over-run the replies
+///   its own sends provoke.
+///
+/// `u64::MAX` for a lone shard or when every shard is idle; saturating.
+pub fn horizon(next_t: &[u64], to: usize, lookahead: u64) -> u64 {
+    let bounce = next_t[to]
+        .saturating_add(lookahead)
+        .saturating_add(lookahead);
+    next_t
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != to)
+        .map(|(_, &t)| t.saturating_add(lookahead).min(bounce))
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// Clamps a shard's conservative horizon to the run bound — the one
@@ -1110,7 +1103,7 @@ mod tests {
             ..CostModel::functional()
         };
         for sched in crate::ENGINES {
-            let mut sim: Sim<Fan> = Sim::with_scheduler(cost.clone(), 3, sched);
+            let mut sim: Sim<Fan> = Sim::with_scheduler(cost, 3, sched);
             for dc in 0..2 {
                 for p in 0..2 {
                     sim.add_server(server(dc, p), Fan { got: vec![] }, 4);
@@ -1356,26 +1349,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_windows_follow_the_cost_models_per_dc_matrix() {
+    fn the_engine_value_fixes_shards_and_windows() {
         // The engine value alone fixes the geometry: the calendar engine
         // runs one shard with no window, the sharded one a shard per DC
-        // driven by `lookahead_matrix(n_dcs)` of the run's cost model.
-        let mut cost = CostModel::calibrated();
-        cost.interdc_overrides = vec![(0, 1, 7_000_000)];
+        // windowed on the cost model's inter-DC latency.
         let run = |sched| {
-            let mut sim = mk_geo(sched, cost.clone(), 2, 2);
+            let mut sim = mk_geo(sched, CostModel::calibrated(), 2, 2);
             sim.start();
-            let geometry = (sim.n_shards(), sim.lookahead_matrix().clone());
+            let shards = sim.n_shards();
             sim.run_to_quiescence(u64::MAX);
-            (geometry, sim.window_rounds())
+            (shards, sim.window_rounds())
         };
-        let ((shards, la), rounds) = run(SchedKind::Calendar);
-        assert_eq!((shards, rounds), (1, 0));
-        assert_eq!(la, cost.lookahead_matrix(1));
-        let ((shards, la), rounds) = run(SchedKind::Sharded);
+        assert_eq!(run(SchedKind::Calendar), (1, 0));
+        let (shards, rounds) = run(SchedKind::Sharded);
         assert_eq!(shards, 2);
-        assert_eq!(la, cost.lookahead_matrix(2));
-        assert_eq!(la.get(0, 1), 7_000_000);
         assert!(rounds > 0, "cross-DC traffic runs in windows");
     }
 
@@ -1397,7 +1384,6 @@ mod tests {
             }
             sim.start();
             assert_eq!(sim.n_shards(), 1, "{sched:?}");
-            assert_eq!(sim.lookahead_matrix().min_off_diagonal(), u64::MAX);
             sim.run_to_quiescence(u64::MAX);
             assert_eq!(sim.window_rounds(), 0, "{sched:?}");
             let sums: Vec<u64> = (0..4)
@@ -1588,14 +1574,21 @@ mod tests {
 
     #[test]
     fn zero_cross_dc_latency_degenerates_to_lockstep() {
-        // With free cross-DC links no conservative window exists; the
-        // sharded engine must fall back to one-event-at-a-time lockstep
-        // and still match the single-threaded run exactly.
+        // With free cross-DC links no conservative window opens: the
+        // window driver runs one globally minimal event at a time, drives
+        // no round, and still matches the single-threaded run exactly.
         let mut cost = CostModel::functional();
         cost.interdc_latency_ns = 0;
-        assert_eq!(cost.lookahead_matrix(2).min_off_diagonal(), 0);
-        let want = geo_digest(SchedKind::Calendar, cost.clone(), None);
-        assert_eq!(geo_digest(SchedKind::Sharded, cost, None), want);
+        let want = geo_digest(SchedKind::Calendar, cost, None);
+        for parallel in [false, true] {
+            assert_eq!(geo_digest(SchedKind::Sharded, cost, Some(parallel)), want);
+        }
+        let mut sim = mk_geo(SchedKind::Sharded, cost, 3, 4);
+        sim.start();
+        sim.run_to_quiescence(u64::MAX);
+        assert_eq!(sim.n_shards(), 2);
+        assert_eq!(sim.window_rounds(), 0);
+        assert_eq!(sim.events_processed(), want.1);
     }
 
     #[test]
@@ -1643,11 +1636,10 @@ mod tests {
             timer_ns: 0,
             hop_latency_ns: 0,
             interdc_latency_ns: L,
-            interdc_overrides: Vec::new(),
             wire_ns_per_kb: 0,
         };
         let run = |sched| {
-            let mut sim: Sim<OneShot> = Sim::with_scheduler(zeroed.clone(), 2, sched);
+            let mut sim: Sim<OneShot> = Sim::with_scheduler(zeroed, 2, sched);
             // A server in each DC so both shards have a node; only DC1's
             // server receives anything.
             for dc in 0..2 {
@@ -1782,7 +1774,29 @@ mod tests {
         assert_eq!(counted(SchedKind::Sharded), (on, on));
     }
 
-    // ---- per-link matrix and window-bound arithmetic ----
+    // ---- horizon and window-bound arithmetic ----
+
+    #[test]
+    fn horizon_is_min_over_other_shards_clocks_plus_bounds() {
+        // The laggard is gated by its own bounce-back (0 + 10 + 10), not
+        // the peers' clocks.
+        assert_eq!(horizon(&[0, 100, 40], 0, 10), 20);
+        assert_eq!(
+            horizon(&[5, 100, 40], 1, 10),
+            15,
+            "gated by shard 0's clock"
+        );
+        // Idle peers (u64::MAX) saturate out of the incoming-chain terms,
+        // but the bounce-back still applies: the busy shard's own sends can
+        // wake an idle peer into replying.
+        assert_eq!(horizon(&[0, u64::MAX, u64::MAX], 0, 10), 20);
+        // A genuinely idle shard, and a lone one, have unbounded horizons.
+        assert_eq!(horizon(&[u64::MAX; 3], 0, 10), u64::MAX);
+        assert_eq!(horizon(&[7], 0, 10), u64::MAX);
+        // A zero bound opens no window: every horizon is the global minimum.
+        assert_eq!(horizon(&[3, 5], 0, 0), 3);
+        assert_eq!(horizon(&[3, 5], 1, 0), 3);
+    }
 
     #[test]
     fn window_end_clamps_with_saturating_semantics() {
@@ -1892,74 +1906,5 @@ mod tests {
             assert_eq!(sim.actor(Addr::client(DcId(0), 0)).pongs, 5, "{sched:?}");
             assert_eq!(sim.now(), u64::MAX, "{sched:?}");
         }
-    }
-
-    #[test]
-    fn asymmetric_overrides_match_serial_engines() {
-        // Directional link overrides (A→B slow, B→A fast): the matrix is
-        // asymmetric, and both engines must still agree.
-        let mut cost = CostModel::calibrated();
-        cost.interdc_overrides = vec![(0, 1, 40_000_000), (1, 0, 3_000_000)];
-        let want = geo_digest(SchedKind::Calendar, cost.clone(), None);
-        assert_eq!(
-            geo_digest(SchedKind::Sharded, cost, Some(true)),
-            want,
-            "asymmetric matrix"
-        );
-    }
-
-    #[test]
-    fn triangle_violating_overrides_run_exactly_under_closure() {
-        // 3 DCs where the direct 0→2 link (100ms) is slower than relaying
-        // via DC1 (5ms + 7ms): the raw per-link matrix violates the
-        // triangle inequality and metric closure must cap the 0→2 bound at
-        // 12ms for the windows to stay conservative across rounds. The
-        // exchange assertion fires on any violation; the digest pins
-        // exactness.
-        let mut cost = CostModel::calibrated();
-        cost.interdc_overrides = vec![
-            (0, 2, 100_000_000),
-            (2, 0, 100_000_000),
-            (0, 1, 5_000_000),
-            (1, 0, 5_000_000),
-            (1, 2, 7_000_000),
-            (2, 1, 7_000_000),
-        ];
-        let digest = |sched, parallel: Option<bool>| {
-            let mut sim: Sim<Mesh> = Sim::with_scheduler(cost.clone(), 13, sched);
-            for dc in 0..3 {
-                for p in 0..2 {
-                    sim.add_server(
-                        Addr::server(DcId(dc), contrarian_types::PartitionId(p)),
-                        Mesh::spanning(3, 2),
-                        2,
-                    );
-                }
-                for c in 0..2 {
-                    sim.add_client(Addr::client(DcId(dc), c), Mesh::spanning(3, 2));
-                }
-            }
-            if let Some(p) = parallel {
-                sim.set_parallel(p);
-            }
-            sim.start();
-            if sim.n_shards() == 3 {
-                let la = sim.lookahead_matrix();
-                assert_eq!(la.get(0, 2), 12_000_000, "closure caps the slow link");
-                assert_eq!(la.get(0, 1), 5_000_000);
-            }
-            sim.run_until(60_000_000);
-            sim.run_to_quiescence(u64::MAX);
-            let mut sums = Vec::new();
-            for dc in 0..3 {
-                for c in 0..2 {
-                    let a = sim.actor(Addr::client(DcId(dc), c));
-                    sums.push(a.sum.wrapping_mul(1023).wrapping_add(a.echoes));
-                }
-            }
-            (sim.now(), sim.events_processed(), sums)
-        };
-        let want = digest(SchedKind::Calendar, None);
-        assert_eq!(digest(SchedKind::Sharded, Some(true)), want);
     }
 }

@@ -1,7 +1,7 @@
 //! Multi-version key-value storage engine.
 //!
 //! Each partition owns one [`MvStore`]: a lazily materialized map from key
-//! to a [`Chain`] of versions, totally ordered by [`VersionId`] (timestamp,
+//! to a [`Chain`] of versions, totally ordered by [`contrarian_types::VersionId`] (timestamp,
 //! origin DC) — the last-writer-wins convergence order of Section 2.2. The
 //! map is a 16-byte key index over an append-only slab of chains.
 //!

@@ -4,7 +4,7 @@
 //!
 //! The store is two parts. The *index* maps a key to a `u32` slot: a
 //! 16-byte table entry (pinned by a test). The *slab* holds the chains in
-//! the order their keys were first written, in chunks of [`CHUNK`] chains
+//! the order their keys were first written, in chunks of `CHUNK` chains
 //! that are allocated at full size and never grow, so a chain never moves
 //! once placed. Keys are never removed (GC keeps a key's chain even when
 //! it empties it), so the slab needs no free list.
