@@ -31,6 +31,9 @@
 //! builders and timer loop come from [`contrarian_protocol`] (see
 //! [`CcLo`], this backend's [`contrarian_protocol::ProtocolSpec`]).
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod client;
 pub mod msg;
 pub mod records;

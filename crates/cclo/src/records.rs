@@ -332,7 +332,11 @@ impl CurrentReaders {
         all.cover(at);
         live.cover(at);
         let mut any_expired = false;
-        // lint:allow(determinism): min/max fold, order-free
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "min/max fold, order-free"
+        )]
         for set in self.sets.values() {
             for r in set.entries() {
                 let s = r.at(self.epoch);
@@ -367,7 +371,11 @@ impl CurrentReaders {
             return;
         }
         let gc_ns = self.gc_ns;
-        // lint:allow(determinism): per-entry rewrite, order-free
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "per-entry rewrite, order-free"
+        )]
         for set in self.sets.values_mut() {
             for r in set.entries_mut() {
                 let at = r.at(from);
@@ -406,7 +414,11 @@ impl CurrentReaders {
     pub fn gc(&mut self, now: u64) -> (usize, usize) {
         let (epoch, gc_ns, mut span) = (self.epoch, self.gc_ns, Span::EMPTY);
         let (mut kept, mut dropped) = (0, 0);
-        // lint:allow(determinism): per-entry GC; counts and span fold commutatively
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "per-entry GC; counts and span fold commutatively"
+        )]
         for set in self.sets.values_mut() {
             let (k, d) = set.sweep(|r| {
                 let at = r.at(epoch);
@@ -419,7 +431,10 @@ impl CurrentReaders {
             kept += k;
             dropped += d;
         }
-        // lint:allow(determinism): per-entry emptiness predicate, order-free
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-entry emptiness predicate, order-free"
+        )]
         self.sets.retain(|_, s| !s.is_empty());
         if let Some(to) = span.epoch() {
             self.rebase(to, now);
@@ -437,7 +452,11 @@ impl CurrentReaders {
 /// vector.
 pub(crate) fn readers_heap<E: Reader>(map: &HashMap<Key, ReaderSet<E>>) -> (usize, usize) {
     let (mut bytes, mut entries) = (heap::map_bytes(map), 0);
-    // lint:allow(determinism): commutative sums for a heap census
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "commutative sums for a heap census"
+    )]
     for set in map.values() {
         bytes += set.heap_bytes();
         entries += set.len();
@@ -896,6 +915,11 @@ impl BlockRecord {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    clippy::iter_over_hash_type,
+    reason = "the map-based reference records walk their tables; tests compare sets"
+)]
 mod tests {
     use super::*;
     use contrarian_types::{ClientId, DcId};
@@ -905,8 +929,7 @@ mod tests {
     /// vectors — the block record still naming every id the readers check
     /// returned, before sealing dropped the ROTs that can no longer read —
     /// kept as the oracle of the differential proptests below and nowhere
-    /// else. (The maps are `by_tx`, not `entries`: the determinism lint
-    /// tracks hash-typed names per file.)
+    /// else.
     mod model {
         use super::super::ReaderEntry;
         use contrarian_types::{ClientId, TxId};

@@ -154,12 +154,19 @@ impl Server {
         let window = self.gc_window_ns();
         let (kept, dropped) = self.readers.gc(now);
         let mut touched = kept + dropped;
-        // lint:allow(determinism): per-entry GC; kept/dropped fold commutatively
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "per-entry GC; kept/dropped fold commutatively"
+        )]
         for set in self.old_readers.values_mut() {
             let (kept, dropped) = set.gc(now, window);
             touched += kept + dropped;
         }
-        // lint:allow(determinism): per-entry emptiness predicate, order-free
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-entry emptiness predicate, order-free"
+        )]
         self.old_readers.retain(|_, s| !s.is_empty());
         // Version GC: drop versions stamped more than 1 000 000 Lamport
         // ticks ago. The clock advances per message, not per nanosecond, so
@@ -776,13 +783,19 @@ impl ProtocolServer for Server {
         census.add("current readers", bytes, entries);
         let (bytes, entries) = readers_heap(&self.old_readers);
         census.add("old readers", bytes, entries);
-        // lint:allow(determinism): commutative sums for a heap census
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "commutative sums for a heap census"
+        )]
         let puts: usize = self
             .pending_puts
             .values()
             .map(|p| heap::vec_bytes(&p.block) + heap::vec_bytes(&p.deps))
             .sum();
-        // lint:allow(determinism): commutative sums for a heap census
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "commutative sums for a heap census"
+        )]
         let repls: usize = self
             .pending_repls
             .values()

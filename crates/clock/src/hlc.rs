@@ -21,10 +21,21 @@
 pub const COUNTER_BITS: u32 = 16;
 const COUNTER_MASK: u64 = (1 << COUNTER_BITS) - 1;
 
+/// The largest encodable timestamp. No event can be stamped past it: its
+/// successor needs a 49th physical bit, which [`encode`] would shift out,
+/// wrapping the stamp to 0. So a server neither issues nor accepts it: a
+/// clock stamps an event only if the stamp stays below it, and a message
+/// carrying it is dropped.
+pub const MAX: u64 = u64::MAX;
+
 /// Packs `(l, c)` into a single totally ordered `u64`.
 #[inline]
 pub fn encode(l: u64, c: u64) -> u64 {
     debug_assert!(c <= COUNTER_MASK);
+    debug_assert!(
+        l >> (64 - COUNTER_BITS) == 0,
+        "HLC physical part {l} overflows"
+    );
     (l << COUNTER_BITS) | c
 }
 
@@ -125,9 +136,18 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
-        for (l, c) in [(0u64, 0u64), (1, 5), (1 << 40, 65535)] {
+        let last = ((1 << (64 - COUNTER_BITS)) - 1, COUNTER_MASK);
+        for (l, c) in [(0u64, 0u64), (1, 5), (1 << 40, 65535), last] {
             assert_eq!(decode(encode(l, c)), (l, c));
         }
+        assert_eq!(encode(last.0, last.1), MAX);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overflows")]
+    fn encode_refuses_a_physical_part_past_its_bits() {
+        encode(1 << (64 - COUNTER_BITS), 0);
     }
 
     #[test]
@@ -226,5 +246,34 @@ mod tests {
             let (l, _) = decode(h.tick(pt));
             assert!(l <= max_pt);
         }
+    }
+
+    #[test]
+    fn the_last_timestamp_decodes_to_both_parts_full() {
+        let (l, c) = decode(MAX);
+        assert_eq!(l, (1 << (64 - COUNTER_BITS)) - 1);
+        assert_eq!(c, COUNTER_MASK);
+        // Its predecessor is still a stamp a clock can move past.
+        let mut h = Hlc::new();
+        h.advance_to(MAX - 1);
+        assert_eq!(h.tick(0), MAX);
+    }
+
+    #[test]
+    fn a_stale_message_still_moves_the_counter() {
+        let mut h = Hlc::new();
+        h.tick(100); // (100, 0)
+        let t = h.update(50, encode(20, 9));
+        assert_eq!(decode(t), (100, 1));
+    }
+
+    #[test]
+    fn update_from_a_message_ahead_of_physical_time_adopts_it() {
+        let mut h = Hlc::new();
+        h.tick(10);
+        let t = h.update(20, encode(80, 4));
+        assert_eq!(decode(t), (80, 5));
+        // Physical time that overtakes the clock resets the counter.
+        assert_eq!(decode(h.tick(81)), (81, 0));
     }
 }

@@ -10,6 +10,9 @@
 //!   stabilization) *and* can be moved forward to match an incoming snapshot
 //!   timestamp (nonblocking ROTs). Section 4 of the paper.
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod hlc;
 pub mod logical;
 pub mod physical;

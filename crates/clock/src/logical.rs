@@ -88,4 +88,12 @@ mod tests {
         let recv = b.observe(send);
         assert!(recv > send);
     }
+
+    #[test]
+    fn observing_the_own_time_still_ticks() {
+        let mut c = LogicalClock::new();
+        c.merge(7);
+        assert_eq!(c.observe(7), 8);
+        assert_eq!(c.tick(), 9);
+    }
 }

@@ -107,4 +107,23 @@ mod tests {
         let c = PhysicalClockModel::with_offset_ns(-10_000);
         assert_eq!(c.now_us(1_000), 0);
     }
+
+    #[test]
+    fn ns_until_waits_strictly_past_the_target() {
+        let c = PhysicalClockModel::perfect();
+        // At exactly the target microsecond the clock has not passed it.
+        assert_eq!(c.ns_until(10_000, 10), 1_000);
+        assert_eq!(c.ns_until(10_999, 10), 1);
+        assert_eq!(c.ns_until(11_000, 10), 0);
+    }
+
+    #[test]
+    fn random_offsets_fall_on_both_sides() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let offsets: Vec<i64> = (0..100)
+            .map(|_| PhysicalClockModel::random(&mut rng, 50).offset_ns())
+            .collect();
+        assert!(offsets.iter().any(|&o| o > 0));
+        assert!(offsets.iter().any(|&o| o < 0));
+    }
 }

@@ -34,6 +34,9 @@
 //!
 //! [Hybrid Logical Clocks]: contrarian_clock::Hlc
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod client;
 pub mod msg;
 pub mod server;

@@ -168,6 +168,15 @@ impl<F: Flavor> SnapshotServer<F> {
         self.stab.vv()
     }
 
+    /// Whether the clock can stamp an event past both its own reading and
+    /// `ts` and still stay below [`hlc::MAX`], which no server issues or
+    /// accepts: a request that would need it is counted and dropped. The
+    /// stamp is at most the successor of the larger of the two, so every
+    /// timestamp this server sends is one its peers accept.
+    fn stampable(&self, now: u64, ts: u64) -> bool {
+        self.clock.peek(now).max(ts) < hlc::MAX - 1
+    }
+
     /// Parks `msg` (as sent by `from`) until the clock may admit it.
     fn park(&mut self, ctx: &mut dyn ActorCtx<Msg>, wait: u64, from: Addr, msg: Msg) {
         if ctx.tracing() {
@@ -205,7 +214,11 @@ impl<F: Flavor> SnapshotServer<F> {
         // both its last observed local timestamp and every remote entry
         // (DV[s] is "enforced to be higher than any other entry", §4).
         let now = ctx.now();
-        let ts = match self.clock.stamp_put(now, lts.max(dv.max_entry())) {
+        let floor = lts.max(dv.max_entry());
+        if !self.stampable(now, floor) {
+            return ctx.metrics().rejected();
+        }
+        let ts = match self.clock.stamp_put(now, floor) {
             Ok(ts) => ts,
             Err(wait) => {
                 let req = Msg::PutReq {
@@ -426,9 +439,12 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
     }
 
     /// Every vector a message carries must hold one entry per DC, every DC
-    /// it names as an origin must be another of this cluster's, and a
-    /// reporting partition must exist: anything else is counted and
-    /// dropped with the client-bound messages.
+    /// it names as an origin must be another of this cluster's, a
+    /// reporting partition must exist, no timestamp that can reach the
+    /// clock or the vectors may be [`hlc::MAX`], and one the clock must
+    /// stamp past must leave room below it (see `stampable`; a PUT's is
+    /// checked in `handle_put`, against its whole floor): anything else is
+    /// counted and dropped with the client-bound messages.
     fn on_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, from: Addr, msg: Msg) {
         let dcs = self.cfg.n_dcs as usize;
         let remote = |dc: DcId| dc.index() < dcs && dc.index() != self.my_dc;
@@ -439,13 +455,17 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
                 lts,
                 gss,
             } if gss.len() == dcs => self.handle_put(ctx, from, key, value, lts, gss),
-            Msg::RotReq { tx, keys, lts, gss } if gss.len() == dcs => {
+            Msg::RotReq { tx, keys, lts, gss }
+                if gss.len() == dcs && self.stampable(ctx.now(), lts) =>
+            {
                 self.handle_rot_req(ctx, from, tx, keys, lts, gss)
             }
-            Msg::RotSnapReq { tx, lts, gss } if gss.len() == dcs => {
+            Msg::RotSnapReq { tx, lts, gss }
+                if gss.len() == dcs && self.stampable(ctx.now(), lts) =>
+            {
                 self.handle_snap_req(ctx, from, tx, lts, gss)
             }
-            Msg::RotRead { tx, keys, sv } if sv.len() == dcs => {
+            Msg::RotRead { tx, keys, sv } if sv.len() == dcs && sv[self.my_dc] < hlc::MAX => {
                 self.handle_read(ctx, from, tx, keys, sv)
             }
             Msg::RotFwd {
@@ -453,14 +473,16 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
                 client,
                 keys,
                 sv,
-            } if sv.len() == dcs => self.handle_read(ctx, client, tx, keys, sv),
+            } if sv.len() == dcs && sv[self.my_dc] < hlc::MAX => {
+                self.handle_read(ctx, client, tx, keys, sv)
+            }
             Msg::Replicate {
                 key,
                 value,
                 dv,
                 origin,
                 birth,
-            } if dv.len() == dcs && remote(origin) => {
+            } if dv.len() == dcs && remote(origin) && dv[origin.index()] < hlc::MAX => {
                 let ts = dv[origin.index()];
                 self.stab.record_remote(origin, ts);
                 if birth > 0 {
@@ -474,13 +496,19 @@ impl<F: Flavor> ProtocolServer for SnapshotServer<F> {
                     Version::new(VersionId::new(ts, origin), value, dv).with_birth(birth),
                 );
             }
-            Msg::Heartbeat { origin, ts } if remote(origin) => self.stab.record_remote(origin, ts),
+            Msg::Heartbeat { origin, ts } if remote(origin) && ts < hlc::MAX => {
+                self.stab.record_remote(origin, ts)
+            }
             Msg::VvReport { partition, vv }
-                if vv.len() == dcs && partition.0 < self.cfg.n_partitions =>
+                if vv.len() == dcs
+                    && partition.0 < self.cfg.n_partitions
+                    && vv.max_entry() < hlc::MAX =>
             {
                 self.stab.on_vv_report(partition, vv)
             }
-            Msg::GssBcast { gss } if gss.len() == dcs => self.stab.on_gss_bcast(&gss),
+            Msg::GssBcast { gss } if gss.len() == dcs && gss.max_entry() < hlc::MAX => {
+                self.stab.on_gss_bcast(&gss)
+            }
             // A client-bound message, or one shaped for another cluster:
             // any peer of a live cluster can send one, so it is counted and
             // dropped rather than trusted.
@@ -748,8 +776,10 @@ mod tests {
         // Snapshot whose remote entry predates the version: invisible.
         let client = Addr::client(DcId(0), 0);
         let tx = TxId::new(ClientId::new(DcId(0), 0), 0);
+        // The local entry covers every local version: the largest one a
+        // server accepts (`hlc::MAX` itself has no successor).
         let mut sv = DepVector::zero(2);
-        sv.set(0, u64::MAX);
+        sv.set(0, hlc::MAX - 1);
         sv.set(1, ts - 1);
         s.on_message(
             &mut ctx,
@@ -766,7 +796,7 @@ mod tests {
         }
         // Snapshot covering it: visible.
         let mut sv2 = DepVector::zero(2);
-        sv2.set(0, u64::MAX);
+        sv2.set(0, hlc::MAX - 1);
         sv2.set(1, ts);
         s.on_message(
             &mut ctx,
@@ -949,5 +979,54 @@ mod tests {
         let mut heads = s.store_heads();
         heads.sort_unstable();
         assert_eq!(heads, vec![(Key(0), v2), (Key(4), v3)]);
+    }
+
+    /// A PUT whose floor is the last encodable timestamp is counted and
+    /// dropped before it reaches the clock: the next PUT is stamped from
+    /// the clock's own reading, not past a wrapped one.
+    #[test]
+    fn a_put_at_the_last_timestamp_leaves_the_clock_alone() {
+        let mut s = server(0, 0, 1);
+        let mut ctx = ScriptCtx::new(Addr::server(DcId(0), PartitionId(0)));
+        let client = Addr::client(DcId(0), 0);
+        s.on_message(
+            &mut ctx,
+            client,
+            Msg::PutReq {
+                key: Key(0),
+                value: Value::new(),
+                lts: hlc::MAX,
+                gss: DepVector::zero(1),
+            },
+        );
+        assert_eq!(ctx.sink.metrics.rejected_msgs, 1);
+        assert!(ctx.drain_sent().is_empty());
+        assert!(s.store().latest(Key(0)).is_none());
+        let (vid, _) = put(&mut s, &mut ctx, Key(0), 7, 1);
+        assert!(vid.ts > 7 && vid.ts < hlc::encode(1, 0), "{vid:?}");
+    }
+
+    /// A snapshot whose local entry is the last timestamp would move the
+    /// clock to it; the read is counted and dropped instead.
+    #[test]
+    fn a_read_at_the_last_timestamp_does_not_poison_the_clock() {
+        let mut s = server(0, 0, 1);
+        let mut ctx = ScriptCtx::new(Addr::server(DcId(0), PartitionId(0)));
+        let client = Addr::client(DcId(0), 0);
+        let mut sv = DepVector::zero(1);
+        sv.set(0, hlc::MAX);
+        s.on_message(
+            &mut ctx,
+            client,
+            Msg::RotRead {
+                tx: TxId::new(ClientId::new(DcId(0), 0), 0),
+                keys: vec![Key(0)],
+                sv,
+            },
+        );
+        assert_eq!(ctx.sink.metrics.rejected_msgs, 1);
+        assert!(ctx.drain_to(client).is_empty());
+        let (vid, _) = put(&mut s, &mut ctx, Key(0), 0, 1);
+        assert!(vid.ts > 0 && vid.ts < hlc::MAX / 2, "{vid:?}");
     }
 }

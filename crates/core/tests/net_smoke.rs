@@ -1,6 +1,10 @@
 //! Smoke test: a replicated Contrarian cluster over loopback TCP makes
 //! progress and moves real bytes. (The full battery is in
 //! `conformance.rs`; this test also pins the wire-level counters.)
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a live cluster runs for wall-clock time against real sockets"
+)]
 
 use contrarian_core::Contrarian;
 use contrarian_protocol::{build_nodes, Clients, NetCluster};

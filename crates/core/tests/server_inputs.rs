@@ -8,12 +8,15 @@
 //!
 //! * nothing has panicked;
 //! * the Global Stable Snapshot has not decreased in any entry;
-//! * no key's head version has moved to a smaller version.
+//! * no key's head version has moved to a smaller version;
+//! * an acknowledged PUT's timestamp exceeds the client's `lts`;
+//! * no timestamp the server sends for a peer to take in is `hlc::MAX`,
+//!   which every peer drops.
 //!
 //! What the server cannot act on is counted and dropped
 //! (`Metrics::rejected_msgs`), never trusted.
 
-use contrarian_clock::PhysicalClockModel;
+use contrarian_clock::{hlc, PhysicalClockModel};
 use contrarian_core::msg::Msg;
 use contrarian_core::timers;
 use contrarian_core::Server;
@@ -29,14 +32,34 @@ use std::collections::HashMap;
 /// Message tags 0..13 name the `Msg` variants; 13 is a timer tick.
 const TAGS: u8 = 14;
 
-/// A timestamp drawn from one of four classes: small, near `u64::MAX`,
-/// anything, or an HLC-encoded reading close to `now`.
+/// A timestamp drawn from one of five classes: small, near `u64::MAX`, at
+/// most 3 below it (the clock's last encodable successors), anything, or
+/// an HLC-encoded reading close to `now`.
 fn timestamp(class: u8, raw: u64, now: u64) -> u64 {
     match class {
         0 => raw % 1_000_000,
         1 => u64::MAX - raw % 1_000,
-        2 => raw,
+        2 => u64::MAX - raw % 4,
+        3 => raw,
         _ => contrarian_clock::hlc::encode(now / 1_000 + raw % 1_000, raw % 4),
+    }
+}
+
+/// The timestamp of a message the server sent that a peer hands its own
+/// clock or vectors, and so drops if it is `hlc::MAX`: this server's entry
+/// of a snapshot or dependency vector, a heartbeat's reading, a version
+/// id, or any entry of a report or a broadcast.
+fn issued(msg: &Msg, me: DcId) -> Option<u64> {
+    match msg {
+        Msg::RotSnap { sv, .. } | Msg::RotFwd { sv, .. } | Msg::RotSlice { sv, .. } => {
+            Some(sv[me.index()])
+        }
+        Msg::PutResp { vid, .. } => Some(vid.ts),
+        Msg::Replicate { dv, .. } => Some(dv[me.index()]),
+        Msg::Heartbeat { ts, .. } => Some(*ts),
+        Msg::VvReport { vv, .. } => Some(vv.max_entry()),
+        Msg::GssBcast { gss } => Some(gss.max_entry()),
+        _ => None,
     }
 }
 
@@ -132,7 +155,7 @@ proptest! {
         steps in prop::collection::vec(
             (
                 (0u8..TAGS, 0u8..4, 0u16..6, 0u32..4),
-                (0u8..4, 0u64..u64::MAX, 0u64..2_000_000),
+                (0u8..5, 0u64..u64::MAX, 0u64..2_000_000),
                 prop::collection::vec(0u64..16, 0..4),
                 prop::collection::vec(0u64..u64::MAX, 0..4),
             ),
@@ -166,7 +189,14 @@ proptest! {
                 let from = sender(dc, idx, seq % 3 == 0);
                 server.on_message(&mut ctx, from, msg);
             }
-            ctx.drain_sent();
+            for (_, msg) in ctx.drain_sent() {
+                if let Msg::PutResp { vid, .. } = msg {
+                    prop_assert!(tag == 6 && vid.ts > ts, "PUT at lts {} acknowledged as {}", ts, vid);
+                }
+                if let Some(issued) = issued(&msg, me.dc) {
+                    prop_assert!(issued < hlc::MAX, "{:?} carries the last timestamp", msg);
+                }
+            }
 
             let now_gss = server.gss();
             prop_assert_eq!(now_gss.len(), gss.len());
@@ -258,6 +288,54 @@ fn malformed_server_bound_messages_are_counted_and_dropped() {
             vv: one_dc.clone(),
         },
         Msg::GssBcast { gss: one_dc },
+        // A timestamp with no encodable successor, wherever it would reach
+        // the clock: an HLC shown one would wrap to 0.
+        Msg::PutReq {
+            key: Key(1),
+            value: Value::new(),
+            lts: u64::MAX,
+            gss: DepVector::zero(2),
+        },
+        Msg::PutReq {
+            key: Key(1),
+            value: Value::new(),
+            lts: 0,
+            gss: DepVector::from_vec(vec![0, u64::MAX]),
+        },
+        Msg::RotReq {
+            tx,
+            keys: vec![Key(1)],
+            lts: u64::MAX,
+            gss: DepVector::zero(2),
+        },
+        Msg::RotSnapReq {
+            tx,
+            lts: u64::MAX,
+            gss: DepVector::zero(2),
+        },
+        Msg::RotRead {
+            tx,
+            keys: vec![Key(1)],
+            sv: DepVector::from_vec(vec![u64::MAX, 0]),
+        },
+        Msg::Replicate {
+            key: Key(1),
+            value: Value::new(),
+            dv: DepVector::from_vec(vec![0, u64::MAX]),
+            origin: DcId(1),
+            birth: 0,
+        },
+        Msg::Heartbeat {
+            origin: DcId(1),
+            ts: u64::MAX,
+        },
+        Msg::VvReport {
+            partition: PartitionId(1),
+            vv: DepVector::from_vec(vec![u64::MAX, 0]),
+        },
+        Msg::GssBcast {
+            gss: DepVector::from_vec(vec![0, u64::MAX]),
+        },
     ];
     let mut server = Server::new(me, cfg, PhysicalClockModel::perfect());
     let mut ctx = ScriptCtx::new(me);
@@ -272,4 +350,133 @@ fn malformed_server_bound_messages_are_counted_and_dropped() {
     assert_eq!((server.gss(), server.vv()), (&gss, &vv));
     // A stabilization round over the dropped report still runs.
     server.on_timer(&mut ctx, TimerKind::new(timers::STABILIZE));
+}
+
+/// A clock that has issued the last timestamp a server may issue (one
+/// below `hlc::MAX`) cannot stamp another event: a PUT that would need
+/// `hlc::MAX` and every PUT after it are counted and dropped, not
+/// acknowledged with a timestamp no peer accepts or one that wrapped to 0.
+#[test]
+fn a_clock_at_its_last_timestamp_drops_what_it_cannot_stamp() {
+    let cfg = ClusterConfig::small().with_dcs(2);
+    let me = Addr::server(DcId(0), PartitionId(0));
+    let client = Addr::client(DcId(0), 0);
+    let mut server = Server::new(me, cfg, PhysicalClockModel::perfect());
+    let mut ctx = ScriptCtx::new(me);
+    server.on_start(&mut ctx);
+    let put = |lts| Msg::PutReq {
+        key: Key(1),
+        value: Value::new(),
+        lts,
+        gss: DepVector::zero(2),
+    };
+    server.on_message(&mut ctx, client, put(hlc::MAX - 2));
+    let acks: Vec<Msg> = ctx.drain_to(client);
+    assert!(
+        matches!(acks[..], [Msg::PutResp { vid, .. }] if vid.ts == hlc::MAX - 1),
+        "{acks:?}"
+    );
+    ctx.drain_sent();
+    server.on_message(&mut ctx, client, put(hlc::MAX - 1));
+    server.on_message(&mut ctx, client, put(5));
+    assert!(
+        ctx.drain_sent().is_empty(),
+        "a PUT past the last timestamp was answered"
+    );
+    assert_eq!(ctx.sink.metrics.rejected_msgs, 2);
+}
+
+/// An acknowledged PUT just below the top of the timestamp range is
+/// replicated like any other, and stabilization carries on around it: the
+/// peer replica applies the version, every server accepts every message,
+/// and every server's GSS keeps advancing in every entry. Two DCs of two
+/// partitions each, every message delivered by hand.
+#[test]
+fn a_put_near_the_top_of_the_range_replicates_and_stabilization_goes_on() {
+    let cfg = ClusterConfig::small().with_dcs(2).with_partitions(2);
+    let addrs: Vec<Addr> = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        .map(|(dc, p)| Addr::server(DcId(dc), PartitionId(p)))
+        .into();
+    let mut servers: Vec<Server> = addrs
+        .iter()
+        .map(|&a| Server::new(a, cfg.clone(), PhysicalClockModel::perfect()))
+        .collect();
+    let mut ctx = ScriptCtx::new(addrs[0]);
+    for (server, &a) in servers.iter_mut().zip(&addrs) {
+        server.on_start(ctx.at(a, 0));
+    }
+    ctx.drain_sent();
+    // One millisecond per round: every server stabilizes and heartbeats,
+    // then every server-bound message is delivered until none is left.
+    let round = |servers: &mut [Server], ctx: &mut ScriptCtx<Msg>, now: u64| {
+        for (server, &a) in servers.iter_mut().zip(&addrs) {
+            server.on_timer(ctx.at(a, now), TimerKind::new(timers::STABILIZE));
+            server.on_timer(ctx.at(a, now), TimerKind::new(timers::HEARTBEAT));
+        }
+        let mut from = addrs[0];
+        loop {
+            let sent = ctx.drain_sent();
+            if sent.is_empty() {
+                break;
+            }
+            for (to, msg) in sent {
+                if let Some(i) = addrs.iter().position(|&a| a == to) {
+                    servers[i].on_message(ctx.at(to, now), from, msg);
+                }
+                from = to;
+            }
+        }
+    };
+    for r in 1..=3 {
+        round(&mut servers, &mut ctx, r * 1_000_000);
+    }
+
+    // Three PUTs whose floors climb to the top of the range: the clock
+    // stamps each just past its floor while the stamp stays below
+    // `hlc::MAX`, and drops the rest.
+    let client = Addr::client(DcId(0), 0);
+    let mut acked = Vec::new();
+    for k in 1..=3 {
+        let lts = hlc::MAX - 4 + k;
+        servers[1].on_message(
+            ctx.at(addrs[1], 3_500_000),
+            client,
+            Msg::PutReq {
+                key: Key(k),
+                value: Value::from(vec![7]),
+                lts,
+                gss: DepVector::zero(2),
+            },
+        );
+        for msg in ctx.drain_to(client) {
+            match msg {
+                Msg::PutResp { key, vid, .. } if vid.ts > lts => acked.push((key, vid)),
+                other => panic!("PUT at lts {lts} answered with {other:?}"),
+            }
+        }
+    }
+    assert!(!acked.is_empty(), "no PUT near the top was acknowledged");
+    let dropped = 3 - acked.len() as u64;
+    let before: Vec<DepVector> = servers.iter().map(|s| s.gss().clone()).collect();
+    for r in 4..=6 {
+        round(&mut servers, &mut ctx, r * 1_000_000);
+    }
+
+    assert_eq!(
+        ctx.sink.metrics.rejected_msgs, dropped,
+        "a server dropped a peer's message"
+    );
+    for (key, vid) in acked {
+        let replica = servers[3].store().latest(key).map(|v| v.vid);
+        assert_eq!(replica, Some(vid), "the peer replica did not apply {key:?}");
+    }
+    for (s, (server, old)) in servers.iter().zip(&before).enumerate() {
+        let gss = server.gss();
+        for dc in 0..2 {
+            assert!(
+                gss[dc] > old[dc],
+                "server {s}: GSS stuck at {old}, now {gss}"
+            );
+        }
+    }
 }

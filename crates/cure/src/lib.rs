@@ -26,6 +26,9 @@
 //! [`contrarian_protocol`] (see [`Cure`], this backend's flavor and
 //! [`contrarian_protocol::ProtocolSpec`]).
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod server;
 pub mod spec;
 

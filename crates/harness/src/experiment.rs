@@ -152,6 +152,10 @@ impl Scale {
         }
     }
 
+    /// The environment variable the harness binary reads its scale from,
+    /// the workspace's one knob.
+    pub const ENV: &'static str = "CONTRARIAN_SCALE";
+
     /// The values `CONTRARIAN_SCALE` accepts.
     pub const NAMES: [&'static str; 5] = ["smoke", "quick", "paper", "large", "xlarge"];
 
@@ -691,20 +695,18 @@ mod tests {
         }
     }
 
-    /// The env registry's contract for `CONTRARIAN_SCALE` names exactly
-    /// the values the parser accepts.
+    /// The scale list the usage line prints names exactly the values the
+    /// parser accepts.
     #[test]
-    fn the_registry_contract_names_every_scale() {
-        let env = contrarian_runtime::env::SCALE;
-        let (_, contract) = contrarian_runtime::env::REGISTERED
-            .iter()
-            .find(|(name, _)| *name == env)
-            .expect("CONTRARIAN_SCALE is registered");
-        let words: Vec<&str> = contract
-            .split(|c: char| !c.is_ascii_alphanumeric())
-            .filter(|w| Scale::check(w).is_ok())
-            .collect();
-        assert_eq!(words, Scale::NAMES, "{contract}");
+    fn the_usage_line_names_every_scale() {
+        let usage = crate::scenarios::usage();
+        let prefix = format!("{}=", Scale::ENV);
+        let list = usage
+            .split_once(&prefix)
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .map(|(list, _)| list)
+            .unwrap_or_else(|| panic!("usage names no {prefix}: {usage}"));
+        assert_eq!(list.split('|').collect::<Vec<_>>(), Scale::NAMES, "{usage}");
     }
 
     #[test]

@@ -90,4 +90,17 @@ mod tests {
         assert_eq!(f3(1.23456), "1.235");
         assert_eq!(f1(10.0), "10.0");
     }
+
+    #[test]
+    fn render_right_aligns_under_a_ruled_header() {
+        let t = render(&["id", "ms"], &[vec!["7".into(), "0.350".into()]]);
+        assert_eq!(t, "id     ms\n---------\n 7  0.350\n");
+    }
+
+    #[test]
+    fn columns_split_a_csv_header_line() {
+        let doc = csv(&["backend", "p50_ms", "p99_ms"], &[]);
+        let header = doc.lines().next().unwrap();
+        assert_eq!(columns(header), ["backend", "p50_ms", "p99_ms"]);
+    }
 }

@@ -37,6 +37,9 @@
 //! and real TCP sockets (`contrarian-net`) — and the shared conformance
 //! suite runs unchanged.
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod server;
 pub mod spec;
 

@@ -200,3 +200,23 @@ pub fn build_interactive_cluster<P: ProtocolSpec>(
     sim.start();
     (sim, Addr::client(DcId(0), 0))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use contrarian_workload::WorkloadSpec;
+
+    #[test]
+    fn client_layout_per_kind() {
+        let workload = WorkloadSpec::paper_default();
+        let closed = Clients::Closed {
+            workload: workload.clone(),
+            per_dc: 6,
+        };
+        assert_eq!(closed.layout(3), (3, 6));
+        let open = Clients::Open(OpenLoopSpec::new(workload, 100, 10.0).with_actors_per_dc(2));
+        assert_eq!(open.layout(2), (2, 2));
+        // The facade's one queue client lives in DC 0 whatever the size.
+        assert_eq!(Clients::Queue.layout(3), (1, 1));
+    }
+}

@@ -200,6 +200,10 @@ pub fn check_sim<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutco
 /// epoll reactor through the wire codec. The shut-down cluster must show
 /// frames on the wire, progress, per-thread metrics, session guarantees
 /// and convergence.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the TCP half sleeps wall-clock time while real sockets drain"
+)]
 pub fn check_net<P: ProtocolSpec>(dcs: u8, seed: u64) -> Result<ConformanceOutcome, String> {
     // Real sockets want the wall-clock tuning: no simulated skew, and
     // millisecond-scale control-plane periods (the sub-millisecond test

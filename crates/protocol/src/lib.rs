@@ -37,6 +37,9 @@
 //! a stable-time shape into `contrarian-core`'s one `SnapshotServer`,
 //! reuses its `SnapshotSession`, and writes no handler at all.
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod build;
 pub mod client;
 pub mod conformance;

@@ -125,3 +125,16 @@ where
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_server_node_exposes_its_server() {
+        let server: Node<u8, ()> = Node::Server(3);
+        let client: Node<u8, ()> = Node::Client(());
+        assert_eq!(server.as_server(), Some(&3));
+        assert_eq!(client.as_server(), None);
+    }
+}

@@ -156,4 +156,53 @@ mod tests {
         kinds.dedup();
         assert_eq!(kinds.len(), 5);
     }
+
+    #[test]
+    fn a_rearmed_timer_fires_one_interval_after_now() {
+        let cfg = ClusterConfig::small().with_dcs(2);
+        let t = Timers::replication_server(addr(), &cfg);
+        let mut ctx: ScriptCtx<u32> = ScriptCtx::new(addr());
+        ctx.now = 5_000;
+        assert!(t.rearm(&mut ctx, HEARTBEAT));
+        let want = 5_000 + cfg.heartbeat_interval_us * 1000;
+        assert_eq!(ctx.sink.timers, [(want, TimerKind::new(HEARTBEAT))]);
+    }
+
+    #[test]
+    fn stabilization_jitter_stays_within_one_interval() {
+        let cfg = ClusterConfig::small().with_dcs(2);
+        let interval = cfg.stabilization_interval_us * 1000;
+        let mut firsts = Vec::new();
+        for p in 0..64 {
+            let a = Addr::server(DcId(1), PartitionId(p));
+            let mut ctx: ScriptCtx<u32> = ScriptCtx::new(a);
+            Timers::replication_server(a, &cfg).start(&mut ctx);
+            let first = ctx.sink.timers[0].0;
+            assert!((interval..2 * interval).contains(&first), "p{p}: {first}");
+            firsts.push(first);
+        }
+        firsts.dedup();
+        assert!(firsts.len() > 1, "every partition stabilizes in lock-step");
+    }
+
+    #[test]
+    fn a_custom_registry_arms_in_registration_order() {
+        let t = Timers::default()
+            .with_periodic_initial(RESUME, 1_000, 10)
+            .with_periodic(GC, 500);
+        let mut ctx: ScriptCtx<u32> = ScriptCtx::new(addr());
+        t.start(&mut ctx);
+        assert_eq!(
+            ctx.sink.timers,
+            [(10, TimerKind::new(RESUME)), (500, TimerKind::new(GC))]
+        );
+        assert!(t.heap_bytes() > 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate timer kind")]
+    fn a_kind_registers_once() {
+        let _ = Timers::default().with_periodic(GC, 1).with_periodic(GC, 2);
+    }
 }

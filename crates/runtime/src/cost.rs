@@ -225,4 +225,31 @@ mod tests {
         let big = Fake(2048, MsgClass::Data);
         assert!(m.cpu_bytes(big.wire_size()) > m.rx_ns);
     }
+
+    #[test]
+    fn wire_time_follows_the_wire_rate() {
+        let m = CostModel::calibrated();
+        assert_eq!(m.wire_bytes(1024), m.wire_ns_per_kb);
+        assert_eq!(m.wire_bytes(4096), 4 * m.wire_ns_per_kb);
+        assert!(CostModel::functional().wire_bytes(4096) < m.wire_bytes(4096));
+    }
+
+    #[test]
+    fn receive_side_extra_work_is_not_charged_on_send() {
+        struct Check;
+        impl SimMessage for Check {
+            fn wire_size(&self) -> usize {
+                0
+            }
+            fn class(&self) -> MsgClass {
+                MsgClass::Control
+            }
+            fn rx_extra(&self, m: &CostModel) -> u64 {
+                10 * m.per_rot_id_ns
+            }
+        }
+        let m = CostModel::calibrated();
+        assert_eq!(Check.rx_cost(&m), m.check_rx_ns + 10 * m.per_rot_id_ns);
+        assert_eq!(Check.tx_cost(&m), m.check_tx_ns);
+    }
 }

@@ -62,9 +62,11 @@
 //! door open for further runtimes (an io_uring reactor, an in-memory byte
 //! pipe) without touching protocol code.
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod actor;
 pub mod cost;
-pub mod env;
 pub mod frame;
 pub mod history;
 pub mod metrics;
@@ -90,4 +92,32 @@ pub fn node_seed(seed: u64, addr: contrarian_types::Addr) -> u64 {
     seed ^ (addr.dc.0 as u64) << 32
         ^ (addr.idx as u64) << 8
         ^ matches!(addr.kind, contrarian_types::NodeKind::Client) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use contrarian_types::{Addr, DcId, PartitionId};
+
+    #[test]
+    fn every_node_of_a_cluster_draws_its_own_stream() {
+        let mut seeds = Vec::new();
+        for dc in 0..3 {
+            for idx in 0..300 {
+                seeds.push(node_seed(42, Addr::server(DcId(dc), PartitionId(idx))));
+                seeds.push(node_seed(42, Addr::client(DcId(dc), idx)));
+            }
+        }
+        let n = seeds.len();
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), n);
+    }
+
+    #[test]
+    fn the_cluster_seed_moves_every_node_seed() {
+        let addr = Addr::client(DcId(1), 7);
+        assert_eq!(node_seed(5, addr), node_seed(5, addr));
+        assert_ne!(node_seed(5, addr), node_seed(6, addr));
+    }
 }

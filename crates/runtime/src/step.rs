@@ -261,4 +261,32 @@ mod tests {
         let ev = owned.node.trace.drain();
         assert_eq!((ev[0].t, ev[0].node, ev[0].seq), (9, 7, 0));
     }
+
+    #[test]
+    fn the_rng_is_a_function_of_the_seed_alone() {
+        use rand::RngExt;
+        let addr = Addr::client(DcId(0), 0);
+        let draw = |gid, seed| {
+            let mut s: Step<NodeState, Sink<u32>> = Step {
+                now: 0,
+                node: NodeState::new(addr, gid, seed),
+                sink: Sink::default(),
+            };
+            (0..4).map(|_| s.rng().random::<u64>()).collect::<Vec<_>>()
+        };
+        assert_eq!(draw(1, 9), draw(2, 9), "the global id does not seed");
+        assert_ne!(draw(1, 9), draw(1, 10));
+    }
+
+    #[test]
+    fn trace_events_are_kept_only_while_tracing() {
+        let mut s = step(12);
+        s.trace(TraceKind::Park, 1, 2);
+        assert!(s.node.trace.is_empty());
+        s.sink.tracing = true;
+        s.trace(TraceKind::Park, 1, 2);
+        let events = s.node.trace.drain();
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].t, events[0].node), (12, 7));
+    }
 }

@@ -81,4 +81,24 @@ mod tests {
         ctx.set_timer(50, TimerKind::new(1));
         assert_eq!(ctx.sink.timers[0].0, 150);
     }
+
+    #[test]
+    fn at_repoints_the_node_and_its_clock() {
+        let (a, b) = (Addr::client(DcId(0), 0), Addr::client(DcId(1), 4));
+        let mut ctx: ScriptCtx<u32> = ScriptCtx::new(a);
+        assert_eq!((ctx.self_addr(), ctx.now()), (a, 0));
+        ctx.at(b, 70).set_timer(5, TimerKind::new(2));
+        assert_eq!((ctx.self_addr(), ctx.now()), (b, 70));
+        assert_eq!(ctx.sink.timers, [(75, TimerKind::new(2))]);
+    }
+
+    #[test]
+    fn a_script_records_and_accumulates_charges() {
+        let mut ctx: ScriptCtx<u32> = ScriptCtx::new(Addr::client(DcId(0), 0));
+        assert!(ctx.recording());
+        assert!(!ctx.tracing() && !ctx.stopped());
+        ctx.charge(30);
+        ctx.charge(12);
+        assert_eq!(ctx.sink.charge, 42);
+    }
 }

@@ -92,6 +92,9 @@
 //! conformance battery run every entry of [`ENGINES`], and `sim_scale`
 //! measures the engines at fixed, identical workloads.
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod sched;
 pub mod shard;
 pub mod sim;

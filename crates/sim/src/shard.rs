@@ -649,7 +649,10 @@ impl<A: Actor> Shard<A> {
     /// [`INBOX_POLL`] events; a batch is posted when full, and what is
     /// left when the window ends.
     pub(crate) fn run_window(&mut self, routing: &Routing, end_excl: u64) {
-        // lint:allow(determinism): window telemetry only; the reading never reaches an event, history or trace
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "window telemetry only; the reading never reaches an event, history or trace"
+        )]
         let t0 = std::time::Instant::now();
         while let Some(t) = self.queue.peek_t() {
             if t >= end_excl {

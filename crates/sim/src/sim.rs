@@ -201,10 +201,12 @@ impl<A: Actor> Sim<A> {
         // parallelism, so placement cannot perturb determinism.
         let per_dc = self.sched == SchedKind::Sharded;
         let n_shards = if per_dc { n_dcs } else { 1 };
-        self.parallel.get_or_insert_with(|| {
-            // lint:allow(determinism): picks threaded or serial windows only; both produce the same history
-            std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
-        });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "picks threaded or serial windows only; both produce the same history"
+        )]
+        self.parallel
+            .get_or_insert_with(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1));
 
         let shard_of = |addr: Addr| if per_dc { addr.dc.index() } else { 0 };
         // Node slots are ~500 B: sized exactly, a shard holds none spare
@@ -559,7 +561,10 @@ impl<A: Actor> Sim<A> {
                 .iter_mut()
                 .zip(&ends)
                 .filter(|(s, &end)| next_t[s.id] < end);
-            // lint:allow(determinism): window telemetry only; the reading never reaches an event, history or trace
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "window telemetry only; the reading never reaches an event, history or trace"
+            )]
             let t0 = std::time::Instant::now();
             if !parallel || active <= 1 {
                 for (s, &end) in busy {

@@ -19,6 +19,9 @@
 //! slightly stale snapshot reads (and CC-LO's "most recent version before
 //! time t" rule) can still be served, then garbage collected.
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod chain;
 pub mod store;
 

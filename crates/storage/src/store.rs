@@ -151,8 +151,11 @@ impl<M> MvStore<M> {
 
     /// Iterates over all (key, chain) pairs in arbitrary order — callers
     /// (convergence checks) must treat the result as an unordered set.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "documented-unordered accessor; the convergence checks sort or set-compare what they collect"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Chain<M>)> {
-        // lint:allow(determinism): documented-unordered accessor; the convergence checks sort or set-compare what they collect
         self.index.iter().map(|(k, &slot)| (k, self.slab.get(slot)))
     }
 
@@ -237,6 +240,11 @@ fn slot_of(n: usize) -> u32 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    clippy::iter_over_hash_type,
+    reason = "the map-based reference store walks its table; tests compare sets"
+)]
 mod tests {
     use super::*;
     use contrarian_types::{DcId, DepVector, Value, VersionId};

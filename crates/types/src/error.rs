@@ -38,4 +38,22 @@ mod tests {
             .to_string()
             .contains("empty"));
     }
+
+    #[test]
+    fn every_variant_names_its_cause_through_std_error() {
+        let errors: [Box<dyn std::error::Error>; 3] = [
+            Box::new(Error::ClusterDown),
+            Box::new(Error::Timeout),
+            Box::new(Error::InvalidArgument("empty key set")),
+        ];
+        let shown: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
+        assert_eq!(
+            shown,
+            [
+                "cluster is shut down",
+                "operation timed out",
+                "invalid argument: empty key set"
+            ]
+        );
+    }
 }

@@ -85,4 +85,36 @@ mod tests {
         assert_eq!(ev.client(), c);
         assert_eq!(ev.t_end(), 9);
     }
+
+    #[test]
+    fn a_rot_owns_its_pairs_and_values_a_put_nothing() {
+        let c = ClientId::new(DcId(1), 3);
+        let pairs = Vec::with_capacity(4);
+        let values = Vec::with_capacity(2);
+        let (pair_bytes, value_bytes) = (
+            crate::heap::vec_bytes(&pairs),
+            crate::heap::vec_bytes(&values),
+        );
+        let ev = HistoryEvent::RotDone {
+            client: c,
+            tx: TxId::new(c, 0),
+            t_start: 1,
+            t_end: 20,
+            pairs,
+            values,
+        };
+        assert_eq!(ev.heap_bytes(), pair_bytes + value_bytes);
+        assert!(ev.heap_bytes() > 0);
+        assert_eq!(ev.client(), c);
+        assert_eq!(ev.t_end(), 20);
+        let put = HistoryEvent::PutDone {
+            client: c,
+            seq: 1,
+            t_start: 0,
+            t_end: 1,
+            key: Key(0),
+            vid: VersionId::new(1, DcId(1)),
+        };
+        assert_eq!(put.heap_bytes(), 0);
+    }
 }

@@ -210,4 +210,37 @@ mod tests {
             "tc1.2#7"
         );
     }
+
+    #[test]
+    fn indices_and_short_names() {
+        assert_eq!(DcId(4).index(), 4);
+        assert_eq!(PartitionId(300).index(), 300);
+        assert_eq!(DcId(4).to_string(), "dc4");
+        assert_eq!(PartitionId(300).to_string(), "p300");
+        assert_eq!(ClientId::new(DcId(1), 65535).to_string(), "c1.65535");
+        assert_eq!(Addr::client(DcId(2), 5).to_string(), "dc2/c5");
+    }
+
+    #[test]
+    fn addresses_order_by_dc_then_servers_before_clients() {
+        let mut addrs = vec![
+            Addr::client(DcId(1), 0),
+            Addr::server(DcId(1), PartitionId(3)),
+            Addr::client(DcId(0), 9),
+            Addr::server(DcId(0), PartitionId(5)),
+            Addr::server(DcId(0), PartitionId(1)),
+        ];
+        addrs.sort();
+        assert_eq!(
+            addrs,
+            vec![
+                Addr::server(DcId(0), PartitionId(1)),
+                Addr::server(DcId(0), PartitionId(5)),
+                Addr::client(DcId(0), 9),
+                Addr::server(DcId(1), PartitionId(3)),
+                Addr::client(DcId(1), 0),
+            ]
+        );
+        assert!(!Addr::client(DcId(0), 0).is_server());
+    }
 }

@@ -77,4 +77,18 @@ mod tests {
             assert_eq!(Key(raw).partition(n).0 as u64, raw % n as u64);
         }
     }
+
+    #[test]
+    fn display_and_conversion() {
+        assert_eq!(Key::from(17).to_string(), "k17");
+        assert_eq!(Key::default(), Key(0));
+    }
+
+    #[test]
+    fn one_partition_owns_every_key() {
+        for raw in [0u64, 1, 12345, u64::MAX] {
+            assert_eq!(Key(raw).partition(1), PartitionId(0));
+            assert_eq!(Key(raw).local_index(1), raw);
+        }
+    }
 }

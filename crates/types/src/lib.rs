@@ -11,6 +11,9 @@
 //! (`contrarian-core`, `contrarian-cclo`, `contrarian-cure`) all build on
 //! these definitions.
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod codec;
 pub mod config;
 pub mod error;

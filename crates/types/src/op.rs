@@ -51,4 +51,12 @@ mod tests {
         assert_eq!(Op::Put(Key(1), Value::from_static(b"x")).read_count(), 0);
         assert!(Op::Put(Key(1), Value::new()).is_put());
     }
+
+    #[test]
+    fn only_a_rot_owns_heap_bytes() {
+        let keys = Vec::with_capacity(8);
+        assert_eq!(Op::Rot(keys).heap_bytes(), 8 * std::mem::size_of::<Key>());
+        let value = Value::from(vec![0u8; 4096]);
+        assert_eq!(Op::Put(Key(1), value).heap_bytes(), 0);
+    }
 }

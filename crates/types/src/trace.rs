@@ -126,4 +126,40 @@ mod tests {
         assert_eq!(TraceKind::OpBegin.label(), "op_begin");
         assert_eq!(TraceKind::GssAdvance.label(), "gss_advance");
     }
+
+    const KINDS: [TraceKind; 7] = [
+        TraceKind::OpBegin,
+        TraceKind::OpEnd,
+        TraceKind::MsgSend,
+        TraceKind::MsgDeliver,
+        TraceKind::Park,
+        TraceKind::Unpark,
+        TraceKind::GssAdvance,
+    ];
+
+    #[test]
+    fn kinds_are_dense_bytes_with_distinct_labels() {
+        for (i, k) in KINDS.iter().enumerate() {
+            assert_eq!(*k as u8 as usize, i, "{k:?}");
+        }
+        let mut labels: Vec<&str> = KINDS.iter().map(|k| k.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), KINDS.len());
+    }
+
+    #[test]
+    fn the_merge_order_ignores_the_payload() {
+        let ev = |kind, a| TraceEvent {
+            t: 3,
+            node: 1,
+            seq: 2,
+            kind,
+            a,
+            b: 0,
+        };
+        let (x, y) = (ev(TraceKind::Park, 5), ev(TraceKind::Unpark, 9));
+        assert_eq!(x.cmp(&y), std::cmp::Ordering::Equal);
+        assert_ne!(x, y);
+    }
 }

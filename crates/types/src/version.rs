@@ -72,4 +72,26 @@ mod tests {
         assert!(VersionId::GENESIS < VersionId::new(1, DcId(0)));
         assert!(!VersionId::new(1, DcId(0)).is_genesis());
     }
+
+    #[test]
+    fn display_names_timestamp_and_origin() {
+        assert_eq!(VersionId::new(42, DcId(1)).to_string(), "v42@dc1");
+        assert_eq!(VersionId::GENESIS.to_string(), "v0@dc0");
+    }
+
+    #[test]
+    fn every_replica_picks_the_same_last_writer() {
+        // Two replicas that saw the same concurrent versions in different
+        // orders converge on the same winner.
+        let vs = [
+            VersionId::new(7, DcId(2)),
+            VersionId::new(9, DcId(0)),
+            VersionId::new(9, DcId(1)),
+            VersionId::new(3, DcId(1)),
+        ];
+        let a = vs.iter().max().copied();
+        let b = vs.iter().rev().max().copied();
+        assert_eq!(a, b);
+        assert_eq!(a, Some(VersionId::new(9, DcId(1))));
+    }
 }

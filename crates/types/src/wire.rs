@@ -33,4 +33,11 @@ mod tests {
         // The paper: 855 ROT ids ≈ 7 KB at 8 bytes per id.
         assert_eq!(855 * TX_ID, 6840);
     }
+
+    #[test]
+    fn a_version_id_is_a_timestamp_and_an_origin_byte() {
+        assert_eq!(VERSION_ID, TS + 1);
+        // A vector entry is one timestamp.
+        assert_eq!(VEC_ENTRY, TS);
+    }
 }

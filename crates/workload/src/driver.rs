@@ -191,4 +191,41 @@ mod tests {
     fn rot_size_larger_than_cluster_is_rejected() {
         driver(WorkloadSpec::paper_default().with_rot_size(9), 8);
     }
+
+    #[test]
+    fn a_write_only_spec_puts_values_of_the_spec_size() {
+        let spec = WorkloadSpec::paper_default()
+            .with_write_ratio(1.0)
+            .with_value_size(128);
+        let mut d = driver(spec, 4);
+        let mut rng = SmallRng::seed_from_u64(3);
+        for _ in 0..200 {
+            match d.next_op(&mut rng) {
+                Op::Put(key, value) => {
+                    assert_eq!(value.len(), 128);
+                    assert!(key.local_index(4) < 100);
+                }
+                other => panic!("a ROT from a write-only spec: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_only_spec_never_puts() {
+        let spec = WorkloadSpec::paper_default().with_write_ratio(0.0);
+        let mut d = driver(spec, 8);
+        let mut rng = SmallRng::seed_from_u64(4);
+        for _ in 0..500 {
+            assert!(!d.next_op(&mut rng).is_put());
+        }
+    }
+
+    #[test]
+    fn heap_bytes_count_the_shared_value_and_the_scratch() {
+        let small = driver(WorkloadSpec::paper_default().with_value_size(8), 8);
+        let big = driver(WorkloadSpec::paper_default().with_value_size(2048), 8);
+        assert_eq!(big.heap_bytes() - small.heap_bytes(), 2040);
+        let wide = driver(WorkloadSpec::paper_default().with_value_size(8), 32);
+        assert_eq!(wide.heap_bytes() - small.heap_bytes(), 24 * 2);
+    }
 }

@@ -22,6 +22,9 @@
 //!   queueing delay is measured instead of omitted (no coordinated
 //!   omission). Load is varied by the offered rate ([`OpenLoopSpec`]).
 
+// A deterministic crate (the rest of the rule is in the root clippy.toml).
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod driver;
 pub mod openloop;
 pub mod source;

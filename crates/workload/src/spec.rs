@@ -192,4 +192,31 @@ mod tests {
         assert!((spec.session_rate() - 0.25).abs() < 1e-12);
         assert_eq!(spec.actors_per_dc, 16);
     }
+
+    #[test]
+    fn put_probability_at_the_extremes() {
+        let w = |ratio| WorkloadSpec::paper_default().with_write_ratio(ratio);
+        assert_eq!(w(0.0).put_probability(), 0.0);
+        assert_eq!(w(1.0).put_probability(), 1.0);
+        // A one-key ROT is one read: the PUT share is the write ratio.
+        let single = w(0.3).with_rot_size(1);
+        assert!((single.put_probability() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_table1_grid_holds_the_defaults() {
+        let d = WorkloadSpec::paper_default();
+        let (w, p, b, z) = WorkloadSpec::table1_grid();
+        assert!(w.contains(&d.write_ratio));
+        assert!(p.contains(&d.rot_size));
+        assert!(b.contains(&d.value_size));
+        assert!(z.contains(&d.zipf_theta));
+    }
+
+    #[test]
+    fn more_actors_than_sessions_leave_the_last_ones_idle() {
+        let spec = OpenLoopSpec::new(WorkloadSpec::paper_default(), 3, 100.0);
+        let shards: Vec<u64> = (0..5).map(|i| spec.sessions_for(i, 5)).collect();
+        assert_eq!(shards, [1, 1, 1, 0, 0]);
+    }
 }

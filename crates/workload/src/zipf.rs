@@ -175,4 +175,27 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         assert_eq!(z.sample(&mut rng), 0);
     }
+
+    #[test]
+    fn the_exact_law_decreases_with_rank() {
+        let z = Zipf::new(50, 0.8);
+        assert_eq!(z.theta(), 0.8);
+        for i in 1..50 {
+            assert!(z.prob(i) < z.prob(i - 1), "rank {i}");
+        }
+        // Rank 0 holds 1/ζ(n, θ) of the mass.
+        assert!((z.prob(0) - 1.0 / Zipf::zeta(50, 0.8)).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta must be in [0, 1)")]
+    fn theta_one_is_rejected() {
+        Zipf::new(10, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty domain")]
+    fn an_empty_domain_is_rejected() {
+        Zipf::new(0, 0.5);
+    }
 }

@@ -8,6 +8,10 @@
 //!
 //! This is the non-simulated deployment path: the run is checked for causal
 //! consistency afterwards with the same checker used for simulated runs.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a live cluster runs for wall-clock time before it is stopped"
+)]
 
 use contrarian::core_protocol::Contrarian;
 use contrarian::harness::check_causal;

@@ -2,6 +2,10 @@
 //! tests push real bytes through loopback sockets and re-check causal
 //! consistency on the resulting histories with the same checker used for
 //! simulated runs.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "live clusters run for wall-clock time against real sockets"
+)]
 
 use contrarian::harness::check_causal;
 use contrarian::net::NetCluster;
