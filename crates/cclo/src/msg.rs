@@ -81,6 +81,23 @@ contrarian_types::wire_enum! {
     }
 }
 
+impl Msg {
+    /// The Lamport time a server-bound message carries (a `Replicate`'s
+    /// version stamp included); `None` for a client-bound one.
+    pub(crate) fn stamp(&self) -> Option<u64> {
+        match self {
+            Msg::RotRead { lamport, .. }
+            | Msg::PutReq { lamport, .. }
+            | Msg::OldReadersQuery { lamport, .. }
+            | Msg::OldReadersReply { lamport, .. }
+            | Msg::DepCheckQuery { lamport, .. }
+            | Msg::DepCheckReply { lamport, .. } => Some(*lamport),
+            Msg::Replicate { lamport, vid, .. } => Some((*lamport).max(vid.ts)),
+            Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => None,
+        }
+    }
+}
+
 fn deps_bytes(deps: &[Dep]) -> usize {
     deps.len() * (wire::KEY + wire::VERSION_ID)
 }

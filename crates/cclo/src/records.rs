@@ -907,6 +907,11 @@ impl BlockRecord {
         heap::vec_bytes(&self.entries)
     }
 
+    /// The `(ROT id, read time bound)` pairs, in id order.
+    pub fn entries(&self) -> &[(TxId, u64)] {
+        &self.entries
+    }
+
     /// The read-time bound for `tx`, if it is blocked.
     pub fn bound(&self, tx: TxId) -> Option<u64> {
         let i = self.entries.binary_search_by_key(&tx, |p| p.0).ok()?;

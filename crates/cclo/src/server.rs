@@ -181,73 +181,50 @@ impl Server {
     }
 
     fn handle_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, from: Addr, msg: Msg) {
+        // Any peer of a live cluster can send a client-bound message, or a
+        // stamp the clock cannot move past: each is counted and dropped
+        // rather than trusted, and the clock stays where it was.
+        let Some(t) = msg.stamp().and_then(|s| self.lamport.observe(s)) else {
+            ctx.metrics().rejected();
+            return;
+        };
         match msg {
-            Msg::RotRead { tx, keys, lamport } => self.handle_rot(ctx, from, tx, keys, lamport),
+            Msg::RotRead { tx, keys, .. } => self.handle_rot(ctx, from, tx, keys, t),
             Msg::PutReq {
-                key,
-                value,
-                deps,
-                lamport,
-            } => self.handle_put(ctx, from, key, value, deps, lamport),
-            Msg::OldReadersQuery {
-                token,
-                deps,
-                lamport,
-            } => {
-                self.lamport.observe(lamport);
+                key, value, deps, ..
+            } => self.handle_put(ctx, from, key, value, deps, t),
+            Msg::OldReadersQuery { token, deps, .. } => {
                 self.answer_check(ctx, from, token, deps, false)
             }
-            Msg::OldReadersReply {
-                token,
-                entries,
-                lamport,
-            } => {
-                self.lamport.observe(lamport);
-                self.on_check_reply(ctx, token, entries)
-            }
+            Msg::OldReadersReply { token, entries, .. } => self.on_check_reply(ctx, token, entries),
             Msg::Replicate {
                 key,
                 value,
                 vid,
                 deps,
-                lamport,
                 birth,
-            } => {
-                self.lamport.observe(lamport.max(vid.ts));
-                self.handle_replicate(ctx, key, value, vid, deps, birth)
-            }
-            Msg::DepCheckQuery {
-                token,
-                deps,
-                lamport,
-            } => {
-                self.lamport.observe(lamport);
+                ..
+            } => self.handle_replicate(ctx, key, value, vid, deps, birth),
+            Msg::DepCheckQuery { token, deps, .. } => {
                 self.answer_check(ctx, from, token, deps, true)
             }
-            Msg::DepCheckReply {
-                token,
-                entries,
-                lamport,
-            } => {
-                self.lamport.observe(lamport);
-                self.on_dep_reply(ctx, token, entries)
+            Msg::DepCheckReply { token, entries, .. } => self.on_dep_reply(ctx, token, entries),
+            Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => {
+                unreachable!("a client-bound message has no stamp")
             }
-            // A client-bound message: any peer of a live cluster can send
-            // one, so it is counted and dropped rather than trusted.
-            Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => ctx.metrics().rejected(),
         }
     }
 
     /// The latency-optimal ROT path: one round, one version, nonblocking.
+    /// `read_time` is the Lamport time of the read's arrival.
     fn handle_rot(
         &mut self,
         ctx: &mut dyn ActorCtx<Msg>,
         client: Addr,
         tx: TxId,
         keys: Vec<Key>,
-        client_lamport: u64,
+        read_time: u64,
     ) {
-        let read_time = self.lamport.observe(client_lamport);
         self.rot_floor.observe(tx);
         let now = ctx.now();
         let mut pairs = Vec::with_capacity(keys.len());
@@ -333,9 +310,10 @@ impl Server {
         (None, bound.is_some(), scanned)
     }
 
-    /// PUT: assign a timestamp, then run the readers check against every
-    /// partition holding a dependency; only when all old readers are known
-    /// does the version install and the client get its ack.
+    /// PUT at timestamp `ts` (the Lamport time of its arrival): run the
+    /// readers check against every partition holding a dependency; only
+    /// when all old readers are known does the version install and the
+    /// client get its ack.
     fn handle_put(
         &mut self,
         ctx: &mut dyn ActorCtx<Msg>,
@@ -343,9 +321,8 @@ impl Server {
         key: Key,
         value: Value,
         deps: Vec<Dep>,
-        client_lamport: u64,
+        ts: u64,
     ) {
-        let ts = self.lamport.observe(client_lamport);
         let token = self.next_token;
         self.next_token += 1;
 
@@ -855,6 +832,54 @@ mod tests {
         assert_eq!(ctx.sink.metrics.rejected_msgs, 1);
         assert!(ctx.drain_sent().is_empty());
         assert_eq!(s.store().n_keys(), 0);
+    }
+
+    /// A server-bound message whose Lamport stamp has no successor is
+    /// counted and dropped: no panic, no wrapped clock, no reply, and the
+    /// next ordinary read is still answered.
+    #[test]
+    fn a_stamp_without_a_successor_is_counted_and_dropped() {
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        let v1 = do_put(&mut s, &mut ctx, Key(0), vec![]);
+        let clock = s.lamport();
+        let max = u64::MAX;
+        let stamped = [
+            Msg::RotRead {
+                tx: tx(0, 0),
+                keys: vec![Key(0)],
+                lamport: max,
+            },
+            Msg::PutReq {
+                key: Key(4),
+                value: Value::new(),
+                deps: vec![],
+                lamport: max,
+            },
+            Msg::OldReadersQuery {
+                token: 1,
+                deps: vec![(Key(0), v1)],
+                lamport: max,
+            },
+            Msg::Replicate {
+                key: Key(8),
+                value: Value::new(),
+                vid: VersionId::new(max, DcId(1)),
+                deps: vec![],
+                lamport: 0,
+                birth: 0,
+            },
+        ];
+        for (n, msg) in stamped.into_iter().enumerate() {
+            s.on_message(&mut ctx, client(), msg);
+            assert_eq!(ctx.sink.metrics.rejected_msgs, n as u64 + 1);
+            assert!(ctx.drain_sent().is_empty(), "no reply");
+            assert_eq!(s.lamport(), clock, "the clock does not move");
+        }
+        assert_eq!(s.store().n_keys(), 1);
+        let got = do_rot(&mut s, &mut ctx, tx(0, 1), vec![Key(0)]);
+        assert_eq!(got, vec![(Key(0), Some(v1))]);
+        assert_eq!(ctx.sink.metrics.rejected_msgs, 4);
     }
 
     /// The longest GC window whose ns offsets, plus a quarter window

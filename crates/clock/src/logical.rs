@@ -25,11 +25,12 @@ impl LogicalClock {
     }
 
     /// A receive event carrying time `other`: the clock jumps past both its
-    /// own time and the observed time.
+    /// own time and the observed time. `None`, with the clock unchanged,
+    /// when that time has no representable successor.
     #[inline]
-    pub fn observe(&mut self, other: u64) -> u64 {
-        self.t = self.t.max(other) + 1;
-        self.t
+    pub fn observe(&mut self, other: u64) -> Option<u64> {
+        self.t = self.t.max(other).checked_add(1)?;
+        Some(self.t)
     }
 
     /// Merges an observed time without producing an event (no increment).
@@ -63,11 +64,9 @@ mod tests {
     fn observe_jumps_past_remote() {
         let mut c = LogicalClock::new();
         c.tick();
-        let t = c.observe(100);
-        assert_eq!(t, 101);
+        assert_eq!(c.observe(100), Some(101));
         // Observing an old time still advances locally.
-        let t2 = c.observe(5);
-        assert_eq!(t2, 102);
+        assert_eq!(c.observe(5), Some(102));
     }
 
     #[test]
@@ -85,7 +84,7 @@ mod tests {
         let mut a = LogicalClock::new();
         let mut b = LogicalClock::new();
         let send = a.tick();
-        let recv = b.observe(send);
+        let recv = b.observe(send).unwrap();
         assert!(recv > send);
     }
 
@@ -93,7 +92,18 @@ mod tests {
     fn observing_the_own_time_still_ticks() {
         let mut c = LogicalClock::new();
         c.merge(7);
-        assert_eq!(c.observe(7), 8);
+        assert_eq!(c.observe(7), Some(8));
         assert_eq!(c.tick(), 9);
+    }
+
+    #[test]
+    fn a_time_without_a_successor_is_refused() {
+        let mut c = LogicalClock::new();
+        c.merge(7);
+        assert_eq!(c.observe(u64::MAX), None);
+        assert_eq!(c.peek(), 7, "the clock does not move");
+        assert_eq!(c.observe(u64::MAX - 1), Some(u64::MAX));
+        assert_eq!(c.observe(0), None);
+        assert_eq!(c.peek(), u64::MAX);
     }
 }

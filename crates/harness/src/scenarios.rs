@@ -549,7 +549,7 @@ fn theory(ctx: &Ctx) -> io::Result<()> {
     };
 
     println!("\n--- straw-man LO protocol (Lamport clocks only, no readers communicated) ---");
-    let s = theory::run_strawman_scenario(&[0, 1, 2]);
+    let s = theory::run_estar::<theory::Strawman>(&[0, 1, 2]);
     let report = s.check();
     println!(
         "E* schedule: readers read x before X1, y after Y1 became visible.\n\
@@ -567,7 +567,7 @@ fn theory(ctx: &Ctx) -> io::Result<()> {
     );
 
     println!("\n--- CC-LO (COPS-SNOW) under the same schedule ---");
-    let c = theory::run_cclo_scenario(&[0, 1, 2]);
+    let c = theory::run_estar::<contrarian_cclo::CcLo>(&[0, 1, 2]);
     let report = c.check();
     println!("returned snapshots: {:?}", snapshots(&c));
     println!(

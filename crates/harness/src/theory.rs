@@ -1,35 +1,43 @@
 //! The Section-6 theory harness: Theorem 1 ("the cost of latency-optimal
 //! ROTs is inherent and grows linearly with the number of clients") made
-//! executable.
+//! executable on the simulator every other run uses.
 //!
-//! Three artifacts:
+//! The paper's adversarial schedule E* (Figure 10) is a link hold on the
+//! real runtime. Each reader's `ROT(x, y)` starts before `X1` is written,
+//! so its read of x reaches px first, while its link to py is held
+//! ([`Sim::hold_link`]) until `Y1` has completed, so its read of y arrives
+//! after `Y1`. [`run_estar`] runs that schedule on any [`EStar`] backend
+//! through the same builder, client loop, engine and checker as every other
+//! run. Three artifacts:
 //!
-//! 1. **The straw-man refutation** (end of Section 6): a protocol that
-//!    serves one-round, one-version, nonblocking ROTs using only Lamport
-//!    timestamps — *without* communicating readers — violates causal
-//!    consistency under the paper's E* schedule ([`run_strawman_scenario`];
-//!    the checker catches the `(X0, Y1)` snapshot).
-//! 2. **The same adversarial schedule against CC-LO**
-//!    ([`run_cclo_scenario`]): the readers check blocks the old readers from
-//!    `Y1`, so the execution stays causally consistent.
+//! 1. **The straw-man refutation** (end of Section 6): [`Strawman`] serves
+//!    one-round, one-version, nonblocking ROTs using only Lamport
+//!    timestamps, *without* communicating readers, and returns `(X0, Y1)`
+//!    under E*; the checker catches the snapshot.
+//! 2. **The same schedule against CC-LO** ([`CcLo`]): the readers check
+//!    blocks the old readers from `Y1`, so the execution stays causally
+//!    consistent.
 //! 3. **Lemma 1, executably** ([`distinguishability`]): running the
 //!    schedule for every subset `R ⊆ D` of readers yields pairwise distinct
-//!    `px → py` readers-check transcripts — `2^|D|` distinguishable
-//!    behaviours need at least `|D|` bits, Lemma 2's counting argument.
+//!    readers-check transcripts (the old readers py sealed into `Y1`) —
+//!    `2^|D|` distinguishable behaviours need at least `|D|` bits, Lemma 2's
+//!    counting argument.
 
 use crate::checker::{check_causal, CheckReport};
 use contrarian_cclo::msg::Msg as CMsg;
-use contrarian_cclo::server::Server as CcloServer;
-use contrarian_protocol::ProtocolServer;
-use contrarian_runtime::testkit::ScriptCtx;
-use contrarian_types::{
-    Addr, ClientId, ClusterConfig, DcId, HistoryEvent, Key, PartitionId, TxId, Value, VersionId,
+use contrarian_cclo::{CcLo, DepSession};
+use contrarian_clock::LogicalClock;
+use contrarian_protocol::{
+    build_cluster, Clients, ClusterParams, ProtoNode, ProtocolServer, ProtocolSpec, SchedKind,
 };
-use std::collections::{BTreeSet, HashMap};
-
-fn px() -> Addr {
-    Addr::server(DcId(0), PartitionId(0))
-}
+use contrarian_runtime::actor::{ActorCtx, TimerKind};
+use contrarian_runtime::cost::CostModel;
+use contrarian_sim::sim::Sim;
+use contrarian_types::{
+    Addr, ClusterConfig, DcId, HistoryEvent, Key, Op, PartitionId, TxId, Value, VersionId,
+};
+use rand::rngs::SmallRng;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn py() -> Addr {
     Addr::server(DcId(0), PartitionId(1))
@@ -43,24 +51,29 @@ fn y() -> Key {
     Key(1) // partition 1 of 4
 }
 
-fn cw() -> ClientId {
-    ClientId::new(DcId(0), 1000)
+/// The writer: queue client 0.
+fn cw() -> Addr {
+    Addr::client(DcId(0), 0)
 }
 
-fn reader(i: u16) -> TxId {
-    TxId::new(ClientId::new(DcId(0), i), 0)
+/// Potential reader `i` of `D`: queue client `1 + i`, so a reader keeps its
+/// id whichever subset it runs in.
+fn reader(i: u16) -> Addr {
+    Addr::client(DcId(0), 1 + i)
 }
 
-/// What a scripted execution produced.
+/// What one E* execution produced.
 pub struct ScenarioResult {
     /// The full client-observable history (feed to the checker).
     pub history: Vec<HistoryEvent>,
-    /// The readers-check transcript px sent to py while `PUT(y, Y1)` was
-    /// completing: the (ROT id, read time) pairs (empty for the straw-man,
+    /// The readers-check transcript: the (ROT id, read time) pairs py
+    /// sealed into `Y1`'s old-reader record (empty for the straw-man,
     /// which never communicates readers).
     pub transcript: Vec<(TxId, u64)>,
     /// What each reader's ROT returned for (x, y).
     pub reads: Vec<(TxId, Option<VersionId>, Option<VersionId>)>,
+    /// What a ROT the writer started after `Y1` completed returned.
+    pub fresh: (Option<VersionId>, Option<VersionId>),
     pub x0: VersionId,
     pub y0: VersionId,
     pub x1: VersionId,
@@ -73,297 +86,212 @@ impl ScenarioResult {
     }
 }
 
+/// A backend E* runs on: a [`ProtocolSpec`] whose server shows which ROTs
+/// it keeps from a version, the readers-check transcript Lemma 1 counts.
+pub trait EStar: ProtocolSpec {
+    /// The (ROT id, read time) pairs `server` sealed into `vid` of `key`.
+    fn sealed_readers(server: &Self::Server, key: Key, vid: VersionId) -> Vec<(TxId, u64)>;
+}
+
+impl EStar for CcLo {
+    fn sealed_readers(
+        server: &contrarian_cclo::Server,
+        key: Key,
+        vid: VersionId,
+    ) -> Vec<(TxId, u64)> {
+        let (version, _) = server.store().read_visible(key, |v| v.vid == vid);
+        version
+            .expect("the version installed")
+            .meta
+            .entries()
+            .to_vec()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The straw-man: one-round ROTs on bare Lamport clocks, no reader tracking.
 // ---------------------------------------------------------------------------
 
-/// A "latency-optimal" server with no readers check: reads return the
-/// newest version immediately, writes install immediately. Lamport
-/// timestamps are tracked faithfully — the point of the paper's remark is
-/// that logical time *alone* cannot replace communicating readers.
-struct StrawmanServer {
-    lamport: u64,
-    heads: HashMap<Key, (VersionId, u64 /*create time*/)>,
+/// A "latency-optimal" backend with no readers check: CC-LO's messages
+/// and client session over [`HeadServer`]. Lamport timestamps are tracked
+/// faithfully — the point of the paper's remark is that logical time
+/// *alone* cannot replace communicating readers.
+pub struct Strawman;
+
+/// [`Strawman`]'s partition server: it answers a `PutReq` or a `RotRead`
+/// at once from the head, on a Lamport clock, and counts anything else
+/// (or a stamp the clock cannot move past) in `rejected_msgs`.
+pub struct HeadServer {
+    dc: DcId,
+    lamport: LogicalClock,
+    heads: BTreeMap<Key, (VersionId, Value)>,
 }
 
-impl StrawmanServer {
-    fn new() -> Self {
-        StrawmanServer {
-            lamport: 0,
-            heads: HashMap::new(),
+impl ProtocolSpec for Strawman {
+    type Msg = CMsg;
+    type Server = HeadServer;
+    type Session = DepSession;
+
+    const NAME: &'static str = "straw-man";
+
+    fn server(addr: Addr, _cfg: &ClusterConfig, _rng: &mut SmallRng) -> HeadServer {
+        HeadServer {
+            dc: addr.dc,
+            lamport: LogicalClock::new(),
+            heads: BTreeMap::new(),
+        }
+    }
+}
+
+impl EStar for Strawman {
+    fn sealed_readers(_: &HeadServer, _: Key, _: VersionId) -> Vec<(TxId, u64)> {
+        Vec::new()
+    }
+}
+
+impl ProtocolServer for HeadServer {
+    type Msg = CMsg;
+
+    fn on_start(&mut self, _ctx: &mut dyn ActorCtx<CMsg>) {}
+
+    fn on_message(&mut self, ctx: &mut dyn ActorCtx<CMsg>, from: Addr, msg: CMsg) {
+        let reply = match msg {
+            CMsg::PutReq {
+                key,
+                value,
+                lamport,
+                ..
+            } => self.lamport.observe(lamport).map(|ts| {
+                let vid = VersionId::new(ts, self.dc);
+                self.heads.insert(key, (vid, value));
+                CMsg::PutResp {
+                    key,
+                    vid,
+                    lamport: ts,
+                }
+            }),
+            CMsg::RotRead { tx, keys, lamport } => self.lamport.observe(lamport).map(|t| {
+                let pairs = keys
+                    .into_iter()
+                    .map(|k| (k, self.heads.get(&k).cloned()))
+                    .collect();
+                CMsg::RotSlice {
+                    tx,
+                    pairs,
+                    lamport: t,
+                }
+            }),
+            _ => None,
+        };
+        match reply {
+            Some(reply) => ctx.send(from, reply),
+            None => ctx.metrics().rejected(),
         }
     }
 
-    fn put(&mut self, key: Key, client_lamport: u64) -> (VersionId, u64) {
-        self.lamport = self.lamport.max(client_lamport) + 1;
-        let vid = VersionId::new(self.lamport, DcId(0));
-        self.heads.insert(key, (vid, self.lamport));
-        (vid, self.lamport)
-    }
+    fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<CMsg>, _kind: TimerKind) {}
 
-    fn read(&mut self, key: Key, client_lamport: u64) -> (Option<VersionId>, u64) {
-        self.lamport = self.lamport.max(client_lamport) + 1;
-        (self.heads.get(&key).map(|(v, _)| *v), self.lamport)
+    fn store_heads(&self) -> Vec<(Key, VersionId)> {
+        self.heads.iter().map(|(k, (vid, _))| (*k, *vid)).collect()
     }
 }
 
-/// Runs the E* schedule of Figure 10 against the straw-man: readers' x-reads
-/// arrive before `X1`, their y-reads after `Y1`. Returns the (violating)
-/// history.
-pub fn run_strawman_scenario(readers: &[u16]) -> ScenarioResult {
-    let mut sx = StrawmanServer::new();
-    let mut sy = StrawmanServer::new();
-    let mut history = Vec::new();
-    let mut wl = 0u64; // cw's lamport view
+// ---------------------------------------------------------------------------
+// The E* schedule on the simulator.
+// ---------------------------------------------------------------------------
 
-    let mut put = |s: &mut StrawmanServer, key: Key, seq: u32, wl: &mut u64| {
-        let (vid, l) = s.put(key, *wl);
-        *wl = l;
-        history_put(&mut history, cw(), seq, key, vid);
-        vid
+/// Virtual time each step of the schedule runs for: far beyond one
+/// operation's latency under the functional cost model (tens of µs).
+const STEP_NS: u64 = 1_000_000;
+
+/// Runs the E* schedule of Figure 10 on backend `P`. `readers` lists the
+/// indices of the subset `R ⊆ D` of potential readers issuing `ROT(x, y)`
+/// at `t1`.
+pub fn run_estar<P: EStar>(readers: &[u16]) -> ScenarioResult {
+    estar::<P>(readers, SchedKind::default())
+}
+
+fn estar<P: EStar>(readers: &[u16], sched: SchedKind) -> ScenarioResult {
+    let clients = 1 + readers.iter().max().map_or(0, |r| r + 1);
+    let params = ClusterParams {
+        cfg: ClusterConfig::small(),
+        cost: CostModel::functional(),
+        clients: Clients::Queue(clients),
+        seed: 0xE57A,
     };
-
-    let x0 = put(&mut sx, x(), 0, &mut wl);
-    let y0 = put(&mut sy, y(), 1, &mut wl);
-
-    // t1: every reader's x-read arrives at px (before X1).
-    let mut x_reads = Vec::new();
-    for &r in readers {
-        let (vx, _) = sx.read(x(), 0);
-        x_reads.push((reader(r), vx));
-    }
-
-    let x1 = put(&mut sx, x(), 2, &mut wl);
-    let y1 = put(&mut sy, y(), 3, &mut wl);
-
-    // After τ(Y1): the y-reads arrive. No reader tracking → they see Y1.
-    let mut reads = Vec::new();
-    for (tx, vx) in x_reads {
-        let (vy, _) = sy.read(y(), 0);
-        history.push(rot_event(tx, vx, vy));
-        reads.push((tx, vx, vy));
-    }
-
-    ScenarioResult {
-        history,
-        transcript: Vec::new(),
-        reads,
-        x0,
-        y0,
-        x1,
-        y1,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The same schedule against the real CC-LO servers.
-// ---------------------------------------------------------------------------
-
-/// Drives a CC-LO PUT at `server`, pumping its readers-check messages to
-/// `peer` synchronously. Returns the new version and the transcript `peer`
-/// answered with.
-#[allow(clippy::too_many_arguments)]
-fn pump_put(
-    server: &mut CcloServer,
-    server_addr: Addr,
-    peer: &mut CcloServer,
-    peer_addr: Addr,
-    ctx: &mut ScriptCtx<CMsg>,
-    client: Addr,
-    key: Key,
-    deps: Vec<(Key, VersionId)>,
-    lamport: u64,
-) -> (VersionId, u64, Vec<(TxId, u64)>) {
-    ctx.at(server_addr, ctx.now);
-    server.on_message(
-        ctx,
-        client,
-        CMsg::PutReq {
-            key,
-            value: Value::from_static(b"v"),
-            deps,
-            lamport,
-        },
-    );
-    let mut transcript = Vec::new();
-    // Deliver any readers-check queries to the peer and return the replies.
-    let queries = ctx.drain_to(peer_addr);
-    for q in queries {
-        ctx.at(peer_addr, ctx.now);
-        peer.on_message(ctx, server_addr, q);
-        let replies = ctx.drain_to(server_addr);
-        for r in replies {
-            if let CMsg::OldReadersReply { entries, .. } = &r {
-                transcript.extend(entries.iter().copied());
-            }
-            ctx.at(server_addr, ctx.now);
-            server.on_message(ctx, peer_addr, r);
+    let mut sim = build_cluster::<P>(&params, sched);
+    sim.set_recording(true);
+    sim.start();
+    let step = |sim: &mut Sim<ProtoNode<P>>, ops: Vec<(Addr, Op)>| {
+        for (client, op) in ops {
+            sim.inject_op(client, op);
         }
-    }
-    match ctx.drain_to(client).pop() {
-        Some(CMsg::PutResp { vid, lamport, .. }) => (vid, lamport, transcript),
-        other => panic!("PUT did not complete: {other:?}"),
-    }
-}
+        sim.run_until(sim.now() + STEP_NS);
+    };
+    let put = |key, value| vec![(cw(), Op::Put(key, Value::from_static(value)))];
+    let rot = || Op::Rot(vec![x(), y()]);
 
-/// Runs the E* schedule against CC-LO. `readers` lists the client indices of
-/// the subset `R ⊆ D` issuing `ROT(x, y)` at `t1`.
-pub fn run_cclo_scenario(readers: &[u16]) -> ScenarioResult {
-    let cfg = ClusterConfig::small();
-    let mut sx = CcloServer::new(px(), cfg.clone());
-    let mut sy = CcloServer::new(py(), cfg);
-    let mut ctx: ScriptCtx<CMsg> = ScriptCtx::new(px());
-    let client = Addr::client(DcId(0), 1000);
-    let mut history = Vec::new();
-
-    // Warm px's clock so read times are comfortably above Y0's timestamp
-    // (purely cosmetic — the protocol is safe either way, just staler: a
-    // blocked reader with a too-low read-time bound gets ⊥ instead of Y0).
-    // An empty control query observes the lamport value without registering
-    // any reader.
-    ctx.at(px(), 0);
-    sx.on_message(
-        &mut ctx,
-        py(),
-        CMsg::OldReadersQuery {
-            token: u64::MAX,
-            deps: vec![],
-            lamport: 50,
-        },
-    );
-    ctx.drain_sent();
-
-    // cw's causal chain X0 ; Y0 ; X1 ; Y1, each PUT issued after the
-    // previous completed.
-    let (x0, l0, _) = pump_put(
-        &mut sx,
-        px(),
-        &mut sy,
-        py(),
-        &mut ctx,
-        client,
-        x(),
-        vec![],
-        0,
-    );
-    history_put(&mut history, cw(), 0, x(), x0);
-    let (y0, l1, _) = pump_put(
-        &mut sy,
-        py(),
-        &mut sx,
-        px(),
-        &mut ctx,
-        client,
-        y(),
-        vec![(x(), x0)],
-        l0,
-    );
-    history_put(&mut history, cw(), 1, y(), y0);
-
-    // t1: the readers' x-reads reach px before X1.
-    let mut x_reads = Vec::new();
+    // cw's causal chain X0 ; Y0 ; X1 ; Y1, each PUT issued once the
+    // previous one completed.
+    step(&mut sim, put(x(), b"x0"));
+    step(&mut sim, put(y(), b"y0"));
+    // t1: the readers' ROTs start. Their reads of x reach px before X1;
+    // their reads of y wait on held links until Y1 has completed.
+    let held = sim.now() + 3 * STEP_NS;
     for &r in readers {
-        ctx.at(px(), ctx.now);
-        sx.on_message(
-            &mut ctx,
-            reader(r).client.into(),
-            CMsg::RotRead {
-                tx: reader(r),
-                keys: vec![x()],
-                lamport: 0,
-            },
-        );
-        let vx = match ctx.drain_to(reader(r).client.into()).pop() {
-            Some(CMsg::RotSlice { pairs, .. }) => pairs[0].1.as_ref().map(|(v, _)| *v),
-            other => panic!("unexpected {other:?}"),
-        };
-        x_reads.push((reader(r), vx));
+        sim.hold_link(reader(r), py(), held);
     }
-
-    let (x1, l2, _) = pump_put(
-        &mut sx,
-        px(),
-        &mut sy,
-        py(),
-        &mut ctx,
-        client,
-        x(),
-        vec![(y(), y0)],
-        l1,
+    step(
+        &mut sim,
+        readers.iter().map(|&r| (reader(r), rot())).collect(),
     );
-    history_put(&mut history, cw(), 2, x(), x1);
-    // The dangerous PUT: Y1 depends on X1; py must interrogate px for old
-    // readers of x — the communication Theorem 1 proves unavoidable.
-    let (y1, _l3, transcript) = pump_put(
-        &mut sy,
-        py(),
-        &mut sx,
-        px(),
-        &mut ctx,
-        client,
-        y(),
-        vec![(x(), x1)],
-        l2,
-    );
-    history_put(&mut history, cw(), 3, y(), y1);
+    step(&mut sim, put(x(), b"x1"));
+    // The dangerous PUT: Y1 depends on X1, so a latency-optimal protocol
+    // must learn x's old readers before Y1 becomes visible — the
+    // communication Theorem 1 proves unavoidable.
+    step(&mut sim, put(y(), b"y1"));
+    step(&mut sim, Vec::new());
+    // A ROT that starts after Y1 completed.
+    step(&mut sim, vec![(cw(), rot())]);
 
-    // After Y1 completes, the y-reads arrive.
-    let mut reads = Vec::new();
-    for (tx, vx) in x_reads {
-        ctx.at(py(), ctx.now);
-        sy.on_message(
-            &mut ctx,
-            tx.client.into(),
-            CMsg::RotRead {
-                tx,
-                keys: vec![y()],
-                lamport: 0,
-            },
+    let history = sim.drain_history();
+    let writes: Vec<(VersionId, u64)> = history
+        .iter()
+        .filter_map(|ev| match ev {
+            HistoryEvent::PutDone { vid, t_end, .. } => Some((*vid, *t_end)),
+            HistoryEvent::RotDone { .. } => None,
+        })
+        .collect();
+    let [(x0, _), (y0, _), (x1, _), (y1, y1_done)] = writes[..] else {
+        panic!(
+            "{}: cw's four PUTs did not all complete: {writes:?}",
+            P::NAME
         );
-        let vy = match ctx.drain_to(tx.client.into()).pop() {
-            Some(CMsg::RotSlice { pairs, .. }) => pairs[0].1.as_ref().map(|(v, _)| *v),
-            other => panic!("unexpected {other:?}"),
-        };
-        history.push(rot_event(tx, vx, vy));
-        reads.push((tx, vx, vy));
-    }
-
+    };
+    assert!(y1_done < held, "{}: Y1 completed after the hold", P::NAME);
+    let read_of = |a: Addr| {
+        let rot = history.iter().find_map(|ev| match ev {
+            HistoryEvent::RotDone {
+                client, tx, pairs, ..
+            } if *client == a.client_id() => Some((*tx, pairs)),
+            _ => None,
+        });
+        let (tx, pairs) = rot.unwrap_or_else(|| panic!("{}: {a}'s ROT did not complete", P::NAME));
+        let get = |key| pairs.iter().find(|p| p.0 == key).and_then(|p| p.1);
+        (tx, get(x()), get(y()))
+    };
+    let reads = readers.iter().map(|&r| read_of(reader(r))).collect();
+    let (_, fx, fy) = read_of(cw());
+    let py_server = sim.actor(py()).as_server().expect("py is a server");
     ScenarioResult {
+        transcript: P::sealed_readers(py_server, y(), y1),
         history,
-        transcript,
         reads,
+        fresh: (fx, fy),
         x0,
         y0,
         x1,
         y1,
-    }
-}
-
-fn history_put(
-    history: &mut Vec<HistoryEvent>,
-    client: ClientId,
-    seq: u32,
-    key: Key,
-    vid: VersionId,
-) {
-    history.push(HistoryEvent::PutDone {
-        client,
-        seq,
-        t_start: 0,
-        t_end: 0,
-        key,
-        vid,
-    });
-}
-
-fn rot_event(tx: TxId, vx: Option<VersionId>, vy: Option<VersionId>) -> HistoryEvent {
-    HistoryEvent::RotDone {
-        client: tx.client,
-        tx,
-        t_start: 0,
-        t_end: 0,
-        pairs: vec![(x(), vx), (y(), vy)],
-        values: vec![None, None],
     }
 }
 
@@ -388,7 +316,7 @@ pub fn distinguishability(n_clients: u16) -> DistinguishResult {
         let readers: Vec<u16> = (0..n_clients)
             .filter(|i| mask & (1usize << i) != 0)
             .collect();
-        let res = run_cclo_scenario(&readers);
+        let res = run_estar::<CcLo>(&readers);
         // Every execution must also be causally consistent.
         let report = res.check();
         assert!(
@@ -414,7 +342,7 @@ mod tests {
 
     #[test]
     fn strawman_violates_causal_consistency() {
-        let res = run_strawman_scenario(&[0, 1, 2]);
+        let res = run_estar::<Strawman>(&[0, 1, 2]);
         // Every reader saw (X0, Y1): the forbidden snapshot.
         for (_, vx, vy) in &res.reads {
             assert_eq!(*vx, Some(res.x0));
@@ -427,7 +355,7 @@ mod tests {
 
     #[test]
     fn cclo_survives_the_same_schedule() {
-        let res = run_cclo_scenario(&[0, 1, 2]);
+        let res = run_estar::<CcLo>(&[0, 1, 2]);
         for (tx, vx, vy) in &res.reads {
             assert_eq!(*vx, Some(res.x0), "{tx} read x before X1");
             assert_ne!(*vy, Some(res.y1), "{tx} must not see Y1");
@@ -448,9 +376,13 @@ mod tests {
     fn fresh_rots_still_see_y1() {
         // Eventual visibility: a reader that was NOT an old reader of x
         // observes the newest y.
-        let res = run_cclo_scenario(&[]);
+        let res = run_estar::<CcLo>(&[]);
         assert!(res.transcript.is_empty());
         assert!(res.check().ok());
+        assert_eq!(res.fresh, (Some(res.x1), Some(res.y1)));
+        // Also while old readers are kept from Y1.
+        let res = run_estar::<CcLo>(&[0, 1, 2]);
+        assert_eq!(res.fresh, (Some(res.x1), Some(res.y1)));
     }
 
     #[test]
@@ -471,8 +403,28 @@ mod tests {
     #[test]
     fn communication_grows_linearly_with_readers() {
         for n in [1u16, 3, 6] {
-            let res = run_cclo_scenario(&(0..n).collect::<Vec<_>>());
+            let res = run_estar::<CcLo>(&(0..n).collect::<Vec<_>>());
             assert_eq!(res.transcript.len(), n as usize);
+            for (tx, vx, vy) in &res.reads {
+                assert_eq!((*vx, *vy), (Some(res.x0), Some(res.y0)), "{tx}");
+            }
+            assert!(res.check().ok(), "{:?}", res.check().violations);
+        }
+    }
+
+    #[test]
+    fn estar_histories_are_identical_on_both_engines() {
+        let run = |sched| {
+            let strawman = estar::<Strawman>(&[0, 2], sched);
+            let cclo = estar::<CcLo>(&[0, 2], sched);
+            format!(
+                "{:?} {:?} {:?}",
+                strawman.history, cclo.history, cclo.transcript
+            )
+        };
+        let want = run(SchedKind::Calendar);
+        for sched in contrarian_sim::ENGINES {
+            assert_eq!(run(sched), want, "{sched:?}");
         }
     }
 }

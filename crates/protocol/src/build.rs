@@ -53,9 +53,10 @@ pub enum Clients {
     /// `actors_per_dc` open-loop driver actors per DC, each owning its
     /// shard of the logical-session population.
     Open(OpenLoopSpec),
-    /// One client in DC 0 that issues only injected operations (the
-    /// embedded store facade).
-    Queue,
+    /// `n` clients in DC 0 that issue only injected operations: one for
+    /// the embedded store facade, a writer and its readers for a scripted
+    /// schedule.
+    Queue(u16),
 }
 
 impl Clients {
@@ -64,7 +65,7 @@ impl Clients {
         match self {
             Clients::Closed { per_dc, .. } => (n_dcs, *per_dc),
             Clients::Open(spec) => (n_dcs, spec.actors_per_dc),
-            Clients::Queue => (1, 1),
+            Clients::Queue(n) => (1, *n),
         }
     }
 }
@@ -102,7 +103,7 @@ pub fn build_nodes<P: ProtocolSpec>(
     let workload = match clients {
         Clients::Closed { workload, .. } => Some(workload),
         Clients::Open(spec) => Some(&spec.workload),
-        Clients::Queue => None,
+        Clients::Queue(_) => None,
     };
     let zipf = workload.map(|w| (w, Arc::new(Zipf::new(cfg.keys_per_partition, w.zipf_theta))));
     let generator = || {
@@ -125,7 +126,7 @@ pub fn build_nodes<P: ProtocolSpec>(
                         spec.session_rate(),
                     )))
                 }
-                Clients::Queue => None,
+                Clients::Queue(_) => None,
             };
             nodes.push((addr, Node::Client(Client::new(addr, &cfg, source))));
         }
@@ -192,7 +193,7 @@ pub fn build_interactive_cluster<P: ProtocolSpec>(
     let p = ClusterParams {
         cfg: cfg.clone(),
         cost: CostModel::functional(),
-        clients: Clients::Queue,
+        clients: Clients::Queue(1),
         seed,
     };
     let mut sim = build_cluster::<P>(&p, SchedKind::default());
@@ -216,7 +217,8 @@ mod tests {
         assert_eq!(closed.layout(3), (3, 6));
         let open = Clients::Open(OpenLoopSpec::new(workload, 100, 10.0).with_actors_per_dc(2));
         assert_eq!(open.layout(2), (2, 2));
-        // The facade's one queue client lives in DC 0 whatever the size.
-        assert_eq!(Clients::Queue.layout(3), (1, 1));
+        // Queue clients live in DC 0 whatever the size.
+        assert_eq!(Clients::Queue(1).layout(3), (1, 1));
+        assert_eq!(Clients::Queue(4).layout(3), (1, 4));
     }
 }

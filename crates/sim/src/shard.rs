@@ -600,7 +600,7 @@ impl<A: Actor> Shard<A> {
     /// (callers resolve it through [`Routing::global`] first, which is
     /// what bounds `to.idx` by the class stride).
     #[inline]
-    fn link_mut(&mut self, routing: &Routing, node: usize, to: Addr) -> &mut u64 {
+    pub(crate) fn link_mut(&mut self, routing: &Routing, node: usize, to: Addr) -> &mut u64 {
         let (class, stride) = routing.table.link_class(to);
         debug_assert!((to.idx as usize) < stride, "unroutable {to}");
         let base = &mut self.link_base[node * routing.link_classes() + class];

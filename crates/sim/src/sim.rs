@@ -404,6 +404,21 @@ impl<A: Actor> Sim<A> {
         self.external_send(client, client, msg);
     }
 
+    /// Holds the link `from → to` until `until`: every message sent on it
+    /// from now on arrives after `until`, in send order. It raises the
+    /// link's FIFO clock, which every send already clamps its arrival to,
+    /// so the send path is unchanged and an arrival can only move later:
+    /// the window bound stays sound and every engine gives the same run. A
+    /// message already in flight keeps its arrival.
+    pub fn hold_link(&mut self, from: Addr, to: Addr, until: u64) {
+        assert!(self.started, "links are kept by the shards, built at start");
+        let (s, l) = self.routing.locate(self.routing.global(from));
+        // Resolved first: `link_mut` indexes by `to` only once it routes.
+        self.routing.global(to);
+        let link = self.shards[s].link_mut(&self.routing, l, to);
+        *link = (*link).max(until);
+    }
+
     fn external_send(&mut self, from: Addr, to: Addr, msg: A::Msg) {
         assert!(
             self.started,
@@ -1135,6 +1150,103 @@ mod tests {
             );
             assert_eq!(got(server(1, 0)), vec![(6, 101_112)], "{sched:?}");
             assert!(got(server(0, 0)).is_empty() && got(Addr::client(DcId(1), 0)).is_empty());
+        }
+    }
+
+    /// Servers log `(tag, arrival)`; a client sends tags `0..5` to server 0
+    /// and `10..15` to server 1 of its DC on every injected op.
+    struct Tap {
+        got: Vec<(u32, u64)>,
+    }
+
+    impl Actor for Tap {
+        type Msg = Ping;
+        fn on_start(&mut self, _ctx: &mut dyn ActorCtx<Ping>) {}
+        fn on_message(&mut self, ctx: &mut dyn ActorCtx<Ping>, _from: Addr, msg: Ping) {
+            let me = ctx.self_addr();
+            if me.is_server() {
+                self.got.push((msg.0, ctx.now()));
+                return;
+            }
+            for (p, base) in [(0, 0), (1, 10)] {
+                for i in 0..5 {
+                    ctx.send(Addr::server(me.dc, PartitionId(p)), Ping(base + i));
+                }
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Ping {
+            Ping(0)
+        }
+    }
+
+    /// One DC of two [`Tap`] servers and a client whose link to server 0
+    /// is held until `hold` (none when `None`); what each server got.
+    fn tap_run(sched: SchedKind, hold: Option<u64>) -> [Vec<(u32, u64)>; 2] {
+        let mut sim: Sim<Tap> = Sim::with_scheduler(CostModel::calibrated(), 6, sched);
+        let server = |p| Addr::server(DcId(0), PartitionId(p));
+        let client = Addr::client(DcId(0), 0);
+        for p in 0..2 {
+            sim.add_server(server(p), Tap { got: vec![] }, 2);
+        }
+        sim.add_client(client, Tap { got: vec![] });
+        sim.start();
+        if let Some(until) = hold {
+            sim.hold_link(client, server(0), until);
+        }
+        sim.inject_op(client, Op::Rot(vec![]));
+        sim.run_to_quiescence(u64::MAX);
+        [0, 1].map(|p| sim.actor(server(p)).got.clone())
+    }
+
+    #[test]
+    fn a_held_link_delivers_after_the_hold_in_send_order() {
+        const UNTIL: u64 = 5_000_000;
+        for sched in crate::ENGINES {
+            let [held, other] = tap_run(sched, Some(UNTIL));
+            let tags: Vec<u32> = held.iter().map(|m| m.0).collect();
+            assert_eq!(tags, [0, 1, 2, 3, 4], "{sched:?}: send order");
+            assert!(held.iter().all(|m| m.1 > UNTIL), "{sched:?}: {held:?}");
+            // The sender's other link is not delayed at all.
+            let [free, unheld] = tap_run(sched, None);
+            assert_eq!(other, unheld, "{sched:?}");
+            assert!(free.iter().all(|m| m.1 < UNTIL), "{sched:?}: {free:?}");
+            assert_eq!(tap_run(sched, Some(0)), [free, unheld], "{sched:?}");
+        }
+    }
+
+    /// The trace of a two-DC mesh run, with two links held from start when
+    /// `held`: one inside DC 0, one that crosses shards.
+    fn geo_trace(sched: SchedKind, parallel: bool, held: bool) -> Vec<TraceEvent> {
+        let mut sim = mk_geo(sched, CostModel::calibrated(), 3, 4);
+        sim.set_parallel(parallel);
+        sim.set_tracing(true);
+        sim.start();
+        if held {
+            let server = |dc, p| Addr::server(DcId(dc), PartitionId(p));
+            sim.hold_link(Addr::client(DcId(0), 1), server(0, 2), 3_000_000);
+            sim.hold_link(Addr::client(DcId(1), 0), server(0, 1), 9_000_000);
+        }
+        sim.run_to_quiescence(u64::MAX);
+        sim.drain_trace()
+    }
+
+    #[test]
+    fn held_links_replay_identically_on_every_engine() {
+        // A cross-shard hold only moves arrivals later, so no message lands
+        // inside its destination's finished window (`exchange` asserts it)
+        // and the sharded run, serial or threaded, is the calendar run.
+        let want = geo_trace(SchedKind::Calendar, false, true);
+        assert_ne!(
+            want,
+            geo_trace(SchedKind::Calendar, false, false),
+            "the holds changed the run"
+        );
+        for parallel in [false, true] {
+            assert!(
+                geo_trace(SchedKind::Sharded, parallel, true) == want,
+                "parallel: {parallel}"
+            );
         }
     }
 

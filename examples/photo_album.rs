@@ -9,13 +9,16 @@
 //! Part 1 exercises the scenario through the embedded Contrarian store: the
 //! causally consistent ROT returns a safe snapshot.
 //!
-//! Part 2 replays the adversarial message schedule of the paper's Figures 1
-//! and 10 (E*) against (a) a straw-man "latency-optimal" protocol with no
-//! readers communication, which violates causality, and (b) the real CC-LO
-//! (COPS-SNOW) implementation, whose readers check blocks the anomaly.
+//! Part 2 runs the adversarial schedule of the paper's Figures 1 and 10
+//! (E*) on the simulator — the reader's link to the album's partition is
+//! held until the new photo is visible — against (a) a straw-man
+//! "latency-optimal" protocol with no readers communication, which
+//! violates causality, and (b) the real CC-LO (COPS-SNOW) implementation,
+//! whose readers check blocks the anomaly.
 
 use contrarian::api::CausalStore;
-use contrarian::harness::theory::{run_cclo_scenario, run_strawman_scenario};
+use contrarian::cclo::CcLo;
+use contrarian::harness::theory::{run_estar, Strawman};
 use contrarian::types::{ClusterConfig, Key};
 
 fn main() {
@@ -45,9 +48,9 @@ fn main() {
     store.shutdown();
 
     // --- Part 2: why the readers check exists ---------------------------
-    println!("\nReplaying the paper's E* schedule (Figure 10):");
+    println!("\nRunning the paper's E* schedule (Figure 10):");
 
-    let bad = run_strawman_scenario(&[0]);
+    let bad = run_estar::<Strawman>(&[0]);
     let report = bad.check();
     println!(
         "  straw-man LO protocol (no readers communicated): {} violation(s)",
@@ -56,7 +59,7 @@ fn main() {
     assert!(!report.ok());
     println!("    e.g. {}", report.violations[0]);
 
-    let good = run_cclo_scenario(&[0]);
+    let good = run_estar::<CcLo>(&[0]);
     let report = good.check();
     println!(
         "  CC-LO with readers check: {} violation(s); px→py carried {} ROT id(s)",

@@ -27,13 +27,14 @@ fn assert_node_list<P: ProtocolSpec>() {
             "open",
             Clients::Open(OpenLoopSpec::new(workload.clone(), 1_000, 5_000.0)),
         ),
-        ("queue", Clients::Queue),
+        ("queue", Clients::Queue(1)),
+        ("queue of 4", Clients::Queue(4)),
     ] {
         let label = format!("{} ({kind} clients)", P::NAME);
         let nodes = build_nodes::<P>(&cfg, &clients, 5);
         let (client_dcs, per_dc) = clients.layout(dcs);
         let count = match clients {
-            Clients::Queue => usize::from(dcs) * usize::from(parts) + 1,
+            Clients::Queue(n) => usize::from(dcs) * usize::from(parts) + usize::from(n),
             _ => usize::from(dcs) * (usize::from(parts) + usize::from(per_dc)),
         };
         assert_eq!(nodes.len(), count, "{label}");
