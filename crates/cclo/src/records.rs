@@ -78,49 +78,62 @@
 //! **Layout: a current reader's stamps are 32-bit offsets.** Its read
 //! time (Lamport ticks) and insertion time (runtime ns) are `u32` offsets
 //! from two epochs, one [`Stamp`] that a server's [`CurrentReaders`] keeps
-//! for all its keys. They are widened back to `u64` wherever they leave
-//! the set: into an old reader at [`ReaderSet::absorb`], and into the
-//! expiry test of a sweep. The encoding is exact by construction, not
-//! while a run is short:
+//! for all its keys. Each offset reaches [`OFFSET_REACH`], 2³² − 2: the
+//! ns offset is stored plus one, so that its 0 is free for the set's tag
+//! (below). They are widened back to `u64` wherever they leave the set:
+//! into an old reader at [`ReaderSet::absorb`], and into the expiry test
+//! of a sweep. The encoding is exact by construction, not while a run is
+//! short:
 //!
 //! * every sweep ([`CurrentReaders::gc`], which the server runs every
 //!   quarter window) re-bases both epochs to the oldest stamps it keeps
 //!   and rewrites every offset. So between sweeps the ns offsets stay
-//!   below the window plus a quarter (625 ms of the 2³² − 1 ns ≈ 4.29 s
+//!   below the window plus a quarter (625 ms of the 2³² − 2 ns ≈ 4.29 s
 //!   an offset holds, at the 500 ms window), and the tick offsets below
 //!   the ticks the server's Lamport clock advances in that time;
-//! * an insert whose offset would be negative or past 2³² − 1 re-bases
+//! * an insert whose offset would be negative or past the reach re-bases
 //!   first, over every current reader and the new stamps. If no epoch can
 //!   represent them all — a wall clock that stalled past its sweeps, as a
 //!   live (TCP) server's can — the readers that have expired by the
 //!   insert are left out and clamped to a stamp that has expired too.
 //!   Nothing but their expiry is ever observed: a sweep drops them, and
 //!   once superseded an old-reader query skips them. The GC window must
-//!   be below 2³² − 1 ns ([`CurrentReaders::new`] checks), so the live
+//!   be below the reach ([`CurrentReaders::new`] checks), so the live
 //!   readers and the clamped stamp always fit;
-//! * a span of live readers that no epoch can represent — more than
-//!   2³² − 1 ticks between the oldest and the newest read time — panics
-//!   and names the limit. Nothing wraps.
+//! * a span of live readers that no epoch can represent — more than the
+//!   reach between the oldest and the newest read time — panics and names
+//!   the limit. Nothing wraps. A server keeps every read time within
+//!   reach: it drops a message whose stamp would take its Lamport clock
+//!   past `CurrentReaders::tick_limit`.
+//!
+//! **Layout: a set's tag lives in its inline reader.** A set of none or
+//! of two and more entries keeps them in its [`Reader::Spill`]. An old
+//! reader's is a plain vector: the 32 B [`ReaderEntry`] has no niche, so
+//! the set pays an 8 B tag anyway, and a promotion stays one exact block.
+//! A current reader's is an optional boxed vector, `None` when the set is
+//! empty: 8 B, laid beside the 16 B inline reader, whose ns offset is
+//! never 0 and so tells the two apart. The set is 16 B, and a promotion
+//! allocates the vector and its 24 B box.
 //!
 //! Old-reader sets, readers-check answers and every cost-model input stay
 //! exactly what they were with a version and `u64` stamps per entry (a
 //! proptest holds the two against each other, with stamps straddling
 //! multiples of 2³² and a re-base at every sweep; a second one lets the
 //! clock run past an offset's reach, where expired readers are held only
-//! to being expired). Sizes, pinned by
-//! tests: an old-readers set is 40 B in a 48 B map slot. A
-//! current-readers set is 24 B in a 32 B slot: its 16 B inline entry fits
-//! beside the vector's capacity niche, so the set needs no tag of its
-//! own. The current readers are the largest row of `sim_write_cclo`'s
-//! heap census: at the end of its `over` rung (seed 1) 173 137 entries
-//! took 14.93 MB with a version each, 12.31 MB without, and 9.70 MB with
-//! 32-bit stamps.
+//! to being expired). Sizes, pinned by tests: an old-readers set is 40 B
+//! in a 48 B map slot, a current-readers set 16 B in a 24 B slot. The
+//! current readers are the largest row of `sim_write_cclo`'s heap census:
+//! at the end of its `over` rung (seed 1) 173 137 entries took 14.93 MB
+//! with a version each, 12.31 MB without, 9.70 MB with 32-bit stamps in a
+//! 32 B slot, and 7.96 MB in a 24 B slot.
 
 use contrarian_types::{heap, ClientId, DcId, Key, TxId};
 use std::cmp::Ordering;
 #[cfg(test)]
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::fmt::Debug;
+use std::num::NonZeroU32;
 
 /// Whether a read recorded at `inserted_at` is older than the GC window.
 fn expired(inserted_at: u64, now: u64, gc_ns: u64) -> bool {
@@ -156,9 +169,14 @@ pub struct Stamp {
     pub ns: u64,
 }
 
-/// `stamp − epoch`, if it is neither negative nor wider than 32 bits.
+/// The most a current reader's offset holds, 2³² − 2: its ns offset is
+/// stored plus one, so that 0 is free for its set's tag (module docs).
+pub const OFFSET_REACH: u64 = u32::MAX as u64 - 1;
+
+/// `stamp − epoch`, if it is neither negative nor past [`OFFSET_REACH`].
 fn offset(stamp: u64, epoch: u64) -> Option<u32> {
-    u32::try_from(stamp.checked_sub(epoch)?).ok()
+    let d = stamp.checked_sub(epoch)?;
+    (d <= OFFSET_REACH).then_some(d as u32)
 }
 
 /// One recorded read of a key's head version (or of ⊥ or genesis) — a
@@ -171,18 +189,19 @@ pub struct CurrentReader {
     tx: TxId,
     /// Read time − the epoch's ticks.
     ticks: u32,
-    /// Insertion time − the epoch's ns.
-    ns: u32,
+    /// Insertion time − the epoch's ns, plus one: never 0, which is its
+    /// set's tag (module docs).
+    ns: NonZeroU32,
 }
 
 impl CurrentReader {
     /// `tx`'s read at `at`, counted from `epoch`; `None` if either offset
-    /// is negative or does not fit in 32 bits.
+    /// is negative or past [`OFFSET_REACH`].
     pub fn new(tx: TxId, at: Stamp, epoch: Stamp) -> Option<Self> {
         Some(CurrentReader {
             tx,
             ticks: offset(at.ticks, epoch.ticks)?,
-            ns: offset(at.ns, epoch.ns)?,
+            ns: NonZeroU32::new(offset(at.ns, epoch.ns)? + 1)?,
         })
     }
 
@@ -190,7 +209,7 @@ impl CurrentReader {
     fn at(self, epoch: Stamp) -> Stamp {
         Stamp {
             ticks: epoch.ticks + u64::from(self.ticks),
-            ns: epoch.ns + u64::from(self.ns),
+            ns: epoch.ns + u64::from(self.ns.get() - 1),
         }
     }
 
@@ -209,18 +228,65 @@ impl CurrentReader {
 
 /// What a [`ReaderSet`] keeps of a read: at least the reading transaction.
 pub trait Reader: Copy {
+    /// Where a set of none or of two and more such reads keeps them.
+    type Spill: Spill<Self>;
     fn tx(&self) -> TxId;
 }
 
 impl Reader for ReaderEntry {
+    type Spill = Vec<ReaderEntry>;
     fn tx(&self) -> TxId {
         self.tx
     }
 }
 
 impl Reader for CurrentReader {
+    type Spill = Option<Box<Vec<CurrentReader>>>;
     fn tx(&self) -> TxId {
         self.tx
+    }
+}
+
+/// A [`ReaderSet`]'s entries when it has none or two and more: a vector,
+/// or a boxed vector whose absence is the empty set (module docs).
+pub trait Spill<E>: Clone + Debug + Default {
+    /// The spill of `v`, which holds two or more entries.
+    fn of(v: Vec<E>) -> Self;
+    /// The vector, if one is allocated.
+    fn vec(&self) -> Option<&Vec<E>>;
+    fn vec_mut(&mut self) -> Option<&mut Vec<E>>;
+    /// Heap bytes: the vector's block and any box around it.
+    fn heap_bytes(&self) -> usize;
+}
+
+impl<E: Clone + Debug> Spill<E> for Vec<E> {
+    fn of(v: Vec<E>) -> Self {
+        v
+    }
+    fn vec(&self) -> Option<&Vec<E>> {
+        Some(self)
+    }
+    fn vec_mut(&mut self) -> Option<&mut Vec<E>> {
+        Some(self)
+    }
+    fn heap_bytes(&self) -> usize {
+        heap::vec_bytes(self)
+    }
+}
+
+impl<E: Clone + Debug> Spill<E> for Option<Box<Vec<E>>> {
+    fn of(v: Vec<E>) -> Self {
+        Some(Box::new(v))
+    }
+    fn vec(&self) -> Option<&Vec<E>> {
+        self.as_deref()
+    }
+    fn vec_mut(&mut self) -> Option<&mut Vec<E>> {
+        self.as_deref_mut()
+    }
+    fn heap_bytes(&self) -> usize {
+        self.as_deref()
+            .map_or(0, |v| std::mem::size_of::<Vec<E>>() + heap::vec_bytes(v))
     }
 }
 
@@ -259,7 +325,7 @@ impl Span {
     /// Whether one epoch can represent every stamp of the span.
     fn fits(self) -> bool {
         let (ticks, ns) = self.width();
-        ticks <= u64::from(u32::MAX) && ns <= u64::from(u32::MAX)
+        ticks <= OFFSET_REACH && ns <= OFFSET_REACH
     }
 
     /// The epoch that represents every stamp of the span, its oldest
@@ -272,9 +338,8 @@ impl Span {
         let (ticks, ns) = self.width();
         assert!(
             self.fits(),
-            "current readers span {ticks} Lamport ticks and {ns} ns: a 32-bit offset \
-             holds at most {} of each",
-            u32::MAX
+            "current readers span {ticks} Lamport ticks and {ns} ns: an offset holds \
+             at most {OFFSET_REACH} of each"
         );
         Some(self.lo)
     }
@@ -294,13 +359,13 @@ pub struct CurrentReaders {
 }
 
 impl CurrentReaders {
-    /// No readers, for a GC window of `gc_ns`. Panics unless a 32-bit ns
+    /// No readers, for a GC window of `gc_ns`. Panics unless an ns
     /// offset holds the window and 1 ns more (module docs).
     pub fn new(gc_ns: u64) -> Self {
         assert!(
-            gc_ns < u64::from(u32::MAX),
+            gc_ns < OFFSET_REACH,
             "a GC window of {gc_ns} ns does not fit a 32-bit offset: at most {} ns",
-            u32::MAX - 1
+            OFFSET_REACH - 1
         );
         CurrentReaders {
             sets: HashMap::new(),
@@ -387,11 +452,24 @@ impl CurrentReaders {
                     CurrentReader {
                         tx: r.tx,
                         ticks: 0,
-                        ns: 0,
+                        ns: NonZeroU32::MIN,
                     }
                 });
             }
         }
+    }
+
+    /// The furthest Lamport time a read may take here: [`OFFSET_REACH`]
+    /// past the epoch while any key holds a set, past `clock` (the
+    /// server's Lamport time) while none does. Every reader is at or past
+    /// the epoch, so a read no later than this keeps the span in reach.
+    pub(crate) fn tick_limit(&self, clock: u64) -> u64 {
+        let from = if self.sets.is_empty() {
+            clock
+        } else {
+            self.epoch.ticks
+        };
+        from.saturating_add(OFFSET_REACH)
     }
 
     /// Whether `key` has current readers.
@@ -470,11 +548,11 @@ pub(crate) fn readers_heap<E: Reader>(map: &HashMap<Key, ReaderSet<E>>) -> (usiz
 /// reader lives inline, a second promotes both into an exact two-slot
 /// vector, and an empty set owns no allocation (module docs).
 #[derive(Clone, Debug)]
-pub struct ReaderSet<E = ReaderEntry> {
+pub struct ReaderSet<E: Reader = ReaderEntry> {
     repr: Repr<E>,
 }
 
-impl<E> Default for ReaderSet<E> {
+impl<E: Reader> Default for ReaderSet<E> {
     fn default() -> Self {
         ReaderSet {
             repr: Repr::default(),
@@ -483,26 +561,26 @@ impl<E> Default for ReaderSet<E> {
 }
 
 #[derive(Clone, Debug)]
-enum Repr<E> {
+enum Repr<E: Reader> {
     One(E),
     /// Zero entries (unallocated) or two or more.
-    Many(Vec<E>),
+    Many(E::Spill),
 }
 
-impl<E> Default for Repr<E> {
+impl<E: Reader> Default for Repr<E> {
     fn default() -> Self {
-        Repr::Many(Vec::new())
+        Repr::Many(E::Spill::default())
     }
 }
 
-impl<E: Copy> Repr<E> {
+impl<E: Reader> Repr<E> {
     /// The representation of `v`, which is sorted: one entry moves inline
     /// and frees the vector, none frees it too.
     fn of(v: Vec<E>) -> Self {
         match v.as_slice() {
             [] => Repr::default(),
             [e] => Repr::One(*e),
-            _ => Repr::Many(v),
+            _ => Repr::Many(E::Spill::of(v)),
         }
     }
 }
@@ -516,14 +594,14 @@ impl<E: Reader> ReaderSet<E> {
     fn entries(&self) -> &[E] {
         match &self.repr {
             Repr::One(e) => std::slice::from_ref(e),
-            Repr::Many(v) => v,
+            Repr::Many(s) => s.vec().map_or(&[], Vec::as_slice),
         }
     }
 
     fn entries_mut(&mut self) -> &mut [E] {
         match &mut self.repr {
             Repr::One(e) => std::slice::from_mut(e),
-            Repr::Many(v) => v,
+            Repr::Many(s) => s.vec_mut().map_or(&mut [], Vec::as_mut_slice),
         }
     }
 
@@ -544,22 +622,24 @@ impl<E: Reader> ReaderSet<E> {
             Repr::One(old) => {
                 let old = *old;
                 self.repr = match old.tx().cmp(&e.tx()) {
-                    Ordering::Less => Repr::Many(vec![old, e]),
+                    Ordering::Less => Repr::Many(E::Spill::of(vec![old, e])),
                     Ordering::Equal => Repr::One(e),
-                    Ordering::Greater => Repr::Many(vec![e, old]),
+                    Ordering::Greater => Repr::Many(E::Spill::of(vec![e, old])),
                 };
             }
-            Repr::Many(v) if v.is_empty() => self.repr = Repr::One(e),
-            Repr::Many(v) => {
-                if v.last().is_none_or(|last| last.tx() < e.tx()) {
-                    v.push(e);
-                    return;
+            Repr::Many(s) => match s.vec_mut() {
+                Some(v) if !v.is_empty() => {
+                    if v.last().is_none_or(|last| last.tx() < e.tx()) {
+                        v.push(e);
+                        return;
+                    }
+                    match v.binary_search_by_key(&e.tx(), |x| x.tx()) {
+                        Ok(i) => v[i] = e,
+                        Err(i) => v.insert(i, e),
+                    }
                 }
-                match v.binary_search_by_key(&e.tx(), |x| x.tx()) {
-                    Ok(i) => v[i] = e,
-                    Err(i) => v.insert(i, e),
-                }
-            }
+                _ => self.repr = Repr::One(e),
+            },
         }
     }
 
@@ -571,9 +651,9 @@ impl<E: Reader> ReaderSet<E> {
         if self.is_empty() {
             // Entry by entry: an inline reader stays inline, a vector is
             // rewritten into one exact block of the wider entries.
-            self.repr = match other.repr {
-                Repr::One(e) => Repr::One(into(e)),
-                Repr::Many(v) => Repr::Many(v.into_iter().map(into).collect()),
+            self.repr = match &other.repr {
+                Repr::One(e) => Repr::One(into(*e)),
+                Repr::Many(_) => Repr::of(other.entries().iter().map(|&e| into(e)).collect()),
             };
             return;
         }
@@ -609,10 +689,12 @@ impl<E: Reader> ReaderSet<E> {
         match &mut self.repr {
             Repr::One(e) if !keep(e) => self.repr = Repr::default(),
             Repr::One(_) => {}
-            Repr::Many(v) => {
-                v.retain(|e| keep(e));
-                if v.len() < 2 {
-                    self.repr = Repr::of(std::mem::take(v));
+            Repr::Many(s) => {
+                if let Some(v) = s.vec_mut() {
+                    v.retain(|e| keep(e));
+                    if v.len() < 2 {
+                        self.repr = Repr::of(std::mem::take(v));
+                    }
                 }
             }
         }
@@ -623,11 +705,11 @@ impl<E: Reader> ReaderSet<E> {
         self.entries().binary_search_by_key(&tx, |e| e.tx()).is_ok()
     }
 
-    /// Heap bytes: the vector of a set of two or more, 0 inline or empty.
+    /// Heap bytes: the spill of a set of two or more, 0 inline or empty.
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
             Repr::One(_) => 0,
-            Repr::Many(v) => heap::vec_bytes(v),
+            Repr::Many(s) => s.heap_bytes(),
         }
     }
 
@@ -639,10 +721,10 @@ impl<E: Reader> ReaderSet<E> {
             self.entries().windows(2).all(|w| w[0].tx() < w[1].tx()),
             "reader set must be strictly ascending by tx"
         );
-        if let Repr::Many(v) = &self.repr {
-            assert_ne!(v.len(), 1, "a single reader must live inline");
+        if let Repr::Many(s) = &self.repr {
+            assert_ne!(self.len(), 1, "a single reader must live inline");
             assert!(
-                !v.is_empty() || v.capacity() == 0,
+                !self.is_empty() || s.heap_bytes() == 0,
                 "an empty reader set must not own a block"
             );
         }
@@ -1072,8 +1154,8 @@ mod tests {
     const CLIENTS: u16 = 5;
     const SEQS: u32 = 6;
     const GC_NS: u64 = 40;
-    /// The most a 32-bit offset holds.
-    const SPAN: u64 = u32::MAX as u64;
+    /// The most an offset holds.
+    const SPAN: u64 = OFFSET_REACH;
 
     /// Clock origins just below the `(a, b)`-th multiples of 2³², so a
     /// sequence's stamps cross them: read times by up to 50 ticks, the
@@ -1451,7 +1533,7 @@ mod tests {
     /// back inline and a sweep to none frees the block.
     #[test]
     fn second_insert_promotes_exactly_and_gc_demotes() {
-        let mut s = ReaderSet::new();
+        let mut s: ReaderSet = ReaderSet::new();
         assert!(matches!(&s.repr, Repr::Many(v) if v.capacity() == 0));
         s.insert(entry(tx(3, 0), 1, 0, 0));
         assert!(matches!(s.repr, Repr::One(_)));
@@ -1483,7 +1565,7 @@ mod tests {
         old.absorb(&mut cur, 7, Stamp::default());
         assert_eq!(old.len(), 2);
         assert!(old.contains(tx(1, 0)) && old.contains(tx(2, 0)));
-        assert!(matches!(&cur.repr, Repr::Many(v) if v.capacity() == 0));
+        assert!(matches!(&cur.repr, Repr::Many(None)));
         // Into an empty set the entry moves stamped, still inline.
         cur.insert(current(tx(4, 0), 3, 0));
         let mut fresh = ReaderSet::new();
@@ -1519,15 +1601,15 @@ mod tests {
     }
 
     /// A current reader stores no version and two 32-bit offsets: 16 B.
-    /// Its set is 24 B, the vector alone — the inline entry fits beside
-    /// the vector's capacity niche, so there is no tag — and a key's map
-    /// slot 32 B. That slot is the largest row of CC-LO's heap census.
+    /// Its set is 16 B too — the boxed vector's 8 B sit beside the inline
+    /// entry, whose never-zero ns offset is the tag — and a key's map slot
+    /// 24 B. That slot is the largest row of CC-LO's heap census.
     #[test]
-    fn current_reader_set_is_a_16_byte_entry_in_a_32_byte_slot() {
+    fn current_reader_set_is_a_16_byte_entry_in_a_24_byte_slot() {
         use std::mem::size_of;
         assert_eq!(size_of::<CurrentReader>(), 16);
-        assert_eq!(size_of::<ReaderSet<CurrentReader>>(), 24);
-        assert_eq!(size_of::<(Key, ReaderSet<CurrentReader>)>(), 32);
+        assert_eq!(size_of::<ReaderSet<CurrentReader>>(), 16);
+        assert_eq!(size_of::<(Key, ReaderSet<CurrentReader>)>(), 24);
     }
 
     /// Readers stamped just below a multiple of 2³² — in ticks and in ns
@@ -1647,18 +1729,19 @@ mod tests {
         assert_eq!(cur.epoch, late);
     }
 
-    /// A window a 32-bit ns offset cannot hold, with 1 ns to spare,
-    /// fails at construction.
+    /// A window an ns offset cannot hold, with 1 ns to spare, fails at
+    /// construction.
     #[test]
-    #[should_panic(expected = "does not fit a 32-bit offset: at most 4294967294 ns")]
+    #[should_panic(expected = "does not fit a 32-bit offset: at most 4294967293 ns")]
     fn a_gc_window_past_32_bits_panics() {
         CurrentReaders::new(SPAN);
     }
 
-    /// Live readers 2³² Lamport ticks apart cannot share an epoch: the
-    /// insert panics, naming the limit, rather than wrap.
+    /// Live readers 2³² − 1 Lamport ticks apart, one past an offset's
+    /// reach, cannot share an epoch: the insert panics, naming the limit,
+    /// rather than wrap.
     #[test]
-    #[should_panic(expected = "current readers span 4294967296 Lamport ticks and 0 ns")]
+    #[should_panic(expected = "current readers span 4294967295 Lamport ticks and 0 ns")]
     fn a_tick_span_past_32_bits_panics() {
         let mut cur = CurrentReaders::new(GC_NS);
         cur.insert(Key(0), tx(0, 0), stamp(7, 0));

@@ -3,6 +3,7 @@
 use crate::msg::{Dep, Msg};
 use crate::records::{
     readers_heap, BlockRecord, CurrentReaders, ReaderEntry, ReaderSet, RotFloor, Stamp,
+    OFFSET_REACH,
 };
 use crate::stats;
 use contrarian_clock::LogicalClock;
@@ -86,8 +87,9 @@ pub struct Server {
     /// Current readers of each key's head version (or of ⊥). Each read
     /// the head, so none stores a version: `supersede_head` stamps them
     /// with the head's timestamp as they become old readers. Their clocks
-    /// are 32-bit offsets from this server's epoch, which every GC sweep
-    /// re-bases (`records` module docs).
+    /// are 32-bit offsets, of at most `OFFSET_REACH`, from this server's
+    /// epoch, which every GC sweep re-bases; a key's set is 16 B, its one
+    /// reader inline (`records` module docs).
     readers: CurrentReaders,
     /// Old readers of each key (readers of superseded versions).
     old_readers: HashMap<Key, ReaderSet>,
@@ -114,11 +116,11 @@ impl Server {
         // Between sweeps a current reader's ns offset reaches the window
         // plus a quarter (`records` module docs).
         assert!(
-            window + sweep_ns <= u64::from(u32::MAX),
+            window + sweep_ns <= OFFSET_REACH,
             "old_reader_gc_us = {}: the GC window plus a quarter must fit a 32-bit \
              ns offset, so the window is at most {} us",
             cfg.old_reader_gc_us,
-            u64::from(u32::MAX) * 4 / 5 / 1000
+            OFFSET_REACH * 4 / 5 / 1000
         );
         Server {
             addr,
@@ -182,9 +184,17 @@ impl Server {
 
     fn handle_message(&mut self, ctx: &mut dyn ActorCtx<Msg>, from: Addr, msg: Msg) {
         // Any peer of a live cluster can send a client-bound message, or a
-        // stamp the clock cannot move past: each is counted and dropped
-        // rather than trusted, and the clock stays where it was.
-        let Some(t) = msg.stamp().and_then(|s| self.lamport.observe(s)) else {
+        // stamp that would take the clock past the current readers' reach
+        // (and so a read time past what their offsets hold): each is
+        // counted and dropped rather than trusted, and the clock stays
+        // where it was.
+        let clock = self.lamport.peek();
+        let limit = self.readers.tick_limit(clock);
+        let Some(t) = msg
+            .stamp()
+            .filter(|&s| s.max(clock) < limit)
+            .and_then(|s| self.lamport.observe(s))
+        else {
             ctx.metrics().rejected();
             return;
         };
@@ -880,6 +890,83 @@ mod tests {
         let got = do_rot(&mut s, &mut ctx, tx(0, 1), vec![Key(0)]);
         assert_eq!(got, vec![(Key(0), Some(v1))]);
         assert_eq!(ctx.sink.metrics.rejected_msgs, 4);
+    }
+
+    /// Delivers `msg` from a client and asserts that it was counted and
+    /// dropped: no reply, and the clock did not move.
+    fn assert_dropped(s: &mut Server, ctx: &mut ScriptCtx<Msg>, msg: Msg) {
+        let (clock, rejected) = (s.lamport(), ctx.sink.metrics.rejected_msgs);
+        s.on_message(ctx, client(), msg);
+        assert_eq!(ctx.sink.metrics.rejected_msgs, rejected + 1);
+        assert!(ctx.drain_sent().is_empty(), "no reply");
+        assert_eq!(s.lamport(), clock, "the clock does not move");
+    }
+
+    fn rot_read(seq: u32, lamport: u64) -> Msg {
+        Msg::RotRead {
+            tx: tx(1, seq),
+            keys: vec![Key(4)],
+            lamport,
+        }
+    }
+
+    /// A stamp that would take the clock past the current readers' reach
+    /// — counted from their epoch, or from the clock while there are none
+    /// — is counted and dropped rather than panicking the server, and the
+    /// next ordinary ROT is answered. The last stamp in reach is taken; a
+    /// clock at the edge then takes nothing until a sweep expires the
+    /// readers, so no read time creeps past the reach either.
+    #[test]
+    fn a_stamp_past_the_current_readers_reach_is_counted_and_dropped() {
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        let v1 = do_put(&mut s, &mut ctx, Key(0), vec![]);
+        do_rot(&mut s, &mut ctx, tx(0, 0), vec![Key(0)]);
+        let far = 1 << 33;
+        for msg in [
+            rot_read(0, far),
+            rot_read(0, u64::MAX - 1),
+            Msg::PutReq {
+                key: Key(4),
+                value: Value::new(),
+                deps: vec![],
+                lamport: far,
+            },
+            Msg::OldReadersQuery {
+                token: 1,
+                deps: vec![(Key(0), v1)],
+                lamport: far,
+            },
+            Msg::Replicate {
+                key: Key(8),
+                value: Value::new(),
+                vid: VersionId::new(far, DcId(1)),
+                deps: vec![],
+                lamport: 0,
+                birth: 0,
+            },
+        ] {
+            assert_dropped(&mut s, &mut ctx, msg);
+        }
+        let got = do_rot(&mut s, &mut ctx, tx(1, 1), vec![Key(0)]);
+        assert_eq!(got, vec![(Key(0), Some(v1))]);
+        let edge = s.readers.tick_limit(s.lamport()) - 1;
+        s.on_message(&mut ctx, client(), rot_read(2, edge));
+        assert!(matches!(ctx.drain_to(client())[..], [Msg::RotSlice { .. }]));
+        assert_dropped(&mut s, &mut ctx, rot_read(3, 0));
+        ctx.now = 10_000_000_000;
+        s.on_timer(&mut ctx, TimerKind::new(timers::GC));
+        let got = do_rot(&mut s, &mut ctx, tx(1, 4), vec![Key(0)]);
+        assert_eq!(got, vec![(Key(0), Some(v1))]);
+        assert_eq!(ctx.sink.metrics.rejected_msgs, 6);
+
+        // With no current readers, the reach counts from the clock.
+        let mut s = server(0);
+        let mut ctx = ScriptCtx::new(addr(0));
+        assert_dropped(&mut s, &mut ctx, rot_read(0, u64::MAX - 1));
+        assert_dropped(&mut s, &mut ctx, rot_read(0, OFFSET_REACH));
+        s.on_message(&mut ctx, client(), rot_read(0, OFFSET_REACH - 1));
+        assert!(matches!(ctx.drain_to(client())[..], [Msg::RotSlice { .. }]));
     }
 
     /// The longest GC window whose ns offsets, plus a quarter window
