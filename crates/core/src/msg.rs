@@ -215,6 +215,14 @@ mod tests {
         assert!(full.wire_size() >= empty.wire_size() + 2048);
     }
 
+    /// One read of a ROT slice: a key and, when the key has a visible
+    /// version, its id and value, with the `None` case in the value
+    /// handle's null niche. Every ROT reply carries a vector of these.
+    #[test]
+    fn slice_pair_is_four_words() {
+        assert_eq!(std::mem::size_of::<(Key, Option<(VersionId, Value)>)>(), 32);
+    }
+
     #[test]
     fn stabilization_messages_are_control_class() {
         assert_eq!(

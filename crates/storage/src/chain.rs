@@ -49,7 +49,8 @@ impl<M> Version<M> {
 /// case twice — `Vec::push` on an empty vector reserves room for *four*
 /// elements, so 84 035 one-version chains held 24.2 MB of 288-byte heap
 /// blocks (a third of that cluster's resident set) to store 72 bytes
-/// each, and every read chased a pointer to a cold line. The chain is
+/// each (a version's size then), and every read chased a pointer to a cold
+/// line. The chain is
 /// therefore a three-state value: empty, one version stored in the chain
 /// itself, or a vector of two or more. The second insert promotes to an
 /// exact two-element vector and a GC that cuts back to one version
@@ -60,9 +61,12 @@ impl<M> Version<M> {
 /// enum tag rides in a niche of `Version`, so a chain is exactly as large
 /// as the one version it can hold — pinned by a test, because it is the
 /// size of every slot of the [`MvStore`](crate::MvStore) slab. The store's
-/// key index holds only a `u32` slot number per key, so the 72-byte
-/// chain is paid once per written key and not per hash bucket (see the
-/// store's module docs).
+/// key index holds only a `u32` slot number per key, so the chain is paid
+/// once per written key and not per hash bucket (see the store's module
+/// docs). A version is 56 bytes: its id (16, with the data center's 7
+/// padding bytes), an 8-byte [`Value`] handle,
+/// the inline dependency vector (24) and its birth time (8). With a 24-byte
+/// value handle it was 72.
 #[derive(Clone, Debug)]
 pub struct Chain<M> {
     repr: Repr<M>,
@@ -398,7 +402,7 @@ mod tests {
     #[test]
     fn chain_is_as_large_as_one_version() {
         use std::mem::size_of;
-        assert_eq!(size_of::<Version<DepVector>>(), 72);
+        assert_eq!(size_of::<Version<DepVector>>(), 56);
         assert_eq!(
             size_of::<Chain<DepVector>>(),
             size_of::<Version<DepVector>>()

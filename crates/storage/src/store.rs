@@ -9,17 +9,18 @@
 //! once placed. Keys are never removed (GC keeps a key's chain even when
 //! it empties it), so the slab needs no free list.
 //!
-//! A table whose buckets held the 72-byte chains inline paid 81 B (key,
-//! chain and control byte) for every bucket, empty or not: at the 44–88 %
-//! load a hash table runs at, ≈ 126 B per key, most of the store row of
-//! every snapshot backend's heap census. Here an empty bucket costs 17 B
-//! and a chain 72 B, with the slab's last chunk the only one that has an
-//! unwritten tail. The chunk size was measured on the 128-server Okapi
-//! benchmark (`sim_scale_okapi`, 20 s), whose chains almost all hold one
-//! version: 1 024 chains cut its `peak_rss_mb` 20.0 → 17.3 MB at
-//! unchanged CPU. Smaller chunks leave more of it behind (512: 17.7 MB,
-//! 256: 18.4 MB) and 32 cost 7–11 % more CPU per operation; 2 048 read
-//! the same as 1 024 with chunks past glibc's 128 KB `mmap` threshold.
+//! A table whose buckets held the chains inline (72 B each then) paid 81 B
+//! (key, chain and control byte) for every bucket, empty or not: at the
+//! 44–88 % load a hash table runs at, ≈ 126 B per key, most of the store
+//! row of every snapshot backend's heap census. Here an empty bucket costs
+//! 17 B and a chain 56 B, with the slab's last chunk the only one that has
+//! an unwritten tail. The chunk size was measured with 72-byte chains on
+//! the 128-server Okapi benchmark (`sim_scale_okapi`, 20 s), whose chains
+//! almost all hold one version: 1 024 chains cut its `peak_rss_mb` 20.0 →
+//! 17.3 MB at unchanged CPU. Smaller chunks leave more of it behind (512:
+//! 17.7 MB, 256: 18.4 MB) and 32 cost 7–11 % more CPU per operation;
+//! 2 048 read the same as 1 024 with chunks past glibc's 128 KB `mmap`
+//! threshold.
 //!
 //! Walking the slab visits chains in insertion order, so GC and the heap
 //! census need no hash-order reasoning; only [`MvStore::iter`] and
@@ -30,7 +31,7 @@ use contrarian_types::{heap, Key, VersionId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Chains per slab chunk (72 KB of 72-byte chains).
+/// Chains per slab chunk (56 KB of 56-byte chains).
 const CHUNK: usize = 1 << 10;
 
 /// A partition's share of the data set: key → version chain.

@@ -364,7 +364,7 @@ impl Wire for Value {
                 remaining: r.remaining(),
             });
         }
-        Ok(Value::from(r.take(len)?.to_vec()))
+        Ok(Value::copy_from_slice(r.take(len)?))
     }
 }
 

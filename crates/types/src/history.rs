@@ -24,7 +24,7 @@ pub enum HistoryEvent {
         t_end: u64,
         pairs: Vec<(Key, Option<VersionId>)>,
         /// Values, aligned with `pairs` (kept for the interactive facade;
-        /// cheap `Bytes` clones).
+        /// cheap [`Value`] clones).
         values: Vec<Option<Value>>,
     },
     /// A PUT completed, creating `vid`.

@@ -24,6 +24,7 @@ pub mod intern;
 pub mod key;
 pub mod op;
 pub mod trace;
+pub mod value;
 pub mod vector;
 pub mod version;
 pub mod wire;
@@ -38,17 +39,15 @@ pub use intern::Interner;
 pub use key::Key;
 pub use op::Op;
 pub use trace::{TraceEvent, TraceKind};
+pub use value::Value;
 pub use vector::DepVector;
 pub use version::VersionId;
 pub use wire::WireSize;
 
-/// Values are opaque byte strings; [`bytes::Bytes`] makes cloning a value a
-/// cheap refcount bump, which matters because a single hot version may be
-/// returned by thousands of ROTs.
-pub type Value = bytes::Bytes;
-
 /// The value of the shared genesis version (see [`VersionId::GENESIS`]):
 /// the preloaded initial content of every key on a prepopulated platform.
+/// A static value: building, cloning and dropping it allocates nothing and
+/// touches no reference count.
 pub fn genesis_value() -> Value {
     Value::from_static(b"genesis\0")
 }

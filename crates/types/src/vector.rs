@@ -18,10 +18,11 @@
 //! A vector of up to two entries lives inline; from three DCs on it is one
 //! exact boxed slice. Every stored version carries one of these, and on a
 //! one- or two-DC cluster a heap vector cost a 32-byte malloc chunk beside
-//! the 72-byte chain that holds its version: 97 409 live 16-byte blocks,
-//! ≈ 3 MB, next to 10.2 MB of `MvStore` tables on the 2-DC × 64 Okapi
-//! benchmark's overload rung (when the tables still held the chains in
-//! their buckets). Two is the largest inline capacity that keeps the type
+//! the chain that holds its version (72 bytes then, 56 since the value
+//! handle shrank to one word): 97 409 live 16-byte blocks, ≈ 3 MB, next
+//! to 10.2 MB of `MvStore` tables on the 2-DC × 64 Okapi benchmark's
+//! overload rung (when the tables still held the chains in their
+//! buckets). Two is the largest inline capacity that keeps the type
 //! at 24 B, the size of the boxed form (a length byte and two words), so
 //! neither a version nor a chain grows. The representation is canonical
 //! (`Heap` never holds ≤ 2 entries), and equality, hashing and `Debug` go

@@ -2,7 +2,6 @@
 
 use crate::spec::WorkloadSpec;
 use crate::zipf::Zipf;
-use bytes::Bytes;
 use contrarian_types::{Key, Op, PartitionId, Value};
 use rand::rngs::SmallRng;
 use rand::RngExt;
@@ -16,8 +15,8 @@ use std::sync::Arc;
 ///   uniformly at random, reading one zipfian key per partition — exactly
 ///   the workload of Section 5.2.
 ///
-/// Values are a shared `Bytes` buffer of the configured size (cloning is a
-/// refcount bump, mirroring scatter-gather writes of a constant-size
+/// Values are one shared [`Value`] block of the configured size (cloning is
+/// a refcount bump, mirroring scatter-gather writes of a constant-size
 /// payload).
 #[derive(Clone, Debug)]
 pub struct ClientDriver {
@@ -42,7 +41,7 @@ impl ClientDriver {
             n_partitions
         );
         let put_prob = spec.put_probability();
-        let value = Bytes::from(vec![0xABu8; spec.value_size]);
+        let value = Value::from(vec![0xABu8; spec.value_size]);
         let scratch = (0..n_partitions).collect();
         ClientDriver {
             spec,
@@ -62,8 +61,7 @@ impl ClientDriver {
     /// reference counts and bytes) and the partition scratch. The Zipf
     /// table is shared by every driver of the cluster and not counted.
     pub fn heap_bytes(&self) -> usize {
-        (16 + self.value.len()).next_multiple_of(8)
-            + contrarian_types::heap::vec_bytes(&self.scratch)
+        self.value.block_bytes() + contrarian_types::heap::vec_bytes(&self.scratch)
     }
 
     /// Draws the next operation.

@@ -58,8 +58,8 @@
 //! ## Building
 //!
 //! The workspace builds fully offline: external dependencies (`rand`,
-//! `bytes`, `proptest`, `criterion`) resolve to
-//! minimal in-repo shims under `crates/shims/`; swap the
+//! `proptest`, `criterion`) resolve to minimal in-repo shims under
+//! `crates/shims/`; swap the
 //! `[workspace.dependencies]` path entries for registry versions to use the
 //! real crates. `cargo build --release && cargo test -q` builds and tests
 //! every crate; `cargo run -p contrarian-harness -- all` regenerates the

@@ -93,6 +93,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// A two-DC version with a static value: building one allocates nothing, so
+/// every byte a store test reads is the store's own.
 fn version(ts: u64) -> Version<DepVector> {
     Version::new(
         VersionId::new(ts, DcId(0)),
@@ -104,14 +106,16 @@ fn version(ts: u64) -> Version<DepVector> {
 /// A store of write-once keys — the uniform-key tier's whole data set —
 /// costs an index entry and a slab slot per key and nothing else: the
 /// version and its two-DC dependency vector live inline in the slot's
-/// chain. Measured 94.6 B per key for 50 000 keys: 65 536 index buckets
-/// of 16 + 1 B, and 49 slab chunks of 1 024 72-byte chains. Chains
-/// inline in the table's buckets made it 106.2 B (65 536 buckets of
-/// 8 + 72 + 1 B), a heap-allocated vector 122.2 B (plus a 16-byte block
-/// per key) and a heap-allocated chain 347.3 B (a 288-byte block of four
-/// version slots per key).
+/// chain, and its static value is a tagged pointer to bytes outside the
+/// heap. Measured 78.5 B per key for 50 000 keys: 65 536 index buckets of
+/// 16 + 1 B, and 49 slab chunks of 1 024 56-byte chains. A 24-byte value
+/// handle made the chains 72 B and the store 94.6 B per key; chains inline
+/// in the table's buckets made it 106.2 B (65 536 buckets of 8 + 72 + 1 B),
+/// a heap-allocated vector 122.2 B (plus a 16-byte block per key) and a
+/// heap-allocated chain 347.3 B (a 288-byte block of four version slots
+/// per key).
 #[test]
-fn distinct_key_puts_stay_within_96_bytes_per_key() {
+fn distinct_key_puts_stay_within_80_bytes_per_key() {
     const KEYS: u64 = 50_000;
     let (_, before) = heap();
     let mut store = MvStore::new();
@@ -121,7 +125,7 @@ fn distinct_key_puts_stay_within_96_bytes_per_key() {
     let per_key = (heap().1 - before) as f64 / KEYS as f64;
     assert_eq!(store.n_versions(), KEYS as usize);
     assert!(
-        per_key <= 96.0,
+        per_key <= 80.0,
         "{per_key:.1} live heap bytes per single-version key"
     );
 }

@@ -121,7 +121,7 @@ fn every_package_inherits_the_workspace_lint_table() {
         );
         n += 1;
     }
-    assert_eq!(n, 19, "the root package and 18 members");
+    assert_eq!(n, 18, "the root package and 17 members");
 }
 
 #[test]
