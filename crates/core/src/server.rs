@@ -69,6 +69,9 @@ pub trait ServerClock: From<PhysicalClockModel> {
     /// The current reading, without creating an event (stabilization and
     /// heartbeats: an idle partition must not hold the GSS back).
     fn peek(&self, now: u64) -> u64;
+
+    /// The physical clock's reading, µs.
+    fn physical_us(&self, now: u64) -> u64;
 }
 
 /// What a backend decides: its clock and the shape of its stable time.
@@ -112,6 +115,10 @@ impl ServerClock for HlcClock {
 
     fn peek(&self, now: u64) -> u64 {
         self.hlc.peek(self.phys.now_us(now))
+    }
+
+    fn physical_us(&self, now: u64) -> u64 {
+        self.phys.now_us(now)
     }
 }
 
@@ -170,11 +177,17 @@ impl<F: Flavor> SnapshotServer<F> {
 
     /// Whether the clock can stamp an event past both its own reading and
     /// `ts` and still stay below [`hlc::MAX`], which no server issues or
-    /// accepts: a request that would need it is counted and dropped. The
-    /// stamp is at most the successor of the larger of the two, so every
-    /// timestamp this server sends is one its peers accept.
+    /// accepts, and `ts`'s physical part is at most ε = 2 × `clock_skew_us`
+    /// past this server's physical clock (CausalSpartanX's rule: no two
+    /// clocks read further apart, so no server issued such a stamp; over
+    /// TCP the skew is 0 and every node reads one monotonic host clock). A
+    /// request that fails is counted and dropped. The stamp is at most the
+    /// successor of the larger of the two, so every timestamp this server
+    /// sends is one its peers accept.
     fn stampable(&self, now: u64, ts: u64) -> bool {
+        let epsilon = 2 * self.cfg.clock_skew_us;
         self.clock.peek(now).max(ts) < hlc::MAX - 1
+            && hlc::decode(ts).0 <= self.clock.physical_us(now) + epsilon
     }
 
     /// Parks `msg` (as sent by `from`) until the clock may admit it.
@@ -632,10 +645,12 @@ mod tests {
     fn put_dv_local_entry_dominates_remote_entries() {
         let mut s = server(0, 0, 2);
         let mut ctx = ScriptCtx::new(Addr::server(DcId(0), PartitionId(0)));
-        // Pretend the client saw a remote snapshot far in the future.
+        // Pretend the client saw a remote snapshot ahead of this clock, by
+        // the skew bound (500 µs), which a skewed remote clock may be.
         let client = Addr::client(DcId(0), 0);
         let mut cgss = DepVector::zero(2);
         cgss.set(1, 1 << 30);
+        ctx.now = (hlc::decode(1 << 30).0 - 500) * 1_000;
         s.on_message(
             &mut ctx,
             client,
@@ -858,6 +873,8 @@ mod tests {
         let client = Addr::client(DcId(0), 0);
         let tx = TxId::new(ClientId::new(DcId(0), 0), 0);
         let lts = contrarian_clock::hlc::encode(1 << 25, 3);
+        // The client's stamp is ahead of this clock by the skew bound.
+        ctx.now = ((1 << 25) - 500) * 1_000;
         s.on_message(
             &mut ctx,
             client,

@@ -352,24 +352,62 @@ fn malformed_server_bound_messages_are_counted_and_dropped() {
     server.on_timer(&mut ctx, TimerKind::new(timers::STABILIZE));
 }
 
-/// A clock that has issued the last timestamp a server may issue (one
-/// below `hlc::MAX`) cannot stamp another event: a PUT that would need
-/// `hlc::MAX` and every PUT after it are counted and dropped, not
-/// acknowledged with a timestamp no peer accepts or one that wrapped to 0.
+/// A client's PUT request for key 1 at causal floor `lts`.
+fn put(lts: u64) -> Msg {
+    Msg::PutReq {
+        key: Key(1),
+        value: Value::new(),
+        lts,
+        gss: DepVector::zero(2),
+    }
+}
+
+/// A physical clock that reads `us` µs at true time `at_ns`.
+fn clock_reading(us: u64, at_ns: u64) -> PhysicalClockModel {
+    PhysicalClockModel::with_offset_ns((us * 1_000) as i64 - at_ns as i64)
+}
+
+/// A client stamp more than twice the skew bound past the server's
+/// physical clock was issued by no clock of the cluster: it is counted and
+/// dropped, and the partition still takes ordinary PUTs after it. Before,
+/// the clock took it in, stood one below `hlc::MAX`, and dropped every
+/// later PUT.
 #[test]
-fn a_clock_at_its_last_timestamp_drops_what_it_cannot_stamp() {
+fn a_stamp_past_every_clock_leaves_the_partition_writable() {
     let cfg = ClusterConfig::small().with_dcs(2);
     let me = Addr::server(DcId(0), PartitionId(0));
     let client = Addr::client(DcId(0), 0);
     let mut server = Server::new(me, cfg, PhysicalClockModel::perfect());
     let mut ctx = ScriptCtx::new(me);
     server.on_start(&mut ctx);
-    let put = |lts| Msg::PutReq {
-        key: Key(1),
-        value: Value::new(),
-        lts,
-        gss: DepVector::zero(2),
-    };
+    ctx.drain_sent();
+    ctx.now = 1_000_000;
+    server.on_message(&mut ctx, client, put(hlc::MAX - 2));
+    assert!(ctx.drain_sent().is_empty(), "the far stamp was answered");
+    assert_eq!(ctx.sink.metrics.rejected_msgs, 1);
+    server.on_message(&mut ctx, client, put(5));
+    let acks: Vec<Msg> = ctx.drain_to(client);
+    assert!(
+        matches!(acks[..], [Msg::PutResp { vid, .. }] if hlc::decode(vid.ts).0 == 1_000),
+        "{acks:?}"
+    );
+}
+
+/// A clock that has issued the last timestamp a server may issue (one
+/// below `hlc::MAX`) cannot stamp another event: a PUT that would need
+/// `hlc::MAX` and every PUT after it are counted and dropped, not
+/// acknowledged with a timestamp no peer accepts or one that wrapped to 0.
+/// The clock's own physical reading is at the top of the range, so the
+/// PUT that takes it to its last timestamp is within the skew bound.
+#[test]
+fn a_clock_at_its_last_timestamp_drops_what_it_cannot_stamp() {
+    let cfg = ClusterConfig::small().with_dcs(2);
+    let me = Addr::server(DcId(0), PartitionId(0));
+    let client = Addr::client(DcId(0), 0);
+    let top = hlc::decode(hlc::MAX).0;
+    let mut server = Server::new(me, cfg, clock_reading(top, 0));
+    let mut ctx = ScriptCtx::new(me);
+    server.on_start(&mut ctx);
     server.on_message(&mut ctx, client, put(hlc::MAX - 2));
     let acks: Vec<Msg> = ctx.drain_to(client);
     assert!(
@@ -393,20 +431,24 @@ fn a_clock_at_its_last_timestamp_drops_what_it_cannot_stamp() {
 /// partitions each, every message delivered by hand.
 #[test]
 fn a_put_near_the_top_of_the_range_replicates_and_stabilization_goes_on() {
+    /// Short enough that 2.5 rounds stay within the skew bound's ε.
+    const ROUND: u64 = 250_000;
     let cfg = ClusterConfig::small().with_dcs(2).with_partitions(2);
     let addrs: Vec<Addr> = [(0, 0), (0, 1), (1, 0), (1, 1)]
         .map(|(dc, p)| Addr::server(DcId(dc), PartitionId(p)))
         .into();
+    // Every clock reaches the top of the range at the last round.
+    let top = hlc::decode(hlc::MAX).0;
     let mut servers: Vec<Server> = addrs
         .iter()
-        .map(|&a| Server::new(a, cfg.clone(), PhysicalClockModel::perfect()))
+        .map(|&a| Server::new(a, cfg.clone(), clock_reading(top, 6 * ROUND)))
         .collect();
     let mut ctx = ScriptCtx::new(addrs[0]);
     for (server, &a) in servers.iter_mut().zip(&addrs) {
         server.on_start(ctx.at(a, 0));
     }
     ctx.drain_sent();
-    // One millisecond per round: every server stabilizes and heartbeats,
+    // One round every `ROUND` ns: every server stabilizes and heartbeats,
     // then every server-bound message is delivered until none is left.
     let round = |servers: &mut [Server], ctx: &mut ScriptCtx<Msg>, now: u64| {
         for (server, &a) in servers.iter_mut().zip(&addrs) {
@@ -428,18 +470,18 @@ fn a_put_near_the_top_of_the_range_replicates_and_stabilization_goes_on() {
         }
     };
     for r in 1..=3 {
-        round(&mut servers, &mut ctx, r * 1_000_000);
+        round(&mut servers, &mut ctx, r * ROUND);
     }
 
-    // Three PUTs whose floors climb to the top of the range: the clock
-    // stamps each just past its floor while the stamp stays below
-    // `hlc::MAX`, and drops the rest.
+    // Three PUTs whose floors climb to the top of the range, 2.5 rounds
+    // past the clock's reading: the clock stamps each just past its floor
+    // while the stamp stays below `hlc::MAX`, and drops the rest.
     let client = Addr::client(DcId(0), 0);
     let mut acked = Vec::new();
     for k in 1..=3 {
         let lts = hlc::MAX - 4 + k;
         servers[1].on_message(
-            ctx.at(addrs[1], 3_500_000),
+            ctx.at(addrs[1], 7 * ROUND / 2),
             client,
             Msg::PutReq {
                 key: Key(k),
@@ -459,7 +501,7 @@ fn a_put_near_the_top_of_the_range_replicates_and_stabilization_goes_on() {
     let dropped = 3 - acked.len() as u64;
     let before: Vec<DepVector> = servers.iter().map(|s| s.gss().clone()).collect();
     for r in 4..=6 {
-        round(&mut servers, &mut ctx, r * 1_000_000);
+        round(&mut servers, &mut ctx, r * ROUND);
     }
 
     assert_eq!(

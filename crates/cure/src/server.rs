@@ -64,6 +64,10 @@ impl ServerClock for PhysClock {
     fn peek(&self, now: u64) -> u64 {
         self.read(now).max(self.last_ts)
     }
+
+    fn physical_us(&self, now: u64) -> u64 {
+        self.phys.now_us(now)
+    }
 }
 
 /// Cure: physical-clock timestamps, the full GSS vector as stable time.
@@ -184,7 +188,8 @@ mod tests {
         let mut s = Server::new(addr(), cfg, PhysicalClockModel::perfect());
         let mut ctx = ScriptCtx::new(addr());
         ctx.now = 1_000_000;
-        let lts = hlc::encode(5_000, 0);
+        // The client saw 1.9 ms: a clock within the skew bound's ε (1 ms).
+        let lts = hlc::encode(1_900, 0);
         s.on_message(
             &mut ctx,
             client(),
@@ -196,7 +201,7 @@ mod tests {
             },
         );
         assert!(ctx.drain_sent().is_empty(), "PUT must wait for the clock");
-        ctx.now = 5_200_000;
+        ctx.now = 2_100_000;
         s.on_timer(&mut ctx, TimerKind::new(timers::RESUME));
         match ctx.drain_to(client()).pop() {
             Some(Msg::PutResp { vid, .. }) => assert!(vid.ts > lts),

@@ -354,6 +354,7 @@ impl RunSpec {
             utilization: busy_cores / self.cluster.n_servers().max(1) as f64,
             vis_p50_ms: ms(m.vis_staleness.percentile(50.0)),
             vis_p99_ms: ms(m.vis_staleness.percentile(99.0)),
+            blocked_ops: m.block_ns.count(),
             saturated: secs > 0.0 && offered > 0.0 && {
                 // The arrivals the schedule offers in the window: a Poisson
                 // count of this mean, whose spread a short window's
@@ -397,6 +398,9 @@ pub struct Report {
     /// median / 99th. Zero when the run recorded none (single DC).
     pub vis_p50_ms: f64,
     pub vis_p99_ms: f64,
+    /// Requests a server parked (the count of `Metrics::block_ns`): Cure's
+    /// clock waits, and CC-LO's replicated PUTs awaiting dependencies.
+    pub blocked_ops: u64,
     /// Goodput fell below [`Report::SATURATION_GOODPUT_FRACTION`] of the
     /// offered rate, and the shortfall is more than
     /// [`Report::SATURATION_SIGMAS`] standard deviations of the window's
@@ -654,23 +658,42 @@ pub fn load_curve_with(
     Series { name, points }
 }
 
-/// The Contrarian-vs-CC-LO grid of Figures 5, 7–9 and Section 5.8: for
-/// every value of one parameter, a Contrarian then a CC-LO load curve of
-/// `spec(protocol, value)`, named `"{protocol} {label(value)}"`.
-pub fn contrarian_vs_cclo<V: Copy>(
-    values: &[V],
+/// What a figure varies in the paper's default workload (Table 1).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Knob {
+    Default,
+    Write(f64),
+    Zipf(f64),
+    RotSize(u16),
+    ValueSize(usize),
+}
+
+/// One load curve of a figure: a protocol on a number of DCs under a knob.
+pub type Line = (Protocol, u8, Knob);
+
+/// `line`'s closed-loop [`load_curve`] on `cluster` at `scale`, under the
+/// paper's default workload with its knob set, named `label`, the knob's
+/// value (`w=0.01`) and, if `dc_label`, the DC count (`2DC`).
+pub fn line_curve(
+    label: &str,
+    (protocol, dcs, knob): Line,
+    dc_label: bool,
+    cluster: &ClusterConfig,
     scale: &Scale,
-    label: impl Fn(V) -> String,
-    spec: impl Fn(Protocol, V) -> RunSpec,
-) -> Vec<Series> {
-    let mut series = Vec::with_capacity(2 * values.len());
-    for &v in values {
-        for p in [Protocol::Contrarian, Protocol::CcLo] {
-            let name = format!("{} {}", p.label(), label(v));
-            series.push(load_curve(name, &spec(p, v), scale));
-        }
-    }
-    series
+) -> Series {
+    let w = WorkloadSpec::paper_default();
+    let (workload, value) = match knob {
+        Knob::Default => (w, None),
+        Knob::Write(v) => (w.with_write_ratio(v), Some(format!("w={v}"))),
+        Knob::Zipf(v) => (w.with_zipf(v), Some(format!("z={v}"))),
+        Knob::RotSize(v) => (w.with_rot_size(v), Some(format!("p={v}"))),
+        Knob::ValueSize(v) => (w.with_value_size(v), Some(format!("b={v}"))),
+    };
+    let dc = dc_label.then(|| format!("{dcs}DC"));
+    let name = [Some(label.into()), value, dc].into_iter().flatten();
+    let name = name.collect::<Vec<_>>().join(" ");
+    let spec = RunSpec::closed(protocol, cluster.clone().with_dcs(dcs), workload);
+    load_curve(name, &spec, scale)
 }
 
 #[cfg(test)]

@@ -4,7 +4,13 @@
 //!
 //! One binary, `contrarian-harness`, runs them: its subcommands are the
 //! rows of [`scenarios::SCENARIOS`], each printing the series the paper
-//! reports and writing CSVs under `results/`.
+//! reports and writing CSVs under `results/`. Figs. 4, 5, 7–9 and §5.8
+//! are rows of one table, [`scenarios::FIGURES`]. The paper's findings are
+//! [`claims::CLAIMS`], inequalities over load curves at one fixed small
+//! geometry: a paper scenario prints its rows, `all` writes them all to
+//! `results/claims.csv`, and the tier-1 test
+//! `claims::tests::every_claim_has_its_expected_verdict` fails on a
+//! verdict that is not the one its row expects.
 //!
 //! # Running a cluster
 //!
@@ -55,6 +61,7 @@
 
 pub mod census;
 pub mod checker;
+pub mod claims;
 pub mod experiment;
 pub mod load;
 pub mod scenarios;

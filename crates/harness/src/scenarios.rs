@@ -1,14 +1,16 @@
 //! The experiment scenarios behind the `contrarian-harness` binary: one
 //! row per paper table or figure plus the studies beyond the paper. A row
-//! runs in-process, prints what the paper reports next to what was
-//! measured, and writes its artifacts under `results/`; a failed write
-//! fails the invocation and names the path. `CONTRARIAN_SCALE` is checked
-//! once per invocation: an unknown value is an error, not a silent `quick`.
+//! runs in-process, prints what it measured and, for a paper row, its
+//! [`CLAIMS`] with their verdicts, and writes its artifacts under
+//! `results/`; a failed write fails the invocation and names the path.
+//! `CONTRARIAN_SCALE` is checked once per invocation: an unknown value is
+//! an error, not a silent `quick`.
 
 use crate::census::GEOMETRIES;
+use crate::claims::{self, Curves, CLAIMS};
 use crate::experiment::{
-    contrarian_vs_cclo, load_curve, load_curve_with, run, run_sim, sweep, Clients, Observe,
-    Protocol, Report, RunSpec, Scale, Series,
+    line_curve, load_curve_with, run, run_sim, sweep, Clients, Knob, Observe, Protocol, Report,
+    RunSpec, Scale, Series,
 };
 use crate::load::{run_load_sim_checked, run_net, NetSample};
 use crate::{table, table2, theory};
@@ -17,9 +19,11 @@ use contrarian_runtime::window::MetricsWindow;
 use contrarian_sim::WindowStats;
 use contrarian_types::ClusterConfig;
 use contrarian_workload::{OpenLoopSpec, WorkloadSpec};
+use std::cell::RefCell;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+use Protocol::{CcLo, Contrarian, ContrarianTwoRound, Cure};
 
 /// What one invocation hands its scenario.
 pub struct Ctx {
@@ -29,6 +33,8 @@ pub struct Ctx {
     pub out: PathBuf,
     /// The arguments after the subcommand.
     pub args: Vec<String>,
+    /// The claims' curves run so far: `all` runs each once.
+    curves: RefCell<Curves>,
 }
 
 impl Ctx {
@@ -51,8 +57,8 @@ impl Ctx {
         self.write(name, &table::csv(headers, rows))
     }
 
-    /// Prints a figure's series as one aligned table, writes them all to
-    /// `{fig_id}.csv`, and prints each series' headline numbers.
+    /// Prints a figure's series as one aligned table and writes them all to
+    /// `{fig_id}.csv`.
     fn figure(&self, fig_id: &str, caption: &str, series: &[Series]) -> io::Result<()> {
         println!("\n=== {fig_id}: {caption} ===\n");
         let headers = table::columns(
@@ -75,18 +81,18 @@ impl Ctx {
             })
             .collect();
         println!("{}", table::render(&headers, &rows));
-        self.csv(&format!("{fig_id}.csv"), &headers, &rows)?;
-        println!("\nsummary:");
-        for s in series {
-            println!(
-                "  {:<28} peak throughput {:>8.1} Kops/s   low-load ROT {:>6.3} ms",
-                s.name,
-                s.peak_throughput(),
-                s.low_load_rot_ms()
-            );
-        }
-        println!();
-        Ok(())
+        self.csv(&format!("{fig_id}.csv"), &headers, &rows)
+    }
+
+    /// Measures and prints `figure`'s claims.
+    fn claims(&self, figure: &str) {
+        let claims = CLAIMS.iter().filter(|c| c.figure == figure);
+        let verdicts = claims::evaluate(claims, &mut self.curves.borrow_mut());
+        let rows = claims::rows(&verdicts);
+        println!(
+            "claims:\n{}",
+            table::render(&table::columns(claims::HEADERS), &rows)
+        );
     }
 }
 
@@ -98,27 +104,29 @@ pub struct Scenario {
     pub run: fn(&Ctx) -> io::Result<()>,
 }
 
-/// `SCENARIOS`, one row per `function: "doc"`; a row's name is its
-/// function's.
+/// `SCENARIOS`, one row per `function: "doc"`, whose name is its
+/// function's, or per `name(figure): "doc"`, a row of [`FIGURES`].
 macro_rules! scenarios {
-    ($($run:ident: $doc:literal,)*) => {
+    ($($name:ident $(($figure:ident))?: $doc:literal,)*) => {
         /// Every scenario, in the order the usage table lists them: the
         /// paper's, `all`, then the studies beyond the paper.
         pub const SCENARIOS: &[Scenario] =
-            &[$(Scenario { name: stringify!($run), doc: $doc, run: $run }),*];
+            &[$(Scenario { name: stringify!($name), doc: $doc, run: scenarios!(@run $name $($figure)?) }),*];
     };
+    (@run $name:ident) => { $name };
+    (@run $name:ident figure) => { |ctx| figure(ctx, stringify!($name)) };
 }
 
 scenarios! {
     table1: "Table 1: the workload parameter grid",
     table2: "Table 2: causally consistent systems with ROT support",
-    fig4: "Fig. 4: Contrarian 1½ vs 2 rounds vs Cure (2 DCs)",
-    fig5: "Fig. 5: Contrarian vs CC-LO, 1 and 2 DCs, avg and p99 ROT latency",
+    fig4(figure): "Fig. 4: Contrarian 1½ vs 2 rounds vs Cure (2 DCs)",
+    fig5(figure): "Fig. 5: Contrarian vs CC-LO, 1 and 2 DCs, avg and p99 ROT latency",
     fig6: "Fig. 6: CC-LO readers-check cost vs number of clients",
-    fig7: "Fig. 7: write-intensity sweep w ∈ {0.01, 0.05, 0.1}, 1 and 2 DCs",
-    fig8: "Fig. 8: skew sweep z ∈ {0.99, 0.8, 0}",
-    fig9: "Fig. 9: ROT-size sweep p ∈ {4, 8, 24}",
-    value_size: "Section 5.8: value-size sweep b ∈ {8, 128, 2048}",
+    fig7(figure): "Fig. 7: write-intensity sweep w ∈ {0.01, 0.05, 0.1}, 1 and 2 DCs",
+    fig8(figure): "Fig. 8: skew sweep z ∈ {0.99, 0.8, 0}",
+    fig9(figure): "Fig. 9: ROT-size sweep p ∈ {4, 8, 24}",
+    value_size(figure): "Section 5.8: value-size sweep b ∈ {8, 128, 2048}",
     theory: "Section 6: Theorem 1 and its lemmas on real state machines",
     all: "every paper scenario above, in order",
     scale_sweep: "partition-count scaling, 8 → 256 partitions (default scale: large)",
@@ -126,6 +134,58 @@ scenarios! {
     net_sweep: "ROT latency over loopback TCP vs the simulator's prediction",
     trace_view: "[backend] [rate]: one traced open-loop point as Chrome-trace JSON",
     heap_census: "[seed]: heap bytes by owner at the end of each benchmark workload's over rung",
+}
+
+/// A paper figure: closed-loop load curves on the paper's cluster, every
+/// protocol at every knob, one CSV per panel of `(id, caption, DC counts)`.
+/// A curve is named by its protocol, knob and, if `dc_label`, DC count.
+pub struct Figure {
+    pub name: &'static str,
+    pub panels: &'static [(&'static str, &'static str, &'static [u8])],
+    pub knobs: &'static [Knob],
+    pub protocols: &'static [(&'static str, Protocol)],
+    pub dc_label: bool,
+}
+
+const VERSUS: &[(&str, Protocol)] = &[("Contrarian", Contrarian), ("CC-LO", CcLo)];
+
+/// Figs. 4, 5, 7–9 and Section 5.8.
+#[rustfmt::skip] // one figure per block, as a table
+pub const FIGURES: &[Figure] = &[
+    Figure { name: "fig4", knobs: &[Knob::Default], dc_label: false,
+        protocols: &[("Contrarian 1 1/2 rounds", Contrarian), ("Contrarian 2 rounds", ContrarianTwoRound), ("Cure", Cure)],
+        panels: &[("fig4", "Contrarian design evaluation (2 DCs, default workload)", &[2])] },
+    Figure { name: "fig5", knobs: &[Knob::Default], dc_label: true, protocols: VERSUS,
+        panels: &[("fig5", "Contrarian vs CC-LO, default workload (avg and p99 columns)", &[1, 2])] },
+    Figure { name: "fig7", knobs: &[Knob::Write(0.01), Knob::Write(0.05), Knob::Write(0.1)], dc_label: true, protocols: VERSUS,
+        panels: &[("fig7a", "write-intensity sweep, 1 DC(s)", &[1]), ("fig7b", "write-intensity sweep, 2 DC(s)", &[2])] },
+    Figure { name: "fig8", knobs: &[Knob::Zipf(0.99), Knob::Zipf(0.8), Knob::Zipf(0.0)], dc_label: false, protocols: VERSUS,
+        panels: &[("fig8", "skew sweep (single DC)", &[1])] },
+    Figure { name: "fig9", knobs: &[Knob::RotSize(4), Knob::RotSize(8), Knob::RotSize(24)], dc_label: false, protocols: VERSUS,
+        panels: &[("fig9", "ROT-size sweep (single DC)", &[1])] },
+    Figure { name: "value_size", knobs: &[Knob::ValueSize(8), Knob::ValueSize(128), Knob::ValueSize(2048)], dc_label: false, protocols: VERSUS,
+        panels: &[("value_size", "value-size sweep (single DC, Section 5.8)", &[1])] },
+];
+
+/// Runs the [`FIGURES`] row `name`: each panel's curves, by DC count, knob
+/// and protocol, then the figure's claims.
+fn figure(ctx: &Ctx, name: &str) -> io::Result<()> {
+    let fig = FIGURES.iter().find(|f| f.name == name).expect("a row");
+    let (cluster, scale) = (ClusterConfig::paper_default(), ctx.scale());
+    for &(id, caption, dcs) in fig.panels {
+        let mut series = Vec::new();
+        for &dcs in dcs {
+            for &knob in fig.knobs {
+                for &(label, p) in fig.protocols {
+                    let line = (p, dcs, knob);
+                    series.push(line_curve(label, line, fig.dc_label, &cluster, &scale));
+                }
+            }
+        }
+        ctx.figure(id, caption, &series)?;
+    }
+    ctx.claims(name);
+    Ok(())
 }
 
 /// The paper scenarios `all` runs, in order: the rows above `all`.
@@ -168,6 +228,7 @@ pub fn run_cli(args: &[String], scale: Option<&str>, out: &Path) -> io::Result<(
         scale,
         out: out.to_path_buf(),
         args: args[1..].to_vec(),
+        curves: RefCell::default(),
     })
 }
 
@@ -181,22 +242,21 @@ pub fn exit_code(result: &io::Result<()>) -> u8 {
     }
 }
 
-/// Runs every [`paper`] scenario in-process, in order.
+/// Runs every [`paper`] scenario in-process, in order, then writes every
+/// claim's verdict to `claims.csv`.
 fn all(ctx: &Ctx) -> io::Result<()> {
     for s in paper() {
         println!("\n################ running {} ################", s.name);
         (s.run)(ctx)?;
     }
+    let verdicts = claims::evaluate(CLAIMS, &mut ctx.curves.borrow_mut());
+    let rows = claims::rows(&verdicts);
+    ctx.csv("claims.csv", &table::columns(claims::HEADERS), &rows)?;
     println!(
         "\nall experiments completed; CSVs are under {}/",
         ctx.out.display()
     );
     Ok(())
-}
-
-/// Ratio of two series' peak throughputs, for paper-vs-measured remarks.
-fn peak_ratio(a: &Series, b: &Series) -> f64 {
-    a.peak_throughput() / b.peak_throughput()
 }
 
 /// Table 1: the workload parameter grid of the evaluation (configuration,
@@ -247,122 +307,18 @@ fn table1(_: &Ctx) -> io::Result<()> {
 /// COPS-SNOW is the only latency-optimal (1-round, 1-version, nonblocking)
 /// system — at the price of O(N) extra write communication carrying O(K)
 /// metadata; Contrarian gives up half a round and pays none of it.
-fn table2(_: &Ctx) -> io::Result<()> {
+fn table2(ctx: &Ctx) -> io::Result<()> {
     println!("\n=== Table 2: CC systems with ROT support ===\n");
     println!("{}", table2::render_table2());
     println!("N = partitions, M = DCs, K = clients/DC, P = master DCs (Occult), |deps| = explicit dependency list");
-    Ok(())
-}
-
-/// Figure 4: Contrarian's design (2 DCs, default workload). The paper
-/// (Section 5.3): Contrarian beats Cure's latency by up to ≈3× (0.35 vs
-/// 1.0 ms) with nonblocking ROTs; at low load 1½ rounds are ≈0.1 ms faster
-/// than 2 (0.35 vs 0.45 ms); 2 rounds peak ≈8% higher on fewer messages.
-fn fig4(ctx: &Ctx) -> io::Result<()> {
-    let scale = ctx.scale();
-    let cluster = ClusterConfig::paper_default().with_dcs(2);
-    let series = [
-        ("Contrarian 1 1/2 rounds", Protocol::Contrarian),
-        ("Contrarian 2 rounds", Protocol::ContrarianTwoRound),
-        ("Cure", Protocol::Cure),
-    ]
-    .map(|(name, p)| {
-        let spec = RunSpec::closed(p, cluster.clone(), WorkloadSpec::paper_default());
-        load_curve(name.to_string(), &spec, &scale)
-    });
-    ctx.figure(
-        "fig4",
-        "Contrarian design evaluation (2 DCs, default workload)",
-        &series,
-    )?;
-    let [c15, c2, cure] = &series;
-    println!(
-        "paper vs measured:\n  \
-         low-load ROT latency  paper: 0.35 / 0.45 / ~1.0 ms   measured: {:.3} / {:.3} / {:.3} ms\n  \
-         2-round peak / 1.5-round peak  paper: ~1.08x   measured: {:.2}x\n  \
-         Cure/Contrarian low-load latency ratio  paper: ~3x   measured: {:.2}x",
-        c15.low_load_rot_ms(),
-        c2.low_load_rot_ms(),
-        cure.low_load_rot_ms(),
-        peak_ratio(c2, c15),
-        cure.low_load_rot_ms() / c15.low_load_rot_ms()
-    );
-    Ok(())
-}
-
-/// Figure 5: Contrarian vs CC-LO under the default workload, 1 and 2 DCs.
-/// The paper (Section 5.4): CC-LO's ROT latency is lower only under
-/// trivial load (0.30 vs 0.35 ms); beyond ≈25% of Contrarian's peak its
-/// readers checks inflate queueing. Contrarian peaks 1.45× (1 DC) and 1.6×
-/// (2 DCs) higher, and scales 1.9× from 1 → 2 DCs against CC-LO's 1.6×.
-fn fig5(ctx: &Ctx) -> io::Result<()> {
-    let series = contrarian_vs_cclo(
-        &[1u8, 2],
-        &ctx.scale(),
-        |dcs| format!("{dcs}DC"),
-        |p, dcs| {
-            let cluster = ClusterConfig::paper_default().with_dcs(dcs);
-            RunSpec::closed(p, cluster, WorkloadSpec::paper_default())
-        },
-    );
-    ctx.figure(
-        "fig5",
-        "Contrarian vs CC-LO, default workload (avg and p99 columns)",
-        &series,
-    )?;
-    let [contr1, cclo1, contr2, cclo2] = &series[..] else {
-        unreachable!("two DC counts × two protocols")
-    };
-    println!(
-        "paper vs measured:\n  \
-         low-load ROT avg (1DC)  paper: CC-LO 0.30 ms vs Contrarian 0.35 ms   measured: {:.3} vs {:.3} ms\n  \
-         peak throughput ratio Contrarian/CC-LO  paper: 1.45x (1DC), 1.6x (2DC)   measured: {:.2}x, {:.2}x\n  \
-         1->2 DC scaling  paper: Contrarian 1.9x, CC-LO 1.6x   measured: {:.2}x, {:.2}x",
-        cclo1.low_load_rot_ms(),
-        contr1.low_load_rot_ms(),
-        peak_ratio(contr1, cclo1),
-        peak_ratio(contr2, cclo2),
-        peak_ratio(contr2, contr1),
-        peak_ratio(cclo2, cclo1)
-    );
-    // Crossover on the throughput axis: the lowest throughput above which
-    // Contrarian's latency (interpolated over its own curve) stays below
-    // CC-LO's. Past CC-LO's peak Contrarian wins by default.
-    type Latency = fn(&Report) -> f64;
-    let latencies: [(&str, Latency); 2] = [("avg", |r| r.avg_rot_ms), ("p99", |r| r.p99_rot_ms)];
-    for (what, lat) in latencies {
-        let interp = |s: &Series, x: f64| {
-            s.points.windows(2).find_map(|w| {
-                let (ta, tb) = (w[0].throughput_kops(), w[1].throughput_kops());
-                let f = (x - ta) / (tb - ta).max(1e-9);
-                (ta <= x && x <= tb).then(|| lat(&w[0]) + f * (lat(&w[1]) - lat(&w[0])))
-            })
-        };
-        let cross = cclo1.points.windows(2).find_map(|w| {
-            let x = w[1].throughput_kops();
-            (interp(contr1, x)? < lat(&w[1])).then_some(x)
-        });
-        match cross {
-            Some(t) => println!(
-                "  {what} ROT latency crossover (1DC)  paper: ~25% of Contrarian peak   \
-                 measured: <= {t:.0} Kops/s = {:.0}% of peak",
-                100.0 * t / contr1.peak_throughput()
-            ),
-            None => println!(
-                "  {what} crossover (1DC): beyond CC-LO's peak ({:.0} Kops/s = {:.0}% of Contrarian's)",
-                cclo1.peak_throughput(),
-                100.0 * cclo1.peak_throughput() / contr1.peak_throughput()
-            ),
-        }
-    }
+    ctx.claims("table2");
     Ok(())
 }
 
 /// Figure 6: ROT ids collected by a CC-LO readers check (1 DC, default
-/// workload) against the number of clients. The paper: ≈ the number of
-/// clients distinct ids per check (252 at 256 clients); ≈855 cumulative
-/// over the ~12 contacted partitions (≈71 per node, ≈7 KB) — communication
-/// linear in the clients, matching Theorem 1.
+/// workload) against the number of clients, linear in the clients as
+/// Theorem 1 says (the paper: ≈252 distinct ids at 256 clients, ≈855
+/// cumulative over ~12 contacted partitions).
 fn fig6(ctx: &Ctx) -> io::Result<()> {
     use contrarian_cclo::stats;
     let scale = ctx.scale();
@@ -406,134 +362,7 @@ fn fig6(ctx: &Ctx) -> io::Result<()> {
     }
     println!("{}", table::render(&headers, &rows));
     ctx.csv("fig6.csv", &headers, &rows)?;
-    println!(
-        "\npaper vs measured: at 256 clients the paper reports ~20 keys, ~12 partitions,\n\
-         ~252 distinct and ~855 cumulative ids (~71 per node) per readers check;\n\
-         both id counts must grow linearly with the number of clients."
-    );
-    Ok(())
-}
-
-/// The Contrarian-vs-CC-LO grid over one workload parameter on `dcs` DCs
-/// (Figures 7–9, Section 5.8): runs it, emits `fig_id`, returns the series
-/// (Contrarian then CC-LO per value).
-fn workload_grid<V: Copy>(
-    ctx: &Ctx,
-    (fig_id, caption): (&str, &str),
-    dcs: u8,
-    values: &[V],
-    label: impl Fn(V) -> String,
-    workload: impl Fn(V) -> WorkloadSpec,
-) -> io::Result<Vec<Series>> {
-    let cluster = ClusterConfig::paper_default().with_dcs(dcs);
-    let series = contrarian_vs_cclo(values, &ctx.scale(), label, |p, v| {
-        RunSpec::closed(p, cluster.clone(), workload(v))
-    });
-    ctx.figure(fig_id, caption, &series)?;
-    Ok(series)
-}
-
-/// Figure 7: write intensity, 1 DC (a) and 2 DCs (b). The paper (Section
-/// 5.5): Contrarian's throughput *grows* with w (PUTs touch one partition),
-/// CC-LO's *shrinks* (more readers checks); CC-LO wins only at w=0.01 in
-/// 1 DC (≈10%), and at w=0.1 in 2 DCs Contrarian peaks ≈2.35× higher.
-fn fig7(ctx: &Ctx) -> io::Result<()> {
-    for (dcs, panel) in [(1u8, "a"), (2, "b")] {
-        workload_grid(
-            ctx,
-            (
-                &format!("fig7{panel}"),
-                &format!("write-intensity sweep, {dcs} DC(s)"),
-            ),
-            dcs,
-            &[0.01, 0.05, 0.1],
-            |w| format!("w={w} {dcs}DC"),
-            |w| WorkloadSpec::paper_default().with_write_ratio(w),
-        )?;
-    }
-    println!(
-        "paper vs measured: CC-LO may beat Contrarian's peak only at w=0.01 in 1 DC (~10%);\n\
-         Contrarian's advantage should grow with w, up to ~2.35x at w=0.1 with 2 DCs."
-    );
-    Ok(())
-}
-
-/// Figure 8: skew in data popularity (1 DC). The paper (Section 5.6): skew
-/// barely moves Contrarian but hampers CC-LO — hot keys keep reader records
-/// fresh, dependency chains grow, and readers checks carry more ids.
-fn fig8(ctx: &Ctx) -> io::Result<()> {
-    let series = workload_grid(
-        ctx,
-        ("fig8", "skew sweep (single DC)"),
-        1,
-        &[0.99, 0.8, 0.0],
-        |z| format!("z={z}"),
-        |z| WorkloadSpec::paper_default().with_zipf(z),
-    )?;
-    let [contr_z99, cclo_z99, _, _, contr_z0, cclo_z0] = &series[..] else {
-        unreachable!("three skews × two protocols")
-    };
-    println!(
-        "paper vs measured:\n  \
-         Contrarian peak z=0.99 vs z=0: {:.1} vs {:.1} Kops/s (skew ~irrelevant)\n  \
-         CC-LO peak z=0.99 vs z=0: {:.1} vs {:.1} Kops/s (skew hurts)\n  \
-         Contrarian/CC-LO peak ratio at z=0.99: {:.2}x, at z=0: {:.2}x",
-        contr_z99.peak_throughput(),
-        contr_z0.peak_throughput(),
-        cclo_z99.peak_throughput(),
-        cclo_z0.peak_throughput(),
-        peak_ratio(contr_z99, cclo_z99),
-        peak_ratio(contr_z0, cclo_z0)
-    );
-    Ok(())
-}
-
-/// Figure 9: ROT size in partitions (1 DC). The paper (Section 5.7):
-/// CC-LO's low-load latency edge and Contrarian's throughput edge both
-/// shrink as p grows (more partitions amortize Contrarian's extra step);
-/// the peak advantage is largest at p=4 (≈1.45×).
-fn fig9(ctx: &Ctx) -> io::Result<()> {
-    let sizes = [4u16, 8, 24];
-    let series = workload_grid(
-        ctx,
-        ("fig9", "ROT-size sweep (single DC)"),
-        1,
-        &sizes,
-        |p| format!("p={p}"),
-        |p| WorkloadSpec::paper_default().with_rot_size(p),
-    )?;
-    println!("paper vs measured (Contrarian/CC-LO peak ratio should shrink with p):");
-    for (p, pair) in sizes.iter().zip(series.chunks(2)) {
-        println!(
-            "  p={p}: peak ratio {:.2}x, low-load latency gap (CC-LO − Contrarian) {:.3} ms",
-            peak_ratio(&pair[0], &pair[1]),
-            pair[1].low_load_rot_ms() - pair[0].low_load_rot_ms()
-        );
-    }
-    Ok(())
-}
-
-/// Section 5.8 (no figure in the paper): value size in bytes (1 DC).
-/// Larger values raise per-byte costs for both systems and shrink the gap;
-/// even at b=2048 Contrarian keeps lower-or-comparable ROT latency and
-/// ≈43% higher peak throughput.
-fn value_size(ctx: &Ctx) -> io::Result<()> {
-    let sizes = [8usize, 128, 2048];
-    let series = workload_grid(
-        ctx,
-        ("value_size", "value-size sweep (single DC, Section 5.8)"),
-        1,
-        &sizes,
-        |b| format!("b={b}"),
-        |b| WorkloadSpec::paper_default().with_value_size(b),
-    )?;
-    println!("paper vs measured (ratio should shrink with b; ~1.43x at b=2048):");
-    for (b, pair) in sizes.iter().zip(series.chunks(2)) {
-        println!(
-            "  b={b}: Contrarian/CC-LO peak ratio {:.2}x",
-            peak_ratio(&pair[0], &pair[1])
-        );
-    }
+    ctx.claims("fig6");
     Ok(())
 }
 
@@ -617,10 +446,16 @@ fn scale_sweep(ctx: &Ctx) -> io::Result<()> {
     for parts in [8u16, 32, 128] {
         let cluster = ClusterConfig::large().with_partitions(parts);
         let t0 = Instant::now();
-        let label = |parts| format!("N={parts}");
-        series.extend(contrarian_vs_cclo(&[parts], &scale, label, |p, _| {
-            RunSpec::closed(p, cluster.clone(), WorkloadSpec::paper_default())
-        }));
+        for &(label, p) in VERSUS {
+            let line = (p, cluster.n_dcs, Knob::Default);
+            series.push(line_curve(
+                &format!("{label} N={parts}"),
+                line,
+                false,
+                &cluster,
+                &scale,
+            ));
+        }
         let secs = t0.elapsed().as_secs_f64();
         eprintln!("  [scale_sweep] N={parts}: swept in {secs:.1}s");
     }
@@ -652,7 +487,6 @@ fn scale_sweep(ctx: &Ctx) -> io::Result<()> {
     }
     let secs = t0.elapsed().as_secs_f64();
     eprintln!("  [scale_sweep] N=256 (2 DCs): swept in {secs:.1}s");
-    // The figure's summary lists every series' peak: the scaling curve.
     ctx.figure(
         "scale_sweep",
         "partition-count scaling, 8 → 256 partitions (beyond the paper)",
@@ -950,13 +784,7 @@ fn net_sweep(ctx: &Ctx) -> io::Result<()> {
     println!("{}", table::render(&headers, &rows));
     ctx.csv("net_sweep.csv", &headers, &rows)?;
     let io_headers = table::columns("backend,clients,t_ms,frames_s,bytes_s,sockets");
-    ctx.csv("net_io_windows.csv", &io_headers, &io_rows)?;
-    println!(
-        "\nnote: absolute numbers differ (the simulator models the paper's hardware,\n\
-         loopback has its own constants); the paper's *shape* — CC-LO's one-round\n\
-         ROTs fastest at low load, Contrarian cheaper on PUTs — is what carries over."
-    );
-    Ok(())
+    ctx.csv("net_io_windows.csv", &io_headers, &io_rows)
 }
 
 /// Trace viewer: one traced open-loop point on 2 simulated DCs, written as
@@ -1075,7 +903,6 @@ fn heap_census(ctx: &Ctx) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contrarian_runtime::metrics::Metrics;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1139,6 +966,18 @@ mod tests {
         );
     }
 
+    /// A figure runs only as the scenario of its name, and a claim prints
+    /// only under a paper scenario.
+    #[test]
+    fn every_figure_is_a_scenario_and_every_claim_names_a_paper_scenario() {
+        for f in FIGURES {
+            assert!(SCENARIOS.iter().any(|s| s.name == f.name), "{}", f.name);
+        }
+        for c in CLAIMS {
+            assert!(paper().iter().any(|s| s.name == c.figure), "{}", c.id);
+        }
+    }
+
     #[test]
     fn unknown_subcommand_prints_usage_and_exits_2() {
         let r = run_cli(&args(&["fig10"]), None, &missing_dir());
@@ -1176,18 +1015,5 @@ mod tests {
             "{msg}"
         );
         assert!(!out.exists());
-    }
-
-    #[test]
-    fn peak_ratio_compares_series() {
-        let point = |tput_kops: f64| Report {
-            achieved_ops_per_sec: tput_kops * 1e3,
-            ..RunSpec::functional(Protocol::Contrarian).report(&Metrics::new())
-        };
-        let series = |name: &str, tput| Series {
-            name: name.into(),
-            points: vec![point(tput)],
-        };
-        assert!((peak_ratio(&series("a", 300.0), &series("b", 200.0)) - 1.5).abs() < 1e-9);
     }
 }

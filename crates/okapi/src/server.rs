@@ -86,8 +86,10 @@ mod tests {
         // applied to *both* remote DCs — not the per-DC entries.
         gss_bcast(&mut s, &mut ctx, vec![50, 70, 40]);
         assert_eq!(s.gss().min_entry(), 40);
-        // A client whose session already observed local time 1<<30 drives
-        // the HLC well past the stabilized entries.
+        // A client whose session already observed local time 1<<30 (16.4
+        // ms, within the skew bound's ε of this clock at 16 ms) drives the
+        // HLC well past the stabilized entries.
+        ctx.now = 16_000_000;
         let sv = snap(&mut s, &mut ctx, 1 << 30, DepVector::zero(3));
         assert_eq!(sv[1], 40, "remote entry capped at UST, not gss[1]=70");
         assert_eq!(sv[2], 40);

@@ -3,7 +3,7 @@
 //! A from-scratch Rust reproduction of Didona, Guerraoui, Wang, Zwaenepoel:
 //! *Causal Consistency and Latency Optimality: Friend or Foe?* (VLDB 2018).
 //!
-//! The workspace implements three causally consistent, partitioned,
+//! The workspace implements four causally consistent, partitioned,
 //! multi-master geo-replicated key-value store protocols on one code base:
 //!
 //! * **Contrarian** ([`core_protocol`]) — the paper's contribution:
@@ -41,14 +41,15 @@
 //! cost model, metrics, history recording), [`sim`] (the deterministic
 //! discrete-event cluster simulator with a calendar-queue scheduler sized
 //! for 128-partition sweeps), and [`net`] (the live TCP runtime: the
-//! same state machines on threads, links as real loopback sockets with
-//! Nagle disabled, and every message through the hand-rolled wire codec
-//! in [`types::codec`] — a sibling of the simulator, not a dependent). [`harness`] regenerates every figure
-//! and table of the paper plus a beyond-the-paper 8→128-partition scaling
-//! sweep (`scale_sweep`) and a real-socket latency comparison
-//! (`net_sweep`); `contrarian-bench` holds the Criterion benchmarks
-//! (`BENCH_baseline.json` and `BENCH_pr2.json` for the checked-in
-//! trajectory).
+//! same state machines hosted on an epoll reactor per core, links as real
+//! loopback sockets with Nagle disabled, and every message through the
+//! hand-rolled wire codec in [`types::codec`] — a sibling of the
+//! simulator, not a dependent). [`harness`] regenerates every figure and
+//! table of the paper, checks the paper's findings as one claims table,
+//! and runs studies beyond the paper (partition scaling to 256
+//! partitions, open-loop saturation knees, a real-socket latency
+//! comparison); `contrarian-bench` holds the Criterion benchmarks
+//! (`BENCH_baseline.json` is the checked-in baseline).
 //!
 //! Protocols are deterministic state machines driven by the simulator —
 //! used to regenerate the paper's results — or by the TCP runtime for
@@ -63,7 +64,8 @@
 //! `[workspace.dependencies]` path entries for registry versions to use the
 //! real crates. `cargo build --release && cargo test -q` builds and tests
 //! every crate; `cargo run -p contrarian-harness -- all` regenerates the
-//! paper's tables and figures (`CONTRARIAN_SCALE=smoke|quick|paper`).
+//! paper's tables and figures
+//! (`CONTRARIAN_SCALE=smoke|quick|paper|large|xlarge`).
 //!
 //! ## Quickstart
 //!
