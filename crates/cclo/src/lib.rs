@@ -9,17 +9,21 @@
 //!   (ROT id + logical read time);
 //! * a PUT turns the current readers of the written key into **old readers**;
 //! * before a PUT becomes visible, the partition runs the **readers check**:
-//!   it queries every partition holding one of the PUT's dependencies for old
-//!   readers of those keys, and merges the returned ROT ids into the new
-//!   version's old-reader record;
+//!   it collects the old readers of its own dependency keys and sends one
+//!   [`Msg::ReadersCheck`] to every other partition holding one of the PUT's
+//!   dependencies, and merges the ROT ids of each [`Msg::ReadersCheckReply`]
+//!   into the new version's old-reader record;
 //! * a ROT finding its id in a version's old-reader record must not see that
 //!   version: it gets the most recent version older than its recorded read
 //!   time instead.
 //!
-//! Geo-replication performs a combined *dependency check* (wait until the
-//! dependencies are installed) and readers check in every remote DC before
+//! Geo-replication runs the same readers check in every remote DC before
 //! installing a replicated update, so the write-side overhead grows linearly
-//! with the number of DCs (Section 5.4).
+//! with the number of DCs (Section 5.4). A partition answers a check only
+//! once every dependency it names is installed there, which in the PUT's own
+//! DC is at once (a client depends only on versions its DC has installed)
+//! and in a remote DC is the *dependency check*. One pending table, one
+//! reply handler and one install serve the PUT and its replicas.
 //!
 //! This implementation includes both optimizations of the paper's improved
 //! CC-LO (Section 5.2): ROT ids are garbage-collected 500 ms after insertion,

@@ -40,20 +40,23 @@ contrarian_types::wire_enum! {
             vid: VersionId,
             lamport: u64,
         },
-        /// Readers check: PUT partition → dependency partition.
-        OldReadersQuery {
+        /// Readers check: a pending version's partition → a partition of
+        /// the same DC holding some of its dependencies. Answered once
+        /// every dependency in `deps` is installed there: at once for a PUT
+        /// of that DC, maybe later for a replicated update.
+        ReadersCheck {
             token: u64,
             deps: Vec<Dep>,
             lamport: u64,
         },
         /// The old readers of those keys: at most one ROT id per client.
-        OldReadersReply {
+        ReadersCheckReply {
             token: u64,
             entries: Vec<(TxId, u64)>,
             lamport: u64,
         },
         /// Origin partition → replica partition (async, FIFO), dependencies
-        /// attached for the remote dependency + readers check.
+        /// attached for the replica's own readers check.
         Replicate {
             key: Key,
             value: Value,
@@ -63,18 +66,6 @@ contrarian_types::wire_enum! {
             /// Runtime timestamp of the origin install, so the replica can
             /// measure visibility staleness (zero when unknown).
             birth: u64,
-        },
-        /// Combined dependency check + readers check (remote DC): answered only
-        /// once every dependency in `deps` is installed at the queried partition.
-        DepCheckQuery {
-            token: u64,
-            deps: Vec<Dep>,
-            lamport: u64,
-        },
-        DepCheckReply {
-            token: u64,
-            entries: Vec<(TxId, u64)>,
-            lamport: u64,
         },
         /// Externally injected operation.
         Inject(op: Op),
@@ -88,10 +79,8 @@ impl Msg {
         match self {
             Msg::RotRead { lamport, .. }
             | Msg::PutReq { lamport, .. }
-            | Msg::OldReadersQuery { lamport, .. }
-            | Msg::OldReadersReply { lamport, .. }
-            | Msg::DepCheckQuery { lamport, .. }
-            | Msg::DepCheckReply { lamport, .. } => Some(*lamport),
+            | Msg::ReadersCheck { lamport, .. }
+            | Msg::ReadersCheckReply { lamport, .. } => Some(*lamport),
             Msg::Replicate { lamport, vid, .. } => Some((*lamport).max(vid.ts)),
             Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => None,
         }
@@ -113,12 +102,9 @@ impl SimMessage for Msg {
             Msg::RotRead { keys, .. } => heap::vec_bytes(keys),
             Msg::RotSlice { pairs, .. } => heap::vec_bytes(pairs),
             Msg::PutReq { deps, .. }
-            | Msg::OldReadersQuery { deps, .. }
-            | Msg::Replicate { deps, .. }
-            | Msg::DepCheckQuery { deps, .. } => heap::vec_bytes(deps),
-            Msg::OldReadersReply { entries, .. } | Msg::DepCheckReply { entries, .. } => {
-                heap::vec_bytes(entries)
-            }
+            | Msg::ReadersCheck { deps, .. }
+            | Msg::Replicate { deps, .. } => heap::vec_bytes(deps),
+            Msg::ReadersCheckReply { entries, .. } => heap::vec_bytes(entries),
             Msg::PutResp { .. } => 0,
             Msg::Inject(op) => op.heap_bytes(),
         }
@@ -146,23 +132,18 @@ impl SimMessage for Msg {
                     wire::KEY + value.len() + deps_bytes(deps) + wire::TS
                 }
                 Msg::PutResp { .. } => wire::KEY + wire::VERSION_ID + wire::TS,
-                Msg::OldReadersQuery { deps, .. } => 8 + deps_bytes(deps) + wire::TS,
-                Msg::OldReadersReply { entries, .. } => 8 + entries_bytes(entries) + wire::TS,
+                Msg::ReadersCheck { deps, .. } => 8 + deps_bytes(deps) + wire::TS,
+                Msg::ReadersCheckReply { entries, .. } => 8 + entries_bytes(entries) + wire::TS,
                 Msg::Replicate { value, deps, .. } => {
                     wire::KEY + value.len() + wire::VERSION_ID + deps_bytes(deps) + 2 * wire::TS
                 }
-                Msg::DepCheckQuery { deps, .. } => 8 + deps_bytes(deps) + wire::TS,
-                Msg::DepCheckReply { entries, .. } => 8 + entries_bytes(entries) + wire::TS,
                 Msg::Inject(_) => 0,
             }
     }
 
     fn class(&self) -> MsgClass {
         match self {
-            Msg::OldReadersQuery { .. }
-            | Msg::OldReadersReply { .. }
-            | Msg::DepCheckQuery { .. }
-            | Msg::DepCheckReply { .. } => MsgClass::Control,
+            Msg::ReadersCheck { .. } | Msg::ReadersCheckReply { .. } => MsgClass::Control,
             _ => MsgClass::Data,
         }
     }
@@ -174,14 +155,10 @@ impl SimMessage for Msg {
             Msg::PutReq { deps, .. } => m.write_op_ns + m.per_rot_id_ns * deps.len() as u64,
             Msg::Replicate { deps, .. } => m.write_op_ns + m.per_rot_id_ns * deps.len() as u64,
             // Record lookups on the query side…
-            Msg::OldReadersQuery { deps, .. } | Msg::DepCheckQuery { deps, .. } => {
-                m.read_op_ns / 2 * deps.len() as u64
-            }
+            Msg::ReadersCheck { deps, .. } => m.read_op_ns / 2 * deps.len() as u64,
             // …and per-id merge work on the reply side: this is the load the
             // readers check injects, linear in the ids carried (Section 5.4).
-            Msg::OldReadersReply { entries, .. } | Msg::DepCheckReply { entries, .. } => {
-                m.per_rot_id_ns * entries.len() as u64
-            }
+            Msg::ReadersCheckReply { entries, .. } => m.per_rot_id_ns * entries.len() as u64,
             _ => 0,
         }
     }
@@ -205,12 +182,12 @@ mod tests {
     #[test]
     fn reply_cost_grows_linearly_with_rot_ids() {
         let m = CostModel::calibrated();
-        let small = Msg::OldReadersReply {
+        let small = Msg::ReadersCheckReply {
             token: 0,
             entries: vec![(tx(), 1); 10],
             lamport: 0,
         };
-        let large = Msg::OldReadersReply {
+        let large = Msg::ReadersCheckReply {
             token: 0,
             entries: vec![(tx(), 1); 500],
             lamport: 0,
@@ -247,7 +224,7 @@ mod tests {
 
     #[test]
     fn checks_travel_on_the_control_plane() {
-        let q = Msg::OldReadersQuery {
+        let q = Msg::ReadersCheck {
             token: 0,
             deps: vec![],
             lamport: 0,
@@ -265,11 +242,39 @@ mod tests {
     fn seven_kb_for_855_ids_matches_paper_scale() {
         // The paper reports ≈855 cumulative ROT ids ≈ 7 KB per readers
         // check (8 bytes per id); with read times attached ours is 2×.
-        let msg = Msg::OldReadersReply {
+        let msg = Msg::ReadersCheckReply {
             token: 0,
             entries: vec![(tx(), 1); 855],
             lamport: 0,
         };
         assert!(msg.wire_size() >= 6840);
+    }
+
+    /// A check's virtual cost: a token, the dependencies and a stamp on
+    /// the wire, half a read per dependency on receipt; the reply, per id
+    /// carried. Both travel on the control plane.
+    #[test]
+    fn a_readers_check_and_its_reply_keep_their_virtual_cost() {
+        let m = CostModel::calibrated();
+        let deps: Vec<Dep> = (0..3)
+            .map(|i| (Key(i), VersionId::new(i, DcId(0))))
+            .collect();
+        let check = Msg::ReadersCheck {
+            token: 0,
+            deps,
+            lamport: 0,
+        };
+        let dep = wire::KEY + wire::VERSION_ID;
+        assert_eq!(check.wire_size(), wire::MSG_HEADER + 8 + 3 * dep + wire::TS);
+        assert_eq!(check.rx_extra(&m), m.read_op_ns / 2 * 3);
+        let reply = Msg::ReadersCheckReply {
+            token: 0,
+            entries: vec![(tx(), 1); 4],
+            lamport: 0,
+        };
+        let id = wire::TX_ID + wire::TS;
+        assert_eq!(reply.wire_size(), wire::MSG_HEADER + 8 + 4 * id + wire::TS);
+        assert_eq!(reply.rx_extra(&m), m.per_rot_id_ns * 4);
+        assert_eq!(reply.class(), MsgClass::Control);
     }
 }

@@ -22,26 +22,38 @@ use std::collections::{BTreeMap, HashMap};
 /// old relative to the checked dependency version.
 const ALL_OLD_READERS: u64 = u64::MAX;
 
-/// A PUT waiting for its readers check to complete.
-struct PendingPut {
-    client: Addr,
+/// A version waiting for its readers check: a client's PUT in its own DC,
+/// or a replicated update in every other DC. Both run one check
+/// (`start_check`) and end in one install (`install`).
+struct Pending {
     key: Key,
     value: Value,
-    ts: u64,
-    /// The client's explicit dependency list, shipped along on replication
-    /// so every remote DC can run its own dependency + readers check.
+    vid: VersionId,
+    /// The writer's explicit dependency list. A PUT ships it along on
+    /// replication, so every remote DC can run its own check.
     deps: Vec<Dep>,
-    /// Old-reader pairs collected so far, unsorted: the local dependencies'
-    /// first, then each reply's. Sealed into the version's [`BlockRecord`]
-    /// once, at `finalize_put`.
+    /// Old-reader pairs collected so far, unsorted: this partition's own
+    /// first when its dependencies are installed, then each reply's.
+    /// Sealed into the version's [`BlockRecord`] once, at `install`.
     block: Vec<(TxId, u64)>,
     /// Where the replies start in `block`. Figure 6 counts the ids that
     /// crossed the network, not the locally collected ones.
     n_local: usize,
+    /// Peer partitions queried (Figure 6).
+    peers: u64,
+    /// Answers still to come, this partition's own parked one included.
     awaiting: usize,
-    // Figure 6 statistics.
-    n_deps: u64,
-    n_partitions: u64,
+    origin: Origin,
+}
+
+/// Where a pending version was written, which says what its install does
+/// besides storing it.
+enum Origin {
+    /// A PUT of this client: acknowledge it, count Figure 6, replicate.
+    Client(Addr),
+    /// A replicated update, installed at its origin at runtime `birth`
+    /// (zero when unknown): merge its stamp, record visibility staleness.
+    Replica { birth: u64 },
 }
 
 /// Adds a reply's old-reader pairs to a pending block. The first reply's
@@ -54,25 +66,13 @@ fn append_reply(block: &mut Vec<(TxId, u64)>, entries: Vec<(TxId, u64)>) {
     }
 }
 
-/// A replicated update waiting for its combined dependency + readers check.
-struct PendingRepl {
-    key: Key,
-    value: Value,
-    vid: VersionId,
-    /// Unsorted old-reader pairs, sealed at `finalize_repl`.
-    block: Vec<(TxId, u64)>,
-    awaiting: usize,
-    /// Origin-install runtime timestamp carried by the Replicate message.
-    birth: u64,
-}
-
 /// The timestamp of `key`'s head version, 0 for ⊥ (genesis is 0 too).
 fn head_ts(store: &MvStore<BlockRecord>, key: Key) -> u64 {
     store.latest(key).map_or(0, |h| h.vid.ts)
 }
 
-/// A dependency-check query that cannot be answered yet because some
-/// dependency has not been installed locally.
+/// A readers check that cannot be answered yet because some dependency
+/// has not been installed here.
 struct DepWaiter {
     reply_to: Addr,
     token: u64,
@@ -98,10 +98,10 @@ pub struct Server {
     /// drops a client's ROTs below it, which can never read here again —
     /// and the seal's per-client scratch (`records` module docs).
     rot_floor: RotFloor,
-    pending_puts: HashMap<u64, PendingPut>,
-    pending_repls: HashMap<u64, PendingRepl>,
-    /// Dependency-check queries parked until their dependencies install
-    /// (released by `flush_dep_waiters` after every install).
+    /// Versions whose readers check is in progress, by token.
+    pending: HashMap<u64, Pending>,
+    /// Readers checks parked until their dependencies install (released
+    /// by `flush_dep_waiters` after every install).
     dep_waiters: Parked<DepWaiter>,
     next_token: u64,
     timers: Timers,
@@ -130,8 +130,7 @@ impl Server {
             readers: CurrentReaders::new(window),
             old_readers: HashMap::new(),
             rot_floor: RotFloor::new(),
-            pending_puts: HashMap::new(),
-            pending_repls: HashMap::new(),
+            pending: HashMap::new(),
             dep_waiters: Parked::new(),
             next_token: 0,
             timers: Timers::default().with_periodic(timers::GC, sweep_ns),
@@ -203,10 +202,10 @@ impl Server {
             Msg::PutReq {
                 key, value, deps, ..
             } => self.handle_put(ctx, from, key, value, deps, t),
-            Msg::OldReadersQuery { token, deps, .. } => {
-                self.answer_check(ctx, from, token, deps, false)
+            Msg::ReadersCheck { token, deps, .. } => self.answer_check(ctx, from, token, deps),
+            Msg::ReadersCheckReply { token, entries, .. } => {
+                self.on_check_reply(ctx, token, entries)
             }
-            Msg::OldReadersReply { token, entries, .. } => self.on_check_reply(ctx, token, entries),
             Msg::Replicate {
                 key,
                 value,
@@ -215,10 +214,6 @@ impl Server {
                 birth,
                 ..
             } => self.handle_replicate(ctx, key, value, vid, deps, birth),
-            Msg::DepCheckQuery { token, deps, .. } => {
-                self.answer_check(ctx, from, token, deps, true)
-            }
-            Msg::DepCheckReply { token, entries, .. } => self.on_dep_reply(ctx, token, entries),
             Msg::RotSlice { .. } | Msg::PutResp { .. } | Msg::Inject(_) => {
                 unreachable!("a client-bound message has no stamp")
             }
@@ -320,10 +315,9 @@ impl Server {
         (None, bound.is_some(), scanned)
     }
 
-    /// PUT at timestamp `ts` (the Lamport time of its arrival): run the
-    /// readers check against every partition holding a dependency; only
-    /// when all old readers are known does the version install and the
-    /// client get its ack.
+    /// PUT at timestamp `ts` (the Lamport time of its arrival): only when
+    /// its readers check has found every old reader does the version
+    /// install and the client get its ack.
     fn handle_put(
         &mut self,
         ctx: &mut dyn ActorCtx<Msg>,
@@ -333,57 +327,82 @@ impl Server {
         deps: Vec<Dep>,
         ts: u64,
     ) {
+        let vid = VersionId::new(ts, self.addr.dc);
+        self.start_check(ctx, key, value, vid, deps, Origin::Client(client));
+    }
+
+    /// A replicated update arriving from another DC: it runs the same
+    /// readers check in *this* DC before installing, each dependency
+    /// waited for until it has installed here (the replication-side cost
+    /// of latency optimality, Section 5.4).
+    fn handle_replicate(
+        &mut self,
+        ctx: &mut dyn ActorCtx<Msg>,
+        key: Key,
+        value: Value,
+        vid: VersionId,
+        deps: Vec<Dep>,
+        birth: u64,
+    ) {
+        self.start_check(ctx, key, value, vid, deps, Origin::Replica { birth });
+    }
+
+    /// The readers check: this partition collects the old readers of its
+    /// own dependency keys — or parks a self-addressed waiter while a
+    /// replica's dependencies here have not installed yet — and every
+    /// other partition of this DC holding a dependency gets one
+    /// `ReadersCheck`. The version installs once every answer is in.
+    fn start_check(
+        &mut self,
+        ctx: &mut dyn ActorCtx<Msg>,
+        key: Key,
+        value: Value,
+        vid: VersionId,
+        deps: Vec<Dep>,
+        origin: Origin,
+    ) {
         let token = self.next_token;
         self.next_token += 1;
-
-        let groups = self.group_deps(&deps);
-        let mut pending = PendingPut {
-            client,
+        let mut p = Pending {
             key,
             value,
-            ts,
-            n_deps: deps.len() as u64,
+            vid,
             deps,
             block: Vec::new(),
             n_local: 0,
+            peers: 0,
             awaiting: 0,
-            n_partitions: 0,
+            origin,
         };
-
-        let now = ctx.now();
-        let window = self.gc_window_ns();
-        for (p, part_deps) in groups {
-            if p == self.addr.partition() {
-                // Local dependencies: collect old readers directly.
-                for (k, _) in &part_deps {
-                    let set = self.old_readers.get(k);
-                    ctx.charge(set.map_or(0, |s| s.len() as u64) * 100);
-                    let found = set.map_or(0, |s| {
-                        s.query_into(ALL_OLD_READERS, now, window, &mut pending.block)
-                    });
-                    ctx.charge(found as u64 * 150);
-                }
-            } else {
-                pending.awaiting += 1;
-                pending.n_partitions += 1;
-                let peer = Addr::server(self.addr.dc, p);
+        for (part, part_deps) in self.group_deps(&p.deps) {
+            if part != self.addr.partition() {
+                p.peers += 1;
+                p.awaiting += 1;
+                let peer = Addr::server(self.addr.dc, part);
                 ctx.send(
                     peer,
-                    Msg::OldReadersQuery {
+                    Msg::ReadersCheck {
                         token,
                         deps: part_deps,
                         lamport: self.lamport.peek(),
                     },
                 );
+            } else if self.deps_installed(&part_deps) {
+                p.block = self.collect_old_readers(ctx, &part_deps);
+            } else {
+                debug_assert!(
+                    matches!(p.origin, Origin::Replica { .. }),
+                    "a client's dependencies are installed in its own DC"
+                );
+                p.awaiting += 1;
+                self.park_check(ctx, self.addr, token, part_deps);
             }
         }
-
-        pending.n_local = pending.block.len();
-
-        if pending.awaiting == 0 {
-            self.finalize_put(ctx, pending);
+        p.n_local = p.block.len();
+        if p.awaiting == 0 {
+            self.install(ctx, p);
         } else {
-            self.pending_puts.insert(token, pending);
+            self.pending.insert(token, p);
         }
     }
 
@@ -398,46 +417,67 @@ impl Server {
         groups
     }
 
-    /// A readers-check (or combined dep-check) query. For dependency checks
-    /// the answer is deferred until every dependency is installed locally.
+    /// A peer's readers check, answered once every dependency in `deps` is
+    /// installed here: in the same step for a PUT of this DC, whose
+    /// client's dependencies are installed in its own DC, maybe later for
+    /// a replicated update.
     fn answer_check(
         &mut self,
         ctx: &mut dyn ActorCtx<Msg>,
         from: Addr,
         token: u64,
         deps: Vec<Dep>,
-        dep_check: bool,
     ) {
-        if dep_check && !self.deps_installed(&deps) {
-            if ctx.tracing() {
-                ctx.trace(TraceKind::Park, 1, self.dep_waiters.len() as u64);
-            }
-            self.dep_waiters.park_until_ready(
-                ctx.now(),
-                DepWaiter {
-                    reply_to: from,
+        if self.deps_installed(&deps) {
+            let entries = self.collect_old_readers(ctx, &deps);
+            self.reply(ctx, from, token, entries);
+        } else {
+            self.park_check(ctx, from, token, deps);
+        }
+    }
+
+    fn park_check(
+        &mut self,
+        ctx: &mut dyn ActorCtx<Msg>,
+        reply_to: Addr,
+        token: u64,
+        deps: Vec<Dep>,
+    ) {
+        if ctx.tracing() {
+            ctx.trace(TraceKind::Park, 1, self.dep_waiters.len() as u64);
+        }
+        self.dep_waiters.park_until_ready(
+            ctx.now(),
+            DepWaiter {
+                reply_to,
+                token,
+                deps,
+            },
+        );
+    }
+
+    /// Sends a readers-check answer to the peer that asked, or hands it to
+    /// this server's own pending version.
+    fn reply(
+        &mut self,
+        ctx: &mut dyn ActorCtx<Msg>,
+        to: Addr,
+        token: u64,
+        entries: Vec<(TxId, u64)>,
+    ) {
+        if to == self.addr {
+            self.on_check_reply(ctx, token, entries);
+        } else {
+            let lamport = self.lamport.peek();
+            ctx.send(
+                to,
+                Msg::ReadersCheckReply {
                     token,
-                    deps,
+                    entries,
+                    lamport,
                 },
             );
-            return;
         }
-        let entries = self.collect_old_readers(ctx, &deps);
-        let lamport = self.lamport.peek();
-        let reply = if dep_check {
-            Msg::DepCheckReply {
-                token,
-                entries,
-                lamport,
-            }
-        } else {
-            Msg::OldReadersReply {
-                token,
-                entries,
-                lamport,
-            }
-        };
-        ctx.send(from, reply);
     }
 
     fn deps_installed(&self, deps: &[Dep]) -> bool {
@@ -477,96 +517,95 @@ impl Server {
         out
     }
 
+    /// One answer to a pending readers check; the last one installs.
     fn on_check_reply(
         &mut self,
         ctx: &mut dyn ActorCtx<Msg>,
         token: u64,
         entries: Vec<(TxId, u64)>,
     ) {
-        let Entry::Occupied(mut slot) = self.pending_puts.entry(token) else {
+        let Entry::Occupied(mut slot) = self.pending.entry(token) else {
             return;
         };
-        let pending = slot.get_mut();
-        append_reply(&mut pending.block, entries);
-        pending.awaiting -= 1;
-        if pending.awaiting == 0 {
-            let pending = slot.remove();
-            self.finalize_put(ctx, pending);
+        let p = slot.get_mut();
+        append_reply(&mut p.block, entries);
+        p.awaiting -= 1;
+        if p.awaiting == 0 {
+            let p = slot.remove();
+            self.install(ctx, p);
         }
     }
 
-    /// Install the version (current readers of the key become old readers),
-    /// acknowledge the client, replicate, account Figure-6 statistics.
-    fn finalize_put(&mut self, ctx: &mut dyn ActorCtx<Msg>, pending: PendingPut) {
-        let PendingPut {
-            client,
+    /// Installs a checked version: the key's current readers become old
+    /// readers, the block seals into the version's record, and the
+    /// readers checks the install satisfies are released. A PUT also
+    /// acknowledges its client, counts Figure 6 and replicates; a replica
+    /// merges its stamp and records visibility staleness.
+    fn install(&mut self, ctx: &mut dyn ActorCtx<Msg>, p: Pending) {
+        let Pending {
             key,
             value,
-            ts,
+            vid,
             deps,
             block,
             n_local,
-            n_deps,
-            n_partitions,
+            peers,
+            origin,
             ..
-        } = pending;
-
+        } = p;
         // Distinct *clients* named by the responses (the paper's "distinct
         // ROT ids" — with at most one id per client per response, the
         // distinct count collapses to clients, matching "252 distinct at
         // 256 clients"), counted by the seal's own pass.
-        let ids_cum = (block.len() - n_local) as u64;
-        let (block, ids_distinct) = BlockRecord::seal(&block, n_local, &mut self.rot_floor);
-        let block_ids = block.len() as u64;
-
+        let (record, ids_distinct) = BlockRecord::seal(&block, n_local, &mut self.rot_floor);
+        ctx.metrics()
+            .add(stats::BLOCK_RECORD_IDS, record.len() as u64);
         self.supersede_head(key);
-        let vid = VersionId::new(ts, self.addr.dc);
-        let birth = ctx.now();
-        self.store.put(
-            key,
-            Version::new(vid, value.clone(), block).with_birth(birth),
-        );
-        ctx.send(
-            client,
-            Msg::PutResp {
-                key,
-                vid,
-                lamport: self.lamport.peek(),
-            },
-        );
-
-        let m = ctx.metrics();
-        m.add(stats::CHECKS, 1);
-        m.add(stats::CHECK_KEYS, n_deps);
-        m.add(stats::CHECK_PARTITIONS, n_partitions);
-        m.add(stats::CHECK_IDS_CUM, ids_cum);
-        m.add(stats::CHECK_IDS_DISTINCT, ids_distinct as u64);
-        m.add(stats::CHECK_BYTES, ids_cum * 16);
-        m.add(stats::BLOCK_RECORD_IDS, block_ids);
-
-        if self.cfg.n_dcs > 1 {
-            // Ship the update with the client's full dependency list; each
-            // remote DC runs its own combined dependency + readers check
-            // before installing — the per-DC replication cost of latency
-            // optimality (Section 5.4).
-            for dc in 0..self.cfg.n_dcs {
-                if dc != self.addr.dc.0 {
+        let birth = match origin {
+            Origin::Client(client) => {
+                let lamport = self.lamport.peek();
+                ctx.send(client, Msg::PutResp { key, vid, lamport });
+                let ids_cum = (block.len() - n_local) as u64;
+                let m = ctx.metrics();
+                m.add(stats::CHECKS, 1);
+                m.add(stats::CHECK_KEYS, deps.len() as u64);
+                m.add(stats::CHECK_PARTITIONS, peers);
+                m.add(stats::CHECK_IDS_CUM, ids_cum);
+                m.add(stats::CHECK_IDS_DISTINCT, ids_distinct as u64);
+                m.add(stats::CHECK_BYTES, ids_cum * 16);
+                // Ship the update with the client's full dependency list;
+                // each remote DC runs its own readers check before
+                // installing — the per-DC replication cost of latency
+                // optimality (Section 5.4).
+                let birth = ctx.now();
+                for dc in (0..self.cfg.n_dcs).filter(|&dc| dc != self.addr.dc.0) {
                     let peer = Addr::server(contrarian_types::DcId(dc), self.addr.partition());
-                    ctx.send(
-                        peer,
-                        Msg::Replicate {
-                            key,
-                            value: value.clone(),
-                            vid,
-                            deps: deps.clone(),
-                            lamport: self.lamport.peek(),
-                            birth,
-                        },
-                    );
+                    let msg = Msg::Replicate {
+                        key,
+                        value: value.clone(),
+                        vid,
+                        deps: deps.clone(),
+                        lamport,
+                        birth,
+                    };
+                    ctx.send(peer, msg);
                 }
+                birth
             }
-        }
-        // A fresh local install can satisfy parked dependency checks.
+            Origin::Replica { birth } => {
+                self.lamport.merge(vid.ts);
+                if birth > 0 {
+                    // Visibility staleness: how long after the origin
+                    // install this replica's readers check let the write in.
+                    let stale = ctx.now().saturating_sub(birth);
+                    ctx.metrics().vis_stale(stale);
+                }
+                ctx.metrics().add(stats::REPL_CHECKS, 1);
+                birth
+            }
+        };
+        self.store
+            .put(key, Version::new(vid, value, record).with_birth(birth));
         self.flush_dep_waiters(ctx);
     }
 
@@ -583,144 +622,23 @@ impl Server {
         }
     }
 
-    /// A replicated update arriving from another DC: run the combined
-    /// dependency + readers check in *this* DC before installing (the
-    /// replication-side cost of latency optimality).
-    fn handle_replicate(
-        &mut self,
-        ctx: &mut dyn ActorCtx<Msg>,
-        key: Key,
-        value: Value,
-        vid: VersionId,
-        deps: Vec<Dep>,
-        birth: u64,
-    ) {
-        let token = self.next_token;
-        self.next_token += 1;
-        let mut pending = PendingRepl {
-            key,
-            value,
-            vid,
-            block: Vec::new(),
-            awaiting: 0,
-            birth,
-        };
-
-        let groups = self.group_deps(&deps);
-        let now = ctx.now();
-        let window = self.gc_window_ns();
-        for (p, part_deps) in groups {
-            if p == self.addr.partition() {
-                if self.deps_installed(&part_deps) {
-                    for (k, _) in &part_deps {
-                        if let Some(set) = self.old_readers.get(k) {
-                            set.query_into(ALL_OLD_READERS, now, window, &mut pending.block);
-                        }
-                    }
-                } else {
-                    // Wait for our own install path to catch up: park a
-                    // self-addressed waiter resolved by `flush_dep_waiters`.
-                    pending.awaiting += 1;
-                    if ctx.tracing() {
-                        ctx.trace(TraceKind::Park, 1, self.dep_waiters.len() as u64);
-                    }
-                    self.dep_waiters.park_until_ready(
-                        now,
-                        DepWaiter {
-                            reply_to: self.addr,
-                            token,
-                            deps: part_deps,
-                        },
-                    );
-                }
-            } else {
-                pending.awaiting += 1;
-                let peer = Addr::server(self.addr.dc, p);
-                ctx.send(
-                    peer,
-                    Msg::DepCheckQuery {
-                        token,
-                        deps: part_deps,
-                        lamport: self.lamport.peek(),
-                    },
-                );
-            }
-        }
-
-        if pending.awaiting == 0 {
-            self.finalize_repl(ctx, pending);
-        } else {
-            self.pending_repls.insert(token, pending);
-        }
-    }
-
-    fn on_dep_reply(&mut self, ctx: &mut dyn ActorCtx<Msg>, token: u64, entries: Vec<(TxId, u64)>) {
-        let Entry::Occupied(mut slot) = self.pending_repls.entry(token) else {
-            return;
-        };
-        let pending = slot.get_mut();
-        append_reply(&mut pending.block, entries);
-        pending.awaiting -= 1;
-        if pending.awaiting == 0 {
-            let pending = slot.remove();
-            self.finalize_repl(ctx, pending);
-        }
-    }
-
-    fn finalize_repl(&mut self, ctx: &mut dyn ActorCtx<Msg>, pending: PendingRepl) {
-        let PendingRepl {
-            key,
-            value,
-            vid,
-            block,
-            birth,
-            ..
-        } = pending;
-        self.lamport.merge(vid.ts);
-        self.supersede_head(key);
-        if birth > 0 {
-            // Visibility staleness: how long after the origin install this
-            // replica's dependency + readers check let the write in.
-            let stale = ctx.now().saturating_sub(birth);
-            ctx.metrics().vis_stale(stale);
-        }
-        let (block, _) = BlockRecord::seal(&block, block.len(), &mut self.rot_floor);
-        let m = ctx.metrics();
-        m.add(stats::REPL_CHECKS, 1);
-        m.add(stats::BLOCK_RECORD_IDS, block.len() as u64);
-        self.store
-            .put(key, Version::new(vid, value, block).with_birth(birth));
-        self.flush_dep_waiters(ctx);
-    }
-
-    /// After any install, release dependency checks that were waiting.
+    /// After any install, answer the readers checks that were waiting for
+    /// it. Their waits are not client blocking — no ROT waits on them —
+    /// so they show as Park/Unpark trace events and in visibility
+    /// staleness, not in `Metrics::block_ns`.
     fn flush_dep_waiters(&mut self, ctx: &mut dyn ActorCtx<Msg>) {
         // Take the queue so the readiness predicate can borrow the store;
-        // handlers below may park new waiters (and recurse through
-        // `finalize_repl`), which land in the restored queue.
+        // the answers below may install (and recurse through `install`)
+        // and park new waiters, which land in the restored queue.
         let mut q = std::mem::take(&mut self.dep_waiters);
         let ready = q.take_ready(ctx.now(), |w| self.deps_installed(&w.deps));
         self.dep_waiters = q;
         for (waited, w) in ready {
-            ctx.metrics().blocked(waited);
             if ctx.tracing() {
                 ctx.trace(TraceKind::Unpark, 1, waited);
             }
             let entries = self.collect_old_readers(ctx, &w.deps);
-            if w.reply_to == self.addr {
-                // Self-waiter of a pending replication on this server.
-                self.on_dep_reply(ctx, w.token, entries);
-            } else {
-                let lamport = self.lamport.peek();
-                ctx.send(
-                    w.reply_to,
-                    Msg::DepCheckReply {
-                        token: w.token,
-                        entries,
-                        lamport,
-                    },
-                );
-            }
+            self.reply(ctx, w.reply_to, w.token, entries);
         }
     }
 
@@ -729,8 +647,8 @@ impl Server {
         self.lamport.peek()
     }
 
-    pub fn has_pending_puts(&self) -> bool {
-        !self.pending_puts.is_empty()
+    pub fn has_pending_checks(&self) -> bool {
+        !self.pending.is_empty()
     }
 }
 
@@ -774,28 +692,17 @@ impl ProtocolServer for Server {
             clippy::disallowed_methods,
             reason = "commutative sums for a heap census"
         )]
-        let puts: usize = self
-            .pending_puts
+        let pending: usize = self
+            .pending
             .values()
             .map(|p| heap::vec_bytes(&p.block) + heap::vec_bytes(&p.deps))
             .sum();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "commutative sums for a heap census"
-        )]
-        let repls: usize = self
-            .pending_repls
-            .values()
-            .map(|p| heap::vec_bytes(&p.block))
-            .sum();
         census.add(
             "pending checks",
-            heap::map_bytes(&self.pending_puts)
-                + puts
-                + heap::map_bytes(&self.pending_repls)
-                + repls
+            heap::map_bytes(&self.pending)
+                + pending
                 + self.dep_waiters.heap_bytes(|w| heap::vec_bytes(&w.deps)),
-            self.pending_puts.len() + self.pending_repls.len() + self.dep_waiters.len(),
+            self.pending.len() + self.dep_waiters.len(),
         );
         census.add(
             "rot floor",
@@ -866,7 +773,7 @@ mod tests {
                 deps: vec![],
                 lamport: max,
             },
-            Msg::OldReadersQuery {
+            Msg::ReadersCheck {
                 token: 1,
                 deps: vec![(Key(0), v1)],
                 lamport: max,
@@ -932,7 +839,7 @@ mod tests {
                 deps: vec![],
                 lamport: far,
             },
-            Msg::OldReadersQuery {
+            Msg::ReadersCheck {
                 token: 1,
                 deps: vec![(Key(0), v1)],
                 lamport: far,
@@ -1132,15 +1039,15 @@ mod tests {
             },
         );
         let token = match ctx.drain_sent().pop() {
-            Some((_, Msg::OldReadersQuery { token, .. })) => token,
-            other => panic!("expected OldReadersQuery, got {other:?}"),
+            Some((_, Msg::ReadersCheck { token, .. })) => token,
+            other => panic!("expected ReadersCheck, got {other:?}"),
         };
         // The peer names both of c's ROTs again, (c,5) at an earlier read
         // time than its read here.
         s.on_message(
             &mut ctx,
             addr(1),
-            Msg::OldReadersReply {
+            Msg::ReadersCheckReply {
                 token,
                 entries: vec![(tx(0, 3), 1), (tx(0, 5), 4)],
                 lamport: 0,
@@ -1182,14 +1089,14 @@ mod tests {
         );
         // No ack yet: the PUT is pending on the readers check.
         assert!(ctx.drain_to(client()).is_empty());
-        assert!(s.has_pending_puts());
+        assert!(s.has_pending_checks());
         let sent = ctx.drain_sent();
         let (to, token) = match &sent[0] {
-            (to, Msg::OldReadersQuery { token, deps, .. }) => {
+            (to, Msg::ReadersCheck { token, deps, .. }) => {
                 assert_eq!(deps[0].0, dep_key);
                 (*to, *token)
             }
-            other => panic!("expected OldReadersQuery, got {other:?}"),
+            other => panic!("expected ReadersCheck, got {other:?}"),
         };
         assert_eq!(to, addr(1));
         // Reply arrives: the PUT completes and the ids land in the block
@@ -1198,7 +1105,7 @@ mod tests {
         s.on_message(
             &mut ctx,
             addr(1),
-            Msg::OldReadersReply {
+            Msg::ReadersCheckReply {
                 token,
                 entries: vec![(blocked, 7)],
                 lamport: 9,
@@ -1223,14 +1130,14 @@ mod tests {
         s.on_message(
             &mut ctx,
             addr(1),
-            Msg::OldReadersQuery {
+            Msg::ReadersCheck {
                 token: 42,
                 deps: vec![(Key(0), x1)],
                 lamport: 0,
             },
         );
         match ctx.drain_to(addr(1)).pop() {
-            Some(Msg::OldReadersReply { entries, .. }) => {
+            Some(Msg::ReadersCheckReply { entries, .. }) => {
                 assert_eq!(entries.len(), 2, "one id per client");
                 assert!(
                     entries.iter().any(|(t, _)| *t == tx(0, 1)),
@@ -1263,14 +1170,14 @@ mod tests {
         s.on_message(
             &mut ctx,
             addr(1),
-            Msg::OldReadersQuery {
+            Msg::ReadersCheck {
                 token: 7,
                 deps: vec![(Key(0), x1)],
                 lamport: 0,
             },
         );
         match ctx.drain_to(addr(1)).pop() {
-            Some(Msg::OldReadersReply { entries, .. }) => {
+            Some(Msg::ReadersCheckReply { entries, .. }) => {
                 assert!(entries.iter().any(|(id, _)| *id == t), "{entries:?}");
             }
             other => panic!("unexpected {other:?}"),
@@ -1384,7 +1291,7 @@ mod tests {
         assert!(sy.store().latest(Key(0)).is_none());
         let q = ctx.drain_to(x_part);
         let token = match &q[0] {
-            Msg::DepCheckQuery { token, .. } => *token,
+            Msg::ReadersCheck { token, .. } => *token,
             other => panic!("unexpected {other:?}"),
         };
         // X1 hasn't arrived at x_part: the query is parked.
@@ -1406,7 +1313,7 @@ mod tests {
         );
         let replies = ctx.drain_to(y_part);
         assert!(
-            matches!(replies[0], Msg::DepCheckReply { token: t, .. } if t == token),
+            matches!(replies[0], Msg::ReadersCheckReply { token: t, .. } if t == token),
             "reply released after install"
         );
         // Deliver it: Y1 installs.
@@ -1491,11 +1398,11 @@ mod tests {
         );
         let sent = ctx.drain_sent();
         for (from_i, (_, q)) in sent.iter().enumerate() {
-            if let Msg::OldReadersQuery { token, .. } = q {
+            if let Msg::ReadersCheck { token, .. } = q {
                 s.on_message(
                     &mut ctx,
                     addr(1 + from_i as u16),
-                    Msg::OldReadersReply {
+                    Msg::ReadersCheckReply {
                         token: *token,
                         entries: vec![(tx(5, 0), 1), (tx(6, 0), 2)],
                         lamport: 0,
@@ -1507,5 +1414,156 @@ mod tests {
         assert_eq!(ctx.sink.metrics.counter(stats::CHECK_PARTITIONS), 2);
         assert_eq!(ctx.sink.metrics.counter(stats::CHECK_IDS_CUM), 4);
         assert_eq!(ctx.sink.metrics.counter(stats::CHECK_IDS_DISTINCT), 2);
+    }
+
+    /// Two ROTs of different clients read X0 and X1 supersedes it: both
+    /// are old readers of x when a later write depends on X1.
+    fn two_old_readers_of(s: &mut Server, ctx: &mut ScriptCtx<Msg>, x: Key) -> VersionId {
+        do_put(s, ctx, x, vec![]);
+        do_rot(s, ctx, tx(0, 0), vec![x]);
+        do_rot(s, ctx, tx(1, 0), vec![x]);
+        do_put(s, ctx, x, vec![])
+    }
+
+    /// The same old readers of a local dependency key cost the origin's
+    /// PUT and a replica's `Replicate` the same lookup: the record's two
+    /// entries walked and the two ids returned.
+    #[test]
+    fn a_replica_charges_its_local_readers_check_like_its_origin() {
+        let mut s = Server::new(addr(0), ClusterConfig::small().with_dcs(2));
+        let mut ctx = ScriptCtx::new(addr(0));
+        let x = Key(0);
+        let x1 = two_old_readers_of(&mut s, &mut ctx, x);
+        let charged = |s: &mut Server, ctx: &mut ScriptCtx<Msg>, from: Addr, msg: Msg| {
+            let before = ctx.sink.charge;
+            s.on_message(ctx, from, msg);
+            ctx.sink.charge - before
+        };
+        let put = Msg::PutReq {
+            key: Key(4),
+            value: Value::from_static(b"y"),
+            deps: vec![(x, x1)],
+            lamport: 0,
+        };
+        let origin = charged(&mut s, &mut ctx, client(), put);
+        let y1 = VersionId::new(s.lamport() + 1, DcId(1));
+        let replicate = Msg::Replicate {
+            key: Key(8),
+            value: Value::from_static(b"z"),
+            vid: y1,
+            deps: vec![(x, x1)],
+            lamport: y1.ts,
+            birth: 0,
+        };
+        let from = Addr::server(DcId(1), PartitionId(0));
+        let replica = charged(&mut s, &mut ctx, from, replicate);
+        assert_eq!(origin, 2 * 100 + 2 * 150);
+        assert_eq!(replica, origin);
+        assert_eq!(s.store().latest(Key(8)).unwrap().vid, y1);
+    }
+
+    /// A replica whose own partition lacks a dependency parks a
+    /// self-addressed waiter and sends nothing; the dependency's install
+    /// answers it in that step, and only then does the replica install.
+    #[test]
+    fn a_replica_waits_on_itself_for_a_local_dependency() {
+        let cfg = ClusterConfig::small().with_dcs(2);
+        let here = Addr::server(DcId(1), PartitionId(0));
+        let origin = Addr::server(DcId(0), PartitionId(0));
+        let mut s = Server::new(here, cfg);
+        let mut ctx = ScriptCtx::new(here);
+        ctx.sink.tracing = true;
+        let (x, y) = (Key(0), Key(4)); // both on partition 0
+        let x1 = VersionId::new(10, DcId(0));
+        let y1 = VersionId::new(11, DcId(0));
+        let replicate = |key, vid, deps| Msg::Replicate {
+            key,
+            value: Value::from_static(b"v"),
+            vid,
+            deps,
+            lamport: vid.ts,
+            birth: 0,
+        };
+        s.on_message(&mut ctx, origin, replicate(y, y1, vec![(x, x1)]));
+        assert!(s.store().latest(y).is_none(), "Y1 waits for X1");
+        assert!(s.has_pending_checks());
+        assert!(ctx.drain_sent().is_empty(), "the waiter is self-addressed");
+        s.on_message(&mut ctx, origin, replicate(x, x1, vec![]));
+        assert_eq!(s.store().latest(x).unwrap().vid, x1);
+        assert_eq!(s.store().latest(y).unwrap().vid, y1);
+        assert!(!s.has_pending_checks());
+        assert!(ctx.drain_sent().is_empty());
+        let kinds: Vec<TraceKind> = ctx.node.trace.drain().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [TraceKind::Park, TraceKind::Unpark]);
+        assert_eq!(ctx.sink.metrics.block_ns.count(), 0, "no client blocked");
+    }
+
+    /// In the origin DC a peer's `ReadersCheck` is answered in the step
+    /// that receives it: a client's dependencies are installed there.
+    #[test]
+    fn a_readers_check_from_the_origin_dc_is_answered_in_the_same_step() {
+        let (mut s0, mut s1) = (server(0), server(1));
+        let (mut ctx0, mut ctx1) = (ScriptCtx::new(addr(0)), ScriptCtx::new(addr(1)));
+        let x = Key(1); // partition 1
+        let x1 = two_old_readers_of(&mut s1, &mut ctx1, x);
+        s0.on_message(
+            &mut ctx0,
+            client(),
+            Msg::PutReq {
+                key: Key(0),
+                value: Value::from_static(b"y"),
+                deps: vec![(x, x1)],
+                lamport: 0,
+            },
+        );
+        let [check] = &ctx0.drain_to(addr(1))[..] else {
+            panic!("one ReadersCheck to partition 1")
+        };
+        s1.on_message(&mut ctx1, addr(0), check.clone());
+        let [reply @ Msg::ReadersCheckReply { entries, .. }] = &ctx1.drain_to(addr(0))[..] else {
+            panic!("answered in the same step")
+        };
+        assert_eq!(entries.len(), 2);
+        s0.on_message(&mut ctx0, addr(1), reply.clone());
+        assert!(matches!(ctx0.drain_to(client())[..], [Msg::PutResp { .. }]));
+        assert!(s0
+            .store()
+            .latest(Key(0))
+            .unwrap()
+            .meta
+            .bound(tx(1, 0))
+            .is_some());
+    }
+
+    /// An install of a replicated update counts one replica check and
+    /// none of Figure 6's: those count the origin's PUTs only.
+    #[test]
+    fn a_replica_install_counts_a_replica_check_not_a_put_check() {
+        let mut s = Server::new(addr(0), ClusterConfig::small().with_dcs(2));
+        let mut ctx = ScriptCtx::new(addr(0));
+        ctx.sink.metrics.enabled = true;
+        let x1 = two_old_readers_of(&mut s, &mut ctx, Key(0));
+        let (puts, ids) = (
+            ctx.sink.metrics.counter(stats::CHECKS),
+            ctx.sink.metrics.counter(stats::BLOCK_RECORD_IDS),
+        );
+        s.on_message(
+            &mut ctx,
+            Addr::server(DcId(1), PartitionId(0)),
+            Msg::Replicate {
+                key: Key(4),
+                value: Value::from_static(b"y"),
+                vid: VersionId::new(50, DcId(1)),
+                deps: vec![(Key(0), x1)],
+                lamport: 50,
+                birth: 0,
+            },
+        );
+        let m = &ctx.sink.metrics;
+        assert_eq!(m.counter(stats::REPL_CHECKS), 1);
+        assert_eq!(m.counter(stats::CHECKS), puts);
+        assert_eq!(m.counter(stats::CHECK_IDS_CUM), 0);
+        assert_eq!(m.counter(stats::BLOCK_RECORD_IDS), ids + 2);
+        assert_eq!(s.lamport(), 51, "the replica's stamp is merged");
     }
 }

@@ -35,3 +35,11 @@ fn conforms_on_tcp_reactor_engine() {
     let outcome = conformance::check_net::<CcLo>(2, 36).unwrap();
     assert!(outcome.keys_compared > 0);
 }
+
+/// Three DCs: each replica is fed by two origin DCs, so updates from
+/// both go through the one readers check and install on every engine.
+#[test]
+fn conforms_on_simulator_three_dcs() {
+    let outcome = conformance::check_sim::<CcLo>(3, 34).unwrap();
+    assert!(outcome.keys_compared > 0);
+}

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 /// Number of variants in [`Msg`] — keep in sync with the enum (the `_ =>`
 /// arm below panics if a tag is unmapped, so a miscount fails loudly).
-const N_VARIANTS: u8 = 10;
+const N_VARIANTS: u8 = 8;
 
 #[allow(clippy::too_many_arguments)]
 fn build_msg(
@@ -63,12 +63,12 @@ fn build_msg(
             vid: VersionId::new(ts, DcId(dc)),
             lamport: ts,
         },
-        4 => Msg::OldReadersQuery {
+        4 => Msg::ReadersCheck {
             token: ts,
             deps,
             lamport: ts,
         },
-        5 => Msg::OldReadersReply {
+        5 => Msg::ReadersCheckReply {
             token: ts,
             entries,
             lamport: ts,
@@ -81,17 +81,7 @@ fn build_msg(
             lamport: ts,
             birth: ts,
         },
-        7 => Msg::DepCheckQuery {
-            token: ts,
-            deps,
-            lamport: ts,
-        },
-        8 => Msg::DepCheckReply {
-            token: ts,
-            entries,
-            lamport: ts,
-        },
-        9 => {
+        7 => {
             if ts.is_multiple_of(2) {
                 Msg::Inject(Op::Rot(keys))
             } else {
@@ -204,7 +194,7 @@ fn every_variant_encodes_to_its_golden_bytes() {
             "0304000000000000000600000000000000010700000000000000",
         ),
         (
-            Msg::OldReadersQuery {
+            Msg::ReadersCheck {
                 token: 9,
                 deps: deps.clone(),
                 lamport: 7,
@@ -212,9 +202,9 @@ fn every_variant_encodes_to_its_golden_bytes() {
             "0409000000000000000100000008000000000000000600000000000000010700000000000000",
         ),
         (
-            Msg::OldReadersReply {
+            Msg::ReadersCheckReply {
                 token: 9,
-                entries: entries.clone(),
+                entries,
                 lamport: 7,
             },
             "05090000000000000001000000020001000300000006000000000000000700000000000000",
@@ -224,29 +214,13 @@ fn every_variant_encodes_to_its_golden_bytes() {
                 key: Key(4),
                 value,
                 vid,
-                deps: deps.clone(),
+                deps,
                 lamport: 7,
                 birth: 9,
             },
             "060400000000000000010000007606000000000000000101000000080000000000000006000000000000000107000000000000000900000000000000",
         ),
-        (
-            Msg::DepCheckQuery {
-                token: 9,
-                deps,
-                lamport: 7,
-            },
-            "0709000000000000000100000008000000000000000600000000000000010700000000000000",
-        ),
-        (
-            Msg::DepCheckReply {
-                token: 9,
-                entries,
-                lamport: 7,
-            },
-            "08090000000000000001000000020001000300000006000000000000000700000000000000",
-        ),
-        (Msg::Inject(Op::Rot(keys)), "0900010000000400000000000000"),
+        (Msg::Inject(Op::Rot(keys)), "0700010000000400000000000000"),
     ];
     for (msg, want) in golden {
         let bytes = to_bytes(&msg);

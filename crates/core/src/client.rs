@@ -73,7 +73,7 @@ impl Session for SnapshotSession {
         // Any involved partition can coordinate; pick one at random.
         let coord = Addr::server(self.dc, parts[ctx.rng().random_range(0..parts.len())]);
         let (lts, gss) = (self.lts, self.gss.clone());
-        match self.rot_mode.for_rot(parts.len()) {
+        match self.rot_mode {
             RotMode::OneHalfRound => {
                 ctx.send(coord, Msg::RotReq { tx, keys, lts, gss });
                 parts.len()
@@ -83,7 +83,6 @@ impl Session for SnapshotSession {
                 self.snap_keys = keys;
                 0
             }
-            RotMode::Adaptive { .. } => unreachable!("for_rot resolves Adaptive"),
         }
     }
 

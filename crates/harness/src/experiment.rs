@@ -398,8 +398,9 @@ pub struct Report {
     /// median / 99th. Zero when the run recorded none (single DC).
     pub vis_p50_ms: f64,
     pub vis_p99_ms: f64,
-    /// Requests a server parked (the count of `Metrics::block_ns`): Cure's
-    /// clock waits, and CC-LO's replicated PUTs awaiting dependencies.
+    /// Client requests a server parked until its clock admitted them (the
+    /// count of `Metrics::block_ns`): Cure's clock waits. CC-LO's replicated updates awaiting their
+    /// dependencies park no client and are not counted.
     pub blocked_ops: u64,
     /// Goodput fell below [`Report::SATURATION_GOODPUT_FRACTION`] of the
     /// offered rate, and the shortfall is more than

@@ -207,7 +207,8 @@ pub struct Metrics {
     /// (HLC-encoded µs for the physical-clock backends, Lamport-scaled
     /// for the logical ones) — comparable within a backend, not across.
     pub gss_lag: Histogram,
-    /// Time operations spent parked (clock waits, dependency waits), ns.
+    /// Time client requests spent parked until a server's clock admitted
+    /// them (Cure's clock waits), ns. No other wait is counted here.
     pub block_ns: Histogram,
     /// Free-form protocol counters (e.g. readers-check statistics).
     pub counters: BTreeMap<&'static str, u64>,

@@ -2,11 +2,8 @@
 
 /// How Contrarian runs its ROTs: 1½ rounds (3 communication steps: client →
 /// coordinator → partitions → client) or 2 rounds (4 steps: client →
-/// coordinator → client → partitions → client). The paper's Section 4 notes
-/// the choice can be made per ROT; `Adaptive` implements the optimization
-/// Section 5.7 describes as under test in the paper: fall back to 2 rounds
-/// when a ROT spans many partitions, where the coordinator fan-out stops
-/// paying off.
+/// coordinator → client → partitions → client), the paper's two variants
+/// (Section 4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RotMode {
     /// 3 communication steps; lower latency, more messages (Figure 3a).
@@ -14,28 +11,6 @@ pub enum RotMode {
     /// 4 communication steps; fewer messages, ~8% higher peak throughput
     /// (Figure 3b).
     TwoRound,
-    /// Per-ROT choice: 1½ rounds for ROTs spanning fewer than
-    /// `two_round_at` partitions, 2 rounds otherwise.
-    Adaptive {
-        /// Partition-count threshold at which a ROT switches to 2 rounds.
-        two_round_at: u16,
-    },
-}
-
-impl RotMode {
-    /// Resolves the mode for a ROT spanning `parts` partitions.
-    pub fn for_rot(self, parts: usize) -> RotMode {
-        match self {
-            RotMode::Adaptive { two_round_at } => {
-                if parts >= two_round_at as usize {
-                    RotMode::TwoRound
-                } else {
-                    RotMode::OneHalfRound
-                }
-            }
-            fixed => fixed,
-        }
-    }
 }
 
 /// Static description of the cluster and of protocol tuning knobs.

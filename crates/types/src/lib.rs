@@ -42,7 +42,6 @@ pub use trace::{TraceEvent, TraceKind};
 pub use value::Value;
 pub use vector::DepVector;
 pub use version::VersionId;
-pub use wire::WireSize;
 
 /// The value of the shared genesis version (see [`VersionId::GENESIS`]):
 /// the preloaded initial content of every key on a prepopulated platform.

@@ -19,11 +19,6 @@ pub const VEC_ENTRY: usize = 8;
 /// Serialized size of a version id (timestamp + origin DC).
 pub const VERSION_ID: usize = 9;
 
-/// Types that know their serialized size.
-pub trait WireSize {
-    fn wire_size(&self) -> usize;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
